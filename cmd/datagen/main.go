@@ -19,8 +19,8 @@ import (
 	"gnndrive/internal/graph"
 	"gnndrive/internal/layout"
 	"gnndrive/internal/nn"
-	"gnndrive/internal/ssd"
 	"gnndrive/internal/storage/integrity"
+	"gnndrive/internal/storage/sim"
 )
 
 func main() {
@@ -50,7 +50,7 @@ func main() {
 	start := time.Now()
 	// Build through the integrity layer: every block is checksummed as it
 	// is written, so -out can persist a CRC32C sidecar with the container.
-	ds, ib, err := gen.BuildVerified(spec, ssd.InstantConfig(), integrity.Options{})
+	ds, ib, err := gen.BuildVerified(spec, sim.InstantConfig(), integrity.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

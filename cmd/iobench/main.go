@@ -18,10 +18,10 @@ import (
 
 	"gnndrive/internal/experiments"
 	"gnndrive/internal/iobench"
-	"gnndrive/internal/ssd"
 	"gnndrive/internal/storage"
 	"gnndrive/internal/storage/file"
 	"gnndrive/internal/storage/linuring"
+	"gnndrive/internal/storage/sim"
 )
 
 func main() {
@@ -50,7 +50,7 @@ func main() {
 	var dev storage.Backend
 	switch *backend {
 	case "sim":
-		cfg := ssd.DefaultConfig()
+		cfg := sim.DefaultConfig()
 		cfg.TimeScale = *scale
 		dev = iobench.NewDevice(*fileMB<<20, cfg)
 	case "file":

@@ -22,7 +22,7 @@ import (
 	"gnndrive/internal/nn"
 	"gnndrive/internal/pagecache"
 	"gnndrive/internal/sample"
-	"gnndrive/internal/ssd"
+	"gnndrive/internal/storage/sim"
 	"gnndrive/internal/tensor"
 )
 
@@ -38,7 +38,7 @@ func main() {
 		Classes: 6, Homophily: 0.65, Signal: 1.0,
 		TrainFrac: 0.25, ValFrac: 0.10, Seed: 42,
 	}
-	ds, err := gen.BuildStandalone(spec, ssd.DefaultConfig())
+	ds, err := gen.BuildStandalone(spec, sim.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 	"gnndrive/internal/metrics"
 	"gnndrive/internal/nn"
 	"gnndrive/internal/pagecache"
-	"gnndrive/internal/ssd"
+	"gnndrive/internal/storage/sim"
 )
 
 func main() {
@@ -25,7 +25,7 @@ func main() {
 
 	// 1. A synthetic graph on a simulated SSD: 2,000 nodes, 8 classes,
 	// planted-community features so the model has something to learn.
-	ds, err := gen.BuildStandalone(gen.Tiny(), ssd.DefaultConfig())
+	ds, err := gen.BuildStandalone(gen.Tiny(), sim.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -32,7 +32,6 @@ import (
 	"gnndrive/internal/errutil"
 	"gnndrive/internal/graph"
 	"gnndrive/internal/hostmem"
-	"gnndrive/internal/layout"
 	"gnndrive/internal/metrics"
 	"gnndrive/internal/nn"
 	"gnndrive/internal/sample"
@@ -429,18 +428,10 @@ func (s *System) loadNodes(nodes []int64, sched *schedule, afterBatch int) (int6
 	for i := range positions {
 		positions[i] = int32(i)
 	}
-	sorted := append([]int64(nil), nodes...)
-	var plan []core.ReadOp
-	if addr := s.ds.Addresser(); isStrided(addr) {
-		plan = core.BuildReadPlan(s.ds.Layout.FeaturesOff, int(s.ds.FeatBytes()),
-			s.ds.Dev.SectorSize(), 64<<10, sorted, positions)
-	} else {
-		var ap core.AddrPlanner
-		var err error
-		plan, err = ap.PlanInto(nil, addr, s.ds.Dev.SectorSize(), 64<<10, sorted, positions)
-		if err != nil {
-			return 0, fmt.Errorf("ginex: feature plan: %w", err)
-		}
+	var ap core.AddrPlanner
+	plan, err := ap.PlanInto(nil, s.ds.Addresser(), s.ds.Dev.SectorSize(), 64<<10, nodes, positions)
+	if err != nil {
+		return 0, fmt.Errorf("ginex: feature plan: %w", err)
 	}
 	featBytes := int(s.ds.FeatBytes())
 	buf := storage.AlignedBuf(64<<10+featBytes, s.ds.Dev.SectorSize())
@@ -451,20 +442,11 @@ func (s *System) loadNodes(nodes []int64, sched *schedule, afterBatch int) (int6
 			return 0, fmt.Errorf("ginex: feature load: %w", err)
 		}
 		for _, rn := range op.Nodes {
-			// rn.Pos indexes the caller's original node order; the sorted
-			// copy only drove read planning.
 			v := nodes[rn.Pos]
 			s.fcache.insert(v, sched, afterBatch, buf[rn.BufOff:rn.BufOff+featBytes])
 		}
 	}
 	return int64(len(plan)), nil
-}
-
-// isStrided reports the default fixed-stride layout, which takes the
-// legacy planner path.
-func isStrided(addr layout.Addresser) bool {
-	_, ok := addr.(layout.Strided)
-	return ok
 }
 
 // trainBatch transfers the batch synchronously and trains.

@@ -11,13 +11,13 @@ import (
 	"gnndrive/internal/metrics"
 	"gnndrive/internal/nn"
 	"gnndrive/internal/sample"
-	"gnndrive/internal/ssd"
+	"gnndrive/internal/storage/sim"
 )
 
 func newRig(t *testing.T, budgetBytes int64) (*graph.Dataset, *device.Device, *hostmem.Budget, *metrics.Recorder) {
 	t.Helper()
 	spec := gen.Tiny()
-	dev := ssd.New(spec.SizeBytes()+1<<20, ssd.InstantConfig())
+	dev := sim.New(spec.SizeBytes()+1<<20, sim.InstantConfig())
 	t.Cleanup(func() { dev.Close() })
 	ds, err := gen.Build(spec, dev, 0)
 	if err != nil {

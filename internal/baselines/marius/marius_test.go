@@ -10,12 +10,12 @@ import (
 	"gnndrive/internal/hostmem"
 	"gnndrive/internal/metrics"
 	"gnndrive/internal/nn"
-	"gnndrive/internal/ssd"
+	"gnndrive/internal/storage/sim"
 )
 
 func newRig(t *testing.T, budgetBytes int64) (*graph.Dataset, *device.Device, *hostmem.Budget, *metrics.Recorder) {
 	t.Helper()
-	ds, err := gen.BuildStandalone(gen.Tiny(), ssd.InstantConfig())
+	ds, err := gen.BuildStandalone(gen.Tiny(), sim.InstantConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 	"gnndrive/internal/metrics"
 	"gnndrive/internal/nn"
 	"gnndrive/internal/pagecache"
-	"gnndrive/internal/ssd"
+	"gnndrive/internal/storage/sim"
 )
 
 type rig struct {
@@ -24,7 +24,7 @@ type rig struct {
 
 func newRig(t *testing.T, budgetBytes int64) *rig {
 	t.Helper()
-	ds, err := gen.BuildStandalone(gen.Tiny(), ssd.InstantConfig())
+	ds, err := gen.BuildStandalone(gen.Tiny(), sim.InstantConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func BenchmarkFeatureBufferReserveRelease(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := fb.Reserve(uniq)
+		res, err := fb.ReserveCtx(context.Background(), uniq)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func BenchmarkReserveReleaseParallel(b *testing.B) {
 			nodes[i] = int64((id*batch + i) % (slots - batch))
 		}
 		// Warm: the first reservation loads, later ones purely reuse.
-		res, err := fb.Reserve(nodes)
+		res, err := fb.ReserveCtx(context.Background(), nodes)
 		if err != nil {
 			b.Error(err)
 			return
@@ -85,7 +85,7 @@ func BenchmarkReserveReleaseParallel(b *testing.B) {
 		}
 		fb.Release(nodes)
 		for pb.Next() {
-			r, err := fb.Reserve(nodes)
+			r, err := fb.ReserveCtx(context.Background(), nodes)
 			if err != nil {
 				b.Error(err)
 				return
@@ -109,8 +109,8 @@ func BenchmarkEndToEndExtract(b *testing.B) {
 
 // BenchmarkExtractBackends runs the same extract workload against each
 // registered storage backend: the instant simulator and a real file.
-// The file lands under TMPDIR, so run with TMPDIR=/dev/shm for the
-// tmpfs measurement recorded in BENCH_4.json.
+// The file lands under TMPDIR, so run with TMPDIR=/dev/shm for a
+// tmpfs measurement.
 func BenchmarkExtractBackends(b *testing.B) {
 	for _, backend := range []string{"sim", "file"} {
 		b.Run(backend, func(b *testing.B) {
@@ -119,8 +119,8 @@ func BenchmarkExtractBackends(b *testing.B) {
 	}
 }
 
-// BenchmarkExtractBackendsCold is the miss-heavy shape behind
-// BENCH_7.json: a 60k-node dim-128 feature table (~30 MB) against a
+// BenchmarkExtractBackendsCold is the miss-heavy shape recorded in
+// EXPERIMENTS.md: a 60k-node dim-128 feature table (~30 MB) against a
 // feature buffer pinned to 4096 slots, no hot set, and every extractor
 // striding its own disjoint window across the whole node range — so
 // nearly every reserve misses and the batch goes to disk as direct
@@ -153,7 +153,7 @@ func BenchmarkExtractBackendsCold(b *testing.B) {
 }
 
 // BenchmarkExtractLayoutsCold is the miss-heavy shape behind
-// BENCH_9.json: a 60k-node dim-100 table (400-byte vectors, so a
+// DESIGN.md §14.3's numbers: a 60k-node dim-100 table (400-byte vectors, so a
 // feature does NOT fill a 512-byte sector and every isolated read pays
 // alignment padding), replayed through the engine's real epoch-0 batch
 // schedule against a 4096-slot feature buffer, once per feature layout. The
@@ -339,7 +339,7 @@ func benchExtract(b *testing.B, rig *testRig) {
 }
 
 // BenchmarkBuildReadPlan measures the §4.4 joint-read planner on a
-// realistic toLoad set.
+// realistic toLoad set, into a reused plan like the extractor's.
 func BenchmarkBuildReadPlan(b *testing.B) {
 	const n = 2000
 	nodes := make([]int64, n)
@@ -350,12 +350,11 @@ func BenchmarkBuildReadPlan(b *testing.B) {
 		nodes[i] = int64(rng % 111000)
 		positions[i] = int32(i)
 	}
+	var plan []ReadOp
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ns := append([]int64(nil), nodes...)
-		ps := append([]int32(nil), positions...)
-		BuildReadPlan(0, 512, 512, 16<<10, ns, ps)
+		plan = BuildReadPlanInto(plan[:0], 0, 512, 512, 16<<10, nodes, positions)
 	}
 }
 
@@ -370,7 +369,10 @@ func BenchmarkStagingAcquireRelease(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		slot := s.Acquire()
+		slot, err := s.AcquireCtx(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
 		s.Release(slot)
 	}
 }

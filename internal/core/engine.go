@@ -24,6 +24,10 @@ import (
 
 const deviceGPUKind = device.GPU
 
+// extractQueueCap bounds the sample → extract hand-off queue (paper
+// default 6).
+const extractQueueCap = 6
+
 // Options configures a GNNDrive engine. Zero fields take defaults from
 // DefaultOptions.
 type Options struct {
@@ -38,11 +42,10 @@ type Options struct {
 	// 4 + 4, with one trainer and one releaser).
 	Samplers   int
 	Extractors int
-	// ExtractQueueCap and TrainQueueCap bound the two hand-off queues
-	// (paper defaults 6 and 4; the train queue is limited by device
-	// memory).
-	ExtractQueueCap int
-	TrainQueueCap   int
+	// TrainQueueCap bounds the extract → train hand-off queue (paper
+	// default 4; limited by device memory). The sample → extract queue is
+	// the constant extractQueueCap.
+	TrainQueueCap int
 	// RingDepth is the io_uring depth per extractor.
 	RingDepth int
 	// FeatureSlots overrides the feature-buffer capacity (0 = auto-size
@@ -154,20 +157,19 @@ func DefaultOptions(model nn.ModelKind) Options {
 		fan = []int{3, 3, 2}
 	}
 	return Options{
-		Model:           model,
-		Hidden:          256,
-		Layers:          3,
-		BatchSize:       50,
-		Fanouts:         fan,
-		Samplers:        4,
-		Extractors:      4,
-		ExtractQueueCap: 6,
-		TrainQueueCap:   4,
-		RingDepth:       64,
-		MaxJointRead:    16 << 10,
-		Shuffle:         true,
-		LR:              0.003,
-		Seed:            1,
+		Model:         model,
+		Hidden:        256,
+		Layers:        3,
+		BatchSize:     50,
+		Fanouts:       fan,
+		Samplers:      4,
+		Extractors:    4,
+		TrainQueueCap: 4,
+		RingDepth:     64,
+		MaxJointRead:  16 << 10,
+		Shuffle:       true,
+		LR:            0.003,
+		Seed:          1,
 	}
 }
 
@@ -190,9 +192,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.Extractors == 0 {
 		o.Extractors = d.Extractors
-	}
-	if o.ExtractQueueCap == 0 {
-		o.ExtractQueueCap = d.ExtractQueueCap
 	}
 	if o.TrainQueueCap == 0 {
 		o.TrainQueueCap = d.TrainQueueCap
@@ -618,7 +617,7 @@ func (e *Engine) trainEpochSegment(ctx context.Context, epoch int, targets []int
 	}
 	plan := sample.NewPlan(targets, e.opts.BatchSize, planRNG)
 
-	extractQ := make(chan *sample.Batch, e.opts.ExtractQueueCap)
+	extractQ := make(chan *sample.Batch, extractQueueCap)
 	trainQ := make(chan *trainItem, e.opts.TrainQueueCap)
 	releaseQ := make(chan *trainItem, e.opts.TrainQueueCap+2)
 

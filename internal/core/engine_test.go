@@ -13,10 +13,10 @@ import (
 	"gnndrive/internal/metrics"
 	"gnndrive/internal/nn"
 	"gnndrive/internal/pagecache"
-	"gnndrive/internal/ssd"
 	"gnndrive/internal/storage"
 	"gnndrive/internal/storage/file"
 	"gnndrive/internal/storage/linuring"
+	"gnndrive/internal/storage/sim"
 )
 
 type testRig struct {
@@ -55,7 +55,7 @@ func datasetOnSpec(t testing.TB, backend string, spec gen.Spec) (*graph.Dataset,
 			return file.Create(path, capacity, file.Options{})
 		})
 	}
-	return gen.BuildStandalone(spec, ssd.InstantConfig())
+	return gen.BuildStandalone(spec, sim.InstantConfig())
 }
 
 // newRig builds a rig on the backend selected by GNNDRIVE_TEST_BACKEND

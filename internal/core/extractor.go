@@ -10,7 +10,6 @@ import (
 	"gnndrive/internal/errutil"
 	"gnndrive/internal/faults"
 	"gnndrive/internal/graph"
-	"gnndrive/internal/layout"
 	"gnndrive/internal/sample"
 	"gnndrive/internal/storage"
 	"gnndrive/internal/uring"
@@ -68,7 +67,6 @@ type extractor struct {
 	// scratch reused across batches: the steady-state extract path reuses
 	// these instead of allocating per batch
 	loadNodes []int64
-	positions []int32
 	plan      []ReadOp
 	addrPlan  AddrPlanner
 	opSlot    []int32
@@ -106,46 +104,27 @@ func (x *extractor) extractBatch(ctx context.Context, b *sample.Batch) (*trainIt
 		return nil, st, err
 	}
 
-	// The planner sorts nodes and positions in place, so res.ToLoad is
-	// copied into extractor-owned scratch rather than aliased.
 	x.loadNodes = x.loadNodes[:0]
-	x.positions = x.positions[:0]
 	for _, pos := range res.ToLoad {
 		x.loadNodes = append(x.loadNodes, b.Nodes[pos])
-		x.positions = append(x.positions, pos)
 	}
 	featBytes := int(eng.ds.FeatBytes())
-	if addr := eng.ds.Addresser(); isStrided(addr) {
-		// Strided fast path: the dedicated planner, byte-for-byte the
-		// pre-addresser behavior.
-		switch {
-		case eng.opts.BufferedIO:
-			x.plan = buildExactPlanInto(x.plan[:0], eng.ds, x.loadNodes, x.positions)
-		case eng.opts.GPUDirect:
-			// GDS reads go straight to device memory at 4 KiB granularity.
-			x.plan = BuildReadPlanInto(x.plan[:0], eng.ds.Layout.FeaturesOff, featBytes, gdsGranularity,
-				2*gdsGranularity, x.loadNodes, x.positions)
-		default:
-			x.plan = BuildReadPlanInto(x.plan[:0], eng.ds.Layout.FeaturesOff, featBytes, eng.ds.Dev.SectorSize(),
-				eng.opts.MaxJointRead, x.loadNodes, x.positions)
-		}
-	} else {
-		var perr error
-		switch {
-		case eng.opts.BufferedIO:
-			x.plan, perr = buildExactAddrPlanInto(x.plan[:0], addr, &x.addrPlan, x.loadNodes, x.positions)
-		case eng.opts.GPUDirect:
-			x.plan, perr = x.addrPlan.PlanInto(x.plan[:0], addr, gdsGranularity,
-				2*gdsGranularity, x.loadNodes, x.positions)
-		default:
-			x.plan, perr = x.addrPlan.PlanInto(x.plan[:0], addr, eng.ds.Dev.SectorSize(),
-				eng.opts.MaxJointRead, x.loadNodes, x.positions)
-		}
-		if perr != nil {
-			eng.fb.Release(b.Nodes)
-			PutReservation(res)
-			return nil, st, fmt.Errorf("extract: plan: %w", perr)
-		}
+	addr := eng.ds.Addresser()
+	switch {
+	case eng.opts.BufferedIO:
+		x.plan, err = x.addrPlan.exactInto(x.plan[:0], addr, x.loadNodes, res.ToLoad)
+	case eng.opts.GPUDirect:
+		// GDS reads go straight to device memory at 4 KiB granularity.
+		x.plan, err = x.addrPlan.PlanInto(x.plan[:0], addr, gdsGranularity,
+			2*gdsGranularity, x.loadNodes, res.ToLoad)
+	default:
+		x.plan, err = x.addrPlan.PlanInto(x.plan[:0], addr, eng.ds.Dev.SectorSize(),
+			eng.opts.MaxJointRead, x.loadNodes, res.ToLoad)
+	}
+	if err != nil {
+		eng.fb.Release(b.Nodes)
+		PutReservation(res)
+		return nil, st, fmt.Errorf("extract: plan: %w", err)
 	}
 	plan := x.plan
 	st.bytesRead = PlanBytes(plan)
@@ -467,46 +446,4 @@ func (x *extractor) transferOp(b *sample.Batch, res *Reservation, op ReadOp, slo
 		eng.fb.MarkValid(b.Nodes[rn.Pos])
 	}
 	eng.staging.Release(slot)
-}
-
-// buildExactPlanInto is the buffered-I/O fallback of §4.4: one exact-size
-// read per node, no alignment redundancy (and no joint extraction).
-// Appends into dst, reusing its backing arrays like BuildReadPlanInto.
-func buildExactPlanInto(dst []ReadOp, ds *graph.Dataset, nodes []int64, positions []int32) []ReadOp {
-	if len(nodes) != len(positions) {
-		panic(fmt.Sprintf("core: %d nodes vs %d positions", len(nodes), len(positions)))
-	}
-	featBytes := int(ds.FeatBytes())
-	for i, v := range nodes {
-		dst = appendOp(dst, ds.FeatureOff(v), featBytes)
-		op := &dst[len(dst)-1]
-		op.Nodes = append(op.Nodes, ReadNode{Pos: positions[i], BufOff: 0})
-	}
-	return dst
-}
-
-// buildExactAddrPlanInto is buildExactPlanInto over an arbitrary
-// addresser: one exact-size read per node at its resolved span.
-func buildExactAddrPlanInto(dst []ReadOp, addr layout.Addresser, ap *AddrPlanner, nodes []int64, positions []int32) ([]ReadOp, error) {
-	if len(nodes) != len(positions) {
-		panic(fmt.Sprintf("core: %d nodes vs %d positions", len(nodes), len(positions)))
-	}
-	featBytes := addr.FeatBytes()
-	for i, v := range nodes {
-		off, _, _, err := layout.NodeSpan(addr, v, ap.exts[:])
-		if err != nil {
-			return dst, err
-		}
-		dst = appendOp(dst, off, featBytes)
-		op := &dst[len(dst)-1]
-		op.Nodes = append(op.Nodes, ReadNode{Pos: positions[i], BufOff: 0})
-	}
-	return dst, nil
-}
-
-// isStrided reports whether addr is the default fixed-stride layout,
-// selecting the bit-identical legacy planner path.
-func isStrided(addr layout.Addresser) bool {
-	_, ok := addr.(layout.Strided)
-	return ok
 }

@@ -246,7 +246,11 @@ func TestExtractPlanSubmitsOneBatch(t *testing.T) {
 
 func TestBuildExactPlanOneReadPerNode(t *testing.T) {
 	rig := newRig(t, device.InstantConfig(), 64<<20)
-	plan := buildExactPlanInto(nil, rig.ds, []int64{4, 9}, []int32{0, 1})
+	var ap AddrPlanner
+	plan, err := ap.exactInto(nil, rig.ds.Addresser(), []int64{9, 4}, []int32{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(plan) != 2 {
 		t.Fatalf("%d ops", len(plan))
 	}
@@ -255,7 +259,8 @@ func TestBuildExactPlanOneReadPerNode(t *testing.T) {
 			t.Fatalf("op %d: %+v", i, op)
 		}
 	}
-	if plan[0].DevOff != rig.ds.FeatureOff(4) {
-		t.Fatalf("offset %d", plan[0].DevOff)
+	// One read per node in the order given — exact mode does not sort.
+	if plan[0].DevOff != rig.ds.FeatureOff(9) || plan[1].DevOff != rig.ds.FeatureOff(4) {
+		t.Fatalf("offsets %d, %d", plan[0].DevOff, plan[1].DevOff)
 	}
 }

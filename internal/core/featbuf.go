@@ -205,7 +205,7 @@ func getReservation(n int) *Reservation {
 	return res
 }
 
-// PutReservation recycles a reservation obtained from Reserve/ReserveCtx.
+// PutReservation recycles a reservation obtained from ReserveCtx.
 // Callers may only recycle after the batch's references are released and
 // no alias is read again; it is never required (unrecycled reservations
 // are garbage collected).
@@ -242,18 +242,12 @@ func getReleaseScratch() *releaseScratch {
 	return sc
 }
 
-// Reserve implements Algorithm 1's reuse scan and slot allocation for the
-// node list of one mini-batch. It increments every node's reference count;
-// Release undoes it after training. Blocks while the standby list is
-// empty, waiting for the releaser.
-func (fb *FeatureBuffer) Reserve(nodes []int64) (*Reservation, error) {
-	//gnnlint:ignore ctxbg non-cancellable compat wrapper; the pipeline calls ReserveCtx
-	return fb.ReserveCtx(context.Background(), nodes)
-}
-
-// ReserveCtx is Reserve with cancellation: a cancelled ctx aborts the
-// standby wait and rolls back every reference already taken for this
-// batch, so a torn-down extractor leaks no refcounts.
+// ReserveCtx implements Algorithm 1's reuse scan and slot allocation for
+// the node list of one mini-batch. It increments every node's reference
+// count; Release undoes it after training. Blocks while the standby list
+// is empty, waiting for the releaser; a cancelled ctx aborts that wait and
+// rolls back every reference already taken for this batch, so a torn-down
+// extractor leaks no refcounts.
 //
 // The scan runs in three passes, none of which takes a per-node lock.
 // Classification attaches to every already-buffered node — a CAS pin when
@@ -531,15 +525,9 @@ func (fb *FeatureBuffer) MarkValid(node int64) {
 	st.cond.Broadcast()
 }
 
-// WaitValid blocks until every listed node's valid bit is set — the
-// wait-list re-examination at the end of Algorithm 1.
-func (fb *FeatureBuffer) WaitValid(nodes []int64) {
-	//gnnlint:ignore ctxbg non-cancellable compat wrapper; the pipeline calls WaitValidCtx
-	_ = fb.WaitValidCtx(context.Background(), nodes)
-}
-
-// WaitValidCtx is WaitValid with cancellation: it returns ctx.Err() when
-// the context is cancelled mid-wait (the loading extractor may have
+// WaitValidCtx blocks until every listed node's valid bit is set — the
+// wait-list re-examination at the end of Algorithm 1. It returns ctx.Err()
+// when the context is cancelled mid-wait (the loading extractor may have
 // failed, so the valid bit would never arrive). Pair with Interrupt for
 // prompt wake-up. Already-valid nodes are confirmed with a lock-free
 // load; only still-loading nodes park on their stripe's cond.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 )
@@ -43,7 +44,7 @@ func TestFeatureBufferParallelStress(t *testing.T) {
 					for i := 0; i < private; i++ {
 						nodes = append(nodes, 8+(base+int64(i)*7)%(numNodes-8))
 					}
-					res, err := fb.Reserve(nodes)
+					res, err := fb.ReserveCtx(context.Background(), nodes)
 					if err != nil {
 						t.Error(err)
 						return
@@ -52,7 +53,7 @@ func TestFeatureBufferParallelStress(t *testing.T) {
 						fb.MarkValid(nodes[pos])
 					}
 					// Everyone sharing a node must observe it valid.
-					fb.WaitValid(res.Wait)
+					fb.WaitValidCtx(context.Background(), res.Wait)
 					for i, v := range nodes {
 						if !fb.Valid(v) {
 							t.Errorf("node %d invalid while pinned", v)
@@ -131,7 +132,7 @@ func TestFeatureBufferRetireReassignRace(t *testing.T) {
 					for i := 0; i < private; i++ {
 						nodes = append(nodes, base+(int64(r)*5+int64(i)*3)%window)
 					}
-					res, err := fb.Reserve(nodes)
+					res, err := fb.ReserveCtx(context.Background(), nodes)
 					if err != nil {
 						t.Error(err)
 						return
@@ -143,7 +144,7 @@ func TestFeatureBufferRetireReassignRace(t *testing.T) {
 						}
 						fb.MarkValid(nodes[pos])
 					}
-					fb.WaitValid(res.Wait)
+					fb.WaitValidCtx(context.Background(), res.Wait)
 					fb.Release(nodes)
 					PutReservation(res)
 				}

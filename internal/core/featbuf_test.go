@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -9,7 +10,7 @@ import (
 
 func TestReserveAllocatesFreshSlots(t *testing.T) {
 	fb := NewFeatureBuffer(100, 4, 8)
-	res, err := fb.Reserve([]int64{1, 2, 3})
+	res, err := fb.ReserveCtx(context.Background(), []int64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,13 +36,13 @@ func TestReserveAllocatesFreshSlots(t *testing.T) {
 
 func TestMarkValidAndReuse(t *testing.T) {
 	fb := NewFeatureBuffer(100, 4, 8)
-	res1, _ := fb.Reserve([]int64{7})
+	res1, _ := fb.ReserveCtx(context.Background(), []int64{7})
 	fb.MarkValid(7)
 	fb.Release([]int64{7}) // retires to standby, still valid
 	if !fb.Valid(7) || fb.RefCount(7) != 0 {
 		t.Fatal("retired node must stay valid with ref 0")
 	}
-	res2, err := fb.Reserve([]int64{7})
+	res2, err := fb.ReserveCtx(context.Background(), []int64{7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +59,8 @@ func TestMarkValidAndReuse(t *testing.T) {
 
 func TestSharedLoadGoesToWaitList(t *testing.T) {
 	fb := NewFeatureBuffer(100, 4, 8)
-	res1, _ := fb.Reserve([]int64{9}) // extractor A is loading 9
-	res2, err := fb.Reserve([]int64{9, 10})
+	res1, _ := fb.ReserveCtx(context.Background(), []int64{9}) // extractor A is loading 9
+	res2, err := fb.ReserveCtx(context.Background(), []int64{9, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestSharedLoadGoesToWaitList(t *testing.T) {
 	// WaitValid must block until A marks it valid.
 	done := make(chan struct{})
 	go func() {
-		fb.WaitValid(res2.Wait)
+		fb.WaitValidCtx(context.Background(), res2.Wait)
 		close(done)
 	}()
 	select {
@@ -97,7 +98,7 @@ func TestSharedLoadGoesToWaitList(t *testing.T) {
 func TestLRUEvictionOrder(t *testing.T) {
 	fb := NewFeatureBuffer(100, 4, 2)
 	// Load nodes 1,2; release 1 then 2: standby order [slot(1), slot(2)].
-	res, _ := fb.Reserve([]int64{1, 2})
+	res, _ := fb.ReserveCtx(context.Background(), []int64{1, 2})
 	slot1, slot2 := res.Alias[0], res.Alias[1]
 	fb.MarkValid(1)
 	fb.MarkValid(2)
@@ -105,7 +106,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 	fb.Release([]int64{2})
 	// New node 3 must take slot(1) (least recently retired) and
 	// invalidate node 1.
-	res3, _ := fb.Reserve([]int64{3})
+	res3, _ := fb.ReserveCtx(context.Background(), []int64{3})
 	if res3.Alias[0] != slot1 {
 		t.Fatalf("expected LRU slot %d, got %d", slot1, res3.Alias[0])
 	}
@@ -120,16 +121,16 @@ func TestLRUEvictionOrder(t *testing.T) {
 
 func TestTouchingRetiredNodeProtectsIt(t *testing.T) {
 	fb := NewFeatureBuffer(100, 4, 2)
-	res, _ := fb.Reserve([]int64{1, 2})
+	res, _ := fb.ReserveCtx(context.Background(), []int64{1, 2})
 	fb.MarkValid(1)
 	fb.MarkValid(2)
 	fb.Release([]int64{1, 2}) // standby: [slot1, slot2]
 	// Re-reserve 1: pulls its slot off standby.
-	if _, err := fb.Reserve([]int64{1}); err != nil {
+	if _, err := fb.ReserveCtx(context.Background(), []int64{1}); err != nil {
 		t.Fatal(err)
 	}
 	// New node 3 must now take node 2's slot, not node 1's.
-	res3, _ := fb.Reserve([]int64{3})
+	res3, _ := fb.ReserveCtx(context.Background(), []int64{3})
 	if res3.Alias[0] != res.Alias[1] {
 		t.Fatalf("node 3 got slot %d, want node 2's slot %d", res3.Alias[0], res.Alias[1])
 	}
@@ -140,12 +141,12 @@ func TestTouchingRetiredNodeProtectsIt(t *testing.T) {
 
 func TestReserveBlocksUntilRelease(t *testing.T) {
 	fb := NewFeatureBuffer(100, 4, 2)
-	if _, err := fb.Reserve([]int64{1, 2}); err != nil {
+	if _, err := fb.ReserveCtx(context.Background(), []int64{1, 2}); err != nil {
 		t.Fatal(err)
 	}
 	got := make(chan error, 1)
 	go func() {
-		_, err := fb.Reserve([]int64{3})
+		_, err := fb.ReserveCtx(context.Background(), []int64{3})
 		got <- err
 	}()
 	select {
@@ -168,7 +169,7 @@ func TestReserveBlocksUntilRelease(t *testing.T) {
 
 func TestReserveBatchLargerThanBufferFails(t *testing.T) {
 	fb := NewFeatureBuffer(100, 4, 2)
-	if _, err := fb.Reserve([]int64{1, 2, 3}); !errors.Is(err, ErrBufferTooSmall) {
+	if _, err := fb.ReserveCtx(context.Background(), []int64{1, 2, 3}); !errors.Is(err, ErrBufferTooSmall) {
 		t.Fatalf("want ErrBufferTooSmall, got %v", err)
 	}
 }
@@ -229,7 +230,7 @@ func TestFeatureBufferConcurrentStress(t *testing.T) {
 						nodes = append(nodes, v)
 					}
 				}
-				res, err := fb.Reserve(nodes)
+				res, err := fb.ReserveCtx(context.Background(), nodes)
 				if err != nil {
 					errCh <- err
 					return
@@ -237,7 +238,7 @@ func TestFeatureBufferConcurrentStress(t *testing.T) {
 				for _, pos := range res.ToLoad {
 					fb.MarkValid(nodes[pos])
 				}
-				fb.WaitValid(res.Wait)
+				fb.WaitValidCtx(context.Background(), res.Wait)
 				// Every aliased slot must map back to the right node
 				// while we hold references.
 				for i, n := range nodes {

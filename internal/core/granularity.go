@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"gnndrive/internal/layout"
 )
@@ -23,112 +25,6 @@ type ReadOp struct {
 	Nodes  []ReadNode
 }
 
-// BuildReadPlan turns the set of feature vectors to load into a list of
-// sector-aligned direct reads, implementing the paper's access-granularity
-// handling (§4.4):
-//
-//   - when the feature size is a multiple of the sector, each node is one
-//     exact read;
-//   - smaller or unaligned features are read with redundant head/tail
-//     bytes, and neighboring nodes whose aligned windows touch are
-//     combined into one joint read (bounded by maxRead) to exploit
-//     spatial locality.
-//
-// nodes[i] is the node ID at batch position positions[i]; both slices are
-// reordered in place (sorted by node ID).
-func BuildReadPlan(featuresOff int64, featBytes, sector, maxRead int, nodes []int64, positions []int32) []ReadOp {
-	return BuildReadPlanInto(nil, featuresOff, featBytes, sector, maxRead, nodes, positions)
-}
-
-// BuildReadPlanInto is BuildReadPlan appending into dst, reusing dst's
-// backing array and each recycled op's Nodes slice so a per-batch caller
-// (the extractor) plans with zero steady-state allocations. Pass the
-// previous batch's plan resliced to length zero; pass nil for a fresh
-// plan.
-func BuildReadPlanInto(dst []ReadOp, featuresOff int64, featBytes, sector, maxRead int, nodes []int64, positions []int32) []ReadOp {
-	if len(nodes) != len(positions) {
-		panic(fmt.Sprintf("core: %d nodes vs %d positions", len(nodes), len(positions)))
-	}
-	if len(nodes) == 0 {
-		return dst
-	}
-	if sector <= 0 {
-		sector = 512
-	}
-	if maxRead < sector {
-		maxRead = sector
-	}
-	if featBytes > maxRead {
-		maxRead = (featBytes + sector - 1) / sector * sector * 2
-	}
-	sort.Sort(&nodePosSorter{nodes: nodes, positions: positions})
-
-	ss := int64(sector)
-	plan := dst
-	have := false // plan has a current op to extend
-	for i, v := range nodes {
-		start := featuresOff + v*int64(featBytes)
-		end := start + int64(featBytes)
-		aStart := start / ss * ss
-		aEnd := (end + ss - 1) / ss * ss
-		// Extend the current op if this node's window overlaps or abuts
-		// it and the combined op stays within maxRead.
-		if have {
-			cur := &plan[len(plan)-1]
-			curEnd := cur.DevOff + int64(cur.Len)
-			if aStart <= curEnd && aEnd-cur.DevOff <= int64(maxRead) {
-				if aEnd > curEnd {
-					cur.Len = int(aEnd - cur.DevOff)
-				}
-				cur.Nodes = append(cur.Nodes, ReadNode{Pos: positions[i], BufOff: int(start - cur.DevOff)})
-				continue
-			}
-		}
-		plan = appendOp(plan, aStart, int(aEnd-aStart))
-		cur := &plan[len(plan)-1]
-		cur.Nodes = append(cur.Nodes, ReadNode{Pos: positions[i], BufOff: int(start - aStart)})
-		have = true
-	}
-	return plan
-}
-
-// appendOp extends the plan by one op. When the backing array already has
-// room, the recycled element keeps its Nodes capacity from the previous
-// batch; only genuine growth allocates.
-func appendOp(plan []ReadOp, devOff int64, length int) []ReadOp {
-	if len(plan) < cap(plan) {
-		plan = plan[:len(plan)+1]
-		op := &plan[len(plan)-1]
-		op.DevOff = devOff
-		op.Len = length
-		op.Nodes = op.Nodes[:0]
-		return plan
-	}
-	return append(plan, ReadOp{DevOff: devOff, Len: length})
-}
-
-// PlanBytes sums the bytes a plan reads (including redundant alignment
-// bytes), for I/O accounting.
-func PlanBytes(plan []ReadOp) int64 {
-	var n int64
-	for _, op := range plan {
-		n += int64(op.Len)
-	}
-	return n
-}
-
-type nodePosSorter struct {
-	nodes     []int64
-	positions []int32
-}
-
-func (s *nodePosSorter) Len() int           { return len(s.nodes) }
-func (s *nodePosSorter) Less(i, j int) bool { return s.nodes[i] < s.nodes[j] }
-func (s *nodePosSorter) Swap(i, j int) {
-	s.nodes[i], s.nodes[j] = s.nodes[j], s.nodes[i]
-	s.positions[i], s.positions[j] = s.positions[j], s.positions[i]
-}
-
 // nodeSpan is one node's feature vector resolved to a single contiguous
 // device span (adjacent extents merged by layout.NodeSpan).
 type nodeSpan struct {
@@ -136,9 +32,9 @@ type nodeSpan struct {
 	pos int32
 }
 
-// AddrPlanner builds read plans through an arbitrary layout.Addresser —
-// the generalization of BuildReadPlanInto that the packed layout (and
-// any future one) goes through. It holds per-batch scratch so a
+// AddrPlanner is the read planner: it turns the feature vectors a batch
+// must load into backend reads through a layout.Addresser, so it plans
+// the same way over every placement. It holds per-batch scratch so a
 // steady-state caller plans without allocating; one planner per
 // extractor, not safe for concurrent use.
 type AddrPlanner struct {
@@ -146,15 +42,26 @@ type AddrPlanner struct {
 	exts  [4]layout.Extent
 }
 
-// PlanInto resolves every node through addr, sorts the resulting spans
-// by device offset, and coalesces adjacent sector-aligned windows into
-// joint reads exactly like BuildReadPlanInto does for the strided
-// layout. On a strided addresser it produces the identical plan; on a
-// packed one, nodes that were traced into the same segment collapse
-// into a few large sequential reads. Nodes whose extents are not
-// physically adjacent are an error: the extract path marks a node valid
-// when its read completes, which requires one read to carry the whole
-// vector.
+// PlanInto turns the set of feature vectors to load into a list of
+// sector-aligned direct reads, implementing the paper's access-granularity
+// handling (§4.4):
+//
+//   - when the feature size is a multiple of the sector, each node is one
+//     exact read;
+//   - smaller or unaligned features are read with redundant head/tail
+//     bytes, and nodes whose aligned windows touch are combined into one
+//     joint read (bounded by maxRead) to exploit spatial locality.
+//
+// Every node is resolved through addr and the spans are sorted by device
+// offset before coalescing, so on a packed layout nodes that were traced
+// into the same segment collapse into a few large sequential reads.
+// nodes[i] is the node ID at batch position positions[i]; neither slice
+// is modified. The plan is appended to dst, reusing dst's backing array
+// and each recycled op's Nodes slice: pass the previous batch's plan
+// resliced to length zero, or nil for a fresh plan. Nodes whose extents
+// are not physically adjacent are an error: the extract path marks a node
+// valid when its read completes, which requires one read to carry the
+// whole vector.
 func (ap *AddrPlanner) PlanInto(dst []ReadOp, addr layout.Addresser, sector, maxRead int, nodes []int64, positions []int32) ([]ReadOp, error) {
 	if len(nodes) != len(positions) {
 		panic(fmt.Sprintf("core: %d nodes vs %d positions", len(nodes), len(positions)))
@@ -181,16 +88,18 @@ func (ap *AddrPlanner) PlanInto(dst []ReadOp, addr layout.Addresser, sector, max
 		}
 		ap.spans = append(ap.spans, nodeSpan{off: off, pos: positions[i]})
 	}
-	sort.Sort(spanSorter(ap.spans))
+	slices.SortFunc(ap.spans, func(a, b nodeSpan) int { return cmp.Compare(a.off, b.off) })
 
 	ss := int64(sector)
 	plan := dst
-	have := false
+	have := false // plan has a current op to extend
 	for _, sp := range ap.spans {
 		start := sp.off
 		end := start + int64(featBytes)
 		aStart := start / ss * ss
 		aEnd := (end + ss - 1) / ss * ss
+		// Extend the current op if this node's window overlaps or abuts
+		// it and the combined op stays within maxRead.
 		if have {
 			cur := &plan[len(plan)-1]
 			curEnd := cur.DevOff + int64(cur.Len)
@@ -210,8 +119,69 @@ func (ap *AddrPlanner) PlanInto(dst []ReadOp, addr layout.Addresser, sector, max
 	return plan, nil
 }
 
-type spanSorter []nodeSpan
+// exactInto is the buffered-I/O fallback of §4.4: one exact-size read per
+// node at its resolved span, in the order given — no alignment redundancy
+// and no joint extraction. Appends into dst like PlanInto.
+func (ap *AddrPlanner) exactInto(dst []ReadOp, addr layout.Addresser, nodes []int64, positions []int32) ([]ReadOp, error) {
+	if len(nodes) != len(positions) {
+		panic(fmt.Sprintf("core: %d nodes vs %d positions", len(nodes), len(positions)))
+	}
+	featBytes := addr.FeatBytes()
+	for i, v := range nodes {
+		off, _, _, err := layout.NodeSpan(addr, v, ap.exts[:])
+		if err != nil {
+			return dst, err
+		}
+		dst = appendOp(dst, off, featBytes)
+		op := &dst[len(dst)-1]
+		op.Nodes = append(op.Nodes, ReadNode{Pos: positions[i], BufOff: 0})
+	}
+	return dst, nil
+}
 
-func (s spanSorter) Len() int           { return len(s) }
-func (s spanSorter) Less(i, j int) bool { return s[i].off < s[j].off }
-func (s spanSorter) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
+// BuildReadPlanInto is PlanInto over a dense strided feature table at
+// featuresOff, for callers that hold the table's geometry rather than an
+// addresser. The planner scratch is pooled, so a per-batch caller plans
+// with zero steady-state allocations.
+func BuildReadPlanInto(dst []ReadOp, featuresOff int64, featBytes, sector, maxRead int, nodes []int64, positions []int32) []ReadOp {
+	sp := stridedPlannerPool.Get().(*stridedPlanner)
+	sp.addr = layout.Strided{Base: featuresOff, Feat: featBytes}
+	// A strided node is always one whole extent, so PlanInto cannot fail.
+	plan, _ := sp.ap.PlanInto(dst, &sp.addr, sector, maxRead, nodes, positions)
+	stridedPlannerPool.Put(sp)
+	return plan
+}
+
+// stridedPlanner is BuildReadPlanInto's pooled scratch. The addresser
+// lives beside the planner so handing &addr to PlanInto boxes nothing.
+type stridedPlanner struct {
+	ap   AddrPlanner
+	addr layout.Strided
+}
+
+var stridedPlannerPool = sync.Pool{New: func() any { return new(stridedPlanner) }}
+
+// appendOp extends the plan by one op. When the backing array already has
+// room, the recycled element keeps its Nodes capacity from the previous
+// batch; only genuine growth allocates.
+func appendOp(plan []ReadOp, devOff int64, length int) []ReadOp {
+	if len(plan) < cap(plan) {
+		plan = plan[:len(plan)+1]
+		op := &plan[len(plan)-1]
+		op.DevOff = devOff
+		op.Len = length
+		op.Nodes = op.Nodes[:0]
+		return plan
+	}
+	return append(plan, ReadOp{DevOff: devOff, Len: length})
+}
+
+// PlanBytes sums the bytes a plan reads (including redundant alignment
+// bytes), for I/O accounting.
+func PlanBytes(plan []ReadOp) int64 {
+	var n int64
+	for _, op := range plan {
+		n += int64(op.Len)
+	}
+	return n
+}

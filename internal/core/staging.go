@@ -139,16 +139,6 @@ func (s *Staging) Slots() int {
 	return s.slots
 }
 
-// Acquire blocks until a slot is free and returns its index.
-func (s *Staging) Acquire() int32 {
-	//gnnlint:ignore ctxbg non-cancellable compat wrapper; the pipeline calls AcquireCtx
-	slot, err := s.AcquireCtx(context.Background())
-	if err != nil {
-		panic("core: Acquire on closed staging buffer")
-	}
-	return slot
-}
-
 // AcquireCtx blocks until a slot is free (and, on a view, quota
 // headroom exists), ctx is cancelled, or the pool is closed. A cancelled
 // ctx must be paired with an Interrupt (the epoch teardown does this) to

@@ -8,9 +8,9 @@ import (
 	"time"
 
 	"gnndrive/internal/iobench"
-	"gnndrive/internal/ssd"
 	"gnndrive/internal/storage"
 	"gnndrive/internal/storage/file"
+	"gnndrive/internal/storage/sim"
 )
 
 // FigB1 reproduces Appendix B's fio study: random 512 B reads of a large
@@ -31,7 +31,7 @@ func FigB1(w io.Writer, o Opts) error {
 	var dev storage.Backend
 	switch o.Backend {
 	case "", "sim":
-		cfg := ssd.DefaultConfig()
+		cfg := sim.DefaultConfig()
 		cfg.TimeScale = o.Scale
 		dev = iobench.NewDevice(fileBytes, cfg)
 	case "file":

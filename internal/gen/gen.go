@@ -21,9 +21,9 @@ import (
 	"math"
 
 	"gnndrive/internal/graph"
-	"gnndrive/internal/ssd"
 	"gnndrive/internal/storage"
 	"gnndrive/internal/storage/integrity"
+	"gnndrive/internal/storage/sim"
 	"gnndrive/internal/tensor"
 )
 
@@ -163,9 +163,9 @@ func Build(s Spec, dev storage.Backend, base int64) (*graph.Dataset, error) {
 // BuildStandalone creates a right-sized simulated device and builds the
 // dataset on it. The caller owns (and should Close) the returned backend
 // via the dataset's Dev field.
-func BuildStandalone(s Spec, cfg ssd.Config) (*graph.Dataset, error) {
+func BuildStandalone(s Spec, cfg sim.Config) (*graph.Dataset, error) {
 	return BuildWith(s, func(capacity int64) (storage.Backend, error) {
-		return ssd.New(capacity, cfg), nil
+		return sim.New(capacity, cfg), nil
 	})
 }
 
@@ -174,9 +174,9 @@ func BuildStandalone(s Spec, cfg ssd.Config) (*graph.Dataset, error) {
 // it is written, and the returned wrapper can persist the table with
 // SaveSidecar so later loaders of the same image geometry start verified
 // from the first read.
-func BuildVerified(s Spec, cfg ssd.Config, opts integrity.Options) (*graph.Dataset, *integrity.Backend, error) {
+func BuildVerified(s Spec, cfg sim.Config, opts integrity.Options) (*graph.Dataset, *integrity.Backend, error) {
 	ds, err := BuildWith(s, integrity.WrapFactory(func(capacity int64) (storage.Backend, error) {
-		return ssd.New(capacity, cfg), nil
+		return sim.New(capacity, cfg), nil
 	}, opts))
 	if err != nil {
 		return nil, nil, err

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"gnndrive/internal/graph"
-	"gnndrive/internal/ssd"
 	"gnndrive/internal/storage"
 	"gnndrive/internal/storage/integrity"
 	"gnndrive/internal/storage/sim"
@@ -14,7 +13,7 @@ import (
 
 func buildTiny(t *testing.T) *graph.Dataset {
 	t.Helper()
-	ds, err := BuildStandalone(Tiny(), ssd.InstantConfig())
+	ds, err := BuildStandalone(Tiny(), sim.InstantConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +168,7 @@ func TestSizeBytesMatchesLayout(t *testing.T) {
 }
 
 func TestBuildRejectsTooSmallDevice(t *testing.T) {
-	dev := ssd.New(1024, ssd.InstantConfig())
+	dev := sim.New(1024, sim.InstantConfig())
 	defer dev.Close()
 	if _, err := Build(Tiny(), dev, 0); err == nil {
 		t.Fatal("expected capacity error")
@@ -177,7 +176,7 @@ func TestBuildRejectsTooSmallDevice(t *testing.T) {
 }
 
 func TestBuildRejectsBadSpec(t *testing.T) {
-	dev := ssd.New(1<<20, ssd.InstantConfig())
+	dev := sim.New(1<<20, sim.InstantConfig())
 	defer dev.Close()
 	bad := Tiny()
 	bad.Classes = 1
@@ -187,7 +186,7 @@ func TestBuildRejectsBadSpec(t *testing.T) {
 }
 
 func TestBuildVerifiedEmitsAdoptableSidecar(t *testing.T) {
-	ds, ib, err := BuildVerified(Tiny(), ssd.InstantConfig(), integrity.Options{})
+	ds, ib, err := BuildVerified(Tiny(), sim.InstantConfig(), integrity.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,14 +7,14 @@ import (
 
 	"gnndrive/internal/hostmem"
 	"gnndrive/internal/pagecache"
-	"gnndrive/internal/ssd"
+	"gnndrive/internal/storage/sim"
 )
 
 // buildTestDataset writes a small hand-made CSC graph to a device:
 // 4 nodes; in-neighbors: 0<-{1,2}, 1<-{0}, 2<-{}, 3<-{0,1,2}.
 func buildTestDataset(t *testing.T) *Dataset {
 	t.Helper()
-	dev := ssd.New(1<<20, ssd.InstantConfig())
+	dev := sim.New(1<<20, sim.InstantConfig())
 	t.Cleanup(func() { dev.Close() })
 	indices := []int32{1, 2, 0, 0, 1, 2}
 	indptr := []int64{0, 2, 3, 3, 6}

@@ -14,8 +14,8 @@ import (
 
 	"gnndrive/internal/hostmem"
 	"gnndrive/internal/pagecache"
-	"gnndrive/internal/ssd"
 	"gnndrive/internal/storage"
+	"gnndrive/internal/storage/sim"
 	"gnndrive/internal/tensor"
 	"gnndrive/internal/uring"
 )
@@ -165,6 +165,6 @@ func runAsync(dev storage.Backend, spec Spec) (Result, error) {
 
 // NewDevice builds a zero-filled simulated device of the given size for
 // standalone benchmarking.
-func NewDevice(fileBytes int64, cfg ssd.Config) *ssd.Device {
-	return ssd.New(fileBytes, cfg)
+func NewDevice(fileBytes int64, cfg sim.Config) *sim.Device {
+	return sim.New(fileBytes, cfg)
 }

@@ -3,12 +3,12 @@ package iobench
 import (
 	"testing"
 
-	"gnndrive/internal/ssd"
+	"gnndrive/internal/storage/sim"
 )
 
-func testDev(t *testing.T) *ssd.Device {
+func testDev(t *testing.T) *sim.Device {
 	t.Helper()
-	d := NewDevice(1<<20, ssd.InstantConfig())
+	d := NewDevice(1<<20, sim.InstantConfig())
 	t.Cleanup(func() { d.Close() })
 	return d
 }

@@ -37,9 +37,8 @@ type Addresser interface {
 }
 
 // Strided is the classic dense layout: node v's vector is one extent at
-// Base + v*Feat. It is the default Addresser every dataset starts with,
-// and the read path special-cases it so strided training stays
-// bit-identical to the pre-seam code.
+// Base + v*Feat. It is the default Addresser every dataset starts with;
+// the read path plans over it exactly as over any other addresser.
 type Strided struct {
 	// Base is the device offset of the feature table.
 	Base int64

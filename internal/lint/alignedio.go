@@ -391,15 +391,14 @@ func (tw *taintWalk) hit(pos token.Pos, t taintSet, format string, args ...any) 
 
 // checkSink flags tainted buffers reaching a backend sink. Direct sinks
 // are recognized by method shape, not package identity, so the analyzer
-// covers storage.Backend, ssd.Device, pagecache's device reads, and the
+// covers storage.Backend, sim.Device, pagecache's device reads, and the
 // fixture corpus alike:
 //
 //   - ReadAt/ReadAtCtx/ReadDirect/ReadDirectCtx returning
 //     (time.Duration, error) — the backend read family (io.ReaderAt's
 //     (int, error) shape is deliberately excluded);
-//   - SubmitRead/SubmitReadCtx and the staged QueueRead/QueueReadCtx —
-//     the uring direct-submit paths (SubmitBufferedRead and
-//     QueueBufferedRead* tolerate unaligned memory by contract);
+//   - QueueRead/QueueReadCtx — the uring direct-read staging path
+//     (QueueBufferedRead* tolerate unaligned memory by contract);
 //   - Submit(*Request) — taint arrives via the Buf field of a composite
 //     literal or a prior req.Buf assignment;
 //   - SubmitBatch([]*Request) — each *Request element of a slice
@@ -455,7 +454,7 @@ func (tw *taintWalk) checkDirectSink(call *ast.CallExpr, fn *types.Func, sig *ty
 			tw.hit(buf.Pos(), tw.taintedExpr(buf),
 				"raw make([]byte) buffer reaches the layout read path via %s; its address is not sector-aligned", fn.Name())
 		}
-	case "SubmitRead", "SubmitReadCtx", "QueueRead", "QueueReadCtx":
+	case "QueueRead", "QueueReadCtx":
 		if buf := byteSliceArg(tw.info, sig, call); buf != nil {
 			tw.hit(buf.Pos(), tw.taintedExpr(buf),
 				"raw make([]byte) buffer submitted to the direct read path via %s", fn.Name())

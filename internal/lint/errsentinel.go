@@ -21,15 +21,14 @@ var AnalyzerErrSentinel = &Analyzer{
 }
 
 // sentinelNames is the contract's sentinel set: storage.ErrClosed and
-// ErrUnaligned with their ssd/uring aliases, the checkpoint sentinels,
+// ErrUnaligned, the checkpoint sentinels,
 // the integrity-layer sentinels (ErrChecksum/ErrQuarantined are always
 // surfaced wrapped, often doubly so, since a quarantined read wraps
 // both at once), the packed-layout index sentinels, the serve admission
 // sentinels (ErrOverloaded arrives wrapped with the queue depth), the
 // fault-injection sentinels retry policies wrap, and the memory-budget
 // and pipeline-health sentinels. Matching is by package-level error
-// variable name, so the historical alias spellings are covered without
-// naming every package.
+// variable name, so a sentinel is covered without naming its package.
 var sentinelNames = map[string]bool{
 	"ErrClosed":          true,
 	"ErrUnaligned":       true,

@@ -7,9 +7,9 @@ import (
 
 // AnalyzerRefPair is a leak check over the two acquire/release
 // protocols the pipeline's accounting depends on: a featbuf Reservation
-// (Reserve/ReserveCtx) pins refcounts that only Release drops, and a
-// staging acquisition (Acquire/AcquireCtx on a Staging pool) holds a
-// bounded slot that only Release returns. A value that neither escapes
+// (ReserveCtx) pins refcounts that only Release drops, and a staging
+// acquisition (AcquireCtx on a Staging pool) holds a bounded slot that
+// only Release returns. A value that neither escapes
 // the acquiring function nor reaches a release on every return path is
 // a leaked pin: the epoch-end TotalRefs check fires at best, the
 // standby list starves and the pipeline stalls at worst.

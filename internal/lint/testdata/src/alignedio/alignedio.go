@@ -29,13 +29,10 @@ func (*Dev) Submit(req *Request)                {}
 func (*Dev) SubmitBatch(reqs []*Request)        {}
 func (*Dev) RegisterBuffers(rs ...[]byte) error { return nil }
 
-// Ring replicates the uring submit sinks, staged queue variants
-// included.
+// Ring replicates the uring staged-queue sinks.
 type Ring struct{}
 
-func (*Ring) SubmitRead(p []byte, off int64, user uint64) error         { return nil }
-func (*Ring) SubmitBufferedRead(p []byte, off int64, user uint64) error { return nil }
-func (*Ring) QueueRead(p []byte, off int64, user uint64) error          { return nil }
+func (*Ring) QueueRead(p []byte, off int64, user uint64) error { return nil }
 func (*Ring) QueueReadCtx(ctx context.Context, p []byte, off int64, user uint64) error {
 	return nil
 }
@@ -99,11 +96,6 @@ func badSubmitVar(d *Dev) {
 	d.Submit(req) // want "Buf was assigned a raw make"
 }
 
-func badRing(r *Ring) {
-	buf := make([]byte, 512)
-	_ = r.SubmitRead(buf, 0, 1) // want "submitted to the direct read path via SubmitRead"
-}
-
 func badQueue(ctx context.Context, r *Ring) {
 	buf := make([]byte, 512)
 	_ = r.QueueRead(buf, 0, 1)                // want "submitted to the direct read path via QueueRead"
@@ -133,7 +125,6 @@ func good(ctx context.Context, d *Dev, r *Ring) {
 	buf := AlignedBuf(512, 512)
 	_, _ = d.ReadDirect(buf, 0)
 	_, _ = d.ReadDirectCtx(ctx, buf, 0)
-	_ = r.SubmitRead(buf, 0, 1)
 	d.Submit(&Request{Buf: buf})
 
 	// Reassignment from a clean source clears the taint.
@@ -141,13 +132,11 @@ func good(ctx context.Context, d *Dev, r *Ring) {
 	raw = AlignedBuf(512, 512)
 	_, _ = d.ReadDirect(raw, 0)
 
-	// The buffered submit and queue paths tolerate unaligned memory by
-	// contract.
+	// The buffered queue path tolerates unaligned memory by contract.
 	unaligned := make([]byte, 512)
-	_ = r.SubmitBufferedRead(unaligned, 0, 2)
 	_ = r.QueueBufferedRead(unaligned, 0, 3)
 
-	// Aligned memory through the new sinks is clean.
+	// Aligned memory through the queue and batch sinks is clean.
 	_ = r.QueueRead(buf, 0, 4)
 	d.SubmitBatch([]*Request{{Buf: buf}, {Buf: AlignedBuf(512, 512)}})
 	_ = d.RegisterBuffers(buf, AlignedBuf(4096, 512))

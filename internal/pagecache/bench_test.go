@@ -4,12 +4,12 @@ import (
 	"testing"
 
 	"gnndrive/internal/hostmem"
-	"gnndrive/internal/ssd"
+	"gnndrive/internal/storage/sim"
 )
 
 // BenchmarkReadHit measures a fully cached 512 B read.
 func BenchmarkReadHit(b *testing.B) {
-	dev := ssd.New(1<<20, ssd.InstantConfig())
+	dev := sim.New(1<<20, sim.InstantConfig())
 	defer dev.Close()
 	budget := hostmem.NewBudget(1 << 20)
 	c := New(dev, budget)
@@ -29,7 +29,7 @@ func BenchmarkReadHit(b *testing.B) {
 
 // BenchmarkReadMissEvict measures the miss path under eviction pressure.
 func BenchmarkReadMissEvict(b *testing.B) {
-	dev := ssd.New(64<<20, ssd.InstantConfig())
+	dev := sim.New(64<<20, sim.InstantConfig())
 	defer dev.Close()
 	budget := hostmem.NewBudget(64 * PageSize)
 	c := New(dev, budget)

@@ -10,18 +10,18 @@ import (
 	"time"
 
 	"gnndrive/internal/hostmem"
-	"gnndrive/internal/ssd"
+	"gnndrive/internal/storage/sim"
 )
 
-func testCache(t *testing.T, devSize int64, budget int64) (*ssd.Device, *hostmem.Budget, *Cache) {
+func testCache(t *testing.T, devSize int64, budget int64) (*sim.Device, *hostmem.Budget, *Cache) {
 	t.Helper()
-	d := ssd.New(devSize, ssd.InstantConfig())
+	d := sim.New(devSize, sim.InstantConfig())
 	t.Cleanup(func() { d.Close() })
 	b := hostmem.NewBudget(budget)
 	return d, b, New(d, b)
 }
 
-func fillPattern(d *ssd.Device, base, size int64) []byte {
+func fillPattern(d *sim.Device, base, size int64) []byte {
 	img := make([]byte, size)
 	for i := range img {
 		img[i] = byte((int64(i) + base) * 131)
@@ -253,7 +253,7 @@ func TestCachedReadEqualsImage(t *testing.T) {
 // plain ReadAt would ride out the whole stuck read before noticing the
 // cancellation.
 type stuckBackend struct {
-	*ssd.Device
+	*sim.Device
 	entered chan struct{} // closed when the stuck read has started
 	once    sync.Once
 }
@@ -274,7 +274,7 @@ func (b *stuckBackend) ReadAtCtx(ctx context.Context, p []byte, off int64) (time
 // blocked inside the device read must abort the read promptly instead
 // of waiting for the device.
 func TestFaultReadHonorsCancel(t *testing.T) {
-	dev := ssd.New(1<<20, ssd.InstantConfig())
+	dev := sim.New(1<<20, sim.InstantConfig())
 	t.Cleanup(func() { dev.Close() })
 	stuck := &stuckBackend{Device: dev, entered: make(chan struct{})}
 	c := New(stuck, hostmem.NewBudget(1<<20))

@@ -6,14 +6,14 @@ import (
 	"gnndrive/internal/gen"
 	"gnndrive/internal/graph"
 	"gnndrive/internal/sample"
-	"gnndrive/internal/ssd"
+	"gnndrive/internal/storage/sim"
 	"gnndrive/internal/tensor"
 )
 
 // BenchmarkSampleBatch measures 3-hop sampling of a 50-target batch on
 // the tiny graph through the untimed reader (pure sampler cost).
 func BenchmarkSampleBatch(b *testing.B) {
-	ds, err := gen.BuildStandalone(gen.Tiny(), ssd.InstantConfig())
+	ds, err := gen.BuildStandalone(gen.Tiny(), sim.InstantConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func BenchmarkSampleBatch(b *testing.B) {
 // BenchmarkSampleBatchInto is the same workload through the recycling
 // path the engine uses: one batch reused across all iterations.
 func BenchmarkSampleBatchInto(b *testing.B) {
-	ds, err := gen.BuildStandalone(gen.Tiny(), ssd.InstantConfig())
+	ds, err := gen.BuildStandalone(gen.Tiny(), sim.InstantConfig())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 	"gnndrive/internal/gen"
 	"gnndrive/internal/graph"
 	"gnndrive/internal/sample"
-	"gnndrive/internal/ssd"
+	"gnndrive/internal/storage/sim"
 	"gnndrive/internal/tensor"
 )
 
@@ -85,7 +85,7 @@ func TestFullPolicyKeepsAll(t *testing.T) {
 }
 
 func TestSamplerWithPolicyEndToEnd(t *testing.T) {
-	ds, err := gen.BuildStandalone(gen.Tiny(), ssd.InstantConfig())
+	ds, err := gen.BuildStandalone(gen.Tiny(), sim.InstantConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestSamplerWithPolicyEndToEnd(t *testing.T) {
 }
 
 func TestWithNilPolicyPanics(t *testing.T) {
-	ds, err := gen.BuildStandalone(gen.Tiny(), ssd.InstantConfig())
+	ds, err := gen.BuildStandalone(gen.Tiny(), sim.InstantConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,13 +7,13 @@ import (
 	"gnndrive/internal/gen"
 	"gnndrive/internal/graph"
 	"gnndrive/internal/sample"
-	"gnndrive/internal/ssd"
+	"gnndrive/internal/storage/sim"
 	"gnndrive/internal/tensor"
 )
 
 func tinyDataset(t *testing.T) *graph.Dataset {
 	t.Helper()
-	ds, err := gen.BuildStandalone(gen.Tiny(), ssd.InstantConfig())
+	ds, err := gen.BuildStandalone(gen.Tiny(), sim.InstantConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"time"
@@ -186,7 +187,10 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	}
 	d.cond = sync.NewCond(&d.mu)
 	// Re-admit survivors strictly in submit order so the restarted
-	// daemon's admission queue matches the drained one's.
+	// daemon's admission queue matches the drained one's. The lock is
+	// held across the loop: a job started here persists the manifest,
+	// which walks d.jobs, while later records are still being inserted.
+	d.mu.Lock()
 	for _, rec := range m.Jobs {
 		j := &job{rec: *rec}
 		j.ctx, j.cancel = context.WithCancel(d.rootCtx)
@@ -199,6 +203,7 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		d.wg.Add(1)
 		go d.runJob(j, nil)
 	}
+	d.mu.Unlock()
 	d.persist()
 	return d, nil
 }
@@ -292,7 +297,12 @@ func (d *Daemon) buildConfig(j *job, g *grant) (trainsim.Config, trainsim.System
 	if err != nil {
 		return cfg, sys, err
 	}
+	// The file and linuring backends open DataFile before anything else
+	// writes under the job's directory, so it must exist from here on.
 	dir := d.store.jobDir(j.rec.ID)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return cfg, sys, fmt.Errorf("serve: job dir: %w", err)
+	}
 	cfg.CheckpointDir = filepath.Join(dir, "ckpt")
 	// DataFile keys the dataset cache even for the sim backend, so two
 	// jobs over the same dataset spec never share a backend (and never

@@ -553,3 +553,16 @@ func TestMetricsReadCounters(t *testing.T) {
 		}
 	}
 }
+
+// TestFileBackendJobCompletes is the regression test for the job
+// directory not existing when a real-file backend opens its data file
+// there: a `"backend":"file"` job must start and reach completed.
+func TestFileBackendJobCompletes(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	spec := testSpec(5, 2)
+	spec.Backend = "file"
+	if got := runClean(t, ctx, spec); len(got) != spec.Epochs {
+		t.Fatalf("%d epochs recorded, want %d", len(got), spec.Epochs)
+	}
+}

@@ -1,4 +1,4 @@
-package ssd
+package sim
 
 import (
 	"bytes"
@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"gnndrive/internal/storage"
 )
 
 func testDevice(t *testing.T, capacity int64, cfg Config) *Device {
@@ -83,7 +85,7 @@ func TestAsyncSubmitCompletes(t *testing.T) {
 		wg.Add(1)
 		buf := make([]byte, 4)
 		results[i] = buf
-		d.Submit(&Request{Buf: buf, Off: 2048, Done: func(*Request) { wg.Done() }})
+		d.Submit(&storage.Request{Buf: buf, Off: 2048, Done: func(*storage.Request) { wg.Done() }})
 	}
 	wg.Wait()
 	for i, r := range results {
@@ -96,7 +98,7 @@ func TestAsyncSubmitCompletes(t *testing.T) {
 func TestSubmitErrorDeliveredViaDone(t *testing.T) {
 	d := testDevice(t, 1024, InstantConfig())
 	done := make(chan error, 1)
-	d.Submit(&Request{Buf: make([]byte, 10), Off: 1020, Done: func(r *Request) { done <- r.Err }})
+	d.Submit(&storage.Request{Buf: make([]byte, 10), Off: 1020, Done: func(r *storage.Request) { done <- r.Err }})
 	if err := <-done; err == nil {
 		t.Fatal("expected out-of-range error")
 	}
@@ -125,7 +127,7 @@ func TestChannelParallelismSpeedsReads(t *testing.T) {
 		start := time.Now()
 		for i := 0; i < 8; i++ {
 			wg.Add(1)
-			d.Submit(&Request{Buf: make([]byte, 512), Off: int64(i) * 512, Done: func(*Request) { wg.Done() }})
+			d.Submit(&storage.Request{Buf: make([]byte, 512), Off: int64(i) * 512, Done: func(*storage.Request) { wg.Done() }})
 		}
 		wg.Wait()
 		return time.Since(start)
@@ -143,7 +145,7 @@ func TestQueueTimeGrowsWithDepth(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 6; i++ {
 		wg.Add(1)
-		d.Submit(&Request{Buf: make([]byte, 512), Off: 0, Done: func(*Request) { wg.Done() }})
+		d.Submit(&storage.Request{Buf: make([]byte, 512), Off: 0, Done: func(*storage.Request) { wg.Done() }})
 	}
 	wg.Wait()
 	s := d.Stats()

@@ -1,4 +1,4 @@
-package ssd
+package sim
 
 import (
 	"bytes"

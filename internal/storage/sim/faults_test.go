@@ -1,4 +1,4 @@
-package ssd
+package sim
 
 import (
 	"context"
@@ -8,26 +8,27 @@ import (
 	"time"
 
 	"gnndrive/internal/faults"
+	"gnndrive/internal/storage"
 )
 
 func TestSubmitAfterCloseReturnsErrClosed(t *testing.T) {
 	d := New(1<<20, InstantConfig())
 	d.Close()
-	done := make(chan *Request, 1)
-	req := &Request{Buf: make([]byte, 512), Off: 0, Done: func(r *Request) { done <- r }}
+	done := make(chan *storage.Request, 1)
+	req := &storage.Request{Buf: make([]byte, 512), Off: 0, Done: func(r *storage.Request) { done <- r }}
 	d.Submit(req) // must not panic on the closed channel
 	r := <-done
-	if !errors.Is(r.Err, ErrClosed) {
-		t.Fatalf("err %v, want ErrClosed", r.Err)
+	if !errors.Is(r.Err, storage.ErrClosed) {
+		t.Fatalf("err %v, want storage.ErrClosed", r.Err)
 	}
-	if _, err := d.ReadAt(make([]byte, 512), 0); !errors.Is(err, ErrClosed) {
-		t.Fatalf("ReadAt after close: %v, want ErrClosed", err)
+	if _, err := d.ReadAt(make([]byte, 512), 0); !errors.Is(err, storage.ErrClosed) {
+		t.Fatalf("ReadAt after close: %v, want storage.ErrClosed", err)
 	}
 }
 
 func TestConcurrentSubmitAndCloseNoPanic(t *testing.T) {
 	// Hammer Submit from many goroutines while Close runs: every request
-	// must complete, either cleanly or with ErrClosed — never panic.
+	// must complete, either cleanly or with storage.ErrClosed — never panic.
 	d := New(1<<20, InstantConfig())
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -36,11 +37,11 @@ func TestConcurrentSubmitAndCloseNoPanic(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				done := make(chan struct{})
-				req := &Request{Buf: make([]byte, 512), Off: int64(i%64) * 512,
-					Done: func(*Request) { close(done) }}
+				req := &storage.Request{Buf: make([]byte, 512), Off: int64(i%64) * 512,
+					Done: func(*storage.Request) { close(done) }}
 				d.Submit(req)
 				<-done
-				if req.Err != nil && !errors.Is(req.Err, ErrClosed) {
+				if req.Err != nil && !errors.Is(req.Err, storage.ErrClosed) {
 					t.Errorf("unexpected error: %v", req.Err)
 					return
 				}

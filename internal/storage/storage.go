@@ -42,8 +42,8 @@ var ErrClosed = errors.New("storage: backend closed")
 
 // ErrUnaligned is returned by the direct-read paths when the offset or
 // length violates the sector alignment; callers degrade to buffered I/O
-// (§4.4's fallback ladder). It is the single alignment sentinel — the
-// historical ssd.ErrUnaligned and uring.ErrUnaligned spellings alias it.
+// (§4.4's fallback ladder). It is the single alignment sentinel every
+// layer matches.
 var ErrUnaligned = errors.New("storage: direct read not sector-aligned")
 
 // ErrChecksum is returned by the integrity layer (storage/integrity) when

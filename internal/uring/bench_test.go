@@ -3,29 +3,30 @@ package uring
 import (
 	"testing"
 
-	"gnndrive/internal/ssd"
+	"gnndrive/internal/storage/sim"
 )
 
-// BenchmarkSubmitWait measures the ring round-trip on an instant device
-// (pure ring overhead, no modeled latency).
-func BenchmarkSubmitWait(b *testing.B) {
-	dev := ssd.New(1<<20, ssd.InstantConfig())
+// BenchmarkQueueFlushWait measures the ring round-trip on an instant
+// device (pure ring overhead, no modeled latency).
+func BenchmarkQueueFlushWait(b *testing.B) {
+	dev := sim.New(1<<20, sim.InstantConfig())
 	defer dev.Close()
 	r := NewRing(dev, 64)
 	buf := make([]byte, 512)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := r.SubmitRead(buf, int64(i%1024)*512, uint64(i)); err != nil {
+		if err := r.QueueRead(buf, int64(i%1024)*512, uint64(i)); err != nil {
 			b.Fatal(err)
 		}
+		r.Flush()
 		r.WaitCQE()
 	}
 }
 
 // BenchmarkDeepPipeline keeps 64 requests in flight continuously.
 func BenchmarkDeepPipeline(b *testing.B) {
-	dev := ssd.New(1<<20, ssd.InstantConfig())
+	dev := sim.New(1<<20, sim.InstantConfig())
 	defer dev.Close()
 	r := NewRing(dev, 64)
 	bufs := make([][]byte, 64)
@@ -37,9 +38,10 @@ func BenchmarkDeepPipeline(b *testing.B) {
 	submitted, collected := 0, 0
 	for collected < b.N {
 		if submitted < b.N && r.Inflight() < 64 {
-			if err := r.SubmitRead(bufs[submitted%64], int64(submitted%1024)*512, uint64(submitted)); err != nil {
+			if err := r.QueueRead(bufs[submitted%64], int64(submitted%1024)*512, uint64(submitted)); err != nil {
 				b.Fatal(err)
 			}
+			r.Flush()
 			submitted++
 			continue
 		}

@@ -8,21 +8,11 @@ package uring
 
 import (
 	"context"
-	"errors"
 	"sync/atomic"
 	"time"
 
 	"gnndrive/internal/storage"
 )
-
-// ErrClosed is returned when operating on a closed ring.
-var ErrClosed = errors.New("uring: ring closed")
-
-// ErrUnaligned is returned by SubmitRead when the offset or length
-// violates the direct-I/O sector alignment; callers can degrade to a
-// buffered read (§4.4's fallback ladder). It aliases the one
-// storage.ErrUnaligned sentinel shared by every layer.
-var ErrUnaligned = storage.ErrUnaligned
 
 // CQE is a completion-queue event.
 type CQE struct {
@@ -32,15 +22,14 @@ type CQE struct {
 }
 
 // Ring is an asynchronous I/O ring bound to one backend. Depth bounds the
-// number of in-flight requests; SubmitRead blocks when the ring is full
-// (the common io_uring usage of waiting for completions to make room).
+// number of staged or in-flight requests; Queue* blocks when the ring is
+// full (the common io_uring usage of waiting for completions to make room).
 type Ring struct {
 	dev      storage.Backend
 	depth    int
 	slots    chan struct{}
 	cq       chan CQE
 	inflight atomic.Int64
-	closed   atomic.Bool
 
 	// pending holds requests staged by the Queue* methods until Flush
 	// hands them to the backend in one batch (one io_uring_enter on the
@@ -75,58 +64,28 @@ func (r *Ring) Depth() int { return r.depth }
 // Inflight returns the number of submitted-but-uncollected requests.
 func (r *Ring) Inflight() int { return int(r.inflight.Load()) }
 
-// SubmitRead queues an asynchronous read of p at off. user is returned in
-// the CQE. Blocks if depth requests are already in flight. The read goes
-// through the direct-I/O path: off and len(p) must be sector-aligned.
-func (r *Ring) SubmitRead(p []byte, off int64, user uint64) error {
-	return r.submit(nil, p, off, user, true)
-}
-
-// SubmitReadCtx is SubmitRead with the request bound to ctx: if ctx is
-// cancelled while the device sleeps out the modeled service time (e.g. a
-// fault-injected straggler delay), the completion arrives promptly with
-// the context's error instead of after the full delay — the extractor's
-// teardown path is never blocked behind a straggler.
-func (r *Ring) SubmitReadCtx(ctx context.Context, p []byte, off int64, user uint64) error {
-	return r.submit(ctx, p, off, user, true)
-}
-
-// SubmitBufferedRead is SubmitRead without the alignment constraint,
-// for configurations that fall back to buffered async I/O (§4.4).
-func (r *Ring) SubmitBufferedRead(p []byte, off int64, user uint64) error {
-	return r.submit(nil, p, off, user, false)
-}
-
-// SubmitBufferedReadCtx is SubmitBufferedRead bound to ctx, like
-// SubmitReadCtx.
-func (r *Ring) SubmitBufferedReadCtx(ctx context.Context, p []byte, off int64, user uint64) error {
-	return r.submit(ctx, p, off, user, false)
-}
-
-func (r *Ring) submit(ctx context.Context, p []byte, off int64, user uint64, direct bool) error {
-	if err := r.queue(ctx, p, off, user, direct); err != nil {
-		return err
-	}
-	r.Flush()
-	return nil
-}
-
-// QueueRead stages an asynchronous direct read without submitting it;
-// Flush hands every staged read to the backend in one batch. Alignment
-// is validated here, so a caller can still degrade the op to a buffered
-// queue entry before anything reaches the device. Blocks when depth
+// QueueRead stages an asynchronous direct read of p at off without
+// submitting it; Flush hands every staged read to the backend in one
+// batch, and user comes back in the CQE. off and len(p) must be
+// sector-aligned: alignment is validated here (storage.ErrUnaligned), so
+// a caller can still degrade the op to a buffered queue entry before
+// anything reaches the device (§4.4's fallback ladder). Blocks when depth
 // requests are staged or in flight.
 func (r *Ring) QueueRead(p []byte, off int64, user uint64) error {
 	return r.queue(nil, p, off, user, true)
 }
 
-// QueueReadCtx is QueueRead with the request bound to ctx, like
-// SubmitReadCtx.
+// QueueReadCtx is QueueRead with the request bound to ctx: if ctx is
+// cancelled while the device sleeps out the modeled service time (e.g. a
+// fault-injected straggler delay), the completion arrives promptly with
+// the context's error instead of after the full delay — the extractor's
+// teardown path is never blocked behind a straggler.
 func (r *Ring) QueueReadCtx(ctx context.Context, p []byte, off int64, user uint64) error {
 	return r.queue(ctx, p, off, user, true)
 }
 
-// QueueBufferedRead is QueueRead without the alignment constraint.
+// QueueBufferedRead is QueueRead without the alignment constraint, for
+// configurations that fall back to buffered async I/O (§4.4).
 func (r *Ring) QueueBufferedRead(p []byte, off int64, user uint64) error {
 	return r.queue(nil, p, off, user, false)
 }
@@ -137,9 +96,6 @@ func (r *Ring) QueueBufferedReadCtx(ctx context.Context, p []byte, off int64, us
 }
 
 func (r *Ring) queue(ctx context.Context, p []byte, off int64, user uint64, direct bool) error {
-	if r.closed.Load() {
-		return ErrClosed
-	}
 	if direct {
 		if err := storage.CheckAlign(off, len(p), r.dev.SectorSize()); err != nil {
 			return err
@@ -197,9 +153,6 @@ func (r *Ring) Flush() int {
 // the extractor's one-flush-per-wave contract is asserted against it.
 func (r *Ring) Flushes() int64 { return r.flushes.Load() }
 
-// Pending returns the number of staged-but-unflushed reads.
-func (r *Ring) Pending() int { return len(r.pending) }
-
 // WaitCQE blocks until a completion is available. A staged read only
 // completes after Flush — callers interleaving Queue* with WaitCQE must
 // flush before waiting or they wait on reads the device never saw.
@@ -221,19 +174,3 @@ func (r *Ring) PeekCQE() (CQE, bool) {
 		return CQE{}, false
 	}
 }
-
-// Drain flushes any staged reads, then collects all in-flight
-// completions and returns them.
-func (r *Ring) Drain() []CQE {
-	r.Flush()
-	n := r.Inflight()
-	out := make([]CQE, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, r.WaitCQE())
-	}
-	return out
-}
-
-// Close marks the ring closed for new submissions. In-flight requests can
-// still be waited on.
-func (r *Ring) Close() { r.closed.Store(true) }

@@ -2,22 +2,25 @@ package uring
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 	"time"
 
-	"gnndrive/internal/ssd"
 	"gnndrive/internal/storage"
+	"gnndrive/internal/storage/sim"
 )
 
-func testRing(t *testing.T, depth int) (*ssd.Device, *Ring) {
+var ctx = context.Background()
+
+func testRing(t *testing.T, depth int) (*sim.Device, *Ring) {
 	t.Helper()
-	d := ssd.New(1<<16, ssd.InstantConfig())
+	d := sim.New(1<<16, sim.InstantConfig())
 	t.Cleanup(func() { d.Close() })
 	return d, NewRing(d, depth)
 }
 
-func TestSubmitWaitRoundTrip(t *testing.T) {
+func TestQueueFlushWaitRoundTrip(t *testing.T) {
 	d, r := testRing(t, 8)
 	want := make([]byte, 512)
 	for i := range want {
@@ -25,9 +28,10 @@ func TestSubmitWaitRoundTrip(t *testing.T) {
 	}
 	d.WriteAt(want, 4096)
 	buf := make([]byte, 512)
-	if err := r.SubmitRead(buf, 4096, 99); err != nil {
+	if err := r.QueueReadCtx(ctx, buf, 4096, 99); err != nil {
 		t.Fatal(err)
 	}
+	r.Flush()
 	c := r.WaitCQE()
 	if c.Err != nil || c.User != 99 {
 		t.Fatalf("cqe %+v", c)
@@ -42,30 +46,33 @@ func TestSubmitWaitRoundTrip(t *testing.T) {
 
 func TestDirectAlignmentEnforced(t *testing.T) {
 	_, r := testRing(t, 4)
-	if err := r.SubmitRead(make([]byte, 100), 0, 0); err == nil {
-		t.Fatal("unaligned length must fail")
+	if err := r.QueueReadCtx(ctx, make([]byte, 100), 0, 0); !errors.Is(err, storage.ErrUnaligned) {
+		t.Fatalf("unaligned length: err %v, want storage.ErrUnaligned", err)
 	}
-	if err := r.SubmitRead(make([]byte, 512), 7, 0); err == nil {
-		t.Fatal("unaligned offset must fail")
+	if err := r.QueueReadCtx(ctx, make([]byte, 512), 7, 0); !errors.Is(err, storage.ErrUnaligned) {
+		t.Fatalf("unaligned offset: err %v, want storage.ErrUnaligned", err)
 	}
-	if err := r.SubmitBufferedRead(make([]byte, 100), 7, 0); err != nil {
+	if err := r.QueueBufferedReadCtx(ctx, make([]byte, 100), 7, 0); err != nil {
 		t.Fatalf("buffered read should allow any alignment: %v", err)
 	}
+	r.Flush()
 	r.WaitCQE()
 }
 
 func TestDepthManyInflight(t *testing.T) {
 	_, r := testRing(t, 64)
 	for i := 0; i < 64; i++ {
-		if err := r.SubmitRead(make([]byte, 512), int64(i)*512, uint64(i)); err != nil {
+		if err := r.QueueReadCtx(ctx, make([]byte, 512), int64(i)*512, uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	r.Flush()
 	if r.Inflight() != 64 {
 		t.Fatalf("inflight %d want 64", r.Inflight())
 	}
 	seen := make(map[uint64]bool)
-	for _, c := range r.Drain() {
+	for i := 0; i < 64; i++ {
+		c := r.WaitCQE()
 		if c.Err != nil {
 			t.Fatal(c.Err)
 		}
@@ -76,26 +83,28 @@ func TestDepthManyInflight(t *testing.T) {
 	}
 }
 
-func TestSubmitBlocksWhenFull(t *testing.T) {
-	d := ssd.New(1<<16, ssd.Config{ReadLatency: 5 * time.Millisecond, Channels: 1, SectorSize: 512, TimeScale: 1})
+func TestQueueBlocksWhenFull(t *testing.T) {
+	d := sim.New(1<<16, sim.Config{ReadLatency: 5 * time.Millisecond, Channels: 1, SectorSize: 512, TimeScale: 1})
 	defer d.Close()
 	r := NewRing(d, 1)
-	if err := r.SubmitRead(make([]byte, 512), 0, 1); err != nil {
+	if err := r.QueueReadCtx(ctx, make([]byte, 512), 0, 1); err != nil {
 		t.Fatal(err)
 	}
+	r.Flush()
 	done := make(chan struct{})
 	go func() {
 		// Must block until the first completes and is collected... but
 		// collection happens below; the device completion frees the CQ
 		// slot only after WaitCQE. Verify ordering via the channel.
-		if err := r.SubmitRead(make([]byte, 512), 512, 2); err != nil {
+		if err := r.QueueReadCtx(ctx, make([]byte, 512), 512, 2); err != nil {
 			t.Error(err)
 		}
+		r.Flush()
 		close(done)
 	}()
 	select {
 	case <-done:
-		t.Fatal("second submit should have blocked at depth 1")
+		t.Fatal("second queue should have blocked at depth 1")
 	case <-time.After(2 * time.Millisecond):
 	}
 	first := r.WaitCQE()
@@ -111,9 +120,10 @@ func TestPeekCQE(t *testing.T) {
 	if _, ok := r.PeekCQE(); ok {
 		t.Fatal("peek on empty ring")
 	}
-	if err := r.SubmitRead(make([]byte, 512), 0, 5); err != nil {
+	if err := r.QueueRead(make([]byte, 512), 0, 5); err != nil {
 		t.Fatal(err)
 	}
+	r.Flush()
 	deadline := time.Now().Add(time.Second)
 	for {
 		if c, ok := r.PeekCQE(); ok {
@@ -129,19 +139,12 @@ func TestPeekCQE(t *testing.T) {
 	}
 }
 
-func TestClosedRingRejectsSubmit(t *testing.T) {
-	_, r := testRing(t, 4)
-	r.Close()
-	if err := r.SubmitRead(make([]byte, 512), 0, 0); !errors.Is(err, ErrClosed) {
-		t.Fatalf("err %v", err)
-	}
-}
-
 func TestErrorCQEOnBadRange(t *testing.T) {
 	_, r := testRing(t, 4)
-	if err := r.SubmitRead(make([]byte, 512), 1<<16, 3); err != nil {
+	if err := r.QueueReadCtx(ctx, make([]byte, 512), 1<<16, 3); err != nil {
 		t.Fatal(err)
 	}
+	r.Flush()
 	c := r.WaitCQE()
 	if c.Err == nil || c.User != 3 {
 		t.Fatalf("cqe %+v, want range error", c)
@@ -152,7 +155,7 @@ func TestErrorCQEOnBadRange(t *testing.T) {
 // their widths versus individual Submit calls, completing every request
 // inline.
 type fakeBatchDev struct {
-	*ssd.Device
+	*sim.Device
 	batches [][]int64 // offsets per SubmitBatch call
 	singles int
 }
@@ -175,7 +178,7 @@ func (d *fakeBatchDev) SubmitBatch(reqs []*storage.Request) {
 // (one io_uring_enter on the linuring backend), and WaitCQE must then
 // observe every completion.
 func TestQueueFlushBatchesSubmission(t *testing.T) {
-	inner := ssd.New(1<<16, ssd.InstantConfig())
+	inner := sim.New(1<<16, sim.InstantConfig())
 	t.Cleanup(func() { inner.Close() })
 	dev := &fakeBatchDev{Device: inner}
 	r := NewRing(dev, 16)
@@ -183,18 +186,15 @@ func TestQueueFlushBatchesSubmission(t *testing.T) {
 	bufs := make([][]byte, n)
 	for i := 0; i < n; i++ {
 		bufs[i] = make([]byte, 512)
-		if err := r.QueueRead(bufs[i], int64(i)*512, uint64(i)); err != nil {
+		if err := r.QueueReadCtx(ctx, bufs[i], int64(i)*512, uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := r.Pending(); got != n {
-		t.Fatalf("Pending %d before flush, want %d", got, n)
+	if len(dev.batches) != 0 || dev.singles != 0 {
+		t.Fatalf("batches %v singles %d before flush, want nothing submitted", dev.batches, dev.singles)
 	}
 	if got := r.Flush(); got != n {
 		t.Fatalf("Flush submitted %d, want %d", got, n)
-	}
-	if r.Pending() != 0 {
-		t.Fatalf("Pending %d after flush", r.Pending())
 	}
 	if len(dev.batches) != 1 || len(dev.batches[0]) != n || dev.singles != 0 {
 		t.Fatalf("batches %v singles %d, want one %d-wide batch", dev.batches, dev.singles, n)
@@ -227,7 +227,7 @@ func TestQueueFlushBatchesSubmission(t *testing.T) {
 func TestQueuedRequestReuseIsClean(t *testing.T) {
 	_, r := testRing(t, 4)
 	// First round: an out-of-bounds read leaves an error on the Request.
-	if err := r.QueueRead(make([]byte, 512), 1<<16, 1); err != nil {
+	if err := r.QueueReadCtx(ctx, make([]byte, 512), 1<<16, 1); err != nil {
 		t.Fatal(err)
 	}
 	r.Flush()
@@ -235,40 +235,11 @@ func TestQueuedRequestReuseIsClean(t *testing.T) {
 		t.Fatal("out-of-bounds read succeeded")
 	}
 	// Second round reuses the pooled Request and must complete clean.
-	if err := r.QueueRead(make([]byte, 512), 0, 2); err != nil {
+	if err := r.QueueReadCtx(ctx, make([]byte, 512), 0, 2); err != nil {
 		t.Fatal(err)
 	}
 	r.Flush()
 	if c := r.WaitCQE(); c.Err != nil || c.User != 2 {
 		t.Fatalf("reused request: %+v", c)
-	}
-}
-
-// Drain must flush staged reads first or it would wait on reads the
-// device never saw.
-func TestDrainFlushesPending(t *testing.T) {
-	_, r := testRing(t, 8)
-	for i := 0; i < 4; i++ {
-		if err := r.QueueRead(make([]byte, 512), int64(i)*512, uint64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cqes := r.Drain()
-	if len(cqes) != 4 {
-		t.Fatalf("Drain returned %d, want 4", len(cqes))
-	}
-	for _, c := range cqes {
-		if c.Err != nil {
-			t.Fatalf("cqe %d: %v", c.User, c.Err)
-		}
-	}
-}
-
-// A closed ring rejects staging exactly like direct submission.
-func TestClosedRingRejectsQueue(t *testing.T) {
-	_, r := testRing(t, 4)
-	r.Close()
-	if err := r.QueueRead(make([]byte, 512), 0, 0); !errors.Is(err, ErrClosed) {
-		t.Fatalf("err %v", err)
 	}
 }
