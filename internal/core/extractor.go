@@ -201,6 +201,41 @@ func (x *extractor) runPlan(ctx context.Context, b *sample.Batch, res *Reservati
 
 	next := 0     // next op to submit for the first time
 	inflight := 0 // reads currently owned by the device
+
+	// reap handles one completion: a clean read starts its transfer
+	// before the remaining loads finish, a transient failure is staged
+	// again on the slot and permit it still holds (the wave's next Flush
+	// publishes it), anything else escalates as the plan's error.
+	reap := func(cqe uring.CQE) {
+		inflight--
+		op := int(cqe.User)
+		slot := opSlot[op]
+		switch {
+		case cqe.Err == nil:
+			release(1)
+			x.transferOp(b, res, plan[op], slot, xferWG)
+		case firstErr == nil && retryableRead(cqe.Err) && attempts[op] < budget:
+			attempts[op]++
+			st.retries++
+			x.backoff(ctx, attempts[op])
+			if err := submit(op); err != nil {
+				eng.staging.Release(slot)
+				release(1)
+				firstErr = err
+			} else {
+				inflight++
+			}
+		default:
+			eng.staging.Release(slot)
+			release(1)
+			if firstErr == nil {
+				st.escalations++
+				firstErr = fmt.Errorf("extract: read [%d,%d) failed after %d attempts: %w",
+					plan[op].DevOff, plan[op].DevOff+int64(plan[op].Len), attempts[op]+1, cqe.Err)
+			}
+		}
+	}
+
 	for {
 		if firstErr == nil {
 			if err := ctx.Err(); err != nil {
@@ -245,8 +280,9 @@ func (x *extractor) runPlan(ctx context.Context, b *sample.Batch, res *Reservati
 			next++
 			inflight++
 		}
-		// Publish the whole wave at once; without this, WaitCQE below
-		// would wait on reads the device has not yet seen.
+		// Publish the whole wave — first-time reads and staged retries —
+		// at once; without this, WaitCQE below would wait on reads the
+		// device has not yet seen.
 		x.ring.Flush()
 		if inflight == 0 {
 			if firstErr != nil || next >= len(plan) {
@@ -254,36 +290,16 @@ func (x *extractor) runPlan(ctx context.Context, b *sample.Batch, res *Reservati
 			}
 			continue
 		}
-		// Collect one completion; its transfer starts before the
-		// remaining loads finish.
-		cqe := x.ring.WaitCQE()
-		inflight--
-		op := int(cqe.User)
-		slot := opSlot[op]
-		switch {
-		case cqe.Err == nil:
-			release(1)
-			x.transferOp(b, res, plan[op], slot, xferWG)
-		case firstErr == nil && retryableRead(cqe.Err) && attempts[op] < budget:
-			attempts[op]++
-			st.retries++
-			x.backoff(ctx, attempts[op])
-			if err := submit(op); err != nil {
-				eng.staging.Release(slot)
-				release(1)
-				firstErr = err
-			} else {
-				x.ring.Flush() // a lone retry flushes immediately
-				inflight++
+		// Batch reap: block for one completion, then drain every other
+		// one already in the CQ before topping the wave up, so a wave of
+		// completions costs one submission rather than one per read.
+		reap(x.ring.WaitCQE())
+		for {
+			cqe, ok := x.ring.PeekCQE()
+			if !ok {
+				break
 			}
-		default:
-			eng.staging.Release(slot)
-			release(1)
-			if firstErr == nil {
-				st.escalations++
-				firstErr = fmt.Errorf("extract: read [%d,%d) failed after %d attempts: %w",
-					plan[op].DevOff, plan[op].DevOff+int64(plan[op].Len), attempts[op]+1, cqe.Err)
-			}
+			reap(cqe)
 		}
 	}
 	xferWG.Wait()

@@ -244,6 +244,52 @@ func TestExtractPlanSubmitsOneBatch(t *testing.T) {
 	e.fb.Release(nodes)
 }
 
+// inlineBackend completes every read on the submitter's goroutine before
+// Submit returns — the limit case of a fast device, where a whole wave's
+// completions are already in the CQ when the extractor first looks.
+type inlineBackend struct{ storage.Backend }
+
+func (b inlineBackend) Submit(req *storage.Request) {
+	req.Err = b.Backend.ReadRaw(req.Buf, req.Off)
+	req.Done(req)
+}
+
+// With every completion of a wave available at once, the extractor must
+// reap them all before topping up: a plan of N reads costs ⌈N/depth⌉
+// flushes, not one per read after the first wave.
+func TestRunPlanReapsInBatches(t *testing.T) {
+	cfg := device.InstantConfig()
+	cfg.Kind = device.CPU // no async device transfer: a reaped read frees its staging slot at once
+	rig := newRig(t, cfg, 64<<20)
+	opts := testOpts()
+	opts.RingDepth = 8
+	e := newEngine(t, rig, opts)
+	e.ds.Dev = inlineBackend{e.ds.Dev}
+	x := newExtractor(e)
+	var nodes []int64
+	for v := int64(0); v < e.ds.NumNodes; v += 13 {
+		nodes = append(nodes, v)
+	}
+	_, st, err := x.extractBatch(context.Background(), buildBatchOf(0, nodes...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.fb.Release(nodes)
+	depth := int64(x.ring.Depth())
+	if st.reads < 4*depth {
+		t.Fatalf("plan of %d reads is not ≫ ring depth %d", st.reads, depth)
+	}
+	want := (st.reads + depth - 1) / depth
+	if got := x.ring.Flushes(); got != want {
+		t.Fatalf("%d reads at depth %d took %d flushes, want %d (one per wave)", st.reads, depth, got, want)
+	}
+	for _, v := range nodes {
+		if !e.fb.Valid(v) {
+			t.Fatalf("node %d not valid after extraction", v)
+		}
+	}
+}
+
 func TestBuildExactPlanOneReadPerNode(t *testing.T) {
 	rig := newRig(t, device.InstantConfig(), 64<<20)
 	var ap AddrPlanner

@@ -92,7 +92,10 @@ type Backend struct {
 	closed  bool
 }
 
-var _ storage.Backend = (*Backend)(nil)
+var (
+	_ storage.Backend        = (*Backend)(nil)
+	_ storage.BatchSubmitter = (*Backend)(nil)
+)
 
 // Create creates (or truncates) the file at path sized for capacity bytes
 // — rounded up to a whole sector so the direct path can address the tail
@@ -216,7 +219,7 @@ func (b *Backend) ReadAt(p []byte, off int64) (time.Duration, error) {
 // ReadAtCtx is ReadAt bounded by ctx: cancellation interrupts an injected
 // straggler delay and the read returns the context's error promptly.
 func (b *Backend) ReadAtCtx(ctx context.Context, p []byte, off int64) (time.Duration, error) {
-	return b.syncRead(ctx, p, off, false)
+	return storage.SyncRead(ctx, b, p, off, false)
 }
 
 // ReadDirect is ReadAt with the direct-I/O alignment constraint.
@@ -229,42 +232,52 @@ func (b *Backend) ReadDirectCtx(ctx context.Context, p []byte, off int64) (time.
 	if err := storage.CheckAlign(off, len(p), b.sector); err != nil {
 		return 0, err
 	}
-	return b.syncRead(ctx, p, off, true)
-}
-
-func (b *Backend) syncRead(ctx context.Context, p []byte, off int64, direct bool) (time.Duration, error) {
-	done := make(chan struct{})
-	req := &storage.Request{Buf: p, Off: off, Direct: direct, Ctx: ctx,
-		Done: func(*storage.Request) { close(done) }}
-	start := time.Now()
-	b.Submit(req)
-	<-done
-	return time.Since(start), req.Err
+	return storage.SyncRead(ctx, b, p, off, true)
 }
 
 // Submit enqueues an asynchronous read; the Done callback fires on a pool
 // worker when the read completes. Submitting to a closed backend completes
 // the request with storage.ErrClosed.
 func (b *Backend) Submit(req *storage.Request) {
-	if err := storage.CheckBounds(req.Off, int64(len(req.Buf)), b.capacity); err != nil {
+	b.SubmitBatch([]*storage.Request{req})
+}
+
+// SubmitBatch enqueues a whole wave under one closeMu acquisition and one
+// clock read (every request of the wave shares its Submitted stamp). Each
+// request completes through its own Done exactly as if submitted alone;
+// one that cannot be queued — out of bounds, or the backend closed — is
+// failed with the lock dropped, so a Done callback never runs under
+// closeMu.
+func (b *Backend) SubmitBatch(reqs []*storage.Request) {
+	var now time.Time
+	locked := false
+	for _, req := range reqs {
+		err := storage.CheckBounds(req.Off, int64(len(req.Buf)), b.capacity)
+		if err == nil {
+			if !locked {
+				b.closeMu.RLock()
+				locked = true
+				now = time.Now()
+			}
+			if !b.closed {
+				req.Submitted = now
+				b.queue <- req
+				continue
+			}
+			err = storage.ErrClosed
+		}
+		if locked {
+			b.closeMu.RUnlock()
+			locked = false
+		}
 		req.Err = err
 		if req.Done != nil {
 			req.Done(req)
 		}
-		return
 	}
-	b.closeMu.RLock()
-	if b.closed {
+	if locked {
 		b.closeMu.RUnlock()
-		req.Err = storage.ErrClosed
-		if req.Done != nil {
-			req.Done(req)
-		}
-		return
 	}
-	req.Submitted = time.Now()
-	b.queue <- req
-	b.closeMu.RUnlock()
 }
 
 func (b *Backend) worker() {
@@ -322,8 +335,9 @@ func (b *Backend) serve(req *storage.Request) {
 }
 
 func (b *Backend) complete(req *storage.Request, serviceStart time.Time, filled int) {
-	svc := time.Since(serviceStart)
-	req.Latency = time.Since(req.Submitted)
+	now := time.Now()
+	svc := now.Sub(serviceStart)
+	req.Latency = now.Sub(req.Submitted)
 	b.reads.Add(1)
 	b.bytesRead.Add(int64(filled))
 	b.busyNanos.Add(int64(svc))

@@ -19,6 +19,15 @@ func newBackend(t *testing.T) storage.Backend {
 	return b
 }
 
+func newBackendNoDirect(t *testing.T) storage.Backend {
+	b, err := file.Create(filepath.Join(t.TempDir(), "data.img"), storagetest.Capacity,
+		file.Options{DisableDirect: true})
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	return b
+}
+
 func TestConformance(t *testing.T) {
 	storagetest.Run(t, newBackend)
 }
@@ -27,14 +36,7 @@ func TestConformance(t *testing.T) {
 // what runs on an O_DIRECT-refusing filesystem hit implicitly; here it
 // is forced so every environment exercises it).
 func TestConformanceNoDirect(t *testing.T) {
-	storagetest.Run(t, func(t *testing.T) storage.Backend {
-		b, err := file.Create(filepath.Join(t.TempDir(), "data.img"), storagetest.Capacity,
-			file.Options{DisableDirect: true})
-		if err != nil {
-			t.Fatalf("Create: %v", err)
-		}
-		return b
-	})
+	storagetest.Run(t, newBackendNoDirect)
 }
 
 // The integrity wrapper over the file backend must itself satisfy the
@@ -54,14 +56,15 @@ func TestIntegrity(t *testing.T) {
 }
 
 func TestIntegrityNoDirect(t *testing.T) {
-	storagetest.RunIntegrity(t, func(t *testing.T) storage.Backend {
-		b, err := file.Create(filepath.Join(t.TempDir(), "data.img"), storagetest.Capacity,
-			file.Options{DisableDirect: true})
-		if err != nil {
-			t.Fatalf("Create: %v", err)
-		}
-		return b
-	})
+	storagetest.RunIntegrity(t, newBackendNoDirect)
+}
+
+// The allocation pin of the verified read path, over both descriptor
+// configurations: pooled completion records in the wrapper, pooled sync
+// waiters and a native SubmitBatch here.
+func TestZeroAllocVerifiedSubmit(t *testing.T) {
+	t.Run("direct", func(t *testing.T) { storagetest.ZeroAllocVerified(t, newBackend) })
+	t.Run("no-direct", func(t *testing.T) { storagetest.ZeroAllocVerified(t, newBackendNoDirect) })
 }
 
 func TestOpenExisting(t *testing.T) {

@@ -25,9 +25,8 @@ import (
 // bytes. The winner's copy-out is the price of tail tolerance and only
 // applies while hedging is armed.
 func (b *Backend) submitHedged(req *storage.Request, direct, probe bool) {
-	h := &hedged{b: b, caller: req, probe: probe}
-	primBuf := b.getBuf(len(req.Buf))
-	prim := &storage.Request{Buf: primBuf, Off: req.Off, User: req.User,
+	h := &hedged{b: b, caller: req, probe: probe, primBuf: b.getBuf(len(req.Buf))}
+	prim := &storage.Request{Buf: *h.primBuf, Off: req.Off, User: req.User,
 		Direct: direct, Ctx: req.Ctx, Done: h.primaryDone}
 	// Arm the timer before submitting: an inline completion (bounds error,
 	// closed backend) stops it through the usual path. The assignment
@@ -48,6 +47,9 @@ type hedged struct {
 	b      *Backend
 	caller *storage.Request
 	probe  bool
+	// primBuf and hedgeBuf are the legs' pooled staging buffers, each
+	// recycled by its own leg's completion.
+	primBuf, hedgeBuf *[]byte
 
 	mu        sync.Mutex
 	finished  bool
@@ -71,8 +73,8 @@ func (h *hedged) launchHedge() {
 	if pctx := h.caller.Ctx; pctx != nil {
 		hctx, h.cancel = context.WithCancel(pctx)
 	}
-	buf := h.b.getBuf(len(h.caller.Buf))
-	req := &storage.Request{Buf: buf, Off: h.caller.Off, User: h.caller.User,
+	h.hedgeBuf = h.b.getBuf(len(h.caller.Buf))
+	req := &storage.Request{Buf: *h.hedgeBuf, Off: h.caller.Off, User: h.caller.User,
 		Direct: false, Ctx: hctx, Done: h.hedgeDoneCB}
 	h.mu.Unlock()
 	h.b.hedgesIssued.Add(1)
@@ -87,12 +89,16 @@ func (h *hedged) hedgeDoneCB(r *storage.Request) { h.legDone(r, true) }
 func (h *hedged) legDone(r *storage.Request, isHedge bool) {
 	// Breaker health rides each raw completion; probe accounting rides
 	// the primary leg (the one that may have gone direct).
-	h.b.observe(r.Err, r.Err, r.Latency, !isHedge && h.probe)
+	h.b.observe(r.Err, r.Latency, !isHedge && h.probe)
 
 	h.mu.Lock()
+	buf := h.primBuf
+	if isHedge {
+		buf = h.hedgeBuf
+	}
 	if h.finished {
 		h.mu.Unlock()
-		h.b.putBuf(r.Buf) // loser: recycle, the caller is long gone
+		h.b.putBuf(buf) // loser: recycle, the caller is long gone
 		return
 	}
 	if isHedge {
@@ -111,7 +117,7 @@ func (h *hedged) legDone(r *storage.Request, isHedge bool) {
 			if !isHedge {
 				h.primErr = r.Err
 			}
-			h.b.putBuf(r.Buf)
+			h.b.putBuf(buf)
 			h.mu.Unlock()
 			return
 		}
@@ -141,17 +147,17 @@ func (h *hedged) legDone(r *storage.Request, isHedge bool) {
 	case c.Err == nil:
 		copy(c.Buf, r.Buf)
 		c.Err = h.b.verify(c.Ctx, c.Buf, c.Off)
-		if c.Err != nil && h.b.breaker != nil {
+		if c.Err != nil {
 			// The raw completion was healthy and already recorded; a
 			// checksum failure is a second, unhealthy signal.
-			h.b.breaker.outcome(true, false, h.b.logf)
+			h.b.observe(c.Err, 0, false)
 		}
 	case isHedge && primErr != nil:
 		// Both legs failed: surface the primary's error (the hedge often
 		// just repeats it or reports its own cancellation).
 		c.Err = primErr
 	}
-	h.b.putBuf(r.Buf)
+	h.b.putBuf(buf)
 	if c.Done != nil {
 		c.Done(c)
 	}

@@ -117,9 +117,13 @@ type Backend struct {
 	state   []atomic.Uint32
 	breaker *breaker
 
-	// bufs pools hedge/primary staging and block-verify scratch buffers,
-	// sector-aligned so a staged direct read still reaches O_DIRECT.
-	bufs sync.Pool
+	// bufs pools hedge/primary staging and block-verify scratch buffers
+	// (*[]byte, sector-aligned so a staged direct read still reaches
+	// O_DIRECT); recs pools the unhedged path's completion records and
+	// waves the child-request slices SubmitBatch hands the inner backend.
+	bufs  sync.Pool
+	recs  sync.Pool
+	waves sync.Pool
 
 	verifiedReads    atomic.Int64
 	unverifiedReads  atomic.Int64
@@ -133,6 +137,8 @@ type Backend struct {
 
 var (
 	_ storage.Backend          = (*Backend)(nil)
+	_ storage.BatchSubmitter   = (*Backend)(nil)
+	_ storage.BufferRegistrar  = (*Backend)(nil)
 	_ storage.IntegrityStatser = (*Backend)(nil)
 )
 
@@ -225,6 +231,17 @@ func (b *Backend) Close() error { return b.inner.Close() }
 // available for a quarantined block, e.g. to salvage it).
 func (b *Backend) ReadRaw(p []byte, off int64) error { return b.inner.ReadRaw(p, off) }
 
+// RegisterBuffers forwards fixed-buffer registration to the inner backend
+// when it has one (child requests carry the caller's Buf, so registered
+// staging memory keeps its READ_FIXED path through the wrapper) and is a
+// no-op otherwise.
+func (b *Backend) RegisterBuffers(regions ...[]byte) error {
+	if reg, ok := b.inner.(storage.BufferRegistrar); ok {
+		return reg.RegisterBuffers(regions...)
+	}
+	return nil
+}
+
 // IntegrityStats snapshots the layer's counters.
 func (b *Backend) IntegrityStats() storage.IntegrityStats {
 	s := storage.IntegrityStats{
@@ -284,11 +301,11 @@ func (b *Backend) noteWrite(p []byte, off int64) error {
 			sum = crc32.Checksum(p[bs-off:be-off], castagnoli)
 		} else {
 			scratch := b.getBuf(int(be - bs))
-			if err := b.inner.ReadRaw(scratch, bs); err != nil {
+			if err := b.inner.ReadRaw(*scratch, bs); err != nil {
 				b.putBuf(scratch)
 				return fmt.Errorf("integrity: checksum refresh of block %d: %w", i, err)
 			}
-			sum = crc32.Checksum(scratch, castagnoli)
+			sum = crc32.Checksum(*scratch, castagnoli)
 			b.putBuf(scratch)
 		}
 		b.sums[i].Store(sum)
@@ -335,12 +352,12 @@ func (b *Backend) verify(ctx context.Context, p []byte, off int64) error {
 			// the raw bytes outside the read spliced with the caller's
 			// bytes inside it — it is the caller's bytes under test.
 			scratch := b.getBuf(int(be - bs))
-			if err := b.inner.ReadRaw(scratch, bs); err != nil {
+			if err := b.inner.ReadRaw(*scratch, bs); err != nil {
 				b.putBuf(scratch)
 				return fmt.Errorf("integrity: verify block %d: %w", i, err)
 			}
-			copy(scratch[ovs-bs:ove-bs], p[ovs-off:ove-off])
-			got = crc32.Checksum(scratch, castagnoli)
+			copy((*scratch)[ovs-bs:ove-bs], p[ovs-off:ove-off])
+			got = crc32.Checksum(*scratch, castagnoli)
 			b.putBuf(scratch)
 		}
 		if got == b.sums[i].Load() {
@@ -368,7 +385,8 @@ func (b *Backend) verify(ctx context.Context, p []byte, off int64) error {
 // fine, the returned bytes were not), then patches the repaired bytes
 // into the caller's buffer. A persistent mismatch — the medium itself is
 // bad — exhausts the errutil budget, quarantines the block, and
-// escalates with both corruption sentinels.
+// escalates with both corruption sentinels. A repair cut short by ctx
+// fails the read with the context's error and leaves the block tracked.
 func (b *Backend) repairBlock(ctx context.Context, p []byte, off, end, i, bs, be int64) error {
 	if ctx == nil {
 		// Requests arriving through backend completion callbacks carry no
@@ -377,8 +395,9 @@ func (b *Backend) repairBlock(ctx context.Context, p []byte, off, end, i, bs, be
 		// loop bounded by the attempt budget alone.
 		ctx = b.opts.BaseContext
 	}
-	scratch := b.getBuf(int(be - bs))
-	defer b.putBuf(scratch)
+	sp := b.getBuf(int(be - bs))
+	defer b.putBuf(sp)
+	scratch := *sp
 	err := errutil.Retry(ctx, b.opts.Repair, func() error {
 		if rerr := b.inner.ReadRaw(scratch, bs); rerr != nil {
 			return rerr
@@ -388,6 +407,12 @@ func (b *Backend) repairBlock(ctx context.Context, p []byte, off, end, i, bs, be
 		}
 		return nil
 	})
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		// Abandoned, not exhausted: a cancelled caller says nothing about
+		// the medium, and fencing the block would fail the resumed run
+		// that reads it next.
+		return fmt.Errorf("integrity: repair of block %d [%d,%d) abandoned: %w", i, bs, be, err)
+	}
 	if err != nil {
 		b.state[i].Store(stateQuarantined)
 		b.quarantined.Add(1)
@@ -414,9 +439,11 @@ func (b *Backend) ReadAt(p []byte, off int64) (time.Duration, error) {
 	return b.ReadAtCtx(nil, p, off)
 }
 
-// ReadAtCtx is ReadAt bounded by ctx.
+// ReadAtCtx is ReadAt bounded by ctx. Like every synchronous read it
+// funnels through Submit (storage.SyncRead), so verification, hedging and
+// the breaker apply uniformly.
 func (b *Backend) ReadAtCtx(ctx context.Context, p []byte, off int64) (time.Duration, error) {
-	return b.syncRead(ctx, p, off, false)
+	return storage.SyncRead(ctx, b, p, off, false)
 }
 
 // ReadDirect is ReadAt with the direct-I/O alignment constraint. The
@@ -432,20 +459,7 @@ func (b *Backend) ReadDirectCtx(ctx context.Context, p []byte, off int64) (time.
 	if err := storage.CheckAlign(off, len(p), b.inner.SectorSize()); err != nil {
 		return 0, err
 	}
-	return b.syncRead(ctx, p, off, true)
-}
-
-// syncRead funnels the synchronous reads through Submit so verification,
-// hedging, and the breaker apply uniformly (the same shape storage/file
-// uses internally).
-func (b *Backend) syncRead(ctx context.Context, p []byte, off int64, direct bool) (time.Duration, error) {
-	done := make(chan struct{})
-	req := &storage.Request{Buf: p, Off: off, Direct: direct, Ctx: ctx,
-		Done: func(*storage.Request) { close(done) }}
-	start := time.Now()
-	b.Submit(req)
-	<-done
-	return time.Since(start), req.Err
+	return storage.SyncRead(ctx, b, p, off, true)
 }
 
 // Submit enqueues an asynchronous read on the inner backend with the
@@ -453,47 +467,118 @@ func (b *Backend) syncRead(ctx context.Context, p []byte, off int64, direct bool
 // recording, hedging (when armed), and checksum verification + repair
 // before the caller's Done observes the bytes.
 func (b *Backend) Submit(req *storage.Request) {
-	direct, probe := req.Direct, false
-	if req.Direct && b.breaker != nil {
+	direct, probe := b.route(req)
+	if b.opts.HedgeAfter > 0 {
+		b.submitHedged(req, direct, probe)
+		return
+	}
+	b.inner.Submit(b.arm(req, direct, probe))
+}
+
+// SubmitBatch arms one completion record per request and hands the whole
+// wave to the inner backend through storage.SubmitAll, so a batched inner
+// backend (one io_uring_enter on linuring, one lock and clock read on
+// file) still sees the caller's wave as one batch. Hedged reads are a
+// timer and up to two legs each and stay per-request.
+func (b *Backend) SubmitBatch(reqs []*storage.Request) {
+	if b.opts.HedgeAfter > 0 {
+		for _, req := range reqs {
+			b.Submit(req)
+		}
+		return
+	}
+	wp, _ := b.waves.Get().(*[]*storage.Request)
+	if wp == nil {
+		wp = new([]*storage.Request)
+	}
+	wave := (*wp)[:0]
+	for _, req := range reqs {
+		direct, probe := b.route(req)
+		wave = append(wave, b.arm(req, direct, probe))
+	}
+	storage.SubmitAll(b.inner, wave)
+	// A child may already have completed and its record been re-armed by
+	// another submitter; the wave only ever held the pointers.
+	clear(wave)
+	*wp = wave
+	b.waves.Put(wp)
+}
+
+// route decides which path req's read takes: the caller's Direct ask,
+// unless an open breaker degrades it to buffered (probe marks the
+// half-open trial read). The caller's Direct flag is never rewritten.
+func (b *Backend) route(req *storage.Request) (direct, probe bool) {
+	direct = req.Direct
+	if direct && b.breaker != nil {
 		direct, probe = b.breaker.allowDirect()
 		if !direct {
 			b.breaker.degraded.Add(1)
 		}
 	}
-	if b.opts.HedgeAfter > 0 {
-		b.submitHedged(req, direct, probe)
-		return
+	return direct, probe
+}
+
+// readRec is the pooled completion record of one unhedged read. It embeds
+// the child request the inner backend serves and binds that request's
+// Done to itself once, so a steady-state verified read allocates nothing:
+// no child Request, no closure.
+type readRec struct {
+	b      *Backend
+	child  storage.Request
+	caller *storage.Request
+	probe  bool
+}
+
+// arm readies a record for req and returns its child request, which reads
+// into the caller's buffer on the routed path.
+func (b *Backend) arm(req *storage.Request, direct, probe bool) *storage.Request {
+	r, _ := b.recs.Get().(*readRec)
+	if r == nil {
+		r = &readRec{b: b}
+		r.child.Done = r.done
 	}
-	child := &storage.Request{Buf: req.Buf, Off: req.Off, User: req.User, Direct: direct, Ctx: req.Ctx}
-	child.Done = func(c *storage.Request) {
-		req.Submitted, req.Latency = c.Submitted, c.Latency
-		req.Err = c.Err
-		if req.Err == nil {
-			req.Err = b.verify(c.Ctx, req.Buf, req.Off)
-		}
-		b.observe(req.Err, c.Err, c.Latency, probe)
-		if req.Done != nil {
-			req.Done(req)
-		}
+	r.caller, r.probe = req, probe
+	c := &r.child
+	c.ResetForReuse()
+	c.Buf, c.Off, c.User, c.Direct, c.Ctx = req.Buf, req.Off, req.User, direct, req.Ctx
+	return c
+}
+
+// done is the child's completion: verify (and repair) the bytes, feed the
+// breaker, then complete the caller. The record is recycled before the
+// caller's Done runs — backends never touch a request after its Done, and
+// neither does this.
+func (r *readRec) done(c *storage.Request) {
+	b, req := r.b, r.caller
+	req.Submitted, req.Latency = c.Submitted, c.Latency
+	req.Err = c.Err
+	if req.Err == nil {
+		req.Err = b.verify(c.Ctx, req.Buf, req.Off)
 	}
-	b.inner.Submit(child)
+	b.observe(req.Err, c.Latency, r.probe)
+	r.caller, c.Buf, c.Ctx = nil, nil, nil
+	b.recs.Put(r)
+	if req.Done != nil {
+		req.Done(req)
+	}
 }
 
 // observe feeds one completed read into the breaker. Context
-// cancellations say nothing about backend health and are not recorded
-// (an aborted probe re-arms instead of counting either way); checksum
-// failures are unhealthy even though the raw completion "succeeded".
-func (b *Backend) observe(finalErr, rawErr error, latency time.Duration, probe bool) {
+// cancellations — of the read or of its repair — say nothing about
+// backend health and are not recorded (an aborted probe re-arms instead
+// of counting either way); checksum failures are unhealthy even though
+// the raw completion "succeeded".
+func (b *Backend) observe(err error, latency time.Duration, probe bool) {
 	if b.breaker == nil {
 		return
 	}
-	if rawErr != nil && (errors.Is(rawErr, context.Canceled) || errors.Is(rawErr, context.DeadlineExceeded)) {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		if probe {
 			b.breaker.probeAborted()
 		}
 		return
 	}
-	unhealthy := finalErr != nil ||
+	unhealthy := err != nil ||
 		(b.opts.Breaker.SlowAfter > 0 && latency > b.opts.Breaker.SlowAfter)
 	b.breaker.outcome(unhealthy, probe, b.logf)
 }
@@ -502,19 +587,18 @@ func (b *Backend) observe(finalErr, rawErr error, latency time.Duration, probe b
 
 // getBuf returns an n-byte sector-aligned buffer (hedge legs stage into
 // private memory; block verification needs scratch). Alignment keeps a
-// staged direct read eligible for the file backend's O_DIRECT path.
-func (b *Backend) getBuf(n int) []byte {
-	if v := b.bufs.Get(); v != nil {
-		s := v.([]byte)
-		if cap(s) >= n {
-			return s[:n]
-		}
+// staged direct read eligible for the file backend's O_DIRECT path. The
+// pool holds *[]byte so a get/put round trip boxes nothing.
+func (b *Backend) getBuf(n int) *[]byte {
+	if p, _ := b.bufs.Get().(*[]byte); p != nil && cap(*p) >= n {
+		*p = (*p)[:n]
+		return p
 	}
-	return storage.AlignedBuf(n, b.inner.SectorSize())
+	s := storage.AlignedBuf(n, b.inner.SectorSize())
+	return &s
 }
 
-func (b *Backend) putBuf(s []byte) {
-	if s != nil {
-		b.bufs.Put(s[:cap(s)]) //nolint:staticcheck // []byte in a Pool allocates one interface header; fine off the zero-alloc path
-	}
+func (b *Backend) putBuf(p *[]byte) {
+	*p = (*p)[:cap(*p)]
+	b.bufs.Put(p)
 }

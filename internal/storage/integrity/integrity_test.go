@@ -15,6 +15,7 @@ import (
 	"gnndrive/internal/storage"
 	"gnndrive/internal/storage/integrity"
 	"gnndrive/internal/storage/sim"
+	"gnndrive/internal/storage/storagetest"
 )
 
 const capacity int64 = 1 << 20
@@ -492,6 +493,36 @@ func TestAsyncSubmitVerifiesAndRepairs(t *testing.T) {
 	}
 }
 
+// A read whose context is already cancelled when its corrupt bytes arrive
+// abandons the repair; that says nothing about the medium, so the block
+// must stay readable for the next (resumed) run instead of being fenced.
+func TestCancelledRepairDoesNotQuarantine(t *testing.T) {
+	b := newWrapped(t, integrity.Options{})
+	sec := int64(b.SectorSize())
+	img := make([]byte, sec)
+	pattern(img, 0)
+	if err := b.WriteRaw(img, 0); err != nil {
+		t.Fatalf("WriteRaw: %v", err)
+	}
+	b.SetInjector(faults.NewInjector(faults.Config{Seed: 47, CorruptRate: 1.0}))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	buf := make([]byte, sec)
+	if _, err := b.ReadAtCtx(ctx, buf, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled corrupt read: got %v, want context.Canceled", err)
+	}
+	if st := b.IntegrityStats(); st.Quarantined != 0 {
+		t.Fatalf("abandoned repair quarantined a healthy block: %+v", st)
+	}
+	b.SetInjector(nil)
+	if _, err := b.ReadAtCtx(context.Background(), buf, 0); err != nil {
+		t.Fatalf("read after the abandoned repair: %v", err)
+	}
+	if !bytes.Equal(buf, img) {
+		t.Fatalf("read after the abandoned repair returned wrong bytes")
+	}
+}
+
 func TestSidecarRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	side := filepath.Join(dir, "data.crc")
@@ -643,5 +674,43 @@ func TestWrapFactoryComposes(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("roundtrip mismatch")
+	}
+}
+
+// The wrapper's own cost: over the simulator (whose Submit path
+// allocates nothing) a verified read allocates nothing either.
+func TestZeroAllocVerifiedSubmit(t *testing.T) {
+	storagetest.ZeroAllocVerified(t, func(t *testing.T) storage.Backend {
+		return sim.New(storagetest.Capacity, sim.InstantConfig())
+	})
+}
+
+// A partial-block verify goes through the scratch pool; pooling *[]byte
+// keeps that path free of the interface-boxing allocation too.
+func TestZeroAllocPartialBlockVerify(t *testing.T) {
+	if storagetest.RaceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	b := newWrapped(t, integrity.Options{})
+	sec := int64(b.SectorSize())
+	img := make([]byte, 4*sec)
+	pattern(img, 0)
+	if err := b.WriteRaw(img, 0); err != nil {
+		t.Fatalf("WriteRaw: %v", err)
+	}
+	buf := make([]byte, sec/2)
+	read := func() {
+		if _, err := b.ReadAtCtx(context.Background(), buf, sec+sec/4); err != nil {
+			t.Fatalf("partial-block read: %v", err)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		read()
+	}
+	if a := testing.AllocsPerRun(200, read); a != 0 {
+		t.Fatalf("partial-block verified read allocates %.1f, want 0", a)
+	}
+	if !bytes.Equal(buf, img[sec+sec/4:sec+sec/4+sec/2]) {
+		t.Fatalf("partial-block read returned wrong bytes")
 	}
 }

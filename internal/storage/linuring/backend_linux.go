@@ -250,7 +250,7 @@ func (b *Backend) ReadAt(p []byte, off int64) (time.Duration, error) {
 // ReadAtCtx is ReadAt bounded by ctx: cancellation interrupts an
 // injected straggler delay and the read returns the context's error.
 func (b *Backend) ReadAtCtx(ctx context.Context, p []byte, off int64) (time.Duration, error) {
-	return b.syncRead(ctx, p, off, false)
+	return storage.SyncRead(ctx, b, p, off, false)
 }
 
 // ReadDirect is ReadAt with the direct-I/O alignment constraint.
@@ -263,17 +263,7 @@ func (b *Backend) ReadDirectCtx(ctx context.Context, p []byte, off int64) (time.
 	if err := storage.CheckAlign(off, len(p), b.sector); err != nil {
 		return 0, err
 	}
-	return b.syncRead(ctx, p, off, true)
-}
-
-func (b *Backend) syncRead(ctx context.Context, p []byte, off int64, direct bool) (time.Duration, error) {
-	done := make(chan struct{})
-	req := &storage.Request{Buf: p, Off: off, Direct: direct, Ctx: ctx,
-		Done: func(*storage.Request) { close(done) }}
-	start := time.Now()
-	b.Submit(req)
-	<-done
-	return time.Since(start), req.Err
+	return storage.SyncRead(ctx, b, p, off, true)
 }
 
 // Submit enqueues one asynchronous read; the Done callback fires on the

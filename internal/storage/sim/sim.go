@@ -254,12 +254,7 @@ func (d *Device) ReadAt(p []byte, off int64) (time.Duration, error) {
 // modeled service wait (including injected straggler delays) and the
 // read returns the context's error promptly.
 func (d *Device) ReadAtCtx(ctx context.Context, p []byte, off int64) (time.Duration, error) {
-	done := make(chan struct{})
-	req := &storage.Request{Buf: p, Off: off, Ctx: ctx, Done: func(*storage.Request) { close(done) }}
-	start := time.Now()
-	d.Submit(req)
-	<-done
-	return time.Since(start), req.Err
+	return storage.SyncRead(ctx, d, p, off, false)
 }
 
 // ReadDirect is ReadAt with the direct-I/O alignment constraint: offset
