@@ -677,6 +677,9 @@ func (e *Engine) trainEpochSegment(ctx context.Context, epoch int, targets []int
 		go func(sid int) {
 			defer sampWG.Done()
 			reader := graph.NewCachedReader(e.ds, e.cache, e.indexFile)
+			// Topology faults carry the run's ctx, so a cancelled epoch
+			// does not wait out a page read stuck at the device.
+			reader.SetContext(runCtx)
 			smp := sample.New(reader, e.opts.Fanouts,
 				tensor.NewRNG(e.opts.Seed+uint64(epoch)*1000+uint64(sid)*31+7))
 			for !failed() {
@@ -943,7 +946,9 @@ func (e *Engine) trainRealBackward(item *trainItem) (float32, float64) {
 
 // SampleOnly runs the sample stage alone for one epoch (the paper's
 // "-only" measurements, Fig. 2) and returns the summed sampling time.
-func (e *Engine) SampleOnly(epoch int) (time.Duration, error) {
+// ctx rides the samplers' topology faults and stops them between
+// batches; nil never cancels (the storage.Request.Ctx convention).
+func (e *Engine) SampleOnly(ctx context.Context, epoch int) (time.Duration, error) {
 	var planRNG *tensor.RNG
 	if e.opts.Shuffle {
 		planRNG = tensor.NewRNG(sample.PlanSeed(e.opts.Seed, epoch))
@@ -958,9 +963,14 @@ func (e *Engine) SampleOnly(epoch int) (time.Duration, error) {
 		go func(sid int) {
 			defer wg.Done()
 			reader := graph.NewCachedReader(e.ds, e.cache, e.indexFile)
+			reader.SetContext(ctx)
 			smp := sample.New(reader, e.opts.Fanouts,
 				tensor.NewRNG(e.opts.Seed+uint64(epoch)*1000+uint64(sid)*31+7))
-			for {
+			for !firstErr.Failed() {
+				if ctx != nil && ctx.Err() != nil {
+					firstErr.Set(ctx.Err())
+					return
+				}
 				i := int(next.Add(1)) - 1
 				if i >= len(plan.Batches) {
 					return

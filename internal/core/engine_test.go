@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -286,7 +287,7 @@ func TestCPUDevicePinsFeatureBufferInHostBudget(t *testing.T) {
 func TestSampleOnly(t *testing.T) {
 	rig := newRig(t, device.InstantConfig(), 64<<20)
 	e := newEngine(t, rig, testOpts())
-	d, err := e.SampleOnly(0)
+	d, err := e.SampleOnly(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"gnndrive/internal/device"
 	"gnndrive/internal/faults"
+	"gnndrive/internal/pagecache"
+	"gnndrive/internal/storage"
 )
 
 // checkNoLeaks asserts the engine's shared resources are fully returned:
@@ -190,6 +193,78 @@ func TestRunEpochCtxCancelledMidEpoch(t *testing.T) {
 	}
 	checkGoroutines(t, baseline)
 	checkNoLeaks(t, e)
+}
+
+// stuckTopology wraps a backend so that every read of the index region
+// hangs at the device until the request's own ctx is cancelled; a request
+// carrying no ctx never completes. Feature reads pass through.
+type stuckTopology struct {
+	storage.Backend
+	indicesEnd int64
+	entered    chan struct{} // closed when the first topology read arrives
+	once       sync.Once
+}
+
+// ReadAtCtx routes a one-page fault's synchronous read through Submit.
+func (b *stuckTopology) ReadAtCtx(ctx context.Context, p []byte, off int64) (time.Duration, error) {
+	return storage.SyncRead(ctx, b, p, off, false)
+}
+
+func (b *stuckTopology) Submit(req *storage.Request) {
+	if req.Off >= b.indicesEnd {
+		b.Backend.Submit(req)
+		return
+	}
+	b.once.Do(func() { close(b.entered) })
+	if req.Ctx == nil {
+		return
+	}
+	go func() {
+		<-req.Ctx.Done()
+		req.Err = req.Ctx.Err()
+		req.Done(req)
+	}()
+}
+
+// TestCancelAbortsStuckTopologyFault: the run's ctx must reach the page
+// faults the samplers cause. On the parent CachedReader.Neighbors read
+// through File.Read, which substituted context.Background(), so a run
+// whose topology read hung could not be cancelled.
+func TestCancelAbortsStuckTopologyFault(t *testing.T) {
+	newStuck := func(t *testing.T) (*Engine, *stuckTopology) {
+		rig := newRig(t, device.InstantConfig(), 64<<20)
+		stuck := &stuckTopology{Backend: rig.ds.Dev,
+			indicesEnd: rig.ds.Layout.IndicesOff + rig.ds.Layout.IndicesLen,
+			entered:    make(chan struct{})}
+		rig.ds.Dev = stuck
+		rig.cache = pagecache.New(stuck, rig.budget)
+		return newEngine(t, rig, testOpts()), stuck
+	}
+	for name, run := range map[string]func(*Engine, context.Context) error{
+		"RunEpochCtx": func(e *Engine, ctx context.Context) error { _, err := e.RunEpochCtx(ctx, 0); return err },
+		"SampleOnly":  func(e *Engine, ctx context.Context) error { _, err := e.SampleOnly(ctx, 0); return err },
+	} {
+		t.Run(name, func(t *testing.T) {
+			e, stuck := newStuck(t)
+			baseline := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			done := make(chan error, 1)
+			go func() { done <- run(e, ctx) }()
+			<-stuck.entered // a sampler is now blocked inside a topology fault
+			cancel()
+			select {
+			case err := <-done:
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("err %v, want context.Canceled", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("cancelled run still blocked: the topology fault dropped the run's ctx")
+			}
+			checkGoroutines(t, baseline)
+			checkNoLeaks(t, e)
+		})
+	}
 }
 
 func TestExtractBatchFailureRollsBackReservations(t *testing.T) {

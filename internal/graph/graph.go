@@ -6,9 +6,11 @@
 package graph
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"gnndrive/internal/layout"
@@ -139,19 +141,46 @@ func decodeIndices(raw []byte, ids []int32) []int32 {
 	return ids
 }
 
+// Prefetcher is an optional NeighborReader capability for readers whose
+// reads can be batched: the sampler names the nodes it is about to
+// expand, the reader makes their adjacency lists resident in one go and
+// holds them, and the Neighbors calls that follow are served from memory.
+type Prefetcher interface {
+	NeighborReader
+	// Prefetch loads and holds the adjacency lists of nodes until
+	// Release, returning the time blocked on I/O. On error nothing is
+	// held.
+	Prefetch(nodes []int64) (time.Duration, error)
+	// Release lets go of what the last Prefetch holds.
+	Release()
+}
+
 // CachedReader reads the index array through the shared OS page cache,
 // the memory-mapped sampling path PyG+ and GNNDrive both use (§4.4).
 type CachedReader struct {
 	ds   *Dataset
 	file *pagecache.File
-	raw  []byte
+	// wave pins the index pages of the prefetched window; Neighbors
+	// decodes from its frames without touching the cache lock.
+	wave  *pagecache.Wave
+	pages []int64
+	ctx   context.Context
+	raw   []byte
 }
+
+var _ Prefetcher = (*CachedReader)(nil)
 
 // NewCachedReader mmaps the dataset's index region through cache.
 // Each goroutine needs its own reader (the scratch buffer is not shared).
 func NewCachedReader(ds *Dataset, cache *pagecache.Cache, file *pagecache.File) *CachedReader {
-	return &CachedReader{ds: ds, file: file}
+	return &CachedReader{ds: ds, file: file, wave: cache.NewWave()}
 }
+
+// SetContext makes ctx ride every page fault the reader causes, so
+// cancelling it aborts a read stuck at the device. NeighborReader has no
+// ctx parameter, hence the setter; a reader never given one cannot be
+// cancelled.
+func (r *CachedReader) SetContext(ctx context.Context) { r.ctx = ctx }
 
 // IndicesFile registers the dataset's index region with a page cache.
 // The returned file can be shared by many CachedReaders.
@@ -159,22 +188,69 @@ func IndicesFile(ds *Dataset, cache *pagecache.Cache) *pagecache.File {
 	return cache.NewFile(ds.Layout.IndicesOff, ds.Layout.IndicesLen)
 }
 
-// Neighbors implements NeighborReader.
+// Prefetch implements Prefetcher: it maps nodes to the index pages their
+// adjacency lists occupy and pins them through one page-cache wave, so
+// the window's missing pages reach the device as a single batch.
+func (r *CachedReader) Prefetch(nodes []int64) (time.Duration, error) {
+	r.pages = r.pages[:0]
+	for _, v := range nodes {
+		lo, hi := r.ds.Indptr[v]*4, r.ds.Indptr[v+1]*4
+		if lo == hi {
+			continue
+		}
+		for no := lo / pagecache.PageSize; no <= (hi-1)/pagecache.PageSize; no++ {
+			r.pages = append(r.pages, no)
+		}
+	}
+	slices.Sort(r.pages)
+	r.pages = slices.Compact(r.pages)
+	return r.wave.Pin(r.ctx, r.file, r.pages)
+}
+
+// Release implements Prefetcher.
+func (r *CachedReader) Release() { r.wave.Unpin() }
+
+// Neighbors implements NeighborReader. A node inside the prefetched
+// window is decoded straight from the pinned frames; any other goes
+// through the cache one page at a time.
 func (r *CachedReader) Neighbors(v int64, buf []int32) ([]int32, time.Duration, error) {
 	lo, hi := r.ds.Indptr[v], r.ds.Indptr[v+1]
 	n := int(hi - lo)
 	if n == 0 {
 		return buf[:0], 0, nil
 	}
+	if ids, ok := r.fromWindow(lo*4, n*4, buf[:0]); ok {
+		return ids, 0, nil
+	}
 	if cap(r.raw) < n*4 {
 		r.raw = make([]byte, n*4)
 	}
 	raw := r.raw[:n*4]
-	waited, err := r.file.Read(lo*4, raw)
+	waited, err := r.file.ReadCtx(r.ctx, lo*4, raw)
 	if err != nil {
 		return nil, waited, err
 	}
 	return decodeIndices(raw, buf[:0]), waited, nil
+}
+
+// fromWindow decodes file bytes [off, off+n) from the pinned window into
+// ids, or reports false when some page of the range is not pinned. Ids
+// are 4 bytes at 4-byte offsets, so none straddles a page.
+func (r *CachedReader) fromWindow(off int64, n int, ids []int32) ([]int32, bool) {
+	for n > 0 {
+		frame := r.wave.Frame(off / pagecache.PageSize)
+		if frame == nil {
+			return nil, false
+		}
+		seg := frame[off%pagecache.PageSize:]
+		if len(seg) > n {
+			seg = seg[:n]
+		}
+		ids = decodeIndices(seg, ids)
+		off += int64(len(seg))
+		n -= len(seg)
+	}
+	return ids, true
 }
 
 // RawReader reads indices straight from the device image with no modeled

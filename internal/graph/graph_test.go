@@ -3,6 +3,7 @@ package graph
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"gnndrive/internal/hostmem"
@@ -110,6 +111,91 @@ func TestCachedReaderMatchesRaw(t *testing.T) {
 	if cache.Stats().Misses == 0 {
 		t.Fatal("cached reader should have faulted pages")
 	}
+}
+
+// buildWideDataset writes a topology-only CSC graph whose adjacency lists
+// range from empty to several pages long, at an index region that does
+// not start on a page boundary.
+func buildWideDataset(t *testing.T) *Dataset {
+	t.Helper()
+	const nodes = 300
+	indptr := make([]int64, nodes+1)
+	var indices []int32
+	for v := 0; v < nodes; v++ {
+		deg := (v * 37) % 90
+		if v%50 == 7 {
+			deg = 2500 // ten KB: spans three or four pages
+		}
+		for i := 0; i < deg; i++ {
+			indices = append(indices, int32((v*131+i*17)%nodes))
+		}
+		indptr[v+1] = int64(len(indices))
+	}
+	raw := make([]byte, len(indices)*4)
+	for i, u := range indices {
+		binary.LittleEndian.PutUint32(raw[i*4:], uint32(u))
+	}
+	const indOff = 512
+	dev := sim.New(int64(indOff+len(raw)), sim.InstantConfig())
+	t.Cleanup(func() { dev.Close() })
+	dev.WriteAt(raw, indOff)
+	return &Dataset{
+		Name: "wide", NumNodes: nodes, NumEdges: int64(len(indices)),
+		Indptr: indptr,
+		Layout: Layout{IndicesOff: indOff, IndicesLen: int64(len(raw))},
+		Dev:    dev,
+	}
+}
+
+// TestCachedReaderPrefetchMatchesRaw: a prefetched window serves exactly
+// the raw adjacency lists — for nodes inside the window (from pinned
+// frames, at no further cache traffic) and outside it (through the
+// one-page path) — under a cache far smaller than the topology.
+func TestCachedReaderPrefetchMatchesRaw(t *testing.T) {
+	ds := buildWideDataset(t)
+	cache := pagecache.New(ds.Dev, hostmem.NewBudget(4*pagecache.PageSize))
+	cr := NewCachedReader(ds, cache, IndicesFile(ds, cache))
+	rr := NewRawReader(ds)
+	check := func(v int64) {
+		t.Helper()
+		got, _, err := cr.Neighbors(v, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, _ := rr.Neighbors(v, nil)
+		if !slices.Equal(got, want) {
+			t.Fatalf("node %d: cached reader returned %d ids that differ from the raw %d", v, len(got), len(want))
+		}
+	}
+	var window []int64
+	for lo := int64(0); lo < ds.NumNodes; lo += 48 {
+		window = window[:0]
+		for v := lo; v < min(lo+48, ds.NumNodes); v++ {
+			window = append(window, (v*7)%ds.NumNodes) // unsorted, as a frontier is
+		}
+		if _, err := cr.Prefetch(window); err != nil {
+			t.Fatal(err)
+		}
+		pinned := cache.Stats()
+		for _, v := range window {
+			check(v)
+		}
+		if after := cache.Stats(); after != pinned {
+			t.Fatalf("window reads went back to the cache: %+v -> %+v", pinned, after)
+		}
+		check((lo + 150) % ds.NumNodes) // most likely outside the window
+		cr.Release()
+	}
+	if s := cache.Stats(); s.Misses == 0 || s.Evictions == 0 {
+		t.Fatalf("stats %+v: the test should fault and evict", s)
+	}
+	if _, err := cr.Prefetch([]int64{1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cr.Prefetch([]int64{2}); err == nil {
+		t.Fatal("Prefetch without Release of the previous window succeeded")
+	}
+	cr.Release()
 }
 
 func TestFeatureOffAndRead(t *testing.T) {

@@ -1,6 +1,7 @@
 package pagecache
 
 import (
+	"context"
 	"testing"
 
 	"gnndrive/internal/hostmem"
@@ -42,5 +43,30 @@ func BenchmarkReadMissEvict(b *testing.B) {
 		if _, err := f.Read(off, buf); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFaultWave measures a 32-page wave at capacity: every page a
+// miss, every miss an eviction, the misses one batch at the device.
+func BenchmarkFaultWave(b *testing.B) {
+	const wavePages = 32
+	dev := sim.New(64<<20, sim.InstantConfig())
+	defer dev.Close()
+	c := New(dev, hostmem.NewBudget(2*wavePages*PageSize))
+	f := c.NewFile(0, 64<<20)
+	w := c.NewWave()
+	ctx := context.Background()
+	pages := make([]int64, wavePages)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		base := int64(i%128) * 2 * wavePages
+		for j := range pages {
+			pages[j] = base + int64(2*j)
+		}
+		if _, err := w.Pin(ctx, f, pages); err != nil {
+			b.Fatal(err)
+		}
+		w.Unpin()
 	}
 }

@@ -6,10 +6,14 @@
 // pages evict sample-stage topology pages from the same LRU. The cache's
 // allowance is whatever the host budget has not pinned (hostmem.Budget),
 // so growing an application buffer shrinks the cache exactly as on Linux.
+//
+// There is one fault path, the wave (wave.go): a reader names a sorted
+// set of pages, the cache pins the resident ones and claims frames for
+// the missing ones under one lock acquisition, and the misses go to the
+// device as one asynchronous batch. File.ReadCtx is the one-page wave.
 package pagecache
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"sync"
@@ -36,21 +40,43 @@ var faultPolicy = errutil.Policy{
 // PageSize is the cache granularity, as on Linux.
 const PageSize = 4096
 
+// slabPages is how many frames the cache carves per allocation. Slabs
+// are added only when a fault finds the free list empty, so a cache whose
+// working set is small never owns more than one slab beyond it.
+const slabPages = 64
+
 type pageKey struct {
 	file int32
 	page int64
 }
 
+// page is one frame and its bookkeeping. The frame is bound to the record
+// for life: both are carved from a slab once and move together between
+// the LRU ring and the free list. Every field but data is guarded by
+// Cache.mu, except that the wave loading a page owns err until it clears
+// loading.
 type page struct {
-	key     pageKey
-	data    []byte
-	loading chan struct{} // closed when data is valid
-	elem    *list.Element
+	key        pageKey
+	data       []byte // PageSize bytes, page-aligned
+	prev, next *page  // LRU ring while resident; next chains the free list
+	// pins counts readers holding the frame. A pinned page is neither
+	// evicted nor dropped, so its bytes stay valid without the lock.
+	pins int32
+	// loading is set while a wave's device read into data is in flight.
+	loading bool
+	// err is why the load failed. A failed page has left the map and the
+	// ring; the last reader to unpin it returns the record.
+	err error
 }
 
-// Stats are cumulative cache counters.
+// Stats are cumulative cache counters. Every page a reader asks for
+// counts once: a miss if that reader's wave loaded it, a hit if it was
+// resident (or already loading) when the wave pinned it.
 type Stats struct {
-	Hits, Misses, Evictions int64
+	Hits, Misses int64
+	// Evictions counts frames recycled because the cache exceeded its
+	// allowance.
+	Evictions int64
 	// Retries counts page fault-ins re-issued after a transient device
 	// error.
 	Retries int64
@@ -61,22 +87,36 @@ type Cache struct {
 	dev    storage.Backend
 	budget *hostmem.Budget
 
-	mu     sync.Mutex
+	mu sync.Mutex
+	// loaded is broadcast whenever a wave publishes, waking readers whose
+	// pages that wave was loading.
+	loaded *sync.Cond
 	pages  map[pageKey]*page
-	lru    *list.List // front = most recently used
+	lru    page  // ring sentinel: lru.next is most recently used
+	free   *page // recycled records, chained through next
+	// frames counts frames carved so far: resident + free + failed but
+	// still pinned. Nothing reads it on the fault path; it is what the
+	// leak and owned-frames tests hold the other three against.
+	frames int
 	nextID int32
+
+	// waves recycles the one-page waves behind File.ReadCtx.
+	waves sync.Pool
 
 	hits, misses, evictions, retries atomic.Int64
 }
 
 // New creates a cache over dev whose size is bounded by budget.CachePool().
 func New(dev storage.Backend, budget *hostmem.Budget) *Cache {
-	return &Cache{
+	c := &Cache{
 		dev:    dev,
 		budget: budget,
 		pages:  make(map[pageKey]*page),
-		lru:    list.New(),
 	}
+	c.loaded = sync.NewCond(&c.mu)
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	c.waves.New = func() any { return c.NewWave() }
+	return c
 }
 
 // File is a mmap-able region of the device, read through the cache.
@@ -106,101 +146,96 @@ func (f *File) Read(off int64, p []byte) (time.Duration, error) {
 	return f.ReadCtx(context.Background(), off, p)
 }
 
-// ReadCtx is Read with cancellation: ctx bounds the fault-in retries, so
-// a cancelled sampler stops re-issuing page reads against a sick device.
+// ReadCtx is Read with cancellation: ctx rides every fault's device read
+// and bounds its retries, so a cancelled sampler neither waits out a
+// stuck read nor re-issues page reads against a sick device. Each page
+// is pinned by a one-page wave for just the copy, so a long read never
+// holds more than one frame.
 func (f *File) ReadCtx(ctx context.Context, off int64, p []byte) (time.Duration, error) {
 	if off < 0 || off+int64(len(p)) > f.size {
 		return 0, fmt.Errorf("pagecache: read [%d,%d) outside file size %d", off, off+int64(len(p)), f.size)
 	}
+	w := f.c.waves.Get().(*Wave)
+	defer f.c.waves.Put(w)
 	var waited time.Duration
 	for done := 0; done < len(p); {
 		pos := off + int64(done)
-		pageNo := pos / PageSize
-		pg, w, err := f.c.getPage(ctx, f, pageNo)
-		waited += w
+		w.nos = append(w.nos, pos/PageSize)
+		d, err := w.pin(ctx, f)
+		waited += d
 		if err != nil {
 			return waited, err
 		}
-		inPage := int(pos % PageSize)
-		n := copy(p[done:], pg.data[inPage:])
-		done += n
+		done += copy(p[done:], w.pages[0].data[pos%PageSize:])
+		w.Unpin()
 	}
 	return waited, nil
 }
 
-// getPage returns the page, faulting it in if absent. Concurrent faults on
-// the same page coalesce: one reader performs the device I/O, others wait.
-func (c *Cache) getPage(ctx context.Context, f *File, pageNo int64) (*page, time.Duration, error) {
-	key := pageKey{file: f.id, page: pageNo}
-	c.mu.Lock()
-	if pg, ok := c.pages[key]; ok {
-		c.lru.MoveToFront(pg.elem)
-		loading := pg.loading
-		c.mu.Unlock()
-		if loading != nil {
-			start := time.Now()
-			<-loading
-			c.hits.Add(1)
-			return pg, time.Since(start), nil
-		}
-		c.hits.Add(1)
-		return pg, 0, nil
-	}
-	pg := &page{key: key, loading: make(chan struct{})}
-	pg.elem = c.lru.PushFront(pg)
-	c.pages[key] = pg
-	c.evictLocked()
-	c.mu.Unlock()
-
-	c.misses.Add(1)
-	// Fault: sector-aligned 4 KiB read from the device (clamped at file
-	// end of the underlying region). The page is aligned so the same
-	// buffer stays legal if the backend is opened O_DIRECT.
-	pg.data = storage.AlignedBuf(PageSize, PageSize)
-	devOff := f.base + pageNo*PageSize
-	n := int64(PageSize)
-	if devOff+n > c.dev.Capacity() {
-		n = c.dev.Capacity() - devOff
-	}
-	var waited time.Duration
-	policy := faultPolicy
-	policy.OnRetry = func(int, error) { c.retries.Add(1) }
-	err := errutil.Retry(ctx, policy, func() error {
-		// ReadAtCtx, not ReadAt: Retry only checks ctx between attempts,
-		// so a cancelled fault would otherwise still ride out the whole
-		// device read (hedge timeouts included) before noticing.
-		w, rerr := c.dev.ReadAtCtx(ctx, pg.data[:n], devOff)
-		waited += w
-		return rerr
-	})
-	closeLoad := pg.loading
-	c.mu.Lock()
-	pg.loading = nil
-	c.mu.Unlock()
-	close(closeLoad)
-	return pg, waited, err
+// touchLocked moves a resident page to the most-recently-used end.
+func (c *Cache) touchLocked(pg *page) {
+	c.unlinkLocked(pg)
+	c.pushFrontLocked(pg)
 }
 
-// evictLocked drops least-recently-used ready pages while the cache
-// exceeds its current allowance. Pages still loading are skipped.
-func (c *Cache) evictLocked() {
-	allow := c.budget.CachePool()
-	for int64(c.lru.Len())*PageSize > allow {
-		evicted := false
-		for e := c.lru.Back(); e != nil; e = e.Prev() {
-			pg := e.Value.(*page)
-			if pg.loading != nil {
-				continue
-			}
-			c.lru.Remove(e)
-			delete(c.pages, pg.key)
-			c.evictions.Add(1)
-			evicted = true
-			break
+func (c *Cache) pushFrontLocked(pg *page) {
+	pg.prev, pg.next = &c.lru, c.lru.next
+	pg.prev.next, pg.next.prev = pg, pg
+}
+
+func (c *Cache) unlinkLocked(pg *page) {
+	pg.prev.next, pg.next.prev = pg.next, pg.prev
+}
+
+// claimLocked takes a record off the free list, carving a new slab when
+// it is empty. Frames are page-aligned so the same buffer stays legal if
+// the backend is opened O_DIRECT.
+func (c *Cache) claimLocked() *page {
+	if c.free == nil {
+		frames := storage.AlignedBuf(slabPages*PageSize, PageSize)
+		recs := make([]page, slabPages)
+		for i := range recs {
+			recs[i].data = frames[i*PageSize : (i+1)*PageSize : (i+1)*PageSize]
+			recs[i].next = c.free
+			c.free = &recs[i]
 		}
-		if !evicted {
-			return // everything in flight; let them land first
+		c.frames += slabPages
+	}
+	pg := c.free
+	c.free = pg.next
+	return pg
+}
+
+// recycleLocked returns an unlinked, unpinned record to the free list.
+func (c *Cache) recycleLocked(pg *page) {
+	pg.err = nil
+	pg.next = c.free
+	c.free = pg
+}
+
+// removeLocked takes a page out of the map and the ring; its frame stays
+// with whoever still pins it.
+func (c *Cache) removeLocked(pg *page) {
+	delete(c.pages, pg.key)
+	c.unlinkLocked(pg)
+}
+
+// evictLocked recycles least-recently-used pages until the cache plus
+// incoming more pages fits allow. Pages still loading or pinned by a
+// reader are skipped; when nothing else is left the cache runs over its
+// allowance until they land.
+func (c *Cache) evictLocked(allow int64, incoming int) {
+	for int64(len(c.pages)+incoming)*PageSize > allow {
+		pg := c.lru.prev
+		for pg != &c.lru && (pg.loading || pg.pins > 0) {
+			pg = pg.prev
 		}
+		if pg == &c.lru {
+			return
+		}
+		c.removeLocked(pg)
+		c.recycleLocked(pg)
+		c.evictions.Add(1)
 	}
 }
 
@@ -208,21 +243,21 @@ func (c *Cache) evictLocked() {
 func (c *Cache) ResidentBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return int64(c.lru.Len()) * PageSize
+	return int64(len(c.pages)) * PageSize
 }
 
-// DropAll empties the cache (echo 3 > drop_caches between runs).
+// DropAll empties the cache (echo 3 > drop_caches between runs). Pages
+// still loading or pinned by a reader stay.
 func (c *Cache) DropAll() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for e := c.lru.Front(); e != nil; {
-		next := e.Next()
-		pg := e.Value.(*page)
-		if pg.loading == nil {
-			c.lru.Remove(e)
-			delete(c.pages, pg.key)
+	for pg := c.lru.next; pg != &c.lru; {
+		next := pg.next
+		if !pg.loading && pg.pins == 0 {
+			c.removeLocked(pg)
+			c.recycleLocked(pg)
 		}
-		e = next
+		pg = next
 	}
 }
 

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"gnndrive/internal/hostmem"
+	"gnndrive/internal/storage"
 	"gnndrive/internal/storage/sim"
 )
 
@@ -223,22 +225,42 @@ func TestDropAll(t *testing.T) {
 }
 
 // Property: cached reads always equal the device image regardless of
-// cache-size pressure and access order.
+// cache-size pressure and access order — through the one-page read path
+// and through a wave's pinned frames alike. The file starts 100 bytes
+// into the device, so its last page is a clamped read whose tail must
+// come back zeroed, not stale from the frame's previous page.
 func TestCachedReadEqualsImage(t *testing.T) {
+	const base, size = 100, 1<<18 - 100
 	d, _, c := testCache(t, 1<<18, 2*PageSize)
-	img := fillPattern(d, 0, 1<<18)
-	f := c.NewFile(0, 1<<18)
-	fn := func(off uint32, ln uint16) bool {
-		o := int64(off) % (1 << 18)
+	img := append(fillPattern(d, 0, 1<<18)[base:], make([]byte, base)...)
+	f := c.NewFile(base, size)
+	w := c.NewWave()
+	fn := func(off uint32, ln uint16, picks []uint8) bool {
+		o := int64(off) % size
 		n := int64(ln)
-		if o+n > 1<<18 {
-			n = 1<<18 - o
+		if o+n > size {
+			n = size - o
 		}
 		buf := make([]byte, n)
-		if _, err := f.Read(o, buf); err != nil {
+		if _, err := f.Read(o, buf); err != nil || !bytes.Equal(buf, img[o:o+n]) {
 			return false
 		}
-		return bytes.Equal(buf, img[o:o+n])
+		pages := make([]int64, 0, len(picks))
+		for _, p := range picks {
+			pages = append(pages, int64(p)%64)
+		}
+		slices.Sort(pages)
+		pages = slices.Compact(pages)
+		if _, err := w.Pin(context.Background(), f, pages); err != nil {
+			return false
+		}
+		defer w.Unpin()
+		for _, no := range pages {
+			if !bytes.Equal(w.Frame(no), img[no*PageSize:(no+1)*PageSize]) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -246,11 +268,12 @@ func TestCachedReadEqualsImage(t *testing.T) {
 }
 
 // stuckBackend simulates a device read that never completes unless the
-// caller's context can interrupt it: ReadAt blocks forever, ReadAtCtx
-// blocks until ctx is cancelled. It pins the fault path's contract that
-// the page fault-in passes the caller's ctx INTO the device read —
-// errutil.Retry only checks ctx between attempts, so a fault issued via
-// plain ReadAt would ride out the whole stuck read before noticing the
+// caller's context can interrupt it: ReadAt blocks forever, ReadAtCtx and
+// a submitted request block until their ctx is cancelled, and a request
+// submitted without one never completes. It pins the fault path's
+// contract that the wave passes the caller's ctx INTO the device read —
+// errutil.Retry only checks ctx between attempts, so a fault that dropped
+// it would ride out the whole stuck read before noticing the
 // cancellation.
 type stuckBackend struct {
 	*sim.Device
@@ -269,32 +292,56 @@ func (b *stuckBackend) ReadAtCtx(ctx context.Context, p []byte, off int64) (time
 	return 0, ctx.Err()
 }
 
+func (b *stuckBackend) Submit(req *storage.Request) {
+	b.once.Do(func() { close(b.entered) })
+	if req.Ctx == nil {
+		return // the ctx was dropped: never complete
+	}
+	go func() {
+		<-req.Ctx.Done()
+		req.Err = req.Ctx.Err()
+		req.Done(req)
+	}()
+}
+
 // TestFaultReadHonorsCancel is the regression test for the dropped-ctx
 // fault path: cancelling the reader's context while a page fault is
 // blocked inside the device read must abort the read promptly instead
-// of waiting for the device.
+// of waiting for the device — for the one-page fault, which reads
+// synchronously, and for a wave, which submits a batch.
 func TestFaultReadHonorsCancel(t *testing.T) {
-	dev := sim.New(1<<20, sim.InstantConfig())
-	t.Cleanup(func() { dev.Close() })
-	stuck := &stuckBackend{Device: dev, entered: make(chan struct{})}
-	c := New(stuck, hostmem.NewBudget(1<<20))
-	f := c.NewFile(0, 1<<20)
+	for name, read := range map[string]func(context.Context, *Cache, *File) error{
+		"one page": func(ctx context.Context, _ *Cache, f *File) error {
+			_, err := f.ReadCtx(ctx, 0, make([]byte, 100))
+			return err
+		},
+		"wave": func(ctx context.Context, c *Cache, f *File) error {
+			_, err := c.NewWave().Pin(ctx, f, []int64{0, 3, 4})
+			return err
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dev := sim.New(1<<20, sim.InstantConfig())
+			t.Cleanup(func() { dev.Close() })
+			stuck := &stuckBackend{Device: dev, entered: make(chan struct{})}
+			c := New(stuck, hostmem.NewBudget(1<<20))
+			f := c.NewFile(0, 1<<20)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := f.ReadCtx(ctx, 0, make([]byte, 100))
-		done <- err
-	}()
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			go func() { done <- read(ctx, c, f) }()
 
-	<-stuck.entered // the fault is now blocked inside the device read
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled fault read returned %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled fault read still blocked: the fault path dropped the caller's ctx")
+			<-stuck.entered // the fault is now blocked inside the device read
+			cancel()
+			select {
+			case err := <-done:
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("cancelled fault read returned %v, want context.Canceled", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("cancelled fault read still blocked: the fault path dropped the caller's ctx")
+			}
+			checkAllFramesFree(t, c)
+		})
 	}
 }

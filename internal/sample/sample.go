@@ -58,11 +58,13 @@ func (b *Batch) Reset() {
 // A Sampler is not safe for concurrent use; give each goroutine its own
 // (they can share the reader only if the reader is itself per-goroutine).
 type Sampler struct {
-	reader  graph.NeighborReader
-	fanouts []int
-	rng     *tensor.RNG
-	policy  Policy
-	scratch []int32
+	reader graph.NeighborReader
+	// prefetch is reader's Prefetcher capability, nil when it has none.
+	prefetch graph.Prefetcher
+	fanouts  []int
+	rng      *tensor.RNG
+	policy   Policy
+	scratch  []int32
 	// index is the node-ID -> batch-position map, cleared and reused
 	// across batches so the steady state allocates nothing. Go maps keep
 	// their bucket array across clear(), so after the first few batches
@@ -98,9 +100,18 @@ func New(reader graph.NeighborReader, fanouts []int, rng *tensor.RNG) *Sampler {
 	if expansion < 8 {
 		expansion = 8
 	}
-	return &Sampler{reader: reader, fanouts: fanouts, rng: rng,
+	prefetch, _ := reader.(graph.Prefetcher)
+	return &Sampler{reader: reader, prefetch: prefetch, fanouts: fanouts, rng: rng,
 		policy: UniformPolicy{}, expansion: expansion}
 }
+
+// prefetchWindow is how many frontier nodes the sampler hands a
+// Prefetcher at a time. A hop's whole frontier is known before its first
+// adjacency list is read, but prefetching all of it would pin the
+// frontier's entire page set at once; a fixed window keeps what one
+// sampler pins to the pages of 64 adjacency lists while still giving the
+// device a batch deep enough to overlap.
+const prefetchWindow = 64
 
 // Reseed resets the sampler's random stream. The engine reseeds per
 // mini-batch from (run seed, epoch, batch ID), which makes a batch's
@@ -159,31 +170,56 @@ func (s *Sampler) SampleBatchInto(b *Batch, id int, targets []int64) (time.Durat
 		layer := &b.Layers[len(b.Layers)-1]
 		layer.Src = layer.Src[:0]
 		layer.Dst = layer.Dst[:0]
-		for vi := frontierLo; vi < frontierHi; vi++ {
-			v := b.Nodes[vi]
-			ns, w, err := s.reader.Neighbors(v, s.scratch)
-			s.scratch = ns[:0]
+		for lo := frontierLo; lo < frontierHi; lo += prefetchWindow {
+			hi := min(lo+prefetchWindow, frontierHi)
+			if s.prefetch != nil {
+				w, err := s.prefetch.Prefetch(b.Nodes[lo:hi])
+				ioWait += w
+				if err != nil {
+					return ioWait, err
+				}
+			}
+			w, err := s.expand(b, layer, lo, hi, fanout)
+			if s.prefetch != nil {
+				s.prefetch.Release()
+			}
 			ioWait += w
 			if err != nil {
 				return ioWait, err
 			}
-			picked := s.policy.Pick(v, ns, fanout, s.rng)
-			// Every frontier node aggregates itself too (self-loop), so
-			// isolated nodes still produce an embedding.
-			layer.Src = append(layer.Src, int32(vi))
-			layer.Dst = append(layer.Dst, int32(vi))
-			for _, u := range picked {
-				ui, ok := index[int64(u)]
-				if !ok {
-					ui = int32(len(b.Nodes))
-					index[int64(u)] = ui
-					b.Nodes = append(b.Nodes, int64(u))
-				}
-				layer.Src = append(layer.Src, ui)
-				layer.Dst = append(layer.Dst, int32(vi))
-			}
 		}
 		frontierLo, frontierHi = frontierHi, len(b.Nodes)
+	}
+	return ioWait, nil
+}
+
+// expand samples the neighbors of frontier nodes b.Nodes[lo:hi] into
+// layer, appending newly seen nodes to b.
+func (s *Sampler) expand(b *Batch, layer *Layer, lo, hi, fanout int) (time.Duration, error) {
+	var ioWait time.Duration
+	for vi := lo; vi < hi; vi++ {
+		v := b.Nodes[vi]
+		ns, w, err := s.reader.Neighbors(v, s.scratch)
+		s.scratch = ns[:0]
+		ioWait += w
+		if err != nil {
+			return ioWait, err
+		}
+		picked := s.policy.Pick(v, ns, fanout, s.rng)
+		// Every frontier node aggregates itself too (self-loop), so
+		// isolated nodes still produce an embedding.
+		layer.Src = append(layer.Src, int32(vi))
+		layer.Dst = append(layer.Dst, int32(vi))
+		for _, u := range picked {
+			ui, ok := s.index[int64(u)]
+			if !ok {
+				ui = int32(len(b.Nodes))
+				s.index[int64(u)] = ui
+				b.Nodes = append(b.Nodes, int64(u))
+			}
+			layer.Src = append(layer.Src, ui)
+			layer.Dst = append(layer.Dst, int32(vi))
+		}
 	}
 	return ioWait, nil
 }

@@ -1,11 +1,16 @@
 package sample_test
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"gnndrive/internal/gen"
 	"gnndrive/internal/graph"
+	"gnndrive/internal/hostmem"
+	"gnndrive/internal/pagecache"
 	"gnndrive/internal/sample"
 	"gnndrive/internal/storage/sim"
 	"gnndrive/internal/tensor"
@@ -298,4 +303,125 @@ func TestSamplerPanicsOnBadFanout(t *testing.T) {
 		}
 	}()
 	sample.New(graph.NewRawReader(ds), []int{0}, tensor.NewRNG(1))
+}
+
+// plainReader hides every capability of the reader it wraps but
+// Neighbors, the way bench's probe and the neighbor caches do.
+type plainReader struct{ graph.NeighborReader }
+
+// TestPrefetcherReaderYieldsIdenticalBatches: the windowed prefetch is
+// content-transparent. The same seeds through a raw reader, a cached
+// reader the sampler prefetches through, and the same cached reader with
+// the capability hidden give identical batches, under a page cache small
+// enough that windows evict each other's pages.
+func TestPrefetcherReaderYieldsIdenticalBatches(t *testing.T) {
+	ds := tinyDataset(t)
+	var caches []*pagecache.Cache
+	cached := func() *graph.CachedReader {
+		cache := pagecache.New(ds.Dev, hostmem.NewBudget(3*pagecache.PageSize))
+		caches = append(caches, cache)
+		return graph.NewCachedReader(ds, cache, graph.IndicesFile(ds, cache))
+	}
+	fanouts := []int{5, 5}
+	raw := sample.New(graph.NewRawReader(ds), fanouts, tensor.NewRNG(1))
+	prefetching := sample.New(cached(), fanouts, tensor.NewRNG(2))
+	plain := sample.New(plainReader{cached()}, fanouts, tensor.NewRNG(3))
+	targets := make([]int64, 150) // more than two windows of targets
+	for round := 0; round < 6; round++ {
+		for i := range targets {
+			targets[i] = (int64(round)*977 + int64(i)*13) % ds.NumNodes
+		}
+		seed := sample.BatchSeed(9, 0, round)
+		var got [3]sample.Batch
+		for i, s := range []*sample.Sampler{raw, prefetching, plain} {
+			s.Reseed(seed)
+			if _, err := s.SampleBatchInto(&got[i], round, targets); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(got[0], got[1]) {
+			t.Fatalf("round %d: prefetching reader's batch differs from the raw reader's", round)
+		}
+		if !reflect.DeepEqual(got[0], got[2]) {
+			t.Fatalf("round %d: plain cached reader's batch differs from the raw reader's", round)
+		}
+	}
+	for i, c := range caches {
+		if s := c.Stats(); s.Evictions == 0 {
+			t.Fatalf("cache %d never evicted (%+v): the test exercises no pressure", i, s)
+		}
+	}
+}
+
+// windowRecorder is a Prefetcher that checks the sampler's side of the
+// contract: windows of at most 64 nodes, every Neighbors call inside the
+// held window, and a Release for every Prefetch — also when a read fails.
+type windowRecorder struct {
+	graph.NeighborReader
+	t        *testing.T
+	held     map[int64]bool
+	windows  int
+	failNode int64
+}
+
+func (r *windowRecorder) Prefetch(nodes []int64) (time.Duration, error) {
+	if r.held != nil {
+		r.t.Error("Prefetch while the previous window is still held")
+	}
+	if len(nodes) == 0 || len(nodes) > 64 {
+		r.t.Errorf("window of %d nodes", len(nodes))
+	}
+	r.held = make(map[int64]bool, len(nodes))
+	for _, v := range nodes {
+		r.held[v] = true
+	}
+	r.windows++
+	return time.Microsecond, nil
+}
+
+func (r *windowRecorder) Release() {
+	if r.held == nil {
+		r.t.Error("Release with no window held")
+	}
+	r.held = nil
+}
+
+func (r *windowRecorder) Neighbors(v int64, buf []int32) ([]int32, time.Duration, error) {
+	if !r.held[v] {
+		r.t.Errorf("Neighbors(%d) outside the prefetched window", v)
+	}
+	if v == r.failNode {
+		return nil, 0, errors.New("read failed")
+	}
+	return r.NeighborReader.Neighbors(v, buf)
+}
+
+func TestSamplerWindowsTheFrontier(t *testing.T) {
+	ds := tinyDataset(t)
+	rec := &windowRecorder{NeighborReader: graph.NewRawReader(ds), t: t, failNode: -1}
+	s := sample.New(rec, []int{4, 4}, tensor.NewRNG(5))
+	targets := make([]int64, 130)
+	for i := range targets {
+		targets[i] = int64(i * 3)
+	}
+	var b sample.Batch
+	ioWait, err := s.SampleBatchInto(&b, 0, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.held != nil {
+		t.Fatal("last window never released")
+	}
+	// 130 targets are three windows; the second hop adds at least one.
+	if rec.windows < 4 || ioWait != time.Duration(rec.windows)*time.Microsecond {
+		t.Fatalf("%d windows, ioWait %v: want at least 4, each adding its 1µs", rec.windows, ioWait)
+	}
+
+	rec.failNode = targets[70]
+	if _, err := s.SampleBatchInto(&b, 1, targets); err == nil {
+		t.Fatal("failing read did not fail the batch")
+	}
+	if rec.held != nil {
+		t.Fatal("window still held after a failed read")
+	}
 }

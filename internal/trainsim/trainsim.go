@@ -886,7 +886,8 @@ func SampleOnly(cfg Config, sys SystemKind) (time.Duration, error) {
 			return 0, err
 		}
 		defer eng.Close()
-		return eng.SampleOnly(0)
+		// Like Run, this entry point has no lifecycle to cancel from.
+		return eng.SampleOnly(nil, 0)
 	case PyGPlus:
 		o := pygplus.DefaultOptions(cfg.Model)
 		o.Model = cfg.Model
