@@ -9,6 +9,7 @@
 package gnndrive
 
 import (
+	"context"
 	"io"
 	"os"
 	"strconv"
@@ -41,11 +42,11 @@ func out() io.Writer {
 	return os.Stdout
 }
 
-func runExp(b *testing.B, f func(io.Writer, experiments.Opts) error) {
+func runExp(b *testing.B, f func(context.Context, io.Writer, experiments.Opts) error) {
 	b.Helper()
 	w := out()
 	for i := 0; i < b.N; i++ {
-		if err := f(w, benchOpts()); err != nil {
+		if err := f(context.Background(), w, benchOpts()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,18 +10,21 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
 	"sort"
 	"strings"
+	"syscall"
 	"time"
 
 	"gnndrive/internal/experiments"
 )
 
-var registry = map[string]func(io.Writer, experiments.Opts) error{
+var registry = map[string]func(context.Context, io.Writer, experiments.Opts) error{
 	"table1":    experiments.Table1,
 	"fig2":      experiments.Fig2,
 	"fig3":      experiments.Fig3,
@@ -53,6 +56,8 @@ func main() {
 		os.Exit(2)
 	}
 	opts := experiments.Opts{Scale: *scale, Epochs: *epochs, Quick: *quick}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	run := func(name string) {
 		f, ok := registry[name]
 		if !ok {
@@ -60,7 +65,7 @@ func main() {
 			os.Exit(2)
 		}
 		start := time.Now()
-		if err := f(os.Stdout, opts); err != nil {
+		if err := f(ctx, os.Stdout, opts); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
 			os.Exit(1)
 		}

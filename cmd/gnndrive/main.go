@@ -10,9 +10,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
+	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"gnndrive/internal/faults"
@@ -110,21 +114,19 @@ func main() {
 	fmt.Printf("training %s on %s with %s (%d scaled-GB host memory, %s backend)\n",
 		kind, src, sys, *mem, *backend)
 	defer trainsim.DropDatasets()
-	res, err := trainsim.Run(cfg, sys, trainsim.RunOptions{Epochs: *epochs, EvalVal: *real})
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	res, err := trainsim.RunCtx(ctx, cfg, sys, trainsim.RunOptions{Epochs: *epochs, EvalVal: *real})
 	if err != nil {
 		log.Fatalf("%s: %v", sys, err)
 	}
 	for i, e := range res.Epochs {
-		amp := 0.0
-		if e.BytesNeeded > 0 {
-			amp = float64(e.BytesRead) / float64(e.BytesNeeded)
-		}
 		fmt.Printf("epoch %d: total=%v prep=%v sample=%v extract=%v train=%v batches=%d read=%.1fMB reused=%.1fMB reads=%d amp=%.2f",
 			i, e.Total.Round(time.Millisecond), e.Prep.Round(time.Millisecond),
 			e.Sample.Round(time.Millisecond), e.Extract.Round(time.Millisecond),
 			e.Train.Round(time.Millisecond), e.Batches,
 			float64(e.BytesRead)/1e6, float64(e.BytesReused)/1e6,
-			e.BackendReads, amp)
+			e.BackendReads, e.ReadAmplification())
 		if cfg.Faults != nil {
 			fmt.Printf(" retries=%d fallbacks=%d escalations=%d",
 				e.Retries, e.Fallbacks, e.Escalations)

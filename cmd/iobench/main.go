@@ -10,10 +10,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"gnndrive/internal/experiments"
@@ -36,10 +39,12 @@ func main() {
 	backend := flag.String("backend", "sim", "storage backend: sim (modeled SSD), file (real file), or linuring (real file via io_uring, falls back to file)")
 	dataFile := flag.String("data-file", "", "backing file for -backend file (default: a temp file)")
 	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 
 	if *sweep {
 		opts := experiments.Opts{Scale: *scale, Backend: *backend, DataFile: *dataFile}
-		if err := experiments.FigB1(os.Stdout, opts); err != nil {
+		if err := experiments.FigB1(ctx, os.Stdout, opts); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -96,7 +101,7 @@ func main() {
 		log.Fatalf("unknown -backend %q (want sim, file, or linuring)", *backend)
 	}
 	defer dev.Close()
-	res, err := iobench.Run(dev, iobench.Spec{
+	res, err := iobench.Run(ctx, dev, iobench.Spec{
 		FileBytes: *fileMB << 20, Reads: *reads,
 		Threads: *threads, Depth: *depth, Buffered: *buffered,
 	})

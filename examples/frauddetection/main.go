@@ -9,8 +9,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"gnndrive/internal/core"
@@ -31,6 +35,8 @@ const fraudClass = 0
 
 func main() {
 	log.SetFlags(0)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 
 	// A mid-size social graph: 6 account types, one of which is fraud.
 	spec := gen.Spec{
@@ -63,7 +69,7 @@ func main() {
 
 	fmt.Printf("training GAT fraud detector on %d accounts (%d edges)\n", ds.NumNodes, ds.NumEdges)
 	for epoch := 0; epoch < 6; epoch++ {
-		res, err := eng.TrainEpoch(epoch)
+		res, err := eng.RunEpochCtx(ctx, epoch)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,8 +8,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"gnndrive/internal/device"
@@ -20,6 +24,8 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	cfg := trainsim.Config{
 		Dataset:      gen.Papers(),
 		Model:        nn.GraphSAGE,
@@ -28,7 +34,7 @@ func main() {
 	fmt.Println("GNNDrive data parallelism on simulated K80s, papers100m-s + GraphSAGE")
 	var base time.Duration
 	for _, workers := range []int{1, 2, 4} {
-		epoch, err := trainsim.RunParallel(cfg, workers, device.TeslaK80(), 1)
+		epoch, err := trainsim.RunParallel(ctx, cfg, workers, device.TeslaK80(), 1)
 		if err != nil {
 			log.Fatalf("%d workers: %v", workers, err)
 		}

@@ -9,8 +9,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"gnndrive/internal/gen"
@@ -20,6 +24,8 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	cfg := trainsim.Config{
 		Dataset:      gen.Papers(),
 		Model:        nn.GraphSAGE,
@@ -28,7 +34,7 @@ func main() {
 	fmt.Println("papers100m-s + GraphSAGE, 32 scaled-GB host memory, one epoch per system")
 	var gnndrive time.Duration
 	for _, sys := range []trainsim.SystemKind{trainsim.GNNDriveGPU, trainsim.Ginex, trainsim.Marius} {
-		res, err := trainsim.Run(cfg, sys, trainsim.RunOptions{Epochs: 1})
+		res, err := trainsim.RunCtx(ctx, cfg, sys, trainsim.RunOptions{Epochs: 1})
 		if err != nil {
 			log.Fatalf("%s: %v", sys, err)
 		}

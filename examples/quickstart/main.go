@@ -6,8 +6,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"gnndrive/internal/core"
@@ -22,6 +26,8 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 
 	// 1. A synthetic graph on a simulated SSD: 2,000 nodes, 8 classes,
 	// planted-community features so the model has something to learn.
@@ -56,7 +62,7 @@ func main() {
 	// 4. Train a few epochs; the pipeline samples, extracts features
 	// asynchronously from the SSD, and trains, all overlapped.
 	for epoch := 0; epoch < 5; epoch++ {
-		res, err := eng.TrainEpoch(epoch)
+		res, err := eng.RunEpochCtx(ctx, epoch)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -257,7 +257,7 @@ func (s *System) TrainEpoch(epoch int) (Result, error) {
 			}
 			lossSum += loss
 			accSum += acc
-			col.AddBatch()
+			col.Add(metrics.Counters{Batches: 1})
 		}
 	}
 	res := Result{Breakdown: col.Snapshot(time.Since(start)), CacheHits: hits, CacheMiss: misses}
@@ -383,8 +383,7 @@ func (s *System) initCache(sched *schedule, col *metrics.BreakdownCollector) err
 		if err != nil {
 			return err
 		}
-		col.AddBackendReads(reads)
-		col.AddBytesNeeded(int64(len(toLoad)) * s.ds.FeatBytes())
+		col.Add(metrics.Counters{BackendReads: reads, BytesNeeded: int64(len(toLoad)) * s.ds.FeatBytes()})
 	}
 	col.AddExtract(time.Since(t0))
 	return nil
@@ -405,17 +404,16 @@ func (s *System) extractBatch(b *sample.Batch, sched *schedule, globalIdx int,
 			toLoad = append(toLoad, v)
 		}
 	}
+	var reads int64
 	if len(toLoad) > 0 {
-		reads, err := s.loadNodes(toLoad, sched, globalIdx)
-		if err != nil {
+		if reads, err = s.loadNodes(toLoad, sched, globalIdx); err != nil {
 			return hits, misses, err
 		}
-		col.AddBackendReads(reads)
 	}
 	col.AddExtract(time.Since(t0))
-	col.AddExtracted(misses, misses*s.ds.FeatBytes())
-	col.AddBytesNeeded(misses * s.ds.FeatBytes())
-	col.AddReused(hits * s.ds.FeatBytes())
+	featBytes := s.ds.FeatBytes()
+	col.Add(metrics.Counters{NodesExtracted: misses, BytesRead: misses * featBytes,
+		BytesNeeded: misses * featBytes, BytesReused: hits * featBytes, BackendReads: reads})
 	return hits, misses, nil
 }
 

@@ -398,7 +398,7 @@ func (s *System) TrainEpoch(epoch int) (Result, error) {
 		s.dev.CopySync(xferBytes)
 		s.dev.Free(xferBytes)
 		col.AddExtract(time.Since(t1))
-		col.AddReused(xferBytes)
+		col.Add(metrics.Counters{BytesReused: xferBytes})
 
 		t2 := time.Now()
 		if s.opts.RealTrain {
@@ -425,7 +425,7 @@ func (s *System) TrainEpoch(epoch int) (Result, error) {
 			})
 		}
 		col.AddTrain(time.Since(t2))
-		col.AddBatch()
+		col.Add(metrics.Counters{Batches: 1})
 	}
 	res := Result{Breakdown: col.Snapshot(time.Since(start)), Swaps: swaps}
 	if res.Batches > 0 && s.opts.RealTrain {

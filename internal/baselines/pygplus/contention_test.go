@@ -1,6 +1,7 @@
 package pygplus
 
 import (
+	"context"
 	"testing"
 
 	"gnndrive/internal/graph"
@@ -24,7 +25,7 @@ func TestFeatureStreamingEvictsTopologyPages(t *testing.T) {
 		}
 		defer s.Close()
 		if full {
-			if _, err := s.TrainEpoch(0); err != nil {
+			if _, err := s.TrainEpoch(context.Background(), 0); err != nil {
 				t.Fatal(err)
 			}
 		} else {

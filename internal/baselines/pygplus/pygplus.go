@@ -17,6 +17,7 @@
 package pygplus
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -177,7 +178,9 @@ type Result struct {
 // TrainEpoch runs one epoch of the synchronous SET loop with DataLoader
 // prefetch: SampleWorkers sample ahead while the main loop extracts
 // (sync, page-cached), transfers (sync), and trains each batch in order.
-func (s *System) TrainEpoch(epoch int) (Result, error) {
+// ctx rides every page fault of the samplers and the gather, so a
+// cancelled epoch fails at its next fault.
+func (s *System) TrainEpoch(ctx context.Context, epoch int) (Result, error) {
 	var col metrics.BreakdownCollector
 	start := time.Now()
 	plan := s.plan(epoch)
@@ -191,6 +194,7 @@ func (s *System) TrainEpoch(epoch int) (Result, error) {
 		go func(wid int) {
 			defer wg.Done()
 			reader := graph.NewCachedReader(s.ds, s.cache, s.idxFile)
+			reader.SetContext(ctx)
 			smp := sample.New(reader, s.opts.Fanouts,
 				tensor.NewRNG(s.opts.Seed+uint64(epoch)*1000+uint64(wid)*31))
 			for !sampErr.Failed() {
@@ -223,7 +227,7 @@ func (s *System) TrainEpoch(epoch int) (Result, error) {
 		if firstErr != nil {
 			continue // drain
 		}
-		loss, acc, err := s.runBatch(b, &col)
+		loss, acc, err := s.runBatch(ctx, b, &col)
 		if err != nil {
 			firstErr = err
 			sampErr.Set(err)
@@ -231,7 +235,7 @@ func (s *System) TrainEpoch(epoch int) (Result, error) {
 		}
 		lossSum += loss
 		accSum += acc
-		col.AddBatch()
+		col.Add(metrics.Counters{Batches: 1})
 	}
 	if firstErr == nil {
 		firstErr = sampErr.Get()
@@ -245,7 +249,7 @@ func (s *System) TrainEpoch(epoch int) (Result, error) {
 }
 
 // runBatch extracts, transfers, and trains one mini-batch synchronously.
-func (s *System) runBatch(b *sample.Batch, col *metrics.BreakdownCollector) (float64, float64, error) {
+func (s *System) runBatch(ctx context.Context, b *sample.Batch, col *metrics.BreakdownCollector) (float64, float64, error) {
 	featBytes := s.ds.FeatBytes()
 	gatherBytes := int64(len(b.Nodes)) * featBytes
 
@@ -261,7 +265,7 @@ func (s *System) runBatch(b *sample.Batch, col *metrics.BreakdownCollector) (flo
 	if s.opts.RealTrain {
 		x = tensor.New(len(b.Nodes), s.ds.Dim)
 	}
-	if err := s.gather(b, x); err != nil {
+	if err := s.gather(ctx, b, x); err != nil {
 		return 0, 0, err
 	}
 	// Python-side gather overhead.
@@ -270,7 +274,7 @@ func (s *System) runBatch(b *sample.Batch, col *metrics.BreakdownCollector) (flo
 		s.rec.AddCPU(oh)
 	}
 	col.AddExtract(time.Since(t0))
-	col.AddExtracted(int64(len(b.Nodes)), gatherBytes)
+	col.Add(metrics.Counters{NodesExtracted: int64(len(b.Nodes)), BytesRead: gatherBytes})
 
 	// Synchronous transfer into a per-batch device tensor.
 	if err := s.dev.Alloc("pyg+ batch features", gatherBytes); err != nil {
@@ -308,7 +312,7 @@ func (s *System) runBatch(b *sample.Batch, col *metrics.BreakdownCollector) (flo
 
 // gather reads every node's feature vector through the page cache with
 // ExtractThreads-way parallelism, counting fault time as I/O wait.
-func (s *System) gather(b *sample.Batch, x *tensor.Matrix) error {
+func (s *System) gather(ctx context.Context, b *sample.Batch, x *tensor.Matrix) error {
 	threads := s.opts.ExtractThreads
 	if threads > len(b.Nodes) {
 		threads = len(b.Nodes)
@@ -340,7 +344,7 @@ func (s *System) gather(b *sample.Batch, x *tensor.Matrix) error {
 						firstErr.Set(fmt.Errorf("pygplus: extent for node %d overruns the %d-byte feature record", b.Nodes[i], len(buf)))
 						return
 					}
-					waited, err := s.featFile.Read(e.Off-base, buf[e.FeatOff:e.FeatOff+e.Len])
+					waited, err := s.featFile.ReadCtx(ctx, e.Off-base, buf[e.FeatOff:e.FeatOff+e.Len])
 					s.rec.AddIOWait(waited)
 					if err != nil {
 						firstErr.Set(err)

@@ -1,6 +1,7 @@
 package pygplus
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -52,7 +53,7 @@ func TestTrainEpochCompletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	res, err := s.TrainEpoch(0)
+	res, err := s.TrainEpoch(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestRealTrainingLearns(t *testing.T) {
 	defer s.Close()
 	var first, last float64
 	for e := 0; e < 3; e++ {
-		res, err := s.TrainEpoch(e)
+		res, err := s.TrainEpoch(context.Background(), e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +108,7 @@ func TestGatherOOMOnHugeBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	_, err = s.TrainEpoch(0)
+	_, err = s.TrainEpoch(context.Background(), 0)
 	if !errors.Is(err, hostmem.ErrOOM) {
 		t.Fatalf("want host OOM, got %v", err)
 	}
@@ -125,7 +126,7 @@ func TestDeviceOOMOnHugeBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	_, err = s.TrainEpoch(0)
+	_, err = s.TrainEpoch(context.Background(), 0)
 	if !errors.Is(err, device.ErrDeviceOOM) {
 		t.Fatalf("want device OOM, got %v", err)
 	}

@@ -237,8 +237,8 @@ func benchExtractTrace(b *testing.B, e *Engine, batches []*sample.Batch) {
 		e.fb.Release(bt.Nodes)
 		PutReservation(item.res)
 		putTrainItem(item)
-		reads += st.reads
-		bytesRead += st.bytesRead
+		reads += st.BackendReads
+		bytesRead += st.BytesRead
 	}
 	b.ReportMetric(float64(reads)/float64(b.N), "reads/op")
 	b.ReportMetric(float64(bytesRead)/1e6/float64(b.N), "MB/op")

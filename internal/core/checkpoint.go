@@ -33,7 +33,7 @@ func (e *Engine) optionsFingerprint() uint64 {
 	fmt.Fprintf(h, "model=%d hidden=%d layers=%d batch=%d fanouts=%v",
 		e.opts.Model, e.opts.Hidden, e.opts.Layers, e.opts.BatchSize, e.opts.Fanouts)
 	fmt.Fprintf(h, " samplers=%d extractors=%d shuffle=%t inorder=%t",
-		e.opts.Samplers, e.opts.Extractors, e.opts.Shuffle, e.opts.InOrder)
+		e.opts.Samplers, e.opts.Extractors, e.opts.shuffle, e.opts.InOrder)
 	fmt.Fprintf(h, " real=%t lr=%g seed=%d", e.opts.RealTrain, e.opts.LR, e.opts.Seed)
 	fmt.Fprintf(h, " nodes=%d dim=%d classes=%d", e.ds.NumNodes, e.ds.Dim, e.ds.NumClasses)
 	return h.Sum64()

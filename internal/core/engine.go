@@ -51,21 +51,9 @@ type Options struct {
 	// FeatureSlots overrides the feature-buffer capacity (0 = auto-size
 	// to (extractors + train queue + 1) x estimated max batch nodes).
 	FeatureSlots int
-	// StagingSlots overrides the staging pool size (0 = extractors x
-	// ring depth slots).
-	StagingSlots int
 	// MaxJointRead caps a joint direct read's byte length (§4.4).
 	MaxJointRead int
-	// RetryBudget is the per-read retry budget for transient storage
-	// errors before the error escalates and aborts the epoch (0 = the
-	// default 3; negative disables retries).
-	RetryBudget int
-	// RetryBackoff is the base delay of the retry backoff (exponential
-	// with jitter, capped; 0 = the default 100µs).
-	RetryBackoff time.Duration
 
-	// Shuffle randomizes mini-batch target order every epoch.
-	Shuffle bool
 	// InOrder disables mini-batch reordering (ablation): one sampler,
 	// one extractor, strictly ordered pipeline.
 	InOrder bool
@@ -91,14 +79,6 @@ type Options struct {
 	// (multi-device training shares one staging buffer across workers,
 	// §4.3); the engine will not close it.
 	SharedStaging *Staging
-	// SharedFeatureBuffer, when non-nil, is a feature buffer owned by a
-	// parent. CPU-based data parallelism shares one host-resident
-	// feature buffer among all workers (§4.4); the engine will not
-	// account or release it.
-	SharedFeatureBuffer *FeatureBuffer
-	// SkipHostPins suppresses the indptr/labels pin for workers sharing
-	// topology metadata with a parent.
-	SkipHostPins bool
 
 	// Tracer, when non-nil, records per-batch stage events for pipeline
 	// overlap analysis (internal/trace).
@@ -118,9 +98,6 @@ type Options struct {
 	// the cursor is exact regardless of reordering. 0 disables
 	// mid-epoch saves.
 	CheckpointEverySteps int
-	// CheckpointKeep is how many committed checkpoints to retain
-	// (keep-last-K; 0 = default 3).
-	CheckpointKeep int
 	// StallDeadline arms the pipeline watchdog: if no stage makes
 	// progress for this long the epoch is cancelled with
 	// ErrPipelineStalled and a diagnostics snapshot is recorded on the
@@ -139,6 +116,29 @@ type Options struct {
 	// staging slots.
 	IOGate IOGate
 
+	// The unexported options have no setter outside this package: Parallel
+	// sets the two sharing ones for its workers, in-package tests set the
+	// rest, and everyone else gets DefaultOptions/fillDefaults.
+
+	// shuffle randomizes mini-batch target order every epoch.
+	shuffle bool
+	// retryBudget is the per-read retry budget for transient storage
+	// errors before the error escalates and aborts the epoch (0 = the
+	// default 3; negative disables retries).
+	retryBudget int
+	// retryBackoff is the base delay of the retry backoff (exponential
+	// with jitter, capped; 0 = the default 100µs).
+	retryBackoff time.Duration
+	// checkpointKeep is how many committed checkpoints to retain
+	// (keep-last-K; 0 = the Saver's default 3).
+	checkpointKeep int
+	// sharedFB, when non-nil, is a feature buffer owned by a parent.
+	// CPU-based data parallelism shares one host-resident feature buffer
+	// among all workers (§4.4); the engine will not account or release it.
+	sharedFB *FeatureBuffer
+	// skipHostPins suppresses the indptr/labels pin for workers sharing
+	// topology metadata with a parent.
+	skipHostPins bool
 	// ckptSink overrides the checkpoint storage seam (fault-injection
 	// tests); nil uses the real filesystem.
 	ckptSink checkpoint.Sink
@@ -167,7 +167,7 @@ func DefaultOptions(model nn.ModelKind) Options {
 		TrainQueueCap: 4,
 		RingDepth:     64,
 		MaxJointRead:  16 << 10,
-		Shuffle:       true,
+		shuffle:       true,
 		LR:            0.003,
 		Seed:          1,
 	}
@@ -202,13 +202,13 @@ func (o *Options) fillDefaults() {
 	if o.MaxJointRead == 0 {
 		o.MaxJointRead = d.MaxJointRead
 	}
-	if o.RetryBudget == 0 {
-		o.RetryBudget = 3
-	} else if o.RetryBudget < 0 {
-		o.RetryBudget = 0
+	if o.retryBudget == 0 {
+		o.retryBudget = 3
+	} else if o.retryBudget < 0 {
+		o.retryBudget = 0
 	}
-	if o.RetryBackoff == 0 {
-		o.RetryBackoff = 100 * time.Microsecond
+	if o.retryBackoff == 0 {
+		o.retryBackoff = 100 * time.Microsecond
 	}
 	if o.LR == 0 {
 		o.LR = d.LR
@@ -221,6 +221,28 @@ func (o *Options) fillDefaults() {
 		// runs one worker per stage.
 		o.Samplers, o.Extractors = 1, 1
 	}
+}
+
+// StagingGeometry is the staging pool an engine with these options builds
+// for itself: one slot per read its extractors can have in flight, each
+// large enough for a joint read or one sector-padded feature vector.
+func (o Options) StagingGeometry(featBytes int) (slots, slotBytes int) {
+	o.fillDefaults()
+	slotBytes = o.MaxJointRead
+	if slotBytes < featBytes {
+		slotBytes = (featBytes + 511) / 512 * 512
+	}
+	return o.Extractors * o.RingDepth, slotBytes
+}
+
+// AutoFeatureSlots is the feature buffer's pipeline working set for
+// batches of up to batchNodes unique nodes: one batch per extractor, one
+// per train-queue entry, and the one being trained. An engine with
+// FeatureSlots 0 allocates at least this much (more when the device has
+// room, never more than the graph).
+func (o Options) AutoFeatureSlots(batchNodes int) int {
+	o.fillDefaults()
+	return (o.Extractors + o.TrainQueueCap + 1) * batchNodes
 }
 
 // EpochResult reports one training epoch.
@@ -255,7 +277,6 @@ type Engine struct {
 	fb        *FeatureBuffer
 	staging   *Staging
 	indexFile *pagecache.File
-	maxBatch  int
 
 	model *nn.Model
 	opt   *nn.Adam
@@ -304,10 +325,9 @@ func New(ds *graph.Dataset, dev *device.Device, budget *hostmem.Budget,
 	if err != nil {
 		return nil, err
 	}
-	e.maxBatch = mb
 
 	// Host pins: indptr and labels stay in memory (§5 setup).
-	if !opts.SkipHostPins {
+	if !opts.skipHostPins {
 		hostPins := ds.IndptrBytes() + int64(len(ds.Labels))*4
 		if err := budget.Pin("gnndrive indptr+labels", hostPins); err != nil {
 			return nil, err
@@ -315,8 +335,8 @@ func New(ds *graph.Dataset, dev *device.Device, budget *hostmem.Budget,
 		e.pinned = hostPins
 	}
 
-	if opts.SharedFeatureBuffer != nil {
-		e.fb = opts.SharedFeatureBuffer
+	if opts.sharedFB != nil {
+		e.fb = opts.sharedFB
 		e.ownFB = false
 		return e.finishSetup(ds, dev, cache, rec, opts)
 	}
@@ -364,7 +384,7 @@ func New(ds *graph.Dataset, dev *device.Device, budget *hostmem.Budget,
 		// Auto-size: at least the pipeline's working set, and as much of
 		// the device allowance as helps (inter-batch reuse, Fig. 12) —
 		// never more than the whole graph.
-		slots = (opts.Extractors + opts.TrainQueueCap + 1) * mb
+		slots = opts.AutoFeatureSlots(mb)
 		if s := int(fbLimit / featBytes); s > slots {
 			slots = s
 		}
@@ -427,15 +447,8 @@ func (e *Engine) finishSetup(ds *graph.Dataset, dev *device.Device,
 		e.staging = opts.SharedStaging
 		e.ownStaging = false
 	default:
-		stagingSlots := opts.StagingSlots
-		if stagingSlots == 0 {
-			stagingSlots = opts.Extractors * opts.RingDepth
-		}
-		slotBytes := opts.MaxJointRead
-		if fbBytes := int(ds.FeatBytes()); slotBytes < fbBytes {
-			slotBytes = (fbBytes + 511) / 512 * 512
-		}
-		staging, err := NewStaging(e.budget, stagingSlots, slotBytes)
+		slots, slotBytes := opts.StagingGeometry(int(ds.FeatBytes()))
+		staging, err := NewStaging(e.budget, slots, slotBytes)
 		if err != nil {
 			e.release()
 			return nil, err
@@ -465,15 +478,11 @@ func (e *Engine) finishSetup(ds *graph.Dataset, dev *device.Device,
 	}
 	if opts.CheckpointDir != "" {
 		e.ckptSaver = &checkpoint.Saver{
-			Dir: opts.CheckpointDir, Keep: opts.CheckpointKeep, Sink: opts.ckptSink,
+			Dir: opts.CheckpointDir, Keep: opts.checkpointKeep, Sink: opts.ckptSink,
 		}
 	}
 	return e, nil
 }
-
-// MaxBatchNodes returns the estimated per-batch unique-node high-water
-// mark used to size the buffers.
-func (e *Engine) MaxBatchNodes() int { return e.maxBatch }
 
 // FeatureBuffer exposes the buffer for inspection.
 func (e *Engine) FeatureBuffer() *FeatureBuffer { return e.fb }
@@ -529,16 +538,10 @@ func (e *Engine) putBatch(b *sample.Batch) {
 	}
 }
 
-// TrainEpoch runs one full pass over the training set through the
-// four-stage pipeline and returns its timing breakdown.
-func (e *Engine) TrainEpoch(epoch int) (EpochResult, error) {
-	//gnnlint:ignore ctxbg non-cancellable compat wrapper; cancellable callers use RunEpochCtx
-	return e.trainEpochSegment(context.Background(), epoch, e.ds.TrainIdx, nil, 0)
-}
-
-// RunEpochCtx is TrainEpoch with cancellation: when ctx is cancelled (or
-// a permanent storage error escalates) the four stages tear down
-// promptly, leaving no goroutine, staging slot, or feature-buffer
+// RunEpochCtx runs one full pass over the training set through the
+// four-stage pipeline and returns its timing breakdown. When ctx is
+// cancelled (or a permanent storage error escalates) the four stages tear
+// down promptly, leaving no goroutine, staging slot, or feature-buffer
 // reference behind, and the cause is returned.
 func (e *Engine) RunEpochCtx(ctx context.Context, epoch int) (EpochResult, error) {
 	return e.trainEpochSegment(ctx, epoch, e.ds.TrainIdx, nil, 0)
@@ -612,7 +615,7 @@ func (e *Engine) trainEpochSegment(ctx context.Context, epoch int, targets []int
 	}
 
 	var planRNG *tensor.RNG
-	if e.opts.Shuffle {
+	if e.opts.shuffle {
 		planRNG = tensor.NewRNG(sample.PlanSeed(e.opts.Seed, epoch))
 	}
 	plan := sample.NewPlan(targets, e.opts.BatchSize, planRNG)
@@ -655,8 +658,7 @@ func (e *Engine) trainEpochSegment(ctx context.Context, epoch int, targets []int
 		dog := startWatchdog(&hb, deadline, func() StallDiagnostics {
 			return e.stallDiagnostics(&hb, extractQ, trainQ, releaseQ)
 		}, func(diag StallDiagnostics) {
-			col.AddStalls(1)
-			e.rec.AddStalls(1)
+			e.count(&col, metrics.Counters{Stalls: 1})
 			e.opts.Tracer.Annotate(trace.StageWatchdog, "stall: "+diag.String())
 			if f := e.opts.OnStall; f != nil {
 				f(diag)
@@ -735,21 +737,12 @@ func (e *Engine) trainEpochSegment(ctx context.Context, epoch int, targets []int
 				item, st, err := x.extractBatch(runCtx, b)
 				col.AddExtract(time.Since(t0))
 				e.opts.Tracer.Record(trace.StageExtract, b.ID, t0, time.Now())
-				col.AddRetries(st.retries)
-				col.AddFallbacks(st.fallbacks)
-				col.AddEscalations(st.escalations)
-				e.rec.AddRetries(st.retries)
-				e.rec.AddFallbacks(st.fallbacks)
-				e.rec.AddEscalations(st.escalations)
+				e.count(&col, st)
 				if err != nil {
 					e.putBatch(b)
 					fail(err)
 					continue
 				}
-				col.AddExtracted(int64(len(item.res.ToLoad)), st.bytesRead)
-				col.AddReused(st.bytesReused)
-				col.AddBackendReads(st.reads)
-				col.AddBytesNeeded(st.bytesNeeded)
 				hb.extract.Add(1)
 				select {
 				case trainQ <- item:
@@ -819,7 +812,7 @@ func (e *Engine) trainEpochSegment(ctx context.Context, epoch int, targets []int
 				e.rec.AddCPU(d)
 			}
 			col.AddTrain(d)
-			col.AddBatch()
+			e.count(&col, metrics.Counters{Batches: 1})
 			e.opts.Tracer.Record(trace.StageTrain, item.batch.ID, t0, time.Now())
 			hb.train.Add(1)
 			step++
@@ -873,9 +866,7 @@ func (e *Engine) trainEpochSegment(ctx context.Context, epoch int, targets []int
 	relWG.Wait()
 
 	if integ != nil {
-		d := integ.IntegrityStats().Sub(integStart)
-		col.AddIntegrity(d)
-		e.rec.AddIntegrity(d)
+		e.count(&col, metrics.Counters{Integrity: integ.IntegrityStats().Sub(integStart)})
 	}
 	res := EpochResult{
 		Breakdown: col.Snapshot(time.Since(start)),
@@ -906,6 +897,13 @@ func (e *Engine) trainEpochSegment(ctx context.Context, epoch int, targets []int
 	}
 	res.CheckpointErr = ckptErr
 	return res, err
+}
+
+// count hands one Counters delta to the epoch's collector and to the run's
+// recorder — the only two places the engine's counters accumulate.
+func (e *Engine) count(col *metrics.BreakdownCollector, d metrics.Counters) {
+	col.Add(d)
+	e.rec.Add(d)
 }
 
 // workFor builds the device-model work description of one batch.
@@ -950,7 +948,7 @@ func (e *Engine) trainRealBackward(item *trainItem) (float32, float64) {
 // batches; nil never cancels (the storage.Request.Ctx convention).
 func (e *Engine) SampleOnly(ctx context.Context, epoch int) (time.Duration, error) {
 	var planRNG *tensor.RNG
-	if e.opts.Shuffle {
+	if e.opts.shuffle {
 		planRNG = tensor.NewRNG(sample.PlanSeed(e.opts.Seed, epoch))
 	}
 	plan := sample.NewPlan(e.ds.TrainIdx, e.opts.BatchSize, planRNG)

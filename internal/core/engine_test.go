@@ -110,7 +110,7 @@ func newEngine(t *testing.T, rig *testRig, opts Options) *Engine {
 func TestTrainEpochModeledCompletesAllBatches(t *testing.T) {
 	rig := newRig(t, device.InstantConfig(), 64<<20)
 	e := newEngine(t, rig, testOpts())
-	res, err := e.TrainEpoch(0)
+	res, err := e.RunEpochCtx(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestExtractedFeaturesMatchDisk(t *testing.T) {
 	opts.RealTrain = true
 	opts.Hidden = 32
 	e := newEngine(t, rig, opts)
-	if _, err := e.TrainEpoch(0); err != nil {
+	if _, err := e.RunEpochCtx(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
 	// Spot-check: every currently valid node's buffered vector equals the
@@ -170,7 +170,7 @@ func TestRealTrainingConvergesOnTiny(t *testing.T) {
 	e := newEngine(t, rig, opts)
 	var firstLoss, lastLoss float64
 	for epoch := 0; epoch < 4; epoch++ {
-		res, err := e.TrainEpoch(epoch)
+		res, err := e.RunEpochCtx(context.Background(), epoch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func TestSyncExtractionAblation(t *testing.T) {
 	opts := testOpts()
 	opts.SyncExtraction = true
 	e := newEngine(t, rig, opts)
-	res, err := e.TrainEpoch(0)
+	res, err := e.RunEpochCtx(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestBufferedIOReadsExactBytes(t *testing.T) {
 	opts := testOpts()
 	opts.BufferedIO = true
 	e := newEngine(t, rig, opts)
-	res, err := e.TrainEpoch(0)
+	res, err := e.RunEpochCtx(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestDirectIOHasAlignmentRedundancyForOddDim(t *testing.T) {
 	// joint extraction packs perfectly.
 	rig := newRig(t, device.InstantConfig(), 64<<20)
 	e := newEngine(t, rig, testOpts())
-	res, err := e.TrainEpoch(0)
+	res, err := e.RunEpochCtx(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestInOrderAblationForcesSingleWorkers(t *testing.T) {
 	if e.opts.Samplers != 1 || e.opts.Extractors != 1 {
 		t.Fatalf("in-order must run 1+1 workers, got %d+%d", e.opts.Samplers, e.opts.Extractors)
 	}
-	if _, err := e.TrainEpoch(0); err != nil {
+	if _, err := e.RunEpochCtx(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -279,7 +279,7 @@ func TestCPUDevicePinsFeatureBufferInHostBudget(t *testing.T) {
 	if rig.budget.Pinned() <= before+e.FeatureBuffer().Bytes()-1 {
 		t.Fatalf("feature buffer not pinned on host: pinned=%d fb=%d", rig.budget.Pinned(), e.FeatureBuffer().Bytes())
 	}
-	if _, err := e.TrainEpoch(0); err != nil {
+	if _, err := e.RunEpochCtx(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -338,7 +338,7 @@ func TestParallelTwoWorkers(t *testing.T) {
 	if p.Workers() != 2 {
 		t.Fatalf("workers %d", p.Workers())
 	}
-	_, results, err := p.TrainEpoch(0)
+	_, results, err := p.TrainEpochCtx(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestParallelTwoWorkers(t *testing.T) {
 		t.Fatalf("unbalanced segments: %d vs %d", results[0].Batches, results[1].Batches)
 	}
 	// Replicas must hold identical parameters after synchronized steps.
-	a, b := p.Engines()[0].Model().Params(), p.Engines()[1].Model().Params()
+	a, b := p.engines[0].Model().Params(), p.engines[1].Model().Params()
 	for i := range a {
 		for j := range a[i].W.Data {
 			if a[i].W.Data[j] != b[i].W.Data[j] {
@@ -365,7 +365,7 @@ func TestParallelRejectsTooManyWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { p.Close() })
-	if _, _, err := p.TrainEpoch(0); err == nil {
+	if _, _, err := p.TrainEpochCtx(context.Background(), 0); err == nil {
 		t.Fatal("expected segmentation error")
 	}
 }

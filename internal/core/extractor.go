@@ -10,6 +10,7 @@ import (
 	"gnndrive/internal/errutil"
 	"gnndrive/internal/faults"
 	"gnndrive/internal/graph"
+	"gnndrive/internal/metrics"
 	"gnndrive/internal/sample"
 	"gnndrive/internal/storage"
 	"gnndrive/internal/uring"
@@ -41,17 +42,6 @@ func putTrainItem(it *trainItem) {
 	trainItemPool.Put(it)
 }
 
-// extractStats reports one batch's extraction side effects.
-type extractStats struct {
-	bytesRead   int64
-	bytesNeeded int64 // payload bytes the batch actually required from storage
-	reads       int64 // backend read ops the plan issued
-	bytesReused int64
-	retries     int64 // reads resubmitted after a transient error
-	fallbacks   int64 // direct reads degraded to buffered
-	escalations int64 // reads given up on (budget exhausted / permanent)
-}
-
 // retryableRead classifies storage errors: transient faults and short
 // reads clear on retry; media errors, closed devices, and everything else
 // escalate immediately.
@@ -81,12 +71,9 @@ func newExtractor(eng *Engine) *extractor {
 	return &extractor{
 		eng:  eng,
 		ring: uring.NewRing(eng.ds.Dev, eng.opts.RingDepth),
-		policy: errutil.Policy{
-			MaxAttempts: eng.opts.RetryBudget + 1,
-			BaseDelay:   eng.opts.RetryBackoff,
-			Seed:        eng.opts.Seed,
-			Retryable:   retryableRead,
-		},
+		// Only the backoff schedule is the policy's: runPlan counts
+		// attempts per op against retryBudget itself.
+		policy: errutil.Policy{BaseDelay: eng.opts.retryBackoff, Seed: eng.opts.Seed},
 	}
 }
 
@@ -96,9 +83,12 @@ func newExtractor(eng *Engine) *extractor {
 // other extractors are bringing in. On any error — including ctx
 // cancellation — the reservation's references are rolled back so the
 // feature buffer ends the epoch with zero refcounts.
-func (x *extractor) extractBatch(ctx context.Context, b *sample.Batch) (*trainItem, extractStats, error) {
+//
+// The returned Counters are the batch's delta: the fault counters whatever
+// the outcome, the read counters only for a batch that was handed on.
+func (x *extractor) extractBatch(ctx context.Context, b *sample.Batch) (*trainItem, metrics.Counters, error) {
 	eng := x.eng
-	var st extractStats
+	var st metrics.Counters
 	res, err := eng.fb.ReserveCtx(ctx, b.Nodes)
 	if err != nil {
 		return nil, st, err
@@ -127,10 +117,6 @@ func (x *extractor) extractBatch(ctx context.Context, b *sample.Batch) (*trainIt
 		return nil, st, fmt.Errorf("extract: plan: %w", err)
 	}
 	plan := x.plan
-	st.bytesRead = PlanBytes(plan)
-	st.reads = int64(len(plan))
-	st.bytesNeeded = int64(len(res.ToLoad)) * int64(featBytes)
-	st.bytesReused = int64(len(b.Nodes)-len(res.ToLoad)) * int64(featBytes)
 
 	if err := x.runPlan(ctx, b, res, plan, &st); err != nil {
 		eng.fb.Release(b.Nodes)
@@ -145,13 +131,20 @@ func (x *extractor) extractBatch(ctx context.Context, b *sample.Batch) (*trainIt
 		PutReservation(res)
 		return nil, st, err
 	}
+	st.NodesExtracted = int64(len(res.ToLoad))
+	st.BytesRead = PlanBytes(plan)
+	st.BackendReads = int64(len(plan))
+	st.BytesNeeded = int64(len(res.ToLoad)) * int64(featBytes)
+	st.BytesReused = int64(len(b.Nodes)-len(res.ToLoad)) * int64(featBytes)
 	return getTrainItem(b, res), st, nil
 }
 
-// runPlan issues the plan's reads and transfers. Asynchronous mode keeps
-// up to RingDepth reads in flight and launches each completed read's
-// device transfer immediately (phases 4 and 5 of Fig. 4 overlap);
-// synchronous mode (ablation) performs one blocking read at a time.
+// runPlan issues the plan's reads and transfers: up to RingDepth reads in
+// flight, each completed read's device transfer launched immediately
+// (phases 4 and 5 of Fig. 4 overlap). The SyncExtraction ablation is the
+// same loop with one read in flight, the wait for it charged to the
+// recorder as synchronous I/O wait — what a blocking read costs its
+// thread, and what Figs. 3 and 11 plot.
 //
 // Fault tolerance: a read that completes with a transient error is
 // resubmitted after a jittered exponential backoff, up to the per-op
@@ -159,15 +152,16 @@ func (x *extractor) extractBatch(ctx context.Context, b *sample.Batch) (*trainIt
 // buffered read (§4.4's ladder); anything else escalates as the plan's
 // error. On error or cancellation every in-flight read is still drained
 // so no staging slot leaks.
-func (x *extractor) runPlan(ctx context.Context, b *sample.Batch, res *Reservation, plan []ReadOp, st *extractStats) error {
-	if x.eng.opts.SyncExtraction {
-		return x.runPlanSync(ctx, b, res, plan, st)
-	}
+func (x *extractor) runPlan(ctx context.Context, b *sample.Batch, res *Reservation, plan []ReadOp, st *metrics.Counters) error {
 	eng := x.eng
+	depth := x.ring.Depth()
+	if eng.opts.SyncExtraction {
+		depth = 1
+	}
 	opSlot, attempts, buffered := x.planScratch(len(plan))
 	xferWG := &x.xferWG
 	var firstErr error
-	budget := eng.opts.RetryBudget
+	budget := eng.opts.retryBudget
 	// Every in-flight read holds one IOGate permit from acquisition to
 	// its true completion; retries keep theirs (the read never stopped
 	// being in flight from the shared submit path's point of view).
@@ -193,7 +187,7 @@ func (x *extractor) runPlan(ctx context.Context, b *sample.Batch, res *Reservati
 		err := x.ring.QueueReadCtx(ctx, sbuf, plan[op].DevOff, uint64(op))
 		if errors.Is(err, storage.ErrUnaligned) {
 			buffered[op] = true
-			st.fallbacks++
+			st.Fallbacks++
 			return x.ring.QueueBufferedReadCtx(ctx, sbuf, plan[op].DevOff, uint64(op))
 		}
 		return err
@@ -208,6 +202,9 @@ func (x *extractor) runPlan(ctx context.Context, b *sample.Batch, res *Reservati
 	// publishes it), anything else escalates as the plan's error.
 	reap := func(cqe uring.CQE) {
 		inflight--
+		if eng.opts.SyncExtraction {
+			eng.rec.AddIOWait(cqe.Latency)
+		}
 		op := int(cqe.User)
 		slot := opSlot[op]
 		switch {
@@ -216,7 +213,7 @@ func (x *extractor) runPlan(ctx context.Context, b *sample.Batch, res *Reservati
 			x.transferOp(b, res, plan[op], slot, xferWG)
 		case firstErr == nil && retryableRead(cqe.Err) && attempts[op] < budget:
 			attempts[op]++
-			st.retries++
+			st.Retries++
 			x.backoff(ctx, attempts[op])
 			if err := submit(op); err != nil {
 				eng.staging.Release(slot)
@@ -229,7 +226,7 @@ func (x *extractor) runPlan(ctx context.Context, b *sample.Batch, res *Reservati
 			eng.staging.Release(slot)
 			release(1)
 			if firstErr == nil {
-				st.escalations++
+				st.Escalations++
 				firstErr = fmt.Errorf("extract: read [%d,%d) failed after %d attempts: %w",
 					plan[op].DevOff, plan[op].DevOff+int64(plan[op].Len), attempts[op]+1, cqe.Err)
 			}
@@ -243,7 +240,7 @@ func (x *extractor) runPlan(ctx context.Context, b *sample.Batch, res *Reservati
 			}
 		}
 		// Submit while healthy, work remains, and the ring has room.
-		for firstErr == nil && next < len(plan) && inflight < x.ring.Depth() {
+		for firstErr == nil && next < len(plan) && inflight < depth {
 			// Fair-share gate first, staging slot second: blocking on the
 			// gate while holding a slot would idle pool capacity other
 			// tenants could use.
@@ -319,61 +316,6 @@ func (x *extractor) backoff(ctx context.Context, attempt int) {
 	case <-ctx.Done():
 	case <-timer.C:
 	}
-}
-
-func (x *extractor) runPlanSync(ctx context.Context, b *sample.Batch, res *Reservation, plan []ReadOp, st *extractStats) error {
-	eng := x.eng
-	xferWG := &x.xferWG
-	policy := x.policy
-	policy.OnRetry = func(int, error) { st.retries++ }
-	direct := !eng.opts.BufferedIO
-	gate := eng.opts.IOGate
-	for _, op := range plan {
-		if gate != nil {
-			if err := gate.Acquire(ctx, 1); err != nil {
-				xferWG.Wait()
-				return err
-			}
-		}
-		slot, err := eng.staging.AcquireCtx(ctx)
-		if err != nil {
-			if gate != nil {
-				gate.Release(1)
-			}
-			xferWG.Wait()
-			return err
-		}
-		err = errutil.Retry(ctx, policy, func() error {
-			var waited time.Duration
-			var rerr error
-			if direct {
-				waited, rerr = eng.ds.Dev.ReadDirectCtx(ctx, eng.staging.Buf(slot)[:op.Len], op.DevOff)
-				if errors.Is(rerr, storage.ErrUnaligned) {
-					// Degradation ladder: retry this and all later ops
-					// through the buffered path.
-					direct = false
-					st.fallbacks++
-					waited, rerr = eng.ds.Dev.ReadAtCtx(ctx, eng.staging.Buf(slot)[:op.Len], op.DevOff)
-				}
-			} else {
-				waited, rerr = eng.ds.Dev.ReadAtCtx(ctx, eng.staging.Buf(slot)[:op.Len], op.DevOff)
-			}
-			eng.rec.AddIOWait(waited)
-			return rerr
-		})
-		if gate != nil {
-			gate.Release(1)
-		}
-		if err != nil {
-			eng.staging.Release(slot)
-			st.escalations++
-			xferWG.Wait()
-			return err
-		}
-		x.transferOp(b, res, op, slot, xferWG)
-	}
-	xferWG.Wait()
-	return nil
 }
 
 // planScratch resizes the per-op bookkeeping slices for a new plan,

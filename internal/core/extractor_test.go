@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"gnndrive/internal/device"
 	"gnndrive/internal/sample"
@@ -40,8 +41,8 @@ func TestExtractBatchLoadsCorrectFeatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.bytesRead == 0 || st.bytesReused != 0 {
-		t.Fatalf("read=%d reused=%d", st.bytesRead, st.bytesReused)
+	if st.BytesRead == 0 || st.BytesReused != 0 {
+		t.Fatalf("read=%d reused=%d", st.BytesRead, st.BytesReused)
 	}
 	for i, v := range nodes {
 		if !e.fb.Valid(v) {
@@ -71,11 +72,11 @@ func TestExtractBatchReusesSecondTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st1.bytesRead == 0 {
+	if st1.BytesRead == 0 {
 		t.Fatal("first extraction read nothing")
 	}
-	if st2.bytesRead != 0 || st2.bytesReused != int64(len(nodes))*e.ds.FeatBytes() {
-		t.Fatalf("second extraction: read=%d reused=%d", st2.bytesRead, st2.bytesReused)
+	if st2.BytesRead != 0 || st2.BytesReused != int64(len(nodes))*e.ds.FeatBytes() {
+		t.Fatalf("second extraction: read=%d reused=%d", st2.BytesRead, st2.BytesReused)
 	}
 }
 
@@ -159,6 +160,35 @@ func TestSyncAndAsyncExtractionAgree(t *testing.T) {
 	}
 }
 
+// TestSyncExtractionIsTheSameLoopAtDepthOne pins what the SyncExtraction
+// ablation is: runPlan with one read in flight, the wait for each read
+// charged to the recorder as synchronous I/O wait. The asynchronous path
+// overlaps reads and charges none.
+func TestSyncExtractionIsTheSameLoopAtDepthOne(t *testing.T) {
+	nodes := make([]int64, 0, 64)
+	for v := int64(0); v < 64; v++ {
+		nodes = append(nodes, v*29)
+	}
+	run := func(syncMode bool) (maxInFlight int, ioWait time.Duration) {
+		rig := newRig(t, device.InstantConfig(), 64<<20)
+		opts := testOpts()
+		opts.SyncExtraction = syncMode
+		g := newBoundedGate(1 << 10)
+		opts.IOGate = g
+		e := newEngine(t, rig, opts)
+		if _, _, err := newExtractor(e).extractBatch(context.Background(), buildBatchOf(0, nodes...)); err != nil {
+			t.Fatal(err)
+		}
+		return g.maxOut, rig.rec.IOWait()
+	}
+	if inflight, wait := run(true); inflight != 1 || wait <= 0 {
+		t.Fatalf("sync: %d reads in flight (want 1), I/O wait %v (want > 0)", inflight, wait)
+	}
+	if inflight, wait := run(false); inflight <= 1 || wait != 0 {
+		t.Fatalf("async: %d reads in flight (want > 1), I/O wait %v (want 0)", inflight, wait)
+	}
+}
+
 func TestBufferedExtractionMatchesDirect(t *testing.T) {
 	nodes := []int64{8, 800, 1600}
 	run := func(buffered bool) []float32 {
@@ -226,7 +256,7 @@ func TestExtractPlanSubmitsOneBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = item
-	if st.bytesRead == 0 {
+	if st.BytesRead == 0 {
 		t.Fatal("extraction read nothing")
 	}
 	if got := counter.batches.Load(); got != 1 {
@@ -276,12 +306,12 @@ func TestRunPlanReapsInBatches(t *testing.T) {
 	}
 	defer e.fb.Release(nodes)
 	depth := int64(x.ring.Depth())
-	if st.reads < 4*depth {
-		t.Fatalf("plan of %d reads is not ≫ ring depth %d", st.reads, depth)
+	if st.BackendReads < 4*depth {
+		t.Fatalf("plan of %d reads is not ≫ ring depth %d", st.BackendReads, depth)
 	}
-	want := (st.reads + depth - 1) / depth
+	want := (st.BackendReads + depth - 1) / depth
 	if got := x.ring.Flushes(); got != want {
-		t.Fatalf("%d reads at depth %d took %d flushes, want %d (one per wave)", st.reads, depth, got, want)
+		t.Fatalf("%d reads at depth %d took %d flushes, want %d (one per wave)", st.BackendReads, depth, got, want)
 	}
 	for _, v := range nodes {
 		if !e.fb.Valid(v) {

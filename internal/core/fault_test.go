@@ -49,7 +49,7 @@ func TestEpochCompletesUnderTransientFaults(t *testing.T) {
 	// Fault-free reference run for the expected batch count.
 	clean := newRig(t, device.InstantConfig(), 64<<20)
 	cleanEng := newEngine(t, clean, testOpts())
-	ref, err := cleanEng.TrainEpoch(0)
+	ref, err := cleanEng.RunEpochCtx(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestEpochCompletesUnderTransientFaults(t *testing.T) {
 	if res.Escalations != 0 {
 		t.Fatalf("%d escalations in a transient-only run", res.Escalations)
 	}
-	if got := rig.rec.Retries(); got != res.Retries {
+	if got := rig.rec.Counters().Retries; got != res.Retries {
 		t.Fatalf("recorder retries %d != epoch retries %d", got, res.Retries)
 	}
 	checkNoLeaks(t, e)
@@ -95,7 +95,7 @@ func TestSyncExtractionRetriesTransientFaults(t *testing.T) {
 	opts := testOpts()
 	opts.SyncExtraction = true
 	e := newEngine(t, rig, opts)
-	res, err := e.TrainEpoch(0)
+	res, err := e.RunEpochCtx(context.Background(), 0)
 	if err != nil {
 		t.Fatalf("sync epoch failed: %v", err)
 	}
@@ -292,14 +292,14 @@ func TestExtractBatchFailureRollsBackReservations(t *testing.T) {
 	if !errors.Is(err, faults.ErrMedia) {
 		t.Fatalf("error %v does not wrap faults.ErrMedia", err)
 	}
-	if st.escalations == 0 {
+	if st.Escalations == 0 {
 		t.Fatal("no escalation recorded")
 	}
 	checkNoLeaks(t, e)
 	// The injector must have seen exactly budget+1 attempts? No — media
 	// errors are not retryable, so the op is tried exactly once.
-	if st.retries != 0 {
-		t.Fatalf("%d retries of a permanent media error", st.retries)
+	if st.Retries != 0 {
+		t.Fatalf("%d retries of a permanent media error", st.Retries)
 	}
 }
 
@@ -309,8 +309,8 @@ func TestExtractBatchRetriesTransient(t *testing.T) {
 	opts := testOpts()
 	// A generous budget so this test never escalates: P(one op exhausting
 	// 21 attempts at rate 0.5) is negligible.
-	opts.RetryBudget = 20
-	opts.RetryBackoff = time.Microsecond
+	opts.retryBudget = 20
+	opts.retryBackoff = time.Microsecond
 	e, err := New(rig.ds, rig.dev, rig.budget, rig.cache, rig.rec, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +327,7 @@ func TestExtractBatchRetriesTransient(t *testing.T) {
 	if err != nil {
 		t.Fatalf("extraction failed despite retries: %v", err)
 	}
-	if st.retries == 0 {
+	if st.Retries == 0 {
 		t.Fatal("0.4 transient rate produced no retries over 16 nodes")
 	}
 	for _, v := range nodes {
@@ -344,8 +344,8 @@ func TestRetryBudgetExhaustionEscalates(t *testing.T) {
 	// Rate 1: every attempt fails transiently, so the budget runs out.
 	rig.ds.Dev.SetInjector(faults.NewInjector(faults.Config{Seed: 23, TransientRate: 1}))
 	opts := testOpts()
-	opts.RetryBudget = 2
-	opts.RetryBackoff = time.Microsecond
+	opts.retryBudget = 2
+	opts.retryBackoff = time.Microsecond
 	e, err := New(rig.ds, rig.dev, rig.budget, rig.cache, rig.rec, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -359,8 +359,8 @@ func TestRetryBudgetExhaustionEscalates(t *testing.T) {
 	if !errors.Is(err, faults.ErrTransient) {
 		t.Fatalf("error %v does not wrap the transient cause", err)
 	}
-	if st.retries == 0 || st.escalations == 0 {
-		t.Fatalf("retries=%d escalations=%d", st.retries, st.escalations)
+	if st.Retries == 0 || st.Escalations == 0 {
+		t.Fatalf("retries=%d escalations=%d", st.Retries, st.Escalations)
 	}
 	checkNoLeaks(t, e)
 }
@@ -384,7 +384,7 @@ func TestParallelEpochFailurePropagates(t *testing.T) {
 	t.Cleanup(func() { p.Close() })
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := p.TrainEpoch(0)
+		_, _, err := p.TrainEpochCtx(context.Background(), 0)
 		done <- err
 	}()
 	select {

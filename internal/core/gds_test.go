@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"gnndrive/internal/device"
@@ -19,7 +20,7 @@ func TestGPUDirectExtractionCorrectAndStagingFree(t *testing.T) {
 	if got := rig.budget.Pinned() - pinnedBefore; got != metaPins {
 		t.Fatalf("host pins %d, want only metadata %d (no staging)", got, metaPins)
 	}
-	res, err := e.TrainEpoch(0)
+	res, err := e.RunEpochCtx(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

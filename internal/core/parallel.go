@@ -81,11 +81,8 @@ func NewParallel(ds *graph.Dataset, devices []*device.Device, budget *hostmem.Bu
 
 	// One shared staging pool sized for every worker's extractors; each
 	// worker effectively reserves a portion and borrows beyond it (§4.3).
-	slotBytes := opts.MaxJointRead
-	if fbBytes := int(ds.FeatBytes()); slotBytes < fbBytes {
-		slotBytes = (fbBytes + 511) / 512 * 512
-	}
-	staging, err := NewStaging(budget, len(devices)*opts.Extractors*opts.RingDepth, slotBytes)
+	slots, slotBytes := opts.StagingGeometry(int(ds.FeatBytes()))
+	staging, err := NewStaging(budget, len(devices)*slots, slotBytes)
 	if err != nil {
 		budget.Unpin(hostPins)
 		return nil, err
@@ -104,10 +101,10 @@ func NewParallel(ds *graph.Dataset, devices []*device.Device, budget *hostmem.Bu
 	for w, dev := range devices {
 		wopts := opts
 		wopts.SharedStaging = staging
-		wopts.SkipHostPins = true
+		wopts.skipHostPins = true
 		wopts.Seed = opts.Seed + uint64(w)*1_000_003
 		if allCPU && w > 0 {
-			wopts.SharedFeatureBuffer = p.engines[0].fb
+			wopts.sharedFB = p.engines[0].fb
 		}
 		eng, err := New(ds, dev, budget, cache, rec, wopts)
 		if err != nil {
@@ -131,9 +128,6 @@ func NewParallel(ds *graph.Dataset, devices []*device.Device, budget *hostmem.Bu
 
 // Workers returns the number of data-parallel workers.
 func (p *Parallel) Workers() int { return len(p.engines) }
-
-// Engines exposes the per-worker engines (inspection/tests).
-func (p *Parallel) Engines() []*Engine { return p.engines }
 
 // Close releases every worker and the shared resources.
 func (p *Parallel) Close() {
@@ -165,16 +159,10 @@ func (p *Parallel) allReduceTime() time.Duration {
 	return time.Duration(t * p.timeScale)
 }
 
-// TrainEpoch splits the training set into equal segments (remainder
+// TrainEpochCtx splits the training set into equal segments (remainder
 // batches dropped, as DistributedSampler does) and trains all workers
 // concurrently with per-step gradient synchronization. It returns the
-// wall-clock epoch time and per-worker results.
-func (p *Parallel) TrainEpoch(epoch int) (time.Duration, []EpochResult, error) {
-	//gnnlint:ignore ctxbg non-cancellable compat wrapper; cancellable callers use TrainEpochCtx
-	return p.TrainEpochCtx(context.Background(), epoch)
-}
-
-// TrainEpochCtx is TrainEpoch with cancellation. A failing worker (or a
+// wall-clock epoch time and per-worker results. A failing worker (or a
 // cancelled ctx) cancels its siblings and interrupts the step barrier so
 // surviving workers cannot wedge waiting for a dead peer.
 func (p *Parallel) TrainEpochCtx(ctx context.Context, epoch int) (time.Duration, []EpochResult, error) {

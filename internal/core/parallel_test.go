@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -86,7 +87,7 @@ func TestParallelSharedStagingAndPins(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Both engines share one staging pool.
-	e := p.Engines()
+	e := p.engines
 	if e[0].staging != e[1].staging {
 		t.Fatal("workers must share the staging buffer")
 	}
@@ -112,7 +113,7 @@ func TestParallelModeledEpochBalanced(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { p.Close() })
-	total, results, err := p.TrainEpoch(0)
+	total, results, err := p.TrainEpochCtx(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestParallelSingleWorkerNoSync(t *testing.T) {
 	if p.syncFn(0) != nil {
 		t.Fatal("single worker should have nil sync")
 	}
-	if _, _, err := p.TrainEpoch(0); err != nil {
+	if _, _, err := p.TrainEpochCtx(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -166,14 +167,14 @@ func TestCPUParallelSharesFeatureBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := p.Engines()
+	e := p.engines
 	if e[0].fb != e[1].fb {
 		t.Fatal("CPU workers must share one feature buffer (§4.4)")
 	}
 	if !e[0].ownFB || e[1].ownFB {
 		t.Fatal("ownership must rest with worker 0")
 	}
-	if _, _, err := p.TrainEpoch(0); err != nil {
+	if _, _, err := p.TrainEpochCtx(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
 	p.Close()
@@ -192,7 +193,7 @@ func TestGPUParallelSeparateFeatureBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { p.Close() })
-	e := p.Engines()
+	e := p.engines
 	if e[0].fb == e[1].fb {
 		t.Fatal("GPU workers must each own a device-resident feature buffer")
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"gnndrive/internal/device"
@@ -12,7 +13,7 @@ func TestTracerRecordsAllStages(t *testing.T) {
 	opts := testOpts()
 	opts.Tracer = trace.New()
 	e := newEngine(t, rig, opts)
-	res, err := e.TrainEpoch(0)
+	res, err := e.RunEpochCtx(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,10 +38,10 @@ func TestInOrderPipelineTrainsInOrder(t *testing.T) {
 	rig := newRig(t, device.InstantConfig(), 64<<20)
 	opts := testOpts()
 	opts.InOrder = true
-	opts.Shuffle = false
+	opts.shuffle = false
 	opts.Tracer = trace.New()
 	e := newEngine(t, rig, opts)
-	if _, err := e.TrainEpoch(0); err != nil {
+	if _, err := e.RunEpochCtx(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
 	if a := opts.Tracer.Analyze(); a.OutOfOrder != 0 {

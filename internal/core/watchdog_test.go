@@ -46,8 +46,8 @@ func TestWatchdogDetectsExtractStall(t *testing.T) {
 	if res.Stalls != 1 {
 		t.Fatalf("EpochStats stalls = %d, want 1", res.Stalls)
 	}
-	if rig.rec.Stalls() != 1 {
-		t.Fatalf("recorder stalls = %d, want 1", rig.rec.Stalls())
+	if rig.rec.Counters().Stalls != 1 {
+		t.Fatalf("recorder stalls = %d, want 1", rig.rec.Counters().Stalls)
 	}
 	// The diagnostics dump landed on the tracer with the pipeline state.
 	var dump string
@@ -79,8 +79,8 @@ func TestWatchdogQuietOnHealthyEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stalls != 0 || rig.rec.Stalls() != 0 {
-		t.Fatalf("healthy epoch recorded %d/%d stalls", res.Stalls, rig.rec.Stalls())
+	if res.Stalls != 0 || rig.rec.Counters().Stalls != 0 {
+		t.Fatalf("healthy epoch recorded %d/%d stalls", res.Stalls, rig.rec.Counters().Stalls)
 	}
 }
 

@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -64,8 +65,8 @@ func modelsFor(quick bool) []nn.ModelKind {
 
 // runCell measures one (dataset, model, system) cell and returns the
 // average epoch time, or an error string ("OOM"/"ERR") for failure cells.
-func runCell(cfg trainsim.Config, sys trainsim.SystemKind, epochs int) (time.Duration, string) {
-	res, err := trainsim.Run(cfg, sys, trainsim.RunOptions{Epochs: epochs})
+func runCell(ctx context.Context, cfg trainsim.Config, sys trainsim.SystemKind, epochs int) (time.Duration, string) {
+	res, err := trainsim.RunCtx(ctx, cfg, sys, trainsim.RunOptions{Epochs: epochs})
 	if err != nil {
 		return 0, classify(err)
 	}
@@ -104,7 +105,7 @@ func fmtCell(d time.Duration, fail string) string {
 // Table1 prints the dataset summary (paper Table 1) for the scaled
 // stand-ins: node/edge counts, dimension, classes, and the scaled memory
 // footprints of topology and features.
-func Table1(w io.Writer, o Opts) error {
+func Table1(_ context.Context, w io.Writer, o Opts) error {
 	fmt.Fprintln(w, "Table 1: datasets (scaled 1:1000; memory in scaled-GB = MiB)")
 	fmt.Fprintf(w, "%-14s %10s %10s %5s %7s %10s %10s %10s\n",
 		"Dataset", "#Node", "#Edge", "Dim", "#Class", "Topo", "Feat", "Total")
@@ -121,7 +122,7 @@ func Table1(w io.Writer, o Opts) error {
 // Fig2 prints sampling time for PyG+, Ginex, and GNNDrive in '-only'
 // (sample stage alone) and '-all' (full SET pipeline) modes across
 // feature dimensions — the memory-contention study.
-func Fig2(w io.Writer, o Opts) error {
+func Fig2(ctx context.Context, w io.Writer, o Opts) error {
 	o = o.fill()
 	dims := []int{64, 128, 256, 512}
 	if o.Quick {
@@ -143,9 +144,9 @@ func Fig2(w io.Writer, o Opts) error {
 				var d time.Duration
 				var err error
 				if mode == "-only" {
-					d, err = trainsim.SampleOnly(cfg, sys)
+					d, err = trainsim.SampleOnly(ctx, cfg, sys)
 				} else {
-					d, err = trainsim.SampleDuringAll(cfg, sys)
+					d, err = trainsim.SampleDuringAll(ctx, cfg, sys)
 				}
 				if err != nil {
 					fmt.Fprintf(w, "%10s", classify(err))
@@ -156,31 +157,31 @@ func Fig2(w io.Writer, o Opts) error {
 			fmt.Fprintln(w)
 		}
 	}
-	return nil
+	return ctx.Err()
 }
 
 // Fig3 prints the CPU-utilization / GPU-utilization / I/O-wait time
 // series of the three baselines over three epochs.
-func Fig3(w io.Writer, o Opts) error {
+func Fig3(ctx context.Context, w io.Writer, o Opts) error {
 	o = o.fill()
-	return utilSeries(w, o, "Fig 3", []trainsim.SystemKind{
+	return utilSeries(ctx, w, o, "Fig 3", []trainsim.SystemKind{
 		trainsim.PyGPlus, trainsim.Ginex, trainsim.Marius,
 	})
 }
 
 // Fig11 prints the same time series for GNNDrive's GPU and CPU variants.
-func Fig11(w io.Writer, o Opts) error {
+func Fig11(ctx context.Context, w io.Writer, o Opts) error {
 	o = o.fill()
-	return utilSeries(w, o, "Fig 11", []trainsim.SystemKind{
+	return utilSeries(ctx, w, o, "Fig 11", []trainsim.SystemKind{
 		trainsim.GNNDriveGPU, trainsim.GNNDriveCPU,
 	})
 }
 
-func utilSeries(w io.Writer, o Opts, title string, systems []trainsim.SystemKind) error {
+func utilSeries(ctx context.Context, w io.Writer, o Opts, title string, systems []trainsim.SystemKind) error {
 	fmt.Fprintf(w, "%s: utilization over 3 epochs, papers100m-s + GraphSAGE (window=200ms)\n", title)
 	for _, sys := range systems {
 		cfg := trainsim.Config{Dataset: gen.Papers(), Model: nn.GraphSAGE, Scale: o.Scale}
-		res, err := trainsim.Run(cfg, sys, trainsim.RunOptions{Epochs: 3, SampleUtil: 200 * time.Millisecond})
+		res, err := trainsim.RunCtx(ctx, cfg, sys, trainsim.RunOptions{Epochs: 3, SampleUtil: 200 * time.Millisecond})
 		if err != nil {
 			fmt.Fprintf(w, "%s: %s\n", sys, classify(err))
 			continue
@@ -202,12 +203,12 @@ func utilSeries(w io.Writer, o Opts, title string, systems []trainsim.SystemKind
 				100*cpuSum/n, 100*gpuSum/n, 100*ioSum/n)
 		}
 	}
-	return nil
+	return ctx.Err()
 }
 
 // Fig8 prints the epoch runtime across feature dimensions for every
 // dataset x model x system combination.
-func Fig8(w io.Writer, o Opts) error {
+func Fig8(ctx context.Context, w io.Writer, o Opts) error {
 	o = o.fill()
 	dims := []int{64, 128, 256, 512}
 	systems := []trainsim.SystemKind{trainsim.GNNDriveGPU, trainsim.GNNDriveCPU, trainsim.Ginex, trainsim.PyGPlus}
@@ -227,7 +228,7 @@ func Fig8(w io.Writer, o Opts) error {
 				fmt.Fprintf(w, "%-14s", sys)
 				for _, dim := range dims {
 					cfg := trainsim.Config{Dataset: spec, Dim: dim, Model: model, Scale: o.Scale}
-					d, fail := runCell(cfg, sys, o.Epochs)
+					d, fail := runCell(ctx, cfg, sys, o.Epochs)
 					fmt.Fprintf(w, "%12s", fmtCell(d, fail))
 				}
 				fmt.Fprintln(w)
@@ -235,12 +236,12 @@ func Fig8(w io.Writer, o Opts) error {
 		}
 		trainsim.DropDatasets()
 	}
-	return nil
+	return ctx.Err()
 }
 
 // Fig9 prints the epoch runtime across host-memory capacities at
 // dimension 512.
-func Fig9(w io.Writer, o Opts) error {
+func Fig9(ctx context.Context, w io.Writer, o Opts) error {
 	o = o.fill()
 	mems := []int{8, 16, 32, 64, 128}
 	if o.Quick {
@@ -261,7 +262,7 @@ func Fig9(w io.Writer, o Opts) error {
 				for _, m := range mems {
 					cfg := trainsim.Config{Dataset: spec, Dim: 512, Model: model,
 						HostMemoryGB: m, Scale: o.Scale}
-					d, fail := runCell(cfg, sys, o.Epochs)
+					d, fail := runCell(ctx, cfg, sys, o.Epochs)
 					fmt.Fprintf(w, "%12s", fmtCell(d, fail))
 				}
 				fmt.Fprintln(w)
@@ -269,12 +270,12 @@ func Fig9(w io.Writer, o Opts) error {
 		}
 		trainsim.DropDatasets()
 	}
-	return nil
+	return ctx.Err()
 }
 
 // Fig10 prints the epoch runtime across mini-batch sizes (the paper's
 // 500-4000 at 1:20 scale: 25-200).
-func Fig10(w io.Writer, o Opts) error {
+func Fig10(ctx context.Context, w io.Writer, o Opts) error {
 	o = o.fill()
 	batches := []int{25, 50, 100, 200}
 	systems := []trainsim.SystemKind{trainsim.GNNDriveGPU, trainsim.GNNDriveCPU, trainsim.Ginex, trainsim.PyGPlus}
@@ -292,7 +293,7 @@ func Fig10(w io.Writer, o Opts) error {
 				for _, b := range batches {
 					cfg := trainsim.Config{Dataset: spec, Model: model,
 						BatchSize: b, Scale: o.Scale}
-					d, fail := runCell(cfg, sys, o.Epochs)
+					d, fail := runCell(ctx, cfg, sys, o.Epochs)
 					fmt.Fprintf(w, "%12s", fmtCell(d, fail))
 				}
 				fmt.Fprintln(w)
@@ -300,12 +301,12 @@ func Fig10(w io.Writer, o Opts) error {
 		}
 		trainsim.DropDatasets()
 	}
-	return nil
+	return ctx.Err()
 }
 
 // Fig12 prints GNNDrive's epoch runtime as the feature buffer grows from
 // 1x to 8x of the minimum working set.
-func Fig12(w io.Writer, o Opts) error {
+func Fig12(ctx context.Context, w io.Writer, o Opts) error {
 	o = o.fill()
 	muls := []float64{1, 2, 4, 8}
 	fmt.Fprintln(w, "Fig 12: GNNDrive epoch runtime (s) vs feature-buffer size (x of Ne*Mb)")
@@ -316,11 +317,11 @@ func Fig12(w io.Writer, o Opts) error {
 			for _, m := range muls {
 				cfg := trainsim.Config{Dataset: spec, Model: nn.GraphSAGE,
 					FeatureBufferX: m, Scale: o.Scale}
-				d, fail := runCell(cfg, sys, o.Epochs)
+				d, fail := runCell(ctx, cfg, sys, o.Epochs)
 				fmt.Fprintf(w, "%12s", fmtCell(d, fail))
 			}
 			fmt.Fprintln(w)
 		}
 	}
-	return nil
+	return ctx.Err()
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -9,7 +10,7 @@ import (
 
 func TestTable1PrintsAllDatasets(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Table1(&buf, Opts{}); err != nil {
+	if err := Table1(context.Background(), &buf, Opts{}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

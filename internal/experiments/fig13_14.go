@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -13,7 +14,7 @@ import (
 
 // Fig13 prints GNNDrive's multi-GPU scalability: epoch time vs number of
 // data-parallel workers on the K80 machine (256 "GB" host memory).
-func Fig13(w io.Writer, o Opts) error {
+func Fig13(ctx context.Context, w io.Writer, o Opts) error {
 	o = o.fill()
 	workers := []int{1, 2, 4, 6, 8}
 	specs := []gen.Spec{gen.MAG240M(), gen.Papers()}
@@ -27,7 +28,7 @@ func Fig13(w io.Writer, o Opts) error {
 		for _, nw := range workers {
 			cfg := trainsim.Config{Dataset: spec, Model: nn.GraphSAGE,
 				HostMemoryGB: 256, Scale: o.Scale}
-			d, err := trainsim.RunParallel(cfg, nw, device.TeslaK80(), o.Epochs)
+			d, err := trainsim.RunParallel(ctx, cfg, nw, device.TeslaK80(), o.Epochs)
 			if err != nil {
 				fmt.Fprintf(w, "%14s", classify(err))
 				continue
@@ -44,14 +45,14 @@ func Fig13(w io.Writer, o Opts) error {
 		fmt.Fprintln(w)
 		trainsim.DropDatasets()
 	}
-	return nil
+	return ctx.Err()
 }
 
 // Fig14 prints time-to-accuracy curves with real float32 training:
 // cumulative wall time and validation accuracy per epoch for each system,
 // plus GNNDrive with mini-batch reordering disabled (the convergence
 // claim of §5.3).
-func Fig14(w io.Writer, o Opts) error {
+func Fig14(ctx context.Context, w io.Writer, o Opts) error {
 	o = o.fill()
 	epochs := o.Epochs
 	if epochs < 3 {
@@ -70,12 +71,12 @@ func Fig14(w io.Writer, o Opts) error {
 	for _, sys := range systems {
 		cfg := trainsim.Config{Dataset: gen.Papers(), Model: nn.GraphSAGE,
 			RealTrain: true, Hidden: hidden, Scale: o.Scale}
-		printCurve(w, sys.String(), cfg, sys, epochs)
+		printCurve(ctx, w, sys.String(), cfg, sys, epochs)
 	}
 	// Reordering ablation: same pipeline forced in-order.
 	cfg := trainsim.Config{Dataset: gen.Papers(), Model: nn.GraphSAGE,
 		RealTrain: true, Hidden: hidden, Scale: o.Scale, InOrder: true}
-	printCurve(w, "GNNDrive-GPU(in-order)", cfg, trainsim.GNNDriveGPU, epochs)
+	printCurve(ctx, w, "GNNDrive-GPU(in-order)", cfg, trainsim.GNNDriveGPU, epochs)
 
 	fmt.Fprintln(w, "Fig 14(b): time-to-accuracy, mag240m-s + GraphSAGE (real training)")
 	bSystems := []trainsim.SystemKind{trainsim.GNNDriveGPU}
@@ -85,14 +86,14 @@ func Fig14(w io.Writer, o Opts) error {
 	for _, sys := range bSystems {
 		cfg := trainsim.Config{Dataset: gen.MAG240M(), Model: nn.GraphSAGE,
 			RealTrain: true, Hidden: hidden, Scale: o.Scale, TrainLimit: 4000}
-		printCurve(w, sys.String(), cfg, sys, epochs)
+		printCurve(ctx, w, sys.String(), cfg, sys, epochs)
 	}
 	trainsim.DropDatasets()
-	return nil
+	return ctx.Err()
 }
 
-func printCurve(w io.Writer, label string, cfg trainsim.Config, sys trainsim.SystemKind, epochs int) {
-	res, err := trainsim.Run(cfg, sys, trainsim.RunOptions{Epochs: epochs, EvalVal: true})
+func printCurve(ctx context.Context, w io.Writer, label string, cfg trainsim.Config, sys trainsim.SystemKind, epochs int) {
+	res, err := trainsim.RunCtx(ctx, cfg, sys, trainsim.RunOptions{Epochs: epochs, EvalVal: true})
 	if err != nil {
 		fmt.Fprintf(w, "%-24s %s\n", label, classify(err))
 		return
@@ -113,7 +114,7 @@ func printCurve(w io.Writer, label string, cfg trainsim.Config, sys trainsim.Sys
 // Table2 prints the MariusGNN comparison: data preparation, training, and
 // overall per-epoch time for Papers100M and MAG240M, with MariusGNN at 32
 // and 128 scaled-GB (Table 2, including the OOM cells).
-func Table2(w io.Writer, o Opts) error {
+func Table2(ctx context.Context, w io.Writer, o Opts) error {
 	o = o.fill()
 	type row struct {
 		name string
@@ -144,7 +145,7 @@ func Table2(w io.Writer, o Opts) error {
 			}
 			cfg := trainsim.Config{Dataset: spec, Model: nn.GraphSAGE,
 				HostMemoryGB: r.mem, Scale: o.Scale}
-			res, err := trainsim.Run(cfg, r.sys, trainsim.RunOptions{Epochs: o.Epochs})
+			res, err := trainsim.RunCtx(ctx, cfg, r.sys, trainsim.RunOptions{Epochs: o.Epochs})
 			if err != nil {
 				fmt.Fprintf(w, " | %-26s", classify(err))
 				continue
@@ -156,13 +157,13 @@ func Table2(w io.Writer, o Opts) error {
 		fmt.Fprintln(w)
 	}
 	trainsim.DropDatasets()
-	return nil
+	return ctx.Err()
 }
 
 // Ablations measures GNNDrive with each design choice disabled: the
 // asynchronous extraction, direct I/O, mini-batch reordering, and the
 // full-size feature buffer.
-func Ablations(w io.Writer, o Opts) error {
+func Ablations(ctx context.Context, w io.Writer, o Opts) error {
 	o = o.fill()
 	fmt.Fprintln(w, "Ablations: GNNDrive-GPU epoch runtime (s), papers100m-s + GraphSAGE")
 	type variant struct {
@@ -180,8 +181,8 @@ func Ablations(w io.Writer, o Opts) error {
 	for _, v := range variants {
 		cfg := trainsim.Config{Dataset: gen.Papers(), Model: nn.GraphSAGE, Scale: o.Scale}
 		v.mut(&cfg)
-		d, fail := runCell(cfg, trainsim.GNNDriveGPU, o.Epochs)
+		d, fail := runCell(ctx, cfg, trainsim.GNNDriveGPU, o.Epochs)
 		fmt.Fprintf(w, "%-36s %12s\n", v.name, fmtCell(d, fail))
 	}
-	return nil
+	return ctx.Err()
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -20,7 +21,7 @@ import (
 // point. With Opts.Backend "file" the sweep runs against a real file
 // (Opts.DataFile or a temp file) instead of the simulated SSD, so the
 // same grid measures actual disk behavior.
-func FigB1(w io.Writer, o Opts) error {
+func FigB1(ctx context.Context, w io.Writer, o Opts) error {
 	o = o.fill()
 	const fileBytes = 48 << 20 // the "30 GB file" at scale
 	readsTotal := 12000
@@ -54,7 +55,7 @@ func FigB1(w io.Writer, o Opts) error {
 	measure := func(spec iobench.Spec) (float64, time.Duration) {
 		spec.FileBytes = fileBytes
 		spec.Reads = readsTotal
-		res, err := iobench.Run(dev, spec)
+		res, err := iobench.Run(ctx, dev, spec)
 		if err != nil {
 			return 0, 0
 		}
@@ -78,5 +79,5 @@ func FigB1(w io.Writer, o Opts) error {
 		fmt.Fprintf(w, "%-10d %12.1f %12v %12.1f %12v\n",
 			depth, db, dl.Round(time.Microsecond), bb, bl.Round(time.Microsecond))
 	}
-	return nil
+	return ctx.Err()
 }

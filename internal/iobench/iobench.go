@@ -7,6 +7,7 @@
 package iobench
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -47,21 +48,22 @@ type Result struct {
 // MBps returns the bandwidth in MB/s.
 func (r Result) MBps() float64 { return r.Bandwidth / 1e6 }
 
-// Run executes the spec against dev.
-func Run(dev storage.Backend, spec Spec) (Result, error) {
+// Run executes the spec against dev; cancelling ctx fails the reads still
+// to come.
+func Run(ctx context.Context, dev storage.Backend, spec Spec) (Result, error) {
 	if spec.FileBytes <= 0 || spec.Reads <= 0 {
 		return Result{}, fmt.Errorf("iobench: bad spec %+v", spec)
 	}
 	if spec.Threads > 0 {
-		return runSync(dev, spec)
+		return runSync(ctx, dev, spec)
 	}
 	if spec.Depth <= 0 {
 		return Result{}, fmt.Errorf("iobench: need Threads or Depth")
 	}
-	return runAsync(dev, spec)
+	return runAsync(ctx, dev, spec)
 }
 
-func runSync(dev storage.Backend, spec Spec) (Result, error) {
+func runSync(ctx context.Context, dev storage.Backend, spec Spec) (Result, error) {
 	var file *pagecache.File
 	if spec.Buffered {
 		pool := spec.CachePool
@@ -92,9 +94,9 @@ func runSync(dev storage.Backend, spec Spec) (Result, error) {
 				t0 := time.Now()
 				var err error
 				if file != nil {
-					_, err = file.Read(off, buf)
+					_, err = file.ReadCtx(ctx, off, buf)
 				} else {
-					_, err = dev.ReadDirect(buf, off)
+					_, err = dev.ReadDirectCtx(ctx, buf, off)
 				}
 				if err != nil {
 					firstErr.Store(1)
@@ -116,12 +118,17 @@ func runSync(dev storage.Backend, spec Spec) (Result, error) {
 	}, nil
 }
 
-func runAsync(dev storage.Backend, spec Spec) (Result, error) {
+func runAsync(ctx context.Context, dev storage.Backend, spec Spec) (Result, error) {
 	ring := uring.NewRing(dev, spec.Depth)
 	rng := tensor.NewRNG(spec.Seed + uint64(spec.Depth)*31 + 7)
+	// One buffer per ring slot; free lists the ones no read is in flight
+	// into. The CQE's user cookie names the buffer a completion returns
+	// (completions arrive out of order, so submit order cannot).
 	bufs := make([][]byte, spec.Depth)
+	free := make([]int, spec.Depth)
 	for i := range bufs {
 		bufs[i] = storage.AlignedBuf(512, 512)
+		free[i] = i
 	}
 	var latSum time.Duration
 	submitted, collected := 0, 0
@@ -130,18 +137,19 @@ func runAsync(dev storage.Backend, spec Spec) (Result, error) {
 		// Refill every free slot, then publish the whole batch with one
 		// Flush — on a batching backend (linuring) that is a single
 		// io_uring_enter regardless of how many reads were queued.
-		for submitted < spec.Reads && ring.Inflight() < spec.Depth {
+		for submitted < spec.Reads && len(free) > 0 {
 			off := int64(rng.Intn(int(spec.FileBytes/512))) * 512
-			buf := bufs[submitted%spec.Depth]
+			slot := free[len(free)-1]
 			var err error
 			if spec.Buffered {
-				err = ring.QueueBufferedRead(buf, off, uint64(submitted))
+				err = ring.QueueBufferedReadCtx(ctx, bufs[slot], off, uint64(slot))
 			} else {
-				err = ring.QueueRead(buf, off, uint64(submitted))
+				err = ring.QueueReadCtx(ctx, bufs[slot], off, uint64(slot))
 			}
 			if err != nil {
 				return Result{}, err
 			}
+			free = free[:len(free)-1]
 			submitted++
 		}
 		ring.Flush()
@@ -152,6 +160,7 @@ func runAsync(dev storage.Backend, spec Spec) (Result, error) {
 			if c.Err != nil {
 				return Result{}, c.Err
 			}
+			free = append(free, int(c.User))
 			latSum += c.Latency
 			collected++
 		}

@@ -1,6 +1,7 @@
 package iobench
 
 import (
+	"context"
 	"testing"
 
 	"gnndrive/internal/storage/sim"
@@ -14,7 +15,7 @@ func testDev(t *testing.T) *sim.Device {
 }
 
 func TestSyncDirect(t *testing.T) {
-	res, err := Run(testDev(t), Spec{FileBytes: 1 << 20, Reads: 500, Threads: 4})
+	res, err := Run(context.Background(), testDev(t), Spec{FileBytes: 1 << 20, Reads: 500, Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +25,7 @@ func TestSyncDirect(t *testing.T) {
 }
 
 func TestSyncBuffered(t *testing.T) {
-	res, err := Run(testDev(t), Spec{FileBytes: 1 << 20, Reads: 500, Threads: 2, Buffered: true, CachePool: 1 << 20})
+	res, err := Run(context.Background(), testDev(t), Spec{FileBytes: 1 << 20, Reads: 500, Threads: 2, Buffered: true, CachePool: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestSyncBuffered(t *testing.T) {
 
 func TestAsyncDepths(t *testing.T) {
 	for _, depth := range []int{1, 8, 64} {
-		res, err := Run(testDev(t), Spec{FileBytes: 1 << 20, Reads: 500, Depth: depth})
+		res, err := Run(context.Background(), testDev(t), Spec{FileBytes: 1 << 20, Reads: 500, Depth: depth})
 		if err != nil {
 			t.Fatalf("depth %d: %v", depth, err)
 		}
@@ -46,17 +47,17 @@ func TestAsyncDepths(t *testing.T) {
 }
 
 func TestAsyncBuffered(t *testing.T) {
-	if _, err := Run(testDev(t), Spec{FileBytes: 1 << 20, Reads: 200, Depth: 4, Buffered: true}); err != nil {
+	if _, err := Run(context.Background(), testDev(t), Spec{FileBytes: 1 << 20, Reads: 200, Depth: 4, Buffered: true}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestBadSpecs(t *testing.T) {
 	d := testDev(t)
-	if _, err := Run(d, Spec{FileBytes: 0, Reads: 10, Threads: 1}); err == nil {
+	if _, err := Run(context.Background(), d, Spec{FileBytes: 0, Reads: 10, Threads: 1}); err == nil {
 		t.Fatal("zero file accepted")
 	}
-	if _, err := Run(d, Spec{FileBytes: 1 << 20, Reads: 10}); err == nil {
+	if _, err := Run(context.Background(), d, Spec{FileBytes: 1 << 20, Reads: 10}); err == nil {
 		t.Fatal("neither threads nor depth rejected")
 	}
 }

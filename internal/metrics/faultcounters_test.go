@@ -8,13 +8,10 @@ import (
 
 func TestRecorderFaultCounters(t *testing.T) {
 	r := NewRecorder()
-	r.AddRetries(3)
-	r.AddFallbacks(2)
-	r.AddEscalations(1)
-	r.AddRetries(4)
-	if r.Retries() != 7 || r.Fallbacks() != 2 || r.Escalations() != 1 {
-		t.Fatalf("retries=%d fallbacks=%d escalations=%d",
-			r.Retries(), r.Fallbacks(), r.Escalations())
+	r.Add(Counters{Retries: 3, Fallbacks: 2, Escalations: 1})
+	r.Add(Counters{Retries: 4})
+	if c := r.Counters(); c.Retries != 7 || c.Fallbacks != 2 || c.Escalations != 1 {
+		t.Fatalf("counters %+v", c)
 	}
 }
 
@@ -26,9 +23,7 @@ func TestBreakdownCollectorFaultCounters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				c.AddRetries(1)
-				c.AddFallbacks(2)
-				c.AddEscalations(3)
+				c.Add(Counters{Retries: 1, Fallbacks: 2, Escalations: 3})
 			}
 		}()
 	}

@@ -9,9 +9,9 @@ import (
 
 func TestRecorderIntegrityAccumulates(t *testing.T) {
 	r := NewRecorder()
-	r.AddIntegrity(storage.IntegrityStats{ChecksumFailures: 2, Repairs: 2, HedgesIssued: 1})
-	r.AddIntegrity(storage.IntegrityStats{ChecksumFailures: 1, HedgesWon: 1, BreakerTrips: 1})
-	got := r.Integrity()
+	r.Add(Counters{Integrity: storage.IntegrityStats{ChecksumFailures: 2, Repairs: 2, HedgesIssued: 1}})
+	r.Add(Counters{Integrity: storage.IntegrityStats{ChecksumFailures: 1, HedgesWon: 1, BreakerTrips: 1}})
+	got := r.Counters().Integrity
 	want := storage.IntegrityStats{ChecksumFailures: 3, Repairs: 2, HedgesIssued: 1,
 		HedgesWon: 1, BreakerTrips: 1}
 	if got != want {
@@ -26,7 +26,7 @@ func TestBreakdownCollectorIntegrity(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c.AddIntegrity(storage.IntegrityStats{VerifiedReads: 10, Repairs: 1})
+			c.Add(Counters{Integrity: storage.IntegrityStats{VerifiedReads: 10, Repairs: 1}})
 		}()
 	}
 	wg.Wait()

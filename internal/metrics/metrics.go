@@ -17,36 +17,100 @@ import (
 	"gnndrive/internal/storage"
 )
 
-// Recorder accumulates busy/wait counters from every pipeline component.
+// Counters is the one declaration of the pipeline's counter set: what a
+// batch, an epoch and a whole job report about extraction, fault handling
+// and storage integrity. A stage describes what it just did as a Counters
+// delta; the per-epoch BreakdownCollector and the run-cumulative Recorder
+// both sum deltas through Add, and Breakdown, trainsim.EpochStats and the
+// serve daemon's /metrics Snapshot all embed the result.
+type Counters struct {
+	Batches        int   `json:"batches"`
+	NodesExtracted int64 `json:"nodes_extracted"`
+	// BytesRead is what came off the device; BytesNeeded is the payload
+	// batches actually required from storage (misses × feature size), so
+	// BytesRead/BytesNeeded is the read amplification. BytesReused is
+	// feature bytes served from the feature buffer without I/O.
+	BytesRead   int64 `json:"bytes_read"`
+	BytesReused int64 `json:"bytes_reused"`
+	BytesNeeded int64 `json:"bytes_needed"`
+	// BackendReads counts the read ops the planner issued — packed layouts
+	// shrink it by coalescing co-accessed nodes into joint reads.
+	BackendReads int64 `json:"backend_reads"`
+
+	// Fault tolerance: reads retried after a transient storage error,
+	// direct→buffered degradations, errors escalated after the retry
+	// budget ran out (or that were never retryable), and watchdog-detected
+	// pipeline stalls.
+	Retries     int64 `json:"retries"`
+	Fallbacks   int64 `json:"fallbacks"`
+	Escalations int64 `json:"escalations"`
+	Stalls      int64 `json:"stalls"`
+
+	// Integrity holds the storage integrity layer's counters (checksum
+	// verification, read-repair, hedged reads, breaker transitions);
+	// all-zero when no integrity layer is attached.
+	Integrity storage.IntegrityStats `json:"integrity"`
+}
+
+// Add sums d into c field by field.
+func (c *Counters) Add(d Counters) {
+	c.Batches += d.Batches
+	c.NodesExtracted += d.NodesExtracted
+	c.BytesRead += d.BytesRead
+	c.BytesReused += d.BytesReused
+	c.BytesNeeded += d.BytesNeeded
+	c.BackendReads += d.BackendReads
+	c.Retries += d.Retries
+	c.Fallbacks += d.Fallbacks
+	c.Escalations += d.Escalations
+	c.Stalls += d.Stalls
+	c.Integrity = c.Integrity.Add(d.Integrity)
+}
+
+// ReadAmplification returns BytesRead / BytesNeeded — how many bytes were
+// pulled off the device per byte a batch actually consumed. 1.0 is
+// perfect; alignment slack and joint-read redundancy push it up. Zero
+// when nothing was needed (fully cached).
+func (c Counters) ReadAmplification() float64 {
+	if c.BytesNeeded == 0 {
+		return 0
+	}
+	return float64(c.BytesRead) / float64(c.BytesNeeded)
+}
+
+// counterSum is a Counters total that concurrent stages add deltas to.
+// Deltas arrive once per batch, so one mutex is cheaper than it looks and
+// keeps a reader's copy consistent across fields.
+type counterSum struct {
+	mu  sync.Mutex
+	sum Counters
+}
+
+// Add merges one delta into the total.
+func (s *counterSum) Add(d Counters) {
+	s.mu.Lock()
+	s.sum.Add(d)
+	s.mu.Unlock()
+}
+
+// Counters returns a copy of the total so far.
+func (s *counterSum) Counters() Counters {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sum
+}
+
+// Recorder accumulates a run's busy/wait time and its cumulative Counters
+// from every pipeline component. A crash-resumed epoch re-reads the
+// device, and the counters honestly include that.
 type Recorder struct {
 	cpuBusy atomic.Int64 // nanos of useful CPU work
 	ioWait  atomic.Int64 // nanos blocked on synchronous I/O
-	// Fault-tolerance counters: reads retried after a transient storage
-	// error, direct→buffered degradations, and errors escalated after the
-	// retry budget ran out (or that were never retryable).
-	retries     atomic.Int64
-	fallbacks   atomic.Int64
-	escalations atomic.Int64
-	// stalls counts watchdog-detected pipeline stalls (a stage made no
-	// progress for the configured deadline and the run was cancelled).
-	stalls atomic.Int64
-	// Read-efficiency counters, accumulated per epoch from the
-	// breakdown: device bytes pulled, payload bytes batches actually
-	// required, and backend read ops issued. BytesRead/BytesNeeded is
-	// the job's cumulative read amplification; a crash-resumed epoch
-	// re-reads the device, and the counters honestly include that.
-	bytesRead    atomic.Int64
-	bytesNeeded  atomic.Int64
-	backendReads atomic.Int64
+	counterSum
 	// gpuBusy is a provider because device busy time lives in the device
 	// model; nil means "no GPU". Atomic: the engine installs it while a
 	// previously started sampler may already be reading.
 	gpuBusy atomic.Pointer[func() int64]
-
-	// integrity accumulates the storage integrity layer's counters
-	// (merged per epoch from backend snapshot diffs).
-	integrityMu sync.Mutex
-	integrity   storage.IntegrityStats
 }
 
 // NewRecorder creates an empty recorder.
@@ -83,66 +147,6 @@ func (r *Recorder) CPUBusy() time.Duration { return time.Duration(r.cpuBusy.Load
 
 // IOWait returns cumulative I/O-wait time.
 func (r *Recorder) IOWait() time.Duration { return time.Duration(r.ioWait.Load()) }
-
-// AddRetries accounts reads resubmitted after transient errors.
-func (r *Recorder) AddRetries(n int64) { r.retries.Add(n) }
-
-// AddFallbacks accounts direct→buffered read degradations.
-func (r *Recorder) AddFallbacks(n int64) { r.fallbacks.Add(n) }
-
-// AddEscalations accounts errors given up on (budget exhausted or
-// permanent).
-func (r *Recorder) AddEscalations(n int64) { r.escalations.Add(n) }
-
-// Retries returns cumulative retried reads.
-func (r *Recorder) Retries() int64 { return r.retries.Load() }
-
-// Fallbacks returns cumulative direct→buffered degradations.
-func (r *Recorder) Fallbacks() int64 { return r.fallbacks.Load() }
-
-// Escalations returns cumulative escalated errors.
-func (r *Recorder) Escalations() int64 { return r.escalations.Load() }
-
-// AddStalls accounts watchdog-detected pipeline stalls.
-func (r *Recorder) AddStalls(n int64) { r.stalls.Add(n) }
-
-// Stalls returns cumulative detected pipeline stalls.
-func (r *Recorder) Stalls() int64 { return r.stalls.Load() }
-
-// AddReads accounts one epoch's read-efficiency counters: device bytes
-// read, payload bytes needed, and backend read ops issued.
-func (r *Recorder) AddReads(bytesRead, bytesNeeded, backendReads int64) {
-	r.bytesRead.Add(bytesRead)
-	r.bytesNeeded.Add(bytesNeeded)
-	r.backendReads.Add(backendReads)
-}
-
-// BackendReads returns cumulative backend read ops.
-func (r *Recorder) BackendReads() int64 { return r.backendReads.Load() }
-
-// ReadAmplification returns cumulative BytesRead/BytesNeeded (zero when
-// nothing was needed yet).
-func (r *Recorder) ReadAmplification() float64 {
-	needed := r.bytesNeeded.Load()
-	if needed == 0 {
-		return 0
-	}
-	return float64(r.bytesRead.Load()) / float64(needed)
-}
-
-// AddIntegrity merges an integrity-counter interval into the run totals.
-func (r *Recorder) AddIntegrity(d storage.IntegrityStats) {
-	r.integrityMu.Lock()
-	r.integrity = r.integrity.Add(d)
-	r.integrityMu.Unlock()
-}
-
-// Integrity returns the cumulative integrity counters recorded so far.
-func (r *Recorder) Integrity() storage.IntegrityStats {
-	r.integrityMu.Lock()
-	defer r.integrityMu.Unlock()
-	return r.integrity
-}
 
 // Window is one sampling interval of the utilization time series.
 type Window struct {
@@ -250,9 +254,9 @@ func (s *Sampler) Stop() []Window {
 	return s.windows
 }
 
-// Breakdown is a per-epoch stage timing summary. Stage times are summed
-// across the workers of that stage (they overlap in wall-clock time for
-// pipelined systems); Total is wall-clock.
+// Breakdown is a per-epoch summary: stage times plus the epoch's Counters.
+// Stage times are summed across the workers of that stage (they overlap
+// in wall-clock time for pipelined systems); Total is wall-clock.
 type Breakdown struct {
 	Prep    time.Duration // MariusGNN-style data preparation
 	Sample  time.Duration
@@ -261,49 +265,7 @@ type Breakdown struct {
 	Release time.Duration
 	Total   time.Duration
 
-	Batches        int
-	NodesExtracted int64
-	BytesRead      int64
-	BytesReused    int64 // feature bytes served from the feature buffer
-	// BytesNeeded is the payload bytes batches actually required from
-	// storage (misses × feature size); BytesRead/BytesNeeded is the
-	// epoch's read amplification. BackendReads counts the read ops the
-	// planner issued — packed layouts shrink it by coalescing co-accessed
-	// nodes into joint reads.
-	BytesNeeded  int64
-	BackendReads int64
-
-	// Fault tolerance: reads retried after transient storage errors,
-	// direct→buffered degradations, and errors escalated to the caller.
-	Retries     int64
-	Fallbacks   int64
-	Escalations int64
-	// Stalls counts watchdog-detected pipeline stalls for the epoch.
-	Stalls int64
-
-	// Integrity holds the storage integrity layer's counters for the
-	// epoch (checksum verification, read-repair, hedged reads, breaker
-	// transitions); all-zero when no integrity layer is attached.
-	Integrity storage.IntegrityStats
-}
-
-// ReadAmplification returns BytesRead / BytesNeeded — how many bytes the
-// epoch pulled off the device per byte a batch actually consumed. 1.0 is
-// perfect; alignment slack and joint-read redundancy push it up. Zero
-// when nothing was needed (fully cached epoch).
-func (b Breakdown) ReadAmplification() float64 {
-	if b.BytesNeeded == 0 {
-		return 0
-	}
-	return float64(b.BytesRead) / float64(b.BytesNeeded)
-}
-
-// ReadsPerBatch returns the mean backend read ops per mini-batch.
-func (b Breakdown) ReadsPerBatch() float64 {
-	if b.Batches == 0 {
-		return 0
-	}
-	return float64(b.BackendReads) / float64(b.Batches)
+	Counters
 }
 
 // atomicDuration supports concurrent stage accumulation.
@@ -312,25 +274,12 @@ type atomicDuration struct{ n atomic.Int64 }
 func (a *atomicDuration) add(d time.Duration) { a.n.Add(int64(d)) }
 func (a *atomicDuration) load() time.Duration { return time.Duration(a.n.Load()) }
 
-// BreakdownCollector accumulates a Breakdown from concurrent stages.
+// BreakdownCollector accumulates a Breakdown from concurrent stages:
+// stage times through the five adders, everything else as Counters deltas
+// through Add.
 type BreakdownCollector struct {
 	prep, sample, extract, train, release atomicDuration
-	batches                               atomic.Int64
-	nodesExtracted                        atomic.Int64
-	bytesRead                             atomic.Int64
-	bytesReused                           atomic.Int64
-	bytesNeeded                           atomic.Int64
-	backendReads                          atomic.Int64
-	retries                               atomic.Int64
-	fallbacks                             atomic.Int64
-	escalations                           atomic.Int64
-	stalls                                atomic.Int64
-
-	// integrity is set once per epoch from a backend snapshot diff, not
-	// accumulated sample-by-sample; the mutex keeps Snapshot readers
-	// consistent with a concurrent AddIntegrity.
-	integrityMu sync.Mutex
-	integrity   storage.IntegrityStats
+	counterSum
 }
 
 // AddPrep adds data-preparation time.
@@ -348,66 +297,15 @@ func (c *BreakdownCollector) AddTrain(d time.Duration) { c.train.add(d) }
 // AddRelease adds release-stage time.
 func (c *BreakdownCollector) AddRelease(d time.Duration) { c.release.add(d) }
 
-// AddBatch counts one completed mini-batch.
-func (c *BreakdownCollector) AddBatch() { c.batches.Add(1) }
-
-// AddExtracted counts nodes and bytes loaded from storage.
-func (c *BreakdownCollector) AddExtracted(nodes int64, bytes int64) {
-	c.nodesExtracted.Add(nodes)
-	c.bytesRead.Add(bytes)
-}
-
-// AddReused counts feature bytes served without I/O.
-func (c *BreakdownCollector) AddReused(bytes int64) { c.bytesReused.Add(bytes) }
-
-// AddBackendReads counts read ops issued to the storage backend.
-func (c *BreakdownCollector) AddBackendReads(n int64) { c.backendReads.Add(n) }
-
-// AddBytesNeeded counts the payload bytes batches required from storage.
-func (c *BreakdownCollector) AddBytesNeeded(bytes int64) { c.bytesNeeded.Add(bytes) }
-
-// AddRetries counts reads resubmitted after transient errors.
-func (c *BreakdownCollector) AddRetries(n int64) { c.retries.Add(n) }
-
-// AddFallbacks counts direct→buffered read degradations.
-func (c *BreakdownCollector) AddFallbacks(n int64) { c.fallbacks.Add(n) }
-
-// AddEscalations counts errors given up on.
-func (c *BreakdownCollector) AddEscalations(n int64) { c.escalations.Add(n) }
-
-// AddStalls counts watchdog-detected pipeline stalls.
-func (c *BreakdownCollector) AddStalls(n int64) { c.stalls.Add(n) }
-
-// AddIntegrity merges an integrity-counter interval (the difference of
-// two backend snapshots) into the breakdown.
-func (c *BreakdownCollector) AddIntegrity(d storage.IntegrityStats) {
-	c.integrityMu.Lock()
-	c.integrity = c.integrity.Add(d)
-	c.integrityMu.Unlock()
-}
-
 // Snapshot finalizes the breakdown with the epoch wall-clock total.
 func (c *BreakdownCollector) Snapshot(total time.Duration) Breakdown {
-	c.integrityMu.Lock()
-	integ := c.integrity
-	c.integrityMu.Unlock()
 	return Breakdown{
-		Integrity:      integ,
-		Prep:           c.prep.load(),
-		Sample:         c.sample.load(),
-		Extract:        c.extract.load(),
-		Train:          c.train.load(),
-		Release:        c.release.load(),
-		Total:          total,
-		Batches:        int(c.batches.Load()),
-		NodesExtracted: c.nodesExtracted.Load(),
-		BytesRead:      c.bytesRead.Load(),
-		BytesReused:    c.bytesReused.Load(),
-		BytesNeeded:    c.bytesNeeded.Load(),
-		BackendReads:   c.backendReads.Load(),
-		Retries:        c.retries.Load(),
-		Fallbacks:      c.fallbacks.Load(),
-		Escalations:    c.escalations.Load(),
-		Stalls:         c.stalls.Load(),
+		Prep:     c.prep.load(),
+		Sample:   c.sample.load(),
+		Extract:  c.extract.load(),
+		Train:    c.train.load(),
+		Release:  c.release.load(),
+		Total:    total,
+		Counters: c.Counters(),
 	}
 }

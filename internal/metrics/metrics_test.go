@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -94,9 +95,7 @@ func TestBreakdownCollector(t *testing.T) {
 			c.AddExtract(2 * time.Millisecond)
 			c.AddTrain(3 * time.Millisecond)
 			c.AddRelease(time.Microsecond)
-			c.AddBatch()
-			c.AddExtracted(10, 5120)
-			c.AddReused(1024)
+			c.Add(Counters{Batches: 1, NodesExtracted: 10, BytesRead: 5120, BytesReused: 1024})
 		}()
 	}
 	wg.Wait()
@@ -112,4 +111,49 @@ func TestBreakdownCollector(t *testing.T) {
 	if b.Batches != 8 || b.NodesExtracted != 80 || b.BytesRead != 8*5120 || b.BytesReused != 8*1024 {
 		t.Fatalf("counters %+v", b)
 	}
+}
+
+// fillDistinct sets every integer field of v (nested structs included) to
+// its own value, so a field Add forgets cannot hide behind a zero.
+func fillDistinct(t *testing.T, v reflect.Value, next *int64) {
+	t.Helper()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		switch f.Kind() {
+		case reflect.Struct:
+			fillDistinct(t, f, next)
+		case reflect.Int, reflect.Int64:
+			*next++
+			f.SetInt(*next)
+		default:
+			t.Fatalf("Counters field %s has kind %v: teach Add and this test about it",
+				v.Type().Field(i).Name, f.Kind())
+		}
+	}
+}
+
+// TestCountersAddCoversEveryField pins the one place the counter list is
+// written twice: a field added to Counters (or to storage.IntegrityStats)
+// but not to Add fails here.
+func TestCountersAddCoversEveryField(t *testing.T) {
+	var c Counters
+	var n int64
+	fillDistinct(t, reflect.ValueOf(&c).Elem(), &n)
+	if n < 21 {
+		t.Fatalf("filled only %d fields; the walk is broken", n)
+	}
+	sum := c
+	sum.Add(c)
+	var check func(path string, one, two reflect.Value)
+	check = func(path string, one, two reflect.Value) {
+		for i := 0; i < one.NumField(); i++ {
+			name := path + one.Type().Field(i).Name
+			if one.Field(i).Kind() == reflect.Struct {
+				check(name+".", one.Field(i), two.Field(i))
+			} else if two.Field(i).Int() != 2*one.Field(i).Int() {
+				t.Errorf("%s: %d after Add, want %d", name, two.Field(i).Int(), 2*one.Field(i).Int())
+			}
+		}
+	}
+	check("", reflect.ValueOf(c), reflect.ValueOf(sum))
 }

@@ -1,54 +1,35 @@
 package metrics
 
-import (
-	"sync"
+import "sync"
 
-	"gnndrive/internal/storage"
-)
-
-// Snapshot is a point-in-time copy of one Recorder's counters, shaped
-// for JSON export (the serve daemon's /metrics endpoint reports one per
-// job plus a daemon-wide aggregate).
+// Snapshot is a point-in-time copy of one Recorder, shaped for JSON
+// export (the serve daemon's /metrics endpoint reports one per job): the
+// busy/wait clocks, the cumulative Counters under their own JSON keys,
+// and the read amplification derived from them (zero until the first
+// batch that needed storage).
 type Snapshot struct {
-	CPUBusyNs   int64 `json:"cpu_busy_ns"`
-	IOWaitNs    int64 `json:"io_wait_ns"`
-	Retries     int64 `json:"retries"`
-	Fallbacks   int64 `json:"fallbacks"`
-	Escalations int64 `json:"escalations"`
-	Stalls      int64 `json:"stalls"`
-	// Read-efficiency counters, cumulative across the job's epochs:
-	// backend read ops issued, device bytes pulled versus payload bytes
-	// needed, and their ratio (the job's read amplification; zero until
-	// the first epoch that needed storage).
-	BytesRead         int64                  `json:"bytes_read"`
-	BytesNeeded       int64                  `json:"bytes_needed"`
-	BackendReads      int64                  `json:"backend_reads"`
-	ReadAmplification float64                `json:"read_amplification"`
-	Integrity         storage.IntegrityStats `json:"integrity"`
+	CPUBusyNs int64 `json:"cpu_busy_ns"`
+	IOWaitNs  int64 `json:"io_wait_ns"`
+	Counters
+	ReadAmplification float64 `json:"read_amplification"`
 }
 
-// Snapshot copies the recorder's counters. Concurrent adders keep
-// running; the snapshot is internally consistent per counter, not
-// across counters (standard monitoring semantics).
+// Snapshot copies the recorder. Concurrent adders keep running; the
+// Counters are one consistent copy, the two clocks are read beside them
+// (standard monitoring semantics).
 func (r *Recorder) Snapshot() Snapshot {
+	c := r.Counters()
 	return Snapshot{
 		CPUBusyNs:         r.cpuBusy.Load(),
 		IOWaitNs:          r.ioWait.Load(),
-		Retries:           r.retries.Load(),
-		Fallbacks:         r.fallbacks.Load(),
-		Escalations:       r.escalations.Load(),
-		Stalls:            r.stalls.Load(),
-		BytesRead:         r.bytesRead.Load(),
-		BytesNeeded:       r.bytesNeeded.Load(),
-		BackendReads:      r.BackendReads(),
-		ReadAmplification: r.ReadAmplification(),
-		Integrity:         r.Integrity(),
+		Counters:          c,
+		ReadAmplification: c.ReadAmplification(),
 	}
 }
 
 // Registry hands out one Recorder per job and snapshots them all for the
-// per-job metrics breakdown. Recorders survive Drop only as snapshots;
-// a re-created id starts fresh.
+// per-job metrics breakdown. Job records are never removed from a
+// running daemon, so neither are their recorders.
 type Registry struct {
 	mu   sync.Mutex
 	recs map[string]*Recorder
@@ -70,13 +51,6 @@ func (g *Registry) Recorder(id string) *Recorder {
 		g.recs[id] = r
 	}
 	return r
-}
-
-// Drop forgets the recorder registered under id.
-func (g *Registry) Drop(id string) {
-	g.mu.Lock()
-	delete(g.recs, id)
-	g.mu.Unlock()
 }
 
 // SnapshotAll snapshots every registered recorder, keyed by id.

@@ -80,7 +80,9 @@ func TestMeanAggregateConstantProperty(t *testing.T) {
 		b.Layers = []sample.Layer{layer}
 		e := buildEdges(b)
 		x := tensor.New(n, 3)
-		x.Fill(2.5)
+		for i := range x.Data {
+			x.Data[i] = 2.5
+		}
 		agg := meanAggregate(nil, e, x)
 		for _, v := range agg.Data {
 			if v < 2.4999 || v > 2.5001 {

@@ -166,13 +166,6 @@ func (m *Model) Params() []*Param {
 	return ps
 }
 
-// ZeroGrad clears all gradient accumulators.
-func (m *Model) ZeroGrad() {
-	for _, p := range m.Params() {
-		p.G.Zero()
-	}
-}
-
 // Forward runs the network over the batch's subgraph given the feature
 // matrix x (row i = features of b.Nodes[i]) and returns logits for the
 // batch's target nodes (rows 0..NumTargets).

@@ -105,7 +105,6 @@ func numericalGradCheck(t *testing.T, kind ModelKind) {
 		return float64(l)
 	}
 
-	m.ZeroGrad()
 	logits := m.Forward(b, x)
 	lp := tensor.LogSoftmax(logits)
 	_, dlogits := tensor.NLLLoss(lp, labels)

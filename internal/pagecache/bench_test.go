@@ -16,13 +16,13 @@ func BenchmarkReadHit(b *testing.B) {
 	c := New(dev, budget)
 	f := c.NewFile(0, 1<<20)
 	buf := make([]byte, 512)
-	if _, err := f.Read(0, buf); err != nil {
+	if _, err := f.ReadCtx(context.Background(), 0, buf); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.Read(int64(i%1024)*512%(1<<19), buf); err != nil {
+		if _, err := f.ReadCtx(context.Background(), int64(i%1024)*512%(1<<19), buf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -40,7 +40,7 @@ func BenchmarkReadMissEvict(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		off := (int64(i) * 2 * PageSize) % (63 << 20)
-		if _, err := f.Read(off, buf); err != nil {
+		if _, err := f.ReadCtx(context.Background(), off, buf); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -138,17 +138,11 @@ func (c *Cache) NewFile(base, size int64) *File {
 // Size returns the file length in bytes.
 func (f *File) Size() int64 { return f.size }
 
-// Read copies file bytes [off, off+len(p)) into p through the cache,
+// ReadCtx copies file bytes [off, off+len(p)) into p through the cache,
 // faulting missing pages from the device. It returns the total time spent
-// blocked on device I/O (zero on a full hit).
-func (f *File) Read(off int64, p []byte) (time.Duration, error) {
-	//gnnlint:ignore ctxbg mmap-compat read path; cancellable callers use ReadCtx
-	return f.ReadCtx(context.Background(), off, p)
-}
-
-// ReadCtx is Read with cancellation: ctx rides every fault's device read
-// and bounds its retries, so a cancelled sampler neither waits out a
-// stuck read nor re-issues page reads against a sick device. Each page
+// blocked on device I/O (zero on a full hit). ctx rides every fault's
+// device read and bounds its retries, so a cancelled sampler neither waits
+// out a stuck read nor re-issues page reads against a sick device. Each page
 // is pinned by a one-page wave for just the copy, so a long read never
 // holds more than one frame.
 func (f *File) ReadCtx(ctx context.Context, off int64, p []byte) (time.Duration, error) {

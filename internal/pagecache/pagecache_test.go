@@ -37,7 +37,7 @@ func TestReadThroughCache(t *testing.T) {
 	img := fillPattern(d, 8192, 64*1024)
 	f := c.NewFile(8192, 64*1024)
 	buf := make([]byte, 1000)
-	if _, err := f.Read(5000, buf); err != nil {
+	if _, err := f.ReadCtx(context.Background(), 5000, buf); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf, img[5000:6000]) {
@@ -45,7 +45,7 @@ func TestReadThroughCache(t *testing.T) {
 	}
 	// Second read of the same range: all hits, no new misses.
 	before := c.Stats()
-	if _, err := f.Read(5000, buf); err != nil {
+	if _, err := f.ReadCtx(context.Background(), 5000, buf); err != nil {
 		t.Fatal(err)
 	}
 	after := c.Stats()
@@ -63,7 +63,7 @@ func TestReadSpanningPages(t *testing.T) {
 	f := c.NewFile(0, 1<<20)
 	buf := make([]byte, 3*PageSize+17)
 	off := int64(PageSize - 9)
-	if _, err := f.Read(off, buf); err != nil {
+	if _, err := f.ReadCtx(context.Background(), off, buf); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf, img[off:off+int64(len(buf))]) {
@@ -74,10 +74,10 @@ func TestReadSpanningPages(t *testing.T) {
 func TestReadOutOfFileBounds(t *testing.T) {
 	_, _, c := testCache(t, 1<<20, 1<<20)
 	f := c.NewFile(0, 1000)
-	if _, err := f.Read(990, make([]byte, 20)); err == nil {
+	if _, err := f.ReadCtx(context.Background(), 990, make([]byte, 20)); err == nil {
 		t.Fatal("expected bounds error")
 	}
-	if _, err := f.Read(-1, make([]byte, 1)); err == nil {
+	if _, err := f.ReadCtx(context.Background(), -1, make([]byte, 1)); err == nil {
 		t.Fatal("expected bounds error for negative offset")
 	}
 }
@@ -89,7 +89,7 @@ func TestEvictionUnderPressure(t *testing.T) {
 	f := c.NewFile(0, 1<<20)
 	buf := make([]byte, PageSize)
 	for i := int64(0); i < 32; i++ {
-		if _, err := f.Read(i*PageSize, buf); err != nil {
+		if _, err := f.ReadCtx(context.Background(), i*PageSize, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -108,7 +108,7 @@ func TestPinningShrinksCache(t *testing.T) {
 	f := c.NewFile(0, 1<<20)
 	buf := make([]byte, PageSize)
 	for i := int64(0); i < 10; i++ {
-		if _, err := f.Read(i*PageSize, buf); err != nil {
+		if _, err := f.ReadCtx(context.Background(), i*PageSize, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -118,7 +118,7 @@ func TestPinningShrinksCache(t *testing.T) {
 	// Pin most of the budget: the next fault must trigger eviction down
 	// to the new allowance.
 	b.MustPin("buffer", 14*PageSize)
-	if _, err := f.Read(20*PageSize, buf); err != nil {
+	if _, err := f.ReadCtx(context.Background(), 20*PageSize, buf); err != nil {
 		t.Fatal(err)
 	}
 	if got, allow := c.ResidentBytes(), b.CachePool(); got > allow {
@@ -133,7 +133,7 @@ func TestLRUKeepsHotPages(t *testing.T) {
 	buf := make([]byte, PageSize)
 	mustRead := func(page int64) {
 		t.Helper()
-		if _, err := f.Read(page*PageSize, buf); err != nil {
+		if _, err := f.ReadCtx(context.Background(), page*PageSize, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,17 +159,17 @@ func TestTwoFilesShareOneCache(t *testing.T) {
 	topo := c.NewFile(0, 8*PageSize)
 	feat := c.NewFile(8*PageSize, 64*PageSize)
 	buf := make([]byte, PageSize)
-	if _, err := topo.Read(0, buf); err != nil {
+	if _, err := topo.ReadCtx(context.Background(), 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	// Stream the feature file: must evict the topology page (contention).
 	for i := int64(0); i < 16; i++ {
-		if _, err := feat.Read(i*PageSize, buf); err != nil {
+		if _, err := feat.ReadCtx(context.Background(), i*PageSize, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
 	before := c.Stats().Misses
-	if _, err := topo.Read(0, buf); err != nil {
+	if _, err := topo.ReadCtx(context.Background(), 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	if c.Stats().Misses != before+1 {
@@ -190,7 +190,7 @@ func TestConcurrentReadersCoalesceAndAgree(t *testing.T) {
 			buf := make([]byte, 2048)
 			for i := 0; i < 50; i++ {
 				off := int64((g*37 + i*911) % (1 << 19))
-				if _, err := f.Read(off, buf); err != nil {
+				if _, err := f.ReadCtx(context.Background(), off, buf); err != nil {
 					errs <- err
 					return
 				}
@@ -214,7 +214,7 @@ func TestDropAll(t *testing.T) {
 	f := c.NewFile(0, 1<<20)
 	buf := make([]byte, PageSize)
 	for i := int64(0); i < 5; i++ {
-		if _, err := f.Read(i*PageSize, buf); err != nil {
+		if _, err := f.ReadCtx(context.Background(), i*PageSize, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -242,7 +242,7 @@ func TestCachedReadEqualsImage(t *testing.T) {
 			n = size - o
 		}
 		buf := make([]byte, n)
-		if _, err := f.Read(o, buf); err != nil || !bytes.Equal(buf, img[o:o+n]) {
+		if _, err := f.ReadCtx(context.Background(), o, buf); err != nil || !bytes.Equal(buf, img[o:o+n]) {
 			return false
 		}
 		pages := make([]int64, 0, len(picks))

@@ -87,13 +87,13 @@ func TestFailedFaultDoesNotPoison(t *testing.T) {
 
 	buf := make([]byte, 64)
 	flaky.fail.Store(true)
-	if _, err := f.Read(0, buf); !errors.Is(err, errMedia) {
+	if _, err := f.ReadCtx(context.Background(), 0, buf); !errors.Is(err, errMedia) {
 		t.Fatalf("first read: got %v, want the media error", err)
 	}
 	checkAllFramesFree(t, c)
 
 	flaky.fail.Store(false)
-	if _, err := f.Read(0, buf); err != nil {
+	if _, err := f.ReadCtx(context.Background(), 0, buf); err != nil {
 		t.Fatalf("second read: %v", err)
 	}
 	if !bytes.Equal(buf, img[:64]) {
@@ -117,7 +117,7 @@ func TestFailedFaultFailsCoalescedWaiters(t *testing.T) {
 
 	errs := make(chan error, 2)
 	read := func() {
-		_, err := f.Read(100, make([]byte, 64))
+		_, err := f.ReadCtx(context.Background(), 100, make([]byte, 64))
 		errs <- err
 	}
 	go read()
@@ -185,7 +185,7 @@ func TestPinnedPagesSurviveEvictionAndDropAll(t *testing.T) {
 	}
 	buf := make([]byte, PageSize)
 	for i := int64(10); i < 40; i++ {
-		if _, err := f.Read(i*PageSize, buf); err != nil {
+		if _, err := f.ReadCtx(context.Background(), i*PageSize, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -306,7 +306,7 @@ func TestFramesOwnedBound(t *testing.T) {
 	}
 	// Pages a wave loaded over the allowance stay until the next fault,
 	// which then evicts all the way down now that nothing is pinned.
-	if _, err := f.Read(2040*PageSize, make([]byte, 1)); err != nil {
+	if _, err := f.ReadCtx(context.Background(), 2040*PageSize, make([]byte, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.ResidentBytes(); got > allowPages*PageSize {
@@ -351,7 +351,7 @@ func TestNoFrameRecycledUnderReader(t *testing.T) {
 				case 2, 3:
 					off := rng.Int63n(size - int64(len(buf)))
 					p := buf[:1+rng.Intn(len(buf))]
-					if _, err := f.Read(off, p); err != nil {
+					if _, err := f.ReadCtx(context.Background(), off, p); err != nil {
 						t.Error(err)
 						return
 					}

@@ -33,50 +33,36 @@ type Demand struct {
 	IOTokens int `json:"io_tokens"`
 }
 
-// ComputeDemand prices a job config. The math mirrors the engine's own
-// sizing (core.New/finishSetup) with the estimated max-batch node count
-// replaced by its analytic upper bound batch x (1 + f1 + f1*f2 + ...),
-// so the demand is computable at admission time without touching the
-// dataset, and is always >= what the engine actually needs.
+// ComputeDemand prices a job config with the engine's own sizing rules
+// (the options trainsim lowers the config to, core's staging geometry and
+// feature-buffer working set), the estimated max-batch node count replaced
+// by its analytic upper bound batch x (1 + f1 + f1*f2 + ...). The demand
+// is therefore computable at admission time without touching the dataset,
+// and is always >= what the engine actually needs.
 func ComputeDemand(cfg trainsim.Config) Demand {
-	o := core.DefaultOptions(cfg.Model)
-	if cfg.BatchSize != 0 {
-		o.BatchSize = cfg.BatchSize
-	}
-	if len(cfg.Fanouts) != 0 {
-		o.Fanouts = cfg.Fanouts
-	}
-	if cfg.InOrder {
-		o.Samplers, o.Extractors = 1, 1
-	}
-
-	// Analytic bound on unique nodes per sampled batch.
-	bound := o.BatchSize
-	layer := o.BatchSize
+	o := cfg.EngineOptions()
+	bound, layer := o.BatchSize, o.BatchSize
 	for _, f := range o.Fanouts {
 		layer *= f
 		bound += layer
 	}
-	dim := cfg.Dataset.Dim
+	spec := cfg.Dataset
 	if cfg.Dim != 0 {
-		dim = cfg.Dim
+		spec.Dim = cfg.Dim
 	}
-	featBytes := dim * 4
+	featBytes := spec.Dim * 4
 
-	slots := (o.Extractors + o.TrainQueueCap + 1) * bound
-	if n := cfg.Dataset.Nodes; n > 0 && slots > n {
-		slots = n
+	fbSlots := o.AutoFeatureSlots(bound)
+	if n := spec.Nodes; n > 0 && fbSlots > n {
+		fbSlots = n
 	}
-	slotBytes := o.MaxJointRead
-	if featBytes > slotBytes {
-		slotBytes = (featBytes + 511) / 512 * 512
-	}
+	stagingSlots, slotBytes := o.StagingGeometry(featBytes)
 	return Demand{
-		StagingSlots: o.Extractors * o.RingDepth,
+		StagingSlots: stagingSlots,
 		SlotBytes:    slotBytes,
-		FeatureBytes: int64(slots) * int64(featBytes),
-		FeatureSlots: slots,
-		IOTokens:     o.Extractors * o.RingDepth,
+		FeatureBytes: int64(fbSlots) * int64(featBytes),
+		FeatureSlots: fbSlots,
+		IOTokens:     stagingSlots,
 	}
 }
 

@@ -442,11 +442,6 @@ func (d *Daemon) exitInterrupted(j *job, err error) {
 // recordEpoch appends one finished epoch to the job record (replacing a
 // stale partial entry for the same epoch after a resume) and persists.
 func (d *Daemon) recordEpoch(j *job, epoch int, st trainsim.EpochStats) {
-	// Accumulate the epoch's read-efficiency counters into the job's
-	// recorder so /metrics reports backend_reads and read_amplification
-	// per job. A resumed epoch replaces its record below but its device
-	// reads really happened twice, so the counters keep both.
-	d.reg.Recorder(j.rec.ID).AddReads(st.BytesRead, st.BytesNeeded, st.BackendReads)
 	rec := epochRecord(epoch, st)
 	d.mu.Lock()
 	replaced := false

@@ -13,6 +13,7 @@ import (
 
 	"gnndrive/internal/errutil"
 	"gnndrive/internal/faults"
+	"gnndrive/internal/metrics"
 	"gnndrive/internal/trainsim"
 )
 
@@ -500,13 +501,26 @@ func TestHTTPLifecycle(t *testing.T) {
 	}
 }
 
-// TestMetricsReadCounters runs one job to completion and checks the
-// /metrics snapshot surfaces its cumulative read-efficiency counters:
-// backend read ops and read amplification alongside io_queue_wait_ms.
+// TestMetricsReadCounters runs one job to completion and checks its
+// /metrics snapshot: every documented key is present, and every counter
+// equals the sum of the job's per-epoch stats — the recorder is fed the
+// same per-batch deltas the epoch collector is, not a copy made later.
 func TestMetricsReadCounters(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	d, err := NewDaemon(testDaemonConfig(t, ctx))
+	dcfg := testDaemonConfig(t, ctx)
+	var mu sync.Mutex
+	var want metrics.Counters
+	dcfg.Hook = func(_ string, cfg *trainsim.Config) {
+		record := cfg.OnEpoch
+		cfg.OnEpoch = func(epoch int, st trainsim.EpochStats) {
+			mu.Lock()
+			want.Add(st.Counters)
+			mu.Unlock()
+			record(epoch, st)
+		}
+	}
+	d, err := NewDaemon(dcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,21 +550,31 @@ func TestMetricsReadCounters(t *testing.T) {
 	if !ok {
 		t.Fatalf("metrics missing job %s", id)
 	}
-	if snap.BackendReads <= 0 {
-		t.Errorf("backend_reads = %d, want > 0 after a completed epoch", snap.BackendReads)
+	if snap.Counters != want {
+		t.Errorf("job counters on /metrics:\n got %+v\nwant %+v (summed epoch stats)", snap.Counters, want)
 	}
-	if snap.BytesNeeded <= 0 || snap.BytesRead <= 0 {
-		t.Errorf("bytes_read/bytes_needed = %d/%d, want both > 0", snap.BytesRead, snap.BytesNeeded)
+	if snap.Batches != 20 || snap.BackendReads <= 0 || snap.BytesNeeded <= 0 || snap.BytesRead <= 0 {
+		t.Errorf("2 epochs x 10 steps reported %+v", snap.Counters)
 	}
-	if snap.ReadAmplification <= 0 {
-		t.Errorf("read_amplification = %v, want > 0", snap.ReadAmplification)
+	if snap.ReadAmplification != want.ReadAmplification() || snap.ReadAmplification <= 0 {
+		t.Errorf("read_amplification = %v, want %v", snap.ReadAmplification, want.ReadAmplification())
 	}
 	// Raw JSON must carry the documented field names (the API contract
 	// dashboards scrape).
-	for _, field := range []string{"backend_reads", "read_amplification", "io_queue_wait_ms"} {
-		if !strings.Contains(w.Body.String(), field) {
-			t.Errorf("metrics JSON missing %q:\n%s", field, w.Body.String())
+	var raw struct {
+		Jobs map[string]map[string]any `json:"jobs"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &raw); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"cpu_busy_ns", "io_wait_ns", "retries", "fallbacks", "escalations",
+		"stalls", "bytes_read", "bytes_needed", "backend_reads", "read_amplification", "integrity"} {
+		if _, ok := raw.Jobs[id][key]; !ok {
+			t.Errorf("metrics job JSON missing %q:\n%s", key, w.Body.String())
 		}
+	}
+	if !strings.Contains(w.Body.String(), "io_queue_wait_ms") {
+		t.Errorf("metrics JSON missing io_queue_wait_ms:\n%s", w.Body.String())
 	}
 }
 

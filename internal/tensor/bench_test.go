@@ -43,20 +43,6 @@ func BenchmarkLogSoftmax(b *testing.B) {
 	}
 }
 
-func BenchmarkGatherRows(b *testing.B) {
-	rng := NewRNG(4)
-	src := benchMatrix(rng, 50000, 128)
-	idx := make([]int32, 2000)
-	for i := range idx {
-		idx[i] = int32(rng.Intn(50000))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		GatherRows(src, idx)
-	}
-}
-
 func BenchmarkRNGUint64(b *testing.B) {
 	r := NewRNG(5)
 	for i := 0; i < b.N; i++ {

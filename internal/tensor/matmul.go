@@ -172,15 +172,3 @@ func matMulT2Range(out, a, b *Matrix, lo, hi int) {
 		}
 	}
 }
-
-// Transpose returns mᵀ.
-func Transpose(m *Matrix) *Matrix {
-	out := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.Data[j*m.Rows+i] = v
-		}
-	}
-	return out
-}

@@ -28,16 +28,6 @@ func ReLUBackward(grad, out *Matrix) {
 	}
 }
 
-// LeakyReLU applies x<0 ? slope*x : x in place and returns m.
-func LeakyReLU(m *Matrix, slope float32) *Matrix {
-	for i, v := range m.Data {
-		if v < 0 {
-			m.Data[i] = slope * v
-		}
-	}
-	return m
-}
-
 // LeakyReLUBackward scales grad by slope where pre-activation input was
 // negative. in is the pre-activation matrix.
 func LeakyReLUBackward(grad, in *Matrix, slope float32) {

@@ -66,24 +66,10 @@ func (m *Matrix) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
 // Set assigns element (i, j).
 func (m *Matrix) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
 
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := New(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
 // Zero resets every element to 0.
 func (m *Matrix) Zero() {
 	for i := range m.Data {
 		m.Data[i] = 0
-	}
-}
-
-// Fill sets every element to v.
-func (m *Matrix) Fill(v float32) {
-	for i := range m.Data {
-		m.Data[i] = v
 	}
 }
 
@@ -197,15 +183,6 @@ func (m *Matrix) MaxAbsDiff(o *Matrix) float64 {
 		}
 	}
 	return worst
-}
-
-// GatherRows copies rows idx[i] of src into row i of a new matrix.
-func GatherRows(src *Matrix, idx []int32) *Matrix {
-	out := New(len(idx), src.Cols)
-	for i, r := range idx {
-		copy(out.Row(i), src.Row(int(r)))
-	}
-	return out
 }
 
 // ScatterAddRows accumulates row i of src into row idx[i] of dst.

@@ -86,7 +86,7 @@ func TestChaosSoak(t *testing.T) {
 	const epochs = 3
 
 	clean := chaosBase(t, "clean")
-	cleanRes, err := Run(clean, GNNDriveGPU, RunOptions{Epochs: epochs})
+	cleanRes, err := RunCtx(context.Background(), clean, GNNDriveGPU, RunOptions{Epochs: epochs})
 	if err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
@@ -94,7 +94,7 @@ func TestChaosSoak(t *testing.T) {
 	chaos := chaosBase(t, "chaos")
 	chaos.Faults = chaosFaults(chaos)
 	chaos.Integrity = chaosIntegrity()
-	chaosRes, err := Run(chaos, GNNDriveGPU, RunOptions{Epochs: epochs})
+	chaosRes, err := RunCtx(context.Background(), chaos, GNNDriveGPU, RunOptions{Epochs: epochs})
 	if err != nil {
 		t.Fatalf("chaos run: %v", err)
 	}
@@ -175,7 +175,7 @@ func TestChaosSoakCrashResume(t *testing.T) {
 	const epochs = 4
 
 	clean := chaosBase(t, "clean-resume")
-	cleanRes, err := Run(clean, GNNDriveGPU, RunOptions{Epochs: epochs})
+	cleanRes, err := RunCtx(context.Background(), clean, GNNDriveGPU, RunOptions{Epochs: epochs})
 	if err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
@@ -200,7 +200,7 @@ func TestChaosSoakCrashResume(t *testing.T) {
 	interrupted := err != nil
 
 	chaos.Resume = true
-	second, err := Run(chaos, GNNDriveGPU, RunOptions{Epochs: epochs})
+	second, err := RunCtx(context.Background(), chaos, GNNDriveGPU, RunOptions{Epochs: epochs})
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}

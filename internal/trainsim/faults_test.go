@@ -1,6 +1,7 @@
 package trainsim
 
 import (
+	"context"
 	"testing"
 
 	"gnndrive/internal/faults"
@@ -8,14 +9,14 @@ import (
 
 func TestRunWithTransientFaults(t *testing.T) {
 	defer DropDatasets()
-	clean, err := Run(tinyCfg(), GNNDriveCPU, RunOptions{Epochs: 1})
+	clean, err := RunCtx(context.Background(), tinyCfg(), GNNDriveCPU, RunOptions{Epochs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cfg := tinyCfg()
 	cfg.Faults = &faults.Config{Seed: 7, TransientRate: 0.01}
-	res, err := Run(cfg, GNNDriveCPU, RunOptions{Epochs: 1})
+	res, err := RunCtx(context.Background(), cfg, GNNDriveCPU, RunOptions{Epochs: 1})
 	if err != nil {
 		t.Fatalf("faulted run failed: %v", err)
 	}
@@ -34,7 +35,7 @@ func TestRunWithTransientFaults(t *testing.T) {
 	if ds.Dev.Injector() != nil {
 		t.Fatal("injector left attached to the cached device after Run")
 	}
-	again, err := Run(tinyCfg(), GNNDriveCPU, RunOptions{Epochs: 1})
+	again, err := RunCtx(context.Background(), tinyCfg(), GNNDriveCPU, RunOptions{Epochs: 1})
 	if err != nil || again.Epochs[0].Retries != 0 {
 		t.Fatalf("clean rerun: err=%v retries=%d", err, again.Epochs[0].Retries)
 	}

@@ -224,43 +224,16 @@ func (c *Config) fill() {
 	}
 }
 
-// EpochStats is the uniform per-epoch report across systems.
+// EpochStats is the uniform per-epoch report across systems: the
+// system's own stage times and counters (the baselines leave the fault
+// and integrity counters zero), plus the training outcome.
 type EpochStats struct {
-	Prep    time.Duration
-	Sample  time.Duration
-	Extract time.Duration
-	Train   time.Duration
-	Total   time.Duration
-
-	Batches     int
-	BytesRead   int64
-	BytesReused int64
-	// BytesNeeded is the payload bytes batches required from storage and
-	// BackendReads the read ops issued (GNNDrive systems; see
-	// metrics.Breakdown). BytesRead/BytesNeeded is read amplification.
-	BytesNeeded  int64
-	BackendReads int64
-	Loss, Acc    float64
-
-	// Fault tolerance (GNNDrive systems): retried reads, direct→buffered
-	// degradations, and escalated errors for the epoch.
-	Retries     int64
-	Fallbacks   int64
-	Escalations int64
-	// Stalls counts watchdog-detected pipeline stalls (GNNDrive with a
-	// StallDeadline configured; at most 1 per epoch, which also fails
-	// the epoch).
-	Stalls int64
-
+	metrics.Breakdown
+	Loss, Acc float64
 	// StepLosses is the per-step loss sequence in trainer order
 	// (GNNDrive real-training runs; nil otherwise). Deterministic for a
 	// fixed seed, so resume tests can compare trajectories step by step.
 	StepLosses []float32
-
-	// Integrity reports the epoch's checksum/repair/hedge/breaker
-	// activity (GNNDrive systems with Config.Integrity set; all-zero
-	// otherwise).
-	Integrity storage.IntegrityStats
 }
 
 // Result is a full run.
@@ -398,8 +371,7 @@ func layoutKey(cfg Config) string {
 	case "", "strided":
 		return "strided"
 	}
-	o := core.DefaultOptions(cfg.Model)
-	applyCommon(&o.BatchSize, &o.Fanouts, cfg)
+	o := cfg.EngineOptions()
 	return fmt.Sprintf("%s/%v/%d/%v/%d", cfg.Layout, cfg.Model, o.BatchSize, o.Fanouts, cfg.Seed)
 }
 
@@ -484,8 +456,7 @@ func buildDataset(cfg Config) (*graph.Dataset, error) {
 // sample the epoch-0 trace with the exact seeds the engine will use,
 // permute the feature region in place, and install the packed addresser.
 func packDataset(ds *graph.Dataset, cfg Config) error {
-	o := core.DefaultOptions(cfg.Model)
-	applyCommon(&o.BatchSize, &o.Fanouts, cfg)
+	o := cfg.EngineOptions()
 	tr, err := gen.SampleTrace(ds, o.BatchSize, o.Fanouts, cfg.Seed, true)
 	if err != nil {
 		return fmt.Errorf("trainsim: pack trace: %w", err)
@@ -578,18 +549,14 @@ type RunOptions struct {
 	EvalVal bool
 }
 
-// Run executes sys on cfg for opts.Epochs epochs. It is the
-// non-cancellable compat entry point; RunCtx is the real implementation.
-func Run(cfg Config, sys SystemKind, opts RunOptions) (Result, error) {
-	//gnnlint:ignore ctxbg public compat wrapper; callers that need cancellation use RunCtx
-	return RunCtx(context.Background(), cfg, sys, opts)
-}
-
 // RunCtx executes sys on cfg for opts.Epochs epochs under ctx: the
 // context threads through the epoch loop into the engine's training
 // steps, so cancelling it stops a run — including a resumed one —
 // between batches instead of waiting out the epoch.
 func RunCtx(ctx context.Context, cfg Config, sys SystemKind, opts RunOptions) (res Result, err error) {
+	if err := ctx.Err(); err != nil {
+		return Result{}, err
+	}
 	cfg.fill()
 	if opts.Epochs == 0 {
 		opts.Epochs = 1
@@ -681,11 +648,88 @@ func evalVal(ds *graph.Dataset, model *nn.Model, cfg Config) (float64, error) {
 	if model == nil {
 		return 0, fmt.Errorf("trainsim: no model")
 	}
-	fan := cfg.Fanouts
-	if len(fan) == 0 {
-		fan = core.DefaultOptions(cfg.Model).Fanouts
+	return core.EvaluateModel(ds, model, cfg.EngineOptions().Fanouts, ds.ValIdx, cfg.Seed)
+}
+
+// EngineOptions lowers the dataset-free part of a Config to engine
+// options. It is the only Config → core.Options path: the harness, the
+// packer's trace, the dataset cache key, the baselines' shared knobs and
+// the serve daemon's admission pricing all start from its result, so a
+// default or an override cannot mean one thing to the run and another to
+// whoever sized or keyed it. FeatureBufferX is the one knob that needs the
+// built dataset; engineOptions adds it.
+func (c Config) EngineOptions() core.Options {
+	o := core.DefaultOptions(c.Model)
+	if c.BatchSize != 0 {
+		o.BatchSize = c.BatchSize
 	}
-	return core.EvaluateModel(ds, model, fan, ds.ValIdx, cfg.Seed)
+	if len(c.Fanouts) != 0 {
+		o.Fanouts = c.Fanouts
+	}
+	if c.Hidden != 0 {
+		o.Hidden = c.Hidden
+	}
+	o.FeatureSlots = c.FeatureSlots
+	o.RealTrain = c.RealTrain
+	o.Seed = c.Seed
+	o.InOrder = c.InOrder
+	o.SyncExtraction = c.SyncExtraction
+	o.BufferedIO = c.BufferedIO
+	o.GPUDirect = c.GPUDirect
+	o.CheckpointDir = c.CheckpointDir
+	o.CheckpointEverySteps = c.CheckpointEverySteps
+	o.StallDeadline = c.StallDeadline
+	o.OnStall = c.OnStall
+	o.SharedStaging = c.SharedStaging
+	o.IOGate = c.IOGate
+	return o
+}
+
+// engineOptions is EngineOptions plus the Fig. 12 sweep: FeatureBufferX
+// multiples of the minimum working set (Ne x Mb), clamped to the device
+// allowance and graph size. An explicit FeatureSlots wins.
+func engineOptions(cfg Config, ds *graph.Dataset, dev *device.Device) (core.Options, error) {
+	o := cfg.EngineOptions()
+	if o.FeatureSlots > 0 || cfg.FeatureBufferX <= 0 {
+		return o, nil
+	}
+	mb, err := sample.EstimateMaxBatchNodes(ds, o.BatchSize, o.Fanouts, 4, o.Seed)
+	if err != nil {
+		return o, err
+	}
+	slots := int(cfg.FeatureBufferX * float64(o.Extractors*mb))
+	if lim := int(dev.MemBytes() * 9 / 10 / ds.FeatBytes()); dev.Kind() == device.GPU && slots > lim {
+		slots = lim
+	}
+	if slots > int(ds.NumNodes) {
+		slots = int(ds.NumNodes)
+	}
+	o.FeatureSlots = slots
+	return o, nil
+}
+
+// The baselines share the engine's model, batch and seed knobs; each takes
+// them from the one lowering and keeps its own defaults for the rest.
+
+func pygOptions(cfg Config) pygplus.Options {
+	e, o := cfg.EngineOptions(), pygplus.DefaultOptions(cfg.Model)
+	o.BatchSize, o.Fanouts, o.Hidden, o.RealTrain, o.Seed = e.BatchSize, e.Fanouts, e.Hidden, e.RealTrain, e.Seed
+	o.TimeScale = cfg.Scale
+	return o
+}
+
+func ginexOptions(cfg Config, ds *graph.Dataset) ginex.Options {
+	e, o := cfg.EngineOptions(), ginex.DefaultOptions(cfg.Model)
+	o.BatchSize, o.Fanouts, o.Hidden, o.RealTrain, o.Seed = e.BatchSize, e.Fanouts, e.Hidden, e.RealTrain, e.Seed
+	o.ScratchOff = ds.Layout.FeaturesOff + ds.Layout.FeaturesLen
+	o.ScratchLen = ScratchBytes / 2
+	return o
+}
+
+func mariusOptions(cfg Config) marius.Options {
+	e, o := cfg.EngineOptions(), marius.DefaultOptions(cfg.Model)
+	o.BatchSize, o.Fanouts, o.Hidden, o.RealTrain, o.Seed = e.BatchSize, e.Fanouts, e.Hidden, e.RealTrain, e.Seed
+	return o
 }
 
 // buildSystem constructs the system and returns an epoch runner, a
@@ -696,41 +740,9 @@ func buildSystem(sys SystemKind, ds *graph.Dataset, dev *device.Device,
 	cfg Config) (func(context.Context, int) (EpochStats, error), func(), int, *nn.Model, error) {
 	switch sys {
 	case GNNDriveGPU, GNNDriveCPU:
-		o := core.DefaultOptions(cfg.Model)
-		o.Model = cfg.Model
-		applyCommon(&o.BatchSize, &o.Fanouts, cfg)
-		o.RealTrain = cfg.RealTrain
-		o.Seed = cfg.Seed
-		o.InOrder = cfg.InOrder
-		o.SyncExtraction = cfg.SyncExtraction
-		o.BufferedIO = cfg.BufferedIO
-		o.GPUDirect = cfg.GPUDirect
-		o.CheckpointDir = cfg.CheckpointDir
-		o.CheckpointEverySteps = cfg.CheckpointEverySteps
-		o.StallDeadline = cfg.StallDeadline
-		o.SharedStaging = cfg.SharedStaging
-		o.IOGate = cfg.IOGate
-		o.OnStall = cfg.OnStall
-		if cfg.Hidden != 0 {
-			o.Hidden = cfg.Hidden
-		}
-		if cfg.FeatureSlots > 0 {
-			o.FeatureSlots = cfg.FeatureSlots
-		} else if cfg.FeatureBufferX > 0 {
-			// Fig. 12 sweep: multiples of the minimum working set
-			// (Ne x Mb), clamped to the device allowance and graph size.
-			mb, err := sample.EstimateMaxBatchNodes(ds, o.BatchSize, o.Fanouts, 4, o.Seed)
-			if err != nil {
-				return nil, nil, 0, nil, err
-			}
-			slots := int(cfg.FeatureBufferX * float64(o.Extractors*mb))
-			if lim := int(dev.MemBytes() * 9 / 10 / ds.FeatBytes()); dev.Kind() == device.GPU && slots > lim {
-				slots = lim
-			}
-			if slots > int(ds.NumNodes) {
-				slots = int(ds.NumNodes)
-			}
-			o.FeatureSlots = slots
+		o, err := engineOptions(cfg, ds, dev)
+		if err != nil {
+			return nil, nil, 0, nil, err
 		}
 		eng, err := core.New(ds, dev, budget, cache, rec, o)
 		if err != nil {
@@ -764,106 +776,46 @@ func buildSystem(sys SystemKind, ds *graph.Dataset, dev *device.Device,
 				// surface them without failing the run.
 				fmt.Printf("trainsim: checkpoint save failed: %v\n", r.CheckpointErr)
 			}
-			return EpochStats{
-				Sample: r.Sample, Extract: r.Extract, Train: r.Train,
-				Total: r.Total, Batches: r.Batches,
-				BytesRead: r.BytesRead, BytesReused: r.BytesReused,
-				BytesNeeded: r.BytesNeeded, BackendReads: r.BackendReads,
-				Loss: r.Loss, Acc: r.Acc,
-				Retries: r.Retries, Fallbacks: r.Fallbacks,
-				Escalations: r.Escalations, Stalls: r.Stalls,
-				Integrity:  r.Integrity,
-				StepLosses: r.StepLosses,
-			}, err
+			return EpochStats{Breakdown: r.Breakdown, Loss: r.Loss, Acc: r.Acc, StepLosses: r.StepLosses}, err
 		}, eng.Close, startEpoch, eng.Model(), nil
 
 	case PyGPlus:
-		o := pygplus.DefaultOptions(cfg.Model)
-		o.Model = cfg.Model
-		applyCommon(&o.BatchSize, &o.Fanouts, cfg)
-		o.RealTrain = cfg.RealTrain
-		o.Seed = cfg.Seed
-		if cfg.Hidden != 0 {
-			o.Hidden = cfg.Hidden
-		}
-		o.TimeScale = cfg.Scale
-		sysm, err := pygplus.New(ds, dev, budget, cache, rec, o)
+		sysm, err := pygplus.New(ds, dev, budget, cache, rec, pygOptions(cfg))
 		if err != nil {
 			return nil, nil, 0, nil, err
 		}
-		return func(_ context.Context, e int) (EpochStats, error) {
-			r, err := sysm.TrainEpoch(e)
-			return EpochStats{
-				Sample: r.Sample, Extract: r.Extract, Train: r.Train,
-				Total: r.Total, Batches: r.Batches,
-				BytesRead: r.BytesRead, BytesReused: r.BytesReused,
-				Loss: r.Loss, Acc: r.Acc,
-			}, err
+		return func(ctx context.Context, e int) (EpochStats, error) {
+			r, err := sysm.TrainEpoch(ctx, e)
+			return EpochStats{Breakdown: r.Breakdown, Loss: r.Loss, Acc: r.Acc}, err
 		}, sysm.Close, 0, sysm.Model(), nil
 
 	case Ginex:
-		o := ginex.DefaultOptions(cfg.Model)
-		o.Model = cfg.Model
-		applyCommon(&o.BatchSize, &o.Fanouts, cfg)
-		o.RealTrain = cfg.RealTrain
-		o.Seed = cfg.Seed
-		if cfg.Hidden != 0 {
-			o.Hidden = cfg.Hidden
-		}
-		o.ScratchOff = ds.Layout.FeaturesOff + ds.Layout.FeaturesLen
-		o.ScratchLen = ScratchBytes / 2
-		sysm, err := ginex.New(ds, dev, budget, rec, o)
+		sysm, err := ginex.New(ds, dev, budget, rec, ginexOptions(cfg, ds))
 		if err != nil {
 			return nil, nil, 0, nil, err
 		}
 		return func(_ context.Context, e int) (EpochStats, error) {
 			r, err := sysm.TrainEpoch(e)
-			return EpochStats{
-				Sample: r.Sample, Extract: r.Extract, Train: r.Train,
-				Total: r.Total, Batches: r.Batches,
-				BytesRead: r.BytesRead, BytesReused: r.BytesReused,
-				Loss: r.Loss, Acc: r.Acc,
-			}, err
+			return EpochStats{Breakdown: r.Breakdown, Loss: r.Loss, Acc: r.Acc}, err
 		}, sysm.Close, 0, sysm.Model(), nil
 
 	case Marius:
-		o := marius.DefaultOptions(cfg.Model)
-		o.Model = cfg.Model
-		applyCommon(&o.BatchSize, &o.Fanouts, cfg)
-		o.RealTrain = cfg.RealTrain
-		o.Seed = cfg.Seed
-		if cfg.Hidden != 0 {
-			o.Hidden = cfg.Hidden
-		}
-		sysm, err := marius.New(ds, dev, budget, rec, o)
+		sysm, err := marius.New(ds, dev, budget, rec, mariusOptions(cfg))
 		if err != nil {
 			return nil, nil, 0, nil, err
 		}
 		return func(_ context.Context, e int) (EpochStats, error) {
 			r, err := sysm.TrainEpoch(e)
-			return EpochStats{
-				Prep: r.Prep, Sample: r.Sample, Extract: r.Extract,
-				Train: r.Train, Total: r.Total, Batches: r.Batches,
-				BytesRead: r.BytesRead, BytesReused: r.BytesReused,
-				Loss: r.Loss, Acc: r.Acc,
-			}, err
+			return EpochStats{Breakdown: r.Breakdown, Loss: r.Loss, Acc: r.Acc}, err
 		}, sysm.Close, 0, sysm.Model(), nil
 	}
 	return nil, nil, 0, nil, fmt.Errorf("trainsim: unknown system %v", sys)
 }
 
-func applyCommon(batch *int, fanouts *[]int, cfg Config) {
-	if cfg.BatchSize != 0 {
-		*batch = cfg.BatchSize
-	}
-	if len(cfg.Fanouts) != 0 {
-		*fanouts = cfg.Fanouts
-	}
-}
-
 // SampleOnly measures one epoch of the sample stage alone (Fig. 2's
-// "-only" bars) for systems that support it.
-func SampleOnly(cfg Config, sys SystemKind) (time.Duration, error) {
+// "-only" bars) for systems that support it; ctx stops GNNDrive's samplers
+// between batches (the baselines' sample-only loops run to completion).
+func SampleOnly(ctx context.Context, cfg Config, sys SystemKind) (time.Duration, error) {
 	cfg.fill()
 	ds, err := buildDataset(cfg)
 	if err != nil {
@@ -877,37 +829,21 @@ func SampleOnly(cfg Config, sys SystemKind) (time.Duration, error) {
 
 	switch sys {
 	case GNNDriveGPU, GNNDriveCPU:
-		o := core.DefaultOptions(cfg.Model)
-		o.Model = cfg.Model
-		applyCommon(&o.BatchSize, &o.Fanouts, cfg)
-		o.Seed = cfg.Seed
-		eng, err := core.New(ds, dev, budget, cache, rec, o)
+		eng, err := core.New(ds, dev, budget, cache, rec, cfg.EngineOptions())
 		if err != nil {
 			return 0, err
 		}
 		defer eng.Close()
-		// Like Run, this entry point has no lifecycle to cancel from.
-		return eng.SampleOnly(nil, 0)
+		return eng.SampleOnly(ctx, 0)
 	case PyGPlus:
-		o := pygplus.DefaultOptions(cfg.Model)
-		o.Model = cfg.Model
-		applyCommon(&o.BatchSize, &o.Fanouts, cfg)
-		o.Seed = cfg.Seed
-		o.TimeScale = cfg.Scale
-		s, err := pygplus.New(ds, dev, budget, cache, rec, o)
+		s, err := pygplus.New(ds, dev, budget, cache, rec, pygOptions(cfg))
 		if err != nil {
 			return 0, err
 		}
 		defer s.Close()
 		return s.SampleOnly(0)
 	case Ginex:
-		o := ginex.DefaultOptions(cfg.Model)
-		o.Model = cfg.Model
-		applyCommon(&o.BatchSize, &o.Fanouts, cfg)
-		o.Seed = cfg.Seed
-		o.ScratchOff = ds.Layout.FeaturesOff + ds.Layout.FeaturesLen
-		o.ScratchLen = ScratchBytes / 2
-		s, err := ginex.New(ds, dev, budget, rec, o)
+		s, err := ginex.New(ds, dev, budget, rec, ginexOptions(cfg, ds))
 		if err != nil {
 			return 0, err
 		}
@@ -919,8 +855,8 @@ func SampleOnly(cfg Config, sys SystemKind) (time.Duration, error) {
 
 // SampleDuringAll measures the summed sample-stage time while the whole
 // pipeline runs (Fig. 2's "-all" bars).
-func SampleDuringAll(cfg Config, sys SystemKind) (time.Duration, error) {
-	res, err := Run(cfg, sys, RunOptions{Epochs: 1})
+func SampleDuringAll(ctx context.Context, cfg Config, sys SystemKind) (time.Duration, error) {
+	res, err := RunCtx(ctx, cfg, sys, RunOptions{Epochs: 1})
 	if err != nil {
 		return 0, err
 	}
@@ -929,7 +865,7 @@ func SampleDuringAll(cfg Config, sys SystemKind) (time.Duration, error) {
 
 // RunParallel trains GNNDrive with data parallelism over `workers`
 // devices of the given config (Fig. 13) and returns the epoch wall time.
-func RunParallel(cfg Config, workers int, devCfg device.Config, epochs int) (time.Duration, error) {
+func RunParallel(ctx context.Context, cfg Config, workers int, devCfg device.Config, epochs int) (time.Duration, error) {
 	cfg.fill()
 	ds, err := buildDataset(cfg)
 	if err != nil {
@@ -945,13 +881,9 @@ func RunParallel(cfg Config, workers int, devCfg device.Config, epochs int) (tim
 		devices[i] = device.New(devCfg)
 		defer devices[i].Close()
 	}
-	o := core.DefaultOptions(cfg.Model)
-	o.Model = cfg.Model
-	applyCommon(&o.BatchSize, &o.Fanouts, cfg)
-	o.Seed = cfg.Seed
 	pcfg := core.DefaultParallelConfig()
 	pcfg.TimeScale = cfg.Scale
-	p, err := core.NewParallel(ds, devices, budget, cache, rec, o, pcfg)
+	p, err := core.NewParallel(ds, devices, budget, cache, rec, cfg.EngineOptions(), pcfg)
 	if err != nil {
 		return 0, err
 	}
@@ -961,7 +893,7 @@ func RunParallel(cfg Config, workers int, devCfg device.Config, epochs int) (tim
 	}
 	var sum time.Duration
 	for e := 0; e < epochs; e++ {
-		total, _, err := p.TrainEpoch(e)
+		total, _, err := p.TrainEpochCtx(ctx, e)
 		if err != nil {
 			return 0, err
 		}

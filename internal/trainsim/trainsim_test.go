@@ -11,6 +11,7 @@ import (
 	"gnndrive/internal/device"
 	"gnndrive/internal/gen"
 	"gnndrive/internal/hostmem"
+	"gnndrive/internal/metrics"
 	"gnndrive/internal/nn"
 )
 
@@ -29,7 +30,7 @@ func tinyCfg() Config {
 func TestRunAllSystemsOneEpoch(t *testing.T) {
 	defer DropDatasets()
 	for _, sys := range []SystemKind{GNNDriveGPU, GNNDriveCPU, PyGPlus, Ginex, Marius} {
-		res, err := Run(tinyCfg(), sys, RunOptions{Epochs: 1})
+		res, err := RunCtx(context.Background(), tinyCfg(), sys, RunOptions{Epochs: 1})
 		if err != nil {
 			t.Fatalf("%v: %v", sys, err)
 		}
@@ -73,7 +74,7 @@ func TestTrainLimitTruncates(t *testing.T) {
 	defer DropDatasets()
 	cfg := tinyCfg()
 	cfg.TrainLimit = 100
-	res, err := Run(cfg, GNNDriveGPU, RunOptions{Epochs: 1})
+	res, err := RunCtx(context.Background(), cfg, GNNDriveGPU, RunOptions{Epochs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestMariusOOMClassified(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.HostMemoryGB = 1 // 1 scaled GB...
 	cfg.Dim = 512        // ...against a 4 MB feature table: prep cannot fit
-	_, err := Run(cfg, Marius, RunOptions{Epochs: 1})
+	_, err := RunCtx(context.Background(), cfg, Marius, RunOptions{Epochs: 1})
 	if !errors.Is(err, hostmem.ErrOOM) {
 		t.Fatalf("want OOM, got %v", err)
 	}
@@ -96,7 +97,7 @@ func TestMariusOOMClassified(t *testing.T) {
 func TestSampleOnlySupported(t *testing.T) {
 	defer DropDatasets()
 	for _, sys := range []SystemKind{GNNDriveGPU, PyGPlus, Ginex} {
-		d, err := SampleOnly(tinyCfg(), sys)
+		d, err := SampleOnly(context.Background(), tinyCfg(), sys)
 		if err != nil {
 			t.Fatalf("%v: %v", sys, err)
 		}
@@ -104,7 +105,7 @@ func TestSampleOnlySupported(t *testing.T) {
 			t.Fatalf("%v: non-positive sample time", sys)
 		}
 	}
-	if _, err := SampleOnly(tinyCfg(), Marius); err == nil {
+	if _, err := SampleOnly(context.Background(), tinyCfg(), Marius); err == nil {
 		t.Fatal("marius has no sample-only mode")
 	}
 }
@@ -114,11 +115,11 @@ func TestRunParallelSpeedups(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.HostMemoryGB = 256
 	devCfg := device.TeslaK80()
-	one, err := RunParallel(cfg, 1, devCfg, 1)
+	one, err := RunParallel(context.Background(), cfg, 1, devCfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := RunParallel(cfg, 2, devCfg, 1)
+	two, err := RunParallel(context.Background(), cfg, 2, devCfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestRealTrainEvalVal(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.RealTrain = true
 	cfg.Hidden = 24
-	res, err := Run(cfg, GNNDriveGPU, RunOptions{Epochs: 2, EvalVal: true})
+	res, err := RunCtx(context.Background(), cfg, GNNDriveGPU, RunOptions{Epochs: 2, EvalVal: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestUtilizationWindows(t *testing.T) {
 	defer DropDatasets()
 	cfg := tinyCfg()
 	cfg.Scale = 1 // long enough to catch windows
-	res, err := Run(cfg, GNNDriveGPU, RunOptions{Epochs: 1, SampleUtil: 5 * time.Millisecond})
+	res, err := RunCtx(context.Background(), cfg, GNNDriveGPU, RunOptions{Epochs: 1, SampleUtil: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +175,8 @@ func TestSystemKindString(t *testing.T) {
 
 func TestAvgEpochAndPrep(t *testing.T) {
 	r := Result{Epochs: []EpochStats{
-		{Total: 2 * time.Second, Prep: time.Second},
-		{Total: 4 * time.Second, Prep: 3 * time.Second},
+		{Breakdown: metrics.Breakdown{Total: 2 * time.Second, Prep: time.Second}},
+		{Breakdown: metrics.Breakdown{Total: 4 * time.Second, Prep: 3 * time.Second}},
 	}}
 	if r.AvgEpoch() != 3*time.Second || r.AvgPrep() != 2*time.Second {
 		t.Fatalf("avg %v prep %v", r.AvgEpoch(), r.AvgPrep())
@@ -191,7 +192,7 @@ func TestFeatureBufferXRuns(t *testing.T) {
 	for _, x := range []float64{1, 2, 8} {
 		cfg := tinyCfg()
 		cfg.FeatureBufferX = x
-		res, err := Run(cfg, GNNDriveGPU, RunOptions{Epochs: 1})
+		res, err := RunCtx(context.Background(), cfg, GNNDriveGPU, RunOptions{Epochs: 1})
 		if err != nil {
 			t.Fatalf("x=%v: %v", x, err)
 		}
@@ -210,7 +211,7 @@ func TestAblationSwitchesRun(t *testing.T) {
 	} {
 		cfg := tinyCfg()
 		mut(&cfg)
-		if _, err := Run(cfg, GNNDriveGPU, RunOptions{Epochs: 1}); err != nil {
+		if _, err := RunCtx(context.Background(), cfg, GNNDriveGPU, RunOptions{Epochs: 1}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
@@ -227,7 +228,7 @@ func TestRunCheckpointAndResume(t *testing.T) {
 
 	// First launch: two of four epochs, then "crash" (the process just
 	// stops using the engine; the committed checkpoints survive).
-	res1, err := Run(cfg, GNNDriveGPU, RunOptions{Epochs: 2})
+	res1, err := RunCtx(context.Background(), cfg, GNNDriveGPU, RunOptions{Epochs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestRunCheckpointAndResume(t *testing.T) {
 	// Relaunch with -resume semantics: epochs 0 and 1 are done, so a
 	// 4-epoch run trains exactly epochs 2 and 3.
 	cfg.Resume = true
-	res2, err := Run(cfg, GNNDriveGPU, RunOptions{Epochs: 4})
+	res2, err := RunCtx(context.Background(), cfg, GNNDriveGPU, RunOptions{Epochs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestRunCheckpointAndResume(t *testing.T) {
 	}
 
 	// Resuming a finished run trains nothing.
-	res3, err := Run(cfg, GNNDriveGPU, RunOptions{Epochs: 4})
+	res3, err := RunCtx(context.Background(), cfg, GNNDriveGPU, RunOptions{Epochs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestRunCtxCancelDuringResumedEpoch(t *testing.T) {
 	cfg.CheckpointDir = dir
 
 	// First launch completes one epoch so the relaunch actually resumes.
-	if _, err := Run(cfg, GNNDriveGPU, RunOptions{Epochs: 1}); err != nil {
+	if _, err := RunCtx(context.Background(), cfg, GNNDriveGPU, RunOptions{Epochs: 1}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -303,7 +304,7 @@ func TestRunStallDeadlineHealthy(t *testing.T) {
 	defer DropDatasets()
 	cfg := tinyCfg()
 	cfg.StallDeadline = 30 * time.Second
-	res, err := Run(cfg, GNNDriveGPU, RunOptions{Epochs: 1})
+	res, err := RunCtx(context.Background(), cfg, GNNDriveGPU, RunOptions{Epochs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +318,7 @@ func TestFileBackendRunsAndCaches(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.Backend = "file"
 	cfg.DataFile = filepath.Join(t.TempDir(), "tiny.img")
-	res, err := Run(cfg, GNNDriveGPU, RunOptions{Epochs: 1})
+	res, err := RunCtx(context.Background(), cfg, GNNDriveGPU, RunOptions{Epochs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +350,7 @@ func TestUnknownBackendRejected(t *testing.T) {
 	defer DropDatasets()
 	cfg := tinyCfg()
 	cfg.Backend = "nvme-of"
-	if _, err := Run(cfg, GNNDriveGPU, RunOptions{Epochs: 1}); err == nil {
+	if _, err := RunCtx(context.Background(), cfg, GNNDriveGPU, RunOptions{Epochs: 1}); err == nil {
 		t.Fatal("unknown backend accepted")
 	}
 }
@@ -367,13 +368,13 @@ func TestPackedLayoutBitIdenticalFewerReads(t *testing.T) {
 	base.InOrder = true
 	base.Seed = 1
 
-	strided, err := Run(base, GNNDriveGPU, RunOptions{Epochs: 2})
+	strided, err := RunCtx(context.Background(), base, GNNDriveGPU, RunOptions{Epochs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	packedCfg := base
 	packedCfg.Layout = "packed"
-	packed, err := Run(packedCfg, GNNDriveGPU, RunOptions{Epochs: 2})
+	packed, err := RunCtx(context.Background(), packedCfg, GNNDriveGPU, RunOptions{Epochs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package uring
 
 import (
+	"context"
 	"testing"
 
 	"gnndrive/internal/storage/sim"
@@ -16,7 +17,7 @@ func BenchmarkQueueFlushWait(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := r.QueueRead(buf, int64(i%1024)*512, uint64(i)); err != nil {
+		if err := r.QueueReadCtx(context.Background(), buf, int64(i%1024)*512, uint64(i)); err != nil {
 			b.Fatal(err)
 		}
 		r.Flush()
@@ -38,7 +39,7 @@ func BenchmarkDeepPipeline(b *testing.B) {
 	submitted, collected := 0, 0
 	for collected < b.N {
 		if submitted < b.N && r.Inflight() < 64 {
-			if err := r.QueueRead(bufs[submitted%64], int64(submitted%1024)*512, uint64(submitted)); err != nil {
+			if err := r.QueueReadCtx(context.Background(), bufs[submitted%64], int64(submitted%1024)*512, uint64(submitted)); err != nil {
 				b.Fatal(err)
 			}
 			r.Flush()

@@ -64,33 +64,25 @@ func (r *Ring) Depth() int { return r.depth }
 // Inflight returns the number of submitted-but-uncollected requests.
 func (r *Ring) Inflight() int { return int(r.inflight.Load()) }
 
-// QueueRead stages an asynchronous direct read of p at off without
+// QueueReadCtx stages an asynchronous direct read of p at off without
 // submitting it; Flush hands every staged read to the backend in one
 // batch, and user comes back in the CQE. off and len(p) must be
 // sector-aligned: alignment is validated here (storage.ErrUnaligned), so
 // a caller can still degrade the op to a buffered queue entry before
 // anything reaches the device (§4.4's fallback ladder). Blocks when depth
 // requests are staged or in flight.
-func (r *Ring) QueueRead(p []byte, off int64, user uint64) error {
-	return r.queue(nil, p, off, user, true)
-}
-
-// QueueReadCtx is QueueRead with the request bound to ctx: if ctx is
-// cancelled while the device sleeps out the modeled service time (e.g. a
-// fault-injected straggler delay), the completion arrives promptly with
-// the context's error instead of after the full delay — the extractor's
-// teardown path is never blocked behind a straggler.
+//
+// The request is bound to ctx: if ctx is cancelled while the device sleeps
+// out the modeled service time (e.g. a fault-injected straggler delay),
+// the completion arrives promptly with the context's error instead of
+// after the full delay — the extractor's teardown path is never blocked
+// behind a straggler.
 func (r *Ring) QueueReadCtx(ctx context.Context, p []byte, off int64, user uint64) error {
 	return r.queue(ctx, p, off, user, true)
 }
 
-// QueueBufferedRead is QueueRead without the alignment constraint, for
-// configurations that fall back to buffered async I/O (§4.4).
-func (r *Ring) QueueBufferedRead(p []byte, off int64, user uint64) error {
-	return r.queue(nil, p, off, user, false)
-}
-
-// QueueBufferedReadCtx is QueueBufferedRead bound to ctx.
+// QueueBufferedReadCtx is QueueReadCtx without the alignment constraint,
+// for configurations that fall back to buffered async I/O (§4.4).
 func (r *Ring) QueueBufferedReadCtx(ctx context.Context, p []byte, off int64, user uint64) error {
 	return r.queue(ctx, p, off, user, false)
 }

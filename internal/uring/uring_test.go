@@ -120,7 +120,7 @@ func TestPeekCQE(t *testing.T) {
 	if _, ok := r.PeekCQE(); ok {
 		t.Fatal("peek on empty ring")
 	}
-	if err := r.QueueRead(make([]byte, 512), 0, 5); err != nil {
+	if err := r.QueueReadCtx(context.Background(), make([]byte, 512), 0, 5); err != nil {
 		t.Fatal(err)
 	}
 	r.Flush()
