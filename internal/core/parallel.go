@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"gnndrive/internal/device"
+	"gnndrive/internal/errutil"
 	"gnndrive/internal/graph"
 	"gnndrive/internal/hostmem"
 	"gnndrive/internal/metrics"
@@ -164,7 +165,9 @@ func (p *Parallel) allReduceTime() time.Duration {
 // concurrently with per-step gradient synchronization. It returns the
 // wall-clock epoch time and per-worker results. A failing worker (or a
 // cancelled ctx) cancels its siblings and interrupts the step barrier so
-// surviving workers cannot wedge waiting for a dead peer.
+// surviving workers cannot wedge waiting for a dead peer. The error
+// returned is the first one in time — the cause — not a sibling's
+// context.Canceled that the cause brought about.
 func (p *Parallel) TrainEpochCtx(ctx context.Context, epoch int) (time.Duration, []EpochResult, error) {
 	ds := p.engines[0].ds
 	bs := p.engines[0].opts.BatchSize
@@ -182,7 +185,7 @@ func (p *Parallel) TrainEpochCtx(ctx context.Context, epoch int) (time.Duration,
 	defer stopKick()
 
 	results := make([]EpochResult, w)
-	errs := make([]error, w)
+	var first errutil.FirstError
 	var wg sync.WaitGroup
 	start := time.Now()
 	for i, eng := range p.engines {
@@ -190,20 +193,16 @@ func (p *Parallel) TrainEpochCtx(ctx context.Context, epoch int) (time.Duration,
 		go func(i int, eng *Engine) {
 			defer wg.Done()
 			seg := ds.TrainIdx[i*segLen : (i+1)*segLen]
-			results[i], errs[i] = eng.trainEpochSegment(runCtx, epoch, seg, p.syncFn(i), 0)
-			if errs[i] != nil {
+			var err error
+			results[i], err = eng.trainEpochSegment(runCtx, epoch, seg, p.syncFn(i), 0)
+			if err != nil {
+				first.Set(err) // before cancel, so no sibling's Canceled can precede it
 				cancel()
 			}
 		}(i, eng)
 	}
 	wg.Wait()
-	total := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return total, results, err
-		}
-	}
-	return total, results, nil
+	return time.Since(start), results, first.Get()
 }
 
 // syncFn returns worker i's per-step gradient synchronization: a barrier,

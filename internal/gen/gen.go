@@ -19,6 +19,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"gnndrive/internal/graph"
 	"gnndrive/internal/storage"
@@ -283,25 +285,92 @@ func Centroid(s Spec, c int) []float32 {
 	return vec
 }
 
+// featureChunkBytes is the unit writeFeatures synthesises and writes: a
+// file backend sees a few hundred writes instead of one per node, and the
+// integrity wrapper hashes whole blocks instead of re-reading one per row.
+const featureChunkBytes = 256 << 10
+
+// featureChunk is the feature rows of nodes [first, first+rows) on their
+// way from uniforms to bytes.
+type featureChunk struct {
+	first, rows int
+	u           []float64     // RNG.NormUniforms pairs, one per value, in stream order
+	out         []byte        // the encoded rows
+	ready       chan struct{} // 1-buffered: a worker has filled out
+}
+
+// writeFeatures writes feature(v) = centroid(class(v)) + N(0,1) noise for
+// every node. The bytes and rng's final position are those of the plain
+// loop drawing rng.NormFloat32 once per value: one goroutine draws the
+// uniforms in that order, GOMAXPROCS workers do the Box-Muller math and
+// the encoding, and the calling goroutine alone writes finished chunks in
+// ascending offset order (consecutive chunks share a checksum block, which
+// two concurrent writers would race to refresh).
 func writeFeatures(dev storage.Backend, off int64, s Spec, classes []int32, rng *tensor.RNG) error {
 	centroids := make([][]float32, s.Classes)
 	for c := range centroids {
 		centroids[c] = Centroid(s, c)
 	}
-	row := make([]byte, s.Dim*4)
-	pos := off
-	for v := 0; v < s.Nodes; v++ {
-		cen := centroids[classes[v]]
-		for j := 0; j < s.Dim; j++ {
-			f := cen[j] + rng.NormFloat32()
-			binary.LittleEndian.PutUint32(row[j*4:], math.Float32bits(f))
-		}
-		if err := dev.WriteRaw(row, pos); err != nil {
-			return err
-		}
-		pos += int64(len(row))
+	rowBytes := s.Dim * 4
+	chunkRows := (featureChunkBytes + rowBytes - 1) / rowBytes
+	nWorkers := runtime.GOMAXPROCS(0)
+	// Chunks in flight: one being drawn, one per worker, one per worker
+	// waiting its turn to be written. order can hold them all, so only
+	// the free list ever makes the drawing goroutine wait.
+	inflight := 2*nWorkers + 1
+	free := make(chan *featureChunk, inflight)
+	for i := 0; i < inflight; i++ {
+		free <- &featureChunk{u: make([]float64, 2*chunkRows*s.Dim),
+			out: make([]byte, chunkRows*rowBytes), ready: make(chan struct{}, 1)}
 	}
-	return nil
+	work := make(chan *featureChunk)
+	order := make(chan *featureChunk, inflight)
+
+	go func() {
+		defer close(order)
+		defer close(work)
+		for first := 0; first < s.Nodes; first += chunkRows {
+			c := <-free
+			c.first, c.rows = first, min(chunkRows, s.Nodes-first)
+			u := c.u[:2*c.rows*s.Dim]
+			for i := 0; i < len(u); i += 2 {
+				u[i], u[i+1] = rng.NormUniforms()
+			}
+			work <- c
+			order <- c
+		}
+	}()
+	var workers sync.WaitGroup
+	workers.Add(nWorkers)
+	for w := 0; w < nWorkers; w++ {
+		go func() {
+			defer workers.Done()
+			for c := range work {
+				for r := 0; r < c.rows; r++ {
+					cen := centroids[classes[c.first+r]]
+					u, row := c.u[2*r*s.Dim:], c.out[r*rowBytes:]
+					for j, cj := range cen {
+						f := cj + tensor.BoxMuller(u[2*j], u[2*j+1])
+						binary.LittleEndian.PutUint32(row[j*4:], math.Float32bits(f))
+					}
+				}
+				c.ready <- struct{}{}
+			}
+		}()
+	}
+	// Every chunk comes through order and goes back to free, written or
+	// not, so a failed write leaves no goroutine blocked: the rest is
+	// synthesised, discarded, and the channels close.
+	var err error
+	for c := range order {
+		<-c.ready
+		if err == nil {
+			err = dev.WriteRaw(c.out[:c.rows*rowBytes], off+int64(c.first)*int64(rowBytes))
+		}
+		free <- c
+	}
+	workers.Wait()
+	return err
 }
 
 func splitNodes(ds *graph.Dataset, s Spec, rng *tensor.RNG) {

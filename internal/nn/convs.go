@@ -151,6 +151,12 @@ type gatConv struct {
 	x, h   *tensor.Matrix
 	scores []float32 // pre-activation edge scores
 	alpha  []float32 // attention weights
+	// scratch, reused across batches (Model is not concurrent-safe):
+	// node and edge back every per-node and per-edge vector of a pass
+	// (scores, alpha and etmp are pieces of edge).
+	out, dh, gw, dx, bg *tensor.Matrix
+	node, edge          []float32
+	etmp                []float32 // activations forward, dalpha backward
 }
 
 const gatSlope = 0.2
@@ -166,13 +172,30 @@ func newGATConv(name string, in, out int, rng *tensor.RNG) *gatConv {
 
 func (c *gatConv) params() []*Param { return []*Param{c.w, c.a1, c.a2, c.bias} }
 
+// carve resizes *buf to parts*n elements, reallocating only when its
+// capacity is short (contents unspecified), and returns its parts
+// consecutive length-n pieces.
+func carve(buf *[]float32, parts, n int) (p [4][]float32) {
+	if cap(*buf) < parts*n {
+		*buf = make([]float32, parts*n)
+	}
+	*buf = (*buf)[:parts*n]
+	for i := 0; i < parts; i++ {
+		p[i] = (*buf)[i*n : (i+1)*n : (i+1)*n]
+	}
+	return p
+}
+
 func (c *gatConv) forward(e *edges, x *tensor.Matrix) *tensor.Matrix {
 	c.e, c.x = e, x
-	c.h = tensor.MatMul(x, c.w.W)
-	n := e.n
+	c.h = tensor.EnsureShape(c.h, x.Rows, c.w.W.Cols)
+	tensor.MatMulInto(c.h, x, c.w.W)
+	n, m := e.n, len(e.src)
+	np, ep := carve(&c.node, 4, n), carve(&c.edge, 3, m)
+	s1, s2, maxPerDst, sumPerDst := np[0], np[1], np[2], np[3]
+	c.scores, c.alpha, c.etmp = ep[0], ep[1], ep[2]
+	act := c.etmp
 	// Per-node projections onto the attention vectors.
-	s1 := make([]float32, n)
-	s2 := make([]float32, n)
 	for v := 0; v < n; v++ {
 		row := c.h.Row(v)
 		var d1, d2 float32
@@ -181,13 +204,8 @@ func (c *gatConv) forward(e *edges, x *tensor.Matrix) *tensor.Matrix {
 			d2 += hv * c.a2.W.Data[j]
 		}
 		s1[v], s2[v] = d1, d2
-	}
-	m := len(e.src)
-	c.scores = make([]float32, m)
-	act := make([]float32, m)
-	maxPerDst := make([]float32, n)
-	for v := range maxPerDst {
 		maxPerDst[v] = float32(math.Inf(-1))
+		sumPerDst[v] = 0
 	}
 	for i := range e.src {
 		s := s1[e.src[i]] + s2[e.dst[i]]
@@ -201,8 +219,6 @@ func (c *gatConv) forward(e *edges, x *tensor.Matrix) *tensor.Matrix {
 		}
 	}
 	// Softmax over in-edges of each dst.
-	c.alpha = make([]float32, m)
-	sumPerDst := make([]float32, n)
 	for i := range e.src {
 		a := float32(math.Exp(float64(act[i] - maxPerDst[e.dst[i]])))
 		c.alpha[i] = a
@@ -211,28 +227,38 @@ func (c *gatConv) forward(e *edges, x *tensor.Matrix) *tensor.Matrix {
 	for i := range c.alpha {
 		c.alpha[i] /= sumPerDst[e.dst[i]]
 	}
-	out := tensor.New(n, c.h.Cols)
+	c.out = tensor.EnsureShape(c.out, n, c.h.Cols)
+	c.out.Zero()
 	for i := range e.src {
-		d := out.Row(int(e.dst[i]))
+		d := c.out.Row(int(e.dst[i]))
 		s := c.h.Row(int(e.src[i]))
 		a := c.alpha[i]
 		for j, v := range s {
 			d[j] += a * v
 		}
 	}
-	out.AddRowVector(c.bias.W.Data)
-	return out
+	c.out.AddRowVector(c.bias.W.Data)
+	return c.out
 }
 
 func (c *gatConv) backward(dout *tensor.Matrix) *tensor.Matrix {
 	e, h := c.e, c.h
-	n, m := e.n, len(e.src)
-	bg := dout.ColSums()
-	for j, v := range bg {
-		c.bias.G.Data[j] += v
-	}
-	dh := tensor.New(h.Rows, h.Cols)
-	dalpha := make([]float32, m)
+	n := e.n
+	// The column sums are formed from zero and then added, not summed
+	// straight into the gradient: the two round differently once the
+	// gradient is non-zero.
+	c.bg = tensor.EnsureShape(c.bg, 1, dout.Cols)
+	c.bg.Zero()
+	dout.ColSumsInto(c.bg.Data)
+	c.bias.G.Add(c.bg)
+	c.dh = tensor.EnsureShape(c.dh, h.Rows, h.Cols)
+	c.dh.Zero()
+	dh := c.dh
+	// The forward pass's node vectors and activations are spent.
+	dalpha := c.etmp
+	np := carve(&c.node, 3, n)
+	dotPerDst, ds1, ds2 := np[0], np[1], np[2]
+	clear(c.node)
 	for i := range e.src {
 		dRow := dout.Row(int(e.dst[i]))
 		hRow := h.Row(int(e.src[i]))
@@ -246,12 +272,9 @@ func (c *gatConv) backward(dout *tensor.Matrix) *tensor.Matrix {
 		dalpha[i] = da
 	}
 	// Softmax backward per dst: de_i = α_i (dα_i - Σ_j α_j dα_j).
-	dotPerDst := make([]float32, n)
 	for i := range e.src {
 		dotPerDst[e.dst[i]] += c.alpha[i] * dalpha[i]
 	}
-	ds1 := make([]float32, n)
-	ds2 := make([]float32, n)
 	for i := range e.src {
 		de := c.alpha[i] * (dalpha[i] - dotPerDst[e.dst[i]])
 		if c.scores[i] < 0 {
@@ -271,6 +294,10 @@ func (c *gatConv) backward(dout *tensor.Matrix) *tensor.Matrix {
 			c.a2.G.Data[j] += g2 * hRow[j]
 		}
 	}
-	c.w.G.Add(tensor.MatMulT1(c.x, dh))
-	return tensor.MatMulT2(dh, c.w.W)
+	c.gw = tensor.EnsureShape(c.gw, c.x.Cols, dh.Cols)
+	tensor.MatMulT1Into(c.gw, c.x, dh)
+	c.w.G.Add(c.gw)
+	c.dx = tensor.EnsureShape(c.dx, dh.Rows, c.w.W.Rows)
+	tensor.MatMulT2Into(c.dx, dh, c.w.W)
+	return c.dx
 }

@@ -10,28 +10,25 @@ func benchMatrix(rng *RNG, r, c int) *Matrix {
 	return m
 }
 
-func BenchmarkMatMul256(b *testing.B) {
-	rng := NewRNG(1)
-	x := benchMatrix(rng, 256, 256)
-	y := benchMatrix(rng, 256, 256)
+// benchForm times one matmul form on the shape of a GraphSAGE layer over
+// a sampled batch (1747 nodes, 128 -> 64), dense and with the ≈ 50 % exact
+// zeros a post-ReLU activation has.
+func benchForm(b *testing.B, form int, zeroShare float64) {
+	f := matmulForms[form]
+	x, w := f.operands(NewRNG(2), 1747, 128, 64, zeroShare)
+	out := New(1747, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMul(x, y)
+		f.into(out, x, w)
 	}
 }
 
-func BenchmarkMatMulBatchShape(b *testing.B) {
-	// The shape of one conv layer on a sampled batch: 2k nodes x 128 -> 256.
-	rng := NewRNG(2)
-	x := benchMatrix(rng, 2000, 128)
-	w := benchMatrix(rng, 128, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMul(x, w)
-	}
-}
+func BenchmarkMatMulBatchShape(b *testing.B)       { benchForm(b, 0, 0) }
+func BenchmarkMatMulBatchShapeReLU(b *testing.B)   { benchForm(b, 0, 0.5) }
+func BenchmarkMatMulT1BatchShape(b *testing.B)     { benchForm(b, 1, 0) }
+func BenchmarkMatMulT1BatchShapeReLU(b *testing.B) { benchForm(b, 1, 0.5) }
+func BenchmarkMatMulT2BatchShape(b *testing.B)     { benchForm(b, 2, 0) }
 
 func BenchmarkLogSoftmax(b *testing.B) {
 	rng := NewRNG(3)

@@ -28,19 +28,6 @@ func ReLUBackward(grad, out *Matrix) {
 	}
 }
 
-// LeakyReLUBackward scales grad by slope where pre-activation input was
-// negative. in is the pre-activation matrix.
-func LeakyReLUBackward(grad, in *Matrix, slope float32) {
-	if !grad.SameShape(in) {
-		panic(fmt.Sprintf("tensor: LeakyReLUBackward shape mismatch %v vs %v", grad, in))
-	}
-	for i, v := range in.Data {
-		if v < 0 {
-			grad.Data[i] *= slope
-		}
-	}
-}
-
 // LogSoftmax computes log-softmax along each row into a new matrix.
 func LogSoftmax(m *Matrix) *Matrix {
 	out := New(m.Rows, m.Cols)

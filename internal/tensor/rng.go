@@ -64,11 +64,21 @@ func (r *RNG) Float64() float64 {
 
 // NormFloat32 returns a standard-normal sample via Box-Muller.
 func (r *RNG) NormFloat32() float32 {
-	u1 := r.Float64()
+	return BoxMuller(r.NormUniforms())
+}
+
+// NormUniforms draws the two uniforms one NormFloat32 consumes, so a
+// caller can keep the stream sequential and run BoxMuller elsewhere.
+func (r *RNG) NormUniforms() (u1, u2 float64) {
+	u1 = r.Float64()
 	for u1 == 0 {
 		u1 = r.Float64()
 	}
-	u2 := r.Float64()
+	return u1, r.Float64()
+}
+
+// BoxMuller maps a NormUniforms pair to NormFloat32's sample for it.
+func BoxMuller(u1, u2 float64) float32 {
 	return float32(math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2))
 }
 

@@ -1,14 +1,11 @@
 // Package tensor provides dense float32 matrices and the numeric kernels
-// needed for sample-based GNN training: parallel blocked matrix multiply,
-// elementwise operations, row gather/scatter, softmax, and deterministic
-// random initialization. It is deliberately 2-D: every activation in a
+// needed for sample-based GNN training: parallel register-blocked matrix
+// multiply with a fixed summation order (matmul.go), elementwise
+// operations, softmax, and deterministic random initialization. It is deliberately 2-D: every activation in a
 // layered GNN mini-batch is a [nodes x features] matrix.
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Matrix is a dense, row-major float32 matrix.
 type Matrix struct {
@@ -166,35 +163,6 @@ func (m *Matrix) ColSumsInto(dst []float32) {
 		row := m.Row(r)
 		for j, v := range row {
 			dst[j] += v
-		}
-	}
-}
-
-// MaxAbsDiff returns max_i |m[i]-o[i]|, for test tolerance checks.
-func (m *Matrix) MaxAbsDiff(o *Matrix) float64 {
-	if !m.SameShape(o) {
-		panic(fmt.Sprintf("tensor: MaxAbsDiff shape mismatch %v vs %v", m, o))
-	}
-	var worst float64
-	for i := range m.Data {
-		d := math.Abs(float64(m.Data[i] - o.Data[i]))
-		if d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
-
-// ScatterAddRows accumulates row i of src into row idx[i] of dst.
-func ScatterAddRows(dst, src *Matrix, idx []int32) {
-	if dst.Cols != src.Cols {
-		panic(fmt.Sprintf("tensor: ScatterAddRows cols %d vs %d", dst.Cols, src.Cols))
-	}
-	for i, r := range idx {
-		d := dst.Row(int(r))
-		s := src.Row(i)
-		for j, v := range s {
-			d[j] += v
 		}
 	}
 }
