@@ -289,6 +289,10 @@ type Engine struct {
 	// stage is a single goroutine).
 	trainX      *tensor.Matrix
 	trainLabels []int32
+	// extractors outlive epochs, so their ring, plan scratch and transfer
+	// records are grown once per run rather than once per epoch. The
+	// extract goroutines of one epoch use one each.
+	extractors []*extractor
 
 	// ckptSaver commits run state to Options.CheckpointDir (nil when
 	// checkpointing is disabled).
@@ -720,11 +724,13 @@ func (e *Engine) trainEpochSegment(ctx context.Context, epoch int, targets []int
 
 	// Extract stage.
 	var extWG sync.WaitGroup
-	for xi := 0; xi < e.opts.Extractors; xi++ {
+	for len(e.extractors) < e.opts.Extractors {
+		e.extractors = append(e.extractors, newExtractor(e))
+	}
+	for _, x := range e.extractors {
 		extWG.Add(1)
 		go func() {
 			defer extWG.Done()
-			x := newExtractor(e)
 			for b := range extractQ {
 				if failed() {
 					e.putBatch(b)

@@ -65,6 +65,11 @@ type extractor struct {
 	// xferWG tracks the batch's in-flight device transfers; runPlan waits
 	// it back to zero before returning, so one per extractor suffices.
 	xferWG sync.WaitGroup
+	// xfers[:nxfer] are the transfer records the current batch launched,
+	// one per completion drain; xfers[nxfer], when present, is the one
+	// the running drain fills.
+	xfers []*xferRec
+	nxfer int
 }
 
 func newExtractor(eng *Engine) *extractor {
@@ -140,11 +145,12 @@ func (x *extractor) extractBatch(ctx context.Context, b *sample.Batch) (*trainIt
 }
 
 // runPlan issues the plan's reads and transfers: up to RingDepth reads in
-// flight, each completed read's device transfer launched immediately
-// (phases 4 and 5 of Fig. 4 overlap). The SyncExtraction ablation is the
-// same loop with one read in flight, the wait for it charged to the
-// recorder as synchronous I/O wait — what a blocking read costs its
-// thread, and what Figs. 3 and 11 plot.
+// flight, and after each drain of completions one device transfer for
+// every read it reaped, launched before the wave is topped up (phases 4
+// and 5 of Fig. 4 overlap, at drain granularity). The SyncExtraction
+// ablation is the same loop with one read in flight, the wait for it
+// charged to the recorder as synchronous I/O wait — what a blocking read
+// costs its thread, and what Figs. 3 and 11 plot.
 //
 // Fault tolerance: a read that completes with a transient error is
 // resubmitted after a jittered exponential backoff, up to the per-op
@@ -159,7 +165,7 @@ func (x *extractor) runPlan(ctx context.Context, b *sample.Batch, res *Reservati
 		depth = 1
 	}
 	opSlot, attempts, buffered := x.planScratch(len(plan))
-	xferWG := &x.xferWG
+	x.resetXfers()
 	var firstErr error
 	budget := eng.opts.retryBudget
 	// Every in-flight read holds one IOGate permit from acquisition to
@@ -196,10 +202,11 @@ func (x *extractor) runPlan(ctx context.Context, b *sample.Batch, res *Reservati
 	next := 0     // next op to submit for the first time
 	inflight := 0 // reads currently owned by the device
 
-	// reap handles one completion: a clean read starts its transfer
-	// before the remaining loads finish, a transient failure is staged
-	// again on the slot and permit it still holds (the wave's next Flush
-	// publishes it), anything else escalates as the plan's error.
+	// reap handles one completion: a clean read is decoded and joins the
+	// drain's transfer, which starts before the remaining loads finish; a
+	// transient failure is staged again on the slot and permit it still
+	// holds (the wave's next Flush publishes it); anything else escalates
+	// as the plan's error.
 	reap := func(cqe uring.CQE) {
 		inflight--
 		if eng.opts.SyncExtraction {
@@ -210,7 +217,7 @@ func (x *extractor) runPlan(ctx context.Context, b *sample.Batch, res *Reservati
 		switch {
 		case cqe.Err == nil:
 			release(1)
-			x.transferOp(b, res, plan[op], slot, xferWG)
+			x.transferOp(b, res, plan[op], slot)
 		case firstErr == nil && retryableRead(cqe.Err) && attempts[op] < budget:
 			attempts[op]++
 			st.Retries++
@@ -289,7 +296,8 @@ func (x *extractor) runPlan(ctx context.Context, b *sample.Batch, res *Reservati
 		}
 		// Batch reap: block for one completion, then drain every other
 		// one already in the CQ before topping the wave up, so a wave of
-		// completions costs one submission rather than one per read.
+		// completions costs one submission and one device transfer rather
+		// than one of each per read.
 		reap(x.ring.WaitCQE())
 		for {
 			cqe, ok := x.ring.PeekCQE()
@@ -298,8 +306,10 @@ func (x *extractor) runPlan(ctx context.Context, b *sample.Batch, res *Reservati
 			}
 			reap(cqe)
 		}
+		x.launchXfer()
 	}
-	xferWG.Wait()
+	x.launchXfer() // an unlaunched record would never release its slots or mark its nodes valid
+	x.xferWG.Wait()
 	return firstErr
 }
 
@@ -338,46 +348,70 @@ func (x *extractor) planScratch(n int) (opSlot []int32, attempts []int, buffered
 	return x.opSlot, x.attempts, x.buffered
 }
 
-// xferDone is a pooled completion record for the modeled-GPU transfer
-// path: it snapshots the node IDs that become valid when the async copy
-// fires, plus everything the completion needs. fn is created once per
-// record and captures only the record pointer, so reusing a record costs
-// no closure allocation.
-type xferDone struct {
-	eng   *Engine
+// xferRec is one modeled host-to-device DMA: the nodes that become valid
+// and the staging slots that return to the pool when it completes. One
+// record carries every clean read of one completion drain. Records
+// belong to the extractor and are reused batch after batch rather than
+// pooled — every record a batch launches is back by runPlan's
+// xferWG.Wait, and a pooled record would re-grow its slices after every
+// GC. fn is bound once to run, so a launch allocates no closure.
+type xferRec struct {
+	x     *extractor
 	nodes []int64
-	slot  int32
-	wg    *sync.WaitGroup
+	slots []int32
 	fn    func()
 }
 
-func (d *xferDone) run() {
+func (d *xferRec) run() {
+	eng := d.x.eng
 	for _, n := range d.nodes {
-		d.eng.fb.MarkValid(n)
+		eng.fb.MarkValid(n)
 	}
-	d.eng.staging.Release(d.slot)
-	wg := d.wg
-	d.eng, d.wg = nil, nil
-	xferDonePool.Put(d)
-	wg.Done()
+	for _, s := range d.slots {
+		eng.staging.Release(s)
+	}
+	d.x.xferWG.Done()
 }
 
-var xferDonePool sync.Pool
-
-func getXferDone() *xferDone {
-	if d, ok := xferDonePool.Get().(*xferDone); ok {
-		return d
+// pendingXfer returns the record the current drain fills: xfers[nxfer],
+// created on first use.
+func (x *extractor) pendingXfer() *xferRec {
+	if x.nxfer == len(x.xfers) {
+		d := &xferRec{x: x}
+		d.fn = d.run
+		x.xfers = append(x.xfers, d)
 	}
-	d := &xferDone{}
-	d.fn = d.run
-	return d
+	return x.xfers[x.nxfer]
+}
+
+// launchXfer sends the current drain's record, if it holds anything, to
+// the device as one CopyAsync of all its nodes' bytes.
+func (x *extractor) launchXfer() {
+	if x.nxfer == len(x.xfers) || len(x.xfers[x.nxfer].slots) == 0 {
+		return
+	}
+	d := x.xfers[x.nxfer]
+	x.nxfer++
+	x.xferWG.Add(1)
+	x.eng.dev.CopyAsync(int64(len(d.nodes))*x.eng.ds.FeatBytes(), d.fn)
+}
+
+// resetXfers makes the previous batch's records (all back: its runPlan
+// waited for them) available again, keeping their slices.
+func (x *extractor) resetXfers() {
+	for _, d := range x.xfers[:x.nxfer] {
+		d.nodes, d.slots = d.nodes[:0], d.slots[:0]
+	}
+	x.nxfer = 0
 }
 
 // transferOp decodes the read's feature vectors into their feature-buffer
-// slots and schedules the (modeled) host-to-device DMA; on completion the
-// nodes become valid and the staging slot returns to the pool. CPU-based
-// training has no device transfer: data is already in host memory (§4.4).
-func (x *extractor) transferOp(b *sample.Batch, res *Reservation, op ReadOp, slot int32, wg *sync.WaitGroup) {
+// slots. On a GPU the nodes and the staging slot join the drain's
+// transfer record, which launchXfer sends as one modeled DMA; on
+// completion the nodes become valid and the slots return to the pool.
+// CPU-based training has no device transfer: data is already in host
+// memory (§4.4).
+func (x *extractor) transferOp(b *sample.Batch, res *Reservation, op ReadOp, slot int32) {
 	eng := x.eng
 	featBytes := int(eng.ds.FeatBytes())
 	buf := eng.staging.Buf(slot)
@@ -386,16 +420,13 @@ func (x *extractor) transferOp(b *sample.Batch, res *Reservation, op ReadOp, slo
 		graph.DecodeFeature(buf[rn.BufOff:rn.BufOff+featBytes], dst[:0])
 	}
 	if !eng.opts.GPUDirect && eng.dev.Kind() == deviceGPUKind {
-		// The async completion runs after this batch's op.Nodes scratch may
-		// have been reused, so snapshot the node IDs into a pooled record.
-		d := getXferDone()
-		d.eng, d.slot, d.wg = eng, slot, wg
-		d.nodes = d.nodes[:0]
+		// The completion runs after this batch's op.Nodes scratch may have
+		// been reused, so the record keeps the node IDs themselves.
+		d := x.pendingXfer()
 		for _, rn := range op.Nodes {
 			d.nodes = append(d.nodes, b.Nodes[rn.Pos])
 		}
-		wg.Add(1)
-		eng.dev.CopyAsync(int64(len(op.Nodes)*featBytes), d.fn)
+		d.slots = append(d.slots, slot)
 		return
 	}
 	// GDS reads already landed in device memory; CPU training reads from

@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"gnndrive/internal/device"
+	"gnndrive/internal/faults"
 	"gnndrive/internal/sample"
 	"gnndrive/internal/storage"
 )
@@ -318,6 +320,91 @@ func TestRunPlanReapsInBatches(t *testing.T) {
 			t.Fatalf("node %d not valid after extraction", v)
 		}
 	}
+}
+
+// failNthBackend is inlineBackend failing its nth read with a media error
+// (not retryable). Submit runs on the extractor's goroutine only.
+type failNthBackend struct {
+	storage.Backend
+	n, seen int
+}
+
+func (b *failNthBackend) Submit(req *storage.Request) {
+	b.seen++
+	if b.seen == b.n {
+		req.Err = faults.ErrMedia
+	} else {
+		req.Err = b.Backend.ReadRaw(req.Buf, req.Off)
+	}
+	req.Done(req)
+}
+
+// On TestRunPlanReapsInBatches' plan (every 13th node: ≈ 150 reads at
+// depth 8) a GPU engine launches one device transfer per completion
+// drain, not one per read, moves exactly the bytes the per-read
+// transfers moved, and gets every staging slot and feature-buffer
+// reference back — also when a read escalates mid-plan.
+func TestRunPlanTransfersPerDrain(t *testing.T) {
+	setup := func(t *testing.T, wrap func(storage.Backend) storage.Backend) (*testRig, *Engine, *extractor, []int64) {
+		rig := newRig(t, device.InstantConfig(), 64<<20)
+		opts := testOpts()
+		opts.RingDepth = 8
+		e := newEngine(t, rig, opts)
+		e.ds.Dev = wrap(e.ds.Dev)
+		var nodes []int64
+		for v := int64(0); v < e.ds.NumNodes; v += 13 {
+			nodes = append(nodes, v)
+		}
+		return rig, e, newExtractor(e), nodes
+	}
+
+	t.Run("clean", func(t *testing.T) {
+		rig, e, x, nodes := setup(t, func(b storage.Backend) storage.Backend { return inlineBackend{b} })
+		moved := rig.dev.BytesMoved()
+		_, st, err := x.extractBatch(context.Background(), buildBatchOf(0, nodes...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// With inline completions every flushed wave is reaped by exactly
+		// one drain.
+		drains := x.ring.Flushes()
+		t.Logf("%d reads, %d drains, %d transfers", st.BackendReads, drains, x.nxfer)
+		if st.BackendReads < 4*int64(x.ring.Depth()) {
+			t.Fatalf("plan of %d reads is not ≫ ring depth %d", st.BackendReads, x.ring.Depth())
+		}
+		if x.nxfer == 0 || int64(x.nxfer) > drains {
+			t.Fatalf("%d device transfers for %d completion drains, want 1..%d", x.nxfer, drains, drains)
+		}
+		var perRead int64 // what one CopyAsync per read moved, summed
+		for _, op := range x.plan {
+			perRead += int64(len(op.Nodes)) * e.ds.FeatBytes()
+		}
+		if got := rig.dev.BytesMoved() - moved; got != perRead {
+			t.Fatalf("transfers moved %d bytes, per-read transfers move %d", got, perRead)
+		}
+		for _, v := range nodes {
+			if !e.fb.Valid(v) {
+				t.Fatalf("node %d not valid after extraction", v)
+			}
+		}
+		e.fb.Release(nodes)
+		checkNoLeaks(t, e)
+	})
+
+	t.Run("escalation", func(t *testing.T) {
+		_, e, x, nodes := setup(t, func(b storage.Backend) storage.Backend { return &failNthBackend{Backend: b, n: 50} })
+		_, st, err := x.extractBatch(context.Background(), buildBatchOf(0, nodes...))
+		if !errors.Is(err, faults.ErrMedia) {
+			t.Fatalf("error %v, want the 50th read's media error", err)
+		}
+		if st.Escalations != 1 {
+			t.Fatalf("%d escalations, want 1", st.Escalations)
+		}
+		if x.nxfer == 0 {
+			t.Fatal("the reads before the failure launched no transfer")
+		}
+		checkNoLeaks(t, e)
+	})
 }
 
 func TestBuildExactPlanOneReadPerNode(t *testing.T) {

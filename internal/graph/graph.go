@@ -12,6 +12,7 @@ import (
 	"math"
 	"slices"
 	"time"
+	"unsafe"
 
 	"gnndrive/internal/layout"
 	"gnndrive/internal/pagecache"
@@ -280,8 +281,36 @@ func (r *RawReader) Neighbors(v int64, buf []int32) ([]int32, time.Duration, err
 	return decodeIndices(raw, buf[:0]), 0, nil
 }
 
-// DecodeFeature converts one node's raw feature bytes to float32s.
+// littleEndian reports whether float32s are stored little-endian in host
+// memory, i.e. whether the on-disk feature encoding is the memory image.
+var littleEndian = func() bool {
+	x := uint16(1)
+	return *(*byte)(unsafe.Pointer(&x)) == 1
+}()
+
+// DecodeFeature appends the float32s of one node's little-endian feature
+// bytes to out and returns the result, growing it like append; trailing
+// bytes short of a whole float are ignored. On a little-endian host the
+// bytes already are the floats' memory image, so decoding is one memmove
+// into out's backing array — bit for bit what the per-float loop
+// produces, NaN payloads included.
 func DecodeFeature(raw []byte, out []float32) []float32 {
+	if !littleEndian {
+		return decodeFeatureLoop(raw, out)
+	}
+	n := len(raw) / 4
+	if n == 0 {
+		return out
+	}
+	l := len(out)
+	out = slices.Grow(out, n)[:l+n]
+	copy(unsafe.Slice((*byte)(unsafe.Pointer(&out[l])), n*4), raw)
+	return out
+}
+
+// decodeFeatureLoop is DecodeFeature one float at a time, for big-endian
+// hosts.
+func decodeFeatureLoop(raw []byte, out []float32) []float32 {
 	n := len(raw) / 4
 	for i := 0; i < n; i++ {
 		out = append(out, math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:])))

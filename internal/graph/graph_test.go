@@ -2,6 +2,7 @@ package graph
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"gnndrive/internal/hostmem"
 	"gnndrive/internal/pagecache"
 	"gnndrive/internal/storage/sim"
+	"gnndrive/internal/storage/storagetest"
 )
 
 // buildTestDataset writes a small hand-made CSC graph to a device:
@@ -226,5 +228,148 @@ func TestDecodeFeature(t *testing.T) {
 	out := DecodeFeature(raw, nil)
 	if out[0] != 1.5 || out[1] != -2 {
 		t.Fatalf("DecodeFeature got %v", out)
+	}
+}
+
+// refDecodeFeature is the per-float loop DecodeFeature replaced, kept as
+// the reference its memmove must match bit for bit.
+func refDecodeFeature(raw []byte, out []float32) []float32 {
+	n := len(raw) / 4
+	for i := 0; i < n; i++ {
+		out = append(out, math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:])))
+	}
+	return out
+}
+
+// featureBytes encodes bits little-endian and appends tail extra bytes.
+func featureBytes(bits []uint32, tail int) []byte {
+	raw := make([]byte, 4*len(bits)+tail)
+	for i, b := range bits {
+		binary.LittleEndian.PutUint32(raw[4*i:], b)
+	}
+	for i := 4 * len(bits); i < len(raw); i++ {
+		raw[i] = 0xA5
+	}
+	return raw
+}
+
+// sameBits compares float32s by bit pattern, so NaN payloads and -0 count.
+func sameBits(t *testing.T, name string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: len %d, want %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s: [%d] bits %#08x, want %#08x", name, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+		}
+	}
+}
+
+// TestDecodeFeatureMatchesLoop pins DecodeFeature (and its big-endian
+// fallback) to the per-float loop on every shape the contract names:
+// whole and ragged lengths, special values, an existing prefix, and an
+// out that has to grow.
+func TestDecodeFeatureMatchesLoop(t *testing.T) {
+	specials := []uint32{
+		0x7fc00001, // quiet NaN with a payload
+		0xff800123, // signalling NaN with sign and payload
+		0x80000000, // -0
+		0x00000001, // smallest denormal
+		0x007fffff, // largest denormal
+		math.Float32bits(float32(math.Inf(1))),
+		math.Float32bits(float32(math.Inf(-1))),
+		math.Float32bits(1.5),
+	}
+	bitsOf := func(n int) []uint32 {
+		b := make([]uint32, n)
+		for i := range b {
+			b[i] = uint32(i) * 2654435761 // every bit pattern class, NaNs included
+			if i%2 == 0 {
+				b[i] = specials[i/2%len(specials)]
+			}
+		}
+		return b
+	}
+	type tc struct {
+		name string
+		raw  []byte
+	}
+	var cases []tc
+	for _, n := range []int{0, 1, 100, 128} {
+		cases = append(cases, tc{fmt.Sprintf("len%d", n), featureBytes(bitsOf(n), 0)})
+	}
+	for tail := 1; tail <= 3; tail++ {
+		cases = append(cases, tc{fmt.Sprintf("len5+%d", tail), featureBytes(bitsOf(5), tail)})
+	}
+	cases = append(cases, tc{"specials", featureBytes(specials, 0)}, tc{"tail-only", []byte{1, 2, 3}})
+
+	decoders := []struct {
+		name string
+		fn   func([]byte, []float32) []float32
+	}{{"DecodeFeature", DecodeFeature}, {"decodeFeatureLoop", decodeFeatureLoop}}
+	for _, d := range decoders {
+		for _, c := range cases {
+			sameBits(t, d.name+"/"+c.name+"/nil", d.fn(c.raw, nil), refDecodeFeature(c.raw, nil))
+
+			// A prefix already in out is kept, and with room to spare the
+			// result shares out's backing array, as append's would.
+			prefix := []float32{-7, float32(math.NaN())}
+			roomy := append(make([]float32, 0, len(prefix)+len(c.raw)/4+3), prefix...)
+			got := d.fn(c.raw, roomy)
+			sameBits(t, d.name+"/"+c.name+"/prefix", got, refDecodeFeature(c.raw, slices.Clone(prefix)))
+			if len(got) > 0 && &got[0] != &roomy[:1][0] {
+				t.Fatalf("%s/%s: decoded into a new array despite spare capacity", d.name, c.name)
+			}
+
+			// One float of spare capacity: a row that does not fit grows
+			// out as append grows it — same result, a new array exactly
+			// when append moves, the caller's elements left alone. (The
+			// old loop could scribble one float into the caller's spare
+			// capacity before moving; nothing may rely on that.)
+			gotArr, wantArr := []float32{3, 4, 99}, []float32{3, 4, 99}
+			got = d.fn(c.raw, gotArr[:2])
+			want := refDecodeFeature(c.raw, wantArr[:2])
+			sameBits(t, d.name+"/"+c.name+"/grow", got, want)
+			sameBits(t, d.name+"/"+c.name+"/caller-prefix", gotArr[:2], wantArr[:2])
+			if moved, wantMoved := &got[0] != &gotArr[0], &want[0] != &wantArr[0]; moved != wantMoved {
+				t.Fatalf("%s/%s: moved to a new array %v, append moves %v", d.name, c.name, moved, wantMoved)
+			}
+		}
+	}
+}
+
+// TestDecodeFeatureZeroAlloc pins the memmove path: with capacity to
+// spare, decoding a row allocates nothing.
+func TestDecodeFeatureZeroAlloc(t *testing.T) {
+	if storagetest.RaceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	raw := featureBytes(make([]uint32, 128), 0)
+	dst := make([]float32, 8*128)
+	row := 0
+	if a := testing.AllocsPerRun(200, func() {
+		row = (row + 3) % 8
+		DecodeFeature(raw, dst[row*128:row*128])
+	}); a != 0 {
+		t.Fatalf("DecodeFeature allocates %.1f per row, want 0", a)
+	}
+}
+
+// BenchmarkDecodeFeature decodes one row into a pseudo-random slot of a
+// feature buffer far larger than cache, as the extractor does.
+func BenchmarkDecodeFeature(b *testing.B) {
+	const slots = 8752
+	for _, dim := range []int{100, 128} {
+		b.Run(fmt.Sprintf("dim%d", dim), func(b *testing.B) {
+			raw := featureBytes(make([]uint32, dim), 0)
+			buf := make([]float32, slots*dim)
+			slot := 0
+			b.SetBytes(int64(4 * dim))
+			for i := 0; i < b.N; i++ {
+				slot = (slot + 4099) % slots
+				DecodeFeature(raw, buf[slot*dim:slot*dim])
+			}
+		})
 	}
 }

@@ -285,14 +285,9 @@ func (b *Backend) SubmitBatch(reqs []*storage.Request) {
 	}
 	b.closeMu.RLock()
 	defer b.closeMu.RUnlock()
-	var batch []uint32
+	sp := slotIDs.Get().(*[]uint32)
+	batch := (*sp)[:0]
 	ringed := false
-	flush := func() {
-		if len(batch) > 0 {
-			b.flushBatch(batch)
-			batch = batch[:0]
-		}
-	}
 	for _, req := range reqs {
 		if err := storage.CheckBounds(req.Off, int64(len(req.Buf)), b.capacity); err != nil {
 			req.Err = err
@@ -334,17 +329,28 @@ func (b *Backend) SubmitBatch(reqs []*storage.Request) {
 		select {
 		case id = <-b.free:
 		default:
-			flush()
+			b.flushBatch(batch)
+			batch = batch[:0]
 			id = <-b.free
 		}
 		b.recordSlot(id, req, dec)
 		batch = append(batch, id)
 	}
-	flush()
+	b.flushBatch(batch)
+	*sp = batch[:0]
+	slotIDs.Put(sp)
 	if ringed {
 		b.batches.Add(1)
 	}
 }
+
+// slotIDs recycles SubmitBatch's slot-id scratch: concurrent submitters
+// (several extractors, page-cache waves) each need their own, and a
+// pooled *[]uint32 keeps the steady-state submission allocation-free.
+var slotIDs = sync.Pool{New: func() any {
+	s := make([]uint32, 0, 64)
+	return &s
+}}
 
 // recordSlot fills slot id with req's service state. Blocking on the
 // free channel is safe even under closeMu's read lock: the reaper frees
@@ -365,19 +371,21 @@ func (b *Backend) recordSlot(id uint32, req *storage.Request, dec faults.Decisio
 // io_uring_enter for the whole batch; only a batch larger than the SQ
 // ring splits into multiple enters.
 func (b *Backend) flushBatch(ids []uint32) {
+	if len(ids) == 0 {
+		return
+	}
 	b.submitMu.Lock()
 	defer b.submitMu.Unlock()
-	pending := ids[:0:0]
-	for _, id := range ids {
+	staged := 0 // ids[staged:i] are pushed but not yet entered
+	for i, id := range ids {
 		e := b.buildSQE(id)
 		if !b.ring.pushSQE(&e) {
-			b.enterStaged(pending)
-			pending = pending[:0]
+			b.enterStaged(ids[staged:i])
+			staged = i
 			b.ring.pushSQE(&e)
 		}
-		pending = append(pending, id)
 	}
-	b.enterStaged(pending)
+	b.enterStaged(ids[staged:])
 }
 
 // enterStaged publishes and submits the staged SQEs; on an enter

@@ -85,6 +85,14 @@ func TestIntegrity(t *testing.T) {
 	storagetest.RunIntegrity(t, newBackend)
 }
 
+// A verified read on the ring allocates nothing between Submit/SubmitBatch
+// and Done: no slot-id scratch per wave, no closure (the same pin as over
+// sim and file).
+func TestZeroAllocVerifiedSubmit(t *testing.T) {
+	requireSupported(t)
+	storagetest.ZeroAllocVerified(t, newBackend)
+}
+
 // One SubmitBatch must cost one io_uring_enter: the whole read plan is
 // staged as SQEs and published with a single syscall. This is the
 // mechanism behind the extractor's one-enter-per-plan contract.

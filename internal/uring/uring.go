@@ -8,6 +8,7 @@ package uring
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -22,14 +23,34 @@ type CQE struct {
 }
 
 // Ring is an asynchronous I/O ring bound to one backend. Depth bounds the
-// number of staged or in-flight requests; Queue* blocks when the ring is
-// full (the common io_uring usage of waiting for completions to make room).
+// number of staged, in-flight or completed-but-uncollected requests;
+// Queue* blocks when the ring is full (the common io_uring usage of
+// waiting for completions to make room).
+//
+// A completion costs one lock hold and no channel operation: the
+// backend's Done appends the CQE to a depth-sized circular CQ and never
+// blocks (the CQ cannot overflow, because every entry in it still counts
+// against depth), and the request goes back on a free list with its Done
+// still bound.
 type Ring struct {
-	dev      storage.Backend
-	depth    int
-	slots    chan struct{}
-	cq       chan CQE
-	inflight atomic.Int64
+	dev   storage.Backend
+	depth int
+
+	// mu guards held, the CQ and free. ready is signalled when a CQE
+	// lands in the CQ, room when collecting one frees a unit of depth.
+	mu    sync.Mutex
+	ready sync.Cond
+	room  sync.Cond
+	// held counts requests staged, in flight, or completed but not yet
+	// collected; Queue* waits while it is at depth.
+	held int
+	// cq[cqHead], … are the cqLen uncollected completions, oldest first.
+	cq     []CQE
+	cqHead int
+	cqLen  int
+	// free recycles completed Requests, each with Done bound once to
+	// complete.
+	free []*storage.Request
 
 	// pending holds requests staged by the Queue* methods until Flush
 	// hands them to the backend in one batch (one io_uring_enter on the
@@ -37,10 +58,6 @@ type Ring struct {
 	// ring's one submitter goroutine — Queue*/Flush are not safe for
 	// concurrent use, while WaitCQE/PeekCQE remain so.
 	pending []*storage.Request
-	// reqFree recycles completed Requests: each carries a Done closure
-	// bound once, and the CQE channel's depth-sized buffer means the
-	// completion is parked before the request is reused.
-	reqFree chan *storage.Request
 	flushes atomic.Int64
 }
 
@@ -49,28 +66,35 @@ func NewRing(dev storage.Backend, depth int) *Ring {
 	if depth <= 0 {
 		depth = 1
 	}
-	return &Ring{
+	r := &Ring{
 		dev:     dev,
 		depth:   depth,
-		slots:   make(chan struct{}, depth),
-		cq:      make(chan CQE, depth),
-		reqFree: make(chan *storage.Request, depth),
+		cq:      make([]CQE, depth),
+		free:    make([]*storage.Request, 0, depth),
+		pending: make([]*storage.Request, 0, depth),
 	}
+	r.ready.L = &r.mu
+	r.room.L = &r.mu
+	return r
 }
 
 // Depth returns the ring's I/O depth.
 func (r *Ring) Depth() int { return r.depth }
 
 // Inflight returns the number of submitted-but-uncollected requests.
-func (r *Ring) Inflight() int { return int(r.inflight.Load()) }
+func (r *Ring) Inflight() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.held
+}
 
 // QueueReadCtx stages an asynchronous direct read of p at off without
 // submitting it; Flush hands every staged read to the backend in one
 // batch, and user comes back in the CQE. off and len(p) must be
 // sector-aligned: alignment is validated here (storage.ErrUnaligned), so
 // a caller can still degrade the op to a buffered queue entry before
-// anything reaches the device (§4.4's fallback ladder). Blocks when depth
-// requests are staged or in flight.
+// anything reaches the device (§4.4's fallback ladder). Blocks while depth
+// requests are staged, in flight or uncollected.
 //
 // The request is bound to ctx: if ctx is cancelled while the device sleeps
 // out the modeled service time (e.g. a fault-injected straggler delay),
@@ -93,34 +117,38 @@ func (r *Ring) queue(ctx context.Context, p []byte, off int64, user uint64, dire
 			return err
 		}
 	}
-	r.slots <- struct{}{}
-	r.inflight.Add(1)
-	req := r.getReq()
+	r.mu.Lock()
+	for r.held >= r.depth {
+		r.room.Wait()
+	}
+	r.held++
+	var req *storage.Request
+	if n := len(r.free); n > 0 {
+		req = r.free[n-1]
+		r.free = r.free[:n-1]
+	}
+	r.mu.Unlock()
+	if req == nil {
+		req = &storage.Request{Done: r.complete}
+	} else {
+		req.ResetForReuse()
+	}
 	req.Buf, req.Off, req.User, req.Direct, req.Ctx = p, off, user, direct, ctx
 	r.pending = append(r.pending, req)
 	return nil
 }
 
-// getReq returns a recycled Request (its Done closure already bound to
-// this ring's CQ) or builds a fresh one.
-func (r *Ring) getReq() *storage.Request {
-	select {
-	case req := <-r.reqFree:
-		req.ResetForReuse()
-		return req
-	default:
-	}
-	req := &storage.Request{}
-	req.Done = func(rq *storage.Request) {
-		// The CQE is copied out before the request is recycled; the CQ
-		// buffer holds depth entries, so neither send can block.
-		r.cq <- CQE{User: rq.User, Err: rq.Err, Latency: rq.Latency}
-		select {
-		case r.reqFree <- rq:
-		default:
-		}
-	}
-	return req
+// complete is every request's Done: it copies the CQE out, recycles the
+// request and wakes one waiter. It never blocks beyond the lock — the CQ
+// has room for every request the ring holds.
+func (r *Ring) complete(req *storage.Request) {
+	c := CQE{User: req.User, Err: req.Err, Latency: req.Latency}
+	r.mu.Lock()
+	r.cq[(r.cqHead+r.cqLen)%r.depth] = c
+	r.cqLen++
+	r.free = append(r.free, req)
+	r.mu.Unlock()
+	r.ready.Signal()
 }
 
 // Flush submits every staged read to the backend in one batch — a
@@ -149,20 +177,32 @@ func (r *Ring) Flushes() int64 { return r.flushes.Load() }
 // completes after Flush — callers interleaving Queue* with WaitCQE must
 // flush before waiting or they wait on reads the device never saw.
 func (r *Ring) WaitCQE() CQE {
-	c := <-r.cq
-	r.inflight.Add(-1)
-	<-r.slots
-	return c
+	r.mu.Lock()
+	for r.cqLen == 0 {
+		r.ready.Wait()
+	}
+	return r.collectLocked()
 }
 
 // PeekCQE returns a completion if one is ready.
 func (r *Ring) PeekCQE() (CQE, bool) {
-	select {
-	case c := <-r.cq:
-		r.inflight.Add(-1)
-		<-r.slots
-		return c, true
-	default:
+	r.mu.Lock()
+	if r.cqLen == 0 {
+		r.mu.Unlock()
 		return CQE{}, false
 	}
+	return r.collectLocked(), true
+}
+
+// collectLocked pops the oldest CQE, gives its unit of depth back to
+// Queue*, and unlocks.
+func (r *Ring) collectLocked() CQE {
+	c := r.cq[r.cqHead]
+	r.cq[r.cqHead] = CQE{}
+	r.cqHead = (r.cqHead + 1) % r.depth
+	r.cqLen--
+	r.held--
+	r.mu.Unlock()
+	r.room.Signal()
+	return c
 }

@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"gnndrive/internal/storage"
 	"gnndrive/internal/storage/sim"
+	"gnndrive/internal/storage/storagetest"
 )
 
 var ctx = context.Background()
@@ -219,6 +223,200 @@ func TestQueueFlushBatchesSubmission(t *testing.T) {
 	}
 	if got := r.Flushes(); got != 1 {
 		t.Fatalf("Flushes %d after empty flush, want 1", got)
+	}
+}
+
+// gateDev holds every submitted request until release completes it, so a
+// test decides exactly when completions arrive.
+type gateDev struct {
+	storage.Backend
+	held chan *storage.Request
+}
+
+func (d *gateDev) Submit(req *storage.Request) { d.held <- req }
+
+func (d *gateDev) release() {
+	req := <-d.held
+	req.Done(req)
+}
+
+// Depth counts completed-but-uncollected requests too: a full ring stays
+// full when the device completes a read, and only collecting its CQE lets
+// the next Queue through.
+func TestQueueBlocksAtDepthUntilCollected(t *testing.T) {
+	inner, _ := testRing(t, 1)
+	const depth = 4
+	dev := &gateDev{Backend: inner, held: make(chan *storage.Request, depth)}
+	r := NewRing(dev, depth)
+	for i := 0; i < depth; i++ {
+		if err := r.QueueReadCtx(ctx, make([]byte, 512), int64(i)*512, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.Flush()
+	queued := make(chan struct{})
+	go func() {
+		if err := r.QueueReadCtx(ctx, make([]byte, 512), 0, depth); err != nil {
+			t.Error(err)
+		}
+		close(queued)
+	}()
+	stillBlocked := func(when string) {
+		t.Helper()
+		select {
+		case <-queued:
+			t.Fatalf("Queue returned %s, with %d requests held at depth %d", when, r.Inflight(), depth)
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	stillBlocked("with every read in flight")
+	dev.release()
+	stillBlocked("after a completion nobody collected")
+	if c := r.WaitCQE(); c.Err != nil {
+		t.Fatal(c.Err)
+	}
+	<-queued
+	if got := r.Inflight(); got != depth {
+		t.Fatalf("Inflight %d after one collect and one queue, want %d", got, depth)
+	}
+	r.Flush()
+	for i := 0; i < depth; i++ {
+		dev.release()
+		r.WaitCQE()
+	}
+}
+
+// poolDev completes requests on a pool of goroutines, in whatever order
+// they get to them, and records the most requests it ever held at once.
+type poolDev struct {
+	storage.Backend
+	work        chan *storage.Request
+	out, maxOut atomic.Int64
+}
+
+func newPoolDev(t *testing.T, inner storage.Backend, workers int) *poolDev {
+	d := &poolDev{Backend: inner, work: make(chan *storage.Request)}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for req := range d.work {
+				runtime.Gosched()
+				req.Latency = time.Microsecond
+				d.out.Add(-1)
+				req.Done(req)
+			}
+		}()
+	}
+	t.Cleanup(func() { close(d.work); wg.Wait() })
+	return d
+}
+
+func (d *poolDev) Submit(req *storage.Request) {
+	n := d.out.Add(1)
+	for m := d.maxOut.Load(); n > m && !d.maxOut.CompareAndSwap(m, n); m = d.maxOut.Load() {
+	}
+	d.work <- req
+}
+
+// TestRingConcurrentCompletionStress (run under -race) has completions
+// arrive from eight goroutines while the owner queues at depth and three
+// collectors — two blocking in WaitCQE, one polling PeekCQE — drain the
+// CQ: every read is delivered exactly once, the ring never holds more
+// than depth, and it ends empty.
+func TestRingConcurrentCompletionStress(t *testing.T) {
+	const depth, n = 8, 5000
+	inner, _ := testRing(t, 1)
+	dev := newPoolDev(t, inner, 8)
+	r := NewRing(dev, depth)
+	seen := make([]atomic.Int32, n)
+	var claimed atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < 3; c++ {
+		wg.Add(1)
+		go func(poll bool) {
+			defer wg.Done()
+			// Each claim stands for one CQE still to come, so no collector
+			// waits for a completion another one takes.
+			for claimed.Add(1) <= n {
+				var cqe CQE
+				if poll {
+					for ok := false; !ok; cqe, ok = r.PeekCQE() {
+						runtime.Gosched()
+					}
+				} else {
+					cqe = r.WaitCQE()
+				}
+				if cqe.Err != nil || cqe.Latency != time.Microsecond {
+					t.Errorf("cqe %+v", cqe)
+				}
+				seen[cqe.User].Add(1)
+			}
+		}(c == 0)
+	}
+	buf := make([]byte, 512)
+	atDepth := 0
+	for i := 0; i < n; i++ {
+		if r.Inflight() >= depth {
+			atDepth++ // this Queue waits for a collector
+			r.Flush()
+		}
+		if err := r.QueueReadCtx(ctx, buf, 0, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Inflight(); got > depth {
+			t.Fatalf("ring holds %d requests at depth %d", got, depth)
+		}
+		if i%3 == 0 {
+			r.Flush()
+		}
+	}
+	r.Flush()
+	wg.Wait()
+	for i := range seen {
+		if got := seen[i].Load(); got != 1 {
+			t.Fatalf("read %d delivered %d times", i, got)
+		}
+	}
+	if got := r.Inflight(); got != 0 {
+		t.Fatalf("Inflight %d after every CQE was collected", got)
+	}
+	if got := dev.maxOut.Load(); got > depth {
+		t.Fatalf("device held %d reads at once, ring depth %d", got, depth)
+	}
+	if atDepth == 0 {
+		t.Fatal("the owner never found the ring full: the stress did not exercise the depth bound")
+	}
+}
+
+// TestRingZeroAlloc pins the completion path: after warm-up, a wave of
+// Queue → Flush → WaitCQE allocates nothing — no channel, no closure,
+// no Request.
+func TestRingZeroAlloc(t *testing.T) {
+	if storagetest.RaceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	_, r := testRing(t, 8)
+	buf := make([]byte, 512)
+	wave := func() {
+		for i := 0; i < r.Depth(); i++ {
+			if err := r.QueueReadCtx(ctx, buf, int64(i)*512, uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.Flush()
+		for i := 0; i < r.Depth(); i++ {
+			if c := r.WaitCQE(); c.Err != nil {
+				t.Fatal(c.Err)
+			}
+		}
+	}
+	for i := 0; i < 16; i++ {
+		wave()
+	}
+	if a := testing.AllocsPerRun(200, wave); a != 0 {
+		t.Fatalf("Queue→Flush→WaitCQE allocates %.1f per %d-read wave, want 0", a, r.Depth())
 	}
 }
 
