@@ -51,13 +51,14 @@ func BenchmarkFeatureBufferReserveRelease(b *testing.B) {
 
 // BenchmarkReserveReleaseParallel measures the mapping-table hot path
 // under extractor-style concurrency: each worker repeatedly reserves and
-// releases its own already-buffered node set. With the paper's
-// concurrency model these batches share no state, so the buffer metadata
-// must not serialize them. Parallelism is 4x GOMAXPROCS because that is
-// how the engine deploys extractors: oversubscribed relative to cores,
-// with most of them blocked in I/O at any instant, so the buffer sees
-// many more concurrent reservations than there are running CPUs. Run
-// with -cpu 1,2,4,8 to see scaling.
+// releases its own already-buffered node set. The batches share no
+// nodes, but every reserve and release takes the buffer's one lock:
+// pure buffer work contending for it, a shape the engine never runs,
+// where each batch also reads from disk. Parallelism is 4x GOMAXPROCS
+// because that is how the engine deploys extractors: oversubscribed
+// relative to cores, with most of them blocked in I/O at any instant,
+// so the buffer sees many more concurrent reservations than there are
+// running CPUs. Run with -cpu 1,2,4,8 to see scaling.
 func BenchmarkReserveReleaseParallel(b *testing.B) {
 	const (
 		numNodes = 1 << 16

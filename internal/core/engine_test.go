@@ -148,7 +148,7 @@ func TestExtractedFeaturesMatchDisk(t *testing.T) {
 			continue
 		}
 		want := rig.ds.ReadFeatureRaw(v, nil)
-		got := fb.SlotData(fb.entries[v].slot.Load())
+		got := fb.SlotData(fb.entries[v].slot)
 		for j := range want {
 			if want[j] != got[j] {
 				t.Fatalf("node %d dim %d: buffer %v disk %v", v, j, got[j], want[j])

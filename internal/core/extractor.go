@@ -364,9 +364,7 @@ type xferRec struct {
 
 func (d *xferRec) run() {
 	eng := d.x.eng
-	for _, n := range d.nodes {
-		eng.fb.MarkValid(n)
-	}
+	eng.fb.markValid(d.nodes)
 	for _, s := range d.slots {
 		eng.staging.Release(s)
 	}

@@ -2,17 +2,18 @@ package core
 
 import (
 	"context"
+	"math/rand"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestFeatureBufferParallelStress hammers a deliberately tight buffer
 // with many extractor-shaped workers whose batches alias a hot node set,
-// forcing the striped mapping table through every transition at once:
-// concurrent pins of the same entry, reuse of retired entries, lazy
-// standby deletion, eviction claims racing protects, and shared-load
-// waits. After every epoch barrier the buffer must account for every
-// slot and hold zero references.
+// driving the mapping table through every transition at once: pins of
+// the same entry by several batches, reuse of retired entries, eviction,
+// and shared-load waits. After every epoch barrier the buffer must
+// account for every slot and hold zero references.
 func TestFeatureBufferParallelStress(t *testing.T) {
 	const (
 		numNodes = 1 << 14
@@ -91,17 +92,16 @@ func TestFeatureBufferParallelStress(t *testing.T) {
 	}
 }
 
-// TestFeatureBufferRetireReassignRace drives the window flushRelease
-// re-validates: a release's refcount decrement retires a lazily-listed
-// slot, and before the flush lands a concurrent allocation pops that
-// slot, evicts the node, and reassigns it. A buffer barely above the
-// liveness floor keeps every slot cycling through pop/evict/reassign,
-// the shared hot set keeps protect/retire flushes permanently in
-// flight against allocations, and every third round each worker
-// abandons its private loads (release before MarkValid) so the unmap
-// flush races reassignment too. Private windows are disjoint across
-// workers, so aborts never strand a WaitValid. Run under -race; the
-// epoch barrier asserts no slot is leaked or double-listed.
+// TestFeatureBufferRetireReassignRace interleaves retirement with
+// reassignment: a release retires a slot while concurrent reserves pop,
+// evict and reassign slots. A buffer barely above the liveness floor
+// keeps every slot cycling through pop/evict/reassign, the shared hot
+// set keeps protects and retires of the same nodes in flight against
+// allocations, and every third round each worker abandons its private
+// loads (release before MarkValid) so unmapping races reassignment too.
+// Private windows are disjoint across workers, so aborts never strand a
+// WaitValid. Run under -race; the epoch barrier asserts no slot is
+// leaked or double-listed.
 func TestFeatureBufferRetireReassignRace(t *testing.T) {
 	const (
 		numNodes = 256
@@ -164,5 +164,86 @@ func TestFeatureBufferRetireReassignRace(t *testing.T) {
 	st := fb.Stats()
 	if st.SlotRecycles == 0 {
 		t.Fatalf("no evictions: the retire/reassign window was never open: %+v", st)
+	}
+}
+
+// TestFeatureBufferSlotsEqualNodesLiveness is the engine's buffer on a
+// graph smaller than Ne × Mb, where sizing caps the slots at the node
+// count (the tiny dataset). Every node can then be mapped at once, so a
+// reserve never has to wait for a release. Four workers reserve 40 of the
+// 64 nodes each round and load their misses, while a releaser holds the
+// two most recent batches back, as the train queue does. Every reserve
+// and wait must finish within its own deadline.
+func TestFeatureBufferSlotsEqualNodesLiveness(t *testing.T) {
+	const (
+		nodes   = 64
+		workers = 4
+		batch   = 40
+		rounds  = 200
+		lag     = 2 // batches the releaser holds back
+	)
+	fb := NewFeatureBuffer(nodes, 2, nodes)
+	trained := make(chan []int64, workers)
+	released := make(chan struct{})
+	go func() {
+		defer close(released)
+		var held [][]int64
+		for b := range trained {
+			held = append(held, b)
+			if len(held) > lag {
+				fb.Release(held[0])
+				held = held[1:]
+			}
+		}
+		for _, b := range held {
+			fb.Release(b)
+		}
+	}()
+	extract := func(ctx context.Context, b []int64) error {
+		stop := context.AfterFunc(ctx, fb.Interrupt)
+		defer stop()
+		res, err := fb.ReserveCtx(ctx, b)
+		if err != nil {
+			return err
+		}
+		for _, pos := range res.ToLoad {
+			fb.MarkValid(b[pos])
+		}
+		if err := fb.WaitValidCtx(ctx, res.Wait); err != nil {
+			fb.Release(b)
+			return err
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for r := 0; r < rounds; r++ {
+				b := make([]int64, batch)
+				for i, v := range rng.Perm(nodes)[:batch] {
+					b[i] = int64(v)
+				}
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				err := extract(ctx, b)
+				cancel()
+				if err != nil {
+					t.Errorf("worker %d round %d: %v", w, r, err)
+					return
+				}
+				trained <- b
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(trained)
+	<-released
+	if refs := fb.TotalRefs(); refs != 0 {
+		t.Fatalf("%d references leaked", refs)
+	}
+	if got := fb.StandbyLen(); got != nodes {
+		t.Fatalf("standby %d want %d slots", got, nodes)
 	}
 }

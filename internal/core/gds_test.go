@@ -42,7 +42,7 @@ func TestGPUDirectExtractionCorrectAndStagingFree(t *testing.T) {
 			continue
 		}
 		want := rig.ds.ReadFeatureRaw(v, nil)
-		got := fb.SlotData(fb.entries[v].slot.Load())
+		got := fb.SlotData(fb.entries[v].slot)
 		for j := range want {
 			if got[j] != want[j] {
 				t.Fatalf("node %d dim %d mismatch", v, j)

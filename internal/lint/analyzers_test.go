@@ -39,10 +39,6 @@ func TestGoroLeak(t *testing.T) {
 	analyzertest.Run(t, lint.AnalyzerGoroLeak, "testdata/src/internal/core/goroleak")
 }
 
-func TestLockOrder(t *testing.T) {
-	analyzertest.Run(t, lint.AnalyzerLockOrder, "testdata/src/lockorder")
-}
-
 func TestRefPair(t *testing.T) {
 	analyzertest.Run(t, lint.AnalyzerRefPair, "testdata/src/refpair")
 }
@@ -59,11 +55,11 @@ func TestSidecarPair(t *testing.T) {
 	analyzertest.Run(t, lint.AnalyzerSidecarPair, "testdata/src/sidecarpair")
 }
 
-// TestAll sanity-checks the registry: eleven analyzers, unique names.
+// TestAll sanity-checks the registry: ten analyzers, unique names.
 func TestAll(t *testing.T) {
 	all := lint.All()
-	if len(all) != 11 {
-		t.Fatalf("expected 11 analyzers, got %d", len(all))
+	if len(all) != 10 {
+		t.Fatalf("expected 10 analyzers, got %d", len(all))
 	}
 	seen := map[string]bool{}
 	for _, a := range all {

@@ -5,16 +5,16 @@ import (
 	"go/types"
 )
 
-// AnalyzerAtomicField enforces the featbuf mapEntry discipline in its
-// general form: once any code in a package accesses a struct field
-// through the sync/atomic function API (atomic.LoadInt32(&e.slot),
+// AnalyzerAtomicField enforces one access discipline per field: once any
+// code in a package accesses a struct field through the sync/atomic
+// function API (atomic.LoadInt32(&e.slot),
 // atomic.AddInt64(&s.n, 1), ...), every other access to that field must
 // be atomic too. A plain read races with the atomic writers — the race
 // detector only catches it when a test happens to interleave, and on
 // weakly-ordered hardware a plain read can observe a stale value
 // forever. The fix is either full atomic access or migrating the field
 // to the type-based API (atomic.Int32, atomic.Bool), which makes plain
-// access unrepresentable; the repo's own featbuf took the second route.
+// access unrepresentable.
 //
 // Scope is one package (fields of unexported structs do not leak), and
 // the initial zero value from a composite literal is not an access —

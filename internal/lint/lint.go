@@ -17,8 +17,6 @@
 //     before slicing a buffer with them.
 //   - goroleak:     goroutines in internal/core and internal/serve must
 //     be joined (WaitGroup/channel) or carry a cancellable context.
-//   - lockorder:    the featbuf lock order — sb→stripe allowed,
-//     stripe→sb forbidden (internal/core/featbuf.go).
 //   - errsentinel:  the module's error sentinels are matched with
 //     errors.Is, never ==/!=.
 //   - refpair:      a Reservation or staging acquisition that neither
@@ -149,7 +147,6 @@ func All() []*Analyzer {
 		AnalyzerAtomicField,
 		AnalyzerExtentBounds,
 		AnalyzerGoroLeak,
-		AnalyzerLockOrder,
 		AnalyzerErrSentinel,
 		AnalyzerRefPair,
 		AnalyzerQuotaPair,
