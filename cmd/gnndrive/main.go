@@ -29,94 +29,23 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	dataset := flag.String("dataset", "papers100m-s", "dataset name (see cmd/datagen)")
-	model := flag.String("model", "sage", "model: sage, gcn, gat")
-	system := flag.String("system", "gnndrive-gpu", "system: gnndrive-gpu, gnndrive-cpu, pyg+, ginex, marius")
-	epochs := flag.Int("epochs", 1, "training epochs")
-	mem := flag.Int("mem", 32, "host memory budget in scaled GB")
-	dim := flag.Int("dim", 0, "override feature dimension")
-	batch := flag.Int("batch", 0, "override mini-batch size")
-	scale := flag.Float64("scale", 2.0, "time-model stretch")
-	real := flag.Bool("real", false, "real float32 training instead of modeled compute")
-	inorder := flag.Bool("inorder", false, "disable mini-batch reordering (1 sampler, 1 extractor)")
-	limit := flag.Int("train-limit", 0, "truncate the training split to N nodes")
-	hidden := flag.Int("hidden", 0, "override hidden dimension")
-	seed := flag.Uint64("seed", 1, "random seed")
-	faultTransient := flag.Float64("fault-transient", 0, "inject transient read errors at this rate (0..1)")
-	faultShort := flag.Float64("fault-short", 0, "inject short reads at this rate (0..1)")
-	faultStraggler := flag.Float64("fault-straggler", 0, "inject latency stragglers at this rate (0..1)")
-	faultStragglerDelay := flag.Duration("fault-straggler-delay", 0, "extra latency per injected straggler (0 = injector default)")
-	faultCorrupt := flag.Float64("fault-corrupt", 0, "inject silent single-bit corruption at this rate (0..1; pair with -verify)")
-	faultSeed := flag.Uint64("fault-seed", 1, "fault-injection schedule seed")
-	verify := flag.Bool("verify", false, "checksum-verify every read with read-repair (storage integrity layer)")
-	hedgeAfter := flag.Duration("hedge-after", 0, "hedge reads still in flight after this long onto the buffered path (implies -verify)")
-	breakerWindow := flag.Int("breaker-window", 0, "degradation breaker window in reads, 0 = off (implies -verify)")
-	breakerTrip := flag.Float64("breaker-trip", 0, "unhealthy fraction of the window that trips the breaker (default 0.5)")
-	breakerSlow := flag.Duration("breaker-slow", 0, "breaker counts reads slower than this as unhealthy (0 = errors only)")
-	ckptDir := flag.String("checkpoint-dir", "", "directory for crash-consistent run checkpoints (GNNDrive systems)")
-	ckptEvery := flag.Int("checkpoint-every", 0, "also checkpoint every N trainer steps mid-epoch (requires -inorder)")
-	resume := flag.Bool("resume", false, "resume from the newest valid checkpoint in -checkpoint-dir")
-	stallDeadline := flag.Duration("stall-deadline", 0, "fail the epoch if the pipeline makes no progress for this long (0 = off)")
-	backend := flag.String("backend", "sim", "storage backend: sim (modeled SSD), file (real file, direct I/O best-effort), or linuring (real file via io_uring, falls back to file)")
-	dataFile := flag.String("data-file", "", "backing file for -backend file (default: a temp file)")
-	layoutName := flag.String("layout", "strided", "feature layout: strided, or packed (offline batch-aware packing before training; see cmd/datagen -layout)")
-	load := flag.String("load", "", "load this .gnnd container (with its .pidx/.crc sidecars) instead of generating; -dataset/-dim/-layout are ignored")
+	var f cliFlags
+	f.register(flag.CommandLine)
 	flag.Parse()
-
-	spec, err := gen.ByName(*dataset)
+	cfg, sys, err := f.lower(log.Printf)
 	if err != nil {
 		log.Fatal(err)
 	}
-	kind, err := nn.ModelByName(*model)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sys, err := systemByName(*system)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg := trainsim.Config{
-		Dataset: spec, Dim: *dim, HostMemoryGB: *mem, Model: kind,
-		BatchSize: *batch, Scale: *scale, RealTrain: *real,
-		Hidden: *hidden, Seed: *seed, InOrder: *inorder, TrainLimit: *limit,
-		CheckpointDir: *ckptDir, CheckpointEverySteps: *ckptEvery,
-		Resume: *resume, StallDeadline: *stallDeadline,
-		Backend: *backend, DataFile: *dataFile, Logf: log.Printf,
-		Layout: *layoutName, LoadFile: *load,
-	}
-	if *faultTransient > 0 || *faultShort > 0 || *faultStraggler > 0 || *faultCorrupt > 0 {
-		cfg.Faults = &faults.Config{
-			Seed:           *faultSeed,
-			TransientRate:  *faultTransient,
-			ShortReadRate:  *faultShort,
-			StragglerRate:  *faultStraggler,
-			StragglerDelay: *faultStragglerDelay,
-			CorruptRate:    *faultCorrupt,
-		}
-	}
-	if *verify || *hedgeAfter > 0 || *breakerWindow > 0 {
-		cfg.Integrity = &integrity.Options{
-			HedgeAfter: *hedgeAfter,
-			Breaker: integrity.BreakerOptions{
-				Window:    *breakerWindow,
-				TripRate:  *breakerTrip,
-				SlowAfter: *breakerSlow,
-			},
-			Logf: log.Printf,
-		}
-	} else if *faultCorrupt > 0 {
-		log.Print("warning: -fault-corrupt without -verify: corrupted bytes reach training undetected")
-	}
-	src := spec.Name
-	if *load != "" {
-		src = *load
+	src := cfg.Dataset.Name
+	if cfg.LoadFile != "" {
+		src = cfg.LoadFile
 	}
 	fmt.Printf("training %s on %s with %s (%d scaled-GB host memory, %s backend)\n",
-		kind, src, sys, *mem, *backend)
+		cfg.Model, src, sys, cfg.HostMemoryGB, cfg.Backend)
 	defer trainsim.DropDatasets()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	res, err := trainsim.RunCtx(ctx, cfg, sys, trainsim.RunOptions{Epochs: *epochs, EvalVal: *real})
+	res, err := trainsim.RunCtx(ctx, cfg, sys, trainsim.RunOptions{Epochs: f.epochs, EvalVal: cfg.RealTrain})
 	if err != nil {
 		log.Fatalf("%s: %v", sys, err)
 	}
@@ -132,14 +61,13 @@ func main() {
 				e.Retries, e.Fallbacks, e.Escalations)
 		}
 		if cfg.Integrity != nil {
-			fmt.Printf(" cksum-fail=%d repaired=%d hedges=%d/%d",
-				e.Integrity.ChecksumFailures, e.Integrity.Repairs,
-				e.Integrity.HedgesWon, e.Integrity.HedgesIssued)
+			fmt.Printf(" cksum-fail=%d repaired=%d",
+				e.Integrity.ChecksumFailures, e.Integrity.Repairs)
 		}
 		if e.Stalls > 0 {
 			fmt.Printf(" stalls=%d", e.Stalls)
 		}
-		if *real {
+		if cfg.RealTrain {
 			fmt.Printf(" loss=%.4f acc=%.3f", e.Loss, e.Acc)
 			if i < len(res.ValAcc) {
 				fmt.Printf(" val=%.3f", res.ValAcc[i])
@@ -155,15 +83,101 @@ func main() {
 		}
 		fmt.Printf("integrity: verified=%d unverified=%d cksum-fail=%d repaired=%d quarantined=%d\n",
 			s.VerifiedReads, s.UnverifiedReads, s.ChecksumFailures, s.Repairs, s.Quarantined)
-		fmt.Printf("           hedges issued=%d won=%d cancelled=%d; breaker trips=%d recoveries=%d degraded=%d\n",
-			s.HedgesIssued, s.HedgesWon, s.HedgesCancelled,
-			s.BreakerTrips, s.BreakerRecoveries, s.BreakerDegraded)
 	}
 	if cfg.Faults != nil {
 		fc := res.FaultCounts
 		fmt.Printf("faults injected: transient=%d media=%d short=%d straggler=%d corrupt=%d\n",
 			fc.Transient, fc.Media, fc.ShortRead, fc.Straggler, fc.SilentCorrupt)
 	}
+}
+
+// cliFlags is the parsed command line.
+type cliFlags struct {
+	dataset, model, system                     string
+	backend, dataFile, layout, load, ckptDir   string
+	epochs, mem, dim, batch, limit, hidden     int
+	ckptEvery                                  int
+	scale                                      float64
+	real, inorder, verify, resume              bool
+	seed, faultSeed                            uint64
+	faultTransient, faultShort, faultStraggler float64
+	faultCorrupt                               float64
+	faultStragglerDelay, stallDeadline         time.Duration
+}
+
+// register declares every flag of the command on fs, writing into f.
+func (f *cliFlags) register(fs *flag.FlagSet) {
+	fs.StringVar(&f.dataset, "dataset", "papers100m-s", "dataset name (see cmd/datagen)")
+	fs.StringVar(&f.model, "model", "sage", "model: sage, gcn, gat")
+	fs.StringVar(&f.system, "system", "gnndrive-gpu", "system: gnndrive-gpu, gnndrive-cpu, pyg+, ginex, marius")
+	fs.IntVar(&f.epochs, "epochs", 1, "training epochs")
+	fs.IntVar(&f.mem, "mem", 32, "host memory budget in scaled GB")
+	fs.IntVar(&f.dim, "dim", 0, "override feature dimension")
+	fs.IntVar(&f.batch, "batch", 0, "override mini-batch size")
+	fs.Float64Var(&f.scale, "scale", 2.0, "time-model stretch")
+	fs.BoolVar(&f.real, "real", false, "real float32 training instead of modeled compute")
+	fs.BoolVar(&f.inorder, "inorder", false, "disable mini-batch reordering (1 sampler, 1 extractor)")
+	fs.IntVar(&f.limit, "train-limit", 0, "truncate the training split to N nodes")
+	fs.IntVar(&f.hidden, "hidden", 0, "override hidden dimension")
+	fs.Uint64Var(&f.seed, "seed", 1, "random seed")
+	fs.Float64Var(&f.faultTransient, "fault-transient", 0, "inject transient read errors at this rate (0..1)")
+	fs.Float64Var(&f.faultShort, "fault-short", 0, "inject short reads at this rate (0..1)")
+	fs.Float64Var(&f.faultStraggler, "fault-straggler", 0, "inject latency stragglers at this rate (0..1)")
+	fs.DurationVar(&f.faultStragglerDelay, "fault-straggler-delay", 0, "extra latency per injected straggler (0 = injector default)")
+	fs.Float64Var(&f.faultCorrupt, "fault-corrupt", 0, "inject silent single-bit corruption at this rate (0..1; pair with -verify)")
+	fs.Uint64Var(&f.faultSeed, "fault-seed", 1, "fault-injection schedule seed")
+	fs.BoolVar(&f.verify, "verify", false, "checksum-verify every read with read-repair (storage integrity layer)")
+	fs.StringVar(&f.ckptDir, "checkpoint-dir", "", "directory for crash-consistent run checkpoints (GNNDrive systems)")
+	fs.IntVar(&f.ckptEvery, "checkpoint-every", 0, "also checkpoint every N trainer steps mid-epoch (requires -inorder)")
+	fs.BoolVar(&f.resume, "resume", false, "resume from the newest valid checkpoint in -checkpoint-dir")
+	fs.DurationVar(&f.stallDeadline, "stall-deadline", 0, "fail the epoch if the pipeline makes no progress for this long (0 = off)")
+	fs.StringVar(&f.backend, "backend", "sim", "storage backend: sim (modeled SSD), file (real file, direct I/O best-effort), or linuring (real file via io_uring, falls back to file)")
+	fs.StringVar(&f.dataFile, "data-file", "", "backing file for -backend file (default: a temp file)")
+	fs.StringVar(&f.layout, "layout", "strided", "feature layout: strided, or packed (offline batch-aware packing before training; see cmd/datagen -layout)")
+	fs.StringVar(&f.load, "load", "", "load this .gnnd container (with its .pidx/.crc sidecars) instead of generating; -dataset/-dim/-layout are ignored")
+}
+
+// lower turns the parsed flags into the run's configuration and system.
+// logf becomes the run's Logf and the integrity layer's, and receives
+// the command's own warnings.
+func (f *cliFlags) lower(logf func(format string, args ...any)) (trainsim.Config, trainsim.SystemKind, error) {
+	spec, err := gen.ByName(f.dataset)
+	if err != nil {
+		return trainsim.Config{}, 0, err
+	}
+	kind, err := nn.ModelByName(f.model)
+	if err != nil {
+		return trainsim.Config{}, 0, err
+	}
+	sys, err := systemByName(f.system)
+	if err != nil {
+		return trainsim.Config{}, 0, err
+	}
+	cfg := trainsim.Config{
+		Dataset: spec, Dim: f.dim, HostMemoryGB: f.mem, Model: kind,
+		BatchSize: f.batch, Scale: f.scale, RealTrain: f.real,
+		Hidden: f.hidden, Seed: f.seed, InOrder: f.inorder, TrainLimit: f.limit,
+		CheckpointDir: f.ckptDir, CheckpointEverySteps: f.ckptEvery,
+		Resume: f.resume, StallDeadline: f.stallDeadline,
+		Backend: f.backend, DataFile: f.dataFile, Logf: logf,
+		Layout: f.layout, LoadFile: f.load,
+	}
+	if f.faultTransient > 0 || f.faultShort > 0 || f.faultStraggler > 0 || f.faultCorrupt > 0 {
+		cfg.Faults = &faults.Config{
+			Seed:           f.faultSeed,
+			TransientRate:  f.faultTransient,
+			ShortReadRate:  f.faultShort,
+			StragglerRate:  f.faultStraggler,
+			StragglerDelay: f.faultStragglerDelay,
+			CorruptRate:    f.faultCorrupt,
+		}
+	}
+	if f.verify {
+		cfg.Integrity = &integrity.Options{Logf: logf}
+	} else if f.faultCorrupt > 0 {
+		logf("warning: -fault-corrupt without -verify: corrupted bytes reach training undetected")
+	}
+	return cfg, sys, nil
 }
 
 func systemByName(s string) (trainsim.SystemKind, error) {

@@ -610,7 +610,7 @@ func (e *Engine) trainEpochSegment(ctx context.Context, epoch int, targets []int
 
 	// When the dataset's backend carries an integrity layer, diff its
 	// counters over the epoch so the breakdown reports this epoch's
-	// checksum/repair/hedge/breaker activity, not the run's cumulative.
+	// checksum/repair/quarantine activity, not the run's cumulative.
 	var integ storage.IntegrityStatser
 	var integStart storage.IntegrityStats
 	if is, ok := e.ds.Dev.(storage.IntegrityStatser); ok {

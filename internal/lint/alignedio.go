@@ -397,8 +397,8 @@ func (tw *taintWalk) hit(pos token.Pos, t taintSet, format string, args ...any) 
 //   - ReadAt/ReadAtCtx/ReadDirect/ReadDirectCtx returning
 //     (time.Duration, error) — the backend read family (io.ReaderAt's
 //     (int, error) shape is deliberately excluded);
-//   - QueueRead/QueueReadCtx — the uring direct-read staging path
-//     (QueueBufferedRead* tolerate unaligned memory by contract);
+//   - QueueReadCtx — the uring direct-read staging path
+//     (QueueBufferedReadCtx tolerates unaligned memory by contract);
 //   - Submit(*Request) — taint arrives via the Buf field of a composite
 //     literal or a prior req.Buf assignment;
 //   - SubmitBatch([]*Request) — each *Request element of a slice
@@ -406,7 +406,7 @@ func (tw *taintWalk) hit(pos token.Pos, t taintSet, format string, args ...any) 
 //   - RegisterBuffers(...[]byte) — fixed-buffer regions handed to the
 //     io_uring backend must be AlignedBuf-derived, or registration is
 //     refused (and would pin unaligned pages if it were not);
-//   - ReadExtent/ReadExtentCtx returning (int, time.Duration, error) —
+//   - ReadExtent returning (int, time.Duration, error) —
 //     the layout segment-reader path; it widens the extent to a
 //     sector-aligned device window but reads through ReadDirect, so the
 //     destination buffer's address must still be sector-aligned.
@@ -446,7 +446,7 @@ func (tw *taintWalk) checkDirectSink(call *ast.CallExpr, fn *types.Func, sig *ty
 			tw.hit(buf.Pos(), tw.taintedExpr(buf),
 				"raw make([]byte) buffer reaches backend %s; its address is not sector-aligned", fn.Name())
 		}
-	case "ReadExtent", "ReadExtentCtx":
+	case "ReadExtent":
 		if !isIntDurationErrorResults(sig.Results()) {
 			return
 		}
@@ -454,7 +454,7 @@ func (tw *taintWalk) checkDirectSink(call *ast.CallExpr, fn *types.Func, sig *ty
 			tw.hit(buf.Pos(), tw.taintedExpr(buf),
 				"raw make([]byte) buffer reaches the layout read path via %s; its address is not sector-aligned", fn.Name())
 		}
-	case "QueueRead", "QueueReadCtx":
+	case "QueueReadCtx":
 		if buf := byteSliceArg(tw.info, sig, call); buf != nil {
 			tw.hit(buf.Pos(), tw.taintedExpr(buf),
 				"raw make([]byte) buffer submitted to the direct read path via %s", fn.Name())

@@ -9,9 +9,9 @@ import (
 // ctxbg polices: ctxbg forbids minting a fresh Background inside
 // internal code, and ctxflow forbids the quieter failure of receiving a
 // perfectly good context and then not using it. The repo's blocking
-// APIs come in pairs by convention — ReadAt/ReadAtCtx,
-// ReadDirect/ReadDirectCtx, QueueRead/QueueReadCtx, RunEpoch/RunEpochCtx —
-// where the bare name is the non-cancellable compat wrapper. A function that
+// APIs come in pairs by convention — ReadAt/ReadAtCtx and
+// ReadDirect/ReadDirectCtx — where the bare name is the non-cancellable
+// compat wrapper. A function that
 // has a ctx parameter and calls the bare variant anyway cannot be
 // cancelled through that call: teardown then relies on side channels
 // (Interrupt broadcasts) that not every path arms.

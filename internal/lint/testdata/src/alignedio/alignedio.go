@@ -32,11 +32,12 @@ func (*Dev) RegisterBuffers(rs ...[]byte) error { return nil }
 // Ring replicates the uring staged-queue sinks.
 type Ring struct{}
 
-func (*Ring) QueueRead(p []byte, off int64, user uint64) error { return nil }
 func (*Ring) QueueReadCtx(ctx context.Context, p []byte, off int64, user uint64) error {
 	return nil
 }
-func (*Ring) QueueBufferedRead(p []byte, off int64, user uint64) error { return nil }
+func (*Ring) QueueBufferedReadCtx(ctx context.Context, p []byte, off int64, user uint64) error {
+	return nil
+}
 
 // Extent and SegmentReader replicate the layout package's extent-read
 // sink: (int, time.Duration, error) results distinguish ReadExtent from
@@ -50,9 +51,6 @@ type Extent struct {
 type SegmentReader struct{}
 
 func (*SegmentReader) ReadExtent(p []byte, ext Extent) (int, time.Duration, error) {
-	return 0, 0, nil
-}
-func (*SegmentReader) ReadExtentCtx(ctx context.Context, p []byte, ext Extent) (int, time.Duration, error) {
 	return 0, 0, nil
 }
 
@@ -98,7 +96,6 @@ func badSubmitVar(d *Dev) {
 
 func badQueue(ctx context.Context, r *Ring) {
 	buf := make([]byte, 512)
-	_ = r.QueueRead(buf, 0, 1)                // want "submitted to the direct read path via QueueRead"
 	_ = r.QueueReadCtx(ctx, buf[:256], 64, 2) // want "submitted to the direct read path via QueueReadCtx"
 }
 
@@ -110,10 +107,9 @@ func badBatch(d *Dev) {
 	})
 }
 
-func badExtent(ctx context.Context, sr *SegmentReader) {
+func badExtent(sr *SegmentReader) {
 	buf := make([]byte, 4096)
-	_, _, _ = sr.ReadExtent(buf, Extent{Off: 512, Len: 128})             // want "reaches the layout read path via ReadExtent"
-	_, _, _ = sr.ReadExtentCtx(ctx, buf[:1024], Extent{Off: 0, Len: 64}) // want "reaches the layout read path via ReadExtentCtx"
+	_, _, _ = sr.ReadExtent(buf, Extent{Off: 512, Len: 128}) // want "reaches the layout read path via ReadExtent"
 }
 
 func badRegister(d *Dev) {
@@ -134,10 +130,10 @@ func good(ctx context.Context, d *Dev, r *Ring) {
 
 	// The buffered queue path tolerates unaligned memory by contract.
 	unaligned := make([]byte, 512)
-	_ = r.QueueBufferedRead(unaligned, 0, 3)
+	_ = r.QueueBufferedReadCtx(ctx, unaligned, 0, 3)
 
 	// Aligned memory through the queue and batch sinks is clean.
-	_ = r.QueueRead(buf, 0, 4)
+	_ = r.QueueReadCtx(ctx, buf, 0, 4)
 	d.SubmitBatch([]*Request{{Buf: buf}, {Buf: AlignedBuf(512, 512)}})
 	_ = d.RegisterBuffers(buf, AlignedBuf(4096, 512))
 

@@ -9,11 +9,11 @@ import (
 
 func TestRecorderIntegrityAccumulates(t *testing.T) {
 	r := NewRecorder()
-	r.Add(Counters{Integrity: storage.IntegrityStats{ChecksumFailures: 2, Repairs: 2, HedgesIssued: 1}})
-	r.Add(Counters{Integrity: storage.IntegrityStats{ChecksumFailures: 1, HedgesWon: 1, BreakerTrips: 1}})
+	r.Add(Counters{Integrity: storage.IntegrityStats{ChecksumFailures: 2, Repairs: 2, UnverifiedReads: 1}})
+	r.Add(Counters{Integrity: storage.IntegrityStats{ChecksumFailures: 1, Quarantined: 1, VerifiedReads: 4}})
 	got := r.Counters().Integrity
-	want := storage.IntegrityStats{ChecksumFailures: 3, Repairs: 2, HedgesIssued: 1,
-		HedgesWon: 1, BreakerTrips: 1}
+	want := storage.IntegrityStats{ChecksumFailures: 3, Repairs: 2, UnverifiedReads: 1,
+		Quarantined: 1, VerifiedReads: 4}
 	if got != want {
 		t.Fatalf("integrity totals %+v, want %+v", got, want)
 	}
@@ -37,8 +37,8 @@ func TestBreakdownCollectorIntegrity(t *testing.T) {
 }
 
 func TestIntegrityStatsAddSub(t *testing.T) {
-	a := storage.IntegrityStats{VerifiedReads: 5, ChecksumFailures: 2, HedgesIssued: 3}
-	b := storage.IntegrityStats{VerifiedReads: 2, ChecksumFailures: 1, HedgesIssued: 3}
+	a := storage.IntegrityStats{VerifiedReads: 5, ChecksumFailures: 2, Repairs: 3}
+	b := storage.IntegrityStats{VerifiedReads: 2, ChecksumFailures: 1, Repairs: 3}
 	if got := a.Sub(b); got != (storage.IntegrityStats{VerifiedReads: 3, ChecksumFailures: 1}) {
 		t.Fatalf("Sub: %+v", got)
 	}

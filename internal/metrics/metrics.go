@@ -47,7 +47,7 @@ type Counters struct {
 	Stalls      int64 `json:"stalls"`
 
 	// Integrity holds the storage integrity layer's counters (checksum
-	// verification, read-repair, hedged reads, breaker transitions);
+	// verification, read-repair, quarantine);
 	// all-zero when no integrity layer is attached.
 	Integrity storage.IntegrityStats `json:"integrity"`
 }

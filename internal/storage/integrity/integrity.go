@@ -1,6 +1,5 @@
-// Package integrity is the storage stack's data-integrity and
-// tail-latency defense layer (DESIGN.md §11): a composable
-// storage.Backend wrapper that
+// Package integrity is the storage stack's data-integrity layer
+// (DESIGN.md §11): a composable storage.Backend wrapper that
 //
 //   - keeps a CRC32C checksum per aligned block, maintained write-through
 //     on WriteRaw/WriteSync and verified on every timed read;
@@ -9,17 +8,17 @@
 //     backend, the O_DIRECT descriptor) under an errutil.Policy budget,
 //     quarantining the block and failing with storage.ErrChecksum +
 //     storage.ErrQuarantined when the mismatch persists;
-//   - hedges slow reads: when a read exceeds Options.HedgeAfter, a
-//     duplicate buffered read is issued and the first success wins, the
-//     loser cancelled through the existing request-context plumbing;
-//   - trips a sliding-window circuit breaker from error/latency health
-//     into a global direct→buffered degradation, probing half-open to
-//     recover (generalizing the extractor's one-shot §4.4 fallback).
+//   - persists the checksum table in a sidecar file so a later process
+//     verifies the blocks an earlier one wrote.
+//
+// The wrapper never changes a read's path: a Direct request reaches the
+// inner backend Direct, so the page cache stays topology's (the paper's
+// design point 5).
 //
 // The wrapper composes over any Backend (sim or file) via Wrap or
 // WrapFactory, so the whole training stack above the storage seam —
 // pagecache faults, the extractor's ring, the baselines' sync reads —
-// inherits verification and hedging without code changes. Counters are
+// inherits verification without code changes. Counters are
 // exposed through storage.IntegrityStats (asserted via
 // storage.IntegrityStatser, no package dependency needed).
 package integrity
@@ -55,8 +54,7 @@ const (
 )
 
 // Options tune the wrapper. The zero value enables checksum verification
-// with the default block size and repair budget, and disables hedging
-// and the breaker.
+// with the default block size and repair budget.
 type Options struct {
 	// BlockSize is the checksum granularity in bytes (default: the inner
 	// backend's sector size). Must be positive when set.
@@ -70,18 +68,6 @@ type Options struct {
 	// DisableRepair fails verification immediately on mismatch without
 	// re-reading or quarantining (detection-only mode).
 	DisableRepair bool
-
-	// HedgeAfter, when positive, arms hedged reads: a read still in
-	// flight after this long gets a duplicate buffered read of the same
-	// range, first success wins. The loser is cancelled through a context
-	// derived from the request's (when it has one). While hedging is
-	// armed every read stages through a pooled private buffer (winner
-	// copied out), so the two legs never race on the caller's memory.
-	HedgeAfter time.Duration
-
-	// Breaker configures the degradation circuit breaker; a zero Window
-	// disables it.
-	Breaker BreakerOptions
 
 	// SidecarPath, when set, is loaded at Wrap time to adopt a persisted
 	// checksum table (datasets written by a previous process). A missing
@@ -104,7 +90,7 @@ type Options struct {
 }
 
 // Backend wraps an inner storage.Backend with checksum verification,
-// read-repair, hedged reads, and the degradation circuit breaker.
+// read-repair and quarantine.
 type Backend struct {
 	inner storage.Backend
 	opts  Options
@@ -113,14 +99,12 @@ type Backend struct {
 	// Both are per-block atomics: reads verify lock-free, writers
 	// publish sum before state so a concurrent verifier never pairs a
 	// fresh state with a stale sum for tracked-from-untracked blocks.
-	sums    []atomic.Uint32
-	state   []atomic.Uint32
-	breaker *breaker
+	sums  []atomic.Uint32
+	state []atomic.Uint32
 
-	// bufs pools hedge/primary staging and block-verify scratch buffers
-	// (*[]byte, sector-aligned so a staged direct read still reaches
-	// O_DIRECT); recs pools the unhedged path's completion records and
-	// waves the child-request slices SubmitBatch hands the inner backend.
+	// bufs pools block-verify and repair scratch (*[]byte); recs pools
+	// the completion records and waves the child-request slices
+	// SubmitBatch hands the inner backend.
 	bufs  sync.Pool
 	recs  sync.Pool
 	waves sync.Pool
@@ -130,9 +114,6 @@ type Backend struct {
 	checksumFailures atomic.Int64
 	repairs          atomic.Int64
 	quarantined      atomic.Int64
-	hedgesIssued     atomic.Int64
-	hedgesWon        atomic.Int64
-	hedgesCancelled  atomic.Int64
 }
 
 var (
@@ -162,9 +143,6 @@ func Wrap(inner storage.Backend, opts Options) (*Backend, error) {
 		block: int64(opts.BlockSize),
 		sums:  make([]atomic.Uint32, n),
 		state: make([]atomic.Uint32, n),
-	}
-	if opts.Breaker.Window > 0 {
-		b.breaker = newBreaker(opts.Breaker)
 	}
 	if opts.SidecarPath != "" {
 		if err := b.LoadSidecar(opts.SidecarPath); err != nil {
@@ -244,22 +222,13 @@ func (b *Backend) RegisterBuffers(regions ...[]byte) error {
 
 // IntegrityStats snapshots the layer's counters.
 func (b *Backend) IntegrityStats() storage.IntegrityStats {
-	s := storage.IntegrityStats{
+	return storage.IntegrityStats{
 		VerifiedReads:    b.verifiedReads.Load(),
 		UnverifiedReads:  b.unverifiedReads.Load(),
 		ChecksumFailures: b.checksumFailures.Load(),
 		Repairs:          b.repairs.Load(),
 		Quarantined:      b.quarantined.Load(),
-		HedgesIssued:     b.hedgesIssued.Load(),
-		HedgesWon:        b.hedgesWon.Load(),
-		HedgesCancelled:  b.hedgesCancelled.Load(),
 	}
-	if b.breaker != nil {
-		s.BreakerTrips = b.breaker.trips.Load()
-		s.BreakerRecoveries = b.breaker.recoveries.Load()
-		s.BreakerDegraded = b.breaker.degraded.Load()
-	}
-	return s
 }
 
 // ---- write-through checksum maintenance ----
@@ -292,10 +261,7 @@ func (b *Backend) noteWrite(p []byte, off int64) error {
 	end := off + int64(len(p))
 	for i := off / b.block; i*b.block < end; i++ {
 		bs := i * b.block
-		be := bs + b.block
-		if devEnd := b.inner.Capacity(); be > devEnd {
-			be = devEnd
-		}
+		be := min(bs+b.block, b.inner.Capacity())
 		var sum uint32
 		if off <= bs && end >= be {
 			sum = crc32.Checksum(p[bs-off:be-off], castagnoli)
@@ -333,17 +299,8 @@ func (b *Backend) verify(ctx context.Context, p []byte, off int64) error {
 				off, end, i, storage.ErrQuarantined, storage.ErrChecksum)
 		}
 		bs := i * b.block
-		be := bs + b.block
-		if devEnd := b.inner.Capacity(); be > devEnd {
-			be = devEnd
-		}
-		ovs, ove := bs, be // overlap of the block with [off, end)
-		if off > ovs {
-			ovs = off
-		}
-		if end < ove {
-			ove = end
-		}
+		be := min(bs+b.block, b.inner.Capacity())
+		ovs, ove := max(bs, off), min(be, end) // overlap of the block with [off, end)
 		var got uint32
 		if ovs == bs && ove == be {
 			got = crc32.Checksum(p[bs-off:be-off], castagnoli)
@@ -420,13 +377,7 @@ func (b *Backend) repairBlock(ctx context.Context, p []byte, off, end, i, bs, be
 		return fmt.Errorf("integrity: block %d [%d,%d) failed verification and repair (%v): %w (%w)",
 			i, bs, be, err, storage.ErrChecksum, storage.ErrQuarantined)
 	}
-	ovs, ove := bs, be
-	if off > ovs {
-		ovs = off
-	}
-	if end < ove {
-		ove = end
-	}
+	ovs, ove := max(bs, off), min(be, end)
 	copy(p[ovs-off:ove-off], scratch[ovs-bs:ove-bs])
 	b.repairs.Add(1)
 	return nil
@@ -440,16 +391,16 @@ func (b *Backend) ReadAt(p []byte, off int64) (time.Duration, error) {
 }
 
 // ReadAtCtx is ReadAt bounded by ctx. Like every synchronous read it
-// funnels through Submit (storage.SyncRead), so verification, hedging and
-// the breaker apply uniformly.
+// funnels through Submit (storage.SyncRead), so verification applies
+// uniformly.
 func (b *Backend) ReadAtCtx(ctx context.Context, p []byte, off int64) (time.Duration, error) {
 	return storage.SyncRead(ctx, b, p, off, false)
 }
 
 // ReadDirect is ReadAt with the direct-I/O alignment constraint. The
-// constraint is enforced here (not only by the inner backend) because
-// an open breaker downgrades the request to the buffered path, which
-// must not loosen the caller-visible contract.
+// constraint is enforced here because the read reaches the inner backend
+// through Submit, not through the inner ReadDirect that would check it,
+// and storage.SyncRead leaves the check to its caller.
 func (b *Backend) ReadDirect(p []byte, off int64) (time.Duration, error) {
 	return b.ReadDirectCtx(nil, p, off)
 }
@@ -462,39 +413,23 @@ func (b *Backend) ReadDirectCtx(ctx context.Context, p []byte, off int64) (time.
 	return storage.SyncRead(ctx, b, p, off, true)
 }
 
-// Submit enqueues an asynchronous read on the inner backend with the
-// integrity pipeline attached to its completion: breaker health
-// recording, hedging (when armed), and checksum verification + repair
-// before the caller's Done observes the bytes.
-func (b *Backend) Submit(req *storage.Request) {
-	direct, probe := b.route(req)
-	if b.opts.HedgeAfter > 0 {
-		b.submitHedged(req, direct, probe)
-		return
-	}
-	b.inner.Submit(b.arm(req, direct, probe))
-}
+// Submit enqueues an asynchronous read on the inner backend with
+// checksum verification + repair attached to its completion, before the
+// caller's Done observes the bytes.
+func (b *Backend) Submit(req *storage.Request) { b.inner.Submit(b.arm(req)) }
 
 // SubmitBatch arms one completion record per request and hands the whole
 // wave to the inner backend through storage.SubmitAll, so a batched inner
 // backend (one io_uring_enter on linuring, one lock and clock read on
-// file) still sees the caller's wave as one batch. Hedged reads are a
-// timer and up to two legs each and stay per-request.
+// file) still sees the caller's wave as one batch.
 func (b *Backend) SubmitBatch(reqs []*storage.Request) {
-	if b.opts.HedgeAfter > 0 {
-		for _, req := range reqs {
-			b.Submit(req)
-		}
-		return
-	}
 	wp, _ := b.waves.Get().(*[]*storage.Request)
 	if wp == nil {
 		wp = new([]*storage.Request)
 	}
 	wave := (*wp)[:0]
 	for _, req := range reqs {
-		direct, probe := b.route(req)
-		wave = append(wave, b.arm(req, direct, probe))
+		wave = append(wave, b.arm(req))
 	}
 	storage.SubmitAll(b.inner, wave)
 	// A child may already have completed and its record been re-armed by
@@ -504,21 +439,7 @@ func (b *Backend) SubmitBatch(reqs []*storage.Request) {
 	b.waves.Put(wp)
 }
 
-// route decides which path req's read takes: the caller's Direct ask,
-// unless an open breaker degrades it to buffered (probe marks the
-// half-open trial read). The caller's Direct flag is never rewritten.
-func (b *Backend) route(req *storage.Request) (direct, probe bool) {
-	direct = req.Direct
-	if direct && b.breaker != nil {
-		direct, probe = b.breaker.allowDirect()
-		if !direct {
-			b.breaker.degraded.Add(1)
-		}
-	}
-	return direct, probe
-}
-
-// readRec is the pooled completion record of one unhedged read. It embeds
+// readRec is the pooled completion record of one read. It embeds
 // the child request the inner backend serves and binds that request's
 // Done to itself once, so a steady-state verified read allocates nothing:
 // no child Request, no closure.
@@ -526,26 +447,25 @@ type readRec struct {
 	b      *Backend
 	child  storage.Request
 	caller *storage.Request
-	probe  bool
 }
 
 // arm readies a record for req and returns its child request, which reads
-// into the caller's buffer on the routed path.
-func (b *Backend) arm(req *storage.Request, direct, probe bool) *storage.Request {
+// into the caller's buffer on the caller's path.
+func (b *Backend) arm(req *storage.Request) *storage.Request {
 	r, _ := b.recs.Get().(*readRec)
 	if r == nil {
 		r = &readRec{b: b}
 		r.child.Done = r.done
 	}
-	r.caller, r.probe = req, probe
+	r.caller = req
 	c := &r.child
 	c.ResetForReuse()
-	c.Buf, c.Off, c.User, c.Direct, c.Ctx = req.Buf, req.Off, req.User, direct, req.Ctx
+	c.Buf, c.Off, c.User, c.Direct, c.Ctx = req.Buf, req.Off, req.User, req.Direct, req.Ctx
 	return c
 }
 
-// done is the child's completion: verify (and repair) the bytes, feed the
-// breaker, then complete the caller. The record is recycled before the
+// done is the child's completion: verify (and repair) the bytes, then
+// complete the caller. The record is recycled before the
 // caller's Done runs — backends never touch a request after its Done, and
 // neither does this.
 func (r *readRec) done(c *storage.Request) {
@@ -555,7 +475,6 @@ func (r *readRec) done(c *storage.Request) {
 	if req.Err == nil {
 		req.Err = b.verify(c.Ctx, req.Buf, req.Off)
 	}
-	b.observe(req.Err, c.Latency, r.probe)
 	r.caller, c.Buf, c.Ctx = nil, nil, nil
 	b.recs.Put(r)
 	if req.Done != nil {
@@ -563,32 +482,11 @@ func (r *readRec) done(c *storage.Request) {
 	}
 }
 
-// observe feeds one completed read into the breaker. Context
-// cancellations — of the read or of its repair — say nothing about
-// backend health and are not recorded (an aborted probe re-arms instead
-// of counting either way); checksum failures are unhealthy even though
-// the raw completion "succeeded".
-func (b *Backend) observe(err error, latency time.Duration, probe bool) {
-	if b.breaker == nil {
-		return
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		if probe {
-			b.breaker.probeAborted()
-		}
-		return
-	}
-	unhealthy := err != nil ||
-		(b.opts.Breaker.SlowAfter > 0 && latency > b.opts.Breaker.SlowAfter)
-	b.breaker.outcome(unhealthy, probe, b.logf)
-}
+// ---- scratch buffer pool ----
 
-// ---- staging buffer pool ----
-
-// getBuf returns an n-byte sector-aligned buffer (hedge legs stage into
-// private memory; block verification needs scratch). Alignment keeps a
-// staged direct read eligible for the file backend's O_DIRECT path. The
-// pool holds *[]byte so a get/put round trip boxes nothing.
+// getBuf returns an n-byte sector-aligned scratch buffer for block
+// verification and repair. The pool holds *[]byte so a get/put round
+// trip boxes nothing.
 func (b *Backend) getBuf(n int) *[]byte {
 	if p, _ := b.bufs.Get().(*[]byte); p != nil && cap(*p) >= n {
 		*p = (*p)[:n]

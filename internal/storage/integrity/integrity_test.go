@@ -6,10 +6,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"gnndrive/internal/faults"
 	"gnndrive/internal/storage"
@@ -234,224 +232,6 @@ func TestPartialBlockWriteRefresh(t *testing.T) {
 	}
 	if st := b.IntegrityStats(); st.ChecksumFailures != 0 {
 		t.Fatalf("partial write left stale checksums: %+v", st)
-	}
-}
-
-// stragglerOffset finds a sector-aligned offset whose first read attempt
-// straggles and whose second is clean, under the given schedule — the
-// deterministic setup for a hedge win (primary stalls, hedge doesn't).
-func stragglerOffset(t *testing.T, cfg faults.Config, sec int64) int64 {
-	t.Helper()
-	for off := int64(0); off < capacity; off += sec {
-		probe := faults.NewInjector(cfg)
-		first := probe.Decide(off, int(sec))
-		second := probe.Decide(off, int(sec))
-		if first.Delay > 0 && second.Err == nil && second.Delay == 0 && !second.Corrupt {
-			return off
-		}
-	}
-	t.Fatalf("no straggler-then-clean offset under seed %d", cfg.Seed)
-	return 0
-}
-
-func TestHedgedReadWinsUnderStraggler(t *testing.T) {
-	b := newWrapped(t, integrity.Options{HedgeAfter: time.Millisecond})
-	sec := int64(b.SectorSize())
-	img := make([]byte, capacity)
-	pattern(img, 0)
-	if err := b.WriteRaw(img, 0); err != nil {
-		t.Fatalf("WriteRaw: %v", err)
-	}
-	cfg := faults.Config{Seed: 23, StragglerRate: 0.5, StragglerDelay: 300 * time.Millisecond}
-	off := stragglerOffset(t, cfg, sec)
-	b.SetInjector(faults.NewInjector(cfg))
-
-	got := make([]byte, sec)
-	start := time.Now()
-	if _, err := b.ReadAt(got, off); err != nil {
-		t.Fatalf("hedged ReadAt: %v", err)
-	}
-	elapsed := time.Since(start)
-	if !bytes.Equal(got, img[off:off+sec]) {
-		t.Fatalf("hedged read returned wrong bytes")
-	}
-	if elapsed > 150*time.Millisecond {
-		t.Fatalf("hedged read took %v; the hedge leg did not win over the %v straggler",
-			elapsed, cfg.StragglerDelay)
-	}
-	st := b.IntegrityStats()
-	if st.HedgesIssued == 0 || st.HedgesWon == 0 {
-		t.Fatalf("want a hedge issued and won, got %+v", st)
-	}
-}
-
-func TestHedgeCancelledWhenPrimaryWins(t *testing.T) {
-	b := newWrapped(t, integrity.Options{HedgeAfter: 10 * time.Millisecond})
-	sec := int64(b.SectorSize())
-	img := make([]byte, 4*sec)
-	pattern(img, 0)
-	if err := b.WriteRaw(img, 0); err != nil {
-		t.Fatalf("WriteRaw: %v", err)
-	}
-	// Both attempts straggle equally: the hedge launches but the primary
-	// (a head start of HedgeAfter) completes first; the hedge is counted
-	// cancelled and its late completion is discarded.
-	b.SetInjector(faults.NewInjector(faults.Config{
-		Seed: 29, StragglerRate: 1.0, StragglerDelay: 60 * time.Millisecond,
-	}))
-	got := make([]byte, sec)
-	if _, err := b.ReadAt(got, 0); err != nil {
-		t.Fatalf("ReadAt: %v", err)
-	}
-	if !bytes.Equal(got, img[:sec]) {
-		t.Fatalf("read returned wrong bytes")
-	}
-	st := b.IntegrityStats()
-	if st.HedgesIssued == 0 || st.HedgesCancelled == 0 {
-		t.Fatalf("want a hedge issued and cancelled, got %+v", st)
-	}
-	if st.HedgesWon != 0 {
-		t.Fatalf("hedge won against a head-started equal straggler: %+v", st)
-	}
-}
-
-func TestHedgeAbsorbsTransientPrimaryError(t *testing.T) {
-	b := newWrapped(t, integrity.Options{HedgeAfter: time.Millisecond})
-	sec := int64(b.SectorSize())
-	img := make([]byte, 4*sec)
-	pattern(img, 0)
-	if err := b.WriteRaw(img, 0); err != nil {
-		t.Fatalf("WriteRaw: %v", err)
-	}
-	// Attempt 0 straggles then... we want: primary errors AFTER the hedge
-	// launched, hedge clean. Straggler+transient schedule: find an offset
-	// where attempt 0 is a straggler (slow) and the hedge (attempt 1) is
-	// clean; then swap roles by making the slow leg fail instead: a
-	// media range cannot do that (both legs fail), so exercise the
-	// deferral the other way round — hedge fails fast, primary succeeds.
-	cfg := faults.Config{Seed: 31, TransientRate: 0.5, StragglerRate: 0.5,
-		StragglerDelay: 50 * time.Millisecond}
-	var off = int64(-1)
-	for cand := int64(0); cand < capacity; cand += sec {
-		probe := faults.NewInjector(cfg)
-		first := probe.Decide(cand, int(sec))
-		second := probe.Decide(cand, int(sec))
-		if first.Delay > 0 && first.Err == nil && second.Err != nil {
-			off = cand
-			break
-		}
-	}
-	if off < 0 {
-		t.Skip("no straggler-then-transient offset under this seed")
-	}
-	b.SetInjector(faults.NewInjector(cfg))
-	got := make([]byte, sec)
-	// The hedge (attempt 1) fails with ErrTransient while the primary is
-	// still straggling; the wrapper must wait for the primary instead of
-	// surfacing the hedge's error.
-	if _, err := b.ReadAt(got, off); err != nil {
-		t.Fatalf("ReadAt with failing hedge: %v", err)
-	}
-	if !bytes.Equal(got, img[off:off+sec]) {
-		t.Fatalf("read returned wrong bytes")
-	}
-}
-
-func TestBreakerTripsAndRecovers(t *testing.T) {
-	var logs []string
-	var mu sync.Mutex
-	b := newWrapped(t, integrity.Options{
-		Breaker: integrity.BreakerOptions{
-			Window: 8, MinSamples: 4, TripRate: 0.5, Cooldown: 20 * time.Millisecond,
-		},
-		Logf: func(f string, a ...any) {
-			mu.Lock()
-			logs = append(logs, f)
-			mu.Unlock()
-		},
-	})
-	sec := int64(b.SectorSize())
-	img := make([]byte, 8*sec)
-	pattern(img, 0)
-	if err := b.WriteRaw(img, 0); err != nil {
-		t.Fatalf("WriteRaw: %v", err)
-	}
-	b.SetInjector(faults.NewInjector(faults.Config{
-		Seed: 37, MediaRanges: []faults.Range{{Off: 4 * sec, Len: sec}},
-	}))
-
-	buf := make([]byte, sec)
-	// Hammer the bad range on the direct path until the breaker opens.
-	for i := 0; i < 4; i++ {
-		if _, err := b.ReadDirect(buf, 4*sec); !errors.Is(err, faults.ErrMedia) {
-			t.Fatalf("read %d in media range: got %v, want ErrMedia", i, err)
-		}
-	}
-	st := b.IntegrityStats()
-	if st.BreakerTrips != 1 {
-		t.Fatalf("breaker trips = %d after 4 media errors, want 1", st.BreakerTrips)
-	}
-	// While open, direct requests are served buffered.
-	if _, err := b.ReadDirect(buf, 0); err != nil {
-		t.Fatalf("degraded direct read: %v", err)
-	}
-	if st = b.IntegrityStats(); st.BreakerDegraded == 0 {
-		t.Fatalf("open breaker did not degrade a direct read: %+v", st)
-	}
-	if !bytes.Equal(buf, img[:sec]) {
-		t.Fatalf("degraded read returned wrong bytes")
-	}
-
-	// Heal the device, wait out the cooldown: the next direct read is the
-	// half-open probe and closes the breaker.
-	b.SetInjector(nil)
-	time.Sleep(25 * time.Millisecond)
-	if _, err := b.ReadDirect(buf, 0); err != nil {
-		t.Fatalf("probe read: %v", err)
-	}
-	st = b.IntegrityStats()
-	if st.BreakerRecoveries != 1 {
-		t.Fatalf("breaker recoveries = %d after clean probe, want 1", st.BreakerRecoveries)
-	}
-	degradedBefore := st.BreakerDegraded
-	if _, err := b.ReadDirect(buf, sec); err != nil {
-		t.Fatalf("post-recovery direct read: %v", err)
-	}
-	if st = b.IntegrityStats(); st.BreakerDegraded != degradedBefore {
-		t.Fatalf("closed breaker still degrading: %+v", st)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	joined := strings.Join(logs, "\n")
-	if !strings.Contains(joined, "tripped") || !strings.Contains(joined, "recovered") {
-		t.Fatalf("breaker transitions not logged: %q", joined)
-	}
-}
-
-func TestBreakerTripsOnLatency(t *testing.T) {
-	b := newWrapped(t, integrity.Options{
-		Breaker: integrity.BreakerOptions{
-			Window: 4, MinSamples: 2, TripRate: 0.5,
-			SlowAfter: time.Millisecond, Cooldown: time.Minute,
-		},
-	})
-	sec := int64(b.SectorSize())
-	img := make([]byte, 4*sec)
-	pattern(img, 0)
-	if err := b.WriteRaw(img, 0); err != nil {
-		t.Fatalf("WriteRaw: %v", err)
-	}
-	b.SetInjector(faults.NewInjector(faults.Config{
-		Seed: 41, StragglerRate: 1.0, StragglerDelay: 10 * time.Millisecond,
-	}))
-	buf := make([]byte, sec)
-	for i := int64(0); i < 2; i++ {
-		if _, err := b.ReadDirect(buf, i*sec); err != nil {
-			t.Fatalf("slow read %d: %v", i, err)
-		}
-	}
-	if st := b.IntegrityStats(); st.BreakerTrips != 1 {
-		t.Fatalf("breaker trips = %d after 2 slow reads, want 1", st.BreakerTrips)
 	}
 }
 

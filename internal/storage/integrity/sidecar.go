@@ -1,7 +1,6 @@
 package integrity
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -21,59 +20,51 @@ var ErrNoSidecar = errors.New("integrity: checksum sidecar not found")
 //	state[nblocks] byte | sums[nblocks] uint32, all little-endian.
 const sidecarMagic = "GNNDCRC1"
 
+// sidecarHeader is the byte length of the magic and the three counts.
+const sidecarHeader = 8 + 3*8
+
 // SaveSidecar persists the checksum table (per-block CRC32C sums and
 // tracking states) so a later process can Wrap the same dataset with
 // verification enabled from the first read. The write is atomic
 // (temp file + rename). Conventionally the sidecar lives next to the
 // dataset container as "<container>.crc".
 func (b *Backend) SaveSidecar(path string) error {
-	tmp, err := os.CreateTemp(dirOf(path), ".crc-*")
-	if err != nil {
-		return fmt.Errorf("integrity: save sidecar: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	w := bufio.NewWriter(tmp)
-	n := int64(len(b.sums))
-	hdr := make([]byte, 8+3*8)
-	copy(hdr, sidecarMagic)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(b.block))
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(b.inner.Capacity()))
-	binary.LittleEndian.PutUint64(hdr[24:], uint64(n))
-	if _, err := w.Write(hdr); err != nil {
-		tmp.Close()
-		return fmt.Errorf("integrity: save sidecar: %w", err)
-	}
-	states := make([]byte, n)
-	for i := range b.state {
-		states[i] = byte(b.state[i].Load())
-	}
-	if _, err := w.Write(states); err != nil {
-		tmp.Close()
-		return fmt.Errorf("integrity: save sidecar: %w", err)
-	}
-	sums := make([]byte, 4*n)
+	n := len(b.sums)
+	img := make([]byte, sidecarHeader+5*n)
+	copy(img, sidecarMagic)
+	binary.LittleEndian.PutUint64(img[8:], uint64(b.block))
+	binary.LittleEndian.PutUint64(img[16:], uint64(b.inner.Capacity()))
+	binary.LittleEndian.PutUint64(img[24:], uint64(n))
+	states, sums := img[sidecarHeader:][:n], img[sidecarHeader+n:]
 	for i := range b.sums {
+		states[i] = byte(b.state[i].Load())
 		binary.LittleEndian.PutUint32(sums[4*i:], b.sums[i].Load())
 	}
-	if _, err := w.Write(sums); err != nil {
-		tmp.Close()
-		return fmt.Errorf("integrity: save sidecar: %w", err)
-	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("integrity: save sidecar: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("integrity: save sidecar: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("integrity: save sidecar: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := writeAtomic(path, img); err != nil {
 		return fmt.Errorf("integrity: save sidecar: %w", err)
 	}
 	return nil
+}
+
+// writeAtomic writes data to a temp file beside path, syncs it and
+// renames it over path.
+func writeAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(dirOf(path), ".crc-*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name())
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
 }
 
 // LoadSidecar adopts a persisted checksum table. The sidecar's block size
@@ -82,8 +73,8 @@ func (b *Backend) SaveSidecar(path string) error {
 // block's index maps to the same byte offset regardless of device
 // capacity — a sidecar saved from an image with a larger or smaller
 // scratch tail adopts over the overlapping range, and blocks beyond
-// either geometry simply stay untracked.
-// A missing file returns an error wrapping ErrNoSidecar.
+// either geometry simply stay untracked. A sidecar that fails any check
+// adopts nothing. A missing file returns an error wrapping ErrNoSidecar.
 func (b *Backend) LoadSidecar(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -93,9 +84,8 @@ func (b *Backend) LoadSidecar(path string) error {
 		return fmt.Errorf("integrity: load sidecar: %w", err)
 	}
 	defer f.Close()
-	r := bufio.NewReader(f)
-	hdr := make([]byte, 8+3*8)
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	hdr := make([]byte, sidecarHeader)
+	if _, err := io.ReadFull(f, hdr); err != nil {
 		return fmt.Errorf("integrity: load sidecar %s: header: %w", path, err)
 	}
 	if string(hdr[:8]) != sidecarMagic {
@@ -106,28 +96,33 @@ func (b *Backend) LoadSidecar(path string) error {
 	if bs != b.block {
 		return fmt.Errorf("integrity: load sidecar %s: block size %d, wrapper uses %d", path, bs, b.block)
 	}
-	if fi, serr := f.Stat(); serr == nil && (n < 0 || int64(len(hdr))+5*n != fi.Size()) {
+	// n comes from disk: check it against the file size before sizing any
+	// buffer by it. Dividing (not multiplying n by 5) keeps a crafted count
+	// from wrapping around to a matching size.
+	fi, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("integrity: load sidecar %s: %w", path, err)
+	}
+	if rest := fi.Size() - sidecarHeader; n < 0 || rest%5 != 0 || n != rest/5 {
 		return fmt.Errorf("integrity: load sidecar %s: %d blocks inconsistent with %d-byte file", path, n, fi.Size())
 	}
-	states := make([]byte, n)
-	if _, err := io.ReadFull(r, states); err != nil {
-		return fmt.Errorf("integrity: load sidecar %s: states: %w", path, err)
+	body := make([]byte, 5*n)
+	if _, err := io.ReadFull(f, body); err != nil {
+		return fmt.Errorf("integrity: load sidecar %s: table: %w", path, err)
 	}
-	sums := make([]byte, 4*n)
-	if _, err := io.ReadFull(r, sums); err != nil {
-		return fmt.Errorf("integrity: load sidecar %s: sums: %w", path, err)
-	}
+	states, sums := body[:n], body[n:]
 	if m := int64(len(b.sums)); n > m {
 		n = m
 	}
-	for i := int64(0); i < n; i++ {
-		st := uint32(states[i])
-		if st > stateQuarantined {
+	for i, st := range states[:n] {
+		if uint32(st) > stateQuarantined {
 			return fmt.Errorf("integrity: load sidecar %s: block %d has state %d", path, i, st)
 		}
+	}
+	for i := int64(0); i < n; i++ {
 		// Publish sum before state (same ordering contract as noteWrite).
 		b.sums[i].Store(binary.LittleEndian.Uint32(sums[4*i:]))
-		b.state[i].Store(st)
+		b.state[i].Store(uint32(states[i]))
 	}
 	return nil
 }

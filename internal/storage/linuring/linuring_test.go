@@ -67,8 +67,8 @@ func TestConformanceNoDirect(t *testing.T) {
 }
 
 // The integrity wrapper composes over the ring backend exactly as over
-// file/sim: checksums, read-repair, hedging, and the breaker all ride on
-// the Backend seam.
+// file/sim: checksums, read-repair and quarantine all ride on the
+// Backend seam.
 func TestConformanceIntegrityWrapped(t *testing.T) {
 	requireSupported(t)
 	storagetest.Run(t, func(t *testing.T) storage.Backend {

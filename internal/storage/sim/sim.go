@@ -305,8 +305,8 @@ func (c *channel) run() {
 			// Straggler latency models a slow individual transfer (internal
 			// retries, ECC re-reads) — not channel occupancy. The request is
 			// parked aside for the extra modeled delay while the channel
-			// serves the next queued request, so a duplicate (hedged) read
-			// of the same range can genuinely overtake the straggler.
+			// serves the next queued request, so one straggler stalls its
+			// own read and not the requests queued behind it.
 			extra := time.Duration(float64(dec.Delay) * c.dev.cfg.TimeScale)
 			c.dev.wg.Add(1)
 			go func(req *storage.Request, dec faults.Decision, svc time.Duration, finish time.Time) {

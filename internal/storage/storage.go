@@ -62,8 +62,8 @@ var ErrChecksum = errors.New("storage: block checksum mismatch")
 var ErrQuarantined = errors.New("storage: block quarantined")
 
 // IntegrityStats are the cumulative counters of the integrity layer:
-// checksum verification, read-repair, hedged reads, and the degradation
-// circuit breaker. The zero value means "no integrity layer".
+// checksum verification, read-repair and quarantine. The zero value
+// means "no integrity layer".
 type IntegrityStats struct {
 	// VerifiedReads counts reads whose covered blocks all verified clean
 	// (possibly after repair); UnverifiedReads counts reads that touched
@@ -78,18 +78,10 @@ type IntegrityStats struct {
 	ChecksumFailures int64
 	Repairs          int64
 	Quarantined      int64
-	// Hedge counters: duplicate reads issued after the latency threshold,
-	// hedges that completed first (won), and hedges cancelled because the
-	// primary won.
-	HedgesIssued    int64
-	HedgesWon       int64
-	HedgesCancelled int64
-	// Breaker counters: trips into the open (direct→buffered) state,
-	// half-open probes that closed it again, and direct requests served
-	// buffered while it was open.
-	BreakerTrips      int64
-	BreakerRecoveries int64
-	BreakerDegraded   int64
+	// HedgesIssued is always zero: the layer issues no duplicate reads.
+	// It stays only because the benchmark's integrity.hedges metric still
+	// reads it; both go together.
+	HedgesIssued int64
 }
 
 // Add returns the field-wise sum s + o.
@@ -100,11 +92,6 @@ func (s IntegrityStats) Add(o IntegrityStats) IntegrityStats {
 	s.Repairs += o.Repairs
 	s.Quarantined += o.Quarantined
 	s.HedgesIssued += o.HedgesIssued
-	s.HedgesWon += o.HedgesWon
-	s.HedgesCancelled += o.HedgesCancelled
-	s.BreakerTrips += o.BreakerTrips
-	s.BreakerRecoveries += o.BreakerRecoveries
-	s.BreakerDegraded += o.BreakerDegraded
 	return s
 }
 
@@ -117,11 +104,6 @@ func (s IntegrityStats) Sub(o IntegrityStats) IntegrityStats {
 	s.Repairs -= o.Repairs
 	s.Quarantined -= o.Quarantined
 	s.HedgesIssued -= o.HedgesIssued
-	s.HedgesWon -= o.HedgesWon
-	s.HedgesCancelled -= o.HedgesCancelled
-	s.BreakerTrips -= o.BreakerTrips
-	s.BreakerRecoveries -= o.BreakerRecoveries
-	s.BreakerDegraded -= o.BreakerDegraded
 	return s
 }
 

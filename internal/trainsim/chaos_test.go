@@ -24,7 +24,7 @@ import (
 // chaosBase is the training cell both the clean and the chaotic run use:
 // real float32 math so loss trajectories are comparable bit-for-bit, and
 // in-order training so the batch order is deterministic under timing
-// jitter from stragglers and hedges.
+// jitter from stragglers.
 func chaosBase(t *testing.T, name string) Config {
 	t.Helper()
 	cfg := tinyCfg()
@@ -56,20 +56,10 @@ func chaosFaults(cfg Config) *faults.Config {
 	}
 }
 
-// chaosIntegrity arms every defense: verification with repair (always on),
-// hedging tight enough to beat the injected stragglers, and a breaker that
-// both trips on the ~13% unhealthy rate and recovers between bursts.
+// chaosIntegrity is the shipping configuration: the zero-value layer the
+// benchmark and `gnndrive -verify` use, verification with repair.
 func chaosIntegrity() *integrity.Options {
-	return &integrity.Options{
-		HedgeAfter: time.Millisecond,
-		Breaker: integrity.BreakerOptions{
-			Window:     64,
-			MinSamples: 32,
-			TripRate:   0.05,
-			SlowAfter:  2 * time.Millisecond,
-			Cooldown:   5 * time.Millisecond,
-		},
-	}
+	return &integrity.Options{}
 }
 
 // sumIntegrity folds the per-epoch integrity deltas back into run totals.
@@ -139,18 +129,6 @@ func TestChaosSoak(t *testing.T) {
 	// read of the chaos run may have gone unverified.
 	if integ.UnverifiedReads != 0 {
 		t.Fatalf("%d reads went unverified (%d verified)", integ.UnverifiedReads, integ.VerifiedReads)
-	}
-	// Tail defense: hedges fired and beat at least one straggler.
-	if integ.HedgesIssued == 0 || integ.HedgesWon == 0 {
-		t.Fatalf("hedging never engaged: %+v", integ)
-	}
-	// Degradation: the breaker tripped under the error/latency burst and
-	// recovered via a clean probe.
-	if integ.BreakerTrips == 0 {
-		t.Fatalf("breaker never tripped: %+v", integ)
-	}
-	if integ.BreakerRecoveries == 0 {
-		t.Fatalf("breaker never recovered: %+v", integ)
 	}
 
 	// The clean run reports no integrity activity (no layer attached).

@@ -184,9 +184,7 @@ type Config struct {
 	// Integrity, when non-nil, wraps the dataset backend in the checksum
 	// verification layer (storage/integrity): every read is verified
 	// against per-block CRC32C, mismatches are repaired by raw re-reads,
-	// and — when the options enable them — slow reads are hedged and the
-	// degradation breaker can trip direct I/O down to buffered. For the
-	// file backend a checksum sidecar (<data file>.crc) is persisted after
+	// and persistently bad blocks are quarantined. For the file backend a checksum sidecar (<data file>.crc) is persisted after
 	// the dataset build.
 	Integrity *integrity.Options
 
@@ -351,16 +349,14 @@ func newBackend(cfg Config, spec gen.Spec, capacity int64) (storage.Backend, str
 // integrityKey flattens the scalar integrity knobs into the dataset cache
 // key, so cells with different verification configs never share a wrapped
 // backend. The repair classifier and Logf are funcs and stay out of the
-// key; the budget scalars and breaker geometry are what change behavior.
+// key; the block size and repair budget are what change behavior.
 func integrityKey(o *integrity.Options) string {
 	if o == nil {
 		return "none"
 	}
-	return fmt.Sprintf("%d:%v:%v:%d:%v:%d:%d:%g:%v:%v:%s",
-		o.BlockSize, o.DisableRepair, o.HedgeAfter,
-		o.Repair.MaxAttempts, o.Repair.BaseDelay,
-		o.Breaker.Window, o.Breaker.MinSamples, o.Breaker.TripRate,
-		o.Breaker.SlowAfter, o.Breaker.Cooldown, o.SidecarPath)
+	return fmt.Sprintf("%d:%v:%d:%v:%s",
+		o.BlockSize, o.DisableRepair,
+		o.Repair.MaxAttempts, o.Repair.BaseDelay, o.SidecarPath)
 }
 
 // layoutKey flattens the layout choice into the dataset cache key. A
