@@ -10,20 +10,11 @@
 //
 // Flags:
 //
-//	-suppressed        print the gnnlint:ignore audit trail (every
-//	                   suppressed finding with its reason)
-//	-sarif FILE        also write findings as SARIF 2.1.0 to FILE
-//	                   ("-" for stdout) for code-scanning upload
-//	-budget FILE       enforce the suppression cap from a committed
-//	                   lint-budget.json; growing the audited-ignore
-//	                   count past the budget fails the run, so new
-//	                   suppressions require a budget change in the
-//	                   same commit
-//	-max-suppressions  ad-hoc suppression cap; overrides -budget
+//	-sarif FILE  also write findings as SARIF 2.1.0 to FILE ("-" for
+//	             stdout) for code-scanning upload
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -36,36 +27,12 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// budgetFile is the committed lint-debt budget: the ceiling on audited
-// gnnlint:ignore suppressions in the tree. Raising it is a reviewed
-// diff, never a side effect of adding a directive.
-type budgetFile struct {
-	MaxSuppressions int `json:"max_suppressions"`
-}
-
 func run(args []string, out, errw io.Writer) int {
 	fs := flag.NewFlagSet("gnnlint", flag.ContinueOnError)
 	fs.SetOutput(errw)
-	showSuppressed := fs.Bool("suppressed", false, "print the gnnlint:ignore audit trail")
 	sarifPath := fs.String("sarif", "", "write SARIF 2.1.0 results to this file (\"-\" for stdout)")
-	budgetPath := fs.String("budget", "", "enforce the suppression cap from this lint-budget.json")
-	maxSuppressions := fs.Int("max-suppressions", -1, "fail if suppression count exceeds this (-1 = no cap; overrides -budget)")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	budgetCap := *maxSuppressions
-	if budgetCap < 0 && *budgetPath != "" {
-		raw, err := os.ReadFile(*budgetPath)
-		if err != nil {
-			fmt.Fprintln(errw, "gnnlint: budget:", err)
-			return 2
-		}
-		var b budgetFile
-		if err := json.Unmarshal(raw, &b); err != nil {
-			fmt.Fprintf(errw, "gnnlint: budget %s: %v\n", *budgetPath, err)
-			return 2
-		}
-		budgetCap = b.MaxSuppressions
 	}
 	patterns := fs.Args()
 	if len(patterns) == 0 {
@@ -89,7 +56,7 @@ func run(args []string, out, errw io.Writer) int {
 	}
 
 	analyzers := lint.All()
-	var findings, suppressed []lint.Finding
+	var findings []lint.Finding
 	typeErrors := 0
 	for _, dir := range dirs {
 		pkgs, err := loader.Load(dir, true)
@@ -109,20 +76,12 @@ func run(args []string, out, errw io.Writer) int {
 				fmt.Fprintf(out, "gnnlint: %s failed to type-check; analyzers skipped for this package\n", pkg.Path)
 				continue
 			}
-			fs, ss := lint.RunPackage(pkg, analyzers)
-			findings = append(findings, fs...)
-			suppressed = append(suppressed, ss...)
+			findings = append(findings, lint.RunPackage(pkg, analyzers)...)
 		}
 	}
 
 	for _, f := range findings {
 		fmt.Fprintln(out, f)
-	}
-	if *showSuppressed {
-		for _, f := range suppressed {
-			fmt.Fprintf(out, "%s:%d: [%s] suppressed: %s (reason: %s)\n",
-				f.Pos.Filename, f.Pos.Line, f.Analyzer, f.Message, f.SuppressReason)
-		}
 	}
 	if *sarifPath != "" {
 		w := out
@@ -135,21 +94,15 @@ func run(args []string, out, errw io.Writer) int {
 			defer file.Close()
 			w = file
 		}
-		if err := writeSARIF(w, loader.Root, analyzers, findings, suppressed); err != nil {
+		if err := writeSARIF(w, loader.Root, analyzers, findings); err != nil {
 			fmt.Fprintln(errw, "gnnlint: sarif:", err)
 			return 2
 		}
 	}
-	overBudget := budgetCap >= 0 && len(suppressed) > budgetCap
-	if overBudget {
-		fmt.Fprintf(out, "gnnlint: suppression budget exceeded: %d gnnlint:ignore directive(s), budget allows %d — remove a suppression or raise the budget in the same commit\n",
-			len(suppressed), budgetCap)
-	}
-	if len(findings) > 0 || typeErrors > 0 || overBudget {
-		fmt.Fprintf(out, "gnnlint: %d finding(s), %d type error(s), %d suppression(s)\n",
-			len(findings), typeErrors, len(suppressed))
+	if len(findings) > 0 || typeErrors > 0 {
+		fmt.Fprintf(out, "gnnlint: %d finding(s), %d type error(s)\n", len(findings), typeErrors)
 		return 1
 	}
-	fmt.Fprintf(out, "gnnlint: clean (%d package dir(s), %d suppression(s))\n", len(dirs), len(suppressed))
+	fmt.Fprintf(out, "gnnlint: clean (%d package dir(s))\n", len(dirs))
 	return 0
 }

@@ -50,10 +50,6 @@ type sarifResult struct {
 	Level     string          `json:"level"`
 	Message   sarifMessage    `json:"message"`
 	Locations []sarifLocation `json:"locations"`
-	// Suppressions is present (non-nil) exactly when the finding was
-	// silenced by a gnnlint:ignore directive; code-scanning then shows
-	// the alert as suppressed instead of open.
-	Suppressions []sarifSuppression `json:"suppressions,omitempty"`
 }
 
 type sarifLocation struct {
@@ -75,28 +71,23 @@ type sarifRegion struct {
 	StartColumn int `json:"startColumn,omitempty"`
 }
 
-type sarifSuppression struct {
-	Kind          string `json:"kind"`
-	Justification string `json:"justification"`
-}
-
-// writeSARIF renders every live and suppressed finding as one SARIF run
-// and writes it to w. root anchors the relative artifact URIs (SRCROOT
-// in code-scanning terms).
-func writeSARIF(w io.Writer, root string, analyzers []*lint.Analyzer, findings, suppressed []lint.Finding) error {
+// writeSARIF renders the findings as one SARIF run and writes it to w.
+// root anchors the relative artifact URIs (SRCROOT in code-scanning
+// terms).
+func writeSARIF(w io.Writer, root string, analyzers []*lint.Analyzer, findings []lint.Finding) error {
 	ruleIndex := make(map[string]int, len(analyzers))
 	rules := make([]sarifRule, 0, len(analyzers))
 	for i, a := range analyzers {
 		ruleIndex[a.Name] = i
 		rules = append(rules, sarifRule{
 			ID:               a.Name,
-			ShortDescription: sarifMessage{Text: firstLine(a.Doc)},
+			ShortDescription: sarifMessage{Text: a.Doc},
 			Help:             sarifMessage{Text: a.Doc},
 		})
 	}
 
-	results := make([]sarifResult, 0, len(findings)+len(suppressed))
-	add := func(f lint.Finding, sup []sarifSuppression) {
+	results := make([]sarifResult, 0, len(findings))
+	for _, f := range findings {
 		msg := f.Message
 		if f.Hint != "" {
 			msg += " (fix: " + f.Hint + ")"
@@ -110,14 +101,7 @@ func writeSARIF(w io.Writer, root string, analyzers []*lint.Analyzer, findings, 
 				ArtifactLocation: sarifArtifactLocation{URI: sarifURI(root, f.Pos.Filename), URIBaseID: "SRCROOT"},
 				Region:           sarifRegion{StartLine: f.Pos.Line, StartColumn: f.Pos.Column},
 			}}},
-			Suppressions: sup,
 		})
-	}
-	for _, f := range findings {
-		add(f, nil)
-	}
-	for _, f := range suppressed {
-		add(f, []sarifSuppression{{Kind: "inSource", Justification: f.SuppressReason}})
 	}
 
 	log := sarifLog{
@@ -140,11 +124,4 @@ func sarifURI(root, path string) string {
 		path = rel
 	}
 	return filepath.ToSlash(path)
-}
-
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
 }

@@ -15,39 +15,33 @@ import (
 // read to the buffered path, which is exactly the regression the
 // DirectDegraded counter exists to catch.
 //
-// v2 hosts the check on the interprocedural engine (ipa.go): taint now
-// crosses package-local function boundaries in both directions. A
+// The check runs on the interprocedural engine (ipa.go): taint crosses
+// package-local function boundaries in both directions. A
 // helper whose []byte result is make-born taints its callers' variables
 // (to any call depth, mutual recursion included), and passing a
 // make-born buffer to a helper whose parameter reaches a sink is
-// reported at the call site — the two laundering shapes the v1
-// intra-procedural walk provably missed (see testdata/src/ipa). Flows
+// reported at the call site — the two laundering shapes an
+// intra-procedural walk misses (see testdata/src/ipa). Flows
 // through struct fields populated in other functions remain out of
 // scope, keeping false positives near zero. Functions named AlignedBuf
 // are sanctioned allocation sources by contract: their alignment logic
 // is make-based internally, and blessing the name keeps both
 // storage.AlignedBuf's own package and the fixture corpus analyzable.
 var AnalyzerAlignedIO = &Analyzer{
-	Name:          "alignedio",
-	Doc:           "make-born []byte must not reach backend read/submit sinks, across package-local calls; use storage.AlignedBuf",
-	SkipTestFiles: true,
-	SkipTestPkgs:  true,
-	Run:           runAlignedIO,
+	Name:      "alignedio",
+	Doc:       "make-born []byte must not reach backend read/submit sinks, across package-local calls; use storage.AlignedBuf",
+	SkipTests: true,
+	Run:       runAlignedIO,
 }
 
 const alignedHint = "allocate with storage.AlignedBuf (or reuse a staging-pool slice) so the O_DIRECT path stays reachable"
 
 func runAlignedIO(pass *Pass) {
-	sum := pass.ipa.alignedSummaries(pass.Info)
-	for _, f := range pass.SourceFiles() {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			tw := newTaintWalk(pass, sum, fd, true)
-			tw.walkBody(fd.Body)
-		}
+	sum := newAlignedSummaries(newInterp(pass), pass.Info)
+	for _, fd := range sum.ip.decls {
+		tw := newTaintWalk(pass.Info, sum, fd)
+		tw.pass = pass
+		tw.walkBody(fd.Body)
 	}
 }
 
@@ -67,26 +61,22 @@ type alignedSummaries struct {
 	ip *interp
 }
 
-// alignedSummaries computes (once per package) the taint summaries by
+// newAlignedSummaries computes the package's taint summaries by
 // iterating per-function summary walks until no summary grows. Growth
 // is monotone over finite sets, so the loop terminates; empty-start
 // means mutual recursion converges to the least fixpoint.
-func (ip *interp) alignedSummaries(info *types.Info) *alignedSummaries {
-	if ip.aligned != nil {
-		return ip.aligned
-	}
+func newAlignedSummaries(ip *interp, info *types.Info) *alignedSummaries {
 	sum := &alignedSummaries{
 		retTaint: make(map[*types.Func]bool),
 		passRet:  make(map[*types.Func]taintSet),
 		sinkPar:  make(map[*types.Func]taintSet),
 		ip:       ip,
 	}
-	ip.aligned = sum
 	for changed := true; changed; {
 		changed = false
 		for _, fd := range ip.decls {
 			fn := ip.fnOf[fd]
-			tw := newTaintWalkInfo(info, sum, fd)
+			tw := newTaintWalk(info, sum, fd)
 			tw.walkBody(fd.Body)
 			if tw.retOut.hasMake() && !sum.retTaint[fn] {
 				sum.retTaint[fn] = true
@@ -130,15 +120,7 @@ type taintWalk struct {
 	sinkOut taintSet
 }
 
-func newTaintWalk(pass *Pass, sum *alignedSummaries, fd *ast.FuncDecl, report bool) *taintWalk {
-	tw := newTaintWalkInfo(pass.Info, sum, fd)
-	if report {
-		tw.pass = pass
-	}
-	return tw
-}
-
-func newTaintWalkInfo(info *types.Info, sum *alignedSummaries, fd *ast.FuncDecl) *taintWalk {
+func newTaintWalk(info *types.Info, sum *alignedSummaries, fd *ast.FuncDecl) *taintWalk {
 	tw := &taintWalk{
 		info:     info,
 		sum:      sum,
@@ -285,7 +267,7 @@ func (tw *taintWalk) key(e ast.Expr) (string, bool) {
 		if e.Name == "_" {
 			return "", false
 		}
-		if obj := tw.objectOf(e); obj != nil {
+		if obj := tw.info.ObjectOf(e); obj != nil {
 			return objKey(obj), true
 		}
 		return "", false
@@ -297,13 +279,6 @@ func (tw *taintWalk) key(e ast.Expr) (string, bool) {
 		return base + "." + e.Sel.Name, true
 	}
 	return "", false
-}
-
-func (tw *taintWalk) objectOf(id *ast.Ident) types.Object {
-	if obj := tw.info.ObjectOf(id); obj != nil {
-		return obj
-	}
-	return nil
 }
 
 // taintedExpr reports the expression's taint: make-born bytes, a
@@ -442,7 +417,7 @@ func (tw *taintWalk) checkDirectSink(call *ast.CallExpr, fn *types.Func, sig *ty
 		if !isDurationErrorResults(sig.Results()) {
 			return
 		}
-		if buf := byteSliceArg(tw.info, sig, call); buf != nil {
+		if buf := byteSliceArg(sig, call); buf != nil {
 			tw.hit(buf.Pos(), tw.taintedExpr(buf),
 				"raw make([]byte) buffer reaches backend %s; its address is not sector-aligned", fn.Name())
 		}
@@ -450,12 +425,12 @@ func (tw *taintWalk) checkDirectSink(call *ast.CallExpr, fn *types.Func, sig *ty
 		if !isIntDurationErrorResults(sig.Results()) {
 			return
 		}
-		if buf := byteSliceArg(tw.info, sig, call); buf != nil {
+		if buf := byteSliceArg(sig, call); buf != nil {
 			tw.hit(buf.Pos(), tw.taintedExpr(buf),
 				"raw make([]byte) buffer reaches the layout read path via %s; its address is not sector-aligned", fn.Name())
 		}
 	case "QueueReadCtx":
-		if buf := byteSliceArg(tw.info, sig, call); buf != nil {
+		if buf := byteSliceArg(sig, call); buf != nil {
 			tw.hit(buf.Pos(), tw.taintedExpr(buf),
 				"raw make([]byte) buffer submitted to the direct read path via %s", fn.Name())
 		}
@@ -523,7 +498,7 @@ func (tw *taintWalk) checkSubmitRequest(arg ast.Expr) {
 
 // byteSliceArg returns the call argument bound to the signature's
 // []byte parameter (the buffer), tolerating a leading context parameter.
-func byteSliceArg(info *types.Info, sig *types.Signature, call *ast.CallExpr) ast.Expr {
+func byteSliceArg(sig *types.Signature, call *ast.CallExpr) ast.Expr {
 	params := sig.Params()
 	for i := 0; i < params.Len() && i < len(call.Args); i++ {
 		if isByteSlice(params.At(i).Type()) {

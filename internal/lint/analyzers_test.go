@@ -27,39 +27,15 @@ func TestAlignedIOInterprocedural(t *testing.T) {
 	analyzertest.Run(t, lint.AnalyzerAlignedIO, "testdata/src/ipa")
 }
 
-func TestAtomicField(t *testing.T) {
-	analyzertest.Run(t, lint.AnalyzerAtomicField, "testdata/src/atomicfield")
-}
-
 func TestExtentBounds(t *testing.T) {
 	analyzertest.Run(t, lint.AnalyzerExtentBounds, "testdata/src/extentbounds")
 }
 
-func TestGoroLeak(t *testing.T) {
-	analyzertest.Run(t, lint.AnalyzerGoroLeak, "testdata/src/internal/core/goroleak")
-}
-
-func TestRefPair(t *testing.T) {
-	analyzertest.Run(t, lint.AnalyzerRefPair, "testdata/src/refpair")
-}
-
-func TestRefPairInterprocedural(t *testing.T) {
-	analyzertest.Run(t, lint.AnalyzerRefPair, "testdata/src/refpairipa")
-}
-
-func TestQuotaPair(t *testing.T) {
-	analyzertest.Run(t, lint.AnalyzerQuotaPair, "testdata/src/quotapair")
-}
-
-func TestSidecarPair(t *testing.T) {
-	analyzertest.Run(t, lint.AnalyzerSidecarPair, "testdata/src/sidecarpair")
-}
-
-// TestAll sanity-checks the registry: ten analyzers, unique names.
+// TestAll sanity-checks the registry: five analyzers, unique names.
 func TestAll(t *testing.T) {
 	all := lint.All()
-	if len(all) != 10 {
-		t.Fatalf("expected 10 analyzers, got %d", len(all))
+	if len(all) != 5 {
+		t.Fatalf("expected 5 analyzers, got %d", len(all))
 	}
 	seen := map[string]bool{}
 	for _, a := range all {

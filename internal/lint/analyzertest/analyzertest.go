@@ -5,21 +5,16 @@
 // analyzers fire). Expectations are comments on the offending line:
 //
 //	buf := make([]byte, 64)          // want "raw make"
-//	_ = ctx                          // want:suppressed "Background"
 //
-// `want` matches a live finding on that line by regexp; all findings
-// must be matched and all expectations must fire, so the corpus proves
-// both that violations are caught and that correct code stays silent.
-// `want:suppressed` matches the gnnlint:ignore audit trail, proving the
-// directive actually intercepted a finding rather than the analyzer
-// never firing.
+// `want` matches a finding on that line by regexp; all findings must be
+// matched and all expectations must fire, so the corpus proves both that
+// violations are caught and that correct code stays silent.
 package analyzertest
 
 import (
 	"fmt"
 	"path/filepath"
 	"regexp"
-	"strings"
 	"sync"
 	"testing"
 
@@ -41,14 +36,13 @@ func sharedLoader() (*lint.Loader, error) {
 	return loader, loaderErr
 }
 
-var wantRe = regexp.MustCompile(`//\s*want(:suppressed)?\s+"((?:[^"\\]|\\.)*)"`)
+var wantRe = regexp.MustCompile(`//\s*want\s+"((?:[^"\\]|\\.)*)"`)
 
 type expectation struct {
-	file       string
-	line       int
-	suppressed bool
-	re         *regexp.Regexp
-	matched    bool
+	file    string
+	line    int
+	re      *regexp.Regexp
+	matched bool
 }
 
 // Run loads the fixture package at dir (relative to the calling test's
@@ -75,67 +69,55 @@ func Run(t *testing.T, a *lint.Analyzer, dir string) {
 			}
 			t.FailNow()
 		}
-		findings, suppressed := lint.RunPackage(pkg, []*lint.Analyzer{a})
 		expects, err := parseExpectations(pkg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(t, findings, suppressed, expects)
+		check(t, lint.RunPackage(pkg, []*lint.Analyzer{a}), expects)
 	}
 }
 
 func parseExpectations(pkg *lint.Package) ([]*expectation, error) {
 	var out []*expectation
-	for file, src := range pkg.Sources {
-		for i, line := range strings.Split(string(src), "\n") {
-			for _, m := range wantRe.FindAllStringSubmatch(line, -1) {
-				re, err := regexp.Compile(m[2])
-				if err != nil {
-					return nil, fmt.Errorf("%s:%d: bad want regexp %q: %v", file, i+1, m[2], err)
+	for _, f := range pkg.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				pos := pkg.Fset.Position(c.Pos())
+				for _, m := range wantRe.FindAllStringSubmatch(c.Text, -1) {
+					re, err := regexp.Compile(m[1])
+					if err != nil {
+						return nil, fmt.Errorf("%s:%d: bad want regexp %q: %v", pos.Filename, pos.Line, m[1], err)
+					}
+					out = append(out, &expectation{file: pos.Filename, line: pos.Line, re: re})
 				}
-				out = append(out, &expectation{
-					file:       file,
-					line:       i + 1,
-					suppressed: m[1] != "",
-					re:         re,
-				})
 			}
 		}
 	}
 	return out, nil
 }
 
-func check(t *testing.T, findings, suppressed []lint.Finding, expects []*expectation) {
+func check(t *testing.T, findings []lint.Finding, expects []*expectation) {
 	t.Helper()
-	match := func(f lint.Finding, wantSuppressed bool) bool {
-		for _, e := range expects {
-			if e.matched || e.suppressed != wantSuppressed {
-				continue
-			}
-			if e.file == f.Pos.Filename && e.line == f.Pos.Line && e.re.MatchString(f.Message) {
-				e.matched = true
-				return true
-			}
-		}
-		return false
-	}
 	for _, f := range findings {
-		if !match(f, false) {
+		if !match(f, expects) {
 			t.Errorf("unexpected finding: %s", f)
-		}
-	}
-	for _, f := range suppressed {
-		if !match(f, true) {
-			t.Errorf("unexpected suppressed finding: %s (reason: %s)", f, f.SuppressReason)
 		}
 	}
 	for _, e := range expects {
 		if !e.matched {
-			kind := "finding"
-			if e.suppressed {
-				kind = "suppressed finding"
-			}
-			t.Errorf("%s:%d: expected %s matching %q, got none", e.file, e.line, kind, e.re)
+			t.Errorf("%s:%d: expected finding matching %q, got none", e.file, e.line, e.re)
 		}
 	}
+}
+
+// match claims the first unmatched expectation on f's line whose regexp
+// matches its message.
+func match(f lint.Finding, expects []*expectation) bool {
+	for _, e := range expects {
+		if !e.matched && e.file == f.Pos.Filename && e.line == f.Pos.Line && e.re.MatchString(f.Message) {
+			e.matched = true
+			return true
+		}
+	}
+	return false
 }

@@ -9,16 +9,13 @@ import (
 // in non-test internal code. The pipeline's cancellable-teardown
 // contract (DESIGN.md §6) only holds when every blocking stage receives
 // the caller's context; a context minted mid-stack silently detaches
-// the work below it from Close/SIGTERM/watchdog cancellation. Public
-// non-ctx compatibility wrappers are the one sanctioned exception and
-// carry an audited gnnlint:ignore.
+// the work below it from Close/SIGTERM/watchdog cancellation.
 var AnalyzerCtxBg = &Analyzer{
-	Name:          "ctxbg",
-	Doc:           "context must be threaded from callers; no context.Background()/TODO() in non-test internal code",
-	SkipTestFiles: true,
-	SkipTestPkgs:  true,
-	OnlyInternal:  true,
-	Run:           runCtxBg,
+	Name:         "ctxbg",
+	Doc:          "context must be threaded from callers; no context.Background()/TODO() in non-test internal code",
+	SkipTests:    true,
+	OnlyInternal: true,
+	Run:          runCtxBg,
 }
 
 func runCtxBg(pass *Pass) {

@@ -24,12 +24,11 @@ import (
 // existing is the API's own declaration that the bare form is the
 // wrong one to call with a ctx in hand.
 var AnalyzerCtxFlow = &Analyzer{
-	Name:          "ctxflow",
-	Doc:           "a received context.Context must flow into every blocking call that has a Ctx-taking variant",
-	SkipTestFiles: true,
-	SkipTestPkgs:  true,
-	OnlyInternal:  true,
-	Run:           runCtxFlow,
+	Name:         "ctxflow",
+	Doc:          "a received context.Context must flow into every blocking call that has a Ctx-taking variant",
+	SkipTests:    true,
+	OnlyInternal: true,
+	Run:          runCtxFlow,
 }
 
 func runCtxFlow(pass *Pass) {
@@ -110,4 +109,13 @@ func ctxSibling(pass *Pass, fn *types.Func) *types.Func {
 		return nil
 	}
 	return sib
+}
+
+func isContextType(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }

@@ -25,11 +25,10 @@ import (
 // anywhere earlier in the function mentioning the same variable or
 // field path sanctions it.
 var AnalyzerExtentBounds = &Analyzer{
-	Name:          "extentbounds",
-	Doc:           "offsets from layout Extents/NodeOffset must be bounds-checked before slicing a buffer",
-	SkipTestFiles: true,
-	SkipTestPkgs:  true,
-	Run:           runExtentBounds,
+	Name:      "extentbounds",
+	Doc:       "offsets from layout Extents/NodeOffset must be bounds-checked before slicing a buffer",
+	SkipTests: true,
+	Run:       runExtentBounds,
 }
 
 func runExtentBounds(pass *Pass) {
@@ -182,4 +181,24 @@ func (es *extentScan) checkIndexing(at ast.Node, idxs ...ast.Expr) {
 			}
 		}
 	}
+}
+
+func typeNamed(t types.Type, name string) bool {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == name
+}
+
+// exprString renders a selector chain of identifiers ("e.Off",
+// "r.ext.Len") as the path key a comparison sanctions.
+func exprString(e ast.Expr) string {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.SelectorExpr:
+		return exprString(e.X) + "." + e.Sel.Name
+	}
+	return "?"
 }

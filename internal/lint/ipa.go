@@ -6,18 +6,16 @@ import (
 	"go/types"
 )
 
-// This file is the interprocedural core shared by the dataflow
-// analyzers: a package-local call graph over top-level function
-// declarations plus the small bit-set currency the summary fixpoints
-// trade in. The design is summary-based: each function is summarized
-// once per fixpoint round ("parameter 2 reaches a sink", "the []byte
-// result may be make-born", "parameter 0 is released"), and call sites
-// consult the summaries instead of inlining callees, so mutual
+// This file is the interprocedural core of alignedio: a package-local
+// index of top-level function declarations plus the small bit-set
+// currency its summary fixpoint trades in. The design is summary-based:
+// each function is summarized once per fixpoint round ("parameter 2
+// reaches a sink", "the []byte result may be make-born"), and call
+// sites consult the summaries instead of inlining callees, so mutual
 // recursion converges and analysis stays linear in package size.
 // Everything is package-local by construction — cross-package flows
-// stay out of scope, keeping the false-positive posture of the v1
-// intra-procedural analyzers while closing the one-helper-call
-// laundering hole they provably had.
+// stay out of scope, keeping false positives near zero while closing
+// the one-helper-call laundering hole an intra-procedural walk has.
 
 // taintSet is the dataflow currency: bit 0 marks a value as make-born
 // (raw bytes from the builtin make), bit j+1 marks it as derived from
@@ -37,49 +35,34 @@ func paramBit(j int) taintSet {
 	return 1 << (uint(j) + 1)
 }
 
-func (t taintSet) hasMake() bool             { return t&taintMake != 0 }
-func (t taintSet) params() taintSet          { return t &^ taintMake }
-func (t taintSet) hasParam(j int) bool       { return t&paramBit(j) != 0 && paramBit(j) != 0 }
-func (t taintSet) union(o taintSet) taintSet { return t | o }
+func (t taintSet) hasMake() bool       { return t&taintMake != 0 }
+func (t taintSet) params() taintSet    { return t &^ taintMake }
+func (t taintSet) hasParam(j int) bool { return t&paramBit(j) != 0 && paramBit(j) != 0 }
 
-// interp is one package's interprocedural view, built once per
-// RunPackage and shared by every analyzer pass: the function
+// interp is one package's interprocedural view: the function
 // declarations eligible for summarization (top-level, non-test, with
-// bodies) and the lazily computed summary tables.
+// bodies).
 type interp struct {
-	typesPkg *types.Package
-	info     *types.Info
-
 	decls  []*ast.FuncDecl
 	fnOf   map[*ast.FuncDecl]*types.Func
 	declOf map[*types.Func]*ast.FuncDecl
-
-	aligned *alignedSummaries
-	pairs   map[string]*pairSummary
 }
 
 // newInterp indexes the package's top-level function declarations.
-// Test files are excluded: every dataflow analyzer skips them, and a
-// summary derived from test-only helpers must not excuse (or implicate)
-// production code.
-func newInterp(pkg *Package) *interp {
+// Test files are excluded: alignedio skips them, and a summary derived
+// from test-only helpers must not excuse (or implicate) production code.
+func newInterp(pass *Pass) *interp {
 	ip := &interp{
-		typesPkg: pkg.Types,
-		info:     pkg.Info,
-		fnOf:     make(map[*ast.FuncDecl]*types.Func),
-		declOf:   make(map[*types.Func]*ast.FuncDecl),
-		pairs:    make(map[string]*pairSummary),
+		fnOf:   make(map[*ast.FuncDecl]*types.Func),
+		declOf: make(map[*types.Func]*ast.FuncDecl),
 	}
-	for _, f := range pkg.Files {
-		if pkg.TestFile[f] {
-			continue
-		}
+	for _, f := range pass.SourceFiles() {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
+			fn, _ := pass.Info.Defs[fd.Name].(*types.Func)
 			if fn == nil {
 				continue
 			}

@@ -22,16 +22,11 @@ import (
 type Package struct {
 	Path string // import path, e.g. gnndrive/internal/core
 	Name string // package name
-	Dir  string
 
 	Fset     *token.FileSet
 	Files    []*ast.File
 	TestFile map[*ast.File]bool
-	Types    *types.Package
 	Info     *types.Info
-	// Sources maps filename to raw content; the directive scanner needs
-	// the text to tell trailing comments from own-line comments.
-	Sources map[string][]byte
 	// TypeErrors holds every type-check diagnostic. A package with type
 	// errors is reported, not analyzed.
 	TypeErrors []types.Error
@@ -110,9 +105,6 @@ func modulePath(gomod string) (string, error) {
 	}
 	return "", fmt.Errorf("lint: no module line in %s", gomod)
 }
-
-// Fset returns the loader's shared FileSet.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
 
 // Expand resolves command-line patterns to package directories. A
 // pattern ending in /... walks the subtree rooted at its prefix; any
@@ -315,23 +307,15 @@ func testNames(include bool, names []string) []string {
 func (l *Loader) checkUnit(path, dir string, buildNames, testFileNames []string) (*Package, error) {
 	pkg := &Package{
 		Path:     path,
-		Dir:      dir,
 		Fset:     l.fset,
 		TestFile: make(map[*ast.File]bool),
-		Sources:  make(map[string][]byte),
 	}
 	parse := func(name string, isTest bool) error {
-		full := filepath.Join(dir, name)
-		src, rerr := os.ReadFile(full)
-		if rerr != nil {
-			return rerr
-		}
-		f, perr := parser.ParseFile(l.fset, full, src, parser.ParseComments)
-		if perr != nil {
-			return perr
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		if err != nil {
+			return err
 		}
 		pkg.Files = append(pkg.Files, f)
-		pkg.Sources[full] = src
 		if isTest {
 			pkg.TestFile[f] = true
 		}
@@ -353,10 +337,9 @@ func (l *Loader) checkUnit(path, dir string, buildNames, testFileNames []string)
 	pkg.Name = pkg.Files[0].Name.Name
 
 	pkg.Info = &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
 	}
 	conf := types.Config{
 		Importer: l,
@@ -366,6 +349,6 @@ func (l *Loader) checkUnit(path, dir string, buildNames, testFileNames []string)
 			}
 		},
 	}
-	pkg.Types, _ = conf.Check(path, l.fset, pkg.Files, pkg.Info)
+	_, _ = conf.Check(path, l.fset, pkg.Files, pkg.Info)
 	return pkg, nil
 }

@@ -145,15 +145,3 @@ func good(ctx context.Context, d *Dev, r *Ring) {
 	raw2 := make([]byte, 512)
 	_, _ = other.ReadExtent(raw2, Extent{Len: 64})
 }
-
-func suppressed(d *Dev) {
-	buf := make([]byte, 512)
-	//gnnlint:ignore alignedio fixture: deliberately unaligned to exercise the EINVAL path
-	_, _ = d.ReadDirect(buf, 0) // want:suppressed "reaches backend ReadDirect"
-}
-
-func suppressedRegister(d *Dev) {
-	buf := make([]byte, 512)
-	//gnnlint:ignore alignedio fixture: registration refusal path under test
-	_ = d.RegisterBuffers(buf) // want:suppressed "registered as a fixed buffer"
-}

@@ -1,6 +1,6 @@
 // Package ctxbgfix is the fixture corpus for the ctxbg analyzer: a true
-// positive for each forbidden constructor, correct ctx-threading code
-// that must stay silent, and a suppressed compat-wrapper case.
+// positive for each forbidden constructor, and correct ctx-threading
+// code that must stay silent.
 package ctxbgfix
 
 import "context"
@@ -17,11 +17,4 @@ func alsoBad() {
 // good threads the caller's context — no finding.
 func good(ctx context.Context) (context.Context, context.CancelFunc) {
 	return context.WithCancel(ctx)
-}
-
-// wrapped is the sanctioned shape: a public non-ctx wrapper with an
-// audited suppression.
-func wrapped() context.Context {
-	//gnnlint:ignore ctxbg fixture: public compat wrapper, callers own cancellation
-	return context.Background() // want:suppressed "context.Background"
 }

@@ -54,8 +54,3 @@ func goodNoCtxParam(p *Pool) int32 {
 	// No ctx received: the bare compat variant is the only option.
 	return p.Acquire()
 }
-
-func suppressedBare(ctx context.Context, p *Pool) int32 {
-	//gnnlint:ignore ctxflow fixture: non-cancellable on purpose; kept to exercise the audit trail
-	return p.Acquire() // want:suppressed "the AcquireCtx variant exists"
-}

@@ -1,7 +1,7 @@
 // Package errsfix is the fixture corpus for the errsentinel analyzer:
 // identity comparisons and switch-cases on the module's sentinel names
 // are findings; errors.Is and comparisons against non-sentinel errors
-// are not; a suppressed case proves the directive intercepts.
+// are not.
 package errsfix
 
 import "errors"
@@ -82,9 +82,4 @@ func goodLayout(err error) bool {
 func goodOverloaded(err error) bool {
 	// Admission wraps ErrOverloaded with the queue depth.
 	return errors.Is(err, ErrOverloaded)
-}
-
-func suppressed(err error) bool {
-	//gnnlint:ignore errsentinel fixture: error is unwrapped by construction here
-	return err == ErrClosed // want:suppressed "sentinel ErrClosed"
 }

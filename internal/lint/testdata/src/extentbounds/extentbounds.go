@@ -60,10 +60,3 @@ func goodReassigned(a *Addresser, buf []byte) byte {
 	off = 0 // clamped copy: provenance cleared
 	return buf[off]
 }
-
-func suppressedSlice(a *Addresser, buf []byte) []byte {
-	exts := a.Extents(1, nil)
-	e := exts[0]
-	//gnnlint:ignore extentbounds fixture: caller guarantees the extent fits; kept to exercise the audit trail
-	return buf[e.FeatOff : e.FeatOff+e.Len] // want:suppressed "without a prior bounds check"
-}

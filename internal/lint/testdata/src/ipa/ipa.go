@@ -164,11 +164,3 @@ func goodLocalUse() []byte {
 	}
 	return buf[:128]
 }
-
-// --- suppressed ------------------------------------------------------
-
-func suppressedDepth2(d *Dev) {
-	buf := rawDepth2()
-	//gnnlint:ignore alignedio fixture: laundered buffer deliberately kept to exercise the audit trail
-	_, _ = d.ReadDirect(buf, 0) // want:suppressed "reaches backend ReadDirect"
-}

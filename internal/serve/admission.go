@@ -143,26 +143,22 @@ func (p *pool) fitsLocked(d Demand) bool {
 		p.featBudget-p.featUsed >= d.FeatureBytes
 }
 
-// tryAdmit grants the demand immediately, or reports how many jobs are
-// queued ahead. It never blocks: Submit uses it to decide run-now vs
-// queue vs 429.
-func (p *pool) tryAdmit(id string, d Demand) (*grant, int, error) {
+// tryAdmit grants the demand immediately, or returns a nil grant when
+// the job must queue. It never blocks: Submit uses it to decide run-now
+// vs queue vs 429.
+func (p *pool) tryAdmit(id string, d Demand) (*grant, error) {
 	if p.neverFits(d) {
-		return nil, 0, ErrNeverFits
+		return nil, ErrNeverFits
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		return nil, 0, ErrOverloaded
+		return nil, ErrOverloaded
 	}
 	if len(p.queue) > 0 || !p.fitsLocked(d) {
-		return nil, len(p.queue), nil
+		return nil, nil
 	}
-	g, err := p.takeLocked(id, d)
-	if err != nil {
-		return nil, 0, err
-	}
-	return g, 0, nil
+	return p.takeLocked(id, d)
 }
 
 // admit blocks until the demand fits (FIFO order) or ctx is cancelled.

@@ -230,7 +230,7 @@ func (d *Daemon) Submit(spec trainsim.JobSpec) (string, error) {
 	j := &job{rec: JobRecord{ID: id, Seq: seq, Spec: spec, Demand: demand, State: StateQueued}}
 	j.ctx, j.cancel = context.WithCancel(d.rootCtx)
 
-	g, queued, aerr := d.pool.tryAdmit(id, demand)
+	g, aerr := d.pool.tryAdmit(id, demand)
 	if aerr != nil {
 		d.nextSeq-- // the job never existed
 		d.mu.Unlock()
@@ -248,14 +248,8 @@ func (d *Daemon) Submit(spec trainsim.JobSpec) (string, error) {
 		if waiting >= d.cfg.MaxQueued {
 			d.nextSeq--
 			d.mu.Unlock()
-			// g is always nil on this path (we're inside the g == nil
-			// branch) and release is nil-safe; releasing explicitly keeps
-			// the grant lifecycle closed on every return, visibly and to
-			// the quotapair analyzer, even if tryAdmit's contract shifts.
-			g.release()
 			return "", fmt.Errorf("%w: %d jobs already queued", ErrOverloaded, waiting)
 		}
-		_ = queued
 	}
 	d.jobs[id] = j
 	d.wg.Add(1)
@@ -335,9 +329,20 @@ func (d *Daemon) buildConfig(j *job, g *grant) (trainsim.Config, trainsim.System
 // MaxRequeues — without ever touching another job's slice.
 func (d *Daemon) runJob(j *job, g *grant) {
 	defer d.wg.Done()
+	var cfg trainsim.Config // the latest run attempt's
 	defer func() {
 		if g != nil {
 			g.release()
+		}
+		// A terminal job's dataset cell is never read again: evict it, so
+		// a cancelled or failed job does not pin its backend (memory, and
+		// the sim device's goroutines) for the daemon's lifetime. An
+		// interrupted job keeps its cell for an in-process resume.
+		d.mu.Lock()
+		terminal := j.rec.State.Terminal()
+		d.mu.Unlock()
+		if terminal && cfg.DataFile != "" {
+			trainsim.DropDataset(cfg)
 		}
 	}()
 	for {
@@ -352,7 +357,9 @@ func (d *Daemon) runJob(j *job, g *grant) {
 		runDone := make(chan struct{})
 		d.setState(j, StateRunning, func() { j.runDone = runDone })
 
-		cfg, sys, err := d.buildConfig(j, g)
+		var sys trainsim.SystemKind
+		var err error
+		cfg, sys, err = d.buildConfig(j, g)
 		if err == nil {
 			_, err = trainsim.RunCtx(j.ctx, cfg, sys,
 				trainsim.RunOptions{Epochs: j.rec.Spec.NumEpochs()})
@@ -367,7 +374,6 @@ func (d *Daemon) runJob(j *job, g *grant) {
 			g.release()
 			g = nil
 			d.setState(j, StateCompleted, nil)
-			trainsim.DropDataset(cfg)
 			return
 		case j.ctx.Err() != nil:
 			d.exitInterrupted(j, err)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -588,5 +589,112 @@ func TestFileBackendJobCompletes(t *testing.T) {
 	spec.Backend = "file"
 	if got := runClean(t, ctx, spec); len(got) != spec.Epochs {
 		t.Fatalf("%d epochs recorded, want %d", len(got), spec.Epochs)
+	}
+}
+
+// TestEnvelopeReturnsToZeroAtQuiescence executes the grant lifecycle on
+// the supervisor's exit paths: job A's first run attempt dies on a media
+// error, is requeued (its grant released before the backoff) and then
+// completes; job B is cancelled mid-run (its grant released by the
+// supervisor's deferred release). Once both are terminal, /metrics must
+// report an empty envelope, and after shutdown the goroutine count must
+// return to where it was before the daemon started: no supervisor,
+// pipeline or evicted dataset backend may outlive the daemon.
+func TestEnvelopeReturnsToZeroAtQuiescence(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	baseline := runtime.NumGoroutine()
+
+	cfg := testDaemonConfig(t, ctx)
+	// Room for three grants, so a leaked one never blocks re-admission:
+	// the leak must show up as a nonzero envelope, not as a hang.
+	cfg.StagingSlots = 192
+	cfg.FeatureBudgetBytes = 900_000
+	cfg.MaxRequeues = 1
+	var mu sync.Mutex
+	faulted := false
+	cfg.Hook = func(id string, c *trainsim.Config) {
+		mu.Lock()
+		defer mu.Unlock()
+		if id == "job-0000" && !faulted {
+			faulted = true
+			c.Faults = &faults.Config{MediaRanges: []faults.Range{{Off: 0, Len: 1 << 40}}}
+		}
+	}
+	d, err := NewDaemon(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	idA, err := d.Submit(testSpec(7, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	idB, err := d.Submit(testSpec(11, 50))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Cancel B once it has trained an epoch, so it holds its grant.
+	for {
+		b, _ := d.Job(idB)
+		if len(b.Epochs) >= 1 {
+			break
+		}
+		if b.State.Terminal() {
+			t.Fatalf("job B ended %s before it could be cancelled", b.State)
+		}
+		select {
+		case <-ctx.Done():
+			t.Fatal("timed out waiting for job B's first epoch")
+		case <-time.After(2 * time.Millisecond):
+		}
+	}
+	if err := d.Cancel(idB); err != nil {
+		t.Fatal(err)
+	}
+	recA, err := d.WaitJob(ctx, idA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recA.State != StateCompleted || recA.Requeues != 1 {
+		t.Fatalf("job A ended %s after %d requeues (error %q), want completed after 1", recA.State, recA.Requeues, recA.Error)
+	}
+	recB, err := d.WaitJob(ctx, idB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recB.State != StateCancelled {
+		t.Fatalf("job B ended %s, want cancelled", recB.State)
+	}
+
+	// A job turns terminal just before its supervisor returns, so poll.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		w := httptest.NewRecorder()
+		d.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/metrics", nil))
+		var rep metricsReport
+		if err := json.Unmarshal(w.Body.Bytes(), &rep); err != nil {
+			t.Fatal(err)
+		}
+		if rep.Pool.StagingSlotsUsed == 0 && rep.Pool.FeatureBytesUsed == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("envelope not returned at quiescence: staging_slots_used=%d feature_bytes_used=%d",
+				rep.Pool.StagingSlotsUsed, rep.Pool.FeatureBytesUsed)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	d.Close()
+	deadline = time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline+2 {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("goroutines leaked: %d > baseline %d\n%s", runtime.NumGoroutine(), baseline, buf[:n])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
