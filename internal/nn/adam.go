@@ -7,13 +7,12 @@ import (
 
 // Adam is the Adam optimizer with bias correction.
 type Adam struct {
-	LR      float32
-	Beta1   float32
-	Beta2   float32
-	Eps     float32
-	t       int
-	m, v    map[*Param][]float32
-	stepped bool
+	LR    float32
+	Beta1 float32
+	Beta2 float32
+	Eps   float32
+	t     int
+	m, v  map[*Param][]float32
 }
 
 // NewAdam creates an optimizer with the usual defaults (lr 1e-3 unless

@@ -7,7 +7,7 @@ import (
 )
 
 // meanAggregate computes per-dst means of src rows along e (self-loop
-// included in e), returning the [n x dim] aggregate. dst is reused when
+// included in e), returning the [e.n x dim] aggregate. dst is reused when
 // its capacity suffices (pass nil to allocate).
 func meanAggregate(dst *tensor.Matrix, e *edges, x *tensor.Matrix) *tensor.Matrix {
 	agg := tensor.EnsureShape(dst, e.n, x.Cols)
@@ -53,11 +53,13 @@ func meanAggregateBackward(e *edges, dagg *tensor.Matrix, dx *tensor.Matrix) {
 type sageConv struct {
 	wSelf, wNeigh, bias *Param
 	// forward cache
-	e   *edges
-	x   *tensor.Matrix
-	agg *tensor.Matrix
+	e    *edges
+	x    *tensor.Matrix
+	self tensor.Matrix // x's first e.n rows, the self term's operand
+	agg  *tensor.Matrix
 	// scratch
 	out, tmp, gw, dx, dagg *tensor.Matrix
+	dxTop                  tensor.Matrix // dx's first e.n rows
 }
 
 func newSAGEConv(name string, in, out int, rng *tensor.RNG) *sageConv {
@@ -72,25 +74,31 @@ func (c *sageConv) params() []*Param { return []*Param{c.wSelf, c.wNeigh, c.bias
 
 func (c *sageConv) forward(e *edges, x *tensor.Matrix) *tensor.Matrix {
 	c.e, c.x = e, x
+	self := topRows(&c.self, x, e.n)
 	c.agg = meanAggregate(c.agg, e, x)
-	c.out = tensor.EnsureShape(c.out, x.Rows, c.wSelf.W.Cols)
-	tensor.MatMulInto(c.out, x, c.wSelf.W)
-	c.tmp = tensor.EnsureShape(c.tmp, x.Rows, c.wNeigh.W.Cols)
+	c.out = tensor.EnsureShape(c.out, e.n, c.wSelf.W.Cols)
+	tensor.MatMulInto(c.out, self, c.wSelf.W)
+	c.tmp = tensor.EnsureShape(c.tmp, e.n, c.wNeigh.W.Cols)
 	tensor.MatMulInto(c.tmp, c.agg, c.wNeigh.W)
 	c.out.Add(c.tmp)
 	c.out.AddRowVector(c.bias.W.Data)
 	return c.out
 }
 
-func (c *sageConv) backward(dout *tensor.Matrix) *tensor.Matrix {
+func (c *sageConv) backward(dout *tensor.Matrix, wantDX bool) *tensor.Matrix {
 	c.gw = tensor.EnsureShape(c.gw, c.x.Cols, dout.Cols)
-	tensor.MatMulT1Into(c.gw, c.x, dout)
+	tensor.MatMulT1Into(c.gw, &c.self, dout)
 	c.wSelf.G.Add(c.gw)
 	tensor.MatMulT1Into(c.gw, c.agg, dout)
 	c.wNeigh.G.Add(c.gw)
 	dout.ColSumsInto(c.bias.G.Data)
-	c.dx = tensor.EnsureShape(c.dx, dout.Rows, c.wSelf.W.Rows)
-	tensor.MatMulT2Into(c.dx, dout, c.wSelf.W)
+	if !wantDX {
+		return nil
+	}
+	// Rows past the outputs have no self term, only scattered messages.
+	c.dx = tensor.EnsureShape(c.dx, c.x.Rows, c.x.Cols)
+	tensor.MatMulT2Into(topRows(&c.dxTop, c.dx, dout.Rows), dout, c.wSelf.W)
+	clear(c.dx.Data[len(c.dxTop.Data):])
 	c.dagg = tensor.EnsureShape(c.dagg, dout.Rows, c.wNeigh.W.Rows)
 	tensor.MatMulT2Into(c.dagg, dout, c.wNeigh.W)
 	meanAggregateBackward(c.e, c.dagg, c.dx)
@@ -126,11 +134,14 @@ func (c *gcnConv) forward(e *edges, x *tensor.Matrix) *tensor.Matrix {
 	return c.out
 }
 
-func (c *gcnConv) backward(dout *tensor.Matrix) *tensor.Matrix {
+func (c *gcnConv) backward(dout *tensor.Matrix, wantDX bool) *tensor.Matrix {
 	c.gw = tensor.EnsureShape(c.gw, c.agg.Cols, dout.Cols)
 	tensor.MatMulT1Into(c.gw, c.agg, dout)
 	c.w.G.Add(c.gw)
 	dout.ColSumsInto(c.bias.G.Data)
+	if !wantDX {
+		return nil
+	}
 	c.dagg = tensor.EnsureShape(c.dagg, dout.Rows, c.w.W.Rows)
 	tensor.MatMulT2Into(c.dagg, dout, c.w.W)
 	c.dx = tensor.EnsureShape(c.dx, c.x.Rows, c.x.Cols)
@@ -190,7 +201,7 @@ func (c *gatConv) forward(e *edges, x *tensor.Matrix) *tensor.Matrix {
 	c.e, c.x = e, x
 	c.h = tensor.EnsureShape(c.h, x.Rows, c.w.W.Cols)
 	tensor.MatMulInto(c.h, x, c.w.W)
-	n, m := e.n, len(e.src)
+	n, m := x.Rows, len(e.src)
 	np, ep := carve(&c.node, 4, n), carve(&c.edge, 3, m)
 	s1, s2, maxPerDst, sumPerDst := np[0], np[1], np[2], np[3]
 	c.scores, c.alpha, c.etmp = ep[0], ep[1], ep[2]
@@ -227,7 +238,7 @@ func (c *gatConv) forward(e *edges, x *tensor.Matrix) *tensor.Matrix {
 	for i := range c.alpha {
 		c.alpha[i] /= sumPerDst[e.dst[i]]
 	}
-	c.out = tensor.EnsureShape(c.out, n, c.h.Cols)
+	c.out = tensor.EnsureShape(c.out, e.n, c.h.Cols)
 	c.out.Zero()
 	for i := range e.src {
 		d := c.out.Row(int(e.dst[i]))
@@ -241,9 +252,9 @@ func (c *gatConv) forward(e *edges, x *tensor.Matrix) *tensor.Matrix {
 	return c.out
 }
 
-func (c *gatConv) backward(dout *tensor.Matrix) *tensor.Matrix {
+func (c *gatConv) backward(dout *tensor.Matrix, wantDX bool) *tensor.Matrix {
 	e, h := c.e, c.h
-	n := e.n
+	n := h.Rows
 	// The column sums are formed from zero and then added, not summed
 	// straight into the gradient: the two round differently once the
 	// gradient is non-zero.
@@ -297,6 +308,9 @@ func (c *gatConv) backward(dout *tensor.Matrix) *tensor.Matrix {
 	c.gw = tensor.EnsureShape(c.gw, c.x.Cols, dh.Cols)
 	tensor.MatMulT1Into(c.gw, c.x, dh)
 	c.w.G.Add(c.gw)
+	if !wantDX {
+		return nil
+	}
 	c.dx = tensor.EnsureShape(c.dx, dh.Rows, c.w.W.Rows)
 	tensor.MatMulT2Into(c.dx, dh, c.w.W)
 	return c.dx

@@ -8,34 +8,51 @@ import (
 	"gnndrive/internal/tensor"
 )
 
-// Property: for any random layered batch, buildEdges produces exactly one
+// unionOf returns b's union edge list.
+func unionOf(b *sample.Batch) *edges {
+	var e edges
+	e.build(b)
+	return &e
+}
+
+// randomBatch is a hand-built batch of 2..31 nodes, one target, and 1..3
+// layers of random edges that ignore hop order: any node may feed any
+// other in any layer, self-loops included.
+func randomBatch(rng *tensor.RNG) *sample.Batch {
+	n := 2 + rng.Intn(30)
+	b := &sample.Batch{NumTargets: 1}
+	for i := 0; i < n; i++ {
+		b.Nodes = append(b.Nodes, int64(i))
+	}
+	layers := 1 + rng.Intn(3)
+	for l := 0; l < layers; l++ {
+		var layer sample.Layer
+		edges := rng.Intn(40)
+		for e := 0; e < edges; e++ {
+			layer.Src = append(layer.Src, int32(rng.Intn(n)))
+			layer.Dst = append(layer.Dst, int32(rng.Intn(n)))
+		}
+		b.Layers = append(b.Layers, layer)
+	}
+	return b
+}
+
+// Property: for any random layered batch, the union has exactly one
 // self-loop per node, degree[v] = in-edges(v)+1, and total edge count =
 // non-self sampled edges + n.
 func TestBuildEdgesProperty(t *testing.T) {
 	f := func(seed uint64) bool {
-		rng := tensor.NewRNG(seed)
-		n := 2 + rng.Intn(30)
-		b := &sample.Batch{NumTargets: 1}
-		for i := 0; i < n; i++ {
-			b.Nodes = append(b.Nodes, int64(i))
-		}
-		layers := 1 + rng.Intn(3)
+		b := randomBatch(tensor.NewRNG(seed))
+		n := len(b.Nodes)
 		nonSelf := 0
-		for l := 0; l < layers; l++ {
-			var layer sample.Layer
-			edges := rng.Intn(40)
-			for e := 0; e < edges; e++ {
-				src := int32(rng.Intn(n))
-				dst := int32(rng.Intn(n))
-				layer.Src = append(layer.Src, src)
-				layer.Dst = append(layer.Dst, dst)
-				if src != dst {
+		for _, l := range b.Layers {
+			for i := range l.Src {
+				if l.Src[i] != l.Dst[i] {
 					nonSelf++
 				}
 			}
-			b.Layers = append(b.Layers, layer)
 		}
-		e := buildEdges(b)
+		e := unionOf(b)
 		if len(e.src) != nonSelf+n {
 			return false
 		}
@@ -78,7 +95,7 @@ func TestMeanAggregateConstantProperty(t *testing.T) {
 			layer.Dst = append(layer.Dst, int32(rng.Intn(n)))
 		}
 		b.Layers = []sample.Layer{layer}
-		e := buildEdges(b)
+		e := unionOf(b)
 		x := tensor.New(n, 3)
 		for i := range x.Data {
 			x.Data[i] = 2.5
@@ -112,7 +129,7 @@ func TestMeanAggregateAdjointProperty(t *testing.T) {
 			layer.Dst = append(layer.Dst, int32(rng.Intn(n)))
 		}
 		b.Layers = []sample.Layer{layer}
-		e := buildEdges(b)
+		e := unionOf(b)
 		dim := 2
 		x := tensor.New(n, dim)
 		y := tensor.New(n, dim)

@@ -65,19 +65,22 @@ func newZeroParam(name string, rows, cols int) *Param {
 	return &Param{Name: name, W: tensor.New(rows, cols), G: tensor.New(rows, cols)}
 }
 
-// edges is the union edge list a batch's convolutions aggregate along:
-// every sampled edge once plus exactly one self-loop per node.
+// edges is an edge list convolutions aggregate along: a batch's union
+// (every sampled edge once plus exactly one self-loop per node), or the
+// part of the union one conv reads. Every dst is below n.
 type edges struct {
 	src, dst []int32
-	deg      []float32 // in-degree per dst, self-loop included
+	deg      []float32 // in-degree per dst over the union, self-loop included
 	n        int
 }
 
-// buildEdges unions the batch's hop layers, deduplicates self-loops, and
-// appends one self-loop per node.
-func buildEdges(b *sample.Batch) *edges {
+// build makes e the union of b's hop layers, in layer order with the
+// sampler's self-loops dropped, followed by one self-loop per node. It
+// reuses e's storage.
+func (e *edges) build(b *sample.Batch) {
 	n := len(b.Nodes)
-	e := &edges{n: n}
+	e.n = n
+	e.src, e.dst = e.src[:0], e.dst[:0]
 	for _, l := range b.Layers {
 		for i := range l.Src {
 			if l.Src[i] == l.Dst[i] {
@@ -91,28 +94,68 @@ func buildEdges(b *sample.Batch) *edges {
 		e.src = append(e.src, int32(v))
 		e.dst = append(e.dst, int32(v))
 	}
-	e.deg = make([]float32, n)
+	if cap(e.deg) < n {
+		e.deg = make([]float32, n)
+	}
+	e.deg = e.deg[:n]
+	clear(e.deg)
 	for _, d := range e.dst {
 		e.deg[d]++
 	}
-	return e
+}
+
+// restrict makes sub the edges of e whose dst is below n, in e's order,
+// reusing sub's storage. It returns the rows those edges read: n, or one
+// past their largest src if that is more. Every in-edge of a kept dst is
+// kept, so e's degrees hold for sub.
+func (e *edges) restrict(sub *edges, n int) int {
+	sub.src, sub.dst = sub.src[:0], sub.dst[:0]
+	sub.deg, sub.n = e.deg, n
+	in := n
+	for i, d := range e.dst {
+		if int(d) < n {
+			s := e.src[i]
+			sub.src = append(sub.src, s)
+			sub.dst = append(sub.dst, d)
+			in = max(in, int(s)+1)
+		}
+	}
+	return in
+}
+
+// topRows points view at the first rows rows of m, without copying, and
+// returns it.
+func topRows(view, m *tensor.Matrix, rows int) *tensor.Matrix {
+	*view = tensor.Matrix{Rows: rows, Cols: m.Cols, Data: m.Data[:rows*m.Cols]}
+	return view
 }
 
 // conv is one message-passing layer with cached forward state.
 type conv interface {
+	// forward computes e.n output rows from x, whose rows cover every
+	// src of e.
 	forward(e *edges, x *tensor.Matrix) *tensor.Matrix
-	backward(dout *tensor.Matrix) *tensor.Matrix
+	// backward accumulates the parameter gradients of dout (e.n rows)
+	// and, if wantDX, returns the gradient w.r.t. x; otherwise nil.
+	backward(dout *tensor.Matrix, wantDX bool) *tensor.Matrix
 	params() []*Param
 }
 
 // Model is a k-layer GNN. It is not safe for concurrent use; data-parallel
 // workers hold replicas and synchronize gradients explicitly.
 type Model struct {
-	Kind    ModelKind
-	convs   []conv
-	relus   []*tensor.Matrix // cached post-activation outputs per hidden layer
-	lastOut *tensor.Matrix
-	targets int
+	Kind   ModelKind
+	convs  []conv
+	params []*Param         // every conv's parameters in order, built once
+	relus  []*tensor.Matrix // cached post-activation outputs per hidden layer
+	// Per-batch scratch, reused across steps: the union edge list, the
+	// edges each conv aggregates along (sub[l] for conv l), the rows each
+	// conv reads (rows[l] for conv l, rows[len(convs)] = the targets) and
+	// the view of the input's first rows[0] rows.
+	union edges
+	sub   []edges
+	rows  []int
+	in    tensor.Matrix
 }
 
 // Config sizes a model.
@@ -134,7 +177,8 @@ func NewModel(cfg Config, rng *tensor.RNG) *Model {
 	if cfg.Layers < 1 {
 		panic("nn: need at least one layer")
 	}
-	m := &Model{Kind: cfg.Kind}
+	m := &Model{Kind: cfg.Kind, relus: make([]*tensor.Matrix, 0, cfg.Layers-1),
+		sub: make([]edges, cfg.Layers), rows: make([]int, cfg.Layers+1)}
 	dims := make([]int, cfg.Layers+1)
 	dims[0] = cfg.InDim
 	for i := 1; i < cfg.Layers; i++ {
@@ -153,60 +197,63 @@ func NewModel(cfg Config, rng *tensor.RNG) *Model {
 		default:
 			panic(fmt.Sprintf("nn: unknown kind %v", cfg.Kind))
 		}
+		m.params = append(m.params, m.convs[l].params()...)
 	}
 	return m
 }
 
-// Params returns every trainable parameter.
-func (m *Model) Params() []*Param {
-	var ps []*Param
-	for _, c := range m.convs {
-		ps = append(ps, c.params()...)
+// Params returns every trainable parameter. The slice is the model's own,
+// built once: callers must not modify it.
+func (m *Model) Params() []*Param { return m.params }
+
+// receptiveField builds b's union edge list and works back from the
+// output conv, which computes the targets' rows, to the rows every conv
+// must compute: those the conv above it reads. Conv l aggregates along
+// the union edges whose dst is below rows[l+1], and reads rows[l] rows.
+func (m *Model) receptiveField(b *sample.Batch) {
+	m.union.build(b)
+	m.rows[len(m.convs)] = b.NumTargets
+	for l := len(m.convs) - 1; l >= 0; l-- {
+		m.rows[l] = m.union.restrict(&m.sub[l], m.rows[l+1])
 	}
-	return ps
 }
 
 // Forward runs the network over the batch's subgraph given the feature
 // matrix x (row i = features of b.Nodes[i]) and returns logits for the
-// batch's target nodes (rows 0..NumTargets).
+// batch's target nodes (rows 0..NumTargets). Each conv computes only the
+// rows the next one reads; under the sampler's targets-first, hop-by-hop
+// node order those are the nodes within reach of the targets. The logits
+// are model scratch, valid until the next Forward.
 func (m *Model) Forward(b *sample.Batch, x *tensor.Matrix) *tensor.Matrix {
 	if x.Rows != len(b.Nodes) {
 		panic(fmt.Sprintf("nn: %d feature rows for %d nodes", x.Rows, len(b.Nodes)))
 	}
-	e := buildEdges(b)
+	m.receptiveField(b)
 	m.relus = m.relus[:0]
-	h := x
+	h := topRows(&m.in, x, m.rows[0])
 	for l, c := range m.convs {
-		h = c.forward(e, h)
+		h = c.forward(&m.sub[l], h)
 		if l < len(m.convs)-1 {
 			tensor.ReLU(h)
 			m.relus = append(m.relus, h)
 		}
 	}
-	m.lastOut = h
-	m.targets = b.NumTargets
-	logits := tensor.New(b.NumTargets, h.Cols)
-	for i := 0; i < b.NumTargets; i++ {
-		copy(logits.Row(i), h.Row(i))
-	}
-	return logits
+	return h
 }
 
 // Backward accumulates parameter gradients given dlogits (the gradient
-// w.r.t. the target-node logits, e.g. from tensor.NLLLoss).
+// w.r.t. the target-node logits, e.g. from tensor.NLLLoss). The input
+// conv computes no gradient w.r.t. the features.
 func (m *Model) Backward(dlogits *tensor.Matrix) {
-	if dlogits.Rows != m.targets {
-		panic(fmt.Sprintf("nn: dlogits rows %d != targets %d", dlogits.Rows, m.targets))
+	if targets := m.rows[len(m.convs)]; dlogits.Rows != targets {
+		panic(fmt.Sprintf("nn: dlogits rows %d != targets %d", dlogits.Rows, targets))
 	}
-	dh := tensor.New(m.lastOut.Rows, m.lastOut.Cols)
-	for i := 0; i < m.targets; i++ {
-		copy(dh.Row(i), dlogits.Row(i))
-	}
+	dh := dlogits
 	for l := len(m.convs) - 1; l >= 0; l-- {
 		if l < len(m.convs)-1 {
 			tensor.ReLUBackward(dh, m.relus[l])
 		}
-		dh = m.convs[l].backward(dh)
+		dh = m.convs[l].backward(dh, l > 0)
 	}
 }
 
@@ -220,7 +267,8 @@ func (m *Model) Loss(b *sample.Batch, x *tensor.Matrix, labels []int32) (float32
 	return loss, tensor.Accuracy(logits, labels)
 }
 
-// Predict runs forward only and returns target-node logits.
+// Predict runs forward only and returns target-node logits, valid until
+// the model's next call.
 func (m *Model) Predict(b *sample.Batch, x *tensor.Matrix) *tensor.Matrix {
 	return m.Forward(b, x)
 }

@@ -33,7 +33,7 @@ func toyFeatures(rng *tensor.RNG, dim int) *tensor.Matrix {
 
 func TestBuildEdgesSelfLoopsAndDegrees(t *testing.T) {
 	b := toyBatch()
-	e := buildEdges(b)
+	e := unionOf(b)
 	if e.n != 6 {
 		t.Fatalf("n=%d", e.n)
 	}
@@ -53,7 +53,7 @@ func TestBuildEdgesDedupsSamplerSelfLoops(t *testing.T) {
 	b := toyBatch()
 	b.Layers[0].Src = append(b.Layers[0].Src, 0)
 	b.Layers[0].Dst = append(b.Layers[0].Dst, 0) // sampler-style self loop
-	e := buildEdges(b)
+	e := unionOf(b)
 	self := 0
 	for i := range e.src {
 		if e.src[i] == 0 && e.dst[i] == 0 {

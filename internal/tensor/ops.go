@@ -74,32 +74,36 @@ func NLLLoss(logp *Matrix, labels []int32) (float32, *Matrix) {
 	return float32(loss / float64(logp.Rows)), grad
 }
 
+// argmax returns the index of the first max element of row.
+func argmax(row []float32) int32 {
+	best, bi := row[0], 0
+	for j, v := range row[1:] {
+		if v > best {
+			best = v
+			bi = j + 1
+		}
+	}
+	return int32(bi)
+}
+
 // Argmax returns the index of the max element of each row.
 func Argmax(m *Matrix) []int32 {
 	out := make([]int32, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		best, bi := row[0], 0
-		for j, v := range row[1:] {
-			if v > best {
-				best = v
-				bi = j + 1
-			}
-		}
-		out[i] = int32(bi)
+	for i := range out {
+		out[i] = argmax(m.Row(i))
 	}
 	return out
 }
 
 // Accuracy returns the fraction of rows whose argmax equals the label.
+// It allocates nothing.
 func Accuracy(logits *Matrix, labels []int32) float64 {
 	if logits.Rows == 0 {
 		return 0
 	}
-	pred := Argmax(logits)
 	hit := 0
-	for i, p := range pred {
-		if p == labels[i] {
+	for i := 0; i < logits.Rows; i++ {
+		if argmax(logits.Row(i)) == labels[i] {
 			hit++
 		}
 	}
