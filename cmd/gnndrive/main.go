@@ -149,7 +149,7 @@ func (f *cliFlags) lower(logf func(format string, args ...any)) (trainsim.Config
 	if err != nil {
 		return trainsim.Config{}, 0, err
 	}
-	sys, err := systemByName(f.system)
+	sys, err := trainsim.SystemByName(f.system)
 	if err != nil {
 		return trainsim.Config{}, 0, err
 	}
@@ -178,20 +178,4 @@ func (f *cliFlags) lower(logf func(format string, args ...any)) (trainsim.Config
 		logf("warning: -fault-corrupt without -verify: corrupted bytes reach training undetected")
 	}
 	return cfg, sys, nil
-}
-
-func systemByName(s string) (trainsim.SystemKind, error) {
-	switch s {
-	case "gnndrive-gpu", "gnndrive", "gpu":
-		return trainsim.GNNDriveGPU, nil
-	case "gnndrive-cpu", "cpu":
-		return trainsim.GNNDriveCPU, nil
-	case "pyg+", "pyg", "pygplus":
-		return trainsim.PyGPlus, nil
-	case "ginex":
-		return trainsim.Ginex, nil
-	case "marius", "mariusgnn":
-		return trainsim.Marius, nil
-	}
-	return 0, fmt.Errorf("unknown system %q", s)
 }

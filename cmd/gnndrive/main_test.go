@@ -70,6 +70,13 @@ func TestLowerFlags(t *testing.T) {
 			warning:    "-fault-corrupt without -verify",
 			wantSystem: trainsim.GNNDriveGPU,
 		},
+		// -system takes every name a JobSpec does, in any case.
+		{name: "system gpu", args: []string{"-system", "gpu"}, wantSystem: trainsim.GNNDriveGPU},
+		{name: "system GNNDrive-CPU", args: []string{"-system", "GNNDrive-CPU"}, wantSystem: trainsim.GNNDriveCPU},
+		{name: "system pyg", args: []string{"-system", "pyg"}, wantSystem: trainsim.PyGPlus},
+		{name: "system PyG-Plus", args: []string{"-system", "PyG-Plus"}, wantSystem: trainsim.PyGPlus},
+		{name: "system Ginex", args: []string{"-system", "Ginex"}, wantSystem: trainsim.Ginex},
+		{name: "system MariusGNN", args: []string{"-system", "MariusGNN"}, wantSystem: trainsim.Marius},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -21,32 +21,25 @@ package ginex
 
 import (
 	"container/heap"
+	"context"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"gnndrive/internal/core"
 	"gnndrive/internal/device"
-	"gnndrive/internal/errutil"
 	"gnndrive/internal/graph"
 	"gnndrive/internal/hostmem"
 	"gnndrive/internal/metrics"
 	"gnndrive/internal/nn"
 	"gnndrive/internal/sample"
 	"gnndrive/internal/storage"
-	"gnndrive/internal/tensor"
 )
 
-// Options configures the Ginex baseline.
+// Options configures the Ginex baseline: the knobs every system shares,
+// plus Ginex's caches and superbatch phases.
 type Options struct {
-	Model  nn.ModelKind
-	Hidden int
-	Layers int
-
-	BatchSize int
-	Fanouts   []int
+	core.Knobs
 
 	// Superbatch is the number of mini-batches sampled/inspected as one
 	// unit (paper default 1,500; 150 at our scale keeps the paper's
@@ -64,11 +57,6 @@ type Options struct {
 	// lists are persisted between the sample and inspect phases. Zero
 	// length skips persistence (tests), losing its I/O cost.
 	ScratchOff, ScratchLen int64
-
-	Shuffle   bool
-	RealTrain bool
-	LR        float32
-	Seed      uint64
 }
 
 // DefaultCacheSizes returns the paper's cache split for a host budget:
@@ -82,17 +70,7 @@ func DefaultCacheSizes(budget int64) (neighbor, feature int64) {
 
 // DefaultOptions mirrors the paper's Ginex configuration at our scale.
 func DefaultOptions(model nn.ModelKind) Options {
-	fan := []int{3, 3, 3}
-	if model == nn.GAT {
-		fan = []int{3, 3, 2}
-	}
-	return Options{
-		Model: model, Hidden: 256, Layers: 3,
-		BatchSize: 50, Fanouts: fan,
-		Superbatch:    150,
-		SampleWorkers: 2,
-		Shuffle:       true, LR: 0.003, Seed: 1,
-	}
+	return Options{Knobs: core.DefaultKnobs(model), Superbatch: 150, SampleWorkers: 2}
 }
 
 // System is a Ginex training instance.
@@ -103,11 +81,10 @@ type System struct {
 	rec    *metrics.Recorder
 	opts   Options
 
-	ncache *neighborCache
+	ncache *graph.StaticNeighborCache
 	fcache *featureCache
 
-	model  *nn.Model
-	optim  *nn.Adam
+	learn  *core.Learner
 	pinned int64
 	closed bool
 }
@@ -116,30 +93,13 @@ type System struct {
 // caches plus metadata exceed the budget (the paper's 8 GB OOMs).
 func New(ds *graph.Dataset, dev *device.Device, budget *hostmem.Budget,
 	rec *metrics.Recorder, opts Options) (*System, error) {
+	opts.Knobs = opts.Knobs.WithDefaults()
 	d := DefaultOptions(opts.Model)
-	if opts.BatchSize == 0 {
-		opts.BatchSize = d.BatchSize
-	}
-	if len(opts.Fanouts) == 0 {
-		opts.Fanouts = d.Fanouts
-	}
-	if opts.Hidden == 0 {
-		opts.Hidden = d.Hidden
-	}
-	if opts.Layers == 0 {
-		opts.Layers = d.Layers
-	}
 	if opts.Superbatch == 0 {
 		opts.Superbatch = d.Superbatch
 	}
 	if opts.SampleWorkers == 0 {
 		opts.SampleWorkers = d.SampleWorkers
-	}
-	if opts.LR == 0 {
-		opts.LR = d.LR
-	}
-	if opts.Seed == 0 {
-		opts.Seed = d.Seed
 	}
 	if opts.NeighborCacheBytes == 0 || opts.FeatureCacheBytes == 0 {
 		n, f := DefaultCacheSizes(budget.Capacity())
@@ -161,7 +121,7 @@ func New(ds *graph.Dataset, dev *device.Device, budget *hostmem.Budget,
 	}
 	s.pinned = pins
 
-	nc, err := newNeighborCache(ds, budget, opts.NeighborCacheBytes)
+	nc, err := graph.NewStaticNeighborCache(ds, budget, opts.NeighborCacheBytes)
 	if err != nil {
 		s.Close()
 		return nil, err
@@ -175,17 +135,12 @@ func New(ds *graph.Dataset, dev *device.Device, budget *hostmem.Budget,
 	s.fcache = fc
 
 	rec.SetGPUProvider(func() int64 { return int64(dev.ComputeBusy()) })
-	if opts.RealTrain {
-		cfg := nn.Config{Kind: opts.Model, InDim: ds.Dim, Hidden: opts.Hidden,
-			Classes: ds.NumClasses, Layers: opts.Layers}
-		s.model = nn.NewModel(cfg, tensor.NewRNG(opts.Seed*7919))
-		s.optim = nn.NewAdam(opts.LR)
-	}
+	s.learn = core.NewLearner(ds, dev, opts.Knobs)
 	return s, nil
 }
 
 // Model returns the real-training model (nil in modeled mode).
-func (s *System) Model() *nn.Model { return s.model }
+func (s *System) Model() *nn.Model { return s.learn.Model() }
 
 // Close releases all host pins.
 func (s *System) Close() {
@@ -198,7 +153,7 @@ func (s *System) Close() {
 		s.fcache = nil
 	}
 	if s.ncache != nil {
-		s.budget.Unpin(s.ncache.bytes)
+		s.ncache.Close()
 		s.ncache = nil
 	}
 	s.budget.Unpin(s.pinned)
@@ -212,11 +167,12 @@ type Result struct {
 	CacheMiss int64
 }
 
-// TrainEpoch runs one epoch in superbatch phases.
-func (s *System) TrainEpoch(epoch int) (Result, error) {
+// TrainEpoch runs one epoch in superbatch phases. Cancelling ctx stops
+// the sampling phase between batches.
+func (s *System) TrainEpoch(ctx context.Context, epoch int) (Result, error) {
 	var col metrics.BreakdownCollector
 	start := time.Now()
-	plan := s.plan(epoch)
+	plan := s.opts.Plan(s.ds.TrainIdx, epoch)
 
 	var lossSum, accSum float64
 	var hits, misses int64
@@ -227,7 +183,7 @@ func (s *System) TrainEpoch(epoch int) (Result, error) {
 		}
 		// Phase 1: sample the whole superbatch up front, persisting the
 		// node lists.
-		batches, err := s.sampleSuperbatch(epoch, plan, sbStart, sbEnd, &col)
+		batches, err := s.sampleSuperbatch(ctx, epoch, plan, sbStart, sbEnd, &col)
 		if err != nil {
 			return Result{Breakdown: col.Snapshot(time.Since(start))}, err
 		}
@@ -268,51 +224,21 @@ func (s *System) TrainEpoch(epoch int) (Result, error) {
 	return res, nil
 }
 
-func (s *System) plan(epoch int) *sample.Plan {
-	var rng *tensor.RNG
-	if s.opts.Shuffle {
-		rng = tensor.NewRNG(s.opts.Seed ^ (uint64(epoch)+1)*0x9e3779b97f4a7c15)
-	}
-	return sample.NewPlan(s.ds.TrainIdx, s.opts.BatchSize, rng)
-}
-
 // sampleSuperbatch samples batches [sbStart, sbEnd) in parallel through
 // the neighbor cache, then persists each node list to the scratch region.
-func (s *System) sampleSuperbatch(epoch int, plan *sample.Plan, sbStart, sbEnd int,
+func (s *System) sampleSuperbatch(ctx context.Context, epoch int, plan *sample.Plan, sbStart, sbEnd int,
 	col *metrics.BreakdownCollector) ([]*sample.Batch, error) {
-	n := sbEnd - sbStart
-	batches := make([]*sample.Batch, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var firstErr errutil.FirstError
-	for w := 0; w < s.opts.SampleWorkers; w++ {
-		wg.Add(1)
-		go func(wid int) {
-			defer wg.Done()
-			reader := s.ncache.reader()
-			smp := sample.New(reader, s.opts.Fanouts,
-				tensor.NewRNG(s.opts.Seed+uint64(epoch)*1000+uint64(wid)*31))
-			for !firstErr.Failed() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				t0 := time.Now()
-				b, ioWait, err := smp.SampleBatch(sbStart+i, plan.Batches[sbStart+i])
-				d := time.Since(t0)
-				col.AddSample(d)
-				s.rec.AddIOWait(ioWait)
-				s.rec.AddCPU(d - ioWait)
-				if err != nil {
-					firstErr.Set(err)
-					return
-				}
-				batches[i] = b
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := firstErr.Get(); err != nil {
+	batches := make([]*sample.Batch, sbEnd-sbStart)
+	pool := sample.Pool{Workers: s.opts.SampleWorkers, Fanouts: s.opts.Fanouts, Seed: s.opts.Seed,
+		Reader: s.ncache.Reader}
+	err := pool.Run(ctx, epoch, plan.Batches[:sbEnd], sbStart, func(b *sample.Batch, c sample.Cost) error {
+		col.AddSample(c.Took)
+		s.rec.AddIOWait(c.IOWait)
+		s.rec.AddCPU(c.Took - c.IOWait)
+		batches[b.ID-sbStart] = b
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	// Persist sampled node lists (timed writes, counted as sample-stage
@@ -379,11 +305,12 @@ func (s *System) initCache(sched *schedule, col *metrics.BreakdownCollector) err
 	if len(toLoad) > 0 {
 		// after = -1: these loads happen before the superbatch's first
 		// mini-batch, so keys are the nodes' first uses.
-		reads, err := s.loadNodes(toLoad, sched, -1)
+		reads, read, err := s.loadNodes(toLoad, sched, -1)
 		if err != nil {
 			return err
 		}
-		col.Add(metrics.Counters{BackendReads: reads, BytesNeeded: int64(len(toLoad)) * s.ds.FeatBytes()})
+		col.Add(metrics.Counters{BackendReads: reads, BytesRead: read,
+			BytesNeeded: int64(len(toLoad)) * s.ds.FeatBytes()})
 	}
 	col.AddExtract(time.Since(t0))
 	return nil
@@ -404,24 +331,25 @@ func (s *System) extractBatch(b *sample.Batch, sched *schedule, globalIdx int,
 			toLoad = append(toLoad, v)
 		}
 	}
-	var reads int64
+	var reads, read int64
 	if len(toLoad) > 0 {
-		if reads, err = s.loadNodes(toLoad, sched, globalIdx); err != nil {
+		if reads, read, err = s.loadNodes(toLoad, sched, globalIdx); err != nil {
 			return hits, misses, err
 		}
 	}
 	col.AddExtract(time.Since(t0))
 	featBytes := s.ds.FeatBytes()
-	col.Add(metrics.Counters{NodesExtracted: misses, BytesRead: misses * featBytes,
+	col.Add(metrics.Counters{NodesExtracted: misses, BytesRead: read,
 		BytesNeeded: misses * featBytes, BytesReused: hits * featBytes, BackendReads: reads})
 	return hits, misses, nil
 }
 
 // loadNodes reads feature vectors from SSD with synchronous, batched,
 // sector-aligned reads and inserts them into the feature cache,
-// returning the number of backend reads issued. The plan goes through
-// the dataset's addresser, so Ginex benefits from a packed layout too.
-func (s *System) loadNodes(nodes []int64, sched *schedule, afterBatch int) (int64, error) {
+// returning the number of backend reads issued and the bytes they moved.
+// The plan goes through the dataset's addresser, so Ginex benefits from a
+// packed layout too.
+func (s *System) loadNodes(nodes []int64, sched *schedule, afterBatch int) (reads, read int64, err error) {
 	positions := make([]int32, len(nodes))
 	for i := range positions {
 		positions[i] = int32(i)
@@ -429,7 +357,7 @@ func (s *System) loadNodes(nodes []int64, sched *schedule, afterBatch int) (int6
 	var ap core.AddrPlanner
 	plan, err := ap.PlanInto(nil, s.ds.Addresser(), s.ds.Dev.SectorSize(), 64<<10, nodes, positions)
 	if err != nil {
-		return 0, fmt.Errorf("ginex: feature plan: %w", err)
+		return 0, 0, fmt.Errorf("ginex: feature plan: %w", err)
 	}
 	featBytes := int(s.ds.FeatBytes())
 	buf := storage.AlignedBuf(64<<10+featBytes, s.ds.Dev.SectorSize())
@@ -437,14 +365,15 @@ func (s *System) loadNodes(nodes []int64, sched *schedule, afterBatch int) (int6
 		waited, err := s.ds.Dev.ReadDirect(buf[:op.Len], op.DevOff)
 		s.rec.AddIOWait(waited)
 		if err != nil {
-			return 0, fmt.Errorf("ginex: feature load: %w", err)
+			return 0, 0, fmt.Errorf("ginex: feature load: %w", err)
 		}
+		read += int64(op.Len)
 		for _, rn := range op.Nodes {
 			v := nodes[rn.Pos]
 			s.fcache.insert(v, sched, afterBatch, buf[rn.BufOff:rn.BufOff+featBytes])
 		}
 	}
-	return int64(len(plan)), nil
+	return int64(len(plan)), read, nil
 }
 
 // trainBatch transfers the batch synchronously and trains.
@@ -466,137 +395,37 @@ func (s *System) trainBatch(b *sample.Batch, col *metrics.BreakdownCollector) (f
 	col.AddExtract(time.Since(t0))
 
 	t1 := time.Now()
-	var loss, acc float64
-	if s.opts.RealTrain {
-		x := tensor.New(len(b.Nodes), s.ds.Dim)
+	x := s.learn.Input(b)
+	if x != nil {
 		for i, v := range b.Nodes {
-			row := s.fcache.get(v)
-			if row == nil {
+			if row := s.fcache.get(v); row != nil {
+				copy(x.Row(i), row)
+			} else {
 				// Evicted between extract and train within the same
 				// batch cannot happen (schedule protects current batch);
 				// fall back to a raw read for robustness.
 				s.ds.ReadFeatureRaw(v, x.Row(i)[:0])
-			} else {
-				copy(x.Row(i), row)
 			}
 		}
-		labels := make([]int32, b.NumTargets)
-		for i := 0; i < b.NumTargets; i++ {
-			labels[i] = s.ds.Labels[b.Nodes[i]]
-		}
-		l, a := s.model.Loss(b, x, labels)
-		s.optim.Step(s.model.Params())
-		loss, acc = float64(l), a
-		s.dev.AddComputeBusy(time.Since(t1))
-	} else {
-		s.dev.Compute(device.Work{
-			Model: s.opts.Model, Nodes: int64(len(b.Nodes)), Edges: b.NumEdges(),
-			InDim: s.ds.Dim, Hidden: s.opts.Hidden, Classes: s.ds.NumClasses,
-			Layers: s.opts.Layers, Backward: true,
-		})
 	}
+	loss, acc := s.learn.Step(b, x, nil)
 	col.AddTrain(time.Since(t1))
-	return loss, acc, nil
+	return float64(loss), acc, nil
 }
 
 // SampleOnly runs only the sampling phase over the whole epoch (Fig. 2),
 // including result persistence, and returns the summed sampling time.
-func (s *System) SampleOnly(epoch int) (time.Duration, error) {
+// Cancelling ctx stops the samplers between batches.
+func (s *System) SampleOnly(ctx context.Context, epoch int) (time.Duration, error) {
 	var col metrics.BreakdownCollector
-	plan := s.plan(epoch)
-	start := time.Now()
+	plan := s.opts.Plan(s.ds.TrainIdx, epoch)
 	for sbStart := 0; sbStart < len(plan.Batches); sbStart += s.opts.Superbatch {
-		sbEnd := sbStart + s.opts.Superbatch
-		if sbEnd > len(plan.Batches) {
-			sbEnd = len(plan.Batches)
-		}
-		if _, err := s.sampleSuperbatch(epoch, plan, sbStart, sbEnd, &col); err != nil {
+		sbEnd := min(sbStart+s.opts.Superbatch, len(plan.Batches))
+		if _, err := s.sampleSuperbatch(ctx, epoch, plan, sbStart, sbEnd, &col); err != nil {
 			return 0, err
 		}
 	}
-	_ = start
-	b := col.Snapshot(0)
-	return b.Sample, nil
-}
-
-// ---- neighbor cache ----
-
-// neighborCache pins the adjacency lists of the highest-degree nodes; the
-// sampler reads cached lists from memory and the rest from SSD through
-// untracked direct reads (Ginex bypasses the page cache).
-type neighborCache struct {
-	ds    *graph.Dataset
-	lists map[int64][]int32
-	bytes int64
-}
-
-func newNeighborCache(ds *graph.Dataset, budget *hostmem.Budget, capacity int64) (*neighborCache, error) {
-	if err := budget.Pin("ginex neighbor cache", capacity); err != nil {
-		return nil, err
-	}
-	nc := &neighborCache{ds: ds, lists: make(map[int64][]int32), bytes: capacity}
-	// Highest-degree nodes first.
-	order := make([]int64, ds.NumNodes)
-	for i := range order {
-		order[i] = int64(i)
-	}
-	sort.Slice(order, func(a, b int) bool { return ds.Degree(order[a]) > ds.Degree(order[b]) })
-	reader := graph.NewRawReader(ds)
-	var used int64
-	for _, v := range order {
-		need := ds.Degree(v)*4 + 16
-		if used+need > capacity {
-			break
-		}
-		ns, _, err := reader.Neighbors(v, nil)
-		if err != nil {
-			budget.Unpin(capacity)
-			return nil, err
-		}
-		nc.lists[v] = append([]int32(nil), ns...)
-		used += need
-	}
-	return nc, nil
-}
-
-// reader returns a per-goroutine NeighborReader over the cache.
-func (nc *neighborCache) reader() graph.NeighborReader {
-	return &ncReader{nc: nc, raw: make([]byte, 0, 4096)}
-}
-
-type ncReader struct {
-	nc  *neighborCache
-	raw []byte
-}
-
-// Neighbors serves cached lists from memory; misses read the index
-// array from SSD synchronously (512-aligned direct read).
-func (r *ncReader) Neighbors(v int64, buf []int32) ([]int32, time.Duration, error) {
-	if ns, ok := r.nc.lists[v]; ok {
-		return append(buf[:0], ns...), 0, nil
-	}
-	ds := r.nc.ds
-	lo, hi := ds.Indptr[v], ds.Indptr[v+1]
-	if lo == hi {
-		return buf[:0], 0, nil
-	}
-	start := ds.Layout.IndicesOff + lo*4
-	end := ds.Layout.IndicesOff + hi*4
-	aStart := start / 512 * 512
-	aEnd := (end + 511) / 512 * 512
-	if cap(r.raw) < int(aEnd-aStart) {
-		r.raw = storage.AlignedBuf(int(aEnd-aStart), 512)
-	}
-	raw := r.raw[:aEnd-aStart]
-	waited, err := ds.Dev.ReadDirect(raw, aStart)
-	if err != nil {
-		return nil, waited, err
-	}
-	out := buf[:0]
-	for i := start - aStart; i < end-aStart; i += 4 {
-		out = append(out, int32(uint32(raw[i])|uint32(raw[i+1])<<8|uint32(raw[i+2])<<16|uint32(raw[i+3])<<24))
-	}
-	return out, waited, nil
+	return col.Snapshot(0).Sample, nil
 }
 
 // ---- feature cache with Belady replacement ----

@@ -1,6 +1,8 @@
 package ginex
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"gnndrive/internal/nn"
@@ -20,7 +22,7 @@ func TestMultipleSuperbatchesPerEpoch(t *testing.T) {
 	}
 	defer s.Close()
 	for e := 0; e < 2; e++ {
-		res, err := s.TrainEpoch(e)
+		res, err := s.TrainEpoch(context.Background(), e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,14 +38,13 @@ func TestGinexMissesMonotoneInCacheSize(t *testing.T) {
 	run := func(cacheBytes int64) int64 {
 		ds, gpu, budget, rec := newRig(t, 64<<20)
 		opts := testOpts(ds)
-		opts.Shuffle = false
 		opts.FeatureCacheBytes = cacheBytes
 		s, err := New(ds, gpu, budget, rec, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		res, err := s.TrainEpoch(0)
+		res, err := s.TrainEpoch(context.Background(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,5 +87,58 @@ func TestDefaultOptionsGATFanouts(t *testing.T) {
 	o := DefaultOptions(nn.GAT)
 	if o.Fanouts[len(o.Fanouts)-1] >= o.Fanouts[0] {
 		t.Fatal("GAT last-hop fanout should be reduced, as in the paper")
+	}
+}
+
+// TestGinexRealTrainingDeterministic: with two sample workers, batch i of
+// an epoch is the same subgraph on every run whichever worker draws it,
+// so real training's per-epoch loss repeats bit for bit.
+func TestGinexRealTrainingDeterministic(t *testing.T) {
+	run := func() []float64 {
+		ds, gpu, budget, rec := newRig(t, 64<<20)
+		opts := testOpts(ds)
+		opts.RealTrain = true
+		opts.Hidden = 16
+		opts.SampleWorkers = 2
+		s, err := New(ds, gpu, budget, rec, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		var losses []float64
+		for e := 0; e < 2; e++ {
+			res, err := s.TrainEpoch(context.Background(), e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			losses = append(losses, res.Loss)
+		}
+		return losses
+	}
+	if a, b := run(), run(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("per-epoch losses differ between runs: %v vs %v", a, b)
+	}
+}
+
+// TestGinexReadAmplificationCountsBytesMoved: BytesRead is what Ginex's
+// coalesced, sector-aligned reads moved, in the cache-initialization
+// burst as well as on per-batch misses, so an epoch that read anything
+// moved at least the bytes it needed.
+func TestGinexReadAmplificationCountsBytesMoved(t *testing.T) {
+	ds, gpu, budget, rec := newRig(t, 64<<20)
+	s, err := New(ds, gpu, budget, rec, testOpts(ds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	res, err := s.TrainEpoch(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.BackendReads == 0 {
+		t.Fatal("epoch issued no backend reads")
+	}
+	if amp := res.ReadAmplification(); amp < 1 {
+		t.Fatalf("read amplification %.2f < 1: read %d bytes, needed %d", amp, res.BytesRead, res.BytesNeeded)
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"time"
 
+	"gnndrive/internal/core"
 	"gnndrive/internal/device"
 	"gnndrive/internal/graph"
 	"gnndrive/internal/hostmem"
@@ -47,14 +48,10 @@ const PrepStagingFraction = 0.30
 // measures it at up to ~46% of epoch time).
 const prepRelayoutFraction = 1.0
 
-// Options configures the MariusGNN baseline.
+// Options configures the MariusGNN baseline: the knobs every system
+// shares, plus Marius's partition buffer.
 type Options struct {
-	Model  nn.ModelKind
-	Hidden int
-	Layers int
-
-	BatchSize int
-	Fanouts   []int
+	core.Knobs
 
 	// Partitions is the number of node partitions (contiguous ranges).
 	Partitions int
@@ -65,25 +62,11 @@ type Options struct {
 	// BufferPartitions caps how many partitions stay resident; 0 sizes
 	// it to what the host budget allows (at least 2).
 	BufferPartitions int
-
-	Shuffle   bool
-	RealTrain bool
-	LR        float32
-	Seed      uint64
 }
 
 // DefaultOptions mirrors the paper's MariusGNN configuration at our scale.
 func DefaultOptions(model nn.ModelKind) Options {
-	fan := []int{3, 3, 3}
-	if model == nn.GAT {
-		fan = []int{3, 3, 2}
-	}
-	return Options{
-		Model: model, Hidden: 256, Layers: 3,
-		BatchSize: 50, Fanouts: fan,
-		Partitions: 24, ComputeFactor: 2.5,
-		Shuffle: true, LR: 0.003, Seed: 1,
-	}
+	return Options{Knobs: core.DefaultKnobs(model), Partitions: 24, ComputeFactor: 2.5}
 }
 
 // System is a MariusGNN training instance.
@@ -99,8 +82,7 @@ type System struct {
 	bufParts  int
 	pinned    int64
 
-	model  *nn.Model
-	optim  *nn.Adam
+	learn  *core.Learner
 	closed bool
 }
 
@@ -108,30 +90,13 @@ type System struct {
 // preparation staging fits; OOM errors reproduce Table 2's failures.
 func New(ds *graph.Dataset, dev *device.Device, budget *hostmem.Budget,
 	rec *metrics.Recorder, opts Options) (*System, error) {
+	opts.Knobs = opts.Knobs.WithDefaults()
 	d := DefaultOptions(opts.Model)
-	if opts.BatchSize == 0 {
-		opts.BatchSize = d.BatchSize
-	}
-	if len(opts.Fanouts) == 0 {
-		opts.Fanouts = d.Fanouts
-	}
-	if opts.Hidden == 0 {
-		opts.Hidden = d.Hidden
-	}
-	if opts.Layers == 0 {
-		opts.Layers = d.Layers
-	}
 	if opts.Partitions == 0 {
 		opts.Partitions = d.Partitions
 	}
 	if opts.ComputeFactor == 0 {
 		opts.ComputeFactor = d.ComputeFactor
-	}
-	if opts.LR == 0 {
-		opts.LR = d.LR
-	}
-	if opts.Seed == 0 {
-		opts.Seed = d.Seed
 	}
 	if rec == nil {
 		rec = metrics.NewRecorder()
@@ -183,12 +148,8 @@ func New(ds *graph.Dataset, dev *device.Device, budget *hostmem.Budget,
 	budget.Unpin(prepStage)
 
 	rec.SetGPUProvider(func() int64 { return int64(dev.ComputeBusy()) })
-	if opts.RealTrain {
-		cfg := nn.Config{Kind: opts.Model, InDim: ds.Dim, Hidden: opts.Hidden,
-			Classes: ds.NumClasses, Layers: opts.Layers}
-		s.model = nn.NewModel(cfg, tensor.NewRNG(opts.Seed*7919))
-		s.optim = nn.NewAdam(opts.LR)
-	}
+	s.learn = core.NewLearner(ds, dev, opts.Knobs)
+	s.learn.WorkFactor = opts.ComputeFactor
 	return s, nil
 }
 
@@ -196,7 +157,7 @@ func New(ds *graph.Dataset, dev *device.Device, budget *hostmem.Budget,
 func (s *System) BufferPartitions() int { return s.bufParts }
 
 // Model returns the real-training model (nil in modeled mode).
-func (s *System) Model() *nn.Model { return s.model }
+func (s *System) Model() *nn.Model { return s.learn.Model() }
 
 // Close releases host pins.
 func (s *System) Close() {
@@ -323,14 +284,8 @@ func (s *System) TrainEpoch(epoch int) (Result, error) {
 	}
 	inBuf := func(v int64) bool { return resident[int(v/s.partSize)] }
 
-	smp := sample.New(&residentReader{ds: s.ds, inBuf: inBuf}, s.opts.Fanouts,
-		tensor.NewRNG(s.opts.Seed+uint64(epoch)*1000))
-
-	var planRNG *tensor.RNG
-	if s.opts.Shuffle {
-		planRNG = tensor.NewRNG(s.opts.Seed ^ (uint64(epoch)+1)*0x9e3779b97f4a7c15)
-	}
-	plan := sample.NewPlan(s.ds.TrainIdx, s.opts.BatchSize, planRNG)
+	smp := sample.New(&residentReader{ds: s.ds, inBuf: inBuf}, s.opts.Fanouts, tensor.NewRNG(s.opts.Seed))
+	plan := s.opts.Plan(s.ds.TrainIdx, epoch)
 
 	// Swap schedule: covering all partition *pairs* with a c-partition
 	// buffer needs ~P^2/(2c) partition loads per epoch (the BETA bound),
@@ -380,6 +335,7 @@ func (s *System) TrainEpoch(epoch int) (Result, error) {
 			continue
 		}
 		t0 := time.Now()
+		smp.Reseed(sample.BatchSeed(s.opts.Seed, epoch, bi))
 		b, _, err := smp.SampleBatch(bi, inTargets)
 		if err != nil {
 			firstErr = err
@@ -401,29 +357,15 @@ func (s *System) TrainEpoch(epoch int) (Result, error) {
 		col.Add(metrics.Counters{BytesReused: xferBytes})
 
 		t2 := time.Now()
-		if s.opts.RealTrain {
-			x := tensor.New(len(b.Nodes), s.ds.Dim)
+		x := s.learn.Input(b)
+		if x != nil {
 			for i, v := range b.Nodes {
 				s.ds.ReadFeatureRaw(v, x.Row(i)[:0])
 			}
-			labels := make([]int32, b.NumTargets)
-			for i := 0; i < b.NumTargets; i++ {
-				labels[i] = s.ds.Labels[b.Nodes[i]]
-			}
-			l, a := s.model.Loss(b, x, labels)
-			s.optim.Step(s.model.Params())
-			lossSum += float64(l)
-			accSum += a
-			s.dev.AddComputeBusy(time.Since(t2))
-		} else {
-			s.dev.Compute(device.Work{
-				Model: s.opts.Model,
-				Nodes: int64(float64(len(b.Nodes)) * s.opts.ComputeFactor),
-				Edges: int64(float64(b.NumEdges()) * s.opts.ComputeFactor),
-				InDim: s.ds.Dim, Hidden: s.opts.Hidden, Classes: s.ds.NumClasses,
-				Layers: s.opts.Layers, Backward: true,
-			})
 		}
+		l, a := s.learn.Step(b, x, nil)
+		lossSum += float64(l)
+		accSum += a
 		col.AddTrain(time.Since(t2))
 		col.Add(metrics.Counters{Batches: 1})
 	}

@@ -29,7 +29,7 @@ func TestFeatureStreamingEvictsTopologyPages(t *testing.T) {
 				t.Fatal(err)
 			}
 		} else {
-			if _, err := s.SampleOnly(0); err != nil {
+			if _, err := s.SampleOnly(context.Background(), 0); err != nil {
 				t.Fatal(err)
 			}
 		}

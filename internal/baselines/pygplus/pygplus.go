@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gnndrive/internal/core"
 	"gnndrive/internal/device"
 	"gnndrive/internal/errutil"
 	"gnndrive/internal/graph"
@@ -35,14 +36,10 @@ import (
 	"gnndrive/internal/tensor"
 )
 
-// Options configures the PyG+ baseline.
+// Options configures the PyG+ baseline: the knobs every system shares,
+// plus PyG+'s own data path.
 type Options struct {
-	Model  nn.ModelKind
-	Hidden int
-	Layers int
-
-	BatchSize int
-	Fanouts   []int
+	core.Knobs
 
 	// SampleWorkers is the DataLoader worker count prefetching sampled
 	// batches concurrently with extraction.
@@ -57,28 +54,15 @@ type Options struct {
 	PerNodeGatherCPU time.Duration
 	// TimeScale multiplies modeled CPU overheads.
 	TimeScale float64
-
-	Shuffle   bool
-	RealTrain bool
-	LR        float32
-	Seed      uint64
 }
 
 // DefaultOptions mirrors the paper's PyG+ configuration at our scale.
 func DefaultOptions(model nn.ModelKind) Options {
-	// Batch/fanout scaling matches core.DefaultOptions (see the comment
-	// there): the paper's 1,000/(10,10,10) at 1:1000 graph scale.
-	fan := []int{3, 3, 3}
-	if model == nn.GAT {
-		fan = []int{3, 3, 2}
-	}
 	return Options{
-		Model: model, Hidden: 256, Layers: 3,
-		BatchSize: 50, Fanouts: fan,
+		Knobs:         core.DefaultKnobs(model),
 		SampleWorkers: 2, ExtractThreads: 4,
 		PerNodeGatherCPU: 2 * time.Microsecond,
 		TimeScale:        1,
-		Shuffle:          true, LR: 0.003, Seed: 1,
 	}
 }
 
@@ -94,8 +78,7 @@ type System struct {
 	idxFile  *pagecache.File
 	featFile *pagecache.File
 
-	model  *nn.Model
-	optim  *nn.Adam
+	learn  *core.Learner
 	pinned int64
 	closed bool
 }
@@ -104,19 +87,8 @@ type System struct {
 // and labels are pinned (they are converted to in-memory tensors).
 func New(ds *graph.Dataset, dev *device.Device, budget *hostmem.Budget,
 	cache *pagecache.Cache, rec *metrics.Recorder, opts Options) (*System, error) {
+	opts.Knobs = opts.Knobs.WithDefaults()
 	d := DefaultOptions(opts.Model)
-	if opts.BatchSize == 0 {
-		opts.BatchSize = d.BatchSize
-	}
-	if len(opts.Fanouts) == 0 {
-		opts.Fanouts = d.Fanouts
-	}
-	if opts.Hidden == 0 {
-		opts.Hidden = d.Hidden
-	}
-	if opts.Layers == 0 {
-		opts.Layers = d.Layers
-	}
 	if opts.SampleWorkers == 0 {
 		opts.SampleWorkers = d.SampleWorkers
 	}
@@ -128,12 +100,6 @@ func New(ds *graph.Dataset, dev *device.Device, budget *hostmem.Budget,
 	}
 	if opts.TimeScale == 0 {
 		opts.TimeScale = d.TimeScale
-	}
-	if opts.LR == 0 {
-		opts.LR = d.LR
-	}
-	if opts.Seed == 0 {
-		opts.Seed = d.Seed
 	}
 	if rec == nil {
 		rec = metrics.NewRecorder()
@@ -147,17 +113,12 @@ func New(ds *graph.Dataset, dev *device.Device, budget *hostmem.Budget,
 	s.idxFile = graph.IndicesFile(ds, cache)
 	s.featFile = cache.NewFile(ds.Layout.FeaturesOff, ds.Layout.FeaturesLen)
 	rec.SetGPUProvider(func() int64 { return int64(dev.ComputeBusy()) })
-	if opts.RealTrain {
-		cfg := nn.Config{Kind: opts.Model, InDim: ds.Dim, Hidden: opts.Hidden,
-			Classes: ds.NumClasses, Layers: opts.Layers}
-		s.model = nn.NewModel(cfg, tensor.NewRNG(opts.Seed*7919))
-		s.optim = nn.NewAdam(opts.LR)
-	}
+	s.learn = core.NewLearner(ds, dev, opts.Knobs)
 	return s, nil
 }
 
 // Model returns the real-training model (nil in modeled mode).
-func (s *System) Model() *nn.Model { return s.model }
+func (s *System) Model() *nn.Model { return s.learn.Model() }
 
 // Close releases the host pins.
 func (s *System) Close() {
@@ -183,41 +144,20 @@ type Result struct {
 func (s *System) TrainEpoch(ctx context.Context, epoch int) (Result, error) {
 	var col metrics.BreakdownCollector
 	start := time.Now()
-	plan := s.plan(epoch)
-
+	// A failed batch cancels sampleCtx, which stops the samplers.
+	sampleCtx, stopSampling := context.WithCancel(ctx)
+	defer stopSampling()
 	batches := make(chan *sample.Batch, 2*s.opts.SampleWorkers)
-	var sampErr errutil.FirstError
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for w := 0; w < s.opts.SampleWorkers; w++ {
-		wg.Add(1)
-		go func(wid int) {
-			defer wg.Done()
-			reader := graph.NewCachedReader(s.ds, s.cache, s.idxFile)
-			reader.SetContext(ctx)
-			smp := sample.New(reader, s.opts.Fanouts,
-				tensor.NewRNG(s.opts.Seed+uint64(epoch)*1000+uint64(wid)*31))
-			for !sampErr.Failed() {
-				i := int(next.Add(1)) - 1
-				if i >= len(plan.Batches) {
-					return
-				}
-				t0 := time.Now()
-				b, ioWait, err := smp.SampleBatch(i, plan.Batches[i])
-				d := time.Since(t0)
-				col.AddSample(d)
-				s.rec.AddIOWait(ioWait)
-				s.rec.AddCPU(d - ioWait)
-				if err != nil {
-					sampErr.Set(err)
-					return
-				}
-				batches <- b
-			}
-		}(w)
-	}
+	var sampErr error
 	go func() {
-		wg.Wait()
+		sampErr = s.samplers().Run(sampleCtx, epoch, s.opts.Plan(s.ds.TrainIdx, epoch).Batches, 0,
+			func(b *sample.Batch, c sample.Cost) error {
+				col.AddSample(c.Took)
+				s.rec.AddIOWait(c.IOWait)
+				s.rec.AddCPU(c.Took - c.IOWait)
+				batches <- b
+				return nil
+			})
 		close(batches)
 	}()
 
@@ -230,7 +170,7 @@ func (s *System) TrainEpoch(ctx context.Context, epoch int) (Result, error) {
 		loss, acc, err := s.runBatch(ctx, b, &col)
 		if err != nil {
 			firstErr = err
-			sampErr.Set(err)
+			stopSampling()
 			continue
 		}
 		lossSum += loss
@@ -238,7 +178,7 @@ func (s *System) TrainEpoch(ctx context.Context, epoch int) (Result, error) {
 		col.Add(metrics.Counters{Batches: 1})
 	}
 	if firstErr == nil {
-		firstErr = sampErr.Get()
+		firstErr = sampErr
 	}
 	res := Result{Breakdown: col.Snapshot(time.Since(start))}
 	if res.Batches > 0 && s.opts.RealTrain {
@@ -261,10 +201,7 @@ func (s *System) runBatch(ctx context.Context, b *sample.Batch, col *metrics.Bre
 	defer s.budget.Unpin(gatherBytes)
 
 	t0 := time.Now()
-	var x *tensor.Matrix
-	if s.opts.RealTrain {
-		x = tensor.New(len(b.Nodes), s.ds.Dim)
-	}
+	x := s.learn.Input(b)
 	if err := s.gather(ctx, b, x); err != nil {
 		return 0, 0, err
 	}
@@ -285,29 +222,10 @@ func (s *System) runBatch(ctx context.Context, b *sample.Batch, col *metrics.Bre
 	s.dev.CopySync(gatherBytes)
 	col.AddExtract(time.Since(t1))
 
-	// Train.
 	t2 := time.Now()
-	var loss float64
-	var acc float64
-	if s.opts.RealTrain {
-		labels := make([]int32, b.NumTargets)
-		for i := 0; i < b.NumTargets; i++ {
-			labels[i] = s.ds.Labels[b.Nodes[i]]
-		}
-		l, a := s.model.Loss(b, x, labels)
-		s.optim.Step(s.model.Params())
-		loss, acc = float64(l), a
-		d := time.Since(t2)
-		s.dev.AddComputeBusy(d)
-	} else {
-		s.dev.Compute(device.Work{
-			Model: s.opts.Model, Nodes: int64(len(b.Nodes)), Edges: b.NumEdges(),
-			InDim: s.ds.Dim, Hidden: s.opts.Hidden, Classes: s.ds.NumClasses,
-			Layers: s.opts.Layers, Backward: true,
-		})
-	}
+	loss, acc := s.learn.Step(b, x, nil)
 	col.AddTrain(time.Since(t2))
-	return loss, acc, nil
+	return float64(loss), acc, nil
 }
 
 // gather reads every node's feature vector through the page cache with
@@ -362,47 +280,29 @@ func (s *System) gather(ctx context.Context, b *sample.Batch, x *tensor.Matrix) 
 }
 
 // SampleOnly runs only the sample stage for one epoch (Fig. 2) and
-// returns the summed sampling time.
-func (s *System) SampleOnly(epoch int) (time.Duration, error) {
-	plan := s.plan(epoch)
+// returns the summed sampling time. Cancelling ctx aborts the samplers'
+// page faults and stops them between batches.
+func (s *System) SampleOnly(ctx context.Context, epoch int) (time.Duration, error) {
 	var total atomic.Int64
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var firstErr errutil.FirstError
-	for w := 0; w < s.opts.SampleWorkers; w++ {
-		wg.Add(1)
-		go func(wid int) {
-			defer wg.Done()
-			reader := graph.NewCachedReader(s.ds, s.cache, s.idxFile)
-			smp := sample.New(reader, s.opts.Fanouts,
-				tensor.NewRNG(s.opts.Seed+uint64(epoch)*1000+uint64(wid)*31))
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(plan.Batches) {
-					return
-				}
-				t0 := time.Now()
-				_, ioWait, err := smp.SampleBatch(i, plan.Batches[i])
-				if err != nil {
-					firstErr.Set(err)
-					return
-				}
-				total.Add(int64(time.Since(t0)))
-				s.rec.AddIOWait(ioWait)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := firstErr.Get(); err != nil {
+	err := s.samplers().Run(ctx, epoch, s.opts.Plan(s.ds.TrainIdx, epoch).Batches, 0,
+		func(_ *sample.Batch, c sample.Cost) error {
+			total.Add(int64(c.Took))
+			s.rec.AddIOWait(c.IOWait)
+			return nil
+		})
+	if err != nil {
 		return 0, err
 	}
 	return time.Duration(total.Load()), nil
 }
 
-func (s *System) plan(epoch int) *sample.Plan {
-	var rng *tensor.RNG
-	if s.opts.Shuffle {
-		rng = tensor.NewRNG(s.opts.Seed ^ (uint64(epoch)+1)*0x9e3779b97f4a7c15)
-	}
-	return sample.NewPlan(s.ds.TrainIdx, s.opts.BatchSize, rng)
+// samplers is the DataLoader: SampleWorkers workers sampling through the
+// page cache that the feature gather also faults into.
+func (s *System) samplers() sample.Pool {
+	return sample.Pool{Workers: s.opts.SampleWorkers, Fanouts: s.opts.Fanouts, Seed: s.opts.Seed,
+		Reader: func(ctx context.Context) graph.NeighborReader {
+			r := graph.NewCachedReader(s.ds, s.cache, s.idxFile)
+			r.SetContext(ctx)
+			return r
+		}}
 }

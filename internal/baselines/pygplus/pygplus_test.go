@@ -139,7 +139,7 @@ func TestSampleOnlyFasterWithoutExtraction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	d, err := s.SampleOnly(0)
+	d, err := s.SampleOnly(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -154,6 +154,24 @@ func (OSSink) SyncDir(dir string) error {
 // Remove deletes path.
 func (OSSink) Remove(path string) error { return os.Remove(path) }
 
+// Commit replaces the file at path with data crash-atomically through
+// sink: the bytes are written to path+".tmp" and fsynced, the temporary
+// is renamed over path, and the directory is fsynced so the rename
+// survives a crash. When a step fails the temporary is removed and the
+// file previously at path is left as it was.
+func Commit(sink Sink, path string, data []byte) error {
+	tmp := path + ".tmp"
+	err := sink.WriteFile(tmp, data)
+	if err == nil {
+		err = sink.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = sink.Remove(tmp)
+		return err
+	}
+	return sink.SyncDir(filepath.Dir(path))
+}
+
 // Saver commits checkpoints into a directory, keeping the newest Keep.
 type Saver struct {
 	Dir string
@@ -203,18 +221,9 @@ func (s *Saver) Save(st *RunState) (string, error) {
 		return "", fmt.Errorf("checkpoint: %w", err)
 	}
 	sink := s.sink()
-	name := FileName(st.Epoch, st.Step)
-	final := filepath.Join(s.Dir, name)
-	tmp := final + ".tmp"
-	data := Encode(st)
-	if err := sink.WriteFile(tmp, data); err != nil {
-		return "", fmt.Errorf("checkpoint: write %s: %w", tmp, err)
-	}
-	if err := sink.Rename(tmp, final); err != nil {
+	final := filepath.Join(s.Dir, FileName(st.Epoch, st.Step))
+	if err := Commit(sink, final, Encode(st)); err != nil {
 		return "", fmt.Errorf("checkpoint: commit %s: %w", final, err)
-	}
-	if err := sink.SyncDir(s.Dir); err != nil {
-		return "", fmt.Errorf("checkpoint: sync dir %s: %w", s.Dir, err)
 	}
 	s.prune(sink)
 	return final, nil

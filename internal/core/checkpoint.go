@@ -32,8 +32,10 @@ func (e *Engine) optionsFingerprint() uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "model=%d hidden=%d layers=%d batch=%d fanouts=%v",
 		e.opts.Model, e.opts.Hidden, e.opts.Layers, e.opts.BatchSize, e.opts.Fanouts)
-	fmt.Fprintf(h, " samplers=%d extractors=%d shuffle=%t inorder=%t",
-		e.opts.Samplers, e.opts.Extractors, e.opts.shuffle, e.opts.InOrder)
+	// Every plan is shuffled; "shuffle=true" stays in the hash so
+	// checkpoints already on disk keep their fingerprint.
+	fmt.Fprintf(h, " samplers=%d extractors=%d shuffle=true inorder=%t",
+		e.opts.Samplers, e.opts.Extractors, e.opts.InOrder)
 	fmt.Fprintf(h, " real=%t lr=%g seed=%d", e.opts.RealTrain, e.opts.LR, e.opts.Seed)
 	fmt.Fprintf(h, " nodes=%d dim=%d classes=%d", e.ds.NumNodes, e.ds.Dim, e.ds.NumClasses)
 	return h.Sum64()
@@ -48,9 +50,9 @@ func (e *Engine) buildRunState(epoch, step int) *checkpoint.RunState {
 		Step:        step,
 		Seed:        e.opts.Seed,
 	}
-	if e.model != nil {
-		params := e.model.Params()
-		ast := e.opt.ExportState(params)
+	if e.learn.model != nil {
+		params := e.learn.model.Params()
+		ast := e.learn.opt.ExportState(params)
 		st.AdamT = ast.T
 		st.Params = make([]checkpoint.Tensor, len(params))
 		st.AdamM = make([]checkpoint.Tensor, len(params))
@@ -102,8 +104,8 @@ func (e *Engine) ResumeRunState() (epoch, step int, err error) {
 		return 0, 0, fmt.Errorf("%w: %s was written by a different configuration",
 			checkpoint.ErrFingerprint, path)
 	}
-	if e.model != nil {
-		params := e.model.Params()
+	if e.learn.model != nil {
+		params := e.learn.model.Params()
 		if len(st.Params) != len(params) {
 			return 0, 0, fmt.Errorf("%w: %s has %d params, model has %d",
 				checkpoint.ErrFingerprint, path, len(st.Params), len(params))
@@ -121,7 +123,7 @@ func (e *Engine) ResumeRunState() (epoch, step int, err error) {
 		}
 		// Validate everything before mutating anything: a failed resume
 		// must leave the freshly initialized model untouched.
-		if err := e.opt.ImportState(params, ast); err != nil {
+		if err := e.learn.opt.ImportState(params, ast); err != nil {
 			return 0, 0, err
 		}
 		for i, p := range params {

@@ -31,12 +31,7 @@ const extractQueueCap = 6
 // Options configures a GNNDrive engine. Zero fields take defaults from
 // DefaultOptions.
 type Options struct {
-	Model  nn.ModelKind
-	Hidden int
-	Layers int
-
-	BatchSize int
-	Fanouts   []int
+	Knobs
 
 	// Samplers and Extractors are the stage thread counts (paper default
 	// 4 + 4, with one trainer and one releaser).
@@ -67,13 +62,6 @@ type Options struct {
 	// staging buffer, but at a 4 KiB access granularity, so small
 	// features pay redundant loading. Requires a GPU device.
 	GPUDirect bool
-
-	// RealTrain runs actual float32 training math (convergence
-	// experiments); otherwise the train stage uses the device time model.
-	RealTrain bool
-	LR        float32
-
-	Seed uint64
 
 	// SharedStaging, when non-nil, is a staging pool owned by a parent
 	// (multi-device training shares one staging buffer across workers,
@@ -120,8 +108,6 @@ type Options struct {
 	// sets the two sharing ones for its workers, in-package tests set the
 	// rest, and everyone else gets DefaultOptions/fillDefaults.
 
-	// shuffle randomizes mini-batch target order every epoch.
-	shuffle bool
 	// retryBudget is the per-read retry budget for transient storage
 	// errors before the error escalates and aborts the epoch (0 = the
 	// default 3; negative disables retries).
@@ -146,47 +132,19 @@ type Options struct {
 
 // DefaultOptions returns the paper's empirical configuration (§5).
 func DefaultOptions(model nn.ModelKind) Options {
-	// The paper uses batch 1,000 and fanouts (10,10,10) / (10,10,5) on
-	// graphs of 41-122M nodes. At 1:1000 graph scale a sampled batch
-	// cannot shrink 1000x (fanout products don't scale), so batch 50 and
-	// fanouts (3,3,3) / (3,3,2) are chosen to preserve the ratio the
-	// experiments actually exercise: sampled-batch bytes vs device and
-	// host memory (~10% of device memory at dim 128, as in the paper).
-	fan := []int{3, 3, 3}
-	if model == nn.GAT {
-		fan = []int{3, 3, 2}
-	}
 	return Options{
-		Model:         model,
-		Hidden:        256,
-		Layers:        3,
-		BatchSize:     50,
-		Fanouts:       fan,
+		Knobs:         DefaultKnobs(model),
 		Samplers:      4,
 		Extractors:    4,
 		TrainQueueCap: 4,
 		RingDepth:     64,
 		MaxJointRead:  16 << 10,
-		shuffle:       true,
-		LR:            0.003,
-		Seed:          1,
 	}
 }
 
 func (o *Options) fillDefaults() {
+	o.Knobs = o.Knobs.WithDefaults()
 	d := DefaultOptions(o.Model)
-	if o.Hidden == 0 {
-		o.Hidden = d.Hidden
-	}
-	if o.Layers == 0 {
-		o.Layers = d.Layers
-	}
-	if o.BatchSize == 0 {
-		o.BatchSize = d.BatchSize
-	}
-	if len(o.Fanouts) == 0 {
-		o.Fanouts = d.Fanouts
-	}
 	if o.Samplers == 0 {
 		o.Samplers = d.Samplers
 	}
@@ -209,12 +167,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.retryBackoff == 0 {
 		o.retryBackoff = 100 * time.Microsecond
-	}
-	if o.LR == 0 {
-		o.LR = d.LR
-	}
-	if o.Seed == 0 {
-		o.Seed = d.Seed
 	}
 	if o.InOrder {
 		// Reordering comes from stage parallelism; the ordered ablation
@@ -278,17 +230,12 @@ type Engine struct {
 	staging   *Staging
 	indexFile *pagecache.File
 
-	model *nn.Model
-	opt   *nn.Adam
+	learn *Learner
 
 	// batchPool recycles sampled batches through the pipeline: the sample
 	// stage takes, the release stage returns. Steady-state epochs sample
 	// into pre-grown node and edge arrays instead of allocating.
 	batchPool sync.Pool
-	// trainX and trainLabels are the trainer's gather scratch (the train
-	// stage is a single goroutine).
-	trainX      *tensor.Matrix
-	trainLabels []int32
 	// extractors outlive epochs, so their ring, plan scratch and transfer
 	// records are grown once per run rather than once per epoch. The
 	// extract goroutines of one epoch use one each.
@@ -474,12 +421,7 @@ func (e *Engine) finishSetup(ds *graph.Dataset, dev *device.Device,
 	e.indexFile = graph.IndicesFile(ds, cache)
 	rec.SetGPUProvider(func() int64 { return int64(dev.ComputeBusy()) })
 
-	if opts.RealTrain {
-		cfg := nn.Config{Kind: opts.Model, InDim: ds.Dim, Hidden: opts.Hidden,
-			Classes: ds.NumClasses, Layers: opts.Layers}
-		e.model = nn.NewModel(cfg, tensor.NewRNG(opts.Seed*7919))
-		e.opt = nn.NewAdam(opts.LR)
-	}
+	e.learn = NewLearner(ds, dev, opts.Knobs)
 	if opts.CheckpointDir != "" {
 		e.ckptSaver = &checkpoint.Saver{
 			Dir: opts.CheckpointDir, Keep: opts.checkpointKeep, Sink: opts.ckptSink,
@@ -492,7 +434,7 @@ func (e *Engine) finishSetup(ds *graph.Dataset, dev *device.Device,
 func (e *Engine) FeatureBuffer() *FeatureBuffer { return e.fb }
 
 // Model returns the real-training model (nil in modeled mode).
-func (e *Engine) Model() *nn.Model { return e.model }
+func (e *Engine) Model() *nn.Model { return e.learn.Model() }
 
 // Close releases device memory and host pins.
 func (e *Engine) Close() {
@@ -587,14 +529,6 @@ func (e *Engine) RequestCheckpoint() <-chan struct{} {
 	}
 }
 
-// batchSeed derives one mini-batch's sampling stream from the run seed
-// and the batch's identity. The derivation lives in sample.BatchSeed so
-// offline consumers (the layout packer's trace generator) can reproduce
-// the engine's batches exactly.
-func batchSeed(seed uint64, epoch, batch int) uint64 {
-	return sample.BatchSeed(seed, epoch, batch)
-}
-
 // trainEpochSegment trains on the given target nodes; stepSync, when
 // non-nil, is invoked by the trainer after every mini-batch (multi-device
 // gradient synchronization). startStep skips the epoch's first batches —
@@ -618,11 +552,7 @@ func (e *Engine) trainEpochSegment(ctx context.Context, epoch int, targets []int
 		integStart = is.IntegrityStats()
 	}
 
-	var planRNG *tensor.RNG
-	if e.opts.shuffle {
-		planRNG = tensor.NewRNG(sample.PlanSeed(e.opts.Seed, epoch))
-	}
-	plan := sample.NewPlan(targets, e.opts.BatchSize, planRNG)
+	plan := e.opts.Plan(targets, epoch)
 
 	extractQ := make(chan *sample.Batch, extractQueueCap)
 	trainQ := make(chan *trainItem, e.opts.TrainQueueCap)
@@ -672,53 +602,25 @@ func (e *Engine) trainEpochSegment(ctx context.Context, epoch int, targets []int
 		defer dog.Stop()
 	}
 
-	// Sample stage: a pool of samplers pulling batch indexes; they finish
-	// at different paces, so batches enter the extracting queue out of
-	// order (mini-batch reordering, §4.3).
-	var next atomic.Int64
-	next.Store(int64(startStep))
-	var sampWG sync.WaitGroup
-	for s := 0; s < e.opts.Samplers; s++ {
-		sampWG.Add(1)
-		go func(sid int) {
-			defer sampWG.Done()
-			reader := graph.NewCachedReader(e.ds, e.cache, e.indexFile)
-			// Topology faults carry the run's ctx, so a cancelled epoch
-			// does not wait out a page read stuck at the device.
-			reader.SetContext(runCtx)
-			smp := sample.New(reader, e.opts.Fanouts,
-				tensor.NewRNG(e.opts.Seed+uint64(epoch)*1000+uint64(sid)*31+7))
-			for !failed() {
-				i := int(next.Add(1)) - 1
-				if i >= len(plan.Batches) {
-					return
-				}
-				t0 := time.Now()
-				b := e.getBatch()
-				smp.Reseed(batchSeed(e.opts.Seed, epoch, i))
-				ioWait, err := smp.SampleBatchInto(b, i, plan.Batches[i])
-				d := time.Since(t0)
-				col.AddSample(d)
-				e.opts.Tracer.Record(trace.StageSample, i, t0, time.Now())
-				e.rec.AddIOWait(ioWait)
-				e.rec.AddCPU(d - ioWait)
-				if err != nil {
-					e.putBatch(b)
-					fail(err)
-					return
-				}
+	// Sample stage: the sampler pool's workers finish at different paces,
+	// so batches enter the extracting queue out of order (mini-batch
+	// reordering, §4.3).
+	go func() {
+		fail(e.samplers(e.getBatch).Run(runCtx, epoch, plan.Batches, startStep,
+			func(b *sample.Batch, c sample.Cost) error {
+				col.AddSample(c.Took)
+				e.opts.Tracer.Record(trace.StageSample, b.ID, c.Start, c.Start.Add(c.Took))
+				e.rec.AddIOWait(c.IOWait)
+				e.rec.AddCPU(c.Took - c.IOWait)
 				hb.sample.Add(1)
 				select {
 				case extractQ <- b:
+					return nil
 				case <-runCtx.Done():
 					e.putBatch(b)
-					return
+					return runCtx.Err()
 				}
-			}
-		}(s)
-	}
-	go func() {
-		sampWG.Wait()
+			}))
 		close(extractQ)
 	}()
 
@@ -788,32 +690,25 @@ func (e *Engine) trainEpochSegment(ctx context.Context, epoch int, targets []int
 	go func() {
 		defer trainWG.Done()
 		step := startStep
+		// Gradient synchronization happens between the backward pass and
+		// the optimizer step, which then applies the averaged gradients.
+		var syncStep func()
+		if stepSync != nil {
+			syncStep = func() { stepSync(step) }
+		}
 		for item := range trainQ {
 			if failed() {
 				releaseQ <- item
 				continue
 			}
 			t0 := time.Now()
+			loss, acc := e.learn.Step(item.batch, e.gather(item), syncStep)
 			if e.opts.RealTrain {
-				loss, acc := e.trainRealBackward(item)
 				lossSum += float64(loss)
 				accSum += acc
 				stepLosses = append(stepLosses, loss)
-			} else {
-				e.dev.Compute(e.workFor(item.batch))
-			}
-			// Gradient synchronization happens in the backward pass,
-			// before the optimizer applies the (now averaged) gradients.
-			if stepSync != nil {
-				stepSync(step)
-			}
-			if e.opts.RealTrain {
-				e.opt.Step(e.model.Params())
 			}
 			d := time.Since(t0)
-			if e.opts.RealTrain {
-				e.dev.AddComputeBusy(d)
-			}
 			if e.dev.Kind() == device.CPU {
 				e.rec.AddCPU(d)
 			}
@@ -912,87 +807,45 @@ func (e *Engine) count(col *metrics.BreakdownCollector, d metrics.Counters) {
 	e.rec.Add(d)
 }
 
-// workFor builds the device-model work description of one batch.
-func (e *Engine) workFor(b *sample.Batch) device.Work {
-	return device.Work{
-		Model:    e.opts.Model,
-		Nodes:    int64(len(b.Nodes)),
-		Edges:    b.NumEdges(),
-		InDim:    e.ds.Dim,
-		Hidden:   e.opts.Hidden,
-		Classes:  e.ds.NumClasses,
-		Layers:   e.opts.Layers,
-		Backward: true,
+// gather copies the batch's features out of the feature buffer, through
+// the reservation's alias list, into the learner's input (real training
+// only; nil otherwise).
+func (e *Engine) gather(item *trainItem) *tensor.Matrix {
+	x := e.learn.Input(item.batch)
+	if x != nil {
+		for i := range item.batch.Nodes {
+			copy(x.Row(i), e.fb.SlotData(item.res.Alias[i]))
+		}
 	}
+	return x
 }
 
-// trainRealBackward gathers the batch's features from the feature buffer
-// via the node alias list and runs a real forward + backward pass, leaving
-// gradients accumulated for the optimizer (after any gradient sync).
-func (e *Engine) trainRealBackward(item *trainItem) (float32, float64) {
-	b := item.batch
-	e.trainX = tensor.EnsureShape(e.trainX, len(b.Nodes), e.ds.Dim)
-	x := e.trainX
-	for i := range b.Nodes {
-		copy(x.Row(i), e.fb.SlotData(item.res.Alias[i]))
-	}
-	if cap(e.trainLabels) < b.NumTargets {
-		e.trainLabels = make([]int32, b.NumTargets)
-	}
-	labels := e.trainLabels[:b.NumTargets]
-	for i := 0; i < b.NumTargets; i++ {
-		labels[i] = e.ds.Labels[b.Nodes[i]]
-	}
-	// Loss consumes x during the forward+backward pass; nothing retains
-	// it afterwards, so the scratch is safe to reuse next batch.
-	return e.model.Loss(b, x, labels)
+// samplers is the engine's sample stage: Samplers workers, each reading
+// topology through the shared page cache with the run's ctx riding its
+// faults, so a cancelled epoch does not wait out a page read stuck at the
+// device.
+func (e *Engine) samplers(get func() *sample.Batch) sample.Pool {
+	return sample.Pool{Workers: e.opts.Samplers, Fanouts: e.opts.Fanouts, Seed: e.opts.Seed, Get: get,
+		Reader: func(ctx context.Context) graph.NeighborReader {
+			r := graph.NewCachedReader(e.ds, e.cache, e.indexFile)
+			r.SetContext(ctx)
+			return r
+		}}
 }
 
 // SampleOnly runs the sample stage alone for one epoch (the paper's
 // "-only" measurements, Fig. 2) and returns the summed sampling time.
-// ctx rides the samplers' topology faults and stops them between
-// batches; nil never cancels (the storage.Request.Ctx convention).
+// Cancelling ctx aborts the samplers' topology faults and stops them
+// between batches.
 func (e *Engine) SampleOnly(ctx context.Context, epoch int) (time.Duration, error) {
-	var planRNG *tensor.RNG
-	if e.opts.shuffle {
-		planRNG = tensor.NewRNG(sample.PlanSeed(e.opts.Seed, epoch))
-	}
-	plan := sample.NewPlan(e.ds.TrainIdx, e.opts.BatchSize, planRNG)
-	var next atomic.Int64
 	var total atomic.Int64
-	var wg sync.WaitGroup
-	var firstErr errutil.FirstError
-	for s := 0; s < e.opts.Samplers; s++ {
-		wg.Add(1)
-		go func(sid int) {
-			defer wg.Done()
-			reader := graph.NewCachedReader(e.ds, e.cache, e.indexFile)
-			reader.SetContext(ctx)
-			smp := sample.New(reader, e.opts.Fanouts,
-				tensor.NewRNG(e.opts.Seed+uint64(epoch)*1000+uint64(sid)*31+7))
-			for !firstErr.Failed() {
-				if ctx != nil && ctx.Err() != nil {
-					firstErr.Set(ctx.Err())
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(plan.Batches) {
-					return
-				}
-				t0 := time.Now()
-				smp.Reseed(batchSeed(e.opts.Seed, epoch, i))
-				_, ioWait, err := smp.SampleBatch(i, plan.Batches[i])
-				if err != nil {
-					firstErr.Set(err)
-					return
-				}
-				total.Add(int64(time.Since(t0)))
-				e.rec.AddIOWait(ioWait)
-			}
-		}(s)
-	}
-	wg.Wait()
-	if err := firstErr.Get(); err != nil {
+	err := e.samplers(nil).Run(ctx, epoch, e.opts.Plan(e.ds.TrainIdx, epoch).Batches, 0,
+		func(_ *sample.Batch, c sample.Cost) error {
+			total.Add(int64(c.Took))
+			e.rec.AddIOWait(c.IOWait)
+			return nil
+		})
+	if err != nil {
 		return 0, err
 	}
 	return time.Duration(total.Load()), nil
@@ -1001,10 +854,10 @@ func (e *Engine) SampleOnly(ctx context.Context, epoch int) (time.Duration, erro
 // EvaluateVal runs an untimed real-math evaluation on the validation
 // split and returns accuracy. Requires RealTrain mode.
 func (e *Engine) EvaluateVal() (float64, error) {
-	if e.model == nil {
+	if e.learn.model == nil {
 		return 0, errors.New("core: EvaluateVal needs RealTrain mode")
 	}
-	return EvaluateModel(e.ds, e.model, e.opts.Fanouts, e.ds.ValIdx, e.opts.Seed)
+	return EvaluateModel(e.ds, e.learn.model, e.opts.Fanouts, e.ds.ValIdx, e.opts.Seed)
 }
 
 // EvaluateModel measures accuracy of a model over the given nodes with

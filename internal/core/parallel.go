@@ -113,13 +113,13 @@ func NewParallel(ds *graph.Dataset, devices []*device.Device, budget *hostmem.Bu
 			return nil, fmt.Errorf("core: worker %d: %w", w, err)
 		}
 		if opts.RealTrain && w > 0 {
-			eng.model.CopyParamsFrom(p.engines[0].model)
+			eng.Model().CopyParamsFrom(p.engines[0].Model())
 		}
 		p.engines = append(p.engines, eng)
 	}
 	p.barrier = newStepBarrier(len(devices))
 	if opts.RealTrain {
-		p.gradBytes = p.engines[0].model.GradBytes()
+		p.gradBytes = p.engines[0].Model().GradBytes()
 	} else {
 		// Modeled gradient volume of the paper's 3-layer models.
 		p.gradBytes = int64(ds.Dim*opts.Hidden+opts.Hidden*opts.Hidden+opts.Hidden*ds.NumClasses) * 4 * 2
@@ -228,16 +228,16 @@ func (p *Parallel) syncFn(i int) func(step int) {
 // back to all of them. Runs on exactly one worker per step (inside the
 // barrier's critical action).
 func (p *Parallel) averageGradients() {
-	master := p.engines[0].model.Params()
+	master := p.engines[0].Model().Params()
 	inv := float32(1) / float32(len(p.engines))
 	for pi, mp := range master {
 		for _, eng := range p.engines[1:] {
-			wp := eng.model.Params()[pi]
+			wp := eng.Model().Params()[pi]
 			mp.G.Add(wp.G)
 		}
 		mp.G.Scale(inv)
 		for _, eng := range p.engines[1:] {
-			wp := eng.model.Params()[pi]
+			wp := eng.Model().Params()[pi]
 			copy(wp.G.Data, mp.G.Data)
 		}
 	}

@@ -38,7 +38,6 @@ func TestInOrderPipelineTrainsInOrder(t *testing.T) {
 	rig := newRig(t, device.InstantConfig(), 64<<20)
 	opts := testOpts()
 	opts.InOrder = true
-	opts.shuffle = false
 	opts.Tracer = trace.New()
 	e := newEngine(t, rig, opts)
 	if _, err := e.RunEpochCtx(context.Background(), 0); err != nil {

@@ -1,40 +1,34 @@
 package graph
 
 import (
-	"container/list"
+	"context"
 	"sort"
 	"time"
 
 	"gnndrive/internal/hostmem"
+	"gnndrive/internal/storage"
 )
 
-// This file provides the "domain-specific node caching methods" hook of
-// §4.4: NeighborReader decorators that keep hot adjacency lists in host
-// memory, in the spirit of AliGraph's static hub cache and GNNLab's
-// dynamic caches. Both decorators account their capacity in the host
-// budget so they participate honestly in the memory-contention story.
-
-// StaticNeighborCache pins the adjacency lists of the highest-degree
-// nodes at construction; power-law sampling hits hubs constantly, so a
-// small static cache removes most topology I/O.
+// StaticNeighborCache pins the adjacency lists of the highest-degree nodes
+// in host memory: AliGraph's static hub cache and Ginex's neighbor cache
+// (§2). Power-law sampling hits hubs constantly, so a small static cache
+// removes most topology I/O. The lists are loaded once and then only
+// read, so every sampler goroutine shares them through its own Reader.
 type StaticNeighborCache struct {
-	inner  NeighborReader
+	ds     *Dataset
 	lists  map[int64][]int32
 	bytes  int64
 	budget *hostmem.Budget
-	hits   int64
-	misses int64
 }
 
-// NewStaticNeighborCache preloads up to capacity bytes of the
-// highest-degree nodes' lists (read untimed — cache warmup is setup).
-func NewStaticNeighborCache(ds *Dataset, inner NeighborReader, budget *hostmem.Budget, capacity int64) (*StaticNeighborCache, error) {
-	if budget != nil {
-		if err := budget.Pin("static neighbor cache", capacity); err != nil {
-			return nil, err
-		}
+// NewStaticNeighborCache pins capacity bytes of budget and preloads the
+// highest-degree nodes' lists into it (read untimed — cache warmup is
+// setup).
+func NewStaticNeighborCache(ds *Dataset, budget *hostmem.Budget, capacity int64) (*StaticNeighborCache, error) {
+	if err := budget.Pin("static neighbor cache", capacity); err != nil {
+		return nil, err
 	}
-	c := &StaticNeighborCache{inner: inner, lists: make(map[int64][]int32), bytes: capacity, budget: budget}
+	c := &StaticNeighborCache{ds: ds, lists: make(map[int64][]int32), bytes: capacity, budget: budget}
 	order := make([]int64, ds.NumNodes)
 	for i := range order {
 		order[i] = int64(i)
@@ -58,19 +52,12 @@ func NewStaticNeighborCache(ds *Dataset, inner NeighborReader, budget *hostmem.B
 	return c, nil
 }
 
-// Neighbors implements NeighborReader.
-func (c *StaticNeighborCache) Neighbors(v int64, buf []int32) ([]int32, time.Duration, error) {
-	if ns, ok := c.lists[v]; ok {
-		c.hits++
-		return append(buf[:0], ns...), 0, nil
-	}
-	c.misses++
-	return c.inner.Neighbors(v, buf)
+// Reader returns a NeighborReader for one goroutine: cached lists come
+// from memory, every other list from a 512-byte-aligned direct read of
+// the index array that bypasses the page cache and carries ctx.
+func (c *StaticNeighborCache) Reader(ctx context.Context) NeighborReader {
+	return &hubReader{c: c, ctx: ctx}
 }
-
-// Stats returns (hits, misses). Not safe against concurrent Neighbors
-// calls; snapshot after the run.
-func (c *StaticNeighborCache) Stats() (hits, misses int64) { return c.hits, c.misses }
 
 // Close releases the budget pin.
 func (c *StaticNeighborCache) Close() {
@@ -80,75 +67,35 @@ func (c *StaticNeighborCache) Close() {
 	}
 }
 
-// LRUNeighborCache keeps recently used adjacency lists, adapting to the
-// current epoch's access pattern. Unlike StaticNeighborCache it is not
-// safe for concurrent use; give each sampler goroutine its own.
-type LRUNeighborCache struct {
-	inner    NeighborReader
-	capacity int64
-	used     int64
-	entries  map[int64]*list.Element
-	order    *list.List // front = most recent
-	budget   *hostmem.Budget
-	hits     int64
-	misses   int64
-}
-
-type lruEntry struct {
-	node int64
-	ns   []int32
-}
-
-// NewLRUNeighborCache wraps inner with an LRU list cache of the given
-// byte capacity.
-func NewLRUNeighborCache(inner NeighborReader, budget *hostmem.Budget, capacity int64) (*LRUNeighborCache, error) {
-	if budget != nil {
-		if err := budget.Pin("lru neighbor cache", capacity); err != nil {
-			return nil, err
-		}
-	}
-	return &LRUNeighborCache{
-		inner: inner, capacity: capacity,
-		entries: make(map[int64]*list.Element), order: list.New(),
-		budget: budget,
-	}, nil
+// hubReader is one goroutine's view of a StaticNeighborCache; raw is its
+// aligned miss buffer.
+type hubReader struct {
+	c   *StaticNeighborCache
+	ctx context.Context
+	raw []byte
 }
 
 // Neighbors implements NeighborReader.
-func (c *LRUNeighborCache) Neighbors(v int64, buf []int32) ([]int32, time.Duration, error) {
-	if e, ok := c.entries[v]; ok {
-		c.order.MoveToFront(e)
-		c.hits++
-		return append(buf[:0], e.Value.(*lruEntry).ns...), 0, nil
+func (r *hubReader) Neighbors(v int64, buf []int32) ([]int32, time.Duration, error) {
+	if ns, ok := r.c.lists[v]; ok {
+		return append(buf[:0], ns...), 0, nil
 	}
-	c.misses++
-	ns, waited, err := c.inner.Neighbors(v, buf)
+	ds := r.c.ds
+	lo, hi := ds.Indptr[v], ds.Indptr[v+1]
+	if lo == hi {
+		return buf[:0], 0, nil
+	}
+	start := ds.Layout.IndicesOff + lo*4
+	end := ds.Layout.IndicesOff + hi*4
+	aStart := start / 512 * 512
+	aEnd := (end + 511) / 512 * 512
+	if cap(r.raw) < int(aEnd-aStart) {
+		r.raw = storage.AlignedBuf(int(aEnd-aStart), 512)
+	}
+	raw := r.raw[:aEnd-aStart]
+	waited, err := ds.Dev.ReadDirectCtx(r.ctx, raw, aStart)
 	if err != nil {
-		return ns, waited, err
+		return nil, waited, err
 	}
-	cost := int64(len(ns))*4 + 32
-	if cost <= c.capacity {
-		cp := append([]int32(nil), ns...)
-		c.entries[v] = c.order.PushFront(&lruEntry{node: v, ns: cp})
-		c.used += cost
-		for c.used > c.capacity {
-			back := c.order.Back()
-			ent := back.Value.(*lruEntry)
-			c.order.Remove(back)
-			delete(c.entries, ent.node)
-			c.used -= int64(len(ent.ns))*4 + 32
-		}
-	}
-	return ns, waited, nil
-}
-
-// Stats returns (hits, misses).
-func (c *LRUNeighborCache) Stats() (hits, misses int64) { return c.hits, c.misses }
-
-// Close releases the budget pin.
-func (c *LRUNeighborCache) Close() {
-	if c.budget != nil {
-		c.budget.Unpin(c.capacity)
-		c.budget = nil
-	}
+	return decodeIndices(raw[start-aStart:end-aStart], buf[:0]), waited, nil
 }

@@ -1,43 +1,31 @@
 package graph
 
 import (
+	"context"
 	"testing"
-	"time"
 
 	"gnndrive/internal/hostmem"
 )
 
-// slowReader wraps RawReader pretending every read costs 1ms, so tests
-// can distinguish cache hits from misses by the reported wait.
-type slowReader struct{ raw *RawReader }
-
-func (r *slowReader) Neighbors(v int64, buf []int32) ([]int32, time.Duration, error) {
-	ns, _, err := r.raw.Neighbors(v, buf)
-	return ns, time.Millisecond, err
-}
-
 func TestStaticNeighborCacheHitsHubs(t *testing.T) {
 	ds := buildTestDataset(t)
 	budget := hostmem.NewBudget(1 << 20)
-	c, err := NewStaticNeighborCache(ds, &slowReader{NewRawReader(ds)}, budget, 1024)
+	c, err := NewStaticNeighborCache(ds, budget, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// Node 3 has the highest degree and must be cached.
-	ns, wait, err := c.Neighbors(3, nil)
+	// Node 3 has the highest degree and must be served from memory.
+	reads := ds.Dev.Stats().Reads
+	ns, wait, err := c.Reader(context.Background()).Neighbors(3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wait != 0 {
+	if wait != 0 || ds.Dev.Stats().Reads != reads {
 		t.Fatal("hub read should be a cache hit")
 	}
 	if len(ns) != 3 {
 		t.Fatalf("hub neighbors %v", ns)
-	}
-	hits, _ := c.Stats()
-	if hits != 1 {
-		t.Fatalf("hits %d", hits)
 	}
 	c.Close() // idempotent
 	if budget.Pinned() != 0 {
@@ -45,67 +33,44 @@ func TestStaticNeighborCacheHitsHubs(t *testing.T) {
 	}
 }
 
-func TestStaticNeighborCacheOOM(t *testing.T) {
+// TestStaticNeighborCacheMissesReadDirect: with room for no list at all,
+// every read goes to the device and still matches the raw lists.
+func TestStaticNeighborCacheMissesReadDirect(t *testing.T) {
 	ds := buildTestDataset(t)
-	budget := hostmem.NewBudget(100)
-	if _, err := NewStaticNeighborCache(ds, NewRawReader(ds), budget, 1024); err == nil {
-		t.Fatal("expected OOM")
-	}
-	if budget.Pinned() != 0 {
-		t.Fatal("pin leaked")
-	}
-}
-
-func TestLRUNeighborCacheCachesAndEvicts(t *testing.T) {
-	ds := buildTestDataset(t)
-	budget := hostmem.NewBudget(1 << 20)
-	// Capacity for roughly one list.
-	c, err := NewLRUNeighborCache(&slowReader{NewRawReader(ds)}, budget, 64)
+	c, err := NewStaticNeighborCache(ds, hostmem.NewBudget(1<<20), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, wait, _ := c.Neighbors(0, nil); wait == 0 {
-		t.Fatal("first read must miss")
-	}
-	if _, wait, _ := c.Neighbors(0, nil); wait != 0 {
-		t.Fatal("second read must hit")
-	}
-	// Touch another node: evicts node 0 under the tiny capacity.
-	if _, _, err := c.Neighbors(3, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, wait, _ := c.Neighbors(0, nil); wait == 0 {
-		t.Fatal("node 0 should have been evicted")
-	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 3 {
-		t.Fatalf("hits=%d misses=%d", hits, misses)
+	r, raw := c.Reader(context.Background()), NewRawReader(ds)
+	for v := int64(0); v < ds.NumNodes; v++ {
+		reads := ds.Dev.Stats().Reads
+		got, _, err := r.Neighbors(v, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, _ := raw.Neighbors(v, nil)
+		if len(want) > 0 && ds.Dev.Stats().Reads == reads {
+			t.Fatalf("node %d: served without a device read", v)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("node %d: %v vs %v", v, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("node %d: %v vs %v", v, got, want)
+			}
+		}
 	}
 }
 
-func TestLRUNeighborCacheCorrectLists(t *testing.T) {
+func TestStaticNeighborCacheOOM(t *testing.T) {
 	ds := buildTestDataset(t)
-	c, err := NewLRUNeighborCache(NewRawReader(ds), nil, 1<<20)
-	if err != nil {
-		t.Fatal(err)
+	budget := hostmem.NewBudget(100)
+	if _, err := NewStaticNeighborCache(ds, budget, 1024); err == nil {
+		t.Fatal("expected OOM")
 	}
-	raw := NewRawReader(ds)
-	for round := 0; round < 2; round++ { // second round from cache
-		for v := int64(0); v < ds.NumNodes; v++ {
-			got, _, err := c.Neighbors(v, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, _, _ := raw.Neighbors(v, nil)
-			if len(got) != len(want) {
-				t.Fatalf("node %d: %v vs %v", v, got, want)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("node %d: %v vs %v", v, got, want)
-				}
-			}
-		}
+	if budget.Pinned() != 0 {
+		t.Fatal("pin leaked")
 	}
 }

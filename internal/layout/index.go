@@ -2,6 +2,7 @@ package layout
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,6 +10,8 @@ import (
 	"io"
 	"io/fs"
 	"os"
+
+	"gnndrive/internal/checkpoint"
 )
 
 // The packed-layout segment index persists next to a .gnnd container as
@@ -49,20 +52,13 @@ var ErrNoIndex = errors.New("layout: segment index not found")
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // SaveIndex persists the packed mapping as a segment-index file. The
-// write is atomic (temp file + fsync + rename), mirroring the integrity
-// sidecar, so a crashed save never leaves a torn index next to a good
-// container.
+// write is crash-atomic (checkpoint.Commit), so a crashed save never
+// leaves a torn index next to a good container.
 func (p *Packed) SaveIndex(path string) error {
-	tmp, err := os.CreateTemp(dirOf(path), ".pidx-*")
-	if err != nil {
-		return fmt.Errorf("layout: save index: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	w := bufio.NewWriter(tmp)
-
 	fanout := defaultLeafFanout
 	numNodes := int64(len(p.off))
 	numLeaves := (numNodes + int64(fanout) - 1) / int64(fanout)
+	var w bytes.Buffer
 
 	hdr := make([]byte, indexHeaderLen)
 	copy(hdr, indexMagic)
@@ -72,65 +68,36 @@ func (p *Packed) SaveIndex(path string) error {
 	binary.LittleEndian.PutUint32(hdr[20:], uint32(fanout))
 	binary.LittleEndian.PutUint64(hdr[24:], uint64(numNodes))
 	binary.LittleEndian.PutUint64(hdr[32:], uint64(numLeaves))
-	if err := writeCRCd(w, hdr); err != nil {
-		tmp.Close()
-		return fmt.Errorf("layout: save index: %w", err)
-	}
+	writeCRCd(&w, hdr)
 
 	keys := make([]byte, 8*numLeaves)
 	for l := int64(0); l < numLeaves; l++ {
 		binary.LittleEndian.PutUint64(keys[8*l:], uint64(l*int64(fanout)))
 	}
-	if err := writeCRCd(w, keys); err != nil {
-		tmp.Close()
-		return fmt.Errorf("layout: save index: %w", err)
-	}
+	writeCRCd(&w, keys)
 
 	leaf := make([]byte, 8*fanout)
 	for l := int64(0); l < numLeaves; l++ {
-		for i := range leaf {
-			leaf[i] = 0
-		}
+		clear(leaf)
 		lo := l * int64(fanout)
-		hi := lo + int64(fanout)
-		if hi > numNodes {
-			hi = numNodes
-		}
+		hi := min(lo+int64(fanout), numNodes)
 		for v := lo; v < hi; v++ {
 			binary.LittleEndian.PutUint64(leaf[8*(v-lo):], uint64(p.off[v]))
 		}
-		if err := writeCRCd(w, leaf); err != nil {
-			tmp.Close()
-			return fmt.Errorf("layout: save index: %w", err)
-		}
+		writeCRCd(&w, leaf)
 	}
-
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("layout: save index: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("layout: save index: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("layout: save index: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := checkpoint.Commit(checkpoint.OSSink{}, path, w.Bytes()); err != nil {
 		return fmt.Errorf("layout: save index: %w", err)
 	}
 	return nil
 }
 
-// writeCRCd writes block followed by its CRC32C.
-func writeCRCd(w io.Writer, block []byte) error {
-	if _, err := w.Write(block); err != nil {
-		return err
-	}
+// writeCRCd appends block followed by its CRC32C.
+func writeCRCd(w *bytes.Buffer, block []byte) {
+	w.Write(block)
 	var crc [4]byte
 	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(block, crcTable))
-	_, err := w.Write(crc[:])
-	return err
+	w.Write(crc[:])
 }
 
 // readCRCd reads len(block) bytes plus their trailing CRC32C, verifying.
@@ -218,19 +185,4 @@ func LoadIndex(path string, base int64) (*Packed, error) {
 		return nil, fmt.Errorf("layout: load index %s: %w: trailing bytes", path, ErrCorruptIndex)
 	}
 	return p, nil
-}
-
-// dirOf returns the directory of path for CreateTemp, "." for a bare
-// file name ("" would mean os.TempDir, which could cross filesystems and
-// break the atomic rename).
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			if i == 0 {
-				return "/"
-			}
-			return path[:i]
-		}
-	}
-	return "."
 }

@@ -63,7 +63,6 @@ type Sampler struct {
 	prefetch graph.Prefetcher
 	fanouts  []int
 	rng      *tensor.RNG
-	policy   Policy
 	scratch  []int32
 	// index is the node-ID -> batch-position map, cleared and reused
 	// across batches so the steady state allocates nothing. Go maps keep
@@ -75,8 +74,7 @@ type Sampler struct {
 	expansion int
 }
 
-// New creates a sampler with per-hop fanouts (e.g. 10,10,10) and the
-// default uniform policy.
+// New creates a sampler with per-hop fanouts (e.g. 10,10,10).
 func New(reader graph.NeighborReader, fanouts []int, rng *tensor.RNG) *Sampler {
 	if len(fanouts) == 0 {
 		panic("sample: empty fanouts")
@@ -102,7 +100,7 @@ func New(reader graph.NeighborReader, fanouts []int, rng *tensor.RNG) *Sampler {
 	}
 	prefetch, _ := reader.(graph.Prefetcher)
 	return &Sampler{reader: reader, prefetch: prefetch, fanouts: fanouts, rng: rng,
-		policy: UniformPolicy{}, expansion: expansion}
+		expansion: expansion}
 }
 
 // prefetchWindow is how many frontier nodes the sampler hands a
@@ -205,7 +203,7 @@ func (s *Sampler) expand(b *Batch, layer *Layer, lo, hi, fanout int) (time.Durat
 		if err != nil {
 			return ioWait, err
 		}
-		picked := s.policy.Pick(v, ns, fanout, s.rng)
+		picked := pickUniform(ns, fanout, s.rng)
 		// Every frontier node aggregates itself too (self-loop), so
 		// isolated nodes still produce an embedding.
 		layer.Src = append(layer.Src, int32(vi))
@@ -222,6 +220,21 @@ func (s *Sampler) expand(b *Batch, layer *Layer, lo, hi, fanout int) (time.Durat
 		}
 	}
 	return ioWait, nil
+}
+
+// pickUniform chooses up to fanout of ns uniformly without replacement
+// (GraphSAGE-style, the paper's default) by a partial Fisher-Yates
+// shuffle: it may reorder ns and returns a prefix of it. A node with no
+// more than fanout neighbors keeps them all and draws nothing.
+func pickUniform(ns []int32, fanout int, rng *tensor.RNG) []int32 {
+	if len(ns) <= fanout {
+		return ns
+	}
+	for i := 0; i < fanout; i++ {
+		j := i + rng.Intn(len(ns)-i)
+		ns[i], ns[j] = ns[j], ns[i]
+	}
+	return ns[:fanout]
 }
 
 // Plan is an epoch's mini-batch schedule: target node ID chunks in a

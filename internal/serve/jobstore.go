@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"gnndrive/internal/checkpoint"
 	"gnndrive/internal/trainsim"
 )
 
@@ -63,17 +64,18 @@ type manifest struct {
 	Jobs    []*JobRecord `json:"jobs"`
 }
 
-// jobStore persists the manifest with atomic tmp+rename writes, so a
-// crash mid-save leaves the previous manifest intact.
+// jobStore persists the manifest with crash-atomic commits, so a crash
+// or failed write mid-save leaves the previous manifest intact.
 type jobStore struct {
-	dir string
+	dir  string
+	sink checkpoint.Sink
 }
 
 func newJobStore(dir string) (*jobStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &jobStore{dir: dir}, nil
+	return &jobStore{dir: dir, sink: checkpoint.OSSink{}}, nil
 }
 
 func (s *jobStore) path() string { return filepath.Join(s.dir, "manifest.json") }
@@ -102,21 +104,7 @@ func (s *jobStore) save(m manifest) error {
 	if err != nil {
 		return err
 	}
-	tmp := s.path() + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	f, err := os.Open(tmp)
-	if err == nil {
-		// fsync before rename: the rename must not land before the bytes.
-		if serr := f.Sync(); serr == nil {
-			f.Close()
-		} else {
-			f.Close()
-			return serr
-		}
-	}
-	return os.Rename(tmp, s.path())
+	return checkpoint.Commit(s.sink, s.path(), data)
 }
 
 // jobDir is the per-job scratch root (checkpoints, backing file).

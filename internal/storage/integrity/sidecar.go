@@ -7,6 +7,8 @@ import (
 	"io"
 	"io/fs"
 	"os"
+
+	"gnndrive/internal/checkpoint"
 )
 
 // ErrNoSidecar is returned by LoadSidecar when the path does not exist.
@@ -25,8 +27,8 @@ const sidecarHeader = 8 + 3*8
 
 // SaveSidecar persists the checksum table (per-block CRC32C sums and
 // tracking states) so a later process can Wrap the same dataset with
-// verification enabled from the first read. The write is atomic
-// (temp file + rename). Conventionally the sidecar lives next to the
+// verification enabled from the first read. The write is crash-atomic
+// (checkpoint.Commit). Conventionally the sidecar lives next to the
 // dataset container as "<container>.crc".
 func (b *Backend) SaveSidecar(path string) error {
 	n := len(b.sums)
@@ -40,31 +42,10 @@ func (b *Backend) SaveSidecar(path string) error {
 		states[i] = byte(b.state[i].Load())
 		binary.LittleEndian.PutUint32(sums[4*i:], b.sums[i].Load())
 	}
-	if err := writeAtomic(path, img); err != nil {
+	if err := checkpoint.Commit(checkpoint.OSSink{}, path, img); err != nil {
 		return fmt.Errorf("integrity: save sidecar: %w", err)
 	}
 	return nil
-}
-
-// writeAtomic writes data to a temp file beside path, syncs it and
-// renames it over path.
-func writeAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(dirOf(path), ".crc-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	_, err = tmp.Write(data)
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }
 
 // LoadSidecar adopts a persisted checksum table. The sidecar's block size
@@ -125,19 +106,4 @@ func (b *Backend) LoadSidecar(path string) error {
 		b.state[i].Store(uint32(states[i]))
 	}
 	return nil
-}
-
-// dirOf returns the directory of path for CreateTemp, "." for a bare
-// file name (CreateTemp treats "" as os.TempDir, which could cross
-// filesystems and break the atomic rename).
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			if i == 0 {
-				return "/"
-			}
-			return path[:i]
-		}
-	}
-	return "."
 }

@@ -44,15 +44,16 @@ type JobSpec struct {
 	StallMs int `json:"stall_ms,omitempty"`
 }
 
-// SystemByName parses the system names JobSpec.System accepts
-// (case-insensitive paper spellings plus kebab-case aliases).
+// SystemByName parses a system name as JobSpec.System and the gnndrive
+// command's -system flag spell it: case-insensitive paper spellings plus
+// short and kebab-case aliases.
 func SystemByName(name string) (SystemKind, error) {
 	switch strings.ToLower(name) {
-	case "", "gnndrive", "gnndrive-gpu":
+	case "", "gnndrive", "gnndrive-gpu", "gpu":
 		return GNNDriveGPU, nil
-	case "gnndrive-cpu":
+	case "gnndrive-cpu", "cpu":
 		return GNNDriveCPU, nil
-	case "pyg+", "pygplus", "pyg-plus":
+	case "pyg+", "pyg", "pygplus", "pyg-plus":
 		return PyGPlus, nil
 	case "ginex":
 		return Ginex, nil

@@ -704,28 +704,11 @@ func engineOptions(cfg Config, ds *graph.Dataset, dev *device.Device) (core.Opti
 	return o, nil
 }
 
-// The baselines share the engine's model, batch and seed knobs; each takes
-// them from the one lowering and keeps its own defaults for the rest.
-
-func pygOptions(cfg Config) pygplus.Options {
-	e, o := cfg.EngineOptions(), pygplus.DefaultOptions(cfg.Model)
-	o.BatchSize, o.Fanouts, o.Hidden, o.RealTrain, o.Seed = e.BatchSize, e.Fanouts, e.Hidden, e.RealTrain, e.Seed
-	o.TimeScale = cfg.Scale
-	return o
-}
-
+// ginexOptions places Ginex's persisted sampling results in the scratch
+// region past the dataset.
 func ginexOptions(cfg Config, ds *graph.Dataset) ginex.Options {
-	e, o := cfg.EngineOptions(), ginex.DefaultOptions(cfg.Model)
-	o.BatchSize, o.Fanouts, o.Hidden, o.RealTrain, o.Seed = e.BatchSize, e.Fanouts, e.Hidden, e.RealTrain, e.Seed
-	o.ScratchOff = ds.Layout.FeaturesOff + ds.Layout.FeaturesLen
-	o.ScratchLen = ScratchBytes / 2
-	return o
-}
-
-func mariusOptions(cfg Config) marius.Options {
-	e, o := cfg.EngineOptions(), marius.DefaultOptions(cfg.Model)
-	o.BatchSize, o.Fanouts, o.Hidden, o.RealTrain, o.Seed = e.BatchSize, e.Fanouts, e.Hidden, e.RealTrain, e.Seed
-	return o
+	return ginex.Options{Knobs: cfg.EngineOptions().Knobs,
+		ScratchOff: ds.Layout.FeaturesOff + ds.Layout.FeaturesLen, ScratchLen: ScratchBytes / 2}
 }
 
 // buildSystem constructs the system and returns an epoch runner, a
@@ -776,7 +759,8 @@ func buildSystem(sys SystemKind, ds *graph.Dataset, dev *device.Device,
 		}, eng.Close, startEpoch, eng.Model(), nil
 
 	case PyGPlus:
-		sysm, err := pygplus.New(ds, dev, budget, cache, rec, pygOptions(cfg))
+		sysm, err := pygplus.New(ds, dev, budget, cache, rec,
+			pygplus.Options{Knobs: cfg.EngineOptions().Knobs, TimeScale: cfg.Scale})
 		if err != nil {
 			return nil, nil, 0, nil, err
 		}
@@ -790,13 +774,13 @@ func buildSystem(sys SystemKind, ds *graph.Dataset, dev *device.Device,
 		if err != nil {
 			return nil, nil, 0, nil, err
 		}
-		return func(_ context.Context, e int) (EpochStats, error) {
-			r, err := sysm.TrainEpoch(e)
+		return func(ctx context.Context, e int) (EpochStats, error) {
+			r, err := sysm.TrainEpoch(ctx, e)
 			return EpochStats{Breakdown: r.Breakdown, Loss: r.Loss, Acc: r.Acc}, err
 		}, sysm.Close, 0, sysm.Model(), nil
 
 	case Marius:
-		sysm, err := marius.New(ds, dev, budget, rec, mariusOptions(cfg))
+		sysm, err := marius.New(ds, dev, budget, rec, marius.Options{Knobs: cfg.EngineOptions().Knobs})
 		if err != nil {
 			return nil, nil, 0, nil, err
 		}
@@ -809,8 +793,8 @@ func buildSystem(sys SystemKind, ds *graph.Dataset, dev *device.Device,
 }
 
 // SampleOnly measures one epoch of the sample stage alone (Fig. 2's
-// "-only" bars) for systems that support it; ctx stops GNNDrive's samplers
-// between batches (the baselines' sample-only loops run to completion).
+// "-only" bars) for systems that support it; ctx stops the samplers
+// between batches.
 func SampleOnly(ctx context.Context, cfg Config, sys SystemKind) (time.Duration, error) {
 	cfg.fill()
 	ds, err := buildDataset(cfg)
@@ -832,19 +816,20 @@ func SampleOnly(ctx context.Context, cfg Config, sys SystemKind) (time.Duration,
 		defer eng.Close()
 		return eng.SampleOnly(ctx, 0)
 	case PyGPlus:
-		s, err := pygplus.New(ds, dev, budget, cache, rec, pygOptions(cfg))
+		s, err := pygplus.New(ds, dev, budget, cache, rec,
+			pygplus.Options{Knobs: cfg.EngineOptions().Knobs, TimeScale: cfg.Scale})
 		if err != nil {
 			return 0, err
 		}
 		defer s.Close()
-		return s.SampleOnly(0)
+		return s.SampleOnly(ctx, 0)
 	case Ginex:
 		s, err := ginex.New(ds, dev, budget, rec, ginexOptions(cfg, ds))
 		if err != nil {
 			return 0, err
 		}
 		defer s.Close()
-		return s.SampleOnly(0)
+		return s.SampleOnly(ctx, 0)
 	}
 	return 0, fmt.Errorf("trainsim: %v has no sample-only mode", sys)
 }
