@@ -159,69 +159,52 @@ func (s *System) Close() {
 	s.budget.Unpin(s.pinned)
 }
 
-// Result reports one epoch.
-type Result struct {
-	metrics.Breakdown
-	Loss, Acc float64
-	CacheHits int64
-	CacheMiss int64
-}
-
 // TrainEpoch runs one epoch in superbatch phases. Cancelling ctx stops
-// the sampling phase between batches.
-func (s *System) TrainEpoch(ctx context.Context, epoch int) (Result, error) {
+// the samplers between batches, interrupts the feature reads, and stops
+// the training loop between mini-batches. Feature-cache hits count as
+// BytesReused (FeatBytes each), misses as NodesExtracted.
+func (s *System) TrainEpoch(ctx context.Context, epoch int) (core.EpochResult, error) {
 	var col metrics.BreakdownCollector
 	start := time.Now()
+	end := func(err error) (core.EpochResult, error) {
+		return s.learn.EndEpoch(col.Snapshot(time.Since(start))), err
+	}
 	plan := s.opts.Plan(s.ds.TrainIdx, epoch)
-
-	var lossSum, accSum float64
-	var hits, misses int64
 	for sbStart := 0; sbStart < len(plan.Batches); sbStart += s.opts.Superbatch {
-		sbEnd := sbStart + s.opts.Superbatch
-		if sbEnd > len(plan.Batches) {
-			sbEnd = len(plan.Batches)
-		}
+		sbEnd := min(sbStart+s.opts.Superbatch, len(plan.Batches))
 		// Phase 1: sample the whole superbatch up front, persisting the
 		// node lists.
 		batches, err := s.sampleSuperbatch(ctx, epoch, plan, sbStart, sbEnd, &col)
 		if err != nil {
-			return Result{Breakdown: col.Snapshot(time.Since(start))}, err
+			return end(err)
 		}
 		// Phase 2: inspect — read the lists back and build the optimal
 		// replacement schedule.
-		sched, err := s.inspect(batches, &col)
+		sched, err := s.inspect(ctx, batches, &col)
 		if err != nil {
-			return Result{Breakdown: col.Snapshot(time.Since(start))}, err
+			return end(err)
 		}
 		// Phase 3: synchronous feature-cache initialization, after
 		// re-keying the survivors of the previous superbatch.
 		s.fcache.reschedule(sched)
-		if err := s.initCache(sched, &col); err != nil {
-			return Result{Breakdown: col.Snapshot(time.Since(start))}, err
+		if err := s.initCache(ctx, sched, &col); err != nil {
+			return end(err)
 		}
 		// Phase 4: extract / transfer / train per mini-batch.
 		for bi, b := range batches {
-			h, m, err := s.extractBatch(b, sched, sbStart+bi, &col)
-			hits += h
-			misses += m
-			if err != nil {
-				return Result{Breakdown: col.Snapshot(time.Since(start))}, err
+			if err := ctx.Err(); err != nil {
+				return end(err)
 			}
-			loss, acc, err := s.trainBatch(b, &col)
-			if err != nil {
-				return Result{Breakdown: col.Snapshot(time.Since(start))}, err
+			if err := s.extractBatch(ctx, b, sched, sbStart+bi, &col); err != nil {
+				return end(err)
 			}
-			lossSum += loss
-			accSum += acc
+			if err := s.trainBatch(b, &col); err != nil {
+				return end(err)
+			}
 			col.Add(metrics.Counters{Batches: 1})
 		}
 	}
-	res := Result{Breakdown: col.Snapshot(time.Since(start)), CacheHits: hits, CacheMiss: misses}
-	if res.Batches > 0 && s.opts.RealTrain {
-		res.Loss = lossSum / float64(res.Batches)
-		res.Acc = accSum / float64(res.Batches)
-	}
-	return res, nil
+	return end(nil)
 }
 
 // sampleSuperbatch samples batches [sbStart, sbEnd) in parallel through
@@ -265,7 +248,7 @@ func (s *System) sampleSuperbatch(ctx context.Context, epoch int, plan *sample.P
 
 // inspect reads the persisted lists back and computes per-node occurrence
 // chains for Belady replacement.
-func (s *System) inspect(batches []*sample.Batch, col *metrics.BreakdownCollector) (*schedule, error) {
+func (s *System) inspect(ctx context.Context, batches []*sample.Batch, col *metrics.BreakdownCollector) (*schedule, error) {
 	t0 := time.Now()
 	// Read the lists back (same volume as written).
 	if s.opts.ScratchLen > 0 {
@@ -275,7 +258,7 @@ func (s *System) inspect(batches []*sample.Batch, col *metrics.BreakdownCollecto
 			if off+nb > s.opts.ScratchOff+s.opts.ScratchLen {
 				off = s.opts.ScratchOff
 			}
-			waited, err := s.ds.Dev.ReadAt(storage.AlignedBuf(int(nb), s.ds.Dev.SectorSize()), off)
+			waited, err := s.ds.Dev.ReadAtCtx(ctx, storage.AlignedBuf(int(nb), s.ds.Dev.SectorSize()), off)
 			s.rec.AddIOWait(waited)
 			if err != nil {
 				return nil, fmt.Errorf("ginex: inspect read: %w", err)
@@ -293,7 +276,7 @@ func (s *System) inspect(batches []*sample.Batch, col *metrics.BreakdownCollecto
 // initCache synchronously preloads the cache with the superbatch's
 // earliest-used nodes up to capacity (Fig. 3(b)'s I/O burst at each
 // superbatch start).
-func (s *System) initCache(sched *schedule, col *metrics.BreakdownCollector) error {
+func (s *System) initCache(ctx context.Context, sched *schedule, col *metrics.BreakdownCollector) error {
 	t0 := time.Now()
 	want := sched.firstUseOrder(s.fcache.capacity)
 	toLoad := make([]int64, 0, len(want))
@@ -305,7 +288,7 @@ func (s *System) initCache(sched *schedule, col *metrics.BreakdownCollector) err
 	if len(toLoad) > 0 {
 		// after = -1: these loads happen before the superbatch's first
 		// mini-batch, so keys are the nodes' first uses.
-		reads, read, err := s.loadNodes(toLoad, sched, -1)
+		reads, read, err := s.loadNodes(ctx, toLoad, sched, -1)
 		if err != nil {
 			return err
 		}
@@ -318,30 +301,31 @@ func (s *System) initCache(sched *schedule, col *metrics.BreakdownCollector) err
 
 // extractBatch serves one mini-batch from the feature cache, loading
 // misses synchronously and evicting per the Belady schedule.
-func (s *System) extractBatch(b *sample.Batch, sched *schedule, globalIdx int,
-	col *metrics.BreakdownCollector) (hits, misses int64, err error) {
+func (s *System) extractBatch(ctx context.Context, b *sample.Batch, sched *schedule, globalIdx int,
+	col *metrics.BreakdownCollector) error {
 	t0 := time.Now()
+	var hits int64
 	var toLoad []int64
 	for _, v := range b.Nodes {
 		if s.fcache.contains(v) {
 			hits++
 			s.fcache.touch(v, sched, globalIdx)
 		} else {
-			misses++
 			toLoad = append(toLoad, v)
 		}
 	}
 	var reads, read int64
 	if len(toLoad) > 0 {
-		if reads, read, err = s.loadNodes(toLoad, sched, globalIdx); err != nil {
-			return hits, misses, err
+		var err error
+		if reads, read, err = s.loadNodes(ctx, toLoad, sched, globalIdx); err != nil {
+			return err
 		}
 	}
 	col.AddExtract(time.Since(t0))
-	featBytes := s.ds.FeatBytes()
+	featBytes, misses := s.ds.FeatBytes(), int64(len(toLoad))
 	col.Add(metrics.Counters{NodesExtracted: misses, BytesRead: read,
 		BytesNeeded: misses * featBytes, BytesReused: hits * featBytes, BackendReads: reads})
-	return hits, misses, nil
+	return nil
 }
 
 // loadNodes reads feature vectors from SSD with synchronous, batched,
@@ -349,7 +333,7 @@ func (s *System) extractBatch(b *sample.Batch, sched *schedule, globalIdx int,
 // returning the number of backend reads issued and the bytes they moved.
 // The plan goes through the dataset's addresser, so Ginex benefits from a
 // packed layout too.
-func (s *System) loadNodes(nodes []int64, sched *schedule, afterBatch int) (reads, read int64, err error) {
+func (s *System) loadNodes(ctx context.Context, nodes []int64, sched *schedule, afterBatch int) (reads, read int64, err error) {
 	positions := make([]int32, len(nodes))
 	for i := range positions {
 		positions[i] = int32(i)
@@ -362,7 +346,7 @@ func (s *System) loadNodes(nodes []int64, sched *schedule, afterBatch int) (read
 	featBytes := int(s.ds.FeatBytes())
 	buf := storage.AlignedBuf(64<<10+featBytes, s.ds.Dev.SectorSize())
 	for _, op := range plan {
-		waited, err := s.ds.Dev.ReadDirect(buf[:op.Len], op.DevOff)
+		waited, err := s.ds.Dev.ReadDirectCtx(ctx, buf[:op.Len], op.DevOff)
 		s.rec.AddIOWait(waited)
 		if err != nil {
 			return 0, 0, fmt.Errorf("ginex: feature load: %w", err)
@@ -377,16 +361,16 @@ func (s *System) loadNodes(nodes []int64, sched *schedule, afterBatch int) (read
 }
 
 // trainBatch transfers the batch synchronously and trains.
-func (s *System) trainBatch(b *sample.Batch, col *metrics.BreakdownCollector) (float64, float64, error) {
+func (s *System) trainBatch(b *sample.Batch, col *metrics.BreakdownCollector) error {
 	featBytes := s.ds.FeatBytes()
 	xferBytes := int64(len(b.Nodes)) * featBytes
 	// Per-batch gather tensor (host) and device tensor, like PyG+.
 	if err := s.budget.Pin("ginex gather tensor", xferBytes); err != nil {
-		return 0, 0, fmt.Errorf("ginex: gather: %w", err)
+		return fmt.Errorf("ginex: gather: %w", err)
 	}
 	defer s.budget.Unpin(xferBytes)
 	if err := s.dev.Alloc("ginex batch features", xferBytes); err != nil {
-		return 0, 0, fmt.Errorf("ginex: transfer: %w", err)
+		return fmt.Errorf("ginex: transfer: %w", err)
 	}
 	defer s.dev.Free(xferBytes)
 
@@ -408,9 +392,9 @@ func (s *System) trainBatch(b *sample.Batch, col *metrics.BreakdownCollector) (f
 			}
 		}
 	}
-	loss, acc := s.learn.Step(b, x, nil)
+	s.learn.Step(b, x, nil)
 	col.AddTrain(time.Since(t1))
-	return float64(loss), acc, nil
+	return nil
 }
 
 // SampleOnly runs only the sampling phase over the whole epoch (Fig. 2),

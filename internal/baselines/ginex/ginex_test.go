@@ -57,10 +57,10 @@ func TestTrainEpochCompletes(t *testing.T) {
 	if res.Batches != want {
 		t.Fatalf("batches %d want %d", res.Batches, want)
 	}
-	if res.CacheHits == 0 {
+	if res.BytesReused == 0 {
 		t.Fatal("feature cache never hit")
 	}
-	if res.CacheMiss == 0 {
+	if res.NodesExtracted == 0 {
 		t.Fatal("feature cache never missed (cache too big for the test)")
 	}
 }

@@ -21,6 +21,7 @@
 package marius
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -139,7 +140,7 @@ func New(ds *graph.Dataset, dev *device.Device, budget *hostmem.Budget,
 	s.pinned += int64(bufParts) * s.partBytes
 
 	// The preparation staging itself must also fit (transiently pinned
-	// during Prepare; verified up front so OOM surfaces at setup, as the
+	// during prepare; verified up front so OOM surfaces at setup, as the
 	// paper observed during data preparation).
 	if err := budget.Pin("marius prep staging", prepStage); err != nil {
 		s.Close()
@@ -153,9 +154,6 @@ func New(ds *graph.Dataset, dev *device.Device, budget *hostmem.Budget,
 	return s, nil
 }
 
-// BufferPartitions reports how many partitions stay resident.
-func (s *System) BufferPartitions() int { return s.bufParts }
-
 // Model returns the real-training model (nil in modeled mode).
 func (s *System) Model() *nn.Model { return s.learn.Model() }
 
@@ -166,21 +164,13 @@ func (s *System) Close() {
 	}
 	s.closed = true
 	s.budget.Unpin(s.pinned)
-	s.pinned = 0
 }
 
-// Result reports one epoch including the preparation phase.
-type Result struct {
-	metrics.Breakdown
-	Loss, Acc float64
-	Swaps     int
-}
-
-// Prepare runs the per-epoch data preparation: the partition-ordering
+// prepare runs the per-epoch data preparation: the partition-ordering
 // staging pass (reads PrepStagingFraction of the feature table, writes it
 // back re-ordered) and the initial buffer load. Returns the order of
 // partitions for the epoch.
-func (s *System) Prepare(epoch int, col *metrics.BreakdownCollector) ([]int, error) {
+func (s *System) prepare(ctx context.Context, epoch int, col *metrics.BreakdownCollector) ([]int, error) {
 	t0 := time.Now()
 	// Re-layout pass: sequential read + write of the feature table into
 	// the epoch's partition order.
@@ -192,7 +182,7 @@ func (s *System) Prepare(epoch int, col *metrics.BreakdownCollector) ([]int, err
 		if off+n > stage {
 			n = stage - off
 		}
-		waited, err := s.ds.Dev.ReadAt(buf[:n], s.ds.Layout.FeaturesOff+off)
+		waited, err := s.ds.Dev.ReadAtCtx(ctx, buf[:n], s.ds.Layout.FeaturesOff+off)
 		s.rec.AddIOWait(waited)
 		if err != nil {
 			return nil, fmt.Errorf("marius: prep read: %w", err)
@@ -213,7 +203,7 @@ func (s *System) Prepare(epoch int, col *metrics.BreakdownCollector) ([]int, err
 	}
 	// Initial buffer load.
 	for i := 0; i < s.bufParts; i++ {
-		if err := s.loadPartition(order[i]); err != nil {
+		if err := s.loadPartition(ctx, order[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -222,7 +212,7 @@ func (s *System) Prepare(epoch int, col *metrics.BreakdownCollector) ([]int, err
 }
 
 // loadPartition reads one partition's features and topology sequentially.
-func (s *System) loadPartition(p int) error {
+func (s *System) loadPartition(ctx context.Context, p int) error {
 	lo := int64(p) * s.partSize
 	hi := lo + s.partSize
 	if hi > s.ds.NumNodes {
@@ -236,46 +226,57 @@ func (s *System) loadPartition(p int) error {
 	if !ok {
 		return fmt.Errorf("marius: feature layout %T is not node-contiguous; MariusGNN requires the strided layout", s.ds.Addresser())
 	}
-	featBytes := (hi - lo) * s.ds.FeatBytes()
-	const chunk = 1 << 20
-	buf := storage.AlignedBuf(chunk, s.ds.Dev.SectorSize())
-	for off := int64(0); off < featBytes; off += chunk {
-		n := int64(chunk)
-		if off+n > featBytes {
-			n = featBytes - off
-		}
-		waited, err := s.ds.Dev.ReadAt(buf[:n], featLo+off)
-		s.rec.AddIOWait(waited)
-		if err != nil {
-			return fmt.Errorf("marius: partition %d features: %w", p, err)
-		}
+	buf := storage.AlignedBuf(1<<20, s.ds.Dev.SectorSize())
+	if err := s.readRange(ctx, buf, featLo, (hi-lo)*s.ds.FeatBytes()); err != nil {
+		return fmt.Errorf("marius: partition %d features: %w", p, err)
 	}
 	// Topology slice of the partition's nodes.
-	idxLo := s.ds.Indptr[lo] * 4
-	idxHi := s.ds.Indptr[hi] * 4
-	for off := idxLo; off < idxHi; off += chunk {
-		n := int64(chunk)
-		if off+n > idxHi {
-			n = idxHi - off
-		}
-		waited, err := s.ds.Dev.ReadAt(buf[:n], s.ds.Layout.IndicesOff+off)
+	idxLo, idxHi := s.ds.Indptr[lo]*4, s.ds.Indptr[hi]*4
+	if err := s.readRange(ctx, buf, s.ds.Layout.IndicesOff+idxLo, idxHi-idxLo); err != nil {
+		return fmt.Errorf("marius: partition %d topology: %w", p, err)
+	}
+	return nil
+}
+
+// readRange reads the n bytes at off sequentially, len(buf) at a time.
+func (s *System) readRange(ctx context.Context, buf []byte, off, n int64) error {
+	for done := int64(0); done < n; done += int64(len(buf)) {
+		waited, err := s.ds.Dev.ReadAtCtx(ctx, buf[:min(int64(len(buf)), n-done)], off+done)
 		s.rec.AddIOWait(waited)
 		if err != nil {
-			return fmt.Errorf("marius: partition %d topology: %w", p, err)
+			return err
 		}
 	}
 	return nil
 }
 
+// swapSchedule returns how many partition swaps an epoch of n batches
+// makes and the batch interval between them (0 and 0 when every
+// partition is resident). Covering all partition *pairs* with a
+// c-partition buffer needs ~P^2/(2c) partition loads per epoch (the BETA
+// bound), not P-c; this is where MariusGNN's in-epoch I/O goes.
+func (s *System) swapSchedule(n int) (swaps, every int) {
+	p, c := s.opts.Partitions, s.bufParts
+	if c >= p {
+		return 0, 0
+	}
+	swaps = max(p*p/(2*c)-c, p-c)
+	return swaps, n/(swaps+1) + 1
+}
+
 // TrainEpoch prepares (ordering + preload) and then trains on in-buffer
 // partitions, swapping per the schedule. Sampling sees only resident
-// nodes.
-func (s *System) TrainEpoch(epoch int) (Result, error) {
+// nodes. Cancelling ctx interrupts preparation's and the swaps' reads and
+// stops training between mini-batches.
+func (s *System) TrainEpoch(ctx context.Context, epoch int) (core.EpochResult, error) {
 	var col metrics.BreakdownCollector
 	start := time.Now()
-	order, err := s.Prepare(epoch, &col)
+	end := func(err error) (core.EpochResult, error) {
+		return s.learn.EndEpoch(col.Snapshot(time.Since(start))), err
+	}
+	order, err := s.prepare(ctx, epoch, &col)
 	if err != nil {
-		return Result{Breakdown: col.Snapshot(time.Since(start))}, err
+		return end(err)
 	}
 
 	resident := make(map[int]bool, s.bufParts)
@@ -286,28 +287,13 @@ func (s *System) TrainEpoch(epoch int) (Result, error) {
 
 	smp := sample.New(&residentReader{ds: s.ds, inBuf: inBuf}, s.opts.Fanouts, tensor.NewRNG(s.opts.Seed))
 	plan := s.opts.Plan(s.ds.TrainIdx, epoch)
-
-	// Swap schedule: covering all partition *pairs* with a c-partition
-	// buffer needs ~P^2/(2c) partition loads per epoch (the BETA bound),
-	// not P-c; this is where MariusGNN's in-epoch I/O goes.
-	swapsLeft := 0
-	if s.bufParts < s.opts.Partitions {
-		p := s.opts.Partitions
-		swapsLeft = p*p/(2*s.bufParts) - s.bufParts
-		if min := p - s.bufParts; swapsLeft < min {
-			swapsLeft = min
-		}
-	}
-	swapEvery := 0
-	if swapsLeft > 0 {
-		swapEvery = len(plan.Batches)/(swapsLeft+1) + 1
-	}
+	swapsLeft, swapEvery := s.swapSchedule(len(plan.Batches))
 	nextIn := s.bufParts
-
-	var lossSum, accSum float64
 	swaps := 0
-	var firstErr error
 	for bi, targets := range plan.Batches {
+		if err := ctx.Err(); err != nil {
+			return end(err)
+		}
 		// Scheduled partition swap (counted as training-time I/O; low
 		// but nonzero, per Fig. 3(c)).
 		if swapEvery > 0 && bi > 0 && bi%swapEvery == 0 && swaps < swapsLeft {
@@ -315,8 +301,8 @@ func (s *System) TrainEpoch(epoch int) (Result, error) {
 			victim := order[(nextIn-s.bufParts)%len(order)]
 			delete(resident, victim)
 			incoming := order[nextIn%len(order)]
-			if err := s.loadPartition(incoming); err != nil {
-				return Result{Breakdown: col.Snapshot(time.Since(start))}, err
+			if err := s.loadPartition(ctx, incoming); err != nil {
+				return end(err)
 			}
 			resident[incoming] = true
 			nextIn++
@@ -338,8 +324,7 @@ func (s *System) TrainEpoch(epoch int) (Result, error) {
 		smp.Reseed(sample.BatchSeed(s.opts.Seed, epoch, bi))
 		b, _, err := smp.SampleBatch(bi, inTargets)
 		if err != nil {
-			firstErr = err
-			break
+			return end(err)
 		}
 		col.AddSample(time.Since(t0))
 		s.rec.AddCPU(time.Since(t0))
@@ -348,8 +333,7 @@ func (s *System) TrainEpoch(epoch int) (Result, error) {
 		xferBytes := int64(len(b.Nodes)) * s.ds.FeatBytes()
 		t1 := time.Now()
 		if err := s.dev.Alloc("marius batch features", xferBytes); err != nil {
-			firstErr = fmt.Errorf("marius: transfer: %w", err)
-			break
+			return end(fmt.Errorf("marius: transfer: %w", err))
 		}
 		s.dev.CopySync(xferBytes)
 		s.dev.Free(xferBytes)
@@ -363,18 +347,11 @@ func (s *System) TrainEpoch(epoch int) (Result, error) {
 				s.ds.ReadFeatureRaw(v, x.Row(i)[:0])
 			}
 		}
-		l, a := s.learn.Step(b, x, nil)
-		lossSum += float64(l)
-		accSum += a
+		s.learn.Step(b, x, nil)
 		col.AddTrain(time.Since(t2))
 		col.Add(metrics.Counters{Batches: 1})
 	}
-	res := Result{Breakdown: col.Snapshot(time.Since(start)), Swaps: swaps}
-	if res.Batches > 0 && s.opts.RealTrain {
-		res.Loss = lossSum / float64(res.Batches)
-		res.Acc = accSum / float64(res.Batches)
-	}
-	return res, firstErr
+	return end(nil)
 }
 
 // residentReader samples in memory but only returns in-buffer neighbors

@@ -1,6 +1,7 @@
 package marius
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -40,7 +41,7 @@ func TestTrainEpochRunsWithPrep(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	res, err := s.TrainEpoch(0)
+	res, err := s.TrainEpoch(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +52,11 @@ func TestTrainEpochRunsWithPrep(t *testing.T) {
 		t.Fatal("no batches trained")
 	}
 	// With a generous budget every partition is resident: no swaps.
-	if s.BufferPartitions() == testOpts().Partitions && res.Swaps != 0 {
-		t.Fatalf("unexpected swaps %d with full buffer", res.Swaps)
+	if s.bufParts != testOpts().Partitions {
+		t.Fatalf("%d of %d partitions resident with a generous budget", s.bufParts, testOpts().Partitions)
+	}
+	if swaps, _ := s.swapSchedule(res.Batches); swaps != 0 {
+		t.Fatalf("unexpected swaps %d with full buffer", swaps)
 	}
 }
 
@@ -65,12 +69,15 @@ func TestPartitionSwapsWhenBufferSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	res, err := s.TrainEpoch(0)
+	res, err := s.TrainEpoch(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Swaps == 0 {
-		t.Fatal("expected partition swaps with a 2-partition buffer")
+	// The first swap falls inside the epoch.
+	n := (len(ds.TrainIdx) + 39) / 40
+	if swaps, every := s.swapSchedule(n); swaps == 0 || every >= n {
+		t.Fatalf("swaps %d every %d batches of %d: expected partition swaps with a 2-partition buffer",
+			swaps, every, n)
 	}
 	if res.Batches == 0 {
 		t.Fatal("no batches trained")
@@ -129,7 +136,7 @@ func TestRealTrainingLearns(t *testing.T) {
 	defer s.Close()
 	var first, last float64
 	for e := 0; e < 3; e++ {
-		res, err := s.TrainEpoch(e)
+		res, err := s.TrainEpoch(context.Background(), e)
 		if err != nil {
 			t.Fatal(err)
 		}

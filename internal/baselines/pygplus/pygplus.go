@@ -1,7 +1,8 @@
 // Package pygplus re-implements the PyG+ baseline (Park et al., and §2 of
 // the GNNDrive paper): disk-based training that memory-maps both the
 // topology and the feature table and otherwise keeps PyG's synchronous
-// sample-extract-train loop.
+// sample-extract-train loop, fed by a DataLoader whose workers sample
+// ahead and hand batches over in plan order.
 //
 // The properties the paper measures all follow from that design and are
 // reproduced here:
@@ -20,7 +21,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gnndrive/internal/core"
@@ -129,19 +129,16 @@ func (s *System) Close() {
 	s.budget.Unpin(s.pinned)
 }
 
-// Result reports one epoch.
-type Result struct {
-	metrics.Breakdown
-	Loss float64
-	Acc  float64
-}
-
 // TrainEpoch runs one epoch of the synchronous SET loop with DataLoader
 // prefetch: SampleWorkers sample ahead while the main loop extracts
-// (sync, page-cached), transfers (sync), and trains each batch in order.
-// ctx rides every page fault of the samplers and the gather, so a
-// cancelled epoch fails at its next fault.
-func (s *System) TrainEpoch(ctx context.Context, epoch int) (Result, error) {
+// (sync, page-cached), transfers (sync), and trains each batch. As
+// PyTorch's DataLoader does, the workers hand batches over in plan order
+// (sample.Pool.RunInOrder): a worker that finishes early waits for its
+// turn, so at most SampleWorkers batches are sampled ahead of the
+// hand-off and the epoch trains the plan's batch sequence. ctx rides every
+// page fault of the samplers and the gather, so a cancelled epoch fails
+// at its next fault or mini-batch.
+func (s *System) TrainEpoch(ctx context.Context, epoch int) (core.EpochResult, error) {
 	var col metrics.BreakdownCollector
 	start := time.Now()
 	// A failed batch cancels sampleCtx, which stops the samplers.
@@ -150,60 +147,54 @@ func (s *System) TrainEpoch(ctx context.Context, epoch int) (Result, error) {
 	batches := make(chan *sample.Batch, 2*s.opts.SampleWorkers)
 	var sampErr error
 	go func() {
-		sampErr = s.samplers().Run(sampleCtx, epoch, s.opts.Plan(s.ds.TrainIdx, epoch).Batches, 0,
+		sampErr = s.samplers().RunInOrder(sampleCtx, epoch, s.opts.Plan(s.ds.TrainIdx, epoch).Batches, 0,
 			func(b *sample.Batch, c sample.Cost) error {
 				col.AddSample(c.Took)
 				s.rec.AddIOWait(c.IOWait)
 				s.rec.AddCPU(c.Took - c.IOWait)
-				batches <- b
+				batches <- b // the loop below drains until close
 				return nil
 			})
 		close(batches)
 	}()
 
-	var lossSum, accSum float64
 	var firstErr error
 	for b := range batches {
+		if firstErr == nil {
+			firstErr = ctx.Err()
+		}
 		if firstErr != nil {
 			continue // drain
 		}
-		loss, acc, err := s.runBatch(ctx, b, &col)
-		if err != nil {
+		if err := s.runBatch(ctx, b, &col); err != nil {
 			firstErr = err
 			stopSampling()
 			continue
 		}
-		lossSum += loss
-		accSum += acc
 		col.Add(metrics.Counters{Batches: 1})
 	}
 	if firstErr == nil {
 		firstErr = sampErr
 	}
-	res := Result{Breakdown: col.Snapshot(time.Since(start))}
-	if res.Batches > 0 && s.opts.RealTrain {
-		res.Loss = lossSum / float64(res.Batches)
-		res.Acc = accSum / float64(res.Batches)
-	}
-	return res, firstErr
+	return s.learn.EndEpoch(col.Snapshot(time.Since(start))), firstErr
 }
 
 // runBatch extracts, transfers, and trains one mini-batch synchronously.
-func (s *System) runBatch(ctx context.Context, b *sample.Batch, col *metrics.BreakdownCollector) (float64, float64, error) {
+func (s *System) runBatch(ctx context.Context, b *sample.Batch, col *metrics.BreakdownCollector) error {
 	featBytes := s.ds.FeatBytes()
 	gatherBytes := int64(len(b.Nodes)) * featBytes
 
 	// The gather tensor is a transient host allocation (torch.empty on
 	// the host side); big batches on big dims OOM here.
 	if err := s.budget.Pin("pyg+ gather tensor", gatherBytes); err != nil {
-		return 0, 0, fmt.Errorf("pyg+: extract: %w", err)
+		return fmt.Errorf("pyg+: extract: %w", err)
 	}
 	defer s.budget.Unpin(gatherBytes)
 
 	t0 := time.Now()
 	x := s.learn.Input(b)
 	if err := s.gather(ctx, b, x); err != nil {
-		return 0, 0, err
+		return err
 	}
 	// Python-side gather overhead.
 	if oh := time.Duration(float64(s.opts.PerNodeGatherCPU) * float64(len(b.Nodes)) * s.opts.TimeScale); oh > 0 {
@@ -215,7 +206,7 @@ func (s *System) runBatch(ctx context.Context, b *sample.Batch, col *metrics.Bre
 
 	// Synchronous transfer into a per-batch device tensor.
 	if err := s.dev.Alloc("pyg+ batch features", gatherBytes); err != nil {
-		return 0, 0, fmt.Errorf("pyg+: transfer: %w", err)
+		return fmt.Errorf("pyg+: transfer: %w", err)
 	}
 	defer s.dev.Free(gatherBytes)
 	t1 := time.Now()
@@ -223,9 +214,9 @@ func (s *System) runBatch(ctx context.Context, b *sample.Batch, col *metrics.Bre
 	col.AddExtract(time.Since(t1))
 
 	t2 := time.Now()
-	loss, acc := s.learn.Step(b, x, nil)
+	s.learn.Step(b, x, nil)
 	col.AddTrain(time.Since(t2))
-	return float64(loss), acc, nil
+	return nil
 }
 
 // gather reads every node's feature vector through the page cache with
@@ -283,17 +274,7 @@ func (s *System) gather(ctx context.Context, b *sample.Batch, x *tensor.Matrix) 
 // returns the summed sampling time. Cancelling ctx aborts the samplers'
 // page faults and stops them between batches.
 func (s *System) SampleOnly(ctx context.Context, epoch int) (time.Duration, error) {
-	var total atomic.Int64
-	err := s.samplers().Run(ctx, epoch, s.opts.Plan(s.ds.TrainIdx, epoch).Batches, 0,
-		func(_ *sample.Batch, c sample.Cost) error {
-			total.Add(int64(c.Took))
-			s.rec.AddIOWait(c.IOWait)
-			return nil
-		})
-	if err != nil {
-		return 0, err
-	}
-	return time.Duration(total.Load()), nil
+	return s.samplers().SampleOnly(ctx, epoch, s.opts.Plan(s.ds.TrainIdx, epoch).Batches, s.rec.AddIOWait)
 }
 
 // samplers is the DataLoader: SampleWorkers workers sampling through the

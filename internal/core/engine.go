@@ -197,15 +197,18 @@ func (o Options) AutoFeatureSlots(batchNodes int) int {
 	return (o.Extractors + o.TrainQueueCap + 1) * batchNodes
 }
 
-// EpochResult reports one training epoch.
+// EpochResult reports one training epoch of any system: GNNDrive and the
+// three baselines fill the breakdown and Learner.EndEpoch the training
+// outcome; the fields below StepLosses are the engine's own.
 type EpochResult struct {
 	metrics.Breakdown
 	// Loss and Acc are averaged over mini-batches (real training only).
 	Loss float64
 	Acc  float64
 	// StepLosses is the per-step loss sequence in trainer order (real
-	// training only) — the deterministic-resume contract is that a
-	// resumed run's tail matches the uninterrupted run's bit for bit.
+	// training only). A resumed run's tail matches the uninterrupted
+	// run's bit for bit, and systems that train the same batches in the
+	// same order match each other.
 	StepLosses []float32
 	// CheckpointErr is the first checkpoint-save failure of the epoch,
 	// if any. Save failures never fail training: a torn commit leaves
@@ -672,8 +675,6 @@ func (e *Engine) trainEpochSegment(ctx context.Context, epoch int, targets []int
 
 	// Train stage: single trainer, then hand the node list to the
 	// releaser.
-	var lossSum, accSum float64
-	var stepLosses []float32
 	var ckptErr error
 	// Mid-epoch checkpoints need an exact cursor: "the first N trained
 	// steps" must be a deterministic set, which only InOrder guarantees
@@ -702,12 +703,7 @@ func (e *Engine) trainEpochSegment(ctx context.Context, epoch int, targets []int
 				continue
 			}
 			t0 := time.Now()
-			loss, acc := e.learn.Step(item.batch, e.gather(item), syncStep)
-			if e.opts.RealTrain {
-				lossSum += float64(loss)
-				accSum += acc
-				stepLosses = append(stepLosses, loss)
-			}
+			e.learn.Step(item.batch, e.gather(item), syncStep)
 			d := time.Since(t0)
 			if e.dev.Kind() == device.CPU {
 				e.rec.AddCPU(d)
@@ -769,15 +765,8 @@ func (e *Engine) trainEpochSegment(ctx context.Context, epoch int, targets []int
 	if integ != nil {
 		e.count(&col, metrics.Counters{Integrity: integ.IntegrityStats().Sub(integStart)})
 	}
-	res := EpochResult{
-		Breakdown: col.Snapshot(time.Since(start)),
-		FB:        e.fb.Stats(),
-	}
-	res.StepLosses = stepLosses
-	if res.Batches > 0 && e.opts.RealTrain {
-		res.Loss = lossSum / float64(res.Batches)
-		res.Acc = accSum / float64(res.Batches)
-	}
+	res := e.learn.EndEpoch(col.Snapshot(time.Since(start)))
+	res.FB = e.fb.Stats()
 	err := firstErr.Get()
 	if err == nil {
 		// Caller cancellation with no stage error still fails the epoch.
@@ -838,17 +827,7 @@ func (e *Engine) samplers(get func() *sample.Batch) sample.Pool {
 // Cancelling ctx aborts the samplers' topology faults and stops them
 // between batches.
 func (e *Engine) SampleOnly(ctx context.Context, epoch int) (time.Duration, error) {
-	var total atomic.Int64
-	err := e.samplers(nil).Run(ctx, epoch, e.opts.Plan(e.ds.TrainIdx, epoch).Batches, 0,
-		func(_ *sample.Batch, c sample.Cost) error {
-			total.Add(int64(c.Took))
-			e.rec.AddIOWait(c.IOWait)
-			return nil
-		})
-	if err != nil {
-		return 0, err
-	}
-	return time.Duration(total.Load()), nil
+	return e.samplers(nil).SampleOnly(ctx, epoch, e.opts.Plan(e.ds.TrainIdx, epoch).Batches, e.rec.AddIOWait)
 }
 
 // EvaluateVal runs an untimed real-math evaluation on the validation

@@ -5,6 +5,7 @@ import (
 
 	"gnndrive/internal/device"
 	"gnndrive/internal/graph"
+	"gnndrive/internal/metrics"
 	"gnndrive/internal/nn"
 	"gnndrive/internal/sample"
 	"gnndrive/internal/tensor"
@@ -77,9 +78,10 @@ func (k Knobs) Plan(targets []int64, epoch int) *sample.Plan {
 }
 
 // Learner is the train step every system shares. In real training it owns
-// the model, its Adam optimizer, and the input and label scratch one step
-// needs; otherwise it charges the modeled device for the batch's work.
-// Not safe for concurrent use: each system has one trainer.
+// the model, its Adam optimizer, the input and label scratch one step
+// needs, and the epoch's loss record; otherwise it charges the modeled
+// device for the batch's work. Not safe for concurrent use: each system
+// has one trainer.
 type Learner struct {
 	ds     *graph.Dataset
 	dev    *device.Device
@@ -88,6 +90,11 @@ type Learner struct {
 	opt    *nn.Adam
 	x      *tensor.Matrix
 	labels []int32
+
+	// The epoch's loss record: every real step's loss in step order, and
+	// the loss and accuracy sums EndEpoch averages.
+	losses          []float32
+	lossSum, accSum float64
 
 	// WorkFactor scales the modeled work's node and edge counts (0 means
 	// 1): MariusGNN's general-purpose engine is slower per batch than PyG.
@@ -125,16 +132,16 @@ func (l *Learner) Input(b *sample.Batch) *tensor.Matrix {
 // Step trains on b with the features Input returned. In real training it
 // runs forward and backward, calls sync (when non-nil) before the
 // optimizer applies the gradients — where data-parallel workers average
-// them — and books the step as device compute time; it returns the
-// batch's loss and accuracy. In modeled mode it charges the device for
-// the batch's modeled work, calls sync, and returns zeros.
-func (l *Learner) Step(b *sample.Batch, x *tensor.Matrix, sync func()) (float32, float64) {
+// them — books the step as device compute time, and records the batch's
+// loss and accuracy in the epoch's record. In modeled mode it charges the
+// device for the batch's modeled work and calls sync.
+func (l *Learner) Step(b *sample.Batch, x *tensor.Matrix, sync func()) {
 	if l.model == nil {
 		l.dev.Compute(l.work(b))
 		if sync != nil {
 			sync()
 		}
-		return 0, 0
+		return
 	}
 	t0 := time.Now()
 	if cap(l.labels) < b.NumTargets {
@@ -152,7 +159,23 @@ func (l *Learner) Step(b *sample.Batch, x *tensor.Matrix, sync func()) (float32,
 	}
 	l.opt.Step(l.model.Params())
 	l.dev.AddComputeBusy(time.Since(t0))
-	return loss, acc
+	l.losses = append(l.losses, loss)
+	l.lossSum += float64(loss)
+	l.accSum += acc
+}
+
+// EndEpoch closes the epoch's loss record and returns bd as the epoch's
+// result: in real training, with the mean loss and accuracy over the steps
+// since the last EndEpoch and their losses in step order. The next step
+// starts a new record.
+func (l *Learner) EndEpoch(bd metrics.Breakdown) EpochResult {
+	r := EpochResult{Breakdown: bd, StepLosses: l.losses}
+	if n := len(l.losses); n > 0 {
+		r.Loss = l.lossSum / float64(n)
+		r.Acc = l.accSum / float64(n)
+	}
+	l.losses, l.lossSum, l.accSum = nil, 0, 0
+	return r
 }
 
 // work is the modeled device cost of one training step on b.

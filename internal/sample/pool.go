@@ -46,8 +46,29 @@ type Cost struct {
 // cancelled. Run returns when every worker has stopped, with that first
 // error (ctx's, if it was cancelled with batches left undrawn) or nil.
 func (p Pool) Run(ctx context.Context, epoch int, batches [][]int64, from int, emit func(*Batch, Cost) error) error {
+	return p.run(ctx, epoch, batches, from, false, emit)
+}
+
+// RunInOrder is Run with emit called in batch order, one batch at a time,
+// as PyTorch's DataLoader yields batches: a worker that has drawn batch i
+// waits until batch i-1 has been emitted, so at most Workers batches are
+// sampled ahead of the hand-off.
+func (p Pool) RunInOrder(ctx context.Context, epoch int, batches [][]int64, from int, emit func(*Batch, Cost) error) error {
+	return p.run(ctx, epoch, batches, from, true, emit)
+}
+
+func (p Pool) run(ctx context.Context, epoch int, batches [][]int64, from int, ordered bool, emit func(*Batch, Cost) error) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	// turn[i] closes when batch i may be emitted.
+	var turn []chan struct{}
+	if ordered {
+		turn = make([]chan struct{}, max(len(batches), from)+1)
+		for i := range turn {
+			turn[i] = make(chan struct{})
+		}
+		close(turn[from])
+	}
 	var next atomic.Int64
 	next.Store(int64(from))
 	var first errutil.FirstError
@@ -75,8 +96,19 @@ func (p Pool) Run(ctx context.Context, epoch int, batches [][]int64, from int, e
 				b := p.batch()
 				smp.Reseed(BatchSeed(p.Seed, epoch, i))
 				ioWait, err := smp.SampleBatchInto(b, i, batches[i])
+				cost := Cost{Start: t0, Took: time.Since(t0), IOWait: ioWait}
+				if err == nil && ordered {
+					select {
+					case <-turn[i]:
+					case <-ctx.Done():
+						err = ctx.Err()
+					}
+				}
 				if err == nil {
-					err = emit(b, Cost{Start: t0, Took: time.Since(t0), IOWait: ioWait})
+					err = emit(b, cost)
+				}
+				if err == nil && ordered {
+					close(turn[i+1])
 				}
 				if err != nil {
 					fail(err)
@@ -87,6 +119,22 @@ func (p Pool) Run(ctx context.Context, epoch int, batches [][]int64, from int, e
 	}
 	wg.Wait()
 	return first.Get()
+}
+
+// SampleOnly runs the pool over batches with nothing downstream (the
+// paper's "-only" measurements, Fig. 2), hands each batch's topology I/O
+// wait to ioWait, and returns the summed sampling time.
+func (p Pool) SampleOnly(ctx context.Context, epoch int, batches [][]int64, ioWait func(time.Duration)) (time.Duration, error) {
+	var total atomic.Int64
+	err := p.Run(ctx, epoch, batches, 0, func(_ *Batch, c Cost) error {
+		total.Add(int64(c.Took))
+		ioWait(c.IOWait)
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	return time.Duration(total.Load()), nil
 }
 
 func (p Pool) batch() *Batch {

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"gnndrive/internal/graph"
 	"gnndrive/internal/sample"
@@ -88,5 +89,52 @@ func TestPoolStopsOnEmitErrorAndCancel(t *testing.T) {
 	// A cursor already past the end draws nothing and is not an error.
 	if err := p.Run(ctx, 0, plan.Batches, len(plan.Batches), nil); err != nil {
 		t.Fatalf("empty run: %v", err)
+	}
+}
+
+// failAt is a neighbor reader that fails on one node.
+type failAt struct {
+	graph.NeighborReader
+	bad int64
+}
+
+func (r failAt) Neighbors(v int64, buf []int32) ([]int32, time.Duration, error) {
+	if v == r.bad {
+		return nil, 0, errors.New("bad node")
+	}
+	return r.NeighborReader.Neighbors(v, buf)
+}
+
+// TestPoolRunInOrder: RunInOrder emits every batch in index order whatever
+// the worker count, and a batch that fails to sample releases the workers
+// waiting for their turn behind it.
+func TestPoolRunInOrder(t *testing.T) {
+	ds := tinyDataset(t)
+	plan := sample.NewPlan(ds.TrainIdx, 10, nil)
+	p := sample.Pool{Workers: 4, Fanouts: []int{2}, Seed: 1,
+		Reader: func(context.Context) graph.NeighborReader { return graph.NewRawReader(ds) }}
+	next := 2
+	err := p.RunInOrder(context.Background(), 0, plan.Batches, next, func(b *sample.Batch, _ sample.Cost) error {
+		if b.ID != next {
+			t.Errorf("emitted batch %d, want %d", b.ID, next)
+		}
+		next++
+		return nil
+	})
+	if err != nil || next != len(plan.Batches) {
+		t.Fatalf("err=%v after emitting up to %d of %d", err, next, len(plan.Batches))
+	}
+
+	p.Reader = func(context.Context) graph.NeighborReader {
+		return failAt{graph.NewRawReader(ds), plan.Batches[3][0]}
+	}
+	err = p.RunInOrder(context.Background(), 0, plan.Batches, 0, func(b *sample.Batch, _ sample.Cost) error {
+		if b.ID >= 3 {
+			t.Errorf("emitted batch %d past the failed batch 3", b.ID)
+		}
+		return nil
+	})
+	if err == nil {
+		t.Fatal("a failed batch did not fail the run")
 	}
 }

@@ -44,25 +44,6 @@ type JobSpec struct {
 	StallMs int `json:"stall_ms,omitempty"`
 }
 
-// SystemByName parses a system name as JobSpec.System and the gnndrive
-// command's -system flag spell it: case-insensitive paper spellings plus
-// short and kebab-case aliases.
-func SystemByName(name string) (SystemKind, error) {
-	switch strings.ToLower(name) {
-	case "", "gnndrive", "gnndrive-gpu", "gpu":
-		return GNNDriveGPU, nil
-	case "gnndrive-cpu", "cpu":
-		return GNNDriveCPU, nil
-	case "pyg+", "pyg", "pygplus", "pyg-plus":
-		return PyGPlus, nil
-	case "ginex":
-		return Ginex, nil
-	case "marius", "mariusgnn":
-		return Marius, nil
-	}
-	return 0, fmt.Errorf("trainsim: unknown system %q", name)
-}
-
 // DatasetByName returns the built-in scaled dataset spec for a name
 // (gen.ByName with an empty-name default of tiny, the smallest).
 func DatasetByName(name string) (gen.Spec, error) {

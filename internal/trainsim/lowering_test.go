@@ -23,8 +23,8 @@ func lowered(o core.Options) string {
 }
 
 // TestEngineOptionsGolden pins the Config → core.Options lowering, defaults
-// included: the values are what trainsim.buildSystem produced field by
-// field before the lowering became one function, so a moved default or a
+// included: the values are what the harness produced field by field
+// before the lowering became one function, so a moved default or a
 // dropped override fails here instead of in a benchmark. The last four
 // rows are the gated benchmark workloads' configs (bench/workloads.go).
 func TestEngineOptionsGolden(t *testing.T) {
@@ -91,14 +91,12 @@ func TestFeatureBufferXGolden(t *testing.T) {
 	} {
 		cfg := tc.cfg
 		cfg.Dataset, cfg.Scale = gen.Papers(), 0.01
-		cfg.fill()
-		ds, err := buildDataset(cfg)
+		e, err := newEnv(cfg, systems[GNNDriveGPU].device())
 		if err != nil {
 			t.Fatal(err)
 		}
-		dev := newDevice(GNNDriveGPU, cfg)
-		o, err := engineOptions(cfg, ds, dev)
-		dev.Close()
+		o, err := engineOptions(e.cfg, e.ds, e.dev)
+		e.close()
 		if err != nil {
 			t.Fatal(err)
 		}

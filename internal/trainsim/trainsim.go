@@ -13,17 +13,12 @@ package trainsim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
 
-	"gnndrive/internal/baselines/ginex"
-	"gnndrive/internal/baselines/marius"
-	"gnndrive/internal/baselines/pygplus"
-	"gnndrive/internal/checkpoint"
 	"gnndrive/internal/core"
 	"gnndrive/internal/device"
 	"gnndrive/internal/faults"
@@ -48,35 +43,6 @@ const GB = 1 << 20 // 1 MiB
 // ScratchBytes is the device scratch region appended after each dataset
 // (Ginex's persisted sampling results).
 const ScratchBytes = 8 << 20
-
-// SystemKind names a training system.
-type SystemKind int
-
-// The five system variants the paper evaluates.
-const (
-	GNNDriveGPU SystemKind = iota
-	GNNDriveCPU
-	PyGPlus
-	Ginex
-	Marius
-)
-
-// String returns the system name as the paper spells it.
-func (k SystemKind) String() string {
-	switch k {
-	case GNNDriveGPU:
-		return "GNNDrive-GPU"
-	case GNNDriveCPU:
-		return "GNNDrive-CPU"
-	case PyGPlus:
-		return "PyG+"
-	case Ginex:
-		return "Ginex"
-	case Marius:
-		return "MariusGNN"
-	}
-	return fmt.Sprintf("SystemKind(%d)", int(k))
-}
 
 // Config describes one experimental cell.
 type Config struct {
@@ -222,17 +188,10 @@ func (c *Config) fill() {
 	}
 }
 
-// EpochStats is the uniform per-epoch report across systems: the
-// system's own stage times and counters (the baselines leave the fault
-// and integrity counters zero), plus the training outcome.
-type EpochStats struct {
-	metrics.Breakdown
-	Loss, Acc float64
-	// StepLosses is the per-step loss sequence in trainer order
-	// (GNNDrive real-training runs; nil otherwise). Deterministic for a
-	// fixed seed, so resume tests can compare trajectories step by step.
-	StepLosses []float32
-}
+// EpochStats is the per-epoch report every system returns: its own stage
+// times and counters (the baselines leave the fault and integrity
+// counters zero) and the training outcome.
+type EpochStats = core.EpochResult
 
 // Result is a full run.
 type Result struct {
@@ -250,24 +209,21 @@ type Result struct {
 
 // AvgEpoch returns the mean wall-clock epoch time.
 func (r Result) AvgEpoch() time.Duration {
-	if len(r.Epochs) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, e := range r.Epochs {
-		sum += e.Total
-	}
-	return sum / time.Duration(len(r.Epochs))
+	return r.avg(func(e EpochStats) time.Duration { return e.Total })
 }
 
 // AvgPrep returns the mean data-preparation time per epoch.
 func (r Result) AvgPrep() time.Duration {
+	return r.avg(func(e EpochStats) time.Duration { return e.Prep })
+}
+
+func (r Result) avg(of func(EpochStats) time.Duration) time.Duration {
 	if len(r.Epochs) == 0 {
 		return 0
 	}
 	var sum time.Duration
 	for _, e := range r.Epochs {
-		sum += e.Prep
+		sum += of(e)
 	}
 	return sum / time.Duration(len(r.Epochs))
 }
@@ -294,32 +250,22 @@ var (
 // Returning a factory instead of a backend lets graph.Load size the
 // backend itself from the container header.
 func backendFactory(cfg Config, name string, dim int) (storage.Factory, string, string, error) {
-	var (
-		f    storage.Factory
-		path string
-		temp string
-	)
+	var f storage.Factory
+	var path, temp string
+	if cfg.Backend == "file" || cfg.Backend == "linuring" {
+		if path = cfg.DataFile; path == "" {
+			path = filepath.Join(os.TempDir(), fmt.Sprintf("gnndrive-%s-%d-%g.img", name, dim, cfg.Scale))
+			temp = path
+		}
+	}
 	switch cfg.Backend {
 	case "", "sim":
 		scfg := sim.DefaultConfig()
 		scfg.TimeScale = cfg.Scale
 		f = func(capacity int64) (storage.Backend, error) { return sim.New(capacity, scfg), nil }
 	case "file":
-		path = cfg.DataFile
-		if path == "" {
-			path = filepath.Join(os.TempDir(),
-				fmt.Sprintf("gnndrive-%s-%d-%g.img", name, dim, cfg.Scale))
-			temp = path
-		}
-		p := path
-		f = func(capacity int64) (storage.Backend, error) { return file.Create(p, capacity, file.Options{}) }
+		f = func(capacity int64) (storage.Backend, error) { return file.Create(path, capacity, file.Options{}) }
 	case "linuring":
-		path = cfg.DataFile
-		if path == "" {
-			path = filepath.Join(os.TempDir(),
-				fmt.Sprintf("gnndrive-%s-%d-%g.img", name, dim, cfg.Scale))
-			temp = path
-		}
 		// FallbackFactory degrades to the file worker pool where the
 		// kernel refuses io_uring, so a "linuring" config runs anywhere.
 		f = linuring.FallbackFactory(path, linuring.Options{Logf: cfg.Logf})
@@ -371,9 +317,19 @@ func layoutKey(cfg Config) string {
 	return fmt.Sprintf("%s/%v/%d/%v/%d", cfg.Layout, cfg.Model, o.BatchSize, o.Fanouts, cfg.Seed)
 }
 
+// spec is the dataset spec with the Dim override applied.
+func (c Config) spec() gen.Spec {
+	s := c.Dataset
+	if c.Dim != 0 {
+		s.Dim = c.Dim
+	}
+	return s
+}
+
 // cacheKey identifies one dataset cell. BaseContext and callback fields
 // stay out on purpose: they don't change the bytes on the device.
-func cacheKey(cfg Config, spec gen.Spec) string {
+func cacheKey(cfg Config) string {
+	spec := cfg.spec()
 	if cfg.LoadFile != "" {
 		return fmt.Sprintf("load/%s/%g/%s/%s/%s", cfg.LoadFile, cfg.Scale,
 			cfg.Backend, cfg.DataFile, integrityKey(cfg.Integrity))
@@ -384,11 +340,7 @@ func cacheKey(cfg Config, spec gen.Spec) string {
 
 // buildDataset returns the cached dataset for the config.
 func buildDataset(cfg Config) (*graph.Dataset, error) {
-	spec := cfg.Dataset
-	if cfg.Dim != 0 {
-		spec.Dim = cfg.Dim
-	}
-	key := cacheKey(cfg, spec)
+	spec, key := cfg.spec(), cacheKey(cfg)
 	dsMu.Lock()
 	defer dsMu.Unlock()
 	if ds, ok := dsCache[key]; ok {
@@ -483,18 +435,28 @@ func DeviceStats(cfg Config) storage.Stats {
 // fully done, so one tenant's dataset doesn't pin memory for the rest.
 func DropDataset(cfg Config) {
 	cfg.fill()
-	spec := cfg.Dataset
-	if cfg.Dim != 0 {
-		spec.Dim = cfg.Dim
-	}
-	key := cacheKey(cfg, spec)
+	key := cacheKey(cfg)
 	dsMu.Lock()
 	defer dsMu.Unlock()
-	ds, ok := dsCache[key]
-	if !ok {
-		return
+	if _, ok := dsCache[key]; ok {
+		evict(key)
 	}
-	ds.Dev.Close()
+}
+
+// DropDatasets clears the dataset cache (frees memory between sweeps) and
+// removes any auto-created backing files.
+func DropDatasets() {
+	dsMu.Lock()
+	defer dsMu.Unlock()
+	for k := range dsCache {
+		evict(k)
+	}
+}
+
+// evict closes the cached cell key and removes its auto-created backing
+// file. dsMu must be held.
+func evict(key string) {
+	dsCache[key].Dev.Close()
 	if path, ok := dsTemp[key]; ok {
 		os.Remove(path)
 		os.Remove(path + ".crc")
@@ -503,37 +465,74 @@ func DropDataset(cfg Config) {
 	delete(dsCache, key)
 }
 
-// DropDatasets clears the dataset cache (frees memory between sweeps) and
-// removes any auto-created backing files.
-func DropDatasets() {
-	dsMu.Lock()
-	defer dsMu.Unlock()
-	for k, ds := range dsCache {
-		ds.Dev.Close()
-		if path, ok := dsTemp[k]; ok {
-			os.Remove(path)
-			os.Remove(path + ".crc")
-			delete(dsTemp, k)
-		}
-		delete(dsCache, k)
-	}
+// env is what a run builds its system over: the filled config, the cached
+// dataset with its training split cut to TrainLimit and the config's fault
+// injector attached, a fresh host budget and page cache, the recorder, and
+// the training devices.
+type env struct {
+	cfg    Config
+	ds     *graph.Dataset
+	inj    *faults.Injector
+	budget *hostmem.Budget
+	cache  *pagecache.Cache
+	rec    *metrics.Recorder
+	devs   []*device.Device
+	dev    *device.Device // devs[0]
+	// firstEpoch is where a resumed run continues; its build sets it.
+	firstEpoch int
 }
 
-// newDevice builds the training processor for a system at the config's
-// time scale.
-func newDevice(sys SystemKind, cfg Config) *device.Device {
-	var dcfg device.Config
-	if sys == GNNDriveCPU {
-		dcfg = device.XeonCPU()
-	} else {
-		dcfg = device.RTX3090()
+// newEnv builds cfg's environment with one device per entry of devs, each
+// at the run's time scale. Callers close it.
+func newEnv(cfg Config, devs ...device.Config) (*env, error) {
+	cfg.fill()
+	ds, err := buildDataset(cfg)
+	if err != nil {
+		return nil, err
 	}
-	dcfg.TimeScale = cfg.Scale
-	if cfg.RealTrain {
-		// Real math takes real time; don't add modeled compute on top.
-		dcfg.Throughput = 0
+	if cfg.TrainLimit > 0 && cfg.TrainLimit < len(ds.TrainIdx) {
+		trimmed := *ds
+		trimmed.TrainIdx = ds.TrainIdx[:cfg.TrainLimit]
+		ds = &trimmed
 	}
-	return device.New(dcfg)
+	budget := hostmem.NewBudget(int64(cfg.HostMemoryGB) * GB)
+	e := &env{cfg: cfg, ds: ds, budget: budget, cache: pagecache.New(ds.Dev, budget), rec: cfg.Rec}
+	if e.rec == nil {
+		e.rec = metrics.NewRecorder()
+	}
+	if cfg.Faults != nil {
+		e.inj = faults.NewInjector(*cfg.Faults)
+		ds.Dev.SetInjector(e.inj)
+	}
+	for _, d := range devs {
+		d.TimeScale = cfg.Scale
+		if cfg.RealTrain {
+			// Real math takes real time; don't add modeled compute on top.
+			d.Throughput = 0
+		}
+		e.devs = append(e.devs, device.New(d))
+	}
+	if len(e.devs) > 0 {
+		e.dev = e.devs[0]
+	}
+	return e, nil
+}
+
+// knobs are the model and batch settings every system of the run shares.
+func (e *env) knobs() core.Knobs { return e.cfg.EngineOptions().Knobs }
+
+// close releases the devices and detaches the fault injector (the dataset
+// is cached across runs), returning what it injected: a chaos run that
+// injected nothing proves nothing.
+func (e *env) close() faults.Counts {
+	for _, d := range e.devs {
+		d.Close()
+	}
+	if e.inj == nil {
+		return faults.Counts{}
+	}
+	e.ds.Dev.SetInjector(nil)
+	return e.inj.Counts()
 }
 
 // RunOptions tune a Run.
@@ -549,102 +548,62 @@ type RunOptions struct {
 // context threads through the epoch loop into the engine's training
 // steps, so cancelling it stops a run — including a resumed one —
 // between batches instead of waiting out the epoch.
-func RunCtx(ctx context.Context, cfg Config, sys SystemKind, opts RunOptions) (res Result, err error) {
+func RunCtx(ctx context.Context, cfg Config, kind SystemKind, opts RunOptions) (res Result, err error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	cfg.fill()
 	if opts.Epochs == 0 {
 		opts.Epochs = 1
 	}
-	ds, err := buildDataset(cfg)
+	row, err := kind.row()
 	if err != nil {
 		return Result{}, err
 	}
-	if cfg.TrainLimit > 0 && cfg.TrainLimit < len(ds.TrainIdx) {
-		trimmed := *ds
-		trimmed.TrainIdx = ds.TrainIdx[:cfg.TrainLimit]
-		ds = &trimmed
+	e, err := newEnv(cfg, row.device())
+	if err != nil {
+		return Result{}, err
 	}
-	if cfg.Faults != nil {
-		inj := faults.NewInjector(*cfg.Faults)
-		ds.Dev.SetInjector(inj)
-		defer func() {
-			// Tally before detaching: every return path (including
-			// cancellation) reports how much chaos was actually injected.
-			res.FaultCounts = inj.Counts()
-			ds.Dev.SetInjector(nil)
-		}()
-	}
-	budget := hostmem.NewBudget(int64(cfg.HostMemoryGB) * GB)
-	cache := pagecache.New(ds.Dev, budget)
-	rec := cfg.Rec
-	if rec == nil {
-		rec = metrics.NewRecorder()
-	}
-	dev := newDevice(sys, cfg)
-	defer dev.Close()
-
-	var sampler *metrics.Sampler
+	res = Result{System: kind}
+	// Every return path, cancellation included, reports how much chaos
+	// was actually injected.
+	defer func() { res.FaultCounts = e.close() }()
 	if opts.SampleUtil > 0 {
 		// Normalizers: the paper's machine runs many worker threads; we
 		// normalize by the stage worker counts of the busiest system.
-		sampler = rec.StartSampler(opts.SampleUtil, 6, 6)
+		sampler := e.rec.StartSampler(opts.SampleUtil, 6, 6)
+		defer func() { res.Windows = sampler.Stop() }()
 	}
-
-	res = Result{System: sys}
-	runEpoch, closer, startEpoch, model, err := buildSystem(sys, ds, dev, budget, cache, rec, cfg)
+	sys, err := row.build(e)
 	if err != nil {
-		if sampler != nil {
-			sampler.Stop()
-		}
 		return res, err
 	}
-	defer closer()
+	defer sys.Close()
 
 	// A resumed run continues from its checkpoint cursor: epochs before
-	// startEpoch are already done and are not re-run.
-	for e := startEpoch; e < opts.Epochs; e++ {
+	// firstEpoch are already done and are not re-run.
+	for ep := e.firstEpoch; ep < opts.Epochs; ep++ {
 		if err := ctx.Err(); err != nil {
-			if sampler != nil {
-				res.Windows = sampler.Stop()
-			}
 			return res, err
 		}
-		st, err := runEpoch(ctx, e)
+		st, err := sys.TrainEpoch(ctx, ep)
 		if err != nil {
-			if sampler != nil {
-				res.Windows = sampler.Stop()
-				sampler = nil
-			}
 			return res, err
 		}
 		res.Epochs = append(res.Epochs, st)
-		if cfg.OnEpoch != nil {
-			cfg.OnEpoch(e, st)
+		if e.cfg.OnEpoch != nil {
+			e.cfg.OnEpoch(ep, st)
 		}
 		if opts.EvalVal {
-			acc, err := evalVal(ds, model, cfg)
-			if err != nil {
-				acc = 0
+			// The run's own model, so concurrent runs in one process
+			// never score each other's weights.
+			acc := 0.0
+			if m := sys.Model(); m != nil {
+				acc, _ = core.EvaluateModel(e.ds, m, e.cfg.EngineOptions().Fanouts, e.ds.ValIdx, e.cfg.Seed)
 			}
 			res.ValAcc = append(res.ValAcc, acc)
 		}
 	}
-	if sampler != nil {
-		res.Windows = sampler.Stop()
-	}
 	return res, nil
-}
-
-// evalVal scores the run's live model on the validation split. The model
-// is threaded through from buildSystem (not a package global) so
-// concurrent runs in one process never read each other's weights.
-func evalVal(ds *graph.Dataset, model *nn.Model, cfg Config) (float64, error) {
-	if model == nil {
-		return 0, fmt.Errorf("trainsim: no model")
-	}
-	return core.EvaluateModel(ds, model, cfg.EngineOptions().Fanouts, ds.ValIdx, cfg.Seed)
 }
 
 // EngineOptions lowers the dataset-free part of a Config to engine
@@ -704,134 +663,31 @@ func engineOptions(cfg Config, ds *graph.Dataset, dev *device.Device) (core.Opti
 	return o, nil
 }
 
-// ginexOptions places Ginex's persisted sampling results in the scratch
-// region past the dataset.
-func ginexOptions(cfg Config, ds *graph.Dataset) ginex.Options {
-	return ginex.Options{Knobs: cfg.EngineOptions().Knobs,
-		ScratchOff: ds.Layout.FeaturesOff + ds.Layout.FeaturesLen, ScratchLen: ScratchBytes / 2}
-}
-
-// buildSystem constructs the system and returns an epoch runner, a
-// closer, the epoch to start from (non-zero only for a resumed GNNDrive
-// run), and the live model for validation scoring.
-func buildSystem(sys SystemKind, ds *graph.Dataset, dev *device.Device,
-	budget *hostmem.Budget, cache *pagecache.Cache, rec *metrics.Recorder,
-	cfg Config) (func(context.Context, int) (EpochStats, error), func(), int, *nn.Model, error) {
-	switch sys {
-	case GNNDriveGPU, GNNDriveCPU:
-		o, err := engineOptions(cfg, ds, dev)
-		if err != nil {
-			return nil, nil, 0, nil, err
-		}
-		eng, err := core.New(ds, dev, budget, cache, rec, o)
-		if err != nil {
-			return nil, nil, 0, nil, err
-		}
-		if cfg.OnEngine != nil {
-			cfg.OnEngine(eng)
-		}
-		startEpoch, resumeStep := 0, 0
-		if cfg.Resume && cfg.CheckpointDir != "" {
-			ep, st, rerr := eng.ResumeRunState()
-			switch {
-			case rerr == nil:
-				startEpoch, resumeStep = ep, st
-			case errors.Is(rerr, checkpoint.ErrNoCheckpoint):
-				// Nothing to resume: a fresh run is the right behavior
-				// (first launch with -resume in the restart loop).
-			default:
-				eng.Close()
-				return nil, nil, 0, nil, rerr
-			}
-		}
-		return func(ctx context.Context, e int) (EpochStats, error) {
-			step := 0
-			if e == startEpoch {
-				step = resumeStep
-			}
-			r, err := eng.TrainEpochFrom(ctx, e, step)
-			if err == nil && r.CheckpointErr != nil {
-				// Save failures degrade resume granularity, not training;
-				// surface them without failing the run.
-				fmt.Printf("trainsim: checkpoint save failed: %v\n", r.CheckpointErr)
-			}
-			return EpochStats{Breakdown: r.Breakdown, Loss: r.Loss, Acc: r.Acc, StepLosses: r.StepLosses}, err
-		}, eng.Close, startEpoch, eng.Model(), nil
-
-	case PyGPlus:
-		sysm, err := pygplus.New(ds, dev, budget, cache, rec,
-			pygplus.Options{Knobs: cfg.EngineOptions().Knobs, TimeScale: cfg.Scale})
-		if err != nil {
-			return nil, nil, 0, nil, err
-		}
-		return func(ctx context.Context, e int) (EpochStats, error) {
-			r, err := sysm.TrainEpoch(ctx, e)
-			return EpochStats{Breakdown: r.Breakdown, Loss: r.Loss, Acc: r.Acc}, err
-		}, sysm.Close, 0, sysm.Model(), nil
-
-	case Ginex:
-		sysm, err := ginex.New(ds, dev, budget, rec, ginexOptions(cfg, ds))
-		if err != nil {
-			return nil, nil, 0, nil, err
-		}
-		return func(ctx context.Context, e int) (EpochStats, error) {
-			r, err := sysm.TrainEpoch(ctx, e)
-			return EpochStats{Breakdown: r.Breakdown, Loss: r.Loss, Acc: r.Acc}, err
-		}, sysm.Close, 0, sysm.Model(), nil
-
-	case Marius:
-		sysm, err := marius.New(ds, dev, budget, rec, marius.Options{Knobs: cfg.EngineOptions().Knobs})
-		if err != nil {
-			return nil, nil, 0, nil, err
-		}
-		return func(_ context.Context, e int) (EpochStats, error) {
-			r, err := sysm.TrainEpoch(e)
-			return EpochStats{Breakdown: r.Breakdown, Loss: r.Loss, Acc: r.Acc}, err
-		}, sysm.Close, 0, sysm.Model(), nil
-	}
-	return nil, nil, 0, nil, fmt.Errorf("trainsim: unknown system %v", sys)
-}
-
 // SampleOnly measures one epoch of the sample stage alone (Fig. 2's
-// "-only" bars) for systems that support it; ctx stops the samplers
-// between batches.
-func SampleOnly(ctx context.Context, cfg Config, sys SystemKind) (time.Duration, error) {
-	cfg.fill()
-	ds, err := buildDataset(cfg)
+// "-only" bars) for systems that have a sample-only mode, over the same
+// environment RunCtx builds; ctx stops the samplers between batches.
+func SampleOnly(ctx context.Context, cfg Config, kind SystemKind) (time.Duration, error) {
+	row, err := kind.row()
 	if err != nil {
 		return 0, err
 	}
-	budget := hostmem.NewBudget(int64(cfg.HostMemoryGB) * GB)
-	cache := pagecache.New(ds.Dev, budget)
-	rec := metrics.NewRecorder()
-	dev := newDevice(sys, cfg)
-	defer dev.Close()
-
-	switch sys {
-	case GNNDriveGPU, GNNDriveCPU:
-		eng, err := core.New(ds, dev, budget, cache, rec, cfg.EngineOptions())
-		if err != nil {
-			return 0, err
-		}
-		defer eng.Close()
-		return eng.SampleOnly(ctx, 0)
-	case PyGPlus:
-		s, err := pygplus.New(ds, dev, budget, cache, rec,
-			pygplus.Options{Knobs: cfg.EngineOptions().Knobs, TimeScale: cfg.Scale})
-		if err != nil {
-			return 0, err
-		}
-		defer s.Close()
-		return s.SampleOnly(ctx, 0)
-	case Ginex:
-		s, err := ginex.New(ds, dev, budget, rec, ginexOptions(cfg, ds))
-		if err != nil {
-			return 0, err
-		}
-		defer s.Close()
-		return s.SampleOnly(ctx, 0)
+	e, err := newEnv(cfg, row.device())
+	if err != nil {
+		return 0, err
 	}
-	return 0, fmt.Errorf("trainsim: %v has no sample-only mode", sys)
+	defer e.close()
+	sys, err := row.build(e)
+	if err != nil {
+		return 0, err
+	}
+	defer sys.Close()
+	so, ok := sys.(interface {
+		SampleOnly(context.Context, int) (time.Duration, error)
+	})
+	if !ok {
+		return 0, fmt.Errorf("trainsim: %v has no sample-only mode", kind)
+	}
+	return so.SampleOnly(ctx, 0)
 }
 
 // SampleDuringAll measures the summed sample-stage time while the whole
@@ -845,36 +701,29 @@ func SampleDuringAll(ctx context.Context, cfg Config, sys SystemKind) (time.Dura
 }
 
 // RunParallel trains GNNDrive with data parallelism over `workers`
-// devices of the given config (Fig. 13) and returns the epoch wall time.
+// devices of the given config (Fig. 13), over the same environment RunCtx
+// builds, and returns the epoch wall time.
 func RunParallel(ctx context.Context, cfg Config, workers int, devCfg device.Config, epochs int) (time.Duration, error) {
-	cfg.fill()
-	ds, err := buildDataset(cfg)
+	devs := make([]device.Config, workers)
+	for i := range devs {
+		devs[i] = devCfg
+	}
+	e, err := newEnv(cfg, devs...)
 	if err != nil {
 		return 0, err
 	}
-	budget := hostmem.NewBudget(int64(cfg.HostMemoryGB) * GB)
-	cache := pagecache.New(ds.Dev, budget)
-	rec := metrics.NewRecorder()
-
-	devCfg.TimeScale = cfg.Scale
-	devices := make([]*device.Device, workers)
-	for i := range devices {
-		devices[i] = device.New(devCfg)
-		defer devices[i].Close()
-	}
+	defer e.close()
 	pcfg := core.DefaultParallelConfig()
-	pcfg.TimeScale = cfg.Scale
-	p, err := core.NewParallel(ds, devices, budget, cache, rec, cfg.EngineOptions(), pcfg)
+	pcfg.TimeScale = e.cfg.Scale
+	p, err := core.NewParallel(e.ds, e.devs, e.budget, e.cache, e.rec, e.cfg.EngineOptions(), pcfg)
 	if err != nil {
 		return 0, err
 	}
 	defer p.Close()
-	if epochs == 0 {
-		epochs = 1
-	}
+	epochs = max(epochs, 1)
 	var sum time.Duration
-	for e := 0; e < epochs; e++ {
-		total, _, err := p.TrainEpochCtx(ctx, e)
+	for ep := 0; ep < epochs; ep++ {
+		total, _, err := p.TrainEpochCtx(ctx, ep)
 		if err != nil {
 			return 0, err
 		}

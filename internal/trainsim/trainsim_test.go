@@ -29,19 +29,30 @@ func tinyCfg() Config {
 
 func TestRunAllSystemsOneEpoch(t *testing.T) {
 	defer DropDatasets()
-	for _, sys := range []SystemKind{GNNDriveGPU, GNNDriveCPU, PyGPlus, Ginex, Marius} {
-		res, err := RunCtx(context.Background(), tinyCfg(), sys, RunOptions{Epochs: 1})
-		if err != nil {
-			t.Fatalf("%v: %v", sys, err)
-		}
-		if len(res.Epochs) != 1 || res.Epochs[0].Batches == 0 {
-			t.Fatalf("%v: no work done: %+v", sys, res.Epochs)
-		}
-		if res.Epochs[0].Total <= 0 {
-			t.Fatalf("%v: zero epoch time", sys)
-		}
-		if sys == Marius && res.Epochs[0].Prep == 0 {
-			t.Fatal("marius must report data preparation")
+	for k := range systems {
+		sys := SystemKind(k)
+		for _, real := range []bool{false, true} {
+			cfg := tinyCfg()
+			cfg.RealTrain, cfg.Hidden = real, 16
+			res, err := RunCtx(context.Background(), cfg, sys, RunOptions{Epochs: 1})
+			if err != nil {
+				t.Fatalf("%v real=%v: %v", sys, real, err)
+			}
+			if len(res.Epochs) != 1 || res.Epochs[0].Batches == 0 {
+				t.Fatalf("%v real=%v: no work done: %+v", sys, real, res.Epochs)
+			}
+			st := res.Epochs[0]
+			if st.Total <= 0 {
+				t.Fatalf("%v: zero epoch time", sys)
+			}
+			if sys == Marius && st.Prep == 0 {
+				t.Fatal("marius must report data preparation")
+			}
+			// Every system records one loss per trained step, and only
+			// when it trains for real.
+			if want := map[bool]int{false: 0, true: st.Batches}[real]; len(st.StepLosses) != want {
+				t.Fatalf("%v real=%v: %d step losses for %d batches", sys, real, len(st.StepLosses), st.Batches)
+			}
 		}
 	}
 }
@@ -96,17 +107,21 @@ func TestMariusOOMClassified(t *testing.T) {
 
 func TestSampleOnlySupported(t *testing.T) {
 	defer DropDatasets()
-	for _, sys := range []SystemKind{GNNDriveGPU, PyGPlus, Ginex} {
+	for k := range systems {
+		sys := SystemKind(k)
 		d, err := SampleOnly(context.Background(), tinyCfg(), sys)
+		if sys == Marius {
+			if err == nil {
+				t.Fatal("marius has no sample-only mode")
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("%v: %v", sys, err)
 		}
 		if d <= 0 {
 			t.Fatalf("%v: non-positive sample time", sys)
 		}
-	}
-	if _, err := SampleOnly(context.Background(), tinyCfg(), Marius); err == nil {
-		t.Fatal("marius has no sample-only mode")
 	}
 }
 
