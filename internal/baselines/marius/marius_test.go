@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"gnndrive/internal/core"
 	"gnndrive/internal/device"
 	"gnndrive/internal/gen"
 	"gnndrive/internal/graph"
@@ -34,6 +35,26 @@ func testOpts() Options {
 	return o
 }
 
+// trainEpochSwapReads runs one epoch and returns its result with the
+// bytes the epoch read from the device beyond what its preparation pass
+// reads on its own: the scheduled partition swaps' reads. Sampling and
+// feature gathers read untimed, so they add nothing.
+func trainEpochSwapReads(t *testing.T, s *System, epoch int) (core.EpochResult, int64) {
+	t.Helper()
+	read := func() int64 { return s.ds.Dev.Stats().BytesRead }
+	before := read()
+	if _, err := s.prepare(context.Background(), epoch, &metrics.BreakdownCollector{}); err != nil {
+		t.Fatal(err)
+	}
+	prep := read() - before
+	before = read()
+	res, err := s.TrainEpoch(context.Background(), epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, read() - before - prep
+}
+
 func TestTrainEpochRunsWithPrep(t *testing.T) {
 	ds, gpu, budget, rec := newRig(t, 64<<20)
 	s, err := New(ds, gpu, budget, rec, testOpts())
@@ -41,10 +62,7 @@ func TestTrainEpochRunsWithPrep(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	res, err := s.TrainEpoch(context.Background(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, swapRead := trainEpochSwapReads(t, s, 0)
 	if res.Prep <= 0 {
 		t.Fatal("data preparation not recorded")
 	}
@@ -55,8 +73,8 @@ func TestTrainEpochRunsWithPrep(t *testing.T) {
 	if s.bufParts != testOpts().Partitions {
 		t.Fatalf("%d of %d partitions resident with a generous budget", s.bufParts, testOpts().Partitions)
 	}
-	if swaps, _ := s.swapSchedule(res.Batches); swaps != 0 {
-		t.Fatalf("unexpected swaps %d with full buffer", swaps)
+	if swapRead != 0 {
+		t.Fatalf("full buffer read %d bytes beyond preparation; want no swaps", swapRead)
 	}
 }
 
@@ -69,15 +87,10 @@ func TestPartitionSwapsWhenBufferSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	res, err := s.TrainEpoch(context.Background(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The first swap falls inside the epoch.
-	n := (len(ds.TrainIdx) + 39) / 40
-	if swaps, every := s.swapSchedule(n); swaps == 0 || every >= n {
-		t.Fatalf("swaps %d every %d batches of %d: expected partition swaps with a 2-partition buffer",
-			swaps, every, n)
+	res, swapRead := trainEpochSwapReads(t, s, 0)
+	// Each swap loads a whole partition: at least its feature rows.
+	if part := s.partSize * ds.FeatBytes(); swapRead < part {
+		t.Fatalf("2-partition buffer read %d bytes beyond preparation; want partition swaps (>= %d)", swapRead, part)
 	}
 	if res.Batches == 0 {
 		t.Fatal("no batches trained")
