@@ -14,13 +14,13 @@ import (
 	"os"
 	"time"
 
-	"gnndrive/internal/core"
 	"gnndrive/internal/gen"
 	"gnndrive/internal/graph"
 	"gnndrive/internal/layout"
 	"gnndrive/internal/nn"
 	"gnndrive/internal/storage/integrity"
 	"gnndrive/internal/storage/sim"
+	"gnndrive/internal/trainsim"
 )
 
 func main() {
@@ -31,7 +31,6 @@ func main() {
 	stats := flag.Bool("stats", true, "print dataset statistics")
 	seed := flag.Uint64("seed", 0, "override generator seed")
 	layoutName := flag.String("layout", "strided", "feature layout: strided (dense node-ID order) or packed (offline batch-aware packing; -out also writes a .pidx segment index)")
-	segmentKB := flag.Int("segment-kb", 0, "packed segment size in KiB (0 = default 256)")
 	traceModel := flag.String("trace-model", "sage", "model whose default batch/fanouts drive the packing trace")
 	traceBatch := flag.Int("trace-batch", 0, "packing-trace batch size (0 = model default; match gnndrive -batch)")
 	traceSeed := flag.Uint64("trace-seed", 1, "packing-trace seed (match gnndrive -seed)")
@@ -65,23 +64,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		o := core.DefaultOptions(kind)
-		if *traceBatch != 0 {
-			o.BatchSize = *traceBatch
-		}
 		t0 := time.Now()
-		tr, err := gen.SampleTrace(ds, o.BatchSize, o.Fanouts, *traceSeed, true)
-		if err != nil {
+		if err := trainsim.PackDataset(ds, trainsim.Config{Model: kind, BatchSize: *traceBatch, Seed: *traceSeed}); err != nil {
 			log.Fatal(err)
 		}
-		p, err := layout.PackInPlace(ds.Dev, ds.Layout.FeaturesOff, int(ds.FeatBytes()),
-			ds.NumNodes, tr, layout.PackOptions{SegmentBytes: *segmentKB << 10})
-		if err != nil {
-			log.Fatal(err)
-		}
-		ds.Addr = p
-		fmt.Printf("packed    %d/%d nodes traced into %d KiB segments in %v\n",
-			tr.Len(), ds.NumNodes, p.SegmentBytes()>>10, time.Since(t0).Round(time.Millisecond))
+		fmt.Printf("packed    %d nodes into %d KiB segments in %v\n", ds.NumNodes,
+			ds.Addr.(*layout.Packed).SegmentBytes()>>10, time.Since(t0).Round(time.Millisecond))
 	default:
 		log.Fatalf("unknown -layout %q (want strided or packed)", *layoutName)
 	}

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"gnndrive/internal/faults"
-	"gnndrive/internal/gen"
 	"gnndrive/internal/nn"
 	"gnndrive/internal/storage"
 	"gnndrive/internal/storage/integrity"
@@ -45,7 +44,7 @@ func main() {
 	defer trainsim.DropDatasets()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	res, err := trainsim.RunCtx(ctx, cfg, sys, trainsim.RunOptions{Epochs: f.epochs, EvalVal: cfg.RealTrain})
+	res, err := trainsim.RunCtx(ctx, cfg, sys, trainsim.RunOptions{Epochs: f.NumEpochs(), EvalVal: cfg.RealTrain})
 	if err != nil {
 		log.Fatalf("%s: %v", sys, err)
 	}
@@ -91,90 +90,70 @@ func main() {
 	}
 }
 
-// cliFlags is the parsed command line.
+// cliFlags is the parsed command line: the JobSpec a gnnserved job would
+// carry, plus the settings only the command has.
 type cliFlags struct {
-	dataset, model, system                     string
-	backend, dataFile, layout, load, ckptDir   string
-	epochs, mem, dim, batch, limit, hidden     int
-	ckptEvery                                  int
-	scale                                      float64
-	real, inorder, verify, resume              bool
-	seed, faultSeed                            uint64
-	faultTransient, faultShort, faultStraggler float64
-	faultCorrupt                               float64
-	faultStragglerDelay, stallDeadline         time.Duration
+	trainsim.JobSpec
+	model, layout, load, dataFile, ckptDir string
+	real, inorder, verify, resume          bool
+	stallDeadline                          time.Duration
+	faults                                 faults.Config
 }
 
 // register declares every flag of the command on fs, writing into f.
 func (f *cliFlags) register(fs *flag.FlagSet) {
-	fs.StringVar(&f.dataset, "dataset", "papers100m-s", "dataset name (see cmd/datagen)")
+	fs.StringVar(&f.Dataset, "dataset", "papers100m-s", "dataset name, any case (see cmd/datagen)")
 	fs.StringVar(&f.model, "model", "sage", "model: sage, gcn, gat")
-	fs.StringVar(&f.system, "system", "gnndrive-gpu", "system: gnndrive-gpu, gnndrive-cpu, pyg+, ginex, marius")
-	fs.IntVar(&f.epochs, "epochs", 1, "training epochs")
-	fs.IntVar(&f.mem, "mem", 32, "host memory budget in scaled GB")
-	fs.IntVar(&f.dim, "dim", 0, "override feature dimension")
-	fs.IntVar(&f.batch, "batch", 0, "override mini-batch size")
-	fs.Float64Var(&f.scale, "scale", 2.0, "time-model stretch")
+	fs.StringVar(&f.System, "system", "gnndrive-gpu", "system: gnndrive-gpu, gnndrive-cpu, pyg+, ginex, marius")
+	fs.IntVar(&f.Epochs, "epochs", 1, "training epochs (at most 1000)")
+	fs.IntVar(&f.HostMemoryGB, "mem", 32, "host memory budget in scaled GB")
+	fs.IntVar(&f.Dim, "dim", 0, "override feature dimension")
+	fs.IntVar(&f.BatchSize, "batch", 0, "override mini-batch size")
+	fs.Float64Var(&f.Scale, "scale", 2.0, "time-model stretch")
 	fs.BoolVar(&f.real, "real", false, "real float32 training instead of modeled compute")
 	fs.BoolVar(&f.inorder, "inorder", false, "disable mini-batch reordering (1 sampler, 1 extractor)")
-	fs.IntVar(&f.limit, "train-limit", 0, "truncate the training split to N nodes")
-	fs.IntVar(&f.hidden, "hidden", 0, "override hidden dimension")
-	fs.Uint64Var(&f.seed, "seed", 1, "random seed")
-	fs.Float64Var(&f.faultTransient, "fault-transient", 0, "inject transient read errors at this rate (0..1)")
-	fs.Float64Var(&f.faultShort, "fault-short", 0, "inject short reads at this rate (0..1)")
-	fs.Float64Var(&f.faultStraggler, "fault-straggler", 0, "inject latency stragglers at this rate (0..1)")
-	fs.DurationVar(&f.faultStragglerDelay, "fault-straggler-delay", 0, "extra latency per injected straggler (0 = injector default)")
-	fs.Float64Var(&f.faultCorrupt, "fault-corrupt", 0, "inject silent single-bit corruption at this rate (0..1; pair with -verify)")
-	fs.Uint64Var(&f.faultSeed, "fault-seed", 1, "fault-injection schedule seed")
+	fs.IntVar(&f.TrainLimit, "train-limit", 0, "truncate the training split to N nodes")
+	fs.IntVar(&f.Hidden, "hidden", 0, "override hidden dimension")
+	fs.Uint64Var(&f.Seed, "seed", 1, "random seed")
+	fs.Float64Var(&f.faults.TransientRate, "fault-transient", 0, "inject transient read errors at this rate (0..1)")
+	fs.Float64Var(&f.faults.ShortReadRate, "fault-short", 0, "inject short reads at this rate (0..1)")
+	fs.Float64Var(&f.faults.StragglerRate, "fault-straggler", 0, "inject latency stragglers at this rate (0..1)")
+	fs.DurationVar(&f.faults.StragglerDelay, "fault-straggler-delay", 0, "extra latency per injected straggler (0 = injector default)")
+	fs.Float64Var(&f.faults.CorruptRate, "fault-corrupt", 0, "inject silent single-bit corruption at this rate (0..1; pair with -verify)")
+	fs.Uint64Var(&f.faults.Seed, "fault-seed", 1, "fault-injection schedule seed")
 	fs.BoolVar(&f.verify, "verify", false, "checksum-verify every read with read-repair (storage integrity layer)")
 	fs.StringVar(&f.ckptDir, "checkpoint-dir", "", "directory for crash-consistent run checkpoints (GNNDrive systems)")
-	fs.IntVar(&f.ckptEvery, "checkpoint-every", 0, "also checkpoint every N trainer steps mid-epoch (requires -inorder)")
+	fs.IntVar(&f.CheckpointEverySteps, "checkpoint-every", 0, "also checkpoint every N trainer steps mid-epoch (requires -inorder)")
 	fs.BoolVar(&f.resume, "resume", false, "resume from the newest valid checkpoint in -checkpoint-dir")
 	fs.DurationVar(&f.stallDeadline, "stall-deadline", 0, "fail the epoch if the pipeline makes no progress for this long (0 = off)")
-	fs.StringVar(&f.backend, "backend", "sim", "storage backend: sim (modeled SSD), file (real file, direct I/O best-effort), or linuring (real file via io_uring, falls back to file)")
+	fs.StringVar(&f.Backend, "backend", "sim", "storage backend: sim (modeled SSD), file (real file, direct I/O best-effort), or linuring (real file via io_uring, falls back to file)")
 	fs.StringVar(&f.dataFile, "data-file", "", "backing file for -backend file (default: a temp file)")
 	fs.StringVar(&f.layout, "layout", "strided", "feature layout: strided, or packed (offline batch-aware packing before training; see cmd/datagen -layout)")
 	fs.StringVar(&f.load, "load", "", "load this .gnnd container (with its .pidx/.crc sidecars) instead of generating; -dataset/-dim/-layout are ignored")
 }
 
-// lower turns the parsed flags into the run's configuration and system.
+// lower turns the parsed flags into the run's configuration and system:
+// the JobSpec's own lowering, then the settings only the command has.
 // logf becomes the run's Logf and the integrity layer's, and receives
 // the command's own warnings.
 func (f *cliFlags) lower(logf func(format string, args ...any)) (trainsim.Config, trainsim.SystemKind, error) {
-	spec, err := gen.ByName(f.dataset)
+	cfg, err := f.Config()
 	if err != nil {
 		return trainsim.Config{}, 0, err
 	}
-	kind, err := nn.ModelByName(f.model)
-	if err != nil {
+	sys, _ := trainsim.SystemByName(f.System) // Config has checked the name
+	if cfg.Model, err = nn.ModelByName(f.model); err != nil {
 		return trainsim.Config{}, 0, err
 	}
-	sys, err := trainsim.SystemByName(f.system)
-	if err != nil {
-		return trainsim.Config{}, 0, err
-	}
-	cfg := trainsim.Config{
-		Dataset: spec, Dim: f.dim, HostMemoryGB: f.mem, Model: kind,
-		BatchSize: f.batch, Scale: f.scale, RealTrain: f.real,
-		Hidden: f.hidden, Seed: f.seed, InOrder: f.inorder, TrainLimit: f.limit,
-		CheckpointDir: f.ckptDir, CheckpointEverySteps: f.ckptEvery,
-		Resume: f.resume, StallDeadline: f.stallDeadline,
-		Backend: f.backend, DataFile: f.dataFile, Logf: logf,
-		Layout: f.layout, LoadFile: f.load,
-	}
-	if f.faultTransient > 0 || f.faultShort > 0 || f.faultStraggler > 0 || f.faultCorrupt > 0 {
-		cfg.Faults = &faults.Config{
-			Seed:           f.faultSeed,
-			TransientRate:  f.faultTransient,
-			ShortReadRate:  f.faultShort,
-			StragglerRate:  f.faultStraggler,
-			StragglerDelay: f.faultStragglerDelay,
-			CorruptRate:    f.faultCorrupt,
-		}
+	cfg.RealTrain, cfg.InOrder, cfg.Resume = f.real, f.inorder, f.resume
+	cfg.Layout, cfg.LoadFile, cfg.DataFile, cfg.CheckpointDir = f.layout, f.load, f.dataFile, f.ckptDir
+	cfg.StallDeadline, cfg.Logf = f.stallDeadline, logf
+	if fc := f.faults; fc.TransientRate > 0 || fc.ShortReadRate > 0 || fc.StragglerRate > 0 || fc.CorruptRate > 0 {
+		cfg.Faults = &fc
 	}
 	if f.verify {
 		cfg.Integrity = &integrity.Options{Logf: logf}
-	} else if f.faultCorrupt > 0 {
+	} else if f.faults.CorruptRate > 0 {
 		logf("warning: -fault-corrupt without -verify: corrupted bytes reach training undetected")
 	}
 	return cfg, sys, nil

@@ -33,12 +33,13 @@ func lowerArgs(t *testing.T, args ...string) (trainsim.Config, trainsim.SystemKi
 
 func TestLowerFlags(t *testing.T) {
 	cases := []struct {
-		name       string
-		args       []string
-		faults     *faults.Config
-		verify     bool
-		warning    string // substring of the one expected log line; "" = none
-		wantSystem trainsim.SystemKind
+		name        string
+		args        []string
+		faults      *faults.Config
+		verify      bool
+		warning     string // substring of the one expected log line; "" = none
+		wantSystem  trainsim.SystemKind
+		wantDataset string // "" = the default, papers100m-s
 	}{
 		{name: "defaults", wantSystem: trainsim.GNNDriveGPU},
 		{
@@ -77,6 +78,9 @@ func TestLowerFlags(t *testing.T) {
 		{name: "system PyG-Plus", args: []string{"-system", "PyG-Plus"}, wantSystem: trainsim.PyGPlus},
 		{name: "system Ginex", args: []string{"-system", "Ginex"}, wantSystem: trainsim.Ginex},
 		{name: "system MariusGNN", args: []string{"-system", "MariusGNN"}, wantSystem: trainsim.Marius},
+		// -dataset takes every name a JobSpec does, in any case.
+		{name: "dataset Tiny", args: []string{"-dataset", "Tiny"}, wantSystem: trainsim.GNNDriveGPU, wantDataset: "tiny"},
+		{name: "dataset PAPERS100M", args: []string{"-dataset", "PAPERS100M"}, wantSystem: trainsim.GNNDriveGPU},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -86,6 +90,13 @@ func TestLowerFlags(t *testing.T) {
 			}
 			if sys != tc.wantSystem {
 				t.Errorf("system = %v, want %v", sys, tc.wantSystem)
+			}
+			wantDataset := tc.wantDataset
+			if wantDataset == "" {
+				wantDataset = "papers100m-s"
+			}
+			if cfg.Dataset.Name != wantDataset {
+				t.Errorf("dataset = %q, want %q", cfg.Dataset.Name, wantDataset)
 			}
 			if !reflect.DeepEqual(cfg.Faults, tc.faults) {
 				t.Errorf("Faults = %+v, want %+v", cfg.Faults, tc.faults)
@@ -146,11 +157,24 @@ func TestLowerFlagsCarriesRunShape(t *testing.T) {
 	}
 }
 
-func TestLowerFlagsRejectsUnknownNames(t *testing.T) {
+// TestLowerFlagsRejectsBadInput: an unknown name or a value no run can
+// honour is an error from lowering, so it never reaches a run that would
+// panic on it or silently mis-measure.
+func TestLowerFlagsRejectsBadInput(t *testing.T) {
 	for _, args := range [][]string{
 		{"-dataset", "nope"},
 		{"-model", "nope"},
 		{"-system", "nope"},
+		{"-backend", "nfs"},
+		{"-batch", "-1"},
+		{"-mem", "-1"},
+		{"-scale", "-1"},
+		{"-hidden", "-2"},
+		{"-dim", "-5"},
+		{"-epochs", "-3"},
+		{"-epochs", "1001"},
+		{"-train-limit", "-1"},
+		{"-checkpoint-every", "-2"},
 	} {
 		if _, _, _, err := lowerArgs(t, args...); err == nil {
 			t.Errorf("%q lowered without error", args)

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 
 	"gnndrive/internal/graph"
@@ -84,10 +85,11 @@ func Tiny() Spec {
 		Classes: 8, Homophily: 0.7, Signal: 1.2, TrainFrac: 0.30, ValFrac: 0.10, Seed: 7}
 }
 
-// ByName resolves a dataset spec from its short name.
+// ByName resolves a dataset spec from its name, in any case and with or
+// without the "-s" suffix. It is the only dataset-name parser.
 func ByName(name string) (Spec, error) {
 	for _, s := range []Spec{Papers(), Twitter(), Friendster(), MAG240M(), Tiny()} {
-		if s.Name == name || s.Name == name+"-s" {
+		if strings.EqualFold(s.Name, name) || strings.EqualFold(s.Name, name+"-s") {
 			return s, nil
 		}
 	}

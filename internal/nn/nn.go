@@ -7,6 +7,7 @@ package nn
 
 import (
 	"fmt"
+	"strings"
 
 	"gnndrive/internal/sample"
 	"gnndrive/internal/tensor"
@@ -35,14 +36,14 @@ func (k ModelKind) String() string {
 	return fmt.Sprintf("ModelKind(%d)", int(k))
 }
 
-// ModelByName parses a model name.
+// ModelByName parses a model name in any case.
 func ModelByName(s string) (ModelKind, error) {
-	switch s {
-	case "sage", "graphsage", "GraphSAGE":
+	switch strings.ToLower(s) {
+	case "sage", "graphsage":
 		return GraphSAGE, nil
-	case "gcn", "GCN":
+	case "gcn":
 		return GCN, nil
-	case "gat", "GAT":
+	case "gat":
 		return GAT, nil
 	}
 	return 0, fmt.Errorf("nn: unknown model %q", s)

@@ -333,10 +333,24 @@ func TestSubmitValidation(t *testing.T) {
 		{Dataset: "nope", System: "gnndrive-gpu"},
 		{Dataset: "tiny", System: "marius"}, // not resumable
 		{Dataset: "tiny", System: "gnndrive-gpu", Epochs: -1},
+		// Range and name checks the run's Config makes, reached through
+		// JobSpec.Config.
+		{Dataset: "tiny", System: "gnndrive-gpu", BatchSize: -1},
+		{Dataset: "tiny", System: "gnndrive-gpu", Backend: "nfs"},
+		{Dataset: "tiny", System: "gnndrive-gpu", Fanouts: []int{0}},
+		{Dataset: "tiny", System: "gnndrive-gpu", StallMs: -1},
 	} {
 		if _, err := d.Submit(spec); !errors.Is(err, ErrBadSpec) {
 			t.Fatalf("Submit(%+v) = %v, want ErrBadSpec", spec, err)
 		}
+	}
+	// The wire format is the JobSpec alone: a key only the CLI has is
+	// rejected, not silently ignored.
+	w := httptest.NewRecorder()
+	d.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/jobs",
+		strings.NewReader(`{"dataset":"tiny","system":"gnndrive-gpu","model":"gat"}`)))
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("submit with a CLI-only key: %d %s, want 400", w.Code, w.Body)
 	}
 	if _, err := d.Job("job-9999"); !errors.Is(err, ErrUnknownJob) {
 		t.Fatalf("unknown job lookup: %v", err)

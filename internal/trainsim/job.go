@@ -2,7 +2,6 @@ package trainsim
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"gnndrive/internal/gen"
@@ -44,43 +43,6 @@ type JobSpec struct {
 	StallMs int `json:"stall_ms,omitempty"`
 }
 
-// DatasetByName returns the built-in scaled dataset spec for a name
-// (gen.ByName with an empty-name default of tiny, the smallest).
-func DatasetByName(name string) (gen.Spec, error) {
-	if name == "" {
-		name = "tiny"
-	}
-	return gen.ByName(strings.ToLower(name))
-}
-
-// Validate checks the spec's names and ranges without building anything.
-func (s JobSpec) Validate() error {
-	if _, err := DatasetByName(s.Dataset); err != nil {
-		return err
-	}
-	if _, err := SystemByName(s.System); err != nil {
-		return err
-	}
-	if s.Epochs < 0 || s.Epochs > 1000 {
-		return fmt.Errorf("trainsim: epochs %d out of range [0,1000]", s.Epochs)
-	}
-	switch s.Backend {
-	case "", "sim", "file", "linuring":
-	default:
-		return fmt.Errorf("trainsim: unknown backend %q (want sim, file, or linuring)", s.Backend)
-	}
-	for _, f := range s.Fanouts {
-		if f <= 0 {
-			return fmt.Errorf("trainsim: fanout %d must be positive", f)
-		}
-	}
-	if s.Scale < 0 || s.TrainLimit < 0 || s.Dim < 0 || s.BatchSize < 0 ||
-		s.Hidden < 0 || s.HostMemoryGB < 0 || s.CheckpointEverySteps < 0 || s.StallMs < 0 {
-		return fmt.Errorf("trainsim: negative scalar in job spec")
-	}
-	return nil
-}
-
 // NumEpochs is Epochs with the default applied.
 func (s JobSpec) NumEpochs() int {
 	if s.Epochs <= 0 {
@@ -89,16 +51,32 @@ func (s JobSpec) NumEpochs() int {
 	return s.Epochs
 }
 
-// Config lowers the spec into a harness Config. Per-job paths
-// (CheckpointDir, DataFile) and shared-resource wiring (SharedStaging,
-// IOGate, Rec, callbacks) are the caller's to fill in; the daemon forces
-// RealTrain+InOrder on top so every admitted job is resumable with a
-// deterministic trajectory.
+// Config lowers the spec into a harness Config; it is the only lowering
+// from a job's names and scalars. The spec checks what is its own — the
+// names (an empty dataset means tiny, the smallest), the epoch range and
+// StallMs — and the result passes the check every run makes, so a spec
+// that lowers is one that runs. Per-job paths (CheckpointDir, DataFile)
+// and shared-resource wiring (SharedStaging, IOGate, Rec, callbacks) are
+// the caller's to fill in; the daemon forces RealTrain+InOrder on top so
+// every admitted job is resumable with a deterministic trajectory.
 func (s JobSpec) Config() (Config, error) {
-	if err := s.Validate(); err != nil {
+	name := s.Dataset
+	if name == "" {
+		name = "tiny"
+	}
+	spec, err := gen.ByName(name)
+	if err != nil {
 		return Config{}, err
 	}
-	spec, _ := DatasetByName(s.Dataset)
+	if _, err := SystemByName(s.System); err != nil {
+		return Config{}, err
+	}
+	if s.Epochs < 0 || s.Epochs > 1000 {
+		return Config{}, fmt.Errorf("trainsim: epochs %d out of range [0,1000]", s.Epochs)
+	}
+	if s.StallMs < 0 {
+		return Config{}, fmt.Errorf("trainsim: stall_ms %d is negative", s.StallMs)
+	}
 	cfg := Config{
 		Dataset:              spec,
 		Dim:                  s.Dim,
@@ -114,5 +92,8 @@ func (s JobSpec) Config() (Config, error) {
 		StallDeadline:        time.Duration(s.StallMs) * time.Millisecond,
 	}
 	cfg.fill()
+	if err := cfg.check(); err != nil {
+		return Config{}, err
+	}
 	return cfg, nil
 }

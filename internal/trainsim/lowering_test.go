@@ -1,7 +1,10 @@
 package trainsim
 
 import (
+	"encoding/json"
 	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -66,6 +69,39 @@ func TestEngineOptionsGolden(t *testing.T) {
 		if got := lowered(tc.cfg.EngineOptions()); got != tc.want {
 			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestJobSpecWireFormat pins gnnserved's wire format: a JobSpec with every
+// field set marshals to exactly these 14 keys, so a knob moved between
+// the CLI and the spec cannot add or rename one unnoticed.
+func TestJobSpecWireFormat(t *testing.T) {
+	spec := JobSpec{Dataset: "tiny", System: "gpu", Epochs: 2, Dim: 3, BatchSize: 4,
+		Fanouts: []int{5}, Hidden: 6, TrainLimit: 7, Scale: 8, Seed: 9, HostMemoryGB: 10,
+		Backend: "sim", CheckpointEverySteps: 11, StallMs: 12}
+	v := reflect.ValueOf(spec)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Fatalf("field %s left zero: the spec must be fully populated", v.Type().Field(i).Name)
+		}
+	}
+	b, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(b, &m); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]string, 0, len(m))
+	for k := range m {
+		got = append(got, k)
+	}
+	sort.Strings(got)
+	want := []string{"backend", "batch_size", "checkpoint_every_steps", "dataset", "dim", "epochs",
+		"fanouts", "hidden", "host_memory_gb", "scale", "seed", "stall_ms", "system", "train_limit"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("JSON keys %v\nwant      %v", got, want)
 	}
 }
 

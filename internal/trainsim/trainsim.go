@@ -188,6 +188,44 @@ func (c *Config) fill() {
 	}
 }
 
+// check rejects a Config no run can honour: a negative size, count or
+// scale, a non-positive fanout, or an unknown backend or layout name. It
+// holds the only lists of backend and layout names. Every run checks its
+// Config where it starts (newEnv); JobSpec.Config and PackDataset check
+// theirs too. A negative StallDeadline is allowed: it means off.
+func (c Config) check() error {
+	for _, s := range []struct {
+		name string
+		v    float64
+	}{
+		{"dim", float64(c.Dim)}, {"host memory", float64(c.HostMemoryGB)},
+		{"batch size", float64(c.BatchSize)}, {"hidden", float64(c.Hidden)},
+		{"train limit", float64(c.TrainLimit)}, {"scale", c.Scale},
+		{"feature buffer multiple", c.FeatureBufferX}, {"feature slots", float64(c.FeatureSlots)},
+		{"checkpoint cadence", float64(c.CheckpointEverySteps)},
+	} {
+		if s.v < 0 {
+			return fmt.Errorf("trainsim: %s is %v, want ≥ 0", s.name, s.v)
+		}
+	}
+	for _, f := range c.Fanouts {
+		if f <= 0 {
+			return fmt.Errorf("trainsim: fanout %d must be positive", f)
+		}
+	}
+	switch c.Backend {
+	case "", "sim", "file", "linuring":
+	default:
+		return fmt.Errorf("trainsim: unknown backend %q (want sim, file, or linuring)", c.Backend)
+	}
+	switch c.Layout {
+	case "", "strided", "packed":
+	default:
+		return fmt.Errorf("trainsim: unknown layout %q (want strided or packed)", c.Layout)
+	}
+	return nil
+}
+
 // EpochStats is the per-epoch report every system returns: its own stage
 // times and counters (the baselines leave the fault and integrity
 // counters zero) and the training outcome.
@@ -242,16 +280,14 @@ var (
 	dsTemp = map[string]string{}
 )
 
-// backendFactory builds the storage factory for one dataset cell,
-// wrapping it in the integrity layer when the config asks for one. name
-// and dim label auto-created backing files. It returns the factory, the
-// data-file path ("" for sim), and the temp path it will create (file
-// backends with no explicit DataFile), so DropDatasets can remove it.
-// Returning a factory instead of a backend lets graph.Load size the
-// backend itself from the container header.
-func backendFactory(cfg Config, name string, dim int) (storage.Factory, string, string, error) {
-	var f storage.Factory
-	var path, temp string
+// backendFactory builds the storage factory for one dataset cell of a
+// checked config, wrapping it in the integrity layer when the config asks
+// for one. name and dim label auto-created backing files. It returns the
+// factory, the data-file path ("" for sim), and the temp path it will
+// create (file backends with no explicit DataFile), so DropDatasets can
+// remove it. Returning a factory instead of a backend lets graph.Load size
+// the backend itself from the container header.
+func backendFactory(cfg Config, name string, dim int) (f storage.Factory, path, temp string) {
 	if cfg.Backend == "file" || cfg.Backend == "linuring" {
 		if path = cfg.DataFile; path == "" {
 			path = filepath.Join(os.TempDir(), fmt.Sprintf("gnndrive-%s-%d-%g.img", name, dim, cfg.Scale))
@@ -259,32 +295,27 @@ func backendFactory(cfg Config, name string, dim int) (storage.Factory, string, 
 		}
 	}
 	switch cfg.Backend {
-	case "", "sim":
-		scfg := sim.DefaultConfig()
-		scfg.TimeScale = cfg.Scale
-		f = func(capacity int64) (storage.Backend, error) { return sim.New(capacity, scfg), nil }
 	case "file":
 		f = func(capacity int64) (storage.Backend, error) { return file.Create(path, capacity, file.Options{}) }
 	case "linuring":
 		// FallbackFactory degrades to the file worker pool where the
 		// kernel refuses io_uring, so a "linuring" config runs anywhere.
 		f = linuring.FallbackFactory(path, linuring.Options{Logf: cfg.Logf})
-	default:
-		return nil, "", "", fmt.Errorf("trainsim: unknown backend %q (want sim, file, or linuring)", cfg.Backend)
+	default: // "" or "sim"
+		scfg := sim.DefaultConfig()
+		scfg.TimeScale = cfg.Scale
+		f = func(capacity int64) (storage.Backend, error) { return sim.New(capacity, scfg), nil }
 	}
 	if cfg.Integrity != nil {
 		f = integrity.WrapFactory(f, *cfg.Integrity)
 	}
-	return f, path, temp, nil
+	return f, path, temp
 }
 
 // newBackend is backendFactory applied at a fixed capacity, for the
 // generation path where the spec decides the size up front.
 func newBackend(cfg Config, spec gen.Spec, capacity int64) (storage.Backend, string, string, error) {
-	f, path, temp, err := backendFactory(cfg, spec.Name, spec.Dim)
-	if err != nil {
-		return nil, "", "", err
-	}
+	f, path, temp := backendFactory(cfg, spec.Name, spec.Dim)
 	dev, err := f(capacity)
 	if err != nil {
 		return nil, "", "", err
@@ -309,8 +340,7 @@ func integrityKey(o *integrity.Options) string {
 // packed cell's bytes depend on the epoch-0 trace, which depends on the
 // training configuration, so those knobs join the key.
 func layoutKey(cfg Config) string {
-	switch cfg.Layout {
-	case "", "strided":
+	if cfg.Layout != "packed" {
 		return "strided"
 	}
 	o := cfg.EngineOptions()
@@ -347,10 +377,7 @@ func buildDataset(cfg Config) (*graph.Dataset, error) {
 		return ds, nil
 	}
 	if cfg.LoadFile != "" {
-		f, _, temp, err := backendFactory(cfg, "load-"+filepath.Base(cfg.LoadFile), 0)
-		if err != nil {
-			return nil, err
-		}
+		f, _, temp := backendFactory(cfg, "load-"+filepath.Base(cfg.LoadFile), 0)
 		ds, err := graph.Load(cfg.LoadFile, f, ScratchBytes)
 		if err != nil {
 			if temp != "" {
@@ -364,18 +391,13 @@ func buildDataset(cfg Config) (*graph.Dataset, error) {
 		}
 		return ds, nil
 	}
-	switch cfg.Layout {
-	case "", "strided", "packed":
-	default:
-		return nil, fmt.Errorf("trainsim: unknown layout %q (want strided or packed)", cfg.Layout)
-	}
 	dev, path, temp, err := newBackend(cfg, spec, spec.SizeBytes()+ScratchBytes)
 	if err != nil {
 		return nil, err
 	}
 	ds, err := gen.Build(spec, dev, 0)
 	if err == nil && cfg.Layout == "packed" {
-		err = packDataset(ds, cfg)
+		err = PackDataset(ds, cfg)
 	}
 	if err != nil {
 		dev.Close()
@@ -400,10 +422,17 @@ func buildDataset(cfg Config) (*graph.Dataset, error) {
 	return ds, nil
 }
 
-// packDataset runs the offline packer on a freshly generated dataset:
-// sample the epoch-0 trace with the exact seeds the engine will use,
-// permute the feature region in place, and install the packed addresser.
-func packDataset(ds *graph.Dataset, cfg Config) error {
+// PackDataset runs the offline packer on a freshly generated dataset:
+// sample the epoch-0 trace with the exact seeds a run of cfg will use
+// (its Model, BatchSize, Fanouts and Seed decide them), permute the
+// feature region in place, and install the packed addresser. It is the
+// only packer: Layout "packed" and cmd/datagen -layout packed both call
+// it, so an offline pack with a run's model, batch and seed places every
+// node where the run's own packing would.
+func PackDataset(ds *graph.Dataset, cfg Config) error {
+	if err := cfg.check(); err != nil {
+		return err
+	}
 	o := cfg.EngineOptions()
 	tr, err := gen.SampleTrace(ds, o.BatchSize, o.Fanouts, cfg.Seed, true)
 	if err != nil {
@@ -486,6 +515,9 @@ type env struct {
 // at the run's time scale. Callers close it.
 func newEnv(cfg Config, devs ...device.Config) (*env, error) {
 	cfg.fill()
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	ds, err := buildDataset(cfg)
 	if err != nil {
 		return nil, err

@@ -11,8 +11,11 @@ import (
 	"gnndrive/internal/device"
 	"gnndrive/internal/gen"
 	"gnndrive/internal/hostmem"
+	"gnndrive/internal/layout"
 	"gnndrive/internal/metrics"
 	"gnndrive/internal/nn"
+	"gnndrive/internal/storage/integrity"
+	"gnndrive/internal/storage/sim"
 )
 
 // tinyCfg keeps modeled time near zero so tests are fast.
@@ -367,6 +370,76 @@ func TestUnknownBackendRejected(t *testing.T) {
 	cfg.Backend = "nvme-of"
 	if _, err := RunCtx(context.Background(), cfg, GNNDriveGPU, RunOptions{Epochs: 1}); err == nil {
 		t.Fatal("unknown backend accepted")
+	}
+}
+
+// TestRunRejectsBadConfig: RunCtx, SampleOnly and RunParallel — the paths
+// cmd/figures and bench build through — return an error for a Config no
+// run can honour instead of panicking or mis-measuring, and a negative
+// StallDeadline still means off.
+func TestRunRejectsBadConfig(t *testing.T) {
+	defer DropDatasets()
+	ctx := context.Background()
+	for name, mut := range map[string]func(*Config){
+		"batch":  func(c *Config) { c.BatchSize = -1 },
+		"memory": func(c *Config) { c.HostMemoryGB = -1 },
+		"scale":  func(c *Config) { c.Scale = -1 },
+		"fanout": func(c *Config) { c.Fanouts = []int{4, 0} },
+		"layout": func(c *Config) { c.Layout = "zigzag" },
+	} {
+		cfg := tinyCfg()
+		mut(&cfg)
+		if _, err := RunCtx(ctx, cfg, GNNDriveGPU, RunOptions{Epochs: 1}); err == nil {
+			t.Errorf("%s: RunCtx accepted %+v", name, cfg)
+		}
+		if _, err := SampleOnly(ctx, cfg, PyGPlus); err == nil {
+			t.Errorf("%s: SampleOnly accepted %+v", name, cfg)
+		}
+		if _, err := RunParallel(ctx, cfg, 1, device.TeslaK80(), 1); err == nil {
+			t.Errorf("%s: RunParallel accepted %+v", name, cfg)
+		}
+	}
+	cfg := tinyCfg()
+	cfg.StallDeadline = -time.Second
+	if _, err := RunCtx(ctx, cfg, GNNDriveGPU, RunOptions{Epochs: 1}); err != nil {
+		t.Errorf("negative StallDeadline: %v", err)
+	}
+}
+
+// TestDatagenPacksLikeThePackedLayout: cmd/datagen -layout packed at its
+// default flags (-trace-model sage -trace-batch 0 -trace-seed 1) builds
+// through the integrity layer and calls PackDataset; a run with Layout
+// "packed" and the same model, batch and seed must place every node
+// identically, or a container packed offline would not be the layout the
+// run expects.
+func TestDatagenPacksLikeThePackedLayout(t *testing.T) {
+	defer DropDatasets()
+	ds, _, err := gen.BuildVerified(gen.Tiny(), sim.InstantConfig(), integrity.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Dev.Close()
+	if err := PackDataset(ds, Config{Model: nn.GraphSAGE, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	run := Config{Dataset: gen.Tiny(), Model: nn.GraphSAGE, Layout: "packed"}
+	run.fill()
+	want, err := buildDataset(run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, wp := ds.Addr.(*layout.Packed), want.Addr.(*layout.Packed)
+	if got.SegmentBytes() != wp.SegmentBytes() {
+		t.Errorf("segment bytes %d, want %d", got.SegmentBytes(), wp.SegmentBytes())
+	}
+	differ := 0
+	for v := int64(0); v < ds.NumNodes; v++ {
+		if got.NodeOffset(v) != wp.NodeOffset(v) {
+			differ++
+		}
+	}
+	if differ != 0 {
+		t.Errorf("%d of %d node offsets differ", differ, ds.NumNodes)
 	}
 }
 
