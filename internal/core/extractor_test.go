@@ -286,6 +286,20 @@ func (b inlineBackend) Submit(req *storage.Request) {
 	req.Done(req)
 }
 
+// sparseNodes spaces nodes so that the planner joins none of them: node
+// windows stride·f bytes apart leave at least stride·f − f − 2(sector−1)
+// bytes between their sector-aligned ends, which a stride of
+// (joinGap + 2·sector)/f + 2 puts past joinGap. One read per node keeps a
+// plan over tiny's 2 000 nodes ≫ the ring depth.
+func sparseNodes(e *Engine) []int64 {
+	stride := int64(joinGap+2*e.ds.Dev.SectorSize())/e.ds.FeatBytes() + 2
+	var nodes []int64
+	for v := int64(0); v < e.ds.NumNodes; v += stride {
+		nodes = append(nodes, v)
+	}
+	return nodes
+}
+
 // With every completion of a wave available at once, the extractor must
 // reap them all before topping up: a plan of N reads costs ⌈N/depth⌉
 // flushes, not one per read after the first wave.
@@ -298,16 +312,16 @@ func TestRunPlanReapsInBatches(t *testing.T) {
 	e := newEngine(t, rig, opts)
 	e.ds.Dev = inlineBackend{e.ds.Dev}
 	x := newExtractor(e)
-	var nodes []int64
-	for v := int64(0); v < e.ds.NumNodes; v += 13 {
-		nodes = append(nodes, v)
-	}
+	nodes := sparseNodes(e)
 	_, st, err := x.extractBatch(context.Background(), buildBatchOf(0, nodes...))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.fb.Release(nodes)
 	depth := int64(x.ring.Depth())
+	if st.BackendReads != int64(len(nodes)) {
+		t.Fatalf("%d reads for %d sparse nodes: the planner joined some", st.BackendReads, len(nodes))
+	}
 	if st.BackendReads < 4*depth {
 		t.Fatalf("plan of %d reads is not ≫ ring depth %d", st.BackendReads, depth)
 	}
@@ -339,8 +353,8 @@ func (b *failNthBackend) Submit(req *storage.Request) {
 	req.Done(req)
 }
 
-// On TestRunPlanReapsInBatches' plan (every 13th node: ≈ 150 reads at
-// depth 8) a GPU engine launches one device transfer per completion
+// On TestRunPlanReapsInBatches' plan (sparseNodes: 48 reads at depth 8)
+// a GPU engine launches one device transfer per completion
 // drain, not one per read, moves exactly the bytes the per-read
 // transfers moved, and gets every staging slot and feature-buffer
 // reference back — also when a read escalates mid-plan.
@@ -351,11 +365,7 @@ func TestRunPlanTransfersPerDrain(t *testing.T) {
 		opts.RingDepth = 8
 		e := newEngine(t, rig, opts)
 		e.ds.Dev = wrap(e.ds.Dev)
-		var nodes []int64
-		for v := int64(0); v < e.ds.NumNodes; v += 13 {
-			nodes = append(nodes, v)
-		}
-		return rig, e, newExtractor(e), nodes
+		return rig, e, newExtractor(e), sparseNodes(e)
 	}
 
 	t.Run("clean", func(t *testing.T) {
@@ -392,10 +402,12 @@ func TestRunPlanTransfersPerDrain(t *testing.T) {
 	})
 
 	t.Run("escalation", func(t *testing.T) {
-		_, e, x, nodes := setup(t, func(b storage.Backend) storage.Backend { return &failNthBackend{Backend: b, n: 50} })
+		fail := &failNthBackend{}
+		_, e, x, nodes := setup(t, func(b storage.Backend) storage.Backend { fail.Backend = b; return fail })
+		fail.n = len(nodes) / 2 // one read per node: the failure lands mid-plan
 		_, st, err := x.extractBatch(context.Background(), buildBatchOf(0, nodes...))
 		if !errors.Is(err, faults.ErrMedia) {
-			t.Fatalf("error %v, want the 50th read's media error", err)
+			t.Fatalf("error %v, want read %d's media error", err, fail.n)
 		}
 		if st.Escalations != 1 {
 			t.Fatalf("%d escalations, want 1", st.Escalations)

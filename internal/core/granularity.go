@@ -32,6 +32,22 @@ type nodeSpan struct {
 	pos int32
 }
 
+// joinGap is the widest run of unneeded bytes a joint read may carry to
+// reach its next node; the gap is read and dropped. A read costs more
+// than the bytes it moves, so two nearby misses are cheaper as one read
+// (the trade §4.4 already makes for redundant head/tail bytes) while the
+// gap stays below every backend's break-even:
+//
+//   - sim: two reads cost more than one read carrying the gap while the
+//     gap is under ReadLatency × per-channel bandwidth, 90 µs × 65 MB/s
+//     ≈ 5.9 KB;
+//   - file: a pread costs ≈ 2.5 µs, copying and CRC-ing a KB ≈ 0.1–0.2 µs;
+//   - a real SSD breaks even far above both.
+//
+// 4 KiB is the largest power of two below all three. It is not a knob: a
+// wider gap cuts file reads further but makes sim epochs slower.
+const joinGap = 4 << 10
+
 // AddrPlanner is the read planner: it turns the feature vectors a batch
 // must load into backend reads through a layout.Addresser, so it plans
 // the same way over every placement. It holds per-batch scratch so a
@@ -40,6 +56,9 @@ type nodeSpan struct {
 type AddrPlanner struct {
 	spans []nodeSpan
 	exts  [4]layout.Extent
+	// nodes backs every op's Nodes in the last plan, so a plan's node
+	// lists stay valid until the planner plans again.
+	nodes []ReadNode
 }
 
 // PlanInto turns the set of feature vectors to load into a list of
@@ -49,19 +68,20 @@ type AddrPlanner struct {
 //   - when the feature size is a multiple of the sector, each node is one
 //     exact read;
 //   - smaller or unaligned features are read with redundant head/tail
-//     bytes, and nodes whose aligned windows touch are combined into one
-//     joint read (bounded by maxRead) to exploit spatial locality.
+//     bytes, and a node whose aligned window starts at most joinGap bytes
+//     past the current read joins it (bounded by maxRead) to exploit
+//     spatial locality; the bytes between are read and dropped.
 //
 // Every node is resolved through addr and the spans are sorted by device
 // offset before coalescing, so on a packed layout nodes that were traced
 // into the same segment collapse into a few large sequential reads.
 // nodes[i] is the node ID at batch position positions[i]; neither slice
-// is modified. The plan is appended to dst, reusing dst's backing array
-// and each recycled op's Nodes slice: pass the previous batch's plan
-// resliced to length zero, or nil for a fresh plan. Nodes whose extents
-// are not physically adjacent are an error: the extract path marks a node
-// valid when its read completes, which requires one read to carry the
-// whole vector.
+// is modified. The plan is appended to dst, reusing dst's backing array:
+// pass the previous batch's plan resliced to length zero, or nil for a
+// fresh plan. Every op's Nodes is a capped slice of the planner's scratch,
+// valid until its next plan. Nodes whose extents are not physically
+// adjacent are an error: the extract path marks a node valid when its
+// read completes, which requires one read to carry the whole vector.
 func (ap *AddrPlanner) PlanInto(dst []ReadOp, addr layout.Addresser, sector, maxRead int, nodes []int64, positions []int32) ([]ReadOp, error) {
 	if len(nodes) != len(positions) {
 		panic(fmt.Sprintf("core: %d nodes vs %d positions", len(nodes), len(positions)))
@@ -90,31 +110,35 @@ func (ap *AddrPlanner) PlanInto(dst []ReadOp, addr layout.Addresser, sector, max
 	}
 	slices.SortFunc(ap.spans, func(a, b nodeSpan) int { return cmp.Compare(a.off, b.off) })
 
+	// One ReadNode per node, in a backing array that does not move while
+	// the loop hands out slices of it.
+	ap.nodes = slices.Grow(ap.nodes[:0], len(nodes))
 	ss := int64(sector)
 	plan := dst
-	have := false // plan has a current op to extend
+	first := len(plan) // plan[first:] are this call's ops
+	lo := 0            // ap.nodes[lo:] are the current op's nodes
 	for _, sp := range ap.spans {
 		start := sp.off
 		end := start + int64(featBytes)
 		aStart := start / ss * ss
 		aEnd := (end + ss - 1) / ss * ss
-		// Extend the current op if this node's window overlaps or abuts
-		// it and the combined op stays within maxRead.
-		if have {
+		// Extend the current op if this node's window starts within
+		// joinGap of its end and the combined op stays within maxRead.
+		if len(plan) > first {
 			cur := &plan[len(plan)-1]
 			curEnd := cur.DevOff + int64(cur.Len)
-			if aStart <= curEnd && aEnd-cur.DevOff <= int64(maxRead) {
+			if aStart-curEnd <= joinGap && aEnd-cur.DevOff <= int64(maxRead) {
 				if aEnd > curEnd {
 					cur.Len = int(aEnd - cur.DevOff)
 				}
-				cur.Nodes = append(cur.Nodes, ReadNode{Pos: sp.pos, BufOff: int(start - cur.DevOff)})
+				ap.nodes = append(ap.nodes, ReadNode{Pos: sp.pos, BufOff: int(start - cur.DevOff)})
+				cur.Nodes = ap.nodes[lo:len(ap.nodes):len(ap.nodes)]
 				continue
 			}
 		}
-		plan = appendOp(plan, aStart, int(aEnd-aStart))
-		cur := &plan[len(plan)-1]
-		cur.Nodes = append(cur.Nodes, ReadNode{Pos: sp.pos, BufOff: int(start - aStart)})
-		have = true
+		lo = len(ap.nodes)
+		ap.nodes = append(ap.nodes, ReadNode{Pos: sp.pos, BufOff: int(start - aStart)})
+		plan = append(plan, ReadOp{DevOff: aStart, Len: int(aEnd - aStart), Nodes: ap.nodes[lo:len(ap.nodes):len(ap.nodes)]})
 	}
 	return plan, nil
 }
@@ -127,27 +151,31 @@ func (ap *AddrPlanner) exactInto(dst []ReadOp, addr layout.Addresser, nodes []in
 		panic(fmt.Sprintf("core: %d nodes vs %d positions", len(nodes), len(positions)))
 	}
 	featBytes := addr.FeatBytes()
+	ap.nodes = slices.Grow(ap.nodes[:0], len(nodes))
 	for i, v := range nodes {
 		off, _, _, err := layout.NodeSpan(addr, v, ap.exts[:])
 		if err != nil {
 			return dst, err
 		}
-		dst = appendOp(dst, off, featBytes)
-		op := &dst[len(dst)-1]
-		op.Nodes = append(op.Nodes, ReadNode{Pos: positions[i], BufOff: 0})
+		ap.nodes = append(ap.nodes, ReadNode{Pos: positions[i]})
+		dst = append(dst, ReadOp{DevOff: off, Len: featBytes, Nodes: ap.nodes[i:len(ap.nodes):len(ap.nodes)]})
 	}
 	return dst, nil
 }
 
 // BuildReadPlanInto is PlanInto over a dense strided feature table at
 // featuresOff, for callers that hold the table's geometry rather than an
-// addresser. The planner scratch is pooled, so a per-batch caller plans
-// with zero steady-state allocations.
+// addresser. The planner scratch is pooled; the plan's node lists are
+// handed to the caller rather than left in the pool, so each call
+// allocates them once.
 func BuildReadPlanInto(dst []ReadOp, featuresOff int64, featBytes, sector, maxRead int, nodes []int64, positions []int32) []ReadOp {
 	sp := stridedPlannerPool.Get().(*stridedPlanner)
 	sp.addr = layout.Strided{Base: featuresOff, Feat: featBytes}
 	// A strided node is always one whole extent, so PlanInto cannot fail.
 	plan, _ := sp.ap.PlanInto(dst, &sp.addr, sector, maxRead, nodes, positions)
+	// The plan keeps the node array: whoever draws this planner from the
+	// pool next must not overwrite a plan its caller still reads.
+	sp.ap.nodes = nil
 	stridedPlannerPool.Put(sp)
 	return plan
 }
@@ -160,21 +188,6 @@ type stridedPlanner struct {
 }
 
 var stridedPlannerPool = sync.Pool{New: func() any { return new(stridedPlanner) }}
-
-// appendOp extends the plan by one op. When the backing array already has
-// room, the recycled element keeps its Nodes capacity from the previous
-// batch; only genuine growth allocates.
-func appendOp(plan []ReadOp, devOff int64, length int) []ReadOp {
-	if len(plan) < cap(plan) {
-		plan = plan[:len(plan)+1]
-		op := &plan[len(plan)-1]
-		op.DevOff = devOff
-		op.Len = length
-		op.Nodes = op.Nodes[:0]
-		return plan
-	}
-	return append(plan, ReadOp{DevOff: devOff, Len: length})
-}
 
 // PlanBytes sums the bytes a plan reads (including redundant alignment
 // bytes), for I/O accounting.

@@ -3,12 +3,19 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"gnndrive/internal/graph"
 	"gnndrive/internal/hostmem"
 	"gnndrive/internal/layout"
+	"gnndrive/internal/storage"
+	"gnndrive/internal/storage/sim"
+	"gnndrive/internal/storage/storagetest"
 )
 
 // planStrided runs the one planner over a dense strided table at
@@ -124,44 +131,61 @@ func TestPlanEmpty(t *testing.T) {
 	}
 }
 
-// TestPlannerCoverageTable drives the one planner over every layout ×
-// access mode the extractor uses and asserts the properties each plan
-// must have: every node is served exactly once, at a BufOff where its
-// whole (possibly segment-split) vector lies inside the read; joint-read
-// modes emit sector-aligned ops sorted by device offset and bounded by
-// maxRead; exact mode emits one exact-size read per node in the order
-// given.
-func TestPlannerCoverageTable(t *testing.T) {
-	const numNodes = int64(3000)
-	packed := func(t *testing.T, featBytes int) layout.Addresser {
+// plannerNodes is the node count of the planner tests' layouts.
+const plannerNodes = int64(3000)
+
+// plannerFeats are the feature sizes the planner tests cover: below,
+// at, just past and well past one 512 B sector.
+var plannerFeats = []int{64, 400, 512, 516, 2048}
+
+// plannerLayouts are the placements the planner tests cover: a strided
+// table, and a packed region traced from four random batches into 4 KiB
+// segments, so many vectors straddle a segment boundary.
+var plannerLayouts = []struct {
+	name string
+	make func(t *testing.T, featBytes int) layout.Addresser
+}{
+	{"Strided", func(_ *testing.T, featBytes int) layout.Addresser {
+		return layout.Strided{Base: 512 * 7, Feat: featBytes, Nodes: plannerNodes}
+	}},
+	{"Packed", func(t *testing.T, featBytes int) layout.Addresser {
 		tr := layout.NewTrace()
 		rng := uint64(featBytes)
 		for b := 0; b < 4; b++ {
 			var batch []int64
-			rng, batch, _ = randomNodeSet(rng, 64, numNodes)
+			rng, batch, _ = randomNodeSet(rng, 64, plannerNodes)
 			tr.AddBatch(batch)
 		}
-		p, err := layout.NewPacked(512*9, featBytes, numNodes, tr, layout.PackOptions{SegmentBytes: 4096})
+		p, err := layout.NewPacked(512*9, featBytes, plannerNodes, tr, layout.PackOptions{SegmentBytes: 4096})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
-	}
-	strided := func(_ *testing.T, featBytes int) layout.Addresser {
-		return layout.Strided{Base: 512 * 7, Feat: featBytes, Nodes: numNodes}
-	}
-	layouts := []struct {
-		name string
-		make func(*testing.T, int) layout.Addresser
-	}{{"Strided", strided}, {"Packed", packed}}
-	modes := []struct {
-		name            string
-		sector, maxRead int // 0, 0 = exact
-	}{{"sector", 512, 8192}, {"gds4k", gdsGranularity, 2 * gdsGranularity}, {"exact", 0, 0}}
+	}},
+}
 
-	for _, l := range layouts {
+// planMode is one of the extractor's plans; sector 0 is exact mode.
+type planMode struct {
+	name            string
+	sector, maxRead int
+}
+
+// jointModes are the extractor's two joint-read plans: direct I/O at the
+// device sector, and GDS at its 4 KiB granularity.
+var jointModes = []planMode{{"sector", 512, 8192}, {"gds4k", gdsGranularity, 2 * gdsGranularity}}
+
+// TestPlannerCoverageTable drives the one planner over every layout ×
+// access mode the extractor uses and asserts the properties each plan
+// must have: every node is served exactly once, at a BufOff where its
+// whole (possibly segment-split) vector lies inside the read; joint-read
+// modes emit sector-aligned, maximal ops sorted by device offset and
+// bounded by maxRead; exact mode emits one exact-size read per node in
+// the order given.
+func TestPlannerCoverageTable(t *testing.T) {
+	modes := append(slices.Clone(jointModes), planMode{"exact", 0, 0})
+	for _, l := range plannerLayouts {
 		for _, m := range modes {
-			for _, featBytes := range []int{64, 400, 512, 516, 2048} {
+			for _, featBytes := range plannerFeats {
 				t.Run(fmt.Sprintf("%s/%s/feat%d", l.name, m.name, featBytes), func(t *testing.T) {
 					addr := l.make(t, featBytes)
 					var ap AddrPlanner
@@ -170,7 +194,7 @@ func TestPlannerCoverageTable(t *testing.T) {
 					for round := 0; round < 40; round++ {
 						var nodes []int64
 						var positions []int32
-						rng, nodes, positions = randomNodeSet(rng, round+1, numNodes)
+						rng, nodes, positions = randomNodeSet(rng, round+1, plannerNodes)
 						var err error
 						if m.sector == 0 {
 							plan, err = ap.exactInto(plan[:0], addr, nodes, positions)
@@ -188,8 +212,129 @@ func TestPlannerCoverageTable(t *testing.T) {
 	}
 }
 
+// TestJointPlanDecodesLikeExactReads is the planner's decode oracle: over
+// strided and packed layouts, each op of a joint plan is read from a
+// backend and each of its nodes decoded at its BufOff, and every vector
+// must equal the one exactInto's one-read-per-node plan decodes. Gap
+// bytes a joint read carries change how many reads a batch costs, never
+// which bytes reach the feature buffer.
+func TestJointPlanDecodesLikeExactReads(t *testing.T) {
+	ctx := context.Background()
+	for _, l := range plannerLayouts {
+		for _, m := range jointModes {
+			for _, featBytes := range plannerFeats {
+				t.Run(fmt.Sprintf("%s/%s/feat%d", l.name, m.name, featBytes), func(t *testing.T) {
+					addr := l.make(t, featBytes)
+					image := make([]byte, 512*16+plannerNodes*int64(featBytes)+2*gdsGranularity)
+					rand.New(rand.NewSource(int64(featBytes))).Read(image)
+					dev := sim.New(int64(len(image)), sim.InstantConfig())
+					defer dev.Close()
+					if err := dev.WriteRaw(image, 0); err != nil {
+						t.Fatal(err)
+					}
+					// decode reads every op and returns each position's
+					// vector as the extractor would decode it.
+					decode := func(plan []ReadOp, direct bool) map[int32][]float32 {
+						got := map[int32][]float32{}
+						for _, op := range plan {
+							buf := storage.AlignedBuf(op.Len, gdsGranularity)
+							var err error
+							if direct {
+								_, err = dev.ReadDirectCtx(ctx, buf, op.DevOff)
+							} else {
+								_, err = dev.ReadAtCtx(ctx, buf, op.DevOff)
+							}
+							if err != nil {
+								t.Fatalf("read [%d,+%d): %v", op.DevOff, op.Len, err)
+							}
+							for _, rn := range op.Nodes {
+								got[rn.Pos] = graph.DecodeFeature(buf[rn.BufOff:rn.BufOff+featBytes], nil)
+							}
+						}
+						return got
+					}
+					var ap AddrPlanner
+					var joint, exact []ReadOp
+					rng := uint64(featBytes)
+					for round := 0; round < 40; round++ {
+						var nodes []int64
+						var positions []int32
+						rng, nodes, positions = randomNodeSet(rng, round+1, plannerNodes)
+						var err error
+						if exact, err = ap.exactInto(exact[:0], addr, nodes, positions); err != nil {
+							t.Fatal(err)
+						}
+						want := decode(exact, false) // before PlanInto reuses exact's node lists
+
+						if joint, err = ap.PlanInto(joint[:0], addr, m.sector, m.maxRead, nodes, positions); err != nil {
+							t.Fatal(err)
+						}
+						got := decode(joint, true)
+						if len(joint) > len(exact) {
+							t.Fatalf("round %d: %d joint reads for %d nodes", round, len(joint), len(exact))
+						}
+						for _, p := range positions {
+							g, w := got[p], want[p]
+							if len(g) != featBytes/4 || len(w) != len(g) {
+								t.Fatalf("round %d position %d: decoded %d and %d elements, want %d", round, p, len(g), len(w), featBytes/4)
+							}
+							for k := range w {
+								if math.Float32bits(g[k]) != math.Float32bits(w[k]) {
+									t.Fatalf("round %d position %d element %d: joint read decodes %v, exact read %v",
+										round, p, k, g[k], w[k])
+								}
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestZeroAllocPlanInto pins the planner's steady state: once its scratch
+// has grown to a batch's size, planning another batch into the recycled
+// plan allocates nothing, however the batch's ops split its nodes.
+func TestZeroAllocPlanInto(t *testing.T) {
+	if storagetest.RaceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	// Boxed once, as a dataset's Addresser() is.
+	var addr layout.Addresser = layout.Strided{Base: 512 * 7, Feat: 400, Nodes: plannerNodes}
+	var batches [8]struct {
+		nodes     []int64
+		positions []int32
+	}
+	rng := uint64(9)
+	for i := range batches {
+		rng, batches[i].nodes, batches[i].positions = randomNodeSet(rng, 200+40*i, plannerNodes)
+	}
+	var ap AddrPlanner
+	var plan []ReadOp
+	turn := 0
+	cycle := func() {
+		b := &batches[turn%len(batches)]
+		turn++
+		var err error
+		if plan, err = ap.PlanInto(plan[:0], addr, 512, 8192, b.nodes, b.positions); err != nil {
+			t.Fatal(err)
+		}
+		if plan, err = ap.exactInto(plan[:0], addr, b.nodes, b.positions); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range batches { // grow the scratch to the largest batch
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("steady-state planning allocates %.1f times per batch, want 0", allocs)
+	}
+}
+
 // checkPlan asserts TestPlannerCoverageTable's properties on one plan.
-// sector 0 means exact mode.
+// sector 0 means exact mode. A joint plan must also be maximal: an op
+// that starts within joinGap of the previous op's end exists only because
+// its first node would have pushed the previous op past maxRead.
 func checkPlan(t *testing.T, plan []ReadOp, addr layout.Addresser, sector, maxRead int, nodes []int64, positions []int32) {
 	t.Helper()
 	featBytes := addr.FeatBytes()
@@ -210,9 +355,21 @@ func checkPlan(t *testing.T, plan []ReadOp, addr layout.Addresser, sector, maxRe
 		t.Fatalf("plan not sorted by device offset: %+v", plan)
 	}
 	seen := map[int32]bool{}
-	for _, op := range plan {
+	for i, op := range plan {
 		if sector != 0 && (op.DevOff%int64(sector) != 0 || op.Len%sector != 0 || op.Len == 0 || op.Len > maxRead) {
 			t.Fatalf("op %+v: want non-empty, %d-aligned, at most %d B", op, sector, maxRead)
+		}
+		if sector != 0 && i > 0 {
+			prev, ss := plan[i-1], int64(sector)
+			first := op.Nodes[0].BufOff
+			for _, rn := range op.Nodes {
+				first = min(first, rn.BufOff)
+			}
+			firstEnd := (op.DevOff + int64(first+featBytes) + ss - 1) / ss * ss
+			if op.DevOff-(prev.DevOff+int64(prev.Len)) <= joinGap && firstEnd-prev.DevOff <= int64(maxRead) {
+				t.Fatalf("ops %+v and %+v lie within %d B and fit in %d B together, but were not merged",
+					prev, op, joinGap, maxRead)
+			}
 		}
 		for _, rn := range op.Nodes {
 			if seen[rn.Pos] {
@@ -348,9 +505,9 @@ func TestBuildReadPlanIntoDirtyScratchMatchesFresh(t *testing.T) {
 
 // referenceStridedPlan is the arithmetic strided planner the tree shipped
 // before the addresser seam: node*featBytes offsets, sorted by node ID,
-// coalesced in place. It stays here as the independent oracle for
-// TestAddrPlannerMatchesBuildReadPlanOnStrided. Reorders nodes and
-// positions.
+// coalesced in place across gaps of up to joinGap bytes. It stays here as
+// the independent oracle for TestAddrPlannerMatchesBuildReadPlanOnStrided.
+// Reorders nodes and positions.
 func referenceStridedPlan(featuresOff int64, featBytes, sector, maxRead int, nodes []int64, positions []int32) []ReadOp {
 	if len(nodes) == 0 {
 		return nil
@@ -376,7 +533,7 @@ func referenceStridedPlan(featuresOff int64, featBytes, sector, maxRead int, nod
 		if len(plan) > 0 {
 			cur := &plan[len(plan)-1]
 			curEnd := cur.DevOff + int64(cur.Len)
-			if aStart <= curEnd && aEnd-cur.DevOff <= int64(maxRead) {
+			if aStart-curEnd <= joinGap && aEnd-cur.DevOff <= int64(maxRead) {
 				if aEnd > curEnd {
 					cur.Len = int(aEnd - cur.DevOff)
 				}

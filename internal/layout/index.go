@@ -127,6 +127,10 @@ func LoadIndex(path string, base int64) (*Packed, error) {
 		return nil, fmt.Errorf("layout: load index: %w", err)
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("layout: load index: %w", err)
+	}
 	r := bufio.NewReaderSize(f, 1<<20)
 
 	hdr := make([]byte, indexHeaderLen)
@@ -145,9 +149,17 @@ func LoadIndex(path string, base int64) (*Packed, error) {
 	numNodes := int64(binary.LittleEndian.Uint64(hdr[24:]))
 	numLeaves := int64(binary.LittleEndian.Uint64(hdr[32:]))
 	if feat <= 0 || seg <= 0 || seg%512 != 0 || fanout <= 0 || numNodes <= 0 ||
-		numLeaves != (numNodes+int64(fanout)-1)/int64(fanout) || numLeaves > 1<<28 {
+		numLeaves != (numNodes-1)/int64(fanout)+1 {
 		return nil, fmt.Errorf("layout: load index %s: %w: implausible geometry (feat=%d seg=%d fanout=%d nodes=%d leaves=%d)",
 			path, ErrCorruptIndex, feat, seg, fanout, numNodes, numLeaves)
+	}
+	// The file must be exactly as long as its geometry says, which bounds
+	// every allocation below by the file's own size.
+	perLeaf := 8 + 8*int64(fanout) + 4           // key, entries, leaf CRC
+	body := fi.Size() - (indexHeaderLen + 4) - 4 // less the header and the keys' CRC
+	if body < 0 || body%perLeaf != 0 || body/perLeaf != numLeaves {
+		return nil, fmt.Errorf("layout: load index %s: %w: %d bytes do not hold %d leaves of fanout %d",
+			path, ErrCorruptIndex, fi.Size(), numLeaves, fanout)
 	}
 
 	keys := make([]byte, 8*numLeaves)
@@ -156,7 +168,7 @@ func LoadIndex(path string, base int64) (*Packed, error) {
 	}
 	p := &Packed{base: base, feat: feat, seg: seg, off: make([]int64, numNodes)}
 	leaf := make([]byte, 8*fanout)
-	limit := numNodes * int64(feat)
+	lastOff := (numNodes - 1) * int64(feat) // where the region's last vector starts
 	for l := int64(0); l < numLeaves; l++ {
 		if err := readCRCd(r, leaf, fmt.Sprintf("leaf %d", l)); err != nil {
 			return nil, fmt.Errorf("layout: load index %s: %w", path, err)
@@ -174,7 +186,7 @@ func LoadIndex(path string, base int64) (*Packed, error) {
 		}
 		for v := lo; v < hi; v++ {
 			off := int64(binary.LittleEndian.Uint64(leaf[8*(v-lo):]))
-			if off < 0 || off+int64(feat) > limit {
+			if off < 0 || off > lastOff {
 				return nil, fmt.Errorf("layout: load index %s: %w: node %d offset %d outside region",
 					path, ErrCorruptIndex, v, off)
 			}
