@@ -459,6 +459,10 @@ func encodeTensors(ts []Tensor) []byte {
 	return buf.Bytes()
 }
 
+// minTensorBytes is the smallest encoded tensor: name length, rows and
+// cols, with an empty name and no data.
+const minTensorBytes = 12
+
 func decodeTensors(payload []byte) ([]Tensor, error) {
 	le := binary.LittleEndian
 	if len(payload) < 4 {
@@ -466,6 +470,11 @@ func decodeTensors(payload []byte) ([]Tensor, error) {
 	}
 	n := int(le.Uint32(payload))
 	off := 4
+	// Every tensor encodes at least its name length, rows and cols, so a
+	// count the payload cannot hold is corrupt before it sizes anything.
+	if n > (len(payload)-off)/minTensorBytes {
+		return nil, fmt.Errorf("%w: %d tensors in a %d-byte section", ErrCorrupt, n, len(payload))
+	}
 	ts := make([]Tensor, 0, n)
 	for i := 0; i < n; i++ {
 		if off+4 > len(payload) {
@@ -481,11 +490,11 @@ func decodeTensors(payload []byte) ([]Tensor, error) {
 		rows := int(le.Uint32(payload[off:]))
 		cols := int(le.Uint32(payload[off+4:]))
 		off += 8
-		count := rows * cols
-		if rows < 0 || cols < 0 || count < 0 || off+count*4 > len(payload) {
+		// Divide rather than multiply: rows*cols*4 can overflow.
+		if room := (len(payload) - off) / 4; cols != 0 && rows > room/cols {
 			return nil, fmt.Errorf("%w: tensor %q shape %dx%d overruns section", ErrCorrupt, name, rows, cols)
 		}
-		data := make([]float32, count)
+		data := make([]float32, rows*cols)
 		for j := range data {
 			data[j] = math.Float32frombits(le.Uint32(payload[off:]))
 			off += 4

@@ -90,9 +90,10 @@ func (d *Dataset) Degree(v int64) int64 { return d.Indptr[v+1] - d.Indptr[v] }
 func (d *Dataset) IndptrBytes() int64 { return int64(len(d.Indptr)) * 8 }
 
 // Validate checks structural invariants: monotone indptr, edge count,
-// in-range indices (sampled raw, untimed).
+// split node IDs and labels in range, in-range indices (sampled raw,
+// untimed).
 func (d *Dataset) Validate() error {
-	if int64(len(d.Indptr)) != d.NumNodes+1 {
+	if d.NumNodes < 0 || int64(len(d.Indptr)) != d.NumNodes+1 {
 		return fmt.Errorf("graph: indptr len %d != nodes+1 %d", len(d.Indptr), d.NumNodes+1)
 	}
 	if d.Indptr[0] != 0 || d.Indptr[d.NumNodes] != d.NumEdges {
@@ -105,6 +106,18 @@ func (d *Dataset) Validate() error {
 	}
 	if d.Layout.IndicesLen != 4*d.NumEdges {
 		return fmt.Errorf("graph: indices len %d != 4*edges", d.Layout.IndicesLen)
+	}
+	for _, split := range [][]int64{d.TrainIdx, d.ValIdx} {
+		for _, v := range split {
+			if v < 0 || v >= d.NumNodes {
+				return fmt.Errorf("graph: split node %d outside [0,%d)", v, d.NumNodes)
+			}
+		}
+	}
+	for v, c := range d.Labels {
+		if c < 0 || int(c) >= d.NumClasses {
+			return fmt.Errorf("graph: node %d label %d outside [0,%d)", v, c, d.NumClasses)
+		}
 	}
 	// Spot-check a bounded number of neighbor lists.
 	r := NewRawReader(d)

@@ -30,6 +30,30 @@ type header struct {
 	Layout string `json:"layout,omitempty"`
 }
 
+// check rejects a header whose counts are negative, or declare arrays
+// larger than the size bytes that follow the metadata, before Load sizes
+// a single slice or backend from them.
+func (h *header) check(size int64) error {
+	if h.NumNodes < 0 || h.NumEdges < 0 || h.Dim <= 0 || h.NumClasses <= 0 ||
+		h.Train < 0 || h.Val < 0 || int64(h.Train) > h.NumNodes || int64(h.Val) > h.NumNodes {
+		return fmt.Errorf("graph: header counts out of range (nodes %d, edges %d, dim %d, classes %d, train %d, val %d)",
+			h.NumNodes, h.NumEdges, h.Dim, h.NumClasses, h.Train, h.Val)
+	}
+	// Bound every term by size first, so the sum cannot overflow.
+	tooBig := h.NumNodes > size/12 || h.NumEdges > size/4 ||
+		(h.NumNodes > 0 && int64(h.Dim) > size/4/h.NumNodes)
+	if !tooBig {
+		need := 8*(h.NumNodes+1+int64(h.Train)+int64(h.Val)) + 4*h.NumNodes +
+			4*h.NumEdges + 4*h.NumNodes*int64(h.Dim)
+		tooBig = need > size
+	}
+	if tooBig {
+		return fmt.Errorf("graph: header declares %d nodes, %d edges, dim %d: more than the file's %d bytes of arrays",
+			h.NumNodes, h.NumEdges, h.Dim, size)
+	}
+	return nil
+}
+
 // Save writes the dataset — metadata, indptr, labels, splits, and the
 // on-device index and feature arrays — to a .gnnd container file. A
 // packed dataset (Addr is a layout.Packed) additionally persists its
@@ -121,6 +145,10 @@ func Load(path string, newBackend storage.Factory, extraBytes int64) (*Dataset, 
 		return nil, fmt.Errorf("graph: load: %w", err)
 	}
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("graph: load: %w", err)
+	}
 	r := bufio.NewReaderSize(f, 1<<20)
 	magic := make([]byte, len(fileMagic))
 	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != fileMagic {
@@ -128,18 +156,21 @@ func Load(path string, newBackend storage.Factory, extraBytes int64) (*Dataset, 
 	}
 	var metaLen int64
 	if err := binary.Read(r, binary.LittleEndian, &metaLen); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("graph: load %s: %w", path, err)
 	}
 	if metaLen <= 0 || metaLen > 1<<20 {
 		return nil, fmt.Errorf("graph: implausible metadata length %d", metaLen)
 	}
 	meta := make([]byte, metaLen)
 	if _, err := io.ReadFull(r, meta); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("graph: load %s: %w", path, err)
 	}
 	var h header
 	if err := json.Unmarshal(meta, &h); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("graph: load %s: %w", path, err)
+	}
+	if err := h.check(st.Size() - int64(len(fileMagic)) - 8 - metaLen); err != nil {
+		return nil, fmt.Errorf("graph: load %s: %w", path, err)
 	}
 	ds := &Dataset{
 		Name: h.Name, NumNodes: h.NumNodes, NumEdges: h.NumEdges,
@@ -151,11 +182,11 @@ func Load(path string, newBackend storage.Factory, extraBytes int64) (*Dataset, 
 	}
 	for _, arr := range [][]int64{ds.Indptr, ds.TrainIdx, ds.ValIdx} {
 		if err := binary.Read(r, binary.LittleEndian, arr); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("graph: load %s: %w", path, err)
 		}
 	}
 	if err := binary.Read(r, binary.LittleEndian, ds.Labels); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("graph: load %s: %w", path, err)
 	}
 	indicesLen := 4 * h.NumEdges
 	featOff := (indicesLen + 511) / 512 * 512
@@ -168,11 +199,11 @@ func Load(path string, newBackend storage.Factory, extraBytes int64) (*Dataset, 
 	}
 	if err := fillRegion(r, dev, 0, indicesLen); err != nil {
 		dev.Close()
-		return nil, err
+		return nil, fmt.Errorf("graph: load %s: %w", path, err)
 	}
 	if err := fillRegion(r, dev, featOff, featLen); err != nil {
 		dev.Close()
-		return nil, err
+		return nil, fmt.Errorf("graph: load %s: %w", path, err)
 	}
 	ds.Dev = dev
 	switch h.Layout {
@@ -196,7 +227,7 @@ func Load(path string, newBackend storage.Factory, extraBytes int64) (*Dataset, 
 	}
 	if err := ds.Validate(); err != nil {
 		dev.Close()
-		return nil, err
+		return nil, fmt.Errorf("graph: load %s: %w", path, err)
 	}
 	return ds, nil
 }

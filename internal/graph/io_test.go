@@ -1,9 +1,12 @@
 package graph
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gnndrive/internal/layout"
@@ -72,6 +75,82 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Load(filepath.Join(t.TempDir(), "missing"), sim.Factory(sim.InstantConfig()), 0); err == nil {
 		t.Fatal("expected open error")
+	}
+}
+
+// TestLoadRejectsCorruptHeader: counts that are negative, larger than the
+// file, or IDs and labels outside their ranges are a load error, never a
+// makeslice panic or a later sampler or learner panic.
+func TestLoadRejectsCorruptHeader(t *testing.T) {
+	ds := buildTestDataset(t)
+	ds.TrainIdx = []int64{0, 2}
+	ds.ValIdx = []int64{1}
+	path := filepath.Join(t.TempDir(), "tiny.gnnd")
+	if err := Save(ds, path); err != nil {
+		t.Fatal(err)
+	}
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metaEnd := len(fileMagic) + 8 + int(binary.LittleEndian.Uint64(valid[len(fileMagic):]))
+	var h header
+	if err := json.Unmarshal(valid[len(fileMagic)+8:metaEnd], &h); err != nil {
+		t.Fatal(err)
+	}
+	// reframe writes the container with its header edited by edit and its
+	// arrays (everything after the metadata) edited by patch.
+	reframe := func(edit func(*header), patch func(arrays []byte)) string {
+		hh := h
+		edit(&hh)
+		meta, err := json.Marshal(hh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arrays := append([]byte(nil), valid[metaEnd:]...)
+		patch(arrays)
+		out := append([]byte(fileMagic), binary.LittleEndian.AppendUint64(nil, uint64(len(meta)))...)
+		out = append(append(out, meta...), arrays...)
+		p := filepath.Join(t.TempDir(), "bad.gnnd")
+		if err := os.WriteFile(p, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	keep := func([]byte) {}
+	trainOff := 8 * int(ds.NumNodes+1) // TrainIdx follows Indptr
+	labelOff := trainOff + 8*3         // Labels follow TrainIdx and ValIdx
+	for name, p := range map[string]string{
+		"negative nodes":     reframe(func(h *header) { h.NumNodes = -5 }, keep),
+		"negative train":     reframe(func(h *header) { h.Train = -1 }, keep),
+		"negative edges":     reframe(func(h *header) { h.NumEdges = -1 }, keep),
+		"zero dim":           reframe(func(h *header) { h.Dim = 0 }, keep),
+		"huge nodes":         reframe(func(h *header) { h.NumNodes = 1 << 40 }, keep),
+		"huge edges":         reframe(func(h *header) { h.NumEdges = 1 << 40 }, keep),
+		"huge dim":           reframe(func(h *header) { h.Dim = 1 << 40 }, keep),
+		"train beyond nodes": reframe(func(h *header) { h.Train = 5 }, keep),
+		"train ID out of range": reframe(func(*header) {}, func(a []byte) {
+			binary.LittleEndian.PutUint64(a[trainOff:], 99)
+		}),
+		"label out of range": reframe(func(*header) {}, func(a []byte) {
+			binary.LittleEndian.PutUint32(a[labelOff:], 7)
+		}),
+		"truncated": func() string {
+			p := filepath.Join(t.TempDir(), "short.gnnd")
+			if err := os.WriteFile(p, valid[:len(valid)-5], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}(),
+	} {
+		if _, err := Load(p, sim.Factory(sim.InstantConfig()), 0); err == nil {
+			t.Errorf("%s: Load succeeded", name)
+		} else if !strings.HasPrefix(err.Error(), "graph: ") {
+			t.Errorf("%s: error %q is not a graph load error", name, err)
+		}
+	}
+	if _, err := Load(reframe(func(*header) {}, keep), sim.Factory(sim.InstantConfig()), 0); err != nil {
+		t.Fatalf("unedited reframe: %v", err)
 	}
 }
 

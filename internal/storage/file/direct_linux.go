@@ -3,7 +3,6 @@
 package file
 
 import (
-	"errors"
 	"os"
 	"syscall"
 )
@@ -14,12 +13,4 @@ import (
 // any error as "no direct descriptor" and serves reads buffered.
 func openDirect(path string) (*os.File, error) {
 	return os.OpenFile(path, os.O_RDONLY|syscall.O_DIRECT, 0)
-}
-
-// isDirectRejection matches the errno family the kernel uses to refuse an
-// individual O_DIRECT transfer at read time: EINVAL for alignment, and
-// ENOTSUP/EOPNOTSUPP where a filesystem grants the open but not the I/O.
-func isDirectRejection(err error) bool {
-	return errors.Is(err, syscall.EINVAL) || errors.Is(err, syscall.ENOTSUP) ||
-		errors.Is(err, syscall.EOPNOTSUPP)
 }

@@ -12,7 +12,3 @@ import (
 func openDirect(path string) (*os.File, error) {
 	return nil, errors.New("file: O_DIRECT unsupported on this platform")
 }
-
-// isDirectRejection never matches off Linux: there is no direct
-// descriptor whose transfers could be rejected at read time.
-func isDirectRejection(error) bool { return false }

@@ -51,6 +51,13 @@ func TestConformanceIntegrityWrapped(t *testing.T) {
 	})
 }
 
+// One read of each kind adds the same Stats deltas as on every other
+// backend, through either descriptor configuration.
+func TestAccounting(t *testing.T) {
+	t.Run("direct", func(t *testing.T) { storagetest.Accounting(t, newBackend) })
+	t.Run("no-direct", func(t *testing.T) { storagetest.Accounting(t, newBackendNoDirect) })
+}
+
 func TestIntegrity(t *testing.T) {
 	storagetest.RunIntegrity(t, newBackend)
 }
@@ -65,37 +72,6 @@ func TestIntegrityNoDirect(t *testing.T) {
 func TestZeroAllocVerifiedSubmit(t *testing.T) {
 	t.Run("direct", func(t *testing.T) { storagetest.ZeroAllocVerified(t, newBackend) })
 	t.Run("no-direct", func(t *testing.T) { storagetest.ZeroAllocVerified(t, newBackendNoDirect) })
-}
-
-func TestOpenExisting(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "data.img")
-	b, err := file.Create(path, storagetest.Capacity, file.Options{})
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	want := []byte("persisted across open")
-	if err := b.WriteRaw(want, 4096); err != nil {
-		t.Fatalf("WriteRaw: %v", err)
-	}
-	if err := b.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	b2, err := file.Open(path, file.Options{})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer b2.Close()
-	if b2.Capacity() != storagetest.Capacity {
-		t.Fatalf("reopened capacity %d, want %d", b2.Capacity(), storagetest.Capacity)
-	}
-	got := make([]byte, len(want))
-	if err := b2.ReadRaw(got, 4096); err != nil {
-		t.Fatalf("ReadRaw: %v", err)
-	}
-	if string(got) != string(want) {
-		t.Fatalf("reopened bytes %q, want %q", got, want)
-	}
 }
 
 func TestCapacityRoundsUpToSector(t *testing.T) {

@@ -5,8 +5,6 @@ package linuring
 import (
 	"context"
 	"fmt"
-	"io"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -16,6 +14,7 @@ import (
 
 	"gnndrive/internal/faults"
 	"gnndrive/internal/storage"
+	"gnndrive/internal/storage/file"
 )
 
 // nopUserData tags the wake-up NOP Close submits so the reaper can tell
@@ -50,17 +49,12 @@ type fixedRegion struct {
 // reads are served by a Linux io_uring: SubmitBatch encodes a whole read
 // plan as SQEs and issues a single io_uring_enter, and buffers inside a
 // RegisterBuffers region use READ_FIXED to skip per-read page pinning.
-// The synchronous and raw paths mirror storage/file.
+// The descriptor pair and its raw paths, the counters and
+// the fault injector are storage/file's Descriptors; what the backend
+// owns is the ring, its slots, the fixed-buffer table and the reaper.
 type Backend struct {
-	buffered *os.File
-	direct   *os.File // nil when O_DIRECT is unavailable
-	bufFd    int32
-	dirFd    int32
-	path     string
-	capacity int64
-	sector   int
-
-	storage.Injection
+	*file.Descriptors
+	bufFd, dirFd int32 // dirFd is -1 when O_DIRECT is unavailable
 
 	ring  *uring
 	slots []slot
@@ -72,25 +66,15 @@ type Backend struct {
 	fixed    []fixedRegion
 	iovecs   []syscall.Iovec
 
-	reads          atomic.Int64
-	bytesRead      atomic.Int64
-	faults         atomic.Int64
-	busyNanos      atomic.Int64
-	queueNanos     atomic.Int64
-	latencyNanos   atomic.Int64
-	directDegraded atomic.Int64
-
 	enters     atomic.Int64 // io_uring_enter calls that submitted reads
 	batches    atomic.Int64 // SubmitBatch/Submit admissions that reached the ring
 	fixedReads atomic.Int64 // reads submitted as READ_FIXED
 
-	// closeMu orders admissions (closed check + wg.Add) before Close's
-	// transition, like the other backends' submit/close fence. wg counts
-	// admitted requests; Close waits it out before killing the ring, so
-	// every in-flight slot — including delayed fault goroutines that
-	// re-enter the ring — completes against a live ring.
-	closeMu   sync.RWMutex
-	closed    bool
+	// fence orders admissions (wg.Add) before Close. wg counts admitted
+	// requests; Close waits it out before killing the ring, so every
+	// in-flight slot — including delayed fault goroutines that re-enter
+	// the ring — completes against a live ring.
+	fence     storage.Fence
 	wg        sync.WaitGroup
 	stopping  atomic.Bool
 	reaperWg  sync.WaitGroup
@@ -110,86 +94,36 @@ var (
 // environment switch is set; FallbackFactory turns that into a file
 // backend instead.
 func Create(path string, capacity int64, opts Options) (storage.Backend, error) {
-	opts.fill()
-	if capacity <= 0 {
-		return nil, fmt.Errorf("linuring: capacity %d", capacity)
-	}
 	if !Supported() {
 		return nil, fmt.Errorf("linuring: create %s: %w", path, ErrUnsupported)
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	entries := opts.Entries
+	if entries <= 0 {
+		entries = 128
+	}
+	d, err := file.CreateDescriptors(path, capacity, opts.DisableDirect)
 	if err != nil {
-		return nil, fmt.Errorf("linuring: create backend: %w", err)
-	}
-	sized := (capacity + int64(opts.SectorSize) - 1) / int64(opts.SectorSize) * int64(opts.SectorSize)
-	if err := f.Truncate(sized); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("linuring: size backend to %d: %w", sized, err)
-	}
-	return newBackend(f, path, capacity, opts)
-}
-
-// Open returns an io_uring backend over an existing file; capacity is
-// its size. Like Create it requires Supported().
-func Open(path string, opts Options) (storage.Backend, error) {
-	opts.fill()
-	if !Supported() {
-		return nil, fmt.Errorf("linuring: open %s: %w", path, ErrUnsupported)
-	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return nil, fmt.Errorf("linuring: open backend: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	return newBackend(f, path, st.Size(), opts)
-}
-
-func newBackend(f *os.File, path string, capacity int64, opts Options) (*Backend, error) {
-	u, err := setupRing(opts.Entries)
+	u, err := setupRing(entries)
 	if err != nil {
-		f.Close()
+		d.Close()
 		return nil, fmt.Errorf("%w: %v", ErrUnsupported, err)
 	}
 	b := &Backend{
-		buffered: f,
-		bufFd:    int32(f.Fd()),
-		dirFd:    -1,
-		path:     path,
-		capacity: capacity,
-		sector:   opts.SectorSize,
-		ring:     u,
-		slots:    make([]slot, u.entries),
-		free:     make(chan uint32, u.entries),
+		Descriptors: d,
+		ring:        u,
+		slots:       make([]slot, u.entries),
+		free:        make(chan uint32, u.entries),
 	}
+	b.bufFd, b.dirFd = d.Fds()
 	for i := uint32(0); i < u.entries; i++ {
 		b.free <- i
-	}
-	if !opts.DisableDirect {
-		if df, derr := os.OpenFile(path, os.O_RDONLY|syscall.O_DIRECT, 0); derr == nil {
-			b.direct = df
-			b.dirFd = int32(df.Fd())
-		}
 	}
 	b.reaperWg.Add(1)
 	go b.reaper()
 	return b, nil
 }
-
-// Path returns the backing file's path.
-func (b *Backend) Path() string { return b.path }
-
-// DirectActive reports whether an O_DIRECT descriptor was obtained.
-func (b *Backend) DirectActive() bool { return b.direct != nil }
-
-// Capacity returns the backend size in bytes.
-func (b *Backend) Capacity() int64 { return b.capacity }
-
-// SectorSize returns the direct-I/O granularity.
-func (b *Backend) SectorSize() int { return b.sector }
 
 // RingStats exposes the io_uring-specific counters: submission enters,
 // admitted batches, READ_FIXED submissions, and how many fixed-buffer
@@ -205,41 +139,6 @@ func (b *Backend) RingStats() RingStats {
 		FixedRegions: regions,
 		Entries:      int(b.ring.entries),
 	}
-}
-
-// ReadRaw copies file bytes into p untimed (dataset setup, verification).
-func (b *Backend) ReadRaw(p []byte, off int64) error {
-	if err := storage.CheckBounds(off, int64(len(p)), b.capacity); err != nil {
-		return err
-	}
-	if _, err := b.buffered.ReadAt(p, off); err != nil {
-		return fmt.Errorf("linuring: raw read at %d: %w", off, err)
-	}
-	return nil
-}
-
-// WriteRaw stores p at off untimed (dataset build).
-func (b *Backend) WriteRaw(p []byte, off int64) error {
-	if err := storage.CheckBounds(off, int64(len(p)), b.capacity); err != nil {
-		return err
-	}
-	if _, err := b.buffered.WriteAt(p, off); err != nil {
-		return fmt.Errorf("linuring: raw write at %d: %w", off, err)
-	}
-	return nil
-}
-
-// WriteSync stores p at off through the buffered descriptor, returning
-// the time the caller was blocked on the write.
-func (b *Backend) WriteSync(p []byte, off int64) (time.Duration, error) {
-	if err := storage.CheckBounds(off, int64(len(p)), b.capacity); err != nil {
-		return 0, err
-	}
-	start := time.Now()
-	_, err := b.buffered.WriteAt(p, off)
-	d := time.Since(start)
-	b.busyNanos.Add(int64(d))
-	return d, err
 }
 
 // ReadAt performs a synchronous buffered read through the ring.
@@ -260,7 +159,7 @@ func (b *Backend) ReadDirect(p []byte, off int64) (time.Duration, error) {
 
 // ReadDirectCtx is ReadDirect bounded by ctx, like ReadAtCtx.
 func (b *Backend) ReadDirectCtx(ctx context.Context, p []byte, off int64) (time.Duration, error) {
-	if err := storage.CheckAlign(off, len(p), b.sector); err != nil {
+	if err := storage.CheckAlign(off, len(p), b.SectorSize()); err != nil {
 		return 0, err
 	}
 	return storage.SyncRead(ctx, b, p, off, true)
@@ -278,41 +177,20 @@ func (b *Backend) Submit(req *storage.Request) {
 // extract read plan costs a single syscall. Requests carrying an
 // injected delay or error leave the batch onto a goroutine slow path
 // (wall-clock stragglers must not stall the ring) and either complete
-// there or rejoin the ring after their delay.
+// there or rejoin the ring after their delay. Admission only counts a
+// request in wg; the ring work runs after the fence is released, and wg
+// keeps the ring alive until every admitted request has completed.
 func (b *Backend) SubmitBatch(reqs []*storage.Request) {
-	if len(reqs) == 0 {
-		return
-	}
-	b.closeMu.RLock()
-	defer b.closeMu.RUnlock()
-	sp := slotIDs.Get().(*[]uint32)
-	batch := (*sp)[:0]
-	ringed := false
-	for _, req := range reqs {
-		if err := storage.CheckBounds(req.Off, int64(len(req.Buf)), b.capacity); err != nil {
-			req.Err = err
-			if req.Done != nil {
-				req.Done(req)
-			}
-			continue
-		}
-		if b.closed {
-			req.Err = storage.ErrClosed
-			if req.Done != nil {
-				req.Done(req)
-			}
-			continue
-		}
-		req.Submitted = time.Now()
+	sc := scratches.Get().(*scratch)
+	b.fence.Admit(reqs, b.Capacity(), func(req *storage.Request) {
 		b.wg.Add(1)
-		if req.Ctx != nil && req.Ctx.Err() != nil {
-			req.Err = fmt.Errorf("linuring: read [%d,%d) abandoned: %w",
-				req.Off, req.Off+int64(len(req.Buf)), req.Ctx.Err())
-			b.completeReq(req, req.Submitted, 0)
-			continue
-		}
-		if len(req.Buf) == 0 {
-			b.completeReq(req, req.Submitted, 0)
+		sc.reqs = append(sc.reqs, req)
+	})
+	batch := sc.ids[:0]
+	ringed := false
+	for _, req := range sc.reqs {
+		if len(req.Buf) == 0 || req.Ctx != nil && req.Ctx.Err() != nil {
+			b.serveSlow(req, faults.Decision{}) // completes at once: empty, or abandoned
 			continue
 		}
 		dec := b.Decide(req.Off, len(req.Buf))
@@ -337,34 +215,32 @@ func (b *Backend) SubmitBatch(reqs []*storage.Request) {
 		batch = append(batch, id)
 	}
 	b.flushBatch(batch)
-	*sp = batch[:0]
-	slotIDs.Put(sp)
+	clear(sc.reqs)
+	sc.reqs, sc.ids = sc.reqs[:0], batch[:0]
+	scratches.Put(sc)
 	if ringed {
 		b.batches.Add(1)
 	}
 }
 
-// slotIDs recycles SubmitBatch's slot-id scratch: concurrent submitters
-// (several extractors, page-cache waves) each need their own, and a
-// pooled *[]uint32 keeps the steady-state submission allocation-free.
-var slotIDs = sync.Pool{New: func() any {
-	s := make([]uint32, 0, 64)
-	return &s
+// scratch is SubmitBatch's admitted-request and slot-id scratch:
+// concurrent submitters (several extractors, page-cache waves) each need
+// their own, and pooling it keeps steady-state submission
+// allocation-free.
+type scratch struct {
+	reqs []*storage.Request
+	ids  []uint32
+}
+
+var scratches = sync.Pool{New: func() any {
+	return &scratch{reqs: make([]*storage.Request, 0, 64), ids: make([]uint32, 0, 64)}
 }}
 
-// recordSlot fills slot id with req's service state. Blocking on the
-// free channel is safe even under closeMu's read lock: the reaper frees
-// slots without touching closeMu.
+// recordSlot fills slot id with req's service state.
 func (b *Backend) recordSlot(id uint32, req *storage.Request, dec faults.Decision) {
 	s := &b.slots[id]
-	s.req = req
-	s.dec = dec
-	s.start = time.Now()
-	s.direct = req.Direct && b.direct != nil && storage.AddrAligned(req.Buf, b.sector)
-	if req.Direct && !s.direct {
-		req.CountDegraded(&b.directDegraded)
-	}
-	b.queueNanos.Add(int64(s.start.Sub(req.Submitted)))
+	s.req, s.dec, s.start = req, dec, time.Now()
+	s.direct = b.UseDirect(req, req.Buf, req.Direct)
 }
 
 // flushBatch stages the slots' SQEs and submits them, preferring one
@@ -456,47 +332,35 @@ func (b *Backend) fixedIndex(p []byte) (uint16, bool) {
 	return 0, false
 }
 
-// serveSlow runs a fault-injected request off the ring: a straggler
-// delay is slept out (honoring the request context), an injected error
-// completes with at most a short-read prefix, and a delay-only request
-// rejoins the ring afterwards so it still performs real device I/O.
-// The request was admitted before this goroutine started, so the ring
+// serveSlow runs a request off the ring: a straggler delay is slept out
+// (honoring the request context), an injected error completes with at
+// most a short-read prefix, an empty or cancelled request completes at
+// once, and a delay-only request rejoins the ring afterwards so it still
+// performs real device I/O. The request was admitted before, so the ring
 // outlives it even if Close has begun.
 func (b *Backend) serveSlow(req *storage.Request, dec faults.Decision) {
 	start := time.Now()
-	b.queueNanos.Add(int64(start.Sub(req.Submitted)))
-	if dec.Delay > 0 && !sleepCtx(req.Ctx, dec.Delay) {
-		req.Err = fmt.Errorf("linuring: read [%d,%d) abandoned: %w",
-			req.Off, req.Off+int64(len(req.Buf)), req.Ctx.Err())
-		b.completeReq(req, start, 0)
+	if !storage.SleepCtx(req.Ctx, dec.Delay) {
+		b.Abandon(req, time.Since(start))
+		b.wg.Done()
 		return
 	}
-	if req.Ctx != nil && req.Ctx.Err() != nil {
-		req.Err = fmt.Errorf("linuring: read [%d,%d) abandoned: %w",
-			req.Off, req.Off+int64(len(req.Buf)), req.Ctx.Err())
-		b.completeReq(req, start, 0)
-		return
-	}
-	if dec.Err == nil {
+	filled := b.Fault(req, dec)
+	if req.Err == nil && filled > 0 {
 		// Delay only: the read itself proceeds through the ring.
-		dec.Delay = 0
 		id := <-b.free
 		b.recordSlot(id, req, dec)
 		b.slots[id].start = start // keep the pre-delay service start
 		b.flushBatch([]uint32{id})
 		return
 	}
-	// Injected error: short reads deliver a prefix, other faults nothing.
-	req.Err = dec.Err
-	b.faults.Add(1)
-	filled := dec.Bytes
 	if filled > 0 {
-		// A prefix is not sector-sized; serve it buffered like storage/file.
-		if _, err := b.buffered.ReadAt(req.Buf[:filled], req.Off); err != nil && err != io.EOF {
+		// A short-read prefix is not sector-sized; serve it buffered.
+		if err := b.Pread(req, req.Buf[:filled], req.Off, false); err != nil {
 			filled = 0
 		}
 	}
-	b.completeReq(req, start, filled)
+	b.complete(req, dec, start, filled)
 }
 
 // reaper is the completion goroutine: it blocks in io_uring_enter with
@@ -534,10 +398,9 @@ func (b *Backend) reaper() {
 }
 
 // handleCQE finishes one ring completion: a runtime O_DIRECT rejection
-// re-submits the same slot buffered (counted once as a degradation via
-// the request's shared stamp), a short transfer is topped up through the
-// buffered descriptor, and a clean read gets its injected silent
-// corruption applied before completing.
+// re-submits the same slot buffered (counted once as a degradation), a
+// short transfer is topped up through the buffered descriptor, and a
+// clean read gets its injected silent corruption applied on completion.
 func (b *Backend) handleCQE(id uint32, res int32) {
 	s := &b.slots[id]
 	// Acquire the submitter's slot publication (see slot.ready).
@@ -548,8 +411,7 @@ func (b *Backend) handleCQE(id uint32, res int32) {
 	n := len(req.Buf)
 	if res < 0 {
 		errno := syscall.Errno(-res)
-		if s.direct && isDirectRejection(errno) {
-			req.CountDegraded(&b.directDegraded)
+		if s.direct && b.Rejected(req, errno) {
 			s.direct = false
 			b.flushBatch([]uint32{id})
 			return
@@ -557,50 +419,31 @@ func (b *Backend) handleCQE(id uint32, res int32) {
 		req.Err = fmt.Errorf("linuring: read [%d,%d): %w",
 			req.Off, req.Off+int64(n), errno)
 	} else if int(res) < n {
-		m, err := b.buffered.ReadAt(req.Buf[res:], req.Off+int64(res))
-		if err == io.EOF && int(res)+m == n {
-			err = nil
-		}
-		if err != nil {
-			req.Err = fmt.Errorf("linuring: read [%d,%d): short transfer %d: %w",
-				req.Off, req.Off+int64(n), res, err)
+		if err := b.Pread(req, req.Buf[res:], req.Off+int64(res), false); err != nil {
+			req.Err = fmt.Errorf("linuring: short transfer %d: %w", res, err)
 		}
 	}
 	filled := n
 	if req.Err != nil {
 		filled = 0
-	} else {
-		if s.dec.Corrupt {
-			b.faults.Add(1)
-		}
-		faults.ApplyCorruption(s.dec, req.Buf[:filled])
 	}
 	b.completeSlot(id, filled)
 }
 
-// completeSlot finishes the request in slot id and recycles the slot.
+// completeSlot recycles slot id and finishes the request it held.
 func (b *Backend) completeSlot(id uint32, filled int) {
 	s := &b.slots[id]
-	req, start := s.req, s.start
+	req, dec, start := s.req, s.dec, s.start
 	s.req, s.dec, s.start, s.direct = nil, faults.Decision{}, time.Time{}, false
 	s.ready.Store(0)
 	b.free <- id
-	b.completeReq(req, start, filled)
+	b.complete(req, dec, start, filled)
 }
 
-// completeReq mirrors the file backend's completion bookkeeping and
-// releases the request's admission (wg) after Done returns, so Close's
-// drain observes finished callbacks.
-func (b *Backend) completeReq(req *storage.Request, serviceStart time.Time, filled int) {
-	svc := time.Since(serviceStart)
-	req.Latency = time.Since(req.Submitted)
-	b.reads.Add(1)
-	b.bytesRead.Add(int64(filled))
-	b.busyNanos.Add(int64(svc))
-	b.latencyNanos.Add(int64(req.Latency))
-	if req.Done != nil {
-		req.Done(req)
-	}
+// complete finishes an admitted request and releases its admission (wg)
+// after Done returns, so Close's drain observes finished callbacks.
+func (b *Backend) complete(req *storage.Request, dec faults.Decision, start time.Time, filled int) {
+	b.Complete(req, dec, time.Since(start), filled)
 	b.wg.Done()
 }
 
@@ -619,9 +462,9 @@ func (b *Backend) RegisterBuffers(regions ...[]byte) error {
 		if len(r) == 0 {
 			continue
 		}
-		if !storage.AddrAligned(r, b.sector) {
+		if !storage.AddrAligned(r, b.SectorSize()) {
 			return fmt.Errorf("linuring: register buffers: region %p not %d-aligned",
-				&r[0], b.sector)
+				&r[0], b.SectorSize())
 		}
 		base := uintptr(unsafe.Pointer(&r[0]))
 		dup := false
@@ -654,30 +497,13 @@ func (b *Backend) RegisterBuffers(regions ...[]byte) error {
 	return nil
 }
 
-// Stats returns a snapshot of the cumulative counters.
-func (b *Backend) Stats() storage.Stats {
-	return storage.Stats{
-		Reads:          b.reads.Load(),
-		BytesRead:      b.bytesRead.Load(),
-		Faults:         b.faults.Load(),
-		BusyTime:       time.Duration(b.busyNanos.Load()),
-		QueueTime:      time.Duration(b.queueNanos.Load()),
-		TotalLatency:   time.Duration(b.latencyNanos.Load()),
-		DirectDegraded: b.directDegraded.Load(),
-	}
-}
-
 // Close drains outstanding requests, stops the completion goroutine via
 // a tagged NOP, tears down the ring, and closes the descriptors.
 // Requests submitted afterwards complete with storage.ErrClosed.
 func (b *Backend) Close() error {
-	b.closeMu.Lock()
-	if b.closed {
-		b.closeMu.Unlock()
+	if !b.fence.Shut() {
 		return nil
 	}
-	b.closed = true
-	b.closeMu.Unlock()
 	b.wg.Wait()
 	b.stopping.Store(true)
 	b.submitMu.Lock()
@@ -689,38 +515,7 @@ func (b *Backend) Close() error {
 	b.submitMu.Unlock()
 	b.reaperWg.Wait()
 	b.ring.close()
-	err := b.buffered.Close()
-	if b.direct != nil {
-		if derr := b.direct.Close(); err == nil {
-			err = derr
-		}
-	}
-	return err
-}
-
-// isDirectRejection matches the errno family the kernel uses to refuse
-// an individual O_DIRECT transfer at read time (same set as
-// storage/file): EINVAL for alignment, ENOTSUP/EOPNOTSUPP where the
-// filesystem granted the open but not the I/O.
-func isDirectRejection(errno syscall.Errno) bool {
-	return errno == syscall.EINVAL || errno == syscall.ENOTSUP ||
-		errno == syscall.EOPNOTSUPP
-}
-
-// sleepCtx sleeps d, returning false early if ctx is cancelled first.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if ctx == nil {
-		time.Sleep(d)
-		return true
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
+	return b.Descriptors.Close()
 }
 
 // supported probes io_uring availability once: a 1-entry setup that is

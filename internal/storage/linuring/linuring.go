@@ -8,7 +8,7 @@
 // Availability is a runtime property, not a build-time one: the kernel
 // may lack io_uring (pre-5.1), forbid it (seccomp, the io_uring_disabled
 // sysctl), or the operator may veto it with the EnvDisable environment
-// variable. Supported reports the probe; Create/Open fail with an error
+// variable. Supported reports the probe; Create fails with an error
 // wrapping ErrUnsupported when it is negative; FallbackFactory degrades
 // to the storage/file worker pool instead, so `-backend=linuring` is
 // safe to request anywhere.
@@ -30,20 +30,18 @@ import (
 )
 
 // EnvDisable, when set to any non-empty value, makes Supported report
-// false and Create/Open fail with ErrUnsupported regardless of kernel
+// false and Create fails with ErrUnsupported regardless of kernel
 // support — the operator switch for forcing the file-backend rung of
 // the fallback ladder (CI exercises it).
 const EnvDisable = "GNNDRIVE_LINURING_DISABLE"
 
-// ErrUnsupported is returned (wrapped) by Create and Open when io_uring
+// ErrUnsupported is returned (wrapped) by Create when io_uring
 // is unavailable: the kernel refuses the setup syscall or EnvDisable is
 // set. FallbackFactory treats it as "use storage/file".
 var ErrUnsupported = errors.New("linuring: io_uring unavailable")
 
 // Options tune a linuring backend.
 type Options struct {
-	// SectorSize is the direct-I/O granularity (default 512).
-	SectorSize int
 	// Entries is the submission-ring depth — the bound on in-flight
 	// reads, like the file backend's worker count times queue slack
 	// (default 128; the kernel rounds up to a power of two).
@@ -55,15 +53,6 @@ type Options struct {
 	// Logf, when non-nil, receives fallback notices from FallbackFactory
 	// (one line saying why the file backend was chosen).
 	Logf func(format string, args ...any)
-}
-
-func (o *Options) fill() {
-	if o.SectorSize <= 0 {
-		o.SectorSize = 512
-	}
-	if o.Entries <= 0 {
-		o.Entries = 128
-	}
 }
 
 // RingStats are the io_uring-specific counters a *Backend exposes beyond
@@ -105,21 +94,11 @@ func Supported() bool {
 	return supported()
 }
 
-// Factory returns a storage.Factory that creates the data file at path
-// sized to the requested capacity, failing (with ErrUnsupported wrapped)
-// where io_uring is unavailable. Use FallbackFactory for the graceful
-// ladder.
-func Factory(path string, opts Options) storage.Factory {
-	return func(capacity int64) (storage.Backend, error) {
-		return Create(path, capacity, opts)
-	}
-}
-
 // FallbackFactory returns a storage.Factory that prefers an io_uring
 // backend and degrades to the storage/file worker pool when io_uring is
 // unavailable (old kernel, seccomp, EnvDisable) or the ring cannot be
-// built. The fallback preserves the sector size and direct-I/O choice,
-// and is announced once through Options.Logf when set.
+// built. The fallback preserves the direct-I/O choice, and is announced
+// once through Options.Logf when set.
 func FallbackFactory(path string, opts Options) storage.Factory {
 	return func(capacity int64) (storage.Backend, error) {
 		be, err := Create(path, capacity, opts)
@@ -132,9 +111,6 @@ func FallbackFactory(path string, opts Options) storage.Factory {
 		if opts.Logf != nil {
 			opts.Logf("linuring: %v; falling back to file backend", err)
 		}
-		return file.Create(path, capacity, file.Options{
-			SectorSize:    opts.SectorSize,
-			DisableDirect: opts.DisableDirect,
-		})
+		return file.Create(path, capacity, file.Options{DisableDirect: opts.DisableDirect})
 	}
 }

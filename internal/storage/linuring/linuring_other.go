@@ -9,7 +9,7 @@ import (
 )
 
 // io_uring is Linux-only; off Linux the probe is a constant no and
-// Create/Open always take the ErrUnsupported path, which FallbackFactory
+// Create always takes the ErrUnsupported path, which FallbackFactory
 // resolves to the storage/file worker pool.
 
 func supported() bool { return false }
@@ -17,9 +17,4 @@ func supported() bool { return false }
 // Create fails with ErrUnsupported off Linux.
 func Create(path string, capacity int64, opts Options) (storage.Backend, error) {
 	return nil, fmt.Errorf("linuring: create %s: %w", path, ErrUnsupported)
-}
-
-// Open fails with ErrUnsupported off Linux.
-func Open(path string, opts Options) (storage.Backend, error) {
-	return nil, fmt.Errorf("linuring: open %s: %w", path, ErrUnsupported)
 }

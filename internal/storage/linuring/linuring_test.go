@@ -46,6 +46,16 @@ func newBackend(t *testing.T) storage.Backend {
 	return b
 }
 
+func newBackendNoDirect(t *testing.T) storage.Backend {
+	t.Helper()
+	b, err := linuring.Create(filepath.Join(t.TempDir(), "data.img"),
+		storagetest.Capacity, linuring.Options{DisableDirect: true})
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	return b
+}
+
 func TestConformance(t *testing.T) {
 	requireSupported(t)
 	storagetest.Run(t, newBackend)
@@ -56,14 +66,16 @@ func TestConformance(t *testing.T) {
 // every environment exercises it).
 func TestConformanceNoDirect(t *testing.T) {
 	requireSupported(t)
-	storagetest.Run(t, func(t *testing.T) storage.Backend {
-		b, err := linuring.Create(filepath.Join(t.TempDir(), "data.img"),
-			storagetest.Capacity, linuring.Options{DisableDirect: true})
-		if err != nil {
-			t.Fatalf("Create: %v", err)
-		}
-		return b
-	})
+	storagetest.Run(t, newBackendNoDirect)
+}
+
+// One read of each kind adds the same Stats deltas as on sim and file,
+// whether the ring reads it, the slow path serves its fault, or it is
+// abandoned before it reaches the ring.
+func TestAccounting(t *testing.T) {
+	requireSupported(t)
+	t.Run("direct", func(t *testing.T) { storagetest.Accounting(t, newBackend) })
+	t.Run("no-direct", func(t *testing.T) { storagetest.Accounting(t, newBackendNoDirect) })
 }
 
 // The integrity wrapper composes over the ring backend exactly as over

@@ -53,10 +53,9 @@ func TestConcurrentSubmitAndCloseNoPanic(t *testing.T) {
 }
 
 func TestInjectedTransientSurfacesAndCounts(t *testing.T) {
-	cfg := InstantConfig()
-	cfg.Faults = &faults.Config{Seed: 11, TransientRate: 1}
-	d := New(1<<20, cfg)
+	d := New(1<<20, InstantConfig())
 	defer d.Close()
+	d.SetInjector(faults.NewInjector(faults.Config{Seed: 11, TransientRate: 1}))
 	_, err := d.ReadAt(make([]byte, 512), 0)
 	if !errors.Is(err, faults.ErrTransient) {
 		t.Fatalf("err %v, want ErrTransient", err)

@@ -25,7 +25,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gnndrive/internal/faults"
@@ -46,11 +45,6 @@ type Config struct {
 	// TimeScale multiplies every modeled duration; <1 speeds the
 	// simulation up uniformly. 0 means 1.0.
 	TimeScale float64
-	// Faults, when non-nil, attaches a fault-injection schedule at
-	// construction (equivalent to SetInjector(faults.NewInjector(*Faults))
-	// right after New), so call sites that build devices from a Config
-	// need no changes to run under injected failures.
-	Faults *faults.Config
 }
 
 // DefaultConfig models a SATA SSD (PM883-like: ~90us random read, ~520MB/s
@@ -72,27 +66,18 @@ func InstantConfig() Config {
 }
 
 // Device is a simulated SSD backed by an in-memory image. It implements
-// storage.Backend.
+// storage.Backend; what it owns beyond the shared pieces is the channel
+// timing model.
 type Device struct {
 	cfg      Config
 	image    []byte
 	channels []*channel
 
-	reads        atomic.Int64
-	bytesRead    atomic.Int64
-	faults       atomic.Int64
-	busyNanos    atomic.Int64
-	queueNanos   atomic.Int64
-	latencyNanos atomic.Int64
-
 	storage.Injection
+	storage.Counters
 
-	// closeMu orders Submit's channel sends before Close's channel close:
-	// senders hold the read side, Close takes the write side, so a request
-	// can never race onto a closed queue.
-	closeMu sync.RWMutex
-	closed  bool
-	wg      sync.WaitGroup
+	fence storage.Fence // Submit's channel sends happen before Close's channel close
+	wg    sync.WaitGroup
 }
 
 var _ storage.Backend = (*Device)(nil)
@@ -115,9 +100,6 @@ func New(capacity int64, cfg Config) *Device {
 		cfg.TimeScale = 1
 	}
 	d := &Device{cfg: cfg, image: make([]byte, capacity)}
-	if cfg.Faults != nil {
-		d.SetInjector(faults.NewInjector(*cfg.Faults))
-	}
 	d.channels = make([]*channel, cfg.Channels)
 	for i := range d.channels {
 		c := &channel{dev: d, queue: make(chan *storage.Request, 4096)}
@@ -145,13 +127,9 @@ func (d *Device) SectorSize() int { return d.cfg.SectorSize }
 // Close stops the channel goroutines. Outstanding requests drain first;
 // requests submitted afterwards complete with ErrClosed.
 func (d *Device) Close() error {
-	d.closeMu.Lock()
-	if d.closed {
-		d.closeMu.Unlock()
+	if !d.fence.Shut() {
 		return nil
 	}
-	d.closed = true
-	d.closeMu.Unlock()
 	for _, c := range d.channels {
 		close(c.queue)
 	}
@@ -174,7 +152,7 @@ func (d *Device) ReadRaw(p []byte, off int64) error {
 // Used by systems that write on the training path (e.g. Ginex persisting
 // superbatch sampling results).
 func (d *Device) WriteSync(p []byte, off int64) (time.Duration, error) {
-	if err := d.check(p, off); err != nil {
+	if err := storage.CheckBounds(off, int64(len(p)), d.Capacity()); err != nil {
 		return 0, err
 	}
 	start := time.Now()
@@ -183,7 +161,7 @@ func (d *Device) WriteSync(p []byte, off int64) (time.Duration, error) {
 		time.Sleep(svc)
 	}
 	d.WriteAt(p, off)
-	d.busyNanos.Add(int64(svc))
+	d.AddBusy(svc)
 	return time.Since(start), nil
 }
 
@@ -215,33 +193,11 @@ func (d *Device) serviceTime(n int) time.Duration {
 // sequential streams still engage all channels sector-interleaved.
 // Submitting to a closed device completes the request with ErrClosed.
 func (d *Device) Submit(req *storage.Request) {
-	if err := d.check(req.Buf, req.Off); err != nil {
-		req.Err = err
-		if req.Done != nil {
-			req.Done(req)
-		}
-		return
-	}
-	d.closeMu.RLock()
-	if d.closed {
-		d.closeMu.RUnlock()
-		req.Err = storage.ErrClosed
-		if req.Done != nil {
-			req.Done(req)
-		}
-		return
-	}
-	req.Submitted = time.Now()
-	c := d.channels[(req.Off/int64(d.cfg.SectorSize))%int64(len(d.channels))]
-	c.queue <- req
-	d.closeMu.RUnlock()
+	d.fence.Admit([]*storage.Request{req}, d.Capacity(), d.enqueue)
 }
 
-func (d *Device) check(p []byte, off int64) error {
-	if off < 0 || off+int64(len(p)) > int64(len(d.image)) {
-		return fmt.Errorf("sim: read [%d,%d) outside capacity %d", off, off+int64(len(p)), len(d.image))
-	}
-	return nil
+func (d *Device) enqueue(req *storage.Request) {
+	d.channels[(req.Off/int64(d.cfg.SectorSize))%int64(len(d.channels))].queue <- req
 }
 
 // ReadAt performs a synchronous read, blocking the caller for the modeled
@@ -269,18 +225,6 @@ func (d *Device) ReadDirectCtx(ctx context.Context, p []byte, off int64) (time.D
 		return 0, err
 	}
 	return d.ReadAtCtx(ctx, p, off)
-}
-
-// Stats returns a snapshot of the cumulative counters.
-func (d *Device) Stats() storage.Stats {
-	return storage.Stats{
-		Reads:        d.reads.Load(),
-		BytesRead:    d.bytesRead.Load(),
-		Faults:       d.faults.Load(),
-		BusyTime:     time.Duration(d.busyNanos.Load()),
-		QueueTime:    time.Duration(d.queueNanos.Load()),
-		TotalLatency: time.Duration(d.latencyNanos.Load()),
-	}
 }
 
 // sleepSlack batches modeled delays: a channel only sleeps once its
@@ -320,64 +264,17 @@ func (c *channel) run() {
 }
 
 // finish waits out the request's modeled completion time (ctx-aware),
-// then fills the buffer, applies the fault decision, and completes it.
-// svc is the total modeled service duration for the busy/queue counters.
+// then fills the buffer and completes it under the fault decision. svc is
+// the total modeled service duration for the busy/queue counters. A
+// cancelled request is not held hostage by a straggler's modeled delay;
+// the channel's modeled clock already advanced, so the device stays
+// "busy" for later requests either way.
 func (c *channel) finish(req *storage.Request, dec faults.Decision, svc time.Duration, finish time.Time) {
-	abandoned := false
-	if wait := time.Until(finish); wait > sleepSlack {
-		if req.Ctx == nil {
-			time.Sleep(wait)
-		} else {
-			// Context-aware service wait: a cancelled request (epoch
-			// teardown) is not held hostage by a straggler's modeled
-			// delay. The channel's modeled clock already advanced, so
-			// the device stays "busy" for later requests either way.
-			timer := time.NewTimer(wait)
-			select {
-			case <-timer.C:
-			case <-req.Ctx.Done():
-				timer.Stop()
-				abandoned = true
-			}
-		}
-	}
-	if abandoned {
-		req.Err = fmt.Errorf("sim: read [%d,%d) abandoned: %w",
-			req.Off, req.Off+int64(len(req.Buf)), req.Ctx.Err())
-		req.Latency = time.Since(req.Submitted)
-		c.dev.reads.Add(1)
-		c.dev.latencyNanos.Add(int64(req.Latency))
-		if req.Done != nil {
-			req.Done(req)
-		}
+	if wait := time.Until(finish); wait > sleepSlack && !storage.SleepCtx(req.Ctx, wait) {
+		c.dev.Abandon(req, 0)
 		return
 	}
-	filled := len(req.Buf)
-	if dec.Err != nil {
-		// Short reads deliver a prefix; other faults deliver nothing.
-		filled = dec.Bytes
-		req.Err = dec.Err
-		c.dev.faults.Add(1)
-	}
-	copy(req.Buf[:filled], c.dev.image[req.Off:req.Off+int64(filled)])
-	if req.Err == nil {
-		// Silent corruption flips a bit of the returned bytes, not of
-		// the image: the medium is fine, the transfer lied. Counted as
-		// a fault even though the request reports success.
-		if dec.Corrupt {
-			c.dev.faults.Add(1)
-		}
-		faults.ApplyCorruption(dec, req.Buf[:filled])
-	}
-	req.Latency = time.Since(req.Submitted)
-	c.dev.reads.Add(1)
-	c.dev.bytesRead.Add(int64(filled))
-	c.dev.busyNanos.Add(int64(svc))
-	if q := req.Latency - svc; q > 0 {
-		c.dev.queueNanos.Add(int64(q))
-	}
-	c.dev.latencyNanos.Add(int64(req.Latency))
-	if req.Done != nil {
-		req.Done(req)
-	}
+	filled := c.dev.Fault(req, dec)
+	copy(req.Buf[:filled], c.dev.image[req.Off:])
+	c.dev.Complete(req, dec, svc, filled)
 }

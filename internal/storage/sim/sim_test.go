@@ -36,6 +36,12 @@ func TestConformanceIntegrityWrapped(t *testing.T) {
 	})
 }
 
+func TestAccounting(t *testing.T) {
+	storagetest.Accounting(t, func(t *testing.T) storage.Backend {
+		return sim.New(storagetest.Capacity, sim.InstantConfig())
+	})
+}
+
 func TestIntegrity(t *testing.T) {
 	storagetest.RunIntegrity(t, func(t *testing.T) storage.Backend {
 		return sim.New(storagetest.Capacity, sim.InstantConfig())

@@ -142,23 +142,8 @@ type Request struct {
 	Latency time.Duration
 
 	// degraded is the once-per-request degradation stamp consumed by
-	// CountDegraded: backends that serve a direct ask through a buffered
-	// path — possibly more than once, when a runtime O_DIRECT rejection
-	// re-enters the degraded branch as a retry — count the request
-	// exactly once.
+	// Counters.CountDegraded.
 	degraded atomic.Bool
-}
-
-// CountDegraded records that this direct request was served through a
-// buffered path, incrementing ctr only on the request's first
-// degradation. Retry paths that re-serve the same Request (the file
-// backend's runtime O_DIRECT rejection fallback, linuring's buffered
-// re-submit after an EINVAL completion) re-enter the degraded branch and
-// must not inflate the counter a second time.
-func (r *Request) CountDegraded(ctr *atomic.Int64) {
-	if r.degraded.CompareAndSwap(false, true) {
-		ctr.Add(1)
-	}
 }
 
 // ResetForReuse clears completion and bookkeeping state so a pooled

@@ -1,10 +1,11 @@
 // Package storagetest is the conformance suite for storage.Backend
-// implementations. Both registered backends (storage/sim, storage/file)
-// run the same harness, so the contract the training stack depends on —
-// one alignment sentinel, prompt ctx cancellation, ErrClosed instead of a
-// panic after Close, monotone stats, injector wiring — is enforced by
-// construction rather than convention. A third backend (e.g. a future
-// io_uring one) gets its whole acceptance test by calling Run.
+// implementations. The three backends (storage/sim, storage/file,
+// storage/linuring) run the same harness, so the contract the training
+// stack depends on — one alignment sentinel, prompt ctx cancellation,
+// ErrClosed instead of a panic after Close, monotone stats, injector
+// wiring, one meaning of each Stats counter — is enforced by construction
+// rather than convention. A new backend gets its whole acceptance test by
+// calling Run and Accounting.
 package storagetest
 
 import (
@@ -501,4 +502,68 @@ func testInjectorWiring(t *testing.T, newBackend Factory) {
 	if !bytes.Equal(buf, img[4*sec:5*sec]) {
 		t.Fatalf("read after detach returned wrong bytes")
 	}
+}
+
+// Accounting pins what one read of each kind adds to Stats, with its
+// fault injected at rate 1, through both the buffered and the direct
+// path. The deltas are the same constants on every backend: Reads,
+// BytesRead and Faults mean one thing whichever mechanism served the
+// read. Not part of Run, because the integrity wrapper heals the
+// corruption case on purpose.
+func Accounting(t *testing.T, newBackend Factory) {
+	b := open(t, newBackend)
+	sec := int64(b.SectorSize())
+	img := make([]byte, 2*sec)
+	pattern(img, 0)
+	if err := b.WriteRaw(img, 0); err != nil {
+		t.Fatalf("WriteRaw: %v", err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name    string
+		inj     *faults.Config // nil: no injector
+		ctx     context.Context
+		wantErr error
+		want    storage.Stats // Reads, BytesRead and Faults only
+	}{
+		{"clean", nil, nil, nil,
+			storage.Stats{Reads: 1, BytesRead: sec}},
+		{"short", &faults.Config{Seed: 5, ShortReadRate: 1}, nil, faults.ErrShortRead,
+			storage.Stats{Reads: 1, BytesRead: sec / 2, Faults: 1}},
+		{"corrupt", &faults.Config{Seed: 21, CorruptRate: 1}, nil, nil,
+			storage.Stats{Reads: 1, BytesRead: sec, Faults: 1}},
+		{"media", &faults.Config{MediaRanges: []faults.Range{{Off: 0, Len: sec}}}, nil, faults.ErrMedia,
+			storage.Stats{Reads: 1, Faults: 1}},
+		{"abandoned", &faults.Config{Seed: 7, StragglerRate: 1, StragglerDelay: time.Hour}, cancelled, context.Canceled,
+			storage.Stats{Reads: 1}},
+	} {
+		for _, direct := range []bool{false, true} {
+			b.SetInjector(nil)
+			if tc.inj != nil {
+				b.SetInjector(faults.NewInjector(*tc.inj))
+			}
+			buf := storage.AlignedBuf(int(sec), b.SectorSize())
+			before := b.Stats()
+			var err error
+			if direct {
+				_, err = b.ReadDirectCtx(tc.ctx, buf, 0)
+			} else {
+				_, err = b.ReadAtCtx(tc.ctx, buf, 0)
+			}
+			d := b.Stats()
+			got := storage.Stats{Reads: d.Reads - before.Reads,
+				BytesRead: d.BytesRead - before.BytesRead, Faults: d.Faults - before.Faults}
+			if (tc.wantErr == nil) != (err == nil) || (err != nil && !errors.Is(err, tc.wantErr)) {
+				t.Fatalf("%s (direct %v): err %v, want %v", tc.name, direct, err, tc.wantErr)
+			}
+			if got != tc.want {
+				t.Fatalf("%s (direct %v): Stats delta %+v, want %+v", tc.name, direct, got, tc.want)
+			}
+			if tc.name == "corrupt" && bytes.Equal(buf, img[:sec]) {
+				t.Fatalf("corrupt (direct %v): read returned clean bytes", direct)
+			}
+		}
+	}
+	b.SetInjector(nil)
 }

@@ -296,7 +296,7 @@ func backendFactory(cfg Config, name string, dim int) (f storage.Factory, path, 
 	}
 	switch cfg.Backend {
 	case "file":
-		f = func(capacity int64) (storage.Backend, error) { return file.Create(path, capacity, file.Options{}) }
+		f = file.Factory(path, file.Options{})
 	case "linuring":
 		// FallbackFactory degrades to the file worker pool where the
 		// kernel refuses io_uring, so a "linuring" config runs anywhere.
@@ -304,7 +304,7 @@ func backendFactory(cfg Config, name string, dim int) (f storage.Factory, path, 
 	default: // "" or "sim"
 		scfg := sim.DefaultConfig()
 		scfg.TimeScale = cfg.Scale
-		f = func(capacity int64) (storage.Backend, error) { return sim.New(capacity, scfg), nil }
+		f = sim.Factory(scfg)
 	}
 	if cfg.Integrity != nil {
 		f = integrity.WrapFactory(f, *cfg.Integrity)
