@@ -21,10 +21,6 @@ import (
 
 	"gnndrive/internal/experiments"
 	"gnndrive/internal/iobench"
-	"gnndrive/internal/storage"
-	"gnndrive/internal/storage/file"
-	"gnndrive/internal/storage/linuring"
-	"gnndrive/internal/storage/sim"
 )
 
 func main() {
@@ -37,7 +33,7 @@ func main() {
 	scale := flag.Float64("scale", 2.0, "time-model stretch")
 	sweep := flag.Bool("sweep", false, "run the full Fig. B.1 grid instead")
 	backend := flag.String("backend", "sim", "storage backend: sim (modeled SSD), file (real file), or linuring (real file via io_uring, falls back to file)")
-	dataFile := flag.String("data-file", "", "backing file for -backend file (default: a temp file)")
+	dataFile := flag.String("data-file", "", "backing file for -backend file or linuring (default: a temp file)")
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -52,55 +48,11 @@ func main() {
 	if (*threads == 0) == (*depth == 0) {
 		log.Fatal("specify exactly one of -threads or -depth (or -sweep)")
 	}
-	var dev storage.Backend
-	switch *backend {
-	case "sim":
-		cfg := sim.DefaultConfig()
-		cfg.TimeScale = *scale
-		dev = iobench.NewDevice(*fileMB<<20, cfg)
-	case "file":
-		path := *dataFile
-		if path == "" {
-			f, err := os.CreateTemp("", "gnndrive-iobench-*.img")
-			if err != nil {
-				log.Fatal(err)
-			}
-			path = f.Name()
-			f.Close()
-			defer os.Remove(path)
-		}
-		fb, err := file.Create(path, *fileMB<<20, file.Options{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("backend: file %s (O_DIRECT active: %v)\n", path, fb.DirectActive())
-		dev = fb
-	case "linuring":
-		path := *dataFile
-		if path == "" {
-			f, err := os.CreateTemp("", "gnndrive-iobench-*.img")
-			if err != nil {
-				log.Fatal(err)
-			}
-			path = f.Name()
-			f.Close()
-			defer os.Remove(path)
-		}
-		lb, err := linuring.FallbackFactory(path, linuring.Options{Logf: log.Printf})(*fileMB << 20)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if rb, ok := lb.(linuring.RingStatser); ok {
-			fmt.Printf("backend: linuring %s (O_DIRECT active: %v, ring entries: %d)\n",
-				path, rb.DirectActive(), rb.RingStats().Entries)
-		} else {
-			fmt.Printf("backend: linuring unavailable, serving via file %s\n", path)
-		}
-		dev = lb
-	default:
-		log.Fatalf("unknown -backend %q (want sim, file, or linuring)", *backend)
+	dev, closeDev, err := iobench.Open(os.Stdout, *backend, *dataFile, *fileMB<<20, *scale)
+	if err != nil {
+		log.Fatal(err)
 	}
-	defer dev.Close()
+	defer closeDev()
 	res, err := iobench.Run(ctx, dev, iobench.Spec{
 		FileBytes: *fileMB << 20, Reads: *reads,
 		Threads: *threads, Depth: *depth, Buffered: *buffered,

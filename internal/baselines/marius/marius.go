@@ -49,17 +49,19 @@ const PrepStagingFraction = 0.30
 // measures it at up to ~46% of epoch time).
 const prepRelayoutFraction = 1.0
 
+// partitions is the number of node partitions (contiguous ranges).
+const partitions = 24
+
+// computeFactor scales per-batch compute relative to the PyG-based
+// systems: Marius's general-purpose DENSE engine is slower per batch (its
+// 347s training vs GNNDrive's 241s full epoch in Table 2).
+const computeFactor = 2.5
+
 // Options configures the MariusGNN baseline: the knobs every system
 // shares, plus Marius's partition buffer.
 type Options struct {
 	core.Knobs
 
-	// Partitions is the number of node partitions (contiguous ranges).
-	Partitions int
-	// ComputeFactor scales per-batch compute relative to the PyG-based
-	// systems: Marius's general-purpose DENSE engine is slower per batch
-	// (its 347s training vs GNNDrive's 241s full epoch in Table 2).
-	ComputeFactor float64
 	// BufferPartitions caps how many partitions stay resident; 0 sizes
 	// it to what the host budget allows (at least 2).
 	BufferPartitions int
@@ -67,7 +69,7 @@ type Options struct {
 
 // DefaultOptions mirrors the paper's MariusGNN configuration at our scale.
 func DefaultOptions(model nn.ModelKind) Options {
-	return Options{Knobs: core.DefaultKnobs(model), Partitions: 24, ComputeFactor: 2.5}
+	return Options{Knobs: core.DefaultKnobs(model)}
 }
 
 // System is a MariusGNN training instance.
@@ -92,21 +94,14 @@ type System struct {
 func New(ds *graph.Dataset, dev *device.Device, budget *hostmem.Budget,
 	rec *metrics.Recorder, opts Options) (*System, error) {
 	opts.Knobs = opts.Knobs.WithDefaults()
-	d := DefaultOptions(opts.Model)
-	if opts.Partitions == 0 {
-		opts.Partitions = d.Partitions
-	}
-	if opts.ComputeFactor == 0 {
-		opts.ComputeFactor = d.ComputeFactor
-	}
 	if rec == nil {
 		rec = metrics.NewRecorder()
 	}
 	s := &System{ds: ds, dev: dev, budget: budget, rec: rec, opts: opts}
 
-	s.partSize = (ds.NumNodes + int64(opts.Partitions) - 1) / int64(opts.Partitions)
+	s.partSize = (ds.NumNodes + partitions - 1) / partitions
 	featPart := s.partSize * ds.FeatBytes()
-	topoPart := ds.NumEdges * 4 / int64(opts.Partitions)
+	topoPart := ds.NumEdges * 4 / partitions
 	s.partBytes = featPart + topoPart
 
 	// Preparation staging: a fixed fraction of the feature table is
@@ -123,9 +118,7 @@ func New(ds *graph.Dataset, dev *device.Device, budget *hostmem.Budget,
 	if bufParts == 0 {
 		avail := budget.Capacity() - meta - prepStage
 		bufParts = int(avail / s.partBytes)
-		if bufParts > opts.Partitions {
-			bufParts = opts.Partitions
-		}
+		bufParts = min(bufParts, partitions)
 	}
 	if bufParts < 2 {
 		s.Close()
@@ -150,7 +143,7 @@ func New(ds *graph.Dataset, dev *device.Device, budget *hostmem.Budget,
 
 	rec.SetGPUProvider(func() int64 { return int64(dev.ComputeBusy()) })
 	s.learn = core.NewLearner(ds, dev, opts.Knobs)
-	s.learn.WorkFactor = opts.ComputeFactor
+	s.learn.WorkFactor = computeFactor
 	return s, nil
 }
 
@@ -197,9 +190,9 @@ func (s *System) prepare(ctx context.Context, epoch int, col *metrics.BreakdownC
 	}
 	// Partition order for the epoch (rotated so every partition leads
 	// some epoch; the pairing schedule is BETA-like round-robin).
-	order := make([]int, s.opts.Partitions)
+	order := make([]int, partitions)
 	for i := range order {
-		order[i] = (i + epoch) % s.opts.Partitions
+		order[i] = (i + epoch) % partitions
 	}
 	// Initial buffer load.
 	for i := 0; i < s.bufParts; i++ {
@@ -256,7 +249,7 @@ func (s *System) readRange(ctx context.Context, buf []byte, off, n int64) error 
 // c-partition buffer needs ~P^2/(2c) partition loads per epoch (the BETA
 // bound), not P-c; this is where MariusGNN's in-epoch I/O goes.
 func (s *System) swapSchedule(n int) (swaps, every int) {
-	p, c := s.opts.Partitions, s.bufParts
+	p, c := partitions, s.bufParts
 	if c >= p {
 		return 0, 0
 	}

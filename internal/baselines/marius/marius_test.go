@@ -31,7 +31,6 @@ func testOpts() Options {
 	o := DefaultOptions(nn.GraphSAGE)
 	o.BatchSize = 40
 	o.Fanouts = []int{4, 4}
-	o.Partitions = 8
 	return o
 }
 
@@ -70,8 +69,8 @@ func TestTrainEpochRunsWithPrep(t *testing.T) {
 		t.Fatal("no batches trained")
 	}
 	// With a generous budget every partition is resident: no swaps.
-	if s.bufParts != testOpts().Partitions {
-		t.Fatalf("%d of %d partitions resident with a generous budget", s.bufParts, testOpts().Partitions)
+	if s.bufParts != partitions {
+		t.Fatalf("%d of %d partitions resident with a generous budget", s.bufParts, partitions)
 	}
 	if swapRead != 0 {
 		t.Fatalf("full buffer read %d bytes beyond preparation; want no swaps", swapRead)

@@ -44,11 +44,6 @@ type Options struct {
 	// SampleWorkers is the DataLoader worker count prefetching sampled
 	// batches concurrently with extraction.
 	SampleWorkers int
-	// ExtractThreads is the effective parallelism of the feature gather.
-	// The paper configures >2x physical cores for I/O-heavy stages, but
-	// mmap faults behind the interpreter lock keep effective depth low;
-	// this is the effective value.
-	ExtractThreads int
 	// PerNodeGatherCPU models the Python-side per-node tensor gather
 	// cost (before time scaling).
 	PerNodeGatherCPU time.Duration
@@ -59,8 +54,8 @@ type Options struct {
 // DefaultOptions mirrors the paper's PyG+ configuration at our scale.
 func DefaultOptions(model nn.ModelKind) Options {
 	return Options{
-		Knobs:         core.DefaultKnobs(model),
-		SampleWorkers: 2, ExtractThreads: 4,
+		Knobs:            core.DefaultKnobs(model),
+		SampleWorkers:    2,
 		PerNodeGatherCPU: 2 * time.Microsecond,
 		TimeScale:        1,
 	}
@@ -91,9 +86,6 @@ func New(ds *graph.Dataset, dev *device.Device, budget *hostmem.Budget,
 	d := DefaultOptions(opts.Model)
 	if opts.SampleWorkers == 0 {
 		opts.SampleWorkers = d.SampleWorkers
-	}
-	if opts.ExtractThreads == 0 {
-		opts.ExtractThreads = d.ExtractThreads
 	}
 	if opts.PerNodeGatherCPU == 0 {
 		opts.PerNodeGatherCPU = d.PerNodeGatherCPU
@@ -219,16 +211,16 @@ func (s *System) runBatch(ctx context.Context, b *sample.Batch, col *metrics.Bre
 	return nil
 }
 
+// extractThreads is the effective parallelism of the feature gather. The
+// paper configures >2x physical cores for I/O-heavy stages, but mmap
+// faults behind the interpreter lock keep effective depth low; this is the
+// effective value.
+const extractThreads = 4
+
 // gather reads every node's feature vector through the page cache with
-// ExtractThreads-way parallelism, counting fault time as I/O wait.
+// extractThreads-way parallelism, counting fault time as I/O wait.
 func (s *System) gather(ctx context.Context, b *sample.Batch, x *tensor.Matrix) error {
-	threads := s.opts.ExtractThreads
-	if threads > len(b.Nodes) {
-		threads = len(b.Nodes)
-	}
-	if threads < 1 {
-		threads = 1
-	}
+	threads := max(min(extractThreads, len(b.Nodes)), 1)
 	var wg sync.WaitGroup
 	var firstErr errutil.FirstError
 	chunk := (len(b.Nodes) + threads - 1) / threads

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"gnndrive/internal/errutil"
 	"gnndrive/internal/faults"
@@ -41,11 +40,6 @@ func putTrainItem(it *trainItem) {
 	it.batch, it.res = nil, nil
 	trainItemPool.Put(it)
 }
-
-// retryableRead classifies storage errors: transient faults and short
-// reads clear on retry; media errors, closed devices, and everything else
-// escalate immediately.
-var retryableRead = errutil.RetryableVia(faults.ErrTransient, faults.ErrShortRead)
 
 // extractor performs asynchronous two-phase feature extraction for one
 // mini-batch at a time (§4.2, Algorithm 1). One extractor owns one
@@ -218,10 +212,12 @@ func (x *extractor) runPlan(ctx context.Context, b *sample.Batch, res *Reservati
 		case cqe.Err == nil:
 			release(1)
 			x.transferOp(b, res, plan[op], slot)
-		case firstErr == nil && retryableRead(cqe.Err) && attempts[op] < budget:
+		case firstErr == nil && faults.Retryable(cqe.Err) && attempts[op] < budget:
 			attempts[op]++
 			st.Retries++
-			x.backoff(ctx, attempts[op])
+			// Cancellation cuts the backoff short; the loop's ctx check
+			// then stops further submissions.
+			_ = errutil.Sleep(ctx, x.policy.Delay(attempts[op]))
 			if err := submit(op); err != nil {
 				eng.staging.Release(slot)
 				release(1)
@@ -311,21 +307,6 @@ func (x *extractor) runPlan(ctx context.Context, b *sample.Batch, res *Reservati
 	x.launchXfer() // an unlaunched record would never release its slots or mark its nodes valid
 	x.xferWG.Wait()
 	return firstErr
-}
-
-// backoff sleeps the policy's jittered exponential delay before a retry,
-// returning early on cancellation.
-func (x *extractor) backoff(ctx context.Context, attempt int) {
-	d := x.policy.Delay(attempt)
-	if d <= 0 {
-		return
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-ctx.Done():
-	case <-timer.C:
-	}
 }
 
 // planScratch resizes the per-op bookkeeping slices for a new plan,

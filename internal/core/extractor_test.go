@@ -435,7 +435,8 @@ func TestBuildExactPlanOneReadPerNode(t *testing.T) {
 		}
 	}
 	// One read per node in the order given — exact mode does not sort.
-	if plan[0].DevOff != rig.ds.FeatureOff(9) || plan[1].DevOff != rig.ds.FeatureOff(4) {
+	featOff := func(v int64) int64 { return rig.ds.Layout.FeaturesOff + v*rig.ds.FeatBytes() }
+	if plan[0].DevOff != featOff(9) || plan[1].DevOff != featOff(4) {
 		t.Fatalf("offsets %d, %d", plan[0].DevOff, plan[1].DevOff)
 	}
 }

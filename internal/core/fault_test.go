@@ -277,7 +277,7 @@ func TestExtractBatchFailureRollsBackReservations(t *testing.T) {
 	// be rolled back with all staging slots returned.
 	rig.ds.Dev.SetInjector(faults.NewInjector(faults.Config{
 		MediaRanges: []faults.Range{{
-			Off: rig.ds.FeatureOff(nodes[2]), Len: rig.ds.FeatBytes(),
+			Off: rig.ds.Layout.FeaturesOff + nodes[2]*rig.ds.FeatBytes(), Len: rig.ds.FeatBytes(),
 		}},
 	}))
 	opts := testOpts()

@@ -3,7 +3,6 @@ package errutil
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -39,110 +38,60 @@ func (f *FirstError) Get() error {
 // Failed reports whether an error has been recorded.
 func (f *FirstError) Failed() bool { return f.Get() != nil }
 
-// Policy bounds a retry loop: exponential backoff with jitter, a total
-// attempt budget, and a transient-vs-permanent classifier.
+// The retry schedule every Policy shares: three attempts in all, the
+// delay doubling per retry up to a 10 ms cap, and up to half of each delay
+// jittered away.
+const (
+	maxAttempts = 3
+	maxDelay    = 10 * time.Millisecond
+	multiplier  = 2
+	jitter      = 0.5
+)
+
+// Policy bounds a retry loop: exponential backoff with jitter over the
+// shared schedule, and a transient-vs-permanent classifier.
 type Policy struct {
-	// MaxAttempts is the total number of tries including the first
-	// (0 means 3; 1 means no retries).
-	MaxAttempts int
 	// BaseDelay is the backoff before the first retry (0 means 100µs).
 	BaseDelay time.Duration
-	// MaxDelay caps the backoff (0 means 10ms).
-	MaxDelay time.Duration
-	// Multiplier grows the delay per attempt (0 means 2).
-	Multiplier float64
-	// Jitter is the fraction of the delay randomized away, in [0, 1]
-	// (0 means 0.5): delay is uniform in [d*(1-Jitter), d].
-	Jitter float64
 	// Seed makes the jitter deterministic; 0 means 1.
 	Seed uint64
-	// Retryable classifies errors; nil retries everything. Use
-	// RetryableVia for an errors.Is allowlist.
+	// Retryable classifies errors; nil retries everything.
 	Retryable func(error) bool
 	// OnRetry, when non-nil, observes each retry about to happen
 	// (attempt is 1-based: the attempt that just failed).
 	OnRetry func(attempt int, err error)
-	// Unit, when non-nil, replaces the built-in seeded hash as the
-	// jitter source. It must return a value in [0, 1) for the given
-	// retry number (1-based). Tests inject a constant so backoff
-	// schedules are exact rather than statistical.
-	Unit func(attempt int) float64
-	// Sleep, when non-nil, replaces the real backoff sleep inside
-	// Retry. Implementations must honor ctx cancellation (a nil ctx
-	// never cancels). Tests inject a recorder or no-op to drive retry
-	// loops without wall-clock waits.
-	Sleep func(ctx context.Context, d time.Duration) error
-}
-
-func (p Policy) withDefaults() Policy {
-	if p.MaxAttempts == 0 {
-		p.MaxAttempts = 3
-	}
-	if p.BaseDelay == 0 {
-		p.BaseDelay = 100 * time.Microsecond
-	}
-	if p.MaxDelay == 0 {
-		p.MaxDelay = 10 * time.Millisecond
-	}
-	if p.Multiplier == 0 {
-		p.Multiplier = 2
-	}
-	if p.Jitter == 0 {
-		p.Jitter = 0.5
-	}
-	if p.Seed == 0 {
-		p.Seed = 1
-	}
-	return p
 }
 
 // Delay returns the jittered backoff before retry number attempt
-// (1-based). It is deterministic in (Seed, attempt) so concurrent
-// retriers sharing a policy de-synchronize without shared state.
+// (1-based): BaseDelay doubled per earlier retry, capped at 10 ms, less a
+// jitter fraction in [0, 0.5). It is deterministic in (Seed, attempt), so
+// concurrent retriers sharing a policy de-synchronize without shared state
+// and a test can compute the exact schedule.
 func (p Policy) Delay(attempt int) time.Duration {
-	p = p.withDefaults()
-	d := float64(p.BaseDelay)
-	for i := 1; i < attempt; i++ {
-		d *= p.Multiplier
-		if d >= float64(p.MaxDelay) {
-			d = float64(p.MaxDelay)
-			break
-		}
+	d := p.BaseDelay
+	if d == 0 {
+		d = 100 * time.Microsecond
 	}
-	if d > float64(p.MaxDelay) {
-		d = float64(p.MaxDelay)
+	seed := p.Seed
+	if seed == 0 {
+		seed = 1
 	}
-	var u float64
-	if p.Unit != nil {
-		u = p.Unit(attempt)
-	} else {
-		u = splitmixUnit(p.Seed ^ uint64(attempt)*0x9e3779b97f4a7c15)
+	for i := 1; i < attempt && d < maxDelay; i++ {
+		d *= multiplier
 	}
-	return time.Duration(d * (1 - p.Jitter*u))
+	d = min(d, maxDelay)
+	u := splitmixUnit(seed ^ uint64(attempt)*0x9e3779b97f4a7c15)
+	return time.Duration(float64(d) * (1 - jitter*u))
 }
 
-// RetryableVia builds a classifier that retries only errors matching one
-// of the targets under errors.Is.
-func RetryableVia(targets ...error) func(error) bool {
-	return func(err error) bool {
-		for _, t := range targets {
-			if errors.Is(err, t) {
-				return true
-			}
-		}
-		return false
-	}
-}
-
-// Retry runs fn until it succeeds, permanently fails, exhausts the
-// attempt budget, or ctx is cancelled. The returned error preserves the
+// Retry runs fn until it succeeds, permanently fails, exhausts the three
+// attempts, or ctx is cancelled. The returned error preserves the
 // underlying cause for errors.Is; on budget exhaustion it is annotated
 // with the attempt count. Cancellation during a backoff sleep returns
 // ctx.Err() promptly. A nil ctx disables cancellation entirely (same
 // convention as storage.Request.Ctx) for callers that have no lifecycle
 // to tie the loop to.
 func Retry(ctx context.Context, p Policy, fn func() error) error {
-	p = p.withDefaults()
 	for attempt := 1; ; attempt++ {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
@@ -156,36 +105,38 @@ func Retry(ctx context.Context, p Policy, fn func() error) error {
 		if p.Retryable != nil && !p.Retryable(err) {
 			return err
 		}
-		if attempt >= p.MaxAttempts {
+		if attempt >= maxAttempts {
 			return fmt.Errorf("gave up after %d attempts: %w", attempt, err)
 		}
 		if p.OnRetry != nil {
 			p.OnRetry(attempt, err)
 		}
-		if err := p.sleep(ctx, p.Delay(attempt)); err != nil {
+		if err := Sleep(ctx, p.Delay(attempt)); err != nil {
 			return err
 		}
 	}
 }
 
-// sleep blocks for d or until ctx is cancelled, delegating to the
-// injectable Policy.Sleep when set.
-func (p Policy) sleep(ctx context.Context, d time.Duration) error {
-	if p.Sleep != nil {
-		return p.Sleep(ctx, d)
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	select {
-	case <-done:
-		return ctx.Err()
-	case <-timer.C:
+// Sleep blocks for d (not at all when d <= 0) or until ctx is cancelled,
+// and returns ctx's error if it is cancelled by the time Sleep returns. A
+// nil ctx never cancels. It is the one ctx-aware sleep: retry backoffs,
+// requeue backoffs and modeled device delays all wait through it.
+func Sleep(ctx context.Context, d time.Duration) error {
+	if ctx == nil {
+		if d > 0 {
+			time.Sleep(d)
+		}
 		return nil
 	}
+	if d > 0 {
+		timer := time.NewTimer(d)
+		select {
+		case <-timer.C:
+		case <-ctx.Done():
+			timer.Stop()
+		}
+	}
+	return ctx.Err()
 }
 
 // splitmixUnit hashes x to a uniform float64 in [0, 1).

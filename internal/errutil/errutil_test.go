@@ -46,79 +46,55 @@ func TestFirstErrorMixedTypesConcurrent(t *testing.T) {
 	}
 }
 
-// TestRetryInjectableUnitAndSleep pins the deterministic-test seam: with
-// Unit pinned to zero the backoff schedule is the exact exponential
-// sequence, and the injected Sleep observes it without wall-clock waits.
-func TestRetryInjectableUnitAndSleep(t *testing.T) {
-	var slept []time.Duration
-	p := Policy{
-		MaxAttempts: 4,
-		BaseDelay:   time.Millisecond,
-		MaxDelay:    time.Second,
-		Unit:        func(int) float64 { return 0 },
-		Sleep: func(ctx context.Context, d time.Duration) error {
-			slept = append(slept, d)
-			return nil
-		},
-	}
+// TestRetrySleepsDelaySchedule pins that Retry waits out Delay's exact
+// schedule: Delay is deterministic in (Seed, attempt), so the two backoffs
+// of a three-attempt loop are known up front and bound its wall time.
+func TestRetrySleepsDelaySchedule(t *testing.T) {
+	p := Policy{BaseDelay: 2 * time.Millisecond, Seed: 7}
 	calls := 0
 	boom := errors.New("boom")
+	start := time.Now()
 	err := Retry(context.Background(), p, func() error { calls++; return boom })
+	elapsed := time.Since(start)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	if calls != 4 {
-		t.Fatalf("calls = %d, want 4", calls)
+	if calls != 3 {
+		t.Fatalf("calls = %d, want 3", calls)
 	}
-	want := []time.Duration{time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond}
-	if len(slept) != len(want) {
-		t.Fatalf("slept = %v, want %v", slept, want)
-	}
-	for i := range want {
-		if slept[i] != want[i] {
-			t.Fatalf("slept[%d] = %v, want %v", i, slept[i], want[i])
-		}
+	if want := p.Delay(1) + p.Delay(2); elapsed < want {
+		t.Fatalf("Retry took %v, less than its backoff schedule %v", elapsed, want)
 	}
 }
 
 // TestRetryNilContext pins the nil-ctx contract: cancellation is simply
-// disabled, the loop still runs to budget exhaustion, and the injected
-// Sleep sees the nil context unchanged.
+// disabled and the loop still runs to budget exhaustion.
 func TestRetryNilContext(t *testing.T) {
-	calls, sleeps := 0, 0
-	p := Policy{
-		MaxAttempts: 3,
-		Sleep: func(ctx context.Context, d time.Duration) error {
-			if ctx != nil {
-				t.Fatalf("Sleep ctx = %v, want nil passed through", ctx)
-			}
-			sleeps++
-			return nil
-		},
-	}
+	calls, retries := 0, 0
+	p := fastPolicy()
+	p.OnRetry = func(int, error) { retries++ }
 	boom := errors.New("boom")
 	//nolint:staticcheck // nil ctx is the documented cancellation-disabled mode
 	err := Retry(nil, p, func() error { calls++; return boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	if calls != 3 || sleeps != 2 {
-		t.Fatalf("calls = %d sleeps = %d, want 3 and 2", calls, sleeps)
+	if calls != 3 || retries != 2 {
+		t.Fatalf("calls = %d retries = %d, want 3 and 2", calls, retries)
 	}
 }
 
-// TestRetrySleepErrorAborts verifies an injected Sleep error (e.g. a
-// simulated drain) stops the loop immediately with that error.
+// TestRetrySleepErrorAborts verifies a backoff sleep that ends in an error
+// (its ctx cancelled, e.g. by a drain) stops the loop immediately with that
+// error.
 func TestRetrySleepErrorAborts(t *testing.T) {
-	stop := errors.New("drained")
-	p := Policy{
-		MaxAttempts: 5,
-		Sleep:       func(context.Context, time.Duration) error { return stop },
-	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	p := Policy{BaseDelay: time.Hour, OnRetry: func(int, error) { cancel() }}
 	calls := 0
-	err := Retry(context.Background(), p, func() error { calls++; return errors.New("boom") })
-	if !errors.Is(err, stop) {
-		t.Fatalf("err = %v, want %v", err, stop)
+	err := Retry(ctx, p, func() error { calls++; return errors.New("boom") })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want %v", err, context.Canceled)
 	}
 	if calls != 1 {
 		t.Fatalf("calls = %d, want 1", calls)

@@ -11,7 +11,7 @@ var errFlaky = errors.New("flaky")
 var errFatal = errors.New("fatal")
 
 func fastPolicy() Policy {
-	return Policy{MaxAttempts: 3, BaseDelay: time.Microsecond, MaxDelay: 10 * time.Microsecond}
+	return Policy{BaseDelay: time.Microsecond}
 }
 
 func TestRetrySucceedsAfterTransients(t *testing.T) {
@@ -56,7 +56,7 @@ func TestRetryGivesUpAndWraps(t *testing.T) {
 func TestRetryNonRetryableReturnsImmediately(t *testing.T) {
 	calls := 0
 	p := fastPolicy()
-	p.Retryable = RetryableVia(errFlaky)
+	p.Retryable = func(err error) bool { return errors.Is(err, errFlaky) }
 	err := Retry(context.Background(), p, func() error {
 		calls++
 		return errFatal
@@ -76,13 +76,12 @@ func TestRetryCancelledBeforeStart(t *testing.T) {
 	}
 }
 
+// The backoff sleep is the shared ctx-aware Sleep: cancelling its ctx ends
+// even an hour-long wait promptly, with the context's error.
 func TestRetryCancelledDuringBackoff(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	p := Policy{MaxAttempts: 5, BaseDelay: time.Hour, MaxDelay: time.Hour}
 	done := make(chan error, 1)
-	go func() {
-		done <- Retry(ctx, p, func() error { return errFlaky })
-	}()
+	go func() { done <- Sleep(ctx, time.Hour) }()
 	time.Sleep(10 * time.Millisecond)
 	cancel()
 	select {
@@ -91,44 +90,30 @@ func TestRetryCancelledDuringBackoff(t *testing.T) {
 			t.Fatalf("err %v", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("Retry did not return promptly after cancellation mid-backoff")
+		t.Fatal("Sleep did not return promptly after cancellation")
+	}
+	//nolint:staticcheck // nil ctx is the documented cancellation-disabled mode
+	if err := Sleep(nil, time.Microsecond); err != nil {
+		t.Fatalf("nil-ctx Sleep: %v", err)
 	}
 }
 
 func TestDelayGrowsAndIsCapped(t *testing.T) {
-	p := Policy{BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond,
-		Multiplier: 2, Jitter: 0.5, Seed: 1}
-	prevMax := time.Duration(0)
+	p := Policy{BaseDelay: time.Millisecond, Seed: 1}
 	for attempt := 1; attempt <= 6; attempt++ {
 		d := p.Delay(attempt)
-		// Jitter keeps delay within [max/2, max] of the un-jittered value.
-		unjittered := time.Millisecond << (attempt - 1)
-		if unjittered > p.MaxDelay {
-			unjittered = p.MaxDelay
-		}
+		// Jitter keeps delay within [max/2, max] of the un-jittered value,
+		// which doubles per retry up to the 10 ms cap.
+		unjittered := min(time.Millisecond<<(attempt-1), 10*time.Millisecond)
 		if d > unjittered || d < unjittered/2 {
 			t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, d, unjittered/2, unjittered)
-		}
-		if d > p.MaxDelay {
-			t.Fatalf("attempt %d: delay %v exceeds cap", attempt, d)
-		}
-		if unjittered > prevMax {
-			prevMax = unjittered
 		}
 	}
 	// Determinism: same (Seed, attempt) → same delay.
 	if p.Delay(3) != p.Delay(3) {
 		t.Fatal("Delay not deterministic")
 	}
-}
-
-func TestRetryableVia(t *testing.T) {
-	r := RetryableVia(errFlaky)
-	if !r(errFlaky) || r(errFatal) || r(nil) {
-		t.Fatal("classifier wrong")
-	}
-	wrapped := errors.Join(errors.New("outer"), errFlaky)
-	if !r(wrapped) {
-		t.Fatal("wrapped error not matched via errors.Is")
+	if (Policy{}).Delay(1) != (Policy{BaseDelay: 100 * time.Microsecond, Seed: 1}).Delay(1) {
+		t.Fatal("zero Policy does not default to a 100µs base and seed 1")
 	}
 }

@@ -26,10 +26,10 @@ type Opts struct {
 	// experiments finishes in tens of minutes on one core.
 	Quick bool
 	// Backend selects the storage backend for experiments that support it
-	// (FigB1): "sim" (default) or "file".
+	// (FigB1): "sim" (default), "file" or "linuring" (see iobench.Open).
 	Backend string
-	// DataFile is the backing file for Backend "file"; empty means a temp
-	// file removed after the run.
+	// DataFile is the backing file for Backend "file" or "linuring"; empty
+	// means a temp file removed after the run.
 	DataFile string
 }
 

@@ -4,23 +4,18 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"time"
 
 	"gnndrive/internal/iobench"
-	"gnndrive/internal/storage"
-	"gnndrive/internal/storage/file"
-	"gnndrive/internal/storage/sim"
 )
 
 // FigB1 reproduces Appendix B's fio study: random 512 B reads of a large
 // file, comparing (a) synchronous reads with 1-64 threads against (b)
 // asynchronous reads with I/O depth 1-128 on a single thread, in direct
 // and buffered modes, reporting bandwidth and average latency for each
-// point. With Opts.Backend "file" the sweep runs against a real file
-// (Opts.DataFile or a temp file) instead of the simulated SSD, so the
-// same grid measures actual disk behavior.
+// point. With Opts.Backend "file" or "linuring" the sweep runs against a
+// real file (Opts.DataFile or a temp file) instead of the simulated SSD,
+// so the same grid measures actual disk behavior.
 func FigB1(ctx context.Context, w io.Writer, o Opts) error {
 	o = o.fill()
 	const fileBytes = 48 << 20 // the "30 GB file" at scale
@@ -29,28 +24,11 @@ func FigB1(ctx context.Context, w io.Writer, o Opts) error {
 		readsTotal = 6000
 	}
 
-	var dev storage.Backend
-	switch o.Backend {
-	case "", "sim":
-		cfg := sim.DefaultConfig()
-		cfg.TimeScale = o.Scale
-		dev = iobench.NewDevice(fileBytes, cfg)
-	case "file":
-		path := o.DataFile
-		if path == "" {
-			path = filepath.Join(os.TempDir(), "gnndrive-iobench.img")
-			defer os.Remove(path)
-		}
-		fb, err := file.Create(path, fileBytes, file.Options{})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "backend: file %s (O_DIRECT active: %v)\n", path, fb.DirectActive())
-		dev = fb
-	default:
-		return fmt.Errorf("experiments: unknown backend %q (want sim or file)", o.Backend)
+	dev, closeDev, err := iobench.Open(w, o.Backend, o.DataFile, fileBytes, o.Scale)
+	if err != nil {
+		return err
 	}
-	defer dev.Close()
+	defer closeDev()
 
 	measure := func(spec iobench.Spec) (float64, time.Duration) {
 		spec.FileBytes = fileBytes

@@ -36,6 +36,14 @@ var (
 	ErrShortRead = errors.New("faults: short read")
 )
 
+// Retryable is the one transient-read classifier: transient errors and
+// short reads clear on retry; media errors, closed devices, checksum
+// failures and everything else escalate immediately. The extractor's
+// per-read retry and the page cache's fault retry both use it.
+func Retryable(err error) bool {
+	return errors.Is(err, ErrTransient) || errors.Is(err, ErrShortRead)
+}
+
 // Class indexes the per-class injection counters.
 type Class int
 

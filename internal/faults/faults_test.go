@@ -2,6 +2,7 @@ package faults
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -197,6 +198,20 @@ func TestClassString(t *testing.T) {
 	} {
 		if c.String() != want {
 			t.Fatalf("%d: %q", int(c), c.String())
+		}
+	}
+}
+
+func TestRetryableClassifiesTransientReads(t *testing.T) {
+	for _, err := range []error{ErrTransient, ErrShortRead, fmt.Errorf("read [0,512): %w", ErrTransient),
+		errors.Join(errors.New("outer"), ErrShortRead)} {
+		if !Retryable(err) {
+			t.Errorf("%v: not retryable", err)
+		}
+	}
+	for _, err := range []error{nil, ErrMedia, errors.New("closed"), fmt.Errorf("x: %w", ErrMedia)} {
+		if Retryable(err) {
+			t.Errorf("%v: retryable", err)
 		}
 	}
 }

@@ -204,15 +204,19 @@ func TestBuildVerifiedEmitsAdoptableSidecar(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Load the container through an integrity-wrapped factory adopting the
-	// sidecar. The load's geometry (exact array sizes + scratch) differs
-	// from the build's estimated capacity; the overlapping blocks adopt.
+	// Load the container through an integrity-wrapped factory, then adopt
+	// the sidecar. The load's geometry (exact array sizes + scratch)
+	// differs from the build's estimated capacity; the overlapping blocks
+	// adopt.
 	loaded, err := graph.Load(out, integrity.WrapFactory(sim.Factory(sim.InstantConfig()),
-		integrity.Options{SidecarPath: side}), 4096)
+		integrity.Options{}), 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer loaded.Dev.Close()
+	if err := loaded.Dev.(*integrity.Backend).LoadSidecar(side); err != nil {
+		t.Fatal(err)
+	}
 	buf := storage.AlignedBuf(loaded.Dev.SectorSize(), loaded.Dev.SectorSize())
 	if _, err := loaded.Dev.ReadAt(buf, loaded.Layout.FeaturesOff); err != nil {
 		t.Fatalf("verified feature read: %v", err)

@@ -8,6 +8,7 @@ package graph
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -74,15 +75,6 @@ func (d *Dataset) Addresser() layout.Addresser {
 	return layout.Strided{Base: d.Layout.FeaturesOff, Feat: int(d.FeatBytes()), Nodes: d.NumNodes}
 }
 
-// FeatureOff returns the device offset of node v's feature vector in the
-// default strided layout. Callers that must work under any layout use
-// Addresser().Extents instead; FeatureOff remains for strided-only paths
-// (dataset generation, layout-rewriting baselines that check
-// layout.ContiguousRange first).
-func (d *Dataset) FeatureOff(v int64) int64 {
-	return d.Layout.FeaturesOff + v*d.FeatBytes()
-}
-
 // Degree returns the in-degree of node v.
 func (d *Dataset) Degree(v int64) int64 { return d.Indptr[v+1] - d.Indptr[v] }
 
@@ -119,19 +111,14 @@ func (d *Dataset) Validate() error {
 			return fmt.Errorf("graph: node %d label %d outside [0,%d)", v, c, d.NumClasses)
 		}
 	}
-	// Spot-check a bounded number of neighbor lists.
+	// Spot-check a bounded number of neighbor lists; decoding rejects
+	// out-of-range IDs. Every other list is checked as a reader decodes it.
 	r := NewRawReader(d)
 	step := d.NumNodes/256 + 1
 	buf := make([]int32, 0, 1024)
 	for v := int64(0); v < d.NumNodes; v += step {
-		ns, _, err := r.Neighbors(v, buf)
-		if err != nil {
-			return err
-		}
-		for _, u := range ns {
-			if int64(u) < 0 || int64(u) >= d.NumNodes {
-				return fmt.Errorf("graph: node %d has out-of-range neighbor %d", v, u)
-			}
+		if _, _, err := r.Neighbors(v, buf); err != nil {
+			return fmt.Errorf("graph: node %d: %w", v, err)
 		}
 	}
 	return nil
@@ -146,13 +133,24 @@ type NeighborReader interface {
 	Neighbors(v int64, buf []int32) ([]int32, time.Duration, error)
 }
 
-// decodeIndices converts little-endian int32 bytes in place into ids.
-func decodeIndices(raw []byte, ids []int32) []int32 {
+// ErrBadNeighbor reports a neighbor ID read from the index array that is
+// not a node of the graph: a corrupt byte on disk, caught where the ID is
+// decoded rather than where it would index a node table.
+var ErrBadNeighbor = errors.New("graph: neighbor ID out of range")
+
+// decodeIndices appends the little-endian int32 node IDs in raw to ids,
+// rejecting any outside [0, nodes) with ErrBadNeighbor. Every neighbor
+// reader decodes through it.
+func decodeIndices(raw []byte, ids []int32, nodes int64) ([]int32, error) {
 	n := len(raw) / 4
 	for i := 0; i < n; i++ {
-		ids = append(ids, int32(binary.LittleEndian.Uint32(raw[i*4:])))
+		u := binary.LittleEndian.Uint32(raw[i*4:])
+		if int64(u) >= nodes { // a negative int32 is a large uint32
+			return nil, fmt.Errorf("%w: %d not in [0,%d)", ErrBadNeighbor, int32(u), nodes)
+		}
+		ids = append(ids, int32(u))
 	}
-	return ids
+	return ids, nil
 }
 
 // Prefetcher is an optional NeighborReader capability for readers whose
@@ -233,8 +231,8 @@ func (r *CachedReader) Neighbors(v int64, buf []int32) ([]int32, time.Duration, 
 	if n == 0 {
 		return buf[:0], 0, nil
 	}
-	if ids, ok := r.fromWindow(lo*4, n*4, buf[:0]); ok {
-		return ids, 0, nil
+	if ids, ok, err := r.fromWindow(lo*4, n*4, buf[:0]); ok {
+		return ids, 0, err
 	}
 	if cap(r.raw) < n*4 {
 		r.raw = make([]byte, n*4)
@@ -244,27 +242,31 @@ func (r *CachedReader) Neighbors(v int64, buf []int32) ([]int32, time.Duration, 
 	if err != nil {
 		return nil, waited, err
 	}
-	return decodeIndices(raw, buf[:0]), waited, nil
+	ids, err := decodeIndices(raw, buf[:0], r.ds.NumNodes)
+	return ids, waited, err
 }
 
 // fromWindow decodes file bytes [off, off+n) from the pinned window into
 // ids, or reports false when some page of the range is not pinned. Ids
 // are 4 bytes at 4-byte offsets, so none straddles a page.
-func (r *CachedReader) fromWindow(off int64, n int, ids []int32) ([]int32, bool) {
+func (r *CachedReader) fromWindow(off int64, n int, ids []int32) ([]int32, bool, error) {
 	for n > 0 {
 		frame := r.wave.Frame(off / pagecache.PageSize)
 		if frame == nil {
-			return nil, false
+			return nil, false, nil
 		}
 		seg := frame[off%pagecache.PageSize:]
 		if len(seg) > n {
 			seg = seg[:n]
 		}
-		ids = decodeIndices(seg, ids)
+		var err error
+		if ids, err = decodeIndices(seg, ids, r.ds.NumNodes); err != nil {
+			return nil, true, err
+		}
 		off += int64(len(seg))
 		n -= len(seg)
 	}
-	return ids, true
+	return ids, true, nil
 }
 
 // RawReader reads indices straight from the device image with no modeled
@@ -291,7 +293,8 @@ func (r *RawReader) Neighbors(v int64, buf []int32) ([]int32, time.Duration, err
 	if err := r.ds.Dev.ReadRaw(raw, r.ds.Layout.IndicesOff+lo*4); err != nil {
 		return nil, 0, err
 	}
-	return decodeIndices(raw, buf[:0]), 0, nil
+	ids, err := decodeIndices(raw, buf[:0], r.ds.NumNodes)
+	return ids, 0, err
 }
 
 // littleEndian reports whether float32s are stored little-endian in host

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -61,6 +63,47 @@ func TestValidateRejectsBadIndptr(t *testing.T) {
 	ds.Indptr[3] = 4 // non-monotone
 	if err := ds.Validate(); err == nil {
 		t.Fatal("expected monotonicity error")
+	}
+}
+
+// A corrupt neighbor ID is an error from every reader, never an index a
+// sampler would use: node 3's last neighbor is rewritten past the graph.
+func TestReadersRejectOutOfRangeNeighbor(t *testing.T) {
+	ds := buildTestDataset(t)
+	bad := make([]byte, 4)
+	for _, id := range []int32{7, -1} {
+		binary.LittleEndian.PutUint32(bad, uint32(id))
+		if err := ds.Dev.WriteRaw(bad, ds.Layout.IndicesOff+5*4); err != nil {
+			t.Fatal(err)
+		}
+		budget := hostmem.NewBudget(1 << 20)
+		cache := pagecache.New(ds.Dev, budget)
+		hubs, err := NewStaticNeighborCache(ds, budget, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cached := NewCachedReader(ds, cache, IndicesFile(ds, cache))
+		readers := map[string]NeighborReader{"raw": NewRawReader(ds), "cached": cached,
+			"static": hubs.Reader(context.Background())}
+		for name, r := range readers {
+			if _, _, err := r.Neighbors(3, nil); !errors.Is(err, ErrBadNeighbor) {
+				t.Errorf("%s reader, id %d: got %v, want ErrBadNeighbor", name, id, err)
+			}
+			if ns, _, err := r.Neighbors(0, nil); err != nil || len(ns) != 2 {
+				t.Errorf("%s reader: clean node 0 gave %v, %v", name, ns, err)
+			}
+		}
+		if _, err := cached.Prefetch([]int64{0, 3}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := cached.Neighbors(3, nil); !errors.Is(err, ErrBadNeighbor) {
+			t.Errorf("prefetched window, id %d: got %v, want ErrBadNeighbor", id, err)
+		}
+		cached.Release()
+		hubs.Close()
+		if err := ds.Validate(); !errors.Is(err, ErrBadNeighbor) {
+			t.Errorf("Validate, id %d: got %v, want ErrBadNeighbor", id, err)
+		}
 	}
 }
 
@@ -202,8 +245,8 @@ func TestCachedReaderPrefetchMatchesRaw(t *testing.T) {
 
 func TestFeatureOffAndRead(t *testing.T) {
 	ds := buildTestDataset(t)
-	if off := ds.FeatureOff(2); off != ds.Layout.FeaturesOff+2*ds.FeatBytes() {
-		t.Fatalf("FeatureOff(2)=%d", off)
+	if ext := ds.Addresser().Extents(2, nil); len(ext) != 1 || ext[0].Off != ds.Layout.FeaturesOff+2*ds.FeatBytes() {
+		t.Fatalf("strided extents of node 2: %+v", ext)
 	}
 	f := ds.ReadFeatureRaw(3, nil)
 	if len(f) != ds.Dim || f[0] != 300 || f[7] != 307 {

@@ -97,5 +97,6 @@ func (r *hubReader) Neighbors(v int64, buf []int32) ([]int32, time.Duration, err
 	if err != nil {
 		return nil, waited, err
 	}
-	return decodeIndices(raw[start-aStart:end-aStart], buf[:0]), waited, nil
+	ids, err := decodeIndices(raw[start-aStart:end-aStart], buf[:0], ds.NumNodes)
+	return ids, waited, err
 }

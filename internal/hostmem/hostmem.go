@@ -23,9 +23,6 @@ type Budget struct {
 	mu       sync.Mutex
 	capacity int64
 	pinned   int64
-	// reserve is memory the page cache may never use (kernel, runtime);
-	// zero by default.
-	reserve int64
 }
 
 // NewBudget creates a budget of capacity bytes.
@@ -55,14 +52,6 @@ func (b *Budget) Pin(label string, n int64) error {
 	return nil
 }
 
-// MustPin is Pin but panics on failure; for allocations sized by
-// construction to fit.
-func (b *Budget) MustPin(label string, n int64) {
-	if err := b.Pin(label, n); err != nil {
-		panic(err)
-	}
-}
-
 // Unpin releases n bytes previously pinned.
 func (b *Budget) Unpin(n int64) {
 	b.mu.Lock()
@@ -81,20 +70,9 @@ func (b *Budget) Pinned() int64 {
 }
 
 // CachePool returns the bytes currently available to the page cache:
-// capacity minus pinned allocations and the reserve.
+// capacity minus pinned allocations.
 func (b *Budget) CachePool() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	p := b.capacity - b.pinned - b.reserve
-	if p < 0 {
-		p = 0
-	}
-	return p
-}
-
-// SetReserve withholds n bytes from the page-cache pool permanently.
-func (b *Budget) SetReserve(n int64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.reserve = n
+	return b.capacity - b.pinned
 }

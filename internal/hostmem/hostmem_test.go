@@ -24,27 +24,6 @@ func TestPinUnpin(t *testing.T) {
 	}
 }
 
-func TestReserveShrinksPool(t *testing.T) {
-	b := NewBudget(100)
-	b.SetReserve(30)
-	if b.CachePool() != 70 {
-		t.Fatalf("pool=%d", b.CachePool())
-	}
-	b.MustPin("x", 80) // pins may still use the reserve region
-	if b.CachePool() != 0 {
-		t.Fatalf("pool should clamp at 0, got %d", b.CachePool())
-	}
-}
-
-func TestMustPinPanicsOnOOM(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewBudget(10).MustPin("big", 11)
-}
-
 func TestUnpinTooMuchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -89,8 +68,8 @@ func TestConcurrentPinNeverOversubscribes(t *testing.T) {
 	}
 }
 
-// Property: for any pin/unpin sequence, pinned + pool == capacity (no
-// reserve) and both stay non-negative.
+// Property: for any pin/unpin sequence, pinned + pool == capacity and both
+// stay non-negative.
 func TestBudgetInvariant(t *testing.T) {
 	f := func(ops []uint16) bool {
 		b := NewBudget(1 << 20)

@@ -1,6 +1,7 @@
 // Package iobench is the fio-equivalent micro-benchmark driver used by
 // Appendix B's study (Fig. B.1) and the cmd/iobench CLI: random fixed-size
-// reads against a storage backend (the simulated SSD or a real file),
+// reads against a storage backend (the simulated SSD or a real file,
+// opened by name through Open),
 // synchronously with N threads or asynchronously with one thread at I/O
 // depth D, in direct or buffered (page-cached) mode, reporting bandwidth
 // and mean latency.
@@ -9,6 +10,8 @@ package iobench
 import (
 	"context"
 	"fmt"
+	"io"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,6 +19,8 @@ import (
 	"gnndrive/internal/hostmem"
 	"gnndrive/internal/pagecache"
 	"gnndrive/internal/storage"
+	"gnndrive/internal/storage/file"
+	"gnndrive/internal/storage/linuring"
 	"gnndrive/internal/storage/sim"
 	"gnndrive/internal/tensor"
 	"gnndrive/internal/uring"
@@ -172,8 +177,63 @@ func runAsync(ctx context.Context, dev storage.Backend, spec Spec) (Result, erro
 	}, nil
 }
 
-// NewDevice builds a zero-filled simulated device of the given size for
-// standalone benchmarking.
-func NewDevice(fileBytes int64, cfg sim.Config) *sim.Device {
-	return sim.New(fileBytes, cfg)
+// Open builds the backend a measurement reads, by name: "sim" (the modeled
+// SSD at time scale scale), "file" (a real file through the worker pool) or
+// "linuring" (a real file through io_uring, degrading to the file pool
+// where the kernel refuses). path backs the real-file backends; empty
+// means a temp file. A real-file backend writes one line to w naming what
+// serves the reads. The returned close closes the backend and removes any
+// temp file. It is the one backend-by-name path of cmd/iobench and Fig. B.1.
+func Open(w io.Writer, name, path string, size int64, scale float64) (storage.Backend, func(), error) {
+	switch name {
+	case "", "sim":
+		cfg := sim.DefaultConfig()
+		cfg.TimeScale = scale
+		dev := sim.New(size, cfg)
+		return dev, func() { dev.Close() }, nil
+	case "file", "linuring":
+	default:
+		return nil, nil, fmt.Errorf("iobench: unknown backend %q (want sim, file, or linuring)", name)
+	}
+	remove := func() {}
+	if path == "" {
+		tf, err := os.CreateTemp("", "gnndrive-iobench-*.img")
+		if err != nil {
+			return nil, nil, err
+		}
+		tf.Close()
+		path = tf.Name()
+		remove = func() { os.Remove(path) }
+	}
+	dev, err := openFile(w, name, path, size)
+	if err != nil {
+		remove()
+		return nil, nil, err
+	}
+	return dev, func() { dev.Close(); remove() }, nil
+}
+
+// openFile opens the real-file backend name over path and reports which
+// backend serves the reads.
+func openFile(w io.Writer, name, path string, size int64) (storage.Backend, error) {
+	if name == "file" {
+		fb, err := file.Create(path, size, file.Options{})
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(w, "backend: file %s (O_DIRECT active: %v)\n", path, fb.DirectActive())
+		return fb, nil
+	}
+	logf := func(format string, args ...any) { fmt.Fprintf(w, format+"\n", args...) }
+	dev, err := linuring.FallbackFactory(path, linuring.Options{Logf: logf})(size)
+	if err != nil {
+		return nil, err
+	}
+	if rb, ok := dev.(linuring.RingStatser); ok {
+		fmt.Fprintf(w, "backend: linuring %s (O_DIRECT active: %v, ring entries: %d)\n",
+			path, rb.DirectActive(), rb.RingStats().Entries)
+	} else {
+		fmt.Fprintf(w, "backend: linuring unavailable, serving via file %s\n", path)
+	}
+	return dev, nil
 }

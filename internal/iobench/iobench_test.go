@@ -2,14 +2,17 @@ package iobench
 
 import (
 	"context"
+	"io"
+	"strings"
 	"testing"
 
+	"gnndrive/internal/storage/linuring"
 	"gnndrive/internal/storage/sim"
 )
 
 func testDev(t *testing.T) *sim.Device {
 	t.Helper()
-	d := NewDevice(1<<20, sim.InstantConfig())
+	d := sim.New(1<<20, sim.InstantConfig())
 	t.Cleanup(func() { d.Close() })
 	return d
 }
@@ -59,5 +62,35 @@ func TestBadSpecs(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), d, Spec{FileBytes: 1 << 20, Reads: 10}); err == nil {
 		t.Fatal("neither threads nor depth rejected")
+	}
+}
+
+// Every backend name the CLI offers reaches a backend: linuring both where
+// the kernel grants io_uring and, vetoed, through its file fallback.
+func TestOpenByName(t *testing.T) {
+	for _, tc := range []struct{ name, veto, want string }{
+		{"sim", "", ""},
+		{"file", "", "backend: file"},
+		{"linuring", "", "backend: linuring"},
+		{"linuring", "1", "serving via file"},
+	} {
+		t.Run(tc.name+"/veto="+tc.veto, func(t *testing.T) {
+			t.Setenv(linuring.EnvDisable, tc.veto)
+			var out strings.Builder
+			dev, closeDev, err := Open(&out, tc.name, "", 1<<20, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer closeDev()
+			if !strings.Contains(out.String(), tc.want) {
+				t.Fatalf("Open printed %q, want %q", out.String(), tc.want)
+			}
+			if _, err := Run(context.Background(), dev, Spec{FileBytes: 1 << 20, Reads: 64, Depth: 8}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if _, _, err := Open(io.Discard, "nvme", "", 1<<20, 0); err == nil {
+		t.Fatal("unknown backend name opened")
 	}
 }

@@ -26,15 +26,16 @@ import (
 	"gnndrive/internal/storage"
 )
 
-// faultPolicy retries page fault-ins that hit a transient device error or
-// a short read, so sample-stage topology reads survive the same injected
-// failures the extractor retries; media errors stay permanent.
+// faultPolicy retries page fault-ins that faults.Retryable clears (a
+// transient device error or a short read), so sample-stage topology reads
+// survive the same injected failures the extractor retries; media errors
+// stay permanent.
 // storage.ErrChecksum / storage.ErrQuarantined are deliberately absent:
 // the integrity layer has already spent its own raw re-read budget before
 // surfacing either sentinel, so retrying the timed read here would only
 // replay a verification that cannot newly succeed.
 var faultPolicy = errutil.Policy{
-	Retryable: errutil.RetryableVia(faults.ErrTransient, faults.ErrShortRead),
+	Retryable: faults.Retryable,
 }
 
 // PageSize is the cache granularity, as on Linux.

@@ -117,7 +117,9 @@ func TestPinningShrinksCache(t *testing.T) {
 	}
 	// Pin most of the budget: the next fault must trigger eviction down
 	// to the new allowance.
-	b.MustPin("buffer", 14*PageSize)
+	if err := b.Pin("buffer", 14*PageSize); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := f.ReadCtx(context.Background(), 20*PageSize, buf); err != nil {
 		t.Fatal(err)
 	}

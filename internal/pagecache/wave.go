@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gnndrive/internal/errutil"
+	"gnndrive/internal/faults"
 	"gnndrive/internal/storage"
 )
 
@@ -197,7 +198,7 @@ func (w *Wave) readRound() error {
 		case err == nil:
 			// A recycled frame keeps its old bytes past a clamped read.
 			clear(pg.data[n:])
-		case faultPolicy.Retryable(err):
+		case faults.Retryable(err):
 			keep = append(keep, pg)
 			if retry == nil {
 				retry = err

@@ -36,23 +36,18 @@ type Demand struct {
 // ComputeDemand prices a job config with the engine's own sizing rules
 // (the options trainsim lowers the config to, core's staging geometry and
 // feature-buffer working set), the estimated max-batch node count replaced
-// by its analytic upper bound batch x (1 + f1 + f1*f2 + ...). The demand
-// is therefore computable at admission time without touching the dataset,
-// and is always >= what the engine actually needs.
+// by its analytic upper bound (batchNodeBound). The demand is therefore
+// computable at admission time without touching the dataset, and is
+// always >= what the engine actually needs.
 func ComputeDemand(cfg trainsim.Config) Demand {
 	o := cfg.EngineOptions()
-	bound, layer := o.BatchSize, o.BatchSize
-	for _, f := range o.Fanouts {
-		layer *= f
-		bound += layer
-	}
 	spec := cfg.Dataset
 	if cfg.Dim != 0 {
 		spec.Dim = cfg.Dim
 	}
 	featBytes := spec.Dim * 4
 
-	fbSlots := o.AutoFeatureSlots(bound)
+	fbSlots := o.AutoFeatureSlots(batchNodeBound(o.BatchSize, o.Fanouts, spec.Nodes))
 	if n := spec.Nodes; n > 0 && fbSlots > n {
 		fbSlots = n
 	}
@@ -64,6 +59,25 @@ func ComputeDemand(cfg trainsim.Config) Demand {
 		FeatureSlots: fbSlots,
 		IOTokens:     stagingSlots,
 	}
+}
+
+// batchNodeBound is the analytic upper bound on one batch's distinct nodes,
+// batch x (1 + f1 + f1*f2 + ...), saturated at the graph's nodes: no batch
+// holds more, and saturating every term keeps a huge batch size or fanout
+// from overflowing into a zero or negative slot count (which the engine
+// would read as "auto-size", outside the admitted envelope).
+func batchNodeBound(batch int, fanouts []int, nodes int) int {
+	bound := min(batch, nodes)
+	layer := bound
+	for _, f := range fanouts {
+		if f > 0 && layer > nodes/f {
+			layer = nodes
+		} else {
+			layer *= f
+		}
+		bound = min(bound+layer, nodes)
+	}
+	return bound
 }
 
 // ErrOverloaded rejects a job the daemon cannot take now (HTTP 429).

@@ -3,6 +3,8 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -40,15 +42,24 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSpec parses a POST /jobs body. Unknown fields are an error, so a
+// misspelled knob is rejected rather than silently defaulted.
+func decodeSpec(body io.Reader) (trainsim.JobSpec, error) {
 	var spec trainsim.JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "invalid JSON: " + err.Error()})
-		return
+		return spec, fmt.Errorf("%w: invalid JSON: %v", ErrBadSpec, err)
 	}
-	id, err := d.Submit(spec)
+	return spec, nil
+}
+
+func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	var id string
+	spec, err := decodeSpec(r.Body)
+	if err == nil {
+		id, err = d.Submit(spec)
+	}
 	switch {
 	case errors.Is(err, ErrOverloaded):
 		// The caller can retry once running jobs release their slices;

@@ -46,10 +46,9 @@ type Config struct {
 	MaxQueued int
 	// MaxRequeues is how many times the supervisor restarts a faulting
 	// or stalled job before marking it failed (default 2; negative 0).
+	// Restarts back off on the errutil schedule from 100µs, capped at
+	// 10ms, so all requeues together wait tens of milliseconds at most.
 	MaxRequeues int
-	// RequeueBackoff paces supervisor restarts (errutil defaults; its
-	// injectable Sleep/Unit make requeue tests deterministic).
-	RequeueBackoff errutil.Policy
 	// DrainGrace is how long Drain waits for requested checkpoints
 	// before cancelling jobs (default 10s).
 	DrainGrace time.Duration
@@ -398,28 +397,11 @@ func (d *Daemon) runJob(j *job, g *grant) {
 		g.release()
 		g = nil
 		d.setState(j, StateBackoff, func() { j.rec.Error = err.Error() })
-		if serr := d.backoff(j.ctx, requeues); serr != nil {
+		if serr := errutil.Sleep(j.ctx, errutil.Policy{}.Delay(requeues)); serr != nil {
 			d.exitInterrupted(j, serr)
 			return
 		}
 		d.setState(j, StateQueued, nil)
-	}
-}
-
-// backoff sleeps the requeue delay, honoring the policy's injectable
-// sleep and the job's cancellation.
-func (d *Daemon) backoff(ctx context.Context, attempt int) error {
-	delay := d.cfg.RequeueBackoff.Delay(attempt)
-	if s := d.cfg.RequeueBackoff.Sleep; s != nil {
-		return s(ctx, delay)
-	}
-	t := time.NewTimer(delay)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
 	}
 }
 

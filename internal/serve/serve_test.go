@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"gnndrive/internal/errutil"
 	"gnndrive/internal/faults"
 	"gnndrive/internal/metrics"
 	"gnndrive/internal/trainsim"
@@ -47,7 +46,6 @@ func testDaemonConfig(t *testing.T, ctx context.Context) Config {
 		MaxQueued:          -1,
 		MaxRequeues:        -1,
 		DrainGrace:         10 * time.Second,
-		RequeueBackoff:     errutil.Policy{Sleep: func(context.Context, time.Duration) error { return nil }},
 		Logf:               t.Logf,
 	}
 }

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -154,26 +153,4 @@ func (c *Counters) Abandon(req *Request, svc time.Duration) {
 	req.Err = fmt.Errorf("storage: read [%d,%d) abandoned: %w",
 		req.Off, req.Off+int64(len(req.Buf)), req.Ctx.Err())
 	c.Complete(req, faults.Decision{}, svc, 0)
-}
-
-// SleepCtx sleeps d (not at all when d <= 0) and reports whether ctx, nil
-// permitted, is still live: false as soon as it is cancelled, so a
-// straggler's delay never holds a cancelled request.
-func SleepCtx(ctx context.Context, d time.Duration) bool {
-	if ctx == nil {
-		if d > 0 {
-			time.Sleep(d)
-		}
-		return true
-	}
-	if d > 0 {
-		timer := time.NewTimer(d)
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			timer.Stop()
-			return false
-		}
-	}
-	return ctx.Err() == nil
 }

@@ -37,6 +37,7 @@ import (
 	"syscall"
 	"time"
 
+	"gnndrive/internal/errutil"
 	"gnndrive/internal/storage"
 )
 
@@ -316,7 +317,7 @@ func (b *Backend) worker() {
 func (b *Backend) serve(req *storage.Request) {
 	start := time.Now()
 	dec := b.Decide(req.Off, len(req.Buf))
-	if !storage.SleepCtx(req.Ctx, dec.Delay) {
+	if errutil.Sleep(req.Ctx, dec.Delay) != nil {
 		b.Abandon(req, time.Since(start))
 		return
 	}

@@ -8,8 +8,9 @@
 //     backend, the O_DIRECT descriptor) under an errutil.Policy budget,
 //     quarantining the block and failing with storage.ErrChecksum +
 //     storage.ErrQuarantined when the mismatch persists;
-//   - persists the checksum table in a sidecar file so a later process
-//     verifies the blocks an earlier one wrote.
+//   - persists the checksum table in a sidecar file ("<container>.crc")
+//     so a later process that loads the container adopts it and verifies
+//     the blocks an earlier one wrote.
 //
 // The wrapper never changes a read's path: a Direct request reaches the
 // inner backend Direct, so the page cache stays topology's (the paper's
@@ -53,41 +54,17 @@ const (
 	stateQuarantined               // persistent mismatch: reads fail
 )
 
-// Options tune the wrapper. The zero value enables checksum verification
-// with the default block size and repair budget.
+// Options tune the wrapper. Checksums cover one block per inner sector,
+// and a mismatch is repaired under repairPolicy's constant budget.
 type Options struct {
-	// BlockSize is the checksum granularity in bytes (default: the inner
-	// backend's sector size). Must be positive when set.
-	BlockSize int
-
-	// Repair is the raw re-read budget on a checksum mismatch; zero
-	// fields take errutil defaults (3 attempts, 100µs base backoff).
-	// The classifier is fixed by the wrapper: only "still mismatching"
-	// re-reads are retried, raw I/O errors escalate immediately.
-	Repair errutil.Policy
-	// DisableRepair fails verification immediately on mismatch without
-	// re-reading or quarantining (detection-only mode).
-	DisableRepair bool
-
-	// SidecarPath, when set, is loaded at Wrap time to adopt a persisted
-	// checksum table (datasets written by a previous process). A missing
-	// sidecar is not an error: verification simply starts untracked for
-	// pre-existing blocks — legacy data reads unverified, with a logged
-	// warning — until they are rewritten through the wrapper.
-	SidecarPath string
-
-	// BaseContext, when non-nil, bounds repair I/O issued from backend
-	// completion callbacks whose requests legitimately carry no context
-	// of their own. Factories thread the owning process or daemon
-	// lifecycle here so repair backoff sleeps become cancellable on
-	// drain; nil leaves such repairs bounded by the attempt budget
-	// alone (errutil.Retry tolerates a nil context).
-	BaseContext context.Context
-
-	// Logf receives warnings (missing sidecar, quarantine events);
-	// nil discards them.
+	// Logf receives quarantine warnings; nil discards them.
 	Logf func(format string, args ...any)
 }
+
+// repairPolicy is the raw re-read budget on a checksum mismatch: the
+// errutil schedule (3 attempts, 100µs base backoff), retrying only "still
+// mismatching" re-reads; raw I/O errors escalate immediately.
+var repairPolicy = errutil.Policy{Retryable: func(err error) bool { return errors.Is(err, errMismatch) }}
 
 // Backend wraps an inner storage.Backend with checksum verification,
 // read-repair and quarantine.
@@ -123,36 +100,22 @@ var (
 	_ storage.IntegrityStatser = (*Backend)(nil)
 )
 
-// Wrap layers the integrity defenses over inner. The checksum table
-// starts empty (every block untracked) unless Options.SidecarPath names
-// a loadable sidecar.
+// Wrap layers the integrity defenses over inner, one checksum block per
+// inner sector. The checksum table starts empty (every block untracked);
+// LoadSidecar adopts a persisted one.
 func Wrap(inner storage.Backend, opts Options) (*Backend, error) {
-	if opts.BlockSize == 0 {
-		opts.BlockSize = inner.SectorSize()
+	block := int64(inner.SectorSize())
+	if block <= 0 {
+		return nil, fmt.Errorf("integrity: block size %d", block)
 	}
-	if opts.BlockSize <= 0 {
-		return nil, fmt.Errorf("integrity: block size %d", opts.BlockSize)
-	}
-	if opts.Repair.Retryable == nil {
-		opts.Repair.Retryable = errutil.RetryableVia(errMismatch)
-	}
-	n := (inner.Capacity() + int64(opts.BlockSize) - 1) / int64(opts.BlockSize)
-	b := &Backend{
+	n := (inner.Capacity() + block - 1) / block
+	return &Backend{
 		inner: inner,
 		opts:  opts,
-		block: int64(opts.BlockSize),
+		block: block,
 		sums:  make([]atomic.Uint32, n),
 		state: make([]atomic.Uint32, n),
-	}
-	if opts.SidecarPath != "" {
-		if err := b.LoadSidecar(opts.SidecarPath); err != nil {
-			if !errors.Is(err, ErrNoSidecar) {
-				return nil, err
-			}
-			b.logf("integrity: no checksum sidecar at %s; pre-existing blocks read unverified until rewritten", opts.SidecarPath)
-		}
-	}
-	return b, nil
+	}, nil
 }
 
 // WrapFactory returns a storage.Factory producing integrity-wrapped
@@ -285,7 +248,8 @@ func (b *Backend) noteWrite(p []byte, off int64) error {
 // verify checks every block overlapping the completed read [off,
 // off+len(p)) against the recorded checksums, repairing mismatches in
 // place when the repair budget allows. ctx (nil permitted) bounds the
-// repair backoff sleeps.
+// repair backoff sleeps; a request with no context is bounded by the
+// attempt budget alone.
 func (b *Backend) verify(ctx context.Context, p []byte, off int64) error {
 	end := off + int64(len(p))
 	allTracked := true
@@ -321,10 +285,6 @@ func (b *Backend) verify(ctx context.Context, p []byte, off int64) error {
 			continue
 		}
 		b.checksumFailures.Add(1)
-		if b.opts.DisableRepair {
-			return fmt.Errorf("integrity: block %d [%d,%d) checksum mismatch: %w",
-				i, bs, be, storage.ErrChecksum)
-		}
 		if err := b.repairBlock(ctx, p, off, end, i, bs, be); err != nil {
 			return err
 		}
@@ -345,17 +305,10 @@ func (b *Backend) verify(ctx context.Context, p []byte, off int64) error {
 // escalates with both corruption sentinels. A repair cut short by ctx
 // fails the read with the context's error and leaves the block tracked.
 func (b *Backend) repairBlock(ctx context.Context, p []byte, off, end, i, bs, be int64) error {
-	if ctx == nil {
-		// Requests arriving through backend completion callbacks carry no
-		// context; fall back to the wrapper's construction-time lifecycle
-		// so daemon drain can cancel repair sleeps. A nil base keeps the
-		// loop bounded by the attempt budget alone.
-		ctx = b.opts.BaseContext
-	}
 	sp := b.getBuf(int(be - bs))
 	defer b.putBuf(sp)
 	scratch := *sp
-	err := errutil.Retry(ctx, b.opts.Repair, func() error {
+	err := errutil.Retry(ctx, repairPolicy, func() error {
 		if rerr := b.inner.ReadRaw(scratch, bs); rerr != nil {
 			return rerr
 		}

@@ -158,29 +158,6 @@ func TestPersistentCorruptionQuarantined(t *testing.T) {
 	}
 }
 
-func TestDetectionOnlyMode(t *testing.T) {
-	b := newWrapped(t, integrity.Options{DisableRepair: true})
-	sec := int64(b.SectorSize())
-	want := make([]byte, sec)
-	pattern(want, 0)
-	if err := b.WriteRaw(want, 0); err != nil {
-		t.Fatalf("WriteRaw: %v", err)
-	}
-	b.SetInjector(faults.NewInjector(faults.Config{Seed: 13, CorruptRate: 1.0}))
-	got := make([]byte, sec)
-	_, err := b.ReadAt(got, 0)
-	if !errors.Is(err, storage.ErrChecksum) {
-		t.Fatalf("detection-only: got %v, want ErrChecksum", err)
-	}
-	if errors.Is(err, storage.ErrQuarantined) {
-		t.Fatalf("detection-only quarantined: %v", err)
-	}
-	st := b.IntegrityStats()
-	if st.Repairs != 0 || st.Quarantined != 0 || st.ChecksumFailures == 0 {
-		t.Fatalf("detection-only counters: %+v", st)
-	}
-}
-
 func TestPartialBlockVerification(t *testing.T) {
 	b := newWrapped(t, integrity.Options{})
 	sec := int64(b.SectorSize())
@@ -319,7 +296,8 @@ func TestSidecarRoundtrip(t *testing.T) {
 	}
 
 	// A new process: same bytes land on a fresh device outside any
-	// wrapper, then Wrap adopts the sidecar and verifies from read one.
+	// wrapper, then the wrapper adopts the sidecar and verifies from read
+	// one.
 	inner := sim.New(capacity, sim.InstantConfig())
 	if err := inner.WriteRaw(img[:16*sec], 0); err != nil {
 		t.Fatalf("inner WriteRaw: %v", err)
@@ -330,11 +308,14 @@ func TestSidecarRoundtrip(t *testing.T) {
 	if err := inner.WriteRaw(bad, 3*sec); err != nil {
 		t.Fatalf("inner corrupt WriteRaw: %v", err)
 	}
-	b2, err := integrity.Wrap(inner, integrity.Options{SidecarPath: side})
+	b2, err := integrity.Wrap(inner, integrity.Options{})
 	if err != nil {
-		t.Fatalf("Wrap with sidecar: %v", err)
+		t.Fatalf("Wrap: %v", err)
 	}
 	defer b2.Close()
+	if err := b2.LoadSidecar(side); err != nil {
+		t.Fatalf("LoadSidecar: %v", err)
+	}
 	got := make([]byte, sec)
 	if _, err := b2.ReadAt(got, 0); err != nil {
 		t.Fatalf("adopted read: %v", err)
@@ -347,28 +328,20 @@ func TestSidecarRoundtrip(t *testing.T) {
 	}
 }
 
+// A missing sidecar is ErrNoSidecar, which loaders downgrade to a warning:
+// the wrapper adopts nothing and keeps serving, unverified where it has no
+// sums.
 func TestSidecarMissingIsWarning(t *testing.T) {
-	var warnings []string
-	var mu sync.Mutex
-	b := newWrapped(t, integrity.Options{
-		SidecarPath: filepath.Join(t.TempDir(), "absent.crc"),
-		Logf: func(f string, a ...any) {
-			mu.Lock()
-			warnings = append(warnings, f)
-			mu.Unlock()
-		},
-	})
+	b := newWrapped(t, integrity.Options{})
+	if err := b.LoadSidecar(filepath.Join(t.TempDir(), "absent.crc")); !errors.Is(err, integrity.ErrNoSidecar) {
+		t.Fatalf("missing sidecar: got %v, want ErrNoSidecar", err)
+	}
 	got := make([]byte, b.SectorSize())
 	if _, err := b.ReadAt(got, 0); err != nil {
 		t.Fatalf("read without sidecar: %v", err)
 	}
 	if st := b.IntegrityStats(); st.UnverifiedReads != 1 {
 		t.Fatalf("sidecar-less read should be unverified: %+v", st)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(warnings) == 0 {
-		t.Fatalf("missing sidecar produced no warning")
 	}
 }
 
@@ -385,9 +358,11 @@ func TestSidecarGeometryMismatch(t *testing.T) {
 	if err := b.SaveSidecar(side); err != nil {
 		t.Fatalf("SaveSidecar: %v", err)
 	}
-	// Different block size: the sidecar must be rejected, not adopted.
-	other, err := integrity.Wrap(sim.New(capacity, sim.InstantConfig()),
-		integrity.Options{BlockSize: 2 * b.SectorSize()})
+	// Different block size (a device with larger sectors): the sidecar must
+	// be rejected, not adopted.
+	bigSectors := sim.InstantConfig()
+	bigSectors.SectorSize = 2 * b.SectorSize()
+	other, err := integrity.Wrap(sim.New(capacity, bigSectors), integrity.Options{})
 	if err != nil {
 		t.Fatalf("Wrap: %v", err)
 	}
@@ -403,11 +378,14 @@ func TestSidecarGeometryMismatch(t *testing.T) {
 	if err := smallInner.WriteRaw(data, 0); err != nil {
 		t.Fatalf("WriteRaw: %v", err)
 	}
-	small, err := integrity.Wrap(smallInner, integrity.Options{SidecarPath: side})
+	small, err := integrity.Wrap(smallInner, integrity.Options{})
 	if err != nil {
 		t.Fatalf("Wrap small: %v", err)
 	}
 	defer small.Close()
+	if err := small.LoadSidecar(side); err != nil {
+		t.Fatalf("LoadSidecar small: %v", err)
+	}
 	got := make([]byte, sec)
 	if _, err := small.ReadAt(got, 0); err != nil {
 		t.Fatalf("adopted-sidecar read: %v", err)

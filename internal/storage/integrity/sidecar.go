@@ -12,8 +12,9 @@ import (
 )
 
 // ErrNoSidecar is returned by LoadSidecar when the path does not exist.
-// Wrap treats it as "legacy dataset": verification starts untracked with
-// a logged warning instead of failing.
+// Loaders treat it as "legacy dataset": the blocks they write start
+// tracked from the written bytes, with a logged warning instead of a
+// failure.
 var ErrNoSidecar = errors.New("integrity: checksum sidecar not found")
 
 // sidecarMagic identifies the checksum-sidecar format, version 1:
@@ -26,8 +27,8 @@ const sidecarMagic = "GNNDCRC1"
 const sidecarHeader = 8 + 3*8
 
 // SaveSidecar persists the checksum table (per-block CRC32C sums and
-// tracking states) so a later process can Wrap the same dataset with
-// verification enabled from the first read. The write is crash-atomic
+// tracking states) so a later process that loads the same dataset adopts
+// it and verifies against the sums taken when it was written. The write is crash-atomic
 // (checkpoint.Commit). Conventionally the sidecar lives next to the
 // dataset container as "<container>.crc".
 func (b *Backend) SaveSidecar(path string) error {

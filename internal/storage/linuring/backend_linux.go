@@ -12,6 +12,7 @@ import (
 	"time"
 	"unsafe"
 
+	"gnndrive/internal/errutil"
 	"gnndrive/internal/faults"
 	"gnndrive/internal/storage"
 	"gnndrive/internal/storage/file"
@@ -340,7 +341,7 @@ func (b *Backend) fixedIndex(p []byte) (uint16, bool) {
 // outlives it even if Close has begun.
 func (b *Backend) serveSlow(req *storage.Request, dec faults.Decision) {
 	start := time.Now()
-	if !storage.SleepCtx(req.Ctx, dec.Delay) {
+	if errutil.Sleep(req.Ctx, dec.Delay) != nil {
 		b.Abandon(req, time.Since(start))
 		b.wg.Done()
 		return

@@ -27,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"gnndrive/internal/errutil"
 	"gnndrive/internal/faults"
 	"gnndrive/internal/storage"
 )
@@ -270,7 +271,7 @@ func (c *channel) run() {
 // the channel's modeled clock already advanced, so the device stays
 // "busy" for later requests either way.
 func (c *channel) finish(req *storage.Request, dec faults.Decision, svc time.Duration, finish time.Time) {
-	if wait := time.Until(finish); wait > sleepSlack && !storage.SleepCtx(req.Ctx, wait) {
+	if wait := time.Until(finish); wait > sleepSlack && errutil.Sleep(req.Ctx, wait) != nil {
 		c.dev.Abandon(req, 0)
 		return
 	}

@@ -104,26 +104,6 @@ func (m *Matrix) Scale(s float32) {
 	}
 }
 
-// AddScaled accumulates s*o into m.
-func (m *Matrix) AddScaled(o *Matrix, s float32) {
-	if !m.SameShape(o) {
-		panic(fmt.Sprintf("tensor: AddScaled shape mismatch %v vs %v", m, o))
-	}
-	for i, v := range o.Data {
-		m.Data[i] += s * v
-	}
-}
-
-// Mul multiplies m elementwise by o (Hadamard product).
-func (m *Matrix) Mul(o *Matrix) {
-	if !m.SameShape(o) {
-		panic(fmt.Sprintf("tensor: Mul shape mismatch %v vs %v", m, o))
-	}
-	for i, v := range o.Data {
-		m.Data[i] *= v
-	}
-}
-
 // AddRowVector adds the length-Cols vector v to every row of m.
 func (m *Matrix) AddRowVector(v []float32) {
 	if len(v) != m.Cols {
@@ -137,24 +117,10 @@ func (m *Matrix) AddRowVector(v []float32) {
 	}
 }
 
-// ColSums returns the per-column sum of m as a length-Cols slice
-// (the bias gradient for a linear layer).
-func (m *Matrix) ColSums() []float32 {
-	out := make([]float32, m.Cols)
-	for r := 0; r < m.Rows; r++ {
-		row := m.Row(r)
-		for j, v := range row {
-			out[j] += v
-		}
-	}
-	return out
-}
-
 // ColSumsInto adds the per-column sums of m into dst (length Cols),
-// accumulating on top of dst's existing contents — unlike ColSums,
-// which returns fresh sums. Callers wanting ColSums semantics must zero
-// dst first; the accumulate form suits the bias-gradient call sites,
-// which sum into a persistent gradient buffer.
+// accumulating on top of dst's existing contents: the bias-gradient call
+// sites sum into a persistent gradient buffer. Zero dst first for fresh
+// sums.
 func (m *Matrix) ColSumsInto(dst []float32) {
 	if len(dst) != m.Cols {
 		panic(fmt.Sprintf("tensor: ColSumsInto length %d != cols %d", len(dst), m.Cols))

@@ -99,26 +99,11 @@ func TestAddSubScale(t *testing.T) {
 	}
 }
 
-func TestAddScaledAndMul(t *testing.T) {
-	a := FromSlice(1, 2, []float32{1, 1})
-	b := FromSlice(1, 2, []float32{2, 3})
-	a.AddScaled(b, 0.5)
-	if a.Data[0] != 2 || a.Data[1] != 2.5 {
-		t.Fatalf("AddScaled got %v", a.Data)
-	}
-	a.Mul(b)
-	if a.Data[0] != 4 || a.Data[1] != 7.5 {
-		t.Fatalf("Mul got %v", a.Data)
-	}
-}
-
 func TestShapeMismatchPanics(t *testing.T) {
 	a, b := New(2, 2), New(2, 3)
 	for name, f := range map[string]func(){
-		"Add":       func() { a.Add(b) },
-		"Sub":       func() { a.Sub(b) },
-		"Mul":       func() { a.Mul(b) },
-		"AddScaled": func() { a.AddScaled(b, 1) },
+		"Add": func() { a.Add(b) },
+		"Sub": func() { a.Sub(b) },
 	} {
 		func() {
 			defer func() {
@@ -137,7 +122,8 @@ func TestAddRowVectorAndColSums(t *testing.T) {
 	if m.At(1, 2) != 36 || m.At(0, 0) != 11 {
 		t.Fatalf("AddRowVector got %v", m.Data)
 	}
-	s := m.ColSums()
+	s := make([]float32, 3)
+	m.ColSumsInto(s)
 	want := []float32{11 + 14, 22 + 25, 33 + 36}
 	for i := range want {
 		if s[i] != want[i] {

@@ -135,13 +135,6 @@ func TestChaosSoak(t *testing.T) {
 	if got := sumIntegrity(cleanRes.Epochs); got != (storage.IntegrityStats{}) {
 		t.Fatalf("clean run reported integrity activity: %+v", got)
 	}
-
-	// File backend: the dataset build persisted its checksum sidecar.
-	if chaos.Backend == "file" {
-		if _, err := os.Stat(chaos.DataFile + ".crc"); err != nil {
-			t.Fatalf("checksum sidecar missing: %v", err)
-		}
-	}
 }
 
 // TestChaosSoakCrashResume kills a chaotic checkpointed run mid-flight,

@@ -58,7 +58,7 @@ func TestSystemsTrainIdenticalSteps(t *testing.T) {
 	defer e.close()
 	opts := marius.DefaultOptions(cfg.Model)
 	opts.Knobs = e.knobs()
-	opts.BufferPartitions = opts.Partitions / 2
+	opts.BufferPartitions = 12 // of MariusGNN's 24
 	m, err := marius.New(e.ds, e.dev, e.budget, e.rec, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -73,8 +73,8 @@ func TestSystemsTrainIdenticalSteps(t *testing.T) {
 		partial = append(partial, st.StepLosses...)
 	}
 	if len(partial) == 0 || slices.Equal(partial, want) {
-		t.Fatalf("MariusGNN with %d of %d partitions resident trained %d steps identical to the full graph's",
-			opts.BufferPartitions, opts.Partitions, len(partial))
+		t.Fatalf("MariusGNN with %d of 24 partitions resident trained %d steps identical to the full graph's",
+			opts.BufferPartitions, len(partial))
 	}
 }
 

@@ -13,6 +13,7 @@ package trainsim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -119,8 +120,9 @@ type Config struct {
 	// addresser. Packed cells cache separately per (model, batch,
 	// fanouts, seed) because the trace depends on them.
 	Layout string
-	// LoadFile, when non-empty, loads this .gnnd container (with any
-	// sidecars: .pidx segment index, .crc checksums) instead of
+	// LoadFile, when non-empty, loads this .gnnd container (with its
+	// sidecars: the .pidx segment index of a packed container, and with
+	// Integrity the .crc checksums its writer saved) instead of
 	// generating a dataset; Dataset/Dim/Layout are ignored. The
 	// container's header decides the layout, exactly like cmd/gnndrive
 	// -load.
@@ -150,8 +152,9 @@ type Config struct {
 	// Integrity, when non-nil, wraps the dataset backend in the checksum
 	// verification layer (storage/integrity): every read is verified
 	// against per-block CRC32C, mismatches are repaired by raw re-reads,
-	// and persistently bad blocks are quarantined. For the file backend a checksum sidecar (<data file>.crc) is persisted after
-	// the dataset build.
+	// and persistently bad blocks are quarantined. A generated dataset is
+	// checksummed as it is written; a loaded one adopts the sums in
+	// <LoadFile>.crc, so bytes corrupted on disk fail verification.
 	Integrity *integrity.Options
 
 	// CheckpointDir enables GNNDrive's crash-consistent run
@@ -188,11 +191,17 @@ func (c *Config) fill() {
 	}
 }
 
+// maxDim bounds the feature dimension a Config may ask for: 256 KiB a
+// vector, far above any dataset's, and small enough that no byte size
+// derived from it overflows.
+const maxDim = 1 << 16
+
 // check rejects a Config no run can honour: a negative size, count or
-// scale, a non-positive fanout, or an unknown backend or layout name. It
-// holds the only lists of backend and layout names. Every run checks its
-// Config where it starts (newEnv); JobSpec.Config and PackDataset check
-// theirs too. A negative StallDeadline is allowed: it means off.
+// scale, a dimension above maxDim, a non-positive fanout, or an unknown
+// backend or layout name. It holds the only lists of backend and layout
+// names. Every run checks its Config where it starts (newEnv);
+// JobSpec.Config and PackDataset check theirs too. A negative
+// StallDeadline is allowed: it means off.
 func (c Config) check() error {
 	for _, s := range []struct {
 		name string
@@ -207,6 +216,9 @@ func (c Config) check() error {
 		if s.v < 0 {
 			return fmt.Errorf("trainsim: %s is %v, want ≥ 0", s.name, s.v)
 		}
+	}
+	if c.Dim > maxDim {
+		return fmt.Errorf("trainsim: dim %d above %d", c.Dim, maxDim)
 	}
 	for _, f := range c.Fanouts {
 		if f <= 0 {
@@ -283,16 +295,15 @@ var (
 // backendFactory builds the storage factory for one dataset cell of a
 // checked config, wrapping it in the integrity layer when the config asks
 // for one. name and dim label auto-created backing files. It returns the
-// factory, the data-file path ("" for sim), and the temp path it will
-// create (file backends with no explicit DataFile), so DropDatasets can
-// remove it. Returning a factory instead of a backend lets graph.Load size
-// the backend itself from the container header.
-func backendFactory(cfg Config, name string, dim int) (f storage.Factory, path, temp string) {
-	if cfg.Backend == "file" || cfg.Backend == "linuring" {
-		if path = cfg.DataFile; path == "" {
-			path = filepath.Join(os.TempDir(), fmt.Sprintf("gnndrive-%s-%d-%g.img", name, dim, cfg.Scale))
-			temp = path
-		}
+// factory and the temp path it will create (file backends with no explicit
+// DataFile), so DropDatasets can remove it. Returning a factory instead of
+// a backend lets graph.Load size the backend itself from the container
+// header.
+func backendFactory(cfg Config, name string, dim int) (f storage.Factory, temp string) {
+	path := cfg.DataFile
+	if path == "" && (cfg.Backend == "file" || cfg.Backend == "linuring") {
+		path = filepath.Join(os.TempDir(), fmt.Sprintf("gnndrive-%s-%d-%g.img", name, dim, cfg.Scale))
+		temp = path
 	}
 	switch cfg.Backend {
 	case "file":
@@ -309,31 +320,17 @@ func backendFactory(cfg Config, name string, dim int) (f storage.Factory, path, 
 	if cfg.Integrity != nil {
 		f = integrity.WrapFactory(f, *cfg.Integrity)
 	}
-	return f, path, temp
+	return f, temp
 }
 
-// newBackend is backendFactory applied at a fixed capacity, for the
-// generation path where the spec decides the size up front.
-func newBackend(cfg Config, spec gen.Spec, capacity int64) (storage.Backend, string, string, error) {
-	f, path, temp := backendFactory(cfg, spec.Name, spec.Dim)
-	dev, err := f(capacity)
-	if err != nil {
-		return nil, "", "", err
-	}
-	return dev, path, temp, nil
-}
-
-// integrityKey flattens the scalar integrity knobs into the dataset cache
-// key, so cells with different verification configs never share a wrapped
-// backend. The repair classifier and Logf are funcs and stay out of the
-// key; the block size and repair budget are what change behavior.
+// integrityKey puts the integrity switch into the dataset cache key, so a
+// verified cell never shares a backend with an unverified one. Logf is the
+// only option and does not change behavior.
 func integrityKey(o *integrity.Options) string {
 	if o == nil {
 		return "none"
 	}
-	return fmt.Sprintf("%d:%v:%d:%v:%s",
-		o.BlockSize, o.DisableRepair,
-		o.Repair.MaxAttempts, o.Repair.BaseDelay, o.SidecarPath)
+	return "verify"
 }
 
 // layoutKey flattens the layout choice into the dataset cache key. A
@@ -356,8 +353,8 @@ func (c Config) spec() gen.Spec {
 	return s
 }
 
-// cacheKey identifies one dataset cell. BaseContext and callback fields
-// stay out on purpose: they don't change the bytes on the device.
+// cacheKey identifies one dataset cell. Callback fields stay out on
+// purpose: they don't change the bytes on the device.
 func cacheKey(cfg Config) string {
 	spec := cfg.spec()
 	if cfg.LoadFile != "" {
@@ -376,22 +373,42 @@ func buildDataset(cfg Config) (*graph.Dataset, error) {
 	if ds, ok := dsCache[key]; ok {
 		return ds, nil
 	}
+	name, dim := spec.Name, spec.Dim
 	if cfg.LoadFile != "" {
-		f, _, temp := backendFactory(cfg, "load-"+filepath.Base(cfg.LoadFile), 0)
+		name, dim = "load-"+filepath.Base(cfg.LoadFile), 0
+	}
+	f, temp := backendFactory(cfg, name, dim)
+	ds, err := loadOrBuild(cfg, f)
+	if err != nil {
+		if temp != "" {
+			os.Remove(temp)
+		}
+		return nil, err
+	}
+	dsCache[key] = ds
+	if temp != "" {
+		dsTemp[key] = temp
+	}
+	return ds, nil
+}
+
+// loadOrBuild makes cfg's dataset on a backend from f: it loads
+// cfg.LoadFile and adopts its checksum sidecar, or generates the spec and
+// packs it when the layout asks. On error the backend is closed.
+func loadOrBuild(cfg Config, f storage.Factory) (*graph.Dataset, error) {
+	if cfg.LoadFile != "" {
 		ds, err := graph.Load(cfg.LoadFile, f, ScratchBytes)
 		if err != nil {
-			if temp != "" {
-				os.Remove(temp)
-			}
 			return nil, err
 		}
-		dsCache[key] = ds
-		if temp != "" {
-			dsTemp[key] = temp
+		if err := adoptSidecar(ds, cfg); err != nil {
+			ds.Dev.Close()
+			return nil, err
 		}
 		return ds, nil
 	}
-	dev, path, temp, err := newBackend(cfg, spec, spec.SizeBytes()+ScratchBytes)
+	spec := cfg.spec()
+	dev, err := f(spec.SizeBytes() + ScratchBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -401,25 +418,31 @@ func buildDataset(cfg Config) (*graph.Dataset, error) {
 	}
 	if err != nil {
 		dev.Close()
-		if temp != "" {
-			os.Remove(temp)
-		}
 		return nil, err
 	}
-	// The build wrote every dataset byte through the integrity wrapper —
-	// and the packer permuted them through the same wrapper, keeping the
-	// checksum table current — so persist it next to the data file so
-	// later processes can open the same file verified from the first read.
-	if ib, ok := dev.(*integrity.Backend); ok && path != "" {
-		if serr := ib.SaveSidecar(path + ".crc"); serr != nil {
-			fmt.Printf("trainsim: checksum sidecar save failed: %v\n", serr)
-		}
-	}
-	dsCache[key] = ds
-	if temp != "" {
-		dsTemp[key] = temp
-	}
 	return ds, nil
+}
+
+// adoptSidecar makes a loaded container's integrity wrapper verify against
+// the checksums its writer saved in "<LoadFile>.crc" (cmd/datagen -out
+// writes them). graph.Load filled the image through the wrapper, which took
+// its sums from the container's own bytes; adoption replaces them, so a
+// byte corrupted on disk since the container was written fails
+// verification instead of training. Without a sidecar the loaded bytes
+// stay the reference, with a warning.
+func adoptSidecar(ds *graph.Dataset, cfg Config) error {
+	ib, ok := ds.Dev.(*integrity.Backend)
+	if !ok {
+		return nil
+	}
+	err := ib.LoadSidecar(cfg.LoadFile + ".crc")
+	if errors.Is(err, integrity.ErrNoSidecar) {
+		if cfg.Logf != nil {
+			cfg.Logf("trainsim: %v; verifying against the loaded bytes", err)
+		}
+		return nil
+	}
+	return err
 }
 
 // PackDataset runs the offline packer on a freshly generated dataset:
@@ -488,7 +511,6 @@ func evict(key string) {
 	dsCache[key].Dev.Close()
 	if path, ok := dsTemp[key]; ok {
 		os.Remove(path)
-		os.Remove(path + ".crc")
 		delete(dsTemp, key)
 	}
 	delete(dsCache, key)

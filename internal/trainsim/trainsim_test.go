@@ -2,6 +2,7 @@ package trainsim
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -10,10 +11,12 @@ import (
 
 	"gnndrive/internal/device"
 	"gnndrive/internal/gen"
+	"gnndrive/internal/graph"
 	"gnndrive/internal/hostmem"
 	"gnndrive/internal/layout"
 	"gnndrive/internal/metrics"
 	"gnndrive/internal/nn"
+	"gnndrive/internal/storage"
 	"gnndrive/internal/storage/integrity"
 	"gnndrive/internal/storage/sim"
 )
@@ -386,6 +389,7 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		"scale":  func(c *Config) { c.Scale = -1 },
 		"fanout": func(c *Config) { c.Fanouts = []int{4, 0} },
 		"layout": func(c *Config) { c.Layout = "zigzag" },
+		"dim":    func(c *Config) { c.Dim = maxDim + 1 },
 	} {
 		cfg := tinyCfg()
 		mut(&cfg)
@@ -488,5 +492,99 @@ func TestPackedLayoutBitIdenticalFewerReads(t *testing.T) {
 	if s0.BytesNeeded != p0.BytesNeeded {
 		t.Fatalf("bytes needed differ: %d vs %d (same schedule must need the same payload)",
 			s0.BytesNeeded, p0.BytesNeeded)
+	}
+}
+
+// saveTiny writes the tiny dataset as cmd/datagen -out does: a .gnnd
+// container built through the integrity layer plus its .crc sidecar. It
+// returns the container path, the built dataset and the file offset where
+// the container's index array starts.
+func saveTiny(t *testing.T) (string, *graph.Dataset, int64) {
+	t.Helper()
+	ds, ib, err := gen.BuildVerified(gen.Tiny(), sim.InstantConfig(), integrity.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ds.Dev.Close() })
+	path := filepath.Join(t.TempDir(), "tiny.gnnd")
+	if err := graph.Save(ds, path); err != nil {
+		t.Fatal(err)
+	}
+	if err := ib.SaveSidecar(path + ".crc"); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// magic, metadata length, metadata, indptr, splits, labels.
+	metaLen := int64(binary.LittleEndian.Uint64(raw[6:]))
+	indices := 6 + 8 + metaLen + 8*(ds.NumNodes+1+int64(len(ds.TrainIdx)+len(ds.ValIdx))) + 4*ds.NumNodes
+	return path, ds, indices
+}
+
+// patchFile XORs mask into the bytes at offs of the file at path.
+func patchFile(t *testing.T, path string, mask byte, offs ...int64) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, off := range offs {
+		raw[off] ^= mask
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A verified load adopts the checksums cmd/datagen saved with the
+// container, so a feature byte corrupted on disk since then fails the run
+// with a checksum error instead of training on it; the clean container
+// trains with every read verified.
+func TestLoadVerifiesAgainstSidecar(t *testing.T) {
+	defer DropDatasets()
+	path, ds, indices := saveTiny(t)
+	cfg := tinyCfg()
+	cfg.LoadFile, cfg.Integrity, cfg.TrainLimit, cfg.InOrder = path, &integrity.Options{}, 100, true
+	res, err := RunCtx(context.Background(), cfg, GNNDriveGPU, RunOptions{Epochs: 1})
+	if err != nil {
+		t.Fatalf("clean container: %v", err)
+	}
+	if st := res.Epochs[0].Integrity; st.VerifiedReads == 0 || st.UnverifiedReads != 0 || st.ChecksumFailures != 0 {
+		t.Fatalf("clean container: %+v", st)
+	}
+
+	// One byte of a training node's feature vector, which every epoch reads.
+	features := indices + 4*ds.NumEdges
+	patchFile(t, path, 0x40, features+ds.TrainIdx[0]*ds.FeatBytes()+1)
+	DropDatasets()
+	_, err = RunCtx(context.Background(), cfg, GNNDriveGPU, RunOptions{Epochs: 1})
+	if !errors.Is(err, storage.ErrChecksum) {
+		t.Fatalf("corrupt feature byte: got %v, want ErrChecksum", err)
+	}
+}
+
+// A corrupt neighbor ID in a list Dataset.Validate's spot check skips is an
+// error out of the run, not an out-of-range index in the feature buffer.
+func TestLoadRejectsCorruptNeighbor(t *testing.T) {
+	defer DropDatasets()
+	path, ds, indices := saveTiny(t)
+	step := ds.NumNodes/256 + 1
+	var offs []int64
+	for v := int64(1); v < ds.NumNodes; v++ {
+		if v%step != 0 && ds.Degree(v) > 0 {
+			// The high byte of v's first neighbor: the ID grows past the graph.
+			offs = append(offs, indices+4*ds.Indptr[v]+3)
+		}
+	}
+	if len(offs) == 0 {
+		t.Fatal("no neighbor list outside the spot check")
+	}
+	patchFile(t, path, 0x40, offs...)
+	cfg := tinyCfg()
+	cfg.LoadFile, cfg.TrainLimit = path, 100
+	if _, err := RunCtx(context.Background(), cfg, GNNDriveGPU, RunOptions{Epochs: 1}); !errors.Is(err, graph.ErrBadNeighbor) {
+		t.Fatalf("corrupt neighbor: got %v, want ErrBadNeighbor", err)
 	}
 }
