@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gnndrive/internal/errutil"
 	"gnndrive/internal/nn"
 )
 
@@ -96,8 +97,9 @@ type Device struct {
 }
 
 type xfer struct {
-	bytes int64
-	done  func()
+	bytes   int64
+	arrival time.Time // when CopyAsync queued it
+	done    func()
 }
 
 // New creates a device and starts its transfer engine.
@@ -167,7 +169,7 @@ func (d *Device) CopyAsync(n int64, done func()) {
 	if d.closed.Load() {
 		panic("device: CopyAsync on closed device")
 	}
-	d.xferQ <- xfer{bytes: n, done: done}
+	d.xferQ <- xfer{bytes: n, arrival: time.Now(), done: done}
 }
 
 // CopySync blocks for the modeled transfer time of n bytes.
@@ -187,17 +189,11 @@ func (d *Device) runTransferEngine() {
 		if d.cfg.TransferBps > 0 {
 			svc = time.Duration(float64(x.bytes) / d.cfg.TransferBps * float64(time.Second) * d.cfg.TimeScale)
 		}
-		now := time.Now()
-		start := now
-		if busyUntil.After(now) {
-			start = busyUntil
-		}
-		busyUntil = start.Add(svc)
-		// Batched sleeping, as in the SSD channels: only sleep once the
-		// modeled clock leads wall-clock by a full slack.
-		if wait := time.Until(busyUntil); wait > 2*time.Millisecond {
-			time.Sleep(wait)
-		}
+		// A FIFO server on the modeled clock, paced like the SSD's
+		// channels: a transfer starts when it was queued or when the one
+		// before it finished, whichever is later. Pace fails only on a
+		// cancelled ctx, and nothing cancels a transfer.
+		busyUntil, _ = errutil.Pace(nil, x.arrival, busyUntil, svc)
 		d.transferBusy.Add(int64(svc))
 		d.bytesMoved.Add(x.bytes)
 		if x.done != nil {

@@ -120,7 +120,8 @@ func Retry(ctx context.Context, p Policy, fn func() error) error {
 // Sleep blocks for d (not at all when d <= 0) or until ctx is cancelled,
 // and returns ctx's error if it is cancelled by the time Sleep returns. A
 // nil ctx never cancels. It is the one ctx-aware sleep: retry backoffs,
-// requeue backoffs and modeled device delays all wait through it.
+// requeue backoffs and modeled device delays (through Pace) all wait
+// through it.
 func Sleep(ctx context.Context, d time.Duration) error {
 	if ctx == nil {
 		if d > 0 {
@@ -137,6 +138,40 @@ func Sleep(ctx context.Context, d time.Duration) error {
 		}
 	}
 	return ctx.Err()
+}
+
+// PaceSlack is how far a modeled clock may lead the wall clock before
+// the server it paces sleeps. A timer wake-up can land up to about a
+// millisecond late, so a server that slept out every sub-millisecond
+// service time would run at the timer's pace, not the model's; batching
+// the waits instead lets a completion lead its modeled finish by at most
+// PaceSlack.
+const PaceSlack = 500 * time.Microsecond
+
+// Pace serves one request of service time svc on a modeled FIFO server
+// whose previous request finishes at busyUntil, and returns the request's
+// finish, the server's next busyUntil. Service starts at max(arrival,
+// busyUntil), so a wake-up that overslept delays no later request's
+// modeled start and an idle server banks no credit; a zero arrival means
+// now. Pace sleeps until finish only when finish leads the wall clock by
+// more than PaceSlack, and then returns ctx's error if ctx is cancelled
+// meanwhile; finish holds either way, since the server stays busy for a
+// request its caller abandoned. The modeled SSD's channels and the
+// device's DMA engine are the servers it paces.
+func Pace(ctx context.Context, arrival, busyUntil time.Time, svc time.Duration) (time.Time, error) {
+	now := time.Now()
+	start := arrival
+	if start.IsZero() {
+		start = now
+	}
+	if busyUntil.After(start) {
+		start = busyUntil
+	}
+	finish := start.Add(svc)
+	if wait := finish.Sub(now); wait > PaceSlack {
+		return finish, Sleep(ctx, wait)
+	}
+	return finish, nil
 }
 
 // splitmixUnit hashes x to a uniform float64 in [0, 1).

@@ -12,7 +12,9 @@
 //     proceed in parallel, so bandwidth grows with concurrency until all
 //     channels are busy (Appendix B's saturation curve);
 //   - each request has a service time = base latency + bytes/bandwidth,
-//     scaled by TimeScale so experiments finish in seconds;
+//     scaled by TimeScale so experiments finish in seconds, and each
+//     channel serves its queue in FIFO order on the modeled clock, so a
+//     deep queue keeps it busy back to back;
 //   - the backing store is an in-memory byte image, so reads return real
 //     bytes and real training can run through the same path;
 //   - per-request queueing delay is tracked, reproducing the latency
@@ -228,53 +230,53 @@ func (d *Device) ReadDirectCtx(ctx context.Context, p []byte, off int64) (time.D
 	return d.ReadAtCtx(ctx, p, off)
 }
 
-// sleepSlack batches modeled delays: a channel only sleeps once its
-// modeled clock runs ahead of wall-clock by this much, so sub-millisecond
-// service times don't pay one scheduler wakeup per request. Aggregate
-// throughput and completion times stay governed by busyUntil.
-const sleepSlack = 500 * time.Microsecond
-
+// run serves the channel's queue as a FIFO server on the modeled clock:
+// a request's service starts at max(its admission, the previous finish)
+// (errutil.Pace), however late the channel goroutine itself woke, and
+// the request completes no earlier than errutil.PaceSlack before its
+// modeled finish.
 func (c *channel) run() {
 	defer c.dev.wg.Done()
 	for req := range c.queue {
-		now := time.Now()
 		svc := c.dev.serviceTime(len(req.Buf))
 		dec := c.dev.Decide(req.Off, len(req.Buf))
-		start := now
-		if c.busyUntil.After(now) {
-			start = c.busyUntil
-		}
-		finish := start.Add(svc)
+		// A cancelled request is not waited out, but the channel's modeled
+		// clock has advanced, so the device stays "busy" for later requests
+		// either way.
+		finish, err := errutil.Pace(req.Ctx, req.Submitted, c.busyUntil, svc)
 		c.busyUntil = finish
-		if dec.Delay > 0 {
-			// Straggler latency models a slow individual transfer (internal
-			// retries, ECC re-reads) — not channel occupancy. The request is
-			// parked aside for the extra modeled delay while the channel
-			// serves the next queued request, so one straggler stalls its
-			// own read and not the requests queued behind it.
-			extra := time.Duration(float64(dec.Delay) * c.dev.cfg.TimeScale)
-			c.dev.wg.Add(1)
-			go func(req *storage.Request, dec faults.Decision, svc time.Duration, finish time.Time) {
-				defer c.dev.wg.Done()
-				c.finish(req, dec, svc, finish)
-			}(req, dec, svc+extra, finish.Add(extra))
+		if err != nil {
+			c.dev.Abandon(req, 0)
 			continue
 		}
-		c.finish(req, dec, svc, finish)
+		if dec.Delay > 0 {
+			extra := time.Duration(float64(dec.Delay) * c.dev.cfg.TimeScale)
+			c.dev.wg.Add(1)
+			go c.straggle(req, dec, svc, finish, extra)
+			continue
+		}
+		c.complete(req, dec, svc)
 	}
 }
 
-// finish waits out the request's modeled completion time (ctx-aware),
-// then fills the buffer and completes it under the fault decision. svc is
-// the total modeled service duration for the busy/queue counters. A
-// cancelled request is not held hostage by a straggler's modeled delay;
-// the channel's modeled clock already advanced, so the device stays
-// "busy" for later requests either way.
-func (c *channel) finish(req *storage.Request, dec faults.Decision, svc time.Duration, finish time.Time) {
-	if wait := time.Until(finish); wait > sleepSlack && errutil.Sleep(req.Ctx, wait) != nil {
+// straggle completes a straggler extra past its channel finish.
+// Straggler latency models a slow individual transfer (internal retries,
+// ECC re-reads) — not channel occupancy — so the request waits it out
+// aside while the channel serves the next queued request: one straggler
+// stalls its own read and not the requests queued behind it.
+func (c *channel) straggle(req *storage.Request, dec faults.Decision, svc time.Duration, finish time.Time, extra time.Duration) {
+	defer c.dev.wg.Done()
+	if _, err := errutil.Pace(req.Ctx, finish, time.Time{}, extra); err != nil {
 		c.dev.Abandon(req, 0)
 		return
 	}
+	c.complete(req, dec, svc+extra)
+}
+
+// complete fills the buffer and completes the request under the fault
+// decision; svc is the total modeled service duration for the busy/queue
+// counters.
+func (c *channel) complete(req *storage.Request, dec faults.Decision, svc time.Duration) {
 	filled := c.dev.Fault(req, dec)
 	copy(req.Buf[:filled], c.dev.image[req.Off:])
 	c.dev.Complete(req, dec, svc, filled)
