@@ -8,8 +8,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
@@ -25,90 +27,130 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	name := flag.String("dataset", "papers100m-s", "dataset: papers100m-s, twitter-s, friendster-s, mag240m-s, tiny")
-	dim := flag.Int("dim", 0, "override feature dimension")
-	out := flag.String("out", "", "write a .gnnd container to this path")
-	stats := flag.Bool("stats", true, "print dataset statistics")
-	seed := flag.Uint64("seed", 0, "override generator seed")
-	layoutName := flag.String("layout", "strided", "feature layout: strided (dense node-ID order) or packed (offline batch-aware packing; -out also writes a .pidx segment index)")
-	traceModel := flag.String("trace-model", "sage", "model whose default batch/fanouts drive the packing trace")
-	traceBatch := flag.Int("trace-batch", 0, "packing-trace batch size (0 = model default; match gnndrive -batch)")
-	traceSeed := flag.Uint64("trace-seed", 1, "packing-trace seed (match gnndrive -seed)")
-	flag.Parse()
-
-	spec, err := gen.ByName(*name)
+	err := run(os.Args[1:], os.Stdout)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
 	if err != nil {
 		log.Fatal(err)
+	}
+}
+
+// options is the parsed command line.
+type options struct {
+	spec       gen.Spec
+	out        string
+	stats      bool
+	packed     bool
+	traceModel nn.ModelKind
+	traceBatch int
+	traceSeed  uint64
+}
+
+// parseArgs parses the command line. An unknown dataset, -layout or
+// -trace-model is an error here, before anything is built.
+func parseArgs(args []string) (options, error) {
+	fs := flag.NewFlagSet("datagen", flag.ContinueOnError)
+	name := fs.String("dataset", "papers100m-s", "dataset: papers100m-s, twitter-s, friendster-s, mag240m-s, tiny")
+	dim := fs.Int("dim", 0, "override feature dimension")
+	seed := fs.Uint64("seed", 0, "override generator seed")
+	layoutName := fs.String("layout", "strided", "feature layout: strided (dense node-ID order) or packed (offline batch-aware packing; -out also writes a .pidx segment index)")
+	traceModel := fs.String("trace-model", "sage", "model whose default batch/fanouts drive the packing trace")
+	var o options
+	fs.StringVar(&o.out, "out", "", "write a .gnnd container to this path")
+	fs.BoolVar(&o.stats, "stats", true, "print dataset statistics")
+	fs.IntVar(&o.traceBatch, "trace-batch", 0, "packing-trace batch size (0 = model default; match gnndrive -batch)")
+	fs.Uint64Var(&o.traceSeed, "trace-seed", 1, "packing-trace seed (match gnndrive -seed)")
+	if err := fs.Parse(args); err != nil {
+		return options{}, err
+	}
+	var err error
+	if o.spec, err = gen.ByName(*name); err != nil {
+		return options{}, err
 	}
 	if *dim != 0 {
-		spec.Dim = *dim
+		o.spec.Dim = *dim
 	}
 	if *seed != 0 {
-		spec.Seed = *seed
-	}
-	start := time.Now()
-	// Build through the integrity layer: every block is checksummed as it
-	// is written, so -out can persist a CRC32C sidecar with the container.
-	ds, ib, err := gen.BuildVerified(spec, sim.InstantConfig(), integrity.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer ds.Dev.Close()
-	if err := ds.Validate(); err != nil {
-		log.Fatal(err)
+		o.spec.Seed = *seed
 	}
 	switch *layoutName {
 	case "", "strided":
 	case "packed":
-		kind, err := nn.ModelByName(*traceModel)
-		if err != nil {
-			log.Fatal(err)
-		}
-		t0 := time.Now()
-		if err := trainsim.PackDataset(ds, trainsim.Config{Model: kind, BatchSize: *traceBatch, Seed: *traceSeed}); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("packed    %d nodes into %d KiB segments in %v\n", ds.NumNodes,
-			ds.Addr.(*layout.Packed).SegmentBytes()>>10, time.Since(t0).Round(time.Millisecond))
+		o.packed = true
 	default:
-		log.Fatalf("unknown -layout %q (want strided or packed)", *layoutName)
+		return options{}, fmt.Errorf("unknown -layout %q (want strided or packed)", *layoutName)
 	}
-	if *stats {
+	if o.traceModel, err = nn.ModelByName(*traceModel); err != nil {
+		return options{}, err
+	}
+	return o, nil
+}
+
+// run is the command: it builds the dataset, packs it when asked, and
+// prints its statistics and what it wrote to stdout.
+func run(args []string, stdout io.Writer) error {
+	o, err := parseArgs(args)
+	if err != nil {
+		return err
+	}
+	start := time.Now()
+	// Build through the integrity layer: every block is checksummed as it
+	// is written, so -out can persist a CRC32C sidecar with the container.
+	ds, ib, err := gen.BuildVerified(o.spec, sim.InstantConfig(), integrity.Options{})
+	if err != nil {
+		return err
+	}
+	defer ds.Dev.Close()
+	if err := ds.Validate(); err != nil {
+		return err
+	}
+	if o.packed {
+		t0 := time.Now()
+		if err := trainsim.PackDataset(ds, trainsim.Config{Model: o.traceModel, BatchSize: o.traceBatch, Seed: o.traceSeed}); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "packed    %d nodes into %d KiB segments in %v\n", ds.NumNodes,
+			ds.Addr.(*layout.Packed).SegmentBytes()>>10, time.Since(t0).Round(time.Millisecond))
+	}
+	if o.stats {
 		var maxDeg int64
 		for v := int64(0); v < ds.NumNodes; v++ {
 			if d := ds.Degree(v); d > maxDeg {
 				maxDeg = d
 			}
 		}
-		fmt.Printf("dataset   %s\n", ds.Name)
-		fmt.Printf("nodes     %d\n", ds.NumNodes)
-		fmt.Printf("edges     %d (avg degree %.1f, max %d)\n",
+		fmt.Fprintf(stdout, "dataset   %s\n", ds.Name)
+		fmt.Fprintf(stdout, "nodes     %d\n", ds.NumNodes)
+		fmt.Fprintf(stdout, "edges     %d (avg degree %.1f, max %d)\n",
 			ds.NumEdges, float64(ds.NumEdges)/float64(ds.NumNodes), maxDeg)
-		fmt.Printf("dim       %d (features %.1f MB)\n", ds.Dim, float64(ds.Layout.FeaturesLen)/1e6)
-		fmt.Printf("classes   %d\n", ds.NumClasses)
-		fmt.Printf("topology  %.1f MB\n", float64(ds.Layout.IndicesLen)/1e6)
-		fmt.Printf("splits    train=%d val=%d\n", len(ds.TrainIdx), len(ds.ValIdx))
-		fmt.Printf("built in  %v\n", time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "dim       %d (features %.1f MB)\n", ds.Dim, float64(ds.Layout.FeaturesLen)/1e6)
+		fmt.Fprintf(stdout, "classes   %d\n", ds.NumClasses)
+		fmt.Fprintf(stdout, "topology  %.1f MB\n", float64(ds.Layout.IndicesLen)/1e6)
+		fmt.Fprintf(stdout, "splits    train=%d val=%d\n", len(ds.TrainIdx), len(ds.ValIdx))
+		fmt.Fprintf(stdout, "built in  %v\n", time.Since(start).Round(time.Millisecond))
 	}
-	if *out != "" {
-		if err := graph.Save(ds, *out); err != nil {
-			log.Fatal(err)
-		}
-		fi, _ := os.Stat(*out)
-		fmt.Printf("wrote %s (%.1f MB)\n", *out, float64(fi.Size())/1e6)
-		if ds.Addr != nil {
-			pi, _ := os.Stat(*out + ".pidx")
-			fmt.Printf("wrote %s.pidx (%.1f KB segment index)\n", *out, float64(pi.Size())/1e3)
-		}
-		// The sidecar checksums the device image the build produced; a
-		// loader recreating the same geometry (graph.Load with an
-		// integrity-wrapped factory and 4 KiB of scratch) adopts it and
-		// reads verified from the start.
-		crc := *out + ".crc"
-		if err := ib.SaveSidecar(crc); err != nil {
-			log.Fatal(err)
-		}
-		ci, _ := os.Stat(crc)
-		fmt.Printf("wrote %s (%.1f KB checksum sidecar)\n", crc, float64(ci.Size())/1e3)
+	if o.out == "" {
+		return nil
 	}
+	if err := graph.Save(ds, o.out); err != nil {
+		return err
+	}
+	fi, _ := os.Stat(o.out)
+	fmt.Fprintf(stdout, "wrote %s (%.1f MB)\n", o.out, float64(fi.Size())/1e6)
+	if ds.Addr != nil {
+		pi, _ := os.Stat(o.out + ".pidx")
+		fmt.Fprintf(stdout, "wrote %s.pidx (%.1f KB segment index)\n", o.out, float64(pi.Size())/1e3)
+	}
+	// The sidecar checksums the device image the build produced; a
+	// loader recreating the same geometry (graph.Load with an
+	// integrity-wrapped factory and 4 KiB of scratch) adopts it and
+	// reads verified from the start.
+	crc := o.out + ".crc"
+	if err := ib.SaveSidecar(crc); err != nil {
+		return err
+	}
+	ci, _ := os.Stat(crc)
+	fmt.Fprintf(stdout, "wrote %s (%.1f KB checksum sidecar)\n", crc, float64(ci.Size())/1e3)
+	return nil
 }

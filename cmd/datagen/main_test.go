@@ -1,0 +1,95 @@
+package main
+
+import (
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"gnndrive/internal/gen"
+	"gnndrive/internal/graph"
+	"gnndrive/internal/layout"
+	"gnndrive/internal/nn"
+	"gnndrive/internal/storage/integrity"
+	"gnndrive/internal/storage/sim"
+)
+
+func TestParseArgs(t *testing.T) {
+	tiny := gen.Tiny()
+	tiny.Dim, tiny.Seed = 16, 9
+	cases := []struct {
+		name string
+		args []string
+		want options
+	}{
+		{
+			name: "defaults",
+			want: options{spec: gen.Papers(), stats: true, traceModel: nn.GraphSAGE, traceSeed: 1},
+		},
+		{
+			name: "overrides",
+			args: []string{"-dataset", "TINY", "-dim", "16", "-seed", "9", "-layout", "packed",
+				"-trace-model", "gat", "-trace-batch", "20", "-trace-seed", "3", "-stats=false", "-out", "x.gnnd"},
+			want: options{spec: tiny, out: "x.gnnd", packed: true, traceModel: nn.GAT, traceBatch: 20, traceSeed: 3},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := parseArgs(tc.args)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != tc.want {
+				t.Fatalf("parseArgs(%q)\n got %+v\nwant %+v", tc.args, got, tc.want)
+			}
+		})
+	}
+}
+
+// TestRunRejectsUnknownNames checks that a misspelt name is an error
+// returned before any dataset is built.
+func TestRunRejectsUnknownNames(t *testing.T) {
+	for _, args := range [][]string{
+		{"-layout", "zigzag"},
+		{"-trace-model", "mlp"},
+		{"-dataset", "cora"},
+	} {
+		if err := run(append(args, "-stats=false"), io.Discard); err == nil {
+			t.Errorf("run(%q) succeeded, want an error", args)
+		}
+	}
+}
+
+// TestRunWritesLoadablePackedContainer runs the command the way CI's
+// packed-layout smoke does and loads what it wrote: the container, its
+// segment index and its checksum sidecar.
+func TestRunWritesLoadablePackedContainer(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "tiny.gnnd")
+	var stdout strings.Builder
+	if err := run([]string{"-dataset", "tiny", "-layout", "packed", "-out", out}, &stdout); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{out, out + ".pidx", out + ".crc"} {
+		if _, err := os.Stat(p); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(stdout.String(), "wrote "+p) {
+			t.Errorf("stdout does not report %s:\n%s", p, stdout.String())
+		}
+	}
+	ds, err := graph.Load(out, integrity.WrapFactory(sim.Factory(sim.InstantConfig()), integrity.Options{}), 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Dev.Close()
+	if err := ds.Dev.(*integrity.Backend).LoadSidecar(out + ".crc"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := ds.Addr.(*layout.Packed); !ok {
+		t.Fatalf("loaded addresser is %T, want *layout.Packed", ds.Addr)
+	}
+	if ds.Name != "tiny" || ds.NumNodes != int64(gen.Tiny().Nodes) {
+		t.Fatalf("loaded %s with %d nodes", ds.Name, ds.NumNodes)
+	}
+}

@@ -116,17 +116,9 @@ func Build(s Spec, dev storage.Backend, base int64) (*graph.Dataset, error) {
 		classes[i] = int32(rng.Intn(s.Classes))
 	}
 
-	adj := buildTopology(s, rng, classes)
-
-	// CSC arrays.
+	indptr, indices := buildTopology(s, rng, classes)
 	numNodes := int64(s.Nodes)
-	indptr := make([]int64, numNodes+1)
-	var numEdges int64
-	for v, ns := range adj {
-		indptr[v] = numEdges
-		numEdges += int64(len(ns))
-	}
-	indptr[numNodes] = numEdges
+	numEdges := int64(len(indices))
 
 	// The feature table is aligned to the sector size so direct I/O can
 	// address it (§4.4).
@@ -142,7 +134,7 @@ func Build(s Spec, dev storage.Backend, base int64) (*graph.Dataset, error) {
 			s.Name, layout.IndicesLen+layout.FeaturesLen, base, dev.Capacity())
 	}
 
-	if err := writeIndices(dev, layout.IndicesOff, adj); err != nil {
+	if err := writeIndices(dev, layout.IndicesOff, indices); err != nil {
 		return nil, err
 	}
 	if err := writeFeatures(dev, layout.FeaturesOff, s, classes, rng); err != nil {
@@ -206,11 +198,14 @@ func BuildWith(s Spec, newBackend storage.Factory) (*graph.Dataset, error) {
 }
 
 // buildTopology grows a preferential-attachment graph with homophily bias
-// and returns per-node sorted in-neighbor lists.
-func buildTopology(s Spec, rng *tensor.RNG, classes []int32) [][]int32 {
-	adj := make([][]int32, s.Nodes)
+// and returns it in CSC form. Each edge (u, v) lists u among v's
+// in-neighbors and v among u's; every list holds its neighbors in edge
+// creation order.
+func buildTopology(s Spec, rng *tensor.RNG, classes []int32) (indptr []int64, indices []int32) {
+	indptr = make([]int64, s.Nodes+1)
 	// Endpoint pool for preferential attachment: every edge endpoint is
-	// appended, so sampling from it is degree-proportional.
+	// appended, so sampling from it is degree-proportional. After pool[0]
+	// it holds each edge as the pair (u, v), in creation order.
 	pool := make([]int32, 0, 2*s.Nodes*s.EdgesPerNode)
 	pool = append(pool, 0)
 	for v := 1; v < s.Nodes; v++ {
@@ -222,12 +217,29 @@ func buildTopology(s Spec, rng *tensor.RNG, classes []int32) [][]int32 {
 					u = pickTarget(rng, pool, v)
 				}
 			}
-			adj[v] = append(adj[v], u)
-			adj[u] = append(adj[u], int32(v))
+			indptr[v+1]++
+			indptr[u+1]++
 			pool = append(pool, u, int32(v))
 		}
 	}
-	return adj
+	for v := 1; v <= s.Nodes; v++ {
+		indptr[v] += indptr[v-1]
+	}
+	// Scatter the edges in creation order, using indptr[v] as v's fill
+	// cursor; that leaves indptr[v] at v's end, i.e. at indptr[v+1]'s
+	// value, so one shift restores the starts.
+	indices = make([]int32, indptr[s.Nodes])
+	edges := pool[1:]
+	for i := 0; i < len(edges); i += 2 {
+		u, v := edges[i], edges[i+1]
+		indices[indptr[v]] = u
+		indptr[v]++
+		indices[indptr[u]] = v
+		indptr[u]++
+	}
+	copy(indptr[1:], indptr[:s.Nodes])
+	indptr[0] = 0
+	return indptr, indices
 }
 
 // pickTarget samples an attachment target among nodes < v, degree-biased
@@ -244,32 +256,20 @@ func pickTarget(rng *tensor.RNG, pool []int32, v int) int32 {
 	return int32(rng.Intn(v))
 }
 
-func writeIndices(dev storage.Backend, off int64, adj [][]int32) error {
-	buf := make([]byte, 0, 1<<20)
-	pos := off
-	flush := func() error {
-		if len(buf) > 0 {
-			if err := dev.WriteRaw(buf, pos); err != nil {
-				return err
-			}
-			pos += int64(len(buf))
-			buf = buf[:0]
+// writeIndices writes the index array little-endian in 1 MiB chunks.
+func writeIndices(dev storage.Backend, off int64, indices []int32) error {
+	const chunkIDs = (1 << 20) / 4
+	buf := make([]byte, 4*chunkIDs)
+	for lo := 0; lo < len(indices); lo += chunkIDs {
+		ids := indices[lo:min(lo+chunkIDs, len(indices))]
+		for i, u := range ids {
+			binary.LittleEndian.PutUint32(buf[4*i:], uint32(u))
 		}
-		return nil
-	}
-	var scratch [4]byte
-	for _, ns := range adj {
-		for _, u := range ns {
-			binary.LittleEndian.PutUint32(scratch[:], uint32(u))
-			buf = append(buf, scratch[:]...)
-			if len(buf) >= 1<<20 {
-				if err := flush(); err != nil {
-					return err
-				}
-			}
+		if err := dev.WriteRaw(buf[:4*len(ids)], off+4*int64(lo)); err != nil {
+			return err
 		}
 	}
-	return flush()
+	return nil
 }
 
 // Centroid returns the deterministic ±Signal pattern used as class c's

@@ -9,6 +9,7 @@ import (
 	"gnndrive/internal/storage"
 	"gnndrive/internal/storage/integrity"
 	"gnndrive/internal/storage/sim"
+	"gnndrive/internal/storage/storagetest"
 )
 
 func buildTiny(t *testing.T) *graph.Dataset {
@@ -225,4 +226,30 @@ func TestBuildVerifiedEmitsAdoptableSidecar(t *testing.T) {
 	if st.VerifiedReads == 0 || st.UnverifiedReads != 0 || st.ChecksumFailures != 0 {
 		t.Fatalf("loaded dataset reads are not verified: %+v", st)
 	}
+}
+
+// TestBuildZeroAllocPerNode pins Build's allocation count to the
+// dataset's shape, not its size: topology grows into flat CSC arrays and
+// features stream through a fixed set of chunks, so ten times the nodes
+// costs no more allocations than a constant few.
+func TestBuildZeroAllocPerNode(t *testing.T) {
+	if storagetest.RaceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	allocs := func(nodes int) float64 {
+		spec := Tiny()
+		spec.Nodes = nodes
+		dev := sim.New(spec.SizeBytes()+4096, sim.InstantConfig())
+		defer dev.Close()
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Build(spec, dev, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(2_000), allocs(20_000)
+	if large > small+8 {
+		t.Fatalf("Build allocates %.0f times at 2 000 nodes and %.0f at 20 000: something allocates per node or per edge", small, large)
+	}
+	t.Logf("Build allocations: %.0f at 2 000 nodes, %.0f at 20 000", small, large)
 }

@@ -2,7 +2,11 @@ package gen
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
+	"gnndrive/internal/errutil"
 	"gnndrive/internal/graph"
 	"gnndrive/internal/layout"
 	"gnndrive/internal/sample"
@@ -17,6 +21,11 @@ import (
 // fanouts, seed, shuffle) would extract in epoch 0, so packing by this
 // trace places co-accessed vectors in the same segments the first and
 // every subsequent epoch actually touch.
+//
+// The index array is read into memory once. GOMAXPROCS workers then
+// claim batches from a shared cursor, each with its own sampler reseeded
+// per batch, and the batches enter the trace in plan order, so the trace
+// does not depend on the worker count.
 func SampleTrace(ds *graph.Dataset, batchSize int, fanouts []int, seed uint64, shuffle bool) (*layout.Trace, error) {
 	var planRNG *tensor.RNG
 	if shuffle {
@@ -24,15 +33,42 @@ func SampleTrace(ds *graph.Dataset, batchSize int, fanouts []int, seed uint64, s
 	}
 	plan := sample.NewPlan(ds.TrainIdx, batchSize, planRNG)
 
-	smp := sample.New(graph.NewRawReader(ds), fanouts, tensor.NewRNG(seed))
+	reader, err := graph.NewMemReader(ds)
+	if err != nil {
+		return nil, fmt.Errorf("gen: trace: %w", err)
+	}
+	nodes := make([][]int64, len(plan.Batches))
+	var next atomic.Int64
+	var firstErr errutil.FirstError
+	var workers sync.WaitGroup
+	nWorkers := runtime.GOMAXPROCS(0)
+	workers.Add(nWorkers)
+	for w := 0; w < nWorkers; w++ {
+		smp := sample.New(reader, fanouts, tensor.NewRNG(seed))
+		go func() {
+			defer workers.Done()
+			for !firstErr.Failed() {
+				i := int(next.Add(1) - 1)
+				if i >= len(plan.Batches) {
+					return
+				}
+				smp.Reseed(sample.BatchSeed(seed, 0, i))
+				b, _, err := smp.SampleBatch(i, plan.Batches[i])
+				if err != nil {
+					firstErr.Set(fmt.Errorf("gen: trace batch %d: %w", i, err))
+					return
+				}
+				nodes[i] = b.Nodes
+			}
+		}()
+	}
+	workers.Wait()
+	if err := firstErr.Get(); err != nil {
+		return nil, err
+	}
 	tr := layout.NewTrace()
-	for i, targets := range plan.Batches {
-		smp.Reseed(sample.BatchSeed(seed, 0, i))
-		b, _, err := smp.SampleBatch(i, targets)
-		if err != nil {
-			return nil, fmt.Errorf("gen: trace batch %d: %w", i, err)
-		}
-		tr.AddBatch(b.Nodes)
+	for _, b := range nodes {
+		tr.AddBatch(b)
 	}
 	return tr, nil
 }

@@ -297,6 +297,32 @@ func (r *RawReader) Neighbors(v int64, buf []int32) ([]int32, time.Duration, err
 	return ids, 0, err
 }
 
+// MemReader serves neighbor lists from a resident copy of the whole
+// index array, read with one untimed ReadRaw. It is for setup passes that
+// visit most of the graph (the packer's trace), where one large read
+// beats one per list. It keeps no scratch, so one MemReader serves any
+// number of goroutines.
+type MemReader struct {
+	ds  *Dataset
+	raw []byte
+}
+
+// NewMemReader reads ds's index region into memory.
+func NewMemReader(ds *Dataset) (*MemReader, error) {
+	raw := make([]byte, ds.Layout.IndicesLen)
+	if err := ds.Dev.ReadRaw(raw, ds.Layout.IndicesOff); err != nil {
+		return nil, fmt.Errorf("graph: read index array: %w", err)
+	}
+	return &MemReader{ds: ds, raw: raw}, nil
+}
+
+// Neighbors implements NeighborReader with zero modeled wait.
+func (r *MemReader) Neighbors(v int64, buf []int32) ([]int32, time.Duration, error) {
+	lo, hi := r.ds.Indptr[v], r.ds.Indptr[v+1]
+	ids, err := decodeIndices(r.raw[lo*4:hi*4], buf[:0], r.ds.NumNodes)
+	return ids, 0, err
+}
+
 // littleEndian reports whether float32s are stored little-endian in host
 // memory, i.e. whether the on-disk feature encoding is the memory image.
 var littleEndian = func() bool {

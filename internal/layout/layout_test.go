@@ -26,7 +26,8 @@ func fillRegion(t *testing.T, dev storage.Backend, base int64, featBytes int, nu
 }
 
 // randomTrace builds a trace of random mini-batches covering roughly
-// half the node range, duplicates included (AddBatch must dedup).
+// half the node range, duplicates included (NewPacked places each node
+// at its first touch).
 func randomTrace(rng *rand.Rand, numNodes int64) *layout.Trace {
 	tr := layout.NewTrace()
 	batches := 4 + rng.Intn(8)
@@ -191,6 +192,19 @@ func TestLoadIndexRejectsCorruption(t *testing.T) {
 	// strided containers, but must fail loudly for packed ones).
 	if _, err := layout.LoadIndex(path+".gone", 0); !errors.Is(err, layout.ErrNoIndex) {
 		t.Fatalf("missing: err = %v, want ErrNoIndex", err)
+	}
+}
+
+// TestNewPackedRejectsOutOfRangeTrace checks that the trace is
+// range-checked where it is placed: a traced ID outside the graph is an
+// error, never an index panic.
+func TestNewPackedRejectsOutOfRangeTrace(t *testing.T) {
+	for _, v := range []int64{-1, 100} {
+		tr := layout.NewTrace()
+		tr.AddBatch([]int64{3, 3, v})
+		if _, err := layout.NewPacked(0, 64, 100, tr, layout.PackOptions{}); err == nil {
+			t.Fatalf("traced node %d of 100 packed without error", v)
+		}
 	}
 }
 

@@ -16,27 +16,17 @@ const DefaultSegmentBytes = 256 << 10
 // Trace records the node-access order of a sampling epoch: the packer
 // places feature vectors in first-touch order, so the nodes a batch
 // loads together sit together on disk (DiskGNN's batch-aware packing).
+// It is the batches' node lists back to back, repeats included; NewPacked
+// places each node at its first occurrence.
 type Trace struct {
 	order []int64
-	seen  map[int64]bool
 }
 
 // NewTrace creates an empty trace.
-func NewTrace() *Trace { return &Trace{seen: make(map[int64]bool)} }
+func NewTrace() *Trace { return &Trace{} }
 
-// AddBatch appends one mini-batch's node list; nodes already traced keep
-// their earlier (hotter) position.
-func (t *Trace) AddBatch(nodes []int64) {
-	for _, v := range nodes {
-		if !t.seen[v] {
-			t.seen[v] = true
-			t.order = append(t.order, v)
-		}
-	}
-}
-
-// Len returns the number of distinct traced nodes.
-func (t *Trace) Len() int { return len(t.order) }
+// AddBatch appends one mini-batch's node list.
+func (t *Trace) AddBatch(nodes []int64) { t.order = append(t.order, nodes...) }
 
 // PackOptions tune the packer.
 type PackOptions struct {
