@@ -18,7 +18,6 @@ import (
 
 	"gnndrive/internal/gen"
 	"gnndrive/internal/graph"
-	"gnndrive/internal/layout"
 	"gnndrive/internal/nn"
 	"gnndrive/internal/storage/integrity"
 	"gnndrive/internal/storage/sim"
@@ -54,7 +53,7 @@ func parseArgs(args []string) (options, error) {
 	name := fs.String("dataset", "papers100m-s", "dataset: papers100m-s, twitter-s, friendster-s, mag240m-s, tiny")
 	dim := fs.Int("dim", 0, "override feature dimension")
 	seed := fs.Uint64("seed", 0, "override generator seed")
-	layoutName := fs.String("layout", "strided", "feature layout: strided (dense node-ID order) or packed (offline batch-aware packing; -out also writes a .pidx segment index)")
+	layoutName := fs.String("layout", "strided", "feature layout: strided (dense node-ID order) or packed (offline batch-aware packing; -out also writes a .pidx offset index)")
 	traceModel := fs.String("trace-model", "sage", "model whose default batch/fanouts drive the packing trace")
 	var o options
 	fs.StringVar(&o.out, "out", "", "write a .gnnd container to this path")
@@ -110,8 +109,7 @@ func run(args []string, stdout io.Writer) error {
 		if err := trainsim.PackDataset(ds, trainsim.Config{Model: o.traceModel, BatchSize: o.traceBatch, Seed: o.traceSeed}); err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "packed    %d nodes into %d KiB segments in %v\n", ds.NumNodes,
-			ds.Addr.(*layout.Packed).SegmentBytes()>>10, time.Since(t0).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "packed    %d nodes in trace order in %v\n", ds.NumNodes, time.Since(t0).Round(time.Millisecond))
 	}
 	if o.stats {
 		var maxDeg int64
@@ -140,7 +138,7 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "wrote %s (%.1f MB)\n", o.out, float64(fi.Size())/1e6)
 	if ds.Addr != nil {
 		pi, _ := os.Stat(o.out + ".pidx")
-		fmt.Fprintf(stdout, "wrote %s.pidx (%.1f KB segment index)\n", o.out, float64(pi.Size())/1e3)
+		fmt.Fprintf(stdout, "wrote %s.pidx (%.1f KB offset index)\n", o.out, float64(pi.Size())/1e3)
 	}
 	// The sidecar checksums the device image the build produced; a
 	// loader recreating the same geometry (graph.Load with an

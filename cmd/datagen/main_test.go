@@ -63,7 +63,7 @@ func TestRunRejectsUnknownNames(t *testing.T) {
 
 // TestRunWritesLoadablePackedContainer runs the command the way CI's
 // packed-layout smoke does and loads what it wrote: the container, its
-// segment index and its checksum sidecar.
+// offset index and its checksum sidecar.
 func TestRunWritesLoadablePackedContainer(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "tiny.gnnd")
 	var stdout strings.Builder

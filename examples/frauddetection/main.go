@@ -101,7 +101,9 @@ func score(ds *graph.Dataset, model *nn.Model, fanouts []int) (tp, fp, fn int) {
 		}
 		x := tensor.New(len(b.Nodes), ds.Dim)
 		for i, v := range b.Nodes {
-			ds.ReadFeatureRaw(v, x.Row(i)[:0])
+			if _, err := ds.ReadFeatureRaw(v, x.Row(i)[:0]); err != nil {
+				log.Fatal(err)
+			}
 		}
 		pred := tensor.Argmax(model.Predict(b, x))
 		for i := 0; i < b.NumTargets; i++ {

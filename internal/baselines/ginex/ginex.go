@@ -339,10 +339,7 @@ func (s *System) loadNodes(ctx context.Context, nodes []int64, sched *schedule, 
 		positions[i] = int32(i)
 	}
 	var ap core.AddrPlanner
-	plan, err := ap.PlanInto(nil, s.ds.Addresser(), s.ds.Dev.SectorSize(), 64<<10, nodes, positions)
-	if err != nil {
-		return 0, 0, fmt.Errorf("ginex: feature plan: %w", err)
-	}
+	plan, _ := ap.PlanInto(nil, s.ds.Addresser(), s.ds.Dev.SectorSize(), 64<<10, nodes, positions)
 	featBytes := int(s.ds.FeatBytes())
 	buf := storage.AlignedBuf(64<<10+featBytes, s.ds.Dev.SectorSize())
 	for _, op := range plan {
@@ -388,7 +385,9 @@ func (s *System) trainBatch(b *sample.Batch, col *metrics.BreakdownCollector) er
 				// Evicted between extract and train within the same
 				// batch cannot happen (schedule protects current batch);
 				// fall back to a raw read for robustness.
-				s.ds.ReadFeatureRaw(v, x.Row(i)[:0])
+				if _, err := s.ds.ReadFeatureRaw(v, x.Row(i)[:0]); err != nil {
+					return fmt.Errorf("ginex: fallback read: %w", err)
+				}
 			}
 		}
 	}

@@ -123,7 +123,10 @@ func TestRealFeatureCacheServesCorrectBytes(t *testing.T) {
 		if row == nil {
 			continue
 		}
-		want := ds.ReadFeatureRaw(v, nil)
+		want, err := ds.ReadFeatureRaw(v, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for j := range want {
 			if row[j] != want[j] {
 				t.Fatalf("node %d dim %d: cache %v disk %v", v, j, row[j], want[j])

@@ -212,8 +212,8 @@ func (s *System) loadPartition(ctx context.Context, p int) error {
 		hi = s.ds.NumNodes
 	}
 	// Features. Marius's partition scan depends on node-ID-contiguous
-	// rows: a packed layout scatters a partition's vectors across
-	// segments, so the modeled sequential scan would read the wrong
+	// rows: a packed layout scatters a partition's vectors across the
+	// feature region, so the modeled sequential scan would read the wrong
 	// bytes. Refuse explicitly rather than mis-model.
 	featLo, ok := layout.ContiguousRange(s.ds.Addresser(), lo, hi)
 	if !ok {
@@ -337,7 +337,9 @@ func (s *System) TrainEpoch(ctx context.Context, epoch int) (core.EpochResult, e
 		x := s.learn.Input(b)
 		if x != nil {
 			for i, v := range b.Nodes {
-				s.ds.ReadFeatureRaw(v, x.Row(i)[:0])
+				if _, err := s.ds.ReadFeatureRaw(v, x.Row(i)[:0]); err != nil {
+					return end(fmt.Errorf("marius: gather: %w", err))
+				}
 			}
 		}
 		s.learn.Step(b, x, nil)

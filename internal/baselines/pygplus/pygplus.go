@@ -28,7 +28,6 @@ import (
 	"gnndrive/internal/errutil"
 	"gnndrive/internal/graph"
 	"gnndrive/internal/hostmem"
-	"gnndrive/internal/layout"
 	"gnndrive/internal/metrics"
 	"gnndrive/internal/nn"
 	"gnndrive/internal/pagecache"
@@ -236,21 +235,14 @@ func (s *System) gather(ctx context.Context, b *sample.Batch, x *tensor.Matrix) 
 		go func(lo, hi int) {
 			defer wg.Done()
 			buf := make([]byte, featBytes)
-			var exts [2]layout.Extent
 			for i := lo; i < hi; i++ {
-				// The addresser yields device extents; featFile is keyed
+				// The addresser yields device offsets; featFile is keyed
 				// relative to the feature region's base.
-				for _, e := range addr.Extents(b.Nodes[i], exts[:0]) {
-					if e.FeatOff < 0 || e.Len < 0 || e.FeatOff+e.Len > len(buf) {
-						firstErr.Set(fmt.Errorf("pygplus: extent for node %d overruns the %d-byte feature record", b.Nodes[i], len(buf)))
-						return
-					}
-					waited, err := s.featFile.ReadCtx(ctx, e.Off-base, buf[e.FeatOff:e.FeatOff+e.Len])
-					s.rec.AddIOWait(waited)
-					if err != nil {
-						firstErr.Set(err)
-						return
-					}
+				waited, err := s.featFile.ReadCtx(ctx, addr.NodeOffset(b.Nodes[i])-base, buf)
+				s.rec.AddIOWait(waited)
+				if err != nil {
+					firstErr.Set(err)
+					return
 				}
 				if x != nil {
 					graph.DecodeFeature(buf, x.Row(i)[:0])

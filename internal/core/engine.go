@@ -859,7 +859,9 @@ func EvaluateModel(ds *graph.Dataset, model *nn.Model, fanouts []int, nodes []in
 		}
 		x := tensor.New(len(b.Nodes), ds.Dim)
 		for i, v := range b.Nodes {
-			ds.ReadFeatureRaw(v, x.Row(i)[:0])
+			if _, err := ds.ReadFeatureRaw(v, x.Row(i)[:0]); err != nil {
+				return 0, err
+			}
 		}
 		logits := model.Predict(b, x)
 		pred := tensor.Argmax(logits)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"gnndrive/internal/storage/file"
 	"gnndrive/internal/storage/linuring"
 	"gnndrive/internal/storage/sim"
+	"gnndrive/internal/tensor"
 )
 
 type testRig struct {
@@ -147,7 +149,10 @@ func TestExtractedFeaturesMatchDisk(t *testing.T) {
 		if !fb.Valid(v) {
 			continue
 		}
-		want := rig.ds.ReadFeatureRaw(v, nil)
+		want, err := rig.ds.ReadFeatureRaw(v, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		got := fb.SlotData(fb.entries[v].slot)
 		for j := range want {
 			if want[j] != got[j] {
@@ -188,6 +193,27 @@ func TestRealTrainingConvergesOnTiny(t *testing.T) {
 	}
 	if acc < 0.4 {
 		t.Fatalf("val accuracy %.3f too low after 4 epochs (8 classes, chance=0.125)", acc)
+	}
+}
+
+// TestEvaluateModelReportsReadError: validation gathers features through
+// ReadFeatureRaw, so an image cut off where the feature region starts
+// must fail the evaluation with the read error, not panic.
+func TestEvaluateModelReportsReadError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tiny.img")
+	ds, err := gen.BuildWith(gen.Tiny(), file.Factory(path, file.Options{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Dev.Close()
+	if err := os.Truncate(path, ds.Layout.FeaturesOff); err != nil {
+		t.Fatal(err)
+	}
+	opts := testOpts()
+	model := nn.NewModel(nn.Config{Kind: opts.Model, InDim: ds.Dim, Hidden: 8,
+		Classes: ds.NumClasses, Layers: len(opts.Fanouts)}, tensor.NewRNG(1))
+	if _, err := EvaluateModel(ds, model, opts.Fanouts, ds.ValIdx, 1); !errors.Is(err, io.EOF) {
+		t.Fatalf("evaluating over a truncated image: err %v, want one wrapping io.EOF", err)
 	}
 }
 

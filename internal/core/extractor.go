@@ -101,19 +101,14 @@ func (x *extractor) extractBatch(ctx context.Context, b *sample.Batch) (*trainIt
 	addr := eng.ds.Addresser()
 	switch {
 	case eng.opts.BufferedIO:
-		x.plan, err = x.addrPlan.exactInto(x.plan[:0], addr, x.loadNodes, res.ToLoad)
+		x.plan = x.addrPlan.exactInto(x.plan[:0], addr, x.loadNodes, res.ToLoad)
 	case eng.opts.GPUDirect:
 		// GDS reads go straight to device memory at 4 KiB granularity.
-		x.plan, err = x.addrPlan.PlanInto(x.plan[:0], addr, gdsGranularity,
+		x.plan, _ = x.addrPlan.PlanInto(x.plan[:0], addr, gdsGranularity,
 			2*gdsGranularity, x.loadNodes, res.ToLoad)
 	default:
-		x.plan, err = x.addrPlan.PlanInto(x.plan[:0], addr, eng.ds.Dev.SectorSize(),
+		x.plan, _ = x.addrPlan.PlanInto(x.plan[:0], addr, eng.ds.Dev.SectorSize(),
 			eng.opts.MaxJointRead, x.loadNodes, res.ToLoad)
-	}
-	if err != nil {
-		eng.fb.Release(b.Nodes)
-		PutReservation(res)
-		return nil, st, fmt.Errorf("extract: plan: %w", err)
 	}
 	plan := x.plan
 

@@ -51,7 +51,10 @@ func TestExtractBatchLoadsCorrectFeatures(t *testing.T) {
 			t.Fatalf("node %d not valid after extraction", v)
 		}
 		got := e.fb.SlotData(item.res.Alias[i])
-		want := e.ds.ReadFeatureRaw(v, nil)
+		want, err := e.ds.ReadFeatureRaw(v, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for j := range want {
 			if got[j] != want[j] {
 				t.Fatalf("node %d dim %d: %v != %v", v, j, got[j], want[j])
@@ -422,10 +425,7 @@ func TestRunPlanTransfersPerDrain(t *testing.T) {
 func TestBuildExactPlanOneReadPerNode(t *testing.T) {
 	rig := newRig(t, device.InstantConfig(), 64<<20)
 	var ap AddrPlanner
-	plan, err := ap.exactInto(nil, rig.ds.Addresser(), []int64{9, 4}, []int32{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := ap.exactInto(nil, rig.ds.Addresser(), []int64{9, 4}, []int32{0, 1})
 	if len(plan) != 2 {
 		t.Fatalf("%d ops", len(plan))
 	}

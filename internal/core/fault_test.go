@@ -4,14 +4,12 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"gnndrive/internal/device"
 	"gnndrive/internal/faults"
-	"gnndrive/internal/layout"
 	"gnndrive/internal/pagecache"
 	"gnndrive/internal/storage"
 )
@@ -303,43 +301,6 @@ func TestExtractBatchFailureRollsBackReservations(t *testing.T) {
 	if st.Retries != 0 {
 		t.Fatalf("%d retries of a permanent media error", st.Retries)
 	}
-}
-
-// splitAddr is a strided addresser that stores one node's vector as two
-// extents with a sector-sized hole between them, which no read plan can
-// carry in one read.
-type splitAddr struct {
-	layout.Strided
-	node int64
-}
-
-func (a splitAddr) Extents(v int64, dst []layout.Extent) []layout.Extent {
-	if v != a.node {
-		return a.Strided.Extents(v, dst)
-	}
-	off, half := a.Base+v*int64(a.Feat), a.Feat/2
-	return append(dst,
-		layout.Extent{Off: off, FeatOff: 0, Len: half},
-		layout.Extent{Off: off + int64(half) + 512, FeatOff: half, Len: a.Feat - half})
-}
-
-// TestExtractBatchPlanErrorRollsBack: a batch whose plan cannot be built
-// must fail before any read and return every reference it reserved,
-// including those of the nodes that did plan.
-func TestExtractBatchPlanErrorRollsBack(t *testing.T) {
-	rig := newRig(t, device.InstantConfig(), 64<<20)
-	rig.ds.Addr = splitAddr{Strided: rig.ds.Addresser().(layout.Strided), node: 77}
-	e, err := New(rig.ds, rig.dev, rig.budget, rig.cache, rig.rec, testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { e.Close() })
-	x := newExtractor(e)
-	_, _, err = x.extractBatch(context.Background(), buildBatchOf(0, 3, 77, 1500, 42))
-	if err == nil || !strings.Contains(err.Error(), "extract: plan") {
-		t.Fatalf("err %v, want the plan error", err)
-	}
-	checkNoLeaks(t, e)
 }
 
 func TestExtractBatchRetriesTransient(t *testing.T) {

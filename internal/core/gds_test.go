@@ -41,7 +41,10 @@ func TestGPUDirectExtractionCorrectAndStagingFree(t *testing.T) {
 		if !fb.Valid(v) {
 			continue
 		}
-		want := rig.ds.ReadFeatureRaw(v, nil)
+		want, err := rig.ds.ReadFeatureRaw(v, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		got := fb.SlotData(fb.entries[v].slot)
 		for j := range want {
 			if got[j] != want[j] {

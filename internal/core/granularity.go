@@ -25,8 +25,7 @@ type ReadOp struct {
 	Nodes  []ReadNode
 }
 
-// nodeSpan is one node's feature vector resolved to a single contiguous
-// device span (adjacent extents merged by layout.NodeSpan).
+// nodeSpan is one node's feature vector resolved to its device offset.
 type nodeSpan struct {
 	off int64
 	pos int32
@@ -55,7 +54,6 @@ const joinGap = 4 << 10
 // extractor, not safe for concurrent use.
 type AddrPlanner struct {
 	spans []nodeSpan
-	exts  [4]layout.Extent
 	// nodes backs every op's Nodes in the last plan, so a plan's node
 	// lists stay valid until the planner plans again.
 	nodes []ReadNode
@@ -74,14 +72,13 @@ type AddrPlanner struct {
 //
 // Every node is resolved through addr and the spans are sorted by device
 // offset before coalescing, so on a packed layout nodes that were traced
-// into the same segment collapse into a few large sequential reads.
+// together collapse into a few large sequential reads.
 // nodes[i] is the node ID at batch position positions[i]; neither slice
 // is modified. The plan is appended to dst, reusing dst's backing array:
 // pass the previous batch's plan resliced to length zero, or nil for a
 // fresh plan. Every op's Nodes is a capped slice of the planner's scratch,
-// valid until its next plan. Nodes whose extents are not physically
-// adjacent are an error: the extract path marks a node valid when its
-// read completes, which requires one read to carry the whole vector.
+// valid until its next plan. The error is always nil; callers that take
+// two results keep compiling.
 func (ap *AddrPlanner) PlanInto(dst []ReadOp, addr layout.Addresser, sector, maxRead int, nodes []int64, positions []int32) ([]ReadOp, error) {
 	if len(nodes) != len(positions) {
 		panic(fmt.Sprintf("core: %d nodes vs %d positions", len(nodes), len(positions)))
@@ -101,12 +98,8 @@ func (ap *AddrPlanner) PlanInto(dst []ReadOp, addr layout.Addresser, sector, max
 	}
 
 	ap.spans = ap.spans[:0]
-	for i, v := range nodes {
-		off, _, _, err := layout.NodeSpan(addr, v, ap.exts[:])
-		if err != nil {
-			return dst, err
-		}
-		ap.spans = append(ap.spans, nodeSpan{off: off, pos: positions[i]})
+	for i, pos := range positions {
+		ap.spans = append(ap.spans, nodeSpan{off: addr.NodeOffset(nodes[i]), pos: pos})
 	}
 	slices.SortFunc(ap.spans, func(a, b nodeSpan) int { return cmp.Compare(a.off, b.off) })
 
@@ -144,23 +137,19 @@ func (ap *AddrPlanner) PlanInto(dst []ReadOp, addr layout.Addresser, sector, max
 }
 
 // exactInto is the buffered-I/O fallback of §4.4: one exact-size read per
-// node at its resolved span, in the order given — no alignment redundancy
-// and no joint extraction. Appends into dst like PlanInto.
-func (ap *AddrPlanner) exactInto(dst []ReadOp, addr layout.Addresser, nodes []int64, positions []int32) ([]ReadOp, error) {
+// node at its offset, in the order given — no alignment redundancy and no
+// joint extraction. Appends into dst like PlanInto.
+func (ap *AddrPlanner) exactInto(dst []ReadOp, addr layout.Addresser, nodes []int64, positions []int32) []ReadOp {
 	if len(nodes) != len(positions) {
 		panic(fmt.Sprintf("core: %d nodes vs %d positions", len(nodes), len(positions)))
 	}
 	featBytes := addr.FeatBytes()
 	ap.nodes = slices.Grow(ap.nodes[:0], len(nodes))
 	for i, v := range nodes {
-		off, _, _, err := layout.NodeSpan(addr, v, ap.exts[:])
-		if err != nil {
-			return dst, err
-		}
 		ap.nodes = append(ap.nodes, ReadNode{Pos: positions[i]})
-		dst = append(dst, ReadOp{DevOff: off, Len: featBytes, Nodes: ap.nodes[i:len(ap.nodes):len(ap.nodes)]})
+		dst = append(dst, ReadOp{DevOff: addr.NodeOffset(v), Len: featBytes, Nodes: ap.nodes[i:len(ap.nodes):len(ap.nodes)]})
 	}
-	return dst, nil
+	return dst
 }
 
 // BuildReadPlanInto is PlanInto over a dense strided feature table at
@@ -171,7 +160,6 @@ func (ap *AddrPlanner) exactInto(dst []ReadOp, addr layout.Addresser, nodes []in
 func BuildReadPlanInto(dst []ReadOp, featuresOff int64, featBytes, sector, maxRead int, nodes []int64, positions []int32) []ReadOp {
 	sp := stridedPlannerPool.Get().(*stridedPlanner)
 	sp.addr = layout.Strided{Base: featuresOff, Feat: featBytes}
-	// A strided node is always one whole extent, so PlanInto cannot fail.
 	plan, _ := sp.ap.PlanInto(dst, &sp.addr, sector, maxRead, nodes, positions)
 	// The plan keeps the node array: whoever draws this planner from the
 	// pool next must not overwrite a plan its caller still reads.

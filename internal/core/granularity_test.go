@@ -139,8 +139,7 @@ const plannerNodes = int64(3000)
 var plannerFeats = []int{64, 400, 512, 516, 2048}
 
 // plannerLayouts are the placements the planner tests cover: a strided
-// table, and a packed region traced from four random batches into 4 KiB
-// segments, so many vectors straddle a segment boundary.
+// table, and a packed region traced from four random batches.
 var plannerLayouts = []struct {
 	name string
 	make func(t *testing.T, featBytes int) layout.Addresser
@@ -156,7 +155,7 @@ var plannerLayouts = []struct {
 			rng, batch, _ = randomNodeSet(rng, 64, plannerNodes)
 			tr.AddBatch(batch)
 		}
-		p, err := layout.NewPacked(512*9, featBytes, plannerNodes, tr, layout.PackOptions{SegmentBytes: 4096})
+		p, err := layout.NewPacked(512*9, featBytes, plannerNodes, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +176,7 @@ var jointModes = []planMode{{"sector", 512, 8192}, {"gds4k", gdsGranularity, 2 *
 // TestPlannerCoverageTable drives the one planner over every layout ×
 // access mode the extractor uses and asserts the properties each plan
 // must have: every node is served exactly once, at a BufOff where its
-// whole (possibly segment-split) vector lies inside the read; joint-read
+// whole vector lies inside the read; joint-read
 // modes emit sector-aligned, maximal ops sorted by device offset and
 // bounded by maxRead; exact mode emits one exact-size read per node in
 // the order given.
@@ -195,14 +194,10 @@ func TestPlannerCoverageTable(t *testing.T) {
 						var nodes []int64
 						var positions []int32
 						rng, nodes, positions = randomNodeSet(rng, round+1, plannerNodes)
-						var err error
 						if m.sector == 0 {
-							plan, err = ap.exactInto(plan[:0], addr, nodes, positions)
+							plan = ap.exactInto(plan[:0], addr, nodes, positions)
 						} else {
-							plan, err = ap.PlanInto(plan[:0], addr, m.sector, m.maxRead, nodes, positions)
-						}
-						if err != nil {
-							t.Fatal(err)
+							plan, _ = ap.PlanInto(plan[:0], addr, m.sector, m.maxRead, nodes, positions)
 						}
 						checkPlan(t, plan, addr, m.sector, m.maxRead, nodes, positions)
 					}
@@ -260,15 +255,10 @@ func TestJointPlanDecodesLikeExactReads(t *testing.T) {
 						var nodes []int64
 						var positions []int32
 						rng, nodes, positions = randomNodeSet(rng, round+1, plannerNodes)
-						var err error
-						if exact, err = ap.exactInto(exact[:0], addr, nodes, positions); err != nil {
-							t.Fatal(err)
-						}
+						exact = ap.exactInto(exact[:0], addr, nodes, positions)
 						want := decode(exact, false) // before PlanInto reuses exact's node lists
 
-						if joint, err = ap.PlanInto(joint[:0], addr, m.sector, m.maxRead, nodes, positions); err != nil {
-							t.Fatal(err)
-						}
+						joint, _ = ap.PlanInto(joint[:0], addr, m.sector, m.maxRead, nodes, positions)
 						got := decode(joint, true)
 						if len(joint) > len(exact) {
 							t.Fatalf("round %d: %d joint reads for %d nodes", round, len(joint), len(exact))
@@ -315,13 +305,8 @@ func TestZeroAllocPlanInto(t *testing.T) {
 	cycle := func() {
 		b := &batches[turn%len(batches)]
 		turn++
-		var err error
-		if plan, err = ap.PlanInto(plan[:0], addr, 512, 8192, b.nodes, b.positions); err != nil {
-			t.Fatal(err)
-		}
-		if plan, err = ap.exactInto(plan[:0], addr, b.nodes, b.positions); err != nil {
-			t.Fatal(err)
-		}
+		plan, _ = ap.PlanInto(plan[:0], addr, 512, 8192, b.nodes, b.positions)
+		plan = ap.exactInto(plan[:0], addr, b.nodes, b.positions)
 	}
 	for range batches { // grow the scratch to the largest batch
 		cycle()
@@ -376,11 +361,7 @@ func checkPlan(t *testing.T, plan []ReadOp, addr layout.Addresser, sector, maxRe
 				t.Fatalf("position %d served twice", rn.Pos)
 			}
 			seen[rn.Pos] = true
-			var scratch [4]layout.Extent
-			start, spanLen, _, err := layout.NodeSpan(addr, nodeAt[rn.Pos], scratch[:])
-			if err != nil || spanLen != featBytes {
-				t.Fatalf("NodeSpan(%d) = %d B, %v", nodeAt[rn.Pos], spanLen, err)
-			}
+			start := addr.NodeOffset(nodeAt[rn.Pos])
 			if op.DevOff+int64(rn.BufOff) != start || rn.BufOff+featBytes > op.Len {
 				t.Fatalf("node %d at %d not inside op %+v at BufOff %d", nodeAt[rn.Pos], start, op, rn.BufOff)
 			}

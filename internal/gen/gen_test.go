@@ -47,8 +47,14 @@ func TestDeterministicAcrossBuilds(t *testing.T) {
 		if a.Indptr[v] != b.Indptr[v] {
 			t.Fatalf("indptr[%d] differs", v)
 		}
-		fa := a.ReadFeatureRaw(v, nil)
-		fb := b.ReadFeatureRaw(v, nil)
+		fa, err := a.ReadFeatureRaw(v, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fb, err := b.ReadFeatureRaw(v, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for j := range fa {
 			if fa[j] != fb[j] {
 				t.Fatalf("feature[%d][%d] differs", v, j)
@@ -128,7 +134,10 @@ func TestFeaturesCarryClassSignal(t *testing.T) {
 	// class's centroid.
 	spec := Tiny()
 	dot := func(v int64, c int32) float64 {
-		f := ds.ReadFeatureRaw(v, nil)
+		f, err := ds.ReadFeatureRaw(v, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		cen := Centroid(spec, int(c))
 		var s float64
 		for j := 0; j < spec.Dim; j++ {

@@ -19,8 +19,8 @@ import (
 // order as a layout.Trace for the offline packer. Batches sampled here
 // are exactly the batches a training run with the same (batchSize,
 // fanouts, seed, shuffle) would extract in epoch 0, so packing by this
-// trace places co-accessed vectors in the same segments the first and
-// every subsequent epoch actually touch.
+// trace places the vectors a batch loads together side by side, where
+// the first and every subsequent epoch actually touch them.
 //
 // The index array is read into memory once. GOMAXPROCS workers then
 // claim batches from a shared cursor, each with its own sampler reseeded

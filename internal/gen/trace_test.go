@@ -46,7 +46,7 @@ func serialTrace(t *testing.T, ds *graph.Dataset, seed uint64) *layout.Trace {
 
 func packedBy(t *testing.T, ds *graph.Dataset, tr *layout.Trace) *layout.Packed {
 	t.Helper()
-	p, err := layout.NewPacked(ds.Layout.FeaturesOff, int(ds.FeatBytes()), ds.NumNodes, tr, layout.PackOptions{})
+	p, err := layout.NewPacked(ds.Layout.FeaturesOff, int(ds.FeatBytes()), ds.NumNodes, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ type Dataset struct {
 	Layout Layout
 	Dev    storage.Backend
 
-	// Addr maps node IDs to feature extents when the feature region uses
+	// Addr maps node IDs to feature offsets when the feature region uses
 	// a non-strided layout (layout.Packed after offline packing). Nil
 	// means the default strided table; read through Addresser(), which
 	// supplies the strided default.
@@ -360,21 +360,15 @@ func decodeFeatureLoop(raw []byte, out []float32) []float32 {
 	return out
 }
 
-// ReadFeatureRaw fetches node v's feature vector untimed (setup/tests),
-// resolving the dataset's layout through the addresser so packed
-// datasets read correctly. Read errors panic: this is a
-// setup/verification accessor, never on a production path, and its call
-// sites predate backends that can fail.
-func (d *Dataset) ReadFeatureRaw(v int64, out []float32) []float32 {
+// ReadFeatureRaw fetches node v's feature vector untimed, resolving the
+// dataset's layout through the addresser so packed datasets read
+// correctly, and appends it to out. Validation and the baselines'
+// fallback gathers call it, so a failed read is returned, not a panic.
+func (d *Dataset) ReadFeatureRaw(v int64, out []float32) ([]float32, error) {
 	raw := make([]byte, d.FeatBytes())
-	var exts [2]layout.Extent
-	for _, e := range d.Addresser().Extents(v, exts[:0]) {
-		if e.FeatOff < 0 || e.Len < 0 || e.FeatOff+e.Len > len(raw) {
-			panic(fmt.Sprintf("graph: extent for node %d overruns the %d-byte feature record", v, len(raw)))
-		}
-		if err := d.Dev.ReadRaw(raw[e.FeatOff:e.FeatOff+e.Len], e.Off); err != nil {
-			panic(fmt.Sprintf("graph: feature read for node %d: %v", v, err))
-		}
+	off := d.Addresser().NodeOffset(v)
+	if err := d.Dev.ReadRaw(raw, off); err != nil {
+		return nil, fmt.Errorf("graph: feature read for node %d at offset %d: %w", v, off, err)
 	}
-	return DecodeFeature(raw, out)
+	return DecodeFeature(raw, out), nil
 }

@@ -26,7 +26,7 @@ type header struct {
 	Val        int    `json:"val"`
 	// Layout names the feature-region layout: "" or "strided" for the
 	// dense table, "packed" when the features were packed offline and a
-	// "<container>.pidx" segment index rides next to the container.
+	// "<container>.pidx" offset index rides next to the container.
 	Layout string `json:"layout,omitempty"`
 }
 
@@ -57,7 +57,7 @@ func (h *header) check(size int64) error {
 // Save writes the dataset — metadata, indptr, labels, splits, and the
 // on-device index and feature arrays — to a .gnnd container file. A
 // packed dataset (Addr is a layout.Packed) additionally persists its
-// segment index next to the container as "<path>.pidx", the way the
+// offset index next to the container as "<path>.pidx", the way the
 // integrity layer persists its checksum sidecar; Load adopts it.
 func Save(ds *Dataset, path string) error {
 	layoutName := ""

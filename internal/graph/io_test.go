@@ -51,8 +51,14 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 				t.Fatalf("node %d neighbors differ", v)
 			}
 		}
-		fa := ds.ReadFeatureRaw(v, nil)
-		fb := got.ReadFeatureRaw(v, nil)
+		fa, err := ds.ReadFeatureRaw(v, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fb, err := got.ReadFeatureRaw(v, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := range fa {
 			if fa[i] != fb[i] {
 				t.Fatalf("node %d features differ", v)
@@ -155,7 +161,7 @@ func TestLoadRejectsCorruptHeader(t *testing.T) {
 }
 
 // TestSaveLoadPackedRoundTrip packs the test dataset in place, saves
-// the container (which persists the segment index sidecar), and reloads
+// the container (which persists the offset index sidecar), and reloads
 // it: the addresser must come back packed with identical node offsets
 // and every feature must read back byte-identical through it.
 func TestSaveLoadPackedRoundTrip(t *testing.T) {
@@ -164,12 +170,16 @@ func TestSaveLoadPackedRoundTrip(t *testing.T) {
 	ds.ValIdx = []int64{1}
 	want := make([][]float32, ds.NumNodes)
 	for v := int64(0); v < ds.NumNodes; v++ {
-		want[v] = append([]float32(nil), ds.ReadFeatureRaw(v, nil)...)
+		f, err := ds.ReadFeatureRaw(v, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[v] = f
 	}
 	tr := layout.NewTrace()
 	tr.AddBatch([]int64{3, 1})
 	p, err := layout.PackInPlace(ds.Dev, ds.Layout.FeaturesOff, int(ds.FeatBytes()),
-		ds.NumNodes, tr, layout.PackOptions{SegmentBytes: 512})
+		ds.NumNodes, tr, layout.PackOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +190,7 @@ func TestSaveLoadPackedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(path + ".pidx"); err != nil {
-		t.Fatalf("segment index sidecar not written: %v", err)
+		t.Fatalf("offset index sidecar not written: %v", err)
 	}
 	got, err := Load(path, sim.Factory(sim.InstantConfig()), 4096)
 	if err != nil {
@@ -192,10 +202,13 @@ func TestSaveLoadPackedRoundTrip(t *testing.T) {
 		t.Fatalf("loaded addresser is %T, want *layout.Packed", got.Addresser())
 	}
 	for v := int64(0); v < ds.NumNodes; v++ {
-		if gp.NodeOffset(v) != p.NodeOffset(v) {
-			t.Fatalf("node %d offset %d, want %d", v, gp.NodeOffset(v), p.NodeOffset(v))
+		if g, w := gp.NodeOffset(v)-got.Layout.FeaturesOff, p.NodeOffset(v)-ds.Layout.FeaturesOff; g != w {
+			t.Fatalf("node %d at %d into the feature region, want %d", v, g, w)
 		}
-		fb := got.ReadFeatureRaw(v, nil)
+		fb, err := got.ReadFeatureRaw(v, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := range fb {
 			if fb[i] != want[v][i] {
 				t.Fatalf("node %d features differ after packed round-trip", v)
@@ -203,8 +216,9 @@ func TestSaveLoadPackedRoundTrip(t *testing.T) {
 		}
 	}
 	// Traced nodes 3 then 1 must lead the packed region.
-	if p.NodeOffset(3) != 0 || p.NodeOffset(1) != int64(ds.FeatBytes()) {
-		t.Fatalf("trace order not honored: off(3)=%d off(1)=%d", p.NodeOffset(3), p.NodeOffset(1))
+	base := ds.Layout.FeaturesOff
+	if p.NodeOffset(3) != base || p.NodeOffset(1) != base+ds.FeatBytes() {
+		t.Fatalf("trace order not honored: off(3)=%d off(1)=%d from base %d", p.NodeOffset(3), p.NodeOffset(1), base)
 	}
 
 	// A packed container with its index missing must refuse to load —

@@ -14,7 +14,7 @@ import (
 	"gnndrive/internal/checkpoint"
 )
 
-// The packed-layout segment index persists next to a .gnnd container as
+// The packed-layout offset index persists next to a .gnnd container as
 // "<container>.pidx", adopted by graph.Load the same way integrity
 // sidecars are. Format (all little-endian), version 1:
 //
@@ -26,32 +26,37 @@ import (
 //	keysCRC    u32
 //	leaves     numLeaves x (leafFanout x u64 offsets | leafCRC u32)
 //
-// Offsets are relative to the feature region base; the loader binds the
-// base, so a container moved to a device with different region offsets
-// still addresses correctly. Every level is CRC-guarded: a corrupt
-// header, internal node, or leaf page is rejected (ErrCorruptIndex), not
-// reinterpreted.
+// segBytes is always indexSegBytes. Offsets are relative to the feature
+// region base; the loader binds the base, so a container moved to a
+// device with different region offsets still addresses correctly. Every
+// level is CRC-guarded: a corrupt header, internal node, or leaf page is
+// rejected (ErrCorruptIndex), not reinterpreted.
 
-// indexMagic identifies the segment-index format, version 1.
+// indexMagic identifies the offset-index format, version 1.
 const indexMagic = "GNNDIDX1"
 
 const (
 	indexVersion      = 1
 	indexHeaderLen    = 40
 	defaultLeafFanout = 512
+	// indexSegBytes fills the v1 header's segBytes word, which nothing
+	// reads any more. It holds the value every existing index holds, so
+	// saved indexes stay byte-identical; the loader still requires a
+	// positive multiple of 512 there.
+	indexSegBytes = 256 << 10
 )
 
 // ErrCorruptIndex is wrapped by load failures caused by the index file's
 // content (bad magic, CRC mismatch, inconsistent geometry) — as opposed
 // to I/O errors opening or reading it.
-var ErrCorruptIndex = errors.New("layout: corrupt segment index")
+var ErrCorruptIndex = errors.New("layout: corrupt packed index")
 
 // ErrNoIndex is wrapped by LoadIndex when the file does not exist.
-var ErrNoIndex = errors.New("layout: segment index not found")
+var ErrNoIndex = errors.New("layout: packed index not found")
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// SaveIndex persists the packed mapping as a segment-index file. The
+// SaveIndex persists the packed mapping as an offset-index file. The
 // write is crash-atomic (checkpoint.Commit), so a crashed save never
 // leaves a torn index next to a good container.
 func (p *Packed) SaveIndex(path string) error {
@@ -64,7 +69,7 @@ func (p *Packed) SaveIndex(path string) error {
 	copy(hdr, indexMagic)
 	binary.LittleEndian.PutUint32(hdr[8:], indexVersion)
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(p.feat))
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(p.seg))
+	binary.LittleEndian.PutUint32(hdr[16:], indexSegBytes)
 	binary.LittleEndian.PutUint32(hdr[20:], uint32(fanout))
 	binary.LittleEndian.PutUint64(hdr[24:], uint64(numNodes))
 	binary.LittleEndian.PutUint64(hdr[32:], uint64(numLeaves))
@@ -115,7 +120,7 @@ func readCRCd(r io.Reader, block []byte, what string) error {
 	return nil
 }
 
-// LoadIndex reads a segment-index file and binds it to a feature region
+// LoadIndex reads an offset-index file and binds it to a feature region
 // at device offset base, returning the Packed addresser. A missing file
 // wraps ErrNoIndex; any content problem wraps ErrCorruptIndex.
 func LoadIndex(path string, base int64) (*Packed, error) {
@@ -166,7 +171,7 @@ func LoadIndex(path string, base int64) (*Packed, error) {
 	if err := readCRCd(r, keys, "internal node"); err != nil {
 		return nil, fmt.Errorf("layout: load index %s: %w", path, err)
 	}
-	p := &Packed{base: base, feat: feat, seg: seg, off: make([]int64, numNodes)}
+	p := &Packed{base: base, feat: feat, off: make([]int64, numNodes)}
 	leaf := make([]byte, 8*fanout)
 	lastOff := (numNodes - 1) * int64(feat) // where the region's last vector starts
 	for l := int64(0); l < numLeaves; l++ {

@@ -51,18 +51,17 @@ func FuzzLoadIndex(f *testing.F) {
 		}
 
 		feat := int(binary.LittleEndian.Uint32(data[12:]))
-		seg := int(binary.LittleEndian.Uint32(data[16:]))
 		fanout := int64(binary.LittleEndian.Uint32(data[20:]))
 		numNodes := int64(binary.LittleEndian.Uint64(data[24:]))
 		numLeaves := int64(binary.LittleEndian.Uint64(data[32:]))
-		if p.FeatBytes() != feat || p.SegmentBytes() != seg || p.NumNodes() != numNodes || p.Base() != pidxFuzzBase {
-			t.Fatalf("decoded feat=%d seg=%d nodes=%d base=%d, header says feat=%d seg=%d nodes=%d base=%d",
-				p.FeatBytes(), p.SegmentBytes(), p.NumNodes(), p.Base(), feat, seg, numNodes, pidxFuzzBase)
+		if p.FeatBytes() != feat || p.NumNodes() != numNodes {
+			t.Fatalf("decoded feat=%d nodes=%d, header says feat=%d nodes=%d",
+				p.FeatBytes(), p.NumNodes(), feat, numNodes)
 		}
 		leaves := pidxHeaderLen + 4 + 8*numLeaves + 4
 		for v := int64(0); v < numNodes; v++ {
 			at := leaves + v/fanout*(8*fanout+4) + 8*(v%fanout)
-			off := p.NodeOffset(v)
+			off := p.NodeOffset(v) - pidxFuzzBase
 			if want := int64(binary.LittleEndian.Uint64(data[at:])); off != want {
 				t.Fatalf("node %d decoded at offset %d, its leaf says %d", v, off, want)
 			}
@@ -80,9 +79,9 @@ func FuzzLoadIndex(f *testing.F) {
 		if err != nil {
 			t.Fatalf("reloading a saved index: %v", err)
 		}
-		if q.FeatBytes() != feat || q.SegmentBytes() != seg || q.NumNodes() != numNodes {
-			t.Fatalf("reloaded feat=%d seg=%d nodes=%d, want %d %d %d",
-				q.FeatBytes(), q.SegmentBytes(), q.NumNodes(), feat, seg, numNodes)
+		if q.FeatBytes() != feat || q.NumNodes() != numNodes {
+			t.Fatalf("reloaded feat=%d nodes=%d, want %d %d",
+				q.FeatBytes(), q.NumNodes(), feat, numNodes)
 		}
 		for v := int64(0); v < numNodes; v++ {
 			if q.NodeOffset(v) != p.NodeOffset(v) {

@@ -1,6 +1,8 @@
 package layout_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
@@ -41,86 +43,53 @@ func randomTrace(rng *rand.Rand, numNodes int64) *layout.Trace {
 	return tr
 }
 
-// readNode reads node v's feature vector through the direct-I/O segment
-// reader, extent by extent, the way training and the pack verifier do.
-func readNode(t *testing.T, r *layout.SegmentReader, a layout.Addresser, sector int, v int64) []byte {
-	t.Helper()
-	buf := storage.AlignedBuf((a.FeatBytes()/sector+2)*sector, sector)
-	var exts []layout.Extent
-	got := make([]byte, 0, a.FeatBytes())
-	for _, e := range a.Extents(v, exts) {
-		start, _, err := r.ReadExtent(buf, e)
-		if err != nil {
-			t.Fatalf("node %d extent %+v: %v", v, e, err)
-		}
-		got = append(got, buf[start:start+e.Len]...)
-	}
-	return got
-}
-
 // TestPackRoundTripProperty is the packer's property test: random
-// feature geometries (feature sizes deliberately not sector multiples,
-// segments small enough that many nodes straddle a boundary) packed by
-// random traces must read back, node by node through the index and the
-// segment reader, exactly the bytes the strided layout held — including
-// every node split across two segments.
+// feature geometries (feature sizes deliberately not sector multiples)
+// packed by random traces must read back, node by node at NodeOffset,
+// exactly the bytes the strided layout held, and the offsets must be a
+// permutation of the region's vector slots.
 func TestPackRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 8; trial++ {
 		featBytes := 1 + rng.Intn(900)        // most trials not sector-aligned
 		numNodes := int64(50 + rng.Intn(400)) // small enough to stay fast
-		segBytes := 512 * (1 + rng.Intn(4))   // tiny segments force splits
-		if featBytes > segBytes {
-			featBytes = segBytes
-		}
 		base := 512 * int64(rng.Intn(64))
 		dev := sim.New(base+numNodes*int64(featBytes)+4096, sim.InstantConfig())
 		src := fillRegion(t, dev, base, featBytes, numNodes, int64(trial))
 
-		p, err := layout.PackInPlace(dev, base, featBytes, numNodes, randomTrace(rng, numNodes),
-			layout.PackOptions{SegmentBytes: segBytes})
+		p, err := layout.PackInPlace(dev, base, featBytes, numNodes, randomTrace(rng, numNodes), layout.PackOptions{})
 		if err != nil {
-			t.Fatalf("trial %d (feat=%d seg=%d nodes=%d): %v", trial, featBytes, segBytes, numNodes, err)
+			t.Fatalf("trial %d (feat=%d nodes=%d): %v", trial, featBytes, numNodes, err)
 		}
 
-		r := layout.NewSegmentReader(dev, p)
-		sector := dev.SectorSize()
-		split := 0
-		var exts []layout.Extent
+		taken := make([]bool, numNodes)
+		got := make([]byte, featBytes)
 		for v := int64(0); v < numNodes; v++ {
-			exts = p.Extents(v, exts[:0])
-			if len(exts) > 1 {
-				split++
+			off := p.NodeOffset(v)
+			slot := (off - base) / int64(featBytes)
+			if off < base || (off-base)%int64(featBytes) != 0 || slot >= numNodes || taken[slot] {
+				t.Fatalf("trial %d (feat=%d): node %d at offset %d is not a free vector slot of the region at %d",
+					trial, featBytes, v, off, base)
 			}
-			// The extents must merge into one contiguous span covering
-			// the whole vector (the async extract path depends on it).
-			if _, n, _, err := layout.NodeSpan(p, v, exts); err != nil {
-				t.Fatalf("trial %d node %d: %v", trial, v, err)
-			} else if n != featBytes {
-				t.Fatalf("trial %d node %d: span %d bytes, want %d", trial, v, n, featBytes)
+			taken[slot] = true
+			if err := dev.ReadRaw(got, off); err != nil {
+				t.Fatal(err)
 			}
-			got := readNode(t, r, p, sector, v)
-			want := src[v*int64(featBytes) : (v+1)*int64(featBytes)]
-			if string(got) != string(want) {
-				t.Fatalf("trial %d (feat=%d seg=%d): node %d packed bytes differ from strided read",
-					trial, featBytes, segBytes, v)
+			if want := src[v*int64(featBytes) : (v+1)*int64(featBytes)]; !bytes.Equal(got, want) {
+				t.Fatalf("trial %d (feat=%d): node %d packed bytes differ from strided read", trial, featBytes, v)
 			}
-		}
-		if featBytes > 1 && segBytes%featBytes != 0 && split == 0 {
-			t.Fatalf("trial %d (feat=%d seg=%d nodes=%d): no node straddles a segment boundary; property not exercised",
-				trial, featBytes, segBytes, numNodes)
 		}
 	}
 }
 
 // TestIndexSaveLoadRoundTrip persists a packed mapping and rebinds it at
-// a different region base: every node must address the same relative
-// offset.
+// a different region base: every node must address the same offset
+// relative to its base, and the v1 header's segBytes word must hold its
+// fixed value.
 func TestIndexSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const featBytes, numNodes = 200, int64(1500) // > leaf fanout 512: multiple leaves
-	p, err := layout.NewPacked(4096, featBytes, numNodes, randomTrace(rng, numNodes),
-		layout.PackOptions{SegmentBytes: 1024})
+	p, err := layout.NewPacked(4096, featBytes, numNodes, randomTrace(rng, numNodes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,15 +101,20 @@ func TestIndexSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.FeatBytes() != featBytes || got.NumNodes() != numNodes ||
-		got.SegmentBytes() != p.SegmentBytes() || got.Base() != 8192 {
-		t.Fatalf("geometry: feat=%d nodes=%d seg=%d base=%d",
-			got.FeatBytes(), got.NumNodes(), got.SegmentBytes(), got.Base())
+	if got.FeatBytes() != featBytes || got.NumNodes() != numNodes {
+		t.Fatalf("geometry: feat=%d nodes=%d", got.FeatBytes(), got.NumNodes())
 	}
 	for v := int64(0); v < numNodes; v++ {
-		if got.NodeOffset(v) != p.NodeOffset(v) {
-			t.Fatalf("node %d offset %d, want %d", v, got.NodeOffset(v), p.NodeOffset(v))
+		if got.NodeOffset(v)-8192 != p.NodeOffset(v)-4096 {
+			t.Fatalf("node %d offset %d from base 8192, saved at %d from base 4096", v, got.NodeOffset(v), p.NodeOffset(v))
 		}
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seg := binary.LittleEndian.Uint32(raw[16:]); seg != 256<<10 {
+		t.Fatalf("header segBytes word %d, want %d", seg, 256<<10)
 	}
 }
 
@@ -149,7 +123,7 @@ func TestIndexSaveLoadRoundTrip(t *testing.T) {
 func TestLoadIndexRejectsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const numNodes = int64(700)
-	p, err := layout.NewPacked(0, 64, numNodes, randomTrace(rng, numNodes), layout.PackOptions{})
+	p, err := layout.NewPacked(0, 64, numNodes, randomTrace(rng, numNodes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +176,7 @@ func TestNewPackedRejectsOutOfRangeTrace(t *testing.T) {
 	for _, v := range []int64{-1, 100} {
 		tr := layout.NewTrace()
 		tr.AddBatch([]int64{3, 3, v})
-		if _, err := layout.NewPacked(0, 64, 100, tr, layout.PackOptions{}); err == nil {
+		if _, err := layout.NewPacked(0, 64, 100, tr); err == nil {
 			t.Fatalf("traced node %d of 100 packed without error", v)
 		}
 	}
@@ -219,7 +193,7 @@ func TestStridedContiguousRange(t *testing.T) {
 	if _, ok := layout.ContiguousRange(s, 900, 1001); ok {
 		t.Fatal("out-of-range request must not be contiguous")
 	}
-	p, err := layout.NewPacked(0, 128, 1000, nil, layout.PackOptions{})
+	p, err := layout.NewPacked(0, 128, 1000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

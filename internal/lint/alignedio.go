@@ -381,10 +381,6 @@ func (tw *taintWalk) hit(pos token.Pos, t taintSet, format string, args ...any) 
 //   - RegisterBuffers(...[]byte) — fixed-buffer regions handed to the
 //     io_uring backend must be AlignedBuf-derived, or registration is
 //     refused (and would pin unaligned pages if it were not);
-//   - ReadExtent returning (int, time.Duration, error) —
-//     the layout segment-reader path; it widens the extent to a
-//     sector-aligned device window but reads through ReadDirect, so the
-//     destination buffer's address must still be sector-aligned.
 //
 // Beyond the direct shapes, a call passing a tainted buffer into a
 // package-local function whose parameter reaches a sink (sinkPar
@@ -420,14 +416,6 @@ func (tw *taintWalk) checkDirectSink(call *ast.CallExpr, fn *types.Func, sig *ty
 		if buf := byteSliceArg(sig, call); buf != nil {
 			tw.hit(buf.Pos(), tw.taintedExpr(buf),
 				"raw make([]byte) buffer reaches backend %s; its address is not sector-aligned", fn.Name())
-		}
-	case "ReadExtent":
-		if !isIntDurationErrorResults(sig.Results()) {
-			return
-		}
-		if buf := byteSliceArg(sig, call); buf != nil {
-			tw.hit(buf.Pos(), tw.taintedExpr(buf),
-				"raw make([]byte) buffer reaches the layout read path via %s; its address is not sector-aligned", fn.Name())
 		}
 	case "QueueReadCtx":
 		if buf := byteSliceArg(sig, call); buf != nil {
@@ -519,20 +507,6 @@ func isVariadicByteSlices(sig *types.Signature) bool {
 		return false
 	}
 	return isByteSlice(outer.Elem())
-}
-
-// isIntDurationErrorResults matches the layout extent-read shape
-// (int, time.Duration, error).
-func isIntDurationErrorResults(res *types.Tuple) bool {
-	if res.Len() != 3 {
-		return false
-	}
-	basic, ok := res.At(0).Type().Underlying().(*types.Basic)
-	if !ok || basic.Kind() != types.Int {
-		return false
-	}
-	shifted := types.NewTuple(res.At(1), res.At(2))
-	return isDurationErrorResults(shifted)
 }
 
 // isDurationErrorResults matches the backend read shape

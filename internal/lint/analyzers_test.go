@@ -27,15 +27,11 @@ func TestAlignedIOInterprocedural(t *testing.T) {
 	analyzertest.Run(t, lint.AnalyzerAlignedIO, "testdata/src/ipa")
 }
 
-func TestExtentBounds(t *testing.T) {
-	analyzertest.Run(t, lint.AnalyzerExtentBounds, "testdata/src/extentbounds")
-}
-
-// TestAll sanity-checks the registry: five analyzers, unique names.
+// TestAll sanity-checks the registry: four analyzers, unique names.
 func TestAll(t *testing.T) {
 	all := lint.All()
-	if len(all) != 5 {
-		t.Fatalf("expected 5 analyzers, got %d", len(all))
+	if len(all) != 4 {
+		t.Fatalf("expected 4 analyzers, got %d", len(all))
 	}
 	seen := map[string]bool{}
 	for _, a := range all {

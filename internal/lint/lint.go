@@ -11,8 +11,6 @@
 //   - alignedio:    only storage.AlignedBuf (or staging-pool) memory may
 //     reach the backend read / submit sinks, keeping the O_DIRECT path
 //     reachable (DESIGN.md §9) — interprocedural within a package.
-//   - extentbounds: offsets from layout extents must be bounds-checked
-//     before slicing a buffer with them.
 //   - errsentinel:  the module's error sentinels are matched with
 //     errors.Is, never ==/!=.
 //
@@ -112,7 +110,6 @@ func All() []*Analyzer {
 		AnalyzerCtxBg,
 		AnalyzerCtxFlow,
 		AnalyzerAlignedIO,
-		AnalyzerExtentBounds,
 		AnalyzerErrSentinel,
 	}
 }

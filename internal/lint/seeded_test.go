@@ -32,9 +32,6 @@ var seeds = []seed{
 	{"alignedio", "internal/layout/pack.go",
 		"buf := storage.AlignedBuf((p.feat/sector+2)*sector, sector)",
 		"buf := make([]byte, (p.feat/sector+2)*sector)"},
-	{"extentbounds", "internal/layout/pack.go",
-		"if start < 0 || e.Len < 0 || start+e.Len > len(buf) {",
-		"if start < 0 || start > len(buf) {"},
 	{"errsentinel", "internal/serve/api.go",
 		"case errors.Is(err, ErrOverloaded):",
 		"case err == ErrOverloaded:"},

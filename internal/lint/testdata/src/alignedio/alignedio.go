@@ -39,27 +39,6 @@ func (*Ring) QueueBufferedReadCtx(ctx context.Context, p []byte, off int64, user
 	return nil
 }
 
-// Extent and SegmentReader replicate the layout package's extent-read
-// sink: (int, time.Duration, error) results distinguish ReadExtent from
-// unrelated methods of the same name.
-type Extent struct {
-	Off     int64
-	FeatOff int
-	Len     int
-}
-
-type SegmentReader struct{}
-
-func (*SegmentReader) ReadExtent(p []byte, ext Extent) (int, time.Duration, error) {
-	return 0, 0, nil
-}
-
-// otherReader has a same-named method with a different result shape;
-// the analyzer must leave it alone.
-type otherReader struct{}
-
-func (*otherReader) ReadExtent(p []byte, ext Extent) (int, error) { return 0, nil }
-
 // AlignedBuf stands in for storage.AlignedBuf: any non-make source is
 // clean.
 func AlignedBuf(n, align int) []byte { return make([]byte, n) }
@@ -107,11 +86,6 @@ func badBatch(d *Dev) {
 	})
 }
 
-func badExtent(sr *SegmentReader) {
-	buf := make([]byte, 4096)
-	_, _, _ = sr.ReadExtent(buf, Extent{Off: 512, Len: 128}) // want "reaches the layout read path via ReadExtent"
-}
-
 func badRegister(d *Dev) {
 	region := make([]byte, 4096)
 	_ = d.RegisterBuffers(region) // want "region registered as a fixed buffer via RegisterBuffers"
@@ -136,12 +110,4 @@ func good(ctx context.Context, d *Dev, r *Ring) {
 	_ = r.QueueReadCtx(ctx, buf, 0, 4)
 	d.SubmitBatch([]*Request{{Buf: buf}, {Buf: AlignedBuf(512, 512)}})
 	_ = d.RegisterBuffers(buf, AlignedBuf(4096, 512))
-
-	// The layout extent reader accepts aligned memory, and a same-named
-	// method with a different result shape is not a sink at all.
-	sr := &SegmentReader{}
-	_, _, _ = sr.ReadExtent(buf, Extent{Len: 64})
-	other := &otherReader{}
-	raw2 := make([]byte, 512)
-	_, _ = other.ReadExtent(raw2, Extent{Len: 64})
 }

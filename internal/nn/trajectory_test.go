@@ -63,7 +63,9 @@ func tinyBatch(t *testing.T, ds *graph.Dataset, s *sample.Sampler, id int, targe
 	}
 	x = tensor.EnsureShape(x, len(b.Nodes), ds.Dim)
 	for i, v := range b.Nodes {
-		ds.ReadFeatureRaw(v, x.Row(i)[:0])
+		if _, err := ds.ReadFeatureRaw(v, x.Row(i)[:0]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	labels := make([]int32, len(targets))
 	for i, v := range targets {

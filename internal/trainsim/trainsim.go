@@ -116,12 +116,12 @@ type Config struct {
 	// with: "" or "strided" for the dense node-ID-order table, "packed"
 	// to run the offline packer after generation — an epoch-0 sample
 	// trace (same plan and batch seeds the engine will use) decides
-	// segment placement, and the engine reads through the packed
+	// vector placement, and the engine reads through the packed
 	// addresser. Packed cells cache separately per (model, batch,
 	// fanouts, seed) because the trace depends on them.
 	Layout string
 	// LoadFile, when non-empty, loads this .gnnd container (with its
-	// sidecars: the .pidx segment index of a packed container, and with
+	// sidecars: the .pidx offset index of a packed container, and with
 	// Integrity the .crc checksums its writer saved) instead of
 	// generating a dataset; Dataset/Dim/Layout are ignored. The
 	// container's header decides the layout, exactly like cmd/gnndrive
@@ -652,7 +652,9 @@ func RunCtx(ctx context.Context, cfg Config, kind SystemKind, opts RunOptions) (
 			// never score each other's weights.
 			acc := 0.0
 			if m := sys.Model(); m != nil {
-				acc, _ = core.EvaluateModel(e.ds, m, e.cfg.EngineOptions().Fanouts, e.ds.ValIdx, e.cfg.Seed)
+				if acc, err = core.EvaluateModel(e.ds, m, e.cfg.EngineOptions().Fanouts, e.ds.ValIdx, e.cfg.Seed); err != nil {
+					return res, fmt.Errorf("trainsim: validation: %w", err)
+				}
 			}
 			res.ValAcc = append(res.ValAcc, acc)
 		}
