@@ -15,11 +15,10 @@
 //   - every section of the container carries its own CRC32, so a torn or
 //     bit-flipped file is detected on load and reported as ErrCorrupt
 //     rather than silently delivering garbage weights;
-//   - Save keeps the last K checkpoints (a manifest plus the files
-//     themselves) and LoadLatest falls back to the newest file that
-//     validates, so a checkpoint corrupted after commit — a truncated
-//     tail, a flipped sector — degrades resume granularity instead of
-//     losing the run.
+//   - Save keeps the last K checkpoint files and LoadLatest scans the
+//     directory for the newest file that validates, so a checkpoint
+//     corrupted after commit — a truncated tail, a flipped sector —
+//     degrades resume granularity instead of losing the run.
 //
 // File writes go through the Sink seam so tests (internal/faults) can
 // inject torn writes, failed renames, and post-crash truncation without
@@ -184,12 +183,6 @@ type Saver struct {
 
 const defaultKeep = 3
 
-// manifestName lists the live checkpoints, oldest first. It is advisory:
-// LoadLatest falls back to a directory scan when it is missing or stale,
-// so a crash between the checkpoint rename and the manifest rewrite
-// loses nothing.
-const manifestName = "MANIFEST"
-
 func (s *Saver) sink() Sink {
 	if s.Sink != nil {
 		return s.Sink
@@ -211,8 +204,7 @@ func FileName(epoch, step int) string {
 }
 
 // Save serializes st and commits it crash-atomically, then prunes old
-// checkpoints beyond Keep and rewrites the manifest. It returns the
-// committed file path.
+// checkpoints beyond Keep. It returns the committed file path.
 func (s *Saver) Save(st *RunState) (string, error) {
 	if s.Dir == "" {
 		return "", errors.New("checkpoint: Saver.Dir is empty")
@@ -229,23 +221,12 @@ func (s *Saver) Save(st *RunState) (string, error) {
 	return final, nil
 }
 
-// prune removes checkpoints beyond Keep (oldest first) and rewrites the
-// manifest. Pruning failures are ignored: stale files cost disk, not
-// correctness.
+// prune removes checkpoints beyond Keep, oldest first. Pruning failures
+// are ignored: stale files cost disk, not correctness.
 func (s *Saver) prune(sink Sink) {
 	names := listCheckpoints(s.Dir)
-	for len(names) > s.keep() {
-		_ = sink.Remove(filepath.Join(s.Dir, names[0]))
-		names = names[1:]
-	}
-	var b strings.Builder
-	for _, n := range names {
-		b.WriteString(n)
-		b.WriteByte('\n')
-	}
-	tmp := filepath.Join(s.Dir, manifestName+".tmp")
-	if err := sink.WriteFile(tmp, []byte(b.String())); err == nil {
-		_ = sink.Rename(tmp, filepath.Join(s.Dir, manifestName))
+	for _, n := range names[:max(len(names)-s.keep(), 0)] {
+		_ = sink.Remove(filepath.Join(s.Dir, n))
 	}
 }
 

@@ -91,11 +91,6 @@ type Options struct {
 	// ErrPipelineStalled and a diagnostics snapshot is recorded on the
 	// tracer. 0 disables the watchdog.
 	StallDeadline time.Duration
-	// OnStall, when non-nil, receives the watchdog's structured
-	// diagnostics snapshot when the stall fires (once per stalled
-	// epoch, from the watchdog goroutine). Supervisors use it to decide
-	// requeue-vs-fail without parsing the trace string.
-	OnStall func(StallDiagnostics)
 
 	// IOGate, when non-nil, rations this engine's extract reads against
 	// a shared submit path: every in-flight backend read holds one
@@ -290,8 +285,7 @@ func New(ds *graph.Dataset, dev *device.Device, budget *hostmem.Budget,
 	}
 
 	if opts.sharedFB != nil {
-		e.fb = opts.sharedFB
-		e.ownFB = false
+		e.fb = opts.sharedFB // borrowed: ownFB stays false
 		return e.finishSetup(ds, dev, cache, rec, opts)
 	}
 
@@ -592,14 +586,11 @@ func (e *Engine) trainEpochSegment(ctx context.Context, epoch int, targets []int
 	// becomes a bounded, diagnosable failure instead of a silent hang.
 	var hb heartbeats
 	if deadline := e.opts.StallDeadline; deadline > 0 {
-		dog := startWatchdog(&hb, deadline, func() StallDiagnostics {
+		dog := startWatchdog(&hb, deadline, func() stallDiag {
 			return e.stallDiagnostics(&hb, extractQ, trainQ, releaseQ)
-		}, func(diag StallDiagnostics) {
+		}, func(diag stallDiag) {
 			e.count(&col, metrics.Counters{Stalls: 1})
 			e.opts.Tracer.Annotate(trace.StageWatchdog, "stall: "+diag.String())
-			if f := e.opts.OnStall; f != nil {
-				f(diag)
-			}
 			fail(fmt.Errorf("%w: no progress for %v (%s)", ErrPipelineStalled, deadline, diag))
 		})
 		defer dog.Stop()

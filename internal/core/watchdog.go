@@ -6,9 +6,9 @@ package core
 // that into a bounded failure: every stage bumps a monotonic heartbeat
 // counter on progress, a supervisor goroutine polls them, and if no
 // counter moves for Options.StallDeadline the epoch is cancelled with
-// ErrPipelineStalled and a StallDiagnostics snapshot (queue depths,
-// feature-buffer occupancy, staging slots, in-flight work, goroutine
-// count) is recorded on the tracer and handed to Options.OnStall.
+// ErrPipelineStalled and a diagnostics snapshot (queue depths,
+// feature-buffer occupancy, staging slots, goroutine count) is recorded
+// on the tracer and carried in the error text.
 
 import (
 	"errors"
@@ -40,27 +40,26 @@ func (h *heartbeats) total() int64 {
 	return h.sample.Load() + h.extract.Load() + h.train.Load() + h.release.Load()
 }
 
-// HeartbeatCounts is the per-stage progress snapshot inside a
-// StallDiagnostics.
-type HeartbeatCounts struct {
+// heartbeatCounts is the per-stage progress snapshot inside a
+// stallDiag.
+type heartbeatCounts struct {
 	Sample  int64
 	Extract int64
 	Train   int64
 	Release int64
 }
 
-func (h HeartbeatCounts) String() string {
+func (h heartbeatCounts) String() string {
 	return fmt.Sprintf("sample=%d extract=%d train=%d release=%d",
 		h.Sample, h.Extract, h.Train, h.Release)
 }
 
-// StallDiagnostics is the watchdog's structured snapshot of a wedged
-// pipeline: which stage stopped beating, how deep each hand-off queue
-// is, the feature buffer's occupancy, and how many staging slots are
-// free. Supervisors (the serve daemon) consume the fields directly;
-// String() renders the historical trace format.
-type StallDiagnostics struct {
-	Heartbeats HeartbeatCounts
+// stallDiag is the watchdog's snapshot of a wedged pipeline: which stage
+// stopped beating, how deep each hand-off queue is, the feature buffer's
+// occupancy, and how many staging slots are free. String renders it for
+// the tracer and the stall error.
+type stallDiag struct {
+	Heartbeats heartbeatCounts
 
 	ExtractQLen, ExtractQCap int
 	TrainQLen, TrainQCap     int
@@ -87,7 +86,7 @@ type StallDiagnostics struct {
 
 // String renders the diagnostics in the stable single-line format the
 // tracer and error text have always carried.
-func (d StallDiagnostics) String() string {
+func (d stallDiag) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "heartbeats[%s]", d.Heartbeats)
 	fmt.Fprintf(&sb, " queues[extract=%d/%d train=%d/%d release=%d/%d]",
@@ -117,7 +116,7 @@ type watchdog struct {
 // snapshot and the supervisor exits. Stop it with stop() before reading
 // the epoch result (idempotent teardown: a stalled watchdog that
 // already fired still stops cleanly).
-func startWatchdog(hb *heartbeats, deadline time.Duration, diag func() StallDiagnostics, onStall func(StallDiagnostics)) *watchdog {
+func startWatchdog(hb *heartbeats, deadline time.Duration, diag func() stallDiag, onStall func(stallDiag)) *watchdog {
 	w := &watchdog{stop: make(chan struct{}), done: make(chan struct{})}
 	go func() {
 		defer close(w.done)
@@ -160,9 +159,9 @@ func (w *watchdog) Stop() {
 // live while we look — but a wedged pipeline is static, which is
 // exactly when the snapshot is read.
 func (e *Engine) stallDiagnostics(hb *heartbeats,
-	extractQ chan *sample.Batch, trainQ, releaseQ chan *trainItem) StallDiagnostics {
-	d := StallDiagnostics{
-		Heartbeats: HeartbeatCounts{
+	extractQ chan *sample.Batch, trainQ, releaseQ chan *trainItem) stallDiag {
+	d := stallDiag{
+		Heartbeats: heartbeatCounts{
 			Sample:  hb.sample.Load(),
 			Extract: hb.extract.Load(),
 			Train:   hb.train.Load(),

@@ -7,11 +7,14 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"time"
 
+	"gnndrive/internal/device"
 	"gnndrive/internal/gen"
+	"gnndrive/internal/hostmem"
 	"gnndrive/internal/nn"
 	"gnndrive/internal/trainsim"
 )
@@ -26,7 +29,8 @@ type Opts struct {
 	// experiments finishes in tens of minutes on one core.
 	Quick bool
 	// Backend selects the storage backend for experiments that support it
-	// (FigB1): "sim" (default), "file" or "linuring" (see iobench.Open).
+	// (FigB1): "sim" (default), "file" or "linuring" (see
+	// trainsim.OpenBackend).
 	Backend string
 	// DataFile is the backing file for Backend "file" or "linuring"; empty
 	// means a temp file removed after the run.
@@ -74,24 +78,14 @@ func runCell(ctx context.Context, cfg trainsim.Config, sys trainsim.SystemKind, 
 }
 
 func classify(err error) string {
-	s := err.Error()
 	switch {
-	case contains(s, "out of memory"):
+	case errors.Is(err, hostmem.ErrOOM):
 		return "OOM"
-	case contains(s, "out of device memory"):
+	case errors.Is(err, device.ErrDeviceOOM):
 		return "OOM(dev)"
 	default:
-		return "ERR:" + s
+		return "ERR:" + err.Error()
 	}
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }
 
 // fmtCell renders a duration or failure tag.
@@ -209,90 +203,60 @@ func utilSeries(ctx context.Context, w io.Writer, o Opts, title string, systems 
 // Fig8 prints the epoch runtime across feature dimensions for every
 // dataset x model x system combination.
 func Fig8(ctx context.Context, w io.Writer, o Opts) error {
-	o = o.fill()
 	dims := []int{64, 128, 256, 512}
-	systems := []trainsim.SystemKind{trainsim.GNNDriveGPU, trainsim.GNNDriveCPU, trainsim.Ginex, trainsim.PyGPlus}
 	if o.Quick {
 		dims = []int{64, 128, 512}
 	}
-	fmt.Fprintln(w, "Fig 8: epoch runtime (s) vs feature dimension")
-	for _, spec := range datasetsFor(o.Quick) {
-		for _, model := range modelsFor(o.Quick) {
-			fmt.Fprintf(w, "-- %s / %s\n", spec.Name, model)
-			fmt.Fprintf(w, "%-14s", "dim")
-			for _, d := range dims {
-				fmt.Fprintf(w, "%12d", d)
-			}
-			fmt.Fprintln(w)
-			for _, sys := range systems {
-				fmt.Fprintf(w, "%-14s", sys)
-				for _, dim := range dims {
-					cfg := trainsim.Config{Dataset: spec, Dim: dim, Model: model, Scale: o.Scale}
-					d, fail := runCell(ctx, cfg, sys, o.Epochs)
-					fmt.Fprintf(w, "%12s", fmtCell(d, fail))
-				}
-				fmt.Fprintln(w)
-			}
-		}
-		trainsim.DropDatasets()
-	}
-	return ctx.Err()
+	return sweep(ctx, w, o, "Fig 8: epoch runtime (s) vs feature dimension", "dim", dims,
+		func(spec gen.Spec, model nn.ModelKind, dim int) trainsim.Config {
+			return trainsim.Config{Dataset: spec, Dim: dim, Model: model}
+		})
 }
 
 // Fig9 prints the epoch runtime across host-memory capacities at
 // dimension 512.
 func Fig9(ctx context.Context, w io.Writer, o Opts) error {
-	o = o.fill()
 	mems := []int{8, 16, 32, 64, 128}
 	if o.Quick {
 		mems = []int{8, 32, 128}
 	}
-	systems := []trainsim.SystemKind{trainsim.GNNDriveGPU, trainsim.GNNDriveCPU, trainsim.Ginex, trainsim.PyGPlus}
-	fmt.Fprintln(w, "Fig 9: epoch runtime (s) vs host memory (scaled GB), dim=512")
-	for _, spec := range datasetsFor(o.Quick) {
-		for _, model := range modelsFor(o.Quick) {
-			fmt.Fprintf(w, "-- %s / %s\n", spec.Name, model)
-			fmt.Fprintf(w, "%-14s", "mem(GB)")
-			for _, m := range mems {
-				fmt.Fprintf(w, "%12d", m)
-			}
-			fmt.Fprintln(w)
-			for _, sys := range systems {
-				fmt.Fprintf(w, "%-14s", sys)
-				for _, m := range mems {
-					cfg := trainsim.Config{Dataset: spec, Dim: 512, Model: model,
-						HostMemoryGB: m, Scale: o.Scale}
-					d, fail := runCell(ctx, cfg, sys, o.Epochs)
-					fmt.Fprintf(w, "%12s", fmtCell(d, fail))
-				}
-				fmt.Fprintln(w)
-			}
-		}
-		trainsim.DropDatasets()
-	}
-	return ctx.Err()
+	return sweep(ctx, w, o, "Fig 9: epoch runtime (s) vs host memory (scaled GB), dim=512", "mem(GB)", mems,
+		func(spec gen.Spec, model nn.ModelKind, m int) trainsim.Config {
+			return trainsim.Config{Dataset: spec, Dim: 512, Model: model, HostMemoryGB: m}
+		})
 }
 
 // Fig10 prints the epoch runtime across mini-batch sizes (the paper's
 // 500-4000 at 1:20 scale: 25-200).
 func Fig10(ctx context.Context, w io.Writer, o Opts) error {
-	o = o.fill()
 	batches := []int{25, 50, 100, 200}
-	systems := []trainsim.SystemKind{trainsim.GNNDriveGPU, trainsim.GNNDriveCPU, trainsim.Ginex, trainsim.PyGPlus}
-	fmt.Fprintln(w, "Fig 10: epoch runtime (s) vs mini-batch size (paper size = 20x)")
+	return sweep(ctx, w, o, "Fig 10: epoch runtime (s) vs mini-batch size (paper size = 20x)", "batch", batches,
+		func(spec gen.Spec, model nn.ModelKind, b int) trainsim.Config {
+			return trainsim.Config{Dataset: spec, Model: model, BatchSize: b}
+		})
+}
+
+// sweep prints one epoch-runtime table per dataset x model: a row per
+// system, a column per x, each cell run with cell(spec, model, x) at the
+// run's scale. Each dataset's cached cells are dropped before the next
+// dataset is built.
+func sweep(ctx context.Context, w io.Writer, o Opts, title, xLabel string, xs []int,
+	cell func(spec gen.Spec, model nn.ModelKind, x int) trainsim.Config) error {
+	o = o.fill()
+	fmt.Fprintln(w, title)
 	for _, spec := range datasetsFor(o.Quick) {
 		for _, model := range modelsFor(o.Quick) {
 			fmt.Fprintf(w, "-- %s / %s\n", spec.Name, model)
-			fmt.Fprintf(w, "%-14s", "batch")
-			for _, b := range batches {
-				fmt.Fprintf(w, "%12d", b)
+			fmt.Fprintf(w, "%-14s", xLabel)
+			for _, x := range xs {
+				fmt.Fprintf(w, "%12d", x)
 			}
 			fmt.Fprintln(w)
-			for _, sys := range systems {
+			for _, sys := range []trainsim.SystemKind{trainsim.GNNDriveGPU, trainsim.GNNDriveCPU, trainsim.Ginex, trainsim.PyGPlus} {
 				fmt.Fprintf(w, "%-14s", sys)
-				for _, b := range batches {
-					cfg := trainsim.Config{Dataset: spec, Model: model,
-						BatchSize: b, Scale: o.Scale}
+				for _, x := range xs {
+					cfg := cell(spec, model, x)
+					cfg.Scale = o.Scale
 					d, fail := runCell(ctx, cfg, sys, o.Epochs)
 					fmt.Fprintf(w, "%12s", fmtCell(d, fail))
 				}

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
+
+	"gnndrive/internal/device"
+	"gnndrive/internal/hostmem"
 )
 
 func TestTable1PrintsAllDatasets(t *testing.T) {
@@ -27,14 +31,18 @@ func TestTable1PrintsAllDatasets(t *testing.T) {
 }
 
 func TestClassify(t *testing.T) {
-	if got := classify(errors.New("pin x: hostmem: out of memory")); got != "OOM" {
-		t.Fatal(got)
-	}
-	if got := classify(errors.New("device: out of device memory")); got != "OOM(dev)" {
-		t.Fatal(got)
-	}
-	if got := classify(errors.New("boom")); got != "ERR:boom" {
-		t.Fatal(got)
+	for _, tc := range []struct {
+		err  error
+		want string
+	}{
+		{fmt.Errorf("pin x: %w", hostmem.ErrOOM), "OOM"},
+		{fmt.Errorf("core: feature buffer: %w", fmt.Errorf("alloc: %w", device.ErrDeviceOOM)), "OOM(dev)"},
+		{errors.New("boom: out of memory"), "ERR:boom: out of memory"},
+		{errors.New("boom"), "ERR:boom"},
+	} {
+		if got := classify(tc.err); got != tc.want {
+			t.Fatalf("classify(%v) = %q, want %q", tc.err, got, tc.want)
+		}
 	}
 }
 

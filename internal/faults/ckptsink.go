@@ -44,7 +44,7 @@ const (
 
 // CkptSink is a fault-injecting checkpoint.Sink over the real
 // filesystem. Faults are armed one-shot and fire only on checkpoint
-// files (*.ckpt and their temporaries), never on the advisory manifest.
+// files (*.ckpt and their temporaries).
 type CkptSink struct {
 	mu       sync.Mutex
 	mode     CkptFault

@@ -306,8 +306,8 @@ func (d *Daemon) buildConfig(j *job, g *grant) (trainsim.Config, trainsim.System
 	cfg.SharedStaging = g.view
 	cfg.IOGate = g.gate
 	cfg.Rec = d.reg.Recorder(j.rec.ID)
-	cfg.OnStall = func(diag core.StallDiagnostics) {
-		d.logf("serve: job %s stalled: %s", j.rec.ID, diag)
+	cfg.Logf = func(format string, args ...any) {
+		d.logf("serve: job %s: %s", j.rec.ID, fmt.Sprintf(format, args...))
 	}
 	cfg.OnEpoch = func(epoch int, st trainsim.EpochStats) {
 		d.recordEpoch(j, epoch, st)

@@ -304,8 +304,10 @@ func TestStalledJobIsolated(t *testing.T) {
 	if stuckRec.State != StateFailed {
 		t.Fatalf("stuck job ended %s (error %q), want failed", stuckRec.State, stuckRec.Error)
 	}
-	if !strings.Contains(stuckRec.Error, "stall") {
-		t.Fatalf("stuck job error %q does not mention the stall", stuckRec.Error)
+	// The recorded error carries the watchdog's diagnostics, the only
+	// place a supervisor reads them.
+	if !strings.Contains(stuckRec.Error, "stall") || !strings.Contains(stuckRec.Error, "heartbeats[") {
+		t.Fatalf("stuck job error %q does not carry the stall diagnostics", stuckRec.Error)
 	}
 	goodRec, err := d.WaitJob(ctx, goodID)
 	if err != nil {

@@ -105,10 +105,11 @@ func system[S System](s S, err error) (System, error) {
 }
 
 // gnndrive is the engine as a System. A resumed run trains its first
-// epoch from the checkpoint's step.
+// epoch from the checkpoint's step; logf reports failed checkpoint saves.
 type gnndrive struct {
 	*core.Engine
 	resumeEpoch, resumeStep int
+	logf                    func(format string, args ...any)
 }
 
 func newGNNDrive(e *env) (System, error) {
@@ -123,7 +124,10 @@ func newGNNDrive(e *env) (System, error) {
 	if e.cfg.OnEngine != nil {
 		e.cfg.OnEngine(eng)
 	}
-	g := &gnndrive{Engine: eng}
+	g := &gnndrive{Engine: eng, logf: e.cfg.Logf}
+	if g.logf == nil {
+		g.logf = func(format string, args ...any) { fmt.Printf(format+"\n", args...) }
+	}
 	if e.cfg.Resume && e.cfg.CheckpointDir != "" {
 		ep, st, err := eng.ResumeRunState()
 		switch {
@@ -150,7 +154,7 @@ func (g *gnndrive) TrainEpoch(ctx context.Context, epoch int) (core.EpochResult,
 	if err == nil && r.CheckpointErr != nil {
 		// Save failures degrade resume granularity, not training;
 		// surface them without failing the run.
-		fmt.Printf("trainsim: checkpoint save failed: %v\n", r.CheckpointErr)
+		g.logf("trainsim: checkpoint save failed: %v", r.CheckpointErr)
 	}
 	return r, err
 }

@@ -84,9 +84,6 @@ type Config struct {
 	// Rec, when non-nil, substitutes for the run's internally allocated
 	// metrics recorder so a supervisor can keep per-job counters.
 	Rec *metrics.Recorder
-	// OnStall, when non-nil, receives the pipeline watchdog's structured
-	// diagnostics when a stall trips (GNNDrive with a StallDeadline).
-	OnStall func(core.StallDiagnostics)
 	// OnEngine, when non-nil, observes the live engine right after
 	// construction (GNNDrive systems only). The serve daemon uses the
 	// handle to request demand checkpoints during drain; the engine is
@@ -138,9 +135,11 @@ type Config struct {
 	// DataFile is the backing path for Backend "file". Empty means a
 	// per-cell temp file under os.TempDir(), removed by DropDatasets.
 	DataFile string
-	// Logf, when non-nil, receives backend diagnostics (currently the
-	// linuring backend's one-line fallback notice when io_uring is
-	// unavailable and the file worker pool serves instead).
+	// Logf, when non-nil, receives the run's diagnostics: the linuring
+	// backend's one-line fallback notice when io_uring is unavailable
+	// and the file worker pool serves instead, a checksum sidecar that
+	// cannot be adopted, and GNNDrive's failed checkpoint saves (which
+	// go to stdout when Logf is nil).
 	Logf func(format string, args ...any)
 
 	// Faults, when non-nil, attaches a storage fault-injection schedule to
@@ -301,7 +300,7 @@ var (
 // header.
 func backendFactory(cfg Config, name string, dim int) (f storage.Factory, temp string) {
 	path := cfg.DataFile
-	if path == "" && (cfg.Backend == "file" || cfg.Backend == "linuring") {
+	if path == "" && cfg.onFile() {
 		path = filepath.Join(os.TempDir(), fmt.Sprintf("gnndrive-%s-%d-%g.img", name, dim, cfg.Scale))
 		temp = path
 	}
@@ -321,6 +320,39 @@ func backendFactory(cfg Config, name string, dim int) (f storage.Factory, temp s
 		f = integrity.WrapFactory(f, *cfg.Integrity)
 	}
 	return f, temp
+}
+
+// onFile reports whether cfg's backend serves a real file ("file" or
+// "linuring") rather than the modeled SSD.
+func (c Config) onFile() bool { return c.Backend == "file" || c.Backend == "linuring" }
+
+// OpenBackend opens the backend cfg names (Backend, DataFile, Scale, Logf,
+// Integrity) as a bare size-byte device with no dataset on it: the device
+// Fig. B.1's I/O micro-benchmark reads. A real-file backend with no
+// DataFile gets a fresh temp file. The returned close closes the backend
+// and removes that temp file.
+func OpenBackend(cfg Config, size int64) (storage.Backend, func(), error) {
+	cfg.fill()
+	if err := cfg.check(); err != nil {
+		return nil, nil, err
+	}
+	remove := func() {}
+	if cfg.DataFile == "" && cfg.onFile() {
+		tf, err := os.CreateTemp("", "gnndrive-backend-*.img")
+		if err != nil {
+			return nil, nil, err
+		}
+		tf.Close()
+		cfg.DataFile = tf.Name()
+		remove = func() { os.Remove(tf.Name()) }
+	}
+	f, _ := backendFactory(cfg, "", 0)
+	dev, err := f(size)
+	if err != nil {
+		remove()
+		return nil, nil, err
+	}
+	return dev, func() { dev.Close(); remove() }, nil
 }
 
 // integrityKey puts the integrity switch into the dataset cache key, so a
@@ -690,7 +722,6 @@ func (c Config) EngineOptions() core.Options {
 	o.CheckpointDir = c.CheckpointDir
 	o.CheckpointEverySteps = c.CheckpointEverySteps
 	o.StallDeadline = c.StallDeadline
-	o.OnStall = c.OnStall
 	o.SharedStaging = c.SharedStaging
 	o.IOGate = c.IOGate
 	return o

@@ -4,9 +4,12 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,7 +21,9 @@ import (
 	"gnndrive/internal/metrics"
 	"gnndrive/internal/nn"
 	"gnndrive/internal/storage"
+	"gnndrive/internal/storage/file"
 	"gnndrive/internal/storage/integrity"
+	"gnndrive/internal/storage/linuring"
 	"gnndrive/internal/storage/sim"
 )
 
@@ -239,6 +244,34 @@ func TestAblationSwitchesRun(t *testing.T) {
 	}
 }
 
+// A GNNDrive run whose checkpoint saves fail still trains, and reports
+// each failure through Logf.
+func TestCheckpointSaveFailureLogged(t *testing.T) {
+	defer DropDatasets()
+	blocker := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := tinyCfg()
+	cfg.RealTrain, cfg.Hidden, cfg.TrainLimit = true, 16, 200
+	cfg.CheckpointDir = filepath.Join(blocker, "ckpt")
+	var mu sync.Mutex
+	var logged strings.Builder
+	cfg.Logf = func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		fmt.Fprintf(&logged, format+"\n", args...)
+	}
+	if _, err := RunCtx(context.Background(), cfg, GNNDriveGPU, RunOptions{Epochs: 1}); err != nil {
+		t.Fatalf("a failed checkpoint save failed the run: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !strings.Contains(logged.String(), "checkpoint save failed") {
+		t.Fatalf("Logf received %q, want the checkpoint save failure", logged.String())
+	}
+}
+
 func TestRunCheckpointAndResume(t *testing.T) {
 	defer DropDatasets()
 	dir := t.TempDir()
@@ -374,6 +407,56 @@ func TestUnknownBackendRejected(t *testing.T) {
 	cfg.Backend = "nvme-of"
 	if _, err := RunCtx(context.Background(), cfg, GNNDriveGPU, RunOptions{Epochs: 1}); err == nil {
 		t.Fatal("unknown backend accepted")
+	}
+}
+
+// TestOpenByName: every backend name reaches a backend that serves a
+// direct read — linuring both where the kernel grants io_uring and,
+// vetoed, through its file fallback, which it announces through Logf —
+// an auto-created backing file is gone after close, and an unknown name
+// is rejected by check.
+func TestOpenByName(t *testing.T) {
+	for _, tc := range []struct{ name, veto string }{
+		{"sim", ""}, {"file", ""}, {"linuring", ""}, {"linuring", "1"},
+	} {
+		t.Run(tc.name+"/veto="+tc.veto, func(t *testing.T) {
+			t.Setenv(linuring.EnvDisable, tc.veto)
+			tmp := t.TempDir()
+			t.Setenv("TMPDIR", tmp)
+			var logged strings.Builder
+			logf := func(format string, args ...any) { fmt.Fprintf(&logged, format+"\n", args...) }
+			dev, closeDev, err := OpenBackend(Config{Backend: tc.name, Logf: logf}, 1<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := dev.ReadDirectCtx(context.Background(), storage.AlignedBuf(512, 512), 512); err != nil {
+				closeDev()
+				t.Fatal(err)
+			}
+			_, ring := dev.(linuring.RingStatser)
+			_, pool := dev.(*file.Backend)
+			wantRing := tc.name == "linuring" && linuring.Supported()
+			wantPool := tc.name == "file" || (tc.name == "linuring" && !wantRing)
+			fellBack := strings.Contains(logged.String(), "falling back to file backend")
+			temps, _ := os.ReadDir(tmp)
+			closeDev()
+			if ring != wantRing || pool != wantPool || fellBack != (tc.name == "linuring" && pool) {
+				t.Fatalf("%T: ring=%v pool=%v, want ring=%v pool=%v; logged %q", dev, ring, pool, wantRing, wantPool, logged.String())
+			}
+			wantTemps := 1
+			if tc.name == "sim" {
+				wantTemps = 0
+			}
+			if len(temps) != wantTemps {
+				t.Fatalf("%d backing files while open, want %d", len(temps), wantTemps)
+			}
+			if left, _ := os.ReadDir(tmp); len(left) != 0 {
+				t.Fatalf("close left %d files in the temp dir", len(left))
+			}
+		})
+	}
+	if _, _, err := OpenBackend(Config{Backend: "nvme"}, 1<<20); err == nil {
+		t.Fatal("unknown backend name opened")
 	}
 }
 
