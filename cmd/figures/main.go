@@ -17,7 +17,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"sort"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -26,25 +26,28 @@ import (
 	"gnndrive/internal/trainsim"
 )
 
-var registry = map[string]func(context.Context, io.Writer, experiments.Opts) error{
-	"table1":    experiments.Table1,
-	"fig2":      experiments.Fig2,
-	"fig3":      experiments.Fig3,
-	"fig8":      experiments.Fig8,
-	"fig9":      experiments.Fig9,
-	"fig10":     experiments.Fig10,
-	"fig11":     experiments.Fig11,
-	"fig12":     experiments.Fig12,
-	"fig13":     experiments.Fig13,
-	"fig14":     experiments.Fig14,
-	"table2":    experiments.Table2,
-	"figB1":     experiments.FigB1,
-	"ablations": experiments.Ablations,
+type experiment struct {
+	name string
+	run  func(context.Context, io.Writer, experiments.Opts) error
 }
 
-// order fixes the "all" sequence (cheap first).
-var order = []string{"table1", "figB1", "fig2", "fig3", "fig11", "ablations",
-	"fig12", "fig13", "table2", "fig10", "fig9", "fig8", "fig14"}
+// exps lists every experiment in the order "all" runs them (cheap
+// first).
+var exps = []experiment{
+	{"table1", experiments.Table1},
+	{"figB1", experiments.FigB1},
+	{"fig2", experiments.Fig2},
+	{"fig3", experiments.Fig3},
+	{"fig11", experiments.Fig11},
+	{"ablations", experiments.Ablations},
+	{"fig12", experiments.Fig12},
+	{"fig13", experiments.Fig13},
+	{"table2", experiments.Table2},
+	{"fig10", experiments.Fig10},
+	{"fig9", experiments.Fig9},
+	{"fig8", experiments.Fig8},
+	{"fig14", experiments.Fig14},
+}
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -79,34 +82,35 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	todo := order
+	todo := exps
 	if *exp != "all" {
-		todo = strings.Split(*exp, ",")
-		for i, name := range todo {
-			todo[i] = strings.TrimSpace(name)
-			if _, ok := registry[todo[i]]; !ok {
-				fmt.Fprintf(stderr, "unknown experiment %q; have %s\n", todo[i], names())
+		todo = nil
+		for _, name := range strings.Split(*exp, ",") {
+			name = strings.TrimSpace(name)
+			i := slices.IndexFunc(exps, func(e experiment) bool { return e.name == name })
+			if i < 0 {
+				fmt.Fprintf(stderr, "unknown experiment %q; have %s\n", name, names())
 				return 2
 			}
+			todo = append(todo, exps[i])
 		}
 	}
 	opts := experiments.Opts{Scale: *scale, Epochs: *epochs, Quick: *quick, Backend: *backend, DataFile: *dataFile}
-	for _, name := range todo {
+	for _, e := range todo {
 		start := time.Now()
-		if err := registry[name](ctx, stdout, opts); err != nil {
-			fmt.Fprintf(stderr, "%s: %v\n", name, err)
+		if err := e.run(ctx, stdout, opts); err != nil {
+			fmt.Fprintf(stderr, "%s: %v\n", e.name, err)
 			return 1
 		}
-		fmt.Fprintf(stdout, "[%s done in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "[%s done in %v]\n\n", e.name, time.Since(start).Round(time.Millisecond))
 	}
 	return 0
 }
 
 func names() string {
-	ns := make([]string, 0, len(registry))
-	for n := range registry {
-		ns = append(ns, n)
+	ns := make([]string, len(exps))
+	for i, e := range exps {
+		ns[i] = e.name
 	}
-	sort.Strings(ns)
 	return strings.Join(ns, ", ")
 }

@@ -7,22 +7,15 @@ import (
 	"testing"
 )
 
-// Every registered experiment runs under "all" exactly once, and "all"
-// names nothing unregistered.
-func TestOrderCoversRegistry(t *testing.T) {
-	seen := map[string]int{}
-	for _, name := range order {
-		seen[name]++
-	}
-	for name := range registry {
-		if seen[name] != 1 {
-			t.Errorf("%s appears %d times in order, want 1", name, seen[name])
+// Every experiment name is unique, so "-exp" picks exactly one and
+// "all" runs each once.
+func TestExperimentNamesUnique(t *testing.T) {
+	seen := map[string]bool{}
+	for _, e := range exps {
+		if seen[e.name] {
+			t.Errorf("experiment %s is listed twice", e.name)
 		}
-	}
-	for name := range seen {
-		if registry[name] == nil {
-			t.Errorf("order names %s, which is not registered", name)
-		}
+		seen[e.name] = true
 	}
 }
 

@@ -122,9 +122,6 @@ func (d *Device) Close() {
 	d.wg.Wait()
 }
 
-// Name returns the configured device name.
-func (d *Device) Name() string { return d.cfg.Name }
-
 // Kind returns the processor kind.
 func (d *Device) Kind() Kind { return d.cfg.Kind }
 

@@ -140,7 +140,12 @@ func Fig2(ctx context.Context, w io.Writer, o Opts) error {
 				if mode == "-only" {
 					d, err = trainsim.SampleOnly(ctx, cfg, sys)
 				} else {
-					d, err = trainsim.SampleDuringAll(ctx, cfg, sys)
+					// The summed sample-stage time while the whole
+					// pipeline runs.
+					var res trainsim.Result
+					if res, err = trainsim.RunCtx(ctx, cfg, sys, trainsim.RunOptions{Epochs: 1}); err == nil {
+						d = res.Epochs[0].Sample
+					}
 				}
 				if err != nil {
 					fmt.Fprintf(w, "%10s", classify(err))

@@ -168,9 +168,6 @@ func NewInjector(cfg Config) *Injector {
 	return &Injector{cfg: cfg, attempt: make(map[int64]uint64)}
 }
 
-// Config returns the injector's schedule.
-func (in *Injector) Config() Config { return in.cfg }
-
 // Decide rolls the fault decision for a read of n bytes at off and
 // advances the offset's attempt counter.
 func (in *Injector) Decide(off int64, n int) Decision {

@@ -257,9 +257,10 @@ func (l *Loader) dep(path, dir string) (*types.Package, error) {
 // Load loads the package in dir as one or two analysis units: the
 // package proper (build files plus, when includeTests is set, the
 // in-package test files) and, when present and requested, the external
-// _test package as its own unit. Type errors are collected into the
-// returned Packages, not returned as err; err is reserved for I/O and
-// parse-level failures.
+// _test package as its own unit. A directory holding only external test
+// files (a package of Example functions) loads as that one unit. Type
+// errors are collected into the returned Packages, not returned as err;
+// err is reserved for I/O and parse-level failures.
 func (l *Loader) Load(dir string, includeTests bool) ([]*Package, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -278,17 +279,22 @@ func (l *Loader) Load(dir string, includeTests bool) ([]*Package, error) {
 	}
 
 	var units []*Package
-	main, err := l.checkUnit(path, dir, bp.GoFiles, testNames(includeTests, bp.TestGoFiles))
-	if err != nil {
-		return nil, err
+	if tests := testNames(includeTests, bp.TestGoFiles); len(bp.GoFiles)+len(tests) > 0 {
+		main, err := l.checkUnit(path, dir, bp.GoFiles, tests)
+		if err != nil {
+			return nil, err
+		}
+		units = append(units, main)
 	}
-	units = append(units, main)
 	if includeTests && len(bp.XTestGoFiles) > 0 {
 		xt, err := l.checkUnit(path+"_test", dir, nil, bp.XTestGoFiles)
 		if err != nil {
 			return nil, err
 		}
 		units = append(units, xt)
+	}
+	if len(units) == 0 {
+		return nil, fmt.Errorf("lint: no analyzable Go files in %s", dir)
 	}
 	return units, nil
 }
@@ -330,9 +336,6 @@ func (l *Loader) checkUnit(path, dir string, buildNames, testFileNames []string)
 		if err := parse(name, true); err != nil {
 			return nil, err
 		}
-	}
-	if len(pkg.Files) == 0 {
-		return nil, fmt.Errorf("lint: no analyzable Go files in %s", dir)
 	}
 	pkg.Name = pkg.Files[0].Name.Name
 

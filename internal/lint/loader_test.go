@@ -89,3 +89,29 @@ func TestLoadIncludesExternalTestPackage(t *testing.T) {
 		t.Error("expected the lint package's external _test unit to load")
 	}
 }
+
+// TestLoadTestOnlyPackage loads a directory whose only Go files are
+// external tests, which go build, vet and test all accept.
+func TestLoadTestOnlyPackage(t *testing.T) {
+	ld, err := lint.NewLoader(".")
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	abs, err := filepath.Abs("testdata/src/testonly")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := ld.Load(abs, true)
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if len(pkgs) != 1 || pkgs[0].Name != "testonly_test" {
+		t.Fatalf("want the one external test unit, got %d units", len(pkgs))
+	}
+	for _, te := range pkgs[0].TypeErrors {
+		t.Errorf("type error: %s", te.Msg)
+	}
+	if _, err := ld.Load(abs, false); err == nil {
+		t.Error("Load without tests found something to analyze in a test-only package")
+	}
+}

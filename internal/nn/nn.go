@@ -168,11 +168,6 @@ type Config struct {
 	Layers  int
 }
 
-// DefaultConfig mirrors the paper: 3 layers, hidden dimension 256.
-func DefaultConfig(kind ModelKind, inDim, classes int) Config {
-	return Config{Kind: kind, InDim: inDim, Hidden: 256, Classes: classes, Layers: 3}
-}
-
 // NewModel builds a model with Xavier-initialized parameters.
 func NewModel(cfg Config, rng *tensor.RNG) *Model {
 	if cfg.Layers < 1 {

@@ -136,9 +136,6 @@ func (c *Cache) NewFile(base, size int64) *File {
 	return &File{c: c, id: c.nextID, base: base, size: size}
 }
 
-// Size returns the file length in bytes.
-func (f *File) Size() int64 { return f.size }
-
 // ReadCtx copies file bytes [off, off+len(p)) into p through the cache,
 // faulting missing pages from the device. It returns the total time spent
 // blocked on device I/O (zero on a full hit). ctx rides every fault's

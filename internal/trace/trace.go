@@ -16,13 +16,12 @@ import (
 // Stage identifies a pipeline stage.
 type Stage string
 
-// The four GNNDrive stages plus data preparation.
+// The four GNNDrive stages.
 const (
 	StageSample  Stage = "sample"
 	StageExtract Stage = "extract"
 	StageTrain   Stage = "train"
 	StageRelease Stage = "release"
-	StagePrep    Stage = "prep"
 	// StageWatchdog marks supervisor events: stall diagnostics and
 	// checkpoint commits, recorded as zero-length annotated events.
 	StageWatchdog Stage = "watchdog"

@@ -777,16 +777,6 @@ func SampleOnly(ctx context.Context, cfg Config, kind SystemKind) (time.Duration
 	return so.SampleOnly(ctx, 0)
 }
 
-// SampleDuringAll measures the summed sample-stage time while the whole
-// pipeline runs (Fig. 2's "-all" bars).
-func SampleDuringAll(ctx context.Context, cfg Config, sys SystemKind) (time.Duration, error) {
-	res, err := RunCtx(ctx, cfg, sys, RunOptions{Epochs: 1})
-	if err != nil {
-		return 0, err
-	}
-	return res.Epochs[0].Sample, nil
-}
-
 // RunParallel trains GNNDrive with data parallelism over `workers`
 // devices of the given config (Fig. 13), over the same environment RunCtx
 // builds, and returns the epoch wall time.
