@@ -169,6 +169,9 @@ func TestLowerFlagsRejectsBadInput(t *testing.T) {
 		{"-batch", "-1"},
 		{"-mem", "-1"},
 		{"-scale", "-1"},
+		{"-scale", "NaN"},
+		{"-scale", "+Inf"},
+		{"-scale", "1e300"},
 		{"-hidden", "-2"},
 		{"-dim", "-5"},
 		{"-epochs", "-3"},

@@ -379,40 +379,25 @@ func (e *Engine) finishSetup(ds *graph.Dataset, dev *device.Device,
 		e.release()
 		return nil, errors.New("core: GPUDirect requires a GPU device")
 	}
+	budget, slots, slotBytes := e.budget, 0, 0
 	switch {
 	case opts.GPUDirect:
 		// No host staging at all — the whole point of GDS. A tiny
 		// bounce pool still backs the simulated reads, but it is not
 		// charged to the host budget (it stands in for the GPU BAR).
-		staging, err := NewStaging(nil, opts.Extractors*opts.RingDepth, gdsGranularity*2)
-		if err != nil {
-			e.release()
-			return nil, err
-		}
-		e.staging = staging
-		e.ownStaging = true
+		budget, slots, slotBytes = nil, opts.Extractors*opts.RingDepth, gdsGranularity*2
 	case opts.SharedStaging != nil:
 		e.staging = opts.SharedStaging
-		e.ownStaging = false
 	default:
-		slots, slotBytes := opts.StagingGeometry(int(ds.FeatBytes()))
-		staging, err := NewStaging(e.budget, slots, slotBytes)
+		slots, slotBytes = opts.StagingGeometry(int(ds.FeatBytes()))
+	}
+	if e.staging == nil {
+		staging, err := NewStaging(budget, slots, slotBytes)
 		if err != nil {
 			e.release()
 			return nil, err
 		}
-		e.staging = staging
-		e.ownStaging = true
-	}
-
-	// Offer the staging pool's backing allocation to the backend as a
-	// fixed io_uring buffer region: on the linuring backend every
-	// staging-slot read then goes out as READ_FIXED, skipping per-read
-	// page pinning. Registration is strictly optional — a refusal
-	// (RLIMIT_MEMLOCK, table limits, non-ring backend) changes nothing
-	// but the opcode, so the error is dropped by design.
-	if reg, ok := ds.Dev.(storage.BufferRegistrar); ok && e.staging != nil {
-		_ = reg.RegisterBuffers(e.staging.Region())
+		e.staging, e.ownStaging = staging, true
 	}
 
 	e.indexFile = graph.IndicesFile(ds, cache)

@@ -230,13 +230,6 @@ func (s *Staging) Buf(slot int32) []byte {
 	return s.data[int(slot)*s.slotBytes : (int(slot)+1)*s.slotBytes]
 }
 
-// Region returns the pool's whole sector-aligned backing allocation —
-// the region the engine registers as a fixed io_uring buffer
-// (storage.BufferRegistrar) so every staging-slot read can go out as
-// READ_FIXED. The returned slice aliases live slot memory; callers must
-// not write through it.
-func (s *Staging) Region() []byte { return s.data }
-
 // FreeSlots reports how many slots are currently acquirable: for a view,
 // the shared free list clamped to the view's remaining quota.
 func (s *Staging) FreeSlots() int {

@@ -339,6 +339,7 @@ func TestSubmitValidation(t *testing.T) {
 		{Dataset: "tiny", System: "gnndrive-gpu", Backend: "nfs"},
 		{Dataset: "tiny", System: "gnndrive-gpu", Fanouts: []int{0}},
 		{Dataset: "tiny", System: "gnndrive-gpu", StallMs: -1},
+		{Dataset: "tiny", System: "gnndrive-gpu", Scale: 1e300},
 	} {
 		if _, err := d.Submit(spec); !errors.Is(err, ErrBadSpec) {
 			t.Fatalf("Submit(%+v) = %v, want ErrBadSpec", spec, err)

@@ -96,7 +96,6 @@ type Backend struct {
 var (
 	_ storage.Backend          = (*Backend)(nil)
 	_ storage.BatchSubmitter   = (*Backend)(nil)
-	_ storage.BufferRegistrar  = (*Backend)(nil)
 	_ storage.IntegrityStatser = (*Backend)(nil)
 )
 
@@ -171,17 +170,6 @@ func (b *Backend) Close() error { return b.inner.Close() }
 // is the trusted repair channel (and the only read path that must stay
 // available for a quarantined block, e.g. to salvage it).
 func (b *Backend) ReadRaw(p []byte, off int64) error { return b.inner.ReadRaw(p, off) }
-
-// RegisterBuffers forwards fixed-buffer registration to the inner backend
-// when it has one (child requests carry the caller's Buf, so registered
-// staging memory keeps its READ_FIXED path through the wrapper) and is a
-// no-op otherwise.
-func (b *Backend) RegisterBuffers(regions ...[]byte) error {
-	if reg, ok := b.inner.(storage.BufferRegistrar); ok {
-		return reg.RegisterBuffers(regions...)
-	}
-	return nil
-}
 
 // IntegrityStats snapshots the layer's counters.
 func (b *Backend) IntegrityStats() storage.IntegrityStats {

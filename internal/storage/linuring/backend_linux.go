@@ -39,20 +39,12 @@ type slot struct {
 	ready atomic.Uint32
 }
 
-// fixedRegion is one registered buffer: [base, end) resolves reads into
-// it to IORING_OP_READ_FIXED with the given table index.
-type fixedRegion struct {
-	base, end uintptr
-	index     uint16
-}
-
 // Backend is a storage.Backend over a regular file whose asynchronous
 // reads are served by a Linux io_uring: SubmitBatch encodes a whole read
-// plan as SQEs and issues a single io_uring_enter, and buffers inside a
-// RegisterBuffers region use READ_FIXED to skip per-read page pinning.
-// The descriptor pair and its raw paths, the counters and
-// the fault injector are storage/file's Descriptors; what the backend
-// owns is the ring, its slots, the fixed-buffer table and the reaper.
+// plan as SQEs and issues a single io_uring_enter. The descriptor pair
+// and its raw paths, the counters and the fault injector are
+// storage/file's Descriptors; what the backend owns is the ring, its
+// slots and the reaper.
 type Backend struct {
 	*file.Descriptors
 	bufFd, dirFd int32 // dirFd is -1 when O_DIRECT is unavailable
@@ -61,15 +53,12 @@ type Backend struct {
 	slots []slot
 	free  chan uint32
 
-	// submitMu serializes SQE population, io_uring_enter for submission,
-	// and the fixed-buffer table (buildSQE reads it on every submit).
+	// submitMu serializes SQE population and io_uring_enter for
+	// submission.
 	submitMu sync.Mutex
-	fixed    []fixedRegion
-	iovecs   []syscall.Iovec
 
-	enters     atomic.Int64 // io_uring_enter calls that submitted reads
-	batches    atomic.Int64 // SubmitBatch/Submit admissions that reached the ring
-	fixedReads atomic.Int64 // reads submitted as READ_FIXED
+	enters  atomic.Int64 // io_uring_enter calls that submitted reads
+	batches atomic.Int64 // SubmitBatch/Submit admissions that reached the ring
 
 	// fence orders admissions (wg.Add) before Close. wg counts admitted
 	// requests; Close waits it out before killing the ring, so every
@@ -83,9 +72,8 @@ type Backend struct {
 }
 
 var (
-	_ storage.Backend         = (*Backend)(nil)
-	_ storage.BatchSubmitter  = (*Backend)(nil)
-	_ storage.BufferRegistrar = (*Backend)(nil)
+	_ storage.Backend        = (*Backend)(nil)
+	_ storage.BatchSubmitter = (*Backend)(nil)
 )
 
 // Create creates (or truncates) the file at path sized for capacity
@@ -127,18 +115,13 @@ func Create(path string, capacity int64, opts Options) (storage.Backend, error) 
 }
 
 // RingStats exposes the io_uring-specific counters: submission enters,
-// admitted batches, READ_FIXED submissions, and how many fixed-buffer
-// regions are registered. The bench and the batching tests read these.
+// admitted batches and the ring depth. The bench and the batching tests
+// read these.
 func (b *Backend) RingStats() RingStats {
-	b.submitMu.Lock()
-	regions := len(b.fixed)
-	b.submitMu.Unlock()
 	return RingStats{
-		Enters:       b.enters.Load(),
-		Batches:      b.batches.Load(),
-		FixedReads:   b.fixedReads.Load(),
-		FixedRegions: regions,
-		Entries:      int(b.ring.entries),
+		Enters:  b.enters.Load(),
+		Batches: b.batches.Load(),
+		Entries: int(b.ring.entries),
 	}
 }
 
@@ -291,9 +274,8 @@ func (b *Backend) enterStaged(staged []uint32) {
 	}
 }
 
-// buildSQE encodes slot id as a read SQE: READ_FIXED with the matching
-// table index when the buffer lies in a registered region, plain READ
-// otherwise. Caller holds submitMu.
+// buildSQE encodes slot id as a READ SQE on the descriptor the slot is
+// attempted on. Caller holds submitMu.
 func (b *Backend) buildSQE(id uint32) sqe {
 	s := &b.slots[id]
 	req := s.req
@@ -301,7 +283,7 @@ func (b *Backend) buildSQE(id uint32) sqe {
 	if s.direct {
 		fd = b.dirFd
 	}
-	e := sqe{
+	return sqe{
 		opcode:   opRead,
 		fd:       fd,
 		off:      uint64(req.Off),
@@ -309,28 +291,6 @@ func (b *Backend) buildSQE(id uint32) sqe {
 		len:      uint32(len(req.Buf)),
 		userData: uint64(id),
 	}
-	if idx, ok := b.fixedIndex(req.Buf); ok {
-		e.opcode = opReadFixed
-		e.bufIndex = idx
-		b.fixedReads.Add(1)
-	}
-	return e
-}
-
-// fixedIndex resolves a buffer to its registered region. Caller holds
-// submitMu.
-func (b *Backend) fixedIndex(p []byte) (uint16, bool) {
-	if len(b.fixed) == 0 || len(p) == 0 {
-		return 0, false
-	}
-	base := uintptr(unsafe.Pointer(&p[0]))
-	end := base + uintptr(len(p))
-	for _, r := range b.fixed {
-		if base >= r.base && end <= r.end {
-			return r.index, true
-		}
-	}
-	return 0, false
 }
 
 // serveSlow runs a request off the ring: a straggler delay is slept out
@@ -446,56 +406,6 @@ func (b *Backend) completeSlot(id uint32, filled int) {
 func (b *Backend) complete(req *storage.Request, dec faults.Decision, start time.Time, filled int) {
 	b.Complete(req, dec, time.Since(start), filled)
 	b.wg.Done()
-}
-
-// RegisterBuffers registers the given sector-aligned regions as a fixed
-// buffer table (cumulative across calls; a region already registered is
-// kept, not duplicated). io_uring replaces the whole table on each
-// registration, so the previous table is unregistered first; failure
-// restores the unregistered state and the backend keeps serving every
-// read on the plain READ path.
-func (b *Backend) RegisterBuffers(regions ...[]byte) error {
-	b.submitMu.Lock()
-	defer b.submitMu.Unlock()
-	iovecs := b.iovecs
-	fixed := b.fixed
-	for _, r := range regions {
-		if len(r) == 0 {
-			continue
-		}
-		if !storage.AddrAligned(r, b.SectorSize()) {
-			return fmt.Errorf("linuring: register buffers: region %p not %d-aligned",
-				&r[0], b.SectorSize())
-		}
-		base := uintptr(unsafe.Pointer(&r[0]))
-		dup := false
-		for _, f := range fixed {
-			if f.base == base {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		fixed = append(fixed, fixedRegion{base: base, end: base + uintptr(len(r)),
-			index: uint16(len(iovecs))})
-		iovecs = append(iovecs, syscall.Iovec{Base: &r[0], Len: uint64(len(r))})
-	}
-	if len(iovecs) == len(b.iovecs) {
-		return nil
-	}
-	if len(b.iovecs) > 0 {
-		if err := b.ring.register(unregisterBuffers, nil, 0); err != nil {
-			return fmt.Errorf("linuring: replace buffer table: %w", err)
-		}
-		b.iovecs, b.fixed = nil, nil
-	}
-	if err := b.ring.register(registerBuffers, unsafe.Pointer(&iovecs[0]), len(iovecs)); err != nil {
-		return err
-	}
-	b.iovecs, b.fixed = iovecs, fixed
-	return nil
 }
 
 // Close drains outstanding requests, stops the completion goroutine via

@@ -2,8 +2,7 @@
 // registry: a storage.Backend over a regular file whose asynchronous
 // reads are submitted through a raw io_uring — no cgo, no third-party
 // bindings — so one io_uring_enter carries a whole extract read plan
-// (storage.BatchSubmitter) and staging-pool memory registered as fixed
-// buffers is read with IORING_OP_READ_FIXED (storage.BufferRegistrar).
+// (storage.BatchSubmitter).
 //
 // Availability is a runtime property, not a build-time one: the kernel
 // may lack io_uring (pre-5.1), forbid it (seccomp, the io_uring_disabled
@@ -15,10 +14,9 @@
 //
 // Fallback ladder, mirroring the file backend's direct-I/O story:
 //
-//	io_uring + O_DIRECT + READ_FIXED     (registered, aligned buffers)
-//	io_uring + O_DIRECT + READ           (aligned but unregistered)
-//	io_uring buffered READ               (O_DIRECT refused; DirectDegraded counts)
-//	storage/file worker pool             (io_uring unavailable; FallbackFactory)
+//	io_uring + O_DIRECT READ    (aligned buffers)
+//	io_uring buffered READ      (O_DIRECT refused; DirectDegraded counts)
+//	storage/file worker pool    (io_uring unavailable; FallbackFactory)
 package linuring
 
 import (
@@ -64,11 +62,6 @@ type RingStats struct {
 	Enters int64
 	// Batches counts Submit/SubmitBatch admissions that reached the ring.
 	Batches int64
-	// FixedReads counts reads submitted as READ_FIXED against a
-	// registered buffer region.
-	FixedReads int64
-	// FixedRegions is the current registered-region count.
-	FixedRegions int
 	// Entries is the kernel-granted submission-ring depth.
 	Entries int
 }

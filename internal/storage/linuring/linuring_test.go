@@ -20,7 +20,6 @@ import (
 type ringBackend interface {
 	storage.Backend
 	storage.BatchSubmitter
-	storage.BufferRegistrar
 	linuring.RingStatser
 }
 
@@ -179,79 +178,6 @@ func TestBatchWiderThanRing(t *testing.T) {
 	wg.Add(n)
 	storage.SubmitAll(b, reqs)
 	wg.Wait()
-}
-
-// Reads whose buffers lie inside a RegisterBuffers region go out as
-// READ_FIXED; reads from unregistered memory stay on the plain READ
-// path. Registration is cumulative and an unaligned region is refused
-// without breaking the backend.
-func TestRegisteredBuffers(t *testing.T) {
-	requireSupported(t)
-	b := newBackend(t)
-	defer b.Close()
-	lb := b.(ringBackend)
-	sec := b.SectorSize()
-	img := make([]byte, 16*sec)
-	for i := range img {
-		img[i] = byte(i * 13)
-	}
-	if err := b.WriteRaw(img, 0); err != nil {
-		t.Fatalf("WriteRaw: %v", err)
-	}
-
-	region := storage.AlignedBuf(8*sec, sec)
-	if err := lb.RegisterBuffers(region); err != nil {
-		t.Skipf("RegisterBuffers refused (likely RLIMIT_MEMLOCK): %v", err)
-	}
-	if got := lb.RingStats().FixedRegions; got != 1 {
-		t.Fatalf("FixedRegions %d, want 1", got)
-	}
-	// Same region again: idempotent, no table churn.
-	if err := lb.RegisterBuffers(region); err != nil {
-		t.Fatalf("re-registering same region: %v", err)
-	}
-	if got := lb.RingStats().FixedRegions; got != 1 {
-		t.Fatalf("FixedRegions after duplicate %d, want 1", got)
-	}
-	// Cumulative: a second region joins the table.
-	region2 := storage.AlignedBuf(4*sec, sec)
-	if err := lb.RegisterBuffers(region2); err != nil {
-		t.Fatalf("registering second region: %v", err)
-	}
-	if got := lb.RingStats().FixedRegions; got != 2 {
-		t.Fatalf("FixedRegions after second %d, want 2", got)
-	}
-	// An unaligned region is refused; the registered table survives.
-	if err := lb.RegisterBuffers(region[1 : 1+sec]); err == nil {
-		t.Fatalf("unaligned region registered")
-	}
-
-	before := lb.RingStats().FixedReads
-	var wg sync.WaitGroup
-	wg.Add(3)
-	done := func(r *storage.Request) {
-		if r.Err != nil {
-			t.Errorf("read at %d: %v", r.Off, r.Err)
-		}
-		wg.Done()
-	}
-	// Two reads into registered memory (one per region), one outside.
-	inside1 := region[:sec]
-	inside2 := region2[sec : 2*sec]
-	outside := storage.AlignedBuf(sec, sec)
-	lb.SubmitBatch([]*storage.Request{
-		{Buf: inside1, Off: 0, Direct: true, Done: done},
-		{Buf: inside2, Off: int64(sec), Direct: true, Done: done},
-		{Buf: outside, Off: int64(2 * sec), Direct: true, Done: done},
-	})
-	wg.Wait()
-	if got := lb.RingStats().FixedReads - before; got != 2 {
-		t.Fatalf("FixedReads advanced by %d, want 2", got)
-	}
-	if !bytes.Equal(inside1, img[:sec]) || !bytes.Equal(inside2, img[sec:2*sec]) ||
-		!bytes.Equal(outside, img[2*sec:3*sec]) {
-		t.Fatalf("fixed/plain reads returned wrong bytes")
-	}
 }
 
 // EnvDisable forces the unsupported path: Create fails with

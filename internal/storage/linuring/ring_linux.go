@@ -2,12 +2,11 @@
 
 package linuring
 
-// Raw io_uring plumbing: the three syscalls (io_uring_setup,
-// io_uring_enter, io_uring_register), the mmap'd submission and
-// completion rings, and the SQE/CQE wire structures — no cgo, no
-// third-party bindings, go.mod stays zero-dep. Only what the backend
-// needs is implemented: batched READ/READ_FIXED submission, NOP for
-// reaper wake-up, and fixed-buffer registration.
+// Raw io_uring plumbing: the two syscalls (io_uring_setup,
+// io_uring_enter), the mmap'd submission and completion rings, and the
+// SQE/CQE wire structures — no cgo, no third-party bindings, go.mod
+// stays zero-dep. Only what the backend needs is implemented: batched
+// READ submission and NOP for reaper wake-up.
 //
 // Memory model: SQ head and CQ tail are written by the kernel and read
 // here with atomic loads; SQ tail and CQ head are written here with
@@ -24,23 +23,18 @@ import (
 )
 
 // Linux syscall numbers, uniform across architectures since 5.1 (both
-// x86_64 and the asm-generic table assign 425..427).
+// x86_64 and the asm-generic table assign 425 and 426).
 const (
-	sysIOUringSetup    = 425
-	sysIOUringEnter    = 426
-	sysIOUringRegister = 427
+	sysIOUringSetup = 425
+	sysIOUringEnter = 426
 )
 
 // Opcodes and flags used by this backend.
 const (
-	opNop       = 0
-	opReadFixed = 4
-	opRead      = 22
+	opNop  = 0
+	opRead = 22
 
 	enterGetEvents = 1 << 0
-
-	registerBuffers   = 0
-	unregisterBuffers = 1
 
 	offSQRing = 0x0
 	offCQRing = 0x8000000
@@ -263,17 +257,6 @@ func (u *uring) reapCQE() (userData uint64, res int32, ok bool) {
 	userData, res = e.userData, e.res
 	atomic.StoreUint32(u.cqHead, head+1)
 	return userData, res, true
-}
-
-// register wires a fixed-buffer table: io_uring_register with the given
-// opcode over iovecs.
-func (u *uring) register(opcode uintptr, arg unsafe.Pointer, n int) error {
-	_, _, errno := syscall.Syscall6(sysIOUringRegister, uintptr(u.fd),
-		opcode, uintptr(arg), uintptr(n), 0, 0)
-	if errno != 0 {
-		return fmt.Errorf("linuring: io_uring_register(%d): %w", opcode, errno)
-	}
-	return nil
 }
 
 // close unmaps the rings and closes the ring fd. The caller guarantees

@@ -286,13 +286,11 @@ func SyncRead(ctx context.Context, b Backend, p []byte, off int64, direct bool) 
 	return waited, err
 }
 
-// BufferRegistrar is implemented by backends that can pre-register fixed
-// I/O memory (io_uring registered buffers): reads whose Buf lies inside a
-// registered region skip the per-read page pinning the kernel otherwise
-// performs. Registration is cumulative and idempotent per region, and
-// always optional — an error leaves the backend fully functional on its
-// unregistered path. Regions must be sector-aligned AlignedBuf (or
-// staging-pool) memory and stay alive until Close.
+// BufferRegistrar is the method set of a backend that pre-registers
+// fixed I/O memory (io_uring registered buffers). Nothing outside the
+// benchmark implements it: every backend reads into unregistered memory.
+// It stays only until the benchmark's backend probe stops naming it;
+// both go together.
 type BufferRegistrar interface {
 	RegisterBuffers(regions ...[]byte) error
 }

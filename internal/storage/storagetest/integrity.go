@@ -16,7 +16,7 @@ import (
 // over the factory's backends: silent corruption is detected and
 // repaired through the raw channel, persistent corruption quarantines
 // with both sentinels, and a wave submitted through the wrapper keeps its
-// batch, its path, its registered buffers and every per-request check. Backends only need the base
+// batch, its path and every per-request check. Backends only need the base
 // Backend contract (Run) for these to hold — the suite wraps each fresh
 // backend itself.
 func RunIntegrity(t *testing.T, newBackend Factory) {
@@ -129,7 +129,6 @@ type countingBackend struct {
 	batchedOps atomic.Int64
 	singles    atomic.Int64
 	directOps  atomic.Int64
-	registered atomic.Int64
 }
 
 func (c *countingBackend) note(req *storage.Request) {
@@ -151,11 +150,6 @@ func (c *countingBackend) SubmitBatch(reqs []*storage.Request) {
 		c.note(r)
 	}
 	storage.SubmitAll(c.Backend, reqs)
-}
-
-func (c *countingBackend) RegisterBuffers(regions ...[]byte) error {
-	c.registered.Add(int64(len(regions)))
-	return nil
 }
 
 // wrapCounting layers wrapper → countingBackend → fresh backend.
@@ -241,34 +235,12 @@ func (w *wave) checkBytes(t *testing.T, img []byte, skip int) {
 	}
 }
 
-// testCapabilitiesForwarded: the wrapper offers both optional
-// capabilities whatever it wraps; registration reaches an inner
-// registrar and is a clean no-op over a backend without one.
+// testCapabilitiesForwarded: the wrapper offers batched submission
+// whatever it wraps.
 func testCapabilitiesForwarded(t *testing.T, newBackend Factory) {
-	w, c := wrapCounting(t, newBackend, integrity.Options{})
-	var b storage.Backend = w
+	var b storage.Backend = wrap(t, newBackend, integrity.Options{})
 	if _, ok := b.(storage.BatchSubmitter); !ok {
 		t.Fatalf("wrapper hides storage.BatchSubmitter")
-	}
-	reg, ok := b.(storage.BufferRegistrar)
-	if !ok {
-		t.Fatalf("wrapper hides storage.BufferRegistrar")
-	}
-	region := storage.AlignedBuf(4*w.SectorSize(), w.SectorSize())
-	if err := reg.RegisterBuffers(region); err != nil {
-		t.Fatalf("RegisterBuffers: %v", err)
-	}
-	if got := c.registered.Load(); got != 1 {
-		t.Fatalf("inner registrar saw %d regions, want 1", got)
-	}
-	// Over the bare backend registration either reaches it (linuring) or
-	// is a no-op; a refusal there (RLIMIT_MEMLOCK) is the inner backend's
-	// to report, so only the capability-less case must be nil.
-	bare := wrap(t, newBackend, integrity.Options{})
-	if _, has := bare.Inner().(storage.BufferRegistrar); !has {
-		if err := bare.RegisterBuffers(region); err != nil {
-			t.Fatalf("RegisterBuffers over a backend without the capability: %v", err)
-		}
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -195,12 +196,18 @@ func (c *Config) fill() {
 // derived from it overflows.
 const maxDim = 1 << 16
 
+// maxScale bounds the time stretch a Config may ask for: a modeled
+// operation of an hour at scale 1 (no single read, transfer or step
+// comes near that) still fits time.Duration's 292 years at this scale,
+// while 1e300 or +Inf would overflow it and the run would model no time.
+const maxScale = 1e6
+
 // check rejects a Config no run can honour: a negative size, count or
-// scale, a dimension above maxDim, a non-positive fanout, or an unknown
-// backend or layout name. It holds the only lists of backend and layout
-// names. Every run checks its Config where it starts (newEnv);
-// JobSpec.Config and PackDataset check theirs too. A negative
-// StallDeadline is allowed: it means off.
+// scale, a non-finite float, a dimension above maxDim, a scale above
+// maxScale, a non-positive fanout, or an unknown backend or layout name.
+// It holds the only lists of backend and layout names. Every run checks
+// its Config where it starts (newEnv); JobSpec.Config and PackDataset
+// check theirs too. A negative StallDeadline is allowed: it means off.
 func (c Config) check() error {
 	for _, s := range []struct {
 		name string
@@ -212,12 +219,15 @@ func (c Config) check() error {
 		{"feature buffer multiple", c.FeatureBufferX}, {"feature slots", float64(c.FeatureSlots)},
 		{"checkpoint cadence", float64(c.CheckpointEverySteps)},
 	} {
-		if s.v < 0 {
-			return fmt.Errorf("trainsim: %s is %v, want ≥ 0", s.name, s.v)
+		if s.v < 0 || math.IsNaN(s.v) || math.IsInf(s.v, 0) {
+			return fmt.Errorf("trainsim: %s is %v, want finite and ≥ 0", s.name, s.v)
 		}
 	}
 	if c.Dim > maxDim {
 		return fmt.Errorf("trainsim: dim %d above %d", c.Dim, maxDim)
+	}
+	if c.Scale > maxScale {
+		return fmt.Errorf("trainsim: scale %g above %g", c.Scale, maxScale)
 	}
 	for _, f := range c.Fanouts {
 		if f <= 0 {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -401,6 +402,43 @@ func TestFileBackendRunsAndCaches(t *testing.T) {
 	}
 }
 
+// TestEpochDirectReadsNeverDegrade: on a real file, a whole GNNDrive
+// epoch's direct reads reach the O_DIRECT descriptor. The staging pool's
+// AlignedBuf memory is what the extractor reads into, so no direct read
+// may fall back to the buffered path (storage.Stats.DirectDegraded).
+func TestEpochDirectReadsNeverDegrade(t *testing.T) {
+	for _, backend := range []string{"file", "linuring"} {
+		for _, layout := range []string{"strided", "packed"} {
+			t.Run(backend+"/"+layout, func(t *testing.T) {
+				defer DropDatasets()
+				cfg := tinyCfg()
+				cfg.Backend, cfg.Layout = backend, layout
+				cfg.DataFile = filepath.Join(t.TempDir(), "tiny.img")
+				cfg.fill()
+				ds, err := buildDataset(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d, ok := ds.Dev.(interface{ DirectActive() bool }); !ok || !d.DirectActive() {
+					t.Skipf("%s: the filesystem refused O_DIRECT (tmpfs before Linux 6.6 does), so every direct read degrades by design", cfg.DataFile)
+				}
+				res, err := RunCtx(context.Background(), cfg, GNNDriveGPU, RunOptions{Epochs: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := ds.Dev.Stats()
+				if res.Epochs[0].BackendReads == 0 || st.Reads == 0 {
+					t.Fatalf("epoch issued no reads (extract %d, backend %+v)", res.Epochs[0].BackendReads, st)
+				}
+				if st.DirectDegraded != 0 {
+					t.Fatalf("%d of %d reads left the O_DIRECT path", st.DirectDegraded, st.Reads)
+				}
+				t.Logf("%d backend reads, none degraded", st.Reads)
+			})
+		}
+	}
+}
+
 func TestUnknownBackendRejected(t *testing.T) {
 	defer DropDatasets()
 	cfg := tinyCfg()
@@ -468,12 +506,17 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	defer DropDatasets()
 	ctx := context.Background()
 	for name, mut := range map[string]func(*Config){
-		"batch":  func(c *Config) { c.BatchSize = -1 },
-		"memory": func(c *Config) { c.HostMemoryGB = -1 },
-		"scale":  func(c *Config) { c.Scale = -1 },
-		"fanout": func(c *Config) { c.Fanouts = []int{4, 0} },
-		"layout": func(c *Config) { c.Layout = "zigzag" },
-		"dim":    func(c *Config) { c.Dim = maxDim + 1 },
+		"batch":               func(c *Config) { c.BatchSize = -1 },
+		"memory":              func(c *Config) { c.HostMemoryGB = -1 },
+		"scale":               func(c *Config) { c.Scale = -1 },
+		"scale NaN":           func(c *Config) { c.Scale = math.NaN() },
+		"scale +Inf":          func(c *Config) { c.Scale = math.Inf(1) },
+		"scale 1e300":         func(c *Config) { c.Scale = 1e300 },
+		"feature buffer NaN":  func(c *Config) { c.FeatureBufferX = math.NaN() },
+		"feature buffer +Inf": func(c *Config) { c.FeatureBufferX = math.Inf(1) },
+		"fanout":              func(c *Config) { c.Fanouts = []int{4, 0} },
+		"layout":              func(c *Config) { c.Layout = "zigzag" },
+		"dim":                 func(c *Config) { c.Dim = maxDim + 1 },
 	} {
 		cfg := tinyCfg()
 		mut(&cfg)
