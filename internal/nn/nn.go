@@ -157,6 +157,9 @@ type Model struct {
 	sub   []edges
 	rows  []int
 	in    tensor.Matrix
+	// The loss's scratch: the targets' log-probabilities and the gradient
+	// w.r.t. their logits.
+	logp, dlogits *tensor.Matrix
 }
 
 // Config sizes a model.
@@ -238,7 +241,7 @@ func (m *Model) Forward(b *sample.Batch, x *tensor.Matrix) *tensor.Matrix {
 }
 
 // Backward accumulates parameter gradients given dlogits (the gradient
-// w.r.t. the target-node logits, e.g. from tensor.NLLLoss). The input
+// w.r.t. the target-node logits, e.g. from tensor.NLLLossInto). The input
 // conv computes no gradient w.r.t. the features.
 func (m *Model) Backward(dlogits *tensor.Matrix) {
 	if targets := m.rows[len(m.convs)]; dlogits.Rows != targets {
@@ -257,9 +260,10 @@ func (m *Model) Backward(dlogits *tensor.Matrix) {
 // loss value and target-node accuracy.
 func (m *Model) Loss(b *sample.Batch, x *tensor.Matrix, labels []int32) (float32, float64) {
 	logits := m.Forward(b, x)
-	logp := tensor.LogSoftmax(logits)
-	loss, dlogits := tensor.NLLLoss(logp, labels)
-	m.Backward(dlogits)
+	m.logp = tensor.LogSoftmaxInto(m.logp, logits)
+	var loss float32
+	loss, m.dlogits = tensor.NLLLossInto(m.dlogits, m.logp, labels)
+	m.Backward(m.dlogits)
 	return loss, tensor.Accuracy(logits, labels)
 }
 

@@ -101,14 +101,14 @@ func numericalGradCheck(t *testing.T, kind ModelKind) {
 
 	lossOf := func() float64 {
 		logits := m.Forward(b, x)
-		lp := tensor.LogSoftmax(logits)
-		l, _ := tensor.NLLLoss(lp, labels)
+		lp := tensor.LogSoftmaxInto(nil, logits)
+		l, _ := tensor.NLLLossInto(nil, lp, labels)
 		return float64(l)
 	}
 
 	logits := m.Forward(b, x)
-	lp := tensor.LogSoftmax(logits)
-	_, dlogits := tensor.NLLLoss(lp, labels)
+	lp := tensor.LogSoftmaxInto(nil, logits)
+	_, dlogits := tensor.NLLLossInto(nil, lp, labels)
 	m.Backward(dlogits)
 
 	eps := 1e-3

@@ -33,10 +33,11 @@ func BenchmarkMatMulT2BatchShape(b *testing.B)     { benchForm(b, 2, 0) }
 func BenchmarkLogSoftmax(b *testing.B) {
 	rng := NewRNG(3)
 	m := benchMatrix(rng, 1000, 172)
+	out := New(1000, 172)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		LogSoftmax(m)
+		LogSoftmaxInto(out, m)
 	}
 }
 

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 )
@@ -50,9 +51,8 @@ func MatMulT1Into(out, a, b *Matrix) {
 }
 
 // MatMulT2Into computes out = a*bᵀ into caller-owned storage: a is MxK, b
-// is NxK, out must be MxN. Every element of out is overwritten, so stale
-// contents are fine and no zeroing pass is needed. Used for input
-// gradients (dY·Wᵀ).
+// is NxK, out must be MxN and may hold stale data; it is zeroed first.
+// Used for input gradients (dY·Wᵀ).
 func MatMulT2Into(out, a, b *Matrix) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulT2 inner dims %d vs %d", a.Cols, b.Cols))
@@ -60,6 +60,7 @@ func MatMulT2Into(out, a, b *Matrix) {
 	if out.Rows != a.Rows || out.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulT2Into out %v want %dx%d", out, a.Rows, b.Rows))
 	}
+	out.Zero()
 	overRows(matMulT2Range, out, a, b, a.Rows*a.Cols*b.Rows)
 }
 
@@ -141,132 +142,120 @@ func overRows(kernel rangeKernel, out, a, b *Matrix, flops int) {
 }
 
 // ---- the kernels ----
+//
+// Each form builds operand lists for rowKernel (rowkernel.go) and nothing
+// else. The lists live on the kernel's stack, at most kBlock operands per
+// call, so the hot path has no scratch to own and nothing a GC can take
+// away. A row whose operands outnumber kBlock gets several calls in
+// ascending k: between them its elements are stored and reloaded as
+// float32, which rounds nothing.
 
-// axpy is the single multiply-add pass o[j] += av*b[j].
-func axpy(o []float32, av float32, b []float32) {
-	b = b[:len(o)]
-	for j := range o {
-		o[j] += av * b[j]
-	}
-}
+// kBlock bounds one operand list: 64 (k, a) pairs are 512 B of stack.
+const kBlock = 64
 
-// axpy4 applies four multiply-add passes to o in one: each element is
-// loaded once, receives a0*b0[j], a1*b1[j], a2*b2[j], a3*b3[j] in that
-// order, and is stored once — the same four roundings as four axpy calls.
-func axpy4(o []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32) {
-	b0, b1, b2, b3 = b0[:len(o)], b1[:len(o)], b2[:len(o)], b3[:len(o)]
-	for j := range o {
-		s := o[j]
-		s += a0 * b0[j]
-		s += a1 * b1[j]
-		s += a2 * b2[j]
-		s += a3 * b3[j]
-		o[j] = s
+// ascending is the operand list 0, 1, …, kBlock-1, the k's of a·bᵀ, which
+// skips nothing.
+var ascending = func() (ks [kBlock]int32) {
+	for i := range ks {
+		ks[i] = int32(i)
 	}
+	return ks
+}()
+
+// nonZero is 1 for an a operand the skipping forms keep, 0 for ±0 (a NaN
+// is kept). The forms write every operand into the next slot and advance
+// by nonZero, without a branch: half of a post-ReLU input is zero, in no
+// pattern a branch predictor learns.
+func nonZero(av float32) int {
+	if math.Float32bits(av)<<1 != 0 { // the sign shifted out: only ±0 leaves 0
+		return 1
+	}
+	return 0
 }
 
 // matMulRange computes rows [lo,hi) of out = a*b (out zeroed by the
 // caller). Row i of out is the sum over the non-zero a[i][k], ascending,
-// of a[i][k]*b[k]; four of them at a time go through axpy4, the last
-// fewer than four through axpy.
+// of a[i][k]*b[k].
 func matMulRange(out, a, b *Matrix, lo, hi int) {
+	var ks [kBlock]int32
+	var as [kBlock]float32
 	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
 		orow := out.Row(i)
-		var ks [4]int
 		c := 0
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			ks[c] = k
-			c++
-			if c == 4 {
-				k0, k1, k2 := ks[0], ks[1], ks[2]
-				axpy4(orow, arow[k0], arow[k1], arow[k2], av, b.Row(k0), b.Row(k1), b.Row(k2), b.Row(k))
+		for k, av := range a.Row(i) {
+			ks[c], as[c] = int32(k), av
+			c += nonZero(av)
+			if c == kBlock {
+				rowKernel(orow, ks[:], as[:], b.Data, b.Cols)
 				c = 0
 			}
 		}
-		for _, k := range ks[:c] {
-			axpy(orow, arow[k], b.Row(k))
-		}
+		rowKernel(orow, ks[:c], as[:c], b.Data, b.Cols)
 	}
 }
 
-// t1Tile is how many output rows matMulT1Range carries pending operands
-// for at once: 16 rows of four (k, a) pairs are 512 B of stack, and 16
-// consecutive float32 of an a row are one cache line.
+// t1Tile is how many output rows matMulT1Range collects operands for at
+// once: 16 consecutive float32 of an a row are one cache line.
 const t1Tile = 16
 
 // matMulT1Range computes rows [lo,hi) of out = aᵀ*b (out zeroed by the
 // caller). Output row i is the sum over the non-zero a[k][i], ascending in
 // k, of a[k][i]*b[k]. With k outermost every output row would be touched
 // once per k and rows could not be shared out; instead a tile of output
-// rows walks down all of a, each row parks its non-zero operands until it
-// has four and applies them through axpy4. Per output row the operands
-// still arrive in ascending k.
+// rows walks down all of a once, each row collecting its non-zero operands
+// and handing them to the kernel whenever kBlock have gathered. Per output
+// row the operands still arrive in ascending k.
 func matMulT1Range(out, a, b *Matrix, lo, hi int) {
 	m := a.Cols
+	var ks [t1Tile][kBlock]int32
+	var as [t1Tile][kBlock]float32
+	var cnt [t1Tile]int
 	for i0 := lo; i0 < hi; i0 += t1Tile {
 		w := min(t1Tile, hi-i0)
-		var pk [t1Tile][4]int
-		var pa [t1Tile][4]float32
-		var cnt [t1Tile]int
 		for k := 0; k < a.Rows; k++ {
 			for t, av := range a.Data[k*m+i0 : k*m+i0+w] {
-				if av == 0 {
-					continue
-				}
 				c := cnt[t]
-				if c < 3 {
-					pk[t][c], pa[t][c] = k, av
-					cnt[t] = c + 1
-					continue
+				ks[t][c], as[t][c] = int32(k), av
+				c += nonZero(av)
+				if c == kBlock {
+					rowKernel(out.Row(i0+t), ks[t][:], as[t][:], b.Data, b.Cols)
+					c = 0
 				}
-				k0, k1, k2 := pk[t][0], pk[t][1], pk[t][2]
-				axpy4(out.Row(i0+t), pa[t][0], pa[t][1], pa[t][2], av, b.Row(k0), b.Row(k1), b.Row(k2), b.Row(k))
-				cnt[t] = 0
+				cnt[t] = c
 			}
 		}
 		for t := 0; t < w; t++ {
-			for c := 0; c < cnt[t]; c++ {
-				axpy(out.Row(i0+t), pa[t][c], b.Row(pk[t][c]))
-			}
+			rowKernel(out.Row(i0+t), ks[t][:cnt[t]], as[t][:cnt[t]], b.Data, b.Cols)
+			cnt[t] = 0
 		}
 	}
 }
 
-// matMulT2Range computes rows [lo,hi) of out = a*bᵀ: element (i,j) is the
-// dot product of a's row i and b's row j, summed in ascending k with no
-// zero skip. Four dot products of one a row run at once, each in its own
-// accumulator, so four add chains overlap instead of one being waited on.
+// t2Cols is how many output columns — rows of b — one bᵀ tile of
+// matMulT2Range covers: a 64 x 64 tile is 16 KiB of stack.
+const t2Cols = 64
+
+// matMulT2Range computes rows [lo,hi) of out = a*bᵀ (out zeroed by the
+// caller): element (i,j) is the sum over every k, ascending, with no zero
+// skip, of a[i][k]*b[j][k]. The kernel needs b's columns as rows, so each
+// kBlock x t2Cols block of bᵀ is transposed once onto the stack and then
+// serves every row of the share; a[i]'s k-block is the operand list as it
+// stands.
 func matMulT2Range(out, a, b *Matrix, lo, hi int) {
 	kk, n := a.Cols, b.Rows
-	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			b0 := b.Data[j*kk : j*kk+kk][:len(arow)]
-			b1 := b.Data[(j+1)*kk : (j+1)*kk+kk][:len(arow)]
-			b2 := b.Data[(j+2)*kk : (j+2)*kk+kk][:len(arow)]
-			b3 := b.Data[(j+3)*kk : (j+3)*kk+kk][:len(arow)]
-			var s0, s1, s2, s3 float32
-			for k, av := range arow {
-				s0 += av * b0[k]
-				s1 += av * b1[k]
-				s2 += av * b2[k]
-				s3 += av * b3[k]
+	var tile [kBlock * t2Cols]float32
+	for j0 := 0; j0 < n; j0 += t2Cols {
+		w := min(t2Cols, n-j0)
+		for k0 := 0; k0 < kk; k0 += kBlock {
+			d := min(kBlock, kk-k0)
+			for j := 0; j < w; j++ {
+				for k, v := range b.Data[(j0+j)*kk+k0:][:d] {
+					tile[k*w+j] = v
+				}
 			}
-			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
-		}
-		for ; j < n; j++ {
-			brow := b.Data[j*kk : j*kk+kk][:len(arow)]
-			var s float32
-			for k, av := range arow {
-				s += av * brow[k]
+			for i := lo; i < hi; i++ {
+				rowKernel(out.Data[i*n+j0:][:w], ascending[:d], a.Data[i*kk+k0:][:d], tile[:d*w], w)
 			}
-			orow[j] = s
 		}
 	}
 }

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -63,24 +64,20 @@ func refMatMulT2Range(out, a, b *Matrix, lo, hi int) {
 	}
 }
 
-// matmulForm is one of the three products under test: the shapes of its
-// operands for an m x k x n problem, the production kernel and the
-// reference.
+// matmulForm is one of the three products under test: which operand of an
+// m x k x n problem it stores transposed, the production kernel (on amd64
+// the assembly) and the reference.
 type matmulForm struct {
-	name        string
-	aRows       func(m, k int) (int, int)
-	bRows       func(k, n int) (int, int)
-	into        func(out, a, b *Matrix)
-	ref         func(out, a, b *Matrix)
-	skipsZeroes bool
+	name           string
+	transA, transB bool // a is k x m, b is n x k
+	into, ref      func(out, a, b *Matrix)
+	skipsZeroes    bool
 }
 
 var matmulForms = []matmulForm{
 	{
-		name:  "MatMulInto",
-		aRows: func(m, k int) (int, int) { return m, k },
-		bRows: func(k, n int) (int, int) { return k, n },
-		into:  MatMulInto,
+		name: "MatMulInto",
+		into: MatMulInto,
 		ref: func(out, a, b *Matrix) {
 			out.Zero()
 			refMatMulRange(out, a, b, 0, a.Rows)
@@ -89,26 +86,75 @@ var matmulForms = []matmulForm{
 	},
 	{
 		name:        "MatMulT1Into",
-		aRows:       func(m, k int) (int, int) { return k, m },
-		bRows:       func(k, n int) (int, int) { return k, n },
+		transA:      true,
 		into:        MatMulT1Into,
 		ref:         refMatMulT1Into,
 		skipsZeroes: true,
 	},
 	{
-		name:  "MatMulT2Into",
-		aRows: func(m, k int) (int, int) { return m, k },
-		bRows: func(k, n int) (int, int) { return n, k },
-		into:  MatMulT2Into,
-		ref:   func(out, a, b *Matrix) { refMatMulT2Range(out, a, b, 0, a.Rows) },
+		name:   "MatMulT2Into",
+		transB: true,
+		into:   MatMulT2Into,
+		ref:    func(out, a, b *Matrix) { refMatMulT2Range(out, a, b, 0, a.Rows) },
 	},
+}
+
+// aAt and bAt address the a operand of output row i and the b operand of
+// output column j at inner index k, whichever way the form stores them.
+func (f matmulForm) aAt(a *Matrix, i, k int) *float32 {
+	if f.transA {
+		return &a.Data[k*a.Cols+i]
+	}
+	return &a.Data[i*a.Cols+k]
+}
+
+func (f matmulForm) bAt(b *Matrix, k, j int) *float32 {
+	if f.transB {
+		return &b.Data[j*b.Cols+k]
+	}
+	return &b.Data[k*b.Cols+j]
+}
+
+// rowGo computes the product with one portable rowKernelGo call per output
+// row over the row's whole operand list, where the production forms split
+// it into kBlock lists: the portable side of the kernel differential.
+func (f matmulForm) rowGo(out, a, b *Matrix) {
+	inner := a.Cols
+	if f.transA {
+		inner = a.Rows
+	}
+	if f.transB {
+		bt := New(b.Cols, b.Rows)
+		for j := 0; j < b.Rows; j++ {
+			for k := 0; k < b.Cols; k++ {
+				bt.Set(k, j, b.At(j, k))
+			}
+		}
+		b = bt
+	}
+	out.Zero()
+	for i := 0; i < out.Rows; i++ {
+		var ks []int32
+		var as []float32
+		for k := 0; k < inner; k++ {
+			if av := *f.aAt(a, i, k); av != 0 || !f.skipsZeroes {
+				ks, as = append(ks, int32(k)), append(as, av)
+			}
+		}
+		rowKernelGo(out.Row(i), ks, as, b.Data, b.Cols)
+	}
 }
 
 // operands builds the a and b of an m x k x n problem. zeroShare of a's
 // elements are exact zeros (half of them -0), as after a ReLU.
 func (f matmulForm) operands(rng *RNG, m, k, n int, zeroShare float64) (a, b *Matrix) {
-	ar, ac := f.aRows(m, k)
-	br, bc := f.bRows(k, n)
+	ar, ac, br, bc := m, k, k, n
+	if f.transA {
+		ar, ac = k, m
+	}
+	if f.transB {
+		br, bc = n, k
+	}
 	a, b = randomMatrix(rng, ar, ac), randomMatrix(rng, br, bc)
 	negZero := float32(math.Copysign(0, -1))
 	for i := range a.Data {
@@ -122,19 +168,28 @@ func (f matmulForm) operands(rng *RNG, m, k, n int, zeroShare float64) (a, b *Ma
 	return a, b
 }
 
-// checkBitIdentical runs kernel and reference into destinations dirtied
-// with different garbage and compares every output element's bits.
+// checkBitIdentical runs the production kernel, the reference and the
+// portable row kernel into destinations dirtied with different garbage
+// and compares every output element's bits.
 func (f matmulForm) checkBitIdentical(t *testing.T, a, b *Matrix, m, n int) {
 	t.Helper()
-	got, want := New(m, n), New(m, n)
+	got, want, rowGo := New(m, n), New(m, n), New(m, n)
 	fill(got, float32(math.NaN()))
 	fill(want, 77)
+	fill(rowGo, -1)
 	f.into(got, a, b)
 	f.ref(want, a, b)
+	f.rowGo(rowGo, a, b)
 	for i := range want.Data {
-		if g, w := math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]); g != w {
-			t.Fatalf("%s %dx%dx%d: element (%d,%d) has bits %#08x (%v), reference %#08x (%v)",
-				f.name, m, a.Rows*a.Cols/m, n, i/n, i%n, g, got.Data[i], w, want.Data[i])
+		w := math.Float32bits(want.Data[i])
+		for _, side := range []struct {
+			name string
+			m    *Matrix
+		}{{"kernel", got}, {"portable row kernel", rowGo}} {
+			if g := math.Float32bits(side.m.Data[i]); g != w {
+				t.Fatalf("%s %dx%dx%d: the %s's element (%d,%d) has bits %#08x (%v), reference %#08x (%v)",
+					f.name, m, len(a.Data)/m, n, side.name, i/n, i%n, g, side.m.Data[i], w, want.Data[i])
+			}
 		}
 	}
 }
@@ -196,15 +251,11 @@ func TestMatMulZeroSkipHidesNonFinite(t *testing.T) {
 			// b's row k0 meets a's inner index k0 in both skipping forms.
 			for _, k0 := range []int{2, k - 1} {
 				for i := 0; i < m; i++ {
-					if f.name == "MatMulT1Into" {
-						a.Set(k0, i, 0)
-					} else {
-						a.Set(i, k0, 0)
-					}
+					*f.aAt(a, i, k0) = 0
 				}
 			}
-			b.Set(2, n/2, float32(math.Inf(1)))
-			b.Set(k-1, 0, float32(math.NaN()))
+			*f.bAt(b, 2, n/2) = float32(math.Inf(1))
+			*f.bAt(b, k-1, 0) = float32(math.NaN())
 			f.checkBitIdentical(t, a, b, m, n)
 			out := New(m, n)
 			f.into(out, a, b)
@@ -254,7 +305,11 @@ func TestMatMulConcurrentCallersSharePool(t *testing.T) {
 }
 
 // TestMatMulIntoZeroAlloc pins the three forms at zero allocations per
-// call at a size that takes the pool.
+// call. A collection runs before every measured call, so scratch that a GC
+// may drop counts as the allocation it costs after every GC: a sync.Pool,
+// for one, allocates its per-P storage afresh. testing.AllocsPerRun runs at
+// GOMAXPROCS 1, so no call is split: after a GC, a split call's blocking
+// waits take fresh wait records from the runtime whatever the kernels do.
 func TestMatMulIntoZeroAlloc(t *testing.T) {
 	if storagetest.RaceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -264,8 +319,10 @@ func TestMatMulIntoZeroAlloc(t *testing.T) {
 	for _, f := range matmulForms {
 		a, b := f.operands(rng, m, k, n, 0.5)
 		out := New(m, n)
-		f.into(out, a, b) // warm-up: the first call makes the pooled WaitGroup
-		if got := testing.AllocsPerRun(50, func() { f.into(out, a, b) }); got != 0 {
+		if got := testing.AllocsPerRun(20, func() {
+			runtime.GC()
+			f.into(out, a, b)
+		}); got != 0 {
 			t.Errorf("%s allocates %v times per call, want 0", f.name, got)
 		}
 	}

@@ -28,9 +28,12 @@ func ReLUBackward(grad, out *Matrix) {
 	}
 }
 
-// LogSoftmax computes log-softmax along each row into a new matrix.
-func LogSoftmax(m *Matrix) *Matrix {
-	out := New(m.Rows, m.Cols)
+// LogSoftmaxInto computes log-softmax along each row of m into dst and
+// returns it. dst may be nil or hold stale data: it is reshaped with
+// EnsureShape, so a caller that keeps the result allocates only when m
+// outgrows it.
+func LogSoftmaxInto(dst, m *Matrix) *Matrix {
+	out := EnsureShape(dst, m.Rows, m.Cols)
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
 		max := row[0]
@@ -52,14 +55,15 @@ func LogSoftmax(m *Matrix) *Matrix {
 	return out
 }
 
-// NLLLoss returns the mean negative log-likelihood of labels under the
-// log-probabilities logp, together with the gradient w.r.t. logits
-// (i.e. the softmax-cross-entropy gradient, already divided by Rows).
-func NLLLoss(logp *Matrix, labels []int32) (float32, *Matrix) {
+// NLLLossInto returns the mean negative log-likelihood of labels under the
+// log-probabilities logp, together with the gradient w.r.t. logits (i.e.
+// the softmax-cross-entropy gradient, already divided by Rows), written
+// into grad. grad is reshaped with EnsureShape as LogSoftmaxInto's dst is.
+func NLLLossInto(grad, logp *Matrix, labels []int32) (float32, *Matrix) {
 	if len(labels) != logp.Rows {
-		panic(fmt.Sprintf("tensor: NLLLoss %d labels for %d rows", len(labels), logp.Rows))
+		panic(fmt.Sprintf("tensor: NLLLossInto %d labels for %d rows", len(labels), logp.Rows))
 	}
-	grad := New(logp.Rows, logp.Cols)
+	grad = EnsureShape(grad, logp.Rows, logp.Cols)
 	var loss float64
 	inv := 1 / float32(logp.Rows)
 	for i, y := range labels {

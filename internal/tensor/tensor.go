@@ -1,8 +1,9 @@
 // Package tensor provides dense float32 matrices and the numeric kernels
-// needed for sample-based GNN training: parallel register-blocked matrix
-// multiply with a fixed summation order (matmul.go), elementwise
-// operations, softmax, and deterministic random initialization. It is deliberately 2-D: every activation in a
-// layered GNN mini-batch is a [nodes x features] matrix.
+// needed for sample-based GNN training: parallel matrix multiply with a
+// fixed summation order over one row kernel, SSE2 assembly on amd64
+// (matmul.go, rowkernel.go), elementwise operations, softmax, and
+// deterministic random initialization. It is deliberately 2-D: every
+// activation in a layered GNN mini-batch is a [nodes x features] matrix.
 package tensor
 
 import "fmt"

@@ -267,7 +267,7 @@ func TestLogSoftmaxRowsSumToOne(t *testing.T) {
 	rng := NewRNG(6)
 	m := randomMatrix(rng, 17, 9)
 	m.Scale(5)
-	lp := LogSoftmax(m)
+	lp := LogSoftmaxInto(nil, m)
 	for i := 0; i < lp.Rows; i++ {
 		var sum float64
 		for _, v := range lp.Row(i) {
@@ -290,7 +290,7 @@ func TestLogSoftmaxShiftInvariance(t *testing.T) {
 		for i := range shifted.Data {
 			shifted.Data[i] += 100
 		}
-		return maxAbsDiff(LogSoftmax(m), LogSoftmax(shifted)) < 1e-3
+		return maxAbsDiff(LogSoftmaxInto(nil, m), LogSoftmaxInto(nil, shifted)) < 1e-3
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -301,16 +301,16 @@ func TestNLLLossGradientNumerically(t *testing.T) {
 	rng := NewRNG(7)
 	logits := randomMatrix(rng, 4, 5)
 	labels := []int32{1, 0, 4, 2}
-	_, grad := NLLLoss(LogSoftmax(logits), labels)
+	_, grad := NLLLossInto(nil, LogSoftmaxInto(nil, logits), labels)
 	// Central difference on a few coordinates.
 	eps := float32(1e-2)
 	for _, probe := range [][2]int{{0, 1}, {1, 3}, {3, 0}, {2, 4}} {
 		i, j := probe[0], probe[1]
 		orig := logits.At(i, j)
 		logits.Set(i, j, orig+eps)
-		lp, _ := NLLLoss(LogSoftmax(logits), labels)
+		lp, _ := NLLLossInto(nil, LogSoftmaxInto(nil, logits), labels)
 		logits.Set(i, j, orig-eps)
-		lm, _ := NLLLoss(LogSoftmax(logits), labels)
+		lm, _ := NLLLossInto(nil, LogSoftmaxInto(nil, logits), labels)
 		logits.Set(i, j, orig)
 		num := (lp - lm) / (2 * eps)
 		if math.Abs(float64(num-grad.At(i, j))) > 2e-2 {
