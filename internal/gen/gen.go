@@ -18,7 +18,6 @@ package gen
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -304,10 +303,11 @@ type featureChunk struct {
 // writeFeatures writes feature(v) = centroid(class(v)) + N(0,1) noise for
 // every node. The bytes and rng's final position are those of the plain
 // loop drawing rng.NormFloat32 once per value: one goroutine draws the
-// uniforms in that order, GOMAXPROCS workers do the Box-Muller math and
-// the encoding, and the calling goroutine alone writes finished chunks in
-// ascending offset order (consecutive chunks share a checksum block, which
-// two concurrent writers would race to refresh).
+// uniforms in that order, GOMAXPROCS workers turn them into rows with
+// tensor.NormalRow (the Box-Muller math and the encoding, DESIGN.md §7.7),
+// and the calling goroutine alone writes finished chunks in ascending
+// offset order (consecutive chunks share a checksum block, which two
+// concurrent writers would race to refresh).
 func writeFeatures(dev storage.Backend, off int64, s Spec, classes []int32, rng *tensor.RNG) error {
 	centroids := make([][]float32, s.Classes)
 	for c := range centroids {
@@ -349,12 +349,7 @@ func writeFeatures(dev storage.Backend, off int64, s Spec, classes []int32, rng 
 			defer workers.Done()
 			for c := range work {
 				for r := 0; r < c.rows; r++ {
-					cen := centroids[classes[c.first+r]]
-					u, row := c.u[2*r*s.Dim:], c.out[r*rowBytes:]
-					for j, cj := range cen {
-						f := cj + tensor.BoxMuller(u[2*j], u[2*j+1])
-						binary.LittleEndian.PutUint32(row[j*4:], math.Float32bits(f))
-					}
+					tensor.NormalRow(c.out[r*rowBytes:], centroids[classes[c.first+r]], c.u[2*r*s.Dim:])
 				}
 				c.ready <- struct{}{}
 			}

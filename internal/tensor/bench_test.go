@@ -1,6 +1,9 @@
 package tensor
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func benchMatrix(rng *RNG, r, c int) *Matrix {
 	m := New(r, c)
@@ -57,5 +60,37 @@ func BenchmarkRNGUint64(b *testing.B) {
 	r := NewRNG(5)
 	for i := 0; i < b.N; i++ {
 		_ = r.Uint64()
+	}
+}
+
+// BenchmarkNormalRow times one feature row of gen's synthesis, at
+// file_packed_verify's dim 100 and Papers' dim 128, through NormalRow and
+// through the per-value BoxMuller loop it replaces. Rows cycle through
+// 1 MiB of uniforms, as large as a chunk's in gen: a loop over one row
+// would teach the branch predictor math.cos's octants.
+func BenchmarkNormalRow(b *testing.B) {
+	for _, n := range []int{100, 128} {
+		rng := NewRNG(9)
+		cen := make([]float32, n)
+		for j := range cen {
+			cen[j] = float32(rng.Float64() - 0.5)
+		}
+		rows := (1 << 20) / (16 * n)
+		u := make([]float64, 2*n*rows)
+		for i := 0; i < len(u); i += 2 {
+			u[i], u[i+1] = rng.NormUniforms()
+		}
+		dst := make([]byte, 4*n)
+		for _, k := range []struct {
+			name string
+			row  func(dst []byte, cen []float32, u []float64)
+		}{{"kernel", NormalRow}, {"loop", normalRowGo}} {
+			b.Run(fmt.Sprintf("dim=%d/%s", n, k.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					k.row(dst, cen, u[2*n*(i%rows):])
+				}
+			})
+		}
 	}
 }
