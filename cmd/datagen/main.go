@@ -96,11 +96,12 @@ func run(args []string, stdout io.Writer) error {
 	start := time.Now()
 	// Build through the integrity layer: every block is checksummed as it
 	// is written, so -out can persist a CRC32C sidecar with the container.
-	ds, ib, err := gen.BuildVerified(o.spec, sim.InstantConfig(), integrity.Options{})
+	ds, err := gen.BuildWith(o.spec, integrity.WrapFactory(sim.Factory(sim.InstantConfig()), integrity.Options{}))
 	if err != nil {
 		return err
 	}
 	defer ds.Dev.Close()
+	ib := ds.Dev.(*integrity.Backend)
 	if err := ds.Validate(); err != nil {
 		return err
 	}

@@ -11,8 +11,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -27,67 +29,86 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run is the command: it parses args, trains, and prints the per-epoch
+// report to stdout. Warnings and errors go to stderr. It returns the exit
+// status: 0 on success, 2 for a malformed command line, 1 for any other
+// error, including a value lowering rejects.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gnndrive", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var f cliFlags
-	f.register(flag.CommandLine)
-	flag.Parse()
-	cfg, sys, err := f.lower(log.Printf)
+	f.register(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	logger := log.New(stderr, "", 0)
+	cfg, sys, err := f.lower(logger.Printf)
 	if err != nil {
-		log.Fatal(err)
+		logger.Print(err)
+		return 1
 	}
 	src := cfg.Dataset.Name
 	if cfg.LoadFile != "" {
 		src = cfg.LoadFile
 	}
-	fmt.Printf("training %s on %s with %s (%d scaled-GB host memory, %s backend)\n",
+	fmt.Fprintf(stdout, "training %s on %s with %s (%d scaled-GB host memory, %s backend)\n",
 		cfg.Model, src, sys, cfg.HostMemoryGB, cfg.Backend)
 	defer trainsim.DropDatasets()
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	res, err := trainsim.RunCtx(ctx, cfg, sys, trainsim.RunOptions{Epochs: f.NumEpochs(), EvalVal: cfg.RealTrain})
 	if err != nil {
-		log.Fatalf("%s: %v", sys, err)
+		logger.Printf("%s: %v", sys, err)
+		return 1
 	}
 	for i, e := range res.Epochs {
-		fmt.Printf("epoch %d: total=%v prep=%v sample=%v extract=%v train=%v batches=%d read=%.1fMB reused=%.1fMB reads=%d amp=%.2f",
+		fmt.Fprintf(stdout, "epoch %d: total=%v prep=%v sample=%v extract=%v train=%v batches=%d read=%.1fMB reused=%.1fMB reads=%d amp=%.2f",
 			i, e.Total.Round(time.Millisecond), e.Prep.Round(time.Millisecond),
 			e.Sample.Round(time.Millisecond), e.Extract.Round(time.Millisecond),
 			e.Train.Round(time.Millisecond), e.Batches,
 			float64(e.BytesRead)/1e6, float64(e.BytesReused)/1e6,
 			e.BackendReads, e.ReadAmplification())
 		if cfg.Faults != nil {
-			fmt.Printf(" retries=%d fallbacks=%d escalations=%d",
+			fmt.Fprintf(stdout, " retries=%d fallbacks=%d escalations=%d",
 				e.Retries, e.Fallbacks, e.Escalations)
 		}
 		if cfg.Integrity != nil {
-			fmt.Printf(" cksum-fail=%d repaired=%d",
+			fmt.Fprintf(stdout, " cksum-fail=%d repaired=%d",
 				e.Integrity.ChecksumFailures, e.Integrity.Repairs)
 		}
 		if e.Stalls > 0 {
-			fmt.Printf(" stalls=%d", e.Stalls)
+			fmt.Fprintf(stdout, " stalls=%d", e.Stalls)
 		}
 		if cfg.RealTrain {
-			fmt.Printf(" loss=%.4f acc=%.3f", e.Loss, e.Acc)
+			fmt.Fprintf(stdout, " loss=%.4f acc=%.3f", e.Loss, e.Acc)
 			if i < len(res.ValAcc) {
-				fmt.Printf(" val=%.3f", res.ValAcc[i])
+				fmt.Fprintf(stdout, " val=%.3f", res.ValAcc[i])
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
-	fmt.Printf("average epoch: %v\n", res.AvgEpoch().Round(time.Millisecond))
+	fmt.Fprintf(stdout, "average epoch: %v\n", res.AvgEpoch().Round(time.Millisecond))
 	if cfg.Integrity != nil {
 		var s storage.IntegrityStats
 		for _, e := range res.Epochs {
 			s = s.Add(e.Integrity)
 		}
-		fmt.Printf("integrity: verified=%d unverified=%d cksum-fail=%d repaired=%d quarantined=%d\n",
+		fmt.Fprintf(stdout, "integrity: verified=%d unverified=%d cksum-fail=%d repaired=%d quarantined=%d\n",
 			s.VerifiedReads, s.UnverifiedReads, s.ChecksumFailures, s.Repairs, s.Quarantined)
 	}
 	if cfg.Faults != nil {
 		fc := res.FaultCounts
-		fmt.Printf("faults injected: transient=%d media=%d short=%d straggler=%d corrupt=%d\n",
+		fmt.Fprintf(stdout, "faults injected: transient=%d media=%d short=%d straggler=%d corrupt=%d\n",
 			fc.Transient, fc.Media, fc.ShortRead, fc.Straggler, fc.SilentCorrupt)
 	}
+	return 0
 }
 
 // cliFlags is the parsed command line: the JobSpec a gnnserved job would

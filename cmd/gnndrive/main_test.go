@@ -1,8 +1,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -182,5 +184,40 @@ func TestLowerFlagsRejectsBadInput(t *testing.T) {
 		if _, _, _, err := lowerArgs(t, args...); err == nil {
 			t.Errorf("%q lowered without error", args)
 		}
+	}
+}
+
+// TestRun drives the command end to end: one tiny epoch of each baseline
+// through its constructor, one on the file backend, and an out-of-range
+// value, which is an error exit and never a panic.
+func TestRun(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+		code int
+	}{
+		{name: "pyg+", args: []string{"-system", "pyg+"}},
+		{name: "ginex", args: []string{"-system", "ginex"}},
+		{name: "marius", args: []string{"-system", "marius"}},
+		{name: "file backend", args: []string{"-backend", "file", "-data-file", filepath.Join(t.TempDir(), "tiny.img")}},
+		{name: "negative batch", args: []string{"-batch", "-1"}, code: 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			args := append([]string{"-dataset", "tiny", "-epochs", "1", "-scale", "0.5"}, tc.args...)
+			var stdout, stderr strings.Builder
+			if code := run(context.Background(), args, &stdout, &stderr); code != tc.code {
+				t.Fatalf("exit %d, want %d\nstdout:\n%s\nstderr:\n%s", code, tc.code, &stdout, &stderr)
+			}
+			if tc.code != 0 {
+				if stderr.Len() == 0 {
+					t.Error("error exit printed nothing to stderr")
+				}
+				return
+			}
+			if !strings.Contains(stdout.String(), "epoch 0: ") || !strings.Contains(stdout.String(), "average epoch: ") {
+				t.Errorf("no epoch report:\n%s", &stdout)
+			}
+		})
 	}
 }

@@ -25,6 +25,10 @@ import (
 	"gnndrive/internal/serve"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a stalled connection cannot hold a server goroutine open.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	log.SetFlags(0)
 	addr := flag.String("addr", ":8080", "HTTP listen address")
@@ -56,7 +60,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: d.Handler()}
+	srv := &http.Server{Addr: *addr, Handler: d.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	log.Printf("gnnserved: listening on %s, state in %s", *addr, *state)

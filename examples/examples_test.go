@@ -31,7 +31,7 @@ import (
 func Example_quickstart() {
 	// 1. A synthetic graph on a simulated SSD: 2,000 nodes, 8 classes,
 	// planted-community features so the model has something to learn.
-	ds, err := gen.BuildStandalone(gen.Tiny(), sim.DefaultConfig())
+	ds, err := gen.BuildWith(gen.Tiny(), sim.Factory(sim.DefaultConfig()))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func Example_quickstart() {
 	// 4. Train a few epochs; the pipeline samples, extracts features
 	// asynchronously from the SSD, and trains.
 	for epoch := 0; epoch < 5; epoch++ {
-		res, err := eng.RunEpochCtx(context.Background(), epoch)
+		res, err := eng.TrainEpochFrom(context.Background(), epoch, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func Example_fraudDetection() {
 		Classes: 6, Homophily: 0.65, Signal: 1.0,
 		TrainFrac: 0.25, ValFrac: 0.10, Seed: 42,
 	}
-	ds, err := gen.BuildStandalone(spec, sim.DefaultConfig())
+	ds, err := gen.BuildWith(spec, sim.Factory(sim.DefaultConfig()))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func Example_fraudDetection() {
 
 	fmt.Printf("training GAT fraud detector on %d accounts (%d edges)\n", ds.NumNodes, ds.NumEdges)
 	for epoch := 0; epoch < 6; epoch++ {
-		res, err := eng.RunEpochCtx(context.Background(), epoch)
+		res, err := eng.TrainEpochFrom(context.Background(), epoch, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

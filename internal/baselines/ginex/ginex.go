@@ -37,21 +37,10 @@ import (
 )
 
 // Options configures the Ginex baseline: the knobs every system shares,
-// plus Ginex's caches and superbatch phases.
+// plus where it persists its sampling results. The caches are sized from
+// the host budget (DefaultCacheSizes).
 type Options struct {
 	core.Knobs
-
-	// Superbatch is the number of mini-batches sampled/inspected as one
-	// unit (paper default 1,500; 150 at our scale keeps the paper's
-	// one-superbatch-per-epoch shape).
-	Superbatch int
-	// NeighborCacheBytes and FeatureCacheBytes size the two caches
-	// (paper defaults 6 GB and 24 GB with 32 GB hosts; set them from the
-	// budget via DefaultCacheSizes).
-	NeighborCacheBytes int64
-	FeatureCacheBytes  int64
-	// SampleWorkers parallelizes the superbatch sampling phase.
-	SampleWorkers int
 
 	// ScratchOff/ScratchLen locate the device region where sampled node
 	// lists are persisted between the sample and inspect phases. Zero
@@ -59,18 +48,23 @@ type Options struct {
 	ScratchOff, ScratchLen int64
 }
 
+const (
+	// superbatch is the number of mini-batches sampled/inspected as one
+	// unit (paper default 1,500; 150 at our scale keeps the paper's
+	// one-superbatch-per-epoch shape).
+	superbatch = 150
+	// sampleWorkers parallelizes the superbatch sampling phase.
+	sampleWorkers = 2
+)
+
 // DefaultCacheSizes returns the paper's cache split for a host budget:
-// the two caches occupy 85% of host memory (6:24 ratio).
+// the two caches occupy 85% of host memory (6:24 ratio, the paper's 6 GB
+// neighbour and 24 GB feature caches on a 32 GB host).
 func DefaultCacheSizes(budget int64) (neighbor, feature int64) {
 	total := budget * 85 / 100
 	neighbor = total * 6 / 30
 	feature = total * 24 / 30
 	return neighbor, feature
-}
-
-// DefaultOptions mirrors the paper's Ginex configuration at our scale.
-func DefaultOptions(model nn.ModelKind) Options {
-	return Options{Knobs: core.DefaultKnobs(model), Superbatch: 150, SampleWorkers: 2}
 }
 
 // System is a Ginex training instance.
@@ -94,22 +88,6 @@ type System struct {
 func New(ds *graph.Dataset, dev *device.Device, budget *hostmem.Budget,
 	rec *metrics.Recorder, opts Options) (*System, error) {
 	opts.Knobs = opts.Knobs.WithDefaults()
-	d := DefaultOptions(opts.Model)
-	if opts.Superbatch == 0 {
-		opts.Superbatch = d.Superbatch
-	}
-	if opts.SampleWorkers == 0 {
-		opts.SampleWorkers = d.SampleWorkers
-	}
-	if opts.NeighborCacheBytes == 0 || opts.FeatureCacheBytes == 0 {
-		n, f := DefaultCacheSizes(budget.Capacity())
-		if opts.NeighborCacheBytes == 0 {
-			opts.NeighborCacheBytes = n
-		}
-		if opts.FeatureCacheBytes == 0 {
-			opts.FeatureCacheBytes = f
-		}
-	}
 	if rec == nil {
 		rec = metrics.NewRecorder()
 	}
@@ -121,13 +99,14 @@ func New(ds *graph.Dataset, dev *device.Device, budget *hostmem.Budget,
 	}
 	s.pinned = pins
 
-	nc, err := graph.NewStaticNeighborCache(ds, budget, opts.NeighborCacheBytes)
+	neighborBytes, featureBytes := DefaultCacheSizes(budget.Capacity())
+	nc, err := graph.NewStaticNeighborCache(ds, budget, neighborBytes)
 	if err != nil {
 		s.Close()
 		return nil, err
 	}
 	s.ncache = nc
-	fc, err := newFeatureCache(ds, budget, opts.FeatureCacheBytes, opts.RealTrain)
+	fc, err := newFeatureCache(ds, budget, featureBytes, opts.RealTrain)
 	if err != nil {
 		s.Close()
 		return nil, err
@@ -170,8 +149,8 @@ func (s *System) TrainEpoch(ctx context.Context, epoch int) (core.EpochResult, e
 		return s.learn.EndEpoch(col.Snapshot(time.Since(start))), err
 	}
 	plan := s.opts.Plan(s.ds.TrainIdx, epoch)
-	for sbStart := 0; sbStart < len(plan.Batches); sbStart += s.opts.Superbatch {
-		sbEnd := min(sbStart+s.opts.Superbatch, len(plan.Batches))
+	for sbStart := 0; sbStart < len(plan.Batches); sbStart += superbatch {
+		sbEnd := min(sbStart+superbatch, len(plan.Batches))
 		// Phase 1: sample the whole superbatch up front, persisting the
 		// node lists.
 		batches, err := s.sampleSuperbatch(ctx, epoch, plan, sbStart, sbEnd, &col)
@@ -212,7 +191,7 @@ func (s *System) TrainEpoch(ctx context.Context, epoch int) (core.EpochResult, e
 func (s *System) sampleSuperbatch(ctx context.Context, epoch int, plan *sample.Plan, sbStart, sbEnd int,
 	col *metrics.BreakdownCollector) ([]*sample.Batch, error) {
 	batches := make([]*sample.Batch, sbEnd-sbStart)
-	pool := sample.Pool{Workers: s.opts.SampleWorkers, Fanouts: s.opts.Fanouts, Seed: s.opts.Seed,
+	pool := sample.Pool{Workers: sampleWorkers, Fanouts: s.opts.Fanouts, Seed: s.opts.Seed,
 		Reader: s.ncache.Reader}
 	err := pool.Run(ctx, epoch, plan.Batches[:sbEnd], sbStart, func(b *sample.Batch, c sample.Cost) error {
 		col.AddSample(c.Took)
@@ -402,8 +381,8 @@ func (s *System) trainBatch(b *sample.Batch, col *metrics.BreakdownCollector) er
 func (s *System) SampleOnly(ctx context.Context, epoch int) (time.Duration, error) {
 	var col metrics.BreakdownCollector
 	plan := s.opts.Plan(s.ds.TrainIdx, epoch)
-	for sbStart := 0; sbStart < len(plan.Batches); sbStart += s.opts.Superbatch {
-		sbEnd := min(sbStart+s.opts.Superbatch, len(plan.Batches))
+	for sbStart := 0; sbStart < len(plan.Batches); sbStart += superbatch {
+		sbEnd := min(sbStart+superbatch, len(plan.Batches))
 		if _, err := s.sampleSuperbatch(ctx, epoch, plan, sbStart, sbEnd, &col); err != nil {
 			return 0, err
 		}

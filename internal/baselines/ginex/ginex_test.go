@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"gnndrive/internal/core"
 	"gnndrive/internal/device"
 	"gnndrive/internal/gen"
 	"gnndrive/internal/graph"
@@ -29,13 +30,16 @@ func newRig(t *testing.T, budgetBytes int64) (*graph.Dataset, *device.Device, *h
 	return ds, gpu, hostmem.NewBudget(budgetBytes), metrics.NewRecorder()
 }
 
+// testBudget holds tiny's 24 KB of indptr and label pins, caches of 49 KB
+// (neighbours) and 196 KB (features, three quarters of the table, so an
+// epoch both hits and misses), and the 19 KB left over holds one batch's
+// gather tensor of at most 10+30+90 nodes.
+const testBudget = 288 << 10
+
 func testOpts(ds *graph.Dataset) Options {
-	o := DefaultOptions(nn.GraphSAGE)
-	o.BatchSize = 40
-	o.Fanouts = []int{4, 4}
-	o.Superbatch = 6
-	o.NeighborCacheBytes = 64 << 10
-	o.FeatureCacheBytes = 64 << 10
+	o := Options{Knobs: core.DefaultKnobs(nn.GraphSAGE)}
+	o.BatchSize = 10
+	o.Fanouts = []int{3, 3}
 	// Scratch lives past the dataset end.
 	o.ScratchOff = ds.Layout.FeaturesOff + ds.Layout.FeaturesLen
 	o.ScratchLen = 1 << 19
@@ -43,8 +47,9 @@ func testOpts(ds *graph.Dataset) Options {
 }
 
 func TestTrainEpochCompletes(t *testing.T) {
-	ds, gpu, budget, rec := newRig(t, 64<<20)
-	s, err := New(ds, gpu, budget, rec, testOpts(ds))
+	ds, gpu, budget, rec := newRig(t, testBudget)
+	opts := testOpts(ds)
+	s, err := New(ds, gpu, budget, rec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +58,7 @@ func TestTrainEpochCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := (len(ds.TrainIdx) + 39) / 40
+	want := (len(ds.TrainIdx) + opts.BatchSize - 1) / opts.BatchSize
 	if res.Batches != want {
 		t.Fatalf("batches %d want %d", res.Batches, want)
 	}
@@ -66,10 +71,10 @@ func TestTrainEpochCompletes(t *testing.T) {
 }
 
 func TestCacheOOM(t *testing.T) {
+	// The caches take 85 % of the budget, which leaves less than the
+	// 24 KB of pins.
 	ds, gpu, budget, rec := newRig(t, 128<<10)
-	opts := testOpts(ds)
-	opts.FeatureCacheBytes = 512 << 10 // exceeds budget
-	_, err := New(ds, gpu, budget, rec, opts)
+	_, err := New(ds, gpu, budget, rec, testOpts(ds))
 	if !errors.Is(err, hostmem.ErrOOM) {
 		t.Fatalf("want OOM, got %v", err)
 	}
@@ -79,7 +84,7 @@ func TestCacheOOM(t *testing.T) {
 }
 
 func TestRealTrainingLearns(t *testing.T) {
-	ds, gpu, budget, rec := newRig(t, 64<<20)
+	ds, gpu, budget, rec := newRig(t, testBudget)
 	opts := testOpts(ds)
 	opts.RealTrain = true
 	opts.Hidden = 32
@@ -106,7 +111,7 @@ func TestRealTrainingLearns(t *testing.T) {
 }
 
 func TestRealFeatureCacheServesCorrectBytes(t *testing.T) {
-	ds, gpu, budget, rec := newRig(t, 64<<20)
+	ds, gpu, budget, rec := newRig(t, testBudget)
 	opts := testOpts(ds)
 	opts.RealTrain = true
 	s, err := New(ds, gpu, budget, rec, opts)
@@ -140,7 +145,7 @@ func TestRealFeatureCacheServesCorrectBytes(t *testing.T) {
 }
 
 func TestNeighborCacheHoldsHighDegreeNodes(t *testing.T) {
-	ds, gpu, budget, rec := newRig(t, 64<<20)
+	ds, gpu, budget, rec := newRig(t, testBudget)
 	s, err := New(ds, gpu, budget, rec, testOpts(ds))
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +193,7 @@ func TestBeladyPrefersFartherNextUse(t *testing.T) {
 	if sched.nextUse(1, 1) != 1 || sched.nextUse(2, 1) != 5 {
 		t.Fatalf("nextUse wrong: %d %d", sched.nextUse(1, 1), sched.nextUse(2, 1))
 	}
-	ds, _, budget, _ := newRig(t, 64<<20)
+	ds, _, budget, _ := newRig(t, testBudget)
 	fc, err := newFeatureCache(ds, budget, ds.FeatBytes(), false) // capacity 1
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +224,7 @@ func TestBeladyPrefersFartherNextUse(t *testing.T) {
 }
 
 func TestSampleOnly(t *testing.T) {
-	ds, gpu, budget, rec := newRig(t, 64<<20)
+	ds, gpu, budget, rec := newRig(t, testBudget)
 	s, err := New(ds, gpu, budget, rec, testOpts(ds))
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +240,7 @@ func TestSampleOnly(t *testing.T) {
 }
 
 func TestCloseUnpinsAll(t *testing.T) {
-	ds, gpu, budget, rec := newRig(t, 64<<20)
+	ds, gpu, budget, rec := newRig(t, testBudget)
 	s, err := New(ds, gpu, budget, rec, testOpts(ds))
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"gnndrive/internal/core"
 	"gnndrive/internal/nn"
 	"gnndrive/internal/sample"
 )
@@ -12,9 +13,11 @@ import (
 // reschedule() must re-key survivors so stale heap entries from the
 // previous superbatch cannot wedge eviction.
 func TestMultipleSuperbatchesPerEpoch(t *testing.T) {
-	ds, gpu, budget, rec := newRig(t, 64<<20)
+	ds, gpu, budget, rec := newRig(t, testBudget)
 	opts := testOpts(ds)
-	opts.Superbatch = 3 // many superbatches per epoch
+	// 600 training nodes in batches of 3 are 200 batches: a full
+	// superbatch and a short one per epoch.
+	opts.BatchSize = 3
 	s, err := New(ds, gpu, budget, rec, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -25,20 +28,19 @@ func TestMultipleSuperbatchesPerEpoch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Batches == 0 {
-			t.Fatal("no batches")
+		if res.Batches <= superbatch {
+			t.Fatalf("%d batches fit one superbatch of %d", res.Batches, superbatch)
 		}
 	}
 }
 
-// TestGinexSlowerWithSmallerFeatureCache: halving the feature cache must
-// not reduce the miss count (optimal caching is monotone in capacity).
+// TestGinexMissesMonotoneInCacheSize: halving the host budget, and with
+// it the feature cache, must not reduce the miss count (optimal caching
+// is monotone in capacity).
 func TestGinexMissesMonotoneInCacheSize(t *testing.T) {
-	run := func(cacheBytes int64) int64 {
-		ds, gpu, budget, rec := newRig(t, 64<<20)
-		opts := testOpts(ds)
-		opts.FeatureCacheBytes = cacheBytes
-		s, err := New(ds, gpu, budget, rec, opts)
+	run := func(budgetBytes int64) int64 {
+		ds, gpu, budget, rec := newRig(t, budgetBytes)
+		s, err := New(ds, gpu, budget, rec, testOpts(ds))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,8 +51,8 @@ func TestGinexMissesMonotoneInCacheSize(t *testing.T) {
 		}
 		return res.NodesExtracted // the feature-cache misses
 	}
-	big := run(128 << 10)
-	small := run(16 << 10)
+	big := run(2 * testBudget)
+	small := run(testBudget)
 	if small < big {
 		t.Fatalf("smaller cache missed less: %d < %d", small, big)
 	}
@@ -83,8 +85,13 @@ func TestDefaultCacheSizes(t *testing.T) {
 }
 
 func TestDefaultOptionsGATFanouts(t *testing.T) {
-	o := DefaultOptions(nn.GAT)
-	if o.Fanouts[len(o.Fanouts)-1] >= o.Fanouts[0] {
+	ds, gpu, budget, rec := newRig(t, testBudget)
+	s, err := New(ds, gpu, budget, rec, Options{Knobs: core.Knobs{Model: nn.GAT}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if o := s.opts; o.Fanouts[len(o.Fanouts)-1] >= o.Fanouts[0] {
 		t.Fatal("GAT last-hop fanout should be reduced, as in the paper")
 	}
 }
@@ -94,7 +101,7 @@ func TestDefaultOptionsGATFanouts(t *testing.T) {
 // burst as well as on per-batch misses, so an epoch that read anything
 // moved at least the bytes it needed.
 func TestGinexReadAmplificationCountsBytesMoved(t *testing.T) {
-	ds, gpu, budget, rec := newRig(t, 64<<20)
+	ds, gpu, budget, rec := newRig(t, testBudget)
 	s, err := New(ds, gpu, budget, rec, testOpts(ds))
 	if err != nil {
 		t.Fatal(err)

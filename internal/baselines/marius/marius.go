@@ -57,28 +57,13 @@ const partitions = 24
 // 347s training vs GNNDrive's 241s full epoch in Table 2).
 const computeFactor = 2.5
 
-// Options configures the MariusGNN baseline: the knobs every system
-// shares, plus Marius's partition buffer.
-type Options struct {
-	core.Knobs
-
-	// BufferPartitions caps how many partitions stay resident; 0 sizes
-	// it to what the host budget allows (at least 2).
-	BufferPartitions int
-}
-
-// DefaultOptions mirrors the paper's MariusGNN configuration at our scale.
-func DefaultOptions(model nn.ModelKind) Options {
-	return Options{Knobs: core.DefaultKnobs(model)}
-}
-
 // System is a MariusGNN training instance.
 type System struct {
 	ds     *graph.Dataset
 	dev    *device.Device
 	budget *hostmem.Budget
 	rec    *metrics.Recorder
-	opts   Options
+	knobs  core.Knobs
 
 	partSize  int64 // nodes per partition (last may be short)
 	partBytes int64 // feature+topology bytes per partition
@@ -92,12 +77,12 @@ type System struct {
 // New sizes the partition buffer against the host budget and verifies the
 // preparation staging fits; OOM errors reproduce Table 2's failures.
 func New(ds *graph.Dataset, dev *device.Device, budget *hostmem.Budget,
-	rec *metrics.Recorder, opts Options) (*System, error) {
-	opts.Knobs = opts.Knobs.WithDefaults()
+	rec *metrics.Recorder, knobs core.Knobs) (*System, error) {
+	knobs = knobs.WithDefaults()
 	if rec == nil {
 		rec = metrics.NewRecorder()
 	}
-	s := &System{ds: ds, dev: dev, budget: budget, rec: rec, opts: opts}
+	s := &System{ds: ds, dev: dev, budget: budget, rec: rec, knobs: knobs}
 
 	s.partSize = (ds.NumNodes + partitions - 1) / partitions
 	featPart := s.partSize * ds.FeatBytes()
@@ -114,12 +99,8 @@ func New(ds *graph.Dataset, dev *device.Device, budget *hostmem.Budget,
 	}
 	s.pinned = meta
 
-	bufParts := opts.BufferPartitions
-	if bufParts == 0 {
-		avail := budget.Capacity() - meta - prepStage
-		bufParts = int(avail / s.partBytes)
-		bufParts = min(bufParts, partitions)
-	}
+	// The buffer holds as many partitions as the budget leaves room for.
+	bufParts := min(int((budget.Capacity()-meta-prepStage)/s.partBytes), partitions)
 	if bufParts < 2 {
 		s.Close()
 		return nil, fmt.Errorf("marius: partition buffer needs >=2 partitions of %d bytes plus %d staging in %d budget: %w",
@@ -142,7 +123,7 @@ func New(ds *graph.Dataset, dev *device.Device, budget *hostmem.Budget,
 	budget.Unpin(prepStage)
 
 	rec.SetGPUProvider(func() int64 { return int64(dev.ComputeBusy()) })
-	s.learn = core.NewLearner(ds, dev, opts.Knobs)
+	s.learn = core.NewLearner(ds, dev, knobs)
 	s.learn.WorkFactor = computeFactor
 	return s, nil
 }
@@ -278,8 +259,8 @@ func (s *System) TrainEpoch(ctx context.Context, epoch int) (core.EpochResult, e
 	}
 	inBuf := func(v int64) bool { return resident[int(v/s.partSize)] }
 
-	smp := sample.New(&residentReader{ds: s.ds, inBuf: inBuf}, s.opts.Fanouts, tensor.NewRNG(s.opts.Seed))
-	plan := s.opts.Plan(s.ds.TrainIdx, epoch)
+	smp := sample.New(&residentReader{ds: s.ds, inBuf: inBuf}, s.knobs.Fanouts, tensor.NewRNG(s.knobs.Seed))
+	plan := s.knobs.Plan(s.ds.TrainIdx, epoch)
 	swapsLeft, swapEvery := s.swapSchedule(len(plan.Batches))
 	nextIn := s.bufParts
 	swaps := 0
@@ -314,7 +295,7 @@ func (s *System) TrainEpoch(ctx context.Context, epoch int) (core.EpochResult, e
 			continue
 		}
 		t0 := time.Now()
-		smp.Reseed(sample.BatchSeed(s.opts.Seed, epoch, bi))
+		smp.Reseed(sample.BatchSeed(s.knobs.Seed, epoch, bi))
 		b, _, err := smp.SampleBatch(bi, inTargets)
 		if err != nil {
 			return end(err)

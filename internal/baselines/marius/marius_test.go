@@ -17,7 +17,7 @@ import (
 
 func newRig(t *testing.T, budgetBytes int64) (*graph.Dataset, *device.Device, *hostmem.Budget, *metrics.Recorder) {
 	t.Helper()
-	ds, err := gen.BuildStandalone(gen.Tiny(), sim.InstantConfig())
+	ds, err := gen.BuildWith(gen.Tiny(), sim.Factory(sim.InstantConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,11 +27,20 @@ func newRig(t *testing.T, budgetBytes int64) (*graph.Dataset, *device.Device, *h
 	return ds, gpu, hostmem.NewBudget(budgetBytes), metrics.NewRecorder()
 }
 
-func testOpts() Options {
-	o := DefaultOptions(nn.GraphSAGE)
+func testOpts() core.Knobs {
+	o := core.DefaultKnobs(nn.GraphSAGE)
 	o.BatchSize = 40
 	o.Fanouts = []int{4, 4}
 	return o
+}
+
+// budgetForParts is the host budget that leaves room for exactly n
+// resident partitions beside the metadata pins and the preparation
+// staging.
+func budgetForParts(ds *graph.Dataset, n int) int64 {
+	partBytes := (ds.NumNodes+partitions-1)/partitions*ds.FeatBytes() + ds.NumEdges*4/partitions
+	meta := ds.IndptrBytes() + int64(len(ds.Labels))*4
+	return meta + int64(PrepStagingFraction*float64(ds.Layout.FeaturesLen)) + int64(n)*partBytes
 }
 
 // trainEpochSwapReads runs one epoch and returns its result with the
@@ -78,14 +87,15 @@ func TestTrainEpochRunsWithPrep(t *testing.T) {
 }
 
 func TestPartitionSwapsWhenBufferSmall(t *testing.T) {
-	ds, gpu, budget, rec := newRig(t, 64<<20)
-	opts := testOpts()
-	opts.BufferPartitions = 2
-	s, err := New(ds, gpu, budget, rec, opts)
+	ds, gpu, _, rec := newRig(t, 64<<20)
+	s, err := New(ds, gpu, hostmem.NewBudget(budgetForParts(ds, 2)), rec, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	if s.bufParts != 2 {
+		t.Fatalf("%d partitions resident, want 2", s.bufParts)
+	}
 	res, swapRead := trainEpochSwapReads(t, s, 0)
 	// Each swap loads a whole partition: at least its feature rows.
 	if part := s.partSize * ds.FeatBytes(); swapRead < part {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"gnndrive/internal/core"
 	"gnndrive/internal/graph"
 	"gnndrive/internal/nn"
 )
@@ -59,8 +60,13 @@ func TestFeatureStreamingEvictsTopologyPages(t *testing.T) {
 
 // TestGATUsesReducedFanout mirrors the paper's (10,10,5) GAT setting.
 func TestGATUsesReducedFanout(t *testing.T) {
-	o := DefaultOptions(nn.GAT)
-	if o.Fanouts[len(o.Fanouts)-1] >= o.Fanouts[0] {
+	r := newRig(t, 64<<20)
+	s, err := New(r.ds, r.dev, r.budget, r.cache, r.rec, core.Knobs{Model: nn.GAT})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if o := s.knobs; o.Fanouts[len(o.Fanouts)-1] >= o.Fanouts[0] {
 		t.Fatal("GAT last-hop fanout should be reduced")
 	}
 }

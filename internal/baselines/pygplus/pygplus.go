@@ -35,30 +35,14 @@ import (
 	"gnndrive/internal/tensor"
 )
 
-// Options configures the PyG+ baseline: the knobs every system shares,
-// plus PyG+'s own data path.
-type Options struct {
-	core.Knobs
-
-	// SampleWorkers is the DataLoader worker count prefetching sampled
+const (
+	// sampleWorkers is the DataLoader worker count prefetching sampled
 	// batches concurrently with extraction.
-	SampleWorkers int
-	// PerNodeGatherCPU models the Python-side per-node tensor gather
-	// cost (before time scaling).
-	PerNodeGatherCPU time.Duration
-	// TimeScale multiplies modeled CPU overheads.
-	TimeScale float64
-}
-
-// DefaultOptions mirrors the paper's PyG+ configuration at our scale.
-func DefaultOptions(model nn.ModelKind) Options {
-	return Options{
-		Knobs:            core.DefaultKnobs(model),
-		SampleWorkers:    2,
-		PerNodeGatherCPU: 2 * time.Microsecond,
-		TimeScale:        1,
-	}
-}
+	sampleWorkers = 2
+	// perNodeGatherCPU models the Python-side per-node tensor gather cost,
+	// before the device's time scale.
+	perNodeGatherCPU = 2 * time.Microsecond
+)
 
 // System is a PyG+ training instance.
 type System struct {
@@ -67,7 +51,7 @@ type System struct {
 	budget *hostmem.Budget
 	cache  *pagecache.Cache
 	rec    *metrics.Recorder
-	opts   Options
+	knobs  core.Knobs
 
 	idxFile  *pagecache.File
 	featFile *pagecache.File
@@ -80,22 +64,12 @@ type System struct {
 // New memory-maps the dataset through the shared page cache. Only indptr
 // and labels are pinned (they are converted to in-memory tensors).
 func New(ds *graph.Dataset, dev *device.Device, budget *hostmem.Budget,
-	cache *pagecache.Cache, rec *metrics.Recorder, opts Options) (*System, error) {
-	opts.Knobs = opts.Knobs.WithDefaults()
-	d := DefaultOptions(opts.Model)
-	if opts.SampleWorkers == 0 {
-		opts.SampleWorkers = d.SampleWorkers
-	}
-	if opts.PerNodeGatherCPU == 0 {
-		opts.PerNodeGatherCPU = d.PerNodeGatherCPU
-	}
-	if opts.TimeScale == 0 {
-		opts.TimeScale = d.TimeScale
-	}
+	cache *pagecache.Cache, rec *metrics.Recorder, knobs core.Knobs) (*System, error) {
+	knobs = knobs.WithDefaults()
 	if rec == nil {
 		rec = metrics.NewRecorder()
 	}
-	s := &System{ds: ds, dev: dev, budget: budget, cache: cache, rec: rec, opts: opts}
+	s := &System{ds: ds, dev: dev, budget: budget, cache: cache, rec: rec, knobs: knobs}
 	pins := ds.IndptrBytes() + int64(len(ds.Labels))*4
 	if err := budget.Pin("pyg+ indptr+labels", pins); err != nil {
 		return nil, err
@@ -104,7 +78,7 @@ func New(ds *graph.Dataset, dev *device.Device, budget *hostmem.Budget,
 	s.idxFile = graph.IndicesFile(ds, cache)
 	s.featFile = cache.NewFile(ds.Layout.FeaturesOff, ds.Layout.FeaturesLen)
 	rec.SetGPUProvider(func() int64 { return int64(dev.ComputeBusy()) })
-	s.learn = core.NewLearner(ds, dev, opts.Knobs)
+	s.learn = core.NewLearner(ds, dev, knobs)
 	return s, nil
 }
 
@@ -121,11 +95,11 @@ func (s *System) Close() {
 }
 
 // TrainEpoch runs one epoch of the synchronous SET loop with DataLoader
-// prefetch: SampleWorkers sample ahead while the main loop extracts
+// prefetch: sampleWorkers sample ahead while the main loop extracts
 // (sync, page-cached), transfers (sync), and trains each batch. As
 // PyTorch's DataLoader does, the workers hand batches over in plan order
 // (sample.Pool.RunInOrder): a worker that finishes early waits for its
-// turn, so at most SampleWorkers batches are sampled ahead of the
+// turn, so at most sampleWorkers batches are sampled ahead of the
 // hand-off and the epoch trains the plan's batch sequence. ctx rides every
 // page fault of the samplers and the gather, so a cancelled epoch fails
 // at its next fault or mini-batch.
@@ -135,10 +109,10 @@ func (s *System) TrainEpoch(ctx context.Context, epoch int) (core.EpochResult, e
 	// A failed batch cancels sampleCtx, which stops the samplers.
 	sampleCtx, stopSampling := context.WithCancel(ctx)
 	defer stopSampling()
-	batches := make(chan *sample.Batch, 2*s.opts.SampleWorkers)
+	batches := make(chan *sample.Batch, 2*sampleWorkers)
 	var sampErr error
 	go func() {
-		sampErr = s.samplers().RunInOrder(sampleCtx, epoch, s.opts.Plan(s.ds.TrainIdx, epoch).Batches, 0,
+		sampErr = s.samplers().RunInOrder(sampleCtx, epoch, s.knobs.Plan(s.ds.TrainIdx, epoch).Batches, 0,
 			func(b *sample.Batch, c sample.Cost) error {
 				col.AddSample(c.Took)
 				s.rec.AddIOWait(c.IOWait)
@@ -188,7 +162,7 @@ func (s *System) runBatch(ctx context.Context, b *sample.Batch, col *metrics.Bre
 		return err
 	}
 	// Python-side gather overhead.
-	if oh := time.Duration(float64(s.opts.PerNodeGatherCPU) * float64(len(b.Nodes)) * s.opts.TimeScale); oh > 0 {
+	if oh := time.Duration(float64(perNodeGatherCPU) * float64(len(b.Nodes)) * s.dev.TimeScale()); oh > 0 {
 		time.Sleep(oh)
 		s.rec.AddCPU(oh)
 	}
@@ -258,13 +232,13 @@ func (s *System) gather(ctx context.Context, b *sample.Batch, x *tensor.Matrix) 
 // returns the summed sampling time. Cancelling ctx aborts the samplers'
 // page faults and stops them between batches.
 func (s *System) SampleOnly(ctx context.Context, epoch int) (time.Duration, error) {
-	return s.samplers().SampleOnly(ctx, epoch, s.opts.Plan(s.ds.TrainIdx, epoch).Batches, s.rec.AddIOWait)
+	return s.samplers().SampleOnly(ctx, epoch, s.knobs.Plan(s.ds.TrainIdx, epoch).Batches, s.rec.AddIOWait)
 }
 
-// samplers is the DataLoader: SampleWorkers workers sampling through the
+// samplers is the DataLoader: sampleWorkers workers sampling through the
 // page cache that the feature gather also faults into.
 func (s *System) samplers() sample.Pool {
-	return sample.Pool{Workers: s.opts.SampleWorkers, Fanouts: s.opts.Fanouts, Seed: s.opts.Seed,
+	return sample.Pool{Workers: sampleWorkers, Fanouts: s.knobs.Fanouts, Seed: s.knobs.Seed,
 		Reader: func(ctx context.Context) graph.NeighborReader {
 			r := graph.NewCachedReader(s.ds, s.cache, s.idxFile)
 			r.SetContext(ctx)

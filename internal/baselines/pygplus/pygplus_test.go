@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"gnndrive/internal/core"
 	"gnndrive/internal/device"
 	"gnndrive/internal/gen"
 	"gnndrive/internal/graph"
@@ -25,7 +26,7 @@ type rig struct {
 
 func newRig(t *testing.T, budgetBytes int64) *rig {
 	t.Helper()
-	ds, err := gen.BuildStandalone(gen.Tiny(), sim.InstantConfig())
+	ds, err := gen.BuildWith(gen.Tiny(), sim.Factory(sim.InstantConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,12 +38,10 @@ func newRig(t *testing.T, budgetBytes int64) *rig {
 		cache: pagecache.New(ds.Dev, budget), rec: metrics.NewRecorder()}
 }
 
-func testOpts() Options {
-	o := DefaultOptions(nn.GraphSAGE)
+func testOpts() core.Knobs {
+	o := core.DefaultKnobs(nn.GraphSAGE)
 	o.BatchSize = 40
 	o.Fanouts = []int{4, 4}
-	o.PerNodeGatherCPU = 0
-	o.TimeScale = 1
 	return o
 }
 

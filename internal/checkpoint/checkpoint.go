@@ -171,16 +171,16 @@ func Commit(sink Sink, path string, data []byte) error {
 	return sink.SyncDir(filepath.Dir(path))
 }
 
-// Saver commits checkpoints into a directory, keeping the newest Keep.
+// Saver commits checkpoints into a directory, keeping the newest
+// defaultKeep.
 type Saver struct {
 	Dir string
-	// Keep bounds how many checkpoints stay on disk (0 = default 3).
-	// Keeping more than one is what makes fallback-on-corruption work.
-	Keep int
 	// Sink overrides the filesystem seam (nil = OSSink).
 	Sink Sink
 }
 
+// defaultKeep bounds how many checkpoints stay on disk. Keeping more than
+// one is what makes fallback-on-corruption work.
 const defaultKeep = 3
 
 func (s *Saver) sink() Sink {
@@ -190,13 +190,6 @@ func (s *Saver) sink() Sink {
 	return OSSink{}
 }
 
-func (s *Saver) keep() int {
-	if s.Keep <= 0 {
-		return defaultKeep
-	}
-	return s.Keep
-}
-
 // FileName returns the canonical checkpoint file name for a cursor.
 // Zero-padded so lexicographic order is chronological order.
 func FileName(epoch, step int) string {
@@ -204,7 +197,7 @@ func FileName(epoch, step int) string {
 }
 
 // Save serializes st and commits it crash-atomically, then prunes old
-// checkpoints beyond Keep. It returns the committed file path.
+// checkpoints beyond defaultKeep. It returns the committed file path.
 func (s *Saver) Save(st *RunState) (string, error) {
 	if s.Dir == "" {
 		return "", errors.New("checkpoint: Saver.Dir is empty")
@@ -221,11 +214,11 @@ func (s *Saver) Save(st *RunState) (string, error) {
 	return final, nil
 }
 
-// prune removes checkpoints beyond Keep, oldest first. Pruning failures
-// are ignored: stale files cost disk, not correctness.
+// prune removes checkpoints beyond defaultKeep, oldest first. Pruning
+// failures are ignored: stale files cost disk, not correctness.
 func (s *Saver) prune(sink Sink) {
 	names := listCheckpoints(s.Dir)
-	for _, n := range names[:max(len(names)-s.keep(), 0)] {
+	for _, n := range names[:max(len(names)-defaultKeep, 0)] {
 		_ = sink.Remove(filepath.Join(s.Dir, n))
 	}
 }

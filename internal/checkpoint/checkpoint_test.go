@@ -156,8 +156,8 @@ func TestSpliceRejected(t *testing.T) {
 
 func TestSaveLoadLatestAndKeep(t *testing.T) {
 	dir := t.TempDir()
-	s := &Saver{Dir: dir, Keep: 2}
-	for step := 1; step <= 4; step++ {
+	s := &Saver{Dir: dir}
+	for step := 1; step <= defaultKeep+2; step++ {
 		st := sampleState()
 		st.Epoch, st.Step = 0, step*10
 		if _, err := s.Save(st); err != nil {
@@ -165,15 +165,18 @@ func TestSaveLoadLatestAndKeep(t *testing.T) {
 		}
 	}
 	names := listCheckpoints(dir)
-	if len(names) != 2 {
-		t.Fatalf("keep-last-2 left %d files: %v", len(names), names)
+	if len(names) != defaultKeep {
+		t.Fatalf("keep-last-%d left %d files: %v", defaultKeep, len(names), names)
 	}
 	st, path, err := LoadLatest(dir)
 	if err != nil {
 		t.Fatalf("LoadLatest: %v", err)
 	}
-	if st.Step != 40 {
-		t.Fatalf("latest step %d, want 40 (from %s)", st.Step, path)
+	if want := (defaultKeep + 2) * 10; st.Step != want {
+		t.Fatalf("latest step %d, want %d (from %s)", st.Step, want, path)
+	}
+	if names[0] != FileName(0, 30) {
+		t.Fatalf("oldest kept %s, want %s", names[0], FileName(0, 30))
 	}
 	// No stray tmp files.
 	ents, _ := os.ReadDir(dir)
@@ -186,7 +189,7 @@ func TestSaveLoadLatestAndKeep(t *testing.T) {
 
 func TestLoadLatestFallsBackOverCorruptNewest(t *testing.T) {
 	dir := t.TempDir()
-	s := &Saver{Dir: dir, Keep: 3}
+	s := &Saver{Dir: dir}
 	for step := 1; step <= 3; step++ {
 		st := sampleState()
 		st.Epoch, st.Step = 0, step

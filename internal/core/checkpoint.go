@@ -133,8 +133,12 @@ func (e *Engine) ResumeRunState() (epoch, step int, err error) {
 	return st.Epoch, st.Step, nil
 }
 
-// TrainEpochFrom trains epoch starting at mini-batch startStep (the
-// cursor ResumeRunState returned). startStep 0 is a full epoch.
+// TrainEpochFrom trains epoch through the four-stage pipeline, starting
+// at mini-batch startStep (the cursor ResumeRunState returned; 0 is a full
+// epoch), and returns its timing breakdown. When ctx is cancelled (or a
+// permanent storage error escalates) the four stages tear down promptly,
+// leaving no goroutine, staging slot, or feature-buffer reference behind,
+// and the cause is returned.
 func (e *Engine) TrainEpochFrom(ctx context.Context, epoch, startStep int) (EpochResult, error) {
 	return e.trainEpochSegment(ctx, epoch, e.ds.TrainIdx, nil, startStep)
 }

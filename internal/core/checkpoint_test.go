@@ -24,7 +24,6 @@ func ckptTestOpts(dir string) Options {
 	o.InOrder = true
 	o.CheckpointDir = dir
 	o.CheckpointEverySteps = 3
-	o.checkpointKeep = 100
 	return o
 }
 
@@ -40,11 +39,11 @@ func TestDeterministicResumeAfterKill(t *testing.T) {
 	refOpts := ckptTestOpts("") // no checkpointing on the reference run
 	refOpts.CheckpointEverySteps = 0
 	refEng := newEngine(t, refRig, refOpts)
-	ref0, err := refEng.RunEpochCtx(context.Background(), 0)
+	ref0, err := refEng.TrainEpochFrom(context.Background(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref1, err := refEng.RunEpochCtx(context.Background(), 1)
+	ref1, err := refEng.TrainEpochFrom(context.Background(), 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +65,7 @@ func TestDeterministicResumeAfterKill(t *testing.T) {
 			kill()
 		}
 	}
-	vres, verr := vicEng.RunEpochCtx(ctx, 0)
+	vres, verr := vicEng.TrainEpochFrom(ctx, 0, 0)
 	if !errors.Is(verr, context.Canceled) {
 		t.Fatalf("victim epoch: err = %v, want context.Canceled", verr)
 	}
@@ -113,7 +112,7 @@ func TestDeterministicResumeAfterKill(t *testing.T) {
 	}
 	// The next full epoch must match too (Adam moments and step count
 	// came back bit-identical).
-	res1, err := resEng.RunEpochCtx(context.Background(), 1)
+	res1, err := resEng.TrainEpochFrom(context.Background(), 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +142,7 @@ func TestResumeFallsBackOverCorruptNewest(t *testing.T) {
 	dir := t.TempDir()
 	rig := newRig(t, device.InstantConfig(), 64<<20)
 	eng := newEngine(t, rig, ckptTestOpts(dir))
-	if _, err := eng.RunEpochCtx(context.Background(), 0); err != nil {
+	if _, err := eng.TrainEpochFrom(context.Background(), 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	eng.Close()
@@ -180,7 +179,7 @@ func TestResumeRejectsMismatchedOptions(t *testing.T) {
 	dir := t.TempDir()
 	rig := newRig(t, device.InstantConfig(), 64<<20)
 	eng := newEngine(t, rig, ckptTestOpts(dir))
-	if _, err := eng.RunEpochCtx(context.Background(), 0); err != nil {
+	if _, err := eng.TrainEpochFrom(context.Background(), 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	eng.Close()
@@ -203,7 +202,7 @@ func TestReorderedPipelineCheckpointsOnlyAtEpochBoundaries(t *testing.T) {
 	opts := ckptTestOpts(dir)
 	opts.InOrder = false // parallel stages, reordering possible
 	eng := newEngine(t, rig, opts)
-	if _, err := eng.RunEpochCtx(context.Background(), 0); err != nil {
+	if _, err := eng.TrainEpochFrom(context.Background(), 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	names := ckptNames(t, dir)
@@ -223,7 +222,7 @@ func TestCheckpointSaveFailureDoesNotFailEpoch(t *testing.T) {
 	opts := ckptTestOpts(dir)
 	opts.ckptSink = sink
 	eng := newEngine(t, rig, opts)
-	res, err := eng.RunEpochCtx(context.Background(), 0)
+	res, err := eng.TrainEpochFrom(context.Background(), 0, 0)
 	if err != nil {
 		t.Fatalf("epoch must survive a checkpoint save failure, got %v", err)
 	}
@@ -247,7 +246,7 @@ func TestBatchSeedMakesSamplingOrderIndependent(t *testing.T) {
 	opts := testOpts()
 	opts.InOrder = true
 	a := newEngine(t, rig, opts)
-	resA, err := a.RunEpochCtx(context.Background(), 0)
+	resA, err := a.TrainEpochFrom(context.Background(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +258,7 @@ func TestBatchSeedMakesSamplingOrderIndependent(t *testing.T) {
 	opts2.Samplers = 3
 	opts2.Extractors = 2
 	b := newEngine(t, rig2, opts2)
-	resB, err := b.RunEpochCtx(context.Background(), 0)
+	resB, err := b.TrainEpochFrom(context.Background(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,6 +28,14 @@ const deviceGPUKind = device.GPU
 // default 6).
 const extractQueueCap = 6
 
+// retryBudget is the per-read retry budget for transient storage errors
+// before the error escalates and aborts the epoch; retryBackoff is the
+// base delay of its backoff (exponential with jitter, capped).
+const (
+	retryBudget  = 3
+	retryBackoff = 100 * time.Microsecond
+)
+
 // Options configures a GNNDrive engine. Zero fields take defaults from
 // DefaultOptions.
 type Options struct {
@@ -100,19 +108,9 @@ type Options struct {
 	IOGate IOGate
 
 	// The unexported options have no setter outside this package: Parallel
-	// sets the two sharing ones for its workers, in-package tests set the
-	// rest, and everyone else gets DefaultOptions/fillDefaults.
+	// sets the two sharing ones for its workers and fault-injection tests
+	// set ckptSink.
 
-	// retryBudget is the per-read retry budget for transient storage
-	// errors before the error escalates and aborts the epoch (0 = the
-	// default 3; negative disables retries).
-	retryBudget int
-	// retryBackoff is the base delay of the retry backoff (exponential
-	// with jitter, capped; 0 = the default 100µs).
-	retryBackoff time.Duration
-	// checkpointKeep is how many committed checkpoints to retain
-	// (keep-last-K; 0 = the Saver's default 3).
-	checkpointKeep int
 	// sharedFB, when non-nil, is a feature buffer owned by a parent.
 	// CPU-based data parallelism shares one host-resident feature buffer
 	// among all workers (§4.4); the engine will not account or release it.
@@ -154,14 +152,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.MaxJointRead == 0 {
 		o.MaxJointRead = d.MaxJointRead
-	}
-	if o.retryBudget == 0 {
-		o.retryBudget = 3
-	} else if o.retryBudget < 0 {
-		o.retryBudget = 0
-	}
-	if o.retryBackoff == 0 {
-		o.retryBackoff = 100 * time.Microsecond
 	}
 	if o.InOrder {
 		// Reordering comes from stage parallelism; the ordered ablation
@@ -406,7 +396,7 @@ func (e *Engine) finishSetup(ds *graph.Dataset, dev *device.Device,
 	e.learn = NewLearner(ds, dev, opts.Knobs)
 	if opts.CheckpointDir != "" {
 		e.ckptSaver = &checkpoint.Saver{
-			Dir: opts.CheckpointDir, Keep: opts.checkpointKeep, Sink: opts.ckptSink,
+			Dir: opts.CheckpointDir, Sink: opts.ckptSink,
 		}
 	}
 	return e, nil
@@ -464,15 +454,6 @@ func (e *Engine) putBatch(b *sample.Batch) {
 	if b != nil {
 		e.batchPool.Put(b)
 	}
-}
-
-// RunEpochCtx runs one full pass over the training set through the
-// four-stage pipeline and returns its timing breakdown. When ctx is
-// cancelled (or a permanent storage error escalates) the four stages tear
-// down promptly, leaving no goroutine, staging slot, or feature-buffer
-// reference behind, and the cause is returned.
-func (e *Engine) RunEpochCtx(ctx context.Context, epoch int) (EpochResult, error) {
-	return e.trainEpochSegment(ctx, epoch, e.ds.TrainIdx, nil, 0)
 }
 
 // ckptRequest is one pending on-demand checkpoint demand; done closes

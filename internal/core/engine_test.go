@@ -58,7 +58,7 @@ func datasetOnSpec(t testing.TB, backend string, spec gen.Spec) (*graph.Dataset,
 			return file.Create(path, capacity, file.Options{})
 		})
 	}
-	return gen.BuildStandalone(spec, sim.InstantConfig())
+	return gen.BuildWith(spec, sim.Factory(sim.InstantConfig()))
 }
 
 // newRig builds a rig on the backend selected by GNNDRIVE_TEST_BACKEND
@@ -112,7 +112,7 @@ func newEngine(t *testing.T, rig *testRig, opts Options) *Engine {
 func TestTrainEpochModeledCompletesAllBatches(t *testing.T) {
 	rig := newRig(t, device.InstantConfig(), 64<<20)
 	e := newEngine(t, rig, testOpts())
-	res, err := e.RunEpochCtx(context.Background(), 0)
+	res, err := e.TrainEpochFrom(context.Background(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestExtractedFeaturesMatchDisk(t *testing.T) {
 	opts.RealTrain = true
 	opts.Hidden = 32
 	e := newEngine(t, rig, opts)
-	if _, err := e.RunEpochCtx(context.Background(), 0); err != nil {
+	if _, err := e.TrainEpochFrom(context.Background(), 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Spot-check: every currently valid node's buffered vector equals the
@@ -175,7 +175,7 @@ func TestRealTrainingConvergesOnTiny(t *testing.T) {
 	e := newEngine(t, rig, opts)
 	var firstLoss, lastLoss float64
 	for epoch := 0; epoch < 4; epoch++ {
-		res, err := e.RunEpochCtx(context.Background(), epoch)
+		res, err := e.TrainEpochFrom(context.Background(), epoch, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +222,7 @@ func TestSyncExtractionAblation(t *testing.T) {
 	opts := testOpts()
 	opts.SyncExtraction = true
 	e := newEngine(t, rig, opts)
-	res, err := e.RunEpochCtx(context.Background(), 0)
+	res, err := e.TrainEpochFrom(context.Background(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestBufferedIOReadsExactBytes(t *testing.T) {
 	opts := testOpts()
 	opts.BufferedIO = true
 	e := newEngine(t, rig, opts)
-	res, err := e.RunEpochCtx(context.Background(), 0)
+	res, err := e.TrainEpochFrom(context.Background(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestDirectIOHasAlignmentRedundancyForOddDim(t *testing.T) {
 	// joint extraction packs perfectly.
 	rig := newRig(t, device.InstantConfig(), 64<<20)
 	e := newEngine(t, rig, testOpts())
-	res, err := e.RunEpochCtx(context.Background(), 0)
+	res, err := e.TrainEpochFrom(context.Background(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestInOrderAblationForcesSingleWorkers(t *testing.T) {
 	if e.opts.Samplers != 1 || e.opts.Extractors != 1 {
 		t.Fatalf("in-order must run 1+1 workers, got %d+%d", e.opts.Samplers, e.opts.Extractors)
 	}
-	if _, err := e.RunEpochCtx(context.Background(), 0); err != nil {
+	if _, err := e.TrainEpochFrom(context.Background(), 0, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -305,7 +305,7 @@ func TestCPUDevicePinsFeatureBufferInHostBudget(t *testing.T) {
 	if rig.budget.Pinned() <= before+e.FeatureBuffer().Bytes()-1 {
 		t.Fatalf("feature buffer not pinned on host: pinned=%d fb=%d", rig.budget.Pinned(), e.FeatureBuffer().Bytes())
 	}
-	if _, err := e.RunEpochCtx(context.Background(), 0); err != nil {
+	if _, err := e.TrainEpochFrom(context.Background(), 0, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -355,8 +355,7 @@ func TestParallelTwoWorkers(t *testing.T) {
 	opts := testOpts()
 	opts.RealTrain = true
 	opts.Hidden = 32
-	pcfg := ParallelConfig{BusBps: 0, SyncBase: 0, TimeScale: 0}
-	p, err := NewParallel(rig.ds, []*device.Device{rig.dev, dev2}, rig.budget, rig.cache, rig.rec, opts, pcfg)
+	p, err := NewParallel(rig.ds, []*device.Device{rig.dev, dev2}, rig.budget, rig.cache, rig.rec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +385,7 @@ func TestParallelRejectsTooManyWorkers(t *testing.T) {
 	rig := newRig(t, device.InstantConfig(), 64<<20)
 	opts := testOpts()
 	opts.BatchSize = len(rig.ds.TrainIdx) // one batch total
-	p, err := NewParallel(rig.ds, []*device.Device{rig.dev, rig.dev}, rig.budget, rig.cache, rig.rec, opts, ParallelConfig{})
+	p, err := NewParallel(rig.ds, []*device.Device{rig.dev, rig.dev}, rig.budget, rig.cache, rig.rec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func newExtractor(eng *Engine) *extractor {
 		ring: uring.NewRing(eng.ds.Dev, eng.opts.RingDepth),
 		// Only the backoff schedule is the policy's: runPlan counts
 		// attempts per op against retryBudget itself.
-		policy: errutil.Policy{BaseDelay: eng.opts.retryBackoff, Seed: eng.opts.Seed},
+		policy: errutil.Policy{BaseDelay: retryBackoff, Seed: eng.opts.Seed},
 	}
 }
 
@@ -156,7 +156,6 @@ func (x *extractor) runPlan(ctx context.Context, b *sample.Batch, res *Reservati
 	opSlot, attempts, buffered := x.planScratch(len(plan))
 	x.resetXfers()
 	var firstErr error
-	budget := eng.opts.retryBudget
 	// Every in-flight read holds one IOGate permit from acquisition to
 	// its true completion; retries keep theirs (the read never stopped
 	// being in flight from the shared submit path's point of view).
@@ -207,7 +206,7 @@ func (x *extractor) runPlan(ctx context.Context, b *sample.Batch, res *Reservati
 		case cqe.Err == nil:
 			release(1)
 			x.transferOp(b, res, plan[op], slot)
-		case firstErr == nil && faults.Retryable(cqe.Err) && attempts[op] < budget:
+		case firstErr == nil && faults.Retryable(cqe.Err) && attempts[op] < retryBudget:
 			attempts[op]++
 			st.Retries++
 			// Cancellation cuts the backoff short; the loop's ctx check

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -49,7 +51,7 @@ func TestEpochCompletesUnderTransientFaults(t *testing.T) {
 	// Fault-free reference run for the expected batch count.
 	clean := newRig(t, device.InstantConfig(), 64<<20)
 	cleanEng := newEngine(t, clean, testOpts())
-	ref, err := cleanEng.RunEpochCtx(context.Background(), 0)
+	ref, err := cleanEng.TrainEpochFrom(context.Background(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +68,7 @@ func TestEpochCompletesUnderTransientFaults(t *testing.T) {
 		StragglerDelay: time.Microsecond,
 	}))
 	e := newEngine(t, rig, testOpts())
-	res, err := e.RunEpochCtx(context.Background(), 0)
+	res, err := e.TrainEpochFrom(context.Background(), 0, 0)
 	if err != nil {
 		t.Fatalf("epoch failed under transient faults: %v", err)
 	}
@@ -95,7 +97,7 @@ func TestSyncExtractionRetriesTransientFaults(t *testing.T) {
 	opts := testOpts()
 	opts.SyncExtraction = true
 	e := newEngine(t, rig, opts)
-	res, err := e.RunEpochCtx(context.Background(), 0)
+	res, err := e.TrainEpochFrom(context.Background(), 0, 0)
 	if err != nil {
 		t.Fatalf("sync epoch failed: %v", err)
 	}
@@ -127,7 +129,7 @@ func TestPermanentMediaErrorFailsEpochPromptly(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := e.RunEpochCtx(context.Background(), 0)
+		res, err := e.TrainEpochFrom(context.Background(), 0, 0)
 		done <- outcome{res, err}
 	}()
 	select {
@@ -142,19 +144,19 @@ func TestPermanentMediaErrorFailsEpochPromptly(t *testing.T) {
 			t.Fatal("no escalation recorded for the permanent error")
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("RunEpochCtx wedged on a permanent storage error")
+		t.Fatal("TrainEpochFrom wedged on a permanent storage error")
 	}
 	checkGoroutines(t, baseline)
 	checkNoLeaks(t, e)
 }
 
-func TestRunEpochCtxCancelledBeforeStart(t *testing.T) {
+func TestTrainEpochCancelledBeforeStart(t *testing.T) {
 	rig := newRig(t, device.InstantConfig(), 64<<20)
 	e := newEngine(t, rig, testOpts())
 	baseline := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := e.RunEpochCtx(ctx, 0)
+	_, err := e.TrainEpochFrom(ctx, 0, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err %v, want context.Canceled", err)
 	}
@@ -162,7 +164,7 @@ func TestRunEpochCtxCancelledBeforeStart(t *testing.T) {
 	checkNoLeaks(t, e)
 }
 
-func TestRunEpochCtxCancelledMidEpoch(t *testing.T) {
+func TestTrainEpochCancelledMidEpoch(t *testing.T) {
 	rig := newRig(t, device.InstantConfig(), 64<<20)
 	// Stragglers slow every read down so the cancel lands mid-pipeline.
 	rig.ds.Dev.SetInjector(faults.NewInjector(faults.Config{
@@ -176,7 +178,7 @@ func TestRunEpochCtxCancelledMidEpoch(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := e.RunEpochCtx(ctx, 0)
+		_, err := e.TrainEpochFrom(ctx, 0, 0)
 		done <- err
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -241,8 +243,8 @@ func TestCancelAbortsStuckTopologyFault(t *testing.T) {
 		return newEngine(t, rig, testOpts()), stuck
 	}
 	for name, run := range map[string]func(*Engine, context.Context) error{
-		"RunEpochCtx": func(e *Engine, ctx context.Context) error { _, err := e.RunEpochCtx(ctx, 0); return err },
-		"SampleOnly":  func(e *Engine, ctx context.Context) error { _, err := e.SampleOnly(ctx, 0); return err },
+		"TrainEpochFrom": func(e *Engine, ctx context.Context) error { _, err := e.TrainEpochFrom(ctx, 0, 0); return err },
+		"SampleOnly":     func(e *Engine, ctx context.Context) error { _, err := e.SampleOnly(ctx, 0); return err },
 	} {
 		t.Run(name, func(t *testing.T) {
 			e, stuck := newStuck(t)
@@ -305,13 +307,10 @@ func TestExtractBatchFailureRollsBackReservations(t *testing.T) {
 
 func TestExtractBatchRetriesTransient(t *testing.T) {
 	rig := newRig(t, device.InstantConfig(), 64<<20)
-	rig.ds.Dev.SetInjector(faults.NewInjector(faults.Config{Seed: 17, TransientRate: 0.5}))
-	opts := testOpts()
-	// A generous budget so this test never escalates: P(one op exhausting
-	// 21 attempts at rate 0.5) is negligible.
-	opts.retryBudget = 20
-	opts.retryBackoff = time.Microsecond
-	e, err := New(rig.ds, rig.dev, rig.budget, rig.cache, rig.rec, opts)
+	// A rate the budget of 3 retries outlasts: one op fails all 4 of its
+	// attempts with probability 0.2⁴, and the schedule is seeded.
+	rig.ds.Dev.SetInjector(faults.NewInjector(faults.Config{Seed: 17, TransientRate: 0.2}))
+	e, err := New(rig.ds, rig.dev, rig.budget, rig.cache, rig.rec, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +327,7 @@ func TestExtractBatchRetriesTransient(t *testing.T) {
 		t.Fatalf("extraction failed despite retries: %v", err)
 	}
 	if st.Retries == 0 {
-		t.Fatal("0.4 transient rate produced no retries over 16 nodes")
+		t.Fatal("0.2 transient rate produced no retries over 16 nodes")
 	}
 	for _, v := range nodes {
 		if !e.fb.Valid(v) {
@@ -343,10 +342,7 @@ func TestRetryBudgetExhaustionEscalates(t *testing.T) {
 	rig := newRig(t, device.InstantConfig(), 64<<20)
 	// Rate 1: every attempt fails transiently, so the budget runs out.
 	rig.ds.Dev.SetInjector(faults.NewInjector(faults.Config{Seed: 23, TransientRate: 1}))
-	opts := testOpts()
-	opts.retryBudget = 2
-	opts.retryBackoff = time.Microsecond
-	e, err := New(rig.ds, rig.dev, rig.budget, rig.cache, rig.rec, opts)
+	e, err := New(rig.ds, rig.dev, rig.budget, rig.cache, rig.rec, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,6 +358,9 @@ func TestRetryBudgetExhaustionEscalates(t *testing.T) {
 	if st.Retries == 0 || st.Escalations == 0 {
 		t.Fatalf("retries=%d escalations=%d", st.Retries, st.Escalations)
 	}
+	if !strings.Contains(err.Error(), fmt.Sprintf("after %d attempts", retryBudget+1)) {
+		t.Fatalf("error %q does not report the budget's %d attempts", err, retryBudget+1)
+	}
 	checkNoLeaks(t, e)
 }
 
@@ -371,13 +370,16 @@ func TestParallelEpochFailurePropagates(t *testing.T) {
 	rig.ds.Dev.SetInjector(faults.NewInjector(faults.Config{
 		MediaRanges: []faults.Range{{Off: rig.ds.Layout.FeaturesOff, Len: featLen}},
 	}))
-	devs := []*device.Device{device.New(device.InstantConfig()), device.New(device.InstantConfig())}
+	// The 0.05 time scale of the paper's GPUs keeps each all-reduce short.
+	dcfg := device.InstantConfig()
+	dcfg.TimeScale = 0.05
+	devs := []*device.Device{device.New(dcfg), device.New(dcfg)}
 	for _, d := range devs {
 		t.Cleanup(func() { d.Close() })
 	}
 	opts := testOpts()
 	opts.BatchSize = 20
-	p, err := NewParallel(rig.ds, devs, rig.budget, rig.cache, rig.rec, opts, DefaultParallelConfig())
+	p, err := NewParallel(rig.ds, devs, rig.budget, rig.cache, rig.rec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

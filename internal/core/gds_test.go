@@ -20,7 +20,7 @@ func TestGPUDirectExtractionCorrectAndStagingFree(t *testing.T) {
 	if got := rig.budget.Pinned() - pinnedBefore; got != metaPins {
 		t.Fatalf("host pins %d, want only metadata %d (no staging)", got, metaPins)
 	}
-	res, err := e.RunEpochCtx(context.Background(), 0)
+	res, err := e.TrainEpochFrom(context.Background(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

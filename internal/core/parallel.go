@@ -30,47 +30,34 @@ type Parallel struct {
 
 	barrier   *stepBarrier
 	gradBytes int64
-	busBps    float64
-	syncBase  time.Duration
 	timeScale float64
 	realTrain bool
 }
 
-// ParallelConfig tunes the synchronization model.
-type ParallelConfig struct {
-	// BusBps is the inter-device (PCIe/NVLink) all-reduce bandwidth.
-	BusBps float64
-	// SyncBase is the per-step fixed synchronization/IPC latency per
-	// worker pair, before scaling.
-	SyncBase time.Duration
-	// TimeScale multiplies modeled sync durations.
-	TimeScale float64
-}
-
-// DefaultParallelConfig models PCIe-attached GPUs on the paper's
+// The synchronization model: PCIe-attached GPUs on the paper's
 // scalability machine.
-func DefaultParallelConfig() ParallelConfig {
-	return ParallelConfig{BusBps: 5e9, SyncBase: 3 * time.Millisecond, TimeScale: 0.05}
-}
+const (
+	// allReduceBps is the inter-device all-reduce bandwidth.
+	allReduceBps = 5e9
+	// syncBase is the per-step fixed synchronization/IPC latency per
+	// worker pair, before the devices' time scale.
+	syncBase = 3 * time.Millisecond
+)
 
 // NewParallel creates one engine per device. All engines share the host
 // budget, the page cache, and one staging pool; each allocates its
-// feature buffer on its own device.
+// feature buffer on its own device. The modeled all-reduce runs on the
+// first device's time scale.
 func NewParallel(ds *graph.Dataset, devices []*device.Device, budget *hostmem.Budget,
-	cache *pagecache.Cache, rec *metrics.Recorder, opts Options, pcfg ParallelConfig) (*Parallel, error) {
+	cache *pagecache.Cache, rec *metrics.Recorder, opts Options) (*Parallel, error) {
 	if len(devices) == 0 {
 		return nil, fmt.Errorf("core: no devices")
 	}
 	opts.fillDefaults()
 	p := &Parallel{
 		budget:    budget,
-		busBps:    pcfg.BusBps,
-		syncBase:  pcfg.SyncBase,
-		timeScale: pcfg.TimeScale,
+		timeScale: devices[0].TimeScale(),
 		realTrain: opts.RealTrain,
-	}
-	if p.timeScale == 0 {
-		p.timeScale = 1
 	}
 
 	// Topology metadata pinned once for all workers.
@@ -152,11 +139,8 @@ func (p *Parallel) allReduceTime() time.Duration {
 	if w <= 1 {
 		return 0
 	}
-	var t float64
-	if p.busBps > 0 {
-		t = 2 * float64(p.gradBytes) * float64(w-1) / float64(w) / p.busBps * float64(time.Second)
-	}
-	t += float64(p.syncBase) * float64(w-1)
+	t := 2 * float64(p.gradBytes) * float64(w-1) / float64(w) / allReduceBps * float64(time.Second)
+	t += float64(syncBase) * float64(w-1)
 	return time.Duration(t * p.timeScale)
 }
 

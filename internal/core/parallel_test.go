@@ -61,14 +61,16 @@ func TestAllReduceTimeModel(t *testing.T) {
 	p := &Parallel{
 		engines:   make([]*Engine, 4),
 		gradBytes: 1 << 20,
-		busBps:    1e9,
-		syncBase:  time.Millisecond,
 		timeScale: 1,
 	}
-	got := p.allReduceTime()
-	// 2 * 1MiB * 3/4 / 1e9 s + 3ms ~= 1.57ms + 3ms.
-	if got < 4*time.Millisecond || got > 6*time.Millisecond {
-		t.Fatalf("allreduce %v", got)
+	// A ring all-reduce moves 2 × 1 MiB × 3/4 at 5 GB/s (314.57 µs), and
+	// each of the 3 worker pairs adds 3 ms.
+	if got, want := p.allReduceTime(), 9314572*time.Nanosecond; got != want {
+		t.Fatalf("allreduce %v, want %v", got, want)
+	}
+	p.timeScale = 0.05
+	if got, want := p.allReduceTime(), 465728*time.Nanosecond; got != want {
+		t.Fatalf("allreduce at time scale 0.05: %v, want %v", got, want)
 	}
 	p.engines = p.engines[:1]
 	if p.allReduceTime() != 0 {
@@ -82,7 +84,7 @@ func TestParallelSharedStagingAndPins(t *testing.T) {
 	t.Cleanup(func() { dev2.Close() })
 	opts := testOpts()
 	p, err := NewParallel(rig.ds, []*device.Device{rig.dev, dev2}, rig.budget,
-		rig.cache, rig.rec, opts, ParallelConfig{})
+		rig.cache, rig.rec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +110,7 @@ func TestParallelModeledEpochBalanced(t *testing.T) {
 	dev2 := device.New(device.InstantConfig())
 	t.Cleanup(func() { dev2.Close() })
 	p, err := NewParallel(rig.ds, []*device.Device{rig.dev, dev2}, rig.budget,
-		rig.cache, rig.rec, testOpts(), ParallelConfig{})
+		rig.cache, rig.rec, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +130,7 @@ func TestParallelModeledEpochBalanced(t *testing.T) {
 func TestParallelSingleWorkerNoSync(t *testing.T) {
 	rig := newRig(t, device.InstantConfig(), 64<<20)
 	p, err := NewParallel(rig.ds, []*device.Device{rig.dev}, rig.budget,
-		rig.cache, rig.rec, testOpts(), ParallelConfig{})
+		rig.cache, rig.rec, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +148,7 @@ func TestParallelOOMPropagates(t *testing.T) {
 	rig := newRig(t, device.InstantConfig(), 64<<20)
 	small := hostmem.NewBudget(128 << 10)
 	cache := pagecache.New(rig.ds.Dev, small)
-	_, err := NewParallel(rig.ds, []*device.Device{rig.dev}, small, cache, rig.rec, testOpts(), ParallelConfig{})
+	_, err := NewParallel(rig.ds, []*device.Device{rig.dev}, small, cache, rig.rec, testOpts())
 	if err == nil {
 		t.Fatal("expected OOM")
 	}
@@ -163,7 +165,7 @@ func TestCPUParallelSharesFeatureBuffer(t *testing.T) {
 	dev2 := device.New(cpuCfg)
 	t.Cleanup(func() { dev2.Close() })
 	p, err := NewParallel(rig.ds, []*device.Device{rig.dev, dev2}, rig.budget,
-		rig.cache, rig.rec, testOpts(), ParallelConfig{})
+		rig.cache, rig.rec, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +190,7 @@ func TestGPUParallelSeparateFeatureBuffers(t *testing.T) {
 	dev2 := device.New(device.InstantConfig())
 	t.Cleanup(func() { dev2.Close() })
 	p, err := NewParallel(rig.ds, []*device.Device{rig.dev, dev2}, rig.budget,
-		rig.cache, rig.rec, testOpts(), ParallelConfig{})
+		rig.cache, rig.rec, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

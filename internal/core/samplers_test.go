@@ -32,7 +32,7 @@ func TestEngineBatchesMatchPool(t *testing.T) {
 		engine[b.ID] = c
 		mu.Unlock()
 	}
-	if _, err := e.RunEpochCtx(context.Background(), epoch); err != nil {
+	if _, err := e.TrainEpochFrom(context.Background(), epoch, 0); err != nil {
 		t.Fatal(err)
 	}
 

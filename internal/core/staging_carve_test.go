@@ -288,7 +288,7 @@ func TestIOGatePermitsBalance(t *testing.T) {
 			g := &gateRecorder{}
 			opts.IOGate = g
 			e := newEngine(t, rig, opts)
-			if _, err := e.RunEpochCtx(context.Background(), 0); err != nil {
+			if _, err := e.TrainEpochFrom(context.Background(), 0, 0); err != nil {
 				t.Fatal(err)
 			}
 			g.mu.Lock()
@@ -312,7 +312,7 @@ func TestIOGateBoundedThrottles(t *testing.T) {
 	g := newBoundedGate(2)
 	opts.IOGate = g
 	e := newEngine(t, rig, opts)
-	if _, err := e.RunEpochCtx(context.Background(), 0); err != nil {
+	if _, err := e.TrainEpochFrom(context.Background(), 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	g.mu.Lock()

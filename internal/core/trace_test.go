@@ -13,7 +13,7 @@ func TestTracerRecordsAllStages(t *testing.T) {
 	opts := testOpts()
 	opts.Tracer = trace.New()
 	e := newEngine(t, rig, opts)
-	res, err := e.RunEpochCtx(context.Background(), 0)
+	res, err := e.TrainEpochFrom(context.Background(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestInOrderPipelineTrainsInOrder(t *testing.T) {
 	opts.InOrder = true
 	opts.Tracer = trace.New()
 	e := newEngine(t, rig, opts)
-	if _, err := e.RunEpochCtx(context.Background(), 0); err != nil {
+	if _, err := e.TrainEpochFrom(context.Background(), 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if a := opts.Tracer.Analyze(); a.OutOfOrder != 0 {

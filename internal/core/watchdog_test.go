@@ -33,7 +33,7 @@ func TestWatchdogDetectsExtractStall(t *testing.T) {
 	}
 
 	start := time.Now()
-	res, err := e.RunEpochCtx(context.Background(), 0)
+	res, err := e.TrainEpochFrom(context.Background(), 0, 0)
 	detect := time.Since(start)
 	if !errors.Is(err, ErrPipelineStalled) {
 		t.Fatalf("err = %v, want ErrPipelineStalled", err)
@@ -75,7 +75,7 @@ func TestWatchdogQuietOnHealthyEpoch(t *testing.T) {
 	opts := testOpts()
 	opts.StallDeadline = 30 * time.Second
 	e := newEngine(t, rig, opts)
-	res, err := e.RunEpochCtx(context.Background(), 0)
+	res, err := e.TrainEpochFrom(context.Background(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestWatchdogSlowButMovingPipeline(t *testing.T) {
 			}
 		}
 	}
-	res, err := e.RunEpochCtx(context.Background(), 0)
+	res, err := e.TrainEpochFrom(context.Background(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

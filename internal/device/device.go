@@ -128,6 +128,10 @@ func (d *Device) Kind() Kind { return d.cfg.Kind }
 // MemBytes returns the device-memory capacity.
 func (d *Device) MemBytes() int64 { return d.cfg.MemBytes }
 
+// TimeScale returns the stretch applied to every modeled duration (1 when
+// the config left it zero).
+func (d *Device) TimeScale() float64 { return d.cfg.TimeScale }
+
 // Alloc reserves n bytes of device memory; ErrDeviceOOM if it won't fit.
 // CPU devices have no device memory and always succeed (the caller pins
 // host memory instead).

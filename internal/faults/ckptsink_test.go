@@ -116,7 +116,7 @@ func TestCkptTruncateTailFallsBack(t *testing.T) {
 func TestCkptArmAfterSkipsOperations(t *testing.T) {
 	dir := t.TempDir()
 	sink := NewCkptSink()
-	sv := &checkpoint.Saver{Dir: dir, Keep: 10, Sink: sink}
+	sv := &checkpoint.Saver{Dir: dir, Sink: sink}
 	// Fire on the second checkpoint write, not the first.
 	sink.Arm(CkptTornWrite, 1)
 	if _, err := sv.Save(ckptState(0, 10)); err != nil {

@@ -24,8 +24,6 @@ import (
 
 	"gnndrive/internal/graph"
 	"gnndrive/internal/storage"
-	"gnndrive/internal/storage/integrity"
-	"gnndrive/internal/storage/sim"
 	"gnndrive/internal/tensor"
 )
 
@@ -153,30 +151,6 @@ func Build(s Spec, dev storage.Backend, base int64) (*graph.Dataset, error) {
 	}
 	splitNodes(ds, s, rng)
 	return ds, nil
-}
-
-// BuildStandalone creates a right-sized simulated device and builds the
-// dataset on it. The caller owns (and should Close) the returned backend
-// via the dataset's Dev field.
-func BuildStandalone(s Spec, cfg sim.Config) (*graph.Dataset, error) {
-	return BuildWith(s, func(capacity int64) (storage.Backend, error) {
-		return sim.New(capacity, cfg), nil
-	})
-}
-
-// BuildVerified is BuildStandalone through the integrity layer: the
-// dataset lands on a simulated device whose every block is checksummed as
-// it is written, and the returned wrapper can persist the table with
-// SaveSidecar so later loaders of the same image geometry start verified
-// from the first read.
-func BuildVerified(s Spec, cfg sim.Config, opts integrity.Options) (*graph.Dataset, *integrity.Backend, error) {
-	ds, err := BuildWith(s, integrity.WrapFactory(func(capacity int64) (storage.Backend, error) {
-		return sim.New(capacity, cfg), nil
-	}, opts))
-	if err != nil {
-		return nil, nil, err
-	}
-	return ds, ds.Dev.(*integrity.Backend), nil
 }
 
 // BuildWith creates a right-sized backend through the factory — the

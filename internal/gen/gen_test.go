@@ -14,7 +14,7 @@ import (
 
 func buildTiny(t *testing.T) *graph.Dataset {
 	t.Helper()
-	ds, err := BuildStandalone(Tiny(), sim.InstantConfig())
+	ds, err := BuildWith(Tiny(), sim.Factory(sim.InstantConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,12 +196,13 @@ func TestBuildRejectsBadSpec(t *testing.T) {
 }
 
 func TestBuildVerifiedEmitsAdoptableSidecar(t *testing.T) {
-	ds, ib, err := BuildVerified(Tiny(), sim.InstantConfig(), integrity.Options{})
+	ds, err := BuildWith(Tiny(), integrity.WrapFactory(sim.Factory(sim.InstantConfig()), integrity.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ds.Dev.Close()
-	if ds.Dev != storage.Backend(ib) {
+	ib, ok := ds.Dev.(*integrity.Backend)
+	if !ok {
 		t.Fatal("dataset device is not the integrity wrapper")
 	}
 	dir := t.TempDir()

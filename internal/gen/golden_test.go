@@ -83,7 +83,7 @@ func TestGoldenImage(t *testing.T) {
 	for _, spec := range []Spec{Tiny(), Papers()} {
 		want := golden[spec.Name]
 		t.Run(spec.Name+"/sim", func(t *testing.T) {
-			ds, err := BuildStandalone(spec, sim.InstantConfig())
+			ds, err := BuildWith(spec, sim.Factory(sim.InstantConfig()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,10 +95,11 @@ func TestGoldenImage(t *testing.T) {
 			}
 		})
 		t.Run(spec.Name+"/verified", func(t *testing.T) {
-			ds, ib, err := BuildVerified(spec, sim.InstantConfig(), integrity.Options{})
+			ds, err := BuildWith(spec, integrity.WrapFactory(sim.Factory(sim.InstantConfig()), integrity.Options{}))
 			if err != nil {
 				t.Fatal(err)
 			}
+			ib := ds.Dev.(*integrity.Backend)
 			defer ds.Dev.Close()
 			got := hashesOf(t, ds)
 			side := filepath.Join(t.TempDir(), "image.crc")

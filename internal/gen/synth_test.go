@@ -22,7 +22,7 @@ func TestOddDimMatchesSerialLoop(t *testing.T) {
 		t.Run(fmt.Sprintf("dim=%d", dim), func(t *testing.T) {
 			spec := Tiny()
 			spec.Dim = dim
-			ds, err := BuildStandalone(spec, sim.InstantConfig())
+			ds, err := BuildWith(spec, sim.Factory(sim.InstantConfig()))
 			if err != nil {
 				t.Fatal(err)
 			}

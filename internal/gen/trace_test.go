@@ -60,7 +60,7 @@ func TestSampleTraceMatchesSerialReplay(t *testing.T) {
 	papers := Papers()
 	papers.Dim = 100
 	for _, spec := range []Spec{Tiny(), papers} {
-		ds, _, err := BuildVerified(spec, sim.InstantConfig(), integrity.Options{})
+		ds, err := BuildWith(spec, integrity.WrapFactory(sim.Factory(sim.InstantConfig()), integrity.Options{}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,7 +45,7 @@ func engineFanouts(kind ModelKind) []int {
 // tinyDataset generates gen.Tiny() on an instant in-memory device.
 func tinyDataset(t *testing.T) *graph.Dataset {
 	t.Helper()
-	ds, err := gen.BuildStandalone(gen.Tiny(), sim.InstantConfig())
+	ds, err := gen.BuildWith(gen.Tiny(), sim.Factory(sim.InstantConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // BenchmarkSampleBatch measures 3-hop sampling of a 50-target batch on
 // the tiny graph through the untimed reader (pure sampler cost).
 func BenchmarkSampleBatch(b *testing.B) {
-	ds, err := gen.BuildStandalone(gen.Tiny(), sim.InstantConfig())
+	ds, err := gen.BuildWith(gen.Tiny(), sim.Factory(sim.InstantConfig()))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func BenchmarkSampleBatch(b *testing.B) {
 // BenchmarkSampleBatchInto is the same workload through the recycling
 // path the engine uses: one batch reused across all iterations.
 func BenchmarkSampleBatchInto(b *testing.B) {
-	ds, err := gen.BuildStandalone(gen.Tiny(), sim.InstantConfig())
+	ds, err := gen.BuildWith(gen.Tiny(), sim.Factory(sim.InstantConfig()))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func BenchmarkSampleBatchInto(b *testing.B) {
 // reader under a page cache a tenth of the topology, so the sampler's
 // windowed prefetch faults most of every window in as a batch.
 func BenchmarkSampleBatchIntoPrefetch(b *testing.B) {
-	ds, err := gen.BuildStandalone(gen.Tiny(), sim.InstantConfig())
+	ds, err := gen.BuildWith(gen.Tiny(), sim.Factory(sim.InstantConfig()))
 	if err != nil {
 		b.Fatal(err)
 	}

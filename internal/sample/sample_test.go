@@ -18,7 +18,7 @@ import (
 
 func tinyDataset(t *testing.T) *graph.Dataset {
 	t.Helper()
-	ds, err := gen.BuildStandalone(gen.Tiny(), sim.InstantConfig())
+	ds, err := gen.BuildWith(gen.Tiny(), sim.Factory(sim.InstantConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}

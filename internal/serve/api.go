@@ -15,7 +15,8 @@ import (
 // Handler returns the daemon's HTTP API:
 //
 //	POST   /jobs      submit a trainsim.JobSpec; 201 + record,
-//	                  400 bad spec, 429 + Retry-After when overloaded
+//	                  400 bad spec, 413 body over 1 MiB,
+//	                  429 + Retry-After when overloaded
 //	GET    /jobs      list all job records in submit order
 //	GET    /jobs/{id} one job record (404 unknown)
 //	DELETE /jobs/{id} cancel a job (204; idempotent on terminal jobs)
@@ -42,25 +43,38 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-// decodeSpec parses a POST /jobs body. Unknown fields are an error, so a
-// misspelled knob is rejected rather than silently defaulted.
+// maxSpecBytes bounds a POST /jobs body; a JobSpec takes a few hundred
+// bytes.
+const maxSpecBytes = 1 << 20
+
+// decodeSpec parses a POST /jobs body: one JSON object and nothing after
+// it. Unknown fields are an error, so a misspelled knob is rejected rather
+// than silently defaulted, and so is a second value, which would otherwise
+// be ignored.
 func decodeSpec(body io.Reader) (trainsim.JobSpec, error) {
 	var spec trainsim.JobSpec
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		return spec, fmt.Errorf("%w: invalid JSON: %v", ErrBadSpec, err)
+		return spec, fmt.Errorf("%w: invalid JSON: %w", ErrBadSpec, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return spec, fmt.Errorf("%w: data after the spec's JSON value", ErrBadSpec)
 	}
 	return spec, nil
 }
 
 func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var id string
-	spec, err := decodeSpec(r.Body)
+	spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	if err == nil {
 		id, err = d.Submit(spec)
 	}
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		writeJSON(w, http.StatusRequestEntityTooLarge, apiError{Error: err.Error()})
+		return
 	case errors.Is(err, ErrOverloaded):
 		// The caller can retry once running jobs release their slices;
 		// one second is the polling cadence, not a promise.

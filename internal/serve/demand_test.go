@@ -39,7 +39,7 @@ func TestDemandCoversEngineAllocation(t *testing.T) {
 			if dim != 0 {
 				built.Dim = dim
 			}
-			ds, err := gen.BuildStandalone(built, sim.InstantConfig())
+			ds, err := gen.BuildWith(built, sim.Factory(sim.InstantConfig()))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -111,7 +113,8 @@ var ErrBadSpec = errors.New("serve: bad job spec")
 var ErrUnknownJob = errors.New("serve: unknown job")
 
 // job is one tracked job's live state. The record is guarded by the
-// daemon mutex; ctx/cancel are immutable after creation.
+// daemon mutex; ctx/cancel are set once, before the job is published, and
+// only on a job that runs (a restored terminal job has none).
 type job struct {
 	rec    JobRecord
 	ctx    context.Context
@@ -192,11 +195,11 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	d.mu.Lock()
 	for _, rec := range m.Jobs {
 		j := &job{rec: *rec}
-		j.ctx, j.cancel = context.WithCancel(d.rootCtx)
 		d.jobs[j.rec.ID] = j
 		if rec.State.Terminal() {
-			continue
+			continue // never runs again, so it needs no context
 		}
+		j.ctx, j.cancel = context.WithCancel(d.rootCtx)
 		j.rec.State = StateQueued
 		j.rec.Error = ""
 		d.wg.Add(1)
@@ -227,7 +230,6 @@ func (d *Daemon) Submit(spec trainsim.JobSpec) (string, error) {
 	d.nextSeq++
 	id := fmt.Sprintf("job-%04d", seq)
 	j := &job{rec: JobRecord{ID: id, Seq: seq, Spec: spec, Demand: demand, State: StateQueued}}
-	j.ctx, j.cancel = context.WithCancel(d.rootCtx)
 
 	g, aerr := d.pool.tryAdmit(id, demand)
 	if aerr != nil {
@@ -250,6 +252,9 @@ func (d *Daemon) Submit(spec trainsim.JobSpec) (string, error) {
 			return "", fmt.Errorf("%w: %d jobs already queued", ErrOverloaded, waiting)
 		}
 	}
+	// Only an accepted job gets a context: a rejected one would stay a
+	// child of rootCtx until Close.
+	j.ctx, j.cancel = context.WithCancel(d.rootCtx)
 	d.jobs[id] = j
 	d.wg.Add(1)
 	d.mu.Unlock()
@@ -328,6 +333,7 @@ func (d *Daemon) buildConfig(j *job, g *grant) (trainsim.Config, trainsim.System
 // MaxRequeues — without ever touching another job's slice.
 func (d *Daemon) runJob(j *job, g *grant) {
 	defer d.wg.Done()
+	defer j.cancel()
 	var cfg trainsim.Config // the latest run attempt's
 	defer func() {
 		if g != nil {
@@ -483,7 +489,7 @@ func (d *Daemon) Jobs() []JobRecord {
 	for _, j := range d.jobs {
 		out = append(out, j.rec)
 	}
-	sortRecords(out)
+	slices.SortFunc(out, func(a, b JobRecord) int { return cmp.Compare(a.Seq, b.Seq) })
 	return out
 }
 
@@ -613,13 +619,5 @@ func (d *Daemon) persist() {
 func (d *Daemon) logf(format string, args ...any) {
 	if d.cfg.Logf != nil {
 		d.cfg.Logf(format, args...)
-	}
-}
-
-func sortRecords(recs []JobRecord) {
-	for i := 1; i < len(recs); i++ {
-		for k := i; k > 0 && recs[k].Seq < recs[k-1].Seq; k-- {
-			recs[k], recs[k-1] = recs[k-1], recs[k]
-		}
 	}
 }

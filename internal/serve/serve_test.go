@@ -713,3 +713,70 @@ func TestEnvelopeReturnsToZeroAtQuiescence(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestRejectedSubmitsHoldNoMemory: a rejected Submit leaves nothing
+// behind. A job context created before admission stayed a child of the
+// daemon's root context until Close, about 120 B per rejection.
+func TestRejectedSubmitsHoldNoMemory(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	d, err := NewDaemon(testDaemonConfig(t, ctx)) // MaxQueued -1: no queue
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	spec := testSpec(1, 1)
+	spec.Dataset, spec.TrainLimit = "papers100m-s", 0 // over the envelope
+	if _, err := d.Submit(spec); !errors.Is(err, ErrNeverFits) {
+		t.Fatalf("over-envelope submit: %v, want ErrNeverFits", err)
+	}
+	heapInuse := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapInuse)
+	}
+	before := heapInuse()
+	for range 50_000 {
+		if _, err := d.Submit(spec); !errors.Is(err, ErrNeverFits) {
+			t.Fatalf("over-envelope submit: %v, want ErrNeverFits", err)
+		}
+	}
+	if grew := heapInuse() - before; grew >= 1<<20 {
+		t.Fatalf("50000 rejected submits grew the heap by %d bytes", grew)
+	}
+	if n := len(d.Jobs()); n != 0 {
+		t.Fatalf("%d records after rejected submits only", n)
+	}
+}
+
+// TestSubmitBodyBounds: POST /jobs reads one JSON value of at most 1 MiB.
+// A larger body is refused before it is read in full, and a body with
+// anything after the spec is a bad spec, not a spec with its tail
+// ignored.
+func TestSubmitBodyBounds(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	d, err := NewDaemon(testDaemonConfig(t, ctx))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for _, tc := range []struct {
+		name, body string
+		code       int
+	}{
+		{"2 MiB body", `{"dataset":"` + strings.Repeat("a", 2<<20) + `"}`, http.StatusRequestEntityTooLarge},
+		{"trailing value", `{"dataset":"tiny","system":"gnndrive-gpu"}{"x":1}`, http.StatusBadRequest},
+		{"trailing garbage", `{"dataset":"tiny","system":"gnndrive-gpu"} x`, http.StatusBadRequest},
+	} {
+		w := httptest.NewRecorder()
+		d.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/jobs", strings.NewReader(tc.body)))
+		if w.Code != tc.code {
+			t.Errorf("%s: %d %.200s, want %d", tc.name, w.Code, w.Body, tc.code)
+		}
+	}
+	if n := len(d.Jobs()); n != 0 {
+		t.Fatalf("%d jobs admitted from refused bodies", n)
+	}
+}

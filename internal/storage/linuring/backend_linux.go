@@ -86,15 +86,11 @@ func Create(path string, capacity int64, opts Options) (storage.Backend, error) 
 	if !Supported() {
 		return nil, fmt.Errorf("linuring: create %s: %w", path, ErrUnsupported)
 	}
-	entries := opts.Entries
-	if entries <= 0 {
-		entries = 128
-	}
 	d, err := file.CreateDescriptors(path, capacity, opts.DisableDirect)
 	if err != nil {
 		return nil, err
 	}
-	u, err := setupRing(entries)
+	u, err := setupRing(ringEntries)
 	if err != nil {
 		d.Close()
 		return nil, fmt.Errorf("%w: %v", ErrUnsupported, err)

@@ -38,12 +38,13 @@ const EnvDisable = "GNNDRIVE_LINURING_DISABLE"
 // set. FallbackFactory treats it as "use storage/file".
 var ErrUnsupported = errors.New("linuring: io_uring unavailable")
 
+// ringEntries is the submission-ring depth — the bound on in-flight
+// reads, like the file backend's worker count times queue slack (the
+// kernel rounds up to a power of two).
+const ringEntries = 128
+
 // Options tune a linuring backend.
 type Options struct {
-	// Entries is the submission-ring depth — the bound on in-flight
-	// reads, like the file backend's worker count times queue slack
-	// (default 128; the kernel rounds up to a power of two).
-	Entries int
 	// DisableDirect skips the O_DIRECT descriptor even where the kernel
 	// would grant it (every read buffered; DirectDegraded still counts
 	// direct-path requests).

@@ -157,13 +157,13 @@ func TestBatchOneEnter(t *testing.T) {
 func TestBatchWiderThanRing(t *testing.T) {
 	requireSupported(t)
 	b, err := linuring.Create(filepath.Join(t.TempDir(), "data.img"),
-		storagetest.Capacity, linuring.Options{Entries: 4})
+		storagetest.Capacity, linuring.Options{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
 	defer b.Close()
 	sec := b.SectorSize()
-	const n = 64
+	const n = 300 // more than two rings' worth of 128 entries
 	var wg sync.WaitGroup
 	reqs := make([]*storage.Request, n)
 	for i := range reqs {

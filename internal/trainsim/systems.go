@@ -52,8 +52,7 @@ var systems = [...]systemRow{
 	GNNDriveGPU: {"GNNDrive-GPU", []string{"", "gnndrive", "gpu"}, device.RTX3090, newGNNDrive},
 	GNNDriveCPU: {"GNNDrive-CPU", []string{"cpu"}, device.XeonCPU, newGNNDrive},
 	PyGPlus: {"PyG+", []string{"pyg", "pygplus", "pyg-plus"}, device.RTX3090, func(e *env) (System, error) {
-		return system(pygplus.New(e.ds, e.dev, e.budget, e.cache, e.rec,
-			pygplus.Options{Knobs: e.knobs(), TimeScale: e.cfg.Scale}))
+		return system(pygplus.New(e.ds, e.dev, e.budget, e.cache, e.rec, e.knobs()))
 	}},
 	Ginex: {"Ginex", nil, device.RTX3090, func(e *env) (System, error) {
 		// Ginex persists its sampling results in the scratch region past
@@ -62,7 +61,7 @@ var systems = [...]systemRow{
 			ScratchOff: e.ds.Layout.FeaturesOff + e.ds.Layout.FeaturesLen, ScratchLen: ScratchBytes / 2}))
 	}},
 	Marius: {"MariusGNN", []string{"marius"}, device.RTX3090, func(e *env) (System, error) {
-		return system(marius.New(e.ds, e.dev, e.budget, e.rec, marius.Options{Knobs: e.knobs()}))
+		return system(marius.New(e.ds, e.dev, e.budget, e.rec, e.knobs()))
 	}},
 }
 

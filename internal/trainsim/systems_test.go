@@ -10,6 +10,7 @@ import (
 	"gnndrive/internal/baselines/marius"
 	"gnndrive/internal/device"
 	"gnndrive/internal/faults"
+	"gnndrive/internal/hostmem"
 )
 
 // stepLosses trains kind for epochs epochs on cfg and returns every step's
@@ -56,10 +57,14 @@ func TestSystemsTrainIdenticalSteps(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.close()
-	opts := marius.DefaultOptions(cfg.Model)
-	opts.Knobs = e.knobs()
-	opts.BufferPartitions = 12 // of MariusGNN's 24
-	m, err := marius.New(e.ds, e.dev, e.budget, e.rec, opts)
+	// A host budget that leaves 12 of MariusGNN's 24 partitions resident
+	// beside its metadata pins and preparation staging.
+	const resident = 12
+	ds := e.ds
+	partBytes := (ds.NumNodes+23)/24*ds.FeatBytes() + ds.NumEdges*4/24
+	budget := ds.IndptrBytes() + int64(len(ds.Labels))*4 +
+		int64(marius.PrepStagingFraction*float64(ds.Layout.FeaturesLen)) + resident*partBytes
+	m, err := marius.New(ds, e.dev, hostmem.NewBudget(budget), e.rec, e.knobs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +79,7 @@ func TestSystemsTrainIdenticalSteps(t *testing.T) {
 	}
 	if len(partial) == 0 || slices.Equal(partial, want) {
 		t.Fatalf("MariusGNN with %d of 24 partitions resident trained %d steps identical to the full graph's",
-			opts.BufferPartitions, len(partial))
+			resident, len(partial))
 	}
 }
 

@@ -800,9 +800,7 @@ func RunParallel(ctx context.Context, cfg Config, workers int, devCfg device.Con
 		return 0, err
 	}
 	defer e.close()
-	pcfg := core.DefaultParallelConfig()
-	pcfg.TimeScale = e.cfg.Scale
-	p, err := core.NewParallel(e.ds, e.devs, e.budget, e.cache, e.rec, e.cfg.EngineOptions(), pcfg)
+	p, err := core.NewParallel(e.ds, e.devs, e.budget, e.cache, e.rec, e.cfg.EngineOptions())
 	if err != nil {
 		return 0, err
 	}

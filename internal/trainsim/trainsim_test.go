@@ -545,7 +545,7 @@ func TestRunRejectsBadConfig(t *testing.T) {
 // run expects.
 func TestDatagenPacksLikeThePackedLayout(t *testing.T) {
 	defer DropDatasets()
-	ds, _, err := gen.BuildVerified(gen.Tiny(), sim.InstantConfig(), integrity.Options{})
+	ds, err := gen.BuildWith(gen.Tiny(), integrity.WrapFactory(sim.Factory(sim.InstantConfig()), integrity.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -587,7 +587,7 @@ func TestPackedIndexBytesPinned(t *testing.T) {
 		{papers, 0x1701a57118e1100e},
 	} {
 		t.Run(tc.spec.Name, func(t *testing.T) {
-			ds, err := gen.BuildStandalone(tc.spec, sim.InstantConfig())
+			ds, err := gen.BuildWith(tc.spec, sim.Factory(sim.InstantConfig()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -666,10 +666,11 @@ func TestPackedLayoutBitIdenticalFewerReads(t *testing.T) {
 // the container's index array starts.
 func saveTiny(t *testing.T) (string, *graph.Dataset, int64) {
 	t.Helper()
-	ds, ib, err := gen.BuildVerified(gen.Tiny(), sim.InstantConfig(), integrity.Options{})
+	ds, err := gen.BuildWith(gen.Tiny(), integrity.WrapFactory(sim.Factory(sim.InstantConfig()), integrity.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	ib := ds.Dev.(*integrity.Backend)
 	t.Cleanup(func() { ds.Dev.Close() })
 	path := filepath.Join(t.TempDir(), "tiny.gnnd")
 	if err := graph.Save(ds, path); err != nil {
