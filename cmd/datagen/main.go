@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"time"
 
@@ -25,17 +24,38 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	err := run(os.Args[1:], os.Stdout)
-	if errors.Is(err, flag.ErrHelp) {
-		return
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// options is the parsed command line.
+// run is the command: it parses args, builds the dataset, packs it when
+// asked, and prints its statistics and what it wrote to stdout. Errors go
+// to stderr. It returns the exit status: 0 on success and on -h, 2 for a
+// malformed command line, 1 for any other error, including an unknown
+// name. It takes no ctx: a build does not stop early, and Ctrl-C must
+// still kill it.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("datagen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var f cliFlags
+	f.register(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	o, err := f.lower()
+	if err == nil {
+		err = build(o, stdout)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	return 0
+}
+
+// options is the resolved command line.
 type options struct {
 	spec       gen.Spec
 	out        string
@@ -46,53 +66,57 @@ type options struct {
 	traceSeed  uint64
 }
 
-// parseArgs parses the command line. An unknown dataset, -layout or
-// -trace-model is an error here, before anything is built.
-func parseArgs(args []string) (options, error) {
-	fs := flag.NewFlagSet("datagen", flag.ContinueOnError)
-	name := fs.String("dataset", "papers100m-s", "dataset: papers100m-s, twitter-s, friendster-s, mag240m-s, tiny")
-	dim := fs.Int("dim", 0, "override feature dimension")
-	seed := fs.Uint64("seed", 0, "override generator seed")
-	layoutName := fs.String("layout", "strided", "feature layout: strided (dense node-ID order) or packed (offline batch-aware packing; -out also writes a .pidx offset index)")
-	traceModel := fs.String("trace-model", "sage", "model whose default batch/fanouts drive the packing trace")
-	var o options
-	fs.StringVar(&o.out, "out", "", "write a .gnnd container to this path")
-	fs.BoolVar(&o.stats, "stats", true, "print dataset statistics")
-	fs.IntVar(&o.traceBatch, "trace-batch", 0, "packing-trace batch size (0 = model default; match gnndrive -batch)")
-	fs.Uint64Var(&o.traceSeed, "trace-seed", 1, "packing-trace seed (match gnndrive -seed)")
-	if err := fs.Parse(args); err != nil {
-		return options{}, err
-	}
+// cliFlags is the parsed command line: the options that need no
+// resolving, plus the names and overrides lower resolves.
+type cliFlags struct {
+	options
+	dataset, layout, traceModel string
+	dim                         int
+	seed                        uint64
+}
+
+// register declares every flag of the command on fs, writing into f.
+func (f *cliFlags) register(fs *flag.FlagSet) {
+	fs.StringVar(&f.dataset, "dataset", "papers100m-s", "dataset: papers100m-s, twitter-s, friendster-s, mag240m-s, tiny")
+	fs.IntVar(&f.dim, "dim", 0, "override feature dimension")
+	fs.Uint64Var(&f.seed, "seed", 0, "override generator seed")
+	fs.StringVar(&f.layout, "layout", "strided", "feature layout: strided (dense node-ID order) or packed (offline batch-aware packing; -out also writes a .pidx offset index)")
+	fs.StringVar(&f.traceModel, "trace-model", "sage", "model whose default batch/fanouts drive the packing trace")
+	fs.StringVar(&f.out, "out", "", "write a .gnnd container to this path")
+	fs.BoolVar(&f.stats, "stats", true, "print dataset statistics")
+	fs.IntVar(&f.traceBatch, "trace-batch", 0, "packing-trace batch size (0 = model default; match gnndrive -batch)")
+	fs.Uint64Var(&f.traceSeed, "trace-seed", 1, "packing-trace seed (match gnndrive -seed)")
+}
+
+// lower resolves the parsed flags into options. An unknown dataset,
+// -layout or -trace-model is an error here, before anything is built.
+func (f *cliFlags) lower() (options, error) {
+	o := f.options
 	var err error
-	if o.spec, err = gen.ByName(*name); err != nil {
+	if o.spec, err = gen.ByName(f.dataset); err != nil {
 		return options{}, err
 	}
-	if *dim != 0 {
-		o.spec.Dim = *dim
+	if f.dim != 0 {
+		o.spec.Dim = f.dim
 	}
-	if *seed != 0 {
-		o.spec.Seed = *seed
+	if f.seed != 0 {
+		o.spec.Seed = f.seed
 	}
-	switch *layoutName {
+	switch f.layout {
 	case "", "strided":
 	case "packed":
 		o.packed = true
 	default:
-		return options{}, fmt.Errorf("unknown -layout %q (want strided or packed)", *layoutName)
+		return options{}, fmt.Errorf("unknown -layout %q (want strided or packed)", f.layout)
 	}
-	if o.traceModel, err = nn.ModelByName(*traceModel); err != nil {
+	if o.traceModel, err = nn.ModelByName(f.traceModel); err != nil {
 		return options{}, err
 	}
 	return o, nil
 }
 
-// run is the command: it builds the dataset, packs it when asked, and
-// prints its statistics and what it wrote to stdout.
-func run(args []string, stdout io.Writer) error {
-	o, err := parseArgs(args)
-	if err != nil {
-		return err
-	}
+// build makes the dataset o describes and writes what o asks for.
+func build(o options, stdout io.Writer) error {
 	start := time.Now()
 	// Build through the integrity layer: every block is checksummed as it
 	// is written, so -out can persist a CRC32C sidecar with the container.

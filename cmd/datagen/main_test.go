@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
@@ -36,39 +37,66 @@ func TestParseArgs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := parseArgs(tc.args)
+			fs := flag.NewFlagSet("datagen", flag.ContinueOnError)
+			var f cliFlags
+			f.register(fs)
+			if err := fs.Parse(tc.args); err != nil {
+				t.Fatal(err)
+			}
+			got, err := f.lower()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got != tc.want {
-				t.Fatalf("parseArgs(%q)\n got %+v\nwant %+v", tc.args, got, tc.want)
+				t.Fatalf("lower(%q)\n got %+v\nwant %+v", tc.args, got, tc.want)
 			}
 		})
 	}
 }
 
-// TestRunRejectsUnknownNames checks that a misspelt name is an error
-// returned before any dataset is built.
+// TestRunRejectsUnknownNames checks that a misspelt name is exit 1,
+// reported before any dataset is built.
 func TestRunRejectsUnknownNames(t *testing.T) {
 	for _, args := range [][]string{
 		{"-layout", "zigzag"},
 		{"-trace-model", "mlp"},
 		{"-dataset", "cora"},
 	} {
-		if err := run(append(args, "-stats=false"), io.Discard); err == nil {
-			t.Errorf("run(%q) succeeded, want an error", args)
+		var stdout, stderr strings.Builder
+		if code := run(append(args, "-stats=false"), &stdout, &stderr); code != 1 || stderr.Len() == 0 {
+			t.Errorf("run(%q) exited %d with stderr %q, want 1 and an error", args, code, &stderr)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("run(%q) built something:\n%s", args, &stdout)
 		}
 	}
 }
 
-// TestRunWritesLoadablePackedContainer runs the command the way CI's
-// packed-layout smoke does and loads what it wrote: the container, its
-// offset index and its checksum sidecar.
+// TestRunExitCodes: -h is exit 0, and a malformed command line is exit 2.
+func TestRunExitCodes(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		code int
+	}{
+		{[]string{"-h"}, 0},
+		{[]string{"-bogus"}, 2},
+		{[]string{"-dim", "wide"}, 2},
+	} {
+		var stderr strings.Builder
+		if code := run(tc.args, io.Discard, &stderr); code != tc.code {
+			t.Errorf("run(%q) exited %d, want %d\nstderr:\n%s", tc.args, code, tc.code, &stderr)
+		}
+	}
+}
+
+// TestRunWritesLoadablePackedContainer runs the command the way a user
+// packs a container for gnndrive -load, and loads what it wrote: the
+// container, its offset index and its checksum sidecar.
 func TestRunWritesLoadablePackedContainer(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "tiny.gnnd")
-	var stdout strings.Builder
-	if err := run([]string{"-dataset", "tiny", "-layout", "packed", "-out", out}, &stdout); err != nil {
-		t.Fatal(err)
+	var stdout, stderr strings.Builder
+	if code := run([]string{"-dataset", "tiny", "-layout", "packed", "-out", out}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d\n%s", code, &stderr)
 	}
 	for _, p := range []string{out, out + ".pidx", out + ".crc"} {
 		if _, err := os.Stat(p); err != nil {

@@ -1,18 +1,26 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
+	"io"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"gnndrive/internal/checkpoint"
 	"gnndrive/internal/faults"
+	"gnndrive/internal/gen"
+	"gnndrive/internal/graph"
 	"gnndrive/internal/nn"
 	"gnndrive/internal/storage/integrity"
+	"gnndrive/internal/storage/sim"
 	"gnndrive/internal/trainsim"
 )
 
@@ -188,8 +196,8 @@ func TestLowerFlagsRejectsBadInput(t *testing.T) {
 }
 
 // TestRun drives the command end to end: one tiny epoch of each baseline
-// through its constructor, one on the file backend, and an out-of-range
-// value, which is an error exit and never a panic.
+// through its constructor, one on the file backend, an out-of-range
+// value and a run that fails, each an error exit and never a panic.
 func TestRun(t *testing.T) {
 	cases := []struct {
 		name string
@@ -201,6 +209,7 @@ func TestRun(t *testing.T) {
 		{name: "marius", args: []string{"-system", "marius"}},
 		{name: "file backend", args: []string{"-backend", "file", "-data-file", filepath.Join(t.TempDir(), "tiny.img")}},
 		{name: "negative batch", args: []string{"-batch", "-1"}, code: 1},
+		{name: "missing container", args: []string{"-load", filepath.Join(t.TempDir(), "none.gnnd")}, code: 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -219,5 +228,137 @@ func TestRun(t *testing.T) {
 				t.Errorf("no epoch report:\n%s", &stdout)
 			}
 		})
+	}
+}
+
+// TestRunLoadVerify drives -load -verify on a container saved the way
+// cmd/datagen -out saves one. Clean, every read is verified against the
+// saved sidecar; with the sidecar truncated the load fails, exit 1,
+// instead of verifying against the container's own bytes. A corrupt
+// feature byte is trainsim's TestLoadVerifiesAgainstSidecar.
+func TestRunLoadVerify(t *testing.T) {
+	ds, err := gen.BuildWith(gen.Tiny(), integrity.WrapFactory(sim.Factory(sim.InstantConfig()), integrity.Options{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "tiny.gnnd")
+	err = graph.Save(ds, path)
+	if err == nil {
+		err = ds.Dev.(*integrity.Backend).SaveSidecar(path + ".crc")
+	}
+	ds.Dev.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-load", path, "-verify", "-epochs", "1", "-scale", "0.5"}
+	var stdout, stderr strings.Builder
+	if code := run(context.Background(), args, &stdout, &stderr); code != 0 {
+		t.Fatalf("clean container: exit %d\n%s", code, &stderr)
+	}
+	if out := stdout.String(); !strings.Contains(out, " unverified=0 ") || strings.Contains(out, "integrity: verified=0 ") {
+		t.Fatalf("clean container did not verify every read:\n%s", out)
+	}
+
+	fi, err := os.Stat(path + ".crc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path+".crc", fi.Size()-4); err != nil {
+		t.Fatal(err)
+	}
+	stdout.Reset()
+	stderr.Reset()
+	if code := run(context.Background(), args, &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), "sidecar") {
+		t.Fatalf("truncated sidecar: exit %d, want 1 with a sidecar error\nstderr:\n%s", code, &stderr)
+	}
+}
+
+// crashHelperDir names the environment variable that turns the test
+// binary into TestCrashResume's helper process and gives it its
+// checkpoint directory.
+const crashHelperDir = "GNNDRIVE_CRASH_HELPER_DIR"
+
+// crashArgs is a three-epoch real run that checkpoints every two steps
+// into dir.
+func crashArgs(dir string) []string {
+	return []string{"-dataset", "tiny", "-system", "gnndrive-gpu", "-real", "-inorder",
+		"-train-limit", "600", "-epochs", "3", "-scale", "8",
+		"-checkpoint-dir", dir, "-checkpoint-every", "2"}
+}
+
+// TestCrashHelper is not a test on its own: it is the process
+// TestCrashResume starts and SIGKILLs, the test binary re-executed with
+// crashHelperDir set.
+func TestCrashHelper(t *testing.T) {
+	dir := os.Getenv(crashHelperDir)
+	if dir == "" {
+		return
+	}
+	os.Exit(run(context.Background(), crashArgs(dir), io.Discard, os.Stderr))
+}
+
+// TestCrashResume kills a training process without warning once its
+// first checkpoint is committed, then resumes it in-process with
+// -resume. The resumed run must finish, and its final checkpoint must be
+// byte for byte the one an uninterrupted run writes: same weights, same
+// optimizer state, same cursor.
+func TestCrashResume(t *testing.T) {
+	final := checkpoint.FileName(3, 0)
+	refDir := t.TempDir()
+	var stderr strings.Builder
+	if code := run(context.Background(), crashArgs(refDir), io.Discard, &stderr); code != 0 {
+		t.Fatalf("uninterrupted run exited %d\n%s", code, &stderr)
+	}
+	want, err := os.ReadFile(filepath.Join(refDir, final))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	helper := exec.Command(os.Args[0], "-test.run=^TestCrashHelper$")
+	helper.Env = append(os.Environ(), crashHelperDir+"="+dir)
+	var helperErr strings.Builder
+	helper.Stderr = &helperErr
+	if err := helper.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- helper.Wait() }()
+	deadline := time.Now().Add(time.Minute)
+	for {
+		if ckpts, _ := filepath.Glob(filepath.Join(dir, "run-*.ckpt")); len(ckpts) > 0 {
+			break
+		}
+		select {
+		case err := <-exited:
+			t.Fatalf("helper exited (%v) before its first checkpoint\n%s", err, &helperErr)
+		case <-time.After(5 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			helper.Process.Kill()
+			t.Fatal("no checkpoint within a minute")
+		}
+	}
+	if err := helper.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	<-exited
+	if helper.ProcessState.Exited() {
+		t.Fatalf("helper finished on its own (%v); the kill did not land mid-run", helper.ProcessState)
+	}
+	if _, err := os.Stat(filepath.Join(dir, final)); err == nil {
+		t.Fatal("the killed run had already written its final checkpoint")
+	}
+
+	stderr.Reset()
+	if code := run(context.Background(), append(crashArgs(dir), "-resume"), io.Discard, &stderr); code != 0 {
+		t.Fatalf("resumed run exited %d\n%s", code, &stderr)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, final))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("resumed run's %s differs from the uninterrupted run's", final)
 	}
 }

@@ -15,7 +15,9 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -30,62 +32,103 @@ import (
 const readHeaderTimeout = 10 * time.Second
 
 func main() {
-	log.SetFlags(0)
-	addr := flag.String("addr", ":8080", "HTTP listen address")
-	state := flag.String("state", "gnnserved-state", "state directory (job manifest, checkpoints, backing files)")
-	stagingSlots := flag.Int("staging-slots", 0, "shared staging pool slots (0 = default)")
-	slotBytes := flag.Int("slot-bytes", 0, "shared staging slot size in bytes (0 = default)")
-	featBudget := flag.Int64("feature-budget", 0, "summed feature-buffer byte budget across jobs (0 = default)")
-	ioTokens := flag.Int("io-tokens", 0, "fair-share extract I/O permit pool (0 = default)")
-	maxQueued := flag.Int("max-queued", 0, "max jobs waiting for resources; negative disables queueing (0 = default)")
-	maxRequeues := flag.Int("max-requeues", 0, "supervisor restarts per faulting job; negative disables (0 = default)")
-	drainGrace := flag.Duration("drain-grace", 0, "how long a drain waits for job checkpoints (0 = default)")
-	stall := flag.Duration("stall-deadline", 0, "per-job pipeline watchdog deadline; negative disables (0 = default)")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
 
-	d, err := serve.NewDaemon(serve.Config{
-		BaseContext:        context.Background(),
-		StateDir:           *state,
-		StagingSlots:       *stagingSlots,
-		SlotBytes:          *slotBytes,
-		FeatureBudgetBytes: *featBudget,
-		IOTokens:           *ioTokens,
-		MaxQueued:          *maxQueued,
-		MaxRequeues:        *maxRequeues,
-		DrainGrace:         *drainGrace,
-		StallDeadline:      *stall,
-		Logf:               log.Printf,
-	})
-	if err != nil {
-		log.Fatal(err)
+// run is the command: it binds the listen address, starts the daemon
+// over -state (resuming every job the manifest left unfinished), and
+// serves until ctx is cancelled, which drains. Lifecycle lines go to
+// stdout, the daemon's diagnostics and errors to stderr. It returns the
+// exit status: 0 after a drain, 2 for a malformed command line, 1 for
+// any other error.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gnnserved", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var f daemonFlags
+	f.register(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-
-	srv := &http.Server{Addr: *addr, Handler: d.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+	logger := log.New(stderr, "", 0)
+	// Bind before the daemon exists: NewDaemon restarts every resumable
+	// job in -state, so a second gnnserved that cannot get the port must
+	// fail before it trains the first one's jobs.
+	ln, err := net.Listen("tcp", f.addr)
+	if err != nil {
+		logger.Print(err)
+		return 1
+	}
+	d, err := serve.NewDaemon(f.lower(logger.Printf))
+	if err != nil {
+		ln.Close()
+		logger.Print(err)
+		return 1
+	}
+	srv := &http.Server{Handler: d.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("gnnserved: listening on %s, state in %s", *addr, *state)
+	go func() { errc <- srv.Serve(ln) }()
+	out := log.New(stdout, "", 0)
+	out.Printf("gnnserved: listening on %s, state in %s", ln.Addr(), f.StateDir)
 
-	// SIGTERM/SIGINT start the graceful drain, not a hard stop: the
+	// Cancellation starts the graceful drain, not a hard stop: the
 	// daemon's own BaseContext stays alive so jobs keep training until
 	// their drain checkpoints are committed.
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
 	select {
-	case sig := <-sigc:
-		log.Printf("gnnserved: %v: draining (checkpointing running jobs)", sig)
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-		if err := d.Drain(ctx); err != nil {
-			log.Printf("gnnserved: drain: %v", err)
+	case <-ctx.Done():
+		out.Print("gnnserved: draining (checkpointing running jobs)")
+		dctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+		if err := d.Drain(dctx); err != nil {
+			logger.Printf("gnnserved: drain: %v", err)
 		}
 		cancel()
 		shCtx, shCancel := context.WithTimeout(context.Background(), 5*time.Second)
 		_ = srv.Shutdown(shCtx)
 		shCancel()
-		log.Printf("gnnserved: drained; restart with the same -state to resume")
+		out.Print("gnnserved: drained; restart with the same -state to resume")
+		return 0
 	case err := <-errc:
-		if !errors.Is(err, http.ErrServerClosed) {
-			d.Close()
-			log.Fatal(err)
-		}
+		d.Close()
+		logger.Print(err)
+		return 1
 	}
+}
+
+// daemonFlags is the parsed command line: the listen address plus the
+// serve.Config the other flags fill in place. A zero field takes the
+// daemon's default; a negative -max-queued, -max-requeues or
+// -stall-deadline passes through, where serve gives it its documented
+// meaning.
+type daemonFlags struct {
+	addr string
+	serve.Config
+}
+
+// register declares every flag of the command on fs, writing into f.
+func (f *daemonFlags) register(fs *flag.FlagSet) {
+	fs.StringVar(&f.addr, "addr", ":8080", "HTTP listen address (port 0 picks a free port; the bound address is logged)")
+	fs.StringVar(&f.StateDir, "state", "gnnserved-state", "state directory (job manifest, checkpoints, backing files)")
+	fs.IntVar(&f.StagingSlots, "staging-slots", 0, "shared staging pool slots (0 = default)")
+	fs.IntVar(&f.SlotBytes, "slot-bytes", 0, "shared staging slot size in bytes (0 = default)")
+	fs.Int64Var(&f.FeatureBudgetBytes, "feature-budget", 0, "summed feature-buffer byte budget across jobs (0 = default)")
+	fs.IntVar(&f.IOTokens, "io-tokens", 0, "fair-share extract I/O permit pool (0 = default)")
+	fs.IntVar(&f.MaxQueued, "max-queued", 0, "max jobs waiting for resources; negative disables queueing (0 = default)")
+	fs.IntVar(&f.MaxRequeues, "max-requeues", 0, "supervisor restarts per faulting job; negative disables (0 = default)")
+	fs.DurationVar(&f.DrainGrace, "drain-grace", 0, "how long a drain waits for job checkpoints (0 = default)")
+	fs.DurationVar(&f.StallDeadline, "stall-deadline", 0, "per-job pipeline watchdog deadline; negative disables (0 = default)")
+}
+
+// lower returns the daemon's configuration: the parsed fields, a
+// background BaseContext (the daemon outlives run's ctx until its drain
+// completes) and logf for diagnostics.
+func (f *daemonFlags) lower(logf func(format string, args ...any)) serve.Config {
+	cfg := f.Config
+	cfg.BaseContext = context.Background()
+	cfg.Logf = logf
+	return cfg
 }
