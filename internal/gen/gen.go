@@ -38,9 +38,13 @@ type Spec struct {
 	// Dim is the feature dimension; Classes the label count.
 	Dim     int
 	Classes int
-	// Homophily is the probability an edge endpoint is re-sampled toward
-	// a same-class node; Signal scales the class centroid against unit
-	// Gaussian noise.
+	// Homophily is the probability that an edge's degree-drawn endpoint
+	// is re-drawn toward the new node's class: up to six more draws from
+	// the same degree pool, keeping the last when none matches. It is not
+	// the share of same-class edges, which falls with the class count:
+	// tiny (8 classes, 0.7) gets 46.3 %, papers100m-s (172 classes, 0.6)
+	// 2.6 %. Signal scales the class centroid against unit Gaussian
+	// noise.
 	Homophily float64
 	Signal    float64
 	// TrainFrac and ValFrac are the node fractions in each split.

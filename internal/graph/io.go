@@ -73,7 +73,7 @@ func Save(ds *Dataset, path string) error {
 	if err != nil {
 		return fmt.Errorf("graph: save: %w", err)
 	}
-	defer f.Close()
+	defer f.Close() // for the early returns; a second Close is harmless
 	w := bufio.NewWriterSize(f, 1<<20)
 	if _, err := w.WriteString(fileMagic); err != nil {
 		return err
@@ -108,6 +108,10 @@ func Save(ds *Dataset, path string) error {
 	}
 	if err := w.Flush(); err != nil {
 		return err
+	}
+	// Close can report a write error the OS deferred.
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("graph: save: %w", err)
 	}
 	if packed != nil {
 		if err := packed.SaveIndex(path + ".pidx"); err != nil {

@@ -160,6 +160,17 @@ func TestLoadRejectsCorruptHeader(t *testing.T) {
 	}
 }
 
+// A container whose bytes cannot all be written is an error, not a
+// silently short file: on /dev/full every write fails with ENOSPC.
+func TestSaveReportsWriteFailure(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skipf("no /dev/full: %v", err)
+	}
+	if err := Save(buildTestDataset(t), "/dev/full"); err == nil {
+		t.Fatal("Save to /dev/full returned nil")
+	}
+}
+
 // TestSaveLoadPackedRoundTrip packs the test dataset in place, saves
 // the container (which persists the offset index sidecar), and reloads
 // it: the addresser must come back packed with identical node offsets

@@ -8,8 +8,9 @@ import (
 // FuzzMatMulForms holds every matmul form to its textbook reference and to
 // the portable row kernel, bit for bit (checkBitIdentical), on fuzzed
 // problems:
-//   - n, the output row length, runs 0–70: every 32-, 16- and 4-lane block
-//     of the amd64 kernel and its scalar tail;
+//   - n, the output row length, runs 0–200: up to three 64-lane blocks of
+//     the amd64 kernel, each of its 16-, 8- and 4-lane blocks and its
+//     scalar tail, and papers100m-s's 172-class rows;
 //   - k, the inner length, runs 0–255: up to four kBlock operand lists per
 //     row, so rows are stored and reloaded between kernel calls;
 //   - m runs 0–40, past two and a half 16-row tiles of aᵀ·b;
@@ -22,7 +23,7 @@ import (
 // every block edge among them.
 func FuzzMatMulForms(f *testing.F) {
 	f.Fuzz(func(t *testing.T, m, k, n, zeros, specials uint8, seed uint64) {
-		mm, kk, nn := int(m)%41, int(k), int(n)%71
+		mm, kk, nn := int(m)%41, int(k), int(n)%201
 		// The NaN is the one this machine makes of 0·Inf, as a·bᵀ does: when
 		// an add meets two different NaNs, IEEE 754 leaves which one it
 		// returns to the machine, and Go may order a float add's operands

@@ -9,8 +9,9 @@ package tensor
 // list order. The forms differ only in how they build the list. ks must
 // ascend: the amd64 bounds check reads its last entry as its largest.
 //
-// rowKernel is the assembly on amd64 (rowkernel_amd64.s) and rowKernelGo
-// everywhere else; on amd64 rowKernelGo is the differential reference the
+// rowKernel is the AVX assembly on an amd64 CPU with AVX
+// (rowkernel_amd64.s) and rowKernelGo everywhere else, amd64 without AVX
+// included; on amd64 rowKernelGo is also the differential reference the
 // tests hold the assembly to.
 
 // rowKernelGo is the portable row kernel. Four operands at a time go
