@@ -64,7 +64,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		logger.Print(err)
 		return 1
 	}
-	d, err := serve.NewDaemon(f.lower(logger.Printf))
+	return serveOn(ctx, ln, f.lower(logger.Printf), stdout, logger)
+}
+
+// serveOn is the command after the bind: it starts the daemon over
+// cfg.StateDir, serves its API on ln until ctx is cancelled, which
+// drains, and returns run's exit status. It closes ln.
+func serveOn(ctx context.Context, ln net.Listener, cfg serve.Config, stdout io.Writer, logger *log.Logger) int {
+	d, err := serve.NewDaemon(cfg)
 	if err != nil {
 		ln.Close()
 		logger.Print(err)
@@ -74,7 +81,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	out := log.New(stdout, "", 0)
-	out.Printf("gnnserved: listening on %s, state in %s", ln.Addr(), f.StateDir)
+	out.Printf("gnnserved: listening on %s, state in %s", ln.Addr(), cfg.StateDir)
 
 	// Cancellation starts the graceful drain, not a hard stop: the
 	// daemon's own BaseContext stays alive so jobs keep training until

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"log"
 	"net"
 	"net/http"
 	"os"
@@ -17,6 +18,8 @@ import (
 	"testing"
 	"time"
 
+	"gnndrive/internal/checkpoint"
+	"gnndrive/internal/faults"
 	"gnndrive/internal/serve"
 	"gnndrive/internal/trainsim"
 )
@@ -69,14 +72,23 @@ type daemon struct {
 // bound address. The test's cleanup stops it if the test has not.
 func startDaemon(t *testing.T, args ...string) *daemon {
 	t.Helper()
+	return startWith(t, fmt.Sprintf("%q", args), func(ctx context.Context, stdout, stderr io.Writer) int {
+		return run(ctx, args, stdout, stderr)
+	})
+}
+
+// startWith runs start, the command or its serveOn half, as startDaemon
+// runs the command; name labels its output when the test fails.
+func startWith(t *testing.T, name string, start func(ctx context.Context, stdout, stderr io.Writer) int) *daemon {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	d := &daemon{cancel: cancel, done: make(chan int, 1)}
 	var stdout, stderr syncBuffer
-	go func() { d.done <- run(ctx, args, &stdout, &stderr) }()
+	go func() { d.done <- start(ctx, &stdout, &stderr) }()
 	t.Cleanup(func() {
 		d.stop()
 		if t.Failed() {
-			t.Logf("gnnserved %q\nstdout:\n%s\nstderr:\n%s", args, &stdout, &stderr)
+			t.Logf("gnnserved %s\nstdout:\n%s\nstderr:\n%s", name, &stdout, &stderr)
 		}
 	})
 	const marker = "listening on "
@@ -249,6 +261,63 @@ func TestRunDrainsAndResumes(t *testing.T) {
 	}
 	if code := d.stop(); code != 0 {
 		t.Fatalf("second run exited %d, want 0", code)
+	}
+}
+
+// TestDrainCheckpointsMidEpoch: a drain that lands inside an epoch
+// leaves that epoch's cursor on disk, at a step above 0, so the restarted
+// job retrains none of the steps it had done. The fault injector holds
+// the job inside epoch 0: every read is a straggler, so each step takes
+// tens of milliseconds and the drain, sent after the first step, lands
+// with most of the epoch to go. The spec saves at epoch boundaries only,
+// so a step above 0 can come only from the drain's demand save.
+func TestDrainCheckpointsMidEpoch(t *testing.T) {
+	state := t.TempDir()
+	fs := flag.NewFlagSet("gnnserved", flag.ContinueOnError)
+	var f daemonFlags
+	f.register(fs)
+	if err := fs.Parse(append([]string{"-state", state}, envelope...)); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", f.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ckptDir string // read after stop, which waits for the job
+	d := startWith(t, "serveOn", func(ctx context.Context, stdout, stderr io.Writer) int {
+		logger := log.New(stderr, "", 0)
+		cfg := f.lower(logger.Printf)
+		cfg.Hook = func(_ string, c *trainsim.Config) {
+			c.Faults = &faults.Config{Seed: 1, StragglerRate: 1, StragglerDelay: 5 * time.Millisecond}
+			ckptDir = c.CheckpointDir
+		}
+		return serveOn(ctx, ln, cfg, stdout, logger)
+	})
+	if code, _ := submit(t, d.base, spec(7, 2)); code != http.StatusCreated {
+		t.Fatalf("submit: %d", code)
+	}
+	waitFor(t, "job-0000's first step", func() bool {
+		var rep struct {
+			Jobs map[string]struct {
+				Batches int `json:"batches"`
+			} `json:"jobs"`
+		}
+		getJSON(t, d.base+"/metrics", &rep)
+		return rep.Jobs["job-0000"].Batches >= 1
+	})
+	if code := d.stop(); code != 0 {
+		t.Fatalf("drained run exited %d, want 0", code)
+	}
+	jobs := readManifest(t, state)
+	if len(jobs) != 1 || jobs[0].State != serve.StateInterrupted || len(jobs[0].Epochs) != 0 {
+		t.Fatalf("manifest after the drain holds %+v, want one job interrupted in epoch 0", jobs)
+	}
+	st, path, err := checkpoint.LoadLatest(ckptDir)
+	if err != nil {
+		t.Fatalf("no checkpoint after the drain: %v", err)
+	}
+	if st.Epoch != 0 || st.Step == 0 || st.Step >= stepsPerEpoch {
+		t.Fatalf("drain left %s at cursor (%d, %d), want a step inside epoch 0", path, st.Epoch, st.Step)
 	}
 }
 

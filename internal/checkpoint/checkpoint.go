@@ -26,7 +26,6 @@
 package checkpoint
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -34,6 +33,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -172,11 +172,23 @@ func Commit(sink Sink, path string, data []byte) error {
 }
 
 // Saver commits checkpoints into a directory, keeping the newest
-// defaultKeep.
+// defaultKeep. It encodes into one buffer it reuses across saves and runs
+// at most one commit at a time, in the order the saves started.
+//
+// A Saver is driven by one goroutine: Start, Wait and Save must not be
+// called concurrently.
 type Saver struct {
 	Dir string
 	// Sink overrides the filesystem seam (nil = OSSink).
 	Sink Sink
+
+	buf      []byte
+	dirReady bool
+	// done closes when the commit in flight has finished; path and err
+	// are its outcome. done is nil when no commit is in flight.
+	done chan struct{}
+	path string
+	err  error
 }
 
 // defaultKeep bounds how many checkpoints stay on disk. Keeping more than
@@ -197,21 +209,70 @@ func FileName(epoch, step int) string {
 }
 
 // Save serializes st and commits it crash-atomically, then prunes old
-// checkpoints beyond defaultKeep. It returns the committed file path.
+// checkpoints beyond defaultKeep. It returns the committed file path once
+// the file is durable: Save is Start followed by Wait, for a Saver with
+// no commit in flight.
 func (s *Saver) Save(st *RunState) (string, error) {
+	s.Start(st)
+	return s.Wait()
+}
+
+// Start waits for the commit in flight, if any, and returns its outcome
+// as Wait would. It then encodes st into the Saver's buffer and commits
+// that in the background, pruning old checkpoints after it; Wait
+// reports how it went. st is read only before Start returns, so its
+// tensors may alias state the caller goes on to change.
+func (s *Saver) Start(st *RunState) (string, error) {
+	prevPath, prevErr := s.Wait()
+	s.path = filepath.Join(s.Dir, FileName(st.Epoch, st.Step))
+	s.done = make(chan struct{})
+	if err := s.prepareDir(); err != nil {
+		s.err = err
+		close(s.done)
+		return prevPath, prevErr
+	}
+	s.buf = appendEncoded(s.buf[:0], st)
+	go func() {
+		defer close(s.done)
+		sink := s.sink()
+		if err := Commit(sink, s.path, s.buf); err != nil {
+			s.err = fmt.Errorf("checkpoint: commit %s: %w", s.path, err)
+			return
+		}
+		s.prune(sink)
+	}()
+	return prevPath, prevErr
+}
+
+// Wait blocks until the commit in flight has finished and returns its
+// file path, or the error that stopped it. With nothing in flight it
+// returns "" and nil.
+func (s *Saver) Wait() (string, error) {
+	if s.done == nil {
+		return "", nil
+	}
+	<-s.done
+	path, err := s.path, s.err
+	s.done, s.err = nil, nil
+	if err != nil {
+		return "", err
+	}
+	return path, nil
+}
+
+// prepareDir creates Dir on the Saver's first save.
+func (s *Saver) prepareDir() error {
+	if s.dirReady {
+		return nil
+	}
 	if s.Dir == "" {
-		return "", errors.New("checkpoint: Saver.Dir is empty")
+		return errors.New("checkpoint: Saver.Dir is empty")
 	}
 	if err := os.MkdirAll(s.Dir, 0o755); err != nil {
-		return "", fmt.Errorf("checkpoint: %w", err)
+		return fmt.Errorf("checkpoint: %w", err)
 	}
-	sink := s.sink()
-	final := filepath.Join(s.Dir, FileName(st.Epoch, st.Step))
-	if err := Commit(sink, final, Encode(st)); err != nil {
-		return "", fmt.Errorf("checkpoint: commit %s: %w", final, err)
-	}
-	s.prune(sink)
-	return final, nil
+	s.dirReady = true
+	return nil
 }
 
 // prune removes checkpoints beyond defaultKeep, oldest first. Pruning
@@ -272,33 +333,54 @@ func LoadFile(path string) (*RunState, error) {
 // ---- container encoding ----
 
 // Encode serializes st into the sectioned, CRC-guarded container.
-func Encode(st *RunState) []byte {
-	var buf bytes.Buffer
-	buf.WriteString(magic)
+func Encode(st *RunState) []byte { return appendEncoded(nil, st) }
+
+// encodedSize is the length of st's container.
+func encodedSize(st *RunState) int {
+	n := len(magic) + 4 + sectionOverhead + metaBytes
+	for _, ts := range [][]Tensor{st.Params, st.AdamM, st.AdamV} {
+		n += sectionOverhead + 4
+		for _, t := range ts {
+			n += minTensorBytes + len(t.Name) + 4*len(t.Data)
+		}
+	}
+	return n + sectionOverhead + 4
+}
+
+// appendEncoded appends st's container to dst in one pass, growing dst
+// at most once, and returns the extended slice.
+func appendEncoded(dst []byte, st *RunState) []byte {
 	le := binary.LittleEndian
-	var w [8]byte
-	le.PutUint32(w[:4], version)
-	buf.Write(w[:4])
+	b := slices.Grow(dst, encodedSize(st))
+	base := len(b)
+	b = append(b, magic...)
+	b = le.AppendUint32(b, version)
 
-	meta := new(bytes.Buffer)
-	putU64(meta, st.Fingerprint)
-	putU64(meta, uint64(st.Epoch))
-	putU64(meta, uint64(st.Step))
-	putU64(meta, st.Seed)
-	putU64(meta, uint64(st.AdamT))
-	putU32(meta, uint32(len(st.Params)))
-	writeSection(&buf, secMeta, meta.Bytes())
+	sec := beginSection(&b, secMeta)
+	b = le.AppendUint64(b, st.Fingerprint)
+	b = le.AppendUint64(b, uint64(st.Epoch))
+	b = le.AppendUint64(b, uint64(st.Step))
+	b = le.AppendUint64(b, st.Seed)
+	b = le.AppendUint64(b, uint64(st.AdamT))
+	b = le.AppendUint32(b, uint32(len(st.Params)))
+	endSection(&b, sec)
 
-	writeSection(&buf, secParams, encodeTensors(st.Params))
-	writeSection(&buf, secAdamM, encodeTensors(st.AdamM))
-	writeSection(&buf, secAdamV, encodeTensors(st.AdamV))
+	for _, s := range []struct {
+		id uint32
+		ts []Tensor
+	}{{secParams, st.Params}, {secAdamM, st.AdamM}, {secAdamV, st.AdamV}} {
+		sec := beginSection(&b, s.id)
+		b = appendTensors(b, s.ts)
+		endSection(&b, sec)
+	}
 
 	// The end section's payload is the CRC of everything before it, so a
 	// file spliced together from two valid checkpoints cannot validate.
-	whole := new(bytes.Buffer)
-	putU32(whole, crc32.ChecksumIEEE(buf.Bytes()))
-	writeSection(&buf, secEnd, whole.Bytes())
-	return buf.Bytes()
+	whole := crc32.ChecksumIEEE(b[base:])
+	sec = beginSection(&b, secEnd)
+	b = le.AppendUint32(b, whole)
+	endSection(&b, sec)
+	return b
 }
 
 // Decode parses and validates a container produced by Encode.
@@ -324,7 +406,7 @@ func Decode(data []byte) (*RunState, error) {
 		seen[id] = true
 		switch id {
 		case secMeta:
-			if len(payload) != 5*8+4 {
+			if len(payload) != metaBytes {
 				return nil, fmt.Errorf("%w: meta section length %d", ErrCorrupt, len(payload))
 			}
 			le := binary.LittleEndian
@@ -391,11 +473,24 @@ func Decode(data []byte) (*RunState, error) {
 // the payload, u32 CRC after it.
 const sectionOverhead = 12
 
-func writeSection(buf *bytes.Buffer, id uint32, payload []byte) {
-	putU32(buf, id)
-	putU32(buf, uint32(len(payload)))
-	buf.Write(payload)
-	putU32(buf, crc32.ChecksumIEEE(payload))
+// metaBytes is the meta section's payload: five u64 fields and the u32
+// parameter count.
+const metaBytes = 5*8 + 4
+
+// beginSection appends a section header whose length is filled in by
+// endSection, and returns the offset of the payload.
+func beginSection(b *[]byte, id uint32) int {
+	*b = binary.LittleEndian.AppendUint32(*b, id)
+	*b = append(*b, 0, 0, 0, 0)
+	return len(*b)
+}
+
+// endSection closes the section whose payload starts at body: it writes
+// the payload length into the header and appends the payload's CRC.
+func endSection(b *[]byte, body int) {
+	payload := (*b)[body:]
+	binary.LittleEndian.PutUint32((*b)[body-4:], uint32(len(payload)))
+	*b = binary.LittleEndian.AppendUint32(*b, crc32.ChecksumIEEE(payload))
 }
 
 func readSection(data []byte, off int) (id uint32, payload []byte, next int, err error) {
@@ -416,21 +511,24 @@ func readSection(data []byte, off int) (id uint32, payload []byte, next int, err
 	return id, payload, body + n + 4, nil
 }
 
-func encodeTensors(ts []Tensor) []byte {
-	buf := new(bytes.Buffer)
-	putU32(buf, uint32(len(ts)))
+// appendTensors appends a tensor section's payload: the count, then each
+// tensor's name, shape and little-endian float32 data.
+func appendTensors(b []byte, ts []Tensor) []byte {
+	le := binary.LittleEndian
+	b = le.AppendUint32(b, uint32(len(ts)))
 	for _, t := range ts {
-		putU32(buf, uint32(len(t.Name)))
-		buf.WriteString(t.Name)
-		putU32(buf, uint32(t.Rows))
-		putU32(buf, uint32(t.Cols))
-		var w [4]byte
-		for _, v := range t.Data {
-			binary.LittleEndian.PutUint32(w[:], math.Float32bits(v))
-			buf.Write(w[:])
+		b = le.AppendUint32(b, uint32(len(t.Name)))
+		b = append(b, t.Name...)
+		b = le.AppendUint32(b, uint32(t.Rows))
+		b = le.AppendUint32(b, uint32(t.Cols))
+		off := len(b)
+		b = slices.Grow(b, 4*len(t.Data))[:off+4*len(t.Data)]
+		out := b[off:]
+		for i, v := range t.Data {
+			le.PutUint32(out[4*i:], math.Float32bits(v))
 		}
 	}
-	return buf.Bytes()
+	return b
 }
 
 // minTensorBytes is the smallest encoded tensor: name length, rows and
@@ -479,16 +577,4 @@ func decodeTensors(payload []byte) ([]Tensor, error) {
 		return nil, fmt.Errorf("%w: %d trailing tensor bytes", ErrCorrupt, len(payload)-off)
 	}
 	return ts, nil
-}
-
-func putU32(buf *bytes.Buffer, v uint32) {
-	var w [4]byte
-	binary.LittleEndian.PutUint32(w[:], v)
-	buf.Write(w[:])
-}
-
-func putU64(buf *bytes.Buffer, v uint64) {
-	var w [8]byte
-	binary.LittleEndian.PutUint64(w[:], v)
-	buf.Write(w[:])
 }

@@ -2,8 +2,12 @@ package checkpoint
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -245,3 +249,125 @@ func TestEncodeDeterministic(t *testing.T) {
 		t.Fatal("Encode is not deterministic")
 	}
 }
+
+// goldenState is a fixed multi-tensor state whose data holds every kind
+// of float32 bit pattern: signed zeros, infinities, NaNs of either sign,
+// subnormals and the extremes, then pseudo-random values.
+func goldenState() *RunState {
+	specials := []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
+		float32(math.NaN()), math.Float32frombits(0xffc00001), math.Float32frombits(1), math.Float32frombits(0x80000001),
+		math.MaxFloat32, -math.SmallestNonzeroFloat32}
+	tensor := func(name string, rows, cols int, salt uint32) Tensor {
+		d := make([]float32, rows*cols)
+		x := salt*2654435761 + 1
+		for i := range d {
+			x ^= x << 13
+			x ^= x >> 17
+			x ^= x << 5
+			d[i] = float32(int32(x)) / (1 << 24)
+		}
+		copy(d, specials)
+		return Tensor{Name: name, Rows: rows, Cols: cols, Data: d}
+	}
+	st := &RunState{Fingerprint: 0x0123456789abcdef, Epoch: 7, Step: 93, Seed: 1 << 40, AdamT: 4242}
+	for i, shape := range [][2]int{{17, 33}, {64, 16}, {1, 40}, {0, 5}} {
+		name := fmt.Sprintf("conv%d.lin", i)
+		st.Params = append(st.Params, tensor(name, shape[0], shape[1], uint32(3*i+1)))
+		st.AdamM = append(st.AdamM, tensor(name, shape[0], shape[1], uint32(3*i+2)))
+		st.AdamV = append(st.AdamV, tensor(name, shape[0], shape[1], uint32(3*i+3)))
+	}
+	return st
+}
+
+// TestEncodeGolden pins the container's bytes: the hash was recorded from
+// the encoder that wrote one section buffer at a time, so checkpoints
+// already on disk and those written now are the same format, byte for
+// byte.
+func TestEncodeGolden(t *testing.T) {
+	const (
+		wantLen  = 19884
+		wantHash = "43a39765757356f723dc98ba8433c78bbc7170aaed939688b25808b97f608c99"
+	)
+	b := Encode(goldenState())
+	sum := sha256.Sum256(b)
+	if got := hex.EncodeToString(sum[:]); len(b) != wantLen || got != wantHash {
+		t.Fatalf("Encode: %d bytes, sha256 %s; want %d bytes, %s", len(b), got, wantLen, wantHash)
+	}
+	if n := encodedSize(goldenState()); n != len(b) {
+		t.Fatalf("encodedSize %d, Encode wrote %d bytes", n, len(b))
+	}
+}
+
+// TestEncodeZeroAlloc: re-encoding into a buffer that already holds a
+// container of the same size allocates nothing, which is what lets a
+// Saver reuse one buffer across saves.
+func TestEncodeZeroAlloc(t *testing.T) {
+	st := goldenState()
+	buf := appendEncoded(nil, st)
+	want := append([]byte(nil), buf...)
+	if allocs := testing.AllocsPerRun(20, func() { buf = appendEncoded(buf[:0], st) }); allocs != 0 {
+		t.Fatalf("re-encoding allocated %v times", allocs)
+	}
+	if !bytes.Equal(buf, want) {
+		t.Fatal("re-encoding into a warm buffer changed the bytes")
+	}
+}
+
+// TestSaverStartCommitsInOrder: Start returns before its commit is
+// durable, Wait reports it, a second Start waits for the first commit and
+// returns its outcome, and the files land in the order started.
+func TestSaverStartCommitsInOrder(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "nested", "ckpt")
+	s := &Saver{Dir: dir}
+	st := sampleState()
+	st.Step = 1
+	if path, err := s.Start(st); path != "" || err != nil {
+		t.Fatalf("first Start reported (%q, %v), want nothing in flight", path, err)
+	}
+	// The saver encoded st during Start, so changing it now must not
+	// reach the file.
+	st.Params[0].Data[0] = 99
+	st.Step = 2
+	path, err := s.Start(st)
+	if err != nil || path != filepath.Join(dir, FileName(3, 1)) {
+		t.Fatalf("second Start reported (%q, %v), want the first commit", path, err)
+	}
+	if path, err = s.Wait(); err != nil || path != filepath.Join(dir, FileName(3, 2)) {
+		t.Fatalf("Wait: (%q, %v)", path, err)
+	}
+	if path, err = s.Wait(); path != "" || err != nil {
+		t.Fatalf("Wait with nothing in flight: (%q, %v)", path, err)
+	}
+	first, err := LoadFile(filepath.Join(dir, FileName(3, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := first.Params[0].Data[0]; got != sampleState().Params[0].Data[0] {
+		t.Fatalf("first checkpoint holds %v, written after Start returned", got)
+	}
+}
+
+// TestSaverReportsCommitError: a failed commit is Wait's error, and the
+// Saver commits again afterwards.
+func TestSaverReportsCommitError(t *testing.T) {
+	dir := t.TempDir()
+	s := &Saver{Dir: dir, Sink: failingSink{}}
+	s.Start(sampleState())
+	if _, err := s.Wait(); !errors.Is(err, errSinkFailed) {
+		t.Fatalf("Wait: %v, want the sink's error", err)
+	}
+	s.Sink = nil
+	if _, err := s.Save(sampleState()); err != nil {
+		t.Fatalf("Save after a failed commit: %v", err)
+	}
+	if _, err := (&Saver{}).Save(sampleState()); err == nil {
+		t.Fatal("a Saver without a Dir saved")
+	}
+}
+
+var errSinkFailed = errors.New("sink failed")
+
+// failingSink fails every write.
+type failingSink struct{ OSSink }
+
+func (failingSink) WriteFile(string, []byte) error { return errSinkFailed }

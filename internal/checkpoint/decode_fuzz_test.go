@@ -12,15 +12,20 @@ import (
 // section and whole-file CRCs, so fuzzed bytes reach the section parsers
 // instead of stopping at the first CRC check.
 func frame(meta, params, adamM, adamV []byte) []byte {
-	var buf bytes.Buffer
-	buf.WriteString(magic)
-	buf.Write(binary.LittleEndian.AppendUint32(nil, version))
-	writeSection(&buf, secMeta, meta)
-	writeSection(&buf, secParams, params)
-	writeSection(&buf, secAdamM, adamM)
-	writeSection(&buf, secAdamV, adamV)
-	writeSection(&buf, secEnd, binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(buf.Bytes())))
-	return buf.Bytes()
+	b := append([]byte(magic), binary.LittleEndian.AppendUint32(nil, version)...)
+	for _, sec := range []struct {
+		id      uint32
+		payload []byte
+	}{{secMeta, meta}, {secParams, params}, {secAdamM, adamM}, {secAdamV, adamV}} {
+		body := beginSection(&b, sec.id)
+		b = append(b, sec.payload...)
+		endSection(&b, body)
+	}
+	whole := crc32.ChecksumIEEE(b)
+	body := beginSection(&b, secEnd)
+	b = binary.LittleEndian.AppendUint32(b, whole)
+	endSection(&b, body)
+	return b
 }
 
 // FuzzDecode frames arbitrary section payloads into a container and

@@ -41,49 +41,63 @@ func (e *Engine) optionsFingerprint() uint64 {
 	return h.Sum64()
 }
 
-// buildRunState snapshots the run at cursor (epoch, step): the next
-// mini-batch to train is step `step` of epoch `epoch`.
-func (e *Engine) buildRunState(epoch, step int) *checkpoint.RunState {
-	st := &checkpoint.RunState{
-		Fingerprint: e.optionsFingerprint(),
-		Epoch:       epoch,
-		Step:        step,
-		Seed:        e.opts.Seed,
-	}
+// newRunState returns the RunState every save of the engine reuses: the
+// options fingerprint, the seed, and the name and shape of each model
+// parameter in the three tensor lists. runState fills in the rest.
+func (e *Engine) newRunState() checkpoint.RunState {
+	st := checkpoint.RunState{Fingerprint: e.optionsFingerprint(), Seed: e.opts.Seed}
 	if e.learn.model != nil {
-		params := e.learn.model.Params()
-		ast := e.learn.opt.ExportState(params)
-		st.AdamT = ast.T
-		st.Params = make([]checkpoint.Tensor, len(params))
-		st.AdamM = make([]checkpoint.Tensor, len(params))
-		st.AdamV = make([]checkpoint.Tensor, len(params))
-		for i, p := range params {
-			st.Params[i] = checkpoint.Tensor{
-				Name: p.Name, Rows: p.W.Rows, Cols: p.W.Cols,
-				Data: append([]float32(nil), p.W.Data...),
-			}
-			// ExportState already deep-copied the moments.
-			st.AdamM[i] = checkpoint.Tensor{Name: p.Name, Rows: p.W.Rows, Cols: p.W.Cols, Data: ast.M[i]}
-			st.AdamV[i] = checkpoint.Tensor{Name: p.Name, Rows: p.W.Rows, Cols: p.W.Cols, Data: ast.V[i]}
+		for _, p := range e.learn.model.Params() {
+			t := checkpoint.Tensor{Name: p.Name, Rows: p.W.Rows, Cols: p.W.Cols}
+			st.Params = append(st.Params, t)
+			st.AdamM = append(st.AdamM, t)
+			st.AdamV = append(st.AdamV, t)
 		}
 	}
 	return st
 }
 
-// saveRunState commits a checkpoint at the cursor. Called from the
-// trainer goroutine (the only writer of model and optimizer state), so
-// the snapshot is consistent without locking.
-func (e *Engine) saveRunState(epoch, step int) error {
-	if e.ckptSaver == nil {
-		return nil
+// runState points the engine's reused RunState at cursor (epoch, step):
+// the next mini-batch to train is step `step` of epoch `epoch`. Its
+// tensors alias the live parameters and Adam moments instead of copying
+// them, so it is valid only until the trainer's next step; the Saver
+// encodes it before Start returns.
+func (e *Engine) runState(epoch, step int) *checkpoint.RunState {
+	st := &e.ckptState
+	st.Epoch, st.Step = epoch, step
+	if e.learn.model != nil {
+		st.AdamT = e.learn.opt.T()
+		for i, p := range e.learn.model.Params() {
+			st.Params[i].Data = p.W.Data
+			st.AdamM[i].Data, st.AdamV[i].Data = e.learn.opt.Moments(p)
+		}
 	}
-	path, err := e.ckptSaver.Save(e.buildRunState(epoch, step))
-	if err != nil {
+	return st
+}
+
+// startSave waits for the checkpoint commit in flight, then encodes the
+// run at the cursor and starts committing it in the background. It
+// returns the error of the commit it waited for. Called from the trainer
+// goroutine (the only writer of model and optimizer state), which is
+// blocked while the snapshot is encoded, so it is consistent without
+// locking.
+func (e *Engine) startSave(epoch, step int) error {
+	return e.noteCommit(e.ckptSaver.Start(e.runState(epoch, step)))
+}
+
+// waitSave waits for the checkpoint commit in flight, if any, and returns
+// its error.
+func (e *Engine) waitSave() error { return e.noteCommit(e.ckptSaver.Wait()) }
+
+// noteCommit traces a finished commit's outcome and returns its error.
+func (e *Engine) noteCommit(path string, err error) error {
+	switch {
+	case err != nil:
 		e.opts.Tracer.Annotate(trace.StageWatchdog, "checkpoint save failed: "+err.Error())
-		return err
+	case path != "":
+		e.opts.Tracer.Annotate(trace.StageWatchdog, "checkpoint committed: "+path)
 	}
-	e.opts.Tracer.Annotate(trace.StageWatchdog, "checkpoint committed: "+path)
-	return nil
+	return err
 }
 
 // ResumeRunState loads the newest valid checkpoint from

@@ -69,6 +69,7 @@ func TestDeterministicResumeAfterKill(t *testing.T) {
 	if !errors.Is(verr, context.Canceled) {
 		t.Fatalf("victim epoch: err = %v, want context.Canceled", verr)
 	}
+	requireNoCommitInFlight(t, vicEng)
 	// The steps trained before the kill must already match the reference.
 	for i, l := range vres.StepLosses {
 		if l != ref0.StepLosses[i] {
@@ -235,6 +236,71 @@ func TestCheckpointSaveFailureDoesNotFailEpoch(t *testing.T) {
 	// Everything still on disk validates.
 	if _, _, err := checkpoint.LoadLatest(dir); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// slowSink is the real filesystem with every checkpoint write taking at
+// least delay, so a save that hands back control before its commit is
+// durable is caught in the act.
+type slowSink struct {
+	checkpoint.OSSink
+	delay time.Duration
+}
+
+func (s slowSink) WriteFile(path string, data []byte) error {
+	time.Sleep(s.delay)
+	return s.OSSink.WriteFile(path, data)
+}
+
+// TestDemandCheckpointDurableWhenRequestCloses: a RequestCheckpoint
+// channel closes only once its mid-epoch checkpoint is on disk, though
+// the commit itself runs off the trainer and the sink is slow. The drain
+// path cancels the run as soon as the channel closes, so a save still in
+// flight then would be the checkpoint a restarted daemon never finds.
+func TestDemandCheckpointDurableWhenRequestCloses(t *testing.T) {
+	dir := t.TempDir()
+	rig := newRig(t, device.InstantConfig(), 64<<20)
+	opts := ckptTestOpts(dir)
+	opts.CheckpointEverySteps = 0 // only the demand save writes mid-epoch
+	opts.ckptSink = slowSink{delay: 20 * time.Millisecond}
+	eng := newEngine(t, rig, opts)
+	type onDisk struct {
+		st  *checkpoint.RunState
+		err error
+	}
+	found := make(chan onDisk, 1)
+	eng.testExtractHook = func(_ context.Context, b *sample.Batch) {
+		if b.ID != 4 {
+			return
+		}
+		done := eng.RequestCheckpoint()
+		go func() {
+			<-done
+			st, _, err := checkpoint.LoadLatest(dir)
+			found <- onDisk{st, err}
+		}()
+	}
+	res, err := eng.TrainEpochFrom(context.Background(), 0, 0)
+	if err != nil || res.CheckpointErr != nil {
+		t.Fatalf("epoch: %v, checkpoint: %v", err, res.CheckpointErr)
+	}
+	requireNoCommitInFlight(t, eng)
+	got := <-found
+	if got.err != nil {
+		t.Fatalf("no checkpoint on disk when the request closed: %v", got.err)
+	}
+	if got.st.Epoch != 0 || got.st.Step == 0 || got.st.Step >= len(res.StepLosses) {
+		t.Fatalf("checkpoint on disk when the request closed is at (%d, %d), want mid-epoch 0",
+			got.st.Epoch, got.st.Step)
+	}
+}
+
+// requireNoCommitInFlight fails the test if a checkpoint commit outlived
+// the epoch that started it.
+func requireNoCommitInFlight(t *testing.T, e *Engine) {
+	t.Helper()
+	if path, err := e.ckptSaver.Wait(); path != "" || err != nil {
+		t.Fatalf("a checkpoint commit outlived its epoch: (%q, %v)", path, err)
 	}
 }
 

@@ -230,8 +230,11 @@ type Engine struct {
 	extractors []*extractor
 
 	// ckptSaver commits run state to Options.CheckpointDir (nil when
-	// checkpointing is disabled).
+	// checkpointing is disabled). At most one of its commits is in
+	// flight, and none outlives the epoch that started it.
 	ckptSaver *checkpoint.Saver
+	// ckptState is the RunState every save reuses (runState).
+	ckptState checkpoint.RunState
 	// ckptReq holds a pending on-demand checkpoint request
 	// (RequestCheckpoint); the trainer consumes it at the next step
 	// boundary.
@@ -398,6 +401,7 @@ func (e *Engine) finishSetup(ds *graph.Dataset, dev *device.Device,
 		e.ckptSaver = &checkpoint.Saver{
 			Dir: opts.CheckpointDir, Sink: opts.ckptSink,
 		}
+		e.ckptState = e.newRunState()
 	}
 	return e, nil
 }
@@ -462,11 +466,11 @@ type ckptRequest struct{ done chan struct{} }
 
 // RequestCheckpoint asks the trainer to commit a checkpoint at the next
 // step boundary and returns a channel that closes once the request has
-// been consumed — by an actual mid-epoch save (InOrder real-train runs,
-// where the step cursor is exact) or by the end of the current epoch
-// segment, whose boundary save supersedes it. This is the daemon's
-// drain hook: request, wait with a grace timeout (an engine idle
-// between epochs holds the request until its next segment), then
+// been consumed — by a mid-epoch save that is durable on disk (InOrder
+// real-train runs, where the step cursor is exact) or by the end of the
+// current epoch segment, whose boundary save supersedes it. This is the
+// daemon's drain hook: request, wait with a grace timeout (an engine
+// idle between epochs holds the request until its next segment), then
 // cancel. With checkpointing disabled the returned channel is already
 // closed. Concurrent requests coalesce onto one pending demand.
 //
@@ -632,7 +636,12 @@ func (e *Engine) trainEpochSegment(ctx context.Context, epoch int, targets []int
 
 	// Train stage: single trainer, then hand the node list to the
 	// releaser.
-	var ckptErr error
+	var ckptErr error // the epoch's first checkpoint failure
+	noteCkpt := func(err error) {
+		if ckptErr == nil {
+			ckptErr = err
+		}
+	}
 	// Mid-epoch checkpoints need an exact cursor: "the first N trained
 	// steps" must be a deterministic set, which only InOrder guarantees
 	// (stage parallelism reorders mini-batches). Elsewhere the engine
@@ -672,21 +681,20 @@ func (e *Engine) trainEpochSegment(ctx context.Context, epoch int, targets []int
 			step++
 			if midEpochSave && step%e.opts.CheckpointEverySteps == 0 && step < len(plan.Batches) {
 				// The trainer owns model and optimizer state, so the
-				// snapshot is consistent without locking. A failed save
-				// is recorded, not fatal: the crash-atomic commit means
-				// the previous checkpoint is still intact.
-				if err := e.saveRunState(epoch, step); err != nil && ckptErr == nil {
-					ckptErr = err
-				}
+				// snapshot is consistent without locking; its commit runs
+				// while the next steps train. A failed save is recorded,
+				// not fatal: the crash-atomic commit means the previous
+				// checkpoint is still intact.
+				noteCkpt(e.startSave(epoch, step))
 			}
 			if req := e.ckptReq.Swap(nil); req != nil {
 				// On-demand checkpoint (drain): commit at this exact step
-				// cursor when the mode allows it; otherwise the request is
+				// cursor when the mode allows it, and close the request
+				// only once the file is durable; otherwise the request is
 				// satisfied by the upcoming epoch-boundary save.
 				if demandSave && step < len(plan.Batches) {
-					if err := e.saveRunState(epoch, step); err != nil && ckptErr == nil {
-						ckptErr = err
-					}
+					noteCkpt(e.startSave(epoch, step))
+					noteCkpt(e.waitSave())
 				}
 				close(req.done)
 			}
@@ -729,13 +737,17 @@ func (e *Engine) trainEpochSegment(ctx context.Context, epoch int, targets []int
 		// Caller cancellation with no stage error still fails the epoch.
 		err = ctx.Err()
 	}
+	if e.ckptSaver != nil {
+		// No commit outlives the epoch: the last mid-epoch save lands
+		// (or fails) before it returns.
+		noteCkpt(e.waitSave())
+	}
 	if err == nil && e.ckptSaver != nil && stepSync == nil {
-		// Epoch-boundary checkpoint: cursor (epoch+1, 0). Exact in every
-		// pipeline mode — reordering within a completed epoch does not
-		// change which epoch comes next.
-		if serr := e.saveRunState(epoch+1, 0); serr != nil && ckptErr == nil {
-			ckptErr = serr
-		}
+		// Epoch-boundary checkpoint: cursor (epoch+1, 0), durable on
+		// return. Exact in every pipeline mode — reordering within a
+		// completed epoch does not change which epoch comes next.
+		noteCkpt(e.startSave(epoch+1, 0))
+		noteCkpt(e.waitSave())
 	}
 	if req := e.ckptReq.Swap(nil); req != nil {
 		// Segment over: the boundary save above (or the failure that ended

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Adam is the Adam optimizer with bias correction.
@@ -30,13 +31,7 @@ func (a *Adam) Step(params []*Param) {
 	c1 := 1 - float32(math.Pow(float64(a.Beta1), float64(a.t)))
 	c2 := 1 - float32(math.Pow(float64(a.Beta2), float64(a.t)))
 	for _, p := range params {
-		m, ok := a.m[p]
-		if !ok {
-			m = make([]float32, len(p.W.Data))
-			a.m[p] = m
-			a.v[p] = make([]float32, len(p.W.Data))
-		}
-		v := a.v[p]
+		m, v := a.Moments(p)
 		for i, g := range p.G.Data {
 			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
 			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
@@ -58,19 +53,28 @@ type AdamState struct {
 	M, V [][]float32
 }
 
+// Moments returns p's first and second moments, zeroed on first use. The
+// slices are the optimizer's own state, not copies: the next Step
+// overwrites them.
+func (a *Adam) Moments(p *Param) (m, v []float32) {
+	m, ok := a.m[p]
+	if !ok {
+		m = make([]float32, len(p.W.Data))
+		a.m[p] = m
+		a.v[p] = make([]float32, len(p.W.Data))
+	}
+	return m, a.v[p]
+}
+
 // ExportState snapshots the moments for params (deep copies, in params
 // order). Parameters the optimizer has not touched yet export zero
 // moments of the right length.
 func (a *Adam) ExportState(params []*Param) AdamState {
 	st := AdamState{T: a.t, M: make([][]float32, len(params)), V: make([][]float32, len(params))}
 	for i, p := range params {
-		n := len(p.W.Data)
-		st.M[i] = make([]float32, n)
-		st.V[i] = make([]float32, n)
-		if m, ok := a.m[p]; ok {
-			copy(st.M[i], m)
-			copy(st.V[i], a.v[p])
-		}
+		m, v := a.Moments(p)
+		st.M[i] = slices.Clone(m)
+		st.V[i] = slices.Clone(v)
 	}
 	return st
 }

@@ -540,9 +540,10 @@ func (d *Daemon) WaitJob(ctx context.Context, id string) (JobRecord, error) {
 
 // Drain gracefully shuts the daemon down: every running job is asked
 // for an on-demand checkpoint, given until ctx or the configured grace
-// expires, then cancelled; the manifest is persisted so a new daemon
-// over the same StateDir resumes each job from exactly the committed
-// cursor. Drain is terminal — the daemon accepts nothing afterwards.
+// expires, then cancelled; each job persists its Interrupted state, so
+// a new daemon over the same StateDir resumes each job from exactly the
+// committed cursor. Drain is terminal — the daemon accepts nothing
+// afterwards.
 func (d *Daemon) Drain(ctx context.Context) error {
 	d.mu.Lock()
 	if d.draining {
@@ -574,17 +575,20 @@ func (d *Daemon) Drain(ctx context.Context) error {
 		}
 	}
 
+	// Every job's supervisor persisted its last state change before
+	// wg.Done — a queued or backing-off job's Interrupted too — so the
+	// manifest on disk is already final.
 	d.rootCancel()
 	d.wg.Wait()
-	d.persist()
 	d.pool.close()
 	d.sched.Close()
 	return ctx.Err()
 }
 
-// Close hard-stops the daemon: cancel everything, wait, persist. Jobs
-// die mid-epoch and resume from their last committed checkpoint; use
-// Drain for the graceful, checkpoint-first path.
+// Close hard-stops the daemon: cancel everything and wait; each job
+// persists its own final state. Jobs die mid-epoch and resume from their
+// last committed checkpoint; use Drain for the graceful,
+// checkpoint-first path.
 func (d *Daemon) Close() {
 	d.mu.Lock()
 	already := d.draining
@@ -593,15 +597,19 @@ func (d *Daemon) Close() {
 	d.rootCancel()
 	d.wg.Wait()
 	if !already {
-		d.persist()
 		d.pool.close()
 		d.sched.Close()
 	}
 }
 
 // persist snapshots all records under the daemon lock and writes the
-// manifest outside it (saveMu serializes writers).
+// manifest outside it. saveMu is held across both, so manifests are
+// written in the order they were snapshot: the last write is the newest
+// state, and a job's final persist is never overwritten by an older
+// snapshot.
 func (d *Daemon) persist() {
+	d.saveMu.Lock()
+	defer d.saveMu.Unlock()
 	d.mu.Lock()
 	m := manifest{NextSeq: d.nextSeq}
 	for _, j := range d.jobs {
@@ -609,8 +617,6 @@ func (d *Daemon) persist() {
 		m.Jobs = append(m.Jobs, &rec)
 	}
 	d.mu.Unlock()
-	d.saveMu.Lock()
-	defer d.saveMu.Unlock()
 	if err := d.store.save(m); err != nil {
 		d.logf("serve: manifest save failed: %v", err)
 	}

@@ -780,3 +780,49 @@ func TestSubmitBodyBounds(t *testing.T) {
 		t.Fatalf("%d jobs admitted from refused bodies", n)
 	}
 }
+
+// TestDrainPersistsEveryJob: after a drain the manifest on disk holds
+// every job in its final state — running and still-queued ones alike —
+// though Drain writes no manifest of its own: each job's supervisor
+// persists its Interrupted state before it returns.
+func TestDrainPersistsEveryJob(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	cfg := testDaemonConfig(t, ctx)
+	cfg.MaxQueued = 2
+	d, err := NewDaemon(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two jobs fill the envelope; the third queues behind them.
+	var ids []string
+	for _, seed := range []uint64{7, 11, 13} {
+		id, err := d.Submit(testSpec(seed, 50))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	if rec, _ := d.Job(ids[2]); rec.State != StateQueued {
+		t.Fatalf("third job is %s, want queued", rec.State)
+	}
+	if err := d.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	store, err := newJobStore(cfg.StateDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := store.load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Jobs) != len(ids) || m.NextSeq != len(ids) {
+		t.Fatalf("manifest holds %d jobs, next seq %d; want %d, %d", len(m.Jobs), m.NextSeq, len(ids), len(ids))
+	}
+	for i, rec := range m.Jobs {
+		if rec.ID != ids[i] || rec.State != StateInterrupted {
+			t.Fatalf("manifest job %d: %s %s, want %s interrupted", i, rec.ID, rec.State, ids[i])
+		}
+	}
+}

@@ -5,27 +5,41 @@ import (
 	"math"
 )
 
-// ReLU applies max(0, x) in place and returns m for chaining.
+// ReLU applies max(0, x) in place and returns m for chaining: every
+// value below zero becomes +0, and -0 and NaN stay as they are. The
+// comparison is done on the bits, without a branch, because the sign of
+// a post-matmul value is a coin flip no predictor learns.
 func ReLU(m *Matrix) *Matrix {
 	for i, v := range m.Data {
-		if v < 0 {
-			m.Data[i] = 0
-		}
+		m.Data[i] = math.Float32frombits(math.Float32bits(v) &^ below(v))
 	}
 	return m
 }
 
 // ReLUBackward zeroes grad where the forward output was zero
-// (out is the post-activation matrix).
+// (out is the post-activation matrix): where out <= 0, so for either
+// zero and every negative value, never for NaN. Branchless, like ReLU.
 func ReLUBackward(grad, out *Matrix) {
 	if !grad.SameShape(out) {
 		panic(fmt.Sprintf("tensor: ReLUBackward shape mismatch %v vs %v", grad, out))
 	}
 	for i, v := range out.Data {
-		if v <= 0 {
-			grad.Data[i] = 0
-		}
+		b := math.Float32bits(v)
+		// b<<1 == 0 exactly for ±0; the subtraction borrows only then.
+		zero := uint32((uint64(b<<1) - 1) >> 32)
+		g := &grad.Data[i]
+		*g = math.Float32frombits(math.Float32bits(*g) &^ (below(v) | zero))
 	}
+}
+
+// below returns all ones when v < 0 and zero otherwise (for ±0, positive
+// values and NaN). The values below zero are the bit patterns from
+// 0x80000001 (the smallest negative subnormal) to 0xff800000 (-Inf);
+// moving that range to start at zero turns the test into one unsigned
+// compare, whose borrow out of 64 bits is the mask.
+func below(v float32) uint32 {
+	d := uint64(math.Float32bits(v) - 0x80000001)
+	return uint32(int64(d-0x7f800000) >> 63)
 }
 
 // LogSoftmaxInto computes log-softmax along each row of m into dst and

@@ -338,6 +338,52 @@ func TestReLUAndBackward(t *testing.T) {
 	}
 }
 
+// TestReLUMatchesBranch holds the branchless ReLU and ReLUBackward to the
+// branch forms they replaced, bit for bit: over the special values (both
+// zeros, both infinities, NaNs of either sign, subnormals and the
+// boundaries of the negative range) and over 2²⁰ random bit patterns.
+func TestReLUMatchesBranch(t *testing.T) {
+	bits := []uint32{
+		0x00000000, 0x80000000, // ±0
+		0x00000001, 0x80000001, 0x007fffff, 0x807fffff, // subnormals
+		0x00800000, 0x80800000, 0x3f800000, 0xbf800000, 0x7f7fffff, 0xff7fffff,
+		0x7f800000, 0xff800000, // ±Inf
+		0x7f800001, 0xff800001, 0x7fc00000, 0xffc00000, 0x7fffffff, 0xffffffff, // NaNs
+	}
+	rng := NewRNG(1)
+	for range 1 << 20 {
+		bits = append(bits, uint32(rng.Uint64()>>32))
+	}
+	n := len(bits)
+	x, grad, out := New(1, n), New(1, n), New(1, n)
+	for i, b := range bits {
+		x.Data[i] = math.Float32frombits(b)
+		out.Data[i] = math.Float32frombits(b)
+		// The incoming gradient's bits are the pattern reversed, so a
+		// kept gradient is told apart from a zeroed or rewritten one.
+		grad.Data[i] = math.Float32frombits(b>>16 | b<<16 | 1)
+	}
+	wantGrad := append([]float32(nil), grad.Data...)
+	ReLU(x)
+	ReLUBackward(grad, out)
+	for i, b := range bits {
+		v := math.Float32frombits(b)
+		want := v
+		if v < 0 {
+			want = 0
+		}
+		if got := math.Float32bits(x.Data[i]); got != math.Float32bits(want) {
+			t.Fatalf("ReLU(%#08x) = %#08x, branch form %#08x", b, got, math.Float32bits(want))
+		}
+		if v <= 0 {
+			wantGrad[i] = 0
+		}
+		if got := math.Float32bits(grad.Data[i]); got != math.Float32bits(wantGrad[i]) {
+			t.Fatalf("ReLUBackward at out %#08x: grad %#08x, branch form %#08x", b, got, math.Float32bits(wantGrad[i]))
+		}
+	}
+}
+
 func TestArgmaxAndAccuracy(t *testing.T) {
 	m := FromSlice(3, 3, []float32{1, 5, 2, 9, 0, 1, 3, 3, 4})
 	am := Argmax(m)
