@@ -80,7 +80,7 @@ func (f *cliFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&f.dataset, "dataset", "papers100m-s", "dataset: papers100m-s, twitter-s, friendster-s, mag240m-s, tiny")
 	fs.IntVar(&f.dim, "dim", 0, "override feature dimension")
 	fs.Uint64Var(&f.seed, "seed", 0, "override generator seed")
-	fs.StringVar(&f.layout, "layout", "strided", "feature layout: strided (dense node-ID order) or packed (offline batch-aware packing; -out also writes a .pidx offset index)")
+	fs.StringVar(&f.layout, "layout", "strided", "feature layout: strided (dense node-ID order) or packed (offline batch-aware packing; -out saves the packed offsets in the container)")
 	fs.StringVar(&f.traceModel, "trace-model", "sage", "model whose default batch/fanouts drive the packing trace")
 	fs.StringVar(&f.out, "out", "", "write a .gnnd container to this path")
 	fs.BoolVar(&f.stats, "stats", true, "print dataset statistics")
@@ -119,13 +119,13 @@ func (f *cliFlags) lower() (options, error) {
 func build(o options, stdout io.Writer) error {
 	start := time.Now()
 	// Build through the integrity layer: every block is checksummed as it
-	// is written, so -out can persist a CRC32C sidecar with the container.
+	// is written, so -out saves the CRC32C table in the container, and a
+	// loader verifies against it from the first read.
 	ds, err := gen.BuildWith(o.spec, integrity.WrapFactory(sim.Factory(sim.InstantConfig()), integrity.Options{}))
 	if err != nil {
 		return err
 	}
 	defer ds.Dev.Close()
-	ib := ds.Dev.(*integrity.Backend)
 	if err := ds.Validate(); err != nil {
 		return err
 	}
@@ -161,19 +161,5 @@ func build(o options, stdout io.Writer) error {
 	}
 	fi, _ := os.Stat(o.out)
 	fmt.Fprintf(stdout, "wrote %s (%.1f MB)\n", o.out, float64(fi.Size())/1e6)
-	if ds.Addr != nil {
-		pi, _ := os.Stat(o.out + ".pidx")
-		fmt.Fprintf(stdout, "wrote %s.pidx (%.1f KB offset index)\n", o.out, float64(pi.Size())/1e3)
-	}
-	// The sidecar checksums the device image the build produced; a
-	// loader recreating the same geometry (graph.Load with an
-	// integrity-wrapped factory and 4 KiB of scratch) adopts it and
-	// reads verified from the start.
-	crc := o.out + ".crc"
-	if err := ib.SaveSidecar(crc); err != nil {
-		return err
-	}
-	ci, _ := os.Stat(crc)
-	fmt.Fprintf(stdout, "wrote %s (%.1f KB checksum sidecar)\n", crc, float64(ci.Size())/1e3)
 	return nil
 }

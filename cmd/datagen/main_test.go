@@ -90,28 +90,31 @@ func TestRunExitCodes(t *testing.T) {
 }
 
 // TestRunWritesLoadablePackedContainer runs the command the way a user
-// packs a container for gnndrive -load, and loads what it wrote: the
-// container, its offset index and its checksum sidecar.
+// packs a container for gnndrive -load, and loads what it wrote: exactly
+// one file, the container, which carries the packed offsets and the
+// checksums.
 func TestRunWritesLoadablePackedContainer(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "tiny.gnnd")
+	dir := t.TempDir()
+	out := filepath.Join(dir, "tiny.gnnd")
 	var stdout, stderr strings.Builder
 	if code := run([]string{"-dataset", "tiny", "-layout", "packed", "-out", out}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d\n%s", code, &stderr)
 	}
-	for _, p := range []string{out, out + ".pidx", out + ".crc"} {
-		if _, err := os.Stat(p); err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(stdout.String(), "wrote "+p) {
-			t.Errorf("stdout does not report %s:\n%s", p, stdout.String())
-		}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 || ents[0].Name() != "tiny.gnnd" {
+		t.Fatalf("the command left %v (%v), want the container alone", ents, err)
 	}
-	ds, err := graph.Load(out, integrity.WrapFactory(sim.Factory(sim.InstantConfig()), integrity.Options{}), 4096)
+	if got := strings.Count(stdout.String(), "wrote "); got != 1 || !strings.Contains(stdout.String(), "wrote "+out) {
+		t.Errorf("stdout reports %d writes, want one of %s:\n%s", got, out, stdout.String())
+	}
+	ds, table, err := graph.Load(out, integrity.WrapFactory(sim.Factory(sim.InstantConfig()), integrity.Options{}), 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ds.Dev.Close()
-	if err := ds.Dev.(*integrity.Backend).LoadSidecar(out + ".crc"); err != nil {
+	if table == nil {
+		t.Fatal("the container carries no checksums")
+	}
+	if err := ds.Dev.(*integrity.Backend).AdoptChecksums(*table); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := ds.Addr.(*layout.Packed); !ok {

@@ -150,7 +150,7 @@ func (f *cliFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Backend, "backend", "sim", "storage backend: sim (modeled SSD), file (real file, direct I/O best-effort), or linuring (real file via io_uring, falls back to file)")
 	fs.StringVar(&f.dataFile, "data-file", "", "backing file for -backend file (default: a temp file)")
 	fs.StringVar(&f.layout, "layout", "strided", "feature layout: strided, or packed (offline batch-aware packing before training; see cmd/datagen -layout)")
-	fs.StringVar(&f.load, "load", "", "load this .gnnd container (with its .pidx/.crc sidecars) instead of generating; -dataset/-dim/-layout are ignored")
+	fs.StringVar(&f.load, "load", "", "load this .gnnd container instead of generating (-verify checks reads against the checksums it saved); -dataset/-dim/-layout are ignored")
 }
 
 // lower turns the parsed flags into the run's configuration and system:

@@ -233,9 +233,10 @@ func TestRun(t *testing.T) {
 
 // TestRunLoadVerify drives -load -verify on a container saved the way
 // cmd/datagen -out saves one. Clean, every read is verified against the
-// saved sidecar; with the sidecar truncated the load fails, exit 1,
-// instead of verifying against the container's own bytes. A corrupt
-// feature byte is trainsim's TestLoadVerifiesAgainstSidecar.
+// checksums the container saved; with its checksum section truncated the
+// load fails, exit 1, instead of verifying against the container's own
+// bytes. A corrupt feature byte is trainsim's
+// TestLoadVerifiesAgainstSavedChecksums.
 func TestRunLoadVerify(t *testing.T) {
 	ds, err := gen.BuildWith(gen.Tiny(), integrity.WrapFactory(sim.Factory(sim.InstantConfig()), integrity.Options{}))
 	if err != nil {
@@ -243,9 +244,6 @@ func TestRunLoadVerify(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "tiny.gnnd")
 	err = graph.Save(ds, path)
-	if err == nil {
-		err = ds.Dev.(*integrity.Backend).SaveSidecar(path + ".crc")
-	}
 	ds.Dev.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -259,17 +257,18 @@ func TestRunLoadVerify(t *testing.T) {
 		t.Fatalf("clean container did not verify every read:\n%s", out)
 	}
 
-	fi, err := os.Stat(path + ".crc")
+	// The checksum section ends the container.
+	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(path+".crc", fi.Size()-4); err != nil {
+	if err := os.Truncate(path, fi.Size()-4); err != nil {
 		t.Fatal(err)
 	}
 	stdout.Reset()
 	stderr.Reset()
-	if code := run(context.Background(), args, &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), "sidecar") {
-		t.Fatalf("truncated sidecar: exit %d, want 1 with a sidecar error\nstderr:\n%s", code, &stderr)
+	if code := run(context.Background(), args, &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), "checksum section") {
+		t.Fatalf("truncated checksum section: exit %d, want 1 with a checksum section error\nstderr:\n%s", code, &stderr)
 	}
 }
 

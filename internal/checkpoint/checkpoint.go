@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -101,12 +102,12 @@ type RunState struct {
 	AdamV  []Tensor
 }
 
-// Sink abstracts the three file operations Save needs so fault-injection
-// tests can interpose crashes. Implementations must make WriteFile
-// durable (write + fsync) before returning.
+// Sink abstracts the file operations a commit needs, so fault-injection
+// tests can interpose crashes at each step: the write, the fsync, the
+// rename and the directory fsync.
 type Sink interface {
-	// WriteFile creates (or truncates) path with data and fsyncs it.
-	WriteFile(path string, data []byte) error
+	// Create creates (or truncates) path for writing.
+	Create(path string) (File, error)
 	// Rename atomically moves oldpath over newpath.
 	Rename(oldpath, newpath string) error
 	// SyncDir fsyncs the directory so the rename itself is durable.
@@ -115,24 +116,25 @@ type Sink interface {
 	Remove(path string) error
 }
 
+// File is a file a Sink created: Commit writes it, fsyncs it and closes
+// it. It is an alias of the interface literal, so a sink can implement
+// Sink without importing this package (internal/faults does).
+type File = interface {
+	io.Writer
+	Sync() error
+	Close() error
+}
+
 // OSSink is the real filesystem implementation of Sink.
 type OSSink struct{}
 
-// WriteFile writes data to path and fsyncs the file.
-func (OSSink) WriteFile(path string, data []byte) error {
+// Create opens path for writing, truncating it.
+func (OSSink) Create(path string) (File, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return f, nil
 }
 
 // Rename moves oldpath over newpath.
@@ -153,14 +155,14 @@ func (OSSink) SyncDir(dir string) error {
 // Remove deletes path.
 func (OSSink) Remove(path string) error { return os.Remove(path) }
 
-// Commit replaces the file at path with data crash-atomically through
-// sink: the bytes are written to path+".tmp" and fsynced, the temporary
-// is renamed over path, and the directory is fsynced so the rename
-// survives a crash. When a step fails the temporary is removed and the
-// file previously at path is left as it was.
-func Commit(sink Sink, path string, data []byte) error {
+// Commit replaces the file at path crash-atomically through sink: write
+// fills path+".tmp", which is fsynced, renamed over path, and the
+// directory is fsynced so the rename survives a crash. When a step fails
+// the temporary is removed and the file previously at path is left as it
+// was. Every durable file in the tree is written this way.
+func Commit(sink Sink, path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
-	err := sink.WriteFile(tmp, data)
+	err := writeFile(sink, tmp, write)
 	if err == nil {
 		err = sink.Rename(tmp, path)
 	}
@@ -169,6 +171,22 @@ func Commit(sink Sink, path string, data []byte) error {
 		return err
 	}
 	return sink.SyncDir(filepath.Dir(path))
+}
+
+// writeFile creates path through sink, fills it with write and fsyncs it.
+func writeFile(sink Sink, path string, write func(io.Writer) error) error {
+	f, err := sink.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Saver commits checkpoints into a directory, keeping the newest
@@ -182,7 +200,9 @@ type Saver struct {
 	// Sink overrides the filesystem seam (nil = OSSink).
 	Sink Sink
 
-	buf      []byte
+	buf []byte
+	// write writes buf; bound once, so a commit allocates no closure.
+	write    func(io.Writer) error
 	dirReady bool
 	// done closes when the commit in flight has finished; path and err
 	// are its outcome. done is nil when no commit is in flight.
@@ -232,16 +252,25 @@ func (s *Saver) Start(st *RunState) (string, error) {
 		return prevPath, prevErr
 	}
 	s.buf = appendEncoded(s.buf[:0], st)
+	if s.write == nil {
+		s.write = s.writeBuf
+	}
 	go func() {
 		defer close(s.done)
 		sink := s.sink()
-		if err := Commit(sink, s.path, s.buf); err != nil {
+		if err := Commit(sink, s.path, s.write); err != nil {
 			s.err = fmt.Errorf("checkpoint: commit %s: %w", s.path, err)
 			return
 		}
 		s.prune(sink)
 	}()
 	return prevPath, prevErr
+}
+
+// writeBuf writes the encoded checkpoint.
+func (s *Saver) writeBuf(w io.Writer) error {
+	_, err := w.Write(s.buf)
+	return err
 }
 
 // Wait blocks until the commit in flight has finished and returns its

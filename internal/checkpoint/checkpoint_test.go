@@ -367,7 +367,7 @@ func TestSaverReportsCommitError(t *testing.T) {
 
 var errSinkFailed = errors.New("sink failed")
 
-// failingSink fails every write.
+// failingSink fails every file it is asked to create.
 type failingSink struct{ OSSink }
 
-func (failingSink) WriteFile(string, []byte) error { return errSinkFailed }
+func (failingSink) Create(string) (File, error) { return nil, errSinkFailed }

@@ -247,9 +247,9 @@ type slowSink struct {
 	delay time.Duration
 }
 
-func (s slowSink) WriteFile(path string, data []byte) error {
+func (s slowSink) Create(path string) (checkpoint.File, error) {
 	time.Sleep(s.delay)
-	return s.OSSink.WriteFile(path, data)
+	return s.OSSink.Create(path)
 }
 
 // TestDemandCheckpointDurableWhenRequestCloses: a RequestCheckpoint

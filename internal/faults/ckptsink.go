@@ -13,6 +13,7 @@ package faults
 
 import (
 	"errors"
+	"io"
 	"os"
 	"strings"
 	"sync"
@@ -29,7 +30,7 @@ const (
 	// CkptNone passes everything through.
 	CkptNone CkptFault = iota
 	// CkptTornWrite crashes mid-write: the temporary file keeps only a
-	// prefix of the data and WriteFile fails. The commit rename never
+	// prefix of the first write and the write fails. The commit rename never
 	// happens, so no torn file ever becomes visible under a .ckpt name.
 	CkptTornWrite
 	// CkptFailRename crashes at the commit point: the temporary file is
@@ -91,27 +92,34 @@ func (s *CkptSink) fire(mode CkptFault) bool {
 	return true
 }
 
-// WriteFile writes data to path and fsyncs it, or crashes torn.
-func (s *CkptSink) WriteFile(path string, data []byte) error {
-	if isCkpt(path) && s.fire(CkptTornWrite) {
-		// Persist only a prefix — the bytes that made it to disk before
-		// the crash — and report the commit as failed.
-		_ = os.WriteFile(path, data[:len(data)/2], 0o644)
-		return ErrCkptCrash
-	}
+// ckptFile is checkpoint.File, spelled out so that this package need
+// not import checkpoint.
+type ckptFile = interface {
+	io.Writer
+	Sync() error
+	Close() error
+}
+
+// Create opens path for writing, or for a torn write.
+func (s *CkptSink) Create(path string) (ckptFile, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
+	if isCkpt(path) && s.fire(CkptTornWrite) {
+		return tornFile{f}, nil
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return f, nil
+}
+
+// tornFile crashes on its first write.
+type tornFile struct{ *os.File }
+
+// Write persists only a prefix of p — the bytes that made it to disk
+// before the crash — and reports the commit as failed.
+func (f tornFile) Write(p []byte) (int, error) {
+	n, _ := f.File.Write(p[:len(p)/2])
+	return n, ErrCkptCrash
 }
 
 // Rename commits oldpath over newpath, with the rename-point and

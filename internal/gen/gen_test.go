@@ -195,37 +195,34 @@ func TestBuildRejectsBadSpec(t *testing.T) {
 	}
 }
 
-func TestBuildVerifiedEmitsAdoptableSidecar(t *testing.T) {
+func TestBuildVerifiedSavesAdoptableChecksums(t *testing.T) {
 	ds, err := BuildWith(Tiny(), integrity.WrapFactory(sim.Factory(sim.InstantConfig()), integrity.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ds.Dev.Close()
-	ib, ok := ds.Dev.(*integrity.Backend)
-	if !ok {
+	if _, ok := ds.Dev.(*integrity.Backend); !ok {
 		t.Fatal("dataset device is not the integrity wrapper")
 	}
-	dir := t.TempDir()
-	out := filepath.Join(dir, "tiny.gnnd")
-	side := out + ".crc"
+	out := filepath.Join(t.TempDir(), "tiny.gnnd")
 	if err := graph.Save(ds, out); err != nil {
-		t.Fatal(err)
-	}
-	if err := ib.SaveSidecar(side); err != nil {
 		t.Fatal(err)
 	}
 
 	// Load the container through an integrity-wrapped factory, then adopt
-	// the sidecar. The load's geometry (exact array sizes + scratch)
-	// differs from the build's estimated capacity; the overlapping blocks
-	// adopt.
-	loaded, err := graph.Load(out, integrity.WrapFactory(sim.Factory(sim.InstantConfig()),
+	// the checksums it saved. The load's geometry (exact array sizes +
+	// scratch) differs from the build's estimated capacity; the
+	// overlapping blocks adopt.
+	loaded, table, err := graph.Load(out, integrity.WrapFactory(sim.Factory(sim.InstantConfig()),
 		integrity.Options{}), 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer loaded.Dev.Close()
-	if err := loaded.Dev.(*integrity.Backend).LoadSidecar(side); err != nil {
+	if table == nil {
+		t.Fatal("the container saved no checksums")
+	}
+	if err := loaded.Dev.(*integrity.Backend).AdoptChecksums(*table); err != nil {
 		t.Fatal(err)
 	}
 	buf := storage.AlignedBuf(loaded.Dev.SectorSize(), loaded.Dev.SectorSize())

@@ -17,26 +17,28 @@ import (
 
 // goldenHashes is the FNV-64a of everything a build produces: the full
 // device image, the labels, both splits and — through the integrity
-// wrapper — the saved sidecar table. The values were recorded from the
-// commit before writeFeatures went parallel; a change to any of them
-// means generation is no longer byte-identical and every recorded loss
+// wrapper — the checksum section a saved container carries (its block
+// size, block count, states, sums and CRC). The values were recorded from
+// the commit before writeFeatures went parallel, the checksum section's
+// when the table moved into the container; a change to any of them means
+// generation is no longer byte-identical and every recorded loss
 // trajectory downstream moves with it.
-type goldenHashes struct{ image, labels, train, val, sidecar string }
+type goldenHashes struct{ image, labels, train, val, checksums string }
 
 var golden = map[string]goldenHashes{
 	"tiny": {
-		image:   "8eef006727cb05ec",
-		labels:  "2d20d0d2b9edb0e1",
-		train:   "2fe2508e475cdba0",
-		val:     "f3c81bb5c9359f60",
-		sidecar: "bc034071f2ba57cc",
+		image:     "8eef006727cb05ec",
+		labels:    "2d20d0d2b9edb0e1",
+		train:     "2fe2508e475cdba0",
+		val:       "f3c81bb5c9359f60",
+		checksums: "ab45b4c69f2f6816",
 	},
 	"papers100m-s": {
-		image:   "0bc58deb4dbc4c28",
-		labels:  "3914bef453f5426b",
-		train:   "5fb308c3b27ffaa3",
-		val:     "24892ce93b85c37f",
-		sidecar: "db2405519dc19c8c",
+		image:     "0bc58deb4dbc4c28",
+		labels:    "3914bef453f5426b",
+		train:     "5fb308c3b27ffaa3",
+		val:       "24892ce93b85c37f",
+		checksums: "50a16b1bb696dd49",
 	},
 }
 
@@ -89,7 +91,7 @@ func TestGoldenImage(t *testing.T) {
 			}
 			defer ds.Dev.Close()
 			got := hashesOf(t, ds)
-			got.sidecar = want.sidecar
+			got.checksums = want.checksums
 			if got != want {
 				t.Fatalf("build is not byte-identical:\n got %+v\nwant %+v", got, want)
 			}
@@ -99,20 +101,22 @@ func TestGoldenImage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ib := ds.Dev.(*integrity.Backend)
 			defer ds.Dev.Close()
 			got := hashesOf(t, ds)
-			side := filepath.Join(t.TempDir(), "image.crc")
-			if err := ib.SaveSidecar(side); err != nil {
+			path := filepath.Join(t.TempDir(), "image.gnnd")
+			if err := graph.Save(ds, path); err != nil {
 				t.Fatal(err)
 			}
-			b, err := os.ReadFile(side)
+			b, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The checksum section ends the container: block size and
+			// count, a state byte and a sum per block, and its CRC.
+			blocks := len(ds.Dev.(*integrity.Backend).Checksums().Sums)
 			h := fnv.New64a()
-			h.Write(b)
-			got.sidecar = sum64(h)
+			h.Write(b[len(b)-(16+5*blocks+4):])
+			got.checksums = sum64(h)
 			if got != want {
 				t.Fatalf("verified build is not byte-identical:\n got %+v\nwant %+v", got, want)
 			}

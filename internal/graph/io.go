@@ -4,16 +4,48 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 
+	"gnndrive/internal/checkpoint"
 	"gnndrive/internal/layout"
 	"gnndrive/internal/storage"
 )
 
-// fileMagic guards the .gnnd dataset container format.
+// The .gnnd container is the whole preprocessed dataset, one file. All
+// integers are little-endian:
+//
+//	magic "GNND1\n" | metadata length i64 | metadata (JSON header)
+//	indptr (nodes+1) x i64 | train x i64 | val x i64 | labels nodes x i32
+//	indices edges x u32 | features nodes x dim x f32
+//	offset section, when the header's layout is "packed":
+//	    nodes x u64, each node's offset into the feature region | CRC32C
+//	checksum section, when the header says "checksums":
+//	    block size u64 | blocks u64 | states blocks x u8 |
+//	    sums blocks x u32 | CRC32C
+//
+// Each CRC32C covers its section's bytes before it. Load accepts a file
+// only when every section's CRC matches and the sizes the header declares
+// account for every byte.
 const fileMagic = "GNND1\n"
+
+// tableHead is the checksum section's block size and block count.
+const tableHead = 16
+
+// ErrCorrupt is wrapped by Load failures caused by the container's
+// content — a bad magic, header, CRC or size — as opposed to I/O errors
+// opening or reading it.
+var ErrCorrupt = errors.New("graph: corrupt container")
+
+// corrupt wraps ErrCorrupt around a content problem of the container at
+// path.
+func corrupt(path string, err error) error { return fmt.Errorf("%w %s: %w", ErrCorrupt, path, err) }
+
+// crc32c is the CRC32C every section carries.
+func crc32c(b []byte) uint32 { return crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)) }
 
 // header is the JSON metadata block of a .gnnd file.
 type header struct {
@@ -25,100 +57,145 @@ type header struct {
 	Train      int    `json:"train"`
 	Val        int    `json:"val"`
 	// Layout names the feature-region layout: "" or "strided" for the
-	// dense table, "packed" when the features were packed offline and a
-	// "<container>.pidx" offset index rides next to the container.
+	// dense table, "packed" when the features were packed offline and
+	// the offset section follows them.
 	Layout string `json:"layout,omitempty"`
+	// Checksums is set when the checksum section ends the file.
+	Checksums bool `json:"checksums,omitempty"`
 }
 
 // check rejects a header whose counts are negative, or declare arrays
-// larger than the size bytes that follow the metadata, before Load sizes
-// a single slice or backend from them.
-func (h *header) check(size int64) error {
+// and sections other than the size bytes that follow the metadata,
+// before Load sizes a single slice or backend from them. It returns how
+// many of those bytes the checksum section takes.
+func (h *header) check(size int64) (int64, error) {
 	if h.NumNodes < 0 || h.NumEdges < 0 || h.Dim <= 0 || h.NumClasses <= 0 ||
 		h.Train < 0 || h.Val < 0 || int64(h.Train) > h.NumNodes || int64(h.Val) > h.NumNodes {
-		return fmt.Errorf("graph: header counts out of range (nodes %d, edges %d, dim %d, classes %d, train %d, val %d)",
+		return 0, fmt.Errorf("header counts out of range (nodes %d, edges %d, dim %d, classes %d, train %d, val %d)",
 			h.NumNodes, h.NumEdges, h.Dim, h.NumClasses, h.Train, h.Val)
+	}
+	if h.Layout != "" && h.Layout != "strided" && h.Layout != "packed" {
+		return 0, fmt.Errorf("unknown layout %q", h.Layout)
 	}
 	// Bound every term by size first, so the sum cannot overflow.
 	tooBig := h.NumNodes > size/12 || h.NumEdges > size/4 ||
 		(h.NumNodes > 0 && int64(h.Dim) > size/4/h.NumNodes)
+	var need int64
 	if !tooBig {
-		need := 8*(h.NumNodes+1+int64(h.Train)+int64(h.Val)) + 4*h.NumNodes +
+		need = 8*(h.NumNodes+1+int64(h.Train)+int64(h.Val)) + 4*h.NumNodes +
 			4*h.NumEdges + 4*h.NumNodes*int64(h.Dim)
+		if h.Layout == "packed" {
+			need += 8*h.NumNodes + 4
+		}
+		if h.Checksums {
+			need += tableHead + 4
+		}
 		tooBig = need > size
 	}
 	if tooBig {
-		return fmt.Errorf("graph: header declares %d nodes, %d edges, dim %d: more than the file's %d bytes of arrays",
+		return 0, fmt.Errorf("header declares %d nodes, %d edges, dim %d: more than the file's %d bytes of arrays",
 			h.NumNodes, h.NumEdges, h.Dim, size)
 	}
-	return nil
+	if !h.Checksums {
+		if size > need {
+			return 0, fmt.Errorf("%d trailing bytes", size-need)
+		}
+		return 0, nil
+	}
+	return size - need + tableHead + 4, nil
 }
 
-// Save writes the dataset — metadata, indptr, labels, splits, and the
-// on-device index and feature arrays — to a .gnnd container file. A
-// packed dataset (Addr is a layout.Packed) additionally persists its
-// offset index next to the container as "<path>.pidx", the way the
-// integrity layer persists its checksum sidecar; Load adopts it.
-func Save(ds *Dataset, path string) error {
-	layoutName := ""
-	packed, _ := ds.Addr.(*layout.Packed)
-	if packed != nil {
-		layoutName = "packed"
-	} else if ds.Addr != nil {
-		if _, ok := ds.Addr.(layout.Strided); !ok {
-			return fmt.Errorf("graph: save: layout %T has no container representation", ds.Addr)
+// checksummer is a backend that keeps a checksum table
+// (storage/integrity's wrapper).
+type checksummer interface {
+	Checksums() storage.ChecksumTable
+}
+
+// Save writes the dataset to a .gnnd container file: metadata, indptr,
+// labels, splits, the on-device index and feature arrays, a packed
+// layout's offsets and, when the device keeps one, its checksum table.
+// The file is committed crash-atomically (checkpoint.Commit): a failed or
+// interrupted save leaves the previous file at path as it was.
+func Save(ds *Dataset, path string) error { return save(ds, path, checkpoint.OSSink{}) }
+
+// save is Save through sink.
+func save(ds *Dataset, path string, sink checkpoint.Sink) error {
+	le := binary.LittleEndian
+	h := header{Name: ds.Name, NumNodes: ds.NumNodes, NumEdges: ds.NumEdges,
+		Dim: ds.Dim, NumClasses: ds.NumClasses, Train: len(ds.TrainIdx), Val: len(ds.ValIdx)}
+	var offsets, table []byte
+	switch a := ds.Addr.(type) {
+	case nil, layout.Strided:
+	case *layout.Packed:
+		h.Layout = "packed"
+		offsets = make([]byte, 0, 8*ds.NumNodes)
+		for v := range ds.NumNodes {
+			offsets = le.AppendUint64(offsets, uint64(a.NodeOffset(v)-ds.Layout.FeaturesOff))
+		}
+	default:
+		return fmt.Errorf("graph: save: layout %T has no container representation", ds.Addr)
+	}
+	if c, ok := ds.Dev.(checksummer); ok {
+		h.Checksums = true
+		t := c.Checksums()
+		table = le.AppendUint64(table, uint64(t.BlockSize))
+		table = le.AppendUint64(table, uint64(len(t.Sums)))
+		table = append(table, t.States...)
+		for _, s := range t.Sums {
+			table = le.AppendUint32(table, s)
 		}
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("graph: save: %w", err)
-	}
-	defer f.Close() // for the early returns; a second Close is harmless
-	w := bufio.NewWriterSize(f, 1<<20)
-	if _, err := w.WriteString(fileMagic); err != nil {
-		return err
-	}
-	h := header{Name: ds.Name, NumNodes: ds.NumNodes, NumEdges: ds.NumEdges,
-		Dim: ds.Dim, NumClasses: ds.NumClasses, Train: len(ds.TrainIdx), Val: len(ds.ValIdx),
-		Layout: layoutName}
 	meta, err := json.Marshal(h)
 	if err != nil {
 		return err
 	}
-	if err := binary.Write(w, binary.LittleEndian, int64(len(meta))); err != nil {
-		return err
-	}
-	if _, err := w.Write(meta); err != nil {
-		return err
-	}
-	for _, arr := range [][]int64{ds.Indptr, ds.TrainIdx, ds.ValIdx} {
-		if err := binary.Write(w, binary.LittleEndian, arr); err != nil {
+	err = checkpoint.Commit(sink, path, func(f io.Writer) error {
+		// bufio's error is sticky: Flush reports the first write that
+		// failed.
+		w := bufio.NewWriterSize(f, 1<<20)
+		w.WriteString(fileMagic)
+		binary.Write(w, le, int64(len(meta)))
+		w.Write(meta)
+		for _, arr := range [][]int64{ds.Indptr, ds.TrainIdx, ds.ValIdx} {
+			binary.Write(w, le, arr)
+		}
+		binary.Write(w, le, ds.Labels)
+		if err := copyRegion(w, ds.Dev, ds.Layout.IndicesOff, ds.Layout.IndicesLen); err != nil {
 			return err
 		}
-	}
-	if err := binary.Write(w, binary.LittleEndian, ds.Labels); err != nil {
-		return err
-	}
-	// Stream the device arrays in chunks.
-	if err := copyRegion(w, ds.Dev, ds.Layout.IndicesOff, ds.Layout.IndicesLen); err != nil {
-		return err
-	}
-	if err := copyRegion(w, ds.Dev, ds.Layout.FeaturesOff, ds.Layout.FeaturesLen); err != nil {
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	// Close can report a write error the OS deferred.
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("graph: save: %w", err)
-	}
-	if packed != nil {
-		if err := packed.SaveIndex(path + ".pidx"); err != nil {
+		if err := copyRegion(w, ds.Dev, ds.Layout.FeaturesOff, ds.Layout.FeaturesLen); err != nil {
 			return err
 		}
+		if h.Layout == "packed" {
+			writeSection(w, offsets)
+		}
+		if h.Checksums {
+			writeSection(w, table)
+		}
+		return w.Flush()
+	})
+	if err != nil {
+		return fmt.Errorf("graph: save %s: %w", path, err)
 	}
 	return nil
+}
+
+// writeSection writes a section's bytes and their CRC32C.
+func writeSection(w io.Writer, b []byte) {
+	w.Write(b)
+	w.Write(binary.LittleEndian.AppendUint32(nil, crc32c(b)))
+}
+
+// readSection reads an n-byte section and its CRC32C, verifying it.
+func readSection(r io.Reader, n int64, what string) ([]byte, error) {
+	b := make([]byte, n+4)
+	if _, err := io.ReadFull(r, b); err != nil {
+		return nil, fmt.Errorf("%s section: %w", what, err)
+	}
+	if crc32c(b[:n]) != binary.LittleEndian.Uint32(b[n:]) {
+		return nil, fmt.Errorf("%s section CRC mismatch", what)
+	}
+	return b[:n], nil
 }
 
 func copyRegion(w io.Writer, dev storage.Backend, off, n int64) error {
@@ -141,40 +218,43 @@ func copyRegion(w io.Writer, dev storage.Backend, off, n int64) error {
 
 // Load reads a .gnnd container, builds a backend through newBackend with
 // capacity for the arrays plus extraBytes of scratch, and returns the
-// dataset bound to it. The factory decides where the bytes land — the
+// dataset bound to it, with the checksum table the container saved (nil
+// when it saved none). The factory decides where the bytes land — the
 // simulator's in-memory image or a real file (storage/sim, storage/file).
-func Load(path string, newBackend storage.Factory, extraBytes int64) (*Dataset, error) {
+// A container whose content does not check wraps ErrCorrupt.
+func Load(path string, newBackend storage.Factory, extraBytes int64) (*Dataset, *storage.ChecksumTable, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("graph: load: %w", err)
+		return nil, nil, fmt.Errorf("graph: load: %w", err)
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return nil, fmt.Errorf("graph: load: %w", err)
+		return nil, nil, fmt.Errorf("graph: load: %w", err)
 	}
 	r := bufio.NewReaderSize(f, 1<<20)
 	magic := make([]byte, len(fileMagic))
 	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != fileMagic {
-		return nil, fmt.Errorf("graph: %s is not a .gnnd file", path)
+		return nil, nil, corrupt(path, errors.New("not a .gnnd file"))
 	}
 	var metaLen int64
 	if err := binary.Read(r, binary.LittleEndian, &metaLen); err != nil {
-		return nil, fmt.Errorf("graph: load %s: %w", path, err)
+		return nil, nil, corrupt(path, err)
 	}
 	if metaLen <= 0 || metaLen > 1<<20 {
-		return nil, fmt.Errorf("graph: implausible metadata length %d", metaLen)
+		return nil, nil, corrupt(path, fmt.Errorf("implausible metadata length %d", metaLen))
 	}
 	meta := make([]byte, metaLen)
 	if _, err := io.ReadFull(r, meta); err != nil {
-		return nil, fmt.Errorf("graph: load %s: %w", path, err)
+		return nil, nil, corrupt(path, err)
 	}
 	var h header
 	if err := json.Unmarshal(meta, &h); err != nil {
-		return nil, fmt.Errorf("graph: load %s: %w", path, err)
+		return nil, nil, corrupt(path, err)
 	}
-	if err := h.check(st.Size() - int64(len(fileMagic)) - 8 - metaLen); err != nil {
-		return nil, fmt.Errorf("graph: load %s: %w", path, err)
+	tableLen, err := h.check(st.Size() - int64(len(fileMagic)) - 8 - metaLen)
+	if err != nil {
+		return nil, nil, corrupt(path, err)
 	}
 	ds := &Dataset{
 		Name: h.Name, NumNodes: h.NumNodes, NumEdges: h.NumEdges,
@@ -186,11 +266,11 @@ func Load(path string, newBackend storage.Factory, extraBytes int64) (*Dataset, 
 	}
 	for _, arr := range [][]int64{ds.Indptr, ds.TrainIdx, ds.ValIdx} {
 		if err := binary.Read(r, binary.LittleEndian, arr); err != nil {
-			return nil, fmt.Errorf("graph: load %s: %w", path, err)
+			return nil, nil, corrupt(path, err)
 		}
 	}
 	if err := binary.Read(r, binary.LittleEndian, ds.Labels); err != nil {
-		return nil, fmt.Errorf("graph: load %s: %w", path, err)
+		return nil, nil, corrupt(path, err)
 	}
 	indicesLen := 4 * h.NumEdges
 	featOff := (indicesLen + 511) / 512 * 512
@@ -199,45 +279,80 @@ func Load(path string, newBackend storage.Factory, extraBytes int64) (*Dataset, 
 		FeaturesOff: featOff, FeaturesLen: featLen}
 	dev, err := newBackend(featOff + featLen + extraBytes)
 	if err != nil {
-		return nil, fmt.Errorf("graph: load backend: %w", err)
-	}
-	if err := fillRegion(r, dev, 0, indicesLen); err != nil {
-		dev.Close()
-		return nil, fmt.Errorf("graph: load %s: %w", path, err)
-	}
-	if err := fillRegion(r, dev, featOff, featLen); err != nil {
-		dev.Close()
-		return nil, fmt.Errorf("graph: load %s: %w", path, err)
+		return nil, nil, fmt.Errorf("graph: load backend: %w", err)
 	}
 	ds.Dev = dev
-	switch h.Layout {
-	case "", "strided":
-		// Default dense table; Addresser() supplies layout.Strided.
-	case "packed":
-		p, perr := layout.LoadIndex(path+".pidx", featOff)
-		if perr != nil {
-			dev.Close()
-			return nil, fmt.Errorf("graph: load packed container: %w", perr)
+	table, err := loadRest(path, r, ds, h, tableLen)
+	if err != nil {
+		dev.Close()
+		return nil, nil, err
+	}
+	return ds, table, nil
+}
+
+// loadRest fills ds's device from r, then reads the sections h declares
+// and validates the result. tableLen is the checksum section's length.
+func loadRest(path string, r io.Reader, ds *Dataset, h header, tableLen int64) (*storage.ChecksumTable, error) {
+	for _, reg := range [][2]int64{{0, ds.Layout.IndicesLen}, {ds.Layout.FeaturesOff, ds.Layout.FeaturesLen}} {
+		if err := fillRegion(r, ds.Dev, reg[0], reg[1]); err != nil {
+			return nil, fmt.Errorf("graph: load %s: %w", path, err)
 		}
-		if p.FeatBytes() != h.Dim*4 || p.NumNodes() != h.NumNodes {
-			dev.Close()
-			return nil, fmt.Errorf("graph: load %s: segment index geometry (%d nodes x %d bytes) does not match container (%d x %d)",
-				path, p.NumNodes(), p.FeatBytes(), h.NumNodes, h.Dim*4)
+	}
+	if h.Layout == "packed" {
+		b, err := readSection(r, 8*h.NumNodes, "offset")
+		if err != nil {
+			return nil, corrupt(path, err)
+		}
+		off := make([]int64, h.NumNodes)
+		for v := range off {
+			off[v] = int64(binary.LittleEndian.Uint64(b[8*v:]))
+		}
+		p, err := layout.PackedAt(ds.Layout.FeaturesOff, int(ds.FeatBytes()), off)
+		if err != nil {
+			return nil, corrupt(path, err)
 		}
 		ds.Addr = p
-	default:
-		dev.Close()
-		return nil, fmt.Errorf("graph: load %s: unknown layout %q", path, h.Layout)
+	}
+	var table *storage.ChecksumTable
+	if h.Checksums {
+		var err error
+		if table, err = readTable(r, tableLen); err != nil {
+			return nil, corrupt(path, err)
+		}
 	}
 	if err := ds.Validate(); err != nil {
-		dev.Close()
-		return nil, fmt.Errorf("graph: load %s: %w", path, err)
+		return nil, corrupt(path, err)
 	}
-	return ds, nil
+	return table, nil
+}
+
+// readTable reads the n-byte checksum section.
+func readTable(r io.Reader, n int64) (*storage.ChecksumTable, error) {
+	le := binary.LittleEndian
+	b, err := readSection(r, n-4, "checksum")
+	if err != nil {
+		return nil, err
+	}
+	block, count := int64(le.Uint64(b)), le.Uint64(b[8:])
+	// Dividing (not multiplying count by 5) keeps a crafted count from
+	// wrapping around to a matching size.
+	body := int64(len(b)) - tableHead
+	if block <= 0 || body%5 != 0 || count != uint64(body/5) {
+		return nil, fmt.Errorf("checksum section of %d bytes does not hold %d blocks of %d bytes", len(b), count, block)
+	}
+	states, sums := b[tableHead:][:count], b[tableHead+count:]
+	t := &storage.ChecksumTable{BlockSize: block, States: states, Sums: make([]uint32, count)}
+	for i, s := range states {
+		if s > storage.BlockQuarantined {
+			return nil, fmt.Errorf("checksum block %d has state %d", i, s)
+		}
+		t.Sums[i] = le.Uint32(sums[4*i:])
+	}
+	return t, nil
 }
 
 func fillRegion(r io.Reader, dev storage.Backend, off, n int64) error {
-	buf := make([]byte, 1<<20)
+	buf := make([]byte, min(n, 1<<20))
 	for done := int64(0); done < n; {
 		c := int64(len(buf))
 		if done+c > n {

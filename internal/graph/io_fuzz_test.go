@@ -2,22 +2,28 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 
+	"gnndrive/internal/storage"
 	"gnndrive/internal/storage/sim"
 )
 
 // FuzzLoad feeds arbitrary bytes to Load as a .gnnd container. Every
-// input must end in an error or in a dataset that saves and loads back
-// identically: the same metadata, host arrays and device regions. No
-// input may panic, and none may size an allocation the file cannot back
-// (the header check bounds every count by the file's size first). Seeds
-// in testdata/fuzz/FuzzLoad: a valid tiny container, a truncated one,
-// negative node and train counts, an oversized edge count and an
-// out-of-range train ID.
+// input must end in an error wrapping ErrCorrupt or in a decode equal to
+// the input: saved back, with the checksum table Load returned, the
+// dataset reproduces every byte after the input's metadata — arrays,
+// device regions, packed offsets and checksum table — and the same
+// metadata. No input may panic, and none may make Load allocate more
+// than the file's own size accounts for (the header check bounds every
+// count by the file's size first). Seeds are in testdata/fuzz/FuzzLoad:
+// a valid tiny container, with and without its sections, and the ways a
+// header, an offset section or a checksum section can lie.
 func FuzzLoad(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -25,16 +31,38 @@ func FuzzLoad(f *testing.F) {
 		if err := os.WriteFile(in, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		ds, err := Load(in, sim.Factory(sim.InstantConfig()), 0)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ds, table, err := Load(in, sim.Factory(sim.InstantConfig()), 0)
+		runtime.ReadMemStats(&after)
+		// The 1 MiB read buffer, plus the arrays, the device image, the
+		// region-copy buffers and the sections, each at most the file's
+		// size; the rest is slack.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(2<<20+6*len(data)); got > limit {
+			t.Fatalf("loading a %d-byte container allocated %d bytes, above %d", len(data), got, limit)
+		}
 		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("error %v, want ErrCorrupt", err)
+			}
 			return
 		}
 		defer ds.Dev.Close()
+		if table != nil {
+			ds.Dev = tableDev{ds.Dev, *table}
+		}
 		out := filepath.Join(dir, "out.gnnd")
 		if err := Save(ds, out); err != nil {
 			t.Fatalf("Save after a successful load: %v", err)
 		}
-		again, err := Load(out, sim.Factory(sim.InstantConfig()), 0)
+		saved, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(afterMeta(saved), afterMeta(data)) {
+			t.Fatalf("saved bytes after the metadata differ from the input's")
+		}
+		again, _, err := Load(out, sim.Factory(sim.InstantConfig()), 0)
 		if err != nil {
 			t.Fatalf("reloading a saved load: %v", err)
 		}
@@ -45,16 +73,20 @@ func FuzzLoad(f *testing.F) {
 			!slices.Equal(ds.TrainIdx, again.TrainIdx) || !slices.Equal(ds.ValIdx, again.ValIdx) {
 			t.Fatalf("decode not identical after a save round trip")
 		}
-		end := ds.Layout.FeaturesOff + ds.Layout.FeaturesLen
-		a, b := make([]byte, end), make([]byte, end)
-		if err := ds.Dev.ReadRaw(a, 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := again.Dev.ReadRaw(b, 0); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("device regions differ after a save round trip")
-		}
 	})
+}
+
+// tableDev is a backend that keeps a checksum table, as the integrity
+// wrapper does.
+type tableDev struct {
+	storage.Backend
+	t storage.ChecksumTable
+}
+
+func (d tableDev) Checksums() storage.ChecksumTable { return d.t }
+
+// afterMeta returns the bytes of a loadable container that follow its
+// metadata.
+func afterMeta(b []byte) []byte {
+	return b[len(fileMagic)+8+int(binary.LittleEndian.Uint64(b[len(fileMagic):])):]
 }

@@ -1,14 +1,17 @@
 package graph
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"gnndrive/internal/checkpoint"
 	"gnndrive/internal/layout"
 	"gnndrive/internal/storage/sim"
 )
@@ -21,11 +24,14 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := Save(ds, path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(path, sim.Factory(sim.InstantConfig()), 4096)
+	got, table, err := Load(path, sim.Factory(sim.InstantConfig()), 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer got.Dev.Close()
+	if table != nil {
+		t.Fatalf("a device with no checksum table saved one: %+v", table)
+	}
 	if got.Name != ds.Name || got.NumNodes != ds.NumNodes || got.NumEdges != ds.NumEdges ||
 		got.Dim != ds.Dim || got.NumClasses != ds.NumClasses {
 		t.Fatalf("metadata mismatch: %+v", got)
@@ -76,11 +82,11 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not a dataset"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path, sim.Factory(sim.InstantConfig()), 0); err == nil {
-		t.Fatal("expected format error")
+	if _, _, err := Load(path, sim.Factory(sim.InstantConfig()), 0); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("garbage: got %v, want ErrCorrupt", err)
 	}
-	if _, err := Load(filepath.Join(t.TempDir(), "missing"), sim.Factory(sim.InstantConfig()), 0); err == nil {
-		t.Fatal("expected open error")
+	if _, _, err := Load(filepath.Join(t.TempDir(), "missing"), sim.Factory(sim.InstantConfig()), 0); err == nil || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("missing file: got %v, want an open error", err)
 	}
 }
 
@@ -141,40 +147,155 @@ func TestLoadRejectsCorruptHeader(t *testing.T) {
 		"label out of range": reframe(func(*header) {}, func(a []byte) {
 			binary.LittleEndian.PutUint32(a[labelOff:], 7)
 		}),
-		"truncated": func() string {
-			p := filepath.Join(t.TempDir(), "short.gnnd")
-			if err := os.WriteFile(p, valid[:len(valid)-5], 0o644); err != nil {
-				t.Fatal(err)
-			}
-			return p
-		}(),
+		"unknown layout": reframe(func(h *header) { h.Layout = "zigzag" }, keep),
+		// A packed container without its offsets must not load as
+		// strided, which would read permuted features.
+		"packed, no offsets":    reframe(func(h *header) { h.Layout = "packed" }, keep),
+		"checksums, none saved": reframe(func(h *header) { h.Checksums = true }, keep),
+		"truncated":             writeTemp(t, valid[:len(valid)-5]),
+		"trailing byte":         writeTemp(t, append(slices.Clip(valid), 0)),
 	} {
-		if _, err := Load(p, sim.Factory(sim.InstantConfig()), 0); err == nil {
-			t.Errorf("%s: Load succeeded", name)
+		if _, _, err := Load(p, sim.Factory(sim.InstantConfig()), 0); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
 		} else if !strings.HasPrefix(err.Error(), "graph: ") {
 			t.Errorf("%s: error %q is not a graph load error", name, err)
 		}
 	}
-	if _, err := Load(reframe(func(*header) {}, keep), sim.Factory(sim.InstantConfig()), 0); err != nil {
+	if _, _, err := Load(reframe(func(*header) {}, keep), sim.Factory(sim.InstantConfig()), 0); err != nil {
 		t.Fatalf("unedited reframe: %v", err)
 	}
 }
 
-// A container whose bytes cannot all be written is an error, not a
-// silently short file: on /dev/full every write fails with ENOSPC.
-func TestSaveReportsWriteFailure(t *testing.T) {
-	if _, err := os.Stat("/dev/full"); err != nil {
-		t.Skipf("no /dev/full: %v", err)
+// writeTemp writes data to a new file and returns its path.
+func writeTemp(t *testing.T, data []byte) string {
+	t.Helper()
+	p := filepath.Join(t.TempDir(), "x.gnnd")
+	if err := os.WriteFile(p, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if err := Save(buildTestDataset(t), "/dev/full"); err == nil {
-		t.Fatal("Save to /dev/full returned nil")
+	return p
+}
+
+var errStep = errors.New("injected commit failure")
+
+// stepSink is the real filesystem with one commit step failing: "write"
+// keeps half of the file's first write, "fsync" tears the file (its bytes
+// never became durable), "rename" and "dirsync" fail those calls, the
+// last after the rename took effect.
+type stepSink struct {
+	checkpoint.OSSink
+	fail string
+}
+
+func (s stepSink) Create(path string) (checkpoint.File, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return stepFile{f, s.fail}, nil
+}
+
+func (s stepSink) Rename(oldpath, newpath string) error {
+	if s.fail == "rename" {
+		return errStep
+	}
+	return s.OSSink.Rename(oldpath, newpath)
+}
+
+func (s stepSink) SyncDir(dir string) error {
+	if s.fail == "dirsync" {
+		return errStep
+	}
+	return s.OSSink.SyncDir(dir)
+}
+
+type stepFile struct {
+	*os.File
+	fail string
+}
+
+func (f stepFile) Write(p []byte) (int, error) {
+	if f.fail == "write" {
+		n, _ := f.File.Write(p[:len(p)/2])
+		return n, errStep
+	}
+	return f.File.Write(p)
+}
+
+func (f stepFile) Sync() error {
+	if f.fail != "fsync" {
+		return f.File.Sync()
+	}
+	// Through the descriptor, so the torn bytes are the ones a crash
+	// finds under whichever name the file has by then.
+	if fi, err := f.Stat(); err == nil {
+		f.Truncate(fi.Size() / 2)
+	}
+	return errStep
+}
+
+// TestSaveReportsWriteFailure fails Save over an existing container at
+// each step of its commit. Save must report the failure, no temporary
+// may stay behind, and the path must hold the old container or the new
+// one, whole: Load returns one of the two datasets, never a mix.
+func TestSaveReportsWriteFailure(t *testing.T) {
+	oldDS := buildTestDataset(t)
+	oldDS.Name = "old"
+	newDS := buildTestDataset(t)
+	newDS.Name = "new"
+	p, err := layout.PackedAt(newDS.Layout.FeaturesOff, int(newDS.FeatBytes()), []int64{96, 64, 32, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newDS.Addr = p
+	want := map[string][]byte{}
+	for name, ds := range map[string]*Dataset{"old": oldDS, "new": newDS} {
+		path := filepath.Join(t.TempDir(), name+".gnnd")
+		if err := Save(ds, path); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[name] = b
+	}
+	for _, tc := range []struct{ step, left string }{
+		{"write", "old"}, {"fsync", "old"}, {"rename", "old"}, {"dirsync", "new"},
+	} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "x.gnnd")
+		if err := Save(oldDS, path); err != nil {
+			t.Fatal(err)
+		}
+		if err := save(newDS, path, stepSink{fail: tc.step}); !errors.Is(err, errStep) {
+			t.Fatalf("%s failing: Save returned %v", tc.step, err)
+		}
+		if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 {
+			t.Fatalf("%s failing: directory holds %v (%v), want the container alone", tc.step, ents, err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want[tc.left]) {
+			t.Fatalf("%s failing: the container is not the %s one, whole", tc.step, tc.left)
+		}
+		ds, _, err := Load(path, sim.Factory(sim.InstantConfig()), 0)
+		if err != nil {
+			t.Fatalf("%s failing: %v", tc.step, err)
+		}
+		ds.Dev.Close()
+		if ds.Name != tc.left {
+			t.Fatalf("%s failing: loaded %q, want %q", tc.step, ds.Name, tc.left)
+		}
 	}
 }
 
 // TestSaveLoadPackedRoundTrip packs the test dataset in place, saves
-// the container (which persists the offset index sidecar), and reloads
-// it: the addresser must come back packed with identical node offsets
-// and every feature must read back byte-identical through it.
+// the container (which carries the packed offsets), and reloads it: the
+// addresser must come back packed with identical node offsets and every
+// feature must read back byte-identical through it.
 func TestSaveLoadPackedRoundTrip(t *testing.T) {
 	ds := buildTestDataset(t)
 	ds.TrainIdx = []int64{0, 2}
@@ -200,10 +321,7 @@ func TestSaveLoadPackedRoundTrip(t *testing.T) {
 	if err := Save(ds, path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(path + ".pidx"); err != nil {
-		t.Fatalf("offset index sidecar not written: %v", err)
-	}
-	got, err := Load(path, sim.Factory(sim.InstantConfig()), 4096)
+	got, _, err := Load(path, sim.Factory(sim.InstantConfig()), 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,12 +350,4 @@ func TestSaveLoadPackedRoundTrip(t *testing.T) {
 		t.Fatalf("trace order not honored: off(3)=%d off(1)=%d from base %d", p.NodeOffset(3), p.NodeOffset(1), base)
 	}
 
-	// A packed container with its index missing must refuse to load —
-	// falling back to strided would silently read permuted garbage.
-	if err := os.Remove(path + ".pidx"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path, sim.Factory(sim.InstantConfig()), 4096); !errors.Is(err, layout.ErrNoIndex) {
-		t.Fatalf("load without index: err = %v, want ErrNoIndex", err)
-	}
 }

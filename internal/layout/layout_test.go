@@ -2,11 +2,7 @@ package layout_test
 
 import (
 	"bytes"
-	"encoding/binary"
-	"errors"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"gnndrive/internal/layout"
@@ -79,93 +75,6 @@ func TestPackRoundTripProperty(t *testing.T) {
 				t.Fatalf("trial %d (feat=%d): node %d packed bytes differ from strided read", trial, featBytes, v)
 			}
 		}
-	}
-}
-
-// TestIndexSaveLoadRoundTrip persists a packed mapping and rebinds it at
-// a different region base: every node must address the same offset
-// relative to its base, and the v1 header's segBytes word must hold its
-// fixed value.
-func TestIndexSaveLoadRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	const featBytes, numNodes = 200, int64(1500) // > leaf fanout 512: multiple leaves
-	p, err := layout.NewPacked(4096, featBytes, numNodes, randomTrace(rng, numNodes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "x.gnnd.pidx")
-	if err := p.SaveIndex(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := layout.LoadIndex(path, 8192)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.FeatBytes() != featBytes || got.NumNodes() != numNodes {
-		t.Fatalf("geometry: feat=%d nodes=%d", got.FeatBytes(), got.NumNodes())
-	}
-	for v := int64(0); v < numNodes; v++ {
-		if got.NodeOffset(v)-8192 != p.NodeOffset(v)-4096 {
-			t.Fatalf("node %d offset %d from base 8192, saved at %d from base 4096", v, got.NodeOffset(v), p.NodeOffset(v))
-		}
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seg := binary.LittleEndian.Uint32(raw[16:]); seg != 256<<10 {
-		t.Fatalf("header segBytes word %d, want %d", seg, 256<<10)
-	}
-}
-
-// TestLoadIndexRejectsCorruption flips bytes in each CRC-guarded level
-// and asserts the loader refuses the file instead of reinterpreting it.
-func TestLoadIndexRejectsCorruption(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	const numNodes = int64(700)
-	p, err := layout.NewPacked(0, 64, numNodes, randomTrace(rng, numNodes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "x.pidx")
-	if err := p.SaveIndex(path); err != nil {
-		t.Fatal(err)
-	}
-	clean, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Offsets: header at 0, keys after header+CRC, first leaf after that.
-	keysOff := 40 + 4
-	leafOff := keysOff + 8*2 + 4 // two leaves for 700 nodes at fanout 512
-	for _, tc := range []struct {
-		name string
-		at   int
-	}{
-		{"header", 9},
-		{"internal node", keysOff + 3},
-		{"leaf", leafOff + 17},
-	} {
-		bad := append([]byte(nil), clean...)
-		bad[tc.at] ^= 0x40
-		if err := os.WriteFile(path, bad, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := layout.LoadIndex(path, 0); !errors.Is(err, layout.ErrCorruptIndex) {
-			t.Fatalf("corrupt %s: err = %v, want ErrCorruptIndex", tc.name, err)
-		}
-	}
-	// Truncation is corruption, not EOF-tolerated.
-	if err := os.WriteFile(path, clean[:len(clean)-5], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := layout.LoadIndex(path, 0); !errors.Is(err, layout.ErrCorruptIndex) {
-		t.Fatalf("truncated: err = %v, want ErrCorruptIndex", err)
-	}
-	// A missing file is a distinct condition (callers fall back for
-	// strided containers, but must fail loudly for packed ones).
-	if _, err := layout.LoadIndex(path+".gone", 0); !errors.Is(err, layout.ErrNoIndex) {
-		t.Fatalf("missing: err = %v, want ErrNoIndex", err)
 	}
 }
 

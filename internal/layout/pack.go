@@ -38,6 +38,20 @@ type Packed struct {
 	off []int64
 }
 
+// PackedAt rebinds a saved packed mapping to a feature region at device
+// offset base: off[v] is node v's offset into the region, and every
+// vector must lie inside the len(off)-node region.
+func PackedAt(base int64, featBytes int, off []int64) (*Packed, error) {
+	last := (int64(len(off)) - 1) * int64(featBytes) // where the region's last vector starts
+	for v, o := range off {
+		// A negative offset compares above last as unsigned.
+		if uint64(o) > uint64(last) {
+			return nil, fmt.Errorf("layout: node %d at offset %d, outside the feature region", v, o)
+		}
+	}
+	return &Packed{base: base, feat: featBytes, off: off}, nil
+}
+
 // NewPacked computes the packed mapping for numNodes vectors of
 // featBytes bytes each at device offset base: traced nodes first in
 // first-touch order, untraced nodes after in ascending ID. A nil trace

@@ -21,10 +21,10 @@ var AnalyzerErrSentinel = &Analyzer{
 }
 
 // sentinelNames is the contract's sentinel set: storage.ErrClosed and
-// ErrUnaligned, the checkpoint sentinels,
-// the integrity-layer sentinels (ErrChecksum/ErrQuarantined are always
-// surfaced wrapped, often doubly so, since a quarantined read wraps
-// both at once), the packed-layout index sentinels, the serve admission
+// ErrUnaligned, the checkpoint sentinels and the dataset container's
+// ErrCorrupt, the integrity-layer sentinels (ErrChecksum/ErrQuarantined
+// are always surfaced wrapped, often doubly so, since a quarantined read
+// wraps both at once), the serve admission
 // sentinels (ErrOverloaded arrives wrapped with the queue depth), the
 // fault-injection sentinels retry policies wrap, and the memory-budget
 // and pipeline-health sentinels. Matching is by package-level error
@@ -37,9 +37,6 @@ var sentinelNames = map[string]bool{
 	"ErrFingerprint":     true,
 	"ErrChecksum":        true,
 	"ErrQuarantined":     true,
-	"ErrNoSidecar":       true,
-	"ErrCorruptIndex":    true,
-	"ErrNoIndex":         true,
 	"ErrOverloaded":      true,
 	"ErrBadSpec":         true,
 	"ErrUnknownJob":      true,

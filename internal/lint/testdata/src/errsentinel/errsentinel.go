@@ -13,9 +13,9 @@ var (
 	ErrQuarantined = errors.New("quarantined")
 	errLocalOnly   = errors.New("not a sentinel")
 
-	// Post-PR-6 sentinels: packed-layout index and serve admission.
-	ErrCorruptIndex = errors.New("corrupt segment index")
-	ErrNoIndex      = errors.New("segment index not found")
+	// Checkpoint resume and serve admission sentinels.
+	ErrNoCheckpoint = errors.New("no valid checkpoint")
+	ErrFingerprint  = errors.New("options fingerprint mismatch")
 	ErrOverloaded   = errors.New("daemon overloaded")
 )
 
@@ -56,13 +56,13 @@ func goodIntegrity(err error) bool {
 	return errors.Is(err, ErrChecksum) && errors.Is(err, ErrQuarantined)
 }
 
-func badCorruptIndex(err error) bool {
-	return err == ErrCorruptIndex // want "sentinel ErrCorruptIndex compared with =="
+func badFingerprint(err error) bool {
+	return err == ErrFingerprint // want "sentinel ErrFingerprint compared with =="
 }
 
-func badNoIndex(err error) string {
+func badNoCheckpoint(err error) string {
 	switch err {
-	case ErrNoIndex: // want "switch-case compares sentinel ErrNoIndex"
+	case ErrNoCheckpoint: // want "switch-case compares sentinel ErrNoCheckpoint"
 		return "missing"
 	default:
 		return ""
@@ -73,10 +73,10 @@ func badOverloaded(err error) bool {
 	return ErrOverloaded == err // want "sentinel ErrOverloaded compared with =="
 }
 
-func goodLayout(err error) bool {
-	// The index loader wraps both sentinels with the sidecar path; only
-	// errors.Is survives the wrap.
-	return errors.Is(err, ErrCorruptIndex) || errors.Is(err, ErrNoIndex)
+func goodCheckpoint(err error) bool {
+	// The checkpoint loader wraps both sentinels with the directory or
+	// file path; only errors.Is survives the wrap.
+	return errors.Is(err, ErrFingerprint) || errors.Is(err, ErrNoCheckpoint)
 }
 
 func goodOverloaded(err error) bool {

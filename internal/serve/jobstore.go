@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -104,7 +105,10 @@ func (s *jobStore) save(m manifest) error {
 	if err != nil {
 		return err
 	}
-	return checkpoint.Commit(s.sink, s.path(), data)
+	return checkpoint.Commit(s.sink, s.path(), func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }
 
 // jobDir is the per-job scratch root (checkpoints, backing file).

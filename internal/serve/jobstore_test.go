@@ -15,12 +15,17 @@ var errFsync = errors.New("fsync: input/output error")
 // reach the file, but the write is reported as not durable.
 type failSyncSink struct{ checkpoint.OSSink }
 
-func (failSyncSink) WriteFile(path string, data []byte) error {
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
+func (failSyncSink) Create(path string) (checkpoint.File, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
 	}
-	return errFsync
+	return failSyncFile{f}, nil
 }
+
+type failSyncFile struct{ *os.File }
+
+func (failSyncFile) Sync() error { return errFsync }
 
 func TestManifestSaveFsyncFailureKeepsPrevious(t *testing.T) {
 	s, err := newJobStore(t.TempDir())

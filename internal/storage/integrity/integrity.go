@@ -8,9 +8,10 @@
 //     backend, the O_DIRECT descriptor) under an errutil.Policy budget,
 //     quarantining the block and failing with storage.ErrChecksum +
 //     storage.ErrQuarantined when the mismatch persists;
-//   - persists the checksum table in a sidecar file ("<container>.crc")
-//     so a later process that loads the container adopts it and verifies
-//     the blocks an earlier one wrote.
+//   - hands its checksum table to the dataset container (Checksums) and
+//     adopts the one a container saved (AdoptChecksums), so a later
+//     process that loads the container verifies the blocks an earlier one
+//     wrote.
 //
 // The wrapper never changes a read's path: a Direct request reaches the
 // inner backend Direct, so the page cache stays topology's (the paper's
@@ -47,11 +48,11 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // and never escapes the package.
 var errMismatch = errors.New("integrity: re-read still mismatches")
 
-// Per-block verification state.
+// Per-block verification state, as storage.ChecksumTable records it.
 const (
-	stateUntracked   uint32 = iota // no checksum recorded: read unverified
-	stateTracked                   // checksum recorded: read verified
-	stateQuarantined               // persistent mismatch: reads fail
+	stateUntracked   = uint32(storage.BlockUntracked)   // no checksum recorded: read unverified
+	stateTracked     = uint32(storage.BlockTracked)     // checksum recorded: read verified
+	stateQuarantined = uint32(storage.BlockQuarantined) // persistent mismatch: reads fail
 )
 
 // Options tune the wrapper. Checksums cover one block per inner sector,
@@ -101,7 +102,7 @@ var (
 
 // Wrap layers the integrity defenses over inner, one checksum block per
 // inner sector. The checksum table starts empty (every block untracked);
-// LoadSidecar adopts a persisted one.
+// AdoptChecksums adopts a saved one.
 func Wrap(inner storage.Backend, opts Options) (*Backend, error) {
 	block := int64(inner.SectorSize())
 	if block <= 0 {
@@ -133,6 +134,36 @@ func WrapFactory(inner storage.Factory, opts Options) storage.Factory {
 		}
 		return w, nil
 	}
+}
+
+// Checksums snapshots the checksum table: every block's state and sum.
+func (b *Backend) Checksums() storage.ChecksumTable {
+	t := storage.ChecksumTable{BlockSize: b.block,
+		States: make([]byte, len(b.sums)), Sums: make([]uint32, len(b.sums))}
+	for i := range b.sums {
+		t.States[i] = byte(b.state[i].Load())
+		t.Sums[i] = b.sums[i].Load()
+	}
+	return t
+}
+
+// AdoptChecksums replaces the table with t, one an earlier process saved
+// (graph.Load returns it), so reads verify against the sums taken when
+// the blocks were written. t's block size must be the wrapper's, or
+// nothing is adopted. The block counts may differ: block i covers the
+// same bytes whatever the device's capacity, so the overlapping range
+// adopts and blocks beyond t keep their state.
+func (b *Backend) AdoptChecksums(t storage.ChecksumTable) error {
+	if t.BlockSize != b.block {
+		return fmt.Errorf("integrity: checksum table has %d-byte blocks, wrapper uses %d", t.BlockSize, b.block)
+	}
+	n := min(len(t.Sums), len(t.States), len(b.sums))
+	for i, st := range t.States[:n] {
+		// Publish sum before state (same ordering contract as noteWrite).
+		b.sums[i].Store(t.Sums[i])
+		b.state[i].Store(uint32(st))
+	}
+	return nil
 }
 
 // Inner returns the wrapped backend.

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -280,9 +278,10 @@ func TestCancelledRepairDoesNotQuarantine(t *testing.T) {
 	}
 }
 
-func TestSidecarRoundtrip(t *testing.T) {
-	dir := t.TempDir()
-	side := filepath.Join(dir, "data.crc")
+// A table Checksums took in one process, adopted by a wrapper over the
+// same bytes in another, verifies from the first read, and catches
+// corruption that reached the new medium before the wrapper did.
+func TestAdoptChecksumsVerifies(t *testing.T) {
 	img := make([]byte, capacity)
 	pattern(img, 0)
 
@@ -291,18 +290,14 @@ func TestSidecarRoundtrip(t *testing.T) {
 	if err := b1.WriteRaw(img[:16*sec], 0); err != nil {
 		t.Fatalf("WriteRaw: %v", err)
 	}
-	if err := b1.SaveSidecar(side); err != nil {
-		t.Fatalf("SaveSidecar: %v", err)
-	}
+	table := b1.Checksums()
 
-	// A new process: same bytes land on a fresh device outside any
-	// wrapper, then the wrapper adopts the sidecar and verifies from read
-	// one.
+	// A new process: the same bytes land on a fresh device outside any
+	// wrapper, then the wrapper adopts the table.
 	inner := sim.New(capacity, sim.InstantConfig())
 	if err := inner.WriteRaw(img[:16*sec], 0); err != nil {
 		t.Fatalf("inner WriteRaw: %v", err)
 	}
-	// Pre-existing corruption on the new medium is caught immediately.
 	bad := append([]byte(nil), img[3*sec:4*sec]...)
 	bad[9] ^= 0x01
 	if err := inner.WriteRaw(bad, 3*sec); err != nil {
@@ -313,41 +308,28 @@ func TestSidecarRoundtrip(t *testing.T) {
 		t.Fatalf("Wrap: %v", err)
 	}
 	defer b2.Close()
-	if err := b2.LoadSidecar(side); err != nil {
-		t.Fatalf("LoadSidecar: %v", err)
-	}
 	got := make([]byte, sec)
+	if _, err := b2.ReadAt(got, 0); err != nil {
+		t.Fatalf("read before adoption: %v", err)
+	}
+	if st := b2.IntegrityStats(); st.UnverifiedReads != 1 {
+		t.Fatalf("a read before adoption should be unverified: %+v", st)
+	}
+	if err := b2.AdoptChecksums(table); err != nil {
+		t.Fatalf("AdoptChecksums: %v", err)
+	}
 	if _, err := b2.ReadAt(got, 0); err != nil {
 		t.Fatalf("adopted read: %v", err)
 	}
-	if st := b2.IntegrityStats(); st.VerifiedReads != 1 || st.UnverifiedReads != 0 {
-		t.Fatalf("sidecar-adopted read not verified: %+v", st)
+	if st := b2.IntegrityStats(); st.VerifiedReads != 1 {
+		t.Fatalf("adopted read not verified: %+v", st)
 	}
 	if _, err := b2.ReadAt(got, 3*sec); !errors.Is(err, storage.ErrChecksum) {
 		t.Fatalf("pre-existing corruption: got %v, want ErrChecksum", err)
 	}
 }
 
-// A missing sidecar is ErrNoSidecar, which loaders downgrade to a warning:
-// the wrapper adopts nothing and keeps serving, unverified where it has no
-// sums.
-func TestSidecarMissingIsWarning(t *testing.T) {
-	b := newWrapped(t, integrity.Options{})
-	if err := b.LoadSidecar(filepath.Join(t.TempDir(), "absent.crc")); !errors.Is(err, integrity.ErrNoSidecar) {
-		t.Fatalf("missing sidecar: got %v, want ErrNoSidecar", err)
-	}
-	got := make([]byte, b.SectorSize())
-	if _, err := b.ReadAt(got, 0); err != nil {
-		t.Fatalf("read without sidecar: %v", err)
-	}
-	if st := b.IntegrityStats(); st.UnverifiedReads != 1 {
-		t.Fatalf("sidecar-less read should be unverified: %+v", st)
-	}
-}
-
-func TestSidecarGeometryMismatch(t *testing.T) {
-	dir := t.TempDir()
-	side := filepath.Join(dir, "data.crc")
+func TestAdoptChecksumsGeometry(t *testing.T) {
 	b := newWrapped(t, integrity.Options{})
 	sec := int64(b.SectorSize())
 	data := make([]byte, sec)
@@ -355,10 +337,8 @@ func TestSidecarGeometryMismatch(t *testing.T) {
 	if _, err := b.WriteSync(data, 0); err != nil {
 		t.Fatalf("WriteSync: %v", err)
 	}
-	if err := b.SaveSidecar(side); err != nil {
-		t.Fatalf("SaveSidecar: %v", err)
-	}
-	// Different block size (a device with larger sectors): the sidecar must
+	table := b.Checksums()
+	// Different block size (a device with larger sectors): the table must
 	// be rejected, not adopted.
 	bigSectors := sim.InstantConfig()
 	bigSectors.SectorSize = 2 * b.SectorSize()
@@ -367,8 +347,8 @@ func TestSidecarGeometryMismatch(t *testing.T) {
 		t.Fatalf("Wrap: %v", err)
 	}
 	defer other.Close()
-	if err := other.LoadSidecar(side); err == nil {
-		t.Fatalf("block-size-mismatched sidecar loaded")
+	if err := other.AdoptChecksums(table); err == nil {
+		t.Fatalf("block-size-mismatched table adopted")
 	}
 	// A different capacity is not a mismatch: a block's index maps to the
 	// same byte offset regardless of the scratch tail, so the overlapping
@@ -383,30 +363,21 @@ func TestSidecarGeometryMismatch(t *testing.T) {
 		t.Fatalf("Wrap small: %v", err)
 	}
 	defer small.Close()
-	if err := small.LoadSidecar(side); err != nil {
-		t.Fatalf("LoadSidecar small: %v", err)
+	if err := small.AdoptChecksums(table); err != nil {
+		t.Fatalf("AdoptChecksums small: %v", err)
 	}
 	got := make([]byte, sec)
 	if _, err := small.ReadAt(got, 0); err != nil {
-		t.Fatalf("adopted-sidecar read: %v", err)
+		t.Fatalf("adopted read: %v", err)
 	}
 	if !bytes.Equal(got, data) {
-		t.Fatal("adopted-sidecar read returned wrong bytes")
+		t.Fatal("adopted read returned wrong bytes")
 	}
 	if st := small.IntegrityStats(); st.VerifiedReads != 1 || st.UnverifiedReads != 0 {
-		t.Fatalf("adopted sidecar did not verify the read: %+v", st)
+		t.Fatalf("adopted table did not verify the read: %+v", st)
 	}
-	// A truncated sidecar (header inconsistent with file size) is rejected.
-	raw, err := os.ReadFile(side)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trunc := filepath.Join(dir, "trunc.crc")
-	if err := os.WriteFile(trunc, raw[:len(raw)-3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := small.LoadSidecar(trunc); err == nil {
-		t.Fatal("truncated sidecar loaded")
+	if n := len(small.Checksums().Sums); n != len(table.Sums)/2 {
+		t.Fatalf("half-capacity wrapper keeps %d blocks, want %d", n, len(table.Sums)/2)
 	}
 }
 

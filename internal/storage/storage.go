@@ -68,7 +68,7 @@ type IntegrityStats struct {
 	// VerifiedReads counts reads whose covered blocks all verified clean
 	// (possibly after repair); UnverifiedReads counts reads that touched
 	// at least one block with no recorded checksum (legacy data written
-	// outside the integrity layer and not covered by a sidecar).
+	// outside the integrity layer and not covered by a saved table).
 	VerifiedReads   int64
 	UnverifiedReads int64
 	// ChecksumFailures counts block-checksum mismatches detected;
@@ -83,6 +83,24 @@ type IntegrityStats struct {
 	// reads it; both go together.
 	HedgesIssued int64
 }
+
+// ChecksumTable is the integrity layer's per-block checksum table
+// (storage/integrity), in the form a dataset container saves it: block i
+// covers bytes [i*BlockSize, (i+1)*BlockSize) of the device image,
+// Sums[i] is its CRC32C and States[i] its tracking state, one of the
+// Block* values.
+type ChecksumTable struct {
+	BlockSize int64
+	States    []byte
+	Sums      []uint32
+}
+
+// The tracking states of a ChecksumTable block.
+const (
+	BlockUntracked   byte = iota // no checksum recorded: reads go unverified
+	BlockTracked                 // reads verify against the sum
+	BlockQuarantined             // a persistent mismatch: reads fail
+)
 
 // Add returns the field-wise sum s + o.
 func (s IntegrityStats) Add(o IntegrityStats) IntegrityStats {

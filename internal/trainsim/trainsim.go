@@ -13,7 +13,6 @@ package trainsim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -118,12 +117,11 @@ type Config struct {
 	// addresser. Packed cells cache separately per (model, batch,
 	// fanouts, seed) because the trace depends on them.
 	Layout string
-	// LoadFile, when non-empty, loads this .gnnd container (with its
-	// sidecars: the .pidx offset index of a packed container, and with
-	// Integrity the .crc checksums its writer saved) instead of
+	// LoadFile, when non-empty, loads this .gnnd container instead of
 	// generating a dataset; Dataset/Dim/Layout are ignored. The
 	// container's header decides the layout, exactly like cmd/gnndrive
-	// -load.
+	// -load, and with Integrity the run verifies against the checksums
+	// the container saved.
 	LoadFile string
 
 	// Backend selects the storage backend the dataset lives on: "sim"
@@ -138,8 +136,8 @@ type Config struct {
 	DataFile string
 	// Logf, when non-nil, receives the run's diagnostics: the linuring
 	// backend's one-line fallback notice when io_uring is unavailable
-	// and the file worker pool serves instead, a checksum sidecar that
-	// cannot be adopted, and GNNDrive's failed checkpoint saves (which
+	// and the file worker pool serves instead, a loaded container with no
+	// checksums to verify against, and GNNDrive's failed checkpoint saves (which
 	// go to stdout when Logf is nil).
 	Logf func(format string, args ...any)
 
@@ -153,8 +151,8 @@ type Config struct {
 	// verification layer (storage/integrity): every read is verified
 	// against per-block CRC32C, mismatches are repaired by raw re-reads,
 	// and persistently bad blocks are quarantined. A generated dataset is
-	// checksummed as it is written; a loaded one adopts the sums in
-	// <LoadFile>.crc, so bytes corrupted on disk fail verification.
+	// checksummed as it is written; a loaded one adopts the sums its
+	// container saved, so bytes corrupted on disk fail verification.
 	Integrity *integrity.Options
 
 	// CheckpointDir enables GNNDrive's crash-consistent run
@@ -435,17 +433,30 @@ func buildDataset(cfg Config) (*graph.Dataset, error) {
 }
 
 // loadOrBuild makes cfg's dataset on a backend from f: it loads
-// cfg.LoadFile and adopts its checksum sidecar, or generates the spec and
-// packs it when the layout asks. On error the backend is closed.
+// cfg.LoadFile, or generates the spec and packs it when the layout asks.
+// On error the backend is closed.
+//
+// A loaded container's integrity wrapper verifies against the checksums
+// the container saved (cmd/datagen -out saves them). graph.Load filled
+// the image through the wrapper, which took its sums from the loaded
+// bytes; adoption replaces them, so a byte corrupted on disk since the
+// container was written fails verification instead of training. Without
+// saved checksums the loaded bytes stay the reference, with a warning.
 func loadOrBuild(cfg Config, f storage.Factory) (*graph.Dataset, error) {
 	if cfg.LoadFile != "" {
-		ds, err := graph.Load(cfg.LoadFile, f, ScratchBytes)
+		ds, table, err := graph.Load(cfg.LoadFile, f, ScratchBytes)
 		if err != nil {
 			return nil, err
 		}
-		if err := adoptSidecar(ds, cfg); err != nil {
-			ds.Dev.Close()
-			return nil, err
+		ib, ok := ds.Dev.(*integrity.Backend)
+		if ok && table == nil && cfg.Logf != nil {
+			cfg.Logf("trainsim: %s saved no checksums; verifying against the loaded bytes", cfg.LoadFile)
+		}
+		if ok && table != nil {
+			if err := ib.AdoptChecksums(*table); err != nil {
+				ds.Dev.Close()
+				return nil, err
+			}
 		}
 		return ds, nil
 	}
@@ -463,28 +474,6 @@ func loadOrBuild(cfg Config, f storage.Factory) (*graph.Dataset, error) {
 		return nil, err
 	}
 	return ds, nil
-}
-
-// adoptSidecar makes a loaded container's integrity wrapper verify against
-// the checksums its writer saved in "<LoadFile>.crc" (cmd/datagen -out
-// writes them). graph.Load filled the image through the wrapper, which took
-// its sums from the container's own bytes; adoption replaces them, so a
-// byte corrupted on disk since the container was written fails
-// verification instead of training. Without a sidecar the loaded bytes
-// stay the reference, with a warning.
-func adoptSidecar(ds *graph.Dataset, cfg Config) error {
-	ib, ok := ds.Dev.(*integrity.Backend)
-	if !ok {
-		return nil
-	}
-	err := ib.LoadSidecar(cfg.LoadFile + ".crc")
-	if errors.Is(err, integrity.ErrNoSidecar) {
-		if cfg.Logf != nil {
-			cfg.Logf("trainsim: %v; verifying against the loaded bytes", err)
-		}
-		return nil
-	}
-	return err
 }
 
 // PackDataset runs the offline packer on a freshly generated dataset:

@@ -571,11 +571,13 @@ func TestDatagenPacksLikeThePackedLayout(t *testing.T) {
 	}
 }
 
-// TestPackedIndexBytesPinned pins the bytes PackDataset's mapping saves
-// as a .pidx: tiny, and Papers at dim 100, packed at seed 1, hash to the
-// FNV-64a values the format has always produced. A round trip through
-// SaveIndex and LoadIndex cannot see format drift; this can. The trace
-// samples on GOMAXPROCS workers, so CI runs it at one and four procs.
+// TestPackedIndexBytesPinned pins the offset section a container saves
+// for PackDataset's mapping: tiny, and Papers at dim 100, packed at seed
+// 1, hash to the FNV-64a values recorded when the offsets moved into the
+// container (the same offsets, byte for byte, that the separate index
+// file held before). A save and load round trip cannot see format drift;
+// this can. The trace samples on GOMAXPROCS workers, so CI runs it at one
+// and four procs.
 func TestPackedIndexBytesPinned(t *testing.T) {
 	papers := gen.Papers()
 	papers.Dim = 100
@@ -583,8 +585,8 @@ func TestPackedIndexBytesPinned(t *testing.T) {
 		spec gen.Spec
 		want uint64
 	}{
-		{gen.Tiny(), 0x08e181b90c002f02},
-		{papers, 0x1701a57118e1100e},
+		{gen.Tiny(), 0x26b7ba75f18e8e92},
+		{papers, 0xe93a996c05bfaf69},
 	} {
 		t.Run(tc.spec.Name, func(t *testing.T) {
 			ds, err := gen.BuildWith(tc.spec, sim.Factory(sim.InstantConfig()))
@@ -595,18 +597,21 @@ func TestPackedIndexBytesPinned(t *testing.T) {
 			if err := PackDataset(ds, Config{Model: nn.GraphSAGE, Seed: 1}); err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join(t.TempDir(), "x.pidx")
-			if err := ds.Addr.(*layout.Packed).SaveIndex(path); err != nil {
+			path := filepath.Join(t.TempDir(), "x.gnnd")
+			if err := graph.Save(ds, path); err != nil {
 				t.Fatal(err)
 			}
 			raw, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
+			// With no checksum table, the offset section ends the file:
+			// an offset per node and the section's CRC.
+			section := raw[len(raw)-int(8*ds.NumNodes+4):]
 			h := fnv.New64a()
-			h.Write(raw)
+			h.Write(section)
 			if got := h.Sum64(); got != tc.want {
-				t.Fatalf("%d-byte index hashes to %#016x, want %#016x", len(raw), got, tc.want)
+				t.Fatalf("%d-byte offset section hashes to %#016x, want %#016x", len(section), got, tc.want)
 			}
 		})
 	}
@@ -661,22 +666,18 @@ func TestPackedLayoutBitIdenticalFewerReads(t *testing.T) {
 }
 
 // saveTiny writes the tiny dataset as cmd/datagen -out does: a .gnnd
-// container built through the integrity layer plus its .crc sidecar. It
-// returns the container path, the built dataset and the file offset where
-// the container's index array starts.
+// container built through the integrity layer, which saves its checksums.
+// It returns the container path, the built dataset and the file offset
+// where the container's index array starts.
 func saveTiny(t *testing.T) (string, *graph.Dataset, int64) {
 	t.Helper()
 	ds, err := gen.BuildWith(gen.Tiny(), integrity.WrapFactory(sim.Factory(sim.InstantConfig()), integrity.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ib := ds.Dev.(*integrity.Backend)
 	t.Cleanup(func() { ds.Dev.Close() })
 	path := filepath.Join(t.TempDir(), "tiny.gnnd")
 	if err := graph.Save(ds, path); err != nil {
-		t.Fatal(err)
-	}
-	if err := ib.SaveSidecar(path + ".crc"); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -704,11 +705,11 @@ func patchFile(t *testing.T, path string, mask byte, offs ...int64) {
 	}
 }
 
-// A verified load adopts the checksums cmd/datagen saved with the
+// A verified load adopts the checksums cmd/datagen saved in the
 // container, so a feature byte corrupted on disk since then fails the run
 // with a checksum error instead of training on it; the clean container
 // trains with every read verified.
-func TestLoadVerifiesAgainstSidecar(t *testing.T) {
+func TestLoadVerifiesAgainstSavedChecksums(t *testing.T) {
 	defer DropDatasets()
 	path, ds, indices := saveTiny(t)
 	cfg := tinyCfg()
@@ -728,6 +729,42 @@ func TestLoadVerifiesAgainstSidecar(t *testing.T) {
 	_, err = RunCtx(context.Background(), cfg, GNNDriveGPU, RunOptions{Epochs: 1})
 	if !errors.Is(err, storage.ErrChecksum) {
 		t.Fatalf("corrupt feature byte: got %v, want ErrChecksum", err)
+	}
+}
+
+// A container saved from a device that kept no checksums still loads
+// under Integrity: the run warns and verifies against the loaded bytes.
+func TestLoadWithoutSavedChecksumsWarns(t *testing.T) {
+	defer DropDatasets()
+	ds, err := gen.BuildWith(gen.Tiny(), sim.Factory(sim.InstantConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Dev.Close()
+	path := filepath.Join(t.TempDir(), "tiny.gnnd")
+	if err := graph.Save(ds, path); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var logs []string
+	cfg := tinyCfg()
+	cfg.LoadFile, cfg.Integrity, cfg.TrainLimit, cfg.InOrder = path, &integrity.Options{}, 100, true
+	cfg.Logf = func(format string, args ...any) {
+		mu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	res, err := RunCtx(context.Background(), cfg, GNNDriveGPU, RunOptions{Epochs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := res.Epochs[0].Integrity; st.VerifiedReads == 0 || st.ChecksumFailures != 0 {
+		t.Fatalf("integrity: %+v", st)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(logs) != 1 || !strings.Contains(logs[0], "saved no checksums") {
+		t.Fatalf("logged %q, want one missing-checksums warning", logs)
 	}
 }
 
