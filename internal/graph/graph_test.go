@@ -17,7 +17,7 @@ import (
 
 // buildTestDataset writes a small hand-made CSC graph to a device:
 // 4 nodes; in-neighbors: 0<-{1,2}, 1<-{0}, 2<-{}, 3<-{0,1,2}.
-func buildTestDataset(t *testing.T) *Dataset {
+func buildTestDataset(t testing.TB) *Dataset {
 	t.Helper()
 	dev := sim.New(1<<20, sim.InstantConfig())
 	t.Cleanup(func() { dev.Close() })

@@ -351,3 +351,60 @@ func TestSaveLoadPackedRoundTrip(t *testing.T) {
 	}
 
 }
+
+// TestSaveWritesOffsetSection pins the offset section's bytes: a packed
+// container is the strided one with the section appended — each node's
+// offset into the feature region as a u64, then their CRC32C — and Load
+// binds those offsets at the loaded region's base.
+func TestSaveWritesOffsetSection(t *testing.T) {
+	le := binary.LittleEndian
+	packed, strided := savedContainer(t, true, false), savedContainer(t, false, false)
+	want := []byte{}
+	for _, o := range []uint64{96, 64, 32, 0} {
+		want = le.AppendUint64(want, o)
+	}
+	want = le.AppendUint32(want, crc32c(want))
+	if !bytes.Equal(afterMeta(packed), append(slices.Clip(afterMeta(strided)), want...)) {
+		t.Fatalf("the packed container is not the strided one plus the offset section %x", want)
+	}
+	ds, _, err := Load(writeTemp(t, packed), sim.Factory(sim.InstantConfig()), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Dev.Close()
+	p, ok := ds.Addr.(*layout.Packed)
+	if !ok {
+		t.Fatalf("loaded addresser is %T, want *layout.Packed", ds.Addr)
+	}
+	for v := range ds.NumNodes {
+		if got, w := p.NodeOffset(v), ds.Layout.FeaturesOff+int64(le.Uint64(want[8*v:])); got != w {
+			t.Fatalf("node %d at %d, want %d", v, got, w)
+		}
+	}
+}
+
+// TestLoadRejectsCorruptSections flips every byte of a container's offset
+// and checksum sections, and cuts the file at every byte inside them:
+// each is a load error wrapping ErrCorrupt, never a load of wrong offsets
+// or sums.
+func TestLoadRejectsCorruptSections(t *testing.T) {
+	valid := savedContainer(t, true, true)
+	_, off := savedSection(t, true)
+	_, tab := savedSection(t, false)
+	start := len(valid) - len(off) - len(tab)
+	if !bytes.Equal(valid[start:], append(slices.Clip(off), tab...)) {
+		t.Fatal("the container does not end in its offset and checksum sections")
+	}
+	if _, _, err := Load(writeTemp(t, valid), sim.Factory(sim.InstantConfig()), 0); err != nil {
+		t.Fatalf("unedited container: %v", err)
+	}
+	for i := start; i < len(valid); i++ {
+		flipped := slices.Clone(valid)
+		flipped[i] ^= 0x40
+		for what, b := range map[string][]byte{"flipped": flipped, "truncated": valid[:i]} {
+			if _, _, err := Load(writeTemp(t, b), sim.Factory(sim.InstantConfig()), 0); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s at byte %d of %d: got %v, want ErrCorrupt", what, i, len(valid), err)
+			}
+		}
+	}
+}
