@@ -160,16 +160,39 @@ func (o *Options) fillDefaults() {
 	}
 }
 
-// StagingGeometry is the staging pool an engine with these options builds
-// for itself: one slot per read its extractors can have in flight, each
-// large enough for a joint read or one sector-padded feature vector.
-func (o Options) StagingGeometry(featBytes int) (slots, slotBytes int) {
+// stagingUnit is the unit of an engine-owned staging pool: one sector,
+// the alignment every planned direct read has, so each extent a read
+// acquires is sector-aligned for O_DIRECT and io_uring.
+const stagingUnit = 512
+
+// ReadsInFlight is how many reads the engine's extractors can have in
+// flight at once: one ring of RingDepth each.
+func (o Options) ReadsInFlight() int {
 	o.fillDefaults()
-	slotBytes = o.MaxJointRead
-	if slotBytes < featBytes {
-		slotBytes = (featBytes + 511) / 512 * 512
-	}
-	return o.Extractors * o.RingDepth, slotBytes
+	return o.Extractors * o.RingDepth
+}
+
+// MaxReadBytes is the longest read the planner issues for vectors of
+// featBytes: a joint read, or one vector window when that is longer.
+func (o Options) MaxReadBytes(featBytes int) int {
+	o.fillDefaults()
+	return max(o.MaxJointRead, vectorWindow(featBytes))
+}
+
+// vectorWindow is the most sector-aligned bytes one vector of featBytes
+// spans, at any byte offset a packed layout may give it.
+func vectorWindow(featBytes int) int {
+	return (featBytes + 2*(stagingUnit-1)) / stagingUnit * stagingUnit
+}
+
+// StagingGeometry is the staging pool an engine with these options
+// builds for itself, in units of one sector: every read in flight one
+// vector window, and never less than one longest read. A read of more
+// sectors than a window simply takes more units while it is in flight.
+func (o Options) StagingGeometry(featBytes int) (units, unitBytes int) {
+	perRead := vectorWindow(featBytes) / stagingUnit
+	longest := (o.MaxReadBytes(featBytes) + stagingUnit - 1) / stagingUnit
+	return max(o.ReadsInFlight()*perRead, longest), stagingUnit
 }
 
 // AutoFeatureSlots is the feature buffer's pipeline working set for
@@ -372,20 +395,21 @@ func (e *Engine) finishSetup(ds *graph.Dataset, dev *device.Device,
 		e.release()
 		return nil, errors.New("core: GPUDirect requires a GPU device")
 	}
-	budget, slots, slotBytes := e.budget, 0, 0
+	budget, units, unitBytes := e.budget, 0, 0
 	switch {
 	case opts.GPUDirect:
 		// No host staging at all — the whole point of GDS. A tiny
-		// bounce pool still backs the simulated reads, but it is not
-		// charged to the host budget (it stands in for the GPU BAR).
-		budget, slots, slotBytes = nil, opts.Extractors*opts.RingDepth, gdsGranularity*2
+		// bounce pool still backs the simulated reads, one unit each,
+		// but it is not charged to the host budget (it stands in for
+		// the GPU BAR).
+		budget, units, unitBytes = nil, opts.ReadsInFlight(), gdsGranularity*2
 	case opts.SharedStaging != nil:
 		e.staging = opts.SharedStaging
 	default:
-		slots, slotBytes = opts.StagingGeometry(int(ds.FeatBytes()))
+		units, unitBytes = opts.StagingGeometry(int(ds.FeatBytes()))
 	}
 	if e.staging == nil {
-		staging, err := NewStaging(budget, slots, slotBytes)
+		staging, err := NewStaging(budget, units, unitBytes)
 		if err != nil {
 			e.release()
 			return nil, err

@@ -288,7 +288,9 @@ func TestDeviceOOMOnTinyGPU(t *testing.T) {
 }
 
 func TestHostOOMOnTinyBudget(t *testing.T) {
-	rig := newRig(t, device.InstantConfig(), 64<<10) // 64 KiB host budget
+	// 48 KiB: tiny's indptr and labels (23.4 KiB) fit, its 32 KiB staging
+	// pool does not.
+	rig := newRig(t, device.InstantConfig(), 48<<10)
 	_, err := New(rig.ds, rig.dev, rig.budget, rig.cache, rig.rec, testOpts())
 	if !errors.Is(err, hostmem.ErrOOM) {
 		t.Fatalf("want host OOM, got %v", err)

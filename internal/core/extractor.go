@@ -53,7 +53,7 @@ type extractor struct {
 	loadNodes []int64
 	plan      []ReadOp
 	addrPlan  AddrPlanner
-	opSlot    []int32
+	opExt     []Extent
 	attempts  []int
 	buffered  []bool
 	// xferWG tracks the batch's in-flight device transfers; runPlan waits
@@ -146,14 +146,14 @@ func (x *extractor) extractBatch(ctx context.Context, b *sample.Batch) (*trainIt
 // retry budget; a direct read rejected for alignment degrades to a
 // buffered read (§4.4's ladder); anything else escalates as the plan's
 // error. On error or cancellation every in-flight read is still drained
-// so no staging slot leaks.
+// so no staging extent leaks.
 func (x *extractor) runPlan(ctx context.Context, b *sample.Batch, res *Reservation, plan []ReadOp, st *metrics.Counters) error {
 	eng := x.eng
 	depth := x.ring.Depth()
 	if eng.opts.SyncExtraction {
 		depth = 1
 	}
-	opSlot, attempts, buffered := x.planScratch(len(plan))
+	opExt, attempts, buffered := x.planScratch(len(plan))
 	x.resetXfers()
 	var firstErr error
 	// Every in-flight read holds one IOGate permit from acquisition to
@@ -166,7 +166,7 @@ func (x *extractor) runPlan(ctx context.Context, b *sample.Batch, res *Reservati
 		}
 	}
 
-	// submit stages op's read on its already-assigned staging slot,
+	// submit stages op's read on its already-assigned staging extent,
 	// degrading to a buffered read when direct I/O rejects the alignment.
 	// Reads are bound to ctx so an injected straggler delay cannot hold
 	// the teardown hostage for its full modeled duration. Staged reads
@@ -174,7 +174,7 @@ func (x *extractor) runPlan(ctx context.Context, b *sample.Batch, res *Reservati
 	// submission (a single io_uring_enter on the linuring backend) per
 	// wave instead of one kernel round trip per read.
 	submit := func(op int) error {
-		sbuf := eng.staging.Buf(opSlot[op])[:plan[op].Len]
+		sbuf := eng.staging.ExtentBuf(opExt[op])[:plan[op].Len]
 		if buffered[op] || eng.opts.BufferedIO {
 			return x.ring.QueueBufferedReadCtx(ctx, sbuf, plan[op].DevOff, uint64(op))
 		}
@@ -192,7 +192,7 @@ func (x *extractor) runPlan(ctx context.Context, b *sample.Batch, res *Reservati
 
 	// reap handles one completion: a clean read is decoded and joins the
 	// drain's transfer, which starts before the remaining loads finish; a
-	// transient failure is staged again on the slot and permit it still
+	// transient failure is staged again on the extent and permit it still
 	// holds (the wave's next Flush publishes it); anything else escalates
 	// as the plan's error.
 	reap := func(cqe uring.CQE) {
@@ -201,11 +201,11 @@ func (x *extractor) runPlan(ctx context.Context, b *sample.Batch, res *Reservati
 			eng.rec.AddIOWait(cqe.Latency)
 		}
 		op := int(cqe.User)
-		slot := opSlot[op]
+		ext := opExt[op]
 		switch {
 		case cqe.Err == nil:
 			release(1)
-			x.transferOp(b, res, plan[op], slot)
+			x.transferOp(b, res, plan[op], ext)
 		case firstErr == nil && faults.Retryable(cqe.Err) && attempts[op] < retryBudget:
 			attempts[op]++
 			st.Retries++
@@ -213,14 +213,14 @@ func (x *extractor) runPlan(ctx context.Context, b *sample.Batch, res *Reservati
 			// then stops further submissions.
 			_ = errutil.Sleep(ctx, x.policy.Delay(attempts[op]))
 			if err := submit(op); err != nil {
-				eng.staging.Release(slot)
+				eng.staging.ReleaseExtent(ext)
 				release(1)
 				firstErr = err
 			} else {
 				inflight++
 			}
 		default:
-			eng.staging.Release(slot)
+			eng.staging.ReleaseExtent(ext)
 			release(1)
 			if firstErr == nil {
 				st.Escalations++
@@ -238,9 +238,9 @@ func (x *extractor) runPlan(ctx context.Context, b *sample.Batch, res *Reservati
 		}
 		// Submit while healthy, work remains, and the ring has room.
 		for firstErr == nil && next < len(plan) && inflight < depth {
-			// Fair-share gate first, staging slot second: blocking on the
-			// gate while holding a slot would idle pool capacity other
-			// tenants could use.
+			// Fair-share gate first, staging extent second: blocking on
+			// the gate while holding staging units would idle pool
+			// capacity other tenants could use.
 			if gate != nil && !gate.TryAcquire(1) {
 				if inflight > 0 {
 					break // a completion will return a permit
@@ -250,23 +250,25 @@ func (x *extractor) runPlan(ctx context.Context, b *sample.Batch, res *Reservati
 					break
 				}
 			}
-			slot, ok := eng.staging.TryAcquire()
+			// The read takes the units its bytes fill, contiguous.
+			units := eng.staging.UnitsFor(plan[next].Len)
+			ext, ok := eng.staging.TryAcquireExtent(units)
 			if !ok {
 				if inflight > 0 {
 					release(1)
-					break // a completion will free a slot
+					break // a completion will free units
 				}
 				var err error
-				slot, err = eng.staging.AcquireCtx(ctx)
+				ext, err = eng.staging.AcquireExtentCtx(ctx, units)
 				if err != nil {
 					release(1)
 					firstErr = err
 					break
 				}
 			}
-			opSlot[next] = slot
+			opExt[next] = ext
 			if err := submit(next); err != nil {
-				eng.staging.Release(slot)
+				eng.staging.ReleaseExtent(ext)
 				release(1)
 				firstErr = err
 				break
@@ -298,7 +300,7 @@ func (x *extractor) runPlan(ctx context.Context, b *sample.Batch, res *Reservati
 		}
 		x.launchXfer()
 	}
-	x.launchXfer() // an unlaunched record would never release its slots or mark its nodes valid
+	x.launchXfer() // an unlaunched record would never release its extents or mark its nodes valid
 	x.xferWG.Wait()
 	return firstErr
 }
@@ -306,13 +308,13 @@ func (x *extractor) runPlan(ctx context.Context, b *sample.Batch, res *Reservati
 // planScratch resizes the per-op bookkeeping slices for a new plan,
 // reusing the extractor's backing arrays. attempts and buffered are
 // per-batch state and start zeroed.
-func (x *extractor) planScratch(n int) (opSlot []int32, attempts []int, buffered []bool) {
-	if cap(x.opSlot) < n {
-		x.opSlot = make([]int32, n)
+func (x *extractor) planScratch(n int) (opExt []Extent, attempts []int, buffered []bool) {
+	if cap(x.opExt) < n {
+		x.opExt = make([]Extent, n)
 		x.attempts = make([]int, n)
 		x.buffered = make([]bool, n)
 	} else {
-		x.opSlot = x.opSlot[:n]
+		x.opExt = x.opExt[:n]
 		x.attempts = x.attempts[:n]
 		x.buffered = x.buffered[:n]
 		for i := 0; i < n; i++ {
@@ -320,11 +322,11 @@ func (x *extractor) planScratch(n int) (opSlot []int32, attempts []int, buffered
 			x.buffered[i] = false
 		}
 	}
-	return x.opSlot, x.attempts, x.buffered
+	return x.opExt, x.attempts, x.buffered
 }
 
 // xferRec is one modeled host-to-device DMA: the nodes that become valid
-// and the staging slots that return to the pool when it completes. One
+// and the staging extents that return to the pool when it completes. One
 // record carries every clean read of one completion drain. Records
 // belong to the extractor and are reused batch after batch rather than
 // pooled — every record a batch launches is back by runPlan's
@@ -333,24 +335,26 @@ func (x *extractor) planScratch(n int) (opSlot []int32, attempts []int, buffered
 type xferRec struct {
 	x     *extractor
 	nodes []int64
-	slots []int32
+	exts  []Extent
 	fn    func()
 }
 
 func (d *xferRec) run() {
 	eng := d.x.eng
 	eng.fb.markValid(d.nodes)
-	for _, s := range d.slots {
-		eng.staging.Release(s)
+	for _, e := range d.exts {
+		eng.staging.ReleaseExtent(e)
 	}
 	d.x.xferWG.Done()
 }
 
 // pendingXfer returns the record the current drain fills: xfers[nxfer],
-// created on first use.
+// created on first use with room for a full ring's reads, the most one
+// drain reaps, so a record's slices do not regrow read by read.
 func (x *extractor) pendingXfer() *xferRec {
 	if x.nxfer == len(x.xfers) {
-		d := &xferRec{x: x}
+		depth := x.ring.Depth()
+		d := &xferRec{x: x, nodes: make([]int64, 0, 2*depth), exts: make([]Extent, 0, depth)}
 		d.fn = d.run
 		x.xfers = append(x.xfers, d)
 	}
@@ -360,7 +364,7 @@ func (x *extractor) pendingXfer() *xferRec {
 // launchXfer sends the current drain's record, if it holds anything, to
 // the device as one CopyAsync of all its nodes' bytes.
 func (x *extractor) launchXfer() {
-	if x.nxfer == len(x.xfers) || len(x.xfers[x.nxfer].slots) == 0 {
+	if x.nxfer == len(x.xfers) || len(x.xfers[x.nxfer].exts) == 0 {
 		return
 	}
 	d := x.xfers[x.nxfer]
@@ -373,21 +377,21 @@ func (x *extractor) launchXfer() {
 // waited for them) available again, keeping their slices.
 func (x *extractor) resetXfers() {
 	for _, d := range x.xfers[:x.nxfer] {
-		d.nodes, d.slots = d.nodes[:0], d.slots[:0]
+		d.nodes, d.exts = d.nodes[:0], d.exts[:0]
 	}
 	x.nxfer = 0
 }
 
 // transferOp decodes the read's feature vectors into their feature-buffer
-// slots. On a GPU the nodes and the staging slot join the drain's
+// slots. On a GPU the nodes and the staging extent join the drain's
 // transfer record, which launchXfer sends as one modeled DMA; on
-// completion the nodes become valid and the slots return to the pool.
+// completion the nodes become valid and the extents return to the pool.
 // CPU-based training has no device transfer: data is already in host
 // memory (§4.4).
-func (x *extractor) transferOp(b *sample.Batch, res *Reservation, op ReadOp, slot int32) {
+func (x *extractor) transferOp(b *sample.Batch, res *Reservation, op ReadOp, ext Extent) {
 	eng := x.eng
 	featBytes := int(eng.ds.FeatBytes())
-	buf := eng.staging.Buf(slot)
+	buf := eng.staging.ExtentBuf(ext)
 	for _, rn := range op.Nodes {
 		dst := eng.fb.SlotData(res.Alias[rn.Pos])
 		graph.DecodeFeature(buf[rn.BufOff:rn.BufOff+featBytes], dst[:0])
@@ -399,7 +403,7 @@ func (x *extractor) transferOp(b *sample.Batch, res *Reservation, op ReadOp, slo
 		for _, rn := range op.Nodes {
 			d.nodes = append(d.nodes, b.Nodes[rn.Pos])
 		}
-		d.slots = append(d.slots, slot)
+		d.exts = append(d.exts, ext)
 		return
 	}
 	// GDS reads already landed in device memory; CPU training reads from
@@ -407,5 +411,5 @@ func (x *extractor) transferOp(b *sample.Batch, res *Reservation, op ReadOp, slo
 	for _, rn := range op.Nodes {
 		eng.fb.MarkValid(b.Nodes[rn.Pos])
 	}
-	eng.staging.Release(slot)
+	eng.staging.ReleaseExtent(ext)
 }

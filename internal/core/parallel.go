@@ -69,8 +69,8 @@ func NewParallel(ds *graph.Dataset, devices []*device.Device, budget *hostmem.Bu
 
 	// One shared staging pool sized for every worker's extractors; each
 	// worker effectively reserves a portion and borrows beyond it (§4.3).
-	slots, slotBytes := opts.StagingGeometry(int(ds.FeatBytes()))
-	staging, err := NewStaging(budget, len(devices)*slots, slotBytes)
+	units, unitBytes := opts.StagingGeometry(int(ds.FeatBytes()))
+	staging, err := NewStaging(budget, len(devices)*units, unitBytes)
 	if err != nil {
 		budget.Unpin(hostPins)
 		return nil, err

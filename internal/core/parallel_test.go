@@ -146,7 +146,7 @@ func TestParallelSingleWorkerNoSync(t *testing.T) {
 // Engines with an undersized shared budget must fail cleanly.
 func TestParallelOOMPropagates(t *testing.T) {
 	rig := newRig(t, device.InstantConfig(), 64<<20)
-	small := hostmem.NewBudget(128 << 10)
+	small := hostmem.NewBudget(48 << 10) // the metadata pin fits, the staging pool does not
 	cache := pagecache.New(rig.ds.Dev, small)
 	_, err := NewParallel(rig.ds, []*device.Device{rig.dev}, small, cache, rig.rec, testOpts())
 	if err == nil {

@@ -184,7 +184,10 @@ func (d *Device) CopySync(n int64) time.Duration {
 
 func (d *Device) runTransferEngine() {
 	defer d.wg.Done()
-	var busyUntil time.Time
+	var (
+		busyUntil time.Time
+		pacer     errutil.Pacer
+	)
 	for x := range d.xferQ {
 		var svc time.Duration
 		if d.cfg.TransferBps > 0 {
@@ -194,7 +197,7 @@ func (d *Device) runTransferEngine() {
 		// channels: a transfer starts when it was queued or when the one
 		// before it finished, whichever is later. Pace fails only on a
 		// cancelled ctx, and nothing cancels a transfer.
-		busyUntil, _ = errutil.Pace(nil, x.arrival, busyUntil, svc)
+		busyUntil, _ = pacer.Pace(nil, x.arrival, busyUntil, svc)
 		d.transferBusy.Add(int64(svc))
 		d.bytesMoved.Add(x.bytes)
 		if x.done != nil {

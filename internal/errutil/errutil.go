@@ -119,9 +119,9 @@ func Retry(ctx context.Context, p Policy, fn func() error) error {
 
 // Sleep blocks for d (not at all when d <= 0) or until ctx is cancelled,
 // and returns ctx's error if it is cancelled by the time Sleep returns. A
-// nil ctx never cancels. It is the one ctx-aware sleep: retry backoffs,
-// requeue backoffs and modeled device delays (through Pace) all wait
-// through it.
+// nil ctx never cancels. It is the one ctx-aware sleep for one-off
+// waits: retry and requeue backoffs and injected fault delays; a paced
+// server waits on its Pacer's reusable timer instead.
 func Sleep(ctx context.Context, d time.Duration) error {
 	if ctx == nil {
 		if d > 0 {
@@ -148,17 +148,25 @@ func Sleep(ctx context.Context, d time.Duration) error {
 // PaceSlack.
 const PaceSlack = 500 * time.Microsecond
 
-// Pace serves one request of service time svc on a modeled FIFO server
-// whose previous request finishes at busyUntil, and returns the request's
+// Pacer is the clock wait of one modeled FIFO server: the modeled SSD's
+// channels and the device's DMA engine each own one. Every wait of the
+// server reuses its one timer, so pacing allocates nothing after the
+// first wait. The zero value is ready; a Pacer serves one goroutine.
+type Pacer struct {
+	timer *time.Timer
+	armed bool // the timer is set and its tick not yet received
+}
+
+// Pace serves one request of service time svc on the server whose
+// previous request finishes at busyUntil, and returns the request's
 // finish, the server's next busyUntil. Service starts at max(arrival,
 // busyUntil), so a wake-up that overslept delays no later request's
 // modeled start and an idle server banks no credit; a zero arrival means
 // now. Pace sleeps until finish only when finish leads the wall clock by
 // more than PaceSlack, and then returns ctx's error if ctx is cancelled
 // meanwhile; finish holds either way, since the server stays busy for a
-// request its caller abandoned. The modeled SSD's channels and the
-// device's DMA engine are the servers it paces.
-func Pace(ctx context.Context, arrival, busyUntil time.Time, svc time.Duration) (time.Time, error) {
+// request its caller abandoned.
+func (p *Pacer) Pace(ctx context.Context, arrival, busyUntil time.Time, svc time.Duration) (time.Time, error) {
 	now := time.Now()
 	start := arrival
 	if start.IsZero() {
@@ -169,9 +177,36 @@ func Pace(ctx context.Context, arrival, busyUntil time.Time, svc time.Duration) 
 	}
 	finish := start.Add(svc)
 	if wait := finish.Sub(now); wait > PaceSlack {
-		return finish, Sleep(ctx, wait)
+		return finish, p.sleep(ctx, wait)
 	}
 	return finish, nil
+}
+
+// sleep is Sleep on the Pacer's timer.
+func (p *Pacer) sleep(ctx context.Context, d time.Duration) error {
+	if ctx == nil {
+		time.Sleep(d)
+		return nil
+	}
+	if p.timer == nil {
+		p.timer = time.NewTimer(d)
+	} else {
+		// A wait that ctx cut short leaves the timer armed. Under go 1.22
+		// timer semantics its tick can still land in C after Stop reports
+		// it fired, so take that tick before Reset, or the next wait would
+		// end at once.
+		if p.armed && !p.timer.Stop() {
+			<-p.timer.C
+		}
+		p.timer.Reset(d)
+	}
+	p.armed = true
+	select {
+	case <-p.timer.C:
+		p.armed = false
+	case <-ctx.Done():
+	}
+	return ctx.Err()
 }
 
 // splitmixUnit hashes x to a uniform float64 in [0, 1).

@@ -118,12 +118,46 @@ func TestPaceStartsAtArrivalOrPreviousFinish(t *testing.T) {
 		{"busy server starts at its previous finish", past, past.Add(time.Minute), past.Add(time.Minute + svc)},
 		{"no arrival starts now", time.Time{}, time.Time{}, now.Add(svc)},
 	} {
-		got, err := Pace(nil, tc.arrival, tc.busyUntil, svc)
+		got, err := new(Pacer).Pace(nil, tc.arrival, tc.busyUntil, svc)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if d := got.Sub(tc.want).Abs(); d > time.Second {
 			t.Errorf("%s: finish %v off the model's %v by %v", tc.name, got, tc.want, d)
+		}
+	}
+}
+
+// TestPaceReusesItsTimerZeroAlloc: after its first wait a Pacer allocates
+// nothing, and a wait that ctx cut short leaves no stale tick behind to
+// end the next one early.
+func TestPaceReusesItsTimerZeroAlloc(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var p Pacer
+	wait := PaceSlack + 200*time.Microsecond
+	if _, err := p.Pace(ctx, time.Time{}, time.Time{}, wait); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := p.Pace(ctx, time.Time{}, time.Time{}, wait); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Pace allocated %.1f times a wait", n)
+	}
+	cancelled, stop := context.WithCancel(context.Background())
+	stop()
+	for i := 0; i < 50; i++ {
+		// The cut-short wait's timer fires while nobody listens.
+		p.Pace(cancelled, time.Time{}, time.Time{}, wait)
+		time.Sleep(wait + 100*time.Microsecond)
+		start := time.Now()
+		if _, err := p.Pace(ctx, start, time.Time{}, 2*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if got := time.Since(start); got < 2*time.Millisecond {
+			t.Fatalf("a wait after a cancelled one ended after %v, before its 2ms", got)
 		}
 	}
 }
@@ -135,15 +169,16 @@ func TestPaceStartsAtArrivalOrPreviousFinish(t *testing.T) {
 func TestPaceSleepsOnlyPastTheSlack(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Pace(cancelled, time.Time{}, time.Time{}, PaceSlack/2); err != nil {
+	var p Pacer
+	if _, err := p.Pace(cancelled, time.Time{}, time.Time{}, PaceSlack/2); err != nil {
 		t.Fatalf("a finish inside the slack slept: %v", err)
 	}
-	finish, err := Pace(nil, time.Now(), time.Time{}, 5*time.Millisecond)
+	finish, err := p.Pace(nil, time.Now(), time.Time{}, 5*time.Millisecond)
 	if err != nil || time.Now().Before(finish) {
 		t.Fatalf("returned %v before the modeled finish (err %v)", time.Until(finish), err)
 	}
 	start := time.Now()
-	finish, err = Pace(cancelled, start, time.Time{}, time.Hour)
+	finish, err = p.Pace(cancelled, start, time.Time{}, time.Hour)
 	if !errors.Is(err, context.Canceled) || finish.Sub(start) != time.Hour {
 		t.Fatalf("cancelled pace: err %v, finish %v after the arrival", err, finish.Sub(start))
 	}

@@ -20,6 +20,7 @@ import (
 //
 //	magic "GNND1\n" | metadata length i64 | metadata (JSON header)
 //	indptr (nodes+1) x i64 | train x i64 | val x i64 | labels nodes x i32
+//	CRC32C of everything from the metadata length to here
 //	indices edges x u32 | features nodes x dim x f32
 //	offset section, when the header's layout is "packed":
 //	    nodes x u64, each node's offset into the feature region | CRC32C
@@ -27,9 +28,10 @@ import (
 //	    block size u64 | blocks u64 | states blocks x u8 |
 //	    sums blocks x u32 | CRC32C
 //
-// Each CRC32C covers its section's bytes before it. Load accepts a file
-// only when every section's CRC matches and the sizes the header declares
-// account for every byte.
+// Each CRC32C covers its section's bytes before it: the first guards the
+// header and the host arrays, which no device-side checksum covers. Load
+// accepts a file only when every CRC matches and the sizes the header
+// declares account for every byte.
 const fileMagic = "GNND1\n"
 
 // tableHead is the checksum section's block size and block count.
@@ -44,8 +46,11 @@ var ErrCorrupt = errors.New("graph: corrupt container")
 // path.
 func corrupt(path string, err error) error { return fmt.Errorf("%w %s: %w", ErrCorrupt, path, err) }
 
+// castagnoli is the CRC32C table every section's checksum uses.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
 // crc32c is the CRC32C every section carries.
-func crc32c(b []byte) uint32 { return crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)) }
+func crc32c(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
 // header is the JSON metadata block of a .gnnd file.
 type header struct {
@@ -82,7 +87,7 @@ func (h *header) check(size int64) (int64, error) {
 		(h.NumNodes > 0 && int64(h.Dim) > size/4/h.NumNodes)
 	var need int64
 	if !tooBig {
-		need = 8*(h.NumNodes+1+int64(h.Train)+int64(h.Val)) + 4*h.NumNodes +
+		need = 8*(h.NumNodes+1+int64(h.Train)+int64(h.Val)) + 4*h.NumNodes + 4 +
 			4*h.NumEdges + 4*h.NumNodes*int64(h.Dim)
 		if h.Layout == "packed" {
 			need += 8*h.NumNodes + 4
@@ -154,12 +159,15 @@ func save(ds *Dataset, path string, sink checkpoint.Sink) error {
 		// failed.
 		w := bufio.NewWriterSize(f, 1<<20)
 		w.WriteString(fileMagic)
-		binary.Write(w, le, int64(len(meta)))
-		w.Write(meta)
+		sum := crc32.New(castagnoli)
+		host := io.MultiWriter(w, sum)
+		binary.Write(host, le, int64(len(meta)))
+		host.Write(meta)
 		for _, arr := range [][]int64{ds.Indptr, ds.TrainIdx, ds.ValIdx} {
-			binary.Write(w, le, arr)
+			binary.Write(host, le, arr)
 		}
-		binary.Write(w, le, ds.Labels)
+		binary.Write(host, le, ds.Labels)
+		w.Write(le.AppendUint32(nil, sum.Sum32()))
 		if err := copyRegion(w, ds.Dev, ds.Layout.IndicesOff, ds.Layout.IndicesLen); err != nil {
 			return err
 		}
@@ -237,15 +245,18 @@ func Load(path string, newBackend storage.Factory, extraBytes int64) (*Dataset, 
 	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != fileMagic {
 		return nil, nil, corrupt(path, errors.New("not a .gnnd file"))
 	}
+	// host is r with every byte up to the host arrays' CRC summed.
+	sum := crc32.New(castagnoli)
+	host := io.TeeReader(r, sum)
 	var metaLen int64
-	if err := binary.Read(r, binary.LittleEndian, &metaLen); err != nil {
+	if err := binary.Read(host, binary.LittleEndian, &metaLen); err != nil {
 		return nil, nil, corrupt(path, err)
 	}
 	if metaLen <= 0 || metaLen > 1<<20 {
 		return nil, nil, corrupt(path, fmt.Errorf("implausible metadata length %d", metaLen))
 	}
 	meta := make([]byte, metaLen)
-	if _, err := io.ReadFull(r, meta); err != nil {
+	if _, err := io.ReadFull(host, meta); err != nil {
 		return nil, nil, corrupt(path, err)
 	}
 	var h header
@@ -265,12 +276,19 @@ func Load(path string, newBackend storage.Factory, extraBytes int64) (*Dataset, 
 		Labels:   make([]int32, h.NumNodes),
 	}
 	for _, arr := range [][]int64{ds.Indptr, ds.TrainIdx, ds.ValIdx} {
-		if err := binary.Read(r, binary.LittleEndian, arr); err != nil {
+		if err := binary.Read(host, binary.LittleEndian, arr); err != nil {
 			return nil, nil, corrupt(path, err)
 		}
 	}
-	if err := binary.Read(r, binary.LittleEndian, ds.Labels); err != nil {
+	if err := binary.Read(host, binary.LittleEndian, ds.Labels); err != nil {
 		return nil, nil, corrupt(path, err)
+	}
+	var want uint32
+	if err := binary.Read(r, binary.LittleEndian, &want); err != nil {
+		return nil, nil, corrupt(path, err)
+	}
+	if sum.Sum32() != want {
+		return nil, nil, corrupt(path, errors.New("header and host arrays CRC mismatch"))
 	}
 	indicesLen := 4 * h.NumEdges
 	featOff := (indicesLen + 511) / 512 * 512

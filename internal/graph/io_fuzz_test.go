@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -23,8 +24,10 @@ import (
 // metadata. No input may panic, and none may make Load allocate more
 // than the file's own size accounts for (the header check bounds every
 // count by the file's size first). Seeds are in testdata/fuzz/FuzzLoad:
-// a valid tiny container, with and without its sections, and the ways a
-// header, an offset section or a checksum section can lie.
+// a valid tiny container, with and without its sections, the ways a
+// header, an offset section or a checksum section can lie, and a class
+// count and a label edited in place, which only the CRC over the header
+// and host arrays catches.
 func FuzzLoad(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ds, table, err := loadFuzzed(t, data)
@@ -199,6 +202,24 @@ type tableDev struct {
 }
 
 func (d tableDev) Checksums() storage.ChecksumTable { return d.t }
+
+// hostSpan returns where a loadable container's host arrays start and
+// end: between its metadata and their CRC.
+func hostSpan(b []byte) (start, end int) {
+	start = len(fileMagic) + 8 + int(binary.LittleEndian.Uint64(b[len(fileMagic):]))
+	var h header
+	if err := json.Unmarshal(b[len(fileMagic)+8:start], &h); err != nil {
+		panic(err)
+	}
+	return start, start + 8*(int(h.NumNodes)+1+h.Train+h.Val) + 4*int(h.NumNodes)
+}
+
+// afterHost returns the bytes of a loadable container that follow the
+// CRC of its header and host arrays.
+func afterHost(b []byte) []byte {
+	_, end := hostSpan(b)
+	return b[end+4:]
+}
 
 // afterMeta returns the bytes of a loadable container that follow its
 // metadata.

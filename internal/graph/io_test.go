@@ -111,7 +111,11 @@ func TestLoadRejectsCorruptHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	// reframe writes the container with its header edited by edit and its
-	// arrays (everything after the metadata) edited by patch.
+	// arrays (everything after the metadata) edited by patch, the host
+	// arrays' CRC sealed over the edits, so each edit reaches the check
+	// it is aimed at.
+	hostStart, hostEnd := hostSpan(valid)
+	hostLen := hostEnd - hostStart
 	reframe := func(edit func(*header), patch func(arrays []byte)) string {
 		hh := h
 		edit(&hh)
@@ -123,6 +127,8 @@ func TestLoadRejectsCorruptHeader(t *testing.T) {
 		patch(arrays)
 		out := append([]byte(fileMagic), binary.LittleEndian.AppendUint64(nil, uint64(len(meta)))...)
 		out = append(append(out, meta...), arrays...)
+		sealed := out[len(fileMagic) : len(fileMagic)+8+len(meta)+hostLen]
+		binary.LittleEndian.PutUint32(out[len(fileMagic)+8+len(meta)+hostLen:], crc32c(sealed))
 		p := filepath.Join(t.TempDir(), "bad.gnnd")
 		if err := os.WriteFile(p, out, 0o644); err != nil {
 			t.Fatal(err)
@@ -163,6 +169,42 @@ func TestLoadRejectsCorruptHeader(t *testing.T) {
 	}
 	if _, _, err := Load(reframe(func(*header) {}, keep), sim.Factory(sim.InstantConfig()), 0); err != nil {
 		t.Fatalf("unedited reframe: %v", err)
+	}
+}
+
+// TestLoadRejectsHostEdits edits a saved container's header and host
+// arrays in place, each edit one a loader would otherwise accept: a class
+// count that still covers every label, and one label changed to another
+// valid class. The CRC over the header and host arrays must make each a
+// load error wrapping ErrCorrupt.
+func TestLoadRejectsHostEdits(t *testing.T) {
+	ds := buildTestDataset(t)
+	path := filepath.Join(t.TempDir(), "x.gnnd")
+	if err := Save(ds, path); err != nil {
+		t.Fatal(err)
+	}
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, host := hostSpan(valid)
+	for name, edit := range map[string]func(b []byte) []byte{
+		"num_classes 2 -> 3": func(b []byte) []byte {
+			return bytes.Replace(b, []byte(`"num_classes":2`), []byte(`"num_classes":3`), 1)
+		},
+		"one label 0 -> 1": func(b []byte) []byte {
+			b[host-4*int(ds.NumNodes)]++ // node 0's label
+			return b
+		},
+	} {
+		b := edit(slices.Clone(valid))
+		if bytes.Equal(b, valid) {
+			t.Fatalf("%s: the edit changed nothing", name)
+		}
+		_, _, err := Load(writeTemp(t, b), sim.Factory(sim.InstantConfig()), 0)
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "CRC") {
+			t.Errorf("%s: got %v, want an ErrCorrupt CRC mismatch", name, err)
+		}
 	}
 }
 
@@ -364,7 +406,7 @@ func TestSaveWritesOffsetSection(t *testing.T) {
 		want = le.AppendUint64(want, o)
 	}
 	want = le.AppendUint32(want, crc32c(want))
-	if !bytes.Equal(afterMeta(packed), append(slices.Clip(afterMeta(strided)), want...)) {
+	if !bytes.Equal(afterHost(packed), append(slices.Clip(afterHost(strided)), want...)) {
 		t.Fatalf("the packed container is not the strided one plus the offset section %x", want)
 	}
 	ds, _, err := Load(writeTemp(t, packed), sim.Factory(sim.InstantConfig()), 0)

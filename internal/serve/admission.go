@@ -14,12 +14,13 @@ import (
 // alone (no dataset build): what the admission controller charges
 // against the daemon's shared envelope before the job may run.
 type Demand struct {
-	// StagingSlots is the job's staging-pool quota: extractors x ring
-	// depth in-flight reads (InOrder collapses to one extractor).
+	// StagingSlots is the job's in-flight reads: extractors x ring
+	// depth (InOrder collapses to one extractor).
 	StagingSlots int `json:"staging_slots"`
-	// SlotBytes is the staging slot size the job needs — the larger of
-	// the joint-read cap and one 512-aligned feature record. A job
-	// whose SlotBytes exceeds the shared pool's slot size can never run.
+	// SlotBytes is the job's longest read — the larger of the joint-read
+	// cap and one vector window. The shared pool prices the job's
+	// staging quota as StagingSlots reads of SlotBytes each, in its own
+	// units (pool.units).
 	SlotBytes int `json:"slot_bytes"`
 	// FeatureBytes is the job's feature-buffer reservation: its pinned
 	// slot count times the per-node feature record.
@@ -34,7 +35,7 @@ type Demand struct {
 }
 
 // ComputeDemand prices a job config with the engine's own sizing rules
-// (the options trainsim lowers the config to, core's staging geometry and
+// (the options trainsim lowers the config to, core's read bounds and
 // feature-buffer working set), the estimated max-batch node count replaced
 // by its analytic upper bound (batchNodeBound). The demand is therefore
 // computable at admission time without touching the dataset, and is
@@ -51,13 +52,13 @@ func ComputeDemand(cfg trainsim.Config) Demand {
 	if n := spec.Nodes; n > 0 && fbSlots > n {
 		fbSlots = n
 	}
-	stagingSlots, slotBytes := o.StagingGeometry(featBytes)
+	reads := o.ReadsInFlight()
 	return Demand{
-		StagingSlots: stagingSlots,
-		SlotBytes:    slotBytes,
+		StagingSlots: reads,
+		SlotBytes:    o.MaxReadBytes(featBytes),
 		FeatureBytes: int64(fbSlots) * int64(featBytes),
 		FeatureSlots: fbSlots,
-		IOTokens:     stagingSlots,
+		IOTokens:     reads,
 	}
 }
 
@@ -109,7 +110,7 @@ type pool struct {
 	cond       *sync.Cond
 	featBudget int64
 	featUsed   int64
-	slotsTotal int
+	slotsTotal int // staging units, of staging.SlotBytes() each
 	slotsUsed  int
 	queue      []*ticket // FIFO of jobs waiting for resources
 	closed     bool
@@ -143,17 +144,25 @@ func (p *pool) close() {
 	p.staging.Close()
 }
 
+// units is the demand's staging quota in the shared pool's units: every
+// in-flight read at its longest, so a granted job can always keep its
+// whole ring in flight. On a pool whose unit holds the longest read that
+// is one unit a read.
+func (p *pool) units(d Demand) int {
+	unit := p.staging.SlotBytes()
+	return d.StagingSlots * max(1, (d.SlotBytes+unit-1)/unit)
+}
+
 // neverFits reports whether the demand exceeds the total envelope.
 func (p *pool) neverFits(d Demand) bool {
-	return d.StagingSlots > p.slotsTotal ||
-		d.SlotBytes > p.staging.SlotBytes() ||
+	return p.units(d) > p.slotsTotal ||
 		d.FeatureBytes > p.featBudget ||
 		d.IOTokens > p.sched.Capacity()
 }
 
 // fitsLocked reports whether the demand fits the free envelope now.
 func (p *pool) fitsLocked(d Demand) bool {
-	return p.slotsTotal-p.slotsUsed >= d.StagingSlots &&
+	return p.slotsTotal-p.slotsUsed >= p.units(d) &&
 		p.featBudget-p.featUsed >= d.FeatureBytes
 }
 
@@ -218,11 +227,11 @@ func (p *pool) dropTicketLocked(t *ticket) {
 
 // takeLocked reserves the demand and carves the job's views.
 func (p *pool) takeLocked(id string, d Demand) (*grant, error) {
-	view, err := p.staging.Carve(d.StagingSlots)
+	view, err := p.staging.Carve(p.units(d))
 	if err != nil {
 		return nil, err
 	}
-	p.slotsUsed += d.StagingSlots
+	p.slotsUsed += p.units(d)
 	p.featUsed += d.FeatureBytes
 	return &grant{
 		view:   view,
@@ -246,7 +255,7 @@ func (g *grant) release() {
 		return
 	}
 	g.revoked = true
-	p.slotsUsed -= g.demand.StagingSlots
+	p.slotsUsed -= p.units(g.demand)
 	p.featUsed -= g.demand.FeatureBytes
 	p.cond.Broadcast()
 	p.mu.Unlock()

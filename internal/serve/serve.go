@@ -126,6 +126,11 @@ type job struct {
 	eng     *core.Engine
 	runDone chan struct{}
 
+	// granted marks a job Submit admitted with a grant that runJob has
+	// not yet marked running (daemon mutex): it is queued in state only,
+	// and does not count against MaxQueued.
+	granted bool
+
 	userCancelled bool
 }
 
@@ -238,11 +243,12 @@ func (d *Daemon) Submit(spec trainsim.JobSpec) (string, error) {
 		return "", aerr
 	}
 	if g == nil {
-		// Must wait. Count live queued jobs against the bound (pool
-		// tickets lag Submit by a goroutine hop, so count records).
+		// Must wait. Count live jobs waiting for a grant against the
+		// bound (pool tickets lag Submit by a goroutine hop, so count
+		// records).
 		waiting := 0
 		for _, other := range d.jobs {
-			if other.rec.State == StateQueued {
+			if other.rec.State == StateQueued && !other.granted {
 				waiting++
 			}
 		}
@@ -255,6 +261,7 @@ func (d *Daemon) Submit(spec trainsim.JobSpec) (string, error) {
 	// Only an accepted job gets a context: a rejected one would stay a
 	// child of rootCtx until Close.
 	j.ctx, j.cancel = context.WithCancel(d.rootCtx)
+	j.granted = g != nil
 	d.jobs[id] = j
 	d.wg.Add(1)
 	d.mu.Unlock()
@@ -360,7 +367,7 @@ func (d *Daemon) runJob(j *job, g *grant) {
 			}
 		}
 		runDone := make(chan struct{})
-		d.setState(j, StateRunning, func() { j.runDone = runDone })
+		d.setState(j, StateRunning, func() { j.runDone, j.granted = runDone, false })
 
 		var sys trainsim.SystemKind
 		var err error

@@ -89,6 +89,7 @@ type channel struct {
 	dev       *Device
 	queue     chan *storage.Request
 	busyUntil time.Time
+	pacer     errutil.Pacer
 }
 
 // New creates a device of the given capacity.
@@ -232,7 +233,7 @@ func (d *Device) ReadDirectCtx(ctx context.Context, p []byte, off int64) (time.D
 
 // run serves the channel's queue as a FIFO server on the modeled clock:
 // a request's service starts at max(its admission, the previous finish)
-// (errutil.Pace), however late the channel goroutine itself woke, and
+// (errutil.Pacer), however late the channel goroutine itself woke, and
 // the request completes no earlier than errutil.PaceSlack before its
 // modeled finish.
 func (c *channel) run() {
@@ -243,7 +244,7 @@ func (c *channel) run() {
 		// A cancelled request is not waited out, but the channel's modeled
 		// clock has advanced, so the device stays "busy" for later requests
 		// either way.
-		finish, err := errutil.Pace(req.Ctx, req.Submitted, c.busyUntil, svc)
+		finish, err := c.pacer.Pace(req.Ctx, req.Submitted, c.busyUntil, svc)
 		c.busyUntil = finish
 		if err != nil {
 			c.dev.Abandon(req, 0)
@@ -266,7 +267,8 @@ func (c *channel) run() {
 // stalls its own read and not the requests queued behind it.
 func (c *channel) straggle(req *storage.Request, dec faults.Decision, svc time.Duration, finish time.Time, extra time.Duration) {
 	defer c.dev.wg.Done()
-	if _, err := errutil.Pace(req.Ctx, finish, time.Time{}, extra); err != nil {
+	var wait errutil.Pacer // a straggler is rare: its own timer costs little
+	if _, err := wait.Pace(req.Ctx, finish, time.Time{}, extra); err != nil {
 		c.dev.Abandon(req, 0)
 		return
 	}

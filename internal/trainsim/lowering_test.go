@@ -142,3 +142,47 @@ func TestFeatureBufferXGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestStagingGeometryPins pins the staging pool the engine builds for the
+// gated workloads' shapes on papers: one vector window per in-flight
+// read, so 256 KiB at dim 128 and at packed dim 100, and 64 KiB in
+// order. It then builds the engine of the 8 GB shape and checks what the
+// pins leave the page cache: at least the whole index array, so the
+// topology fits once it is warm. Sizing the pool for worst-case reads
+// again (4 MiB here) leaves 2.7 MiB and fails.
+func TestStagingGeometryPins(t *testing.T) {
+	papers := gen.Papers()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want int64
+	}{
+		{"dim 128", Config{}, 256 << 10},
+		{"packed dim 100", Config{Dim: 100, Layout: "packed"}, 256 << 10},
+		{"in order", Config{InOrder: true}, 64 << 10},
+	} {
+		featBytes := papers.Dim * 4
+		if tc.cfg.Dim != 0 {
+			featBytes = tc.cfg.Dim * 4
+		}
+		units, unitBytes := tc.cfg.EngineOptions().StagingGeometry(featBytes)
+		if got := int64(units) * int64(unitBytes); got != tc.want {
+			t.Errorf("%s: staging pool %d x %d = %d bytes, want %d", tc.name, units, unitBytes, got, tc.want)
+		}
+	}
+
+	e, err := newEnv(Config{Dataset: papers, HostMemoryGB: 8, Scale: 0.01}, systems[GNNDriveGPU].device())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.close()
+	sys, err := newGNNDrive(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if pool, index := e.budget.CachePool(), e.ds.Layout.IndicesLen; pool < index {
+		t.Fatalf("8 GB host budget leaves the page cache %d bytes, under the %d-byte index array (pinned %d)",
+			pool, index, e.budget.Pinned())
+	}
+}
