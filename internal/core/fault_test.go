@@ -199,18 +199,20 @@ func TestTrainEpochCancelledMidEpoch(t *testing.T) {
 
 // stuckTopology wraps a backend so that every read of the index region
 // hangs at the device until the request's own ctx is cancelled; a request
-// carrying no ctx never completes. Feature reads pass through.
+// carrying no ctx never completes. Feature reads pass through. Its
+// synchronous reads are bound to its own Submit, and they sit one
+// embedding level above the wrapped backend's, so they are the ones a
+// one-page fault calls.
 type stuckTopology struct {
-	storage.Backend
+	*storage.SyncReads
+	passThrough
 	indicesEnd int64
 	entered    chan struct{} // closed when the first topology read arrives
 	once       sync.Once
 }
 
-// ReadAtCtx routes a one-page fault's synchronous read through Submit.
-func (b *stuckTopology) ReadAtCtx(ctx context.Context, p []byte, off int64) (time.Duration, error) {
-	return storage.SyncRead(ctx, b, p, off, false)
-}
+// passThrough is the backend stuckTopology wraps.
+type passThrough struct{ storage.Backend }
 
 func (b *stuckTopology) Submit(req *storage.Request) {
 	if req.Off >= b.indicesEnd {
@@ -235,9 +237,10 @@ func (b *stuckTopology) Submit(req *storage.Request) {
 func TestCancelAbortsStuckTopologyFault(t *testing.T) {
 	newStuck := func(t *testing.T) (*Engine, *stuckTopology) {
 		rig := newRig(t, device.InstantConfig(), 64<<20)
-		stuck := &stuckTopology{Backend: rig.ds.Dev,
+		stuck := &stuckTopology{passThrough: passThrough{rig.ds.Dev},
 			indicesEnd: rig.ds.Layout.IndicesOff + rig.ds.Layout.IndicesLen,
 			entered:    make(chan struct{})}
+		stuck.SyncReads = storage.NewSyncReads(stuck.Submit, rig.ds.Dev.SectorSize())
 		rig.ds.Dev = stuck
 		rig.cache = pagecache.New(stuck, rig.budget)
 		return newEngine(t, rig, testOpts()), stuck

@@ -26,9 +26,9 @@ var seeds = []seed{
 	{"ctxbg", "internal/core/extractor.go",
 		"eng.fb.ReserveCtx(ctx, b.Nodes)",
 		"eng.fb.ReserveCtx(context.Background(), b.Nodes)"},
-	{"ctxflow", "internal/storage/sim/sim.go",
-		"return d.ReadAtCtx(ctx, p, off)",
-		"return d.ReadAt(p, off)"},
+	{"ctxflow", "internal/baselines/ginex/ginex.go",
+		"s.ds.Dev.ReadDirectCtx(ctx, buf[:op.Len], op.DevOff)",
+		"s.ds.Dev.ReadDirect(buf[:op.Len], op.DevOff)"},
 	{"alignedio", "internal/layout/pack.go",
 		"buf := storage.AlignedBuf((p.feat/sector+2)*sector, sector)",
 		"buf := make([]byte, (p.feat/sector+2)*sector)"},

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"gnndrive/internal/faults"
 	"gnndrive/internal/hostmem"
@@ -21,13 +20,11 @@ import (
 // attempt at an offset in media fails permanently.
 type scriptedBackend struct {
 	*sim.Device
+	*storage.SyncReads // bound to scriptedBackend.Submit
+
 	mu        sync.Mutex
 	transient map[int64]int
 	media     map[int64]bool
-}
-
-func (b *scriptedBackend) ReadAtCtx(ctx context.Context, p []byte, off int64) (time.Duration, error) {
-	return storage.SyncRead(ctx, b, p, off, false)
 }
 
 func (b *scriptedBackend) Submit(req *storage.Request) {
@@ -190,6 +187,7 @@ func TestWaveMatchesModel(t *testing.T) {
 		dev := sim.New(filePages*PageSize, sim.InstantConfig())
 		img := fillPattern(dev, 0, filePages*PageSize)
 		sb := &scriptedBackend{Device: dev, transient: map[int64]int{}, media: map[int64]bool{}}
+		sb.SyncReads = storage.NewSyncReads(sb.Submit, dev.SectorSize())
 		b := hostmem.NewBudget(budget)
 		c := New(sb, b)
 		f := c.NewFile(0, filePages*PageSize)

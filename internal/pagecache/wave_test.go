@@ -24,6 +24,8 @@ var errMedia = errors.New("media error")
 // reader on a page whose load is still in flight.
 type flakyBackend struct {
 	*sim.Device
+	*storage.SyncReads // bound to flakyBackend.Submit
+
 	fail    atomic.Bool
 	gate    chan struct{} // nil: no holding
 	entered chan struct{} // receives once per held read
@@ -39,11 +41,6 @@ func (b *flakyBackend) Submit(req *storage.Request) {
 		return
 	}
 	b.finish(req)
-}
-
-// ReadAtCtx routes the one-page fault's synchronous read through Submit.
-func (b *flakyBackend) ReadAtCtx(ctx context.Context, p []byte, off int64) (time.Duration, error) {
-	return storage.SyncRead(ctx, b, p, off, false)
 }
 
 func (b *flakyBackend) finish(req *storage.Request) {
@@ -82,6 +79,7 @@ func TestFailedFaultDoesNotPoison(t *testing.T) {
 	t.Cleanup(func() { dev.Close() })
 	img := fillPattern(dev, 0, 1<<20)
 	flaky := &flakyBackend{Device: dev}
+	flaky.SyncReads = storage.NewSyncReads(flaky.Submit, dev.SectorSize())
 	c := New(flaky, hostmem.NewBudget(1<<20))
 	f := c.NewFile(0, 1<<20)
 
@@ -111,6 +109,7 @@ func TestFailedFaultFailsCoalescedWaiters(t *testing.T) {
 	t.Cleanup(func() { dev.Close() })
 	fillPattern(dev, 0, 1<<20)
 	flaky := &flakyBackend{Device: dev, gate: make(chan struct{}), entered: make(chan struct{}, 1)}
+	flaky.SyncReads = storage.NewSyncReads(flaky.Submit, dev.SectorSize())
 	flaky.fail.Store(true)
 	c := New(flaky, hostmem.NewBudget(1<<20))
 	f := c.NewFile(0, 1<<20)
@@ -213,6 +212,7 @@ func TestWaveRetriesOnlyFailedPages(t *testing.T) {
 	t.Cleanup(func() { dev.Close() })
 	img := fillPattern(dev, 0, 1<<20)
 	counting := &transientOnce{Device: dev, failed: map[int64]bool{2 * PageSize: false, 7 * PageSize: false}}
+	counting.SyncReads = storage.NewSyncReads(counting.Submit, dev.SectorSize())
 	c := New(counting, hostmem.NewBudget(1<<20))
 	f := c.NewFile(0, 1<<20)
 	w := c.NewWave()
@@ -238,13 +238,11 @@ func TestWaveRetriesOnlyFailedPages(t *testing.T) {
 // retryable error.
 type transientOnce struct {
 	*sim.Device
+	*storage.SyncReads // bound to transientOnce.Submit
+
 	mu     sync.Mutex
 	failed map[int64]bool
 	reads  atomic.Int64
-}
-
-func (b *transientOnce) ReadAtCtx(ctx context.Context, p []byte, off int64) (time.Duration, error) {
-	return storage.SyncRead(ctx, b, p, off, false)
 }
 
 func (b *transientOnce) Submit(req *storage.Request) {

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -13,8 +14,9 @@ import (
 // three backends differ only in how bytes reach req.Buf — sim's modeled
 // channels, file's pread pool, linuring's SQ/CQ ring — and share the rest:
 // Injection decides faults, Fence admits requests and orders them before
-// Close, and Counters applies a decision's fault semantics, completes the
-// request and keeps the seven Stats counters.
+// Close, Counters applies a decision's fault semantics, completes the
+// request and keeps the seven Stats counters, and SyncReads turns Submit
+// into the four synchronous reads.
 
 // Fence orders a backend's submissions before its Close. Submitters hand
 // admitted requests to the read mechanism under the read side; Shut takes
@@ -153,4 +155,79 @@ func (c *Counters) Abandon(req *Request, svc time.Duration) {
 	req.Err = fmt.Errorf("storage: read [%d,%d) abandoned: %w",
 		req.Off, req.Off+int64(len(req.Buf)), req.Ctx.Err())
 	c.Complete(req, faults.Decision{}, svc, 0)
+}
+
+// SyncReads is the synchronous half of a Backend: ReadAt, ReadAtCtx,
+// ReadDirect and ReadDirectCtx, each one read through the Submit it is
+// bound to, with the caller blocked until Done. A backend embeds it, so
+// whatever its Submit does — channel model, worker pool, ring,
+// verification — applies to its synchronous reads as well. The waiters
+// are pooled per SyncReads, never shared between backends.
+type SyncReads struct {
+	submit  func(*Request)
+	sector  int
+	waiters sync.Pool
+}
+
+// syncWaiter is one pooled synchronous read: a Request whose Done is
+// bound once to a send on its 1-buffered channel. A read always receives
+// that send before it returns the waiter, so a recycled waiter never has
+// a completion outstanding.
+type syncWaiter struct {
+	req  Request
+	done chan struct{}
+}
+
+func (w *syncWaiter) signal(*Request) { w.done <- struct{}{} }
+
+// NewSyncReads binds the synchronous reads to submit, a backend's Submit,
+// and holds direct reads to that backend's sector size.
+func NewSyncReads(submit func(*Request), sector int) *SyncReads {
+	s := &SyncReads{submit: submit, sector: sector}
+	s.waiters.New = func() any {
+		w := &syncWaiter{done: make(chan struct{}, 1)}
+		w.req.Done = w.signal
+		return w
+	}
+	return s
+}
+
+// ReadAt is Backend.ReadAt: a synchronous buffered read.
+func (s *SyncReads) ReadAt(p []byte, off int64) (time.Duration, error) {
+	return s.read(nil, p, off, false)
+}
+
+// ReadAtCtx is Backend.ReadAtCtx: ReadAt bounded by ctx.
+func (s *SyncReads) ReadAtCtx(ctx context.Context, p []byte, off int64) (time.Duration, error) {
+	return s.read(ctx, p, off, false)
+}
+
+// ReadDirect is Backend.ReadDirect: ReadAt held to the sector alignment.
+func (s *SyncReads) ReadDirect(p []byte, off int64) (time.Duration, error) {
+	return s.ReadDirectCtx(nil, p, off)
+}
+
+// ReadDirectCtx is Backend.ReadDirectCtx: ReadDirect bounded by ctx. The
+// request is submitted Direct.
+func (s *SyncReads) ReadDirectCtx(ctx context.Context, p []byte, off int64) (time.Duration, error) {
+	if err := CheckAlign(off, len(p), s.sector); err != nil {
+		return 0, err
+	}
+	return s.read(ctx, p, off, true)
+}
+
+// read submits one read of p at off (ctx, nil permitted, rides the
+// request) and returns how long the caller waited.
+func (s *SyncReads) read(ctx context.Context, p []byte, off int64, direct bool) (time.Duration, error) {
+	w := s.waiters.Get().(*syncWaiter)
+	req := &w.req
+	req.ResetForReuse()
+	req.Buf, req.Off, req.Direct, req.Ctx = p, off, direct, ctx
+	start := time.Now()
+	s.submit(req)
+	<-w.done
+	waited, err := time.Since(start), req.Err
+	req.Buf, req.Ctx = nil, nil
+	s.waiters.Put(w)
+	return waited, err
 }

@@ -28,7 +28,6 @@
 package file
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -230,6 +229,7 @@ func (d *Descriptors) Close() error {
 // read by a worker pool.
 type Backend struct {
 	*Descriptors
+	*storage.SyncReads
 
 	fence storage.Fence // SubmitBatch's queue sends happen before Close's channel close
 	queue chan *storage.Request
@@ -250,6 +250,7 @@ func Create(path string, capacity int64, opts Options) (*Backend, error) {
 		return nil, err
 	}
 	b := &Backend{Descriptors: d, queue: make(chan *storage.Request, queueDepth)}
+	b.SyncReads = storage.NewSyncReads(b.Submit, sectorSize)
 	for i := 0; i < workers; i++ {
 		b.wg.Add(1)
 		go b.worker()
@@ -263,30 +264,6 @@ func Factory(path string, opts Options) storage.Factory {
 	return func(capacity int64) (storage.Backend, error) {
 		return Create(path, capacity, opts)
 	}
-}
-
-// ReadAt performs a synchronous buffered read through the worker pool.
-func (b *Backend) ReadAt(p []byte, off int64) (time.Duration, error) {
-	return b.ReadAtCtx(nil, p, off)
-}
-
-// ReadAtCtx is ReadAt bounded by ctx: cancellation interrupts an injected
-// straggler delay and the read returns the context's error promptly.
-func (b *Backend) ReadAtCtx(ctx context.Context, p []byte, off int64) (time.Duration, error) {
-	return storage.SyncRead(ctx, b, p, off, false)
-}
-
-// ReadDirect is ReadAt with the direct-I/O alignment constraint.
-func (b *Backend) ReadDirect(p []byte, off int64) (time.Duration, error) {
-	return b.ReadDirectCtx(nil, p, off)
-}
-
-// ReadDirectCtx is ReadDirect bounded by ctx, like ReadAtCtx.
-func (b *Backend) ReadDirectCtx(ctx context.Context, p []byte, off int64) (time.Duration, error) {
-	if err := storage.CheckAlign(off, len(p), sectorSize); err != nil {
-		return 0, err
-	}
-	return storage.SyncRead(ctx, b, p, off, true)
 }
 
 // Submit enqueues an asynchronous read; the Done callback fires on a pool

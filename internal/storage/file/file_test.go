@@ -74,6 +74,13 @@ func TestZeroAllocVerifiedSubmit(t *testing.T) {
 	t.Run("no-direct", func(t *testing.T) { storagetest.ZeroAllocVerified(t, newBackendNoDirect) })
 }
 
+// The synchronous reads' allocation pin, over both descriptor
+// configurations.
+func TestZeroAllocSyncReads(t *testing.T) {
+	t.Run("direct", func(t *testing.T) { storagetest.ZeroAllocSync(t, newBackend) })
+	t.Run("no-direct", func(t *testing.T) { storagetest.ZeroAllocSync(t, newBackendNoDirect) })
+}
+
 func TestCapacityRoundsUpToSector(t *testing.T) {
 	b, err := file.Create(filepath.Join(t.TempDir(), "data.img"), 1000, file.Options{})
 	if err != nil {

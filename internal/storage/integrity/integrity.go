@@ -73,6 +73,9 @@ type Backend struct {
 	inner storage.Backend
 	opts  Options
 	block int64
+	// SyncReads are bound to this wrapper's Submit, so synchronous reads
+	// are verified too.
+	*storage.SyncReads
 	// sums[i] is the CRC32C of block i; state[i] its tracking state.
 	// Both are per-block atomics: reads verify lock-free, writers
 	// publish sum before state so a concurrent verifier never pairs a
@@ -109,13 +112,15 @@ func Wrap(inner storage.Backend, opts Options) (*Backend, error) {
 		return nil, fmt.Errorf("integrity: block size %d", block)
 	}
 	n := (inner.Capacity() + block - 1) / block
-	return &Backend{
+	b := &Backend{
 		inner: inner,
 		opts:  opts,
 		block: block,
 		sums:  make([]atomic.Uint32, n),
 		state: make([]atomic.Uint32, n),
-	}, nil
+	}
+	b.SyncReads = storage.NewSyncReads(b.Submit, int(block))
+	return b, nil
 }
 
 // WrapFactory returns a storage.Factory producing integrity-wrapped
@@ -356,34 +361,6 @@ func (b *Backend) repairBlock(ctx context.Context, p []byte, off, end, i, bs, be
 }
 
 // ---- read paths ----
-
-// ReadAt performs a verified synchronous buffered read.
-func (b *Backend) ReadAt(p []byte, off int64) (time.Duration, error) {
-	return b.ReadAtCtx(nil, p, off)
-}
-
-// ReadAtCtx is ReadAt bounded by ctx. Like every synchronous read it
-// funnels through Submit (storage.SyncRead), so verification applies
-// uniformly.
-func (b *Backend) ReadAtCtx(ctx context.Context, p []byte, off int64) (time.Duration, error) {
-	return storage.SyncRead(ctx, b, p, off, false)
-}
-
-// ReadDirect is ReadAt with the direct-I/O alignment constraint. The
-// constraint is enforced here because the read reaches the inner backend
-// through Submit, not through the inner ReadDirect that would check it,
-// and storage.SyncRead leaves the check to its caller.
-func (b *Backend) ReadDirect(p []byte, off int64) (time.Duration, error) {
-	return b.ReadDirectCtx(nil, p, off)
-}
-
-// ReadDirectCtx is ReadDirect bounded by ctx.
-func (b *Backend) ReadDirectCtx(ctx context.Context, p []byte, off int64) (time.Duration, error) {
-	if err := storage.CheckAlign(off, len(p), b.inner.SectorSize()); err != nil {
-		return 0, err
-	}
-	return storage.SyncRead(ctx, b, p, off, true)
-}
 
 // Submit enqueues an asynchronous read on the inner backend with
 // checksum verification + repair attached to its completion, before the

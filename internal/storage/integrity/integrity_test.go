@@ -414,6 +414,14 @@ func TestZeroAllocVerifiedSubmit(t *testing.T) {
 	})
 }
 
+// A synchronous read is bound to the wrapper's Submit, so it is verified,
+// and it allocates nothing either.
+func TestZeroAllocSyncReads(t *testing.T) {
+	storagetest.ZeroAllocSync(t, func(t *testing.T) storage.Backend {
+		return newWrapped(t, integrity.Options{})
+	})
+}
+
 // A partial-block verify goes through the scratch pool; pooling *[]byte
 // keeps that path free of the interface-boxing allocation too.
 func TestZeroAllocPartialBlockVerify(t *testing.T) {

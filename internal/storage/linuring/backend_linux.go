@@ -3,7 +3,6 @@
 package linuring
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -47,6 +46,7 @@ type slot struct {
 // slots and the reaper.
 type Backend struct {
 	*file.Descriptors
+	*storage.SyncReads
 	bufFd, dirFd int32 // dirFd is -1 when O_DIRECT is unavailable
 
 	ring  *uring
@@ -101,6 +101,7 @@ func Create(path string, capacity int64, opts Options) (storage.Backend, error) 
 		slots:       make([]slot, u.entries),
 		free:        make(chan uint32, u.entries),
 	}
+	b.SyncReads = storage.NewSyncReads(b.Submit, d.SectorSize())
 	b.bufFd, b.dirFd = d.Fds()
 	for i := uint32(0); i < u.entries; i++ {
 		b.free <- i
@@ -119,30 +120,6 @@ func (b *Backend) RingStats() RingStats {
 		Batches: b.batches.Load(),
 		Entries: int(b.ring.entries),
 	}
-}
-
-// ReadAt performs a synchronous buffered read through the ring.
-func (b *Backend) ReadAt(p []byte, off int64) (time.Duration, error) {
-	return b.ReadAtCtx(nil, p, off)
-}
-
-// ReadAtCtx is ReadAt bounded by ctx: cancellation interrupts an
-// injected straggler delay and the read returns the context's error.
-func (b *Backend) ReadAtCtx(ctx context.Context, p []byte, off int64) (time.Duration, error) {
-	return storage.SyncRead(ctx, b, p, off, false)
-}
-
-// ReadDirect is ReadAt with the direct-I/O alignment constraint.
-func (b *Backend) ReadDirect(p []byte, off int64) (time.Duration, error) {
-	return b.ReadDirectCtx(nil, p, off)
-}
-
-// ReadDirectCtx is ReadDirect bounded by ctx, like ReadAtCtx.
-func (b *Backend) ReadDirectCtx(ctx context.Context, p []byte, off int64) (time.Duration, error) {
-	if err := storage.CheckAlign(off, len(p), b.SectorSize()); err != nil {
-		return 0, err
-	}
-	return storage.SyncRead(ctx, b, p, off, true)
 }
 
 // Submit enqueues one asynchronous read; the Done callback fires on the

@@ -104,6 +104,12 @@ func TestZeroAllocVerifiedSubmit(t *testing.T) {
 	storagetest.ZeroAllocVerified(t, newBackend)
 }
 
+// A synchronous read on the ring allocates nothing either.
+func TestZeroAllocSyncReads(t *testing.T) {
+	requireSupported(t)
+	storagetest.ZeroAllocSync(t, newBackend)
+}
+
 // One SubmitBatch must cost one io_uring_enter: the whole read plan is
 // staged as SQEs and published with a single syscall. This is the
 // mechanism behind the extractor's one-enter-per-plan contract.

@@ -24,7 +24,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -78,6 +77,7 @@ type Device struct {
 
 	storage.Injection
 	storage.Counters
+	*storage.SyncReads
 
 	fence storage.Fence // Submit's channel sends happen before Close's channel close
 	wg    sync.WaitGroup
@@ -104,6 +104,7 @@ func New(capacity int64, cfg Config) *Device {
 		cfg.TimeScale = 1
 	}
 	d := &Device{cfg: cfg, image: make([]byte, capacity)}
+	d.SyncReads = storage.NewSyncReads(d.Submit, cfg.SectorSize)
 	d.channels = make([]*channel, cfg.Channels)
 	for i := range d.channels {
 		c := &channel{dev: d, queue: make(chan *storage.Request, 4096)}
@@ -202,33 +203,6 @@ func (d *Device) Submit(req *storage.Request) {
 
 func (d *Device) enqueue(req *storage.Request) {
 	d.channels[(req.Off/int64(d.cfg.SectorSize))%int64(len(d.channels))].queue <- req
-}
-
-// ReadAt performs a synchronous read, blocking the caller for the modeled
-// queueing + service time. It returns the time the caller was blocked.
-func (d *Device) ReadAt(p []byte, off int64) (time.Duration, error) {
-	return d.ReadAtCtx(nil, p, off)
-}
-
-// ReadAtCtx is ReadAt bounded by ctx: a cancellation interrupts the
-// modeled service wait (including injected straggler delays) and the
-// read returns the context's error promptly.
-func (d *Device) ReadAtCtx(ctx context.Context, p []byte, off int64) (time.Duration, error) {
-	return storage.SyncRead(ctx, d, p, off, false)
-}
-
-// ReadDirect is ReadAt with the direct-I/O alignment constraint: offset
-// and length must be multiples of the sector size.
-func (d *Device) ReadDirect(p []byte, off int64) (time.Duration, error) {
-	return d.ReadDirectCtx(nil, p, off)
-}
-
-// ReadDirectCtx is ReadDirect bounded by ctx, like ReadAtCtx.
-func (d *Device) ReadDirectCtx(ctx context.Context, p []byte, off int64) (time.Duration, error) {
-	if err := storage.CheckAlign(off, len(p), d.cfg.SectorSize); err != nil {
-		return 0, err
-	}
-	return d.ReadAtCtx(ctx, p, off)
 }
 
 // run serves the channel's queue as a FIFO server on the modeled clock:

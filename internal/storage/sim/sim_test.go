@@ -36,6 +36,13 @@ func TestConformanceIntegrityWrapped(t *testing.T) {
 	})
 }
 
+// Synchronous reads take their waiter from the device's own pool.
+func TestZeroAllocSyncReads(t *testing.T) {
+	storagetest.ZeroAllocSync(t, func(t *testing.T) storage.Backend {
+		return sim.New(storagetest.Capacity, sim.InstantConfig())
+	})
+}
+
 func TestAccounting(t *testing.T) {
 	storagetest.Accounting(t, func(t *testing.T) storage.Backend {
 		return sim.New(storagetest.Capacity, sim.InstantConfig())

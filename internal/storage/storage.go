@@ -15,7 +15,10 @@
 //     training path.
 //   - ReadAt/ReadAtCtx and ReadDirect/ReadDirectCtx are synchronous timed
 //     reads; the Ctx variants abandon the wait promptly on cancellation
-//     (most notably under an injected straggler delay).
+//     (most notably under an injected straggler delay). They are written
+//     once, as SyncReads: a backend embeds it bound to its own Submit,
+//     so a synchronous read is one Submit and a wait, and each backend
+//     pools its own waiters.
 //   - Submit is the asynchronous path: the request's Done callback fires
 //     on a backend goroutine when the read completes. Submitting to a
 //     closed backend completes the request with ErrClosed — never a panic
@@ -29,7 +32,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -265,43 +267,6 @@ func SubmitAll(b Backend, reqs []*Request) {
 	for _, r := range reqs {
 		b.Submit(r)
 	}
-}
-
-// syncWaiter is the pooled record behind SyncRead: one Request whose Done
-// is bound once to a send on its 1-buffered channel. SyncRead always
-// waits for that send before returning the record, so a recycled waiter
-// never has a completion outstanding.
-type syncWaiter struct {
-	req  Request
-	done chan struct{}
-}
-
-func (w *syncWaiter) signal(*Request) { w.done <- struct{}{} }
-
-var syncWaiters = sync.Pool{New: func() any {
-	w := &syncWaiter{done: make(chan struct{}, 1)}
-	w.req.Done = w.signal
-	return w
-}}
-
-// SyncRead performs one blocking read of p at off through b.Submit and
-// returns how long the caller waited. It is the shared body of the
-// backends' synchronous read methods, so whatever Submit does — worker
-// pool, ring, verification — applies to them uniformly. ctx (nil
-// permitted) rides the request; the caller has already passed CheckAlign
-// when direct is set.
-func SyncRead(ctx context.Context, b Backend, p []byte, off int64, direct bool) (time.Duration, error) {
-	w := syncWaiters.Get().(*syncWaiter)
-	req := &w.req
-	req.ResetForReuse()
-	req.Buf, req.Off, req.Direct, req.Ctx = p, off, direct, ctx
-	start := time.Now()
-	b.Submit(req)
-	<-w.done
-	waited, err := time.Since(start), req.Err
-	req.Buf, req.Ctx = nil, nil
-	syncWaiters.Put(w)
-	return waited, err
 }
 
 // BufferRegistrar is the method set of a backend that pre-registers

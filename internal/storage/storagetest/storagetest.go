@@ -567,3 +567,32 @@ func Accounting(t *testing.T, newBackend Factory) {
 	}
 	b.SetInjector(nil)
 }
+
+// ZeroAllocSync pins the cost of storage.SyncReads: a steady-state
+// ReadAtCtx or ReadDirectCtx allocates nothing, its waiter coming back
+// from the backend's own pool. Only valid over backends whose Submit path
+// is allocation-free, as ZeroAllocVerified.
+func ZeroAllocSync(t *testing.T, newBackend Factory) {
+	if RaceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	b := open(t, newBackend)
+	sec := b.SectorSize()
+	if err := b.WriteRaw(make([]byte, 2*sec), 0); err != nil { // tracked by the integrity wrapper
+		t.Fatalf("WriteRaw: %v", err)
+	}
+	buf := storage.AlignedBuf(sec, sec)
+	for name, read := range map[string]func(context.Context, []byte, int64) (time.Duration, error){
+		"ReadAtCtx": b.ReadAtCtx, "ReadDirectCtx": b.ReadDirectCtx,
+	} {
+		once := func() {
+			if _, err := read(context.Background(), buf, int64(sec)); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		once() // warm the waiter pool
+		if a := testing.AllocsPerRun(200, once); a != 0 {
+			t.Errorf("%s allocates %.1f per read, want 0", name, a)
+		}
+	}
+}

@@ -23,11 +23,11 @@ type goldenEpoch struct {
 	featureBufferHits             int64
 }
 
-// TestRealInOrderCheckpointGolden runs real float32 training in order on
-// the tiny dataset and pins the step losses, hashed bit for bit as the
-// benchmark hashes them (fnv64a over each loss's float32 bits,
-// little-endian), and each epoch's batches, backend reads, bytes read,
-// bytes reused and feature-buffer hits.
+// TestRealInOrderCheckpointGolden runs real float32 training in order and
+// pins the step losses, hashed bit for bit as the benchmark hashes them
+// (fnv64a over each loss's float32 bits, little-endian), each epoch's
+// batches, backend reads, bytes read, bytes reused and feature-buffer
+// hits, and the run's topology fault reads.
 //
 // The ckpt rows are the benchmark's real_inorder_ckpt configuration
 // (hidden 64 on the file backend, a checkpoint every three steps). Hidden
@@ -42,6 +42,13 @@ type goldenEpoch struct {
 // saved as cmd/datagen saves it and loaded back, and both runs must hit
 // the same pins: the container carries the layout and the checksums
 // whole.
+//
+// The sim_strided and file_lowmem rows run on tenfold's 20 000 nodes, 12
+// batches an epoch. sim_strided is that workload's shape: the simulator,
+// the strided layout and the minimum feature buffer, which holds under a
+// tenth of the graph. file_lowmem's 1 MiB host budget leaves the page
+// cache 743 KB for the 960 KB index array, so topology faults every
+// epoch, a page at a time through the backend's ReadAtCtx or in waves.
 func TestRealInOrderCheckpointGolden(t *testing.T) {
 	ckpt := func(seed uint64) func(dir string) Config {
 		return func(dir string) Config {
@@ -55,46 +62,84 @@ func TestRealInOrderCheckpointGolden(t *testing.T) {
 			Layout: "packed", Integrity: &integrity.Options{}, FeatureBufferX: 1,
 			RealTrain: true, InOrder: true, Hidden: 64, Scale: 0.01, Seed: 1}
 	}
+	simStrided := func(dir string) Config {
+		return Config{Dataset: tenfold(), Backend: "sim", FeatureBufferX: 1, TrainLimit: 600,
+			RealTrain: true, InOrder: true, Hidden: 64, Scale: 0.01, Seed: 1}
+	}
+	fileLowmem := func(dir string) Config {
+		return Config{Dataset: tenfold(), Backend: "file", DataFile: filepath.Join(dir, "tenfold.img"),
+			HostMemoryGB: 1, TrainLimit: 600, RealTrain: true, InOrder: true, Hidden: 64, Scale: 0.01, Seed: 2}
+	}
 	for _, tc := range []struct {
 		name   string
 		config func(dir string) Config
 		hash   uint64
 		epochs []goldenEpoch
+		faults int64
 	}{
 		{"ckpt/seed1", ckpt(1), 0x7f141ec57f01a095, []goldenEpoch{
 			{12, 148, 1228288, 1145216, 8947},
 			{12, 12, 10240, 1412864, 11038},
 			{12, 0, 0, 1400320, 10940},
-		}},
+		}, 24},
 		{"ckpt/seed2", ckpt(2), 0xdc6a31911bfbee2d, []goldenEpoch{
 			{12, 142, 1222144, 1147520, 8965},
 			{12, 4, 2048, 1395712, 10904},
 			{12, 0, 0, 1399040, 10930},
-		}},
+		}, 24},
 		{"packed_verify", packedVerify, 0x3cb71d156932f9d6, []goldenEpoch{
 			{12, 58, 822272, 3582000, 8955},
 			{12, 6, 8704, 4307200, 10768},
 			{12, 0, 0, 4376800, 10942},
-		}},
+		}, 24},
+		{"sim_strided", simStrided, 0xe8d873adbd12e2cc, []goldenEpoch{
+			{12, 2275, 16675328, 887680, 6935},
+			{12, 2392, 13445632, 1260544, 9848},
+			{12, 2358, 13901824, 1240192, 9689},
+		}, 235},
+		{"file_lowmem", fileLowmem, 0x5db7be6d49a263f3, []goldenEpoch{
+			{12, 2253, 15949312, 968064, 7563},
+			{12, 2016, 5354496, 1908736, 14912},
+			{12, 1374, 2125824, 2162944, 16898},
+		}, 4599},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.config(t.TempDir())
-			checkGolden(t, cfg, tc.hash, tc.epochs)
+			checkGolden(t, cfg, tc.hash, tc.epochs, tc.faults)
 			if cfg.Layout != "packed" {
 				return
 			}
 			cfg.LoadFile = saveLikeDatagen(t, cfg)
 			cfg.DataFile = filepath.Join(t.TempDir(), "loaded.img")
-			checkGolden(t, cfg, tc.hash, tc.epochs)
+			checkGolden(t, cfg, tc.hash, tc.epochs, tc.faults)
 		})
 	}
 }
 
+// tenfold is tiny at ten times the nodes (20 000, a 960 KB index array
+// and a 2.56 MB feature table), so the minimum feature buffer is smaller
+// than the graph and a 1 MiB host budget leaves the page cache smaller
+// than the index array.
+func tenfold() gen.Spec {
+	s := gen.Tiny()
+	s.Name, s.Nodes = "tiny-x10", 20_000
+	return s
+}
+
 // checkGolden runs cfg for len(want) epochs and compares its step-loss
-// hash and per-epoch counts with the pins.
-func checkGolden(t *testing.T, cfg Config, hash uint64, want []goldenEpoch) {
+// hash, per-epoch counts and topology fault reads with the pins.
+func checkGolden(t *testing.T, cfg Config, hash uint64, want []goldenEpoch, faults int64) {
 	t.Helper()
 	defer DropDatasets()
+	// The run reuses the dataset built here (filled as newEnv fills it, so
+	// the cache key matches), so the device's reads from here on are the
+	// run's: the planned ones and the page cache's.
+	cfg.fill()
+	ds, err := buildDataset(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := ds.Dev.Stats().Reads
 	res, err := RunCtx(context.Background(), cfg, GNNDriveGPU, RunOptions{Epochs: len(want)})
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +147,7 @@ func checkGolden(t *testing.T, cfg Config, hash uint64, want []goldenEpoch) {
 	h := fnv.New64a()
 	var b [4]byte
 	var got []goldenEpoch
-	var hits int64
+	var hits, planned int64
 	for _, st := range res.Epochs {
 		if st.CheckpointErr != nil {
 			t.Fatalf("checkpoint save failed: %v", st.CheckpointErr)
@@ -118,6 +163,12 @@ func checkGolden(t *testing.T, cfg Config, hash uint64, want []goldenEpoch) {
 		got = append(got, goldenEpoch{st.Batches, st.BackendReads, st.BytesRead, st.BytesReused,
 			st.FB.ReuseHits - hits})
 		hits = st.FB.ReuseHits
+		planned += st.BackendReads
+	}
+	// Every device read beyond the planned ones is a page-cache fault
+	// on the index array.
+	if got := ds.Dev.Stats().Reads - before - planned; got != faults {
+		t.Errorf("load %q: %d topology fault reads, want %d", cfg.LoadFile, got, faults)
 	}
 	if h.Sum64() != hash {
 		t.Errorf("load %q: step losses hash to %#016x, want %#016x", cfg.LoadFile, h.Sum64(), hash)
