@@ -15,15 +15,18 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"syscall"
 	"time"
 
+	"gnndrive/internal/core"
 	"gnndrive/internal/serve"
 )
 
@@ -120,8 +123,14 @@ type daemonFlags struct {
 func (f *daemonFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&f.addr, "addr", ":8080", "HTTP listen address (port 0 picks a free port; the bound address is logged)")
 	fs.StringVar(&f.StateDir, "state", "gnnserved-state", "state directory (job manifest, checkpoints, backing files)")
-	fs.IntVar(&f.StagingSlots, "staging-slots", 0, "shared staging pool slots (0 = default)")
-	fs.IntVar(&f.SlotBytes, "slot-bytes", 0, "shared staging slot size in bytes (0 = default)")
+	fs.Func("staging-bytes", "shared staging pool size in `bytes`, whole 512-byte units (0 = default)", func(s string) error {
+		n, err := strconv.Atoi(s)
+		if err != nil || n != 0 && n < core.StagingUnit {
+			return fmt.Errorf("want 0 or at least %d bytes", core.StagingUnit)
+		}
+		f.StagingSlots, f.SlotBytes = n/core.StagingUnit, core.StagingUnit
+		return nil
+	})
 	fs.Int64Var(&f.FeatureBudgetBytes, "feature-budget", 0, "summed feature-buffer byte budget across jobs (0 = default)")
 	fs.IntVar(&f.IOTokens, "io-tokens", 0, "fair-share extract I/O permit pool (0 = default)")
 	fs.IntVar(&f.MaxQueued, "max-queued", 0, "max jobs waiting for resources; negative disables queueing (0 = default)")

@@ -24,10 +24,11 @@ import (
 	"gnndrive/internal/trainsim"
 )
 
-// envelope fits exactly two tiny jobs (64 staging slots and 256000
-// feature bytes each) with queueing off, so a third submit is a 429.
+// envelope fits exactly two tiny jobs with queueing off, so a third
+// submit is a 429. The feature budget decides it (256000 feature bytes a
+// job); the 2 MiB staging pool holds 32 of their 128-unit quotas.
 var envelope = []string{"-addr", "127.0.0.1:0",
-	"-staging-slots", "128", "-slot-bytes", "16384", "-feature-budget", "600000",
+	"-staging-bytes", "2097152", "-feature-budget", "600000",
 	"-io-tokens", "128", "-max-queued=-1", "-max-requeues=-1"}
 
 // stepsPerEpoch is spec's TrainLimit over its BatchSize.
@@ -419,8 +420,8 @@ func TestLowerFlags(t *testing.T) {
 		{name: "defaults", want: serve.Config{StateDir: defState}},
 		{name: "addr", args: []string{"-addr", "127.0.0.1:0"}, addr: "127.0.0.1:0", want: serve.Config{StateDir: defState}},
 		{name: "state", args: []string{"-state", "s"}, want: serve.Config{StateDir: "s"}},
-		{name: "staging-slots", args: []string{"-staging-slots", "3"}, want: serve.Config{StateDir: defState, StagingSlots: 3}},
-		{name: "slot-bytes", args: []string{"-slot-bytes", "4096"}, want: serve.Config{StateDir: defState, SlotBytes: 4096}},
+		{name: "staging-bytes", args: []string{"-staging-bytes", "4096"}, want: serve.Config{StateDir: defState, StagingSlots: 8, SlotBytes: 512}},
+		{name: "staging-bytes in whole units", args: []string{"-staging-bytes", "1500"}, want: serve.Config{StateDir: defState, StagingSlots: 2, SlotBytes: 512}},
 		{name: "feature-budget", args: []string{"-feature-budget", "600000"}, want: serve.Config{StateDir: defState, FeatureBudgetBytes: 600_000}},
 		{name: "io-tokens", args: []string{"-io-tokens", "5"}, want: serve.Config{StateDir: defState, IOTokens: 5}},
 		{name: "max-queued", args: []string{"-max-queued", "6"}, want: serve.Config{StateDir: defState, MaxQueued: 6}},
@@ -468,6 +469,7 @@ func TestRunExitCodes(t *testing.T) {
 		{[]string{"-h"}, 0},
 		{[]string{"-bogus"}, 2},
 		{[]string{"-max-queued", "many"}, 2},
+		{[]string{"-staging-bytes", "100"}, 2},
 	} {
 		var stderr strings.Builder
 		if code := run(context.Background(), tc.args, io.Discard, &stderr); code != tc.code {

@@ -160,10 +160,11 @@ func (o *Options) fillDefaults() {
 	}
 }
 
-// stagingUnit is the unit of an engine-owned staging pool: one sector,
-// the alignment every planned direct read has, so each extent a read
-// acquires is sector-aligned for O_DIRECT and io_uring.
-const stagingUnit = 512
+// StagingUnit is the unit of every staging pool an engine or the
+// daemon builds: one sector, the alignment every planned direct read
+// has, so each extent a read acquires is sector-aligned for O_DIRECT and
+// io_uring.
+const StagingUnit = 512
 
 // ReadsInFlight is how many reads the engine's extractors can have in
 // flight at once: one ring of RingDepth each.
@@ -172,27 +173,15 @@ func (o Options) ReadsInFlight() int {
 	return o.Extractors * o.RingDepth
 }
 
-// MaxReadBytes is the longest read the planner issues for vectors of
-// featBytes: a joint read, or one vector window when that is longer.
-func (o Options) MaxReadBytes(featBytes int) int {
+// StagingUnits is the staging pool an engine with these options builds
+// for itself, in StagingUnit units: every read in flight one vector
+// window — the most sectors one vector spans at any byte offset a packed
+// layout may give it — and never less than one joint read. A read of
+// more sectors than a window simply takes more units while in flight.
+func (o Options) StagingUnits(featBytes int) int {
 	o.fillDefaults()
-	return max(o.MaxJointRead, vectorWindow(featBytes))
-}
-
-// vectorWindow is the most sector-aligned bytes one vector of featBytes
-// spans, at any byte offset a packed layout may give it.
-func vectorWindow(featBytes int) int {
-	return (featBytes + 2*(stagingUnit-1)) / stagingUnit * stagingUnit
-}
-
-// StagingGeometry is the staging pool an engine with these options
-// builds for itself, in units of one sector: every read in flight one
-// vector window, and never less than one longest read. A read of more
-// sectors than a window simply takes more units while it is in flight.
-func (o Options) StagingGeometry(featBytes int) (units, unitBytes int) {
-	perRead := vectorWindow(featBytes) / stagingUnit
-	longest := (o.MaxReadBytes(featBytes) + stagingUnit - 1) / stagingUnit
-	return max(o.ReadsInFlight()*perRead, longest), stagingUnit
+	window := (featBytes + 2*(StagingUnit-1)) / StagingUnit
+	return max(o.ReadsInFlight()*window, (o.MaxJointRead+StagingUnit-1)/StagingUnit)
 }
 
 // AutoFeatureSlots is the feature buffer's pipeline working set for
@@ -406,7 +395,7 @@ func (e *Engine) finishSetup(ds *graph.Dataset, dev *device.Device,
 	case opts.SharedStaging != nil:
 		e.staging = opts.SharedStaging
 	default:
-		units, unitBytes = opts.StagingGeometry(int(ds.FeatBytes()))
+		units, unitBytes = opts.StagingUnits(int(ds.FeatBytes())), StagingUnit
 	}
 	if e.staging == nil {
 		staging, err := NewStaging(budget, units, unitBytes)

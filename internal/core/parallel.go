@@ -69,8 +69,8 @@ func NewParallel(ds *graph.Dataset, devices []*device.Device, budget *hostmem.Bu
 
 	// One shared staging pool sized for every worker's extractors; each
 	// worker effectively reserves a portion and borrows beyond it (§4.3).
-	units, unitBytes := opts.StagingGeometry(int(ds.FeatBytes()))
-	staging, err := NewStaging(budget, len(devices)*units, unitBytes)
+	units := opts.StagingUnits(int(ds.FeatBytes()))
+	staging, err := NewStaging(budget, len(devices)*units, StagingUnit)
 	if err != nil {
 		budget.Unpin(hostPins)
 		return nil, err

@@ -166,9 +166,6 @@ func (s *Staging) Close() {
 // Bytes returns the pinned pool size (for a view: the quota's worth).
 func (s *Staging) Bytes() int64 { return int64(s.Slots()) * int64(s.unitBytes) }
 
-// SlotBytes returns the size of one unit.
-func (s *Staging) SlotBytes() int { return s.unitBytes }
-
 // Slots returns the pool capacity in units; for a view, its quota limit.
 func (s *Staging) Slots() int {
 	if s.parent != nil {

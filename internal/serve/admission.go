@@ -14,14 +14,10 @@ import (
 // alone (no dataset build): what the admission controller charges
 // against the daemon's shared envelope before the job may run.
 type Demand struct {
-	// StagingSlots is the job's in-flight reads: extractors x ring
-	// depth (InOrder collapses to one extractor).
+	// StagingSlots is the job's staging quota in core.StagingUnit
+	// units: Options.StagingUnits, the pool its engine would build for
+	// itself. The job's view of the shared pool holds exactly this.
 	StagingSlots int `json:"staging_slots"`
-	// SlotBytes is the job's longest read — the larger of the joint-read
-	// cap and one vector window. The shared pool prices the job's
-	// staging quota as StagingSlots reads of SlotBytes each, in its own
-	// units (pool.units).
-	SlotBytes int `json:"slot_bytes"`
 	// FeatureBytes is the job's feature-buffer reservation: its pinned
 	// slot count times the per-node feature record.
 	FeatureBytes int64 `json:"feature_bytes"`
@@ -35,11 +31,11 @@ type Demand struct {
 }
 
 // ComputeDemand prices a job config with the engine's own sizing rules
-// (the options trainsim lowers the config to, core's read bounds and
+// (the options trainsim lowers the config to, core's staging pool and
 // feature-buffer working set), the estimated max-batch node count replaced
 // by its analytic upper bound (batchNodeBound). The demand is therefore
-// computable at admission time without touching the dataset, and is
-// always >= what the engine actually needs.
+// computable at admission time without touching the dataset: its staging
+// is exactly the engine's, its feature buffer never less.
 func ComputeDemand(cfg trainsim.Config) Demand {
 	o := cfg.EngineOptions()
 	spec := cfg.Dataset
@@ -52,13 +48,11 @@ func ComputeDemand(cfg trainsim.Config) Demand {
 	if n := spec.Nodes; n > 0 && fbSlots > n {
 		fbSlots = n
 	}
-	reads := o.ReadsInFlight()
 	return Demand{
-		StagingSlots: reads,
-		SlotBytes:    o.MaxReadBytes(featBytes),
+		StagingSlots: o.StagingUnits(featBytes),
 		FeatureBytes: int64(fbSlots) * int64(featBytes),
 		FeatureSlots: fbSlots,
-		IOTokens:     reads,
+		IOTokens:     o.ReadsInFlight(),
 	}
 }
 
@@ -98,10 +92,11 @@ type grant struct {
 	revoked bool
 }
 
-// pool is the daemon's shared resource envelope: one staging pool every
-// job carves quota views from, a feature-buffer byte budget, and the
-// fair-share extract scheduler. FIFO tickets keep admission ordered —
-// a large queued job cannot be starved by small late arrivals.
+// pool is the daemon's shared resource envelope: one staging pool of
+// core.StagingUnit units every job carves quota views from, a
+// feature-buffer byte budget, and the fair-share extract scheduler. FIFO
+// tickets keep admission ordered — a large queued job cannot be starved
+// by small late arrivals.
 type pool struct {
 	staging *core.Staging
 	sched   *FairScheduler
@@ -110,8 +105,7 @@ type pool struct {
 	cond       *sync.Cond
 	featBudget int64
 	featUsed   int64
-	slotsTotal int // staging units, of staging.SlotBytes() each
-	slotsUsed  int
+	slotsUsed  int       // staging units granted
 	queue      []*ticket // FIFO of jobs waiting for resources
 	closed     bool
 }
@@ -121,16 +115,17 @@ type ticket struct {
 	demand Demand
 }
 
-func newPool(stagingSlots, slotBytes int, featBudget int64, sched *FairScheduler) (*pool, error) {
-	staging, err := core.NewStaging(nil, stagingSlots, slotBytes)
+// newPool builds the envelope of a filled cfg: its staging bytes in
+// whole units, and its feature budget.
+func newPool(cfg Config, sched *FairScheduler) (*pool, error) {
+	staging, err := core.NewStaging(nil, cfg.StagingSlots*cfg.SlotBytes/core.StagingUnit, core.StagingUnit)
 	if err != nil {
 		return nil, err
 	}
 	p := &pool{
 		staging:    staging,
 		sched:      sched,
-		featBudget: featBudget,
-		slotsTotal: stagingSlots,
+		featBudget: cfg.FeatureBudgetBytes,
 	}
 	p.cond = sync.NewCond(&p.mu)
 	return p, nil
@@ -144,25 +139,16 @@ func (p *pool) close() {
 	p.staging.Close()
 }
 
-// units is the demand's staging quota in the shared pool's units: every
-// in-flight read at its longest, so a granted job can always keep its
-// whole ring in flight. On a pool whose unit holds the longest read that
-// is one unit a read.
-func (p *pool) units(d Demand) int {
-	unit := p.staging.SlotBytes()
-	return d.StagingSlots * max(1, (d.SlotBytes+unit-1)/unit)
-}
-
 // neverFits reports whether the demand exceeds the total envelope.
 func (p *pool) neverFits(d Demand) bool {
-	return p.units(d) > p.slotsTotal ||
+	return d.StagingSlots > p.staging.Slots() ||
 		d.FeatureBytes > p.featBudget ||
 		d.IOTokens > p.sched.Capacity()
 }
 
 // fitsLocked reports whether the demand fits the free envelope now.
 func (p *pool) fitsLocked(d Demand) bool {
-	return p.slotsTotal-p.slotsUsed >= p.units(d) &&
+	return p.staging.Slots()-p.slotsUsed >= d.StagingSlots &&
 		p.featBudget-p.featUsed >= d.FeatureBytes
 }
 
@@ -227,11 +213,11 @@ func (p *pool) dropTicketLocked(t *ticket) {
 
 // takeLocked reserves the demand and carves the job's views.
 func (p *pool) takeLocked(id string, d Demand) (*grant, error) {
-	view, err := p.staging.Carve(p.units(d))
+	view, err := p.staging.Carve(d.StagingSlots)
 	if err != nil {
 		return nil, err
 	}
-	p.slotsUsed += p.units(d)
+	p.slotsUsed += d.StagingSlots
 	p.featUsed += d.FeatureBytes
 	return &grant{
 		view:   view,
@@ -255,7 +241,7 @@ func (g *grant) release() {
 		return
 	}
 	g.revoked = true
-	p.slotsUsed -= p.units(g.demand)
+	p.slotsUsed -= g.demand.StagingSlots
 	p.featUsed -= g.demand.FeatureBytes
 	p.cond.Broadcast()
 	p.mu.Unlock()

@@ -139,7 +139,7 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		Jobs: d.reg.SnapshotAll(),
 		Pool: poolReport{
 			StagingSlotsUsed:  p.slotsUsed,
-			StagingSlotsTotal: p.slotsTotal,
+			StagingSlotsTotal: p.staging.Slots(),
 			FeatureBytesUsed:  p.featUsed,
 			FeatureBytesTotal: p.featBudget,
 			IOTokens:          d.sched.Capacity(),

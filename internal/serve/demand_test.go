@@ -17,10 +17,10 @@ import (
 )
 
 // TestDemandCoversEngineAllocation is admission's safety property: for any
-// job config, the demand ComputeDemand prices from the config alone is at
-// least what core.New then allocates for it — staging bytes, staging slot
-// size, feature-buffer slots and bytes — and the feature-buffer pin it
-// hands the engine never trips the §4.2 minimum. Random batch sizes,
+// job config, the demand ComputeDemand prices from the config alone is
+// exactly the staging core.New then pins for it and at least its
+// feature-buffer slots and bytes, and the feature-buffer pin it hands the
+// engine never trips the §4.2 minimum. Random batch sizes,
 // fanouts, models, pipeline orders and feature sizes (including vectors
 // larger than a joint read) over the tiny and Papers specs.
 func TestDemandCoversEngineAllocation(t *testing.T) {
@@ -73,8 +73,8 @@ func checkDemandCovers(t *testing.T, name string, cfg trainsim.Config, ds *graph
 	}
 	defer eng.Close()
 	staging := budget.Pinned() - ds.IndptrBytes() - int64(len(ds.Labels))*4
-	if max := int64(d.StagingSlots) * int64(d.SlotBytes); staging > max || staging%int64(d.SlotBytes) != 0 {
-		t.Errorf("%s: engine staged %d bytes, demand covers %d x %d", name, staging, d.StagingSlots, d.SlotBytes)
+	if want := int64(d.StagingSlots) * core.StagingUnit; staging != want {
+		t.Errorf("%s: engine staged %d bytes, demand charges %d units = %d", name, staging, d.StagingSlots, want)
 	}
 	if fb := eng.FeatureBuffer(); fb.Slots() > d.FeatureSlots || dev.MemUsed() > d.FeatureBytes {
 		t.Errorf("%s: feature buffer %d slots / %d device bytes, demand covers %d / %d",

@@ -31,10 +31,15 @@ type Config struct {
 	// checkpoint.
 	StateDir string
 
-	// StagingSlots x SlotBytes is the one shared staging pool all jobs
-	// carve quota views from (defaults 192 x 16 KiB).
+	// StagingSlots x SlotBytes is the byte size of the one shared
+	// staging pool all jobs carve quota views from, in whole
+	// core.StagingUnit units (defaults 6144 x StagingUnit: 3 MiB).
 	StagingSlots int
-	SlotBytes    int
+	// SlotBytes only multiplies StagingSlots into that byte size. It
+	// stays only because the benchmark's serve workload still sets it
+	// (384 x 16 KiB); it and StagingSlots fold into one byte field
+	// together.
+	SlotBytes int
 	// FeatureBudgetBytes bounds the summed feature-buffer reservations
 	// of admitted jobs (default 64 MiB).
 	FeatureBudgetBytes int64
@@ -74,10 +79,10 @@ func (c *Config) fill() error {
 		return errors.New("serve: Config.StateDir is required")
 	}
 	if c.StagingSlots == 0 {
-		c.StagingSlots = 192
+		c.StagingSlots = 6144
 	}
 	if c.SlotBytes == 0 {
-		c.SlotBytes = 16 << 10
+		c.SlotBytes = core.StagingUnit
 	}
 	if c.FeatureBudgetBytes == 0 {
 		c.FeatureBudgetBytes = 64 << 20
@@ -166,7 +171,7 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := newPool(cfg.StagingSlots, cfg.SlotBytes, cfg.FeatureBudgetBytes, sched)
+	p, err := newPool(cfg, sched)
 	if err != nil {
 		return nil, err
 	}
@@ -203,6 +208,11 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		d.jobs[j.rec.ID] = j
 		if rec.State.Terminal() {
 			continue // never runs again, so it needs no context
+		}
+		// Re-price from the spec: a persisted demand may be in another
+		// daemon version's units. The persist below records the new one.
+		if cfg, _, err := d.lowerSpec(rec.Spec); err == nil {
+			j.rec.Demand = ComputeDemand(cfg)
 		}
 		j.ctx, j.cancel = context.WithCancel(d.rootCtx)
 		j.rec.State = StateQueued

@@ -37,8 +37,10 @@ func testDaemonConfig(t *testing.T, ctx context.Context) Config {
 	return Config{
 		BaseContext: ctx,
 		StateDir:    t.TempDir(),
-		// Fits two tiny jobs (64 staging slots / 256000 feature bytes
-		// each), not three: the canonical overload shape.
+		// Fits two tiny jobs, not three: the canonical overload shape.
+		// The 600000-byte feature budget decides it (256000 feature
+		// bytes a job); the 2 MiB staging pool holds 32 of their
+		// 128-unit quotas.
 		StagingSlots:       128,
 		SlotBytes:          16 << 10,
 		FeatureBudgetBytes: 600_000,
@@ -426,11 +428,10 @@ func TestComputeDemandBounds(t *testing.T) {
 	}
 	cfg.InOrder = true
 	d := ComputeDemand(cfg)
-	if d.StagingSlots != 64 { // 1 extractor x ring depth 64
-		t.Fatalf("staging slots %d, want 64", d.StagingSlots)
-	}
-	if d.SlotBytes != 16<<10 {
-		t.Fatalf("slot bytes %d, want 16Ki", d.SlotBytes)
+	// 1 extractor x ring depth 64 reads, each one 128-byte vector's
+	// window: two 512-byte units.
+	if d.StagingSlots != 128 {
+		t.Fatalf("staging units %d, want 128", d.StagingSlots)
 	}
 	// tiny: 2000 nodes caps the slot count; dim 32 -> 128 B/node.
 	if d.FeatureSlots != 2000 || d.FeatureBytes != 2000*128 {
@@ -504,8 +505,8 @@ func TestHTTPLifecycle(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Pool.StagingSlotsTotal != 128 {
-		t.Fatalf("metrics pool total %d, want 128", rep.Pool.StagingSlotsTotal)
+	if rep.Pool.StagingSlotsTotal != 4096 { // 128 x 16 KiB in 512-byte units
+		t.Fatalf("metrics pool total %d, want 4096", rep.Pool.StagingSlotsTotal)
 	}
 	if _, ok := rep.Jobs[rec.ID]; !ok {
 		t.Fatalf("metrics missing job %s", rec.ID)
@@ -622,8 +623,8 @@ func TestEnvelopeReturnsToZeroAtQuiescence(t *testing.T) {
 
 	cfg := testDaemonConfig(t, ctx)
 	// Room for three grants, so a leaked one never blocks re-admission:
-	// the leak must show up as a nonzero envelope, not as a hang.
-	cfg.StagingSlots = 192
+	// the leak must show up as a nonzero envelope, not as a hang. The
+	// feature budget decides it; the staging pool holds 32 grants.
 	cfg.FeatureBudgetBytes = 900_000
 	cfg.MaxRequeues = 1
 	var mu sync.Mutex

@@ -165,9 +165,9 @@ func TestStagingGeometryPins(t *testing.T) {
 		if tc.cfg.Dim != 0 {
 			featBytes = tc.cfg.Dim * 4
 		}
-		units, unitBytes := tc.cfg.EngineOptions().StagingGeometry(featBytes)
-		if got := int64(units) * int64(unitBytes); got != tc.want {
-			t.Errorf("%s: staging pool %d x %d = %d bytes, want %d", tc.name, units, unitBytes, got, tc.want)
+		units := tc.cfg.EngineOptions().StagingUnits(featBytes)
+		if got := int64(units) * core.StagingUnit; got != tc.want {
+			t.Errorf("%s: staging pool %d units = %d bytes, want %d", tc.name, units, got, tc.want)
 		}
 	}
 
