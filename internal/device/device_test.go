@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"gnndrive/internal/errutil"
 	"gnndrive/internal/nn"
 )
 
@@ -156,42 +155,4 @@ func TestFreeTooMuchPanics(t *testing.T) {
 		}
 	}()
 	d.Free(1)
-}
-
-// TestCopyBacklogDrainsAtModeledBandwidth: the DMA engine is a FIFO
-// server on the modeled clock, so a backlog of transfers, each shorter
-// than the pacing slack, moves its bytes in bytes ÷ TransferBps — not
-// earlier than the slack allows, and not later even when the engine
-// stalls. The first transfer's callback holds the engine for 15 ms, a
-// deterministic stand-in for a timer wake-up that overslept: the
-// transfers queued behind it were due then, and the engine catches up
-// instead of serving them as if they had arrived late.
-func TestCopyBacklogDrainsAtModeledBandwidth(t *testing.T) {
-	const (
-		n    = 400
-		size = 10_000 // 100 µs each at 100 MB/s
-	)
-	cfg := Config{Name: "dma", Kind: GPU, MemBytes: 1 << 20, TransferBps: 100e6, TimeScale: 1}
-	d := testDev(t, cfg)
-	model := time.Duration(n * size / cfg.TransferBps * float64(time.Second))
-	var wg sync.WaitGroup
-	wg.Add(n)
-	start := time.Now()
-	d.CopyAsync(size, func() {
-		time.Sleep(15 * time.Millisecond)
-		wg.Done()
-	})
-	for i := 1; i < n; i++ {
-		d.CopyAsync(size, wg.Done)
-	}
-	spread := time.Since(start) // a descheduled submitter delays the modeled arrivals
-	wg.Wait()
-	got := time.Since(start)
-	if got < model-errutil.PaceSlack {
-		t.Fatalf("%d transfers drained in %v, faster than the modeled %v less the %v slack", n, got, model, errutil.PaceSlack)
-	}
-	if got > model*5/4+spread {
-		t.Fatalf("%d transfers queued over %v drained in %v, %.2f× the modeled %v (want ≤ 1.25×)",
-			n, spread, got, float64(got-spread)/float64(model), model)
-	}
 }

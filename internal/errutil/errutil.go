@@ -123,19 +123,13 @@ func Retry(ctx context.Context, p Policy, fn func() error) error {
 // waits: retry and requeue backoffs and injected fault delays; a paced
 // server waits on its Pacer's reusable timer instead.
 func Sleep(ctx context.Context, d time.Duration) error {
-	if ctx == nil {
-		if d > 0 {
-			time.Sleep(d)
-		}
-		return nil
-	}
 	if d > 0 {
-		timer := time.NewTimer(d)
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			timer.Stop()
-		}
+		// A fresh Pacer's timer needs no Stop: since go 1.23 an unreachable
+		// timer is collected whether or not it fired.
+		return new(Pacer).sleep(ctx, d)
+	}
+	if ctx == nil {
+		return nil
 	}
 	return ctx.Err()
 }
@@ -154,7 +148,6 @@ const PaceSlack = 500 * time.Microsecond
 // first wait. The zero value is ready; a Pacer serves one goroutine.
 type Pacer struct {
 	timer *time.Timer
-	armed bool // the timer is set and its tick not yet received
 }
 
 // Pace serves one request of service time svc on the server whose
@@ -182,28 +175,21 @@ func (p *Pacer) Pace(ctx context.Context, arrival, busyUntil time.Time, svc time
 	return finish, nil
 }
 
-// sleep is Sleep on the Pacer's timer.
+// sleep blocks for d on the Pacer's timer, or until ctx is cancelled,
+// and returns ctx's error; a nil ctx never cancels.
 func (p *Pacer) sleep(ctx context.Context, d time.Duration) error {
 	if ctx == nil {
 		time.Sleep(d)
 		return nil
 	}
+	// Reset discards a tick that a wait cut short by ctx left unheard.
 	if p.timer == nil {
 		p.timer = time.NewTimer(d)
 	} else {
-		// A wait that ctx cut short leaves the timer armed. Under go 1.22
-		// timer semantics its tick can still land in C after Stop reports
-		// it fired, so take that tick before Reset, or the next wait would
-		// end at once.
-		if p.armed && !p.timer.Stop() {
-			<-p.timer.C
-		}
 		p.timer.Reset(d)
 	}
-	p.armed = true
 	select {
 	case <-p.timer.C:
-		p.armed = false
 	case <-ctx.Done():
 	}
 	return ctx.Err()

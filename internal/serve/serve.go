@@ -556,11 +556,11 @@ func (d *Daemon) WaitJob(ctx context.Context, id string) (JobRecord, error) {
 }
 
 // Drain gracefully shuts the daemon down: every running job is asked
-// for an on-demand checkpoint, given until ctx or the configured grace
-// expires, then cancelled; each job persists its Interrupted state, so
-// a new daemon over the same StateDir resumes each job from exactly the
-// committed cursor. Drain is terminal — the daemon accepts nothing
-// afterwards.
+// for an on-demand checkpoint, all of them together are given until ctx
+// or the configured grace expires, then cancelled; each job persists
+// its Interrupted state, so a new daemon over the same StateDir resumes
+// each job from exactly the committed cursor. Drain is terminal — the
+// daemon accepts nothing afterwards.
 func (d *Daemon) Drain(ctx context.Context) error {
 	d.mu.Lock()
 	if d.draining {
@@ -581,14 +581,14 @@ func (d *Daemon) Drain(ctx context.Context) error {
 	}
 	d.mu.Unlock()
 
-	grace := time.NewTimer(d.cfg.DrainGrace)
-	defer grace.Stop()
+	// One grace period bounds every wait, not each job's in turn.
+	grace, cancel := context.WithTimeout(ctx, d.cfg.DrainGrace)
+	defer cancel()
 	for _, w := range waits {
 		select {
 		case <-w.done:
 		case <-w.runDone: // the run ended on its own; nothing to wait for
-		case <-grace.C:
-		case <-ctx.Done():
+		case <-grace.Done():
 		}
 	}
 

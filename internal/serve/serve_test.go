@@ -782,6 +782,53 @@ func TestSubmitBodyBounds(t *testing.T) {
 	}
 }
 
+// TestDrainGraceBoundsEveryWait: DrainGrace bounds the whole drain, not
+// only the first job's wait. Both jobs' reads straggle for an hour, so
+// neither checkpoint ever commits, and the drain must end one grace
+// period in, well inside its own ctx.
+func TestDrainGraceBoundsEveryWait(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	cfg := testDaemonConfig(t, ctx)
+	cfg.StallDeadline = -1
+	cfg.DrainGrace = 50 * time.Millisecond
+	cfg.Hook = func(_ string, c *trainsim.Config) {
+		c.Faults = &faults.Config{Seed: 3, StragglerRate: 1, StragglerDelay: time.Hour}
+	}
+	d, err := NewDaemon(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for _, seed := range []uint64{7, 11} {
+		if _, err := d.Submit(testSpec(seed, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Drain asks only jobs that have built their engine for a checkpoint.
+	for running := 0; running < 2; {
+		if ctx.Err() != nil {
+			t.Fatal("timed out waiting for both engines")
+		}
+		time.Sleep(2 * time.Millisecond)
+		d.mu.Lock()
+		running = 0
+		for _, j := range d.jobs {
+			if j.eng != nil {
+				running++
+			}
+		}
+		d.mu.Unlock()
+	}
+	drainCtx, stop := context.WithTimeout(ctx, 5*time.Second)
+	defer stop()
+	start := time.Now()
+	err = d.Drain(drainCtx)
+	if took := time.Since(start); err != nil || took > 2*time.Second {
+		t.Fatalf("drain of two stuck jobs returned %v after %v, want nil within 2s of a %v grace", err, took, cfg.DrainGrace)
+	}
+}
+
 // TestDrainPersistsEveryJob: after a drain the manifest on disk holds
 // every job in its final state — running and still-queued ones alike —
 // though Drain writes no manifest of its own: each job's supervisor
