@@ -1,6 +1,6 @@
 // Command gnnserved is the multi-tenant training daemon: it accepts
-// training jobs over HTTP, runs them concurrently with per-job quotas
-// carved from one shared resource envelope, and drains gracefully on
+// training jobs over HTTP, runs them concurrently, each charged against
+// one shared resource envelope, and drains gracefully on
 // SIGTERM — every running job is checkpointed and the job manifest
 // persisted, so restarting gnnserved over the same -state dir resumes
 // each job on a bit-identical trajectory.
@@ -123,7 +123,7 @@ type daemonFlags struct {
 func (f *daemonFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&f.addr, "addr", ":8080", "HTTP listen address (port 0 picks a free port; the bound address is logged)")
 	fs.StringVar(&f.StateDir, "state", "gnnserved-state", "state directory (job manifest, checkpoints, backing files)")
-	fs.Func("staging-bytes", "shared staging pool size in `bytes`, whole 512-byte units (0 = default)", func(s string) error {
+	fs.Func("staging-bytes", "staging budget in `bytes` that the jobs' own pools share, whole 512-byte units (0 = default)", func(s string) error {
 		n, err := strconv.Atoi(s)
 		if err != nil || n != 0 && n < core.StagingUnit {
 			return fmt.Errorf("want 0 or at least %d bytes", core.StagingUnit)

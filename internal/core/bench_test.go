@@ -36,8 +36,7 @@ func BenchmarkFeatureBufferReserveRelease(b *testing.B) {
 		}
 	}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		res, err := fb.ReserveCtx(context.Background(), uniq)
 		if err != nil {
 			b.Fatal(err)
@@ -228,8 +227,8 @@ func benchExtractTrace(b *testing.B, e *Engine, batches []*sample.Batch) {
 	x := newExtractor(e)
 	var reads, bytesRead int64
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	i := 0
+	for b.Loop() {
 		bt := batches[i%len(batches)]
 		item, st, err := x.extractBatch(context.Background(), bt)
 		if err != nil {
@@ -240,6 +239,7 @@ func benchExtractTrace(b *testing.B, e *Engine, batches []*sample.Batch) {
 		putTrainItem(item)
 		reads += st.BackendReads
 		bytesRead += st.BytesRead
+		i++
 	}
 	b.ReportMetric(float64(reads)/float64(b.N), "reads/op")
 	b.ReportMetric(float64(bytesRead)/1e6/float64(b.N), "MB/op")
@@ -353,8 +353,7 @@ func BenchmarkBuildReadPlan(b *testing.B) {
 	}
 	var plan []ReadOp
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		plan = BuildReadPlanInto(plan[:0], 0, 512, 512, 16<<10, nodes, positions)
 	}
 }
@@ -368,8 +367,7 @@ func BenchmarkStagingAcquireRelease(b *testing.B) {
 	}
 	defer s.Close()
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		slot, err := s.AcquireCtx(context.Background())
 		if err != nil {
 			b.Fatal(err)

@@ -348,3 +348,14 @@ func ckptNames(t *testing.T, dir string) []string {
 	}
 	return names
 }
+
+func TestRequestCheckpointDisabled(t *testing.T) {
+	// An engine without checkpointing must return an already-closed
+	// channel so drain never blocks on it.
+	e := &Engine{}
+	select {
+	case <-e.RequestCheckpoint():
+	case <-time.After(time.Second):
+		t.Fatal("RequestCheckpoint without a saver did not close immediately")
+	}
+}

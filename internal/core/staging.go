@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"gnndrive/internal/hostmem"
@@ -25,33 +26,25 @@ import (
 // never starved by a stream of small ones, and a short wait does not
 // stall the pool.
 //
-// A Staging is either a root pool (owns the memory and the budget pin)
-// or a quota view carved from a root with Carve: views share the root's
-// units, backing region, and wait queue, but each is capped at its own
-// unit limit so one tenant of a shared pool cannot starve the others.
+// One pool serves one job: an engine builds its own, data-parallel
+// workers share their parent's, and the daemon gives each admitted job
+// one of its own.
 type Staging struct {
 	unitBytes int
 	units     int
 	data      []byte
 	budget    *hostmem.Budget
 
-	// Quota-view state: parent is nil on a root pool. A view's used
-	// counter is guarded by the root's mu (views have no lock of their
-	// own), and limit is immutable after Carve.
-	parent *Staging
-	limit  int
-	used   int
-
-	// The root's allocator state, guarded by mu. Bit u of held is set
+	// The allocator state, guarded by mu. Bit u of held is set
 	// while unit u belongs to an extent (and always beyond the last unit,
 	// so no run reaches past it); free counts the clear bits.
 	mu     sync.Mutex
 	cond   *sync.Cond
 	held   []uint64
 	free   int
-	queue  []stagingWaiter // blocked acquires, oldest first
-	ticket uint64          // last ticket handed to a waiter
-	resv   reservation     // the first waiter's overtakes and window
+	queue  []uint64    // tickets of blocked acquires, oldest first
+	ticket uint64      // last ticket handed to a waiter
+	resv   reservation // the first waiter's overtakes and window
 	closed bool
 }
 
@@ -71,14 +64,6 @@ type reservation struct {
 
 // Extent is a run of N contiguous staging units starting at unit Start.
 type Extent struct{ Start, N int32 }
-
-// stagingWaiter is one blocked AcquireExtentCtx: the view (or root) it
-// acquires through and the units it needs.
-type stagingWaiter struct {
-	id uint64
-	s  *Staging
-	n  int
-}
 
 // NewStaging pins a pool of units x unitBytes host bytes. Fails with the
 // budget's OOM error when the pin does not fit.
@@ -110,95 +95,57 @@ func NewStaging(budget *hostmem.Budget, units, unitBytes int) (*Staging, error) 
 	return s, nil
 }
 
-// Carve returns a quota view of the root pool: the view hands out the
-// root's units but never holds more than limit at once, so concurrent
-// tenants sharing one pinned pool get max-min isolation instead of
-// best-effort racing. Views cannot be re-carved. Closing a view only
-// retires the view (waking its waiters); extents it still holds return
-// to the root as their transfers complete, and the root's budget pin is
-// untouched.
+// Carve returns a new unpinned pool of limit units of s's unit size,
+// limit at most s's. It stays only because the benchmark's serve replay
+// calls it; both go together.
 func (s *Staging) Carve(limit int) (*Staging, error) {
-	if s.parent != nil {
-		return nil, fmt.Errorf("core: carve of a carved staging view")
-	}
 	if limit < 1 || limit > s.units {
 		return nil, fmt.Errorf("core: carve limit %d of %d-unit pool", limit, s.units)
 	}
+	return NewStaging(nil, limit, s.unitBytes)
+}
+
+// Close unpins the pool from the host budget and wakes every blocked
+// acquire with an error.
+func (s *Staging) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil, fmt.Errorf("core: carve of closed staging pool")
-	}
-	return &Staging{
-		unitBytes: s.unitBytes,
-		units:     s.units,
-		data:      s.data,
-		parent:    s,
-		limit:     limit,
-	}, nil
-}
-
-// root returns the Staging owning the lock, cond, and allocator.
-func (s *Staging) root() *Staging {
-	if s.parent != nil {
-		return s.parent
-	}
-	return s
-}
-
-// Close unpins the pool from the host budget. Closing a view retires
-// only the view: its waiters wake with an error, the root pool stays
-// open, and the pin stays accounted to the root.
-func (s *Staging) Close() {
-	r := s.root()
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if s.closed {
 		return
 	}
 	s.closed = true
-	if s.parent == nil && s.budget != nil {
+	if s.budget != nil {
 		s.budget.Unpin(int64(s.units) * int64(s.unitBytes))
 	}
-	r.cond.Broadcast()
+	s.cond.Broadcast()
 }
 
-// Bytes returns the pinned pool size (for a view: the quota's worth).
-func (s *Staging) Bytes() int64 { return int64(s.Slots()) * int64(s.unitBytes) }
-
-// Slots returns the pool capacity in units; for a view, its quota limit.
-func (s *Staging) Slots() int {
-	if s.parent != nil {
-		return s.limit
-	}
-	return s.units
-}
+// Slots returns the pool capacity in units.
+func (s *Staging) Slots() int { return s.units }
 
 // UnitsFor returns how many units a read of n bytes acquires.
 func (s *Staging) UnitsFor(n int) int { return max(1, (n+s.unitBytes-1)/s.unitBytes) }
 
-// AcquireExtentCtx blocks until n contiguous units are free (and, on a
-// view, quota headroom exists) outside the window an earlier blocked
-// acquire reserved, ctx is cancelled, or the pool is closed. A cancelled ctx must
-// be paired with an Interrupt (the epoch teardown does this) to
-// guarantee prompt wake-up. An extent larger than the pool or the view's
-// quota is an error: waiting could never satisfy it.
+// AcquireExtentCtx blocks until n contiguous units are free outside the
+// window an earlier blocked acquire reserved, ctx is cancelled, or the
+// pool is closed. A cancelled ctx must be paired with an Interrupt (the
+// epoch teardown does this) to guarantee prompt wake-up. An extent
+// larger than the pool is an error: waiting could never satisfy it.
 func (s *Staging) AcquireExtentCtx(ctx context.Context, n int) (Extent, error) {
-	if n < 1 || n > s.Slots() {
-		return Extent{}, fmt.Errorf("core: staging extent of %d units in a %d-unit pool", n, s.Slots())
+	if n < 1 || n > s.units {
+		return Extent{}, fmt.Errorf("core: staging extent of %d units in a %d-unit pool", n, s.units)
 	}
-	r := s.root()
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if e, ok := s.takeLocked(n, 0); ok {
 		return e, nil
 	}
-	r.ticket++
-	id := r.ticket
-	r.queue = append(r.queue, stagingWaiter{id: id, s: s, n: n})
-	defer r.dequeueLocked(id)
+	s.ticket++
+	id := s.ticket
+	s.queue = append(s.queue, id)
+	defer s.dequeueLocked(id)
 	for {
-		if r.closed || s.closed {
+		if s.closed {
 			return Extent{}, fmt.Errorf("core: staging buffer closed")
 		}
 		if err := ctx.Err(); err != nil {
@@ -207,40 +154,37 @@ func (s *Staging) AcquireExtentCtx(ctx context.Context, n int) (Extent, error) {
 		if e, ok := s.takeLocked(n, id); ok {
 			return e, nil
 		}
-		r.cond.Wait()
+		s.cond.Wait()
 	}
 }
 
 // TryAcquireExtent returns n contiguous units if they are free now
-// (within quota, on a view) outside any reserved window.
+// outside any reserved window.
 func (s *Staging) TryAcquireExtent(n int) (Extent, bool) {
 	if n < 1 {
 		return Extent{}, false
 	}
-	r := s.root()
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.takeLocked(n, 0)
 }
 
 // ReleaseExtent returns an extent to the pool. Releasing units that are
 // not held is a bug and panics.
 func (s *Staging) ReleaseExtent(e Extent) {
-	r := s.root()
 	start, n := int(e.Start), int(e.N)
-	r.mu.Lock()
-	if n < 1 || start < 0 || start+n > r.units || !r.heldLocked(start, n) {
-		r.mu.Unlock()
+	s.mu.Lock()
+	if n < 1 || start < 0 || start+n > s.units || !s.heldLocked(start, n) {
+		s.mu.Unlock()
 		panic(fmt.Sprintf("core: release of staging extent [%d,+%d) not held", start, n))
 	}
-	r.markLocked(start, n, false)
-	s.used = max(0, s.used-n)
-	wake := len(r.queue) > 0
-	r.mu.Unlock()
+	s.markLocked(start, n, false)
+	wake := len(s.queue) > 0
+	s.mu.Unlock()
 	if wake {
 		// Waiters need different extents and sit behind one FIFO head,
 		// which a single Signal might miss.
-		r.cond.Broadcast()
+		s.cond.Broadcast()
 	}
 }
 
@@ -276,81 +220,66 @@ func (s *Staging) Release(slot int32) { s.ReleaseExtent(Extent{Start: slot, N: 1
 // Buf returns the byte region of one unit.
 func (s *Staging) Buf(slot int32) []byte { return s.ExtentBuf(Extent{Start: slot, N: 1}) }
 
-// takeLocked takes n units for s if its quota allows and a run is free.
-// The acquire with ticket self (0 for one that never queued) may take
-// any free run when it is first in line, and reserves a window when it
-// finds none and has been overtaken enough; every other acquire skips
-// the reserved window. Callers hold the root mu.
+// takeLocked takes n units if a run is free. The acquire with ticket
+// self (0 for one that never queued) may take any free run when it is
+// first in line, and reserves a window when it finds none and has been
+// overtaken enough; every other acquire skips the reserved window.
+// Callers hold mu.
 func (s *Staging) takeLocked(n int, self uint64) (Extent, bool) {
-	r := s.root()
-	if r.closed || s.closed || (s.parent != nil && s.used+n > s.limit) {
+	if s.closed {
 		return Extent{}, false
 	}
-	head := r.headLocked()
-	if r.resv.id != head {
-		r.resv = reservation{id: head} // a new first in line
+	var head uint64
+	if len(s.queue) > 0 {
+		head = s.queue[0]
+	}
+	if s.resv.id != head {
+		s.resv = reservation{id: head} // a new first in line
 	}
 	var start int
 	if head != 0 && head == self {
-		if start = r.findLocked(n, reservation{}); start < 0 {
-			if r.resv.n == 0 && r.resv.overtakes >= maxOvertakes {
-				r.resv.start, r.resv.n = r.windowLocked(n), n
+		if start = s.findLocked(n, reservation{}); start < 0 {
+			if s.resv.n == 0 && s.resv.overtakes >= maxOvertakes {
+				s.resv.start, s.resv.n = s.windowLocked(n), n
 			}
 			return Extent{}, false
 		}
-		r.resv = reservation{}
+		s.resv = reservation{}
 	} else {
-		if start = r.findLocked(n, r.resv); start < 0 {
+		if start = s.findLocked(n, s.resv); start < 0 {
 			return Extent{}, false
 		}
 		if head != 0 {
-			r.resv.overtakes++
+			s.resv.overtakes++
 		}
 	}
-	r.markLocked(start, n, true)
-	s.used += n
+	s.markLocked(start, n, true)
 	return Extent{Start: int32(start), N: int32(n)}, true
-}
-
-// headLocked returns the ticket of the oldest waiter that only lacks
-// free units, or 0 when none waits. A waiter held back by its own view's
-// quota, or on a closed view, is not in line: it waits on its own
-// tenant's releases, and must not block the pool for the others.
-func (r *Staging) headLocked() uint64 {
-	for _, w := range r.queue {
-		if !w.s.closed && (w.s.parent == nil || w.s.used+w.n <= w.s.limit) {
-			return w.id
-		}
-	}
-	return 0
 }
 
 // dequeueLocked drops ticket id from the wait queue, with its
 // reservation, and lets the waiters behind it re-check whether they are
 // now first in line.
-func (r *Staging) dequeueLocked(id uint64) {
-	for i, w := range r.queue {
-		if w.id == id {
-			r.queue = append(r.queue[:i], r.queue[i+1:]...)
-			break
-		}
+func (s *Staging) dequeueLocked(id uint64) {
+	if i := slices.Index(s.queue, id); i >= 0 {
+		s.queue = append(s.queue[:i], s.queue[i+1:]...)
 	}
-	if r.resv.id == id {
-		r.resv = reservation{}
+	if s.resv.id == id {
+		s.resv = reservation{}
 	}
-	if len(r.queue) > 0 {
-		r.cond.Broadcast()
+	if len(s.queue) > 0 {
+		s.cond.Broadcast()
 	}
 }
 
 // findLocked returns the first unit of the lowest run of n free units
-// outside skip's window, or -1. Callers hold the root mu.
-func (r *Staging) findLocked(n int, skip reservation) int {
-	if n > r.free {
+// outside skip's window, or -1. Callers hold mu.
+func (s *Staging) findLocked(n int, skip reservation) int {
+	if n > s.free {
 		return -1
 	}
 	run, start := 0, 0
-	for w, word := range r.held {
+	for w, word := range s.held {
 		if skip.n > 0 {
 			word |= rangeMask(w, skip.start, skip.start+skip.n)
 		}
@@ -376,15 +305,15 @@ func (r *Staging) findLocked(n int, skip reservation) int {
 }
 
 // windowLocked returns the start of the n-unit window holding the
-// fewest held units, the lowest such. Callers hold the root mu.
-func (r *Staging) windowLocked(n int) int {
-	held := func(u int) int { return int(r.held[u/64] >> (u % 64) & 1) }
+// fewest held units, the lowest such. Callers hold mu.
+func (s *Staging) windowLocked(n int) int {
+	held := func(u int) int { return int(s.held[u/64] >> (u % 64) & 1) }
 	in := 0
 	for u := 0; u < n; u++ {
 		in += held(u)
 	}
 	best, fewest := 0, in
-	for start := 1; start+n <= r.units; start++ {
+	for start := 1; start+n <= s.units; start++ {
 		in += held(start+n-1) - held(start-1)
 		if in < fewest {
 			best, fewest = start, in
@@ -394,28 +323,28 @@ func (r *Staging) windowLocked(n int) int {
 }
 
 // markLocked sets (held) or clears the bits of units [start, start+n).
-func (r *Staging) markLocked(start, n int, held bool) {
+func (s *Staging) markLocked(start, n int, held bool) {
 	for u, end := start, start+n; u < end; {
 		mask, k := unitMask(u, end)
 		if held {
-			r.held[u/64] |= mask
+			s.held[u/64] |= mask
 		} else {
-			r.held[u/64] &^= mask
+			s.held[u/64] &^= mask
 		}
 		u += k
 	}
 	if held {
-		r.free -= n
+		s.free -= n
 	} else {
-		r.free += n
+		s.free += n
 	}
 }
 
 // heldLocked reports whether every unit of [start, start+n) is held.
-func (r *Staging) heldLocked(start, n int) bool {
+func (s *Staging) heldLocked(start, n int) bool {
 	for u, end := start, start+n; u < end; {
 		mask, k := unitMask(u, end)
-		if r.held[u/64]&mask != mask {
+		if s.held[u/64]&mask != mask {
 			return false
 		}
 		u += k
@@ -444,29 +373,22 @@ func unitMask(u, end int) (uint64, int) {
 // Interrupt wakes every goroutine blocked in AcquireExtentCtx so it can
 // observe a cancelled context.
 func (s *Staging) Interrupt() {
-	r := s.root()
-	r.mu.Lock()
-	r.cond.Broadcast()
-	r.mu.Unlock()
+	s.mu.Lock()
+	s.cond.Broadcast()
+	s.mu.Unlock()
 }
 
-// FreeSlots reports how many units are free: for a view, clamped to the
-// view's remaining quota. Free units need not be contiguous.
+// FreeSlots reports how many units are free. Free units need not be
+// contiguous.
 func (s *Staging) FreeSlots() int {
-	r := s.root()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.free
-	if s.parent != nil {
-		n = min(n, s.limit-s.used)
-	}
-	return n
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.free
 }
 
-// InFlight reports how many units the view (or root) currently holds.
+// InFlight reports how many units extents currently hold.
 func (s *Staging) InFlight() int {
-	r := s.root()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return s.used
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.units - s.free
 }

@@ -3,15 +3,17 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 )
 
 // stagingModel is the reference the extent allocator is checked against:
-// which units are held, and each handle's quota and holdings.
+// which units are held, and the extents the pool has handed out.
 type stagingModel struct {
 	held []bool
+	live []Extent
 }
 
 // hasRun reports whether n contiguous units are free.
@@ -40,12 +42,16 @@ func (m *stagingModel) take(t *testing.T, e Extent) {
 		}
 		m.held[u] = true
 	}
+	m.live = append(m.live, e)
 }
 
-func (m *stagingModel) give(e Extent) {
+// give releases live extent e on both the pool and the model.
+func (m *stagingModel) give(s *Staging, e Extent) {
+	s.ReleaseExtent(e)
 	for u := e.Start; u < e.Start+e.N; u++ {
 		m.held[u] = false
 	}
+	m.live = slices.DeleteFunc(m.live, func(l Extent) bool { return l == e })
 }
 
 func (m *stagingModel) freeUnits() int {
@@ -58,31 +64,14 @@ func (m *stagingModel) freeUnits() int {
 	return n
 }
 
-// modelHandle is the root pool or one carved view, with the extents it
-// holds and, for a view, its quota in units.
-type modelHandle struct {
-	s      *Staging
-	limit  int // 0 on the root
-	closed bool
-	live   []Extent
-}
-
-func (h *modelHandle) used() int {
-	n := 0
-	for _, e := range h.live {
-		n += int(e.N)
-	}
-	return n
-}
-
-// TestStagingMatchesModel runs seeded random sequences of acquire-n,
-// release, carve and close against a reference model of the pool. An
-// acquire must succeed exactly when the model has a free run of n units
-// within the handle's quota; no two live extents overlap; every handle's
-// holdings stay within its quota in units; and at quiescence every unit
-// is free again. Each sequence also parks a blocked acquire and checks
-// that later acquires overtake it at most maxOvertakes times, then leave
-// its reserved window alone until it completes.
+// TestStagingMatchesModel runs seeded random sequences of acquire-n and
+// release against a reference model of the pool. An acquire must
+// succeed exactly when the model has a free run of n units; no two live
+// extents overlap; the pool's free and in-flight counts match the
+// model's; and at quiescence every unit is free again. Each sequence
+// also parks a blocked acquire and checks that later acquires overtake
+// it at most maxOvertakes times, then leave its reserved window alone
+// until it completes.
 func TestStagingMatchesModel(t *testing.T) {
 	reservations := 0
 	for seed := int64(1); seed <= 40; seed++ {
@@ -94,77 +83,44 @@ func TestStagingMatchesModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := &stagingModel{held: make([]bool, units)}
-		handles := []*modelHandle{{s: root}}
 		maxN := 1 + rng.Intn(min(units, 40))
 
 		for step := 0; step < 400; step++ {
-			h := handles[rng.Intn(len(handles))]
-			switch op := rng.Intn(10); {
-			case op < 5: // acquire
+			if rng.Intn(8) < 5 { // acquire
 				n := 1 + rng.Intn(maxN)
-				want := !h.closed && m.hasRun(n) && (h.limit == 0 || h.used()+n <= h.limit)
-				e, ok := h.s.TryAcquireExtent(n)
+				want := m.hasRun(n)
+				e, ok := root.TryAcquireExtent(n)
 				if ok != want {
-					t.Fatalf("seed %d step %d: TryAcquireExtent(%d) = %v, model says %v (free %d, used %d, limit %d)",
-						seed, step, n, ok, want, m.freeUnits(), h.used(), h.limit)
+					t.Fatalf("seed %d step %d: TryAcquireExtent(%d) = %v, model says %v (free %d)",
+						seed, step, n, ok, want, m.freeUnits())
 				}
 				if ok {
 					if int(e.N) != n {
 						t.Fatalf("seed %d: asked %d units, got %d", seed, n, e.N)
 					}
 					m.take(t, e)
-					h.live = append(h.live, e)
-					buf := h.s.ExtentBuf(e)
+					buf := root.ExtentBuf(e)
 					if len(buf) != n*unitBytes {
 						t.Fatalf("seed %d: extent buffer %d bytes, want %d", seed, len(buf), n*unitBytes)
 					}
 				}
-			case op < 8: // release
-				if len(h.live) == 0 {
-					continue
-				}
-				i := rng.Intn(len(h.live))
-				e := h.live[i]
-				h.live = append(h.live[:i], h.live[i+1:]...)
-				h.s.ReleaseExtent(e)
-				m.give(e)
-			case op == 8: // carve
-				if len(handles) < 5 {
-					v, err := root.Carve(1 + rng.Intn(units))
-					if err != nil {
-						t.Fatal(err)
-					}
-					handles = append(handles, &modelHandle{s: v, limit: v.Slots()})
-				}
-			default: // close a view
-				if h.limit > 0 && !h.closed {
-					h.s.Close()
-					h.closed = true
-				}
+			} else if len(m.live) > 0 { // release
+				m.give(root, m.live[rng.Intn(len(m.live))])
 			}
-			for _, h := range handles {
-				if got := h.s.InFlight(); got != h.used() {
-					t.Fatalf("seed %d step %d: InFlight %d, model holds %d", seed, step, got, h.used())
-				}
-				if h.limit > 0 && h.used() > h.limit {
-					t.Fatalf("seed %d: view holds %d units over its quota of %d", seed, h.used(), h.limit)
-				}
+			if got, want := root.InFlight(), units-m.freeUnits(); got != want {
+				t.Fatalf("seed %d step %d: InFlight %d, model holds %d", seed, step, got, want)
 			}
 			if got := root.FreeSlots(); got != m.freeUnits() {
 				t.Fatalf("seed %d step %d: FreeSlots %d, model %d", seed, step, got, m.freeUnits())
 			}
 		}
 
-		if checkParkedFIFO(t, seed, root, m, handles) {
+		if checkParkedFIFO(t, seed, root, m) {
 			reservations++
 		}
 
-		for _, h := range handles {
-			for _, e := range h.live {
-				h.s.ReleaseExtent(e)
-				m.give(e)
-			}
-			h.live = nil
+		for len(m.live) > 0 {
+			m.give(root, m.live[0])
 		}
 		if root.FreeSlots() != units || root.InFlight() != 0 {
 			t.Fatalf("seed %d: %d of %d units free at quiescence", seed, root.FreeSlots(), units)
@@ -174,9 +130,6 @@ func TestStagingMatchesModel(t *testing.T) {
 		} else {
 			root.ReleaseExtent(e)
 		}
-		for _, h := range handles[1:] {
-			h.s.Close()
-		}
 		root.Close()
 	}
 	if reservations == 0 {
@@ -184,13 +137,13 @@ func TestStagingMatchesModel(t *testing.T) {
 	}
 }
 
-// checkParkedFIFO parks a root acquire bigger than any free run and
-// checks bounded overtaking: up to maxOvertakes later acquires may take
-// units ahead of it; then it reserves an n-unit window, no later acquire
-// takes units inside it, and releasing only the extents that overlap the
+// checkParkedFIFO parks an acquire bigger than any free run and checks
+// bounded overtaking: up to maxOvertakes later acquires may take units
+// ahead of it; then it reserves an n-unit window, no later acquire takes
+// units inside it, and releasing only the extents that overlap the
 // window lets it complete. It reports whether the pool had the free
 // units to reach the reservation.
-func checkParkedFIFO(t *testing.T, seed int64, root *Staging, m *stagingModel, handles []*modelHandle) bool {
+func checkParkedFIFO(t *testing.T, seed int64, root *Staging, m *stagingModel) bool {
 	t.Helper()
 	units := len(m.held)
 	n := 1
@@ -216,7 +169,6 @@ func checkParkedFIFO(t *testing.T, seed int64, root *Staging, m *stagingModel, h
 		e, ok := root.TryAcquireExtent(1)
 		if ok {
 			m.take(t, e)
-			handles[0].live = append(handles[0].live, e)
 		}
 		return e, ok
 	}
@@ -234,7 +186,7 @@ func checkParkedFIFO(t *testing.T, seed int64, root *Staging, m *stagingModel, h
 		root.Interrupt()
 		resv := waitReserved(t, root)
 		root.mu.Lock()
-		id := root.queue[0].id
+		id := root.queue[0]
 		root.mu.Unlock()
 		if resv.id != id || resv.n != n || resv.start < 0 || resv.start+n > units {
 			t.Fatalf("seed %d: parked %d-unit acquire %d holds reservation %+v", seed, n, id, resv)
@@ -252,24 +204,16 @@ func checkParkedFIFO(t *testing.T, seed int64, root *Staging, m *stagingModel, h
 			}
 		}
 	}
-	for _, h := range handles {
-		keep := h.live[:0]
-		for _, e := range h.live {
-			if overlaps(e) {
-				h.s.ReleaseExtent(e)
-				m.give(e)
-			} else {
-				keep = append(keep, e)
-			}
+	for _, e := range slices.Clone(m.live) {
+		if overlaps(e) {
+			m.give(root, e)
 		}
-		h.live = keep
 	}
 	r := <-done
 	if r.err != nil {
 		t.Fatalf("seed %d: parked acquire of %d units: %v", seed, n, r.err)
 	}
 	m.take(t, r.e)
-	handles[0].live = append(handles[0].live, r.e)
 	root.mu.Lock()
 	left := root.resv
 	root.mu.Unlock()
@@ -297,7 +241,7 @@ func waitReserved(t *testing.T, root *Staging) reservation {
 	}
 }
 
-// waitQueued waits until n acquires are parked on the root's queue.
+// waitQueued waits until n acquires are parked on the pool's queue.
 func waitQueued(t *testing.T, root *Staging, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -315,58 +259,16 @@ func waitQueued(t *testing.T, root *Staging, n int) {
 	}
 }
 
-// TestStagingParkedViewQuotaDoesNotBlockOthers: a view's acquire that
-// waits on its own quota is not first in line, so the pool keeps serving
-// the other tenants.
-func TestStagingParkedViewQuotaDoesNotBlockOthers(t *testing.T) {
-	root, err := NewStaging(nil, 8, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer root.Close()
-	a, _ := root.Carve(2)
-	b, _ := root.Carve(4)
-	defer a.Close()
-	defer b.Close()
-	held, ok := a.TryAcquireExtent(2)
-	if !ok {
-		t.Fatal("view a could not take its quota")
-	}
-	done := make(chan error, 1)
-	go func() {
-		e, err := a.AcquireExtentCtx(context.Background(), 1)
-		if err == nil {
-			a.ReleaseExtent(e)
-		}
-		done <- err
-	}()
-	waitQueued(t, root, 1)
-	e, ok := b.TryAcquireExtent(3)
-	if !ok {
-		t.Fatal("a quota-bound waiter on view a blocked view b")
-	}
-	b.ReleaseExtent(e)
-	a.ReleaseExtent(held)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestStagingConcurrentExtents has several goroutines acquire and release
-// random extents through the root and two views at once, each stamping
-// the units it holds: a stamp found overwritten means two live extents
-// overlapped. Every unit is free once they are done.
+// random extents at once, each stamping the units it holds: a stamp
+// found overwritten means two live extents overlapped. Every unit is
+// free once they are done.
 func TestStagingConcurrentExtents(t *testing.T) {
 	root, err := NewStaging(nil, 96, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer root.Close()
-	v1, _ := root.Carve(40)
-	v2, _ := root.Carve(64)
-	defer v1.Close()
-	defer v2.Close()
-	handles := []*Staging{root, v1, v2}
 	var owner [96]int32
 	var mu sync.Mutex // guards owner: the check, not the allocator
 	var wg sync.WaitGroup
@@ -375,10 +277,9 @@ func TestStagingConcurrentExtents(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
-			s := handles[g%len(handles)]
 			for i := 0; i < 300; i++ {
 				n := 1 + rng.Intn(16)
-				e, err := s.AcquireExtentCtx(context.Background(), n)
+				e, err := root.AcquireExtentCtx(context.Background(), n)
 				if err != nil {
 					t.Error(err)
 					return
@@ -391,15 +292,14 @@ func TestStagingConcurrentExtents(t *testing.T) {
 					owner[u] = int32(g)
 				}
 				mu.Unlock()
-				if s != root && s.InFlight() > s.Slots() {
-					t.Errorf("view holds %d units over its quota of %d", s.InFlight(), s.Slots())
-				}
+				// The stamps stay up across an unlocked window, where
+				// an overlapping extent would find them.
 				mu.Lock()
 				for u := e.Start; u < e.Start+e.N; u++ {
 					owner[u] = 0
 				}
 				mu.Unlock()
-				s.ReleaseExtent(e)
+				root.ReleaseExtent(e)
 			}
 		}(g)
 	}
@@ -409,20 +309,55 @@ func TestStagingConcurrentExtents(t *testing.T) {
 	}
 }
 
-// TestStagingExtentTooLarge: an extent larger than the pool or the
-// view's quota is an error at once, never a wait.
+// TestStagingExtentTooLarge: an extent larger than the pool is an error
+// at once, never a wait.
 func TestStagingExtentTooLarge(t *testing.T) {
 	root, err := NewStaging(nil, 4, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer root.Close()
-	v, _ := root.Carve(2)
-	defer v.Close()
 	if _, err := root.AcquireExtentCtx(context.Background(), 5); err == nil {
 		t.Fatal("5-unit extent of a 4-unit pool")
 	}
-	if _, err := v.AcquireExtentCtx(context.Background(), 3); err == nil {
-		t.Fatal("3-unit extent of a 2-unit quota")
+}
+
+// TestStagingCloseWakesWaiters: Close fails a blocked acquire at once,
+// and an extent still held when the pool closed releases cleanly.
+func TestStagingCloseWakesWaiters(t *testing.T) {
+	pool, err := NewStaging(nil, 1, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, _ := pool.TryAcquire()
+	done := make(chan error, 1)
+	go func() {
+		_, err := pool.AcquireCtx(context.Background())
+		done <- err
+	}()
+	waitQueued(t, pool, 1)
+	pool.Close()
+	if err := <-done; err == nil {
+		t.Fatal("acquire on a closed pool succeeded")
+	}
+	pool.Release(held)
+	if pool.InFlight() != 0 {
+		t.Fatalf("%d units in flight after the last release", pool.InFlight())
+	}
+}
+
+// TestCarveValidation: Carve rejects a limit below one unit or above
+// the pool it is carved from.
+func TestCarveValidation(t *testing.T) {
+	pool, err := NewStaging(nil, 4, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	if _, err := pool.Carve(0); err == nil {
+		t.Fatal("carve(0) succeeded")
+	}
+	if _, err := pool.Carve(5); err == nil {
+		t.Fatal("carve beyond pool size succeeded")
 	}
 }

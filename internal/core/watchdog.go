@@ -76,8 +76,7 @@ type stallDiag struct {
 	FBSharedWaits  int64
 	FBStandbyWaits int64
 
-	// Staging pool occupancy; for a quota view, free and total reflect
-	// the view's own allowance.
+	// Staging pool occupancy.
 	HasStaging                bool
 	StagingFree, StagingSlots int
 

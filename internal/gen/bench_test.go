@@ -16,7 +16,7 @@ func BenchmarkBuild(b *testing.B) {
 	defer dev.Close()
 	b.Run("all", func(b *testing.B) {
 		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
+		for b.Loop() {
 			if _, err := Build(spec, dev, 0); err != nil {
 				b.Fatal(err)
 			}
@@ -30,8 +30,7 @@ func BenchmarkBuild(b *testing.B) {
 		}
 		buildTopology(spec, rng, classes)
 		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		for b.Loop() {
 			r := *rng
 			if err := writeFeatures(dev, 0, spec, classes, &r); err != nil {
 				b.Fatal(err)

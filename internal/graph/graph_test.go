@@ -412,7 +412,7 @@ func BenchmarkDecodeFeature(b *testing.B) {
 			buf := make([]float32, slots*dim)
 			slot := 0
 			b.SetBytes(int64(4 * dim))
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				slot = (slot + 4099) % slots
 				DecodeFeature(raw, buf[slot*dim:slot*dim])
 			}

@@ -40,8 +40,7 @@ func benchModel(b *testing.B, kind ModelKind) {
 	}
 	labels := make([]int32, batch.NumTargets)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		m.Loss(batch, x, labels)
 	}
 }

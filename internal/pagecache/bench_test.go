@@ -20,11 +20,12 @@ func BenchmarkReadHit(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	i := 0
+	for b.Loop() {
 		if _, err := f.ReadCtx(context.Background(), int64(i%1024)*512%(1<<19), buf); err != nil {
 			b.Fatal(err)
 		}
+		i++
 	}
 }
 
@@ -37,12 +38,13 @@ func BenchmarkReadMissEvict(b *testing.B) {
 	f := c.NewFile(0, 64<<20)
 	buf := make([]byte, 512)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	i := 0
+	for b.Loop() {
 		off := (int64(i) * 2 * PageSize) % (63 << 20)
 		if _, err := f.ReadCtx(context.Background(), off, buf); err != nil {
 			b.Fatal(err)
 		}
+		i++
 	}
 }
 
@@ -58,8 +60,8 @@ func BenchmarkFaultWave(b *testing.B) {
 	ctx := context.Background()
 	pages := make([]int64, wavePages)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	i := 0
+	for b.Loop() {
 		base := int64(i%128) * 2 * wavePages
 		for j := range pages {
 			pages[j] = base + int64(2*j)
@@ -68,5 +70,6 @@ func BenchmarkFaultWave(b *testing.B) {
 			b.Fatal(err)
 		}
 		w.Unpin()
+		i++
 	}
 }

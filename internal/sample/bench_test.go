@@ -26,11 +26,12 @@ func BenchmarkSampleBatch(b *testing.B) {
 		targets[i] = int64(i * 7)
 	}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	i := 0
+	for b.Loop() {
 		if _, _, err := s.SampleBatch(i, targets); err != nil {
 			b.Fatal(err)
 		}
+		i++
 	}
 }
 
@@ -49,11 +50,12 @@ func BenchmarkSampleBatchInto(b *testing.B) {
 	}
 	bt := &sample.Batch{}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	i := 0
+	for b.Loop() {
 		if _, err := s.SampleBatchInto(bt, i, targets); err != nil {
 			b.Fatal(err)
 		}
+		i++
 	}
 }
 
@@ -75,10 +77,11 @@ func BenchmarkSampleBatchIntoPrefetch(b *testing.B) {
 	}
 	bt := &sample.Batch{}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	i := 0
+	for b.Loop() {
 		if _, err := s.SampleBatchInto(bt, i, targets); err != nil {
 			b.Fatal(err)
 		}
+		i++
 	}
 }

@@ -16,7 +16,7 @@ import (
 type Demand struct {
 	// StagingSlots is the job's staging quota in core.StagingUnit
 	// units: Options.StagingUnits, the pool its engine would build for
-	// itself. The job's view of the shared pool holds exactly this.
+	// itself. The daemon builds the job exactly this pool.
 	StagingSlots int `json:"staging_slots"`
 	// FeatureBytes is the job's feature-buffer reservation: its pinned
 	// slot count times the per-node feature record.
@@ -84,7 +84,7 @@ var ErrNeverFits = fmt.Errorf("%w: job demand exceeds daemon capacity", ErrOverl
 
 // grant is one admitted job's slice of the shared envelope.
 type grant struct {
-	view    *core.Staging // quota view carved from the shared pool
+	staging *core.Staging // the job's own pool of its StagingSlots units
 	gate    core.IOGate   // fair-share tenant view
 	demand  Demand
 	pool    *pool
@@ -92,20 +92,20 @@ type grant struct {
 	revoked bool
 }
 
-// pool is the daemon's shared resource envelope: one staging pool of
-// core.StagingUnit units every job carves quota views from, a
-// feature-buffer byte budget, and the fair-share extract scheduler. FIFO
-// tickets keep admission ordered — a large queued job cannot be starved
-// by small late arrivals.
+// pool is the daemon's shared resource envelope: a budget of
+// core.StagingUnit staging units, each admitted job holding a pool of
+// its own charged against it, a feature-buffer byte budget, and the
+// fair-share extract scheduler. FIFO tickets keep admission ordered — a
+// large queued job cannot be starved by small late arrivals.
 type pool struct {
-	staging *core.Staging
-	sched   *FairScheduler
+	sched *FairScheduler
 
 	mu         sync.Mutex
 	cond       *sync.Cond
+	slots      int // staging units in the envelope
+	slotsUsed  int // staging units granted
 	featBudget int64
 	featUsed   int64
-	slotsUsed  int       // staging units granted
 	queue      []*ticket // FIFO of jobs waiting for resources
 	closed     bool
 }
@@ -117,18 +117,14 @@ type ticket struct {
 
 // newPool builds the envelope of a filled cfg: its staging bytes in
 // whole units, and its feature budget.
-func newPool(cfg Config, sched *FairScheduler) (*pool, error) {
-	staging, err := core.NewStaging(nil, cfg.StagingSlots*cfg.SlotBytes/core.StagingUnit, core.StagingUnit)
-	if err != nil {
-		return nil, err
-	}
+func newPool(cfg Config, sched *FairScheduler) *pool {
 	p := &pool{
-		staging:    staging,
 		sched:      sched,
+		slots:      cfg.StagingSlots * cfg.SlotBytes / core.StagingUnit,
 		featBudget: cfg.FeatureBudgetBytes,
 	}
 	p.cond = sync.NewCond(&p.mu)
-	return p, nil
+	return p
 }
 
 func (p *pool) close() {
@@ -136,19 +132,18 @@ func (p *pool) close() {
 	p.closed = true
 	p.cond.Broadcast()
 	p.mu.Unlock()
-	p.staging.Close()
 }
 
 // neverFits reports whether the demand exceeds the total envelope.
 func (p *pool) neverFits(d Demand) bool {
-	return d.StagingSlots > p.staging.Slots() ||
+	return d.StagingSlots > p.slots ||
 		d.FeatureBytes > p.featBudget ||
 		d.IOTokens > p.sched.Capacity()
 }
 
 // fitsLocked reports whether the demand fits the free envelope now.
 func (p *pool) fitsLocked(d Demand) bool {
-	return p.staging.Slots()-p.slotsUsed >= d.StagingSlots &&
+	return p.slots-p.slotsUsed >= d.StagingSlots &&
 		p.featBudget-p.featUsed >= d.FeatureBytes
 }
 
@@ -211,20 +206,20 @@ func (p *pool) dropTicketLocked(t *ticket) {
 	}
 }
 
-// takeLocked reserves the demand and carves the job's views.
+// takeLocked reserves the demand and builds the job's staging pool.
 func (p *pool) takeLocked(id string, d Demand) (*grant, error) {
-	view, err := p.staging.Carve(d.StagingSlots)
+	staging, err := core.NewStaging(nil, d.StagingSlots, core.StagingUnit)
 	if err != nil {
 		return nil, err
 	}
 	p.slotsUsed += d.StagingSlots
 	p.featUsed += d.FeatureBytes
 	return &grant{
-		view:   view,
-		gate:   p.sched.Register(id),
-		demand: d,
-		pool:   p,
-		id:     id,
+		staging: staging,
+		gate:    p.sched.Register(id),
+		demand:  d,
+		pool:    p,
+		id:      id,
 	}, nil
 }
 
@@ -245,7 +240,7 @@ func (g *grant) release() {
 	p.featUsed -= g.demand.FeatureBytes
 	p.cond.Broadcast()
 	p.mu.Unlock()
-	g.view.Close()
+	g.staging.Close()
 	p.sched.Unregister(g.id)
 }
 

@@ -18,8 +18,8 @@ import (
 
 // TestDefaultEnvelopeAdmitsTinyJobs: a daemon at the default envelope
 // charges a tiny in-order job the 64 KiB pool its engine builds, so the
-// 3 MiB staging pool admits 48 of them at once, and each granted view
-// holds exactly the charged units.
+// 3 MiB staging envelope admits 48 of them at once, and each grant's
+// own pool holds exactly the charged units.
 func TestDefaultEnvelopeAdmitsTinyJobs(t *testing.T) {
 	cfg := Config{BaseContext: context.Background(), StateDir: t.TempDir()}
 	if err := cfg.fill(); err != nil {
@@ -30,10 +30,7 @@ func TestDefaultEnvelopeAdmitsTinyJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sched.Close()
-	p, err := newPool(cfg, sched)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newPool(cfg, sched)
 	defer p.close()
 
 	spec := testSpec(1, 1)
@@ -52,18 +49,76 @@ func TestDefaultEnvelopeAdmitsTinyJobs(t *testing.T) {
 		if g == nil {
 			break
 		}
-		if g.view.Slots() != d.StagingSlots {
-			t.Fatalf("granted view holds %d units, demand charges %d", g.view.Slots(), d.StagingSlots)
+		if g.staging.Slots() != d.StagingSlots {
+			t.Fatalf("granted pool holds %d units, demand charges %d", g.staging.Slots(), d.StagingSlots)
 		}
 		grants = append(grants, g)
 	}
 	if len(grants) < 30 {
 		t.Fatalf("default envelope admitted %d tiny in-order jobs (%d units each of a %d-unit pool), want >= 30",
-			len(grants), d.StagingSlots, p.staging.Slots())
+			len(grants), d.StagingSlots, p.slots)
 	}
 	t.Logf("default envelope admits %d tiny in-order jobs", len(grants))
 	for _, g := range grants {
 		g.release()
+	}
+}
+
+// TestFillRejectsStagingUnderOneUnit: an envelope that holds no staging
+// unit is a config error, not a daemon that refuses every job.
+func TestFillRejectsStagingUnderOneUnit(t *testing.T) {
+	for _, c := range []Config{{StagingSlots: -1}, {StagingSlots: 1, SlotBytes: core.StagingUnit - 1}} {
+		c.BaseContext, c.StateDir = context.Background(), t.TempDir()
+		if err := c.fill(); err == nil {
+			t.Errorf("fill accepted %d x %d staging bytes", c.StagingSlots, c.SlotBytes)
+		}
+	}
+}
+
+// TestGrantsStageInOwnPools: two admitted jobs stage through pools of
+// their own, so one job's extents never fragment the other's. With the
+// two jobs' single-unit acquires interleaved, a job whose units are all
+// back takes its whole pool as one extent.
+func TestGrantsStageInOwnPools(t *testing.T) {
+	sched, err := NewFairScheduler(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sched.Close()
+	p := newPool(Config{StagingSlots: 8, SlotBytes: core.StagingUnit, FeatureBudgetBytes: 1}, sched)
+	defer p.close()
+	d := Demand{StagingSlots: 4, IOTokens: 1}
+	var grants [2]*grant
+	for i := range grants {
+		if grants[i], err = p.tryAdmit(fmt.Sprintf("job-%d", i), d); err != nil || grants[i] == nil {
+			t.Fatalf("admit %d of two 4-unit jobs into 8 units: %v", i, err)
+		}
+		defer grants[i].release()
+	}
+	a, b := grants[0].staging, grants[1].staging
+	var held [2][]int32
+	for range d.StagingSlots {
+		for i, s := range []*core.Staging{a, b} {
+			slot, ok := s.TryAcquire()
+			if !ok {
+				t.Fatalf("job %d could not take a unit of its own pool", i)
+			}
+			held[i] = append(held[i], slot)
+		}
+	}
+	for _, slot := range held[1] {
+		b.Release(slot)
+	}
+	e, ok := b.TryAcquireExtent(d.StagingSlots)
+	if !ok {
+		t.Fatalf("job b holds %d of its %d units yet cannot take them as one extent", b.InFlight(), d.StagingSlots)
+	}
+	b.ReleaseExtent(e)
+	if a.InFlight() != d.StagingSlots {
+		t.Fatalf("job a holds %d units, want %d", a.InFlight(), d.StagingSlots)
+	}
+	for _, slot := range held[0] {
+		a.Release(slot)
 	}
 }
 
@@ -207,10 +262,7 @@ func checkAdmissionSchedule(t *testing.T, seed uint64, steps int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := newPool(Config{StagingSlots: m.units, SlotBytes: core.StagingUnit, FeatureBudgetBytes: m.budget}, sched)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newPool(Config{StagingSlots: m.units, SlotBytes: core.StagingUnit, FeatureBudgetBytes: m.budget}, sched)
 	rng := rand.New(rand.NewPCG(seed, 0))
 	nextID := 0
 	newID := func() string { nextID++; return fmt.Sprintf("j%d", nextID) }
@@ -229,8 +281,8 @@ func checkAdmissionSchedule(t *testing.T, seed uint64, steps int) {
 	var grants, released []*grant
 	hold := func(g *grant, d Demand) {
 		t.Helper()
-		if g.demand != d || g.view.Slots() != d.StagingSlots {
-			t.Fatalf("seed %d: grant for %+v holds demand %+v, a %d-unit view", seed, d, g.demand, g.view.Slots())
+		if g.demand != d || g.staging.Slots() != d.StagingSlots {
+			t.Fatalf("seed %d: grant for %+v holds demand %+v, a %d-unit pool", seed, d, g.demand, g.staging.Slots())
 		}
 		grants = append(grants, g)
 	}
@@ -261,8 +313,8 @@ func checkAdmissionSchedule(t *testing.T, seed uint64, steps int) {
 			p.mu.Lock()
 			used, feat, queued := p.slotsUsed, p.featUsed, len(p.queue)
 			p.mu.Unlock()
-			if used > p.staging.Slots() || feat > p.featBudget {
-				t.Fatalf("seed %d: pool holds %d/%d units, %d/%d feature bytes", seed, used, p.staging.Slots(), feat, p.featBudget)
+			if used > p.slots || feat > p.featBudget {
+				t.Fatalf("seed %d: pool holds %d/%d units, %d/%d feature bytes", seed, used, p.slots, feat, p.featBudget)
 			}
 			if used == m.used && feat == m.feat && queued == len(m.queue) {
 				break

@@ -139,7 +139,7 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		Jobs: d.reg.SnapshotAll(),
 		Pool: poolReport{
 			StagingSlotsUsed:  p.slotsUsed,
-			StagingSlotsTotal: p.staging.Slots(),
+			StagingSlotsTotal: p.slots,
 			FeatureBytesUsed:  p.featUsed,
 			FeatureBytesTotal: p.featBudget,
 			IOTokens:          d.sched.Capacity(),

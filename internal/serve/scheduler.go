@@ -1,9 +1,9 @@
 // Package serve is the multi-tenant training daemon: it admits
-// training jobs against one shared resource envelope (staging slots,
+// training jobs against one shared resource envelope (staging units,
 // feature-buffer bytes, extract-I/O tokens), runs each through the
-// trainsim harness with per-job quota views carved from the shared
-// pools, supervises them with per-job watchdogs and requeue backoff,
-// and drains gracefully — checkpointing every running job so a
+// trainsim harness with a staging pool of its own and a fair-share view
+// of the I/O tokens, supervises them with per-job watchdogs and requeue
+// backoff, and drains gracefully — checkpointing every running job so a
 // restarted daemon resumes each one on a bit-identical trajectory.
 package serve
 

@@ -31,9 +31,9 @@ type Config struct {
 	// checkpoint.
 	StateDir string
 
-	// StagingSlots x SlotBytes is the byte size of the one shared
-	// staging pool all jobs carve quota views from, in whole
-	// core.StagingUnit units (defaults 6144 x StagingUnit: 3 MiB).
+	// StagingSlots x SlotBytes is the staging envelope in bytes, counted
+	// in whole core.StagingUnit units (defaults 6144 x StagingUnit:
+	// 3 MiB): the admitted jobs' own staging pools sum to at most this.
 	StagingSlots int
 	// SlotBytes only multiplies StagingSlots into that byte size. It
 	// stays only because the benchmark's serve workload still sets it
@@ -83,6 +83,10 @@ func (c *Config) fill() error {
 	}
 	if c.SlotBytes == 0 {
 		c.SlotBytes = core.StagingUnit
+	}
+	if c.StagingSlots*c.SlotBytes < core.StagingUnit {
+		return fmt.Errorf("serve: staging envelope of %d x %d bytes holds no %d-byte unit",
+			c.StagingSlots, c.SlotBytes, core.StagingUnit)
 	}
 	if c.FeatureBudgetBytes == 0 {
 		c.FeatureBudgetBytes = 64 << 20
@@ -171,10 +175,7 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := newPool(cfg, sched)
-	if err != nil {
-		return nil, err
-	}
+	p := newPool(cfg, sched)
 	store, err := newJobStore(cfg.StateDir)
 	if err != nil {
 		p.close()
@@ -325,7 +326,7 @@ func (d *Daemon) buildConfig(j *job, g *grant) (trainsim.Config, trainsim.System
 	cfg.DataFile = filepath.Join(dir, "data.img")
 	cfg.Resume = true
 	cfg.FeatureSlots = g.demand.FeatureSlots
-	cfg.SharedStaging = g.view
+	cfg.SharedStaging = g.staging
 	cfg.IOGate = g.gate
 	cfg.Rec = d.reg.Recorder(j.rec.ID)
 	cfg.Logf = func(format string, args ...any) {

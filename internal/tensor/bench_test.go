@@ -26,8 +26,7 @@ func benchShape(b *testing.B, form, m, k, n int, zeroShare float64) {
 	x, w := f.operands(NewRNG(2), m, k, n, zeroShare)
 	out := New(m, n)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		f.into(out, x, w)
 	}
 }
@@ -50,15 +49,14 @@ func BenchmarkLogSoftmax(b *testing.B) {
 	m := benchMatrix(rng, 1000, 172)
 	out := New(1000, 172)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		LogSoftmaxInto(out, m)
 	}
 }
 
 func BenchmarkRNGUint64(b *testing.B) {
 	r := NewRNG(5)
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		_ = r.Uint64()
 	}
 }
@@ -87,8 +85,10 @@ func BenchmarkNormalRow(b *testing.B) {
 		}{{"kernel", NormalRow}, {"loop", normalRowGo}} {
 			b.Run(fmt.Sprintf("dim=%d/%s", n, k.name), func(b *testing.B) {
 				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
+				i := 0
+				for b.Loop() {
 					k.row(dst, cen, u[2*n*(i%rows):])
+					i++
 				}
 			})
 		}

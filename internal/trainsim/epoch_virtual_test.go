@@ -4,10 +4,13 @@ package trainsim
 
 import (
 	"context"
+	"path/filepath"
 	"testing"
 	"testing/synctest"
 
 	"gnndrive/internal/gen"
+	"gnndrive/internal/graph"
+	"gnndrive/internal/storage/sim"
 )
 
 // runVirtual runs cfg for epochs epochs inside a synctest bubble and
@@ -37,11 +40,22 @@ func runVirtual(t *testing.T, cfg Config, epochs int) []EpochStats {
 // bubble. The work an epoch does must repeat exactly: batches, backend
 // reads, bytes read and feature-buffer reuse hits. The modeled epoch
 // times are logged, not asserted: they drift by a fraction of a
-// millisecond between runs.
+// millisecond between runs. Each dataset is synthesised once, outside
+// the bubbles, and both runs load it from the saved container.
 func TestVirtualEpochRepeats(t *testing.T) {
 	for _, spec := range []gen.Spec{gen.Tiny(), gen.Papers()} {
 		t.Run(spec.Name, func(t *testing.T) {
-			cfg := Config{Dataset: spec, Backend: "sim", Scale: 0.5, TrainLimit: 2000,
+			ds, err := gen.BuildWith(spec, sim.Factory(sim.InstantConfig()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), spec.Name+".gnnd")
+			err = graph.Save(ds, path)
+			ds.Dev.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{LoadFile: path, Backend: "sim", Scale: 0.5, TrainLimit: 2000,
 				Hidden: 32, InOrder: true, Seed: 1}
 			a, b := runVirtual(t, cfg, 2), runVirtual(t, cfg, 2)
 			for e := range a {

@@ -73,10 +73,10 @@ type Config struct {
 	FeatureSlots int
 
 	// SharedStaging, when non-nil, is an externally owned staging pool —
-	// typically a quota view carved from a multi-tenant daemon's shared
-	// pool — that the GNNDrive engine stages through instead of
-	// allocating its own (see core.Options.SharedStaging). The caller
-	// keeps ownership: the run never closes it.
+	// the one a multi-tenant daemon builds for the job at admission —
+	// that the GNNDrive engine stages through instead of allocating its
+	// own (see core.Options.SharedStaging). The caller keeps ownership:
+	// the run never closes it.
 	SharedStaging *core.Staging
 	// IOGate, when non-nil, rations the engine's extract-read
 	// submissions against a shared token budget (see core.IOGate).

@@ -15,13 +15,14 @@ func BenchmarkQueueFlushWait(b *testing.B) {
 	r := NewRing(dev, 64)
 	buf := make([]byte, 512)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	i := 0
+	for b.Loop() {
 		if err := r.QueueReadCtx(context.Background(), buf, int64(i%1024)*512, uint64(i)); err != nil {
 			b.Fatal(err)
 		}
 		r.Flush()
 		r.WaitCQE()
+		i++
 	}
 }
 
