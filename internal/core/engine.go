@@ -229,6 +229,10 @@ type Engine struct {
 	fb        *FeatureBuffer
 	staging   *Staging
 	indexFile *pagecache.File
+	// workingSet is the feature-buffer slots this engine's pipeline can
+	// pin at once (AutoFeatureSlots); the slots beyond it, summed over
+	// every engine sharing the buffer, are its resident tier.
+	workingSet int
 
 	learn *Learner
 
@@ -291,6 +295,7 @@ func New(ds *graph.Dataset, dev *device.Device, budget *hostmem.Budget,
 
 	if opts.sharedFB != nil {
 		e.fb = opts.sharedFB // borrowed: ownFB stays false
+		e.workingSet = opts.AutoFeatureSlots(mb)
 		return e.finishSetup(ds, dev, cache, rec, opts)
 	}
 
@@ -327,6 +332,7 @@ func New(ds *graph.Dataset, dev *device.Device, budget *hostmem.Budget,
 		opts.Extractors--
 	}
 	e.opts = opts
+	e.workingSet = opts.AutoFeatureSlots(mb)
 
 	minSlots := opts.Extractors * mb
 	if minSlots > int(ds.NumNodes) {
@@ -377,7 +383,8 @@ func New(ds *graph.Dataset, dev *device.Device, budget *hostmem.Budget,
 }
 
 // finishSetup builds the staging pool, index file, and optional real
-// model once the feature buffer exists.
+// model once the feature buffer exists, and picks the resident tier of a
+// buffer the engine owns.
 func (e *Engine) finishSetup(ds *graph.Dataset, dev *device.Device,
 	cache *pagecache.Cache, rec *metrics.Recorder, opts Options) (*Engine, error) {
 	if opts.GPUDirect && dev.Kind() != device.GPU {
@@ -406,6 +413,12 @@ func (e *Engine) finishSetup(ds *graph.Dataset, dev *device.Device,
 		e.staging, e.ownStaging = staging, true
 	}
 
+	if e.ownFB {
+		// The slots beyond the working set keep the hottest vectors
+		// resident; at FeatureBufferX 1 there are none. Parallel re-sizes
+		// the tier of a buffer its workers share.
+		e.fb.holdHottest(ds.Indptr, e.fb.Slots()-e.workingSet)
+	}
 	e.indexFile = graph.IndicesFile(ds, cache)
 	rec.SetGPUProvider(func() int64 { return int64(dev.ComputeBusy()) })
 

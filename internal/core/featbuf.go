@@ -26,17 +26,19 @@ var ErrBufferTooSmall = errors.New("core: feature buffer smaller than one mini-b
 const reserveTimeout = 30 * time.Second
 
 // mapEntry is one node's row in the mapping table (Fig. 6): the buffer
-// slot holding (or receiving) its feature vector, a reference count, and
-// a valid bit. A node is in one of three states:
+// slot holding (or receiving) its feature vector, a reference count, a
+// valid bit, and whether the node belongs to the resident tier
+// (holdHottest; the flag sits in the struct's padding). A node is in one
+// of three states:
 //
 //   - unmapped: slot -1, ref 0, not valid;
 //   - pinned: ref ≥ 1, its slot fixed until the last release — valid
 //     once loaded, loading until then;
 //   - retired: ref 0 and valid, its slot on the standby list until a
-//     miss evicts it.
+//     miss evicts it — or, for a resident, off the list for good.
 type mapEntry struct {
-	slot, ref int32
-	valid     bool
+	slot, ref       int32
+	valid, resident bool
 }
 
 // FeatureBuffer is GNNDrive's device-side feature store plus its
@@ -44,7 +46,9 @@ type mapEntry struct {
 // mapping and the LRU standby list of unreferenced slots, all behind one
 // mutex that a reserve or a release takes once per batch. Feature rows
 // are written and read outside it, because a slot is never reassigned
-// while referenced.
+// while referenced. Slots beyond the pipeline's working set hold a
+// resident tier of the highest-degree nodes, which retire off the
+// standby list and so are never evicted (holdHottest).
 type FeatureBuffer struct {
 	dim   int
 	slots int
@@ -175,7 +179,9 @@ func (fb *FeatureBuffer) ReserveCtx(ctx context.Context, nodes []int64) (*Reserv
 		res.Alias[i] = e.slot
 		switch {
 		case e.ref == 0: // retired: protect it from eviction
-			fb.standby.remove(e.slot)
+			if !e.resident {
+				fb.standby.remove(e.slot)
+			}
 			fb.stats.ReuseHits++
 		case e.valid:
 			fb.stats.ReuseHits++
@@ -201,7 +207,7 @@ func (fb *FeatureBuffer) ReserveCtx(ctx context.Context, nodes []int64) (*Reserv
 			continue
 		}
 		s := fb.evict()
-		*e = mapEntry{slot: s, ref: 1}
+		e.slot, e.ref = s, 1
 		fb.reverse[s] = node
 		res.Alias[i] = s
 		res.ToLoad = append(res.ToLoad, int32(i))
@@ -211,15 +217,16 @@ func (fb *FeatureBuffer) ReserveCtx(ctx context.Context, nodes []int64) (*Reserv
 }
 
 // waitStandby parks until the standby list covers the batch, ctx is done,
-// or reserveTimeout passes, re-counting the batch's need on every wake.
-// The timeout guard is armed once per parked reserve. Caller holds fb.mu.
+// or reserveTimeout passes, re-counting the batch's need on every wake:
+// a slot per miss and per retired hit off the resident tier. The timeout
+// guard is armed once per parked reserve. Caller holds fb.mu.
 func (fb *FeatureBuffer) waitStandby(ctx context.Context, nodes []int64) error {
 	var guard *time.Timer
 	expired := false
 	for {
 		need := 0
 		for _, node := range nodes {
-			if e := &fb.entries[node]; e.slot < 0 || e.ref == 0 {
+			if e := &fb.entries[node]; e.slot < 0 || e.ref == 0 && !e.resident {
 				need++
 			}
 		}
@@ -261,7 +268,8 @@ func (fb *FeatureBuffer) waitStandby(ctx context.Context, nodes []int64) error {
 func (fb *FeatureBuffer) evict() int32 {
 	s := fb.standby.popHead()
 	if prev := fb.reverse[s]; prev >= 0 {
-		fb.entries[prev] = mapEntry{slot: -1}
+		e := &fb.entries[prev]
+		e.slot, e.valid = -1, false
 		fb.stats.SlotRecycles++
 	}
 	return s
@@ -322,7 +330,8 @@ func (fb *FeatureBuffer) Interrupt() {
 
 // Release decrements the nodes' reference counts after training. A valid
 // node whose count reaches zero retires to the standby tail (most
-// recently retired), keeping its data for inter-batch reuse. A node
+// recently retired), keeping its data for inter-batch reuse; a resident
+// retires off the list, where no miss can evict it. A node
 // released while still invalid — its extraction was aborted — is
 // unmapped, and its empty slot queues behind the batch's retired ones, so
 // a later reservation of the node loads it afresh.
@@ -337,7 +346,7 @@ func (fb *FeatureBuffer) Release(nodes []int64) {
 		}
 		e.ref--
 		switch {
-		case e.ref > 0:
+		case e.ref > 0, e.valid && e.resident:
 		case e.valid:
 			fb.standby.pushTail(e.slot)
 		default:
@@ -357,6 +366,57 @@ func (fb *FeatureBuffer) Release(nodes []int64) {
 		fb.standbyCond.Broadcast()
 	}
 	fb.mu.Unlock()
+}
+
+// holdHottest makes the h highest-degree nodes of the graph whose CSC
+// index pointers are indptr the resident tier, replacing any earlier
+// tier; ties go to the lower node ID. Call it before the first reserve.
+// The threshold comes from a degree histogram, so the pick is O(N) time
+// and O(max degree) space; degrees beyond the node count share its top
+// bucket.
+//
+// Liveness: a retired resident holds its slot off the standby list, so
+// at most h slots are outside the reserve path's reach. Sizing h as the
+// slots beyond every sharing engine's AutoFeatureSlots leaves the rest
+// of the pipeline at least that working set.
+func (fb *FeatureBuffer) holdHottest(indptr []int64, h int) {
+	fb.mu.Lock()
+	defer fb.mu.Unlock()
+	n := len(fb.entries)
+	degree := func(v int) int { return int(min(indptr[v+1]-indptr[v], int64(n))) }
+	top := 0
+	for v := range fb.entries {
+		fb.entries[v].resident = false
+		top = max(top, degree(v))
+	}
+	if h <= 0 {
+		return
+	}
+	h = min(h, n)
+	hist := make([]int, top+1)
+	for v := range fb.entries {
+		hist[degree(v)]++
+	}
+	// Every node above the threshold degree is resident, and the first
+	// ties at it fill the rest of the tier in ID order.
+	threshold, ties := 0, h
+	for d := top; d >= 0; d-- {
+		if hist[d] >= ties {
+			threshold = d
+			break
+		}
+		ties -= hist[d]
+	}
+	for v := range fb.entries {
+		switch d := degree(v); {
+		case d > threshold:
+		case d == threshold && ties > 0:
+			ties--
+		default:
+			continue
+		}
+		fb.entries[v].resident = true
+	}
 }
 
 // RefCount reports a node's current reference count (tests/inspection).

@@ -309,14 +309,18 @@ func TestStandbyDoublePushPanics(t *testing.T) {
 // fbModel is §4.1's feature buffer written as plainly as possible, the
 // oracle TestFeatureBufferMatchesModel holds the real buffer to: a map
 // from every mapped node to its mapping-table row, the slot→node reverse
-// array, and the LRU standby list as a slice, least recently retired
-// first. It is sequential and never blocks; wouldBlock names the reserves
-// the real buffer would park on.
+// array, the LRU standby list as a slice, least recently retired first,
+// and the resident tier as a set. It is sequential and never blocks;
+// wouldBlock names the reserves the real buffer would park on.
 type fbModel struct {
-	rows    map[int64]*modelRow
-	reverse []int64
-	standby []int32
-	stats   FeatureBufferStats
+	rows     map[int64]*modelRow
+	reverse  []int64
+	standby  []int32
+	resident map[int64]bool
+	stats    FeatureBufferStats
+	// residentHits counts reserves of a retired resident, which take no
+	// standby slot.
+	residentHits int
 }
 
 type modelRow struct {
@@ -324,8 +328,18 @@ type modelRow struct {
 	valid     bool
 }
 
-func newFBModel(slots int) *fbModel {
-	m := &fbModel{rows: map[int64]*modelRow{}, reverse: make([]int64, slots)}
+// newFBModel builds the model of a slots-slot buffer whose resident tier
+// is the h highest-degree nodes, ties to the lower ID, picked by sorting.
+func newFBModel(slots int, degrees []int, h int) *fbModel {
+	m := &fbModel{rows: map[int64]*modelRow{}, reverse: make([]int64, slots), resident: map[int64]bool{}}
+	byHeat := make([]int64, len(degrees))
+	for v := range byHeat {
+		byHeat[v] = int64(v)
+	}
+	slices.SortStableFunc(byHeat, func(a, b int64) int { return degrees[b] - degrees[a] })
+	for _, v := range byHeat[:min(h, len(byHeat))] {
+		m.resident[v] = true
+	}
 	for s := range m.reverse {
 		m.reverse[s] = -1
 		m.standby = append(m.standby, int32(s))
@@ -333,22 +347,36 @@ func newFBModel(slots int) *fbModel {
 	return m
 }
 
-// wouldBlock reports whether the standby list cannot cover the batch: one
-// slot per miss, plus the slot of every retired hit, which leaves the
-// list when the hit is pinned.
-func (m *fbModel) wouldBlock(nodes []int64) bool {
-	need := 0
+// need counts the standby slots a batch takes: one per miss, plus the
+// slot of every retired hit off the tier, which leaves the list when the
+// hit is pinned. retiredResidents counts the retired residents it hits,
+// whose slots are not on the list.
+func (m *fbModel) need(nodes []int64) (need, retiredResidents int) {
 	for _, n := range nodes {
-		if r, ok := m.rows[n]; !ok || r.ref == 0 {
+		r, ok := m.rows[n]
+		switch {
+		case !ok:
+			need++
+		case r.ref > 0:
+		case m.resident[n]:
+			retiredResidents++
+		default:
 			need++
 		}
 	}
+	return need, retiredResidents
+}
+
+// wouldBlock reports whether the standby list cannot cover the batch.
+func (m *fbModel) wouldBlock(nodes []int64) bool {
+	need, _ := m.need(nodes)
 	return need > len(m.standby)
 }
 
 // reserve pins every mapped node first — a retired one leaves the standby
-// list — and only then gives each miss the least recently retired slot,
-// unmapping the node that slot held (deferred invalidation).
+// list unless it is resident — and only then gives each miss the least
+// recently retired slot, unmapping the node that slot held (deferred
+// invalidation).
 func (m *fbModel) reserve(nodes []int64) (alias, toLoad []int32, wait []int64) {
 	alias = make([]int32, len(nodes))
 	var misses []int
@@ -360,6 +388,9 @@ func (m *fbModel) reserve(nodes []int64) (alias, toLoad []int32, wait []int64) {
 		}
 		alias[i] = r.slot
 		switch {
+		case r.ref == 0 && m.resident[n]:
+			m.residentHits++
+			m.stats.ReuseHits++
 		case r.ref == 0:
 			at := slices.Index(m.standby, r.slot)
 			m.standby = slices.Delete(m.standby, at, at+1)
@@ -389,16 +420,16 @@ func (m *fbModel) reserve(nodes []int64) (alias, toLoad []int32, wait []int64) {
 }
 
 // release drops one reference per node. A valid node reaching zero
-// retires to the standby tail, in release order; an invalid one (its load
-// was abandoned) is unmapped, and its empty slot queues behind the
-// batch's retired ones.
+// retires to the standby tail, in release order, or stays mapped off the
+// list if it is resident; an invalid one (its load was abandoned) is
+// unmapped, and its empty slot queues behind the batch's retired ones.
 func (m *fbModel) release(nodes []int64) {
 	var aborted []int64
 	for _, n := range nodes {
 		r := m.rows[n]
 		r.ref--
 		switch {
-		case r.ref > 0:
+		case r.ref > 0, r.valid && m.resident[n]:
 		case r.valid:
 			m.standby = append(m.standby, r.slot)
 		default:
@@ -418,25 +449,40 @@ func (m *fbModel) release(nodes []int64) {
 // the buffer), MarkValid of a subset of a reservation's loads, releases
 // that abandon the loads still pending — and after every step compares
 // everything the buffer exposes: the reservation's Alias/ToLoad/Wait,
-// every node's RefCount and Valid, TotalRefs, StandbyLen and Stats.
+// every node's RefCount and Valid, TotalRefs, StandbyLen and Stats. Each
+// seed gives its graph random degrees (ties likely) and the buffer a
+// resident tier of up to half its slots.
+//
+// Reserves run on a cancelled ctx: the schedule only reserves what the
+// model says needs no wait, so a buffer that parks anyway fails at once
+// instead of after reserveTimeout.
 func TestFeatureBufferMatchesModel(t *testing.T) {
 	const (
 		numNodes = 40
 		slots    = 12
 		steps    = 400
 	)
-	ctx := context.Background()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 	type held struct {
 		res     *Reservation
 		nodes   []int64
 		pending []int64 // loads not yet marked valid
 	}
 	var total FeatureBufferStats
-	aborts := 0
+	aborts, residentHits, residentSpared := 0, 0, 0
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
+		degrees := make([]int, numNodes)
+		indptr := make([]int64, numNodes+1)
+		for v := range degrees {
+			degrees[v] = rng.Intn(6)
+			indptr[v+1] = indptr[v] + int64(degrees[v])
+		}
+		h := rng.Intn(slots/2 + 1)
 		fb := NewFeatureBuffer(numNodes, 1, slots)
-		m := newFBModel(slots)
+		fb.holdHottest(indptr, h)
+		m := newFBModel(slots, degrees, h)
 		var live []*held
 		for step := 0; step < steps; step++ {
 			switch k := rng.Intn(10); {
@@ -453,6 +499,9 @@ func TestFeatureBufferMatchesModel(t *testing.T) {
 				}
 				if m.wouldBlock(nodes) {
 					continue
+				}
+				if need, retired := m.need(nodes); need+retired > len(m.standby) {
+					residentSpared++
 				}
 				res, err := fb.ReserveCtx(ctx, nodes)
 				if err != nil {
@@ -511,9 +560,12 @@ func TestFeatureBufferMatchesModel(t *testing.T) {
 		total.ReuseHits += m.stats.ReuseHits
 		total.SharedWaits += m.stats.SharedWaits
 		total.SlotRecycles += m.stats.SlotRecycles
+		residentHits += m.residentHits
 	}
-	if total.ReuseHits == 0 || total.SharedWaits == 0 || total.SlotRecycles == 0 || aborts == 0 {
-		t.Fatalf("schedules missed a transition: %+v, %d aborted releases", total, aborts)
+	if total.ReuseHits == 0 || total.SharedWaits == 0 || total.SlotRecycles == 0 || aborts == 0 ||
+		residentHits == 0 || residentSpared == 0 {
+		t.Fatalf("schedules missed a transition: %+v, %d aborted releases, %d retired-resident hits, %d reserves only the tier kept from parking",
+			total, aborts, residentHits, residentSpared)
 	}
 }
 

@@ -104,6 +104,15 @@ func NewParallel(ds *graph.Dataset, devices []*device.Device, budget *hostmem.Bu
 		}
 		p.engines = append(p.engines, eng)
 	}
+	if allCPU && len(p.engines) > 1 {
+		// The shared buffer's tier is what is left after every worker's
+		// working set, not only the first's.
+		fb, work := p.engines[0].fb, 0
+		for _, eng := range p.engines {
+			work += eng.workingSet
+		}
+		fb.holdHottest(ds.Indptr, fb.Slots()-work)
+	}
 	p.barrier = newStepBarrier(len(devices))
 	if opts.RealTrain {
 		p.gradBytes = p.engines[0].Model().GradBytes()

@@ -70,6 +70,7 @@ type stallDiag struct {
 	HasFB          bool
 	FBSlots        int
 	FBStandby      int
+	FBResident     int
 	FBRefs         int64
 	FBLoads        int64
 	FBReuseHits    int64
@@ -92,8 +93,8 @@ func (d stallDiag) String() string {
 		d.ExtractQLen, d.ExtractQCap, d.TrainQLen, d.TrainQCap,
 		d.ReleaseQLen, d.ReleaseQCap)
 	if d.HasFB {
-		fmt.Fprintf(&sb, " fb[slots=%d standby=%d refs=%d loads=%d reuse=%d shared-waits=%d standby-waits=%d]",
-			d.FBSlots, d.FBStandby, d.FBRefs,
+		fmt.Fprintf(&sb, " fb[slots=%d standby=%d resident=%d refs=%d loads=%d reuse=%d shared-waits=%d standby-waits=%d]",
+			d.FBSlots, d.FBStandby, d.FBResident, d.FBRefs,
 			d.FBLoads, d.FBReuseHits, d.FBSharedWaits, d.FBStandbyWaits)
 	}
 	if d.HasStaging {
@@ -176,6 +177,7 @@ func (e *Engine) stallDiagnostics(hb *heartbeats,
 		d.HasFB = true
 		d.FBSlots = fb.Slots()
 		d.FBStandby = fb.StandbyLen()
+		d.FBResident = retiredResidents(fb)
 		d.FBRefs = fb.TotalRefs()
 		d.FBLoads = st.Loads
 		d.FBReuseHits = st.ReuseHits
@@ -188,4 +190,19 @@ func (e *Engine) stallDiagnostics(hb *heartbeats,
 		d.StagingSlots = s.Slots()
 	}
 	return d
+}
+
+// retiredResidents counts the slots retired resident-tier nodes hold off
+// the standby list: with the standby list and the pinned nodes' slots
+// they make up the buffer, so a stall snapshot shows where slots went.
+func retiredResidents(fb *FeatureBuffer) int {
+	fb.mu.Lock()
+	defer fb.mu.Unlock()
+	n := 0
+	for _, e := range fb.entries {
+		if e.resident && e.ref == 0 && e.slot >= 0 {
+			n++
+		}
+	}
+	return n
 }

@@ -49,6 +49,13 @@ type goldenEpoch struct {
 // tenth of the graph. file_lowmem's 1 MiB host budget leaves the page
 // cache 743 KB for the 960 KB index array, so topology faults every
 // epoch, a page at a time through the backend's ReadAtCtx or in waves.
+//
+// The resident_tier row is the one whose feature buffer both evicts and
+// has a resident tier: at FeatureBufferX 2 in order, 15 928 slots hold a
+// 11 946-slot working set and the 3 982 highest-degree nodes, and the
+// third epoch recycles slots. Its hash is the one recorded before the
+// tier existed; the tier moved only the third epoch's reads (1604 → 1567)
+// and hits (16 529 → 16 565).
 func TestRealInOrderCheckpointGolden(t *testing.T) {
 	ckpt := func(seed uint64) func(dir string) Config {
 		return func(dir string) Config {
@@ -69,6 +76,10 @@ func TestRealInOrderCheckpointGolden(t *testing.T) {
 	fileLowmem := func(dir string) Config {
 		return Config{Dataset: tenfold(), Backend: "file", DataFile: filepath.Join(dir, "tenfold.img"),
 			HostMemoryGB: 1, TrainLimit: 600, RealTrain: true, InOrder: true, Hidden: 64, Scale: 0.01, Seed: 2}
+	}
+	residentTier := func(dir string) Config {
+		return Config{Dataset: tenfold(), Backend: "sim", FeatureBufferX: 2, TrainLimit: 600,
+			RealTrain: true, InOrder: true, Hidden: 64, Scale: 0.01, Seed: 3}
 	}
 	for _, tc := range []struct {
 		name   string
@@ -102,6 +113,11 @@ func TestRealInOrderCheckpointGolden(t *testing.T) {
 			{12, 2016, 5354496, 1908736, 14912},
 			{12, 1374, 2125824, 2162944, 16898},
 		}, 4599},
+		{"resident_tier", residentTier, 0xf8b4ecc6f6175e18, []goldenEpoch{
+			{12, 2264, 15595520, 948864, 7413},
+			{12, 2086, 5646848, 1889408, 14761},
+			{12, 1567, 2649088, 2120320, 16565},
+		}, 235},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.config(t.TempDir())

@@ -10,6 +10,7 @@ import (
 	"gnndrive/internal/baselines/marius"
 	"gnndrive/internal/device"
 	"gnndrive/internal/faults"
+	"gnndrive/internal/gen"
 	"gnndrive/internal/hostmem"
 )
 
@@ -87,6 +88,41 @@ func TestSystemsTrainIdenticalSteps(t *testing.T) {
 	if len(partial) == 0 || slices.Equal(partial, want) {
 		t.Fatalf("MariusGNN with part of its partitions resident trained %d steps identical to the full graph's",
 			len(partial))
+	}
+}
+
+// TestFig12HitsGrowWithFeatureBuffer is Fig. 12's mechanism as a count:
+// in order on one seed, GNNDrive's feature-buffer hits never fall as
+// FeatureBufferX goes 1 → 4, and the largest buffer hits more than the
+// smallest. The graph is large enough that every buffer in the sweep
+// evicts, so a larger buffer that keeps the wrong vectors shows. In
+// order the working set is 6 Mb against FeatureBufferX × 4 Mb slots, so
+// X ≥ 2 also holds a resident tier.
+func TestFig12HitsGrowWithFeatureBuffer(t *testing.T) {
+	defer DropDatasets()
+	spec := gen.Tiny()
+	spec.Nodes = 60_000
+	var hits []int64
+	for _, x := range []float64{1, 2, 3, 4} {
+		cfg := Config{Dataset: spec, Backend: "sim", FeatureBufferX: x, TrainLimit: 1200,
+			InOrder: true, Scale: 0.01, Seed: 1}
+		res, err := RunCtx(context.Background(), cfg, GNNDriveGPU, RunOptions{Epochs: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fb := res.Epochs[len(res.Epochs)-1].FB
+		if fb.SlotRecycles == 0 {
+			t.Fatalf("FeatureBufferX %v never evicted: %+v", x, fb)
+		}
+		hits = append(hits, fb.ReuseHits)
+	}
+	for i := 1; i < len(hits); i++ {
+		if hits[i] < hits[i-1] {
+			t.Errorf("FeatureBufferX %d hits %d, fewer than FeatureBufferX %d's %d", i+1, hits[i], i, hits[i-1])
+		}
+	}
+	if hits[len(hits)-1] <= hits[0] {
+		t.Errorf("hits over FeatureBufferX 1..4: %v, no gain from a larger buffer", hits)
 	}
 }
 
