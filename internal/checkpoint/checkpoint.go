@@ -20,9 +20,9 @@
 //     corrupted after commit — a truncated tail, a flipped sector —
 //     degrades resume granularity instead of losing the run.
 //
-// File writes go through the Sink seam so tests (internal/faults) can
-// inject torn writes, failed renames, and post-crash truncation without
-// touching the container logic.
+// Every file operation goes through the Sink seam, so a test can record
+// the operations of a commit and check each crash state they can leave
+// (crash_test.go).
 package checkpoint
 
 import (
@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -102,10 +103,12 @@ type RunState struct {
 	AdamV  []Tensor
 }
 
-// Sink abstracts the file operations a commit needs, so fault-injection
-// tests can interpose crashes at each step: the write, the fsync, the
-// rename and the directory fsync.
+// Sink abstracts the file operations a durable writer needs, so a test
+// can record each step or fail one: the directory creation, the write,
+// the fsync, the rename and the directory fsync.
 type Sink interface {
+	// Mkdir creates the directory path in an existing parent.
+	Mkdir(path string) error
 	// Create creates (or truncates) path for writing.
 	Create(path string) (File, error)
 	// Rename atomically moves oldpath over newpath.
@@ -117,9 +120,8 @@ type Sink interface {
 }
 
 // File is a file a Sink created: Commit writes it, fsyncs it and closes
-// it. It is an alias of the interface literal, so a sink can implement
-// Sink without importing this package (internal/faults does).
-type File = interface {
+// it.
+type File interface {
 	io.Writer
 	Sync() error
 	Close() error
@@ -127,6 +129,9 @@ type File = interface {
 
 // OSSink is the real filesystem implementation of Sink.
 type OSSink struct{}
+
+// Mkdir creates the directory path.
+func (OSSink) Mkdir(path string) error { return os.Mkdir(path, 0o755) }
 
 // Create opens path for writing, truncating it.
 func (OSSink) Create(path string) (File, error) {
@@ -171,6 +176,27 @@ func Commit(sink Sink, path string, write func(io.Writer) error) error {
 		return err
 	}
 	return sink.SyncDir(filepath.Dir(path))
+}
+
+// MkdirAll creates dir and any missing parents through sink, as
+// os.MkdirAll does, and fsyncs the parent of each directory it creates,
+// so a file later committed into dir cannot vanish with its directory in
+// a crash. A directory that exists already costs one stat.
+func MkdirAll(sink Sink, dir string) error {
+	if fi, err := os.Stat(dir); err == nil && fi.IsDir() {
+		return nil
+	}
+	parent := filepath.Dir(dir)
+	if parent != dir {
+		if err := MkdirAll(sink, parent); err != nil {
+			return err
+		}
+	}
+	// A directory another writer created meanwhile is synced here too.
+	if err := sink.Mkdir(dir); err != nil && !errors.Is(err, fs.ErrExist) {
+		return err
+	}
+	return sink.SyncDir(parent)
 }
 
 // writeFile creates path through sink, fills it with write and fsyncs it.
@@ -246,11 +272,6 @@ func (s *Saver) Start(st *RunState) (string, error) {
 	prevPath, prevErr := s.Wait()
 	s.path = filepath.Join(s.Dir, FileName(st.Epoch, st.Step))
 	s.done = make(chan struct{})
-	if err := s.prepareDir(); err != nil {
-		s.err = err
-		close(s.done)
-		return prevPath, prevErr
-	}
 	s.buf = appendEncoded(s.buf[:0], st)
 	if s.write == nil {
 		s.write = s.writeBuf
@@ -258,6 +279,10 @@ func (s *Saver) Start(st *RunState) (string, error) {
 	go func() {
 		defer close(s.done)
 		sink := s.sink()
+		if err := s.prepareDir(sink); err != nil {
+			s.err = fmt.Errorf("checkpoint: %w", err)
+			return
+		}
 		if err := Commit(sink, s.path, s.write); err != nil {
 			s.err = fmt.Errorf("checkpoint: commit %s: %w", s.path, err)
 			return
@@ -289,16 +314,16 @@ func (s *Saver) Wait() (string, error) {
 	return path, nil
 }
 
-// prepareDir creates Dir on the Saver's first save.
-func (s *Saver) prepareDir() error {
+// prepareDir creates Dir on the Saver's first commit.
+func (s *Saver) prepareDir(sink Sink) error {
 	if s.dirReady {
 		return nil
 	}
 	if s.Dir == "" {
-		return errors.New("checkpoint: Saver.Dir is empty")
+		return errors.New("Saver.Dir is empty")
 	}
-	if err := os.MkdirAll(s.Dir, 0o755); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
+	if err := MkdirAll(sink, s.Dir); err != nil {
+		return err
 	}
 	s.dirReady = true
 	return nil

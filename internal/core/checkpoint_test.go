@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -212,13 +213,12 @@ func TestReorderedPipelineCheckpointsOnlyAtEpochBoundaries(t *testing.T) {
 	}
 }
 
-// TestCheckpointSaveFailureDoesNotFailEpoch: a sink-level crash during a
-// save is reported on the result, not as an epoch error, and the
-// previous checkpoint survives.
+// TestCheckpointSaveFailureDoesNotFailEpoch: a write that fails during a
+// save is reported on the result, not as an epoch error, and the previous
+// checkpoint survives.
 func TestCheckpointSaveFailureDoesNotFailEpoch(t *testing.T) {
 	dir := t.TempDir()
-	sink := faults.NewCkptSink()
-	sink.Arm(faults.CkptTornWrite, 1) // second checkpoint write crashes
+	sink := &tornSink{tearAt: 2} // the second checkpoint write tears
 	rig := newRig(t, device.InstantConfig(), 64<<20)
 	opts := ckptTestOpts(dir)
 	opts.ckptSink = sink
@@ -227,16 +227,41 @@ func TestCheckpointSaveFailureDoesNotFailEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("epoch must survive a checkpoint save failure, got %v", err)
 	}
-	if !errors.Is(res.CheckpointErr, faults.ErrCkptCrash) {
-		t.Fatalf("CheckpointErr = %v, want ErrCkptCrash", res.CheckpointErr)
+	if !errors.Is(res.CheckpointErr, errTorn) {
+		t.Fatalf("CheckpointErr = %v, want errTorn", res.CheckpointErr)
 	}
-	if sink.Injected() != 1 {
-		t.Fatalf("injected = %d, want 1", sink.Injected())
+	if n := sink.creates.Load(); n < 3 {
+		t.Fatalf("%d checkpoint files created, want saves after the failed one", n)
 	}
 	// Everything still on disk validates.
 	if _, _, err := checkpoint.LoadLatest(dir); err != nil {
 		t.Fatal(err)
 	}
+}
+
+var errTorn = errors.New("torn checkpoint write")
+
+// tornSink is the real filesystem with the tearAt-th file it creates
+// keeping half of its first write and failing it.
+type tornSink struct {
+	checkpoint.OSSink
+	tearAt  int32
+	creates atomic.Int32
+}
+
+func (s *tornSink) Create(path string) (checkpoint.File, error) {
+	f, err := s.OSSink.Create(path)
+	if err == nil && s.creates.Add(1) == s.tearAt {
+		return tornFile{f}, nil
+	}
+	return f, err
+}
+
+type tornFile struct{ checkpoint.File }
+
+func (f tornFile) Write(p []byte) (int, error) {
+	n, _ := f.File.Write(p[:len(p)/2])
+	return n, errTorn
 }
 
 // slowSink is the real filesystem with every checkpoint write taking at

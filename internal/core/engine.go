@@ -212,7 +212,9 @@ type EpochResult struct {
 	// only the previous checkpoint visible, so the run stays resumable
 	// — just from an older cursor.
 	CheckpointErr error
-	// FB summarizes feature-buffer reuse for the epoch's end state.
+	// FB counts the feature buffer's activity over the epoch (over the
+	// segment a resumed epoch trains). A buffer Parallel's CPU workers
+	// share counts every worker's.
 	FB FeatureBufferStats
 }
 
@@ -535,9 +537,10 @@ func (e *Engine) trainEpochSegment(ctx context.Context, epoch int, targets []int
 	var col metrics.BreakdownCollector
 	start := time.Now()
 
-	// When the dataset's backend carries an integrity layer, diff its
-	// counters over the epoch so the breakdown reports this epoch's
-	// checksum/repair/quarantine activity, not the run's cumulative.
+	// The feature buffer's counters, and those of the dataset backend's
+	// integrity layer when it has one, are diffed over the epoch, so the
+	// result reports this epoch's activity, not the run's cumulative.
+	fbStart := e.fb.Stats()
 	var integ storage.IntegrityStatser
 	var integStart storage.IntegrityStats
 	if is, ok := e.ds.Dev.(storage.IntegrityStatser); ok {
@@ -757,7 +760,7 @@ func (e *Engine) trainEpochSegment(ctx context.Context, epoch int, targets []int
 		e.count(&col, metrics.Counters{Integrity: integ.IntegrityStats().Sub(integStart)})
 	}
 	res := e.learn.EndEpoch(col.Snapshot(time.Since(start)))
-	res.FB = e.fb.Stats()
+	res.FB = e.fb.Stats().Sub(fbStart)
 	err := firstErr.Get()
 	if err == nil {
 		// Caller cancellation with no stage error still fails the epoch.

@@ -461,6 +461,17 @@ type FeatureBufferStats struct {
 	StandbyWaits int64 // reservations that blocked waiting for a free slot
 }
 
+// Sub returns the field-wise difference s - o (an interval between two
+// snapshots).
+func (s FeatureBufferStats) Sub(o FeatureBufferStats) FeatureBufferStats {
+	s.ReuseHits -= o.ReuseHits
+	s.Loads -= o.Loads
+	s.SharedWaits -= o.SharedWaits
+	s.SlotRecycles -= o.SlotRecycles
+	s.StandbyWaits -= o.StandbyWaits
+	return s
+}
+
 // Stats returns a snapshot of the buffer counters.
 func (fb *FeatureBuffer) Stats() FeatureBufferStats {
 	fb.mu.Lock()

@@ -45,7 +45,6 @@ var sentinelNames = map[string]bool{
 	"ErrTransient":       true,
 	"ErrShortRead":       true,
 	"ErrMedia":           true,
-	"ErrCkptCrash":       true,
 	"ErrOOM":             true,
 	"ErrDeviceOOM":       true,
 	"ErrBufferTooSmall":  true,

@@ -73,10 +73,11 @@ type jobStore struct {
 }
 
 func newJobStore(dir string) (*jobStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	s := &jobStore{dir: dir, sink: checkpoint.OSSink{}}
+	if err := checkpoint.MkdirAll(s.sink, dir); err != nil {
 		return nil, err
 	}
-	return &jobStore{dir: dir, sink: checkpoint.OSSink{}}, nil
+	return s, nil
 }
 
 func (s *jobStore) path() string { return filepath.Join(s.dir, "manifest.json") }

@@ -5,12 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"slices"
 	"sync"
 	"time"
 
+	"gnndrive/internal/checkpoint"
 	"gnndrive/internal/core"
 	"gnndrive/internal/errutil"
 	"gnndrive/internal/metrics"
@@ -316,7 +316,7 @@ func (d *Daemon) buildConfig(j *job, g *grant) (trainsim.Config, trainsim.System
 	// The file and linuring backends open DataFile before anything else
 	// writes under the job's directory, so it must exist from here on.
 	dir := d.store.jobDir(j.rec.ID)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := checkpoint.MkdirAll(checkpoint.OSSink{}, dir); err != nil {
 		return cfg, sys, fmt.Errorf("serve: job dir: %w", err)
 	}
 	cfg.CheckpointDir = filepath.Join(dir, "ckpt")

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"gnndrive/internal/baselines/marius"
+	"gnndrive/internal/core"
 	"gnndrive/internal/device"
 	"gnndrive/internal/faults"
 	"gnndrive/internal/gen"
@@ -110,7 +112,11 @@ func TestFig12HitsGrowWithFeatureBuffer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fb := res.Epochs[len(res.Epochs)-1].FB
+		var fb core.FeatureBufferStats
+		for _, st := range res.Epochs {
+			fb.ReuseHits += st.FB.ReuseHits
+			fb.SlotRecycles += st.FB.SlotRecycles
+		}
 		if fb.SlotRecycles == 0 {
 			t.Fatalf("FeatureBufferX %v never evicted: %+v", x, fb)
 		}
@@ -210,5 +216,16 @@ func TestEnvAppliesTrainLimitAndFaults(t *testing.T) {
 		if err := tc.run(bad); !errors.Is(err, faults.ErrMedia) {
 			t.Errorf("%s on an all-bad device returned %v, want a media error", tc.name, err)
 		}
+	}
+}
+
+// TestRunParallelRejectsFeatureBufferX: RunParallel's workers auto-size
+// their buffers, so a FeatureBufferX is refused, not run as the default.
+func TestRunParallelRejectsFeatureBufferX(t *testing.T) {
+	cfg := tinyCfg()
+	cfg.FeatureBufferX = 2
+	_, err := RunParallel(context.Background(), cfg, 2, device.TeslaK80(), 1)
+	if err == nil || !strings.Contains(err.Error(), "FeatureBufferX") {
+		t.Fatalf("RunParallel with FeatureBufferX 2 returned %v, want an error naming the field", err)
 	}
 }

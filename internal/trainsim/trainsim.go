@@ -778,8 +778,12 @@ func SampleOnly(ctx context.Context, cfg Config, kind SystemKind) (time.Duration
 
 // RunParallel trains GNNDrive with data parallelism over `workers`
 // devices of the given config (Fig. 13), over the same environment RunCtx
-// builds, and returns the epoch wall time.
+// builds, and returns the epoch wall time. Its workers' buffers are
+// auto-sized, so a FeatureBufferX it would not apply is an error.
 func RunParallel(ctx context.Context, cfg Config, workers int, devCfg device.Config, epochs int) (time.Duration, error) {
+	if cfg.FeatureBufferX != 0 {
+		return 0, fmt.Errorf("trainsim: RunParallel does not apply Config.FeatureBufferX (%g)", cfg.FeatureBufferX)
+	}
 	devs := make([]device.Config, workers)
 	for i := range devs {
 		devs[i] = devCfg
