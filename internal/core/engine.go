@@ -51,9 +51,15 @@ type Options struct {
 	TrainQueueCap int
 	// RingDepth is the io_uring depth per extractor.
 	RingDepth int
-	// FeatureSlots overrides the feature-buffer capacity (0 = auto-size
-	// to (extractors + train queue + 1) x estimated max batch nodes).
+	// FeatureSlots overrides the feature-buffer capacity (0 = size it
+	// by FeatureBufferX, else to as much of the device allowance as the
+	// graph can use).
 	FeatureSlots int
+	// FeatureBufferX, when FeatureSlots is 0, sizes the feature buffer
+	// at this multiple of the paper's minimum, Ne x Mb (Fig. 12), clamped
+	// to a GPU's allowance and to the graph. Ne is the paper's four
+	// extractors even InOrder, which runs one. 0 auto-sizes.
+	FeatureBufferX float64
 	// MaxJointRead caps a joint direct read's byte length (§4.4).
 	MaxJointRead int
 
@@ -123,12 +129,16 @@ type Options struct {
 	ckptSink checkpoint.Sink
 }
 
+// paperExtractors is the paper's extractor count, Ne of the minimum
+// feature buffer Ne x Mb that FeatureBufferX multiplies.
+const paperExtractors = 4
+
 // DefaultOptions returns the paper's empirical configuration (§5).
 func DefaultOptions(model nn.ModelKind) Options {
 	return Options{
 		Knobs:         DefaultKnobs(model),
 		Samplers:      4,
-		Extractors:    4,
+		Extractors:    paperExtractors,
 		TrainQueueCap: 4,
 		RingDepth:     64,
 		MaxJointRead:  16 << 10,
@@ -186,9 +196,11 @@ func (o Options) StagingUnits(featBytes int) int {
 
 // AutoFeatureSlots is the feature buffer's pipeline working set for
 // batches of up to batchNodes unique nodes: one batch per extractor, one
-// per train-queue entry, and the one being trained. An engine with
-// FeatureSlots 0 allocates at least this much (more when the device has
-// room, never more than the graph).
+// per train-queue entry, and the one being trained. A buffer's slots
+// beyond the working sets of the engines reserving from it hold its
+// resident tier. A buffer may be smaller than this — a FeatureBufferX 1
+// buffer is Ne x Mb, and an auto-sized one stops at the device
+// allowance and the graph — since only §4.2's Ne x Mb is guaranteed.
 func (o Options) AutoFeatureSlots(batchNodes int) int {
 	o.fillDefaults()
 	return (o.Extractors + o.TrainQueueCap + 1) * batchNodes
@@ -231,10 +243,6 @@ type Engine struct {
 	fb        *FeatureBuffer
 	staging   *Staging
 	indexFile *pagecache.File
-	// workingSet is the feature-buffer slots this engine's pipeline can
-	// pin at once (AutoFeatureSlots); the slots beyond it, summed over
-	// every engine sharing the buffer, are its resident tier.
-	workingSet int
 
 	learn *Learner
 
@@ -271,13 +279,17 @@ type Engine struct {
 
 // New builds an engine: estimates the per-batch node high-water mark,
 // sizes and allocates the feature buffer (device memory for GPUs, host
-// budget for CPU training) and the staging pool, and pins the in-memory
-// topology metadata.
+// budget for CPU training) or borrows a parent's, builds the staging
+// pool, and pins the in-memory topology metadata. It is the one place
+// options become a buffer's slot count and resident tier.
 func New(ds *graph.Dataset, dev *device.Device, budget *hostmem.Budget,
 	cache *pagecache.Cache, rec *metrics.Recorder, opts Options) (*Engine, error) {
 	opts.fillDefaults()
 	if rec == nil {
 		rec = metrics.NewRecorder()
+	}
+	if opts.GPUDirect && dev.Kind() != device.GPU {
+		return nil, errors.New("core: GPUDirect requires a GPU device")
 	}
 	e := &Engine{ds: ds, dev: dev, budget: budget, cache: cache, rec: rec, opts: opts}
 
@@ -297,102 +309,15 @@ func New(ds *graph.Dataset, dev *device.Device, budget *hostmem.Budget,
 
 	if opts.sharedFB != nil {
 		e.fb = opts.sharedFB // borrowed: ownFB stays false
-		e.workingSet = opts.AutoFeatureSlots(mb)
-		return e.finishSetup(ds, dev, cache, rec, opts)
-	}
-
-	// The feature buffer must hold at least Ne x Mb slots for pipeline
-	// liveness (§4.2). If that minimum does not fit the device memory
-	// (GPU) or half the host budget (CPU training), shed extractors —
-	// the paper's own knob: "the staging buffer can be expanded or
-	// shrunk by adjusting the number of extractors, which we decide with
-	// regard to ... the capacity of available host memory".
-	featBytes := ds.FeatBytes()
-	var fbLimit int64
-	if dev.Kind() == device.GPU {
-		fbLimit = dev.MemBytes() * 9 / 10
-	} else {
-		fbLimit = budget.Capacity() / 2
-	}
-	for {
-		min := int64(opts.Extractors) * int64(mb)
-		if min > ds.NumNodes {
-			min = ds.NumNodes
-		}
-		if min*featBytes <= fbLimit {
-			break
-		}
-		if opts.Extractors == 1 {
-			e.release()
-			if dev.Kind() == device.GPU {
-				return nil, fmt.Errorf("feature buffer needs %d bytes, limit %d: %w",
-					min*featBytes, fbLimit, device.ErrDeviceOOM)
-			}
-			return nil, fmt.Errorf("feature buffer needs %d bytes, limit %d: %w",
-				min*featBytes, fbLimit, hostmem.ErrOOM)
-		}
-		opts.Extractors--
-	}
-	e.opts = opts
-	e.workingSet = opts.AutoFeatureSlots(mb)
-
-	minSlots := opts.Extractors * mb
-	if minSlots > int(ds.NumNodes) {
-		minSlots = int(ds.NumNodes)
-	}
-	slots := opts.FeatureSlots
-	if slots == 0 {
-		// Auto-size: at least the pipeline's working set, and as much of
-		// the device allowance as helps (inter-batch reuse, Fig. 12) —
-		// never more than the whole graph.
-		slots = opts.AutoFeatureSlots(mb)
-		if s := int(fbLimit / featBytes); s > slots {
-			slots = s
-		}
-		if slots > int(ds.NumNodes) {
-			slots = int(ds.NumNodes)
-		}
-		if int64(slots)*featBytes > fbLimit {
-			slots = int(fbLimit / featBytes)
-		}
-		if slots < minSlots {
-			slots = minSlots
-		}
-	}
-	if slots < minSlots {
-		// The §4.2 deadlock guard: without Ne x Mb reserved slots the
-		// pipeline can wedge with every extractor mid-batch.
+	} else if err := e.newFeatureBuffer(mb); err != nil {
 		e.release()
-		return nil, fmt.Errorf("%w: %d slots < required %d", ErrBufferTooSmall, slots, minSlots)
+		return nil, err
 	}
-	fb := NewFeatureBuffer(ds.NumNodes, ds.Dim, slots)
-	if dev.Kind() == device.GPU {
-		if err := dev.Alloc("feature buffer", fb.Bytes()); err != nil {
-			e.release()
-			return nil, err
-		}
-	} else {
-		if err := budget.Pin("feature buffer (CPU training)", fb.Bytes()); err != nil {
-			e.release()
-			return nil, err
-		}
-		e.fbOnCPU = true
-	}
-	e.fb = fb
-	e.ownFB = true
+	opts = e.opts // with the extractors newFeatureBuffer kept
+	// The slots beyond every sharing pipeline's working set keep the
+	// hottest vectors resident; at FeatureBufferX 1 there are none.
+	e.fb.addWorkingSet(ds.Indptr, opts.AutoFeatureSlots(mb))
 
-	return e.finishSetup(ds, dev, cache, rec, opts)
-}
-
-// finishSetup builds the staging pool, index file, and optional real
-// model once the feature buffer exists, and picks the resident tier of a
-// buffer the engine owns.
-func (e *Engine) finishSetup(ds *graph.Dataset, dev *device.Device,
-	cache *pagecache.Cache, rec *metrics.Recorder, opts Options) (*Engine, error) {
-	if opts.GPUDirect && dev.Kind() != device.GPU {
-		e.release()
-		return nil, errors.New("core: GPUDirect requires a GPU device")
-	}
 	budget, units, unitBytes := e.budget, 0, 0
 	switch {
 	case opts.GPUDirect:
@@ -415,12 +340,6 @@ func (e *Engine) finishSetup(ds *graph.Dataset, dev *device.Device,
 		e.staging, e.ownStaging = staging, true
 	}
 
-	if e.ownFB {
-		// The slots beyond the working set keep the hottest vectors
-		// resident; at FeatureBufferX 1 there are none. Parallel re-sizes
-		// the tier of a buffer its workers share.
-		e.fb.holdHottest(ds.Indptr, e.fb.Slots()-e.workingSet)
-	}
 	e.indexFile = graph.IndicesFile(ds, cache)
 	rec.SetGPUProvider(func() int64 { return int64(dev.ComputeBusy()) })
 
@@ -432,6 +351,76 @@ func (e *Engine) finishSetup(ds *graph.Dataset, dev *device.Device,
 		e.ckptState = e.newRunState()
 	}
 	return e, nil
+}
+
+// newFeatureBuffer sizes and allocates the engine's own feature buffer
+// for batches of up to mb unique nodes. The buffer must hold at least
+// Ne x Mb slots for pipeline liveness (§4.2). If that minimum does not
+// fit the device memory (GPU) or half the host budget (CPU training),
+// it sheds extractors — the paper's own knob: "the staging buffer can
+// be expanded or shrunk by adjusting the number of extractors, which we
+// decide with regard to ... the capacity of available host memory".
+func (e *Engine) newFeatureBuffer(mb int) error {
+	ds, dev, opts := e.ds, e.dev, &e.opts
+	featBytes := ds.FeatBytes()
+	var fbLimit int64
+	if dev.Kind() == device.GPU {
+		fbLimit = dev.MemBytes() * 9 / 10
+	} else {
+		fbLimit = e.budget.Capacity() / 2
+	}
+	for {
+		need := min(int64(opts.Extractors)*int64(mb), ds.NumNodes) * featBytes
+		if need <= fbLimit {
+			break
+		}
+		if opts.Extractors == 1 {
+			oom := hostmem.ErrOOM
+			if dev.Kind() == device.GPU {
+				oom = device.ErrDeviceOOM
+			}
+			return fmt.Errorf("feature buffer needs %d bytes, limit %d: %w", need, fbLimit, oom)
+		}
+		opts.Extractors--
+	}
+
+	minSlots := min(opts.Extractors*mb, int(ds.NumNodes))
+	limit := int(fbLimit / featBytes)
+	slots := opts.FeatureSlots
+	switch {
+	case slots > 0:
+	case opts.FeatureBufferX > 0:
+		// Fig. 12's sweep: a multiple of the paper's minimum buffer,
+		// within a GPU's allowance and the graph.
+		slots = int(opts.FeatureBufferX * float64(paperExtractors*mb))
+		if dev.Kind() == device.GPU {
+			slots = min(slots, limit)
+		}
+		slots = min(slots, int(ds.NumNodes))
+	default:
+		// Auto-size: as much of the device allowance as helps
+		// (inter-batch reuse, Fig. 12), never more than the whole
+		// graph, never below the deadlock guard.
+		slots = max(min(limit, int(ds.NumNodes)), minSlots)
+	}
+	if slots < minSlots {
+		// The §4.2 deadlock guard: without Ne x Mb reserved slots the
+		// pipeline can wedge with every extractor mid-batch.
+		return fmt.Errorf("%w: %d slots < required %d", ErrBufferTooSmall, slots, minSlots)
+	}
+	fb := NewFeatureBuffer(ds.NumNodes, ds.Dim, slots)
+	if dev.Kind() == device.GPU {
+		if err := dev.Alloc("feature buffer", fb.Bytes()); err != nil {
+			return err
+		}
+	} else {
+		if err := e.budget.Pin("feature buffer (CPU training)", fb.Bytes()); err != nil {
+			return err
+		}
+		e.fbOnCPU = true
+	}
+	e.fb, e.ownFB = fb, true
+	return nil
 }
 
 // FeatureBuffer exposes the buffer for inspection.

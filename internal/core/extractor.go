@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -11,7 +10,6 @@ import (
 	"gnndrive/internal/graph"
 	"gnndrive/internal/metrics"
 	"gnndrive/internal/sample"
-	"gnndrive/internal/storage"
 	"gnndrive/internal/uring"
 )
 
@@ -55,7 +53,6 @@ type extractor struct {
 	addrPlan  AddrPlanner
 	opExt     []Extent
 	attempts  []int
-	buffered  []bool
 	// xferWG tracks the batch's in-flight device transfers; runPlan waits
 	// it back to zero before returning, so one per extractor suffices.
 	xferWG sync.WaitGroup
@@ -143,17 +140,16 @@ func (x *extractor) extractBatch(ctx context.Context, b *sample.Batch) (*trainIt
 //
 // Fault tolerance: a read that completes with a transient error is
 // resubmitted after a jittered exponential backoff, up to the per-op
-// retry budget; a direct read rejected for alignment degrades to a
-// buffered read (§4.4's ladder); anything else escalates as the plan's
-// error. On error or cancellation every in-flight read is still drained
-// so no staging extent leaks.
+// retry budget; anything else, a read the ring refuses to queue
+// included, escalates as the plan's error. On error or cancellation
+// every in-flight read is still drained so no staging extent leaks.
 func (x *extractor) runPlan(ctx context.Context, b *sample.Batch, res *Reservation, plan []ReadOp, st *metrics.Counters) error {
 	eng := x.eng
 	depth := x.ring.Depth()
 	if eng.opts.SyncExtraction {
 		depth = 1
 	}
-	opExt, attempts, buffered := x.planScratch(len(plan))
+	opExt, attempts := x.planScratch(len(plan))
 	x.resetXfers()
 	var firstErr error
 	// Every in-flight read holds one IOGate permit from acquisition to
@@ -166,25 +162,20 @@ func (x *extractor) runPlan(ctx context.Context, b *sample.Batch, res *Reservati
 		}
 	}
 
-	// submit stages op's read on its already-assigned staging extent,
-	// degrading to a buffered read when direct I/O rejects the alignment.
-	// Reads are bound to ctx so an injected straggler delay cannot hold
-	// the teardown hostage for its full modeled duration. Staged reads
-	// only reach the device at the wave's ring.Flush — one batched
-	// submission (a single io_uring_enter on the linuring backend) per
-	// wave instead of one kernel round trip per read.
+	// submit stages op's read on its already-assigned staging extent:
+	// direct, at the plan's sector alignment, unless BufferedIO asks for
+	// exact-size buffered reads. Reads are bound to ctx so an injected
+	// straggler delay cannot hold the teardown hostage for its full
+	// modeled duration. Staged reads only reach the device at the wave's
+	// ring.Flush — one batched submission (a single io_uring_enter on the
+	// linuring backend) per wave instead of one kernel round trip per
+	// read.
 	submit := func(op int) error {
 		sbuf := eng.staging.ExtentBuf(opExt[op])[:plan[op].Len]
-		if buffered[op] || eng.opts.BufferedIO {
+		if eng.opts.BufferedIO {
 			return x.ring.QueueBufferedReadCtx(ctx, sbuf, plan[op].DevOff, uint64(op))
 		}
-		err := x.ring.QueueReadCtx(ctx, sbuf, plan[op].DevOff, uint64(op))
-		if errors.Is(err, storage.ErrUnaligned) {
-			buffered[op] = true
-			st.Fallbacks++
-			return x.ring.QueueBufferedReadCtx(ctx, sbuf, plan[op].DevOff, uint64(op))
-		}
-		return err
+		return x.ring.QueueReadCtx(ctx, sbuf, plan[op].DevOff, uint64(op))
 	}
 
 	next := 0     // next op to submit for the first time
@@ -306,23 +297,18 @@ func (x *extractor) runPlan(ctx context.Context, b *sample.Batch, res *Reservati
 }
 
 // planScratch resizes the per-op bookkeeping slices for a new plan,
-// reusing the extractor's backing arrays. attempts and buffered are
-// per-batch state and start zeroed.
-func (x *extractor) planScratch(n int) (opExt []Extent, attempts []int, buffered []bool) {
+// reusing the extractor's backing arrays. attempts is per-batch state
+// and starts zeroed.
+func (x *extractor) planScratch(n int) (opExt []Extent, attempts []int) {
 	if cap(x.opExt) < n {
 		x.opExt = make([]Extent, n)
 		x.attempts = make([]int, n)
-		x.buffered = make([]bool, n)
 	} else {
 		x.opExt = x.opExt[:n]
 		x.attempts = x.attempts[:n]
-		x.buffered = x.buffered[:n]
-		for i := 0; i < n; i++ {
-			x.attempts[i] = 0
-			x.buffered[i] = false
-		}
+		clear(x.attempts)
 	}
-	return x.opExt, x.attempts, x.buffered
+	return x.opExt, x.attempts
 }
 
 // xferRec is one modeled host-to-device DMA: the nodes that become valid

@@ -46,13 +46,17 @@ type mapEntry struct {
 // mapping and the LRU standby list of unreferenced slots, all behind one
 // mutex that a reserve or a release takes once per batch. Feature rows
 // are written and read outside it, because a slot is never reassigned
-// while referenced. Slots beyond the pipeline's working set hold a
-// resident tier of the highest-degree nodes, which retire off the
-// standby list and so are never evicted (holdHottest).
+// while referenced. Slots beyond the working sets of the pipelines that
+// reserve from it hold a resident tier of the highest-degree nodes,
+// which retire off the standby list and so are never evicted
+// (addWorkingSet).
 type FeatureBuffer struct {
 	dim   int
 	slots int
 	data  []float32 // slots x dim backing store
+	// working is the summed working set (AutoFeatureSlots) of the
+	// pipelines that reserve from the buffer (addWorkingSet).
+	working int
 
 	mu      sync.Mutex
 	entries []mapEntry
@@ -368,6 +372,18 @@ func (fb *FeatureBuffer) Release(nodes []int64) {
 	fb.mu.Unlock()
 }
 
+// addWorkingSet records one more pipeline reserving from the buffer,
+// whose working set is n slots, and resizes the resident tier to the
+// slots beyond every working set recorded so far. Call it before the
+// first reserve.
+func (fb *FeatureBuffer) addWorkingSet(indptr []int64, n int) {
+	fb.mu.Lock()
+	fb.working += n
+	h := fb.slots - fb.working
+	fb.mu.Unlock()
+	fb.holdHottest(indptr, h)
+}
+
 // holdHottest makes the h highest-degree nodes of the graph whose CSC
 // index pointers are indptr the resident tier, replacing any earlier
 // tier; ties go to the lower node ID. Call it before the first reserve.
@@ -377,8 +393,8 @@ func (fb *FeatureBuffer) Release(nodes []int64) {
 //
 // Liveness: a retired resident holds its slot off the standby list, so
 // at most h slots are outside the reserve path's reach. Sizing h as the
-// slots beyond every sharing engine's AutoFeatureSlots leaves the rest
-// of the pipeline at least that working set.
+// slots beyond every recorded working set (addWorkingSet) leaves the
+// pipelines at least those working sets.
 func (fb *FeatureBuffer) holdHottest(indptr []int64, h int) {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()

@@ -78,7 +78,9 @@ func NewParallel(ds *graph.Dataset, devices []*device.Device, budget *hostmem.Bu
 	p.staging = staging
 
 	// CPU-based data parallelism shares one host-resident feature buffer
-	// among all workers (§4.4); GPU workers each own their device's.
+	// among all workers (§4.4); GPU workers each own their device's. Each
+	// worker's New records its working set in the buffer it reserves
+	// from, so a shared buffer's tier is what all of them leave.
 	allCPU := true
 	for _, dev := range devices {
 		if dev.Kind() != device.CPU {
@@ -104,15 +106,6 @@ func NewParallel(ds *graph.Dataset, devices []*device.Device, budget *hostmem.Bu
 		}
 		p.engines = append(p.engines, eng)
 	}
-	if allCPU && len(p.engines) > 1 {
-		// The shared buffer's tier is what is left after every worker's
-		// working set, not only the first's.
-		fb, work := p.engines[0].fb, 0
-		for _, eng := range p.engines {
-			work += eng.workingSet
-		}
-		fb.holdHottest(ds.Indptr, fb.Slots()-work)
-	}
 	p.barrier = newStepBarrier(len(devices))
 	if opts.RealTrain {
 		p.gradBytes = p.engines[0].Model().GradBytes()
@@ -125,6 +118,9 @@ func NewParallel(ds *graph.Dataset, devices []*device.Device, budget *hostmem.Bu
 
 // Workers returns the number of data-parallel workers.
 func (p *Parallel) Workers() int { return len(p.engines) }
+
+// Worker returns worker i's engine.
+func (p *Parallel) Worker(i int) *Engine { return p.engines[i] }
 
 // Close releases every worker and the shared resources.
 func (p *Parallel) Close() {

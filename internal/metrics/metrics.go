@@ -38,10 +38,15 @@ type Counters struct {
 	BackendReads int64 `json:"backend_reads"`
 
 	// Fault tolerance: reads retried after a transient storage error,
-	// direct→buffered degradations, errors escalated after the retry
-	// budget ran out (or that were never retryable), and watchdog-detected
-	// pipeline stalls.
-	Retries     int64 `json:"retries"`
+	// errors escalated after the retry budget ran out (or that were never
+	// retryable), and watchdog-detected pipeline stalls.
+	Retries int64 `json:"retries"`
+	// Fallbacks is always zero: the extractor plans every direct read
+	// at the sector the ring checks, so none degrades to buffered (a
+	// backend that serves one buffered counts it in
+	// storage.Stats.DirectDegraded). It stays only because the
+	// benchmark's extract.fallbacks metric still reads it; both go
+	// together.
 	Fallbacks   int64 `json:"fallbacks"`
 	Escalations int64 `json:"escalations"`
 	Stalls      int64 `json:"stalls"`

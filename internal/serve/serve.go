@@ -161,7 +161,9 @@ type Daemon struct {
 	nextSeq  int
 	draining bool
 
-	saveMu sync.Mutex // serializes manifest writes
+	// saveMu serializes state changes with their manifest writes
+	// (persist); it is taken before mu, never while holding it.
+	saveMu sync.Mutex
 }
 
 // NewDaemon builds a daemon over cfg.StateDir, re-admitting every
@@ -222,7 +224,7 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		go d.runJob(j, nil)
 	}
 	d.mu.Unlock()
-	d.persist()
+	d.persist(nil)
 	return d, nil
 }
 
@@ -277,7 +279,7 @@ func (d *Daemon) Submit(spec trainsim.JobSpec) (string, error) {
 	d.wg.Add(1)
 	d.mu.Unlock()
 
-	d.persist()
+	d.persist(nil)
 	go d.runJob(j, g)
 	return id, nil
 }
@@ -455,37 +457,29 @@ func (d *Daemon) exitInterrupted(j *job, err error) {
 // stale partial entry for the same epoch after a resume) and persists.
 func (d *Daemon) recordEpoch(j *job, epoch int, st trainsim.EpochStats) {
 	rec := epochRecord(epoch, st)
-	d.mu.Lock()
-	replaced := false
-	for i := range j.rec.Epochs {
-		if j.rec.Epochs[i].Epoch == epoch {
-			j.rec.Epochs[i] = rec
-			replaced = true
-			break
+	d.persist(func() {
+		for i := range j.rec.Epochs {
+			if j.rec.Epochs[i].Epoch == epoch {
+				j.rec.Epochs[i] = rec
+				return
+			}
 		}
-	}
-	if !replaced {
 		j.rec.Epochs = append(j.rec.Epochs, rec)
-	}
-	d.cond.Broadcast()
-	d.mu.Unlock()
-	d.persist()
+	})
 }
 
-// setState transitions a job, runs extra under the daemon lock, wakes
-// waiters, and persists.
+// setState transitions a job, runs extra under the daemon lock, and
+// persists.
 func (d *Daemon) setState(j *job, st JobState, extra func()) {
-	d.mu.Lock()
-	j.rec.State = st
-	if st == StateRunning || st == StateCompleted {
-		j.rec.Error = ""
-	}
-	if extra != nil {
-		extra()
-	}
-	d.cond.Broadcast()
-	d.mu.Unlock()
-	d.persist()
+	d.persist(func() {
+		j.rec.State = st
+		if st == StateRunning || st == StateCompleted {
+			j.rec.Error = ""
+		}
+		if extra != nil {
+			extra()
+		}
+	})
 }
 
 // Job returns a copy of the job's record.
@@ -531,7 +525,8 @@ func (d *Daemon) Cancel(id string) error {
 }
 
 // WaitJob blocks until the job reaches a terminal state (or, during a
-// drain, Interrupted) and returns its record.
+// drain, Interrupted) and returns its record, once the manifest on disk
+// holds that state too.
 func (d *Daemon) WaitJob(ctx context.Context, id string) (JobRecord, error) {
 	stop := context.AfterFunc(ctx, func() {
 		d.mu.Lock()
@@ -539,6 +534,17 @@ func (d *Daemon) WaitJob(ctx context.Context, id string) (JobRecord, error) {
 		d.mu.Unlock()
 	})
 	defer stop()
+	rec, err := d.waitState(ctx, id)
+	// A state changes under saveMu, which its manifest write holds until
+	// it is on disk: passing through saveMu waits that write out, even
+	// when another job's broadcast woke this waiter.
+	d.saveMu.Lock()
+	d.saveMu.Unlock()
+	return rec, err
+}
+
+// waitState is WaitJob's wait on the records, under the daemon lock.
+func (d *Daemon) waitState(ctx context.Context, id string) (JobRecord, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for {
@@ -620,15 +626,21 @@ func (d *Daemon) Close() {
 	}
 }
 
-// persist snapshots all records under the daemon lock and writes the
-// manifest outside it. saveMu is held across both, so manifests are
-// written in the order they were snapshot: the last write is the newest
-// state, and a job's final persist is never overwritten by an older
-// snapshot.
-func (d *Daemon) persist() {
+// persist applies change (when non-nil) to the records under the daemon
+// lock, wakes waiters, snapshots all records, and writes the manifest
+// outside the lock. saveMu is held from the change through the write, so
+// manifests are written in the order they were snapshot — the last
+// write is the newest state, and a job's final persist is never
+// overwritten by an older snapshot — and a WaitJob woken by the change
+// returns only once it is on disk.
+func (d *Daemon) persist(change func()) {
 	d.saveMu.Lock()
 	defer d.saveMu.Unlock()
 	d.mu.Lock()
+	if change != nil {
+		change()
+		d.cond.Broadcast()
+	}
 	m := manifest{NextSeq: d.nextSeq}
 	for _, j := range d.jobs {
 		rec := j.rec

@@ -75,6 +75,43 @@ func runClean(t *testing.T, ctx context.Context, spec trainsim.JobSpec) []EpochR
 	return rec.Epochs
 }
 
+// TestWaitJobReturnsDurableState: the state WaitJob returns is already
+// the manifest's, so a client that sees a job completed and then reads
+// the state directory — or restarts the daemon over it — sees it
+// completed too. Two jobs run at once, so a waiter may be woken by the
+// other job's broadcast.
+func TestWaitJobReturnsDurableState(t *testing.T) {
+	ctx := context.Background()
+	d, err := NewDaemon(testDaemonConfig(t, ctx))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	var ids []string
+	for seed := range uint64(2) {
+		id, err := d.Submit(testSpec(seed+1, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	for _, id := range ids {
+		rec, err := d.WaitJob(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := d.store.load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, disk := range m.Jobs {
+			if disk.ID == id && disk.State != rec.State {
+				t.Errorf("%s: WaitJob returned %s, the manifest holds %s", id, rec.State, disk.State)
+			}
+		}
+	}
+}
+
 // checkTrajectory asserts the chaos run's stitched per-epoch step-loss
 // sequences are bit-identical to the clean run's. The one epoch that was
 // interrupted mid-flight resumes from its checkpointed step, so its

@@ -112,11 +112,7 @@ type gnndrive struct {
 }
 
 func newGNNDrive(e *env) (System, error) {
-	o, err := engineOptions(e.cfg, e.ds, e.dev)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := core.New(e.ds, e.dev, e.budget, e.cache, e.rec, o)
+	eng, err := core.New(e.ds, e.dev, e.budget, e.cache, e.rec, e.cfg.EngineOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"slices"
-	"strings"
 	"testing"
 	"time"
 
@@ -14,6 +13,7 @@ import (
 	"gnndrive/internal/faults"
 	"gnndrive/internal/gen"
 	"gnndrive/internal/hostmem"
+	"gnndrive/internal/sample"
 )
 
 // stepLosses trains kind for epochs epochs on cfg and returns every step's
@@ -219,13 +219,37 @@ func TestEnvAppliesTrainLimitAndFaults(t *testing.T) {
 	}
 }
 
-// TestRunParallelRejectsFeatureBufferX: RunParallel's workers auto-size
-// their buffers, so a FeatureBufferX is refused, not run as the default.
-func TestRunParallelRejectsFeatureBufferX(t *testing.T) {
+// TestRunParallelAppliesFeatureBufferX: each of RunParallel's GPU
+// workers sizes its own buffer at FeatureBufferX x the paper's four
+// extractors x its own Mb, which its own batch seed decides, as a single
+// engine does.
+func TestRunParallelAppliesFeatureBufferX(t *testing.T) {
+	defer DropDatasets()
 	cfg := tinyCfg()
-	cfg.FeatureBufferX = 2
-	_, err := RunParallel(context.Background(), cfg, 2, device.TeslaK80(), 1)
-	if err == nil || !strings.Contains(err.Error(), "FeatureBufferX") {
-		t.Fatalf("RunParallel with FeatureBufferX 2 returned %v, want an error naming the field", err)
+	cfg.FeatureBufferX, cfg.BatchSize, cfg.Fanouts, cfg.TrainLimit = 2, 5, []int{2, 2}, 100
+	var slots []int
+	cfg.OnEngine = func(eng *core.Engine) { slots = append(slots, eng.FeatureBuffer().Slots()) }
+	if _, err := RunParallel(context.Background(), cfg, 2, device.TeslaK80(), 1); err != nil {
+		t.Fatal(err)
+	}
+	e, err := newEnv(cfg, device.TeslaK80())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.close()
+	o := e.cfg.EngineOptions()
+	var want []int
+	for w := range 2 {
+		mb, err := sample.EstimateMaxBatchNodes(e.ds, o.BatchSize, o.Fanouts, 4, o.Seed+uint64(w)*1_000_003)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, 2*4*mb)
+	}
+	if slices.Max(want) >= int(e.ds.NumNodes) {
+		t.Fatalf("buffers of %v slots clamp to the %d-node graph", want, e.ds.NumNodes)
+	}
+	if !slices.Equal(slots, want) {
+		t.Errorf("workers' buffers hold %v slots, want 2 x 4 x each worker's Mb = %v", slots, want)
 	}
 }

@@ -30,7 +30,6 @@ import (
 	"gnndrive/internal/metrics"
 	"gnndrive/internal/nn"
 	"gnndrive/internal/pagecache"
-	"gnndrive/internal/sample"
 	"gnndrive/internal/storage"
 	"gnndrive/internal/storage/file"
 	"gnndrive/internal/storage/integrity"
@@ -64,8 +63,10 @@ type Config struct {
 	// default 2.0 makes a default GNNDrive epoch take O(seconds).
 	Scale float64
 
-	// FeatureBufferX multiplies GNNDrive's auto-sized feature buffer
-	// (Fig. 12); 0 or 1 = default.
+	// FeatureBufferX sizes GNNDrive's feature buffer at this multiple of
+	// the paper's minimum, Ne x Mb (Fig. 12; see
+	// core.Options.FeatureBufferX). 1 is the minimum buffer; 0
+	// auto-sizes.
 	FeatureBufferX float64
 	// FeatureSlots pins the feature-buffer capacity directly (GNNDrive
 	// systems; overrides FeatureBufferX). The serve daemon uses it to
@@ -85,7 +86,8 @@ type Config struct {
 	// metrics recorder so a supervisor can keep per-job counters.
 	Rec *metrics.Recorder
 	// OnEngine, when non-nil, observes the live engine right after
-	// construction (GNNDrive systems only). The serve daemon uses the
+	// construction (GNNDrive systems only; each of RunParallel's
+	// workers in worker order). The serve daemon uses the
 	// handle to request demand checkpoints during drain; the engine is
 	// only valid until the run returns.
 	OnEngine func(*core.Engine)
@@ -698,8 +700,8 @@ func RunCtx(ctx context.Context, cfg Config, kind SystemKind, opts RunOptions) (
 // packer's trace, the dataset cache key, the baselines' shared knobs and
 // the serve daemon's admission pricing all start from its result, so a
 // default or an override cannot mean one thing to the run and another to
-// whoever sized or keyed it. FeatureBufferX is the one knob that needs the
-// built dataset; engineOptions adds it.
+// whoever sized or keyed it. FeatureBufferX needs the built dataset's Mb,
+// so core.New applies it.
 func (c Config) EngineOptions() core.Options {
 	o := core.DefaultOptions(c.Model)
 	if c.BatchSize != 0 {
@@ -712,6 +714,7 @@ func (c Config) EngineOptions() core.Options {
 		o.Hidden = c.Hidden
 	}
 	o.FeatureSlots = c.FeatureSlots
+	o.FeatureBufferX = c.FeatureBufferX
 	o.RealTrain = c.RealTrain
 	o.Seed = c.Seed
 	o.InOrder = c.InOrder
@@ -724,29 +727,6 @@ func (c Config) EngineOptions() core.Options {
 	o.SharedStaging = c.SharedStaging
 	o.IOGate = c.IOGate
 	return o
-}
-
-// engineOptions is EngineOptions plus the Fig. 12 sweep: FeatureBufferX
-// multiples of the minimum working set (Ne x Mb), clamped to the device
-// allowance and graph size. An explicit FeatureSlots wins.
-func engineOptions(cfg Config, ds *graph.Dataset, dev *device.Device) (core.Options, error) {
-	o := cfg.EngineOptions()
-	if o.FeatureSlots > 0 || cfg.FeatureBufferX <= 0 {
-		return o, nil
-	}
-	mb, err := sample.EstimateMaxBatchNodes(ds, o.BatchSize, o.Fanouts, 4, o.Seed)
-	if err != nil {
-		return o, err
-	}
-	slots := int(cfg.FeatureBufferX * float64(o.Extractors*mb))
-	if lim := int(dev.MemBytes() * 9 / 10 / ds.FeatBytes()); dev.Kind() == device.GPU && slots > lim {
-		slots = lim
-	}
-	if slots > int(ds.NumNodes) {
-		slots = int(ds.NumNodes)
-	}
-	o.FeatureSlots = slots
-	return o, nil
 }
 
 // SampleOnly measures one epoch of the sample stage alone (Fig. 2's
@@ -778,12 +758,8 @@ func SampleOnly(ctx context.Context, cfg Config, kind SystemKind) (time.Duration
 
 // RunParallel trains GNNDrive with data parallelism over `workers`
 // devices of the given config (Fig. 13), over the same environment RunCtx
-// builds, and returns the epoch wall time. Its workers' buffers are
-// auto-sized, so a FeatureBufferX it would not apply is an error.
+// builds, and returns the epoch wall time.
 func RunParallel(ctx context.Context, cfg Config, workers int, devCfg device.Config, epochs int) (time.Duration, error) {
-	if cfg.FeatureBufferX != 0 {
-		return 0, fmt.Errorf("trainsim: RunParallel does not apply Config.FeatureBufferX (%g)", cfg.FeatureBufferX)
-	}
 	devs := make([]device.Config, workers)
 	for i := range devs {
 		devs[i] = devCfg
@@ -798,6 +774,11 @@ func RunParallel(ctx context.Context, cfg Config, workers int, devCfg device.Con
 		return 0, err
 	}
 	defer p.Close()
+	if e.cfg.OnEngine != nil {
+		for i := range p.Workers() {
+			e.cfg.OnEngine(p.Worker(i))
+		}
+	}
 	epochs = max(epochs, 1)
 	var sum time.Duration
 	for ep := 0; ep < epochs; ep++ {

@@ -91,10 +91,9 @@ func (r *Ring) Inflight() int {
 // QueueReadCtx stages an asynchronous direct read of p at off without
 // submitting it; Flush hands every staged read to the backend in one
 // batch, and user comes back in the CQE. off and len(p) must be
-// sector-aligned: alignment is validated here (storage.ErrUnaligned), so
-// a caller can still degrade the op to a buffered queue entry before
-// anything reaches the device (§4.4's fallback ladder). Blocks while depth
-// requests are staged, in flight or uncollected.
+// sector-aligned: a misaligned read is refused here (storage.ErrUnaligned)
+// before anything reaches the device. Blocks while depth requests are
+// staged, in flight or uncollected.
 //
 // The request is bound to ctx: if ctx is cancelled while the device sleeps
 // out the modeled service time (e.g. a fault-injected straggler delay),
