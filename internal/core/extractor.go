@@ -8,6 +8,7 @@ import (
 	"gnndrive/internal/errutil"
 	"gnndrive/internal/faults"
 	"gnndrive/internal/graph"
+	"gnndrive/internal/layout"
 	"gnndrive/internal/metrics"
 	"gnndrive/internal/sample"
 	"gnndrive/internal/uring"
@@ -46,6 +47,9 @@ type extractor struct {
 	eng    *Engine
 	ring   *uring.Ring
 	policy errutil.Policy
+	// addr is the dataset's addresser, taken once: Addresser boxes a
+	// fresh strided table on every call.
+	addr layout.Addresser
 	// scratch reused across batches: the steady-state extract path reuses
 	// these instead of allocating per batch
 	loadNodes []int64
@@ -70,6 +74,7 @@ func newExtractor(eng *Engine) *extractor {
 		// Only the backoff schedule is the policy's: runPlan counts
 		// attempts per op against retryBudget itself.
 		policy: errutil.Policy{BaseDelay: retryBackoff, Seed: eng.opts.Seed},
+		addr:   eng.ds.Addresser(),
 	}
 }
 
@@ -95,7 +100,7 @@ func (x *extractor) extractBatch(ctx context.Context, b *sample.Batch) (*trainIt
 		x.loadNodes = append(x.loadNodes, b.Nodes[pos])
 	}
 	featBytes := int(eng.ds.FeatBytes())
-	addr := eng.ds.Addresser()
+	addr := x.addr
 	switch {
 	case eng.opts.BufferedIO:
 		x.plan = x.addrPlan.exactInto(x.plan[:0], addr, x.loadNodes, res.ToLoad)

@@ -12,6 +12,7 @@ import (
 	"gnndrive/internal/faults"
 	"gnndrive/internal/sample"
 	"gnndrive/internal/storage"
+	"gnndrive/internal/storage/storagetest"
 )
 
 // buildBatchOf builds a fake sampled batch over the given node IDs.
@@ -438,5 +439,53 @@ func TestBuildExactPlanOneReadPerNode(t *testing.T) {
 	featOff := func(v int64) int64 { return rig.ds.Layout.FeaturesOff + v*rig.ds.FeatBytes() }
 	if plan[0].DevOff != featOff(9) || plan[1].DevOff != featOff(4) {
 		t.Fatalf("offsets %d, %d", plan[0].DevOff, plan[1].DevOff)
+	}
+}
+
+// TestExtractBatchZeroAlloc pins the steady extract cycle at zero
+// allocations: batches that cycle over twice the feature buffer, so each
+// reserves hits, misses and evictions, reads its misses, copies them to
+// the device, and is released and recycled as the release stage does.
+func TestExtractBatchZeroAlloc(t *testing.T) {
+	if storagetest.RaceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const (
+		window = 512 // nodes the batches cycle over: twice the buffer
+		batch  = 32
+		stride = 24 // consecutive batches share batch-stride nodes
+	)
+	rig := newRig(t, device.InstantConfig(), 64<<20)
+	opts := testOpts()
+	opts.BatchSize, opts.Fanouts = 8, []int{2, 2} // a small Mb, so the buffer can be small
+	opts.FeatureSlots = window / 2
+	e := newEngine(t, rig, opts)
+	x := newExtractor(e)
+	ctx := context.Background()
+	b := buildBatchOf(0, make([]int64, batch)...)
+	turn, reads := 0, int64(0)
+	cycle := func() {
+		for i := range b.Nodes {
+			b.Nodes[i] = int64((turn*stride+i)%window) * 3
+		}
+		turn++
+		item, st, err := x.extractBatch(ctx, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads += st.BackendReads
+		e.fb.Release(b.Nodes)
+		PutReservation(item.res)
+		putTrainItem(item)
+	}
+	for range 2 * window / stride {
+		cycle() // grow every scratch slice and pool
+	}
+	reads = 0
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("steady extract cycle allocates %v times, want 0", n)
+	}
+	if reads == 0 {
+		t.Fatal("the steady cycles read nothing: the pin covers no transfer")
 	}
 }

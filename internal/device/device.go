@@ -10,6 +10,7 @@ package device
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,40 +88,35 @@ type Device struct {
 	cfg     Config
 	memUsed atomic.Int64
 
-	xferQ  chan xfer
-	wg     sync.WaitGroup
-	closed atomic.Bool
-
 	computeBusy  atomic.Int64 // nanos
 	transferBusy atomic.Int64 // nanos
 	bytesMoved   atomic.Int64
+
+	// The DMA engine's modeled clock and its pending completions, in order.
+	mu        sync.Mutex
+	busyUntil time.Time
+	queued    []completion
+	timer     *time.Timer
 }
 
-type xfer struct {
-	bytes   int64
-	arrival time.Time // when CopyAsync queued it
-	done    func()
+type completion struct {
+	finish time.Time
+	done   func()
 }
 
-// New creates a device and starts its transfer engine.
+// New creates a device.
 func New(cfg Config) *Device {
 	if cfg.TimeScale == 0 {
 		cfg.TimeScale = 1
 	}
-	d := &Device{cfg: cfg, xferQ: make(chan xfer, 4096)}
-	d.wg.Add(1)
-	go d.runTransferEngine()
+	d := &Device{cfg: cfg}
+	d.timer = time.AfterFunc(time.Hour, d.deliver)
+	d.timer.Stop()
 	return d
 }
 
-// Close drains and stops the transfer engine.
-func (d *Device) Close() {
-	if d.closed.Swap(true) {
-		return
-	}
-	close(d.xferQ)
-	d.wg.Wait()
-}
+// Close returns once every pending transfer has completed.
+func (d *Device) Close() { d.CopySync(0) } // completions run in order
 
 // Kind returns the processor kind.
 func (d *Device) Kind() Kind { return d.cfg.Kind }
@@ -165,45 +161,52 @@ func (d *Device) Free(n int64) {
 func (d *Device) MemUsed() int64 { return d.memUsed.Load() }
 
 // CopyAsync schedules an asynchronous host-to-device transfer of n bytes;
-// done fires when the modeled DMA completes (cudaMemcpyAsync).
+// done fires, in submission order, when the modeled DMA completes
+// (cudaMemcpyAsync). A transfer due within errutil.PaceSlack with nothing
+// pending before it completes on the caller before CopyAsync returns, so
+// done must not take a lock the caller holds.
 func (d *Device) CopyAsync(n int64, done func()) {
-	if d.closed.Load() {
-		panic("device: CopyAsync on closed device")
+	var svc time.Duration
+	if d.cfg.TransferBps > 0 {
+		svc = time.Duration(float64(n) / d.cfg.TransferBps * float64(time.Second) * d.cfg.TimeScale)
 	}
-	d.xferQ <- xfer{bytes: n, arrival: time.Now(), done: done}
+	d.mu.Lock()
+	d.busyUntil = errutil.Finish(time.Now(), d.busyUntil, svc)
+	d.transferBusy.Add(int64(svc))
+	d.bytesMoved.Add(n)
+	d.queued = append(d.queued, completion{d.busyUntil, done})
+	first := len(d.queued) == 1
+	d.mu.Unlock()
+	if first {
+		d.deliver()
+	}
+}
+
+// deliver runs queued completions while the head is due, then arms the
+// timer for the head. Only the submitter that found the queue empty, or
+// the timer, runs it; an entry leaves after its callback, so none overtakes.
+func (d *Device) deliver() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for len(d.queued) > 0 {
+		c := d.queued[0]
+		if wait := time.Until(c.finish); wait > errutil.PaceSlack {
+			d.timer.Reset(wait)
+			return
+		}
+		d.mu.Unlock()
+		c.done()
+		d.mu.Lock()
+		d.queued = slices.Delete(d.queued, 0, 1)
+	}
 }
 
 // CopySync blocks for the modeled transfer time of n bytes.
 func (d *Device) CopySync(n int64) time.Duration {
-	ch := make(chan struct{})
-	start := time.Now()
+	start, ch := time.Now(), make(chan struct{})
 	d.CopyAsync(n, func() { close(ch) })
 	<-ch
 	return time.Since(start)
-}
-
-func (d *Device) runTransferEngine() {
-	defer d.wg.Done()
-	var (
-		busyUntil time.Time
-		pacer     errutil.Pacer
-	)
-	for x := range d.xferQ {
-		var svc time.Duration
-		if d.cfg.TransferBps > 0 {
-			svc = time.Duration(float64(x.bytes) / d.cfg.TransferBps * float64(time.Second) * d.cfg.TimeScale)
-		}
-		// A FIFO server on the modeled clock, paced like the SSD's
-		// channels: a transfer starts when it was queued or when the one
-		// before it finished, whichever is later. Pace fails only on a
-		// cancelled ctx, and nothing cancels a transfer.
-		busyUntil, _ = pacer.Pace(nil, x.arrival, busyUntil, svc)
-		d.transferBusy.Add(int64(svc))
-		d.bytesMoved.Add(x.bytes)
-		if x.done != nil {
-			x.done()
-		}
-	}
 }
 
 // Work describes one mini-batch training step for the compute model.
@@ -219,22 +222,21 @@ type Work struct {
 }
 
 // ops estimates the work units of one step: per layer, edge aggregation
-// plus the dense combine matmul.
+// plus the dense combine matmul, from InDim through Hidden to Classes.
 func (w Work) ops() float64 {
 	layers := w.Layers
 	if layers <= 0 {
 		layers = 3
 	}
-	dims := make([]int, layers+1)
-	dims[0] = w.InDim
-	for i := 1; i < layers; i++ {
-		dims[i] = w.Hidden
-	}
-	dims[layers] = w.Classes
 	var total float64
-	for l := 0; l < layers; l++ {
-		total += float64(w.Edges) * float64(dims[l])                          // aggregate
-		total += 2 * float64(w.Nodes) * float64(dims[l]) * float64(dims[l+1]) // combine
+	for l, in := 0, w.InDim; l < layers; l++ {
+		out := w.Hidden
+		if l == layers-1 {
+			out = w.Classes
+		}
+		total += float64(w.Edges) * float64(in)                    // aggregate
+		total += 2 * float64(w.Nodes) * float64(in) * float64(out) // combine
+		in = out
 	}
 	if w.Backward {
 		total *= 3 // fwd + bwd + optimizer, the usual 3x rule
@@ -258,9 +260,7 @@ func (d *Device) ComputeTime(w Work) time.Duration {
 // busy time. It returns the modeled duration.
 func (d *Device) Compute(w Work) time.Duration {
 	t := d.ComputeTime(w)
-	if t > 0 {
-		time.Sleep(t)
-	}
+	time.Sleep(t)
 	d.computeBusy.Add(int64(t))
 	return t
 }

@@ -3,10 +3,12 @@ package device
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"gnndrive/internal/nn"
+	"gnndrive/internal/storage/storagetest"
 )
 
 func testDev(t *testing.T, cfg Config) *Device {
@@ -80,6 +82,101 @@ func TestCopyAsyncCompletesInOrder(t *testing.T) {
 		if v != i {
 			t.Fatalf("DMA completions out of order: %v", order)
 		}
+	}
+}
+
+// A transfer due within the pacing slack, with nothing pending before it,
+// completes on the caller: done has run when CopyAsync returns.
+func TestCopyAsyncCompletesDueTransferOnCaller(t *testing.T) {
+	for _, cfg := range []Config{
+		InstantConfig(),
+		{Name: "dma", Kind: GPU, TransferBps: 100e6, TimeScale: 1}, // 100 µs per 10 kB
+	} {
+		d := testDev(t, cfg)
+		ran := false
+		d.CopyAsync(10_000, func() { ran = true })
+		if !ran {
+			t.Fatalf("%s: a due transfer had not completed when CopyAsync returned", cfg.Name)
+		}
+	}
+}
+
+// A due transfer submitted while an earlier completion is still running
+// waits for it: completions never overtake one another.
+func TestCopyAsyncDueWaitsBehindPending(t *testing.T) {
+	cfg := Config{Name: "dma", Kind: GPU, TransferBps: 1e6, TimeScale: 1}
+	d := testDev(t, cfg)
+	started, release, second := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var firstDone atomic.Bool
+	d.CopyAsync(2000, func() { // 2 ms: deferred to the timer
+		close(started)
+		<-release
+		firstDone.Store(true)
+	})
+	<-started
+	d.CopyAsync(0, func() { // due at once, but queued behind the first
+		if !firstDone.Load() {
+			t.Error("a due transfer completed before the pending one ahead of it")
+		}
+		close(second)
+	})
+	select {
+	case <-second:
+		t.Fatal("a due transfer completed on its caller while an earlier completion was running")
+	default:
+	}
+	close(release)
+	<-second
+}
+
+// Close returns only after every pending completion has run.
+func TestCloseWaitsForPendingCompletions(t *testing.T) {
+	d := New(Config{Name: "dma", Kind: GPU, TransferBps: 1e6, TimeScale: 1})
+	var done atomic.Int32
+	for range 3 {
+		d.CopyAsync(1000, func() { done.Add(1) }) // 1 ms each: deferred
+	}
+	d.Close()
+	if n := done.Load(); n != 3 {
+		t.Fatalf("Close returned with %d of 3 completions run", n)
+	}
+}
+
+// TestCopyAsyncZeroAlloc pins steady transfers at zero allocations, both
+// a due one completed on the caller and a deferred one the timer
+// completes.
+func TestCopyAsyncZeroAlloc(t *testing.T) {
+	if storagetest.RaceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	inline := testDev(t, InstantConfig())
+	fn := func() {}
+	if n := testing.AllocsPerRun(100, func() { inline.CopyAsync(100, fn) }); n != 0 {
+		t.Errorf("a due transfer allocates %v times, want 0", n)
+	}
+	deferred := testDev(t, Config{Name: "dma", Kind: GPU, TransferBps: 1e6, TimeScale: 1})
+	ch := make(chan struct{}, 1)
+	signal := func() { ch <- struct{}{} }
+	deferred.CopyAsync(1000, signal) // 1 ms, beyond the pacing slack
+	if len(ch) != 0 {
+		t.Fatal("a transfer beyond the slack completed on its caller")
+	}
+	<-ch
+	copyWait := func() {
+		deferred.CopyAsync(1000, signal)
+		<-ch
+	}
+	if n := testing.AllocsPerRun(50, copyWait); n != 0 {
+		t.Errorf("a deferred transfer allocates %v times, want 0", n)
+	}
+}
+
+// TestComputeTimeZeroAlloc: the compute model allocates nothing per step.
+func TestComputeTimeZeroAlloc(t *testing.T) {
+	d := testDev(t, RTX3090())
+	w := Work{Model: nn.GraphSAGE, Nodes: 1000, Edges: 5000, InDim: 128, Hidden: 256, Classes: 100, Layers: 3, Backward: true}
+	if n := testing.AllocsPerRun(100, func() { d.ComputeTime(w) }); n != 0 {
+		t.Fatalf("ComputeTime allocates %v times, want 0", n)
 	}
 }
 

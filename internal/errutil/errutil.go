@@ -160,19 +160,25 @@ type Pacer struct {
 // meanwhile; finish holds either way, since the server stays busy for a
 // request its caller abandoned.
 func (p *Pacer) Pace(ctx context.Context, arrival, busyUntil time.Time, svc time.Duration) (time.Time, error) {
-	now := time.Now()
-	start := arrival
-	if start.IsZero() {
-		start = now
-	}
-	if busyUntil.After(start) {
-		start = busyUntil
-	}
-	finish := start.Add(svc)
-	if wait := finish.Sub(now); wait > PaceSlack {
+	finish := Finish(arrival, busyUntil, svc)
+	if wait := time.Until(finish); wait > PaceSlack {
 		return finish, p.sleep(ctx, wait)
 	}
 	return finish, nil
+}
+
+// Finish returns the finish of a request of service time svc arriving at
+// arrival (a zero arrival means now) on a FIFO server whose previous
+// request finishes at busyUntil: service starts at max(arrival,
+// busyUntil).
+func Finish(arrival, busyUntil time.Time, svc time.Duration) time.Time {
+	if arrival.IsZero() {
+		arrival = time.Now()
+	}
+	if busyUntil.After(arrival) {
+		arrival = busyUntil
+	}
+	return arrival.Add(svc)
 }
 
 // sleep blocks for d on the Pacer's timer, or until ctx is cancelled,
