@@ -100,16 +100,15 @@ func (x *extractor) extractBatch(ctx context.Context, b *sample.Batch) (*trainIt
 		x.loadNodes = append(x.loadNodes, b.Nodes[pos])
 	}
 	featBytes := int(eng.ds.FeatBytes())
-	addr := x.addr
 	switch {
 	case eng.opts.BufferedIO:
-		x.plan = x.addrPlan.exactInto(x.plan[:0], addr, x.loadNodes, res.ToLoad)
+		x.plan = x.addrPlan.exactInto(x.plan[:0], x.addr, x.loadNodes, res.ToLoad)
 	case eng.opts.GPUDirect:
 		// GDS reads go straight to device memory at 4 KiB granularity.
-		x.plan, _ = x.addrPlan.PlanInto(x.plan[:0], addr, gdsGranularity,
+		x.plan, _ = x.addrPlan.PlanInto(x.plan[:0], x.addr, gdsGranularity,
 			2*gdsGranularity, x.loadNodes, res.ToLoad)
 	default:
-		x.plan, _ = x.addrPlan.PlanInto(x.plan[:0], addr, eng.ds.Dev.SectorSize(),
+		x.plan, _ = x.addrPlan.PlanInto(x.plan[:0], x.addr, eng.ds.Dev.SectorSize(),
 			eng.opts.MaxJointRead, x.loadNodes, res.ToLoad)
 	}
 	plan := x.plan

@@ -187,18 +187,18 @@ func (d *Device) CopyAsync(n int64, done func()) {
 // the timer, runs it; an entry leaves after its callback, so none overtakes.
 func (d *Device) deliver() {
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	for len(d.queued) > 0 {
 		c := d.queued[0]
 		if wait := time.Until(c.finish); wait > errutil.PaceSlack {
 			d.timer.Reset(wait)
-			return
+			break
 		}
 		d.mu.Unlock()
 		c.done()
 		d.mu.Lock()
 		d.queued = slices.Delete(d.queued, 0, 1)
 	}
+	d.mu.Unlock()
 }
 
 // CopySync blocks for the modeled transfer time of n bytes.

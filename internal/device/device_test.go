@@ -129,6 +129,50 @@ func TestCopyAsyncDueWaitsBehindPending(t *testing.T) {
 	<-second
 }
 
+// Several submitters at once, with transfers both due and deferred: each
+// submitter's completions run in its submission order, and Close waits
+// for every one.
+func TestCopyAsyncConcurrentSubmitters(t *testing.T) {
+	const (
+		submitters = 4
+		per        = 50
+		size       = 2000 // 20 µs each: the backlog outgrows the slack
+	)
+	d := New(Config{Name: "dma", Kind: GPU, TransferBps: 100e6, TimeScale: 1})
+	var mu sync.Mutex
+	last := make([]int, submitters)
+	var wg sync.WaitGroup
+	for g := range submitters {
+		last[g] = -1
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range per {
+				d.CopyAsync(size, func() {
+					mu.Lock()
+					defer mu.Unlock()
+					if last[g] != i-1 {
+						t.Errorf("submitter %d: completion %d after %d", g, i, last[g])
+					}
+					last[g] = i
+				})
+			}
+		}()
+	}
+	wg.Wait()
+	d.Close()
+	mu.Lock()
+	defer mu.Unlock()
+	for g, i := range last {
+		if i != per-1 {
+			t.Errorf("submitter %d: %d of %d completions ran before Close returned", g, i+1, per)
+		}
+	}
+	if got, want := d.BytesMoved(), int64(submitters*per*size); got != want {
+		t.Errorf("BytesMoved %d, want %d", got, want)
+	}
+}
+
 // Close returns only after every pending completion has run.
 func TestCloseWaitsForPendingCompletions(t *testing.T) {
 	d := New(Config{Name: "dma", Kind: GPU, TransferBps: 1e6, TimeScale: 1})

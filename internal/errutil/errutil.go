@@ -142,23 +142,25 @@ func Sleep(ctx context.Context, d time.Duration) error {
 // PaceSlack.
 const PaceSlack = 500 * time.Microsecond
 
-// Pacer is the clock wait of one modeled FIFO server: the modeled SSD's
-// channels and the device's DMA engine each own one. Every wait of the
-// server reuses its one timer, so pacing allocates nothing after the
-// first wait. The zero value is ready; a Pacer serves one goroutine.
+// Pacer is the clock wait of one modeled FIFO server that serves on its
+// own goroutine: each of the modeled SSD's channels owns one. (The
+// device's DMA engine applies Finish and PaceSlack without a goroutine:
+// it completes a due transfer on its submitter and the rest from one
+// timer.) Every wait of the server reuses its one timer, so pacing
+// allocates nothing after the first wait. The zero value is ready; a
+// Pacer serves one goroutine.
 type Pacer struct {
 	timer *time.Timer
 }
 
 // Pace serves one request of service time svc on the server whose
 // previous request finishes at busyUntil, and returns the request's
-// finish, the server's next busyUntil. Service starts at max(arrival,
-// busyUntil), so a wake-up that overslept delays no later request's
-// modeled start and an idle server banks no credit; a zero arrival means
-// now. Pace sleeps until finish only when finish leads the wall clock by
-// more than PaceSlack, and then returns ctx's error if ctx is cancelled
-// meanwhile; finish holds either way, since the server stays busy for a
-// request its caller abandoned.
+// finish, the server's next busyUntil, as Finish computes it: a wake-up
+// that overslept delays no later request's modeled start and an idle
+// server banks no credit. Pace sleeps until finish only when finish
+// leads the wall clock by more than PaceSlack, and then returns ctx's
+// error if ctx is cancelled meanwhile; finish holds either way, since
+// the server stays busy for a request its caller abandoned.
 func (p *Pacer) Pace(ctx context.Context, arrival, busyUntil time.Time, svc time.Duration) (time.Time, error) {
 	finish := Finish(arrival, busyUntil, svc)
 	if wait := time.Until(finish); wait > PaceSlack {
