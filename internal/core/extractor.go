@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"gnndrive/internal/errutil"
 	"gnndrive/internal/faults"
@@ -57,24 +58,36 @@ type extractor struct {
 	addrPlan  AddrPlanner
 	opExt     []Extent
 	attempts  []int
-	// xferWG tracks the batch's in-flight device transfers; runPlan waits
-	// it back to zero before returning, so one per extractor suffices.
-	xferWG sync.WaitGroup
-	// xfers[:nxfer] are the transfer records the current batch launched,
-	// one per completion drain; xfers[nxfer], when present, is the one
-	// the running drain fills.
-	xfers []*xferRec
-	nxfer int
+	// cqes is the scratch one drain's completions are reaped into.
+	cqes []uring.CQE
+	// xfersOut counts the batch's device transfers in flight, plus one
+	// while runPlan can still launch; whoever takes it to zero signals
+	// xfersDone. runPlan waits it back to zero before returning, so one
+	// per extractor suffices. A channel, not a sync.WaitGroup: in a
+	// synctest bubble under -race, WaitGroup.Wait hides the ordering of a
+	// completion the device's timer delivers.
+	xfersOut  atomic.Int64
+	xfersDone chan struct{}
+	// cur is the transfer record the running drain fills, if any, and
+	// nxfer counts the transfers the current batch launched. free holds
+	// the records whose transfer has completed, for the drains to come.
+	cur    *xferRec
+	nxfer  int
+	freeMu sync.Mutex
+	free   []*xferRec
 }
 
 func newExtractor(eng *Engine) *extractor {
+	ring := uring.NewRing(eng.ds.Dev, eng.opts.RingDepth)
 	return &extractor{
 		eng:  eng,
-		ring: uring.NewRing(eng.ds.Dev, eng.opts.RingDepth),
+		ring: ring,
 		// Only the backoff schedule is the policy's: runPlan counts
 		// attempts per op against retryBudget itself.
-		policy: errutil.Policy{BaseDelay: retryBackoff, Seed: eng.opts.Seed},
-		addr:   eng.ds.Addresser(),
+		policy:    errutil.Policy{BaseDelay: retryBackoff, Seed: eng.opts.Seed},
+		addr:      eng.ds.Addresser(),
+		cqes:      make([]uring.CQE, 0, ring.Depth()), // a drain reaps at most the ring's depth
+		xfersDone: make(chan struct{}, 1),
 	}
 }
 
@@ -154,7 +167,8 @@ func (x *extractor) runPlan(ctx context.Context, b *sample.Batch, res *Reservati
 		depth = 1
 	}
 	opExt, attempts := x.planScratch(len(plan))
-	x.resetXfers()
+	x.nxfer = 0
+	x.xfersOut.Store(1)
 	var firstErr error
 	// Every in-flight read holds one IOGate permit from acquisition to
 	// its true completion; retries keep theirs (the read never stopped
@@ -281,22 +295,20 @@ func (x *extractor) runPlan(ctx context.Context, b *sample.Batch, res *Reservati
 			}
 			continue
 		}
-		// Batch reap: block for one completion, then drain every other
-		// one already in the CQ before topping the wave up, so a wave of
-		// completions costs one submission and one device transfer rather
-		// than one of each per read.
-		reap(x.ring.WaitCQE())
-		for {
-			cqe, ok := x.ring.PeekCQE()
-			if !ok {
-				break
-			}
+		// Batch reap: block for one completion and take every other one
+		// already in the CQ with it before topping the wave up, so a wave
+		// of completions costs one submission and one device transfer
+		// rather than one of each per read.
+		x.cqes = x.ring.WaitCQEs(x.cqes[:0])
+		for _, cqe := range x.cqes {
 			reap(cqe)
 		}
 		x.launchXfer()
 	}
 	x.launchXfer() // an unlaunched record would never release its extents or mark its nodes valid
-	x.xferWG.Wait()
+	if x.xfersOut.Add(-1) != 0 {
+		<-x.xfersDone
+	}
 	return firstErr
 }
 
@@ -318,10 +330,11 @@ func (x *extractor) planScratch(n int) (opExt []Extent, attempts []int) {
 // xferRec is one modeled host-to-device DMA: the nodes that become valid
 // and the staging extents that return to the pool when it completes. One
 // record carries every clean read of one completion drain. Records
-// belong to the extractor and are reused batch after batch rather than
-// pooled — every record a batch launches is back by runPlan's
-// xferWG.Wait, and a pooled record would re-grow its slices after every
-// GC. fn is bound once to run, so a launch allocates no closure.
+// belong to the extractor and go back on its free list as their
+// transfers complete, rather than to a pool, where a record would
+// re-grow its slices after every GC: an extractor keeps as many as it
+// ever had transfers in flight at once. fn is bound once to run, so a
+// launch allocates no closure.
 type xferRec struct {
 	x     *extractor
 	nodes []int64
@@ -330,46 +343,50 @@ type xferRec struct {
 }
 
 func (d *xferRec) run() {
-	eng := d.x.eng
-	eng.fb.markValid(d.nodes)
+	x := d.x
+	x.eng.fb.markValid(d.nodes)
 	for _, e := range d.exts {
-		eng.staging.ReleaseExtent(e)
+		x.eng.staging.ReleaseExtent(e)
 	}
-	d.x.xferWG.Done()
+	d.nodes, d.exts = d.nodes[:0], d.exts[:0]
+	x.freeMu.Lock()
+	x.free = append(x.free, d)
+	x.freeMu.Unlock()
+	if x.xfersOut.Add(-1) == 0 {
+		x.xfersDone <- struct{}{}
+	}
 }
 
-// pendingXfer returns the record the current drain fills: xfers[nxfer],
-// created on first use with room for a full ring's reads, the most one
-// drain reaps, so a record's slices do not regrow read by read.
+// pendingXfer returns the record the current drain fills: a free one, or
+// a new one with room for a full ring's reads, the most one drain reaps,
+// so a record's slices do not regrow read by read.
 func (x *extractor) pendingXfer() *xferRec {
-	if x.nxfer == len(x.xfers) {
-		depth := x.ring.Depth()
-		d := &xferRec{x: x, nodes: make([]int64, 0, 2*depth), exts: make([]Extent, 0, depth)}
-		d.fn = d.run
-		x.xfers = append(x.xfers, d)
+	if x.cur == nil {
+		x.freeMu.Lock()
+		if n := len(x.free); n > 0 {
+			x.cur, x.free = x.free[n-1], x.free[:n-1]
+		}
+		x.freeMu.Unlock()
 	}
-	return x.xfers[x.nxfer]
+	if x.cur == nil {
+		depth := x.ring.Depth()
+		x.cur = &xferRec{x: x, nodes: make([]int64, 0, 2*depth), exts: make([]Extent, 0, depth)}
+		x.cur.fn = x.cur.run
+	}
+	return x.cur
 }
 
-// launchXfer sends the current drain's record, if it holds anything, to
+// launchXfer sends the current drain's record, if it has one, to
 // the device as one CopyAsync of all its nodes' bytes.
 func (x *extractor) launchXfer() {
-	if x.nxfer == len(x.xfers) || len(x.xfers[x.nxfer].exts) == 0 {
+	d := x.cur
+	if d == nil {
 		return
 	}
-	d := x.xfers[x.nxfer]
+	x.cur = nil
 	x.nxfer++
-	x.xferWG.Add(1)
+	x.xfersOut.Add(1)
 	x.eng.dev.CopyAsync(int64(len(d.nodes))*x.eng.ds.FeatBytes(), d.fn)
-}
-
-// resetXfers makes the previous batch's records (all back: its runPlan
-// waited for them) available again, keeping their slices.
-func (x *extractor) resetXfers() {
-	for _, d := range x.xfers[:x.nxfer] {
-		d.nodes, d.exts = d.nodes[:0], d.exts[:0]
-	}
-	x.nxfer = 0
 }
 
 // transferOp decodes the read's feature vectors into their feature-buffer

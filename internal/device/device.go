@@ -10,8 +10,6 @@ package device
 import (
 	"errors"
 	"fmt"
-	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -92,16 +90,8 @@ type Device struct {
 	transferBusy atomic.Int64 // nanos
 	bytesMoved   atomic.Int64
 
-	// The DMA engine's modeled clock and its pending completions, in order.
-	mu        sync.Mutex
-	busyUntil time.Time
-	queued    []completion
-	timer     *time.Timer
-}
-
-type completion struct {
-	finish time.Time
-	done   func()
+	// dma is the DMA engine: a FIFO server of completions.
+	dma *errutil.Server[func()]
 }
 
 // New creates a device.
@@ -109,10 +99,7 @@ func New(cfg Config) *Device {
 	if cfg.TimeScale == 0 {
 		cfg.TimeScale = 1
 	}
-	d := &Device{cfg: cfg}
-	d.timer = time.AfterFunc(time.Hour, d.deliver)
-	d.timer.Stop()
-	return d
+	return &Device{cfg: cfg, dma: errutil.NewServer(func(done func(), _ time.Time) { done() })}
 }
 
 // Close returns once every pending transfer has completed.
@@ -170,35 +157,11 @@ func (d *Device) CopyAsync(n int64, done func()) {
 	if d.cfg.TransferBps > 0 {
 		svc = time.Duration(float64(n) / d.cfg.TransferBps * float64(time.Second) * d.cfg.TimeScale)
 	}
-	d.mu.Lock()
-	d.busyUntil = errutil.Finish(time.Now(), d.busyUntil, svc)
 	d.transferBusy.Add(int64(svc))
 	d.bytesMoved.Add(n)
-	d.queued = append(d.queued, completion{d.busyUntil, done})
-	first := len(d.queued) == 1
-	d.mu.Unlock()
-	if first {
-		d.deliver()
+	if d.dma.Push(time.Now(), svc, done) {
+		d.dma.Deliver()
 	}
-}
-
-// deliver runs queued completions while the head is due, then arms the
-// timer for the head. Only the submitter that found the queue empty, or
-// the timer, runs it; an entry leaves after its callback, so none overtakes.
-func (d *Device) deliver() {
-	d.mu.Lock()
-	for len(d.queued) > 0 {
-		c := d.queued[0]
-		if wait := time.Until(c.finish); wait > errutil.PaceSlack {
-			d.timer.Reset(wait)
-			break
-		}
-		d.mu.Unlock()
-		c.done()
-		d.mu.Lock()
-		d.queued = slices.Delete(d.queued, 0, 1)
-	}
-	d.mu.Unlock()
 }
 
 // CopySync blocks for the modeled transfer time of n bytes.

@@ -1,9 +1,12 @@
-// Package errutil holds tiny error helpers shared by the pipelines.
+// Package errutil holds what the pipelines share for waiting and
+// failing: first-error capture, the retry policy and its ctx-aware sleep,
+// and the modeled FIFO server both simulated devices are built on.
 package errutil
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -120,54 +123,30 @@ func Retry(ctx context.Context, p Policy, fn func() error) error {
 // Sleep blocks for d (not at all when d <= 0) or until ctx is cancelled,
 // and returns ctx's error if it is cancelled by the time Sleep returns. A
 // nil ctx never cancels. It is the one ctx-aware sleep for one-off
-// waits: retry and requeue backoffs and injected fault delays; a paced
-// server waits on its Pacer's reusable timer instead.
+// waits: retry and requeue backoffs and injected fault delays.
 func Sleep(ctx context.Context, d time.Duration) error {
-	if d > 0 {
-		// A fresh Pacer's timer needs no Stop: since go 1.23 an unreachable
-		// timer is collected whether or not it fired.
-		return new(Pacer).sleep(ctx, d)
-	}
 	if ctx == nil {
+		time.Sleep(d)
 		return nil
+	}
+	if d > 0 {
+		// An unheard timer needs no Stop: since go 1.23 an unreachable
+		// timer is collected whether or not it fired.
+		select {
+		case <-time.NewTimer(d).C:
+		case <-ctx.Done():
+		}
 	}
 	return ctx.Err()
 }
 
 // PaceSlack is how far a modeled clock may lead the wall clock before
-// the server it paces sleeps. A timer wake-up can land up to about a
-// millisecond late, so a server that slept out every sub-millisecond
-// service time would run at the timer's pace, not the model's; batching
-// the waits instead lets a completion lead its modeled finish by at most
-// PaceSlack.
+// its server defers a completion to a timer. A timer wake-up can land up
+// to about a millisecond late, so a server that slept out every
+// sub-millisecond service time would run at the timer's pace, not the
+// model's; completing what is due within the slack at once instead lets
+// a completion lead its modeled finish by at most PaceSlack.
 const PaceSlack = 500 * time.Microsecond
-
-// Pacer is the clock wait of one modeled FIFO server that serves on its
-// own goroutine: each of the modeled SSD's channels owns one. (The
-// device's DMA engine applies Finish and PaceSlack without a goroutine:
-// it completes a due transfer on its submitter and the rest from one
-// timer.) Every wait of the server reuses its one timer, so pacing
-// allocates nothing after the first wait. The zero value is ready; a
-// Pacer serves one goroutine.
-type Pacer struct {
-	timer *time.Timer
-}
-
-// Pace serves one request of service time svc on the server whose
-// previous request finishes at busyUntil, and returns the request's
-// finish, the server's next busyUntil, as Finish computes it: a wake-up
-// that overslept delays no later request's modeled start and an idle
-// server banks no credit. Pace sleeps until finish only when finish
-// leads the wall clock by more than PaceSlack, and then returns ctx's
-// error if ctx is cancelled meanwhile; finish holds either way, since
-// the server stays busy for a request its caller abandoned.
-func (p *Pacer) Pace(ctx context.Context, arrival, busyUntil time.Time, svc time.Duration) (time.Time, error) {
-	finish := Finish(arrival, busyUntil, svc)
-	if wait := time.Until(finish); wait > PaceSlack {
-		return finish, p.sleep(ctx, wait)
-	}
-	return finish, nil
-}
 
 // Finish returns the finish of a request of service time svc arriving at
 // arrival (a zero arrival means now) on a FIFO server whose previous
@@ -183,24 +162,65 @@ func Finish(arrival, busyUntil time.Time, svc time.Duration) time.Time {
 	return arrival.Add(svc)
 }
 
-// sleep blocks for d on the Pacer's timer, or until ctx is cancelled,
-// and returns ctx's error; a nil ctx never cancels.
-func (p *Pacer) sleep(ctx context.Context, d time.Duration) error {
-	if ctx == nil {
-		time.Sleep(d)
-		return nil
+// Server is a modeled FIFO server with no goroutine of its own: each
+// channel of the simulated SSD is one, and so is the device's DMA
+// engine. An entry finishes as Finish computes it, so a late
+// delivery delays no later entry's modeled start and an idle server
+// banks no credit. Entries are delivered in push order, none earlier than
+// PaceSlack before its finish: on the pusher that found the server idle
+// while the head is due, and otherwise from one reused timer. Serving an
+// entry allocates nothing once the queue has grown.
+type Server[T any] struct {
+	deliver   func(v T, finish time.Time)
+	mu        sync.Mutex
+	busyUntil time.Time
+	queued    []served[T]
+	timer     *time.Timer
+}
+
+type served[T any] struct {
+	v      T
+	finish time.Time
+}
+
+// NewServer returns an idle server that hands each entry and its modeled
+// finish to deliver, which may push again.
+func NewServer[T any](deliver func(v T, finish time.Time)) *Server[T] {
+	s := &Server[T]{deliver: deliver}
+	s.timer = time.AfterFunc(time.Hour, s.Deliver)
+	s.timer.Stop()
+	return s
+}
+
+// Push queues v, arriving at arrival with service time svc, and reports
+// whether the server was idle. Then, and only then, the caller must call
+// Deliver, once it holds no lock that deliver takes.
+func (s *Server[T]) Push(arrival time.Time, svc time.Duration, v T) (idle bool) {
+	s.mu.Lock()
+	s.busyUntil = Finish(arrival, s.busyUntil, svc)
+	s.queued = append(s.queued, served[T]{v, s.busyUntil})
+	idle = len(s.queued) == 1
+	s.mu.Unlock()
+	return idle
+}
+
+// Deliver delivers queued entries while the head is due, then arms the
+// timer for the head. Only the pusher that found the server idle, or the
+// timer, runs it; an entry leaves after its delivery, so none overtakes.
+func (s *Server[T]) Deliver() {
+	s.mu.Lock()
+	for len(s.queued) > 0 {
+		e := s.queued[0]
+		if wait := time.Until(e.finish); wait > PaceSlack {
+			s.timer.Reset(wait)
+			break
+		}
+		s.mu.Unlock()
+		s.deliver(e.v, e.finish)
+		s.mu.Lock()
+		s.queued = slices.Delete(s.queued, 0, 1)
 	}
-	// Reset discards a tick that a wait cut short by ctx left unheard.
-	if p.timer == nil {
-		p.timer = time.NewTimer(d)
-	} else {
-		p.timer.Reset(d)
-	}
-	select {
-	case <-p.timer.C:
-	case <-ctx.Done():
-	}
-	return ctx.Err()
+	s.mu.Unlock()
 }
 
 // splitmixUnit hashes x to a uniform float64 in [0, 1).

@@ -100,86 +100,3 @@ func TestRetrySleepErrorAborts(t *testing.T) {
 		t.Fatalf("calls = %d, want 1", calls)
 	}
 }
-
-// TestPaceStartsAtArrivalOrPreviousFinish pins the FIFO rule on fixed
-// clocks: service starts at the later of the arrival and the previous
-// finish, never at the moment Pace runs, and a zero arrival means now,
-// never the zero time (whose finish would lie in the past forever).
-func TestPaceStartsAtArrivalOrPreviousFinish(t *testing.T) {
-	const svc = 100 * time.Microsecond
-	now := time.Now()
-	past := now.Add(-time.Hour)
-	for _, tc := range []struct {
-		name               string
-		arrival, busyUntil time.Time
-		want               time.Time
-	}{
-		{"idle server starts at the arrival", past, past.Add(-time.Second), past.Add(svc)},
-		{"busy server starts at its previous finish", past, past.Add(time.Minute), past.Add(time.Minute + svc)},
-		{"no arrival starts now", time.Time{}, time.Time{}, now.Add(svc)},
-	} {
-		got, err := new(Pacer).Pace(nil, tc.arrival, tc.busyUntil, svc)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if d := got.Sub(tc.want).Abs(); d > time.Second {
-			t.Errorf("%s: finish %v off the model's %v by %v", tc.name, got, tc.want, d)
-		}
-	}
-}
-
-// TestPaceReusesItsTimerZeroAlloc: after its first wait a Pacer allocates
-// nothing, and a wait that ctx cut short leaves no stale tick behind to
-// end the next one early.
-func TestPaceReusesItsTimerZeroAlloc(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var p Pacer
-	wait := PaceSlack + 200*time.Microsecond
-	if _, err := p.Pace(ctx, time.Time{}, time.Time{}, wait); err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(20, func() {
-		if _, err := p.Pace(ctx, time.Time{}, time.Time{}, wait); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Fatalf("Pace allocated %.1f times a wait", n)
-	}
-	cancelled, stop := context.WithCancel(context.Background())
-	stop()
-	for i := 0; i < 50; i++ {
-		// The cut-short wait's timer fires while nobody listens.
-		p.Pace(cancelled, time.Time{}, time.Time{}, wait)
-		time.Sleep(wait + 100*time.Microsecond)
-		start := time.Now()
-		if _, err := p.Pace(ctx, start, time.Time{}, 2*time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-		if got := time.Since(start); got < 2*time.Millisecond {
-			t.Fatalf("a wait after a cancelled one ended after %v, before its 2ms", got)
-		}
-	}
-}
-
-// TestPaceSleepsOnlyPastTheSlack: a finish within PaceSlack of the wall
-// clock returns at once, without consulting ctx; one further ahead is
-// slept out, and a cancelled ctx ends that sleep with its error and the
-// finish still reported.
-func TestPaceSleepsOnlyPastTheSlack(t *testing.T) {
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	var p Pacer
-	if _, err := p.Pace(cancelled, time.Time{}, time.Time{}, PaceSlack/2); err != nil {
-		t.Fatalf("a finish inside the slack slept: %v", err)
-	}
-	finish, err := p.Pace(nil, time.Now(), time.Time{}, 5*time.Millisecond)
-	if err != nil || time.Now().Before(finish) {
-		t.Fatalf("returned %v before the modeled finish (err %v)", time.Until(finish), err)
-	}
-	start := time.Now()
-	finish, err = p.Pace(cancelled, start, time.Time{}, time.Hour)
-	if !errors.Is(err, context.Canceled) || finish.Sub(start) != time.Hour {
-		t.Fatalf("cancelled pace: err %v, finish %v after the arrival", err, finish.Sub(start))
-	}
-}

@@ -156,6 +156,7 @@ func runAsync(ctx context.Context, dev storage.Backend, s ioSpec, reads int) (fl
 		free[i] = i
 	}
 	var latSum time.Duration
+	cqes := make([]uring.CQE, 0, s.depth)
 	submitted, collected := 0, 0
 	start := time.Now()
 	for collected < reads {
@@ -178,10 +179,10 @@ func runAsync(ctx context.Context, dev storage.Backend, s ioSpec, reads int) (fl
 			submitted++
 		}
 		ring.Flush()
-		// Collect one completion blocking, then drain whatever else has
-		// already landed so the next refill is as wide as possible.
-		c := ring.WaitCQE()
-		for ok := true; ok; c, ok = ring.PeekCQE() {
+		// Collect one completion blocking, and with it whatever else has
+		// already landed, so the next refill is as wide as possible.
+		cqes = ring.WaitCQEs(cqes[:0])
+		for _, c := range cqes {
 			if c.Err != nil {
 				return 0, 0, c.Err
 			}

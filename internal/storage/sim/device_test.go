@@ -2,7 +2,9 @@ package sim
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -184,4 +186,53 @@ func TestCloseIdempotent(t *testing.T) {
 	d := New(1024, InstantConfig())
 	d.Close()
 	d.Close()
+}
+
+// A read due within the pacing slack on an idle channel completes on the
+// submitter: Done has run when Submit returns.
+func TestSubmitDueReadCompletesBeforeReturn(t *testing.T) {
+	for _, cfg := range []Config{InstantConfig(), DefaultConfig()} {
+		d := testDevice(t, 1<<16, cfg)
+		ran := false
+		d.Submit(&storage.Request{Buf: make([]byte, 512), Off: 512, Done: func(r *storage.Request) {
+			if r.Err != nil {
+				t.Error(r.Err)
+			}
+			ran = true
+		}})
+		if !ran {
+			t.Fatalf("%+v: a due read had not completed when Submit returned", cfg)
+		}
+	}
+}
+
+// Close waits for a read its channel's timer has yet to deliver.
+func TestCloseWaitsForDeferredRead(t *testing.T) {
+	d := New(1<<16, Config{ReadLatency: 5 * time.Millisecond, Channels: 2, SectorSize: 512, TimeScale: 1})
+	var done atomic.Bool
+	d.Submit(&storage.Request{Buf: make([]byte, 512), Done: func(*storage.Request) { done.Store(true) }})
+	if done.Load() {
+		t.Fatal("a read beyond the pacing slack completed on the submitter")
+	}
+	d.Close()
+	if !done.Load() {
+		t.Fatal("Close returned before the deferred read completed")
+	}
+}
+
+// The channels are servers on one clock, not goroutines: a device
+// starts none and Close joins none.
+func TestNewAndCloseStartNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	d := New(1<<16, DefaultConfig())
+	if _, err := d.ReadAt(make([]byte, 512), 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("%d goroutines with the device open, %d before", n, before)
+	}
+	d.Close()
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("%d goroutines after Close, %d before", n, before)
+	}
 }

@@ -20,33 +20,40 @@ import (
 
 // burst submits n reads of one sector to d back to back and returns how
 // long after the first submit the last one completed. Call it inside a
-// bubble.
+// bubble. It waits on a channel, not a sync.WaitGroup: WaitGroup.Wait
+// suspends the race detector's synchronisation tracking while it parks,
+// so the bubble would not order the submitter's writes before the
+// channel timer's callback, which synctest.Run's goroutine starts.
 func burst(t *testing.T, d *Device, n int) time.Duration {
 	t.Helper()
 	var (
 		mu   sync.Mutex
 		last time.Time
-		wg   sync.WaitGroup
+		left = n
 	)
+	drained := make(chan struct{})
 	done := func(r *storage.Request) {
 		if r.Err != nil {
 			t.Error(r.Err)
 		}
 		mu.Lock()
+		defer mu.Unlock()
 		last = time.Now()
-		mu.Unlock()
-		wg.Done()
+		if left--; left == 0 {
+			close(drained)
+		}
 	}
 	reqs := make([]*storage.Request, n)
 	for i := range reqs {
 		reqs[i] = &storage.Request{Buf: make([]byte, 512), Off: int64(i%8) * 512, Done: done}
 	}
-	wg.Add(n)
 	start := time.Now()
 	for _, r := range reqs {
 		d.Submit(r)
 	}
-	wg.Wait()
+	<-drained
+	mu.Lock()
+	defer mu.Unlock()
 	return last.Sub(start)
 }
 

@@ -13,8 +13,10 @@
 //     channels are busy (Appendix B's saturation curve);
 //   - each request has a service time = base latency + bytes/bandwidth,
 //     scaled by TimeScale so experiments finish in seconds, and each
-//     channel serves its queue in FIFO order on the modeled clock, so a
-//     deep queue keeps it busy back to back;
+//     channel is an errutil.Server, serving its queue in FIFO order on
+//     the modeled clock, so a deep queue keeps it busy back to back. A
+//     channel is not a goroutine: a read due at once completes on its
+//     submitter, the rest from the channel's timer;
 //   - the backing store is an in-memory byte image, so reads return real
 //     bytes and real training can run through the same path;
 //   - per-request queueing delay is tracked, reproducing the latency
@@ -25,7 +27,7 @@ package sim
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"gnndrive/internal/errutil"
@@ -73,23 +75,27 @@ func InstantConfig() Config {
 type Device struct {
 	cfg      Config
 	image    []byte
-	channels []*channel
+	channels []*errutil.Server[read]
 
 	storage.Injection
 	storage.Counters
 	*storage.SyncReads
 
-	fence storage.Fence // Submit's channel sends happen before Close's channel close
-	wg    sync.WaitGroup
+	// fence orders admissions before Close. open counts the reads
+	// admitted and not yet completed, plus one until Close; whoever
+	// takes it to zero signals drained, on which Close waits.
+	fence   storage.Fence
+	open    atomic.Int64
+	drained chan struct{}
 }
 
 var _ storage.Backend = (*Device)(nil)
 
-type channel struct {
-	dev       *Device
-	queue     chan *storage.Request
-	busyUntil time.Time
-	pacer     errutil.Pacer
+// read is one admitted read on its channel.
+type read struct {
+	req *storage.Request
+	dec faults.Decision
+	svc time.Duration
 }
 
 // New creates a device of the given capacity.
@@ -103,15 +109,13 @@ func New(capacity int64, cfg Config) *Device {
 	if cfg.TimeScale == 0 {
 		cfg.TimeScale = 1
 	}
-	d := &Device{cfg: cfg, image: make([]byte, capacity)}
+	d := &Device{cfg: cfg, image: make([]byte, capacity), drained: make(chan struct{}, 1)}
 	d.SyncReads = storage.NewSyncReads(d.Submit, cfg.SectorSize)
-	d.channels = make([]*channel, cfg.Channels)
+	d.channels = make([]*errutil.Server[read], cfg.Channels)
 	for i := range d.channels {
-		c := &channel{dev: d, queue: make(chan *storage.Request, 4096)}
-		d.channels[i] = c
-		d.wg.Add(1)
-		go c.run()
+		d.channels[i] = errutil.NewServer(d.serve)
 	}
+	d.open.Store(1)
 	return d
 }
 
@@ -129,16 +133,12 @@ func (d *Device) Capacity() int64 { return int64(len(d.image)) }
 // SectorSize returns the direct-I/O granularity.
 func (d *Device) SectorSize() int { return d.cfg.SectorSize }
 
-// Close stops the channel goroutines. Outstanding requests drain first;
-// requests submitted afterwards complete with ErrClosed.
+// Close returns once every admitted read, stragglers included, has
+// completed; requests submitted afterwards complete with ErrClosed.
 func (d *Device) Close() error {
-	if !d.fence.Shut() {
-		return nil
+	if d.fence.Shut() && d.open.Add(-1) != 0 {
+		<-d.drained
 	}
-	for _, c := range d.channels {
-		close(c.queue)
-	}
-	d.wg.Wait()
 	return nil
 }
 
@@ -194,66 +194,71 @@ func (d *Device) serviceTime(n int) time.Duration {
 }
 
 // Submit enqueues an asynchronous read. The request's Done callback fires
-// on completion. Requests are striped across channels by offset so
+// on completion: on the caller before Submit returns when the read is due
+// within errutil.PaceSlack and its channel is idle, else from the
+// channel's timer. Requests are striped across channels by offset so
 // sequential streams still engage all channels sector-interleaved.
 // Submitting to a closed device completes the request with ErrClosed.
 func (d *Device) Submit(req *storage.Request) {
-	d.fence.Admit([]*storage.Request{req}, d.Capacity(), d.enqueue)
-}
-
-func (d *Device) enqueue(req *storage.Request) {
-	d.channels[(req.Off/int64(d.cfg.SectorSize))%int64(len(d.channels))].queue <- req
-}
-
-// run serves the channel's queue as a FIFO server on the modeled clock:
-// a request's service starts at max(its admission, the previous finish)
-// (errutil.Pacer), however late the channel goroutine itself woke, and
-// the request completes no earlier than errutil.PaceSlack before its
-// modeled finish.
-func (c *channel) run() {
-	defer c.dev.wg.Done()
-	for req := range c.queue {
-		svc := c.dev.serviceTime(len(req.Buf))
-		dec := c.dev.Decide(req.Off, len(req.Buf))
-		// A cancelled request is not waited out, but the channel's modeled
-		// clock has advanced, so the device stays "busy" for later requests
-		// either way.
-		finish, err := c.pacer.Pace(req.Ctx, req.Submitted, c.busyUntil, svc)
-		c.busyUntil = finish
-		if err != nil {
-			c.dev.Abandon(req, 0)
-			continue
+	var idle *errutil.Server[read]
+	d.fence.Admit([]*storage.Request{req}, d.Capacity(), func(req *storage.Request) {
+		d.open.Add(1)
+		c := d.channels[(req.Off/int64(d.cfg.SectorSize))%int64(len(d.channels))]
+		r := read{req, d.Decide(req.Off, len(req.Buf)), d.serviceTime(len(req.Buf))}
+		if c.Push(req.Submitted, r.svc, r) {
+			idle = c
 		}
-		if dec.Delay > 0 {
-			extra := time.Duration(float64(dec.Delay) * c.dev.cfg.TimeScale)
-			c.dev.wg.Add(1)
-			go c.straggle(req, dec, svc, finish, extra)
-			continue
-		}
-		c.complete(req, dec, svc)
+	})
+	// Delivered only now, with the fence released: a Done may submit
+	// again or close the device.
+	if idle != nil {
+		idle.Deliver()
 	}
 }
 
-// straggle completes a straggler extra past its channel finish.
-// Straggler latency models a slow individual transfer (internal retries,
-// ECC re-reads) — not channel occupancy — so the request waits it out
-// aside while the channel serves the next queued request: one straggler
-// stalls its own read and not the requests queued behind it.
-func (c *channel) straggle(req *storage.Request, dec faults.Decision, svc time.Duration, finish time.Time, extra time.Duration) {
-	defer c.dev.wg.Done()
-	var wait errutil.Pacer // a straggler is rare: its own timer costs little
-	if _, err := wait.Pace(req.Ctx, finish, time.Time{}, extra); err != nil {
-		c.dev.Abandon(req, 0)
+// serve completes a read its channel delivers at its modeled finish. A
+// read whose ctx was cancelled meanwhile is abandoned; the channel stayed
+// busy for it either way.
+func (d *Device) serve(r read, finish time.Time) {
+	switch {
+	case r.req.Ctx != nil && r.req.Ctx.Err() != nil:
+		d.Abandon(r.req, 0)
+	case r.dec.Delay > 0:
+		go d.straggle(r, finish)
 		return
+	default:
+		d.complete(r, r.svc)
 	}
-	c.complete(req, dec, svc+extra)
+	d.done()
 }
 
-// complete fills the buffer and completes the request under the fault
+// straggle completes a straggler its extra delay past its channel finish.
+// Straggler latency models a slow individual transfer (internal retries,
+// ECC re-reads) — not channel occupancy — so the read waits it out aside
+// while the channel serves the next queued read: one straggler stalls
+// its own read and not the reads queued behind it.
+func (d *Device) straggle(r read, finish time.Time) {
+	extra := time.Duration(float64(r.dec.Delay) * d.cfg.TimeScale)
+	if errutil.Sleep(r.req.Ctx, time.Until(finish)+extra) != nil {
+		d.Abandon(r.req, 0)
+	} else {
+		d.complete(r, r.svc+extra)
+	}
+	d.done()
+}
+
+// complete fills the buffer and completes the read under its fault
 // decision; svc is the total modeled service duration for the busy/queue
 // counters.
-func (c *channel) complete(req *storage.Request, dec faults.Decision, svc time.Duration) {
-	filled := c.dev.Fault(req, dec)
-	copy(req.Buf[:filled], c.dev.image[req.Off:])
-	c.dev.Complete(req, dec, svc, filled)
+func (d *Device) complete(r read, svc time.Duration) {
+	filled := d.Fault(r.req, r.dec)
+	copy(r.req.Buf[:filled], d.image[r.req.Off:])
+	d.Complete(r.req, r.dec, svc, filled)
+}
+
+// done retires one completed read; the last, after Close, wakes Close.
+func (d *Device) done() {
+	if d.open.Add(-1) == 0 {
+		d.drained <- struct{}{}
+	}
 }

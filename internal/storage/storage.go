@@ -20,7 +20,9 @@
 //     so a synchronous read is one Submit and a wait, and each backend
 //     pools its own waiters.
 //   - Submit is the asynchronous path: the request's Done callback fires
-//     on a backend goroutine when the read completes. Submitting to a
+//     when the read completes, on a backend goroutine or, for a read sim
+//     serves at once, on the caller before Submit returns, so Submit's
+//     caller holds no lock its Done takes. Submitting to a
 //     closed backend completes the request with ErrClosed — never a panic
 //     — so pipeline teardown can race Close safely.
 //   - SetInjector attaches a deterministic fault-injection schedule

@@ -15,8 +15,8 @@ import (
 
 // runVirtual runs cfg for epochs epochs inside a synctest bubble and
 // returns its epochs. The dataset cache is dropped on entry and again
-// before leaving, so the run neither reuses a sim device whose
-// goroutines live outside the bubble nor leaves its own behind. The
+// before leaving, so the run neither reuses a sim device whose channel
+// timers live outside the bubble nor leaves its own behind. The
 // result leaves the bubble through a channel made outside it: the race
 // detector does not order a plain write inside synctest.Run before a
 // read after it.

@@ -1,6 +1,6 @@
 // Package uring provides an io_uring-like asynchronous read interface over
 // a storage backend: a bounded submission side and a completion queue the
-// caller drains with peek/wait, mirroring the SQ/CQ rings the paper uses
+// caller drains by waiting, mirroring the SQ/CQ rings the paper uses
 // (Appendix A). One goroutine can keep an arbitrary I/O depth in flight
 // without per-request OS threads, which is exactly the property GNNDrive's
 // extractors rely on.
@@ -56,7 +56,7 @@ type Ring struct {
 	// hands them to the backend in one batch (one io_uring_enter on the
 	// linuring backend). Like a real SQ, the staging side is owned by the
 	// ring's one submitter goroutine — Queue*/Flush are not safe for
-	// concurrent use, while WaitCQE/PeekCQE remain so.
+	// concurrent use, while WaitCQE/WaitCQEs remain so.
 	pending []*storage.Request
 	flushes atomic.Int64
 }
@@ -180,28 +180,36 @@ func (r *Ring) WaitCQE() CQE {
 	for r.cqLen == 0 {
 		r.ready.Wait()
 	}
-	return r.collectLocked()
+	c := r.popLocked()
+	r.mu.Unlock()
+	r.room.Signal()
+	return c
 }
 
-// PeekCQE returns a completion if one is ready.
-func (r *Ring) PeekCQE() (CQE, bool) {
+// WaitCQEs is WaitCQE for a whole drain: it blocks for the first
+// completion, then appends it and every other completion ready at that
+// moment to cqes, oldest first, under one lock hold, and returns the
+// extended slice.
+func (r *Ring) WaitCQEs(cqes []CQE) []CQE {
 	r.mu.Lock()
-	if r.cqLen == 0 {
-		r.mu.Unlock()
-		return CQE{}, false
+	for r.cqLen == 0 {
+		r.ready.Wait()
 	}
-	return r.collectLocked(), true
+	for r.cqLen > 0 {
+		cqes = append(cqes, r.popLocked())
+	}
+	r.mu.Unlock()
+	r.room.Signal() // Queue* has one caller
+	return cqes
 }
 
-// collectLocked pops the oldest CQE, gives its unit of depth back to
-// Queue*, and unlocks.
-func (r *Ring) collectLocked() CQE {
+// popLocked pops the oldest CQE and gives its unit of depth back to
+// Queue*.
+func (r *Ring) popLocked() CQE {
 	c := r.cq[r.cqHead]
 	r.cq[r.cqHead] = CQE{}
 	r.cqHead = (r.cqHead + 1) % r.depth
 	r.cqLen--
 	r.held--
-	r.mu.Unlock()
-	r.room.Signal()
 	return c
 }

@@ -119,27 +119,37 @@ func TestQueueBlocksWhenFull(t *testing.T) {
 	r.WaitCQE()
 }
 
-func TestPeekCQE(t *testing.T) {
-	_, r := testRing(t, 4)
-	if _, ok := r.PeekCQE(); ok {
-		t.Fatal("peek on empty ring")
-	}
-	if err := r.QueueReadCtx(context.Background(), make([]byte, 512), 0, 5); err != nil {
-		t.Fatal(err)
+// WaitCQEs takes every completion ready when it looks, in completion
+// order, and no other; with none ready it blocks for the next one.
+func TestWaitCQEsTakesEveryReadyCompletion(t *testing.T) {
+	inner, _ := testRing(t, 1)
+	dev := &gateDev{Backend: inner, held: make(chan *storage.Request, 4)}
+	r := NewRing(dev, 4)
+	for i := range 3 {
+		if err := r.QueueReadCtx(ctx, make([]byte, 512), int64(i)*512, uint64(5+i)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	r.Flush()
-	deadline := time.Now().Add(time.Second)
-	for {
-		if c, ok := r.PeekCQE(); ok {
-			if c.User != 5 {
-				t.Fatalf("user %d", c.User)
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("completion never arrived")
-		}
-		time.Sleep(100 * time.Microsecond)
+	dev.release()
+	dev.release()
+	cqes := r.WaitCQEs(make([]CQE, 0, 4))
+	if len(cqes) != 2 || cqes[0].User != 5 || cqes[1].User != 6 {
+		t.Fatalf("cqes %+v, want users 5 and 6", cqes)
+	}
+	if got := r.Inflight(); got != 1 {
+		t.Fatalf("Inflight %d after reaping two of three, want 1", got)
+	}
+	got := make(chan []CQE)
+	go func() { got <- r.WaitCQEs(cqes[:0]) }()
+	select {
+	case c := <-got:
+		t.Fatalf("WaitCQEs returned %+v before the last read completed", c)
+	case <-time.After(10 * time.Millisecond):
+	}
+	dev.release()
+	if c := <-got; len(c) != 1 || c[0].User != 7 {
+		t.Fatalf("cqes %+v, want user 7", c)
 	}
 }
 
@@ -322,36 +332,39 @@ func (d *poolDev) Submit(req *storage.Request) {
 
 // TestRingConcurrentCompletionStress (run under -race) has completions
 // arrive from eight goroutines while the owner queues at depth and three
-// collectors — two blocking in WaitCQE, one polling PeekCQE — drain the
-// CQ: every read is delivered exactly once, the ring never holds more
-// than depth, and it ends empty.
+// collectors — two blocking in WaitCQE, one in WaitCQEs — drain the CQ:
+// every read is delivered exactly once, the ring never holds more than
+// depth, and it ends empty.
 func TestRingConcurrentCompletionStress(t *testing.T) {
-	const depth, n = 8, 5000
+	const depth, n, collectors = 8, 5000, 3
 	inner, _ := testRing(t, 1)
 	dev := newPoolDev(t, inner, 8)
 	r := NewRing(dev, depth)
 	seen := make([]atomic.Int32, n)
-	var claimed atomic.Int64
-	var wg sync.WaitGroup
-	for c := 0; c < 3; c++ {
-		wg.Add(1)
-		go func(poll bool) {
-			defer wg.Done()
-			// Each claim stands for one CQE still to come, so no collector
-			// waits for a completion another one takes.
-			for claimed.Add(1) <= n {
-				var cqe CQE
-				if poll {
-					for ok := false; !ok; cqe, ok = r.PeekCQE() {
-						runtime.Gosched()
-					}
+	var delivered atomic.Int64
+	all, exited := make(chan struct{}), make(chan struct{}, collectors)
+	for c := 0; c < collectors; c++ {
+		go func(batch bool) {
+			defer func() { exited <- struct{}{} }()
+			var cqes []CQE
+			for {
+				if batch {
+					cqes = r.WaitCQEs(cqes[:0])
 				} else {
-					cqe = r.WaitCQE()
+					cqes = append(cqes[:0], r.WaitCQE())
 				}
-				if cqe.Err != nil || cqe.Latency != time.Microsecond {
-					t.Errorf("cqe %+v", cqe)
+				for _, cqe := range cqes {
+					if cqe.User == n { // a sentinel: every read is in
+						return
+					}
+					if cqe.Err != nil || cqe.Latency != time.Microsecond {
+						t.Errorf("cqe %+v", cqe)
+					}
+					seen[cqe.User].Add(1)
+					if delivered.Add(1) == n {
+						close(all)
+					}
 				}
-				seen[cqe.User].Add(1)
 			}
 		}(c == 0)
 	}
@@ -373,7 +386,15 @@ func TestRingConcurrentCompletionStress(t *testing.T) {
 		}
 	}
 	r.Flush()
-	wg.Wait()
+	<-all
+	// One sentinel at a time, so each stops exactly one collector.
+	for c := 0; c < collectors; c++ {
+		if err := r.QueueReadCtx(ctx, buf, 0, n); err != nil {
+			t.Fatal(err)
+		}
+		r.Flush()
+		<-exited
+	}
 	for i := range seen {
 		if got := seen[i].Load(); got != 1 {
 			t.Fatalf("read %d delivered %d times", i, got)
@@ -417,6 +438,34 @@ func TestRingZeroAlloc(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(200, wave); a != 0 {
 		t.Fatalf("Queue→Flush→WaitCQE allocates %.1f per %d-read wave, want 0", a, r.Depth())
+	}
+}
+
+// TestWaitCQEsZeroAlloc: reaping a wave into a slice with room for it
+// allocates nothing.
+func TestWaitCQEsZeroAlloc(t *testing.T) {
+	if storagetest.RaceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	_, r := testRing(t, 8)
+	buf := make([]byte, 512)
+	cqes := make([]CQE, 0, r.Depth())
+	wave := func() {
+		for i := 0; i < r.Depth(); i++ {
+			if err := r.QueueReadCtx(ctx, buf, int64(i)*512, uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.Flush()
+		for reaped := 0; reaped < r.Depth(); reaped += len(cqes) {
+			cqes = r.WaitCQEs(cqes[:0])
+		}
+	}
+	for i := 0; i < 16; i++ {
+		wave()
+	}
+	if a := testing.AllocsPerRun(200, wave); a != 0 {
+		t.Fatalf("Queue→Flush→WaitCQEs allocates %.1f per %d-read wave, want 0", a, r.Depth())
 	}
 }
 
